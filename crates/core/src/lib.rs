@@ -74,7 +74,7 @@ pub use selfcorrect::{
 pub use sessions::{session_report, SessionReport, SessionStats};
 pub use stream::{
     PatchBatchReport, PatchStats, RestoreError, StreamHandle, StreamStats, StreamingBuilder,
-    StreamingClustering, SwapPolicy, SwapRejection, SwapReport, SwapStats,
+    StreamingClustering, SwapPolicy, SwapRejection, SwapReport, SwapStats, UnsortedState,
 };
 // The shared error-accounting shape carried by `IngestReport`, consumed by
 // `StreamingClustering::try_swap`, and produced by rtable's `ParseReport`;

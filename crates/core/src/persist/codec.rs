@@ -219,11 +219,26 @@ pub fn decode_header(bytes: &[u8]) -> Result<u8, FrameError> {
 /// `len` counts payload bytes only; the CRC covers the kind byte and the
 /// payload, so neither can flip undetected.
 pub fn encode_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
-    // analyze:allow(cast-truncation) payloads are single snapshot/batch records, far below u32::MAX; decode_frame re-validates the length against bytes present.
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    encode_frame_with(out, kind, |out| out.extend_from_slice(payload));
+}
+
+/// [`encode_frame`] for a payload that does not exist as a slice yet:
+/// `fill` appends the payload straight onto `out`, and the length field
+/// reserved before it is patched afterwards. A multi-megabyte snapshot is
+/// thus encoded once, in place, instead of built and then copied. `fill`
+/// must only append.
+pub fn encode_frame_with(out: &mut Vec<u8>, kind: u8, fill: impl FnOnce(&mut Vec<u8>)) {
+    let len_at = out.len();
+    out.extend_from_slice(&[0u8; 4]);
     let body_start = out.len();
     out.push(kind);
-    out.extend_from_slice(payload);
+    let payload_start = out.len();
+    fill(out);
+    // analyze:allow(cast-truncation) payloads are single snapshot/batch records, far below u32::MAX; decode_frame re-validates the length against bytes present.
+    let len = out.len().saturating_sub(payload_start) as u32;
+    if let Some(dst) = out.get_mut(len_at..body_start) {
+        dst.copy_from_slice(&len.to_le_bytes());
+    }
     let crc = crc32(out.get(body_start..).unwrap_or(&[]));
     out.extend_from_slice(&crc.to_le_bytes());
 }

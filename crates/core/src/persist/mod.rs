@@ -36,6 +36,7 @@ pub use state::{
     decode_batch, decode_state, encode_batch, encode_state, CorrectionState, FeedProgress,
     JournalBatch, StateDecodeError, StreamState,
 };
+use state::{encode_state_into, encoded_state_hint};
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -47,8 +48,8 @@ use netclust_obs::{Counter, Obs};
 use crate::faults::{failpoints, FaultInjector};
 use crate::stream::RestoreError;
 use codec::{
-    decode_frame, decode_header, encode_frame, encode_header, FrameError, FILE_JOURNAL,
-    FILE_SNAPSHOT, HEADER_BYTES, REC_BATCH, REC_STATE,
+    decode_frame, decode_header, encode_frame, encode_frame_with, encode_header, FrameError,
+    FILE_JOURNAL, FILE_SNAPSHOT, FRAME_OVERHEAD, HEADER_BYTES, REC_BATCH, REC_STATE,
 };
 
 /// Default journal-size threshold (bytes) past which
@@ -398,9 +399,12 @@ impl StateStore {
     /// plus zero batches, which is exactly the state it captured.
     pub fn checkpoint(&mut self, state: &StreamState) -> Result<u64, PersistError> {
         let next = self.seq + 1;
-        let mut bytes = Vec::new();
+        // The state is encoded once, straight into the file image: no
+        // intermediate payload buffer, no regrowth.
+        let mut bytes =
+            Vec::with_capacity(HEADER_BYTES + FRAME_OVERHEAD + encoded_state_hint(state));
         bytes.extend_from_slice(&encode_header(FILE_SNAPSHOT));
-        encode_frame(&mut bytes, REC_STATE, &encode_state(state));
+        encode_frame_with(&mut bytes, REC_STATE, |out| encode_state_into(out, state));
 
         let tmp = self.dir.join(format!("snapshot-{next:06}.tmp"));
         let snap = self.snapshot_path(next);

@@ -32,8 +32,11 @@ use crate::stream::{PatchStats, SwapRejection, SwapStats};
 pub struct StreamState {
     /// Patch-lineage version of the serving table generation.
     pub table_version: u64,
-    /// Feed batches fully applied before this snapshot (0 for a base
-    /// snapshot taken before the feed starts).
+    /// The feed driver's resume cursor as of this snapshot, in the
+    /// driver's own unit: feed batches fully applied for the CLI's BGP
+    /// feed loop (0 for a base snapshot taken before the feed starts),
+    /// the followed log's byte offset for `netclustd`
+    /// (`StreamingClustering::push_clf_at`).
     pub feed_pos: u64,
     /// Live BGP-tier prefixes, sorted ascending.
     pub bgp_prefixes: Vec<Ipv4Net>,
@@ -219,57 +222,68 @@ fn take_rejection(r: &mut Reader<'_>) -> Result<Option<SwapRejection>, StateDeco
 /// Serializes a [`StreamState`] to its canonical byte form (the payload of
 /// a snapshot file's single `REC_STATE` frame).
 pub fn encode_state(state: &StreamState) -> Vec<u8> {
-    let mut out = Vec::with_capacity(
-        64 + (state.bgp_prefixes.len() + state.dump_prefixes.len()) * 5
-            + state.per_client.len() * 20,
-    );
-    put_u64(&mut out, state.table_version);
-    put_u64(&mut out, state.feed_pos);
-    put_prefixes(&mut out, &state.bgp_prefixes);
-    put_prefixes(&mut out, &state.dump_prefixes);
+    let mut out = Vec::with_capacity(encoded_state_hint(state));
+    encode_state_into(&mut out, state);
+    out
+}
+
+/// A close upper estimate of [`encode_state`]'s output length, for
+/// reserving the buffer once: the fixed fields and two prefix lists plus
+/// one 20-byte row per client (park keys, rare and short, are left to the
+/// vector's own growth).
+pub(super) fn encoded_state_hint(state: &StreamState) -> usize {
+    512 + (state.bgp_prefixes.len() + state.dump_prefixes.len()) * 5 + state.per_client.len() * 20
+}
+
+/// [`encode_state`] appending onto `out` — the snapshot writer encodes
+/// straight into its file buffer through this.
+pub(super) fn encode_state_into(out: &mut Vec<u8>, state: &StreamState) {
+    put_u64(out, state.table_version);
+    put_u64(out, state.feed_pos);
+    put_prefixes(out, &state.bgp_prefixes);
+    put_prefixes(out, &state.dump_prefixes);
     // analyze:allow(cast-truncation) one row per distinct IPv4 client: len < 2^32 by construction.
-    put_u32(&mut out, state.per_client.len() as u32);
+    put_u32(out, state.per_client.len() as u32);
     for &(client, requests, bytes) in &state.per_client {
-        put_u32(&mut out, client);
-        put_u64(&mut out, requests);
-        put_u64(&mut out, bytes);
+        put_u32(out, client);
+        put_u64(out, requests);
+        put_u64(out, bytes);
     }
-    put_u64(&mut out, state.total_requests);
-    put_u64(&mut out, state.unclustered_requests);
-    put_u64(&mut out, state.clf_counts.records);
-    put_u64(&mut out, state.clf_counts.malformed);
-    put_u64(&mut out, state.swap_stats.accepted);
-    put_u64(&mut out, state.swap_stats.rejected);
-    put_u64(&mut out, state.swap_stats.stale_age);
-    put_u64(&mut out, state.patch_stats.batches);
-    put_u64(&mut out, state.patch_stats.accepted);
-    put_u64(&mut out, state.patch_stats.rejected);
-    put_u64(&mut out, state.patch_stats.slot_writes);
-    put_u64(&mut out, state.patch_stats.group_rebuilds);
-    put_u64(&mut out, state.patch_stats.recompiles);
-    put_rejection(&mut out, state.last_rejection);
+    put_u64(out, state.total_requests);
+    put_u64(out, state.unclustered_requests);
+    put_u64(out, state.clf_counts.records);
+    put_u64(out, state.clf_counts.malformed);
+    put_u64(out, state.swap_stats.accepted);
+    put_u64(out, state.swap_stats.rejected);
+    put_u64(out, state.swap_stats.stale_age);
+    put_u64(out, state.patch_stats.batches);
+    put_u64(out, state.patch_stats.accepted);
+    put_u64(out, state.patch_stats.rejected);
+    put_u64(out, state.patch_stats.slot_writes);
+    put_u64(out, state.patch_stats.group_rebuilds);
+    put_u64(out, state.patch_stats.recompiles);
+    put_rejection(out, state.last_rejection);
     match &state.correction {
         None => out.push(0),
         Some(c) => {
             out.push(1);
-            put_u64(&mut out, c.homogeneous);
-            put_u64(&mut out, c.split);
-            put_u64(&mut out, c.no_signal);
+            put_u64(out, c.homogeneous);
+            put_u64(out, c.split);
+            put_u64(out, c.no_signal);
             // analyze:allow(cast-truncation) at most one parked row per IPv4 client: len < 2^32.
-            put_u32(&mut out, c.parked.len() as u32);
+            put_u32(out, c.parked.len() as u32);
             for (addr, key) in &c.parked {
-                put_u32(&mut out, u32::from(*addr));
+                put_u32(out, u32::from(*addr));
                 // analyze:allow(cast-truncation) park keys are short synthetic `?cluster:`/`?addr:` strings.
-                put_u32(&mut out, key.len() as u32);
+                put_u32(out, key.len() as u32);
                 out.extend_from_slice(key.as_bytes());
             }
         }
     }
-    put_u64(&mut out, state.feed.coverage_start_bits);
-    put_u64(&mut out, state.feed.resets);
-    put_u64(&mut out, state.feed.deltas_total);
-    put_u64(&mut out, state.feed.reassigned);
-    out
+    put_u64(out, state.feed.coverage_start_bits);
+    put_u64(out, state.feed.resets);
+    put_u64(out, state.feed.deltas_total);
+    put_u64(out, state.feed.reassigned);
 }
 
 /// Decodes a [`StreamState`], enforcing the canonical form [`encode_state`]

@@ -306,6 +306,26 @@ pub fn render_top_table(rows: &[ClusterRow]) -> String {
     out
 }
 
+/// The first `n` of `items` under the total order `cmp`, in that order —
+/// what `sort_by(cmp)` + `truncate(n)` returns, without sorting the tail
+/// nobody reads: one O(len) selection, then a sort of the kept `n`.
+/// `cmp` must be total (no two items equal) for the result to be
+/// independent of the input order.
+pub(crate) fn keep_top<T>(
+    mut items: Vec<T>,
+    n: usize,
+    mut cmp: impl FnMut(&T, &T) -> std::cmp::Ordering,
+) -> Vec<T> {
+    if n == 0 {
+        items.clear();
+    } else if n < items.len() {
+        items.select_nth_unstable_by(n - 1, &mut cmp);
+        items.truncate(n);
+    }
+    items.sort_unstable_by(cmp);
+    items
+}
+
 impl ClusterQuery for StreamingClustering {
     fn lookup(&self, addr: Ipv4Addr) -> ClusterAnswer {
         let cluster = self.lookup_net(addr);
@@ -391,9 +411,11 @@ impl ClusterQuery for Clustering {
     }
 
     fn top(&self, n: usize) -> Vec<ClusterRow> {
-        let mut rows: Vec<ClusterRow> = self
-            .clusters
-            .iter()
+        let busiest = keep_top(self.clusters.iter().collect(), n, |a, b| {
+            b.requests.cmp(&a.requests).then(a.prefix.cmp(&b.prefix))
+        });
+        busiest
+            .into_iter()
             .map(|c| ClusterRow {
                 prefix: c.prefix,
                 clients: c.client_count() as u64,
@@ -401,10 +423,7 @@ impl ClusterQuery for Clustering {
                 bytes: c.bytes,
                 unique_urls: Some(u64::from(c.unique_urls)),
             })
-            .collect();
-        rows.sort_by(|a, b| b.requests.cmp(&a.requests).then(a.prefix.cmp(&b.prefix)));
-        rows.truncate(n);
-        rows
+            .collect()
     }
 
     fn summary(&self) -> QuerySummary {
@@ -438,6 +457,24 @@ mod tests {
             stream.push(r);
         }
         (batch, stream)
+    }
+
+    /// Selection must return exactly what the full sort did, for every
+    /// `n` around the interesting edges, ties on the primary key included.
+    #[test]
+    fn keep_top_equals_sort_then_truncate() {
+        let by_count_then_id = |a: &(u64, u32), b: &(u64, u32)| b.0.cmp(&a.0).then(a.1.cmp(&b.1));
+        // A small multiplicative generator: many ties on the count.
+        let items: Vec<(u64, u32)> = (0..500u32)
+            .map(|i| (u64::from(i.wrapping_mul(2_654_435_761) >> 27), i))
+            .collect();
+        let mut sorted = items.clone();
+        sorted.sort_by(by_count_then_id);
+        for n in [0, 1, 2, 10, 499, 500, 501, 10_000] {
+            let want: Vec<_> = sorted.iter().copied().take(n).collect();
+            assert_eq!(keep_top(items.clone(), n, by_count_then_id), want, "n={n}");
+        }
+        assert!(keep_top(Vec::new(), 3, by_count_then_id).is_empty());
     }
 
     #[test]

@@ -75,7 +75,10 @@ impl ServeConfig {
         self
     }
 
-    /// How often the log follower polls for new bytes.
+    /// How often the log follower polls for new bytes. This is the
+    /// freshness of the served view (no snapshot is written between a log
+    /// line and its visibility), and one full interval without bytes is
+    /// what the checkpointer takes for a quiet log.
     pub fn poll_interval(mut self, interval: Duration) -> Self {
         self.poll_interval = interval.max(Duration::from_millis(1));
         self
@@ -112,7 +115,9 @@ impl ServeConfig {
         self
     }
 
-    /// Ingested-byte threshold that forces a checkpoint.
+    /// Applied-but-unsnapshotted log bytes at which the checkpointer
+    /// snapshots even though the log is busy: the most log a `--resume`
+    /// re-reads (plus what arrives while one snapshot is written).
     pub fn checkpoint_bytes(mut self, bytes: u64) -> Self {
         self.checkpoint_bytes = bytes.max(1);
         self

@@ -7,13 +7,17 @@
 //! `std`-only — the accept loop is a non-blocking listener with a short
 //! sleep, concurrency is the fixed `pool::ThreadPool`, and the
 //! follower is one thread polling the tailed log on a configured
-//! interval.
+//! interval: poll → apply → publish, nothing else. Making the view
+//! durable happens behind it, on the checkpointer thread
+//! ([`crate::checkpoint`]), which exists only when a state dir is
+//! configured.
 //!
 //! Shutdown is graceful by construction: the accept thread owns the
-//! worker pool, so when the stop flag flips it stops accepting, drops the
-//! pool (which drains in-flight requests and joins every worker), and
-//! only then does [`Daemon::shutdown`] write the final checkpoint — the
-//! snapshot a `--resume` boot continues from.
+//! worker pool, so when the stop flag flips it stops accepting and drops
+//! the pool (which drains in-flight requests and joins every worker);
+//! the follower is joined next, then the checkpointer (an in-flight
+//! snapshot completes), and only then does [`Daemon::shutdown`] write the
+//! final checkpoint — the snapshot a `--resume` boot continues from.
 
 use std::fmt;
 use std::io::{Read as _, Write as _};
@@ -28,6 +32,7 @@ use netclust_obs::{ErrorCounts, Obs};
 use netclust_rtable::{MergedTable, TableKind};
 use netclust_weblog::follow::LogFollower;
 
+use crate::checkpoint::{self, Checkpointer};
 use crate::config::ServeConfig;
 use crate::http::{self, HttpResponse, Parse};
 use crate::json;
@@ -74,6 +79,7 @@ pub struct Daemon {
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
     follower: Option<JoinHandle<()>>,
+    checkpointer: Option<JoinHandle<()>>,
 }
 
 impl fmt::Debug for Daemon {
@@ -84,8 +90,9 @@ impl fmt::Debug for Daemon {
 
 impl Daemon {
     /// Boots the daemon: loads or recovers state, binds the listener,
-    /// spawns the HTTP pool and (when a log is configured) the follower.
-    /// Returns once the service is answering requests.
+    /// spawns the HTTP pool, (when a log is configured) the follower and
+    /// (when a state dir is configured) the checkpointer. Returns once the
+    /// service is answering requests.
     pub fn start(config: ServeConfig) -> Result<Daemon, ServeError> {
         // The daemon always records metrics — `/metrics` is an endpoint,
         // not an opt-in — so a disabled RunConfig obs is upgraded here.
@@ -121,27 +128,37 @@ impl Daemon {
             .name("netclustd-accept".to_string())
             .spawn(move || accept_loop(listener, pool, accept_state, accept_stop, accept_plan))?;
 
+        let checkpointer = match state.checkpointer {
+            None => None,
+            Some(_) => {
+                let state = Arc::clone(&state);
+                Some(
+                    std::thread::Builder::new()
+                        .name("netclustd-checkpoint".to_string())
+                        .spawn(move || checkpoint::run(state))?,
+                )
+            }
+        };
+
         let follower = match config.log_path() {
             None => None,
             Some(path) => {
-                // ordering: boot is single-threaded here — the value was
-                // just written by build_state; Acquire for symmetry with
-                // the follower/checkpoint pairing.
-                let offset = state.log_offset.load(Ordering::Acquire);
-                let follower = if offset > 0 {
-                    LogFollower::resume_at(path, offset)
-                } else {
-                    LogFollower::new(path)
-                };
+                // A restored stream carries the cursor its snapshot was
+                // taken at; a fresh one starts at 0.
+                let offset = state
+                    .stream
+                    .read()
+                    .map_err(|_| ServeError::Persist("state lock poisoned".to_string()))?
+                    .feed_pos();
+                let follower = LogFollower::resume_at(path, offset);
                 let follow_state = Arc::clone(&state);
                 let follow_stop = Arc::clone(&stop);
                 let interval = config.poll_interval_d();
-                let threshold = config.checkpoint_bytes_n();
                 Some(
                     std::thread::Builder::new()
                         .name("netclustd-follow".to_string())
                         .spawn(move || {
-                            follower_loop(follow_state, follower, interval, threshold, follow_stop)
+                            follower_loop(follow_state, follower, interval, follow_stop)
                         })?,
                 )
             }
@@ -152,7 +169,8 @@ impl Daemon {
             state,
             stop,
             accept: Some(accept),
-            follower: Some(follower).flatten(),
+            follower,
+            checkpointer,
         })
     }
 
@@ -173,22 +191,11 @@ impl Daemon {
         self.stop.store(true, Ordering::SeqCst);
     }
 
-    /// Stops accepting, drains in-flight requests, joins the follower,
-    /// and writes the final checkpoint.
+    /// Stops accepting, drains in-flight requests, joins the follower
+    /// and the checkpointer, and writes the final checkpoint.
     pub fn shutdown(mut self) -> Result<(), ServeError> {
         self.wind_down();
-        router::checkpoint_now(&self.state).map_err(ServeError::Persist)?;
-        let mut guard = self
-            .state
-            .store
-            .lock()
-            .map_err(|_| ServeError::Persist("store lock poisoned".to_string()))?;
-        if let Some(store) = guard.as_mut() {
-            store
-                .sync()
-                .map_err(|e| ServeError::Persist(format!("final sync: {e}")))?;
-        }
-        Ok(())
+        checkpoint::final_checkpoint(&self.state).map_err(ServeError::Persist)
     }
 
     fn wind_down(&mut self) {
@@ -201,13 +208,19 @@ impl Daemon {
         if let Some(handle) = self.follower.take() {
             let _ = handle.join();
         }
+        if let Some(cp) = &self.state.checkpointer {
+            cp.stop();
+        }
+        if let Some(handle) = self.checkpointer.take() {
+            let _ = handle.join();
+        }
     }
 }
 
 impl Drop for Daemon {
     fn drop(&mut self) {
         self.wind_down();
-        let _ = router::checkpoint_now(&self.state);
+        let _ = checkpoint::checkpoint_now(&self.state);
     }
 }
 
@@ -230,7 +243,6 @@ fn build_state(config: &ServeConfig, obs: &Obs) -> Result<AppState, ServeError> 
     }
 
     let mut store = None;
-    let mut log_offset = 0u64;
     let mut feed_index = 0u64;
     let stream: StreamingClustering = match config.state_dir_path() {
         Some(dir) if config.is_resume() => {
@@ -247,28 +259,37 @@ fn build_state(config: &ServeConfig, obs: &Obs) -> Result<AppState, ServeError> 
                 let _ = stream.apply_deltas(&batch.deltas);
                 feed_index = feed_index.max(batch.feed_index + 1);
             }
-            log_offset = snapshot.feed_pos;
             store = Some(recovered_store);
             stream
         }
         maybe_dir => {
-            if let Some(dir) = maybe_dir {
-                let fresh = StateStore::create(dir, run.fsync_policy())
-                    .map_err(|e| ServeError::Persist(format!("create {}: {e}", dir.display())))?
-                    .obs(obs);
-                store = Some(fresh);
-            }
             if tables.is_empty() {
                 return Err(ServeError::Config(
                     "no serving table: give --table or --dump".to_string(),
                 ));
             }
-            run.streaming(MergedTable::merge(tables.iter()))
+            let stream = run.streaming(MergedTable::merge(tables.iter()));
+            if let Some(dir) = maybe_dir {
+                let mut fresh = StateStore::create(dir, run.fsync_policy())
+                    .map_err(|e| ServeError::Persist(format!("create {}: {e}", dir.display())))?
+                    .obs(obs);
+                // Generation 1 is the empty view. The checkpointer may not
+                // snapshot a busy log for a long while; the journal a
+                // delta reload appends to has to exist before that.
+                fresh
+                    .checkpoint(&stream.export_state())
+                    .map_err(|e| ServeError::Persist(format!("base snapshot: {e}")))?;
+                store = Some(fresh);
+            }
+            stream
         }
     };
 
     Ok(AppState {
         stream: RwLock::new(stream),
+        checkpointer: store
+            .is_some()
+            .then(|| Checkpointer::new(config.checkpoint_bytes_n())),
         store: Mutex::new(store),
         obs: obs.clone(),
         metrics: ServeObs::resolve(obs),
@@ -276,7 +297,6 @@ fn build_state(config: &ServeConfig, obs: &Obs) -> Result<AppState, ServeError> 
         top_default: config.top_default_n(),
         verdict: config.verdict_policy(),
         feed_index: AtomicU64::new(feed_index),
-        log_offset: AtomicU64::new(log_offset),
     })
 }
 
@@ -398,47 +418,118 @@ fn serve_connection(state: &AppState, mut conn: TcpStream, plan: &FaultPlan, sto
     }
 }
 
-/// Tails the access log: new bytes go through the CLF parser into the
-/// live stream; checkpoints fire on the byte threshold and when the log
-/// goes idle while unsnapshotted bytes are pending.
+/// Most bytes applied under one hold of the stream write lock. A 4 MiB
+/// catch-up chunk applied whole stalls every reader for its full parse;
+/// in slices of this size the stall is a fraction of a millisecond.
+const APPLY_SLICE: usize = 64 << 10;
+
+/// Splits whole-line `rest` after its last newline within [`APPLY_SLICE`]
+/// bytes (after its first newline when one line is longer than that).
+fn split_slice(rest: &[u8]) -> (&[u8], &[u8]) {
+    let Some(head) = rest.get(..APPLY_SLICE) else {
+        return (rest, &[]);
+    };
+    let cut = match head.iter().rposition(|&b| b == b'\n') {
+        Some(i) => i + 1,
+        None => rest
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(rest.len(), |i| i + 1),
+    };
+    rest.split_at(cut)
+}
+
+/// Tails the access log — poll → apply → publish, and nothing else: each
+/// polled chunk goes through the CLF parser into the live stream, cursor
+/// and counts together, one write-lock hold per [`APPLY_SLICE`]. The
+/// follower only *tells* the checkpointer what it applied and whether the
+/// log is quiet; no export, file write or fsync sits between a log line
+/// and its visibility.
 fn follower_loop(
     state: Arc<AppState>,
     mut follower: LogFollower,
     interval: Duration,
-    checkpoint_bytes: u64,
     stop: Arc<AtomicBool>,
 ) {
-    let mut dirty = 0u64;
+    // Consecutive empty polls; two of them span one full poll interval.
+    let mut idle_polls = 0u32;
     // ordering: stop flag only — no data rides on it; SeqCst matches the
     // store side.
     while !stop.load(Ordering::SeqCst) {
-        match follower.poll() {
+        let polled = follower.poll();
+        let applied = matches!(polled, Ok(Some(_)));
+        match polled {
             Ok(Some(chunk)) => {
-                if let Ok(mut stream) = state.stream.write() {
-                    let _ = stream.push_clf(&chunk);
-                } else {
-                    return;
+                idle_polls = 0;
+                let mut at = follower.offset().saturating_sub(chunk.len() as u64);
+                let mut rest = chunk.as_slice();
+                while !rest.is_empty() {
+                    let (slice, tail) = split_slice(rest);
+                    at += slice.len() as u64;
+                    let Ok(mut stream) = state.stream.write() else {
+                        state.metrics.follow_errors.inc();
+                        eprintln!("netclustd: follower stopped: state lock poisoned");
+                        return;
+                    };
+                    let _ = stream.push_clf_at(slice, at);
+                    if let Some(cp) = &state.checkpointer {
+                        cp.note_applied(slice.len() as u64);
+                    }
+                    drop(stream);
+                    rest = tail;
                 }
-                // ordering: Release pairs with checkpoint_now's Acquire
-                // load — the cursor publishes only after the chunk's
-                // lines are applied under the stream write lock above.
-                state.log_offset.store(follower.offset(), Ordering::Release);
                 state.metrics.follow_chunks.inc();
                 state.metrics.follow_bytes.add(chunk.len() as u64);
-                dirty += chunk.len() as u64;
-                if dirty >= checkpoint_bytes && router::checkpoint_now(&state).is_ok() {
-                    dirty = 0;
-                }
             }
-            Ok(None) => {
-                // Idle. Snapshot pending bytes so a crash right now loses
-                // nothing, then wait out the poll interval.
-                if dirty > 0 && router::checkpoint_now(&state).is_ok() {
-                    dirty = 0;
-                }
-                std::thread::sleep(interval);
-            }
-            Err(_) => std::thread::sleep(interval),
+            Ok(None) => idle_polls = idle_polls.saturating_add(1),
+            Err(_) => state.metrics.follow_errors.inc(),
         }
+        let file_len = std::fs::metadata(follower.path()).map_or(0, |m| m.len());
+        state
+            .metrics
+            .follow_lag
+            .set(file_len.saturating_sub(follower.offset()));
+        if let Some(cp) = &state.checkpointer {
+            state.metrics.checkpoint_dirty.set(cp.dirty_bytes());
+            if cp.consider(idle_polls >= 2) {
+                state.metrics.checkpoint_coalesced.inc();
+            }
+        }
+        if !applied {
+            std::thread::sleep(interval);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn slices_are_whole_lines_within_the_bound() {
+        // 70-byte lines, one 100 KiB line in the middle, ~300 KiB in all.
+        let mut log = Vec::new();
+        for i in 0..4_000 {
+            if i == 2_000 {
+                log.extend(std::iter::repeat_n(b'x', 100 << 10));
+                log.push(b'\n');
+            }
+            log.extend_from_slice(format!("{i:069}\n").as_bytes());
+        }
+        let mut rest = log.as_slice();
+        let mut rebuilt = Vec::new();
+        let mut oversized = 0;
+        while !rest.is_empty() {
+            let (slice, tail) = split_slice(rest);
+            assert_eq!(slice.last(), Some(&b'\n'), "line-aligned");
+            if slice.len() > APPLY_SLICE {
+                oversized += 1;
+                assert_eq!(slice.iter().filter(|&&b| b == b'\n').count(), 1);
+            }
+            rebuilt.extend_from_slice(slice);
+            rest = tail;
+        }
+        assert_eq!(rebuilt, log);
+        assert_eq!(oversized, 1, "only the one line longer than a slice");
     }
 }

@@ -25,10 +25,14 @@
 //! hot-path dispatcher from parsed request to response; [`json`] renders
 //! the deterministic response bodies the router and reload path share;
 //! [`config`] is the [`ServeConfig`] builder the CLI flags parse into;
-//! [`daemon`] owns the listener, pool, follower, and persistence wiring.
+//! [`daemon`] owns the listener, pool and follower; [`checkpoint`] owns
+//! everything that touches the state store — the background checkpointer
+//! thread, the synchronous checkpoints, and the journal-before-apply step
+//! of a delta reload.
 
 #![warn(missing_docs)]
 
+pub mod checkpoint;
 pub mod config;
 pub mod daemon;
 pub mod http;

@@ -3,7 +3,8 @@
 //! Boots a [`netclust_serve::Daemon`] from command-line flags, then parks
 //! until SIGTERM/SIGINT flips the shutdown flag, at which point it winds
 //! the service down gracefully: stop accepting, drain in-flight requests,
-//! join the log follower, write the final checkpoint.
+//! join the log follower, then the checkpointer (an in-flight snapshot
+//! completes), write the final checkpoint.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,12 +32,18 @@ service:
 
 log tailing:
   --log FILE              access log (CLF) to tail
-  --poll-ms MS            follower poll interval (default 200)
+  --poll-ms MS            follower poll interval (default 200): a logged
+                          line is served within about one interval; no
+                          snapshot is ever written on that path
 
 persistence:
   --state-dir DIR         snapshot + journal directory
   --resume                recover from --state-dir instead of starting fresh
-  --checkpoint-bytes N    ingested bytes between checkpoints (default 4 MiB)
+  --checkpoint-bytes N    snapshot in the background once N log bytes are
+                          applied but not yet snapshotted (default 4 MiB),
+                          or as soon as the log has been quiet for one poll
+                          interval; never more often than half the time.
+                          Bounds how much log a --resume re-reads
   --fsync POLICY          every-batch | every=N | os (default every-batch)
 
 run knobs:

@@ -13,15 +13,16 @@
 //! semantics.
 
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Mutex, RwLock};
 
 use netclust_core::query::top_to_json;
-use netclust_core::{ClusterQuery, JournalBatch, StateStore, StreamingClustering, VerdictPolicy};
-use netclust_obs::{Counter, ErrorCounts, Obs};
+use netclust_core::{ClusterQuery, StateStore, StreamingClustering, VerdictPolicy};
+use netclust_obs::{Counter, ErrorCounts, Gauge, Histogram, Obs};
 use netclust_prefix::Ipv4Net;
 use netclust_rtable::{MergedTable, RoutingTable, TableDelta, TableKind};
 
+use crate::checkpoint::{self, ApplyError, Checkpointer};
 use crate::http::{HttpRequest, HttpResponse, Method};
 use crate::json;
 
@@ -49,8 +50,23 @@ pub struct ServeObs {
     pub follow_chunks: Counter,
     /// Log bytes ingested by the follower.
     pub follow_bytes: Counter,
-    /// Checkpoints written.
+    /// Follower turns that failed: a log poll error, or the stream lock
+    /// found poisoned (after which the follower is gone).
+    pub follow_errors: Counter,
+    /// Bytes the followed file holds past the follower's cursor.
+    pub follow_lag: Gauge,
+    /// Snapshots made durable (background, post-swap and shutdown alike).
     pub checkpoints: Counter,
+    /// Checkpoint triggers that merged into a snapshot already pending or
+    /// in flight.
+    pub checkpoint_coalesced: Counter,
+    /// Snapshot attempts that failed; the bytes stay dirty and are retried.
+    pub checkpoint_errors: Counter,
+    /// Applied log bytes no durable snapshot covers yet.
+    pub checkpoint_dirty: Gauge,
+    /// Wall time of each snapshot (export + write + fsync + rename), ms.
+    /// Not recorded under `--deterministic`.
+    pub checkpoint_ms: Histogram,
 }
 
 impl ServeObs {
@@ -65,7 +81,13 @@ impl ServeObs {
             reload_deltas: obs.counter("serve.reload.deltas"),
             follow_chunks: obs.counter("serve.follow.chunks"),
             follow_bytes: obs.counter("serve.follow.bytes"),
+            follow_errors: obs.counter("serve.follow.errors"),
+            follow_lag: obs.gauge("serve.follow.lag_bytes"),
             checkpoints: obs.counter("serve.checkpoints"),
+            checkpoint_coalesced: obs.counter("serve.checkpoint.coalesced"),
+            checkpoint_errors: obs.counter("serve.checkpoint.errors"),
+            checkpoint_dirty: obs.gauge("serve.checkpoint.dirty_bytes"),
+            checkpoint_ms: obs.histogram("serve.checkpoint.ms"),
         }
     }
 }
@@ -73,13 +95,17 @@ impl ServeObs {
 /// Everything the HTTP workers, the log follower, and the reload path
 /// share. One instance per daemon, behind an `Arc`.
 pub struct AppState {
-    /// The live clustering view. Queries take the read half; the
-    /// follower, reloads, and restores take the write half.
+    /// The live clustering view, log cursor included. Queries and
+    /// snapshot exports take the read half; the follower and reloads take
+    /// the write half.
     pub stream: RwLock<StreamingClustering>,
     /// Crash-safe persistence, when `--state-dir` is set. The mutex
-    /// serializes journal appends and checkpoints between the follower
-    /// and the reload path.
+    /// serializes journal appends and checkpoints; only
+    /// [`crate::checkpoint`] locks it, always before the stream.
     pub store: Mutex<Option<StateStore>>,
+    /// The follower's line to the checkpointer thread; `Some` exactly
+    /// when `store` holds one.
+    pub checkpointer: Option<Checkpointer>,
     /// The daemon-wide observability registry (`/metrics` snapshots it).
     pub obs: Obs,
     /// Pre-resolved `serve.*` handles.
@@ -93,9 +119,6 @@ pub struct AppState {
     pub verdict: VerdictPolicy,
     /// Monotonic index for journaled reload batches.
     pub feed_index: AtomicU64,
-    /// Byte offset of the last complete log line ingested — the
-    /// checkpoint cursor ([`netclust_core::StreamState::feed_pos`]).
-    pub log_offset: AtomicU64,
 }
 
 /// Routes one request. Infallible: every failure mode is an HTTP error
@@ -262,7 +285,7 @@ fn reload_swap(
     if report.accepted {
         // A swap changes the serving table wholesale; snapshot now so a
         // crash cannot resurrect the old table.
-        if let Err(msg) = checkpoint_now(state) {
+        if let Err(msg) = checkpoint::checkpoint_now(state) {
             return HttpResponse::json(500, json::error_body(&msg));
         }
     }
@@ -281,34 +304,16 @@ fn reload_deltas(state: &AppState, body: &[u8]) -> HttpResponse {
         return HttpResponse::json(400, json::error_body("delta body held no updates"));
     }
 
-    // WAL ordering: the batch is journaled before it is applied, so a
-    // crash between the two replays it on recovery instead of losing it.
-    let mut store_guard = match state.store.lock() {
-        Ok(guard) => guard,
-        Err(_) => return HttpResponse::json(500, json::error_body("store lock poisoned")),
-    };
-    if let Some(store) = store_guard.as_mut() {
-        let batch = JournalBatch {
-            // ordering: monotone batch counter; the store mutex held
-            // across append+apply already orders journal writes.
-            feed_index: state.feed_index.fetch_add(1, Ordering::Relaxed),
-            session_reset: false,
-            deltas: deltas.clone(),
-        };
-        if let Err(e) = store.append_batch(&batch) {
-            return HttpResponse::json(
-                503,
-                json::error_body(&format!("journal append failed: {e}")),
-            );
+    let report = match checkpoint::apply_journaled(state, &deltas) {
+        Ok(report) => report,
+        Err(e) => {
+            let status = match e {
+                ApplyError::Poisoned(_) => 500,
+                ApplyError::Journal(_) => 503,
+            };
+            return HttpResponse::json(status, json::error_body(&e.to_string()));
         }
-    }
-    let mut stream = match state.stream.write() {
-        Ok(guard) => guard,
-        Err(_) => return HttpResponse::json(500, json::error_body("state lock poisoned")),
     };
-    let report = stream.apply_deltas(&deltas);
-    drop(stream);
-    drop(store_guard);
     HttpResponse::json(
         if report.accepted { 200 } else { 409 },
         json::patch_report_body(&report),
@@ -359,32 +364,4 @@ pub(crate) fn load_table(
     let lines = text.lines().count() as u64;
     let (table, bad) = RoutingTable::parse(path, "file", kind, &text);
     Ok((table, ErrorCounts::new(lines, bad as u64)))
-}
-
-/// Snapshots the current stream state (with the follower's committed log
-/// offset as the resume cursor) into the state store, if one is
-/// configured. Called on the byte threshold, on idle-while-dirty, after
-/// accepted swaps, and at shutdown.
-pub(crate) fn checkpoint_now(state: &AppState) -> Result<(), String> {
-    let mut store_guard = state
-        .store
-        .lock()
-        .map_err(|_| "store lock poisoned".to_string())?;
-    let Some(store) = store_guard.as_mut() else {
-        return Ok(());
-    };
-    let stream = state
-        .stream
-        .read()
-        .map_err(|_| "state lock poisoned".to_string())?;
-    let mut snapshot = stream.export_state();
-    drop(stream);
-    // ordering: Acquire pairs with the follower's Release store, so the
-    // resume cursor never runs ahead of the bytes actually applied.
-    snapshot.feed_pos = state.log_offset.load(Ordering::Acquire);
-    store
-        .checkpoint(&snapshot)
-        .map_err(|e| format!("checkpoint failed: {e}"))?;
-    state.metrics.checkpoints.inc();
-    Ok(())
 }

@@ -40,6 +40,10 @@ struct Fixture {
 }
 
 fn fixture(name: &str, seed: u64) -> Fixture {
+    fixture_of(name, seed, 3_000)
+}
+
+fn fixture_of(name: &str, seed: u64, requests: u64) -> Fixture {
     let dir = tmpdir(name);
     let universe = Universe::generate(UniverseConfig::small(seed));
     let mut tables = Vec::new();
@@ -61,7 +65,7 @@ fn fixture(name: &str, seed: u64) -> Fixture {
         }
     }
     let mut spec = LogSpec::tiny(name, seed);
-    spec.total_requests = 3_000;
+    spec.total_requests = requests;
     let log = generate(&universe, &spec);
     let text = clf::to_clf(&log);
     let a_client = log.requests.first().expect("nonempty log").client_addr();
@@ -380,6 +384,63 @@ fn equal_corpora_render_byte_identical_json() {
     );
 }
 
+/// A spawned `netclustd` that a failing assertion cannot leak.
+struct Netclustd(Child);
+
+impl Drop for Netclustd {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Spawns the real `netclustd` on the fixture with `<dir>/state` as its
+/// state dir.
+fn spawn_netclustd(fx: &Fixture, port_file: &Path, flags: &[&str], resume: bool) -> Netclustd {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_netclustd"));
+    cmd.arg("--table")
+        .arg(path_list(&fx.tables))
+        .arg("--dump")
+        .arg(path_list(&fx.dumps))
+        .arg("--log")
+        .arg(&fx.log)
+        .arg("--state-dir")
+        .arg(fx.dir.join("state"))
+        .arg("--port-file")
+        .arg(port_file)
+        .args(flags);
+    if resume {
+        cmd.arg("--resume");
+    }
+    Netclustd(cmd.spawn().expect("spawn netclustd"))
+}
+
+/// Waits for the daemon to write its port file; returns the address.
+fn read_addr(port_file: &Path) -> SocketAddr {
+    let mut addr = None;
+    wait_for("port file", || {
+        addr = std::fs::read_to_string(port_file)
+            .ok()
+            .filter(|s| s.ends_with('\n'))
+            .and_then(|s| s.trim().parse().ok());
+        addr.is_some()
+    });
+    addr.expect("bound address")
+}
+
+/// `kill -TERM`, then the exit status.
+fn terminate(daemon: &mut Netclustd) -> std::process::ExitStatus {
+    let status = Command::new("kill")
+        .args(["-TERM", &daemon.0.id().to_string()])
+        .status()
+        .expect("send SIGTERM");
+    assert!(status.success(), "kill -TERM failed");
+    wait_for("graceful exit", || {
+        matches!(daemon.0.try_wait(), Ok(Some(_)))
+    });
+    daemon.0.wait().expect("wait")
+}
+
 /// The real binary: boot with persistence, ingest, SIGKILL mid-flight,
 /// resume from the state dir, verify the view survived, then stop
 /// gracefully on SIGTERM.
@@ -387,44 +448,16 @@ fn equal_corpora_render_byte_identical_json() {
 fn netclustd_survives_kill_and_resumes_from_its_checkpoint() {
     let fx = fixture("resume", 31);
     std::fs::write(&fx.log, &fx.clf).expect("write log");
-    let state_dir = fx.dir.join("state");
-    let spawn = |resume: bool, port_file: &Path| -> Child {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_netclustd"));
-        cmd.arg("--table")
-            .arg(path_list(&fx.tables))
-            .arg("--dump")
-            .arg(path_list(&fx.dumps))
-            .arg("--log")
-            .arg(&fx.log)
-            .arg("--state-dir")
-            .arg(&state_dir)
-            .arg("--port-file")
-            .arg(port_file)
-            .args([
-                "--poll-ms",
-                "20",
-                "--checkpoint-bytes",
-                "1",
-                "--deterministic",
-            ]);
-        if resume {
-            cmd.arg("--resume");
-        }
-        cmd.spawn().expect("spawn netclustd")
-    };
-    let read_addr = |port_file: &Path| -> SocketAddr {
-        let mut addr = None;
-        wait_for("port file", || {
-            addr = std::fs::read_to_string(port_file)
-                .ok()
-                .and_then(|s| s.trim().parse().ok());
-            addr.is_some()
-        });
-        addr.expect("bound address")
-    };
+    let flags = [
+        "--poll-ms",
+        "20",
+        "--checkpoint-bytes",
+        "1",
+        "--deterministic",
+    ];
 
     let port_a = fx.dir.join("port-a");
-    let mut first = spawn(false, &port_a);
+    let first = spawn_netclustd(&fx, &port_a, &flags, false);
     let addr = read_addr(&port_a);
     let want = fx.total_requests;
     wait_for("log ingested", || {
@@ -432,8 +465,8 @@ fn netclustd_survives_kill_and_resumes_from_its_checkpoint() {
             .1
             .contains(&format!("\"total_requests\": {want}"))
     });
-    // The ingest chunk checkpoints right after applying (threshold is one
-    // byte); wait until the snapshot has actually hit the disk.
+    // The threshold is one byte, so the checkpointer snapshots as soon as
+    // the chunk is applied; wait until the snapshot has hit the disk.
     wait_for("checkpoint written", || {
         get(addr, "/metrics").1.contains("serve.checkpoints")
             && !get(addr, "/metrics").1.contains("\"serve.checkpoints\": 0")
@@ -441,11 +474,10 @@ fn netclustd_survives_kill_and_resumes_from_its_checkpoint() {
     let top_before = get(addr, "/v1/clusters/top?n=20").1;
 
     // SIGKILL: no graceful path, no final checkpoint.
-    first.kill().expect("kill");
-    let _ = first.wait();
+    drop(first);
 
     let port_b = fx.dir.join("port-b");
-    let mut second = spawn(true, &port_b);
+    let mut second = spawn_netclustd(&fx, &port_b, &flags, true);
     let addr = read_addr(&port_b);
     wait_for("resumed view restored", || {
         get(addr, "/healthz")
@@ -459,16 +491,205 @@ fn netclustd_survives_kill_and_resumes_from_its_checkpoint() {
     );
 
     // Graceful SIGTERM: exits 0 after its final checkpoint.
-    let pid = second.id().to_string();
-    let status = Command::new("kill")
-        .args(["-TERM", &pid])
-        .status()
-        .expect("send SIGTERM");
-    assert!(status.success(), "kill -TERM failed");
-    wait_for("graceful exit", || matches!(second.try_wait(), Ok(Some(_))));
-    let exit = second.wait().expect("wait");
+    let exit = terminate(&mut second);
     assert!(
         exit.success(),
         "graceful shutdown must exit 0, got {exit:?}"
     );
+}
+
+fn json_u64(body: &str, key: &str) -> u64 {
+    let at = body
+        .find(&format!("\"{key}\": "))
+        .unwrap_or_else(|| panic!("no {key} in {body}"));
+    body[at + key.len() + 4..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect::<String>()
+        .parse()
+        .expect("a number")
+}
+
+fn tmp_files(state_dir: &Path) -> Vec<String> {
+    std::fs::read_dir(state_dir)
+        .expect("state dir")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.ends_with(".tmp"))
+        .collect()
+}
+
+/// A busy log is never idle between two polls. 50 lines every 5 ms for a
+/// second, followed at `--poll-ms 10`: every append must become visible
+/// without a snapshot in its way, the checkpointer must stay out of it
+/// while the log is busy and catch up once it goes quiet, and a SIGTERM
+/// landing on an in-flight snapshot must still leave a state dir that
+/// resumes to the same answers.
+#[test]
+fn a_trickle_is_served_fresh_and_checkpointed_behind() {
+    const POLL: Duration = Duration::from_millis(10);
+    const APPENDS: usize = 200;
+    const LINES_PER_APPEND: usize = 50;
+    let fx = fixture_of("trickle", 37, ((APPENDS + 1) * LINES_PER_APPEND) as u64);
+    let lines: Vec<&str> = fx.clf.lines().collect();
+    assert_eq!(lines.len(), (APPENDS + 1) * LINES_PER_APPEND);
+    let blocks: Vec<String> = lines
+        .chunks(LINES_PER_APPEND)
+        .map(|block| block.iter().map(|l| format!("{l}\n")).collect())
+        .collect();
+    std::fs::write(&fx.log, "").expect("create empty log");
+    let state_dir = fx.dir.join("state");
+    let flags = ["--poll-ms", "10"];
+
+    let port_a = fx.dir.join("port-a");
+    let mut daemon = spawn_netclustd(&fx, &port_a, &flags, false);
+    let addr = read_addr(&port_a);
+    let checkpoints =
+        |c: &mut Client| json_u64(&c.send("GET", "/metrics", None).1, "serve.checkpoints");
+    let mut control = Client::connect(addr);
+    let before = checkpoints(&mut control);
+
+    // The watcher samples /healthz flat out; the writer appends on a 5 ms
+    // schedule and notes when each append was complete.
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let total = (APPENDS * LINES_PER_APPEND) as u64;
+    let (samples, written, stalls, at_end) = std::thread::scope(|scope| {
+        let watcher = scope.spawn(|| {
+            let mut c = Client::connect(addr);
+            let mut samples: Vec<(Instant, u64)> = Vec::new();
+            while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                let body = c.send("GET", "/healthz", None).1;
+                samples.push((Instant::now(), json_u64(&body, "total_requests")));
+            }
+            samples
+        });
+        let mut log = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&fx.log)
+            .expect("open log");
+        let start = Instant::now();
+        let mut written: Vec<(Instant, u64)> = Vec::new();
+        let mut stalls = 0u64;
+        for (i, block) in blocks[..APPENDS].iter().enumerate() {
+            let due = start + Duration::from_millis(5) * i as u32;
+            std::thread::sleep(due.saturating_duration_since(Instant::now()));
+            log.write_all(block.as_bytes()).expect("append");
+            let now = Instant::now();
+            // A gap this long looks like a quiet log to the daemon, and
+            // may rightly draw a checkpoint.
+            if written.last().is_some_and(|&(prev, _)| now - prev > POLL) {
+                stalls += 1;
+            }
+            written.push((now, ((i + 1) * LINES_PER_APPEND) as u64));
+            if i == APPENDS / 2 {
+                // A journaled delta reload in the middle of it all: store
+                // mutex and stream write lock against both other writers.
+                let (status, body) =
+                    control.send("POST", "/v1/reload", Some("announce 10.99.0.0/16\n"));
+                assert_eq!(status, 200, "{body}");
+            }
+        }
+        let at_end = (Instant::now(), checkpoints(&mut control));
+        // Let the watcher see the last append land (give up after 2 s; the
+        // freshness check below then names the append that never showed).
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while json_u64(&control.send("GET", "/healthz", None).1, "total_requests") < total
+            && Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        done.store(true, std::sync::atomic::Ordering::SeqCst);
+        (watcher.join().expect("watcher"), written, stalls, at_end)
+    });
+    let (trickle_end, count_at_end) = at_end;
+    let during = count_at_end - before;
+    assert!(
+        during <= 2 + stalls,
+        "{during} checkpoints during a busy second ({stalls} writer stalls)"
+    );
+
+    // Freshness: each append against the first sample that covers it.
+    let mut late = 0usize;
+    for &(at, total) in &written {
+        let seen = samples
+            .iter()
+            .find(|&&(_, t)| t >= total)
+            .map(|&(when, _)| when.saturating_duration_since(at))
+            .unwrap_or_else(|| panic!("append {total} never became visible"));
+        assert!(
+            seen < Duration::from_secs(1),
+            "append {total} took {seen:?}"
+        );
+        if seen > 3 * POLL {
+            late += 1;
+        }
+    }
+    // On a quiet host every append makes it; a shared one may deschedule
+    // the watcher or the daemon now and then, so a tenth may miss.
+    assert!(
+        late * 10 <= written.len(),
+        "{late} of {} appends took more than 3 poll intervals ({stalls} writer stalls)",
+        written.len()
+    );
+
+    // Quiet now: the pending bytes must be made durable promptly.
+    while checkpoints(&mut control) == count_at_end {
+        assert!(
+            trickle_end.elapsed() < Duration::from_millis(500),
+            "no checkpoint within 500 ms of the log going quiet"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    wait_for("no snapshot left half-written", || {
+        tmp_files(&state_dir).is_empty()
+    });
+
+    // One more append; as soon as it is applied the answers are final.
+    // The quiet-log checkpoint follows within two polls: send SIGTERM the
+    // moment its temp file appears (or after 1 s if we never catch it).
+    {
+        let mut log = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&fx.log)
+            .expect("open log");
+        log.write_all(blocks[APPENDS].as_bytes()).expect("append");
+    }
+    let total = total + LINES_PER_APPEND as u64;
+    // (Polled flat out: the window we are after opens ~10 ms from now.)
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while json_u64(&control.send("GET", "/healthz", None).1, "total_requests") != total {
+        assert!(Instant::now() < deadline, "last append never applied");
+    }
+    let top_before = control.send("GET", "/v1/clusters/top?n=20", None).1;
+    let cluster_before = control
+        .send("GET", &format!("/v1/cluster?ip={}", fx.a_client), None)
+        .1;
+    drop(control);
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let mut caught = false;
+    while !caught && Instant::now() < deadline {
+        caught = !tmp_files(&state_dir).is_empty();
+    }
+    eprintln!("caught a snapshot in flight: {caught}");
+    let exit = terminate(&mut daemon);
+    assert!(exit.success(), "SIGTERM mid-checkpoint: {exit:?}");
+    assert_eq!(tmp_files(&state_dir), Vec::<String>::new());
+
+    let port_b = fx.dir.join("port-b");
+    let mut resumed = spawn_netclustd(&fx, &port_b, &flags, true);
+    let addr = read_addr(&port_b);
+    let mut c = Client::connect(addr);
+    assert_eq!(
+        json_u64(&c.send("GET", "/healthz", None).1, "total_requests"),
+        total,
+        "the final checkpoint covers every applied line: nothing to replay"
+    );
+    assert_eq!(c.send("GET", "/v1/clusters/top?n=20", None).1, top_before);
+    assert_eq!(
+        c.send("GET", &format!("/v1/cluster?ip={}", fx.a_client), None)
+            .1,
+        cluster_before
+    );
+    drop(c);
+    let exit = terminate(&mut resumed);
+    assert!(exit.success(), "{exit:?}");
 }

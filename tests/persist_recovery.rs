@@ -141,7 +141,11 @@ fn run_once(
         return Err(Crashed);
     }
     *faults = Some(store.take_faults());
-    Ok(stream.export_state())
+    // A restored stream carries its snapshot's cursor; the reference run,
+    // which never persisted, has none.
+    let mut end = stream.export_state();
+    end.feed_pos = 0;
+    Ok(end)
 }
 
 #[test]
