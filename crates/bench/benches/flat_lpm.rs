@@ -1,4 +1,4 @@
-//! Compiled flat LPM (DIR-24-8) vs radix trie, and serial vs parallel
+//! Compiled LPM (DIR-16 root + compressed nodes) vs radix trie, and serial vs parallel
 //! clustering, at production table scale (≥100k prefixes).
 //!
 //! Beyond the console table, results are persisted machine-readably to

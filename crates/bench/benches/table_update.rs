@@ -1,4 +1,4 @@
-//! Incremental patch vs full recompile on the DIR-24-8 table.
+//! Incremental patch vs full recompile on the compiled LPM table.
 //!
 //! A live BGP feed is dominated by small announce/withdraw batches, so
 //! the interesting number is how much cheaper `apply_delta` lands one
@@ -86,15 +86,17 @@ fn main() {
 
     let base = synth_prefixes(n_prefixes, 0xB67);
     let mut table = CompiledTable::from_prefixes(base.iter().copied());
+    let base_nodes = table.nodes();
     println!(
-        "base table: {} prefixes, {} overflow groups\n",
+        "base table: {} prefixes, {} nodes, {} bytes\n",
         table.len(),
-        table.long_groups()
+        table.nodes(),
+        table.memory_bytes()
     );
 
-    // Pre-timing gate: every swept batch round-trips through the in-place
-    // patch path (no recompile fallback) and restores the base table
-    // exactly — the measured numbers are the incremental path's.
+    // Pre-timing gate: every swept batch round-trips through the
+    // chunk-by-chunk patch path (no bulk rebuild) and restores the base
+    // table exactly — the measured numbers are the incremental path's.
     for &n in sizes {
         let (forward, inverse) = invertible_batch(&base, n, n as u64 ^ 0x5EED);
         let fwd = table.apply_delta(&forward);
@@ -105,6 +107,11 @@ fn main() {
         );
         assert!(fwd.slot_writes() > 0, "batch of {n} wrote no slots");
         assert_eq!(table.len(), base.len(), "round trip of {n} did not restore");
+        assert_eq!(
+            table.nodes(),
+            base_nodes,
+            "round trip of {n} changed the layout"
+        );
     }
 
     let mut group = c.benchmark_group("table_update");
@@ -154,6 +161,10 @@ fn main() {
     json.push_str(&format!("  \"host_threads\": {},\n", host_threads()));
     json.push_str("  \"threads_used\": 1,\n");
     json.push_str(&format!("  \"table_prefixes\": {},\n", base.len()));
+    json.push_str(&format!(
+        "  \"compiled_memory_bytes\": {},\n",
+        table.memory_bytes()
+    ));
     json.push_str(&format!(
         "  \"delta_sizes\": [{}],\n",
         sizes

@@ -365,9 +365,9 @@ impl Clustering {
 
     /// The paper's network-aware method: LPM against the merged table.
     ///
-    /// The table is compiled to its flat DIR-24-8 form first (see
-    /// [`CompiledMerged`]), so per-address matching is one or two array
-    /// loads instead of a trie walk. Callers clustering many logs against
+    /// The table is compiled first (see [`CompiledMerged`]), so
+    /// per-address matching is one to three cache-resident array loads
+    /// instead of a trie walk. Callers clustering many logs against
     /// one table should compile once and use
     /// [`network_aware_compiled`](Self::network_aware_compiled).
     pub fn network_aware(log: &Log, table: &MergedTable) -> Self {

@@ -22,8 +22,8 @@
 //! 3. a deterministic merge remaps shard-local ids into canonical global
 //!    order — per-partition client sums concatenate in address order,
 //!    shard url ids translate through one global intern — then batch
-//!    longest-prefix matching with software prefetch assigns clusters
-//!    over the compiled table, and the standard assembly produces a
+//!    longest-prefix matching assigns clusters over the compiled
+//!    table, and the standard assembly produces a
 //!    [`Clustering`] byte-identical to the `from_clf` →
 //!    `network_aware_compiled` route.
 //!
@@ -750,8 +750,8 @@ impl<'t> IngestPipeline<'t> {
         let clients: Vec<ClientStats> = merged.into_iter().flatten().collect();
         drop(aggregate);
 
-        // Stage 3b: batch LPM with software prefetch, one span of the
-        // assignment buffer per worker.
+        // Stage 3b: batch LPM, one span of the assignment buffer per
+        // worker.
         let lpm = self.obs.span("lpm");
         let addrs: Vec<u32> = clients.iter().map(|c| u32::from(c.addr)).collect();
         let mut assignments: Vec<Option<Ipv4Net>> = vec![None; addrs.len()];

@@ -50,8 +50,9 @@ use crate::persist::{CorrectionState, FeedProgress, StreamState};
 const JOURNAL_CAP: usize = 32;
 
 /// Resolved swap/patch-path observability handles (`stream.swap.*`,
-/// `stream.patch.*`, `stream.epoch.*`); inert when the stream was built
-/// without [`StreamingBuilder::obs`].
+/// `stream.patch.*`, `stream.epoch.*`, and the serving table's cost as
+/// `lpm.table_bytes`/`lpm.nodes`/`lpm.dead_cells`); inert when the stream
+/// was built without [`StreamingBuilder::obs`].
 #[derive(Debug, Clone, Default)]
 struct StreamObs {
     attempts: Counter,
@@ -66,6 +67,9 @@ struct StreamObs {
     patch_batch_deltas: Histogram,
     epoch_lag: Gauge,
     epoch_retired: Gauge,
+    table_bytes: Gauge,
+    table_nodes: Gauge,
+    table_dead_cells: Gauge,
 }
 
 impl StreamObs {
@@ -83,7 +87,19 @@ impl StreamObs {
             patch_batch_deltas: obs.histogram("stream.patch.batch_deltas"),
             epoch_lag: obs.gauge("stream.epoch.lag"),
             epoch_retired: obs.gauge("stream.epoch.retired"),
+            table_bytes: obs.gauge("lpm.table_bytes"),
+            table_nodes: obs.gauge("lpm.nodes"),
+            table_dead_cells: obs.gauge("lpm.dead_cells"),
         }
+    }
+
+    /// Records what the generation about to serve costs. Bytes and dead
+    /// cells depend on how the table got here (patched, recycled or
+    /// freshly compiled), not only on its prefix set.
+    fn table_cost(&self, table: &CompiledMerged) {
+        self.table_bytes.set(table.memory_bytes() as u64);
+        self.table_nodes.set(table.nodes() as u64);
+        self.table_dead_cells.set(table.dead_cells() as u64);
     }
 }
 
@@ -331,12 +347,12 @@ impl StreamingBuilder {
         self
     }
 
-    /// Compiles the table to the flat DIR-24-8 layout and builds the
-    /// (empty) streaming clustering.
+    /// Compiles the table and builds the (empty) streaming clustering.
     pub fn build(self) -> StreamingClustering {
         let mut compiled = self.table.compile();
         compiled.attach_obs(&self.obs);
         let metrics = StreamObs::resolve(&self.obs);
+        metrics.table_cost(&compiled);
         let table = EpochTable::new(LiveTable {
             table: compiled,
             version: 0,
@@ -412,8 +428,8 @@ impl std::error::Error for RestoreError {}
 
 /// An incrementally-maintained clustering over a request stream.
 ///
-/// The routing table is compiled once at construction to the flat DIR-24-8
-/// layout ([`CompiledMerged`]), so the per-request hot path does O(1)–O(2)
+/// The routing table is compiled once at construction
+/// ([`CompiledMerged`]), so the per-request hot path does one to three
 /// array lookups; [`try_swap`](Self::try_swap) validates and recompiles,
 /// and [`apply_deltas`](Self::apply_deltas) patches incrementally. The
 /// serving table lives behind an [`EpochTable`], so [`handle`](Self::handle)
@@ -887,6 +903,7 @@ impl StreamingClustering {
             self.journal.pop_front();
             self.journal_base += 1;
         }
+        self.metrics.table_cost(&candidate.table);
         let epoch = self.table.publish(candidate);
         let reassigned_clients = moves.len();
         for (client, old_net, new_net) in moves {
@@ -1111,6 +1128,7 @@ impl StreamingClustering {
         let mut compiled = MergedTable::merge([&bgp, &dump]).compile();
         compiled.attach_obs(&obs);
         let metrics = StreamObs::resolve(&obs);
+        metrics.table_cost(&compiled);
 
         // One batch LPM sweep re-derives the assignments and cluster
         // aggregates — the same cost as `install()` pays on a table swap.
@@ -1189,6 +1207,7 @@ impl StreamingClustering {
         self.version += 1;
         self.journal.clear();
         self.journal_base = self.version;
+        self.metrics.table_cost(&compiled);
         self.table.publish(LiveTable {
             table: compiled,
             version: self.version,
@@ -1659,6 +1678,66 @@ mod tests {
         );
         assert!(snap.histograms.contains_key("stream.patch.batch_deltas"));
         assert_eq!(snap.gauges.get("stream.epoch.lag"), Some(&0));
+        // What the serving table costs, as of the generation just published.
+        let (bytes, nodes) = stream
+            .reader
+            .with(|live| (live.table.memory_bytes() as u64, live.table.nodes() as u64));
+        assert!(bytes > 0 && nodes > 0);
+        assert_eq!(snap.gauges.get("lpm.table_bytes"), Some(&bytes));
+        assert_eq!(snap.gauges.get("lpm.nodes"), Some(&nodes));
+        assert!(snap.gauges.contains_key("lpm.dead_cells"));
+    }
+
+    /// The DIR-24-8 layout held >/24 handles in 16 bits, so a >/24
+    /// announce whose arena slot landed at 65 534 or beyond recompiled the
+    /// whole table — on a resume, inside journal replay, before the first
+    /// answer. One slot width now: neither a table of that many >/24
+    /// prefixes nor one that many prefixes deep has a cliff.
+    #[test]
+    fn replaying_a_long_announce_into_a_big_table_never_recompiles() {
+        for len in [25u8, 24] {
+            replay_long_announce_over(len);
+        }
+    }
+
+    fn replay_long_announce_over(len: u8) {
+        let n = u32::from(u16::MAX) + 16;
+        let mut prefixes: Vec<Ipv4Net> = (0..n)
+            .map(|i| Ipv4Net::new(0x2000_0000 | (i << 8), len).expect("len"))
+            .collect();
+        prefixes.push(Ipv4Net::new(0x2000_0700, 25).expect("/25"));
+        let bgp = RoutingTable::new("B", "d0", TableKind::Bgp, prefixes);
+        let mut before = StreamingClustering::builder(MergedTable::merge([&bgp])).build();
+        let client = 0x2000_0000 | (n << 8) | 0x81;
+        before.push_raw(client, 100);
+        assert_eq!(before.cluster_of(Ipv4Addr::from(client)), None);
+
+        // The crash: state snapshotted, then one batch journaled.
+        let state = before.export_state();
+        let journaled = [
+            TableDelta::announce(Ipv4Net::new(client, 26).expect("/26")),
+            TableDelta::withdraw(Ipv4Net::new(0x2000_0700, 25).expect("/25")),
+        ];
+
+        let obs = Obs::enabled();
+        let mut resumed = StreamingClustering::restore(&state, SwapPolicy::default(), obs.clone())
+            .expect("restore");
+        let report = resumed.apply_deltas(&journaled);
+        assert!(report.accepted && report.patch.patched_in_place());
+        assert_eq!(
+            resumed.cluster_of(Ipv4Addr::from(client)),
+            Some(Ipv4Net::new(client, 26).expect("/26"))
+        );
+        assert_eq!(resumed.patch_stats().recompiles, 0);
+        let snap = obs.snapshot(true);
+        assert_eq!(snap.counters.get("stream.patch.batches"), Some(&1));
+        assert_eq!(
+            snap.counters
+                .get("stream.patch.recompiles")
+                .copied()
+                .unwrap_or(0),
+            0
+        );
     }
 
     #[test]

@@ -1,40 +1,37 @@
-//! A compiled flat longest-prefix-match table (DIR-24-8 layout).
+//! A compiled longest-prefix-match table: a DIR-16 root over
+//! popcount-compressed nodes.
 //!
 //! The [`PrefixTrie`] is the *build-side* structure: cheap inserts and
 //! removals, but every lookup walks up to 32 pointer-chasing node hops.
 //! For the clustering hot path — millions of client addresses matched
-//! against a frozen table — [`CompiledTable`] trades build-time memory for
-//! O(1)–O(2) array-indexed lookups, the classic DIR-24-8 scheme used by
-//! software routers:
+//! against a frozen table — [`CompiledTable`] flattens the same prefix
+//! set into three arrays small enough to stay in cache:
 //!
-//! * `tbl24`: one `u32` slot per possible 24-bit address prefix (2^24
-//!   entries, 64 MiB). For addresses whose best match is `/24` or
-//!   shorter — the overwhelming majority in BGP snapshots — a single
-//!   indexed load resolves the lookup.
-//! * `long16`/`long32`: overflow storage for prefixes longer than `/24`,
-//!   allocated in 256-slot groups (one slot per final address byte). A
-//!   `tbl24` entry with the extension bit set redirects here for exactly
-//!   one more indexed load.
+//! * `root`: one `u32` per /16 (2^16 entries, 256 KiB). An entry is
+//!   either a *leaf slot* (`handle + 1`, `0` = no match) or, with
+//!   [`NODE_FLAG`] set, the id of a node.
+//! * `nodes`: 64-byte [`Node`]s, each covering the next 8 address bits.
+//!   The node's 256 positions are stored run-length compressed: a 256-bit
+//!   bitmap marks where a run of equal values starts, per-word popcount
+//!   prefixes turn "which run is byte `b` in" into one `popcnt`, and the
+//!   run values (again leaf slots or child node ids) sit inline (up to
+//!   [`INLINE_RUNS`]) or in `spill`. The same node type serves address
+//!   bits 15..8 and bits 7..0, so a lookup is the root load plus at most
+//!   two identical [`step`](CompiledTable::step)s.
+//! * `spill`: run values of nodes with more runs than fit inline.
 //!
-//! The overflow level is stored compactly: the prefix arena is laid out
-//! with all >/24 prefixes *first*, so in any realistically-sized table
-//! their handles fit in a `u16` and each overflow slot costs 2 bytes
-//! instead of 4 (`long16`, with a per-group `u32` seed for the covering
-//! ≤/24 match behind a sentinel). Tables with ≥ 65 534 long prefixes fall
-//! back to full-width `u32` groups (`long32`). Identical groups are
-//! deduplicated at compile time.
+//! Nodes are *leaf-pushed*: every position carries its final answer (the
+//! longest match at that depth, covering shorter prefixes included), so
+//! no lookup ever backtracks or consults a fallback.
 //!
 //! Matches are returned as [`Handle`]s — dense `Copy` indices into a
 //! prefix arena — so batch lookups move no heap data and results can be
 //! compared, hashed, and resolved to an [`Ipv4Net`] later.
 //!
-//! Build cost is O(#prefixes × covered range) plus the 64 MiB `tbl24`
-//! allocation; the table is immutable once compiled. Mutable workflows
-//! (streaming snapshot swaps, self-correction) keep editing the trie and
-//! recompile: see [`PrefixTrie::compile`] and `MergedTable::compile`.
+//! Build cost is one sort of the prefixes by /16 chunk plus one 256-entry
+//! paint-and-encode per node. Routing updates patch the layout chunk by
+//! chunk: see [`CompiledTable::apply_delta`] in `patch.rs`.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -62,19 +59,23 @@ impl TableObs {
     }
 }
 
-/// Extension flag on a `tbl24` entry: the low 31 bits index a 256-slot
-/// overflow group instead of encoding a match directly.
-pub(crate) const EXT_FLAG: u32 = 1 << 31;
+/// Set on a root entry or run value that names a node (low 31 bits = node
+/// id) instead of encoding a match directly.
+pub(crate) const NODE_FLAG: u32 = 1 << 31;
 
-/// Sentinel in a `long16` slot: the byte is not covered by any >/24
-/// prefix, so the lookup falls back to the group's seed (the covering
-/// ≤/24 match, which may not fit in 16 bits).
-pub(crate) const LONG16_SEED: u16 = u16::MAX;
+/// Root entries of a materialized table: one per /16.
+pub(crate) const ROOT_LEN: usize = 1 << 16;
 
-/// Default software-prefetch distance for the batch lookup paths: how many
-/// addresses ahead of the current one the `tbl24` cache line is requested.
-/// Far enough to cover a memory round trip at ~10 ns/lookup, near enough
-/// that the line is still resident when the loop arrives.
+/// Run values a node stores in its own cache line; longer run arrays live
+/// in `spill`.
+const INLINE_RUNS: usize = 6;
+
+/// `Node::spill` value of a node whose runs are inline.
+const NO_SPILL: u32 = u32::MAX;
+
+/// Accepted by the batch lookup entry points for source compatibility and
+/// ignored: the table is cache-resident, so there is no DRAM round trip
+/// for a software prefetch to hide (see DESIGN.md §9 for the measurement).
 pub const DEFAULT_PREFETCH_DISTANCE: usize = 16;
 
 /// A dense, `Copy` reference to a prefix in a [`CompiledTable`]'s arena.
@@ -122,7 +123,115 @@ impl Handle {
     }
 }
 
-/// An immutable longest-prefix-match table compiled to the DIR-24-8 flat
+/// 256 leaf-pushed positions (one per value of the next address byte),
+/// stored as runs of equal values. One cache line.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+pub(crate) struct Node {
+    /// Bit `b` of the 256-bit map is set when a run starts at byte `b`;
+    /// bit 0 is always set.
+    starts: [u64; 4],
+    /// Runs starting in the words before word `w` (`rank[0]` is 0), so
+    /// byte `b`'s run is `rank[b / 64] + popcount(starts[b / 64] up to b) - 1`.
+    rank: [u8; 4],
+    /// Offset of this node's run values in `CompiledTable::spill`, or
+    /// [`NO_SPILL`] when they are `inline`.
+    spill: u32,
+    /// The run values when there are at most [`INLINE_RUNS`] of them.
+    inline: [u32; INLINE_RUNS],
+}
+
+impl Node {
+    /// Encodes 256 positions, writing the run values to `runs` and
+    /// returning the node (still without storage for them) and their
+    /// count.
+    fn encode(vals: &[u32; 256], runs: &mut [u32; 256]) -> (Node, usize) {
+        let mut node = Node {
+            starts: [0; 4],
+            rank: [0; 4],
+            spill: NO_SPILL,
+            inline: [0; INLINE_RUNS],
+        };
+        let mut n = 0usize;
+        let mut prev = None;
+        let words = node.starts.iter_mut().zip(node.rank.iter_mut());
+        for ((word, rank), bytes) in words.zip(vals.chunks(64)) {
+            // At most 192 runs start before the last word.
+            *rank = u8::try_from(n).unwrap_or(u8::MAX);
+            for (b, &v) in bytes.iter().enumerate() {
+                if prev != Some(v) {
+                    prev = Some(v);
+                    *word |= 1 << b;
+                    if let Some(r) = runs.get_mut(n) {
+                        *r = v;
+                    }
+                    n += 1;
+                }
+            }
+        }
+        (node, n)
+    }
+
+    /// Number of runs (= stored values).
+    fn runs(&self) -> usize {
+        self.starts.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The run values, wherever they are stored.
+    fn values<'a>(&'a self, spill: &'a [u32]) -> &'a [u32] {
+        let n = self.runs();
+        let stored = if self.spill == NO_SPILL {
+            self.inline.get(..n)
+        } else {
+            let at = self.spill as usize;
+            spill.get(at..at + n)
+        };
+        stored.unwrap_or(&[])
+    }
+
+    /// The value at position `byte` (only the low 8 bits are used).
+    #[inline]
+    fn value(&self, byte: u32, spill: &[u32]) -> u32 {
+        let w = (byte >> 6) as usize & 3;
+        let (Some(&word), Some(&rank)) = (self.starts.get(w), self.rank.get(w)) else {
+            return 0;
+        };
+        let upto = word & (u64::MAX >> (63 - (byte & 63)));
+        // Bit 0 of word 0 is set on every encoded node, so the count is
+        // at least 1; a zeroed node degrades to "no match".
+        let run = (usize::from(rank) + upto.count_ones() as usize).wrapping_sub(1);
+        let cell = if self.spill == NO_SPILL {
+            self.inline.get(run)
+        } else {
+            spill.get((self.spill as usize).wrapping_add(run))
+        };
+        cell.copied().unwrap_or(0)
+    }
+}
+
+/// Sort key of a prefix longer than /16 inside its /16 chunk, with its
+/// slot in the low 32 bits: chunks ascend; within a chunk the /17–/24
+/// prefixes come first by ascending length, then the longer ones grouped
+/// by their third address byte, again by ascending length. Painting in
+/// this order lets longer prefixes overwrite shorter ones, and equal
+/// prefixes resolve to the larger slot.
+pub(crate) fn chunk_key(net: Ipv4Net, slot: u32) -> u64 {
+    let addr = net.addr_u32();
+    let len = u64::from(net.len());
+    let sub = if net.len() <= 24 {
+        len
+    } else {
+        0x8000 | u64::from((addr >> 8) & 0xFF) << 6 | len
+    };
+    u64::from(addr >> 16) << 48 | sub << 32 | u64::from(slot)
+}
+
+/// The slot in the low half of a [`chunk_key`].
+fn key_slot(key: u64) -> u32 {
+    u32::try_from(key & 0xFFFF_FFFF).unwrap_or(0)
+}
+
+/// A longest-prefix-match table compiled to the DIR-16 + compressed-node
 /// layout. Built from a [`PrefixTrie`] (see [`PrefixTrie::compile`]) or
 /// any prefix list (see [`CompiledTable::from_prefixes`]).
 ///
@@ -140,31 +249,26 @@ impl Handle {
 /// ```
 #[derive(Clone)]
 pub struct CompiledTable {
-    /// One slot per 24-bit address prefix; empty when the table holds no
+    /// One entry per /16; empty when the table was compiled from no
     /// prefixes (every lookup misses without touching memory).
-    pub(crate) tbl24: Vec<u32>,
-    /// Compact 256-slot groups for prefixes longer than /24: handles fit
-    /// in 16 bits because long prefixes come first in the arena.
-    /// [`LONG16_SEED`] defers to the group's `long_seed` entry.
-    pub(crate) long16: Vec<u16>,
-    /// Per-group seed slot: the covering ≤/24 match (full `u32` slot
-    /// encoding) returned for bytes no >/24 prefix covers.
-    pub(crate) long_seed: Vec<u32>,
-    /// Full-width 256-slot groups, used only when the table holds too
-    /// many >/24 prefixes for 16-bit handles. Seeds are stored inline.
-    pub(crate) long32: Vec<u32>,
-    /// Dense prefix arena, all >/24 prefixes first; [`Handle`]s index
-    /// into this. After in-place patching the arena may contain dead
-    /// (withdrawn) entries that no slot references; see
-    /// [`live_prefixes`](Self::live_prefixes).
+    pub(crate) root: Vec<u32>,
+    /// Node storage; ids index into this. Freed ids are in `free_nodes`.
+    pub(crate) nodes: Vec<Node>,
+    /// Run values of nodes with more than [`INLINE_RUNS`] runs.
+    /// Append-only between compactions: a freed node's range is counted
+    /// in `dead_cells`, not reused.
+    pub(crate) spill: Vec<u32>,
+    /// Ids of nodes no entry references any more, reused before `nodes`
+    /// grows.
+    pub(crate) free_nodes: Vec<u32>,
+    /// `spill` cells that belonged to freed nodes.
+    pub(crate) dead_cells: usize,
+    /// Dense prefix arena; [`Handle`]s index into this. After in-place
+    /// patching the arena may contain dead (withdrawn) entries that no
+    /// slot references; see [`live_prefixes`](Self::live_prefixes).
     pub(crate) prefixes: Vec<Ipv4Net>,
-    /// How many `tbl24` extension entries reference each overflow group
-    /// (groups are deduplicated at compile time, so a group can serve
-    /// several 24-bit blocks). The patch layer copies a shared group
-    /// before writing into it.
-    pub(crate) group_refs: Vec<u32>,
-    /// Incremental-update bookkeeping (shadow trie, free lists); built by
-    /// the first [`apply_delta`](Self::apply_delta) call.
+    /// Incremental-update bookkeeping (shadow trie, free handles); built
+    /// by the first [`apply_delta`](Self::apply_delta) call.
     pub(crate) patch: Option<Box<crate::patch::PatchState>>,
     /// Lookup/miss accounting (no-op unless attached).
     obs: TableObs,
@@ -175,185 +279,184 @@ impl CompiledTable {
     /// arena entry each (the last occurrence wins the match, but equal
     /// prefixes are indistinguishable as [`Ipv4Net`]s anyway).
     pub fn from_prefixes(prefixes: impl IntoIterator<Item = Ipv4Net>) -> Self {
-        let input: Vec<Ipv4Net> = prefixes.into_iter().collect();
-        if input.is_empty() {
-            return CompiledTable {
-                tbl24: Vec::new(),
-                long16: Vec::new(),
-                long_seed: Vec::new(),
-                long32: Vec::new(),
-                prefixes: input,
-                group_refs: Vec::new(),
-                patch: None,
-                obs: TableObs::default(),
-            };
-        }
-
-        // Arena layout: >/24 prefixes first (input order preserved within
-        // each class) so overflow-group slots can hold their handles in
-        // 16 bits whenever the long-prefix count permits.
-        let mut prefixes: Vec<Ipv4Net> = Vec::with_capacity(input.len());
-        prefixes.extend(input.iter().copied().filter(|n| n.len() > 24));
-        let n_long = prefixes.len();
-        prefixes.extend(input.iter().copied().filter(|n| n.len() <= 24));
-        // Slots are handle + 1, and LONG16_SEED is reserved.
-        let use16 = n_long + 1 < LONG16_SEED as usize;
-
-        // Insert ascending by prefix length so longer prefixes overwrite
-        // shorter ones; equal-length prefixes cover disjoint ranges.
-        debug_assert!(
-            u32::try_from(prefixes.len()).is_ok_and(|n| n < u32::MAX),
-            "arena must leave Handle::NONE unused"
-        );
-        // analyze:allow(cast-truncation) handles are u32 by design; the
-        // arena cannot exceed u32 (checked in debug builds above).
-        let mut order: Vec<u32> = (0..prefixes.len() as u32).collect();
-        // analyze:allow(panic-free-hot-path) h ranges over 0..prefixes.len().
-        order.sort_by_key(|&h| prefixes[h as usize].len());
-
-        let mut tbl24 = vec![0u32; 1 << 24];
-        // Groups under construction: (seed, 256 slots). `ext_cells`
-        // remembers which tbl24 entries point into them so the dedup pass
-        // can remap without scanning all 2^24 slots.
-        let mut groups16: Vec<(u32, Vec<u16>)> = Vec::new();
-        let mut groups32: Vec<Vec<u32>> = Vec::new();
-        let mut ext_cells: Vec<usize> = Vec::new();
-
-        for &h in &order {
-            // analyze:allow(panic-free-hot-path) h comes from 0..prefixes.len().
-            let net = prefixes[h as usize];
-            let slot = h + 1;
-            if net.len() <= 24 {
-                // Fill the covered tbl24 range. All >24-bit prefixes sort
-                // later, so no extension entries exist yet.
-                let start = (net.addr_u32() >> 8) as usize;
-                let count = 1usize << (24 - net.len());
-                for e in &mut tbl24[start..start + count] {
-                    *e = slot;
-                }
-            } else {
-                let idx24 = (net.addr_u32() >> 8) as usize;
-                // analyze:allow(panic-free-hot-path) idx24 = addr >> 8 < 2^24 == tbl24.len().
-                let entry = tbl24[idx24];
-                let group = if entry & EXT_FLAG != 0 {
-                    (entry & !EXT_FLAG) as usize
-                } else {
-                    // Seed a fresh group with the current ≤/24 match so
-                    // bytes the long prefix does not cover still resolve.
-                    let group = if use16 {
-                        groups16.push((entry, vec![LONG16_SEED; 256]));
-                        groups16.len() - 1
-                    } else {
-                        groups32.push(vec![entry; 256]);
-                        groups32.len() - 1
-                    };
-                    // analyze:allow(panic-free-hot-path, cast-truncation) idx24 < 2^24; at most
-                    // 2^24 groups exist, so the group id fits the 31 low bits.
-                    tbl24[idx24] = EXT_FLAG | group as u32;
-                    ext_cells.push(idx24);
-                    group
-                };
-                let lo = (net.addr_u32() & 0xFF) as usize;
-                let count = 1usize << (32 - net.len());
-                if use16 {
-                    debug_assert!(
-                        slot < u32::from(LONG16_SEED),
-                        "16-bit group slot must leave the seed sentinel unused"
-                    );
-                    // analyze:allow(cast-truncation) use16 bounds every
-                    // slot below LONG16_SEED (asserted above).
-                    let slot16 = slot as u16;
-                    // analyze:allow(panic-free-hot-path) `group` was just
-                    // pushed or decoded from a live extension entry.
-                    for e in &mut groups16[group].1[lo..lo + count] {
-                        *e = slot16;
-                    }
-                } else {
-                    // analyze:allow(panic-free-hot-path) `group` was just
-                    // pushed or decoded from a live extension entry.
-                    for e in &mut groups32[group][lo..lo + count] {
-                        *e = slot;
-                    }
-                }
-            }
-        }
-
-        // Deduplicate byte-identical groups, remapping the extension
-        // entries that pointed at dropped copies.
-        let mut long16: Vec<u16> = Vec::new();
-        let mut long_seed: Vec<u32> = Vec::new();
-        let mut long32: Vec<u32> = Vec::new();
-        let mut remap: Vec<u32> = Vec::with_capacity(ext_cells.len());
-        if use16 {
-            let mut seen: HashMap<(u32, Vec<u16>), u32> = HashMap::new();
-            for (seed, slots) in groups16 {
-                // analyze:allow(cast-truncation) group count <= 2^24 (one
-                // group per distinct 24-bit prefix at most).
-                let next = long_seed.len() as u32;
-                match seen.entry((seed, slots)) {
-                    Entry::Occupied(o) => remap.push(*o.get()),
-                    Entry::Vacant(v) => {
-                        long_seed.push(seed);
-                        long16.extend_from_slice(&v.key().1);
-                        v.insert(next);
-                        remap.push(next);
-                    }
-                }
-            }
-        } else {
-            let mut seen: HashMap<Vec<u32>, u32> = HashMap::new();
-            for slots in groups32 {
-                // analyze:allow(cast-truncation) group count <= 2^24 (one
-                // group per distinct 24-bit prefix at most).
-                let next = (long32.len() / 256) as u32;
-                match seen.entry(slots) {
-                    Entry::Occupied(o) => remap.push(*o.get()),
-                    Entry::Vacant(v) => {
-                        long32.extend_from_slice(v.key());
-                        v.insert(next);
-                        remap.push(next);
-                    }
-                }
-            }
-        }
-        let mut group_refs = vec![0u32; long_seed.len().max(long32.len() / 256)];
-        for &idx24 in &ext_cells {
-            // analyze:allow(panic-free-hot-path) ext_cells records only
-            // in-range tbl24 cells holding pre-dedup group ids, and remap
-            // has one entry per pre-dedup group.
-            let old = (tbl24[idx24] & !EXT_FLAG) as usize;
-            debug_assert!(
-                old < remap.len(),
-                "extension entry must reference a pre-dedup group"
-            );
-            // analyze:allow(panic-free-hot-path) as above: old < remap.len().
-            tbl24[idx24] = EXT_FLAG | remap[old];
-            // analyze:allow(panic-free-hot-path) remap values index kept
-            // groups (asserted below), and group_refs covers every kept
-            // group by construction.
-            group_refs[remap[old] as usize] += 1;
-        }
-
-        // Dedup consistency: the compact form keeps one seed per kept
-        // group and exactly 256 slots per group in either width.
-        debug_assert_eq!(long16.len(), long_seed.len() * 256);
-        debug_assert_eq!(long32.len() % 256, 0);
-        debug_assert!(
-            remap
-                .iter()
-                .all(|&g| (g as usize) < long_seed.len().max(long32.len() / 256)),
-            "remapped group ids must index kept groups"
-        );
-
-        CompiledTable {
-            tbl24,
-            long16,
-            long_seed,
-            long32,
-            prefixes,
-            group_refs,
+        let mut table = CompiledTable {
+            root: Vec::new(),
+            nodes: Vec::new(),
+            spill: Vec::new(),
+            free_nodes: Vec::new(),
+            dead_cells: 0,
+            prefixes: prefixes.into_iter().collect(),
             patch: None,
             obs: TableObs::default(),
+        };
+        debug_assert!(
+            u32::try_from(table.prefixes.len()).is_ok_and(|n| n < NODE_FLAG - 1),
+            "every slot (handle + 1) must stay below NODE_FLAG"
+        );
+        if !table.prefixes.is_empty() {
+            // Slots are u32 by design; the arena bound is asserted above.
+            let handles = 0..u32::try_from(table.prefixes.len()).unwrap_or(NODE_FLAG - 1);
+            table.rebuild(handles);
+        }
+        table
+    }
+
+    /// Rebuilds `root`, `nodes` and `spill` from scratch for the arena
+    /// entries named by `live` (the compile step, and the patch layer's
+    /// bulk and compaction path). The arena itself is left alone.
+    pub(crate) fn rebuild(&mut self, live: impl Iterator<Item = u32>) {
+        self.root.clear();
+        self.root.resize(ROOT_LEN, 0);
+        self.nodes.clear();
+        self.spill.clear();
+        self.free_nodes.clear();
+        self.dead_cells = 0;
+
+        // (length, handle) of the ≤/16 prefixes; chunk keys of the rest.
+        let mut short: Vec<(u8, u32)> = Vec::new();
+        let mut long: Vec<u64> = Vec::with_capacity(live.size_hint().0);
+        for h in live {
+            let Some(net) = self.prefixes.get(h as usize) else {
+                continue;
+            };
+            if net.len() <= 16 {
+                short.push((net.len(), h));
+            } else {
+                long.push(chunk_key(*net, h + 1));
+            }
+        }
+        // Ascending length, so longer prefixes overwrite shorter ones.
+        short.sort_unstable();
+        for (len, h) in short {
+            let Some(net) = self.prefixes.get(h as usize) else {
+                continue;
+            };
+            let first = (net.addr_u32() >> 16) as usize;
+            let count = 1usize << (16 - len);
+            if let Some(run) = self.root.get_mut(first..first + count) {
+                run.fill(h + 1);
+            }
+        }
+        long.sort_unstable();
+        for chunk in long.chunk_by(|a, b| a >> 48 == b >> 48) {
+            let idx = chunk.first().map_or(0, |k| (k >> 48) as usize);
+            let cover = self.root.get(idx).copied().unwrap_or(0);
+            let entry = self.build_chunk(cover, chunk, &mut 0);
+            if let Some(e) = self.root.get_mut(idx) {
+                *e = entry;
+            }
+        }
+    }
+
+    /// Builds the nodes of one /16 chunk and returns its root entry.
+    /// `cover` is the slot of the longest ≤/16 match over the chunk;
+    /// `items` are the [`chunk_key`]s of the chunk's longer prefixes,
+    /// sorted. `cells` is advanced by the number of run values written.
+    pub(crate) fn build_chunk(&mut self, cover: u32, items: &[u64], cells: &mut usize) -> u32 {
+        let mut mid = [cover; 256];
+        let mut items = items.iter().peekable();
+        while let Some(&key) = items.next() {
+            let Some(net) = self.net_of_key(key) else {
+                continue;
+            };
+            if net.len() <= 24 {
+                let lo = ((net.addr_u32() >> 8) & 0xFF) as usize;
+                let count = 1usize << (24 - net.len());
+                if let Some(run) = mid.get_mut(lo..lo + count) {
+                    run.fill(key_slot(key));
+                }
+                continue;
+            }
+            // All /17–/24 prefixes sorted ahead of this one, so the
+            // position for its third byte already holds the leaf the
+            // >/24 prefixes of that /24 are painted over.
+            let third = ((net.addr_u32() >> 8) & 0xFF) as usize;
+            let mut low = [mid.get(third).copied().unwrap_or(cover); 256];
+            let mut next = Some((key, net));
+            while let Some((key, net)) = next {
+                let lo = (net.addr_u32() & 0xFF) as usize;
+                let count = 1usize << (32 - net.len());
+                if let Some(run) = low.get_mut(lo..lo + count) {
+                    run.fill(key_slot(key));
+                }
+                // Same /24: the keys agree above the length bits.
+                next = items
+                    .next_if(|&&k| k >> 38 == key >> 38)
+                    .and_then(|&k| self.net_of_key(k).map(|n| (k, n)));
+            }
+            let entry = self.entry_for(&low, cells);
+            if let Some(e) = mid.get_mut(third) {
+                *e = entry;
+            }
+        }
+        self.entry_for(&mid, cells)
+    }
+
+    /// The arena prefix behind a [`chunk_key`].
+    fn net_of_key(&self, key: u64) -> Option<Ipv4Net> {
+        let slot = key_slot(key) as usize;
+        self.prefixes.get(slot.wrapping_sub(1)).copied()
+    }
+
+    /// Stores 256 positions as a node and returns the entry naming it — or
+    /// the value itself when all positions agree, which is how a chunk
+    /// whose long prefixes were all withdrawn turns back into a leaf.
+    fn entry_for(&mut self, vals: &[u32; 256], cells: &mut usize) -> u32 {
+        let mut runs = [0u32; 256];
+        let (mut node, n) = Node::encode(vals, &mut runs);
+        let Some(values) = runs.get(..n) else {
+            return 0;
+        };
+        if let [only] = values {
+            return *only;
+        }
+        *cells += n;
+        match node.inline.get_mut(..n) {
+            Some(inline) => inline.copy_from_slice(values),
+            None => {
+                // The spill offset must stay distinguishable from NO_SPILL;
+                // 2^32 cells would be a 16 GiB table.
+                node.spill = u32::try_from(self.spill.len()).unwrap_or(NO_SPILL - 1);
+                self.spill.extend_from_slice(values);
+            }
+        }
+        let id = match self.free_nodes.pop() {
+            Some(id) => {
+                if let Some(freed) = self.nodes.get_mut(id as usize) {
+                    *freed = node;
+                }
+                id
+            }
+            None => {
+                debug_assert!(
+                    self.nodes.len() < NODE_FLAG as usize,
+                    "node id fits 31 bits"
+                );
+                let id = u32::try_from(self.nodes.len()).unwrap_or(0);
+                self.nodes.push(node);
+                id
+            }
+        };
+        NODE_FLAG | id
+    }
+
+    /// Returns the node behind `entry` (if it names one) and every node
+    /// below it to the free list, counting their spilled cells as dead.
+    pub(crate) fn free_tree(&mut self, entry: u32) {
+        let mut pending = vec![entry];
+        while let Some(entry) = pending.pop() {
+            if entry & NODE_FLAG == 0 {
+                continue;
+            }
+            let id = entry & !NODE_FLAG;
+            let Some(node) = self.nodes.get(id as usize) else {
+                continue;
+            };
+            if node.spill != NO_SPILL {
+                self.dead_cells += node.runs();
+            }
+            pending.extend_from_slice(node.values(&self.spill));
+            self.free_nodes.push(id);
         }
     }
 
@@ -365,35 +468,35 @@ impl CompiledTable {
         self.obs = TableObs::resolve(obs, prefix);
     }
 
-    /// Longest-prefix match returning a dense [`Handle`]: one indexed load
-    /// for matches at `/24` or shorter, two for longer prefixes.
+    /// One level of the lookup: the value of node `entry` at the low byte
+    /// of `bits`.
+    #[inline]
+    fn step(&self, entry: u32, bits: u32) -> u32 {
+        // Entries only ever name nodes this table allocated; a miss on a
+        // corrupt id degrades to "no match".
+        match self.nodes.get((entry & !NODE_FLAG) as usize) {
+            Some(node) => node.value(bits & 0xFF, &self.spill),
+            None => 0,
+        }
+    }
+
+    /// Longest-prefix match returning a dense [`Handle`]: the root load
+    /// for addresses whose /16 holds nothing longer than /16, one node
+    /// step more for /17–/24, two for longer prefixes.
     #[inline]
     pub fn lookup_handle(&self, addr: u32) -> Handle {
-        // `tbl24` is empty or 2^24 slots, so the `get` doubles as the
-        // empty-table miss: addr >> 8 < 2^24 always hits a full table.
-        let Some(&entry) = self.tbl24.get((addr >> 8) as usize) else {
+        // `root` is empty or 2^16 entries, so the `get` doubles as the
+        // empty-table miss.
+        let Some(&(mut entry)) = self.root.get((addr >> 16) as usize) else {
             return Handle::NONE;
         };
-        if entry & EXT_FLAG == 0 {
-            Handle::from_slot(entry)
-        } else {
-            let group = (entry & !EXT_FLAG) as usize;
-            let i = group * 256 + (addr & 0xFF) as usize;
-            // Extension entries only ever reference kept groups (see the
-            // remap pass in `from_prefixes`), so these `get`s cannot miss
-            // on a table we built; a miss degrades to "no match".
-            let slot = if self.long32.is_empty() {
-                debug_assert!(i < self.long16.len() && group < self.long_seed.len());
-                match self.long16.get(i) {
-                    Some(&LONG16_SEED) | None => self.long_seed.get(group).copied().unwrap_or(0),
-                    Some(&s) => u32::from(s),
-                }
-            } else {
-                debug_assert!(i < self.long32.len());
-                self.long32.get(i).copied().unwrap_or(0)
-            };
-            Handle::from_slot(slot)
+        if entry & NODE_FLAG != 0 {
+            entry = self.step(entry, addr >> 8);
+            if entry & NODE_FLAG != 0 {
+                entry = self.step(entry, addr);
+            }
         }
+        Handle::from_slot(entry)
     }
 
     /// Longest-prefix match resolving straight to the matched prefix.
@@ -407,51 +510,16 @@ impl CompiledTable {
         net
     }
 
-    /// Hints the cache that `addr`'s `tbl24` slot is about to be read.
-    /// No-op on non-x86_64 targets and on empty tables.
-    #[inline(always)]
-    fn prefetch(&self, addr: u32) {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(entry) = self.tbl24.get((addr >> 8) as usize) {
-            // SAFETY: `entry` is a live shared reference into `tbl24`;
-            // prefetch only hints the cache and performs no access.
-            unsafe {
-                std::arch::x86_64::_mm_prefetch(
-                    (entry as *const u32).cast::<i8>(),
-                    std::arch::x86_64::_MM_HINT_T0,
-                );
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = addr;
-    }
-
     /// Batch longest-prefix match: fills `out[i]` with the handle for
-    /// `addrs[i]`, prefetching [`DEFAULT_PREFETCH_DISTANCE`] ahead.
+    /// `addrs[i]`.
     ///
     /// # Panics
     ///
     /// Panics when `out` is shorter than `addrs`.
     pub fn lookup_batch(&self, addrs: &[u32], out: &mut [Handle]) {
-        self.lookup_batch_prefetch(addrs, out, DEFAULT_PREFETCH_DISTANCE);
-    }
-
-    /// [`lookup_batch`](Self::lookup_batch) with an explicit prefetch
-    /// distance: while resolving `addrs[i]`, the `tbl24` line for
-    /// `addrs[i + distance]` is requested. `0` disables prefetch.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out` is shorter than `addrs`.
-    pub fn lookup_batch_prefetch(&self, addrs: &[u32], out: &mut [Handle], distance: usize) {
         assert!(out.len() >= addrs.len(), "output buffer too short");
         let mut misses = 0u64;
-        for (i, (addr, slot)) in addrs.iter().zip(out.iter_mut()).enumerate() {
-            if distance > 0 {
-                if let Some(&ahead) = addrs.get(i + distance) {
-                    self.prefetch(ahead);
-                }
-            }
+        for (addr, slot) in addrs.iter().zip(out.iter_mut()) {
             *slot = self.lookup_handle(*addr);
             if slot.is_none() {
                 misses += 1;
@@ -464,10 +532,10 @@ impl CompiledTable {
     /// Buffer-reusing form of [`lookup_batch`](Self::lookup_batch): clears
     /// `out` and refills it with one handle per address, so a caller-owned
     /// buffer serves every chunk without reallocating.
-    pub fn lookup_batch_into(&self, addrs: &[u32], out: &mut Vec<Handle>, distance: usize) {
+    pub fn lookup_batch_into(&self, addrs: &[u32], out: &mut Vec<Handle>) {
         out.clear();
         out.resize(addrs.len(), Handle::NONE);
-        self.lookup_batch_prefetch(addrs, out, distance);
+        self.lookup_batch(addrs, out);
     }
 
     /// The prefix a handle refers to, or `None` for [`Handle::NONE`] (or a
@@ -516,37 +584,35 @@ impl CompiledTable {
         self.len() == 0
     }
 
-    /// Number of distinct 256-slot overflow groups stored for >/24
-    /// prefixes (after deduplication).
-    pub fn long_groups(&self) -> usize {
-        if self.long32.is_empty() {
-            self.long_seed.len()
-        } else {
-            self.long32.len() / 256
-        }
+    /// Number of live nodes. A function of the live prefix set alone: a
+    /// patched table has as many as a fresh compile of the same set.
+    pub fn nodes(&self) -> usize {
+        self.nodes.len() - self.free_nodes.len()
     }
 
-    /// `true` when the overflow level uses compact 16-bit handle slots.
-    pub fn long_slots_compact(&self) -> bool {
-        self.long32.is_empty()
+    /// `spill` cells no node references any more (garbage the next
+    /// compaction drops; see [`apply_delta`](Self::apply_delta)).
+    pub fn dead_cells(&self) -> usize {
+        self.dead_cells
     }
 
-    /// Swaps in a freshly compiled layout (the patch layer's full-recompile
-    /// fallback), preserving the attached observability counters.
-    pub(crate) fn replace_layout(&mut self, mut new: CompiledTable) {
-        new.obs = self.obs.clone();
-        *self = new;
-    }
-
-    /// Table memory footprint in bytes (both levels, the arena, and the
-    /// per-group reference counts).
+    /// Lookup-side memory footprint in bytes: every array a lookup or a
+    /// patch of the layout touches, free list and dead cells included.
+    /// The lazily built shadow trie is
+    /// [`patch_state_bytes`](Self::patch_state_bytes).
     pub fn memory_bytes(&self) -> usize {
-        self.tbl24.len() * 4
-            + self.long16.len() * 2
-            + self.long_seed.len() * 4
-            + self.long32.len() * 4
-            + self.group_refs.len() * 4
+        self.root.len() * 4
+            + self.nodes.len() * std::mem::size_of::<Node>()
+            + self.spill.len() * 4
+            + self.free_nodes.len() * 4
             + self.prefixes.len() * std::mem::size_of::<Ipv4Net>()
+    }
+
+    /// Bytes held by the patch layer's shadow state (live-set trie and
+    /// free handles): 0 until the first
+    /// [`apply_delta`](Self::apply_delta).
+    pub fn patch_state_bytes(&self) -> usize {
+        self.patch.as_ref().map_or(0, |s| s.memory_bytes())
     }
 }
 
@@ -554,7 +620,7 @@ impl fmt::Debug for CompiledTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledTable")
             .field("prefixes", &self.prefixes.len())
-            .field("long_groups", &self.long_groups())
+            .field("nodes", &self.nodes())
             .field("memory_bytes", &self.memory_bytes())
             .finish()
     }
@@ -673,22 +739,18 @@ impl CompiledMerged {
     /// Slice-writing form of [`net_for_batch`](Self::net_for_batch):
     /// fills `out[i]` with the cluster for `addrs[i]` (no allocation at
     /// all — the parallel ingest merge hands each worker-sized span of one
-    /// pre-sized assignment vector straight to this). `distance` is the
-    /// BGP-tier software-prefetch lookahead; `0` disables it.
+    /// pre-sized assignment vector straight to this). `_distance` was the
+    /// software-prefetch lookahead of the DIR-24-8 layout and is ignored
+    /// (see [`DEFAULT_PREFETCH_DISTANCE`]).
     ///
     /// # Panics
     ///
     /// Panics when `out` is shorter than `addrs`.
-    pub fn net_for_slice(&self, addrs: &[u32], out: &mut [Option<Ipv4Net>], distance: usize) {
+    pub fn net_for_slice(&self, addrs: &[u32], out: &mut [Option<Ipv4Net>], _distance: usize) {
         assert!(out.len() >= addrs.len(), "output buffer too short");
         let mut fallbacks = 0u64;
         let mut misses = 0u64;
-        for (i, (&addr, slot)) in addrs.iter().zip(out.iter_mut()).enumerate() {
-            if distance > 0 {
-                if let Some(&ahead) = addrs.get(i + distance) {
-                    self.bgp.prefetch(ahead);
-                }
-            }
+        for (&addr, slot) in addrs.iter().zip(out.iter_mut()) {
             let h = self.bgp.lookup_handle(addr);
             let net = self.bgp.resolve(h).or_else(|| {
                 fallbacks += 1;
@@ -711,6 +773,16 @@ impl CompiledMerged {
     /// Combined memory footprint of both tiers in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.bgp.memory_bytes() + self.dump.memory_bytes()
+    }
+
+    /// Live nodes in both tiers.
+    pub fn nodes(&self) -> usize {
+        self.bgp.nodes() + self.dump.nodes()
+    }
+
+    /// Dead spill cells in both tiers.
+    pub fn dead_cells(&self) -> usize {
+        self.bgp.dead_cells() + self.dump.dead_cells()
     }
 }
 
@@ -763,11 +835,13 @@ mod tests {
         assert_eq!(t.lookup(a("12.65.147.94")), Some(net("12.65.128.0/19")));
         assert_eq!(t.lookup(a("12.1.1.1")), Some(net("12.0.0.0/8")));
         assert!(t.lookup(a("99.1.1.1")).is_none());
-        assert_eq!(t.long_groups(), 0);
+        // The /19 makes its /16 a one-node chunk; the /8's other 255 root
+        // entries stay leaves.
+        assert_eq!(t.nodes(), 1);
     }
 
     #[test]
-    fn long_prefixes_use_overflow_groups() {
+    fn long_prefixes_take_a_second_node_step() {
         let t = CompiledTable::from_prefixes([
             net("24.48.2.0/24"),
             net("24.48.2.128/25"),
@@ -778,7 +852,7 @@ mod tests {
         assert_eq!(t.lookup(a("24.48.2.192")), Some(net("24.48.2.192/32")));
         assert_eq!(t.lookup(a("24.48.2.255")), Some(net("24.48.2.128/25")));
         assert!(t.lookup(a("24.48.3.1")).is_none());
-        assert_eq!(t.long_groups(), 1);
+        assert_eq!(t.nodes(), 2, "one node per level under 24.48/16");
     }
 
     #[test]
@@ -831,25 +905,29 @@ mod tests {
     }
 
     #[test]
-    fn batch_prefetch_distance_does_not_change_results() {
-        let t = CompiledTable::from_prefixes([
-            net("12.0.0.0/8"),
-            net("24.48.2.0/23"),
-            net("24.48.2.128/25"),
-        ]);
-        let addrs: Vec<u32> = (0..512u32)
-            .map(|i| u32::from_be_bytes([24, 48, (i % 4) as u8, i as u8]))
-            .chain(["12.1.2.3", "99.9.9.9"].iter().map(|s| a(s)))
+    fn every_run_boundary_resolves_like_the_trie() {
+        // A chunk whose mid node spills (more than INLINE_RUNS runs) over
+        // a /12 cover, with >/24 prefixes at both ends of a /24.
+        let specs = [
+            "24.48.0.0/12",
+            "24.48.1.0/24",
+            "24.48.3.0/24",
+            "24.48.5.0/24",
+            "24.48.64.0/18",
+            "24.48.255.0/24",
+            "24.48.2.0/25",
+            "24.48.2.255/32",
+            "24.48.3.0/32",
+        ];
+        let t = CompiledTable::from_prefixes(crate::testutil::nets(&specs));
+        assert!(!t.spill.is_empty(), "the mid node's runs are spilled");
+        let trie: PrefixTrie<()> = crate::testutil::nets(&specs)
+            .into_iter()
+            .map(|n| (n, ()))
             .collect();
-        let mut baseline = vec![Handle::NONE; addrs.len()];
-        t.lookup_batch_prefetch(&addrs, &mut baseline, 0);
-        for distance in [1, 4, DEFAULT_PREFETCH_DISTANCE, 1024] {
-            let mut out = vec![Handle::NONE; addrs.len()];
-            t.lookup_batch_prefetch(&addrs, &mut out, distance);
-            assert_eq!(out, baseline, "distance={distance}");
-        }
-        for (&addr, &h) in addrs.iter().zip(&baseline) {
-            assert_eq!(t.resolve(h), t.lookup(addr));
+        for probe in a("24.47.255.0")..=a("24.49.1.0") {
+            let expect = trie.longest_match_u32(probe).map(|(n, _)| n);
+            assert_eq!(t.lookup(probe), expect, "probe {probe:#x}");
         }
     }
 
@@ -859,7 +937,7 @@ mod tests {
         let addrs: Vec<u32> = ["12.1.2.3", "99.9.9.9"].iter().map(|s| a(s)).collect();
         let mut out = vec![Handle::NONE; 64];
         let cap = out.capacity();
-        t.lookup_batch_into(&addrs, &mut out, DEFAULT_PREFETCH_DISTANCE);
+        t.lookup_batch_into(&addrs, &mut out);
         assert_eq!(out.len(), addrs.len());
         assert_eq!(out.capacity(), cap, "no reallocation on shrink");
         assert_eq!(t.resolve(out[0]), Some(net("12.0.0.0/8")));
@@ -876,11 +954,9 @@ mod tests {
             .map(|s| a(s))
             .collect();
         let expect = compiled.net_for_batch(&addrs);
-        for distance in [0, 2, DEFAULT_PREFETCH_DISTANCE] {
-            let mut out = vec![None; addrs.len()];
-            compiled.net_for_slice(&addrs, &mut out, distance);
-            assert_eq!(out, expect, "distance={distance}");
-        }
+        let mut out = vec![None; addrs.len()];
+        compiled.net_for_slice(&addrs, &mut out, DEFAULT_PREFETCH_DISTANCE);
+        assert_eq!(out, expect);
         // Writing into a span of a larger buffer leaves the tail alone.
         let mut wide = vec![Some(net("6.0.0.0/8")); addrs.len() + 3];
         compiled.net_for_slice(&addrs, &mut wide[..addrs.len()], 1);
@@ -918,17 +994,16 @@ mod tests {
     }
 
     #[test]
-    fn arena_puts_long_prefixes_first() {
+    fn arena_keeps_input_order() {
         let t = CompiledTable::from_prefixes([
             net("12.0.0.0/8"),
             net("24.48.2.128/25"),
             net("10.0.0.0/24"),
             net("24.48.2.192/32"),
         ]);
-        assert!(t.long_slots_compact());
-        // Long prefixes first, input order preserved within each class.
+        // One slot width for every length: nothing reorders the arena.
         let lens: Vec<u8> = t.prefixes().iter().map(|p| p.len()).collect();
-        assert_eq!(lens, vec![25, 32, 8, 24]);
+        assert_eq!(lens, vec![8, 25, 24, 32]);
         // Handles still resolve to the right prefix.
         assert_eq!(t.lookup(a("24.48.2.192")), Some(net("24.48.2.192/32")));
         assert_eq!(t.lookup(a("24.48.2.129")), Some(net("24.48.2.128/25")));
@@ -937,39 +1012,59 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_long_prefixes_share_one_group() {
+    fn duplicate_prefixes_keep_arena_entries_and_one_chunk() {
         let t = CompiledTable::from_prefixes([
             net("10.0.0.64/26"),
             net("10.0.0.64/26"),
             net("10.0.0.0/24"),
         ]);
         assert_eq!(t.len(), 3, "duplicates keep arena entries");
-        assert_eq!(t.long_groups(), 1);
+        assert_eq!(t.nodes(), 2);
+        // The later copy wins the match.
+        assert_eq!(t.lookup_handle(a("10.0.0.100")).index(), Some(1));
         assert_eq!(t.lookup(a("10.0.0.100")), Some(net("10.0.0.64/26")));
         assert_eq!(t.lookup(a("10.0.0.1")), Some(net("10.0.0.0/24")));
     }
 
     #[test]
-    fn compact_memory_accounting() {
-        // One overflow group at 2 bytes/slot plus its 4-byte seed.
+    fn memory_accounting_counts_every_array() {
+        // Root + one mid node + one low node (both inline) + the arena.
         let t = CompiledTable::from_prefixes([net("24.48.2.0/24"), net("24.48.2.128/25")]);
-        assert!(t.long_slots_compact());
-        assert_eq!(t.long_groups(), 1);
-        // tbl24 + one 16-bit group + its seed + its refcount + the arena.
-        let expect = (1usize << 24) * 4 + 256 * 2 + 4 + 4 + 2 * std::mem::size_of::<Ipv4Net>();
+        assert_eq!(t.nodes(), 2);
+        assert!(t.spill.is_empty());
+        let expect = ROOT_LEN * 4 + 2 * 64 + 2 * std::mem::size_of::<Ipv4Net>();
         assert_eq!(t.memory_bytes(), expect);
+        assert_eq!(t.patch_state_bytes(), 0, "no shadow trie before a patch");
+
+        // A spilled node adds its run values. Freed nodes and dead cells
+        // stay counted: they are memory the table holds until it compacts.
+        let mut t = CompiledTable::from_prefixes(
+            (0..8u32).map(|i| Ipv4Net::new(0x1830_0000 | (i << 9), 24).unwrap()),
+        );
+        assert_eq!(t.nodes(), 1);
+        assert_eq!(t.spill.len(), 16, "8 /24s over a miss: 16 runs");
+        let fixed = ROOT_LEN * 4 + 64 + 8 * std::mem::size_of::<Ipv4Net>();
+        assert_eq!(t.memory_bytes(), fixed + 16 * 4);
+        for p in t.prefixes().to_vec() {
+            t.apply_delta(&[crate::TableDelta::withdraw(p)]);
+        }
+        assert_eq!(t.nodes(), 0);
+        assert_eq!(t.free_nodes.len(), 1, "each rebuild reused the freed node");
+        assert_eq!(t.dead_cells(), t.spill.len(), "every spilled range is dead");
+        assert_eq!(t.memory_bytes(), fixed + t.spill.len() * 4 + 4);
+        assert!(t.patch_state_bytes() > 0);
     }
 
     #[test]
-    fn wide_tables_fall_back_to_u32_slots() {
-        // More >/24 prefixes than 16-bit slots can address: one /25 per
-        // /24 block walks the table into u32 overflow mode.
-        let n = (LONG16_SEED as usize) + 16;
+    fn one_slot_width_holds_any_number_of_long_prefixes() {
+        // More >/24 prefixes than a 16-bit slot could address — the case
+        // the DIR-24-8 layout needed a second, wider group format for.
+        let n = (u16::MAX as usize) + 16;
         let mut prefixes = vec![net("0.0.0.0/0")];
         prefixes.extend((0..n as u32).map(|i| Ipv4Net::new(i << 8, 25).unwrap()));
         let t = CompiledTable::from_prefixes(prefixes.iter().copied());
-        assert!(!t.long_slots_compact());
-        assert_eq!(t.long_groups(), n);
+        // One low node per /24 holding a /25, one mid node per /16 above.
+        assert_eq!(t.nodes(), n + n.div_ceil(256));
 
         let mut trie = PrefixTrie::new();
         for &p in &prefixes {
@@ -982,16 +1077,16 @@ mod tests {
             a("1.0.3.3"),
             a("200.1.2.3"),
             u32::from(Ipv4Addr::from((n as u32 - 1) << 8)),
+            u32::from(Ipv4Addr::from((n as u32) << 8)),
         ] {
             let expect = trie.longest_match_u32(probe).map(|(p, _)| p);
             assert_eq!(t.lookup(probe), expect, "{probe:#x}");
         }
     }
 
-    /// Runs the dedup-heavy build and a full /16 lookup sweep in a debug
-    /// build, executing every `debug_assert!` invariant in
-    /// `from_prefixes` (slot-width bound, remap consistency, group-size
-    /// accounting) and `lookup_handle` (overflow index bounds).
+    /// Runs a build with nesting at every level and a full /16 lookup
+    /// sweep in a debug build, executing every `debug_assert!` invariant
+    /// in `from_prefixes` and `entry_for` (slot and node-id bounds).
     #[cfg(debug_assertions)]
     #[test]
     fn debug_invariants_hold_across_build_and_sweep() {
@@ -1004,11 +1099,10 @@ mod tests {
             "10.1.2.192/26",
             "10.1.3.128/25",
             "10.1.4.128/25",
-            "10.1.2.192/26", // duplicate: same group reused, extra arena entry
+            "10.1.2.192/26", // duplicate: same nodes, extra arena entry
         ];
         let t = CompiledTable::from_prefixes(testutil::nets(&specs));
-        assert!(t.long_slots_compact());
-        assert_eq!(t.long_groups(), 3); // 10.1.2.x, 10.1.3.x, 10.1.4.x
+        assert_eq!(t.nodes(), 4); // 10.1/16, then 10.1.2.x, 10.1.3.x, 10.1.4.x
         let mut trie = PrefixTrie::new();
         for n in testutil::nets(&specs) {
             trie.insert(n, ());

@@ -5,17 +5,20 @@
 //! merging) and §3.4 (effect of BGP dynamics) machinery:
 //!
 //! * [`PrefixTrie`] — arena-allocated binary trie with longest-prefix match,
-//! * [`CompiledTable`] / [`CompiledMerged`] — the trie frozen into a flat
-//!   DIR-24-8 array layout for O(1)–O(2) lookups on the clustering hot path,
+//! * [`CompiledTable`] / [`CompiledMerged`] — the trie frozen into a
+//!   cache-resident DIR-16 root + popcount-compressed nodes for one to
+//!   three array loads per lookup on the clustering hot path,
 //! * [`RoutingTable`] / [`MergedTable`] — named snapshots and the unified
 //!   two-tier (BGP primary / registry-dump secondary) lookup table,
 //! * [`PrefixLengthHistogram`] — Figure 1's prefix-length distribution,
 //! * [`SnapshotDiff`], [`dynamic_prefix_set`], [`maximum_effect`] — the
 //!   dynamics measures behind Table 4,
 //! * [`TableDelta`] / [`CompiledTable::apply_delta`] — incremental
-//!   in-place patching of the compiled layout from BGP update streams.
+//!   chunk-by-chunk patching of the compiled layout from BGP update
+//!   streams.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod diff;
 mod flat;

@@ -1,47 +1,49 @@
-//! In-place patching of compiled DIR-24-8 tables from BGP deltas.
+//! Chunk-scoped patching of compiled tables from BGP deltas.
 //!
-//! A [`CompiledTable`] is build-once: any change used to mean a full
-//! recompile (~tens of ms at 110K prefixes — the 64 MiB `tbl24` fill
-//! dominates). Real BGP feeds, however, are dominated by small update
-//! batches touching a handful of prefixes (see PAPERS.md on routing-table
-//! dynamics), so this module adds the classic router trick: patch the
-//! flat layout in place and fall back to recompilation only when the
-//! delta is large or the compact layout runs out of room.
+//! Real BGP feeds are dominated by small update batches touching a handful
+//! of prefixes (see PAPERS.md on routing-table dynamics), so a
+//! [`CompiledTable`] absorbs a delta by rebuilding only the part of the
+//! layout the prefix can reach, never the table.
 //!
-//! Patch mechanics, by case:
+//! A shadow [`PrefixTrie`] (live prefix → arena handle) is the source of
+//! truth; the compressed layout is a function of it, chunk by chunk:
 //!
-//! * **Announce, `/24` or shorter** — the prefix owns a contiguous run of
-//!   `tbl24` slots. Compare-and-overwrite: every slot whose current match
-//!   is shorter takes the new handle; slots owned by longer prefixes are
-//!   left alone. Blocks redirected to an overflow group update the
-//!   group's *seed* (the covering ≤/24 match) instead.
-//! * **Announce, longer than `/24`** — patches the block's 256-slot
-//!   overflow group in place (allocating or copy-on-writing the group
-//!   first: deduplicated groups may be shared by several blocks).
-//! * **Withdraw** — every slot still referencing the dead handle is
-//!   backfilled from a shadow [`PrefixTrie`] that mirrors the live prefix
-//!   set (the longest *remaining* match). A group whose slots all fall
-//!   back to the seed collapses into a plain `tbl24` entry and is freed.
-//! * **Fallbacks** — a batch whose size crosses
-//!   [`PatchPolicy::recompile_threshold`], a compact table whose 16-bit
-//!   handle space is exhausted, or any detected inconsistency recompiles
-//!   from the shadow trie's live set instead (same observable result,
-//!   reported via [`PatchReport::recompiled`]).
+//! * **A prefix longer than `/16`** lives in exactly one /16 chunk. The
+//!   chunk's nodes are freed and rebuilt from the trie's subtree under
+//!   that /16, painted over the longest remaining ≤/16 cover — the same
+//!   `build_chunk` the compiler runs, so a patched chunk is identical to
+//!   a compiled one.
+//! * **A prefix of `/16` or shorter** covers whole root entries. For each
+//!   one it owns (no longer ≤/16 prefix sits between), a leaf entry is
+//!   rewritten with the new cover and a node chunk is rebuilt over it
+//!   (nodes are leaf-pushed, so the cover is baked into their runs).
+//! * **Bulk** — a batch that crosses
+//!   [`PatchPolicy::recompile_threshold`] updates the trie only and
+//!   rebuilds the whole layout once ([`PatchReport::recompiled`]).
+//! * **Compaction** — freed nodes are reused, but the run arrays of
+//!   spilled nodes are append-only: a rebuilt chunk leaves its old ranges
+//!   behind as dead cells. When dead cells outnumber live ones (and are
+//!   worth a rebuild at all, [`COMPACT_MIN_DEAD_CELLS`]) the layout is
+//!   rebuilt from the trie ([`PatchReport::compacted`]), so a patched
+//!   table stays within a constant factor of a fresh compile.
 //!
-//! The first `apply_delta` call builds the shadow state (trie + free
-//! lists) in O(#prefixes); subsequent patches are proportional to the
-//! address range the delta covers. The proptest suite enforces the
-//! invariant that a patched table is lookup-equivalent to a from-scratch
-//! compile of the same prefix set (`tests/patch_prop.rs`).
+//! The first `apply_delta` call builds the shadow state in O(#prefixes);
+//! subsequent patches are proportional to the chunks the delta reaches.
+//! What a patch *reports* (`slot_writes`, `groups_rebuilt`, `recompiled`)
+//! depends only on the live prefix set and the batch, never on the
+//! table's patch history — `core::stream` persists those counters and a
+//! resumed process must reproduce them. The proptest suite enforces that
+//! a patched table is lookup-equivalent to a from-scratch compile of the
+//! same prefix set (`tests/patch_prop.rs`).
 
 use netclust_prefix::Ipv4Net;
 
-use crate::flat::{CompiledMerged, CompiledTable, EXT_FLAG, LONG16_SEED};
+use crate::flat::{chunk_key, CompiledMerged, CompiledTable, NODE_FLAG, ROOT_LEN};
 use crate::trie::PrefixTrie;
 
-/// `tbl24` size of a materialized table; anything else (the empty-table
-/// fast path) routes through recompile.
-const TBL24_LEN: usize = 1 << 24;
+/// Dead spill cells below which compaction is not worth a layout rebuild
+/// (16 KiB of garbage), however few live cells there are.
+const COMPACT_MIN_DEAD_CELLS: usize = 1 << 12;
 
 /// What a routing update does to one prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,12 +94,12 @@ impl TableDelta {
     }
 }
 
-/// When to give up on in-place patching and recompile the whole table.
+/// When to give up on chunk-by-chunk patching and rebuild the whole layout.
 #[derive(Debug, Clone)]
 pub struct PatchPolicy {
-    /// Recompile when a batch touches more than this fraction of the live
-    /// prefix set (in-place patching of a dense delta walks more memory
-    /// than the sequential recompile fill would).
+    /// Rebuild when a batch touches more than this fraction of the live
+    /// prefix set (rebuilding chunk after chunk then costs more than one
+    /// sequential rebuild of all of them).
     pub recompile_delta_fraction: f64,
     /// Floor for the recompile threshold, so small tables still patch
     /// small batches in place.
@@ -114,8 +116,9 @@ impl Default for PatchPolicy {
 }
 
 impl PatchPolicy {
-    /// Batch size at which [`CompiledTable::apply_delta_with`] recompiles
-    /// instead of patching, for a table with `live` prefixes.
+    /// Batch size at which [`CompiledTable::apply_delta_with`] rebuilds
+    /// the layout once instead of patching, for a table with `live`
+    /// prefixes.
     pub fn recompile_threshold(&self, live: usize) -> usize {
         let scaled = (self.recompile_delta_fraction * live as f64) as usize;
         scaled.max(self.recompile_min_deltas)
@@ -135,68 +138,67 @@ pub struct PatchReport {
     /// Deltas with no table effect (duplicate announce, withdraw of an
     /// absent prefix).
     pub noops: usize,
-    /// Direct `tbl24` slot writes.
-    pub tbl24_writes: usize,
-    /// Overflow-group slot and seed writes.
-    pub long_writes: usize,
-    /// Overflow groups copied before writing (shared-group
-    /// copy-on-write: the scoped group rebuild).
+    /// Root entries stored: leaves rewritten with a new cover, and the
+    /// entry of every rebuilt chunk.
+    pub root_writes: usize,
+    /// Run values written into rebuilt chunks' nodes.
+    pub cell_writes: usize,
+    /// /16 chunks rebuilt from the shadow trie.
     pub groups_rebuilt: usize,
-    /// Overflow groups newly allocated for a first >/24 prefix in a block.
-    pub groups_allocated: usize,
-    /// Overflow groups collapsed back into a plain `tbl24` entry.
-    pub groups_freed: usize,
-    /// `true` when the call fell back to a full recompile.
+    /// `true` when the batch crossed the policy's density threshold and
+    /// the layout was rebuilt once instead of chunk by chunk.
     pub recompiled: bool,
+    /// `true` when the call ended by compacting the layout (dead spill
+    /// cells outnumbered live ones). Unlike every other field this
+    /// depends on the table's patch history, not only on the live set.
+    pub compacted: bool,
     /// `true` when this call built the shadow patch state (first patch on
     /// a freshly compiled table).
     pub initialized: bool,
 }
 
 impl PatchReport {
-    /// Total direct slot writes (both levels).
+    /// Total direct writes (root entries and node cells).
     pub fn slot_writes(&self) -> usize {
-        self.tbl24_writes + self.long_writes
+        self.root_writes + self.cell_writes
     }
 
-    /// `true` when every delta was applied by in-place writes.
+    /// `true` when every delta was applied chunk by chunk.
     pub fn patched_in_place(&self) -> bool {
         !self.recompiled
     }
 
     /// Folds another report into this one (batch accounting across
-    /// repeated calls). `recompiled`/`initialized` are sticky.
+    /// repeated calls). The flags are sticky.
     pub fn merge(&mut self, other: &PatchReport) {
         self.announced += other.announced;
         self.withdrawn += other.withdrawn;
         self.replaced += other.replaced;
         self.noops += other.noops;
-        self.tbl24_writes += other.tbl24_writes;
-        self.long_writes += other.long_writes;
+        self.root_writes += other.root_writes;
+        self.cell_writes += other.cell_writes;
         self.groups_rebuilt += other.groups_rebuilt;
-        self.groups_allocated += other.groups_allocated;
-        self.groups_freed += other.groups_freed;
         self.recompiled |= other.recompiled;
+        self.compacted |= other.compacted;
         self.initialized |= other.initialized;
     }
 }
 
-/// Shadow bookkeeping for in-place patching: the live prefix set (with
-/// arena handles) plus free lists for tombstoned arena slots and
-/// zero-reference overflow groups.
+/// Shadow bookkeeping for patching: the live prefix set with its arena
+/// handles, and the arena slots withdrawals vacated.
 #[derive(Clone)]
 pub(crate) struct PatchState {
-    /// Live prefix → arena handle. The source of truth for backfill
-    /// lookups and for the recompile fallback.
+    /// Live prefix → arena handle. The source of truth every chunk
+    /// rebuild reads.
     pub(crate) trie: PrefixTrie<u32>,
-    /// Dead arena slots whose handle still fits the compact overflow
-    /// encoding (reusable for any prefix; preferred for >/24).
-    free_long: Vec<u32>,
-    /// Dead arena slots usable only for ≤/24 prefixes (handle too large
-    /// for a 16-bit overflow slot).
-    free_short: Vec<u32>,
-    /// Overflow group ids with zero `tbl24` references, reusable in place.
-    free_groups: Vec<u32>,
+    /// Dead arena slots, reused before the arena grows.
+    free_handles: Vec<u32>,
+}
+
+impl PatchState {
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.trie.memory_bytes() + self.free_handles.len() * 4
+    }
 }
 
 impl CompiledTable {
@@ -206,10 +208,9 @@ impl CompiledTable {
         self.apply_delta_with(deltas, &PatchPolicy::default())
     }
 
-    /// Applies a batch of routing deltas, patching the flat layout in
-    /// place where possible and falling back to a full recompile when the
-    /// batch crosses `policy`'s density threshold (or the compact layout
-    /// cannot absorb the change). Deltas apply in order; later entries
+    /// Applies a batch of routing deltas, rebuilding only the chunks each
+    /// delta reaches — or the whole layout once, when the batch crosses
+    /// `policy`'s density threshold. Deltas apply in order; later entries
     /// win. After the call the table is lookup-equivalent to a
     /// from-scratch compile of the delta'd prefix set.
     pub fn apply_delta_with(&mut self, deltas: &[TableDelta], policy: &PatchPolicy) -> PatchReport {
@@ -221,722 +222,176 @@ impl CompiledTable {
                 self.build_patch_state()
             }
         };
-        if self.tbl24.len() != TBL24_LEN
-            || deltas.len() >= policy.recompile_threshold(state.trie.len())
-        {
-            self.recompile_with(&mut state, deltas, &mut report);
-            self.patch = Some(state);
-            return report;
+        if self.root.is_empty() {
+            // Compiled from no prefixes: materialize the all-miss root.
+            self.root.resize(ROOT_LEN, 0);
         }
-        for (i, d) in deltas.iter().enumerate() {
-            let ok = match d.kind {
-                DeltaKind::Announce => {
-                    self.patch_announce(&mut state, d.prefix, &mut report, false)
-                }
-                DeltaKind::Replace => self.patch_announce(&mut state, d.prefix, &mut report, true),
-                DeltaKind::Withdraw => self.patch_withdraw(&mut state, d.prefix, &mut report),
-            };
-            if !ok {
-                // In-place patching hit a structural limit (compact handle
-                // space, inconsistent layout): recompile the rest of the
-                // batch, current delta included.
-                self.recompile_with(&mut state, &deltas[i..], &mut report);
-                self.patch = Some(state);
-                return report;
+        report.recompiled = deltas.len() >= policy.recompile_threshold(state.trie.len());
+        for d in deltas {
+            if !self.update_live_set(&mut state, d, &mut report) || report.recompiled {
+                continue;
             }
+            if d.prefix.len() > 16 {
+                let idx = d.prefix.addr_u32() >> 16;
+                let (cover, _) = Self::cover(&state, idx);
+                self.rebuild_chunk(&state, idx, cover, &mut report);
+            } else {
+                let announce = d.kind != DeltaKind::Withdraw;
+                self.refresh_root(&state, d.prefix, announce, &mut report);
+            }
+        }
+        report.compacted = !report.recompiled
+            && self.dead_cells >= COMPACT_MIN_DEAD_CELLS
+            && self.dead_cells > self.spill.len() - self.dead_cells;
+        if report.recompiled || report.compacted {
+            self.rebuild(state.trie.iter().map(|(_, &h)| h));
         }
         self.patch = Some(state);
         report
     }
 
     /// Builds the shadow state from the current arena: the live trie plus
-    /// free-list entries for arena duplicates (the later copy wins the
-    /// match, exactly as `from_prefixes` slot-fill order decides it).
+    /// free handles for arena duplicates (the later copy wins the match,
+    /// exactly as `rebuild`'s paint order decides it).
     fn build_patch_state(&self) -> Box<PatchState> {
-        let compact = self.long32.is_empty();
         let mut state = PatchState {
             trie: PrefixTrie::new(),
-            free_long: Vec::new(),
-            free_short: Vec::new(),
-            free_groups: Vec::new(),
+            free_handles: Vec::new(),
         };
-        for (h, net) in self.prefixes.iter().enumerate() {
-            debug_assert!(h < u32::MAX as usize, "arena bounded by Handle encoding");
-            // analyze:allow(cast-truncation) the arena is bounded below
-            // u32::MAX by construction (debug-asserted in from_prefixes).
-            let h = h as u32;
+        for (h, net) in (0u32..).zip(&self.prefixes) {
             if let Some(prev) = state.trie.insert(*net, h) {
-                push_free(&mut state, compact, prev);
+                state.free_handles.push(prev);
             }
         }
         Box::new(state)
     }
 
-    /// Full-recompile fallback: applies `deltas` to the shadow trie, then
-    /// rebuilds the flat layout from the resulting live set and refreshes
-    /// the shadow state against the new arena.
-    fn recompile_with(
+    /// Applies one delta to the shadow trie and the arena. Returns `true`
+    /// when the live set changed (the layout then needs refreshing where
+    /// the prefix reaches).
+    fn update_live_set(
         &mut self,
         state: &mut PatchState,
-        deltas: &[TableDelta],
+        delta: &TableDelta,
         report: &mut PatchReport,
-    ) {
-        for d in deltas {
-            match d.kind {
-                DeltaKind::Announce => {
-                    if state.trie.insert(d.prefix, 0).is_none() {
-                        report.announced += 1;
-                    } else {
-                        report.noops += 1;
-                    }
-                }
-                DeltaKind::Replace => {
-                    if state.trie.insert(d.prefix, 0).is_none() {
-                        report.announced += 1;
-                    } else {
-                        report.replaced += 1;
-                    }
-                }
-                DeltaKind::Withdraw => {
-                    if state.trie.remove(d.prefix).is_some() {
-                        report.withdrawn += 1;
-                    } else {
-                        report.noops += 1;
-                    }
-                }
-            }
-        }
-        self.replace_layout(CompiledTable::from_prefixes(state.trie.prefixes()));
-        *state = *self.build_patch_state();
-        report.recompiled = true;
-    }
-
-    /// Decoded prefix length behind a full-width slot value, or `-1` for
-    /// a miss (slot 0) so plain `<` comparisons order "no match" below
-    /// every real prefix.
-    fn slot_len(&self, slot: u32) -> i32 {
-        if slot == 0 {
-            return -1;
-        }
-        self.prefixes
-            .get(slot as usize - 1)
-            .map(|p| i32::from(p.len()))
-            .unwrap_or(-1)
-    }
-
-    /// In-place announce. Returns `false` when the layout cannot absorb
-    /// the prefix (recompile fallback).
-    fn patch_announce(
-        &mut self,
-        state: &mut PatchState,
-        net: Ipv4Net,
-        report: &mut PatchReport,
-        is_replace: bool,
     ) -> bool {
+        let net = delta.prefix;
+        if delta.kind == DeltaKind::Withdraw {
+            let Some(dead) = state.trie.remove(net) else {
+                report.noops += 1;
+                return false;
+            };
+            state.free_handles.push(dead);
+            report.withdrawn += 1;
+            return true;
+        }
         if state.trie.contains(net) {
-            // Re-announcement of a live prefix: slots already point at it.
-            if is_replace {
+            // Re-announcement of a live prefix: the layout already
+            // resolves to it.
+            if delta.kind == DeltaKind::Replace {
                 report.replaced += 1;
             } else {
                 report.noops += 1;
             }
-            return true;
-        }
-        let Some(h) = self.alloc_handle(state, net) else {
             return false;
-        };
-        let slot = h + 1;
-        let ok = if net.len() <= 24 {
-            self.announce_short(state, net, slot, report)
-        } else {
-            self.announce_long(state, net, slot, report)
-        };
-        if ok {
-            state.trie.insert(net, h);
-            // A replace of an absent prefix is a plain announce: the
-            // distinction only matters when the prefix was already live.
-            report.announced += 1;
-        } else {
-            push_free(state, self.long32.is_empty(), h);
         }
-        ok
-    }
-
-    /// Announce of a `/24`-or-shorter prefix: compare-and-overwrite its
-    /// contiguous `tbl24` run; blocks behind an overflow group update the
-    /// group seed instead.
-    fn announce_short(
-        &mut self,
-        state: &mut PatchState,
-        net: Ipv4Net,
-        slot: u32,
-        report: &mut PatchReport,
-    ) -> bool {
-        let start = (net.addr_u32() >> 8) as usize;
-        let count = 1usize << (24 - net.len());
-        let new_len = i32::from(net.len());
-        for idx24 in start..start + count {
-            let Some(&entry) = self.tbl24.get(idx24) else {
-                return false;
-            };
-            if entry & EXT_FLAG == 0 {
-                if self.slot_len(entry) < new_len {
-                    if let Some(e) = self.tbl24.get_mut(idx24) {
-                        *e = slot;
-                        report.tbl24_writes += 1;
-                    }
+        let h = match state.free_handles.pop() {
+            Some(h) => {
+                if let Some(dead) = self.prefixes.get_mut(h as usize) {
+                    *dead = net;
                 }
-            } else if self.long32.is_empty() {
-                // Compact block: the ≤/24 match lives in the group seed.
-                let g = (entry & !EXT_FLAG) as usize;
-                let seed = self.long_seed.get(g).copied().unwrap_or(0);
-                if self.slot_len(seed) < new_len {
-                    let Some(g) = self.cow_group(state, idx24, g, report) else {
-                        return false;
-                    };
-                    if let Some(s) = self.long_seed.get_mut(g) {
-                        *s = slot;
-                        report.long_writes += 1;
-                    }
-                }
-            } else {
-                // Wide block: the seed is inlined in every slot not owned
-                // by a >/24 prefix; compare-and-overwrite all 256.
-                let g = (entry & !EXT_FLAG) as usize;
-                let base = g * 256;
-                let needs = match self.long32.get(base..base + 256) {
-                    Some(slots) => slots.iter().any(|&v| self.slot_len(v) < new_len),
-                    None => return false,
-                };
-                if !needs {
-                    continue;
-                }
-                let Some(g) = self.cow_group(state, idx24, g, report) else {
-                    return false;
-                };
-                let base = g * 256;
-                let lens: Vec<i32> = match self.long32.get(base..base + 256) {
-                    Some(slots) => slots.iter().map(|&v| self.slot_len(v)).collect(),
-                    None => return false,
-                };
-                if let Some(slots) = self.long32.get_mut(base..base + 256) {
-                    for (v, len) in slots.iter_mut().zip(lens) {
-                        if len < new_len {
-                            *v = slot;
-                            report.long_writes += 1;
-                        }
-                    }
-                }
+                h
             }
-        }
+            None => {
+                // A slot (handle + 1) must stay below NODE_FLAG; an arena
+                // of 2^31 prefixes cannot be reached from IPv4's 2^33 - 1.
+                debug_assert!(self.prefixes.len() < (NODE_FLAG - 1) as usize);
+                let h = u32::try_from(self.prefixes.len()).unwrap_or(0);
+                self.prefixes.push(net);
+                h
+            }
+        };
+        state.trie.insert(net, h);
+        // A replace of an absent prefix is a plain announce: the
+        // distinction only matters when the prefix was already live.
+        report.announced += 1;
         true
     }
 
-    /// Announce of a prefix longer than `/24`: patch (or allocate) the
-    /// block's overflow group and compare-and-overwrite the covered
-    /// final-byte range.
-    fn announce_long(
+    /// The slot and length of the longest live ≤/16 prefix covering /16
+    /// chunk `idx` (`(0, -1)` when there is none, so plain `<` orders
+    /// "no match" below every real prefix).
+    fn cover(state: &PatchState, idx: u32) -> (u32, i32) {
+        match state.trie.longest_match_capped(idx << 16, 16) {
+            Some((net, &h)) => (h + 1, i32::from(net.len())),
+            None => (0, -1),
+        }
+    }
+
+    /// After a ≤/16 prefix was announced or withdrawn: brings every root
+    /// entry it owns — those no longer ≤/16 prefix covers — up to date.
+    /// Entries under a longer cover cannot see the change.
+    fn refresh_root(
         &mut self,
-        state: &mut PatchState,
+        state: &PatchState,
         net: Ipv4Net,
-        slot: u32,
-        report: &mut PatchReport,
-    ) -> bool {
-        let idx24 = (net.addr_u32() >> 8) as usize;
-        let Some(&entry) = self.tbl24.get(idx24) else {
-            return false;
-        };
-        let g = if entry & EXT_FLAG == 0 {
-            // First >/24 prefix in this block: seed a fresh group with the
-            // current ≤/24 match so uncovered bytes still resolve.
-            let Some(g) = self.alloc_group(state, entry, report) else {
-                return false;
-            };
-            debug_assert!(g < (1usize << 31), "group id fits 31 bits");
-            if let Some(e) = self.tbl24.get_mut(idx24) {
-                // analyze:allow(cast-truncation) group ids stay far below
-                // 2^31 (bounded by distinct 24-bit blocks).
-                *e = EXT_FLAG | g as u32;
-            }
-            g
-        } else {
-            let g = (entry & !EXT_FLAG) as usize;
-            let Some(g) = self.cow_group(state, idx24, g, report) else {
-                return false;
-            };
-            g
-        };
-        let lo = (net.addr_u32() & 0xFF) as usize;
-        let count = 1usize << (32 - net.len());
-        let new_len = i32::from(net.len());
-        let base = g * 256;
-        if self.long32.is_empty() {
-            let seed_len = self.slot_len(self.long_seed.get(g).copied().unwrap_or(0));
-            debug_assert!(slot < u32::from(LONG16_SEED), "compact handle bound");
-            // analyze:allow(cast-truncation) alloc_handle guarantees
-            // slot < LONG16_SEED in compact mode.
-            let slot16 = slot as u16;
-            let prefixes = &self.prefixes;
-            let Some(slots) = self.long16.get_mut(base + lo..base + lo + count) else {
-                return false;
-            };
-            for v in slots.iter_mut() {
-                let cur = if *v == LONG16_SEED {
-                    seed_len
-                } else {
-                    prefixes
-                        .get(usize::from(*v).wrapping_sub(1))
-                        .map(|p| i32::from(p.len()))
-                        .unwrap_or(-1)
-                };
-                if cur < new_len {
-                    *v = slot16;
-                    report.long_writes += 1;
-                }
-            }
-        } else {
-            let prefixes = &self.prefixes;
-            let Some(slots) = self.long32.get_mut(base + lo..base + lo + count) else {
-                return false;
-            };
-            for v in slots.iter_mut() {
-                let cur = if *v == 0 {
-                    -1
-                } else {
-                    prefixes
-                        .get(*v as usize - 1)
-                        .map(|p| i32::from(p.len()))
-                        .unwrap_or(-1)
-                };
-                if cur < new_len {
-                    *v = slot;
-                    report.long_writes += 1;
-                }
-            }
-        }
-        true
-    }
-
-    /// In-place withdraw: backfills every slot still referencing the dead
-    /// handle with the longest remaining match from the shadow trie.
-    fn patch_withdraw(
-        &mut self,
-        state: &mut PatchState,
-        net: Ipv4Net,
-        report: &mut PatchReport,
-    ) -> bool {
-        let Some(h_dead) = state.trie.remove(net) else {
-            report.noops += 1;
-            return true;
-        };
-        let dead_slot = h_dead + 1;
-        let ok = if net.len() <= 24 {
-            self.withdraw_short(state, net, dead_slot, report)
-        } else {
-            self.withdraw_long(state, net, dead_slot, report)
-        };
-        if ok {
-            push_free(state, self.long32.is_empty(), h_dead);
-            report.withdrawn += 1;
-        } else {
-            // Restore the trie so the recompile fallback re-applies this
-            // withdraw from a consistent live set.
-            state.trie.insert(net, h_dead);
-        }
-        ok
-    }
-
-    /// Withdraw of a `/24`-or-shorter prefix: rewrite every `tbl24` slot
-    /// (or group seed) it owned with the longest remaining ≤/24 match.
-    fn withdraw_short(
-        &mut self,
-        state: &mut PatchState,
-        net: Ipv4Net,
-        dead_slot: u32,
-        report: &mut PatchReport,
-    ) -> bool {
-        let start = (net.addr_u32() >> 8) as usize;
-        let count = 1usize << (24 - net.len());
-        for idx24 in start..start + count {
-            let Some(&entry) = self.tbl24.get(idx24) else {
-                return false;
-            };
-            if entry & EXT_FLAG == 0 {
-                if entry == dead_slot {
-                    let fill = self.backfill_le24(state, idx24);
-                    if let Some(e) = self.tbl24.get_mut(idx24) {
-                        *e = fill;
-                        report.tbl24_writes += 1;
-                    }
-                }
-            } else if self.long32.is_empty() {
-                let g = (entry & !EXT_FLAG) as usize;
-                if self.long_seed.get(g).copied() == Some(dead_slot) {
-                    let fill = self.backfill_le24(state, idx24);
-                    let Some(g) = self.cow_group(state, idx24, g, report) else {
-                        return false;
-                    };
-                    if let Some(s) = self.long_seed.get_mut(g) {
-                        *s = fill;
-                        report.long_writes += 1;
-                    }
-                }
-            } else {
-                let g = (entry & !EXT_FLAG) as usize;
-                let base = g * 256;
-                let needs = match self.long32.get(base..base + 256) {
-                    Some(slots) => slots.contains(&dead_slot),
-                    None => return false,
-                };
-                if !needs {
-                    continue;
-                }
-                let fill = self.backfill_le24(state, idx24);
-                let Some(g) = self.cow_group(state, idx24, g, report) else {
-                    return false;
-                };
-                let base = g * 256;
-                if let Some(slots) = self.long32.get_mut(base..base + 256) {
-                    for v in slots.iter_mut() {
-                        if *v == dead_slot {
-                            *v = fill;
-                            report.long_writes += 1;
-                        }
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// The slot encoding of the longest live ≤/24 match covering block
-    /// `idx24` (0 when none remains).
-    fn backfill_le24(&self, state: &PatchState, idx24: usize) -> u32 {
-        debug_assert!(idx24 < TBL24_LEN);
-        // analyze:allow(cast-truncation) idx24 < 2^24, so the shift stays
-        // in range.
-        let block_addr = (idx24 as u32) << 8;
-        state
-            .trie
-            .longest_match_capped(block_addr, 24)
-            .map(|(_, &h)| h + 1)
-            .unwrap_or(0)
-    }
-
-    /// Withdraw of a prefix longer than `/24`: backfill its overflow-group
-    /// byte range, collapsing the group when no >/24 prefix remains in it.
-    fn withdraw_long(
-        &mut self,
-        state: &mut PatchState,
-        net: Ipv4Net,
-        dead_slot: u32,
-        report: &mut PatchReport,
-    ) -> bool {
-        let idx24 = (net.addr_u32() >> 8) as usize;
-        let Some(&entry) = self.tbl24.get(idx24) else {
-            return false;
-        };
-        if entry & EXT_FLAG == 0 {
-            // A live >/24 prefix's block must carry an extension entry;
-            // anything else means the layout drifted — recompile.
-            return false;
-        }
-        let g = (entry & !EXT_FLAG) as usize;
-        let lo = (net.addr_u32() & 0xFF) as usize;
-        let count = 1usize << (32 - net.len());
-        let compact = self.long32.is_empty();
-        // Fully-shadowed withdrawals (every covered byte owned by longer
-        // prefixes) write nothing — skip the copy-on-write.
-        let needs = if compact {
-            debug_assert!(dead_slot < u32::from(LONG16_SEED));
-            // analyze:allow(cast-truncation) compact slots only ever held
-            // handles below LONG16_SEED.
-            let dead16 = dead_slot as u16;
-            match self.long16.get(g * 256 + lo..g * 256 + lo + count) {
-                Some(slots) => slots.contains(&dead16),
-                None => return false,
-            }
-        } else {
-            match self.long32.get(g * 256 + lo..g * 256 + lo + count) {
-                Some(slots) => slots.contains(&dead_slot),
-                None => return false,
-            }
-        };
-        if needs {
-            let Some(g) = self.cow_group(state, idx24, g, report) else {
-                return false;
-            };
-            let base = g * 256;
-            for b in lo..lo + count {
-                let addr = self.backfill_addr(idx24, b);
-                if compact {
-                    // analyze:allow(cast-truncation) as above: compact
-                    // slots hold handles below LONG16_SEED.
-                    let dead16 = dead_slot as u16;
-                    let Some(v) = self.long16.get(base + b).copied() else {
-                        return false;
-                    };
-                    if v != dead16 {
-                        continue;
-                    }
-                    let fill = match state.trie.longest_match_u32(addr) {
-                        Some((p, &h)) if p.len() > 24 => {
-                            debug_assert!(h + 1 < u32::from(LONG16_SEED));
-                            // analyze:allow(cast-truncation) live compact
-                            // handles were allocated below LONG16_SEED.
-                            (h + 1) as u16
-                        }
-                        _ => LONG16_SEED,
-                    };
-                    if let Some(e) = self.long16.get_mut(base + b) {
-                        *e = fill;
-                        report.long_writes += 1;
-                    }
-                } else {
-                    let Some(v) = self.long32.get(base + b).copied() else {
-                        return false;
-                    };
-                    if v != dead_slot {
-                        continue;
-                    }
-                    let fill = state
-                        .trie
-                        .longest_match_u32(addr)
-                        .map(|(_, &h)| h + 1)
-                        .unwrap_or(0);
-                    if let Some(e) = self.long32.get_mut(base + b) {
-                        *e = fill;
-                        report.long_writes += 1;
-                    }
-                }
-            }
-            self.try_collapse_group(state, idx24, g, report);
-        }
-        true
-    }
-
-    /// Address of byte `b` within block `idx24`.
-    fn backfill_addr(&self, idx24: usize, b: usize) -> u32 {
-        debug_assert!(idx24 < TBL24_LEN && b < 256);
-        // analyze:allow(cast-truncation) idx24 < 2^24 and b < 256 by the
-        // loop bounds.
-        ((idx24 as u32) << 8) | b as u32
-    }
-
-    /// Collapses group `g` back into a plain `tbl24` entry when no slot
-    /// carries a >/24 match any more, returning the group to the free
-    /// list.
-    fn try_collapse_group(
-        &mut self,
-        state: &mut PatchState,
-        idx24: usize,
-        g: usize,
+        announce: bool,
         report: &mut PatchReport,
     ) {
-        let base = g * 256;
-        let plain = if self.long32.is_empty() {
-            match self.long16.get(base..base + 256) {
-                Some(slots) if slots.iter().all(|&v| v == LONG16_SEED) => {
-                    self.long_seed.get(g).copied()
-                }
-                _ => None,
+        let first = net.addr_u32() >> 16;
+        let len = i32::from(net.len());
+        for idx in first..first + (1u32 << (16 - net.len())) {
+            let (slot, cover_len) = Self::cover(state, idx);
+            let owned = if announce {
+                cover_len == len
+            } else {
+                cover_len < len
+            };
+            if !owned {
+                continue;
             }
-        } else {
-            match self
-                .long32
-                .get(base..base + 256)
-                .and_then(|s| s.split_first())
-            {
-                Some((&first, rest)) if rest.iter().all(|&v| v == first) => {
-                    // All-equal slots can only be the inlined seed (a >/24
-                    // prefix covers at most 128 bytes), so the value is a
-                    // plain encoding.
-                    Some(first)
+            match self.root.get_mut(idx as usize) {
+                Some(entry) if *entry & NODE_FLAG == 0 => {
+                    *entry = slot;
+                    report.root_writes += 1;
                 }
-                _ => None,
+                Some(_) => self.rebuild_chunk(state, idx, slot, report),
+                None => {}
             }
-        };
-        let Some(plain) = plain else {
+        }
+    }
+
+    /// Frees /16 chunk `idx`'s nodes and rebuilds them from the trie's
+    /// subtree under that /16, over `cover`, the slot of the chunk's
+    /// longest ≤/16 match (a leaf entry when nothing longer than /16 is
+    /// left there).
+    fn rebuild_chunk(
+        &mut self,
+        state: &PatchState,
+        idx: u32,
+        cover: u32,
+        report: &mut PatchReport,
+    ) {
+        let Ok(chunk) = Ipv4Net::new(idx << 16, 16) else {
             return;
         };
-        if let Some(e) = self.tbl24.get_mut(idx24) {
-            *e = plain;
-        }
-        if let Some(r) = self.group_refs.get_mut(g) {
-            debug_assert_eq!(*r, 1, "collapse happens after copy-on-write");
-            *r = r.saturating_sub(1);
-            if *r == 0 {
-                debug_assert!(g < u32::MAX as usize);
-                // analyze:allow(cast-truncation) group ids stay far below
-                // u32::MAX (bounded by distinct 24-bit blocks).
-                state.free_groups.push(g as u32);
-                report.groups_freed += 1;
-            }
-        }
-    }
-
-    /// Ensures block `idx24` owns group `g` exclusively, copying a shared
-    /// group first (deduplicated groups can back several blocks). Returns
-    /// the group id to write into — `g` itself when unshared.
-    fn cow_group(
-        &mut self,
-        state: &mut PatchState,
-        idx24: usize,
-        g: usize,
-        report: &mut PatchReport,
-    ) -> Option<usize> {
-        let refs = self.group_refs.get(g).copied()?;
-        if refs <= 1 {
-            return Some(g);
-        }
-        let compact = self.long32.is_empty();
-        let slots16: Vec<u16> = if compact {
-            self.long16.get(g * 256..g * 256 + 256)?.to_vec()
-        } else {
-            Vec::new()
+        let Some(&old) = self.root.get(idx as usize) else {
+            return;
         };
-        let seed = if compact {
-            self.long_seed.get(g).copied()?
-        } else {
-            0
-        };
-        let slots32: Vec<u32> = if compact {
-            Vec::new()
-        } else {
-            self.long32.get(g * 256..g * 256 + 256)?.to_vec()
-        };
-        let fresh = self.take_group_slot(state)?;
-        if compact {
-            let dst = self.long16.get_mut(fresh * 256..fresh * 256 + 256)?;
-            dst.copy_from_slice(&slots16);
-            *self.long_seed.get_mut(fresh)? = seed;
-        } else {
-            let dst = self.long32.get_mut(fresh * 256..fresh * 256 + 256)?;
-            dst.copy_from_slice(&slots32);
-        }
-        *self.group_refs.get_mut(g)? -= 1;
-        *self.group_refs.get_mut(fresh)? = 1;
-        debug_assert!(fresh < (1usize << 31), "group id fits 31 bits");
-        if let Some(e) = self.tbl24.get_mut(idx24) {
-            // analyze:allow(cast-truncation) group ids stay far below 2^31
-            // (bounded by distinct 24-bit blocks).
-            *e = EXT_FLAG | fresh as u32;
+        self.free_tree(old);
+        let mut items: Vec<u64> = state
+            .trie
+            .subtree(chunk)
+            .filter(|(net, _)| net.len() > 16)
+            .map(|(net, &h)| chunk_key(net, h + 1))
+            .collect();
+        items.sort_unstable();
+        let entry = self.build_chunk(cover, &items, &mut report.cell_writes);
+        if let Some(e) = self.root.get_mut(idx as usize) {
+            *e = entry;
+            report.root_writes += 1;
         }
         report.groups_rebuilt += 1;
-        Some(fresh)
-    }
-
-    /// Allocates a fresh overflow group seeded with `seed` (the block's
-    /// current plain `tbl24` entry), reusing a freed group when one
-    /// exists. The caller owns the single reference.
-    fn alloc_group(
-        &mut self,
-        state: &mut PatchState,
-        seed: u32,
-        report: &mut PatchReport,
-    ) -> Option<usize> {
-        let compact = self.long32.is_empty();
-        let g = if let Some(g) = state.free_groups.pop() {
-            let g = g as usize;
-            if compact {
-                self.long16
-                    .get_mut(g * 256..g * 256 + 256)?
-                    .fill(LONG16_SEED);
-                *self.long_seed.get_mut(g)? = seed;
-            } else {
-                self.long32.get_mut(g * 256..g * 256 + 256)?.fill(seed);
-            }
-            g
-        } else if compact {
-            let g = self.long_seed.len();
-            self.long_seed.push(seed);
-            self.long16.resize(self.long16.len() + 256, LONG16_SEED);
-            self.group_refs.push(0);
-            g
-        } else {
-            let g = self.long32.len() / 256;
-            self.long32.resize(self.long32.len() + 256, seed);
-            self.group_refs.push(0);
-            g
-        };
-        *self.group_refs.get_mut(g)? = 1;
-        report.groups_allocated += 1;
-        Some(g)
-    }
-
-    /// Reserves an uninitialized group slot for copy-on-write (freed group
-    /// or fresh append); the caller fills slots, seed and refcount.
-    fn take_group_slot(&mut self, state: &mut PatchState) -> Option<usize> {
-        if let Some(g) = state.free_groups.pop() {
-            return Some(g as usize);
-        }
-        if self.long32.is_empty() {
-            let g = self.long_seed.len();
-            self.long_seed.push(0);
-            self.long16.resize(self.long16.len() + 256, LONG16_SEED);
-            self.group_refs.push(0);
-            Some(g)
-        } else {
-            let g = self.long32.len() / 256;
-            self.long32.resize(self.long32.len() + 256, 0);
-            self.group_refs.push(0);
-            Some(g)
-        }
-    }
-
-    /// Allocates an arena slot for `net`, reusing tombstoned entries
-    /// first. Returns `None` when the compact layout's 16-bit handle
-    /// space cannot hold another >/24 prefix (recompile fallback).
-    fn alloc_handle(&mut self, state: &mut PatchState, net: Ipv4Net) -> Option<u32> {
-        let compact = self.long32.is_empty();
-        if net.len() > 24 {
-            if let Some(h) = state.free_long.pop() {
-                *self.prefixes.get_mut(h as usize)? = net;
-                return Some(h);
-            }
-            let h = u32::try_from(self.prefixes.len()).ok()?;
-            if h == u32::MAX || (compact && h + 1 >= u32::from(LONG16_SEED)) {
-                return None;
-            }
-            self.prefixes.push(net);
-            Some(h)
-        } else {
-            // In a compact table, long-capable tombstones (handle below
-            // LONG16_SEED) are the only slots a future >/24 announce can
-            // reuse without recompiling; a ≤/24 prefix has no encoding
-            // bound, so it takes a fresh arena slot instead of one.
-            let reuse =
-                state.free_short.pop().or_else(
-                    || {
-                        if compact {
-                            None
-                        } else {
-                            state.free_long.pop()
-                        }
-                    },
-                );
-            if let Some(h) = reuse {
-                *self.prefixes.get_mut(h as usize)? = net;
-                return Some(h);
-            }
-            let h = u32::try_from(self.prefixes.len()).ok()?;
-            if h == u32::MAX {
-                return None;
-            }
-            self.prefixes.push(net);
-            Some(h)
-        }
-    }
-}
-
-/// Files a dead arena handle under the free list matching where its value
-/// can be re-encoded: compact overflow slots only address handles below
-/// [`LONG16_SEED`].
-fn push_free(state: &mut PatchState, compact: bool, h: u32) {
-    if !compact || h + 1 < u32::from(LONG16_SEED) {
-        state.free_long.push(h);
-    } else {
-        state.free_short.push(h);
     }
 }
 
@@ -991,13 +446,15 @@ mod tests {
     }
 
     #[test]
-    fn announce_short_patches_tbl24_run() {
+    fn announce_below_16_rebuilds_its_one_chunk() {
         let mut t = CompiledTable::from_prefixes(nets(&["12.0.0.0/8"]));
         let r = t.apply_delta(&[TableDelta::announce(net("12.65.128.0/19"))]);
         assert!(r.patched_in_place());
         assert!(r.initialized);
         assert_eq!(r.announced, 1);
-        assert_eq!(r.tbl24_writes, 1 << (24 - 19));
+        // The /16 turns from a leaf into one node: /8, /19, /8.
+        assert_eq!((r.groups_rebuilt, r.cell_writes, r.root_writes), (1, 3, 1));
+        assert_eq!(t.nodes(), 1);
         assert_equivalent(&t, &nets(&["12.0.0.0/8", "12.65.128.0/19"]), &probes());
     }
 
@@ -1006,7 +463,9 @@ mod tests {
         let mut t = CompiledTable::from_prefixes(nets(&["12.65.128.0/19"]));
         let r = t.apply_delta(&[TableDelta::announce(net("12.0.0.0/8"))]);
         assert!(r.patched_in_place());
-        // The /19's run must survive inside the /8's run.
+        // 255 leaf root entries take the /8; the /19's chunk is rebuilt
+        // over it, and the /19's run must survive inside.
+        assert_eq!((r.root_writes, r.groups_rebuilt), (256, 1));
         assert_equivalent(&t, &nets(&["12.0.0.0/8", "12.65.128.0/19"]), &probes());
     }
 
@@ -1030,33 +489,34 @@ mod tests {
     }
 
     #[test]
-    fn announce_long_allocates_group_and_seeds_cover() {
+    fn announce_long_adds_a_low_node_over_the_24() {
         let mut t = CompiledTable::from_prefixes(nets(&["24.48.2.0/24"]));
+        assert_eq!(t.nodes(), 1);
         let r = t.apply_delta(&[TableDelta::announce(net("24.48.2.128/25"))]);
         assert!(r.patched_in_place());
-        assert_eq!(r.groups_allocated, 1);
-        assert_eq!(t.long_groups(), 1);
+        assert_eq!(r.groups_rebuilt, 1);
+        assert_eq!(t.nodes(), 2);
         assert_equivalent(&t, &nets(&["24.48.2.0/24", "24.48.2.128/25"]), &probes());
     }
 
     #[test]
-    fn withdraw_long_collapses_empty_group() {
+    fn withdraw_long_frees_its_node_for_reuse() {
         let mut t = CompiledTable::from_prefixes(nets(&["24.48.2.0/24", "24.48.2.128/25"]));
         let r = t.apply_delta(&[TableDelta::withdraw(net("24.48.2.128/25"))]);
         assert!(r.patched_in_place());
-        assert_eq!(r.groups_freed, 1);
+        assert_eq!((t.nodes(), t.free_nodes.len()), (1, 1));
         assert_equivalent(&t, &nets(&["24.48.2.0/24"]), &probes());
-        // The freed group is reused by the next long announce.
+        // The freed node is reused by the next long announce.
         let r2 = t.apply_delta(&[TableDelta::announce(net("24.48.2.192/26"))]);
         assert!(r2.patched_in_place());
+        assert_eq!((t.nodes(), t.nodes.len()), (2, 2));
         assert_equivalent(&t, &nets(&["24.48.2.0/24", "24.48.2.192/26"]), &probes());
     }
 
     #[test]
-    fn group_patch_does_not_leak_into_sibling_blocks() {
-        // Two /24 blocks with structurally identical >/24 coverage (group
-        // dedup keys on handle content, so each block owns its group);
-        // patching one block must not leak into the other.
+    fn chunk_rebuild_does_not_leak_into_sibling_chunks() {
+        // Two chunks with structurally identical >/24 coverage; patching
+        // one must not leak into the other.
         let mut t = CompiledTable::from_prefixes(nets(&["10.0.2.128/25", "10.1.2.128/25"]));
         let r = t.apply_delta(&[TableDelta::withdraw(net("10.0.2.128/25"))]);
         assert!(r.patched_in_place());
@@ -1064,9 +524,9 @@ mod tests {
     }
 
     #[test]
-    fn seed_update_does_not_leak_into_sibling_blocks() {
-        // A ≤/24 announce over one block updates that block's group seed
-        // only; the structurally identical sibling block keeps missing.
+    fn cover_update_does_not_leak_into_sibling_chunks() {
+        // A /24 announced under one chunk's /25 repaints that chunk only;
+        // the structurally identical sibling keeps missing.
         let mut t = CompiledTable::from_prefixes(nets(&["10.0.2.128/25", "10.1.2.128/25"]));
         let r = t.apply_delta(&[TableDelta::announce(net("10.0.2.0/24"))]);
         assert!(r.patched_in_place());
@@ -1078,39 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_group_copy_on_write_protects_siblings() {
-        // Compile dedup cannot actually share groups across blocks (slot
-        // contents embed per-prefix handles), but the patch layer defends
-        // against sharing anyway. Forge a shared group: duplicate arena
-        // entries for the same prefix leave a tombstone whose handle the
-        // sibling block's group can legally carry after a withdraw/
-        // re-announce cycle — exercised here via the refcount plumbing.
-        let mut t = CompiledTable::from_prefixes(nets(&["10.0.2.128/25", "10.1.2.128/25"]));
-        // Point both blocks at group 0 the way a (hypothetical) dedup
-        // would, fixing the slots so both blocks resolve to one prefix.
-        let g1_slots: Vec<u16> = t.long16[256..512].to_vec();
-        t.long16[..256].copy_from_slice(&g1_slots);
-        t.long_seed[0] = t.long_seed[1];
-        let idx_a = (net("10.0.2.0/24").addr_u32() >> 8) as usize;
-        t.tbl24[idx_a] = t.tbl24[(net("10.1.2.0/24").addr_u32() >> 8) as usize];
-        t.group_refs[0] = 0;
-        t.group_refs[1] = 2;
-        // Both blocks now match 10.1.2.128/25's handle; rebuild the shadow
-        // state to match (the live set is just that one prefix twice over).
-        assert_eq!(
-            t.lookup(a("10.0.2.129")),
-            Some(net("10.1.2.128/25")),
-            "forged sharing resolves through group 1"
-        );
-        // Withdrawing via block A must copy-on-write, leaving block B's
-        // lookups intact.
-        let r = t.apply_delta(&[TableDelta::withdraw(net("10.1.2.128/25"))]);
-        assert!(r.patched_in_place());
-        assert!(r.groups_rebuilt >= 1, "shared group was copied first");
-        assert!(t.lookup(a("10.1.2.129")).is_none());
-    }
-
-    #[test]
     fn withdraw_to_empty_and_reannounce() {
         let mut t = CompiledTable::from_prefixes(nets(&["12.0.0.0/8", "24.48.2.128/25"]));
         let r = t.apply_delta(&[
@@ -1119,6 +546,7 @@ mod tests {
         ]);
         assert!(r.patched_in_place());
         assert!(t.is_empty());
+        assert_eq!(t.nodes(), 0, "an emptied chunk is a leaf again");
         assert!(t.lookup(a("12.1.1.1")).is_none());
         assert!(t.lookup(a("24.48.2.129")).is_none());
         let r2 = t.apply_delta(&[TableDelta::announce(net("24.48.2.128/25"))]);
@@ -1169,10 +597,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_compile_routes_through_recompile_then_patches() {
+    fn empty_compile_materializes_its_root_then_patches() {
         let mut t = CompiledTable::from_prefixes([]);
         let r = t.apply_delta(&[TableDelta::announce(net("12.0.0.0/8"))]);
-        assert!(r.recompiled, "empty layout must materialize first");
+        assert!(r.patched_in_place());
+        assert_eq!(r.root_writes, 256);
         assert_equivalent(&t, &nets(&["12.0.0.0/8"]), &probes());
         let r2 = t.apply_delta(&[TableDelta::announce(net("18.0.0.0/8"))]);
         assert!(r2.patched_in_place());
@@ -1216,10 +645,41 @@ mod tests {
     }
 
     #[test]
+    fn dead_cells_outnumbering_live_ones_compact_the_layout() {
+        // One chunk whose mid node always spills: 8 /24s two apart, then
+        // the first one flapped. Every rebuild strands the old run array.
+        let base: Vec<Ipv4Net> = (0..8u32)
+            .map(|i| Ipv4Net::new(0x1830_0000 | (i << 9), 24).unwrap())
+            .collect();
+        let mut t = CompiledTable::from_prefixes(base.iter().copied());
+        let flap = [
+            TableDelta::withdraw(net("24.48.0.0/24")),
+            TableDelta::announce(net("24.48.0.0/24")),
+        ];
+        let mut compactions = 0;
+        for _ in 0..COMPACT_MIN_DEAD_CELLS {
+            let before = t.dead_cells();
+            let r = t.apply_delta(&flap);
+            assert!(!r.recompiled, "compaction is not the bulk path");
+            if r.compacted {
+                compactions += 1;
+                assert_eq!(t.dead_cells(), 0);
+                let fresh = CompiledTable::from_prefixes(base.iter().copied());
+                assert_eq!(t.memory_bytes(), fresh.memory_bytes());
+            } else {
+                assert!(t.dead_cells() > before);
+            }
+            assert!(t.spill.len() < 2 * COMPACT_MIN_DEAD_CELLS + 64);
+        }
+        assert!(compactions >= 10, "{compactions}");
+        assert_equivalent(&t, &base, &probes());
+    }
+
+    #[test]
     fn report_merge_accumulates_and_is_sticky() {
         let mut a = PatchReport {
             announced: 1,
-            tbl24_writes: 4,
+            root_writes: 4,
             ..PatchReport::default()
         };
         let b = PatchReport {

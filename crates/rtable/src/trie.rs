@@ -89,6 +89,11 @@ impl<V> PrefixTrie<V> {
         self.nodes.len()
     }
 
+    /// Bytes held by the node arena (removed prefixes keep their nodes).
+    pub fn memory_bytes(&self) -> usize {
+        self.nodes.len() * std::mem::size_of::<Node<V>>()
+    }
+
     /// Bit `depth` (0 = most significant) of `addr`.
     #[inline]
     fn bit(addr: u32, depth: u8) -> usize {
@@ -187,9 +192,8 @@ impl<V> PrefixTrie<V> {
     }
 
     /// Longest-prefix match considering only prefixes of length at most
-    /// `max_len`. The DIR-24-8 patch layer uses this to recompute a
-    /// `tbl24` slot or overflow-group seed (best match at `/24` or
-    /// shorter) after a withdrawal vacates it.
+    /// `max_len`. The compiled table's patch layer uses this to recompute
+    /// a root entry (best match at `/16` or shorter) after a delta.
     pub fn longest_match_capped(&self, addr: u32, max_len: u8) -> Option<(Ipv4Net, &V)> {
         let mut idx: NodeIdx = 0;
         let mut best: Option<(u8, &V)> = None;
@@ -233,9 +237,20 @@ impl<V> PrefixTrie<V> {
     /// Iterates over all stored `(prefix, value)` pairs in address order
     /// (depth-first, zero branch before one branch).
     pub fn iter(&self) -> PrefixTrieIter<'_, V> {
+        self.subtree(Ipv4Net::DEFAULT)
+    }
+
+    /// Iterates over the stored prefixes `root` contains (itself included,
+    /// when stored), in address order. The compiled table's patch layer
+    /// rebuilds one /16 chunk from this.
+    pub fn subtree(&self, root: Ipv4Net) -> PrefixTrieIter<'_, V> {
         PrefixTrieIter {
             trie: self,
-            stack: vec![(0, 0u32, 0u8)],
+            stack: self
+                .find_node(root)
+                .map(|idx| (idx, root.addr_u32(), root.len()))
+                .into_iter()
+                .collect(),
             #[cfg(debug_assertions)]
             last: None,
         }
@@ -440,6 +455,34 @@ mod tests {
         expected.sort();
         assert_eq!(trie.prefixes(), expected);
         assert_eq!(trie.iter().count(), nets.len());
+    }
+
+    #[test]
+    fn subtree_lists_exactly_the_contained_prefixes() {
+        let nets = [
+            "12.0.0.0/8",
+            "12.65.0.0/16",
+            "12.65.128.0/19",
+            "12.65.147.0/24",
+            "12.65.147.94/32",
+            "12.66.0.0/17",
+        ];
+        let trie: PrefixTrie<()> = nets.iter().map(|s| (net(s), ())).collect();
+        let under = |root: &str| -> Vec<String> {
+            trie.subtree(net(root))
+                .map(|(n, _)| n.to_string())
+                .collect()
+        };
+        assert_eq!(under("12.65.0.0/16"), nets[1..5]);
+        assert_eq!(
+            under("12.65.144.0/20"),
+            nets[3..5],
+            "root itself not stored"
+        );
+        assert_eq!(under("12.66.0.0/16"), nets[5..]);
+        assert!(under("12.67.0.0/16").is_empty());
+        assert!(under("12.65.0.0/17").is_empty());
+        assert_eq!(under("0.0.0.0/0"), nets);
     }
 
     #[test]

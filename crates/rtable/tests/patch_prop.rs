@@ -1,19 +1,21 @@
 //! Property-based tests for the incremental patch layer: a `CompiledTable`
 //! driven through arbitrary `apply_delta` sequences must remain
 //! lookup-equivalent to a from-scratch compile of the same live prefix set
-//! — across direct slot writes, scoped group rebuilds (overflow-group
-//! growth), tombstone reuse, and the recompile fallback, down to
+//! — across root rewrites, chunk rebuilds (nodes allocated, grown, freed
+//! and reused), arena-slot reuse, and the bulk rebuild, down to
 //! withdraw-to-empty and back.
 
 use std::collections::BTreeSet;
 
 use netclust_prefix::Ipv4Net;
-use netclust_rtable::{CompiledTable, PatchPolicy, TableDelta};
+use netclust_rtable::{CompiledTable, PatchPolicy, PrefixTrie, TableDelta};
 use proptest::prelude::*;
+
+mod common;
 
 /// Prefixes of any length ≥ /8 anywhere, plus a dense arm packing many
 /// overlapping long prefixes (incl. >/24 and host routes) into one /16 so
-/// overflow groups are created, grown, and collapsed.
+/// its nodes are created, grown, and collapsed.
 fn arb_net() -> impl Strategy<Value = Ipv4Net> {
     prop_oneof![
         (any::<u32>(), 8u8..=32).prop_map(|(a, l)| Ipv4Net::new(a, l).unwrap()),
@@ -75,14 +77,13 @@ fn realize(ops: &[Op], live: &mut BTreeSet<Ipv4Net>) -> Vec<TableDelta> {
     deltas
 }
 
-/// Probes that land inside the live prefixes (network address, broadcast,
-/// masked offsets) plus uniform randoms, so matches, misses, and group
-/// boundaries are all exercised.
+/// Probes that land inside the live prefixes (a masked offset), on every
+/// prefix, chunk and block edge around them, plus uniform randoms, so
+/// matches, misses, and run boundaries are all exercised.
 fn probes_for(live: &BTreeSet<Ipv4Net>, random: &[u32]) -> Vec<u32> {
     let mut probes: Vec<u32> = random.to_vec();
     for net in live {
-        probes.push(net.addr_u32());
-        probes.push(net.addr_u32() | !net.netmask_u32());
+        probes.extend(common::edge_probes(*net));
         probes.push(net.addr_u32() | (0x55 & !net.netmask_u32()));
     }
     probes
@@ -119,8 +120,9 @@ proptest! {
         }
     }
 
-    /// Forcing the recompile fallback on every batch (threshold 0 density)
-    /// agrees with the slot-write path and the reference.
+    /// Forcing the bulk rebuild on every batch (threshold 0 density)
+    /// agrees with the chunk-by-chunk path and the reference — down to
+    /// what the two report, which `core::stream` persists.
     #[test]
     fn recompile_fallback_agrees_with_patch_path(
         initial in proptest::collection::btree_set(arb_net(), 1..32),
@@ -139,6 +141,8 @@ proptest! {
         prop_assert!(r_rec.recompiled);
         prop_assert_eq!(r_patch.announced, r_rec.announced);
         prop_assert_eq!(r_patch.withdrawn, r_rec.withdrawn);
+        prop_assert_eq!(r_patch.replaced, r_rec.replaced);
+        prop_assert_eq!(r_patch.noops, r_rec.noops);
         assert_equiv(&patch, &live_a, &random);
         assert_equiv(&recompile, &live_b, &random);
     }
@@ -163,11 +167,11 @@ proptest! {
     }
 }
 
-/// Dense >/24 churn inside one /24 block: overflow groups are allocated,
-/// grown past single-prefix occupancy, partially withdrawn, and collapsed,
-/// with equivalence checked at every step.
+/// Dense >/24 churn inside one /24 block: its low node is allocated,
+/// grown far past what fits inline, shrunk, and freed, with equivalence
+/// checked at every step.
 #[test]
-fn overflow_group_growth_and_collapse_stays_equivalent() {
+fn low_node_growth_and_collapse_stays_equivalent() {
     let block = 0x0A0A_0A00u32;
     let mut live: BTreeSet<Ipv4Net> = BTreeSet::new();
     live.insert(Ipv4Net::new(block, 24).unwrap());
@@ -190,41 +194,154 @@ fn overflow_group_growth_and_collapse_stays_equivalent() {
         table.apply_delta(&[TableDelta::announce(*p)]);
         assert_eq!(table.lookup(p.addr_u32()), Some(*p));
     }
-    {
-        let fresh = CompiledTable::from_prefixes(live.iter().copied());
-        for &addr in &random {
-            assert_eq!(table.lookup(addr), fresh.lookup(addr));
-        }
+    let grown = CompiledTable::from_prefixes(live.iter().copied());
+    assert_eq!(table.nodes(), grown.nodes());
+    for &addr in &random {
+        assert_eq!(table.lookup(addr), grown.lookup(addr));
     }
 
-    // Shrink back down to the bare /24. Collapsed groups are tombstoned
-    // (the physical arrays keep their slots for reuse), so the check is
-    // behavioral: every address resolves exactly as a fresh compile —
-    // which allocates no overflow group at all for a bare /24.
+    // Shrink back down to the bare /24: the low node is gone again, as
+    // in a fresh compile, and every address resolves like one.
     for p in &grow {
         live.remove(p);
         table.apply_delta(&[TableDelta::withdraw(*p)]);
     }
     let fresh = CompiledTable::from_prefixes(live.iter().copied());
-    assert_eq!(fresh.long_groups(), 0);
+    assert_eq!((table.nodes(), fresh.nodes()), (1, 1));
     for &addr in &random {
         assert_eq!(table.lookup(addr), fresh.lookup(addr));
     }
 
-    // Regrowing reuses the tombstoned group storage instead of allocating
-    // more physical groups.
-    let groups_before = table.long_groups();
+    // Regrowing reuses the freed node and arena slots instead of growing
+    // either; only the spilled run arrays it strands are new memory.
+    let arena_before = table.prefixes().len();
     for p in &grow {
         live.insert(*p);
         table.apply_delta(&[TableDelta::announce(*p)]);
     }
+    assert_eq!(table.prefixes().len(), arena_before, "arena slots reused");
     assert_eq!(
-        table.long_groups(),
-        groups_before,
-        "tombstones must be reused"
+        table.memory_bytes() - table.dead_cells() * 4,
+        grown.memory_bytes() + (arena_before - grown.prefixes().len()) * 8
     );
-    let fresh = CompiledTable::from_prefixes(live.iter().copied());
     for &addr in &random {
-        assert_eq!(table.lookup(addr), fresh.lookup(addr));
+        assert_eq!(table.lookup(addr), grown.lookup(addr));
+    }
+}
+
+/// Every address where the layout changes shape around the live set must
+/// resolve as the trie does.
+fn assert_matches_trie(table: &CompiledTable, live: &BTreeSet<Ipv4Net>, step: &str) {
+    let trie: PrefixTrie<()> = live.iter().map(|&n| (n, ())).collect();
+    for addr in live.iter().flat_map(|&n| common::edge_probes(n)) {
+        assert_eq!(
+            table.lookup(addr),
+            trie.longest_match_u32(addr).map(|(n, _)| n),
+            "{step}: lookup({addr:#010x})"
+        );
+    }
+}
+
+/// The new layout's hard case: a /8, /12 or /16 announced or withdrawn
+/// over a range mixing leaf root entries, chunks with a mid node only and
+/// chunks with low nodes too, nested under and over existing covers.
+#[test]
+fn short_prefixes_over_node_chunks_stay_equivalent() {
+    let specs = [
+        "24.0.0.0/8",     // covers everything below
+        "24.16.0.0/14",   // a longer cover over four chunks
+        "24.17.128.0/17", // mid node, under the /14
+        "24.18.3.0/24",
+        "24.18.3.64/26", // low node, under the /14
+        "24.32.0.0/19",  // mid node, under the /8 only
+        "24.33.1.128/25",
+        "24.33.1.255/32", // low node at a chunk's edge
+        "24.33.255.0/24",
+        "24.34.0.0/24", // both sides of a chunk edge
+        "24.255.255.255/32",
+        "25.0.0.0/30", // just past the /8
+    ];
+    let mut live: BTreeSet<Ipv4Net> = specs.iter().map(|s| s.parse().unwrap()).collect();
+    let mut table = CompiledTable::from_prefixes(live.iter().copied());
+    assert_matches_trie(&table, &live, "compiled");
+
+    // Nested under (/16 inside the /14), between (/12 over the /14, under
+    // the /8), over (the /8 itself, a second /8 beside it), and over a
+    // chunk that is a node only because of what the delta covers.
+    let movers = [
+        "24.18.0.0/16",
+        "24.17.0.0/16",
+        "24.16.0.0/12",
+        "24.32.0.0/12",
+        "24.33.0.0/16",
+        "24.0.0.0/8",
+        "25.0.0.0/8",
+        "24.16.0.0/14",
+    ];
+    for spec in movers {
+        let p: Ipv4Net = spec.parse().unwrap();
+        // Announce (or, for the live ones, withdraw), check, and undo.
+        for _ in 0..2 {
+            let delta = if live.remove(&p) {
+                TableDelta::withdraw(p)
+            } else {
+                live.insert(p);
+                TableDelta::announce(p)
+            };
+            let r = table.apply_delta(&[delta]);
+            assert!(r.patched_in_place() && !r.compacted, "{spec}");
+            assert!(r.slot_writes() > 0, "{spec} reaches at least one entry");
+            assert_matches_trie(&table, &live, spec);
+            let fresh = CompiledTable::from_prefixes(live.iter().copied());
+            assert_eq!(table.nodes(), fresh.nodes(), "{spec}");
+        }
+    }
+    // And stacked: all of them live at once, then gone in reverse order.
+    for spec in movers.iter().chain(movers.iter().rev()) {
+        let p: Ipv4Net = spec.parse().unwrap();
+        let delta = if live.remove(&p) {
+            TableDelta::withdraw(p)
+        } else {
+            live.insert(p);
+            TableDelta::announce(p)
+        };
+        table.apply_delta(&[delta]);
+        assert_matches_trie(&table, &live, spec);
+    }
+}
+
+/// The DIR-24-8 layout stored >/24 handles in 16 bits, and recompiled
+/// the whole table when a >/24 announce was handed arena slot 65 534 or
+/// beyond (+0.2 s on a resume that replayed such a batch). One slot width:
+/// neither that many >/24 prefixes (`len` 25) nor that many prefixes of
+/// any kind ahead of the new one in the arena (`len` 24) is a cliff.
+#[test]
+fn long_prefix_count_has_no_recompile_cliff() {
+    for len in [25u8, 24] {
+        let n = u32::from(u16::MAX) + 16;
+        let gone = Ipv4Net::new(0x2000_0700, 25).unwrap();
+        let mut live: BTreeSet<Ipv4Net> = (0..n)
+            .map(|i| Ipv4Net::new(0x2000_0000 | (i << 8), len).unwrap())
+            .collect();
+        live.insert(gone);
+        let mut table = CompiledTable::from_prefixes(live.iter().copied());
+
+        let more = Ipv4Net::new(0x2000_0000 | (n << 8) | 0x80, 26).unwrap();
+        let r = table.apply_delta(&[TableDelta::announce(more)]);
+        assert!(!r.recompiled && r.announced == 1, "/{len}");
+        let r = table.apply_delta(&[TableDelta::withdraw(gone)]);
+        assert!(!r.recompiled && r.withdrawn == 1, "/{len}");
+        live.insert(more);
+        live.remove(&gone);
+
+        assert_eq!(table.lookup(more.addr_u32() | 1), Some(more));
+        let trie: PrefixTrie<()> = live.iter().map(|&p| (p, ())).collect();
+        for addr in [more, gone].into_iter().flat_map(common::edge_probes) {
+            assert_eq!(
+                table.lookup(addr),
+                trie.longest_match_u32(addr).map(|(p, _)| p),
+                "/{len}: lookup({addr:#010x})"
+            );
+        }
     }
 }

@@ -11,6 +11,8 @@ use netclust_rtable::{
 };
 use proptest::prelude::*;
 
+mod common;
+
 /// Reference LPM: linear scan over a sorted map.
 fn naive_lpm(map: &BTreeMap<Ipv4Net, u32>, addr: u32) -> Option<(Ipv4Net, u32)> {
     map.iter()
@@ -34,7 +36,8 @@ fn arb_net_wide() -> impl Strategy<Value = Ipv4Net> {
 }
 
 /// Probes that land inside the given prefixes (prefix address plus masked
-/// offsets) as well as anywhere, so matches and misses are both exercised.
+/// offsets), on every chunk and block edge around them, and anywhere, so
+/// matches, misses and run boundaries are all exercised.
 fn targeted_probes(
     entries: &std::collections::BTreeSet<Ipv4Net>,
     offsets: &[u32],
@@ -42,8 +45,7 @@ fn targeted_probes(
 ) -> Vec<u32> {
     let mut probes: Vec<u32> = random.to_vec();
     for net in entries {
-        probes.push(net.addr_u32());
-        probes.push(net.addr_u32() | !net.netmask_u32());
+        probes.extend(common::edge_probes(*net));
         for &off in offsets {
             probes.push(net.addr_u32() | (off & !net.netmask_u32()));
         }
@@ -148,7 +150,7 @@ proptest! {
         }
     }
 
-    /// Compiled DIR-24-8 lookup ≡ trie LPM ≡ linear scan, over prefix sets
+    /// Compiled lookup ≡ trie LPM ≡ linear scan, over prefix sets
     /// mixing short, long (>/24) and host-route entries.
     #[test]
     fn compiled_matches_trie_and_reference(
@@ -183,24 +185,21 @@ proptest! {
         }
     }
 
-    /// Prefetch distance is a pure performance hint: for any distance
-    /// (including 0 and past-the-end lookaheads), batch ≡ scalar ≡ trie on
-    /// the same mixed short/long/host-route prefix sets as above, and the
-    /// buffer-reusing variant agrees without reallocating.
+    /// The buffer-reusing batch form agrees with scalar lookup and the
+    /// trie on the same mixed short/long/host-route prefix sets as above,
+    /// without reallocating.
     #[test]
-    fn batch_prefetch_matches_scalar_and_trie(
+    fn batch_into_matches_scalar_and_trie(
         entries in proptest::collection::btree_set(arb_net_wide(), 0..48),
         probes in proptest::collection::vec(any::<u32>(), 64),
-        distance in 0usize..48,
     ) {
         let map: BTreeMap<Ipv4Net, u32> = entries.iter().map(|&n| (n, 0)).collect();
         let trie: PrefixTrie<()> = entries.iter().map(|&n| (n, ())).collect();
         let compiled = trie.compile();
-        let mut handles = vec![Handle::NONE; probes.len()];
-        compiled.lookup_batch_prefetch(&probes, &mut handles, distance);
-        let mut reused: Vec<Handle> = Vec::with_capacity(probes.len());
-        compiled.lookup_batch_into(&probes, &mut reused, distance);
-        prop_assert_eq!(&reused, &handles);
+        let mut handles: Vec<Handle> = Vec::with_capacity(probes.len());
+        let cap = handles.capacity();
+        compiled.lookup_batch_into(&probes, &mut handles);
+        prop_assert_eq!(handles.capacity(), cap);
         for (&addr, &h) in probes.iter().zip(&handles) {
             prop_assert_eq!(h, compiled.lookup_handle(addr));
             let expect = naive_lpm(&map, addr).map(|(n, _)| n);
@@ -255,11 +254,9 @@ proptest! {
     }
 }
 
-// Coarse prefixes (/0–/7) cover huge tbl24 ranges, so compilation is
-// expensive per case; a smaller case count keeps this affordable while
-// still exercising the default route and class-A-scale fills.
+// Coarse prefixes (/0–/7) own thousands of root entries each: the
+// default route and class-A-scale fills, under and over node chunks.
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Compiled ≡ trie ≡ linear scan when very short prefixes (including
     /// /0) mix with long ones.
