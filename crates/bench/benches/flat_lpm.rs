@@ -1,9 +1,9 @@
-//! Compiled LPM (DIR-16 root + compressed nodes) vs radix trie, and serial vs parallel
-//! clustering, at production table scale (≥100k prefixes).
+//! Compiled LPM (DIR-16 root + compressed nodes) vs radix trie, and
+//! `Log` clustering over it, at production table scale (≥100k prefixes).
 //!
 //! Beyond the console table, results are persisted machine-readably to
 //! `BENCH_lpm.json` at the repo root — lookups/sec per engine, requests
-//! clustered/sec per strategy, and the compiled-over-trie speedup — so CI
+//! clustered/sec, and the compiled-over-trie speedup — so CI
 //! and docs can quote the numbers without scraping bench output.
 
 use std::collections::BTreeSet;
@@ -88,11 +88,6 @@ fn synth_log(prefixes: &[Ipv4Net], requests: usize, clients: usize, seed: u64) -
     }
 }
 
-fn json_escape_free(id: &str) -> String {
-    // Bench ids here are ASCII without quotes/backslashes by construction.
-    id.to_string()
-}
-
 fn main() {
     let mut c = Criterion::default().configure_from_args();
     // Quick mode (CI smoke): shrink workloads so the whole bench runs in
@@ -157,30 +152,15 @@ fn main() {
     });
     group.finish();
 
-    // Clustering: serial vs parallel over one log, compiled LPM.
-    // "parallel" is the dispatching entry point (delegates to serial on a
-    // single-threaded pool, so it never loses); "parallel_forced" pins
-    // the sharded machinery to expose its raw overhead/win.
+    // Clustering one log over the compiled LPM: the generic builder with
+    // a caller-supplied assigner, and the network-aware entry point.
     let log = synth_log(&prefixes, n_requests, n_clients, 0xC10C);
     let assign = |a: std::net::Ipv4Addr| compiled.net_for_u32(u32::from(a));
     let mut group = c.benchmark_group("clustering");
     group.throughput(Throughput::Elements(log.requests.len() as u64));
-    // Serial vs the *forced* sharded machinery, measured as an
-    // interleaved pair: the shard count and span granularity now adapt
-    // to the pool, so forced must not lose to serial — and that claim is
-    // only meaningful when both sample the same measurement window
-    // (separate windows charge clock/thermal drift to whichever runs
-    // later, which reads as a phantom sharding cost or win).
-    group.bench_pair(
-        BenchmarkId::new("serial", log.requests.len()),
-        || Clustering::build_serial(&log, "bench", assign).len(),
-        BenchmarkId::new("parallel_forced", log.requests.len()),
-        || Clustering::build_sharded(&log, "bench", assign).len(),
-    );
-    // The dispatching entry point (delegates to serial below the
-    // request-count threshold or on a single-threaded pool).
-    group.bench_function(BenchmarkId::new("parallel", log.requests.len()), |b| {
-        b.iter(|| Clustering::build_parallel(&log, "bench", assign).len())
+    group.threads_used(1);
+    group.bench_function(BenchmarkId::new("build", log.requests.len()), |b| {
+        b.iter(|| Clustering::build(&log, "bench", assign).len())
     });
     group.bench_function(
         BenchmarkId::new("network_aware_compiled", log.requests.len()),
@@ -205,7 +185,7 @@ fn main() {
     for (i, r) in results.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"id\": \"{}\", \"ns_per_iter\": {:.1}, \"per_second\": {}, \"threads_used\": {}}}{}\n",
-            json_escape_free(&r.id),
+            netclust_obs::escape(&r.id),
             r.ns_per_iter,
             r.per_second().map_or("null".into(), |p| format!("{p:.1}")),
             r.threads_used,
@@ -227,18 +207,6 @@ fn main() {
     json.push_str(&format!(
         "  \"compiled_batch_lookups_per_sec\": {:.1},\n",
         rate("compiled_batch")
-    ));
-    json.push_str(&format!(
-        "  \"serial_requests_per_sec\": {:.1},\n",
-        rate("clustering/serial")
-    ));
-    json.push_str(&format!(
-        "  \"parallel_requests_per_sec\": {:.1},\n",
-        rate("clustering/parallel/")
-    ));
-    json.push_str(&format!(
-        "  \"parallel_forced_requests_per_sec\": {:.1},\n",
-        rate("clustering/parallel_forced")
     ));
     json.push_str(&format!("  \"quick\": {},\n", quick_mode()));
     json.push_str(&format!("  \"compiled_over_trie_speedup\": {speedup:.2}\n"));

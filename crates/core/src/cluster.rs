@@ -15,49 +15,13 @@
 
 use std::net::Ipv4Addr;
 
-use crate::fx::FxHashMap;
-
+use netclust_obs::Obs;
 use netclust_prefix::{classful_network, Ipv4Net};
 use netclust_rtable::{CompiledMerged, MergedTable};
-use netclust_weblog::{Log, Request};
-use rayon::prelude::*;
+use netclust_weblog::Log;
 
-/// Below this many log requests the serial path is used outright: thread
-/// spawn plus shard-merge overhead exceeds the work itself.
-const PARALLEL_MIN_REQUESTS: usize = 1 << 15;
-
-/// Per-thread chunk granularity for request-sharded aggregation (the
-/// sizing floor for [`should_shard`]).
-pub(crate) const REQUEST_CHUNK: usize = 1 << 14;
-
-/// Chunk size giving exactly one contiguous chunk per pool worker. The
-/// span-scheduling pool hands each worker one contiguous span of the
-/// chunk list, so finer chunks buy no extra parallelism — they only add
-/// per-chunk collect/merge overhead (the `parallel_forced` regression).
-fn span_chunk(len: usize) -> usize {
-    len.div_ceil(rayon::current_num_threads().max(1)).max(1)
-}
-
-/// Number of address-range partitions for parallel shard merging given a
-/// worker count — a power of two so the partition of a client is its top
-/// address bits. One partition when there is nothing to merge in
-/// parallel: partition bookkeeping is pure overhead on one worker.
-pub(crate) fn merge_partitions_for(threads: usize) -> usize {
-    if threads <= 1 {
-        1
-    } else {
-        (threads * 2).next_power_of_two().clamp(4, 64)
-    }
-}
-
-/// `true` when a log of `requests` requests should take the sharded
-/// path: more than one worker thread, and enough work that every thread
-/// gets several chunks — below that, shard bookkeeping costs more than
-/// it buys and serial wins.
-pub(crate) fn should_shard(requests: usize) -> bool {
-    let threads = rayon::current_num_threads();
-    threads > 1 && requests >= PARALLEL_MIN_REQUESTS.max(threads * REQUEST_CHUNK / 2)
-}
+use crate::fx::FxHashMap;
+use crate::kernel::{self, Shard};
 
 /// Per-client aggregates inside a cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,98 +88,41 @@ impl Clustering {
     /// identifying prefix for an address, or `None` when the address is
     /// unclusterable.
     ///
-    /// Large logs are sharded across threads
-    /// ([`build_parallel`](Self::build_parallel)); small ones run serially.
-    /// Both paths produce identical results — clusters sorted by prefix,
-    /// clients and unclustered sorted by address — independent of thread
-    /// count and scheduling.
+    /// One pass over the requests on the calling thread fills a single
+    /// shard of the clustering kernel; clusters come out sorted by prefix,
+    /// clients and unclustered sorted by address. (Logs too large for that
+    /// are raw files: [`IngestPipeline`](crate::IngestPipeline) drives the
+    /// same kernel from several scan workers without building a `Log`.)
     pub fn build<F>(log: &Log, method: impl Into<String>, assign: F) -> Self
     where
         F: Fn(Ipv4Addr) -> Option<Ipv4Net> + Sync,
     {
-        if should_shard(log.requests.len()) {
-            Self::build_sharded(log, method, assign)
-        } else {
-            Self::build_serial(log, method, assign)
+        let mut shard = Shard::new(1);
+        let mut n_urls = 0usize;
+        for r in &log.requests {
+            let id = shard.add(r.client, r.bytes as u64);
+            shard.pairs.push((id, r.url));
+            n_urls = n_urls.max(r.url as usize + 1);
         }
-    }
-
-    /// Single-threaded [`build`](Self::build). Exposed so callers (and the
-    /// determinism tests) can pin the execution strategy.
-    pub fn build_serial<F>(log: &Log, method: impl Into<String>, assign: F) -> Self
-    where
-        F: Fn(Ipv4Addr) -> Option<Ipv4Net>,
-    {
-        let clients = aggregate_serial(log);
-        let assignments: Vec<Option<Ipv4Net>> = clients.iter().map(|c| assign(c.addr)).collect();
-        Self::assemble(log, method, clients, assignments, false)
-    }
-
-    /// Multi-threaded [`build`](Self::build). On a single-threaded pool
-    /// this delegates to [`build_serial`](Self::build_serial) — sharding
-    /// there is pure overhead and can only lose — so `build_parallel` is
-    /// never slower than the serial path. Use
-    /// [`build_sharded`](Self::build_sharded) to force sharding.
-    pub fn build_parallel<F>(log: &Log, method: impl Into<String>, assign: F) -> Self
-    where
-        F: Fn(Ipv4Addr) -> Option<Ipv4Net> + Sync,
-    {
-        if rayon::current_num_threads() <= 1 {
-            Self::build_serial(log, method, assign)
-        } else {
-            Self::build_sharded(log, method, assign)
-        }
-    }
-
-    /// Sharded [`build`](Self::build): requests are aggregated per client
-    /// in per-chunk shards merged at the end, and cluster assignment fans
-    /// out across threads — unconditionally, regardless of pool size (the
-    /// determinism tests and benches pin the strategy this way). Final
-    /// ordering is deterministic (see [`build`](Self::build)).
-    pub fn build_sharded<F>(log: &Log, method: impl Into<String>, assign: F) -> Self
-    where
-        F: Fn(Ipv4Addr) -> Option<Ipv4Net> + Sync,
-    {
-        let clients = aggregate_parallel(log);
-        let chunk = span_chunk(clients.len());
-        // One span means one worker: skip the pool dispatch and the
-        // intermediate per-chunk vectors — they are pure overhead.
-        let assignments: Vec<Option<Ipv4Net>> = if chunk >= clients.len() {
-            clients.iter().map(|c| assign(c.addr)).collect()
-        } else {
-            clients
-                .par_chunks(chunk)
-                .map(|chunk| chunk.iter().map(|c| assign(c.addr)).collect::<Vec<_>>())
-                .collect::<Vec<_>>()
-                .into_iter()
-                .flatten()
-                .collect()
-        };
-        Self::assemble(log, method, clients, assignments, true)
-    }
-
-    /// Shared tail of every build path: groups pre-aggregated,
-    /// address-sorted clients by their assigned prefix and materializes the
-    /// final sorted structure. `clients[i]` pairs with `assignments[i]`.
-    fn assemble(
-        log: &Log,
-        method: impl Into<String>,
-        clients: Vec<ClientStats>,
-        assignments: Vec<Option<Ipv4Net>>,
-        parallel: bool,
-    ) -> Self {
-        let mut out =
-            Self::from_assignments(method, clients, assignments, log.requests.len() as u64);
-        out.fill_unique_urls(log, parallel);
-        out
+        kernel::finish(
+            method,
+            &[shard],
+            1,
+            &|addrs: &[u32], out: &mut [Option<Ipv4Net>]| {
+                for (&addr, slot) in addrs.iter().zip(out) {
+                    *slot = assign(Ipv4Addr::from(addr));
+                }
+            },
+            Some((n_urls, &[])),
+            &Obs::disabled(),
+        )
     }
 
     /// Materializes the final structure from address-sorted per-client
     /// stats and their prefix assignments (`clients[i]` pairs with
     /// `assignments[i]`): clusters sorted by prefix, member/unclustered
     /// lists in client order, `unique_urls` left at 0 for the caller to
-    /// fill. This is the shared tail of the log build paths and the fused
-    /// ingest pipeline.
+    /// fill.
     pub(crate) fn from_assignments(
         method: impl Into<String>,
         clients: Vec<ClientStats>,
@@ -270,39 +177,6 @@ impl Clustering {
         }
     }
 
-    /// Fills per-cluster `unique_urls` via sort-dedup over (cluster, url)
-    /// pairs — bounded memory even for multi-million-request logs.
-    fn fill_unique_urls(&mut self, log: &Log, parallel: bool) {
-        let index = &self.index;
-        // A single span would put the whole scan on one worker anyway;
-        // take the serial branch and skip the pool round-trip.
-        let parallel = parallel && span_chunk(log.requests.len()) < log.requests.len();
-        let mut pairs: Vec<(u32, u32)> = if parallel {
-            log.requests
-                .par_chunks(span_chunk(log.requests.len()))
-                .map(|chunk| {
-                    chunk
-                        .iter()
-                        .filter_map(|r| index.get(&r.client).map(|&idx| (idx, r.url)))
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            log.requests
-                .iter()
-                .filter_map(|r| index.get(&r.client).map(|&idx| (idx, r.url)))
-                .collect()
-        };
-        pairs.sort_unstable();
-        pairs.dedup();
-        for (idx, _) in pairs {
-            self.clusters[idx as usize].unique_urls += 1;
-        }
-    }
-
     /// Clusters a bare address/requests/bytes list — no log needed. Used
     /// for §3.6's *server clustering* of the destinations in a proxy log
     /// (unique URL counts are not available and stay 0).
@@ -314,53 +188,18 @@ impl Clustering {
     where
         F: Fn(Ipv4Addr) -> Option<Ipv4Net>,
     {
-        let mut by_prefix: FxHashMap<Ipv4Net, Vec<ClientStats>> = FxHashMap::default();
-        let mut unclustered = Vec::new();
-        let mut total_requests = 0u64;
-        for &(addr, requests, bytes) in counts {
-            total_requests += requests;
-            let stats = ClientStats {
+        let mut clients: Vec<ClientStats> = counts
+            .iter()
+            .map(|&(addr, requests, bytes)| ClientStats {
                 addr,
                 requests,
                 bytes,
-            };
-            match assign(addr) {
-                Some(prefix) => by_prefix.entry(prefix).or_default().push(stats),
-                None => unclustered.push(stats),
-            }
-        }
-        unclustered.sort_by_key(|c| c.addr);
-        // analyze:allow(determinism) keys are collected and sorted before use.
-        let mut prefixes: Vec<Ipv4Net> = by_prefix.keys().copied().collect();
-        prefixes.sort();
-        let mut clusters = Vec::with_capacity(prefixes.len());
-        let mut index = FxHashMap::default();
-        for prefix in prefixes {
-            let mut clients = by_prefix.remove(&prefix).expect("key exists");
-            clients.sort_by_key(|c| c.addr);
-            let requests = clients.iter().map(|c| c.requests).sum();
-            let bytes = clients.iter().map(|c| c.bytes).sum();
-            // analyze:allow(cast-truncation) cluster ids are u32 by design;
-            // one cluster per routing prefix bounds the count well below 2^32.
-            let idx = clusters.len() as u32;
-            for c in &clients {
-                index.insert(u32::from(c.addr), idx);
-            }
-            clusters.push(Cluster {
-                prefix,
-                clients,
-                requests,
-                bytes,
-                unique_urls: 0,
-            });
-        }
-        Clustering {
-            method: method.into(),
-            clusters,
-            unclustered,
-            total_requests,
-            index,
-        }
+            })
+            .collect();
+        clients.sort_by_key(|c| c.addr);
+        let assignments = clients.iter().map(|c| assign(c.addr)).collect();
+        let total_requests = clients.iter().map(|c| c.requests).sum();
+        Self::from_assignments(method, clients, assignments, total_requests)
     }
 
     /// The paper's network-aware method: LPM against the merged table.
@@ -375,28 +214,11 @@ impl Clustering {
     }
 
     /// [`network_aware`](Self::network_aware) against an already-compiled
-    /// table: per-client aggregation shards across threads, then clients
-    /// are assigned in batch LPM sweeps over the flat table.
+    /// table.
     pub fn network_aware_compiled(log: &Log, table: &CompiledMerged) -> Self {
-        let parallel = should_shard(log.requests.len());
-        let clients = if parallel {
-            aggregate_parallel(log)
-        } else {
-            aggregate_serial(log)
-        };
-        let addrs: Vec<u32> = clients.iter().map(|c| u32::from(c.addr)).collect();
-        let assignments: Vec<Option<Ipv4Net>> = if parallel {
-            addrs
-                .par_chunks(span_chunk(addrs.len()))
-                .map(|chunk| table.net_for_batch(chunk))
-                .collect::<Vec<_>>()
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            table.net_for_batch(&addrs)
-        };
-        Self::assemble(log, "network-aware", clients, assignments, parallel)
+        Self::build(log, "network-aware", |addr| {
+            table.net_for_u32(u32::from(addr))
+        })
     }
 
     /// The simple approach of §2: shared first 24 bits.
@@ -457,101 +279,6 @@ impl Clustering {
     pub fn busiest(&self) -> Option<&Cluster> {
         self.clusters.iter().max_by_key(|c| c.requests)
     }
-}
-
-/// Per-client aggregation, single-threaded: one hash-map pass over the
-/// requests, collected sorted by client address.
-fn aggregate_serial(log: &Log) -> Vec<ClientStats> {
-    let mut per_client: FxHashMap<u32, (u64, u64)> = FxHashMap::default();
-    for r in &log.requests {
-        let e = per_client.entry(r.client).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += r.bytes as u64;
-    }
-    finish_aggregation(per_client)
-}
-
-/// Per-client aggregation, sharded two ways: request chunks aggregate in
-/// parallel into per-chunk maps split by client address range, then one
-/// worker per address range merges its slice of every chunk. Summation is
-/// order-independent and ranges concatenate in address order, so the
-/// result is identical to [`aggregate_serial`].
-///
-/// Shard count and chunk granularity adapt to the pool and the input:
-/// exactly one chunk per worker (the span-scheduling pool hands each
-/// worker one contiguous span, so more chunks only add merge work) and
-/// [`merge_partitions_for`] partitions. On one worker this collapses to a
-/// single chunk and a single partition, where the merge pass is skipped
-/// outright — the forced path then does the same work as the serial one
-/// instead of paying shard bookkeeping it cannot amortize.
-fn aggregate_parallel(log: &Log) -> Vec<ClientStats> {
-    let threads = rayon::current_num_threads().max(1);
-    let chunk = log.requests.len().div_ceil(threads).max(1);
-    aggregate_sharded(log, merge_partitions_for(threads), chunk)
-}
-
-/// [`aggregate_parallel`] with an explicit partition count and chunk
-/// size, so tests can exercise the multi-shard merge machinery that
-/// adaptive sizing would collapse on a small pool.
-pub(crate) fn aggregate_sharded(log: &Log, n_parts: usize, chunk: usize) -> Vec<ClientStats> {
-    debug_assert!(n_parts.is_power_of_two());
-    let shift = 32 - n_parts.trailing_zeros();
-    let scan = |chunk: &[Request]| {
-        let mut local: Vec<FxHashMap<u32, (u64, u64)>> = vec![FxHashMap::default(); n_parts];
-        for r in chunk {
-            // u64 shift: a single-partition plan passes shift == 32.
-            let e = local[((r.client as u64) >> shift) as usize]
-                .entry(r.client)
-                .or_insert((0, 0));
-            e.0 += 1;
-            e.1 += r.bytes as u64;
-        }
-        local
-    };
-    // One chunk: scan inline — the pool dispatch buys nothing.
-    let mut shards: Vec<Vec<FxHashMap<u32, (u64, u64)>>> = if chunk >= log.requests.len() {
-        vec![scan(&log.requests)]
-    } else {
-        log.requests.par_chunks(chunk).map(scan).collect()
-    };
-    if shards.len() == 1 {
-        // One chunk: its partition maps are already the global maps, and
-        // partition runs concatenate in address order. No re-hash merge.
-        let local = shards.pop().expect("one shard");
-        return local.into_iter().flat_map(finish_aggregation).collect();
-    }
-    let parts: Vec<usize> = (0..n_parts).collect();
-    let merged: Vec<Vec<ClientStats>> = parts
-        .par_iter()
-        .map(|&p| {
-            let mut per_client: FxHashMap<u32, (u64, u64)> = FxHashMap::default();
-            for shard in &shards {
-                for (&client, &(requests, bytes)) in &shard[p] {
-                    let e = per_client.entry(client).or_insert((0, 0));
-                    e.0 += requests;
-                    e.1 += bytes;
-                }
-            }
-            finish_aggregation(per_client)
-        })
-        .collect();
-    // Partition p holds exactly the clients whose top bits equal p, so the
-    // per-partition sorted runs concatenate into global address order.
-    merged.into_iter().flatten().collect()
-}
-
-pub(crate) fn finish_aggregation(per_client: FxHashMap<u32, (u64, u64)>) -> Vec<ClientStats> {
-    // analyze:allow(determinism) map drained to a vec and sorted below.
-    let mut clients: Vec<ClientStats> = per_client
-        .into_iter()
-        .map(|(client, (requests, bytes))| ClientStats {
-            addr: Ipv4Addr::from(client),
-            requests,
-            bytes,
-        })
-        .collect();
-    clients.sort_by_key(|c| c.addr);
-    clients
 }
 
 #[cfg(test)]
@@ -735,74 +462,6 @@ mod tests {
         assert!(clustering
             .cluster_of("24.48.3.87".parse().unwrap())
             .is_some());
-    }
-
-    #[test]
-    fn parallel_build_is_deterministic() {
-        use netclust_netgen::{standard_merged, Universe, UniverseConfig};
-        use netclust_weblog::{generate, LogSpec};
-
-        let u = Universe::generate(UniverseConfig::small(11));
-        let mut spec = LogSpec::tiny("det", 17);
-        // Enough requests that the auto path would shard, with collisions
-        // across chunk boundaries.
-        spec.total_requests = 40_000;
-        spec.target_clients = 300;
-        let log = generate(&u, &spec);
-        let merged = standard_merged(&u, 0);
-        let compiled = merged.compile();
-
-        let assign = |a: Ipv4Addr| compiled.net_for_u32(u32::from(a));
-        let serial = Clustering::build_serial(&log, "m", assign);
-        // Force sharding so the parallel machinery is exercised even on a
-        // single-threaded pool (where build_parallel delegates to serial).
-        let parallel = Clustering::build_sharded(&log, "m", assign);
-
-        // Byte-identical orderings: same clusters in the same order, each
-        // with identical member lists, and the same unclustered list.
-        assert_eq!(serial.clusters.len(), parallel.clusters.len());
-        for (s, p) in serial.clusters.iter().zip(&parallel.clusters) {
-            assert_eq!(s.prefix, p.prefix);
-            assert_eq!(s.clients, p.clients);
-            assert_eq!(s.requests, p.requests);
-            assert_eq!(s.bytes, p.bytes);
-            assert_eq!(s.unique_urls, p.unique_urls);
-        }
-        assert_eq!(serial.unclustered, parallel.unclustered);
-        assert_eq!(serial.total_requests, parallel.total_requests);
-
-        // The auto-dispatching entry points agree with both.
-        let auto = Clustering::build(&log, "m", assign);
-        assert_eq!(auto.unclustered, serial.unclustered);
-        assert_eq!(auto.clusters.len(), serial.clusters.len());
-        let par = Clustering::build_parallel(&log, "m", assign);
-        assert_eq!(par.unclustered, serial.unclustered);
-        assert_eq!(par.clusters.len(), serial.clusters.len());
-        let aware = Clustering::network_aware_compiled(&log, &compiled);
-        assert_eq!(aware.clusters.len(), serial.clusters.len());
-        for (a, s) in aware.clusters.iter().zip(&serial.clusters) {
-            assert_eq!(a.prefix, s.prefix);
-            assert_eq!(a.clients, s.clients);
-        }
-    }
-
-    #[test]
-    fn sharded_aggregation_matches_serial_across_plans() {
-        use netclust_netgen::{Universe, UniverseConfig};
-        use netclust_weblog::{generate, LogSpec};
-
-        let u = Universe::generate(UniverseConfig::small(5));
-        let mut spec = LogSpec::tiny("agg", 29);
-        spec.total_requests = 10_000;
-        spec.target_clients = 400;
-        let log = generate(&u, &spec);
-        let serial = aggregate_serial(&log);
-        // Explicit plans force the multi-chunk, multi-partition merge even
-        // on a single-worker pool, where adaptive sizing collapses it.
-        for (n_parts, chunk) in [(1, usize::MAX), (4, 1 << 10), (16, 997), (64, 64)] {
-            let sharded = aggregate_sharded(&log, n_parts, chunk.min(log.requests.len()));
-            assert_eq!(sharded, serial, "n_parts={n_parts} chunk={chunk}");
-        }
     }
 
     #[test]

@@ -13,17 +13,17 @@
 //!    [`chunk::LogData`]) is cut into line-aligned chunks
 //!    ([`chunk::split_lines`]),
 //! 2. N independent per-shard pipelines — scoped `std::thread` workers,
-//!    one shard each — steal chunks off a shared atomic index and scan
-//!    them with the zero-copy byte parser
-//!    ([`clf_bytes::records_no_ua`]) straight into shard-local
-//!    accumulators: dense client ids behind address-range-partitioned
-//!    maps, dense url ids, no `Log`, no per-line allocation (paths
-//!    intern as borrowed `&[u8]` slices of the input),
-//! 3. a deterministic merge remaps shard-local ids into canonical global
-//!    order — per-partition client sums concatenate in address order,
-//!    shard url ids translate through one global intern — then batch
-//!    longest-prefix matching assigns clusters over the compiled
-//!    table, and the standard assembly produces a
+//!    one shard each (one worker scans on the calling thread) — steal
+//!    chunks off a shared atomic index and scan them with the zero-copy
+//!    byte parser ([`clf_bytes::records_no_ua`]) straight into
+//!    shard-local accumulators: a clustering-kernel shard of dense client
+//!    ids, dense url ids, no `Log`, no per-line allocation (paths intern
+//!    as borrowed `&[u8]` slices of the input),
+//! 3. the clustering kernel — the same one `Clustering::build` drives
+//!    from a `Log` — merges the shards into canonical global order
+//!    (per-partition client sums concatenate in address order, shard url
+//!    ids translate through one global intern), assigns clusters by batch
+//!    longest-prefix match over the compiled table, and assembles a
 //!    [`Clustering`] byte-identical to the `from_clf` →
 //!    `network_aware_compiled` route.
 //!
@@ -56,20 +56,19 @@
 
 use std::fmt;
 use std::io;
-use std::net::Ipv4Addr;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use netclust_obs::{Counter, ErrorCounts, Histogram, Obs};
-use netclust_prefix::Ipv4Net;
 use netclust_rtable::{CompiledMerged, DEFAULT_PREFETCH_DISTANCE};
 use netclust_weblog::chunk::{self, Chunk, LogData};
 use netclust_weblog::clf::ClfError;
 use netclust_weblog::clf_bytes;
 
-use crate::cluster::{self, ClientStats, Clustering};
+use crate::cluster::Clustering;
 use crate::faults::{failpoints, FaultPlan};
 use crate::fx::FxHashMap;
+use crate::kernel::{self, Shard};
 
 /// Pre-resolved ingest instrumentation. Handles are looked up once when an
 /// [`Obs`] is attached ([`IngestPipeline::obs`]) so the hot loops never
@@ -350,7 +349,7 @@ impl<'t> IngestPipeline<'t> {
     }
 
     /// Pins the worker count for the sharded scan. Default: the host's
-    /// available parallelism. `1` pins the serial reference path; the
+    /// available parallelism. `1` scans on the calling thread; the
     /// report is byte-identical at every setting.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
@@ -444,8 +443,8 @@ impl<'t> IngestPipeline<'t> {
     }
 
     /// The shared engine behind [`run`](Self::run) and
-    /// [`try_run`](Self::try_run): chunk, scan (serial fast path or the
-    /// sharded worker scan), merge, account.
+    /// [`try_run`](Self::try_run): chunk, scan into one shard per worker,
+    /// finish, account.
     fn run_inner(
         &self,
         data: &[u8],
@@ -459,16 +458,7 @@ impl<'t> IngestPipeline<'t> {
         };
         let lines = total_lines(&chunks);
         let workers = self.effective_threads().min(chunks.len()).max(1);
-        if !faulted && workers <= 1 {
-            // Serial reference path: one unpartitioned accumulator, no
-            // worker machinery. (Budget enforcement happens on the full
-            // report in `try_run` — identical outcome, zero extra work.)
-            let report = self.finish_serial(chunks, lines, data.len());
-            self.record_run(&report);
-            return Ok(report);
-        }
-
-        let n_parts = cluster::merge_partitions_for(workers);
+        let n_parts = kernel::merge_partitions_for(workers);
         let scanned = {
             let _s = self.obs.span("parse");
             self.scan_sharded(
@@ -485,7 +475,7 @@ impl<'t> IngestPipeline<'t> {
                 io_faults,
                 chunks_retried,
             } => {
-                let mut report = self.finish_shards(outs, n_parts, workers, lines, data.len());
+                let mut report = self.finish(outs, workers, lines, data.len());
                 report.io_faults = io_faults;
                 report.chunks_retried = chunks_retried;
                 self.metrics.io_faults.add(io_faults);
@@ -553,7 +543,6 @@ impl<'t> IngestPipeline<'t> {
         faulted: bool,
         budget: Option<(f64, usize)>,
     ) -> ScanOutcome<'a> {
-        let shift = 32 - n_parts.trailing_zeros();
         let next = AtomicUsize::new(0);
         let abort_chunk = AtomicUsize::new(usize::MAX);
         let malformed = AtomicU64::new(0);
@@ -626,7 +615,7 @@ impl<'t> IngestPipeline<'t> {
                     break;
                 }
                 let before = out.errors.len();
-                out.scan(c, shift, self.url_stats);
+                out.scan(c, self.url_stats);
                 let chunk_errors = out.errors.len() - before;
                 self.record_chunk(c, chunk_errors);
                 if let Some((chunks_ctr, bytes_ctr)) = &shard_obs {
@@ -698,216 +687,62 @@ impl<'t> IngestPipeline<'t> {
         }
     }
 
-    /// The deterministic merge behind the sharded scan: shard-local ids
-    /// are remapped into canonical global order, so the report is
-    /// byte-identical to the serial reference no matter which worker
-    /// scanned which chunk.
+    /// The deterministic tail of a run: the shards go through the
+    /// clustering [`kernel`], so the report is byte-identical no matter
+    /// how many workers there were or which one scanned which chunk.
     ///
     /// * **errors** carry buffer-global line numbers (each malformed line
     ///   produces exactly one error), so one sort restores line order.
-    /// * **clients** merge per address partition — sums commute — and the
-    ///   per-partition sorted runs concatenate into global address order.
-    /// * **url ids** translate through one global intern walked in shard
-    ///   order; unique-URL *counts* are invariant under that relabeling
-    ///   because equal ids ⇔ equal path bytes.
-    fn finish_shards(
+    /// * **url ids** of several shards translate through one global
+    ///   intern walked in shard order (equal ids ⇔ equal path bytes —
+    ///   exactly the `Log` URL-interning identity); a lone shard's ids
+    ///   are global already.
+    fn finish(
         &self,
         outs: Vec<ChunkOut<'_>>,
-        n_parts: usize,
         threads: usize,
         lines: usize,
         bytes: usize,
     ) -> IngestReport {
+        let mut shards = Vec::with_capacity(outs.len());
+        let mut url_paths = Vec::with_capacity(outs.len());
         let mut errors = Vec::new();
-        for o in &outs {
-            errors.extend_from_slice(&o.errors);
+        for o in outs {
+            shards.push(o.shard);
+            url_paths.push(o.url_paths);
+            errors.extend(o.errors);
         }
         errors.sort_unstable_by_key(|e| e.line);
 
-        // Stage 3a: one worker per address partition merges its slice of
-        // every shard; sorted runs concatenate into global address order
-        // (partition p holds exactly the clients whose top bits equal p).
-        let aggregate = self.obs.span("aggregate");
-        let mut merged: Vec<Vec<ClientStats>> = Vec::new();
-        merged.resize_with(n_parts, Vec::new);
-        for_spans(&mut merged, threads, &|start, span| {
-            for (off, slot) in span.iter_mut().enumerate() {
-                let p = start + off;
-                let mut per_client: FxHashMap<u32, (u64, u64)> = FxHashMap::default();
-                for o in &outs {
-                    // analyze:allow(panic-free-hot-path) p < n_parts == o.parts.len().
-                    for (&client, &id) in &o.parts[p] {
-                        // analyze:allow(panic-free-hot-path) id was handed out from accum.len().
-                        let (requests, bytes) = o.accum[id as usize];
-                        let e = per_client.entry(client).or_insert((0, 0));
-                        e.0 += requests;
-                        e.1 += bytes;
-                    }
-                }
-                *slot = cluster::finish_aggregation(per_client);
+        let mut n_urls = url_paths.first().map_or(0, Vec::len);
+        let mut trans: Vec<Vec<u32>> = Vec::new();
+        if self.url_stats && shards.len() > 1 {
+            let mut global: FxHashMap<&[u8], u32> = FxHashMap::default();
+            for paths in &url_paths {
+                trans.push(
+                    paths
+                        .iter()
+                        .map(|&p| {
+                            // analyze:allow(cast-truncation) url ids are u32 by format.
+                            let next = global.len() as u32;
+                            *global.entry(p).or_insert(next)
+                        })
+                        .collect(),
+                );
             }
-        });
-        let clients: Vec<ClientStats> = merged.into_iter().flatten().collect();
-        drop(aggregate);
-
-        // Stage 3b: batch LPM, one span of the assignment buffer per
-        // worker.
-        let lpm = self.obs.span("lpm");
-        let addrs: Vec<u32> = clients.iter().map(|c| u32::from(c.addr)).collect();
-        let mut assignments: Vec<Option<Ipv4Net>> = vec![None; addrs.len()];
-        for_spans(&mut assignments, threads, &|start, span| {
-            self.table.net_for_slice(
-                &addrs[start..start + span.len()],
-                span,
-                DEFAULT_PREFETCH_DISTANCE,
-            );
-        });
-        drop(lpm);
-
-        let _assemble = self.obs.span("aggregate");
-        let total_requests: u64 = clients.iter().map(|c| c.requests).sum();
-        let mut clustering =
-            Clustering::from_assignments("network-aware", clients, assignments, total_requests);
-
-        // Unique URLs per cluster: translate shard-local url ids through
-        // one global intern (equal ids ⇔ equal byte strings — exactly the
-        // `Log` URL-interning identity), map shard-local client ids to
-        // clusters, and sort-dedup the packed (cluster, url) keys. The
-        // key mapping writes into disjoint per-shard segments of one
-        // buffer, so shards proceed concurrently; unclustered pairs leave
-        // the `u64::MAX` sentinel in place for the sort-dedup to drop.
-        if self.url_stats {
-            let trans: Vec<Vec<u32>> = {
-                let mut global: FxHashMap<&[u8], u32> = FxHashMap::default();
-                outs.iter()
-                    .map(|o| {
-                        o.url_paths
-                            .iter()
-                            .map(|&p| {
-                                // analyze:allow(cast-truncation) url ids are u32 by format.
-                                let next = global.len() as u32;
-                                *global.entry(p).or_insert(next)
-                            })
-                            .collect()
-                    })
-                    .collect()
-            };
-            let total_pairs: usize = outs.iter().map(|o| o.pairs.len()).sum();
-            let mut mapped = vec![u64::MAX; total_pairs];
-            let fill_segment = |o: &ChunkOut<'_>, tr: &[u32], seg: &mut [u64]| {
-                let cluster_of: Vec<u32> = o
-                    .dense_addr
-                    .iter()
-                    .map(|&a| {
-                        clustering
-                            .cluster_index(Ipv4Addr::from(a))
-                            // analyze:allow(cast-truncation) cluster count < 2^32 (u32 ids by design).
-                            .map_or(u32::MAX, |i| i as u32)
-                    })
-                    .collect();
-                for (slot, &(dense, url)) in seg.iter_mut().zip(&o.pairs) {
-                    // analyze:allow(panic-free-hot-path) dense ids index dense_addr == cluster_of.
-                    let idx = cluster_of[dense as usize];
-                    if idx != u32::MAX {
-                        // analyze:allow(panic-free-hot-path) url < url_paths.len() == tr.len().
-                        *slot = ((idx as u64) << 32) | tr[url as usize] as u64;
-                    }
-                }
-            };
-            if outs.len() <= 1 {
-                if let (Some(o), Some(tr)) = (outs.first(), trans.first()) {
-                    fill_segment(o, tr, &mut mapped);
-                }
-            } else {
-                std::thread::scope(|s| {
-                    let mut rest: &mut [u64] = &mut mapped;
-                    for (o, tr) in outs.iter().zip(&trans) {
-                        let (seg, tail) = rest.split_at_mut(o.pairs.len());
-                        rest = tail;
-                        s.spawn(|| fill_segment(o, tr, seg));
-                    }
-                });
-            }
-            count_unique_sorted(&mut clustering, mapped);
+            n_urls = global.len();
         }
-
-        let counts = ErrorCounts::new(lines as u64, errors.len() as u64);
-        IngestReport {
-            clustering,
-            errors,
-            counts,
-            bytes,
-            io_faults: 0,
-            chunks_retried: 0,
-        }
-    }
-
-    /// Stages 1–3 with one unpartitioned accumulator across all chunks:
-    /// dense client ids come straight out of the scan, so cluster mapping
-    /// and URL dedup work on array indices (bitmap path) instead of maps.
-    fn finish_serial(&self, chunks: Vec<Chunk<'_>>, lines: usize, bytes: usize) -> IngestReport {
-        let mut out = ChunkOut::new(1);
-        {
-            let _s = self.obs.span("parse");
-            for c in &chunks {
-                let before = out.errors.len();
-                out.scan(c, 32, self.url_stats);
-                self.metrics.chunks.inc();
-                self.metrics.chunk_bytes.record(c.data.len() as u64);
-                self.metrics
-                    .chunk_errors
-                    .record((out.errors.len() - before) as u64);
-            }
-        }
-        let errors = std::mem::take(&mut out.errors);
-        let aggregate = self.obs.span("aggregate");
-        let (clients, dense_addr) = serial_clients(
-            std::mem::take(&mut out.accum),
-            std::mem::take(&mut out.dense_addr),
+        let clustering = kernel::finish(
+            "network-aware",
+            &shards,
+            threads,
+            &|addrs, out| {
+                self.table
+                    .net_for_slice(addrs, out, DEFAULT_PREFETCH_DISTANCE)
+            },
+            self.url_stats.then_some((n_urls, trans.as_slice())),
+            &self.obs,
         );
-        drop(aggregate);
-
-        let lpm = self.obs.span("lpm");
-        let addrs: Vec<u32> = clients.iter().map(|c| u32::from(c.addr)).collect();
-        let mut assignments = Vec::new();
-        self.table.net_for_batch_into(&addrs, &mut assignments);
-        drop(lpm);
-
-        let _assemble = self.obs.span("aggregate");
-        let total_requests: u64 = clients.iter().map(|c| c.requests).sum();
-        let mut clustering =
-            Clustering::from_assignments("network-aware", clients, assignments, total_requests);
-
-        // The serial scan already produced globally-dense client and url
-        // ids, so cluster mapping is one table build away from being an
-        // array index per pair.
-        if self.url_stats {
-            let pairs = std::mem::take(&mut out.pairs);
-            let n_urls = out.url_paths.len();
-            let cluster_of: Vec<u32> = dense_addr
-                .iter()
-                .map(|&a| {
-                    clustering
-                        .cluster_index(Ipv4Addr::from(a))
-                        // analyze:allow(cast-truncation) cluster count < 2^32 (u32 ids by design).
-                        .map_or(u32::MAX, |i| i as u32)
-                })
-                .collect();
-            let n_bits = clustering.clusters.len() as u64 * n_urls as u64;
-            if n_bits > 0 && n_bits <= BITMAP_MAX_BITS {
-                count_unique_bitmap(&mut clustering, &pairs, &cluster_of, n_urls);
-            } else {
-                let mapped: Vec<u64> = pairs
-                    .iter()
-                    .filter_map(|&(dense, url)| {
-                        // analyze:allow(panic-free-hot-path) dense ids index dense_addr == cluster_of.
-                        let idx = cluster_of[dense as usize];
-                        (idx != u32::MAX).then_some(((idx as u64) << 32) | url as u64)
-                    })
-                    .collect();
-                count_unique_sorted(&mut clustering, mapped);
-            }
-        }
 
         let counts = ErrorCounts::new(lines as u64, errors.len() as u64);
         IngestReport {
@@ -954,7 +789,11 @@ enum ScanOutcome<'a> {
 /// one scoped thread per span — the merge-side analogue of the scan's
 /// work stealing (span sizes are static because merge work is uniform).
 /// Inlines without spawning when one span suffices.
-fn for_spans<T: Send, F: Fn(usize, &mut [T]) + Sync>(out: &mut [T], threads: usize, f: &F) {
+pub(crate) fn for_spans<T: Send, F: Fn(usize, &mut [T]) + Sync>(
+    out: &mut [T],
+    threads: usize,
+    f: &F,
+) {
     let workers = threads.min(out.len()).max(1);
     if workers <= 1 {
         f(0, out);
@@ -983,38 +822,23 @@ fn total_lines(chunks: &[Chunk<'_>]) -> usize {
         .unwrap_or(0)
 }
 
-/// Bitmap dedup ceiling: above this many (cluster × url) bits the serial
-/// unique-URL count falls back to sort-dedup (32 MiB of bitmap).
-const BITMAP_MAX_BITS: u64 = 1 << 28;
-
-/// Scan output: clients interned to dense ids through small address →
-/// id maps (partitioned by address range; one partition when serial)
-/// with (requests, bytes) accumulated in a dense-indexed vector — the
-/// map entry stays 8 bytes so the randomly-probed table fits cache —
-/// plus paths interned to dense local ids with their (client, url id)
-/// pairs (keyed by the dense local client id), and parse errors with
-/// global line numbers. The sharded scan holds one instance per worker;
-/// the serial run feeds every chunk through a single unpartitioned
-/// instance — dense ids are then already global.
+/// One scan worker's output: a kernel [`Shard`] of client sums and
+/// (client, url id) pairs, the paths behind those shard-local url ids
+/// (interned as borrowed slices of the input), and parse errors with
+/// global line numbers.
 struct ChunkOut<'a> {
-    parts: Vec<FxHashMap<u32, u32>>,
-    accum: Vec<(u64, u64)>,
-    dense_addr: Vec<u32>,
+    shard: Shard,
     url_ids: FxHashMap<&'a [u8], u32>,
     url_paths: Vec<&'a [u8]>,
-    pairs: Vec<(u32, u32)>,
     errors: Vec<ClfError>,
 }
 
 impl<'a> ChunkOut<'a> {
     fn new(n_parts: usize) -> Self {
         ChunkOut {
-            parts: vec![FxHashMap::default(); n_parts],
-            accum: Vec::new(),
-            dense_addr: Vec::new(),
+            shard: Shard::new(n_parts),
             url_ids: FxHashMap::default(),
             url_paths: Vec::new(),
-            pairs: Vec::new(),
             errors: Vec::new(),
         }
     }
@@ -1022,26 +846,11 @@ impl<'a> ChunkOut<'a> {
     /// Accumulates one chunk. The User-Agent field is never consumed
     /// downstream, so the scan uses the no-UA record parser (identical
     /// records and errors, minus the per-line UA quote scan).
-    fn scan(&mut self, c: &Chunk<'a>, shift: u32, url_stats: bool) {
+    fn scan(&mut self, c: &Chunk<'a>, url_stats: bool) {
         for item in clf_bytes::records_no_ua(c.data, c.first_line) {
             match item {
                 Ok((_, r)) => {
-                    // u64 shift: an unpartitioned scan passes shift == 32.
-                    let part = ((r.addr as u64) >> shift) as usize;
-                    let accum = &mut self.accum;
-                    let dense_addr = &mut self.dense_addr;
-                    // analyze:allow(panic-free-hot-path) part = addr >> shift < n_parts.
-                    let id = *self.parts[part].entry(r.addr).or_insert_with(|| {
-                        // analyze:allow(cast-truncation) dense client ids are u32 by design.
-                        let id = accum.len() as u32;
-                        accum.push((0, 0));
-                        dense_addr.push(r.addr);
-                        id
-                    });
-                    // analyze:allow(panic-free-hot-path) id was handed out from accum.len().
-                    let e = &mut self.accum[id as usize];
-                    e.0 += 1;
-                    e.1 += r.bytes as u64;
+                    let id = self.shard.add(r.addr, r.bytes as u64);
                     if url_stats {
                         let url_paths = &mut self.url_paths;
                         let url = *self.url_ids.entry(r.path).or_insert_with(|| {
@@ -1049,125 +858,11 @@ impl<'a> ChunkOut<'a> {
                             // analyze:allow(cast-truncation) url ids are u32 by format.
                             (url_paths.len() - 1) as u32
                         });
-                        self.pairs.push((id, url));
+                        self.shard.pairs.push((id, url));
                     }
                 }
                 Err(e) => self.errors.push(e),
             }
-        }
-    }
-}
-
-/// Sorts the serial accumulator into address order, also returning the
-/// scan's dense-id → address table.
-fn serial_clients(accum: Vec<(u64, u64)>, dense_addr: Vec<u32>) -> (Vec<ClientStats>, Vec<u32>) {
-    let mut clients: Vec<ClientStats> = dense_addr
-        .iter()
-        .zip(&accum)
-        .map(|(&client, &(requests, bytes))| ClientStats {
-            addr: Ipv4Addr::from(client),
-            requests,
-            bytes,
-        })
-        .collect();
-    clients.sort_by_key(|c| c.addr);
-    (clients, dense_addr)
-}
-
-/// Counts distinct (cluster, url) pairs into `unique_urls` by sorting
-/// packed `cluster << 32 | url` keys. `u64::MAX` entries are the sharded
-/// merge's unclustered-pair sentinel and are dropped (a real key cannot
-/// be `u64::MAX`: cluster index `u32::MAX` is excluded before packing).
-fn count_unique_sorted(clustering: &mut Clustering, mut mapped: Vec<u64>) {
-    mapped.sort_unstable();
-    mapped.dedup();
-    if mapped.last() == Some(&u64::MAX) {
-        mapped.pop();
-    }
-    for key in mapped {
-        // analyze:allow(panic-free-hot-path) key's high half is a valid cluster index by construction.
-        clustering.clusters[(key >> 32) as usize].unique_urls += 1;
-    }
-}
-
-/// Bitmap window size for [`count_unique_bitmap`]: 2²¹ bits = 256 KiB,
-/// small enough to stay cache-resident while a bucket's keys scatter
-/// into it.
-const BITMAP_WINDOW_BITS: u64 = 1 << 21;
-
-/// Counts distinct (cluster, url) pairs into `unique_urls` via one bit
-/// per (cluster, url) — `pairs` hold dense client ids, `cluster_of` maps
-/// them to cluster indices (`u32::MAX` = unclustered).
-fn count_unique_bitmap(
-    clustering: &mut Clustering,
-    pairs: &[(u32, u32)],
-    cluster_of: &[u32],
-    n_urls: usize,
-) {
-    count_unique_bitmap_windowed(clustering, pairs, cluster_of, n_urls, BITMAP_WINDOW_BITS)
-}
-
-/// [`count_unique_bitmap`] with an explicit window size (tests shrink it
-/// to exercise the bucketed path on small inputs).
-///
-/// Setting bits straight into a `clusters × urls` bitmap costs one cache
-/// miss per pair once the bitmap outgrows the cache. Instead, keys first
-/// scatter into per-window buckets (sequential appends), then each
-/// window's bits are set and popcount-walked inside one cache-resident
-/// slice that is reused across windows.
-fn count_unique_bitmap_windowed(
-    clustering: &mut Clustering,
-    pairs: &[(u32, u32)],
-    cluster_of: &[u32],
-    n_urls: usize,
-    window_bits: u64,
-) {
-    let n_bits = clustering.clusters.len() as u64 * n_urls as u64;
-    let to_key = |&(dense, url): &(u32, u32)| {
-        // analyze:allow(panic-free-hot-path) dense ids index dense_addr == cluster_of.
-        let idx = cluster_of[dense as usize];
-        (idx != u32::MAX).then(|| idx as u64 * n_urls as u64 + url as u64)
-    };
-    if n_bits <= window_bits {
-        let mut bits = vec![0u64; (n_bits as usize).div_ceil(64)];
-        for key in pairs.iter().filter_map(to_key) {
-            // analyze:allow(panic-free-hot-path) key < n_bits and bits holds n_bits bits.
-            bits[(key >> 6) as usize] |= 1 << (key & 63);
-        }
-        tally_window(clustering, &bits, 0, n_urls);
-        return;
-    }
-    let n_windows = n_bits.div_ceil(window_bits) as usize;
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n_windows];
-    for key in pairs.iter().filter_map(to_key) {
-        // analyze:allow(panic-free-hot-path, cast-truncation) key < n_bits so the
-        // bucket index < n_windows, and key % window_bits < 2^21 fits u32.
-        buckets[(key / window_bits) as usize].push((key % window_bits) as u32);
-    }
-    let mut window = vec![0u64; (window_bits as usize) / 64];
-    for (w, keys) in buckets.iter().enumerate() {
-        if keys.is_empty() {
-            continue;
-        }
-        window.fill(0);
-        for &k in keys {
-            // analyze:allow(panic-free-hot-path) k < window_bits and window holds window_bits bits.
-            window[(k >> 6) as usize] |= 1 << (k & 63);
-        }
-        tally_window(clustering, &window, w as u64 * window_bits, n_urls);
-    }
-}
-
-/// Adds each set bit of `bits` (bit `i` = global key `base + i`) to its
-/// cluster's `unique_urls`.
-fn tally_window(clustering: &mut Clustering, bits: &[u64], base: u64, n_urls: usize) {
-    for (w, &word) in bits.iter().enumerate() {
-        let mut word = word;
-        while word != 0 {
-            let key = base + (w as u64) * 64 + word.trailing_zeros() as u64;
-            // analyze:allow(panic-free-hot-path) key < clusters.len() * n_urls.
-            clustering.clusters[(key / n_urls as u64) as usize].unique_urls += 1;
-            word &= word - 1;
         }
     }
 }
@@ -1256,53 +951,6 @@ not a log line\n\
             with.clustering.total_requests
         );
         assert_eq!(report.clustering.len(), with.clustering.len());
-    }
-
-    #[test]
-    fn bitmap_and_sorted_counts_agree() {
-        let table = table();
-        let base = IngestPipeline::new(&table).run(SAMPLE.as_bytes());
-        // Rebuild a pair set by hand and count it every way. With 40
-        // urls the key space (clusters × 40 bits) crosses a 64-bit
-        // window boundary: cluster 1's keys 40..80 straddle it.
-        let pairs: &[(u32, u32)] = &[(0, 0), (0, 1), (1, 39), (1, 39), (2, 0), (2, 39), (3, 1)];
-        let cluster_of: &[u32] = &[0, 0, 1, u32::MAX];
-        let n_urls = 40usize;
-        let mut via_bitmap = base.clustering.clone();
-        for c in &mut via_bitmap.clusters {
-            c.unique_urls = 0;
-        }
-        let mut via_sort = via_bitmap.clone();
-        count_unique_bitmap(&mut via_bitmap, pairs, cluster_of, n_urls);
-        let mapped: Vec<u64> = pairs
-            .iter()
-            .filter_map(|&(dense, url)| {
-                let idx = cluster_of[dense as usize];
-                (idx != u32::MAX).then_some(((idx as u64) << 32) | url as u64)
-            })
-            .collect();
-        count_unique_sorted(&mut via_sort, mapped);
-        for (b, s) in via_bitmap.clusters.iter().zip(&via_sort.clusters) {
-            assert_eq!(b.unique_urls, s.unique_urls);
-        }
-        // Clients 0+1 share cluster 0 with urls {0,1} ∪ {39} = 3 distinct;
-        // client 2 gives cluster 1 urls {0,39}; client 3 is unclustered.
-        assert_eq!(via_bitmap.clusters[0].unique_urls, 3);
-        assert_eq!(via_bitmap.clusters[1].unique_urls, 2);
-        // A window of 64 bits (smaller than clusters × urls) forces the
-        // bucketed multi-window path; counts must not change. Window
-        // boundaries land mid-cluster when n_urls doesn't divide 64,
-        // which is exactly the seam worth covering.
-        for window_bits in [64u64, 128] {
-            let mut via_windows = via_sort.clone();
-            for c in &mut via_windows.clusters {
-                c.unique_urls = 0;
-            }
-            count_unique_bitmap_windowed(&mut via_windows, pairs, cluster_of, n_urls, window_bits);
-            for (w, s) in via_windows.clusters.iter().zip(&via_sort.clusters) {
-                assert_eq!(w.unique_urls, s.unique_urls, "window_bits={window_bits}");
-            }
-        }
     }
 
     #[test]

@@ -35,6 +35,7 @@ mod epoch;
 mod faults;
 mod fx;
 mod ingest;
+mod kernel;
 mod metrics;
 mod netcluster;
 mod ongoing;

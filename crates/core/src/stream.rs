@@ -364,10 +364,9 @@ impl StreamingBuilder {
             version: 0,
             journal: VecDeque::new(),
             journal_base: 0,
-            clusters: HashMap::new(),
-            per_client: HashMap::new(),
-            assignment: HashMap::new(),
-            unclustered_requests: 0,
+            tally: Tally::default(),
+            ids: HashMap::new(),
+            clients: Vec::new(),
             total_requests: 0,
             clf_counts: ErrorCounts::default(),
             feed_pos: 0,
@@ -426,6 +425,75 @@ impl fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
+/// One client's cumulative totals (kept so a table swap can rebuild the
+/// view without replaying the stream) and its memoized prefix assignment
+/// under the serving table (`None` = unclusterable).
+#[derive(Debug, Clone, Copy)]
+struct ClientRecord {
+    addr: u32,
+    requests: u64,
+    bytes: u64,
+    net: Option<Ipv4Net>,
+}
+
+/// The id a new client gets: its index in the record vector.
+fn next_id(clients: &[ClientRecord]) -> u32 {
+    u32::try_from(clients.len()).expect("one record per distinct IPv4 address fits u32")
+}
+
+impl ClientRecord {
+    /// What this client contributes to whichever cluster holds it.
+    fn totals(&self) -> StreamStats {
+        StreamStats {
+            clients: 1,
+            requests: self.requests,
+            bytes: self.bytes,
+        }
+    }
+}
+
+/// Where client totals are credited: per-cluster aggregates, plus the
+/// requests of clients no prefix covers.
+#[derive(Debug, Default, PartialEq)]
+struct Tally {
+    clusters: HashMap<Ipv4Net, StreamStats>,
+    unclustered_requests: u64,
+}
+
+impl Tally {
+    /// Credits `amount` to the cluster `net`, or its requests to the
+    /// unclustered count when there is none.
+    fn credit(&mut self, net: Option<Ipv4Net>, amount: StreamStats) {
+        match net {
+            Some(net) => {
+                let stats = self.clusters.entry(net).or_default();
+                stats.clients += amount.clients;
+                stats.requests += amount.requests;
+                stats.bytes += amount.bytes;
+            }
+            None => self.unclustered_requests += amount.requests,
+        }
+    }
+
+    /// Inverse of [`credit`](Self::credit); a cluster whose last client
+    /// leaves is removed.
+    fn debit(&mut self, net: Option<Ipv4Net>, amount: StreamStats) {
+        match net {
+            Some(net) => {
+                if let Some(stats) = self.clusters.get_mut(&net) {
+                    stats.clients = stats.clients.saturating_sub(amount.clients);
+                    stats.requests = stats.requests.saturating_sub(amount.requests);
+                    stats.bytes = stats.bytes.saturating_sub(amount.bytes);
+                    if stats.clients == 0 {
+                        self.clusters.remove(&net);
+                    }
+                }
+            }
+            None => self.unclustered_requests -= amount.requests,
+        }
+    }
+}
+
 /// An incrementally-maintained clustering over a request stream.
 ///
 /// The routing table is compiled once at construction
@@ -450,15 +518,14 @@ pub struct StreamingClustering {
     journal: VecDeque<Vec<TableDelta>>,
     /// Version the front of `journal` applies to.
     journal_base: u64,
-    /// Per-cluster aggregates.
-    clusters: HashMap<Ipv4Net, StreamStats>,
-    /// Per-client totals (kept so a table swap can rebuild assignments
-    /// without replaying the stream).
-    per_client: HashMap<u32, (u64, u64)>,
-    /// Memoized client → prefix assignment under the current table.
-    assignment: HashMap<u32, Option<Ipv4Net>>,
-    /// Requests from unclusterable clients.
-    unclustered_requests: u64,
+    /// Per-cluster aggregates and the unclustered request count.
+    tally: Tally,
+    /// Client address → index into `clients`: the one per-client map, and
+    /// the one probe a log line costs. Its entries stay 8 bytes, so the
+    /// randomly-probed table is a fifth the size of one holding the records.
+    ids: HashMap<u32, u32>,
+    /// Everything kept per client, in first-seen order.
+    clients: Vec<ClientRecord>,
     total_requests: u64,
     /// Raw-CLF ingest accounting: lines consumed by
     /// [`push_clf`](Self::push_clf) vs lines quarantined as malformed.
@@ -558,35 +625,36 @@ impl StreamingClustering {
 
     fn push_raw(&mut self, client: u32, bytes: u64) {
         self.total_requests += 1;
-        let entry = self.per_client.entry(client).or_insert((0, 0));
-        let is_new_client = entry.0 == 0;
-        entry.0 += 1;
-        entry.1 += bytes;
-        let prefix = *self
-            .assignment
-            .entry(client)
-            .or_insert_with(|| self.reader.with(|live| live.table.net_for_u32(client)));
-        match prefix {
-            Some(net) => {
-                let stats = self.clusters.entry(net).or_default();
-                if is_new_client {
-                    stats.clients += 1;
-                }
-                stats.requests += 1;
-                stats.bytes += bytes;
-            }
-            None => self.unclustered_requests += 1,
-        }
+        let (reader, clients) = (&self.reader, &mut self.clients);
+        let id = *self.ids.entry(client).or_insert_with(|| {
+            let id = next_id(clients);
+            clients.push(ClientRecord {
+                addr: client,
+                requests: 0,
+                bytes: 0,
+                net: reader.with(|live| live.table.net_for_u32(client)),
+            });
+            id
+        });
+        let record = &mut self.clients[id as usize];
+        let amount = StreamStats {
+            clients: u64::from(record.requests == 0),
+            requests: 1,
+            bytes,
+        };
+        record.requests += 1;
+        record.bytes += bytes;
+        self.tally.credit(record.net, amount);
     }
 
     /// Number of clusters with at least one request.
     pub fn len(&self) -> usize {
-        self.clusters.len()
+        self.tally.clusters.len()
     }
 
     /// `true` before any clustered request arrives.
     pub fn is_empty(&self) -> bool {
-        self.clusters.is_empty()
+        self.tally.clusters.is_empty()
     }
 
     /// Total requests consumed.
@@ -596,12 +664,12 @@ impl StreamingClustering {
 
     /// Aggregates for one cluster prefix.
     pub fn stats(&self, prefix: Ipv4Net) -> Option<StreamStats> {
-        self.clusters.get(&prefix).copied()
+        self.tally.clusters.get(&prefix).copied()
     }
 
     /// The cluster a client currently maps to.
     pub fn cluster_of(&self, addr: Ipv4Addr) -> Option<Ipv4Net> {
-        self.assignment.get(&u32::from(addr)).copied().flatten()
+        self.record(u32::from(addr)).and_then(|c| c.net)
     }
 
     /// The cluster `addr` maps to under the serving table, whether or not
@@ -611,8 +679,8 @@ impl StreamingClustering {
     /// generation. This is the daemon's `/v1/cluster` primitive.
     pub fn lookup_net(&self, addr: Ipv4Addr) -> Option<Ipv4Net> {
         let client = u32::from(addr);
-        match self.assignment.get(&client) {
-            Some(&memo) => memo,
+        match self.record(client) {
+            Some(record) => record.net,
             None => self.reader.with(|live| live.table.net_for_u32(client)),
         }
     }
@@ -620,18 +688,22 @@ impl StreamingClustering {
     /// Cumulative `(requests, bytes)` for one client address, `None` when
     /// the address has never been seen.
     pub fn client_totals(&self, addr: Ipv4Addr) -> Option<(u64, u64)> {
-        self.per_client.get(&u32::from(addr)).copied()
+        self.record(u32::from(addr)).map(|c| (c.requests, c.bytes))
+    }
+
+    fn record(&self, client: u32) -> Option<&ClientRecord> {
+        self.ids.get(&client).map(|&id| &self.clients[id as usize])
     }
 
     /// Distinct client addresses seen.
     pub fn client_count(&self) -> usize {
-        self.per_client.len()
+        self.clients.len()
     }
 
     /// Requests from clients that matched no table entry at the time they
     /// arrived.
     pub fn unclustered_requests(&self) -> u64 {
-        self.unclustered_requests
+        self.tally.unclustered_requests
     }
 
     #[cfg(test)]
@@ -648,7 +720,7 @@ impl StreamingClustering {
         if self.total_requests == 0 {
             0.0
         } else {
-            1.0 - self.unclustered_requests as f64 / self.total_requests as f64
+            1.0 - self.tally.unclustered_requests as f64 / self.total_requests as f64
         }
     }
 
@@ -657,7 +729,8 @@ impl StreamingClustering {
     pub fn top_k(&self, k: usize) -> Vec<(Ipv4Net, StreamStats)> {
         // analyze:allow(determinism) collected, then selected and sorted
         // under a total order (prefix tie-break) below.
-        let v: Vec<(Ipv4Net, StreamStats)> = self.clusters.iter().map(|(&p, &s)| (p, s)).collect();
+        let v: Vec<(Ipv4Net, StreamStats)> =
+            self.tally.clusters.iter().map(|(&p, &s)| (p, s)).collect();
         crate::query::keep_top(v, k, |a, b| {
             b.1.requests.cmp(&a.1.requests).then(a.0.cmp(&b.0))
         })
@@ -693,11 +766,9 @@ impl StreamingClustering {
     pub fn swap_table(&mut self, table: MergedTable) {
         let mut compiled = table.compile();
         compiled.attach_obs(&self.obs);
-        // analyze:allow(determinism) install() aggregates commutatively per
-        // cluster; client order cannot reach any output.
-        let clients: Vec<u32> = self.per_client.keys().copied().collect();
-        let nets = compiled.net_for_batch(&clients);
-        self.install(compiled, clients, nets);
+        let addrs: Vec<u32> = self.clients.iter().map(|c| c.addr).collect();
+        let nets = compiled.net_for_batch(&addrs);
+        self.install(compiled, nets);
         self.swap_stats.accepted += 1;
         self.swap_stats.stale_age = 0;
         self.metrics.attempts.inc();
@@ -850,34 +921,30 @@ impl StreamingClustering {
             .filter(|d| d.kind == DeltaKind::Announce)
             .map(|d| d.prefix)
             .collect();
-        // analyze:allow(determinism) moves feed commutative per-cluster
-        // sums and a coverage ratio; iteration order cannot reach any
-        // output.
-        let mut moves: Vec<(u32, Option<Ipv4Net>, Option<Ipv4Net>)> = Vec::new();
+        let mut moves: Vec<(usize, Option<Ipv4Net>)> = Vec::new();
         let mut unclustered_delta = 0i64;
-        for (&client, &old_net) in &self.assignment {
-            let hit = old_net.is_some_and(|n| withdrawn.contains(&n))
-                || announced.iter().any(|p| p.contains_u32(client));
+        for (id, record) in self.clients.iter().enumerate() {
+            let hit = record.net.is_some_and(|n| withdrawn.contains(&n))
+                || announced.iter().any(|p| p.contains_u32(record.addr));
             if !hit {
                 continue;
             }
-            let new_net = candidate.table.net_for_u32(client);
-            if new_net == old_net {
+            let new_net = candidate.table.net_for_u32(record.addr);
+            if new_net == record.net {
                 continue;
             }
-            let requests = self.per_client.get(&client).map_or(0, |&(r, _)| r);
-            if old_net.is_none() {
-                unclustered_delta -= requests as i64;
+            if record.net.is_none() {
+                unclustered_delta -= record.requests as i64;
             }
             if new_net.is_none() {
-                unclustered_delta += requests as i64;
+                unclustered_delta += record.requests as i64;
             }
-            moves.push((client, old_net, new_net));
+            moves.push((id, new_net));
         }
         let coverage_after = if self.total_requests == 0 {
             0.0
         } else {
-            let unclustered = (self.unclustered_requests as i64 + unclustered_delta).max(0);
+            let unclustered = (self.tally.unclustered_requests as i64 + unclustered_delta).max(0);
             1.0 - unclustered as f64 / self.total_requests as f64
         };
         if self.total_requests > 0 {
@@ -906,31 +973,11 @@ impl StreamingClustering {
         self.metrics.table_cost(&candidate.table);
         let epoch = self.table.publish(candidate);
         let reassigned_clients = moves.len();
-        for (client, old_net, new_net) in moves {
-            let (requests, bytes) = self.per_client.get(&client).copied().unwrap_or((0, 0));
-            self.assignment.insert(client, new_net);
-            match old_net {
-                Some(net) => {
-                    if let Some(stats) = self.clusters.get_mut(&net) {
-                        stats.clients = stats.clients.saturating_sub(1);
-                        stats.requests = stats.requests.saturating_sub(requests);
-                        stats.bytes = stats.bytes.saturating_sub(bytes);
-                        if stats.clients == 0 {
-                            self.clusters.remove(&net);
-                        }
-                    }
-                }
-                None => self.unclustered_requests -= requests,
-            }
-            match new_net {
-                Some(net) => {
-                    let stats = self.clusters.entry(net).or_default();
-                    stats.clients += 1;
-                    stats.requests += requests;
-                    stats.bytes += bytes;
-                }
-                None => self.unclustered_requests += requests,
-            }
+        for (id, new_net) in moves {
+            let record = &mut self.clients[id];
+            self.tally.debit(record.net, record.totals());
+            record.net = new_net;
+            self.tally.credit(new_net, record.totals());
         }
         self.patch_stats.accepted += 1;
         self.last_rejection = None;
@@ -1001,16 +1048,12 @@ impl StreamingClustering {
 
         // Re-resolve every known client against the candidate and check
         // request-weighted coverage retention before committing.
-        // analyze:allow(determinism) feeds a commutative sum and install()'s
-        // commutative aggregation; order cannot reach any output.
-        let clients: Vec<u32> = self.per_client.keys().copied().collect();
-        let nets = compiled.net_for_batch(&clients);
+        let addrs: Vec<u32> = self.clients.iter().map(|c| c.addr).collect();
+        let nets = compiled.net_for_batch(&addrs);
         if self.total_requests > 0 {
-            let clustered: u64 = clients
-                .iter()
-                .zip(&nets)
+            let clustered: u64 = (self.clients.iter().zip(&nets))
                 .filter(|(_, net)| net.is_some())
-                .map(|(c, _)| self.per_client[c].0)
+                .map(|(c, _)| c.requests)
                 .sum();
             let coverage_after = clustered as f64 / self.total_requests as f64;
             let floor = coverage_before * policy.min_coverage_retention;
@@ -1026,7 +1069,7 @@ impl StreamingClustering {
             }
         }
 
-        self.install(compiled, clients, nets);
+        self.install(compiled, nets);
         self.swap_stats.accepted += 1;
         self.swap_stats.stale_age = 0;
         self.last_rejection = None;
@@ -1073,11 +1116,8 @@ impl StreamingClustering {
                 live.table.dump().live_prefixes(),
             )
         });
-        // analyze:allow(determinism) `UnsortedState::canonical` sorts the rows by client before anything can read them.
-        let per_client: Vec<(u32, u64, u64)> = self
-            .per_client
-            .iter()
-            .map(|(&client, &(requests, bytes))| (client, requests, bytes))
+        let per_client: Vec<(u32, u64, u64)> = (self.clients.iter())
+            .map(|c| (c.addr, c.requests, c.bytes))
             .collect();
         UnsortedState(StreamState {
             table_version: self.version,
@@ -1086,7 +1126,7 @@ impl StreamingClustering {
             dump_prefixes,
             per_client,
             total_requests: self.total_requests,
-            unclustered_requests: self.unclustered_requests,
+            unclustered_requests: self.tally.unclustered_requests,
             clf_counts: self.clf_counts,
             swap_stats: self.swap_stats,
             patch_stats: self.patch_stats,
@@ -1132,28 +1172,23 @@ impl StreamingClustering {
 
         // One batch LPM sweep re-derives the assignments and cluster
         // aggregates — the same cost as `install()` pays on a table swap.
-        // analyze:allow(determinism) `state.per_client` is the snapshot's sorted Vec of rows, not a map.
-        let clients: Vec<u32> = state.per_client.iter().map(|&(c, _, _)| c).collect();
-        let nets = compiled.net_for_batch(&clients);
-        let mut clusters: HashMap<Ipv4Net, StreamStats> = HashMap::new();
-        let mut per_client = HashMap::with_capacity(state.per_client.len());
-        let mut assignment = HashMap::with_capacity(state.per_client.len());
+        let addrs: Vec<u32> = state.per_client.iter().map(|&(c, _, _)| c).collect();
+        let nets = compiled.net_for_batch(&addrs);
+        let mut tally = Tally::default();
+        let mut ids = HashMap::with_capacity(state.per_client.len());
+        let mut clients = Vec::with_capacity(state.per_client.len());
         let mut total_requests = 0u64;
-        let mut unclustered_requests = 0u64;
-        // analyze:allow(determinism) `state.per_client` is the snapshot's sorted Vec of rows, not a map.
         for (&(client, requests, bytes), &net) in state.per_client.iter().zip(&nets) {
             total_requests += requests;
-            per_client.insert(client, (requests, bytes));
-            assignment.insert(client, net);
-            match net {
-                Some(prefix) => {
-                    let stats = clusters.entry(prefix).or_default();
-                    stats.clients += 1;
-                    stats.requests += requests;
-                    stats.bytes += bytes;
-                }
-                None => unclustered_requests += requests,
-            }
+            let record = ClientRecord {
+                addr: client,
+                requests,
+                bytes,
+                net,
+            };
+            ids.insert(client, next_id(&clients));
+            clients.push(record);
+            tally.credit(net, record.totals());
         }
         if total_requests != state.total_requests {
             return Err(RestoreError {
@@ -1162,11 +1197,11 @@ impl StreamingClustering {
                 recomputed: total_requests,
             });
         }
-        if unclustered_requests != state.unclustered_requests {
+        if tally.unclustered_requests != state.unclustered_requests {
             return Err(RestoreError {
                 what: "unclustered_requests",
                 stored: state.unclustered_requests,
-                recomputed: unclustered_requests,
+                recomputed: tally.unclustered_requests,
             });
         }
 
@@ -1181,10 +1216,9 @@ impl StreamingClustering {
             version: state.table_version,
             journal: VecDeque::new(),
             journal_base: state.table_version,
-            clusters,
-            per_client,
-            assignment,
-            unclustered_requests,
+            tally,
+            ids,
+            clients,
             total_requests,
             clf_counts: state.clf_counts,
             feed_pos: state.feed_pos,
@@ -1203,7 +1237,7 @@ impl StreamingClustering {
     /// (`nets[i]` is `clients[i]`'s assignment under the new table). A full
     /// swap supersedes the patch lineage: the journal is cleared, so
     /// retired pre-swap generations are never replayed into.
-    fn install(&mut self, compiled: CompiledMerged, clients: Vec<u32>, nets: Vec<Option<Ipv4Net>>) {
+    fn install(&mut self, compiled: CompiledMerged, nets: Vec<Option<Ipv4Net>>) {
         self.version += 1;
         self.journal.clear();
         self.journal_base = self.version;
@@ -1217,21 +1251,10 @@ impl StreamingClustering {
         self.table.try_reclaim();
         self.metrics.epoch_lag.set(self.table.reader_lag());
         self.metrics.epoch_retired.set(self.table.retired() as u64);
-        self.assignment.clear();
-        self.clusters.clear();
-        self.unclustered_requests = 0;
-        for (client, prefix) in clients.into_iter().zip(nets) {
-            let (requests, bytes) = self.per_client[&client];
-            self.assignment.insert(client, prefix);
-            match prefix {
-                Some(net) => {
-                    let stats = self.clusters.entry(net).or_default();
-                    stats.clients += 1;
-                    stats.requests += requests;
-                    stats.bytes += bytes;
-                }
-                None => self.unclustered_requests += requests,
-            }
+        self.tally = Tally::default();
+        for (record, net) in self.clients.iter_mut().zip(nets) {
+            record.net = net;
+            self.tally.credit(net, record.totals());
         }
     }
 }
@@ -1476,26 +1499,25 @@ mod tests {
     /// serving table — the incremental aggregate moves cannot drift.
     fn assert_view_consistent(stream: &StreamingClustering) {
         let handle = stream.handle();
-        let mut clusters: HashMap<Ipv4Net, StreamStats> = HashMap::new();
-        let mut unclustered = 0u64;
-        for (&client, &(requests, bytes)) in &stream.per_client {
+        let mut tally = Tally::default();
+        for record in &stream.clients {
+            let client = record.addr;
             assert_eq!(
-                stream.assignment.get(&client).copied(),
-                Some(handle.net_for_u32(client)),
+                record.net,
+                handle.net_for_u32(client),
                 "memoized assignment for {client:#010x} disagrees with the serving table"
             );
             match handle.net_for_u32(client) {
                 Some(net) => {
-                    let s = clusters.entry(net).or_default();
+                    let s = tally.clusters.entry(net).or_default();
                     s.clients += 1;
-                    s.requests += requests;
-                    s.bytes += bytes;
+                    s.requests += record.requests;
+                    s.bytes += record.bytes;
                 }
-                None => unclustered += requests,
+                None => tally.unclustered_requests += record.requests,
             }
         }
-        assert_eq!(stream.clusters, clusters);
-        assert_eq!(stream.unclustered_requests, unclustered);
+        assert_eq!(stream.tally, tally);
     }
 
     #[test]

@@ -90,10 +90,19 @@ fn deterministic_snapshots_are_byte_identical_across_runs() {
     IngestPipeline::new(&table)
         .obs(obs.clone())
         .run(LOG.as_bytes());
-    for (path, sp) in &obs.snapshot(true).spans {
+    let snap = obs.snapshot(true);
+    for (path, sp) in &snap.spans {
         assert_eq!((sp.total_ns, sp.min_ns, sp.max_ns), (0, 0, 0), "{path}");
         assert!(sp.count > 0, "{path}");
     }
+
+    // No metric or span name holds a control character, so the form
+    // `netclust_obs::escape` renders one in cannot reach OBS.json bytes.
+    let mut names = (snap.counters.keys())
+        .chain(snap.gauges.keys())
+        .chain(snap.histograms.keys())
+        .chain(snap.spans.keys());
+    assert!(names.all(|n| !n.chars().any(char::is_control)));
 }
 
 #[test]

@@ -1,11 +1,16 @@
 //! Property-based tests on clustering invariants.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
-use netclust_core::{cdf, cdf_at, threshold_busy, Clustering, Distributions, Summary};
+use netclust_core::{
+    cdf, cdf_at, threshold_busy, Cluster, Clustering, Distributions, IngestPipeline, StreamStats,
+    StreamingClustering, Summary, SwapPolicy,
+};
+use netclust_obs::Obs;
 use netclust_prefix::Ipv4Net;
-use netclust_weblog::{Log, LogTruth, Request, UrlMeta};
+use netclust_rtable::{MergedTable, RoutingTable, TableKind};
+use netclust_weblog::{clf, Log, LogTruth, Request, UrlMeta};
 use proptest::prelude::*;
 
 /// Builds a log from arbitrary (client, url, time) triples.
@@ -40,6 +45,62 @@ fn log_from(reqs: &[(u32, u8, u16)]) -> Log {
 
 fn arb_reqs() -> impl Strategy<Value = Vec<(u32, u8, u16)>> {
     proptest::collection::vec((any::<u32>(), any::<u8>(), any::<u16>()), 1..300)
+}
+
+/// What clustering a log must yield: per prefix `[clients, requests,
+/// bytes, unique URLs]`, and the requests of clients no prefix covers.
+type Expected = (BTreeMap<Ipv4Net, [u64; 4]>, u64);
+
+/// The reference: ordered maps and the radix-trie LPM — nothing the
+/// clustering kernel or the compiled table is built from.
+fn oracle(log: &Log, table: &MergedTable) -> Expected {
+    let net_of = |client: u32| table.lookup_u32(client).map(|(net, _)| net);
+    let mut per_client: BTreeMap<u32, [u64; 2]> = BTreeMap::new();
+    for r in &log.requests {
+        let sums = per_client.entry(r.client).or_default();
+        *sums = [sums[0] + 1, sums[1] + r.bytes as u64];
+    }
+    let (mut clusters, mut unclustered) = (BTreeMap::<Ipv4Net, [u64; 4]>::new(), 0);
+    for (&client, &[requests, bytes]) in &per_client {
+        match net_of(client) {
+            Some(net) => {
+                let c = clusters.entry(net).or_default();
+                *c = [c[0] + 1, c[1] + requests, c[2] + bytes, 0];
+            }
+            None => unclustered += requests,
+        }
+    }
+    let urls: BTreeSet<(Ipv4Net, u32)> = (log.requests.iter())
+        .filter_map(|r| Some((net_of(r.client)?, r.url)))
+        .collect();
+    for (net, _) in urls {
+        clusters.get_mut(&net).expect("a client put it there")[3] += 1;
+    }
+    (clusters, unclustered)
+}
+
+fn batch_view(c: &Clustering) -> Expected {
+    let row = |k: &Cluster| {
+        [
+            k.clients.len() as u64,
+            k.requests,
+            k.bytes,
+            k.unique_urls as u64,
+        ]
+    };
+    let clusters = c.clusters.iter().map(|k| (k.prefix, row(k))).collect();
+    (clusters, c.unclustered.iter().map(|u| u.requests).sum())
+}
+
+/// The streaming view does not track URLs: its last column is 0.
+fn stream_view(s: &StreamingClustering) -> Expected {
+    let row = |k: StreamStats| [k.clients, k.requests, k.bytes, 0];
+    let clusters = s
+        .top_k(usize::MAX)
+        .into_iter()
+        .map(|(net, k)| (net, row(k)))
+        .collect();
+    (clusters, s.unclustered_requests())
 }
 
 proptest! {
@@ -84,6 +145,77 @@ proptest! {
             prop_assert!(cluster.unique_urls as u64 <= cluster.requests);
             prop_assert!(cluster.unique_urls <= 256);
         }
+    }
+
+    /// One independent oracle for all three drivers of the clustering
+    /// kernel: `Clustering::build` over the `Log`, `IngestPipeline` over
+    /// its CLF rendering (plus malformed lines) at 1, 2 and 4 workers, and
+    /// `StreamingClustering::push_clf` over the same bytes in arbitrary
+    /// line-aligned slices, before and after a snapshot round trip.
+    #[test]
+    fn every_driver_matches_the_oracle(
+        prefixes in proptest::collection::vec((any::<bool>(), any::<u32>(), 8u8..=26), 1..12),
+        reqs in proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u8>()), 1..300),
+        junk in proptest::collection::vec(any::<u16>(), 0..6),
+        cuts in proptest::collection::vec(any::<u16>(), 0..6),
+        chunk_bytes in 64usize..600,
+    ) {
+        // Nested prefixes under two /8s, split across both table tiers.
+        let nets: Vec<Ipv4Net> = (prefixes.iter())
+            .map(|&(hi, bits, len)| {
+                let top = if hi { 172u32 << 24 } else { 10 << 24 };
+                Ipv4Net::new(top | (bits >> 8), len).unwrap()
+            })
+            .collect();
+        let (bgp, dump) = nets.split_at(nets.len().div_ceil(2));
+        let bgp = RoutingTable::new("B", "d0", TableKind::Bgp, bgp.to_vec());
+        let dump = RoutingTable::new("D", "d0", TableKind::NetworkDump, dump.to_vec());
+        let table = MergedTable::merge([&bgp, &dump]);
+        // Three in four clients sit inside a table prefix (a few hosts
+        // each, so sums accumulate); the rest are anywhere.
+        let triples: Vec<(u32, u8, u16)> = (reqs.iter().zip(0u16..))
+            .map(|(&(sel, host, url), time)| {
+                let net = nets[sel as usize % nets.len()];
+                let inside = net.addr_u32() | (host & 7 & !net.netmask_u32());
+                (if sel % 4 == 0 { host } else { inside }, url, time)
+            })
+            .collect();
+        let log = log_from(&triples);
+        let mut want = oracle(&log, &table);
+
+        let compiled = table.compile();
+        prop_assert_eq!(&batch_view(&Clustering::network_aware_compiled(&log, &compiled)), &want);
+
+        let mut lines: Vec<String> = clf::to_clf(&log).lines().map(|l| format!("{l}\n")).collect();
+        for &at in &junk {
+            lines.insert(at as usize % (lines.len() + 1), "not a log line\n".into());
+        }
+        let text = lines.concat();
+        for threads in [1, 2, 4] {
+            let report = IngestPipeline::new(&compiled)
+                .threads(threads)
+                .chunk_bytes(chunk_bytes)
+                .run(text.as_bytes());
+            prop_assert_eq!(report.counts.malformed, junk.len() as u64);
+            prop_assert_eq!(&batch_view(&report.clustering), &want, "threads={}", threads);
+        }
+
+        let mut stream = StreamingClustering::builder(table).build();
+        let mut ends: Vec<usize> = cuts.iter().map(|&c| c as usize % lines.len()).collect();
+        ends.push(lines.len());
+        ends.sort_unstable();
+        let mut start = 0;
+        for end in ends {
+            stream.push_clf(lines[start..end].concat().as_bytes());
+            start = end;
+        }
+        want.0.values_mut().for_each(|row| row[3] = 0);
+        prop_assert_eq!(stream.clf_counts().malformed, junk.len() as u64);
+        prop_assert_eq!(&stream_view(&stream), &want);
+        let restored =
+            StreamingClustering::restore(&stream.export_state(), SwapPolicy::default(), Obs::disabled())
+                .expect("a fresh export restores");
+        prop_assert_eq!(&stream_view(&restored), &want);
     }
 
     /// simple24 never produces more clusters than clients and never fewer

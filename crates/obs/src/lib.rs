@@ -36,5 +36,5 @@ mod span;
 pub use counts::ErrorCounts;
 pub use metric::{bucket_bounds, bucket_index, Counter, Gauge, Histogram, BUCKETS};
 pub use registry::{global, Obs};
-pub use report::{HistogramSnapshot, Snapshot, SpanSnapshot};
+pub use report::{escape, HistogramSnapshot, Snapshot, SpanSnapshot};
 pub use span::SpanGuard;

@@ -223,12 +223,17 @@ fn render_scalar_map(out: &mut String, map: &BTreeMap<String, u64>) {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Escapes a string for embedding in a JSON string literal — the one
+/// escaper every JSON writer in the workspace shares.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             // analyze:allow(cast-truncation) char -> u32 is a widening
             // conversion of a scalar value, never lossy.
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
@@ -240,7 +245,15 @@ fn escape(s: &str) -> String {
 
 #[cfg(test)]
 mod tests {
+    use super::escape;
     use crate::Obs;
+
+    #[test]
+    fn escaping_covers_the_dangerous_characters() {
+        assert_eq!(escape("plain"), "plain");
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+    }
 
     #[test]
     fn deterministic_json_is_stable() {

@@ -4,7 +4,7 @@
 //! a file, or fsyncs. Making the view durable is this module's job, and
 //! every use of the state store goes through it:
 //!
-//! * [`Checkpointer`] + [`run`] — one `netclustd-checkpoint` thread, at
+//! * [`Checkpointer`] + `run` — one `netclustd-checkpoint` thread, at
 //!   most one snapshot in flight. The follower reports what it applied
 //!   ([`Checkpointer::note_applied`]) and whether the log is quiet
 //!   ([`Checkpointer::consider`]); the thread snapshots when
@@ -17,9 +17,9 @@
 //!   half a core however large the state or slow the disk. Triggers that
 //!   arrive while a snapshot is pending or in flight coalesce into the
 //!   next one.
-//! * [`checkpoint_now`] — the same snapshot, synchronously: after an
-//!   accepted full-table swap, and ([`final_checkpoint`]) at shutdown.
-//! * [`apply_journaled`] — the write-ahead step of a delta reload.
+//! * `checkpoint_now` — the same snapshot, synchronously: after an
+//!   accepted full-table swap, and (`final_checkpoint`) at shutdown.
+//! * `apply_journaled` — the write-ahead step of a delta reload.
 //!
 //! Nothing is lost without a snapshot — a resumed daemon re-reads the log
 //! from the last snapshot's cursor. Snapshots bound how much it re-reads,
@@ -33,7 +33,7 @@
 //!
 //! **Lock order** is store → stream everywhere: the checkpointer takes the
 //! store mutex then the stream read lock (dropped before any disk I/O);
-//! [`apply_journaled`] takes the store mutex then the stream write lock.
+//! `apply_journaled` takes the store mutex then the stream write lock.
 // analyze:allow-file(determinism) the clock only paces *when* a snapshot is taken (the duty bound), never what it contains; the one clock-derived metric is skipped under --deterministic.
 
 use std::fmt;
@@ -90,7 +90,7 @@ impl Checkpointer {
     }
 
     /// Records `bytes` just applied. The caller must still hold the stream
-    /// write lock it applied them under; see [`dirty`](Self::dirty).
+    /// write lock it applied them under; see the `dirty` field.
     pub fn note_applied(&self, bytes: u64) {
         // ordering: the stream RwLock orders this against the exporter's
         // load; the counter itself publishes nothing.

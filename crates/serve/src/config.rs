@@ -267,14 +267,7 @@ impl ServeConfig {
                     cfg.top_default = parse_num::<usize>(value("--top")?, "--top")?.max(1);
                 }
                 "--port-file" => cfg.port_file = Some(PathBuf::from(value("--port-file")?)),
-                "--threads" => {
-                    run = run.threads(parse_num(value("--threads")?, "--threads")?);
-                }
                 "--deterministic" => run = run.deterministic(true),
-                "--max-error-rate" => {
-                    run = run
-                        .max_error_rate(parse_num(value("--max-error-rate")?, "--max-error-rate")?);
-                }
                 "--fsync" => {
                     let policy = value("--fsync")?
                         .parse()
@@ -357,8 +350,6 @@ mod tests {
             "--top",
             "25",
             "--deterministic",
-            "--threads",
-            "3",
             "--fault",
             "serve.accept=0.5",
             "--fault-seed",
@@ -373,7 +364,6 @@ mod tests {
         assert_eq!(cfg.poll_interval_d(), Duration::from_millis(50));
         assert_eq!(cfg.top_default_n(), 25);
         assert!(cfg.run_config().is_deterministic());
-        assert_eq!(cfg.run_config().threads_opt(), Some(3));
         assert!(cfg.fault_plan().is_armed(failpoints::SERVE_ACCEPT));
     }
 
@@ -381,6 +371,12 @@ mod tests {
     fn unknown_flags_and_failpoints_are_usage_errors() {
         assert!(ServeConfig::from_args(&argv(&["--bogus"])).is_err());
         assert!(ServeConfig::from_args(&argv(&["--table", "t", "--fault", "nope=1"])).is_err());
+        // Batch-ingest knobs belong to `netclust cluster`; the follower is
+        // single-threaded and has no error budget to enforce.
+        assert!(ServeConfig::from_args(&argv(&["--table", "t", "--threads", "3"])).is_err());
+        assert!(
+            ServeConfig::from_args(&argv(&["--table", "t", "--max-error-rate", "0.1"])).is_err()
+        );
         assert!(
             ServeConfig::from_args(&argv(&[])).is_err(),
             "a serving table is mandatory"

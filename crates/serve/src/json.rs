@@ -9,27 +9,7 @@
 use std::fmt::Write as _;
 
 use netclust_core::{PatchBatchReport, SwapReport};
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            // analyze:allow(cast-truncation) a char scalar value always fits u32 losslessly.
-            c if (c as u32) < 0x20 => {
-                // analyze:allow(cast-truncation) a char scalar value always fits u32 losslessly.
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use netclust_obs::escape;
 
 /// The `{"error": "..."}` envelope every non-2xx answer carries.
 pub fn error_body(message: &str) -> String {
@@ -101,13 +81,6 @@ fn write_rejection(out: &mut String, rejection: Option<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escaping_covers_the_dangerous_characters() {
-        assert_eq!(escape("plain"), "plain");
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn bodies_are_stable_and_shaped() {

@@ -47,9 +47,7 @@ persistence:
   --fsync POLICY          every-batch | every=N | os (default every-batch)
 
 run knobs:
-  --threads N             ingest thread cap
   --deterministic         byte-stable /metrics and JSON output
-  --max-error-rate R      malformed-line budget for ingest
 
 fault injection (tests):
   --fault POINT=PROB      arm a registered failpoint
