@@ -213,19 +213,6 @@ impl SymbolGraph {
         out.sort_by_key(|&i| self.symbols[i].body.map_or((0, 0), |(a, b)| (a, b)));
         out
     }
-
-    /// Resolved callers of `callee`.
-    pub fn callers_of(&self, callee: usize) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .edges
-            .iter()
-            .filter(|e| e.callee == callee)
-            .map(|e| e.caller)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 /// Strips string-literal sigils (`b`, `c`, `r`, `#`, quotes) from a

@@ -8,9 +8,9 @@
 //! (SAFETY-commented `unsafe`, panic-free hot modules, audited
 //! narrowing casts, determinism, typed public errors, justified atomic
 //! orderings) plus cross-file graph checks (transitive hot-path
-//! panic-freedom, epoch pin/deref pairing, WAL append-before-apply and
-//! fsync-before-rename, failpoint registry coverage). See `DESIGN.md`
-//! §12 for the contract rationale.
+//! panic-freedom, WAL append-before-apply and fsync-before-rename,
+//! failpoint registry coverage). See `DESIGN.md` §12 for the contract
+//! rationale.
 //!
 //! The analyzer is a *lint with receipts*, not a prover: heuristic
 //! rules over a real token stream and a may-analysis call graph, with

@@ -349,8 +349,8 @@ mod tests {
             ("core".to_string(), vec!["core".into(), "persist".into()])
         );
         assert_eq!(
-            file_module("crates/core/src/epoch.rs"),
-            ("core".to_string(), vec!["core".into(), "epoch".into()])
+            file_module("crates/core/src/stream.rs"),
+            ("core".to_string(), vec!["core".into(), "stream".into()])
         );
         assert_eq!(
             file_module("src/lib.rs"),

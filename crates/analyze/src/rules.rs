@@ -44,10 +44,6 @@
 //! * `hot-path-transitive` — the `panic-free-hot-path` contract
 //!   propagated one call edge deep: helpers a hot function calls into
 //!   (in non-hot files) are scanned with the same panic checks.
-//! * `epoch-pin-pairing` — in epoch/stream files, a generation-pointer
-//!   deref (`current.load/swap`, `Box::from_raw`) must be dominated by
-//!   pin/lock evidence in the same function, an exclusive `&mut self`
-//!   receiver, or evidence in every resolved caller.
 //! * `wal-ordering` — a function that both appends to the journal and
 //!   applies state must append first; in persist code, `rename` must be
 //!   preceded by an fsync-family call in the same function.
@@ -72,7 +68,7 @@ use crate::report::Finding;
 
 /// The contract rules (per-file, cross-file, manifest) plus the
 /// marker-hygiene meta rule, in report order.
-pub const RULES: [&str; 12] = [
+pub const RULES: [&str; 11] = [
     "unsafe-safety-comment",
     "panic-free-hot-path",
     "hot-path-transitive",
@@ -80,7 +76,6 @@ pub const RULES: [&str; 12] = [
     "determinism",
     "typed-errors",
     "atomic-ordering-audit",
-    "epoch-pin-pairing",
     "wal-ordering",
     "failpoint-coverage",
     "manifest-stale-path",
@@ -89,7 +84,7 @@ pub const RULES: [&str; 12] = [
 
 /// One-line description per rule, aligned with [`RULES`] (feeds the
 /// SARIF rule metadata).
-pub const RULE_HELP: [&str; 12] = [
+pub const RULE_HELP: [&str; 11] = [
     "`unsafe` requires an adjacent `// SAFETY:` rationale",
     "hot-path files must be panic-free (no unwrap/expect/panic!/indexing)",
     "helpers called from hot-path files must be panic-free (one edge deep)",
@@ -97,7 +92,6 @@ pub const RULE_HELP: [&str; 12] = [
     "no wall-clock values; no hash-map iteration feeding deterministic output",
     "public Result APIs must use typed errors, not String/&str/Box<dyn>",
     "atomic memory orderings need `// ordering:` justifications; Relaxed denied on publishing stores",
-    "EpochTable generation derefs must be dominated by a reader pin or writer lock",
     "journal append must precede state apply; fsync must precede rename",
     "every registered failpoint must be in ALL, evaluated live, and armed in a test",
     "analysis manifest entries must exist on disk",
@@ -863,7 +857,6 @@ pub fn scan_graph(
 ) -> Vec<(usize, Finding)> {
     let mut out = Vec::new();
     rule_hot_transitive(g, toks_all, masks, manifest, &mut out);
-    rule_epoch_pin(g, toks_all, &mut out);
     rule_wal(g, &mut out);
     rule_failpoints(g, &mut out);
     out
@@ -926,126 +919,6 @@ fn rule_hot_transitive(
         );
         for f in findings {
             out.push((s.file, f));
-        }
-    }
-}
-
-/// Idents whose presence in a function (or its signature) counts as
-/// pin/lock evidence for `epoch-pin-pairing`.
-const PIN_EVIDENCE: [&str; 4] = ["lock_writer", "min_pinned", "get_mut", "pin"];
-
-/// `true` when the function spanning tokens `decl..=b1` (body starting
-/// at `b0`) carries pin/lock evidence: a pin-family ident, a slot
-/// `.store(` (the pin protocol itself), or an exclusive `&mut self`
-/// receiver in the signature (writer methods cannot race readers).
-fn fn_has_pin_evidence(toks: &[Tok<'_>], decl: usize, b0: usize, b1: usize) -> bool {
-    let code: Vec<usize> = (decl..=b1.min(toks.len().saturating_sub(1)))
-        .filter(|&i| !toks[i].is_comment())
-        .collect();
-    for (c, &i) in code.iter().enumerate() {
-        let t = &toks[i];
-        if t.kind == TokKind::Ident && PIN_EVIDENCE.contains(&t.text) {
-            return true;
-        }
-        if t.is_punct(".") && c + 1 < code.len() && toks[code[c + 1]].is_ident("store") {
-            return true;
-        }
-        if i < b0 && t.is_ident("mut") && c + 1 < code.len() && toks[code[c + 1]].is_ident("self") {
-            return true;
-        }
-    }
-    false
-}
-
-/// Rule `epoch-pin-pairing`: in epoch/stream files, dereferencing the
-/// live generation (a `.load(`/`.swap(` on an `AtomicPtr`-typed binding
-/// declared in the file, or `Box::from_raw`) must be dominated by pin
-/// or writer-lock evidence — in the same function, or in *every*
-/// resolved caller one edge up. Without that, a concurrent reclaim can
-/// free the generation out from under the deref.
-fn rule_epoch_pin(g: &SymbolGraph, toks_all: &[Vec<Tok<'_>>], out: &mut Vec<(usize, Finding)>) {
-    for (fid, fm) in g.files.iter().enumerate() {
-        if fm.is_test {
-            continue;
-        }
-        if !(fm.path.contains("epoch") || fm.path.ends_with("stream.rs")) {
-            continue;
-        }
-        let toks = &toks_all[fid];
-        let code = code_indices(toks);
-        // Bindings declared with an `AtomicPtr` type (or initializer).
-        let mut ptr_idents: Vec<&str> = Vec::new();
-        for (c, &i) in code.iter().enumerate() {
-            if toks[i].is_ident("AtomicPtr") && c >= 2 {
-                let sep = &toks[code[c - 1]];
-                let name = &toks[code[c - 2]];
-                if (sep.is_punct(":") || sep.is_punct("=")) && name.kind == TokKind::Ident {
-                    ptr_idents.push(name.text);
-                }
-            }
-        }
-        for (sid, s) in g.symbols.iter().enumerate() {
-            if s.file != fid || s.kind != SymbolKind::Fn || s.in_test {
-                continue;
-            }
-            let Some((b0, b1)) = s.body else { continue };
-            let body: Vec<usize> = code
-                .iter()
-                .copied()
-                .filter(|&i| i >= b0 && i <= b1)
-                .collect();
-            let mut sites: Vec<(u32, String)> = Vec::new();
-            for (c, &i) in body.iter().enumerate() {
-                let t = &toks[i];
-                if t.kind == TokKind::Ident
-                    && ptr_idents.contains(&t.text)
-                    && c + 3 < body.len()
-                    && toks[body[c + 1]].is_punct(".")
-                    && (toks[body[c + 2]].is_ident("load") || toks[body[c + 2]].is_ident("swap"))
-                    && toks[body[c + 3]].is_punct("(")
-                {
-                    sites.push((
-                        toks[body[c + 2]].line,
-                        format!("{}.{}", t.text, toks[body[c + 2]].text),
-                    ));
-                }
-                if t.is_ident("Box")
-                    && c + 2 < body.len()
-                    && toks[body[c + 1]].is_punct("::")
-                    && toks[body[c + 2]].is_ident("from_raw")
-                {
-                    sites.push((toks[body[c + 2]].line, "Box::from_raw".to_string()));
-                }
-            }
-            if sites.is_empty() || fn_has_pin_evidence(toks, s.decl_tok, b0, b1) {
-                continue;
-            }
-            let callers = g.callers_of(sid);
-            let covered_by_callers = !callers.is_empty()
-                && callers.iter().all(|&cid| {
-                    let cs = &g.symbols[cid];
-                    cs.body.is_some_and(|(cb0, cb1)| {
-                        fn_has_pin_evidence(&toks_all[cs.file], cs.decl_tok, cb0, cb1)
-                    })
-                });
-            if covered_by_callers {
-                continue;
-            }
-            for (line, what) in sites {
-                out.push((
-                    fid,
-                    Finding::new(
-                        "epoch-pin-pairing",
-                        line,
-                        format!(
-                            "generation deref `{what}` in `{}` without a dominating reader \
-                             pin: no pin/lock evidence in this function or in every resolved \
-                             caller, so a concurrent reclaim can free the generation mid-read",
-                            s.name
-                        ),
-                    ),
-                ));
-            }
         }
     }
 }

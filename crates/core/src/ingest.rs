@@ -57,7 +57,7 @@
 use std::fmt;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use netclust_obs::{Counter, ErrorCounts, Histogram, Obs};
 use netclust_rtable::{CompiledMerged, DEFAULT_PREFETCH_DISTANCE};
@@ -390,11 +390,11 @@ impl<'t> IngestPipeline<'t> {
     /// Budgets and fault injection apply only to
     /// [`try_run`](Self::try_run) / [`run_file`](Self::run_file).
     pub fn run(&self, data: &[u8]) -> IngestReport {
-        match self.run_inner(data, false, None) {
+        match self.run_inner(data, false) {
             Ok(report) => report,
-            // analyze:allow(panic-free-hot-path) with faults disarmed and
-            // no budget the engine has no error path.
-            Err(_) => unreachable!("unfaulted, unbudgeted ingest cannot fail"),
+            // analyze:allow(panic-free-hot-path) with faults disarmed the
+            // engine has no error path.
+            Err(_) => unreachable!("unfaulted ingest cannot fail"),
         }
     }
 
@@ -420,16 +420,11 @@ impl<'t> IngestPipeline<'t> {
     /// Runs the hardened pipeline: injected chunk-read faults (when a
     /// plan arms [`failpoints::INGEST_CHUNK_IO`]) are retried at chunk
     /// granularity, and the malformed-line budget (when set) is enforced
-    /// — cooperatively across workers: a blown budget stops every shard.
+    /// on the finished report, so `ChunkIo` takes precedence over it.
     /// A successful faulted run is byte-identical to [`run`](Self::run).
     pub fn try_run(&self, data: &[u8]) -> Result<IngestReport, IngestError> {
         let faulted = self.faults.is_armed(failpoints::INGEST_CHUNK_IO);
-        // Early cross-worker budget abort is enabled only on unfaulted
-        // runs: under faults, ChunkIo is detected mid-scan and must win
-        // deterministically, with the budget checked on the full counts
-        // below — exactly the serial precedence.
-        let budget = if faulted { None } else { self.max_error_rate };
-        let report = self.run_inner(data, faulted, budget)?;
+        let report = self.run_inner(data, faulted)?;
         if let Some(max_ratio) = self.max_error_rate {
             if report.counts.records > 0 && report.counts.ratio() > max_ratio {
                 return Err(IngestError::ErrorBudget {
@@ -445,12 +440,7 @@ impl<'t> IngestPipeline<'t> {
     /// The shared engine behind [`run`](Self::run) and
     /// [`try_run`](Self::try_run): chunk, scan into one shard per worker,
     /// finish, account.
-    fn run_inner(
-        &self,
-        data: &[u8],
-        faulted: bool,
-        budget_ratio: Option<f64>,
-    ) -> Result<IngestReport, IngestError> {
+    fn run_inner(&self, data: &[u8], faulted: bool) -> Result<IngestReport, IngestError> {
         let _run = self.obs.span("ingest.run");
         let chunks = {
             let _s = self.obs.span("chunk");
@@ -461,13 +451,7 @@ impl<'t> IngestPipeline<'t> {
         let n_parts = kernel::merge_partitions_for(workers);
         let scanned = {
             let _s = self.obs.span("parse");
-            self.scan_sharded(
-                &chunks,
-                workers,
-                n_parts,
-                faulted,
-                budget_ratio.map(|r| (r, lines)),
-            )
+            self.scan_sharded(&chunks, workers, n_parts, faulted)
         };
         match scanned {
             ScanOutcome::Done {
@@ -497,23 +481,6 @@ impl<'t> IngestPipeline<'t> {
                     attempts: self.io_retries + 1,
                 })
             }
-            ScanOutcome::Budget => {
-                // Workers stopped early, so their partial outputs are not
-                // the authoritative error list; one serial errors-only
-                // rescan rebuilds exactly what the full run would report.
-                let mut errors = Vec::new();
-                for c in &chunks {
-                    errors.extend(
-                        clf_bytes::records_no_ua(c.data, c.first_line).filter_map(Result::err),
-                    );
-                }
-                let counts = ErrorCounts::new(lines as u64, errors.len() as u64);
-                Err(IngestError::ErrorBudget {
-                    counts,
-                    max_ratio: budget_ratio.unwrap_or(1.0),
-                    sample: errors.into_iter().take(5).collect(),
-                })
-            }
         }
     }
 
@@ -522,31 +489,24 @@ impl<'t> IngestPipeline<'t> {
     /// walk a static stride in [`deterministic`](Self::deterministic)
     /// mode) until the chunk list drains.
     ///
-    /// Hardening seams, across workers:
-    ///
-    /// * **chunk retry** — fault draws are keyed by `(chunk, attempt)`
-    ///   ([`FaultInjector::should_fire_keyed`]), so a plan trips the same
-    ///   chunks no matter which worker steals them. A chunk that exhausts
-    ///   its retries publishes its index via `fetch_min`; because the
-    ///   shared index hands chunks out in order and every stolen chunk
-    ///   still gets its fault draws (scans are skipped once an abort is
-    ///   pending — their output would be discarded), the published
-    ///   minimum is exactly the chunk the serial scan would abort on.
-    /// * **error budget** — shards add their malformed counts to a shared
-    ///   counter after each chunk; the worker that pushes it past the
-    ///   budget raises a stop flag and every shard winds down.
+    /// The hardening seam across workers is **chunk retry**: fault draws
+    /// are keyed by `(chunk, attempt)`
+    /// ([`FaultInjector::should_fire_keyed`]), so a plan trips the same
+    /// chunks no matter which worker steals them. A chunk that exhausts
+    /// its retries publishes its index via `fetch_min`; because the
+    /// shared index hands chunks out in order and every stolen chunk
+    /// still gets its fault draws (scans are skipped once an abort is
+    /// pending — their output would be discarded), the published
+    /// minimum is exactly the chunk the serial scan would abort on.
     fn scan_sharded<'a>(
         &self,
         chunks: &[Chunk<'a>],
         workers: usize,
         n_parts: usize,
         faulted: bool,
-        budget: Option<(f64, usize)>,
     ) -> ScanOutcome<'a> {
         let next = AtomicUsize::new(0);
         let abort_chunk = AtomicUsize::new(usize::MAX);
-        let malformed = AtomicU64::new(0);
-        let budget_stop = AtomicBool::new(false);
 
         let worker = |w: usize| -> (ChunkOut<'a>, u64, u64) {
             let _span = self.obs.span("ingest.worker");
@@ -609,11 +569,6 @@ impl<'t> IngestPipeline<'t> {
                         continue;
                     }
                 }
-                // ordering: advisory early-exit flag; serial replay after
-                // the join recomputes the authoritative outcome.
-                if budget_stop.load(Ordering::Relaxed) {
-                    break;
-                }
                 let before = out.errors.len();
                 out.scan(c, self.url_stats);
                 let chunk_errors = out.errors.len() - before;
@@ -621,25 +576,6 @@ impl<'t> IngestPipeline<'t> {
                 if let Some((chunks_ctr, bytes_ctr)) = &shard_obs {
                     chunks_ctr.inc();
                     bytes_ctr.add(c.data.len() as u64);
-                }
-                if let Some((max_ratio, lines)) = budget {
-                    if chunk_errors > 0 {
-                        // ordering: shared error tally; atomic add is all
-                        // the trip check needs, no publication involved.
-                        let total = malformed.fetch_add(chunk_errors as u64, Ordering::Relaxed)
-                            + chunk_errors as u64;
-                        // Monotone in `total`, so tripping early ⇔ the
-                        // final ratio would trip: same outcome as the
-                        // end-of-run check, minus the wasted scans.
-                        if ErrorCounts::new(lines as u64, total).ratio() > max_ratio {
-                            // analyze:allow(atomic-ordering-audit) Relaxed
-                            // store is a stop hint other workers may see
-                            // late; the thread join publishes the real
-                            // outcome, so no happens-before edge is needed.
-                            budget_stop.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
                 }
             }
             (out, io_faults, chunks_retried)
@@ -675,9 +611,6 @@ impl<'t> IngestPipeline<'t> {
                 io_faults,
                 chunks_retried,
             }
-        // ordering: post-join read, same as `aborted` above.
-        } else if budget_stop.load(Ordering::Relaxed) {
-            ScanOutcome::Budget
         } else {
             ScanOutcome::Done {
                 outs,
@@ -781,8 +714,6 @@ enum ScanOutcome<'a> {
         io_faults: u64,
         chunks_retried: u64,
     },
-    /// The malformed-line budget tripped mid-scan and workers stopped.
-    Budget,
 }
 
 /// Runs `f(start_index, span)` over near-equal contiguous spans of `out`,

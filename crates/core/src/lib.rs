@@ -25,13 +25,13 @@
 //! state — checksummed snapshots plus a write-ahead delta journal — lives
 //! in [`persist`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod anomaly;
 mod cluster;
 mod config;
 mod dynamics;
-mod epoch;
 mod faults;
 mod fx;
 mod ingest;
@@ -54,7 +54,6 @@ pub use anomaly::{
 pub use cluster::{ClientStats, Cluster, Clustering};
 pub use config::RunConfig;
 pub use dynamics::{dynamics_analysis, DynamicsRow, LogDynamics, LogUnderStudy};
-pub use epoch::{EpochReader, EpochTable, MAX_READERS};
 pub use faults::{failpoints, FaultInjector, FaultPlan};
 pub use ingest::{IngestError, IngestPipeline, IngestReport, QuarantinedLine};
 pub use metrics::{cdf, cdf_at, Distributions, Summary};

@@ -20,17 +20,19 @@
 //! Between full swaps, live BGP churn lands **incrementally**:
 //! [`StreamingClustering::apply_deltas`] patches a copy of the serving
 //! table in place (`CompiledMerged::apply_delta`), re-resolves only the
-//! clients a batch can affect, and publishes the patched generation
-//! through an [`EpochTable`] — readers ([`StreamHandle`]) never block and
-//! never observe a torn table, and superseded generations are recycled
-//! (journal replay) instead of recompiled or recloned. The same
+//! clients a batch can affect, and publishes the patched generation as an
+//! `Arc` — readers ([`StreamHandle`]) clone the pointer and look up in a
+//! whole generation, never a torn one, and the superseded generation is
+//! recycled (caught up by the one batch it lacks) instead of recompiled or
+//! recloned. The same
 //! [`SwapPolicy`] entry/coverage gates are evaluated per patch batch, so a
 //! desynchronized feed degrades the stream no further than a bad snapshot
 //! would.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use netclust_obs::{Counter, ErrorCounts, Gauge, Histogram, Obs};
 use netclust_prefix::Ipv4Net;
@@ -41,16 +43,11 @@ use netclust_weblog::clf::ClfError;
 use netclust_weblog::clf_bytes;
 use netclust_weblog::Request;
 
-use crate::epoch::{EpochReader, EpochTable};
 use crate::faults::{failpoints, FaultInjector};
 use crate::persist::{CorrectionState, FeedProgress, StreamState};
 
-/// Patch-journal depth: a retired generation older than this many batches
-/// behind the serving one is cloned over instead of replayed.
-const JOURNAL_CAP: usize = 32;
-
 /// Resolved swap/patch-path observability handles (`stream.swap.*`,
-/// `stream.patch.*`, `stream.epoch.*`, and the serving table's cost as
+/// `stream.patch.*`, and the serving table's cost as
 /// `lpm.table_bytes`/`lpm.nodes`/`lpm.dead_cells`); inert when the stream
 /// was built without [`StreamingBuilder::obs`].
 #[derive(Debug, Clone, Default)]
@@ -65,8 +62,6 @@ struct StreamObs {
     patch_group_rebuilds: Counter,
     patch_recompiles: Counter,
     patch_batch_deltas: Histogram,
-    epoch_lag: Gauge,
-    epoch_retired: Gauge,
     table_bytes: Gauge,
     table_nodes: Gauge,
     table_dead_cells: Gauge,
@@ -85,8 +80,6 @@ impl StreamObs {
             patch_group_rebuilds: obs.counter("stream.patch.group_rebuilds"),
             patch_recompiles: obs.counter("stream.patch.recompiles"),
             patch_batch_deltas: obs.histogram("stream.patch.batch_deltas"),
-            epoch_lag: obs.gauge("stream.epoch.lag"),
-            epoch_retired: obs.gauge("stream.epoch.retired"),
             table_bytes: obs.gauge("lpm.table_bytes"),
             table_nodes: obs.gauge("lpm.nodes"),
             table_dead_cells: obs.gauge("lpm.dead_cells"),
@@ -104,26 +97,45 @@ impl StreamObs {
 }
 
 /// One published generation of the serving table, tagged with its patch
-/// lineage version so retired generations can be caught up by journal
-/// replay instead of cloning.
-#[derive(Clone)]
+/// lineage version (what [`StreamHandle::version`] reports).
+#[derive(Debug, Clone)]
 struct LiveTable {
     table: CompiledMerged,
     version: u64,
 }
 
-/// A wait-free lookup handle over the serving table, for reader threads
-/// concurrent with [`StreamingClustering::apply_deltas`] /
-/// [`try_swap`](StreamingClustering::try_swap) on the owner. Lookups pin an
-/// epoch, never block the writer, and never observe a torn table; each
-/// handle owns one of the epoch table's reader slots
-/// ([`crate::epoch::MAX_READERS`]).
-#[derive(Debug)]
+impl LiveTable {
+    /// Live prefix count, both tiers.
+    fn entries(&self) -> usize {
+        self.table.bgp().len() + self.table.dump().len()
+    }
+}
+
+/// A lookup handle over the serving table, for reader threads concurrent
+/// with [`StreamingClustering::apply_deltas`] /
+/// [`try_swap`](StreamingClustering::try_swap) on the owner. Every call
+/// clones the published `Arc` under a lock held for that clone alone and
+/// answers from the generation it got: never a torn table, and a reader
+/// that stalls mid-lookup delays nothing but the freeing of that one
+/// generation. Any number of handles may be live, and a handle that
+/// outlives its stream keeps answering from the last generation published.
+#[derive(Debug, Clone)]
 pub struct StreamHandle {
-    reader: EpochReader<LiveTable>,
+    published: Arc<RwLock<Arc<LiveTable>>>,
 }
 
 impl StreamHandle {
+    fn current(&self) -> Arc<LiveTable> {
+        // A poisoned cell still holds a whole generation: the lock only
+        // ever guards one pointer clone or store.
+        Arc::clone(
+            &self
+                .published
+                .read()
+                .unwrap_or_else(PoisonError::into_inner),
+        )
+    }
+
     /// Longest-prefix cluster for `addr` under the current generation.
     pub fn net_for(&self, addr: Ipv4Addr) -> Option<Ipv4Net> {
         self.net_for_u32(u32::from(addr))
@@ -131,27 +143,18 @@ impl StreamHandle {
 
     /// [`net_for`](Self::net_for) on a raw big-endian address.
     pub fn net_for_u32(&self, addr: u32) -> Option<Ipv4Net> {
-        self.reader.with(|live| live.table.net_for_u32(addr))
+        self.current().table.net_for_u32(addr)
     }
 
     /// Patch-lineage version of the generation currently serving (bumps on
     /// every accepted patch batch or full swap).
     pub fn version(&self) -> u64 {
-        self.reader.with(|live| live.version)
+        self.current().version
     }
 
     /// Live prefix count of the serving generation (both tiers).
     pub fn table_len(&self) -> usize {
-        self.reader
-            .with(|live| live.table.bgp().len() + live.table.dump().len())
-    }
-}
-
-impl Clone for StreamHandle {
-    fn clone(&self) -> Self {
-        StreamHandle {
-            reader: self.reader.fork(),
-        }
+        self.current().entries()
     }
 }
 
@@ -287,8 +290,6 @@ pub struct PatchBatchReport {
     /// Coverage after (the candidate's when accepted, the serving table's
     /// when rejected).
     pub coverage_after: f64,
-    /// The epoch after the operation (unchanged when rejected).
-    pub epoch: u64,
 }
 
 /// Cumulative [`apply_deltas`](StreamingClustering::apply_deltas)
@@ -353,17 +354,14 @@ impl StreamingBuilder {
         compiled.attach_obs(&self.obs);
         let metrics = StreamObs::resolve(&self.obs);
         metrics.table_cost(&compiled);
-        let table = EpochTable::new(LiveTable {
+        let live = Arc::new(LiveTable {
             table: compiled,
             version: 0,
         });
-        let reader = table.reader();
         StreamingClustering {
-            table,
-            reader,
-            version: 0,
-            journal: VecDeque::new(),
-            journal_base: 0,
+            published: Arc::new(RwLock::new(Arc::clone(&live))),
+            live,
+            spare: None,
             tally: Tally::default(),
             ids: HashMap::new(),
             clients: Vec::new(),
@@ -499,25 +497,22 @@ impl Tally {
 /// The routing table is compiled once at construction
 /// ([`CompiledMerged`]), so the per-request hot path does one to three
 /// array lookups; [`try_swap`](Self::try_swap) validates and recompiles,
-/// and [`apply_deltas`](Self::apply_deltas) patches incrementally. The
-/// serving table lives behind an [`EpochTable`], so [`handle`](Self::handle)
-/// lookups on other threads proceed wait-free through either.
+/// and [`apply_deltas`](Self::apply_deltas) patches incrementally. Either
+/// publishes a whole new generation, so [`handle`](Self::handle) lookups on
+/// other threads proceed through both.
 ///
 /// Construct with [`builder`](Self::builder):
 /// `StreamingClustering::builder(table).swap_policy(..).obs(..).build()`.
 pub struct StreamingClustering {
-    /// The serving table generations (epoch-reclaimed).
-    table: EpochTable<LiveTable>,
-    /// The owner's own lookup handle into `table`.
-    reader: EpochReader<LiveTable>,
-    /// Patch-lineage version of the serving generation.
-    version: u64,
-    /// Recently accepted delta batches; `journal[i]` advances version
-    /// `journal_base + i` to `journal_base + i + 1`. Replayed into recycled
-    /// generations so a patch batch does not clone the serving table.
-    journal: VecDeque<Vec<TableDelta>>,
-    /// Version the front of `journal` applies to.
-    journal_base: u64,
+    /// The serving generation; the owner reads it by plain reference.
+    live: Arc<LiveTable>,
+    /// What [`handle`](Self::handle) hands out: always the same generation
+    /// as `live`, locked only to clone or store the pointer.
+    published: Arc<RwLock<Arc<LiveTable>>>,
+    /// The generation `live` superseded and the one accepted batch it
+    /// lacks: the next patch batch catches it up and patches it instead of
+    /// cloning `live`, unless a reader still holds it.
+    spare: Option<(Arc<LiveTable>, Vec<TableDelta>)>,
     /// Per-cluster aggregates and the unclustered request count.
     tally: Tally,
     /// Client address → index into `clients`: the one per-client map, and
@@ -562,12 +557,12 @@ impl StreamingClustering {
         }
     }
 
-    /// A wait-free lookup handle for reader threads: sees every accepted
-    /// swap and patch batch, never blocks on the writer, never observes a
-    /// torn table.
+    /// A lookup handle for reader threads: sees every accepted swap and
+    /// patch batch, waits for the owner no longer than one pointer store,
+    /// never observes a torn table.
     pub fn handle(&self) -> StreamHandle {
         StreamHandle {
-            reader: self.table.reader(),
+            published: Arc::clone(&self.published),
         }
     }
 
@@ -625,14 +620,14 @@ impl StreamingClustering {
 
     fn push_raw(&mut self, client: u32, bytes: u64) {
         self.total_requests += 1;
-        let (reader, clients) = (&self.reader, &mut self.clients);
+        let (live, clients) = (&self.live, &mut self.clients);
         let id = *self.ids.entry(client).or_insert_with(|| {
             let id = next_id(clients);
             clients.push(ClientRecord {
                 addr: client,
                 requests: 0,
                 bytes: 0,
-                net: reader.with(|live| live.table.net_for_u32(client)),
+                net: live.table.net_for_u32(client),
             });
             id
         });
@@ -681,7 +676,7 @@ impl StreamingClustering {
         let client = u32::from(addr);
         match self.record(client) {
             Some(record) => record.net,
-            None => self.reader.with(|live| live.table.net_for_u32(client)),
+            None => self.live.table.net_for_u32(client),
         }
     }
 
@@ -750,7 +745,7 @@ impl StreamingClustering {
     /// Patch-lineage version of the serving generation (bumps on every
     /// accepted patch batch or full swap).
     pub fn table_version(&self) -> u64 {
-        self.version
+        self.live.version
     }
 
     /// The most recent swap rejection, if any.
@@ -805,14 +800,14 @@ impl StreamingClustering {
     }
 
     /// Applies one batch of per-prefix routing deltas incrementally: a
-    /// *copy* of the serving table (a recycled retired generation when one
-    /// is safe, caught up by journal replay) is patched in place
-    /// (`CompiledMerged::apply_delta`), only the clients the batch can
-    /// affect are re-resolved, and the [`SwapPolicy`] entry/coverage gates
-    /// run before the patched generation is published through the epoch
-    /// table. Rejection discards the candidate; the old generation keeps
-    /// serving and concurrent [`handle`](Self::handle) lookups never
-    /// blocked either way.
+    /// *copy* of the serving table (the superseded generation when no
+    /// reader still holds it, caught up by the one batch it lacks) is
+    /// patched in place (`CompiledMerged::apply_delta`), only the clients
+    /// the batch can affect are re-resolved, and the [`SwapPolicy`]
+    /// entry/coverage gates run before the patched generation is
+    /// published. Rejection discards the candidate; the old generation
+    /// keeps serving, and concurrent [`handle`](Self::handle) lookups wait
+    /// for neither outcome.
     pub fn apply_deltas(&mut self, deltas: &[TableDelta]) -> PatchBatchReport {
         self.apply_deltas_with(deltas, &mut FaultInjector::disabled())
     }
@@ -833,33 +828,25 @@ impl StreamingClustering {
                 accepted: true,
                 rejection: None,
                 patch: PatchReport::default(),
-                candidate_entries: self
-                    .reader
-                    .with(|live| live.table.bgp().len() + live.table.dump().len()),
+                candidate_entries: self.live.entries(),
                 reassigned_clients: 0,
                 coverage_before,
                 coverage_after: coverage_before,
-                epoch: self.table.epoch(),
             };
         }
         self.patch_stats.batches += 1;
         self.metrics.patch_batches.inc();
         self.metrics.patch_batch_deltas.record(deltas.len() as u64);
 
-        // Build the candidate off to the side: recycle a retired
-        // generation when one is reclaimable and recent enough to catch up
-        // from the journal, otherwise clone the serving generation.
-        let mut candidate = match self.table.take_recycled() {
-            Some(mut stale) if stale.version >= self.journal_base => {
-                let skip = (stale.version - self.journal_base) as usize;
-                for batch in self.journal.iter().skip(skip) {
-                    stale.table.apply_delta(batch);
-                }
-                stale.version = self.version;
-                stale
-            }
-            _ => self.reader.with(|live| live.clone()),
-        };
+        // Build the candidate off to the side: recycle the superseded
+        // generation when the owner holds the only reference to it,
+        // otherwise clone the serving generation.
+        let recycled = self.spare.take().and_then(|(stale, missed)| {
+            let mut stale = Arc::try_unwrap(stale).ok()?;
+            stale.table.apply_delta(&missed);
+            Some(stale)
+        });
+        let mut candidate = recycled.unwrap_or_else(|| LiveTable::clone(&self.live));
         let patch = candidate.table.apply_delta(deltas);
         self.patch_stats.slot_writes += patch.slot_writes() as u64;
         self.patch_stats.group_rebuilds += patch.groups_rebuilt as u64;
@@ -874,7 +861,7 @@ impl StreamingClustering {
             .patch_group_rebuilds
             .add(patch.groups_rebuilt as u64);
 
-        let candidate_entries = candidate.table.bgp().len() + candidate.table.dump().len();
+        let candidate_entries = candidate.entries();
         let reject = |this: &mut Self, why: SwapRejection| {
             this.patch_stats.rejected += 1;
             this.last_rejection = Some(why);
@@ -887,7 +874,6 @@ impl StreamingClustering {
                 reassigned_clients: 0,
                 coverage_before,
                 coverage_after: coverage_before,
-                epoch: this.table.epoch(),
             }
         };
 
@@ -961,17 +947,12 @@ impl StreamingClustering {
             }
         }
 
-        // Commit: journal the batch, publish the generation, and move the
-        // affected clients' aggregates between clusters.
-        self.version += 1;
-        candidate.version = self.version;
-        self.journal.push_back(deltas.to_vec());
-        if self.journal.len() > JOURNAL_CAP {
-            self.journal.pop_front();
-            self.journal_base += 1;
-        }
-        self.metrics.table_cost(&candidate.table);
-        let epoch = self.table.publish(candidate);
+        // Commit: publish the generation, keep the superseded one with the
+        // batch it lacks, and move the affected clients' aggregates between
+        // clusters.
+        candidate.version = self.live.version + 1;
+        let superseded = self.publish(candidate);
+        self.spare = Some((superseded, deltas.to_vec()));
         let reassigned_clients = moves.len();
         for (id, new_net) in moves {
             let record = &mut self.clients[id];
@@ -981,8 +962,6 @@ impl StreamingClustering {
         }
         self.patch_stats.accepted += 1;
         self.last_rejection = None;
-        self.metrics.epoch_lag.set(self.table.reader_lag());
-        self.metrics.epoch_retired.set(self.table.retired() as u64);
         PatchBatchReport {
             accepted: true,
             rejection: None,
@@ -991,8 +970,19 @@ impl StreamingClustering {
             reassigned_clients,
             coverage_before,
             coverage_after: self.coverage(),
-            epoch,
         }
+    }
+
+    /// Makes `next` the serving generation, for the owner and for every
+    /// [`handle`](Self::handle); returns the one it superseded.
+    fn publish(&mut self, next: LiveTable) -> Arc<LiveTable> {
+        self.metrics.table_cost(&next.table);
+        let next = Arc::new(next);
+        *self
+            .published
+            .write()
+            .unwrap_or_else(PoisonError::into_inner) = Arc::clone(&next);
+        std::mem::replace(&mut self.live, next)
     }
 
     fn try_swap_inner(
@@ -1110,17 +1100,13 @@ impl StreamingClustering {
     /// clients — sorts the copy. A caller exporting under a lock drops the
     /// lock in between, so writers wait for the copy only.
     pub fn export_unsorted(&self) -> UnsortedState {
-        let (bgp_prefixes, dump_prefixes) = self.reader.with(|live| {
-            (
-                live.table.bgp().live_prefixes(),
-                live.table.dump().live_prefixes(),
-            )
-        });
+        let bgp_prefixes = self.live.table.bgp().live_prefixes();
+        let dump_prefixes = self.live.table.dump().live_prefixes();
         let per_client: Vec<(u32, u64, u64)> = (self.clients.iter())
             .map(|c| (c.addr, c.requests, c.bytes))
             .collect();
         UnsortedState(StreamState {
-            table_version: self.version,
+            table_version: self.live.version,
             feed_pos: self.feed_pos,
             bgp_prefixes,
             dump_prefixes,
@@ -1205,17 +1191,14 @@ impl StreamingClustering {
             });
         }
 
-        let table = EpochTable::new(LiveTable {
+        let live = Arc::new(LiveTable {
             table: compiled,
             version: state.table_version,
         });
-        let reader = table.reader();
         Ok(StreamingClustering {
-            table,
-            reader,
-            version: state.table_version,
-            journal: VecDeque::new(),
-            journal_base: state.table_version,
+            published: Arc::new(RwLock::new(Arc::clone(&live))),
+            live,
+            spare: None,
             tally,
             ids,
             clients,
@@ -1235,22 +1218,14 @@ impl StreamingClustering {
     /// Installs an already-compiled table, rebuilding cluster aggregates
     /// from the retained per-client totals and the batch LPM sweep
     /// (`nets[i]` is `clients[i]`'s assignment under the new table). A full
-    /// swap supersedes the patch lineage: the journal is cleared, so
-    /// retired pre-swap generations are never replayed into.
+    /// swap supersedes the patch lineage: no batch catches a pre-swap
+    /// generation up, so the spare is dropped with it.
     fn install(&mut self, compiled: CompiledMerged, nets: Vec<Option<Ipv4Net>>) {
-        self.version += 1;
-        self.journal.clear();
-        self.journal_base = self.version;
-        self.metrics.table_cost(&compiled);
-        self.table.publish(LiveTable {
+        self.publish(LiveTable {
             table: compiled,
-            version: self.version,
+            version: self.live.version + 1,
         });
-        // Pre-swap generations are useless as recycling spares (the journal
-        // no longer reaches them); free what readers allow.
-        self.table.try_reclaim();
-        self.metrics.epoch_lag.set(self.table.reader_lag());
-        self.metrics.epoch_retired.set(self.table.retired() as u64);
+        self.spare = None;
         self.tally = Tally::default();
         for (record, net) in self.clients.iter_mut().zip(nets) {
             record.net = net;
@@ -1552,7 +1527,7 @@ mod tests {
         assert_eq!(stream.total_requests(), before_total);
         assert_view_consistent(&stream);
 
-        // The stream's own epoch handle tracked both publishes.
+        // A handle minted before the batches tracked both publishes.
         assert_eq!(stream.table_version(), 2);
         assert_eq!(handle.version(), 2);
         let stats = stream.patch_stats();
@@ -1649,6 +1624,37 @@ mod tests {
         assert_view_consistent(&stream);
     }
 
+    /// A reader stalled on the superseded generation keeps it whole; the
+    /// owner's next batch clones the serving table instead of recycling,
+    /// and the batch after that recycles again.
+    #[test]
+    fn a_stalled_reader_keeps_its_generation_and_costs_one_clone() {
+        let (u, log) = setup();
+        let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
+        for r in &log.requests {
+            stream.push(r);
+        }
+        let victims: Vec<Ipv4Net> = stream.top_k(3).iter().map(|&(p, _)| p).collect();
+        let probe = victims[0].addr_u32();
+        let stalled = stream.handle().current();
+        for (i, &victim) in victims.iter().enumerate() {
+            let report = stream.apply_deltas(&[TableDelta::withdraw(victim)]);
+            assert!(report.accepted, "rejected: {:?}", report.rejection);
+            // After the first batch the spare is the generation the reader
+            // holds; after the second it is one nobody else does.
+            let (spare, _) = stream
+                .spare
+                .as_ref()
+                .expect("an accepted batch leaves a spare");
+            assert_eq!(Arc::ptr_eq(spare, &stalled), i == 0);
+            assert_eq!(Arc::strong_count(spare), if i == 0 { 2 } else { 1 });
+            assert_view_consistent(&stream);
+        }
+        assert_eq!(stalled.version, 0);
+        assert_eq!(stalled.table.net_for_u32(probe), Some(victims[0]));
+        assert_ne!(stream.lookup_net(Ipv4Addr::from(probe)), Some(victims[0]));
+    }
+
     #[test]
     fn injected_patch_fault_discards_candidate() {
         let (u, log) = setup();
@@ -1699,11 +1705,9 @@ mod tests {
                 > 0
         );
         assert!(snap.histograms.contains_key("stream.patch.batch_deltas"));
-        assert_eq!(snap.gauges.get("stream.epoch.lag"), Some(&0));
         // What the serving table costs, as of the generation just published.
-        let (bytes, nodes) = stream
-            .reader
-            .with(|live| (live.table.memory_bytes() as u64, live.table.nodes() as u64));
+        let table = &stream.live.table;
+        let (bytes, nodes) = (table.memory_bytes() as u64, table.nodes() as u64);
         assert!(bytes > 0 && nodes > 0);
         assert_eq!(snap.gauges.get("lpm.table_bytes"), Some(&bytes));
         assert_eq!(snap.gauges.get("lpm.nodes"), Some(&nodes));

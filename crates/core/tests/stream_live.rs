@@ -1,18 +1,18 @@
 //! Live-update integration tests for the streaming clustering: an 8-seed
 //! fault sweep over [`failpoints::TABLE_PATCH`] proving every injected
-//! mid-patch death leaves the old generation serving untouched, and a
-//! multi-threaded reader test proving [`StreamHandle`] lookups proceed —
-//! never blocking, never observing a torn table — while the owner applies
-//! 1,000 delta batches under epoch-based reclamation.
+//! mid-patch death leaves the old generation serving untouched, and
+//! multi-threaded reader tests proving [`StreamHandle`] lookups proceed —
+//! never observing a torn table, however many handles are live — while the
+//! owner publishes delta batches, and after the owner is gone.
 
+use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 
 use netclust_bgpsim::{DeltaStream, DeltaStreamConfig};
-use netclust_core::{failpoints, FaultPlan, StreamingClustering, SwapRejection};
+use netclust_core::{failpoints, FaultPlan, StreamHandle, StreamingClustering, SwapRejection};
 use netclust_netgen::{standard_merged, Universe, UniverseConfig};
-use netclust_obs::Obs;
 use netclust_prefix::Ipv4Net;
 use netclust_rtable::{MergedTable, RoutingTable, TableDelta, TableKind};
 use netclust_weblog::{generate, LogSpec};
@@ -119,17 +119,13 @@ fn fault_sweep_rollback_leaves_old_generation_intact() {
     }
 }
 
-/// Acceptance criterion: reader threads keep resolving lookups — wait-free,
-/// no torn reads — while the owner applies 1,000 patch batches, with epoch
-/// reclamation bounding retired generations the whole way.
-#[test]
-fn readers_proceed_while_writer_applies_1k_batches() {
-    // A churn pool the feed mutates freely, plus a canary prefix the feed
-    // never touches: any lookup that sees a torn or half-patched table
-    // would misresolve the canary or return a non-covering prefix.
+/// A stream over a churn pool the returned feed mutates freely, plus a
+/// canary prefix the feed never touches: any lookup that sees a torn or
+/// half-patched table would misresolve the canary probe (the third item) or
+/// return a non-covering prefix.
+fn canary_stream() -> (StreamingClustering, DeltaStream, u32) {
     let canary: Ipv4Net = "203.0.113.0/24".parse().unwrap();
-    let canary_probe = canary.addr_u32() | 0x4D;
-    let mut feed = DeltaStream::synthetic(
+    let feed = DeltaStream::synthetic(
         0xFEED,
         2_000,
         DeltaStreamConfig {
@@ -141,10 +137,7 @@ fn readers_proceed_while_writer_applies_1k_batches() {
     let mut prefixes = feed.live_prefixes();
     prefixes.push(canary);
     let bgp = RoutingTable::new("live", "d0", TableKind::Bgp, prefixes);
-    let obs = Obs::enabled();
-    let mut stream = StreamingClustering::builder(MergedTable::merge([&bgp]))
-        .obs(obs.clone())
-        .build();
+    let mut stream = StreamingClustering::builder(MergedTable::merge([&bgp])).build();
     // All clients live under the canary, so churn in the pool can never
     // collapse coverage and every batch passes the gates.
     let mut clf = String::new();
@@ -155,7 +148,23 @@ fn readers_proceed_while_writer_applies_1k_batches() {
     }
     assert!(stream.push_clf(clf.as_bytes()).is_empty());
     assert_eq!(stream.coverage(), 1.0);
+    (stream, feed, canary.addr_u32() | 0x4D)
+}
 
+/// The canary always resolves to a prefix covering it (the canary itself,
+/// or a longer match the feed announced).
+fn assert_canary(h: &StreamHandle, canary_probe: u32) {
+    let net = h
+        .net_for_u32(canary_probe)
+        .expect("canary probe must always resolve");
+    assert!(net.contains_u32(canary_probe), "torn read: {net}");
+}
+
+/// Acceptance criterion: reader threads keep resolving lookups — no torn
+/// reads, versions monotone — while the owner applies 1,000 patch batches.
+#[test]
+fn readers_proceed_while_writer_applies_1k_batches() {
+    let (mut stream, mut feed, canary_probe) = canary_stream();
     let stop = Arc::new(AtomicBool::new(false));
     let mut readers = Vec::new();
     for _ in 0..3 {
@@ -165,12 +174,7 @@ fn readers_proceed_while_writer_applies_1k_batches() {
             let mut iterations = 0u64;
             let mut last_version = 0u64;
             while !stop.load(Ordering::Relaxed) {
-                // The canary always resolves to a prefix covering it (the
-                // canary itself, or a longer match the feed announced).
-                let net = h
-                    .net_for_u32(canary_probe)
-                    .expect("canary probe must always resolve");
-                assert!(net.contains_u32(canary_probe), "torn read: {net}");
+                assert_canary(&h, canary_probe);
                 // Versions observed through the handle never go backwards.
                 let v = h.version();
                 assert!(v >= last_version, "version regressed {last_version}->{v}");
@@ -207,16 +211,68 @@ fn readers_proceed_while_writer_applies_1k_batches() {
     assert_eq!(stream.table_version(), accepted);
     assert_eq!(stream.patch_stats().accepted, accepted);
 
-    // Epoch reclamation kept the retired list bounded (steady state is one
-    // recycling spare, transiently more while a reader pins an old epoch).
-    let snap = obs.snapshot(true);
-    let retired = snap
-        .gauges
-        .get("stream.epoch.retired")
-        .copied()
-        .unwrap_or(0);
-    assert!(retired <= 8, "retired generations unbounded: {retired}");
     // The canary survives the entire run in the serving table.
     let h = stream.handle();
     assert!(h.net_for_u32(canary_probe).is_some());
+}
+
+/// Any number of handles may be live at once: 100 clones spread over 8
+/// threads all resolve the canary while the owner applies batches. The
+/// owner keeps publishing until every thread has reported a full pass over
+/// its handles that began after the first publish, so each pass overlaps
+/// the writer by construction, not by luck of the scheduler.
+#[test]
+fn a_hundred_live_handles_read_while_the_owner_patches() {
+    const THREADS: usize = 8;
+    let (mut stream, mut feed, canary_probe) = canary_stream();
+    let first = stream.handle();
+    let handles: Vec<StreamHandle> = (0..100).map(|_| first.clone()).collect();
+    let stop = AtomicBool::new(false);
+    let (passed, passes) = mpsc::channel();
+    thread::scope(|s| {
+        for share in handles.chunks(handles.len().div_ceil(THREADS)) {
+            let (stop, passed) = (&stop, passed.clone());
+            s.spawn(move || {
+                let mut reported = false;
+                while !stop.load(Ordering::Relaxed) {
+                    let began_after_publish = share[0].version() > 0;
+                    for h in share {
+                        assert_canary(h, canary_probe);
+                    }
+                    if began_after_publish && !reported {
+                        passed.send(()).expect("owner waits for every report");
+                        reported = true;
+                    }
+                }
+            });
+        }
+        let mut reports = 0;
+        while reports < THREADS {
+            let report = stream.apply_deltas(&feed.next_batch().deltas);
+            assert!(report.accepted, "rejected: {:?}", report.rejection);
+            reports += passes.try_iter().count();
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    for h in &handles {
+        assert_eq!(h.version(), stream.table_version());
+    }
+}
+
+/// A handle owns a reference to what it reads: with the stream gone it
+/// keeps answering from the last generation published.
+#[test]
+fn a_handle_outlives_its_stream() {
+    let (mut stream, mut feed, canary_probe) = canary_stream();
+    let handle = stream.handle();
+    for _ in 0..5 {
+        assert!(stream.apply_deltas(&feed.next_batch().deltas).accepted);
+    }
+    let version = stream.table_version();
+    let expect = stream.lookup_net(Ipv4Addr::from(canary_probe));
+    drop(stream);
+    assert_eq!(handle.version(), version);
+    assert_eq!(handle.net_for_u32(canary_probe), expect);
+    assert!(handle.table_len() > 0);
+    assert_eq!(handle.clone().net_for(Ipv4Addr::from(canary_probe)), expect);
 }

@@ -36,6 +36,9 @@
 //! a patched table is lookup-equivalent to a from-scratch compile of the
 //! same prefix set (`tests/patch_prop.rs`).
 
+use std::fmt;
+use std::str::FromStr;
+
 use netclust_prefix::Ipv4Net;
 
 use crate::flat::{chunk_key, CompiledMerged, CompiledTable, NODE_FLAG, ROOT_LEN};
@@ -90,6 +93,48 @@ impl TableDelta {
         TableDelta {
             prefix,
             kind: DeltaKind::Replace,
+        }
+    }
+}
+
+/// Why a line is not an `announce|withdraw|replace PREFIX` update.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DeltaParseError {
+    /// The second field is missing or not a CIDR prefix; holds the line.
+    BadPrefix(String),
+    /// The first field is none of the three verbs; holds it.
+    UnknownUpdate(String),
+}
+
+impl fmt::Display for DeltaParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DeltaParseError::BadPrefix(line) => write!(f, "bad prefix in {line:?}"),
+            DeltaParseError::UnknownUpdate(verb) => {
+                write!(f, "unknown update {verb:?} (announce|withdraw|replace)")
+            }
+        }
+    }
+}
+
+impl std::error::Error for DeltaParseError {}
+
+/// The text form of one update, `announce|withdraw|replace PREFIX`: a line
+/// of the CLI's `--bgp-feed` files and of the daemon's `/v1/reload` body.
+impl FromStr for TableDelta {
+    type Err = DeltaParseError;
+
+    fn from_str(line: &str) -> Result<Self, Self::Err> {
+        let mut parts = line.split_whitespace();
+        let verb = parts.next().unwrap_or_default();
+        let prefix: Ipv4Net = (parts.next())
+            .and_then(|p| p.parse().ok())
+            .ok_or_else(|| DeltaParseError::BadPrefix(line.trim().to_string()))?;
+        match verb {
+            "announce" => Ok(TableDelta::announce(prefix)),
+            "withdraw" => Ok(TableDelta::withdraw(prefix)),
+            "replace" => Ok(TableDelta::replace(prefix)),
+            other => Err(DeltaParseError::UnknownUpdate(other.to_string())),
         }
     }
 }
@@ -415,6 +460,29 @@ mod tests {
 
     fn a(s: &str) -> u32 {
         s.parse::<std::net::Ipv4Addr>().unwrap().into()
+    }
+
+    /// The update-line grammar, and the texts the CLI and the daemon's 400
+    /// bodies carry; a bad prefix is reported before an unknown verb.
+    #[test]
+    fn update_lines_parse_or_say_why() {
+        let p = net("10.1.0.0/16");
+        assert_eq!("announce 10.1.0.0/16".parse(), Ok(TableDelta::announce(p)));
+        assert_eq!(
+            " withdraw\t10.1.0.0/16 ".parse(),
+            Ok(TableDelta::withdraw(p))
+        );
+        assert_eq!(
+            "replace 10.1.0.0/16 as-path".parse(),
+            Ok(TableDelta::replace(p))
+        );
+        let why = |line: &str| line.parse::<TableDelta>().unwrap_err().to_string();
+        assert_eq!(why("announce"), "bad prefix in \"announce\"");
+        assert_eq!(why(" flap 10.1/16 "), "bad prefix in \"flap 10.1/16\"");
+        assert_eq!(
+            why("flap 10.1.0.0/16"),
+            "unknown update \"flap\" (announce|withdraw|replace)"
+        );
     }
 
     /// Reference check: the patched table must agree with a from-scratch

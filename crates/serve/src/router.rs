@@ -19,7 +19,6 @@ use std::sync::{Mutex, RwLock};
 use netclust_core::query::top_to_json;
 use netclust_core::{ClusterQuery, StateStore, StreamingClustering, VerdictPolicy};
 use netclust_obs::{Counter, ErrorCounts, Gauge, Histogram, Obs};
-use netclust_prefix::Ipv4Net;
 use netclust_rtable::{MergedTable, RoutingTable, TableDelta, TableKind};
 
 use crate::checkpoint::{self, ApplyError, Checkpointer};
@@ -230,8 +229,10 @@ fn top(state: &AppState, req: &HttpRequest) -> HttpResponse {
 /// the validated [`StreamingClustering::try_swap`] gate; otherwise the
 /// body is an `announce|withdraw|replace PREFIX` feed driven through
 /// [`StreamingClustering::apply_deltas`]. Either way the old generation
-/// keeps serving on rejection, and concurrent queries never block on the
-/// table build — only on the final publish.
+/// keeps serving on rejection. Files are read, parsed and merged before
+/// the stream's write lock is taken; the candidate is compiled or patched,
+/// gated and published inside it, so concurrent queries wait for a reload
+/// as long as that takes.
 fn reload(state: &AppState, req: &HttpRequest) -> HttpResponse {
     let table_param = req.query_param("table");
     let dump_param = req.query_param("dump");
@@ -332,23 +333,10 @@ pub fn parse_delta_lines(body: &[u8]) -> Result<Vec<TableDelta>, String> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let mut parts = line.split_whitespace();
-        let verb = parts.next().unwrap_or_default();
-        let net: Ipv4Net = match parts.next().map(str::parse) {
-            Some(Ok(net)) => net,
-            _ => return Err(format!("line {}: bad prefix in {line:?}", lineno + 1)),
-        };
-        deltas.push(match verb {
-            "announce" => TableDelta::announce(net),
-            "withdraw" => TableDelta::withdraw(net),
-            "replace" => TableDelta::replace(net),
-            other => {
-                return Err(format!(
-                    "line {}: unknown update {other:?} (announce|withdraw|replace)",
-                    lineno + 1
-                ))
-            }
-        });
+        deltas.push(
+            line.parse()
+                .map_err(|e| format!("line {}: {e}", lineno + 1))?,
+        );
     }
     Ok(deltas)
 }

@@ -61,8 +61,10 @@
 
 use std::fmt;
 use std::fs;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use netclust::bgpsim::{DeltaBatch, DeltaStream, DeltaStreamConfig};
 use netclust::core::query::render_top_table;
@@ -73,7 +75,6 @@ use netclust::core::{
 };
 use netclust::netgen::{standard_collection, Universe, UniverseConfig};
 use netclust::obs::Obs;
-use netclust::prefix::Ipv4Net;
 use netclust::rtable::{MergedTable, RoutingTable, TableDelta, TableKind};
 use netclust::weblog::chunk::LogData;
 use netclust::weblog::{clf, clf_bytes, generate, LogSpec};
@@ -164,18 +165,31 @@ fn opt<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// Parses the value given for `name`; one that does not parse is a usage
+/// error naming the flag.
+fn parsed<T: FromStr>(cmd: &str, name: &str, value: &str) -> Result<T, CliError>
+where
+    T::Err: fmt::Display,
+{
+    value
+        .parse()
+        .map_err(|e| CliError::Usage(format!("{cmd}: {name} got {value:?}: {e}")))
+}
+
+/// [`opt`] and [`parsed`] in one step, for every numeric flag.
+fn parsed_opt<T: FromStr>(args: &[String], cmd: &str, name: &str) -> Result<Option<T>, CliError>
+where
+    T::Err: fmt::Display,
+{
+    opt(args, name).map(|s| parsed(cmd, name, s)).transpose()
+}
+
 fn cmd_synth(args: &[String]) -> Result<(), CliError> {
     let out = opt(args, "--out")
         .ok_or_else(|| CliError::Usage("synth: --out DIR is required".to_string()))?;
-    let seed: u64 = opt(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    let requests: u64 = opt(args, "--requests")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100_000);
-    let clients: u64 = opt(args, "--clients")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_000);
+    let seed: u64 = parsed_opt(args, "synth", "--seed")?.unwrap_or(42);
+    let requests: u64 = parsed_opt(args, "synth", "--requests")?.unwrap_or(100_000);
+    let clients: u64 = parsed_opt(args, "synth", "--clients")?.unwrap_or(2_000);
 
     let out = PathBuf::from(out);
     fs::create_dir_all(&out)
@@ -239,15 +253,13 @@ fn read_tables(list: &str, kind: TableKind) -> Result<Vec<RoutingTable>, CliErro
 /// with blank-line batch boundaries and `#` comments.
 fn parse_bgp_feed(spec: &str, merged: &MergedTable) -> Result<Vec<DeltaBatch>, CliError> {
     if let Some(rest) = spec.strip_prefix("synth:") {
-        let mut it = rest.splitn(2, ':');
-        let seed: u64 = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| CliError::Usage(format!("--bgp-feed synth:SEED:TICKS, got {spec:?}")))?;
-        let ticks: usize = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| CliError::Usage(format!("--bgp-feed synth:SEED:TICKS, got {spec:?}")))?;
+        let (seed, ticks) = rest.split_once(':').ok_or_else(|| {
+            CliError::Usage(format!(
+                "cluster: --bgp-feed synth:SEED:TICKS, got {spec:?}"
+            ))
+        })?;
+        let seed: u64 = parsed("cluster", "--bgp-feed synth:SEED", seed)?;
+        let ticks: usize = parsed("cluster", "--bgp-feed synth:SEED:TICKS", ticks)?;
         let stream = DeltaStream::new(seed, merged.bgp_prefixes(), DeltaStreamConfig::default());
         return Ok(stream.take(ticks).collect());
     }
@@ -275,22 +287,10 @@ fn parse_bgp_feed(spec: &str, merged: &MergedTable) -> Result<Vec<DeltaBatch>, C
         if line.starts_with('#') {
             continue;
         }
-        let mut parts = line.split_whitespace();
-        let verb = parts.next().unwrap_or_default();
-        let net: Ipv4Net = parts.next().and_then(|p| p.parse().ok()).ok_or_else(|| {
-            CliError::Input(format!("{spec}:{}: bad prefix in {line:?}", lineno + 1))
-        })?;
-        current.push(match verb {
-            "announce" => TableDelta::announce(net),
-            "withdraw" => TableDelta::withdraw(net),
-            "replace" => TableDelta::replace(net),
-            other => {
-                return Err(CliError::Input(format!(
-                    "{spec}:{}: unknown update {other:?} (announce|withdraw|replace)",
-                    lineno + 1
-                )))
-            }
-        });
+        current.push(
+            line.parse()
+                .map_err(|e| CliError::Input(format!("{spec}:{}: {e}", lineno + 1)))?,
+        );
     }
     flush(&mut current, &mut batches);
     Ok(batches)
@@ -495,17 +495,8 @@ fn cmd_cluster(args: &[String]) -> Result<(), CliError> {
             "cluster: unknown method {method:?} (aware|simple|classful)"
         )));
     }
-    let top: usize = opt(args, "--top")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
-    let max_error_rate = match opt(args, "--max-error-rate") {
-        Some(s) => Some(s.parse::<f64>().map_err(|_| {
-            CliError::Usage(format!(
-                "cluster: --max-error-rate wants a fraction, got {s:?}"
-            ))
-        })?),
-        None => None,
-    };
+    let top: usize = parsed_opt(args, "cluster", "--top")?.unwrap_or(20);
+    let max_error_rate: Option<f64> = parsed_opt(args, "cluster", "--max-error-rate")?;
     let quarantine_path = opt(args, "--quarantine");
     if method != "aware" && (max_error_rate.is_some() || quarantine_path.is_some()) {
         return Err(CliError::Usage(format!(
@@ -520,12 +511,7 @@ fn cmd_cluster(args: &[String]) -> Result<(), CliError> {
             "cluster: --metrics/--trace only apply to --method aware, not {method:?}"
         )));
     }
-    let threads = match opt(args, "--threads") {
-        Some(s) => Some(s.parse::<usize>().ok().filter(|&t| t >= 1).ok_or_else(|| {
-            CliError::Usage(format!("cluster: --threads wants a count >= 1, got {s:?}"))
-        })?),
-        None => None,
-    };
+    let threads = parsed_opt::<NonZeroUsize>(args, "cluster", "--threads")?.map(NonZeroUsize::get);
     if method != "aware" && threads.is_some() {
         return Err(CliError::Usage(format!(
             "cluster: --threads only applies to --method aware, not {method:?}"
@@ -540,13 +526,14 @@ fn cmd_cluster(args: &[String]) -> Result<(), CliError> {
     let state_dir = opt(args, "--state-dir");
     let resume = args.iter().any(|a| a == "--resume");
     let fsync_opt = opt(args, "--fsync");
-    let crash_after_opt = opt(args, "--crash-after-batch");
+    let crash_after =
+        parsed_opt::<NonZeroU64>(args, "cluster", "--crash-after-batch")?.map(NonZeroU64::get);
     if state_dir.is_some() && bgp_feed.is_none() {
         return Err(CliError::Usage(
             "cluster: --state-dir requires --bgp-feed".to_string(),
         ));
     }
-    if state_dir.is_none() && (resume || fsync_opt.is_some() || crash_after_opt.is_some()) {
+    if state_dir.is_none() && (resume || fsync_opt.is_some() || crash_after.is_some()) {
         return Err(CliError::Usage(
             "cluster: --resume/--fsync/--crash-after-batch require --state-dir".to_string(),
         ));
@@ -558,14 +545,6 @@ fn cmd_cluster(args: &[String]) -> Result<(), CliError> {
                     .parse::<FsyncPolicy>()
                     .map_err(|e| CliError::Usage(format!("cluster: {e}")))?,
                 None => FsyncPolicy::EveryBatch,
-            };
-            let crash_after = match crash_after_opt {
-                Some(s) => Some(s.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                    CliError::Usage(format!(
-                        "cluster: --crash-after-batch wants a count >= 1, got {s:?}"
-                    ))
-                })?),
-                None => None,
             };
             Some(PersistOpts {
                 dir: dir.to_string(),

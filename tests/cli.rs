@@ -148,6 +148,35 @@ fn bad_usage_fails_cleanly() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// A numeric flag whose value does not parse is a usage error naming the
+/// flag — never a silent fall-back to the default — and is decided before
+/// any input is opened.
+#[test]
+fn unparsable_numeric_flags_are_usage_errors() {
+    let synth = "synth --out /nonexistent/out";
+    let cluster = "cluster --log /nonexistent/file.log";
+    let feed = "--table t --bgp-feed synth:1:1 --state-dir s";
+    for line in [
+        format!("{synth} --seed x"),
+        format!("{synth} --requests 1e6"),
+        format!("{synth} --clients -3"),
+        format!("{cluster} --top abc"),
+        format!("{cluster} --threads 0"),
+        format!("{cluster} --max-error-rate lots"),
+        format!("{cluster} {feed} --crash-after-batch soon"),
+    ] {
+        let args: Vec<&str> = line.split(' ').collect();
+        let flag = args[args.len() - 2];
+        let out = Command::new(bin())
+            .args(&args)
+            .output()
+            .expect("run with bad number");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        assert!(stderr.contains(flag), "{line}: {stderr}");
+    }
+}
+
 #[test]
 fn metrics_snapshot_is_deterministic_and_trace_prints_spans() {
     let dir = tmpdir("metrics");
