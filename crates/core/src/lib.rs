@@ -52,7 +52,7 @@ pub use anomaly::{
     AnomalyConfig, ClientClass, Detection,
 };
 pub use cluster::{ClientStats, Cluster, Clustering};
-pub use config::RunConfig;
+pub use config::{flags, Constraint, Flag, FlagError, FlagTable, Parsed, RunConfig};
 pub use dynamics::{dynamics_analysis, DynamicsRow, LogDynamics, LogUnderStudy};
 pub use faults::{failpoints, FaultInjector, FaultPlan};
 pub use ingest::{IngestError, IngestPipeline, IngestReport, QuarantinedLine};

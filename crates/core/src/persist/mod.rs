@@ -57,13 +57,14 @@ use codec::{
 /// rotation.
 pub const DEFAULT_COMPACT_THRESHOLD: u64 = 4 << 20;
 
-/// Default number of generations retained after a checkpoint.
-pub const DEFAULT_KEEP: u64 = 2;
+/// Generations retained after a checkpoint.
+const KEEP: u64 = 2;
 
 /// When to fsync journal appends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// fsync after every appended batch (strongest durability, slowest).
+    #[default]
     EveryBatch,
     /// fsync after every `n` appended batches.
     EveryN(u64),
@@ -81,15 +82,18 @@ pub struct FsyncParseError {
 
 impl fmt::Display for FsyncParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "bad fsync policy {:?}: expected every_batch, every_n:<N>, or os",
-            self.found
-        )
+        let grammar = FsyncPolicy::GRAMMAR;
+        write!(f, "bad fsync policy {:?}: expected {grammar}", self.found)
     }
 }
 
 impl std::error::Error for FsyncParseError {}
+
+impl FsyncPolicy {
+    /// The spellings [`FromStr`](std::str::FromStr) accepts — the one copy
+    /// the parse error, `--help` and the README all print.
+    pub const GRAMMAR: &'static str = "every_batch | every_n:<N> | os";
+}
 
 impl std::str::FromStr for FsyncPolicy {
     type Err = FsyncParseError;
@@ -257,7 +261,6 @@ pub struct StateStore {
     /// Current generation (0 = no checkpoint yet).
     seq: u64,
     fsync: FsyncPolicy,
-    keep: u64,
     compact_threshold: u64,
     /// Open append handle for `journal-{seq}.wal`.
     journal: Option<File>,
@@ -299,7 +302,6 @@ impl StateStore {
             dir,
             seq: 0,
             fsync,
-            keep: DEFAULT_KEEP,
             compact_threshold: DEFAULT_COMPACT_THRESHOLD,
             journal: None,
             journal_len: 0,
@@ -314,12 +316,6 @@ impl StateStore {
     /// [`wants_compaction`](Self::wants_compaction).
     pub fn compact_threshold(mut self, bytes: u64) -> Self {
         self.compact_threshold = bytes.max(1);
-        self
-    }
-
-    /// Sets how many generations [`checkpoint`](Self::checkpoint) retains.
-    pub fn keep(mut self, generations: u64) -> Self {
-        self.keep = generations.max(1);
         self
     }
 
@@ -350,17 +346,6 @@ impl StateStore {
     /// Current generation number (0 before the first checkpoint).
     pub fn generation(&self) -> u64 {
         self.seq
-    }
-
-    /// Bytes in the current journal, header included.
-    pub fn journal_len(&self) -> u64 {
-        self.journal_len
-    }
-
-    /// `true` after a failed append: the journal tail is torn and further
-    /// appends would sit unreachable past the tear.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
     }
 
     /// `true` once the journal has outgrown the compaction threshold and
@@ -448,7 +433,7 @@ impl StateStore {
     /// Removes generations older than the retention window. Best-effort:
     /// a prune failure never fails the checkpoint that triggered it.
     fn prune(&self) {
-        let Some(oldest_kept) = self.seq.checked_sub(self.keep - 1) else {
+        let Some(oldest_kept) = self.seq.checked_sub(KEEP - 1) else {
             return;
         };
         let Ok(entries) = fs::read_dir(&self.dir) else {
@@ -475,7 +460,8 @@ impl StateStore {
     /// [`FsyncPolicy`]. Call *before* applying the batch in memory: the
     /// journal must be a superset of the applied work for replay to
     /// reconstruct it. A write failure tears the frame on disk and
-    /// poisons the store (see [`is_poisoned`](Self::is_poisoned)).
+    /// poisons the store: until the next checkpoint, appends (which would
+    /// sit unreachable past the tear) return [`PersistError::Poisoned`].
     pub fn append_batch(&mut self, batch: &JournalBatch) -> Result<(), PersistError> {
         if self.poisoned {
             return Err(PersistError::Poisoned);
@@ -608,7 +594,6 @@ impl StateStore {
             dir,
             seq,
             fsync,
-            keep: DEFAULT_KEEP,
             compact_threshold: DEFAULT_COMPACT_THRESHOLD,
             journal: Some(journal),
             journal_len: journal_bytes,

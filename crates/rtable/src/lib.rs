@@ -40,5 +40,7 @@ pub use patch::{DeltaKind, DeltaParseError, PatchPolicy, PatchReport, TableDelta
 // extra import.
 pub use netclust_obs::ErrorCounts;
 pub use stats::PrefixLengthHistogram;
-pub use table::{MatchSource, MergedTable, ParseReport, RouteAttrs, RoutingTable, TableKind};
+pub use table::{
+    load_tables, MatchSource, MergedTable, ParseReport, RouteAttrs, RoutingTable, TableKind,
+};
 pub use trie::{PrefixTrie, PrefixTrieIter};

@@ -15,8 +15,11 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::io;
 use std::net::Ipv4Addr;
+use std::path::Path;
 
+use netclust_obs::ErrorCounts;
 use netclust_prefix::{parse_table_entry, Ipv4Net};
 
 use crate::trie::PrefixTrie;
@@ -244,6 +247,29 @@ impl fmt::Display for RoutingTable {
             self.prefixes.len()
         )
     }
+}
+
+/// Reads and parses the files of both tiers — `bgp` as [`TableKind::Bgp`],
+/// then `dumps` as [`TableKind::NetworkDump`] — each named after its path
+/// and paired with its parse noise (lines seen, lines skipped): what a swap
+/// gate budgets against and what the CLI prints a note about. An unreadable
+/// file is the `io::Error` with the path in its message.
+pub fn load_tables<P: AsRef<Path>>(
+    bgp: &[P],
+    dumps: &[P],
+) -> io::Result<Vec<(RoutingTable, ErrorCounts)>> {
+    let tier = |paths, kind| <[P]>::iter(paths).map(move |path| (path.as_ref(), kind));
+    let files = tier(bgp, TableKind::Bgp).chain(tier(dumps, TableKind::NetworkDump));
+    files
+        .map(|(path, kind)| {
+            let path = path.to_string_lossy();
+            let text = std::fs::read_to_string(&*path)
+                .map_err(|e| io::Error::new(e.kind(), format!("cannot read table {path}: {e}")))?;
+            let lines = text.lines().count() as u64;
+            let (table, bad) = RoutingTable::parse(path, "file", kind, &text);
+            Ok((table, ErrorCounts::new(lines, bad as u64)))
+        })
+        .collect()
 }
 
 /// Which source tier a merged-table match came from.

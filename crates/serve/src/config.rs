@@ -1,38 +1,66 @@
 //! [`ServeConfig`]: the daemon half of the configuration pair.
 //!
 //! [`netclust_core::RunConfig`] owns the knobs every clustering run shares
-//! (threads, determinism, error budget, swap policy, fsync cadence, obs);
-//! `ServeConfig` embeds one and adds the daemon-only surface: where to
-//! listen, what to tail, how often to poll, when to checkpoint. The
-//! `netclustd` flag parser produces exactly this struct —
-//! [`ServeConfig::from_args`] — so tests and embedders configure the
-//! daemon through the same typed path the CLI does, not a parallel set of
-//! setters.
+//! (threads, determinism, error budget, fsync cadence, obs); `ServeConfig`
+//! embeds one and adds the daemon-only surface: where to listen, what to
+//! tail, how often to poll, when to checkpoint. Embedders and tests chain
+//! the setters; `netclustd` goes through [`ServeConfig::from_args`], which
+//! reads [`FLAGS`] and calls the same setters wherever one clamps, so a
+//! clamp or a default is written once.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-use netclust_core::{failpoints, FaultPlan, RunConfig, VerdictPolicy};
+use netclust_core::{failpoints, FaultPlan, FlagError, RunConfig};
+
+pub use table::FLAGS;
+
+/// The `netclustd` options, one row a line; the first eight shared with
+/// `netclust cluster` (DESIGN.md §17).
+#[rustfmt::skip]
+mod table {
+    use netclust_core::{flags, Flag, FlagTable};
+    pub use netclust_core::flags::{DETERMINISTIC, DUMP, FSYNC, LOG, RESUME, STATE_DIR, TABLE};
+
+    pub const TOP: Flag = flags::TOP.default("10");
+    pub const LISTEN: Flag = Flag::new("--listen", "ADDR", "host:port to bind; port 0 = any").default("127.0.0.1:0");
+    pub const PORT_FILE: Flag = Flag::new("--port-file", "FILE", "write the bound address here once listening");
+    pub const HTTP_THREADS: Flag = Flag::new("--http-threads", "N", "HTTP worker pool size").default("4");
+    pub const POLL_MS: Flag = Flag::new("--poll-ms", "MS", "how often the log is polled: freshness").default("200");
+    pub const CHECKPOINT_BYTES: Flag = Flag::new("--checkpoint-bytes", "N", "snapshot a busy log every N applied bytes").default("4194304");
+    pub const FAULT: Flag = Flag::new("--fault", "POINT=PROB", "arm a failpoint (tests)").repeatable();
+    pub const FAULT_SEED: Flag = Flag::new("--fault-seed", "N", "fault injection seed").default("1");
+
+    /// Every `netclustd` option: what [`super::ServeConfig::from_args`]
+    /// parses and `netclustd --help` prints.
+    pub const FLAGS: FlagTable = FlagTable {
+        usage: "netclustd --table FILE[,FILE..] [options]\n    \
+            Tail an access log, keep its clustering current, answer queries\n    \
+            over HTTP. At least one of --table / --dump is required.",
+        flags: &[TABLE, DUMP, LOG, TOP, STATE_DIR, RESUME, FSYNC, DETERMINISTIC,
+                 LISTEN, PORT_FILE, HTTP_THREADS, POLL_MS, CHECKPOINT_BYTES, FAULT, FAULT_SEED],
+        constraints: &[],
+    };
+}
 
 /// Full configuration for one `netclustd` instance. Construct with
 /// [`ServeConfig::new`] (defaults suit tests: ephemeral port, no log, no
 /// state dir), chain setters, hand to [`crate::Daemon::start`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    listen: String,
-    http_threads: usize,
-    poll_interval: Duration,
-    tables: Vec<PathBuf>,
-    dumps: Vec<PathBuf>,
-    log: Option<PathBuf>,
-    state_dir: Option<PathBuf>,
-    resume: bool,
-    checkpoint_bytes: u64,
-    top_default: usize,
-    port_file: Option<PathBuf>,
-    run: RunConfig,
-    faults: FaultPlan,
-    verdict: VerdictPolicy,
+    pub(crate) listen: String,
+    pub(crate) http_threads: usize,
+    pub(crate) poll_interval: Duration,
+    pub(crate) tables: Vec<PathBuf>,
+    pub(crate) dumps: Vec<PathBuf>,
+    pub(crate) log: Option<PathBuf>,
+    pub(crate) state_dir: Option<PathBuf>,
+    pub(crate) resume: bool,
+    pub(crate) checkpoint_bytes: u64,
+    pub(crate) top_default: usize,
+    pub(crate) port_file: Option<PathBuf>,
+    pub(crate) run: RunConfig,
+    pub(crate) faults: FaultPlan,
 }
 
 impl Default for ServeConfig {
@@ -51,7 +79,6 @@ impl Default for ServeConfig {
             port_file: None,
             run: RunConfig::new(),
             faults: FaultPlan::disabled(),
-            verdict: VerdictPolicy::default(),
         }
     }
 }
@@ -61,12 +88,6 @@ impl ServeConfig {
     /// 4 MiB checkpoint threshold, top-10 default, no faults.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Listen address (`host:port`; port `0` binds an ephemeral port).
-    pub fn listen(mut self, addr: impl Into<String>) -> Self {
-        self.listen = addr.into();
-        self
     }
 
     /// Size of the HTTP worker pool.
@@ -103,18 +124,6 @@ impl ServeConfig {
         self
     }
 
-    /// Directory for crash-safe persistence (snapshots + journal).
-    pub fn state_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.state_dir = Some(dir.into());
-        self
-    }
-
-    /// Recover from an existing state dir instead of starting fresh.
-    pub fn resume(mut self, on: bool) -> Self {
-        self.resume = on;
-        self
-    }
-
     /// Applied-but-unsnapshotted log bytes at which the checkpointer
     /// snapshots even though the log is busy: the most log a `--resume`
     /// re-reads (plus what arrives while one snapshot is written).
@@ -129,20 +138,6 @@ impl ServeConfig {
         self
     }
 
-    /// File to write the bound address to once listening (how scripts
-    /// find an ephemeral port).
-    pub fn port_file(mut self, path: impl Into<PathBuf>) -> Self {
-        self.port_file = Some(path.into());
-        self
-    }
-
-    /// The shared run knobs (threads, determinism, swap policy, fsync,
-    /// obs).
-    pub fn run(mut self, run: RunConfig) -> Self {
-        self.run = run;
-        self
-    }
-
     /// Deterministic fault plan (arming [`failpoints::SERVE_ACCEPT`] /
     /// [`failpoints::SERVE_REQUEST_PARSE`] and friends).
     pub fn faults(mut self, plan: FaultPlan) -> Self {
@@ -150,227 +145,196 @@ impl ServeConfig {
         self
     }
 
-    /// Thresholds for `/v1/verdict`.
-    pub fn verdict(mut self, policy: VerdictPolicy) -> Self {
-        self.verdict = policy;
-        self
-    }
-
-    /// The listen address.
-    pub fn listen_addr(&self) -> &str {
-        &self.listen
-    }
-
-    /// The HTTP worker-pool size.
-    pub fn http_threads_n(&self) -> usize {
-        self.http_threads
-    }
-
-    /// The follower poll interval.
-    pub fn poll_interval_d(&self) -> Duration {
-        self.poll_interval
-    }
-
-    /// The BGP table files.
-    pub fn table_paths(&self) -> &[PathBuf] {
-        &self.tables
-    }
-
-    /// The network-dump table files.
-    pub fn dump_paths(&self) -> &[PathBuf] {
-        &self.dumps
-    }
-
-    /// The tailed log, if any.
-    pub fn log_path(&self) -> Option<&PathBuf> {
-        self.log.as_ref()
-    }
-
-    /// The persistence directory, if any.
-    pub fn state_dir_path(&self) -> Option<&PathBuf> {
-        self.state_dir.as_ref()
-    }
-
-    /// Whether to recover from the state dir.
-    pub fn is_resume(&self) -> bool {
-        self.resume
-    }
-
-    /// The checkpoint byte threshold.
-    pub fn checkpoint_bytes_n(&self) -> u64 {
-        self.checkpoint_bytes
-    }
-
-    /// The default top-N size.
-    pub fn top_default_n(&self) -> usize {
-        self.top_default
-    }
-
-    /// The port file, if any.
-    pub fn port_file_path(&self) -> Option<&PathBuf> {
-        self.port_file.as_ref()
-    }
-
-    /// The shared run knobs.
-    pub fn run_config(&self) -> &RunConfig {
-        &self.run
-    }
-
-    /// The fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
-    /// The verdict thresholds.
-    pub fn verdict_policy(&self) -> VerdictPolicy {
-        self.verdict
-    }
-
-    /// Parses `netclustd` command-line flags. Returns a usage message on
-    /// any unknown or malformed flag.
+    /// Parses `netclustd` command-line flags against [`FLAGS`]. Returns a
+    /// usage message on any unknown, repeated or malformed flag.
     // analyze:allow(typed-errors) flag-parse failures are usage text printed verbatim to stderr; no caller matches on them.
     pub fn from_args(args: &[String]) -> Result<ServeConfig, String> {
-        let mut cfg = ServeConfig::new();
-        let mut run = RunConfig::new();
-        let mut fault_seed = 1u64;
-        let mut fault_points: Vec<(String, f64)> = Vec::new();
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| -> Result<&String, String> {
-                it.next().ok_or_else(|| format!("{name} needs a value"))
-            };
-            match flag.as_str() {
-                "--listen" => cfg.listen = value("--listen")?.clone(),
-                "--table" => {
-                    cfg.tables.extend(split_paths(value("--table")?));
-                }
-                "--dump" => {
-                    cfg.dumps.extend(split_paths(value("--dump")?));
-                }
-                "--log" => cfg.log = Some(PathBuf::from(value("--log")?)),
-                "--state-dir" => cfg.state_dir = Some(PathBuf::from(value("--state-dir")?)),
-                "--resume" => cfg.resume = true,
-                "--http-threads" => {
-                    cfg.http_threads = parse_num(value("--http-threads")?, "--http-threads")?;
-                    cfg.http_threads = cfg.http_threads.max(1);
-                }
-                "--poll-ms" => {
-                    let ms: u64 = parse_num(value("--poll-ms")?, "--poll-ms")?;
-                    cfg.poll_interval = Duration::from_millis(ms.max(1));
-                }
-                "--checkpoint-bytes" => {
-                    cfg.checkpoint_bytes =
-                        parse_num::<u64>(value("--checkpoint-bytes")?, "--checkpoint-bytes")?
-                            .max(1);
-                }
-                "--top" => {
-                    cfg.top_default = parse_num::<usize>(value("--top")?, "--top")?.max(1);
-                }
-                "--port-file" => cfg.port_file = Some(PathBuf::from(value("--port-file")?)),
-                "--deterministic" => run = run.deterministic(true),
-                "--fsync" => {
-                    let policy = value("--fsync")?
-                        .parse()
-                        .map_err(|e| format!("--fsync: {e:?}"))?;
-                    run = run.fsync(policy);
-                }
-                "--fault-seed" => {
-                    fault_seed = parse_num(value("--fault-seed")?, "--fault-seed")?;
-                }
-                "--fault" => {
-                    let spec = value("--fault")?;
-                    let (point, prob) = spec
-                        .split_once('=')
-                        .ok_or_else(|| format!("--fault wants POINT=PROB, got {spec:?}"))?;
-                    if !failpoints::all().contains(&point) {
-                        return Err(format!(
-                            "--fault: unknown failpoint {point:?} (known: {})",
-                            failpoints::all().join(", ")
-                        ));
-                    }
-                    let prob: f64 = parse_num(prob, "--fault PROB")?;
-                    fault_points.push((point.to_string(), prob));
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
-        }
-        if cfg.tables.is_empty() && cfg.dumps.is_empty() {
-            return Err("--table or --dump is required (the serving table)".to_string());
-        }
-        if !fault_points.is_empty() {
-            let mut plan = FaultPlan::new(fault_seed);
-            for (point, prob) in fault_points {
-                plan = plan.with(&point, prob);
-            }
-            cfg.faults = plan;
-        }
-        cfg.run = run;
-        Ok(cfg)
+        Self::from_flags(args).map_err(|e| e.to_string())
     }
-}
 
-fn split_paths(list: &str) -> Vec<PathBuf> {
-    list.split(',')
-        .filter(|s| !s.is_empty())
-        .map(PathBuf::from)
-        .collect()
-}
-
-fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
-    s.parse()
-        .map_err(|_| format!("{flag}: unparsable value {s:?}"))
+    fn from_flags(args: &[String]) -> Result<ServeConfig, FlagError> {
+        use table::*;
+        let p = FLAGS.parse(args)?;
+        if !p.given(&TABLE) && !p.given(&DUMP) {
+            let need = format!("{} or {}", TABLE.name, DUMP.name);
+            return Err(FlagError::Usage(format!(
+                "{need} is required (the serving table)"
+            )));
+        }
+        let mut faults = FaultPlan::new(p.req(&FAULT_SEED)?);
+        for spec in p.each::<String>(&FAULT)? {
+            let Some((point, prob)) = spec.split_once('=') else {
+                return Err(FAULT.bad(&spec, format_args!("wants {}", FAULT.metavar)));
+            };
+            if !failpoints::all().contains(&point) {
+                let known = failpoints::all().join(", ");
+                return Err(FAULT.bad(&spec, format_args!("unknown failpoint (known: {known})")));
+            }
+            faults = faults.with(point, prob.parse().map_err(|e| FAULT.bad(&spec, e))?);
+        }
+        let run = RunConfig::new().deterministic(p.given(&DETERMINISTIC));
+        let cfg = ServeConfig {
+            listen: p.req(&LISTEN)?,
+            tables: p.each(&TABLE)?,
+            dumps: p.each(&DUMP)?,
+            log: p.opt(&LOG)?,
+            state_dir: p.opt(&STATE_DIR)?,
+            resume: p.given(&RESUME),
+            port_file: p.opt(&PORT_FILE)?,
+            run: run.fsync(p.req(&FSYNC)?),
+            faults: if p.given(&FAULT) {
+                faults
+            } else {
+                FaultPlan::disabled()
+            },
+            ..ServeConfig::new()
+        };
+        // The setters that clamp are the only place the clamps live.
+        Ok(cfg
+            .http_threads(p.req(&HTTP_THREADS)?)
+            .poll_interval(Duration::from_millis(p.req(&POLL_MS)?))
+            .checkpoint_bytes(p.req(&CHECKPOINT_BYTES)?)
+            .top_default(p.req(&TOP)?))
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::table::*;
     use super::*;
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    /// A value each row accepts; a new row must be added here (the lookup
+    /// panics on a row it does not know), and then every test below covers it.
+    fn sample(flag: &netclust_core::Flag) -> &'static str {
+        let samples = [
+            (TABLE, "a.bgp,b.bgp"),
+            (DUMP, "c.dump"),
+            (LOG, "/var/log/access.log"),
+            (TOP, "25"),
+            (STATE_DIR, "/tmp/state"),
+            (FSYNC, "every_n:3"),
+            (LISTEN, "127.0.0.1:8080"),
+            (PORT_FILE, "/tmp/port"),
+            (HTTP_THREADS, "2"),
+            (POLL_MS, "50"),
+            (CHECKPOINT_BYTES, "65536"),
+            (FAULT, "serve.accept=0.5"),
+            (FAULT_SEED, "9"),
+        ];
+        let known = samples.iter().find(|(row, _)| row.name == flag.name);
+        known
+            .unwrap_or_else(|| panic!("no sample for {}", flag.name))
+            .1
+    }
+
+    fn all_flags() -> Vec<String> {
+        let mut args = Vec::new();
+        for flag in FLAGS.flags {
+            args.push(flag.name.to_string());
+            if !flag.metavar.is_empty() {
+                args.push(sample(flag).to_string());
+            }
+        }
+        args
+    }
+
     #[test]
     fn flags_parse_into_the_typed_config() {
-        let cfg = ServeConfig::from_args(&argv(&[
-            "--listen",
-            "127.0.0.1:8080",
-            "--table",
-            "a.bgp,b.bgp",
-            "--dump",
-            "c.dump",
-            "--log",
-            "/var/log/access.log",
-            "--state-dir",
-            "/tmp/state",
-            "--resume",
-            "--http-threads",
-            "2",
-            "--poll-ms",
-            "50",
-            "--top",
-            "25",
-            "--deterministic",
-            "--fault",
-            "serve.accept=0.5",
-            "--fault-seed",
-            "9",
-        ]))
-        .expect("valid flags");
-        assert_eq!(cfg.listen_addr(), "127.0.0.1:8080");
-        assert_eq!(cfg.table_paths().len(), 2);
-        assert_eq!(cfg.dump_paths().len(), 1);
-        assert!(cfg.is_resume());
-        assert_eq!(cfg.http_threads_n(), 2);
-        assert_eq!(cfg.poll_interval_d(), Duration::from_millis(50));
-        assert_eq!(cfg.top_default_n(), 25);
-        assert!(cfg.run_config().is_deterministic());
-        assert!(cfg.fault_plan().is_armed(failpoints::SERVE_ACCEPT));
+        let cfg = ServeConfig::from_args(&all_flags()).expect("every row at once");
+        assert_eq!(cfg.listen, "127.0.0.1:8080");
+        assert_eq!(cfg.tables.len(), 2);
+        assert_eq!(cfg.dumps.len(), 1);
+        assert_eq!(cfg.log, Some(PathBuf::from("/var/log/access.log")));
+        assert_eq!(cfg.state_dir, Some(PathBuf::from("/tmp/state")));
+        assert_eq!(cfg.port_file, Some(PathBuf::from("/tmp/port")));
+        assert!(cfg.resume);
+        assert_eq!(cfg.http_threads, 2);
+        assert_eq!(cfg.poll_interval, Duration::from_millis(50));
+        assert_eq!(cfg.checkpoint_bytes, 65_536);
+        assert_eq!(cfg.top_default, 25);
+        assert!(cfg.run.is_deterministic());
+        assert_eq!(
+            cfg.run.fsync_policy(),
+            netclust_core::FsyncPolicy::EveryN(3)
+        );
+        assert!(cfg.faults.is_armed(failpoints::SERVE_ACCEPT));
+    }
+
+    #[test]
+    fn table_defaults_are_the_struct_defaults_and_setters_clamp() {
+        let parsed = ServeConfig::from_args(&argv(&["--table", "t"])).expect("minimal");
+        let built = ServeConfig::new().tables(vec![PathBuf::from("t")]);
+        assert_eq!(format!("{parsed:?}"), format!("{built:?}"));
+
+        let zeros = "--table t --http-threads 0 --poll-ms 0 --checkpoint-bytes 0 --top 0";
+        let zeros: Vec<&str> = zeros.split(' ').collect();
+        let cfg = ServeConfig::from_args(&argv(&zeros)).expect("zeros clamp");
+        assert_eq!(
+            (cfg.http_threads, cfg.checkpoint_bytes, cfg.top_default),
+            (1, 1, 1)
+        );
+        assert_eq!(cfg.poll_interval, Duration::from_millis(1));
+    }
+
+    /// Every row: named by `--help`, refused without its value, refused
+    /// twice unless repeatable — and the refusal names the row.
+    #[test]
+    fn every_row_is_documented_and_validated() {
+        let help = FLAGS.render_help();
+        for flag in FLAGS.flags {
+            let name = flag.name;
+            assert!(help.contains(&format!("  {name}")), "--help lacks {name}");
+            let mut twice = all_flags();
+            if flag.metavar.is_empty() {
+                twice.push(name.to_string());
+            } else {
+                let err = ServeConfig::from_args(&argv(&["--table", "t", name]));
+                assert_eq!(err.expect_err(name), format!("{name} needs a value"));
+                twice.extend([name.to_string(), sample(flag).to_string()]);
+            }
+            let again = ServeConfig::from_args(&twice);
+            if flag.repeatable {
+                again.expect(name);
+            } else {
+                assert_eq!(
+                    again.expect_err(name),
+                    format!("{name} given more than once")
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fsync_takes_the_grammar_the_help_prints() {
+        let grammar = netclust_core::FsyncPolicy::GRAMMAR;
+        assert_eq!(grammar, "every_batch | every_n:<N> | os");
+        assert!(FLAGS
+            .render_help()
+            .contains(&format!("{} {grammar}\n", FSYNC.name)));
+        for spelling in grammar.replace("<N>", "4").split(" | ") {
+            ServeConfig::from_args(&argv(&["--table", "t", FSYNC.name, spelling])).expect(spelling);
+        }
+        // A hyphen is not the grammar: refused, and told what is.
+        let err = ServeConfig::from_args(&argv(&["--table", "t", FSYNC.name, "every-batch"]));
+        let err = err.expect_err("not the grammar");
+        assert!(
+            err.contains(grammar) && !err.contains("FsyncParseError"),
+            "{err}"
+        );
     }
 
     #[test]
     fn unknown_flags_and_failpoints_are_usage_errors() {
-        assert!(ServeConfig::from_args(&argv(&["--bogus"])).is_err());
+        let err = ServeConfig::from_args(&argv(&["--bogus"])).expect_err("unknown");
+        assert!(err.contains("--bogus"), "{err}");
         assert!(ServeConfig::from_args(&argv(&["--table", "t", "--fault", "nope=1"])).is_err());
+        assert!(
+            ServeConfig::from_args(&argv(&["--table", "t", "--fault", "serve.accept"])).is_err()
+        );
         // Batch-ingest knobs belong to `netclust cluster`; the follower is
         // single-threaded and has no error budget to enforce.
         assert!(ServeConfig::from_args(&argv(&["--table", "t", "--threads", "3"])).is_err());
@@ -380,6 +344,16 @@ mod tests {
         assert!(
             ServeConfig::from_args(&argv(&[])).is_err(),
             "a serving table is mandatory"
+        );
+    }
+
+    /// README *Serving* quotes `netclustd --help`; this keeps it the output.
+    #[test]
+    fn readme_serving_block_is_the_generated_help() {
+        let readme = include_str!("../../../README.md");
+        assert!(
+            readme.contains(&format!("```text\n{}```", FLAGS.render_help())),
+            "README.md Serving: paste the output of `netclustd --help`"
         );
     }
 }

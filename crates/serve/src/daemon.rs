@@ -27,9 +27,11 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use netclust_core::{failpoints, FaultPlan, StateStore, StreamingClustering};
-use netclust_obs::{ErrorCounts, Obs};
-use netclust_rtable::{MergedTable, TableKind};
+use netclust_core::{
+    failpoints, FaultPlan, StateStore, StreamingClustering, SwapPolicy, VerdictPolicy,
+};
+use netclust_obs::Obs;
+use netclust_rtable::{load_tables, MergedTable};
 use netclust_weblog::follow::LogFollower;
 
 use crate::checkpoint::{self, Checkpointer};
@@ -96,32 +98,32 @@ impl Daemon {
     pub fn start(config: ServeConfig) -> Result<Daemon, ServeError> {
         // The daemon always records metrics — `/metrics` is an endpoint,
         // not an opt-in — so a disabled RunConfig obs is upgraded here.
-        let obs = if config.run_config().obs_handle().is_enabled() {
-            config.run_config().obs_handle().clone()
+        let obs = if config.run.obs_handle().is_enabled() {
+            config.run.obs_handle().clone()
         } else {
             Obs::enabled()
         };
         let state = Arc::new(build_state(&config, &obs)?);
 
-        let listener = TcpListener::bind(config.listen_addr())
-            .map_err(|e| ServeError::Config(format!("bind {}: {e}", config.listen_addr())))?;
+        let listener = TcpListener::bind(&config.listen)
+            .map_err(|e| ServeError::Config(format!("bind {}: {e}", config.listen)))?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        if let Some(path) = config.port_file_path() {
+        if let Some(path) = &config.port_file {
             std::fs::write(path, format!("{addr}\n"))?;
         }
 
         let stop = Arc::new(AtomicBool::new(false));
 
-        let plan = config.fault_plan().clone();
+        let plan = config.faults.clone();
         let handler_state = Arc::clone(&state);
         let handler_stop = Arc::clone(&stop);
         let handler: Handler = Arc::new(move |conn| {
             serve_connection(&handler_state, conn, &plan, &handler_stop);
         });
-        let pool = ThreadPool::new(config.http_threads_n(), handler);
+        let pool = ThreadPool::new(config.http_threads, handler);
 
-        let accept_plan = config.fault_plan().clone();
+        let accept_plan = config.faults.clone();
         let accept_state = Arc::clone(&state);
         let accept_stop = Arc::clone(&stop);
         let accept = std::thread::Builder::new()
@@ -140,7 +142,7 @@ impl Daemon {
             }
         };
 
-        let follower = match config.log_path() {
+        let follower = match &config.log {
             None => None,
             Some(path) => {
                 // A restored stream carries the cursor its snapshot was
@@ -153,7 +155,7 @@ impl Daemon {
                 let follower = LogFollower::resume_at(path, offset);
                 let follow_state = Arc::clone(&state);
                 let follow_stop = Arc::clone(&stop);
-                let interval = config.poll_interval_d();
+                let interval = config.poll_interval;
                 Some(
                     std::thread::Builder::new()
                         .name("netclustd-follow".to_string())
@@ -182,13 +184,6 @@ impl Daemon {
     /// The shared application state (for in-process inspection in tests).
     pub fn state(&self) -> &Arc<AppState> {
         &self.state
-    }
-
-    /// Flags the accept loop and follower to wind down without blocking.
-    pub fn request_stop(&self) {
-        // ordering: single stop flag, no data published through it;
-        // SeqCst keeps the shutdown handshake trivially correct.
-        self.stop.store(true, Ordering::SeqCst);
     }
 
     /// Stops accepting, drains in-flight requests, joins the follower
@@ -226,32 +221,21 @@ impl Drop for Daemon {
 
 /// Loads the serving table and builds (or recovers) the shared state.
 fn build_state(config: &ServeConfig, obs: &Obs) -> Result<AppState, ServeError> {
-    let run = config.run_config().clone().obs(obs.clone());
+    let run = config.run.clone().obs(obs.clone());
 
-    let mut tables = Vec::new();
-    let mut noise = ErrorCounts::default();
-    for (paths, kind) in [
-        (config.table_paths(), TableKind::Bgp),
-        (config.dump_paths(), TableKind::NetworkDump),
-    ] {
-        for path in paths {
-            let (table, counts) =
-                router::load_table(&path.to_string_lossy(), kind).map_err(ServeError::Config)?;
-            noise.merge(counts);
-            tables.push(table);
-        }
-    }
+    let tables = load_tables(&config.tables, &config.dumps)
+        .map_err(|e| ServeError::Config(e.to_string()))?;
 
     let mut store = None;
     let mut feed_index = 0u64;
-    let stream: StreamingClustering = match config.state_dir_path() {
-        Some(dir) if config.is_resume() => {
+    let stream: StreamingClustering = match &config.state_dir {
+        Some(dir) if config.resume => {
             let (mut recovered_store, snapshot, report) =
                 StateStore::recover(dir, run.fsync_policy())
                     .map_err(|e| ServeError::Persist(format!("recover {}: {e}", dir.display())))?;
             recovered_store = recovered_store.obs(obs);
             let mut stream =
-                StreamingClustering::restore(&snapshot, *run.swap_policy_ref(), obs.clone())
+                StreamingClustering::restore(&snapshot, SwapPolicy::default(), obs.clone())
                     .map_err(|e| ServeError::Persist(format!("restore: {e}")))?;
             // Replay the journaled delta batches the crashed (or stopped)
             // process applied after its last snapshot.
@@ -268,7 +252,7 @@ fn build_state(config: &ServeConfig, obs: &Obs) -> Result<AppState, ServeError> 
                     "no serving table: give --table or --dump".to_string(),
                 ));
             }
-            let stream = run.streaming(MergedTable::merge(tables.iter()));
+            let stream = run.streaming(MergedTable::merge(tables.iter().map(|(table, _)| table)));
             if let Some(dir) = maybe_dir {
                 let mut fresh = StateStore::create(dir, run.fsync_policy())
                     .map_err(|e| ServeError::Persist(format!("create {}: {e}", dir.display())))?
@@ -289,13 +273,13 @@ fn build_state(config: &ServeConfig, obs: &Obs) -> Result<AppState, ServeError> 
         stream: RwLock::new(stream),
         checkpointer: store
             .is_some()
-            .then(|| Checkpointer::new(config.checkpoint_bytes_n())),
+            .then(|| Checkpointer::new(config.checkpoint_bytes)),
         store: Mutex::new(store),
         obs: obs.clone(),
         metrics: ServeObs::resolve(obs),
         deterministic: run.is_deterministic(),
-        top_default: config.top_default_n(),
-        verdict: config.verdict_policy(),
+        top_default: config.top_default,
+        verdict: VerdictPolicy::default(),
         feed_index: AtomicU64::new(feed_index),
     })
 }
@@ -484,11 +468,10 @@ fn follower_loop(
             Ok(None) => idle_polls = idle_polls.saturating_add(1),
             Err(_) => state.metrics.follow_errors.inc(),
         }
-        let file_len = std::fs::metadata(follower.path()).map_or(0, |m| m.len());
         state
             .metrics
             .follow_lag
-            .set(file_len.saturating_sub(follower.offset()));
+            .set(follower.file_len().saturating_sub(follower.offset()));
         if let Some(cp) = &state.checkpointer {
             state.metrics.checkpoint_dirty.set(cp.dirty_bytes());
             if cp.consider(idle_polls >= 2) {

@@ -10,49 +10,12 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+use netclust_core::FlagError;
+use netclust_serve::config::FLAGS;
 use netclust_serve::{Daemon, ServeConfig};
 
 /// Flipped by the signal handler; the main thread polls it.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
-
-const USAGE: &str = "\
-netclustd: network-aware clustering daemon
-
-usage: netclustd --table FILE[,FILE..] [options]
-
-serving table (at least one required):
-  --table FILE[,..]       BGP routing-table files
-  --dump FILE[,..]        network-dump table files
-
-service:
-  --listen ADDR           host:port to bind (default 127.0.0.1:0)
-  --port-file FILE        write the bound address here once listening
-  --http-threads N        HTTP worker pool size (default 4)
-  --top N                 default n for /v1/clusters/top (default 10)
-
-log tailing:
-  --log FILE              access log (CLF) to tail
-  --poll-ms MS            follower poll interval (default 200): a logged
-                          line is served within about one interval; no
-                          snapshot is ever written on that path
-
-persistence:
-  --state-dir DIR         snapshot + journal directory
-  --resume                recover from --state-dir instead of starting fresh
-  --checkpoint-bytes N    snapshot in the background once N log bytes are
-                          applied but not yet snapshotted (default 4 MiB),
-                          or as soon as the log has been quiet for one poll
-                          interval; never more often than half the time.
-                          Bounds how much log a --resume re-reads
-  --fsync POLICY          every-batch | every=N | os (default every-batch)
-
-run knobs:
-  --deterministic         byte-stable /metrics and JSON output
-
-fault injection (tests):
-  --fault POINT=PROB      arm a registered failpoint
-  --fault-seed N          deterministic injection seed (default 1)
-";
 
 #[cfg(unix)]
 mod sig {
@@ -92,15 +55,14 @@ mod sig {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
+    if matches!(FLAGS.parse(&args), Err(FlagError::Help)) {
+        print!("{}", FLAGS.render_help());
         return ExitCode::SUCCESS;
     }
-
     let config = match ServeConfig::from_args(&args) {
         Ok(config) => config,
         Err(msg) => {
-            eprintln!("netclustd: {msg}\n\n{USAGE}");
+            eprintln!("netclustd: {msg}\n\n{}", FLAGS.render_help());
             return ExitCode::from(2);
         }
     };

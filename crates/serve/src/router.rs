@@ -19,7 +19,7 @@ use std::sync::{Mutex, RwLock};
 use netclust_core::query::top_to_json;
 use netclust_core::{ClusterQuery, StateStore, StreamingClustering, VerdictPolicy};
 use netclust_obs::{Counter, ErrorCounts, Gauge, Histogram, Obs};
-use netclust_rtable::{MergedTable, RoutingTable, TableDelta, TableKind};
+use netclust_rtable::{load_tables, MergedTable, TableDelta};
 
 use crate::checkpoint::{self, ApplyError, Checkpointer};
 use crate::http::{HttpRequest, HttpResponse, Method};
@@ -255,27 +255,20 @@ fn reload_swap(
     table_param: Option<&str>,
     dump_param: Option<&str>,
 ) -> HttpResponse {
-    let mut tables = Vec::new();
-    let mut noise = ErrorCounts::default();
-    for (param, kind) in [
-        (table_param, TableKind::Bgp),
-        (dump_param, TableKind::NetworkDump),
-    ] {
-        let Some(list) = param else { continue };
-        for path in list.split(',').filter(|p| !p.is_empty()) {
-            match load_table(path, kind) {
-                Ok((table, counts)) => {
-                    noise.merge(counts);
-                    tables.push(table);
-                }
-                Err(msg) => return HttpResponse::json(400, json::error_body(&msg)),
-            }
-        }
-    }
+    let paths = |list: Option<&str>| -> Vec<String> {
+        let items = list.unwrap_or_default().split(',');
+        items.filter(|p| !p.is_empty()).map(String::from).collect()
+    };
+    let tables = match load_tables(&paths(table_param), &paths(dump_param)) {
+        Ok(tables) => tables,
+        Err(e) => return HttpResponse::json(400, json::error_body(&e.to_string())),
+    };
     if tables.is_empty() {
         return HttpResponse::json(400, json::error_body("no readable tables in reload"));
     }
-    let merged = MergedTable::merge(tables.iter());
+    let mut noise = ErrorCounts::default();
+    tables.iter().for_each(|(_, counts)| noise.merge(*counts));
+    let merged = MergedTable::merge(tables.iter().map(|(table, _)| table));
 
     let mut stream = match state.stream.write() {
         Ok(guard) => guard,
@@ -339,17 +332,4 @@ pub fn parse_delta_lines(body: &[u8]) -> Result<Vec<TableDelta>, String> {
         );
     }
     Ok(deltas)
-}
-
-/// Reads and parses one routing-table file, reporting parse noise as the
-/// [`ErrorCounts`] the swap gate budgets against.
-pub(crate) fn load_table(
-    path: &str,
-    kind: TableKind,
-) -> Result<(RoutingTable, ErrorCounts), String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read table {path}: {e}"))?;
-    let lines = text.lines().count() as u64;
-    let (table, bad) = RoutingTable::parse(path, "file", kind, &text);
-    Ok((table, ErrorCounts::new(lines, bad as u64)))
 }

@@ -384,6 +384,48 @@ fn equal_corpora_render_byte_identical_json() {
     );
 }
 
+/// The binary's own edges: `--help` is the generated table on stdout and
+/// exit 0 wherever it appears; a refused flag is exit 2, named on stderr.
+#[test]
+fn netclustd_help_and_usage_errors() {
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_netclustd"))
+            .args(args)
+            .output();
+        let out = out.expect("run netclustd");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.code(), out.stdout, stderr)
+    };
+    let help = netclust_serve::config::FLAGS.render_help();
+    for args in [&["--help"][..], &["--table", "t", "-h"][..]] {
+        let (code, stdout, _) = run(args);
+        assert_eq!(
+            (code, stdout),
+            (Some(0), help.clone().into_bytes()),
+            "{args:?}"
+        );
+    }
+    for (args, named) in [
+        (
+            &["--table", "t", "--fsync", "every-batch"][..],
+            "every_batch | every_n:<N> | os",
+        ),
+        (
+            &["--table", "t", "--tpo", "5"][..],
+            "unknown flag \"--tpo\"",
+        ),
+        (&["--table", "t", "--top"][..], "--top needs a value"),
+        (&["--top", "5"][..], "--table or --dump is required"),
+    ] {
+        let (code, stdout, stderr) = run(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(
+            stdout.is_empty() && stderr.contains(named),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
 /// A spawned `netclustd` that a failing assertion cannot leak.
 struct Netclustd(Child);
 

@@ -18,11 +18,12 @@
 
 use std::fs::{self, File};
 use std::io::{self, ErrorKind, Read, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Upper bound on bytes consumed per [`LogFollower::poll`] call, so one
 /// poll against a huge backlog cannot stall the daemon's control loop.
-/// The remainder is returned by subsequent polls.
+/// The remainder is returned by subsequent polls. Also the longest
+/// unterminated line the follower holds on to: past it the line is dropped.
 pub const MAX_POLL_BYTES: u64 = 4 << 20;
 
 /// Tails one (possibly rotating) log file; see the module docs.
@@ -34,6 +35,11 @@ pub struct LogFollower {
     read_pos: u64,
     /// Trailing bytes after the last newline, held until completed.
     carry: Vec<u8>,
+    /// Bytes of an over-long line discarded so far; its tail is still being
+    /// skipped while this is non-zero.
+    dropped: u64,
+    /// Length of the file at the last poll's `stat` (0 while it is absent).
+    file_len: u64,
     /// Identity of the file last read, for rename-rotation detection.
     file_id: Option<u64>,
 }
@@ -41,12 +47,7 @@ pub struct LogFollower {
 impl LogFollower {
     /// Follows `path` from the beginning of the file.
     pub fn new(path: impl Into<PathBuf>) -> Self {
-        LogFollower {
-            path: path.into(),
-            read_pos: 0,
-            carry: Vec::new(),
-            file_id: None,
-        }
+        Self::resume_at(path, 0)
     }
 
     /// Follows `path` from a checkpointed [`offset`](Self::offset) —
@@ -58,19 +59,23 @@ impl LogFollower {
             path: path.into(),
             read_pos: offset,
             carry: Vec::new(),
+            dropped: 0,
+            file_len: 0,
             file_id: None,
         }
     }
 
-    /// The path being followed.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Byte offset just past the last complete line returned: the value
+    /// to checkpoint for [`resume_at`](Self::resume_at). Line-aligned even
+    /// while an over-long line is being skipped (it points at its start).
+    pub fn offset(&self) -> u64 {
+        self.read_pos - self.carry.len() as u64 - self.dropped
     }
 
-    /// Byte offset just past the last complete line returned: the value
-    /// to checkpoint for [`resume_at`](Self::resume_at).
-    pub fn offset(&self) -> u64 {
-        self.read_pos - self.carry.len() as u64
+    /// How long the file was when the last [`poll`](Self::poll) looked;
+    /// minus [`offset`](Self::offset), how far behind the follower is.
+    pub fn file_len(&self) -> u64 {
+        self.file_len
     }
 
     /// Reads whatever complete lines have appeared since the last poll.
@@ -81,12 +86,18 @@ impl LogFollower {
     /// lines. Detects rotation by file identity change or truncation and
     /// restarts from the new file's beginning, dropping any carried
     /// partial line (it belonged to the rotated-away file).
+    ///
+    /// A line still unterminated after [`MAX_POLL_BYTES`] is dropped rather
+    /// than carried without bound: the poll that gives up on it returns
+    /// `InvalidData`, and later polls discard up to its newline.
     pub fn poll(&mut self) -> io::Result<Option<Vec<u8>>> {
+        self.file_len = 0;
         let meta = match fs::metadata(&self.path) {
             Ok(m) => m,
             Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
+        self.file_len = meta.len();
         let id = file_identity(&meta);
         let renamed = match (self.file_id, id) {
             (Some(old), Some(new)) => old != new,
@@ -97,6 +108,7 @@ impl LogFollower {
             // fresh file. The old file's unterminated tail is gone.
             self.read_pos = 0;
             self.carry.clear();
+            self.dropped = 0;
         }
         self.file_id = id;
         if meta.len() <= self.read_pos {
@@ -112,12 +124,31 @@ impl LogFollower {
         }
         self.read_pos += fresh.len() as u64;
 
+        let mut fresh = fresh.as_slice();
+        if self.dropped > 0 {
+            // The rest of a dropped line: discard through its newline.
+            match fresh.iter().position(|&b| b == b'\n') {
+                Some(nl) => {
+                    fresh = fresh.get(nl + 1..).unwrap_or_default();
+                    self.dropped = 0;
+                }
+                None => {
+                    self.dropped += fresh.len() as u64;
+                    return Ok(None);
+                }
+            }
+        }
         let mut buf = std::mem::take(&mut self.carry);
-        buf.extend_from_slice(&fresh);
+        buf.extend_from_slice(fresh);
         match buf.iter().rposition(|&b| b == b'\n') {
             Some(last_nl) => {
                 self.carry = buf.split_off(last_nl + 1);
                 Ok(Some(buf))
+            }
+            None if buf.len() as u64 > MAX_POLL_BYTES => {
+                self.dropped = buf.len() as u64;
+                let why = format!("unterminated line over {MAX_POLL_BYTES} bytes dropped");
+                Err(io::Error::new(ErrorKind::InvalidData, why))
             }
             None => {
                 // Still mid-line: hold everything until the newline lands.
@@ -146,6 +177,7 @@ mod tests {
     use super::*;
     use std::fs::OpenOptions;
     use std::io::Write as _;
+    use std::path::Path;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -229,6 +261,29 @@ mod tests {
         let mut resumed = LogFollower::resume_at(&log, checkpoint);
         assert_eq!(resumed.poll().expect("read"), Some(b"third\n".to_vec()));
         assert_eq!(resumed.poll().expect("read"), None);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_endless_line_is_dropped_not_carried_without_bound() {
+        let dir = tmpdir("endless");
+        let log = dir.join("access.log");
+        append(&log, b"first\n");
+        append(&log, &vec![b'x'; MAX_POLL_BYTES as usize + (1 << 20)]);
+        let mut fw = LogFollower::new(&log);
+        assert_eq!(fw.poll().expect("read"), Some(b"first\n".to_vec()));
+        assert_eq!(fw.carry.len() as u64, MAX_POLL_BYTES - 6, "under the cap");
+        let err = fw.poll().expect_err("past the cap: dropped, and said so");
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert!(fw.carry.is_empty(), "nothing of the line is kept");
+        assert_eq!(fw.offset(), 6, "cursor stays at the line's start");
+
+        append(&log, b"still the same line");
+        assert_eq!(fw.poll().expect("skipping"), None);
+        assert_eq!(fw.offset(), 6);
+        append(&log, b"\ngood\ntorn");
+        assert_eq!(fw.poll().expect("read"), Some(b"good\n".to_vec()));
+        assert_eq!(fw.offset(), fw.file_len() - 4, "just past the good line");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,57 +1,14 @@
-//! `netclust` — command-line interface to network-aware client clustering.
-//!
-//! ```text
-//! netclust synth --out DIR [--seed N] [--requests N] [--clients N]
-//!     Generate a demo dataset: CLF access log + routing-table dumps.
-//!
-//! netclust cluster --log FILE --table FILE[,FILE...] [--dump FILE,...]
-//!                  [--top N] [--method aware|simple|classful]
-//!                  [--max-error-rate F] [--quarantine FILE]
-//!                  [--metrics FILE] [--trace] [--deterministic]
-//!                  [--threads N] [--bgp-feed SPEC]
-//!                  [--lookup IP[,IP..]] [--verdict IP[,IP..]]
-//!     Cluster the clients of a Common Log Format file against BGP
-//!     routing-table dumps and print the busiest clusters.
-//!
-//!     --lookup IP[,..]  print the ClusterQuery JSON answer for each
-//!                       address (same body as netclustd /v1/cluster)
-//!     --verdict IP[,..] print the structural spider/proxy verdict for
-//!                       each address (same body as netclustd /v1/verdict)
-//!
-//!     --metrics FILE  write an OBS.json observability snapshot (stage
-//!                     spans, LPM hit/miss counters, per-chunk histograms)
-//!     --trace         print the span table (count/total/min/max ns)
-//!     --deterministic zero clock-derived span fields in both outputs and
-//!                     pin the static strided chunk schedule so two
-//!                     identical runs are byte-identical
-//!     --threads N     ingest worker count for --method aware (default:
-//!                     all cores); the clustering is identical at any N
-//!     --bgp-feed SPEC replay a live BGP update feed against a streaming
-//!                     clustering of the same log after the batch run:
-//!                     `synth:SEED:TICKS` synthesizes a deterministic
-//!                     churn stream over the merged BGP tier; a file path
-//!                     replays `announce|withdraw|replace PREFIX` lines
-//!                     (blank line = batch boundary, `#` = comment).
-//!                     Prints per-feed patch accounting; batch latencies
-//!                     are wall-clock and omitted under --deterministic.
-//!     --state-dir DIR persist the streaming state across the feed:
-//!                     checksummed snapshots + a write-ahead delta journal
-//!                     (requires --bgp-feed). A fresh run WIPES previous
-//!                     persisted state in DIR.
-//!     --resume        recover from the newest valid snapshot in
-//!                     --state-dir and replay the journal instead of
-//!                     starting the feed over
-//!     --fsync P       journal durability: every_batch (default),
-//!                     every_n:<N>, or os
-//!     --crash-after-batch N
-//!                     abort() the process right after the Nth journal
-//!                     append of this run (crash-recovery testing)
-//! ```
+//! `netclust` — command-line interface to network-aware client clustering:
+//! `netclust synth` writes a demo dataset, `netclust cluster` clusters a
+//! log against routing tables. `netclust --help` lists every option of
+//! both, generated from the [`SYNTH`] and [`CLUSTER`] tables below.
 //!
 //! Table files accept one prefix per line in any of the three §3.1.2
 //! formats (`x.x.x.x/len`, `x.x.x.x/mask`, bare classful address); extra
 //! whitespace-separated columns are ignored, so raw `show ip bgp`-style
-//! dumps work after column trimming.
+//! dumps work after column trimming. A `--bgp-feed` file holds
+//! `announce|withdraw|replace PREFIX` lines (blank line = batch boundary,
+//! `#` = comment).
 //!
 //! Exit codes: 0 success, 1 input/runtime failure (the offending file is
 //! named on stderr), 2 usage error, 3 malformed-line budget exceeded
@@ -61,23 +18,82 @@
 
 use std::fmt;
 use std::fs;
+use std::net::Ipv4Addr;
 use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::str::FromStr;
 
 use netclust::bgpsim::{DeltaBatch, DeltaStream, DeltaStreamConfig};
 use netclust::core::query::render_top_table;
 use netclust::core::{
-    threshold_busy, ClusterQuery, Clustering, ErrorCounts, FeedProgress, FsyncPolicy, IngestError,
-    JournalBatch, PersistError, RunConfig, StateStore, StreamingClustering, SwapPolicy,
-    VerdictPolicy,
+    threshold_busy, ClusterQuery, Clustering, ErrorCounts, FeedProgress, FlagError, FlagTable,
+    FsyncPolicy, IngestError, JournalBatch, Parsed, PersistError, RunConfig, StateStore,
+    StreamingClustering, SwapPolicy, VerdictPolicy,
 };
 use netclust::netgen::{standard_collection, Universe, UniverseConfig};
 use netclust::obs::Obs;
-use netclust::rtable::{MergedTable, RoutingTable, TableDelta, TableKind};
+use netclust::rtable::{load_tables, MergedTable, TableDelta, TableKind};
 use netclust::weblog::chunk::LogData;
 use netclust::weblog::{clf, clf_bytes, generate, LogSpec};
+
+/// Every option of `netclust synth` and `netclust cluster`, one row a
+/// line; the shared rows come from `netclust::core::flags`.
+#[rustfmt::skip]
+mod table {
+    use netclust::core::{flags, Constraint::{OnlyWith, Requires}, Flag, FlagTable};
+    pub use netclust::core::flags::{DETERMINISTIC, DUMP, FSYNC, LOG, RESUME, STATE_DIR, TABLE};
+
+    pub const OUT: Flag = Flag::new("--out", "DIR", "directory to write the dataset into");
+    pub const SEED: Flag = Flag::new("--seed", "N", "seed of the synthetic universe and log").default("42");
+    pub const REQUESTS: Flag = Flag::new("--requests", "N", "log lines to generate").default("100000");
+    pub const CLIENTS: Flag = Flag::new("--clients", "N", "distinct client addresses").default("2000");
+
+    pub const SYNTH: FlagTable = FlagTable {
+        usage: "netclust synth --out DIR [options]\n    \
+            Generate a demo dataset: a CLF access log plus routing-table dumps.",
+        flags: &[OUT, SEED, REQUESTS, CLIENTS],
+        constraints: &[],
+    };
+
+    pub const METHOD: Flag = Flag::new("--method", "aware|simple|classful", "cluster by table prefix, /24 or class").default("aware");
+    pub const TOP: Flag = flags::TOP.default("20");
+    pub const LOOKUP: Flag = Flag::new("--lookup", "IP[,IP..]", "print each address's cluster answer as JSON");
+    pub const VERDICT: Flag = Flag::new("--verdict", "IP[,IP..]", "print each address's spider/proxy verdict as JSON");
+    pub const MAX_ERROR_RATE: Flag = Flag::new("--max-error-rate", "F", "exit 3 beyond this fraction of malformed lines");
+    pub const QUARANTINE: Flag = Flag::new("--quarantine", "FILE", "write the rejected log lines to FILE");
+    pub const METRICS: Flag = Flag::new("--metrics", "FILE", "write an OBS.json observability snapshot");
+    pub const TRACE: Flag = Flag::new("--trace", "", "print the span table (count/total/min/max ns)");
+    pub const THREADS: Flag = Flag::new("--threads", "N", "ingest workers (default all cores; same output)");
+    pub const BGP_FEED: Flag = Flag::new("--bgp-feed", "SPEC", "replay BGP updates: synth:SEED:TICKS or a feed file");
+    pub const CRASH_AFTER_BATCH: Flag = Flag::new("--crash-after-batch", "N", "abort() after the Nth journal append (drills)");
+
+    pub const CLUSTER: FlagTable = FlagTable {
+        usage: "netclust cluster --log FILE --table FILE[,FILE..] [options]\n    \
+            Cluster the clients of a Common Log Format file against BGP\n    \
+            routing-table dumps and print the busiest clusters.",
+        flags: &[LOG, TABLE, DUMP, METHOD, TOP, LOOKUP, VERDICT, MAX_ERROR_RATE, QUARANTINE, METRICS,
+                 TRACE, THREADS, DETERMINISTIC, BGP_FEED, STATE_DIR, RESUME, FSYNC, CRASH_AFTER_BATCH],
+        constraints: &[
+            OnlyWith(&[MAX_ERROR_RATE, QUARANTINE], METHOD, "aware"),
+            OnlyWith(&[METRICS, TRACE], METHOD, "aware"),
+            OnlyWith(&[THREADS], METHOD, "aware"),
+            OnlyWith(&[BGP_FEED], METHOD, "aware"),
+            Requires(&[STATE_DIR], BGP_FEED),
+            Requires(&[RESUME, FSYNC, CRASH_AFTER_BATCH], STATE_DIR),
+        ],
+    };
+
+    /// `netclust` without a sub-command takes only `--help`.
+    pub const NETCLUST: FlagTable = FlagTable {
+        usage: "netclust <synth|cluster> [options]\n    \
+            Network-aware clustering of web clients. Exit codes: 0 success,\n    \
+            1 input/runtime failure, 2 usage error, 3 malformed-line budget\n    \
+            exceeded, 4 persisted state unrecoverable.",
+        flags: &[],
+        constraints: &[],
+    };
+}
+use table::*;
 
 /// Why a command failed, carrying its exit code. Every variant's message
 /// names the offending file or flag so failures are actionable from
@@ -85,6 +101,7 @@ use netclust::weblog::{clf, clf_bytes, generate, LogSpec};
 #[derive(Debug)]
 enum CliError {
     /// Bad invocation: unknown command/method, missing or malformed flag.
+    /// `run` puts the sub-command's name in front.
     Usage(String),
     /// An input file could not be read, written, or used.
     Input(String),
@@ -111,18 +128,19 @@ impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CliError::Usage(m) => write!(f, "usage: {m}"),
-            CliError::Input(m) => write!(f, "{m}"),
-            CliError::Budget(m) => write!(f, "{m}"),
-            CliError::Unrecoverable(m) => write!(f, "{m}"),
+            CliError::Input(m) | CliError::Budget(m) | CliError::Unrecoverable(m) => f.write_str(m),
         }
     }
 }
 
-/// Maps a persistence-layer failure to its exit-code class: state that
-/// cannot be reconstructed is the dedicated exit 4, everything else
-/// (filesystem errors, poisoned journal) is an input/runtime failure.
-/// Persistence options for `run_bgp_feed`, parsed from `--state-dir`,
-/// `--resume`, `--fsync`, and `--crash-after-batch`.
+impl From<FlagError> for CliError {
+    fn from(e: FlagError) -> Self {
+        CliError::Usage(e.to_string())
+    }
+}
+
+/// Persistence options for `run_bgp_feed`: the state dir and its three
+/// companion flags.
 struct PersistOpts {
     dir: String,
     resume: bool,
@@ -130,6 +148,9 @@ struct PersistOpts {
     crash_after: Option<u64>,
 }
 
+/// Maps a persistence-layer failure to its exit-code class: state that
+/// cannot be reconstructed is the dedicated exit 4, everything else
+/// (filesystem errors, poisoned journal) is an input/runtime failure.
 fn persist_err(e: PersistError) -> CliError {
     match e {
         PersistError::Unrecoverable { .. } | PersistError::StateMismatch(_) => {
@@ -142,11 +163,12 @@ fn persist_err(e: PersistError) -> CliError {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("synth") => cmd_synth(&args[1..]),
-        Some("cluster") => cmd_cluster(&args[1..]),
-        _ => Err(CliError::Usage(
-            "netclust <synth|cluster> [options]   (see --help in source header)".to_string(),
-        )),
+        Some("synth") => run("synth", &SYNTH, &args[1..], cmd_synth),
+        Some("cluster") => run("cluster", &CLUSTER, &args[1..], cmd_cluster),
+        _ => run("netclust", &NETCLUST, &args, |_| {
+            let usage = "<synth|cluster> [options]   (see --help)";
+            Err(CliError::Usage(usage.to_string()))
+        }),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -157,41 +179,37 @@ fn main() -> ExitCode {
     }
 }
 
-/// Pulls `--name value` out of an option list.
-fn opt<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// Parses `args` against `table` and runs the command on them; `--help`
+/// prints the table (every sub-command's when there is none) instead.
+fn run(
+    cmd: &str,
+    table: &FlagTable,
+    args: &[String],
+    body: fn(&Parsed) -> Result<(), CliError>,
+) -> Result<(), CliError> {
+    let result = match table.parse(args) {
+        Ok(parsed) => body(&parsed),
+        Err(FlagError::Help) => {
+            print!("{}", table.render_help());
+            if table.flags.is_empty() {
+                print!("\n{}\n{}", SYNTH.render_help(), CLUSTER.render_help());
+            }
+            Ok(())
+        }
+        Err(e) => Err(e.into()),
+    };
+    result.map_err(|e| match e {
+        CliError::Usage(m) => CliError::Usage(format!("{cmd}: {m}")),
+        other => other,
+    })
 }
 
-/// Parses the value given for `name`; one that does not parse is a usage
-/// error naming the flag.
-fn parsed<T: FromStr>(cmd: &str, name: &str, value: &str) -> Result<T, CliError>
-where
-    T::Err: fmt::Display,
-{
-    value
-        .parse()
-        .map_err(|e| CliError::Usage(format!("{cmd}: {name} got {value:?}: {e}")))
-}
+fn cmd_synth(p: &Parsed) -> Result<(), CliError> {
+    let out: PathBuf = p.req(&OUT)?;
+    let seed: u64 = p.req(&SEED)?;
+    let requests: u64 = p.req(&REQUESTS)?;
+    let clients: u64 = p.req(&CLIENTS)?;
 
-/// [`opt`] and [`parsed`] in one step, for every numeric flag.
-fn parsed_opt<T: FromStr>(args: &[String], cmd: &str, name: &str) -> Result<Option<T>, CliError>
-where
-    T::Err: fmt::Display,
-{
-    opt(args, name).map(|s| parsed(cmd, name, s)).transpose()
-}
-
-fn cmd_synth(args: &[String]) -> Result<(), CliError> {
-    let out = opt(args, "--out")
-        .ok_or_else(|| CliError::Usage("synth: --out DIR is required".to_string()))?;
-    let seed: u64 = parsed_opt(args, "synth", "--seed")?.unwrap_or(42);
-    let requests: u64 = parsed_opt(args, "synth", "--requests")?.unwrap_or(100_000);
-    let clients: u64 = parsed_opt(args, "synth", "--clients")?.unwrap_or(2_000);
-
-    let out = PathBuf::from(out);
     fs::create_dir_all(&out)
         .map_err(|e| CliError::Input(format!("synth: cannot create {}: {e}", out.display())))?;
     let universe = Universe::generate(UniverseConfig {
@@ -233,33 +251,22 @@ fn cmd_synth(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn read_tables(list: &str, kind: TableKind) -> Result<Vec<RoutingTable>, CliError> {
-    let mut tables = Vec::new();
-    for path in list.split(',').filter(|s| !s.is_empty()) {
-        let text = fs::read_to_string(path)
-            .map_err(|e| CliError::Input(format!("cluster: cannot read table {path}: {e}")))?;
-        let (table, bad) = RoutingTable::parse(path, "file", kind, &text);
-        if bad > 0 {
-            eprintln!("note: {path}: skipped {bad} unparsable lines");
-        }
-        tables.push(table);
-    }
-    Ok(tables)
-}
-
 /// Resolves a `--bgp-feed` spec into timestamped batches: `synth:SEED:TICKS`
 /// synthesizes a deterministic [`DeltaStream`] over the merged BGP tier;
 /// anything else is a feed file of `announce|withdraw|replace PREFIX` lines
 /// with blank-line batch boundaries and `#` comments.
 fn parse_bgp_feed(spec: &str, merged: &MergedTable) -> Result<Vec<DeltaBatch>, CliError> {
     if let Some(rest) = spec.strip_prefix("synth:") {
-        let (seed, ticks) = rest.split_once(':').ok_or_else(|| {
-            CliError::Usage(format!(
-                "cluster: --bgp-feed synth:SEED:TICKS, got {spec:?}"
-            ))
-        })?;
-        let seed: u64 = parsed("cluster", "--bgp-feed synth:SEED", seed)?;
-        let ticks: usize = parsed("cluster", "--bgp-feed synth:SEED:TICKS", ticks)?;
+        let parts = rest.split_once(':');
+        let (Some(seed), Some(ticks)) = (
+            parts.and_then(|(seed, _)| seed.parse::<u64>().ok()),
+            parts.and_then(|(_, ticks)| ticks.parse::<usize>().ok()),
+        ) else {
+            return Err(CliError::Usage(format!(
+                "{} wants synth:SEED:TICKS, got {spec:?}",
+                BGP_FEED.name
+            )));
+        };
         let stream = DeltaStream::new(seed, merged.bgp_prefixes(), DeltaStreamConfig::default());
         return Ok(stream.take(ticks).collect());
     }
@@ -486,73 +493,35 @@ fn run_bgp_feed(
     Ok(())
 }
 
-fn cmd_cluster(args: &[String]) -> Result<(), CliError> {
-    let log_path = opt(args, "--log")
-        .ok_or_else(|| CliError::Usage("cluster: --log FILE is required".to_string()))?;
-    let method = opt(args, "--method").unwrap_or("aware");
+fn cmd_cluster(p: &Parsed) -> Result<(), CliError> {
+    let log_path: String = p.req(&LOG)?;
+    let log_path = log_path.as_str();
+    let method = p.get(&METHOD).unwrap_or_default();
     if !matches!(method, "aware" | "simple" | "classful") {
         return Err(CliError::Usage(format!(
-            "cluster: unknown method {method:?} (aware|simple|classful)"
+            "unknown method {method:?} ({})",
+            METHOD.metavar
         )));
     }
-    let top: usize = parsed_opt(args, "cluster", "--top")?.unwrap_or(20);
-    let max_error_rate: Option<f64> = parsed_opt(args, "cluster", "--max-error-rate")?;
-    let quarantine_path = opt(args, "--quarantine");
-    if method != "aware" && (max_error_rate.is_some() || quarantine_path.is_some()) {
-        return Err(CliError::Usage(format!(
-            "cluster: --max-error-rate/--quarantine only apply to --method aware, not {method:?}"
-        )));
-    }
-    let metrics_path = opt(args, "--metrics");
-    let trace = args.iter().any(|a| a == "--trace");
-    let deterministic = args.iter().any(|a| a == "--deterministic");
-    if method != "aware" && (metrics_path.is_some() || trace) {
-        return Err(CliError::Usage(format!(
-            "cluster: --metrics/--trace only apply to --method aware, not {method:?}"
-        )));
-    }
-    let threads = parsed_opt::<NonZeroUsize>(args, "cluster", "--threads")?.map(NonZeroUsize::get);
-    if method != "aware" && threads.is_some() {
-        return Err(CliError::Usage(format!(
-            "cluster: --threads only applies to --method aware, not {method:?}"
-        )));
-    }
-    let bgp_feed = opt(args, "--bgp-feed");
-    if method != "aware" && bgp_feed.is_some() {
-        return Err(CliError::Usage(format!(
-            "cluster: --bgp-feed only applies to --method aware, not {method:?}"
-        )));
-    }
-    let state_dir = opt(args, "--state-dir");
-    let resume = args.iter().any(|a| a == "--resume");
-    let fsync_opt = opt(args, "--fsync");
-    let crash_after =
-        parsed_opt::<NonZeroU64>(args, "cluster", "--crash-after-batch")?.map(NonZeroU64::get);
-    if state_dir.is_some() && bgp_feed.is_none() {
-        return Err(CliError::Usage(
-            "cluster: --state-dir requires --bgp-feed".to_string(),
-        ));
-    }
-    if state_dir.is_none() && (resume || fsync_opt.is_some() || crash_after.is_some()) {
-        return Err(CliError::Usage(
-            "cluster: --resume/--fsync/--crash-after-batch require --state-dir".to_string(),
-        ));
-    }
-    let persist = match state_dir {
-        Some(dir) => {
-            let fsync = match fsync_opt {
-                Some(s) => s
-                    .parse::<FsyncPolicy>()
-                    .map_err(|e| CliError::Usage(format!("cluster: {e}")))?,
-                None => FsyncPolicy::EveryBatch,
-            };
-            Some(PersistOpts {
-                dir: dir.to_string(),
-                resume,
-                fsync,
-                crash_after,
-            })
-        }
+    let top: usize = p.req(&TOP)?;
+    let max_error_rate: Option<f64> = p.opt(&MAX_ERROR_RATE)?;
+    let quarantine_path = p.get(&QUARANTINE);
+    let metrics_path = p.get(&METRICS);
+    let trace = p.given(&TRACE);
+    let deterministic = p.given(&DETERMINISTIC);
+    let threads = p.opt::<NonZeroUsize>(&THREADS)?.map(NonZeroUsize::get);
+    let bgp_feed = p.get(&BGP_FEED);
+    let lookups: Vec<Ipv4Addr> = p.each(&LOOKUP)?;
+    let verdicts: Vec<Ipv4Addr> = p.each(&VERDICT)?;
+    let persist = match p.get(&STATE_DIR) {
+        Some(dir) => Some(PersistOpts {
+            dir: dir.to_string(),
+            resume: p.given(&RESUME),
+            fsync: p.req(&FSYNC)?,
+            crash_after: p
+                .opt::<NonZeroU64>(&CRASH_AFTER_BATCH)?
+                .map(NonZeroU64::get),
+        }),
         None => None,
     };
     // Observability is pay-for-what-you-ask: the registry only exists when
@@ -580,11 +549,6 @@ fn cmd_cluster(args: &[String]) -> Result<(), CliError> {
             if !counts.is_clean() {
                 eprintln!("note: {counts}");
             }
-            if log.requests.is_empty() {
-                return Err(CliError::Input(format!(
-                    "cluster: no parsable requests in {log_path}"
-                )));
-            }
             if method == "simple" {
                 Clustering::simple24(&log)
             } else {
@@ -592,17 +556,14 @@ fn cmd_cluster(args: &[String]) -> Result<(), CliError> {
             }
         }
         "aware" => {
-            let list = opt(args, "--table").ok_or_else(|| {
-                CliError::Usage(
-                    "cluster: --table FILE[,FILE...] is required for method 'aware'".to_string(),
-                )
-            })?;
-            let bgp = read_tables(list, TableKind::Bgp)?;
-            let dumps = match opt(args, "--dump") {
-                Some(list) => read_tables(list, TableKind::NetworkDump)?,
-                None => Vec::new(),
-            };
-            let merged = MergedTable::merge(bgp.iter().chain(dumps.iter()));
+            p.req::<String>(&TABLE)?; // this method cannot do without one
+            let tables = load_tables::<String>(&p.each(&TABLE)?, &p.each(&DUMP)?)
+                .map_err(|e| CliError::Input(format!("cluster: {e}")))?;
+            for (table, counts) in tables.iter().filter(|(_, counts)| !counts.is_clean()) {
+                let (path, bad) = (&table.name, counts.malformed);
+                eprintln!("note: {path}: skipped {bad} unparsable lines");
+            }
+            let merged = MergedTable::merge(tables.iter().map(|(table, _)| table));
             println!(
                 "merged table: {} BGP + {} registry prefixes from {} files",
                 merged.bgp_len(),
@@ -615,10 +576,7 @@ fn cmd_cluster(args: &[String]) -> Result<(), CliError> {
             compiled.attach_obs(&obs);
             // `--deterministic` also pins the static strided chunk
             // schedule: per-shard worker counters must not depend on the
-            // work-stealing race when two runs are being compared
-            // byte for byte. All the shared knobs flow through one
-            // RunConfig — the same struct `netclustd` parses its flags
-            // into — so the CLI and the daemon cannot drift.
+            // work-stealing race when two runs are compared byte for byte.
             let mut run = RunConfig::new()
                 .deterministic(deterministic)
                 .obs(obs.clone());
@@ -652,11 +610,6 @@ fn cmd_cluster(args: &[String]) -> Result<(), CliError> {
                 })?;
                 eprintln!("quarantined {} rejected lines -> {qpath}", ranges.len());
             }
-            if report.clustering.total_requests == 0 {
-                return Err(CliError::Input(format!(
-                    "cluster: no parsable requests in {log_path}"
-                )));
-            }
             if bgp_feed.is_some() {
                 feed_table = Some(merged);
             }
@@ -664,6 +617,10 @@ fn cmd_cluster(args: &[String]) -> Result<(), CliError> {
         }
         _ => unreachable!("method validated above"),
     };
+    if clustering.total_requests == 0 {
+        let why = format!("cluster: no parsable requests in {log_path}");
+        return Err(CliError::Input(why));
+    }
 
     println!(
         "{}: {} requests, {} clients -> {} clusters ({:.2}% clustered, {} unclustered clients)",
@@ -686,26 +643,12 @@ fn cmd_cluster(args: &[String]) -> Result<(), CliError> {
     println!();
     print!("{}", render_top_table(&clustering.top(top)));
 
-    if let Some(list) = opt(args, "--lookup") {
-        for raw in list.split(',').filter(|s| !s.is_empty()) {
-            let addr: std::net::Ipv4Addr = raw.parse().map_err(|_| {
-                CliError::Usage(format!(
-                    "cluster: --lookup wants IPv4 addresses, got {raw:?}"
-                ))
-            })?;
-            println!("{}", clustering.lookup(addr).to_json());
-        }
+    for addr in lookups {
+        println!("{}", clustering.lookup(addr).to_json());
     }
-    if let Some(list) = opt(args, "--verdict") {
-        let policy = VerdictPolicy::default();
-        for raw in list.split(',').filter(|s| !s.is_empty()) {
-            let addr: std::net::Ipv4Addr = raw.parse().map_err(|_| {
-                CliError::Usage(format!(
-                    "cluster: --verdict wants IPv4 addresses, got {raw:?}"
-                ))
-            })?;
-            println!("{}", clustering.verdict(addr, &policy).to_json());
-        }
+    for addr in verdicts {
+        let verdict = clustering.verdict(addr, &VerdictPolicy::default());
+        println!("{}", verdict.to_json());
     }
 
     // Live-update replay: re-cluster the same log through the streaming

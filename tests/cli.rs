@@ -407,3 +407,195 @@ fn resume_without_valid_snapshot_exits_four() {
     assert!(stderr.contains("unrecoverable"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The rows of one sub-command as `netclust --help` prints them: (name,
+/// takes a value, repeatable). Read off the generated text, so a new row is
+/// in every loop below without anyone remembering to add it.
+fn rows(help: &str, command: &str) -> Vec<(String, bool, bool)> {
+    let section = help.split(&format!("\n{command} ")).nth(1).expect(command);
+    let options = section.split("options:\n").nth(1).expect("options");
+    let options = options.split("\n\n").next().expect("rows");
+    let lines: Vec<&str> = options.lines().collect();
+    let mut rows = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let Some(rest) = line.strip_prefix("  --") else {
+            continue;
+        };
+        let (name, rest) = rest.split_once(' ').unwrap_or((rest, ""));
+        // A wide left column pushes the help one line down.
+        let next = lines.get(i + 1).filter(|next| !next.starts_with("  --"));
+        let help_text = next.unwrap_or(line);
+        rows.push((
+            format!("--{name}"),
+            !rest.is_empty() && !rest.starts_with(' '),
+            help_text.ends_with("(repeatable)"),
+        ));
+    }
+    rows
+}
+
+fn usage_error(args: &[&str]) -> String {
+    let out = Command::new(bin()).args(args).output().expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+    stderr
+}
+
+#[test]
+fn help_is_generated_and_the_readme_quotes_it() {
+    let out = Command::new(bin()).arg("--help").output().expect("help");
+    assert_eq!(out.status.code(), Some(0));
+    let help = String::from_utf8(out.stdout).expect("utf-8");
+    let names = |command| -> Vec<String> {
+        let rows = rows(&help, command);
+        rows.into_iter().map(|(name, ..)| name).collect()
+    };
+    // The accepted flag sets, pinned: a flag added, dropped or renamed
+    // has to be changed here too.
+    assert_eq!(
+        names("netclust synth"),
+        ["--out", "--seed", "--requests", "--clients"]
+    );
+    assert_eq!(
+        names("netclust cluster"),
+        [
+            "--log",
+            "--table",
+            "--dump",
+            "--method",
+            "--top",
+            "--lookup",
+            "--verdict",
+            "--max-error-rate",
+            "--quarantine",
+            "--metrics",
+            "--trace",
+            "--threads",
+            "--deterministic",
+            "--bgp-feed",
+            "--state-dir",
+            "--resume",
+            "--fsync",
+            "--crash-after-batch"
+        ]
+    );
+    assert!(help.contains("  --fsync every_batch | every_n:<N> | os\n"));
+
+    // Each sub-command prints its own section of the same text.
+    for command in ["synth", "cluster"] {
+        for flag in ["--help", "-h"] {
+            let out = Command::new(bin()).args([command, flag]).output();
+            let out = out.expect("sub-command help");
+            assert_eq!(out.status.code(), Some(0), "{command} {flag}");
+            let own = String::from_utf8(out.stdout).expect("utf-8");
+            assert!(own.starts_with(&format!("netclust {command} ")), "{own}");
+            assert!(
+                help.contains(&own),
+                "{command} {flag} is not a section of --help"
+            );
+        }
+    }
+
+    let readme = include_str!("../README.md");
+    assert!(
+        readme.contains(&format!("```text\n{help}```")),
+        "README.md Command line: paste the output of `netclust --help`"
+    );
+}
+
+#[test]
+fn every_row_of_both_tables_is_validated() {
+    let out = Command::new(bin()).arg("--help").output().expect("help");
+    let help = String::from_utf8(out.stdout).expect("utf-8");
+    for command in ["synth", "cluster"] {
+        let rows = rows(&help, &format!("netclust {command}"));
+        assert!(!rows.is_empty());
+        for (name, takes_value, repeatable) in rows {
+            let name = name.as_str();
+            if takes_value {
+                // Last on the line, and right before another flag.
+                for tail in [&[name][..], &[name, "--nope"][..]] {
+                    let stderr = usage_error(&[&[command], tail].concat());
+                    assert!(
+                        stderr.contains(&format!("{name} needs a value")),
+                        "{stderr}"
+                    );
+                }
+            }
+            let twice: Vec<&str> = if takes_value {
+                vec![command, name, "x", name, "x"]
+            } else {
+                vec![command, name, name]
+            };
+            let stderr = usage_error(&twice);
+            let refused = stderr.contains(&format!("{name} given more than once"));
+            assert_eq!(refused, !repeatable, "{twice:?}: {stderr}");
+        }
+        // A misspelt flag is refused by name, not ignored.
+        let stderr = usage_error(&[command, "--tpo", "5"]);
+        assert!(stderr.contains("unknown flag \"--tpo\""), "{stderr}");
+    }
+    for tail in ["--tpo 5", "--top", "--top 5 --top 6"] {
+        let line = format!("cluster --log l --table t {tail}");
+        let stderr = usage_error(&line.split(' ').collect::<Vec<_>>());
+        assert!(stderr.contains(&tail[..5]), "{line}: {stderr}");
+    }
+    assert!(usage_error(&["--nope"]).contains("--nope"));
+}
+
+/// Every constraint row, violated by each of its flags, with the whole
+/// stderr line pinned: scripts match on these.
+#[test]
+fn constraint_messages_are_unchanged() {
+    let aware = |flags: &str| format!("cluster: {flags} to --method aware, not \"simple\"");
+    let needs_dir = "cluster: --resume/--fsync/--crash-after-batch require --state-dir";
+    for (args, message) in [
+        (
+            "--method simple --max-error-rate 0.5",
+            aware("--max-error-rate/--quarantine only apply"),
+        ),
+        (
+            "--method simple --quarantine q",
+            aware("--max-error-rate/--quarantine only apply"),
+        ),
+        (
+            "--method simple --metrics m",
+            aware("--metrics/--trace only apply"),
+        ),
+        (
+            "--method classful --trace",
+            aware("--metrics/--trace only apply").replace("simple", "classful"),
+        ),
+        (
+            "--method simple --threads 2",
+            aware("--threads only applies"),
+        ),
+        (
+            "--method simple --bgp-feed synth:1:1",
+            aware("--bgp-feed only applies"),
+        ),
+        (
+            "--table t --state-dir s",
+            "cluster: --state-dir requires --bgp-feed".to_string(),
+        ),
+        ("--table t --resume", needs_dir.to_string()),
+        ("--table t --fsync os", needs_dir.to_string()),
+        ("--table t --crash-after-batch 3", needs_dir.to_string()),
+    ] {
+        let args: Vec<&str> = "cluster --log x"
+            .split(' ')
+            .chain(args.split(' '))
+            .collect();
+        let stderr = usage_error(&args);
+        assert_eq!(stderr, format!("netclust: usage: {message}\n"), "{args:?}");
+    }
+    // The policy error is the policy's own Display, grammar included.
+    let feed = "cluster --log x --table t --bgp-feed synth:1:1 --state-dir s --fsync every-batch";
+    let stderr = usage_error(&feed.split(' ').collect::<Vec<_>>());
+    assert!(
+        stderr.contains("every_batch | every_n:<N> | os"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("FsyncParseError"), "{stderr}");
+}

@@ -275,6 +275,89 @@ fn bit_flipped_journal_replays_only_the_valid_prefix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The two policies that do not fsync every append, one body over both:
+/// every append succeeds, the journal is fsynced exactly as often as the
+/// policy says, a crash loses at most the unsynced tail and recovers a
+/// bit-exact prefix, and after `sync()` nothing at all is at risk.
+#[test]
+fn relaxed_fsync_policies_sync_on_schedule_and_recover_prefix_exact() {
+    const APPENDS: usize = 10;
+    let (u, clf, batches) = setup();
+    for spelling in ["every_n:3", "os"] {
+        let policy: FsyncPolicy = spelling.parse().expect(spelling);
+        // fsyncs the policy owes over the run, and the batches they cover.
+        let (due, covered) = match policy {
+            FsyncPolicy::EveryN(n) => (APPENDS as u64 / n, APPENDS / n as usize * n as usize),
+            FsyncPolicy::Os => (0, 0),
+            FsyncPolicy::EveryBatch => unreachable!("covered by every other test"),
+        };
+        let dir = tmpdir(&format!("fsync-{}", spelling.replace(':', "-")));
+        let obs = Obs::enabled();
+        let fsyncs = || obs.snapshot(true).counters["persist.fsyncs"];
+        let mut store = StateStore::create(&dir, policy).expect("create").obs(&obs);
+        let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
+        stream.push_clf(&clf);
+        store.checkpoint(&stream.export_state()).expect("base");
+        let path = store.journal_path(store.generation());
+
+        // Journal length at the last point the policy made durable.
+        let (base, mut durable_len, mut durable_batches) = (fsyncs(), 0, 0);
+        for (i, b) in batches.iter().take(APPENDS).enumerate() {
+            let before = fsyncs();
+            store
+                .append_batch(&JournalBatch {
+                    feed_index: i as u64,
+                    session_reset: b.session_reset,
+                    deltas: b.deltas.clone(),
+                })
+                .unwrap_or_else(|e| panic!("{spelling}: append {i}: {e}"));
+            if fsyncs() > before {
+                durable_len = std::fs::metadata(&path).expect("journal").len();
+                durable_batches = i + 1;
+            }
+        }
+        assert_eq!(
+            fsyncs() - base,
+            due,
+            "{spelling}: fsyncs over {APPENDS} appends"
+        );
+        assert_eq!(durable_batches, covered, "{spelling}: batches fsynced");
+
+        // The crash: everything past the last fsync may be gone, wholly or
+        // in part. Whatever is left recovers to a bit-exact prefix that
+        // includes every batch the policy had made durable.
+        let full = std::fs::read(&path).expect("read journal");
+        for keep in [
+            durable_len,
+            (durable_len + full.len() as u64) / 2,
+            full.len() as u64 - 1,
+        ] {
+            std::fs::write(&path, &full[..keep as usize]).expect("lose the tail");
+            let (_store, _state, report) = StateStore::recover(&dir, policy).expect("recover");
+            assert!(
+                report.batches.len() >= durable_batches,
+                "{spelling} keep={keep}"
+            );
+            assert!(report.batches.len() < APPENDS, "{spelling} keep={keep}");
+            for (i, b) in report.batches.iter().enumerate() {
+                assert_eq!(b.feed_index, i as u64, "{spelling} keep={keep}");
+                assert_eq!(b.deltas, batches[i].deltas, "{spelling} keep={keep}");
+            }
+            std::fs::write(&path, &full).expect("restore journal");
+        }
+
+        // The clean exit: `sync()` is one more fsync, and then every
+        // append is recovered.
+        store.sync().expect("sync");
+        assert_eq!(fsyncs() - base, due + 1, "{spelling}: sync() fsyncs once");
+        drop(store);
+        let (_store, _state, report) = StateStore::recover(&dir, policy).expect("recover");
+        assert_eq!(report.batches.len(), APPENDS, "{spelling}");
+        assert!(report.tail.is_none(), "{spelling}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn corrupt_newest_snapshot_falls_back_one_generation() {
     let (u, clf, batches) = setup();
