@@ -29,7 +29,7 @@
 //! * `determinism` — forbid `SystemTime` / `Instant` everywhere, and in
 //!   manifest-designated deterministic-output files, iteration over
 //!   identifiers bound to `HashMap`/`HashSet` (insertion-order hazards
-//!   feeding reports, merges, and BENCH JSON).
+//!   feeding reports and merges).
 //! * `typed-errors` — `pub fn … -> Result<_, E>` must not use `String`,
 //!   `&str`, or `Box<dyn …>` as `E`.
 //! * `atomic-ordering-audit` — every `Relaxed`/`Acquire`/`Release`/

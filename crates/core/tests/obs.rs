@@ -136,4 +136,8 @@ fn observation_is_passive() {
         snap.counters.get("ingest.malformed").copied(),
         Some(observed.counts.malformed)
     );
+    assert_eq!(
+        snap.counters.get("ingest.bytes").copied(),
+        Some(LOG.len() as u64)
+    );
 }

@@ -1,0 +1,99 @@
+//! Table 4: the effect of AADS routing-table dynamics on cluster
+//! identification, over periods of 0, 1, 4, 7 and 14 days, for the Apache,
+//! EW3, Nagano and Sun logs.
+//!
+//! Paper reference (full scale): AADS holds 16,595–17,288 entries over the
+//! period with a maximum effect of 711–1,404 (≈4–8 %); per-log effects
+//! stay under ~3 % of clusters, and under ~5 % of busy clusters — BGP
+//! dynamics barely perturbs clustering.
+
+use netclust_core::{dynamics_analysis, threshold_busy, Clustering, LogUnderStudy};
+use netclust_experiments::{paper_universe, print_table, scaled};
+use netclust_netgen::{standard_merged, VantageSpec};
+use netclust_weblog::{generate, LogSpec};
+
+fn main() {
+    let universe = paper_universe();
+    let merged = standard_merged(&universe, 0);
+
+    // Cluster all four logs and find their busy subsets.
+    let logs: Vec<(String, Clustering)> = LogSpec::paper_presets(1)
+        .into_iter()
+        .map(|spec| {
+            let log = generate(&universe, &scaled(spec));
+            let clustering = Clustering::network_aware(&log, &merged);
+            (log.name.clone(), clustering)
+        })
+        .collect();
+    let busies: Vec<Vec<usize>> = logs
+        .iter()
+        .map(|(_, c)| threshold_busy(c, 0.7).busy)
+        .collect();
+    let studies: Vec<LogUnderStudy<'_>> = logs
+        .iter()
+        .zip(&busies)
+        .map(|((name, clustering), busy)| LogUnderStudy {
+            name: name.clone(),
+            clustering,
+            busy,
+        })
+        .collect();
+
+    let spec = VantageSpec::new("AADS", 0.23, 0.06);
+    let periods = [0u32, 1, 4, 7, 14];
+    let rows_data = dynamics_analysis(&universe, &spec, &studies, &periods, 12);
+
+    let mut rows: Vec<Vec<String>> = Vec::new();
+    let period_cells =
+        |f: &dyn Fn(usize) -> String| -> Vec<String> { (0..periods.len()).map(f).collect() };
+    let mut push_row = |label: String, cells: Vec<String>| {
+        let mut r = vec![label];
+        r.extend(cells);
+        rows.push(r);
+    };
+    push_row(
+        "AADS prefix".into(),
+        period_cells(&|i| rows_data[i].table_size.to_string()),
+    );
+    push_row(
+        "Maximum effect".into(),
+        period_cells(&|i| rows_data[i].max_effect.to_string()),
+    );
+    for (li, (name, clustering)) in logs.iter().enumerate() {
+        push_row(
+            format!("{name} prefix (total {})", clustering.len()),
+            period_cells(&|i| rows_data[i].logs[li].prefixes_in_table.to_string()),
+        );
+        push_row(
+            "  maximum effect".into(),
+            period_cells(&|i| rows_data[i].logs[li].prefix_effect.to_string()),
+        );
+        push_row(
+            format!("{name} busy clusters (total {})", busies[li].len()),
+            period_cells(&|i| rows_data[i].logs[li].busy_in_table.to_string()),
+        );
+        push_row(
+            "  maximum effect".into(),
+            period_cells(&|i| rows_data[i].logs[li].busy_effect.to_string()),
+        );
+    }
+    let headers: Vec<String> = std::iter::once("period (days)".to_string())
+        .chain(periods.iter().map(|p| p.to_string()))
+        .collect();
+    let headers_ref: Vec<&str> = headers.iter().map(String::as_str).collect();
+    print_table(
+        "Table 4: the effect of AADS dynamics on cluster identifying",
+        &headers_ref,
+        &rows,
+    );
+
+    for row in &rows_data {
+        let frac = row.max_effect as f64 / row.table_size.max(1) as f64;
+        println!(
+            "period {:>2}: max effect = {:.1}% of table",
+            row.period_days,
+            frac * 100.0
+        );
+    }
+    println!("paper: 4.3% (period 0) growing to 8.1% (period 14); <3% of client clusters affected");
+}

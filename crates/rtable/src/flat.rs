@@ -73,9 +73,11 @@ const INLINE_RUNS: usize = 6;
 /// `Node::spill` value of a node whose runs are inline.
 const NO_SPILL: u32 = u32::MAX;
 
-/// Accepted by the batch lookup entry points for source compatibility and
-/// ignored: the table is cache-resident, so there is no DRAM round trip
-/// for a software prefetch to hide (see DESIGN.md §9 for the measurement).
+/// Accepted by [`CompiledMerged::net_for_slice`] and ignored: the table is
+/// cache-resident, so there is no DRAM round trip for a software prefetch
+/// to hide (see DESIGN.md §9 for the measurement). The constant and the
+/// parameter stay because `benchmark/benches/layers.rs` passes them and
+/// `benchmark/` is frozen until the PR that may edit it.
 pub const DEFAULT_PREFETCH_DISTANCE: usize = 16;
 
 /// A dense, `Copy` reference to a prefix in a [`CompiledTable`]'s arena.
@@ -510,34 +512,6 @@ impl CompiledTable {
         net
     }
 
-    /// Batch longest-prefix match: fills `out[i]` with the handle for
-    /// `addrs[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out` is shorter than `addrs`.
-    pub fn lookup_batch(&self, addrs: &[u32], out: &mut [Handle]) {
-        assert!(out.len() >= addrs.len(), "output buffer too short");
-        let mut misses = 0u64;
-        for (addr, slot) in addrs.iter().zip(out.iter_mut()) {
-            *slot = self.lookup_handle(*addr);
-            if slot.is_none() {
-                misses += 1;
-            }
-        }
-        self.obs.lookups.add(addrs.len() as u64);
-        self.obs.misses.add(misses);
-    }
-
-    /// Buffer-reusing form of [`lookup_batch`](Self::lookup_batch): clears
-    /// `out` and refills it with one handle per address, so a caller-owned
-    /// buffer serves every chunk without reallocating.
-    pub fn lookup_batch_into(&self, addrs: &[u32], out: &mut Vec<Handle>) {
-        out.clear();
-        out.resize(addrs.len(), Handle::NONE);
-        self.lookup_batch(addrs, out);
-    }
-
     /// The prefix a handle refers to, or `None` for [`Handle::NONE`] (or a
     /// handle from a different table that falls outside this arena).
     #[inline]
@@ -720,28 +694,22 @@ impl CompiledMerged {
     }
 
     /// Batch form of [`net_for_u32`](Self::net_for_u32): one handle sweep
-    /// over the BGP tier, with per-miss registry fallback.
+    /// over the BGP tier, with per-miss registry fallback. The stream's
+    /// table swaps and snapshot restore re-resolve every client with it;
+    /// the ingest kernel calls [`net_for_slice`](Self::net_for_slice).
     pub fn net_for_batch(&self, addrs: &[u32]) -> Vec<Option<Ipv4Net>> {
-        let mut out = Vec::new();
-        self.net_for_batch_into(addrs, &mut out);
+        let mut out = vec![None; addrs.len()];
+        self.net_for_slice(addrs, &mut out, DEFAULT_PREFETCH_DISTANCE);
         out
-    }
-
-    /// Buffer-reusing form of [`net_for_batch`](Self::net_for_batch):
-    /// clears `out` and refills it with one entry per address. The ingest
-    /// hot loop calls this once per batch without reallocating.
-    pub fn net_for_batch_into(&self, addrs: &[u32], out: &mut Vec<Option<Ipv4Net>>) {
-        out.clear();
-        out.resize(addrs.len(), None);
-        self.net_for_slice(addrs, out, DEFAULT_PREFETCH_DISTANCE);
     }
 
     /// Slice-writing form of [`net_for_batch`](Self::net_for_batch):
     /// fills `out[i]` with the cluster for `addrs[i]` (no allocation at
     /// all — the parallel ingest merge hands each worker-sized span of one
     /// pre-sized assignment vector straight to this). `_distance` was the
-    /// software-prefetch lookahead of the DIR-24-8 layout and is ignored
-    /// (see [`DEFAULT_PREFETCH_DISTANCE`]).
+    /// software-prefetch lookahead of the DIR-24-8 layout and is ignored;
+    /// it stays for the frozen benchmark harness's call (see
+    /// [`DEFAULT_PREFETCH_DISTANCE`]).
     ///
     /// # Panics
     ///
@@ -890,18 +858,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar() {
+    fn handle_matches_scalar() {
         let t = CompiledTable::from_prefixes([net("12.0.0.0/8"), net("24.48.2.0/23")]);
-        let addrs: Vec<u32> = ["12.1.2.3", "24.48.3.87", "99.9.9.9"]
-            .iter()
-            .map(|s| a(s))
-            .collect();
-        let mut out = vec![Handle::NONE; addrs.len()];
-        t.lookup_batch(&addrs, &mut out);
-        for (&addr, &h) in addrs.iter().zip(&out) {
-            assert_eq!(t.resolve(h), t.lookup(addr));
+        for ip in ["12.1.2.3", "24.48.3.87"] {
+            assert_eq!(t.resolve(t.lookup_handle(a(ip))), t.lookup(a(ip)), "{ip}");
         }
-        assert!(out[2].is_none());
+        assert!(t.lookup_handle(a("99.9.9.9")).is_none());
     }
 
     #[test]
@@ -929,19 +891,6 @@ mod tests {
             let expect = trie.longest_match_u32(probe).map(|(n, _)| n);
             assert_eq!(t.lookup(probe), expect, "probe {probe:#x}");
         }
-    }
-
-    #[test]
-    fn lookup_batch_into_reuses_caller_buffer() {
-        let t = CompiledTable::from_prefixes([net("12.0.0.0/8")]);
-        let addrs: Vec<u32> = ["12.1.2.3", "99.9.9.9"].iter().map(|s| a(s)).collect();
-        let mut out = vec![Handle::NONE; 64];
-        let cap = out.capacity();
-        t.lookup_batch_into(&addrs, &mut out);
-        assert_eq!(out.len(), addrs.len());
-        assert_eq!(out.capacity(), cap, "no reallocation on shrink");
-        assert_eq!(t.resolve(out[0]), Some(net("12.0.0.0/8")));
-        assert!(out[1].is_none());
     }
 
     #[test]
@@ -1130,8 +1079,7 @@ mod tests {
             .iter()
             .map(|s| a(s))
             .collect();
-        let mut out = Vec::new();
-        compiled.net_for_batch_into(&addrs, &mut out);
+        assert_eq!(compiled.net_for_batch(&addrs).len(), 3);
         // Scalar: one more full miss.
         assert_eq!(compiled.net_for_u32(a("99.9.9.9")), None);
 
@@ -1141,20 +1089,5 @@ mod tests {
         assert_eq!(snap.counters.get("lpm.dump_fallbacks"), Some(&3));
         assert_eq!(snap.counters.get("lpm.bgp.lookups"), Some(&4));
         assert_eq!(snap.counters.get("lpm.bgp.misses"), Some(&3));
-    }
-
-    #[test]
-    fn batch_into_reuses_buffer() {
-        let bgp = RoutingTable::new("B", "d0", TableKind::Bgp, vec![net("12.0.0.0/8")]);
-        let dump = RoutingTable::new("N", "d0", TableKind::NetworkDump, vec![net("24.48.2.0/23")]);
-        let compiled = MergedTable::merge([&bgp, &dump]).compile();
-        let addrs: Vec<u32> = ["12.1.2.3", "24.48.3.87", "99.9.9.9"]
-            .iter()
-            .map(|s| a(s))
-            .collect();
-        let mut out = vec![Some(net("6.0.0.0/8")); 7];
-        compiled.net_for_batch_into(&addrs, &mut out);
-        assert_eq!(out, compiled.net_for_batch(&addrs));
-        assert_eq!(out.len(), addrs.len());
     }
 }

@@ -6,8 +6,8 @@ use std::collections::BTreeMap;
 
 use netclust_prefix::Ipv4Net;
 use netclust_rtable::{
-    dynamic_prefix_set, maximum_effect, CompiledTable, Handle, MergedTable, PrefixTrie,
-    RoutingTable, SnapshotDiff, TableKind,
+    dynamic_prefix_set, maximum_effect, MergedTable, PrefixTrie, RoutingTable, SnapshotDiff,
+    TableKind,
 };
 use proptest::prelude::*;
 
@@ -151,7 +151,8 @@ proptest! {
     }
 
     /// Compiled lookup ≡ trie LPM ≡ linear scan, over prefix sets
-    /// mixing short, long (>/24) and host-route entries.
+    /// mixing short, long (>/24) and host-route entries; a handle resolves
+    /// to the prefix scalar lookup reports.
     #[test]
     fn compiled_matches_trie_and_reference(
         entries in proptest::collection::btree_set(arb_net_wide(), 0..96),
@@ -166,54 +167,18 @@ proptest! {
             let expect = naive_lpm(&map, addr).map(|(n, _)| n);
             prop_assert_eq!(trie.longest_match_u32(addr).map(|(n, _)| n), expect);
             prop_assert_eq!(compiled.lookup(addr), expect);
-        }
-    }
-
-    /// Batch lookup returns exactly the scalar handles, and handles resolve
-    /// to the prefixes scalar lookup reports.
-    #[test]
-    fn batch_lookup_matches_scalar(
-        entries in proptest::collection::btree_set(arb_net_wide(), 0..48),
-        probes in proptest::collection::vec(any::<u32>(), 64),
-    ) {
-        let compiled = CompiledTable::from_prefixes(entries.iter().copied());
-        let mut handles = vec![Handle::NONE; probes.len()];
-        compiled.lookup_batch(&probes, &mut handles);
-        for (&addr, &h) in probes.iter().zip(&handles) {
-            prop_assert_eq!(h, compiled.lookup_handle(addr));
-            prop_assert_eq!(compiled.resolve(h), compiled.lookup(addr));
-        }
-    }
-
-    /// The buffer-reusing batch form agrees with scalar lookup and the
-    /// trie on the same mixed short/long/host-route prefix sets as above,
-    /// without reallocating.
-    #[test]
-    fn batch_into_matches_scalar_and_trie(
-        entries in proptest::collection::btree_set(arb_net_wide(), 0..48),
-        probes in proptest::collection::vec(any::<u32>(), 64),
-    ) {
-        let map: BTreeMap<Ipv4Net, u32> = entries.iter().map(|&n| (n, 0)).collect();
-        let trie: PrefixTrie<()> = entries.iter().map(|&n| (n, ())).collect();
-        let compiled = trie.compile();
-        let mut handles: Vec<Handle> = Vec::with_capacity(probes.len());
-        let cap = handles.capacity();
-        compiled.lookup_batch_into(&probes, &mut handles);
-        prop_assert_eq!(handles.capacity(), cap);
-        for (&addr, &h) in probes.iter().zip(&handles) {
-            prop_assert_eq!(h, compiled.lookup_handle(addr));
-            let expect = naive_lpm(&map, addr).map(|(n, _)| n);
-            prop_assert_eq!(compiled.resolve(h), expect);
-            prop_assert_eq!(trie.longest_match_u32(addr).map(|(n, _)| n), expect);
+            prop_assert_eq!(compiled.resolve(compiled.lookup_handle(addr)), expect);
         }
     }
 
     /// The compiled merged table preserves the two-tier semantics of the
-    /// trie-backed [`MergedTable`] exactly.
+    /// trie-backed [`MergedTable`] exactly — scalar and batch, on prefix
+    /// sets that pack short, long (>/24) and host-route entries of both
+    /// tiers into one /16.
     #[test]
     fn compiled_merged_matches_merged(
-        bgp in proptest::collection::btree_set(arb_net(), 0..32),
-        dump in proptest::collection::btree_set(arb_net(), 0..32),
+        bgp in proptest::collection::btree_set(arb_net_wide(), 0..32),
+        dump in proptest::collection::btree_set(arb_net_wide(), 0..32),
         offsets in proptest::collection::vec(any::<u32>(), 2),
         random in proptest::collection::vec(any::<u32>(), 24),
     ) {
@@ -231,6 +196,7 @@ proptest! {
             );
         }
         let nets = compiled.net_for_batch(&probes);
+        prop_assert_eq!(nets.len(), probes.len());
         for (&addr, net) in probes.iter().zip(nets) {
             prop_assert_eq!(net, merged.lookup_u32(addr).map(|(n, _)| n));
         }

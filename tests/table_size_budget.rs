@@ -26,8 +26,8 @@ fn churn() -> DeltaStreamConfig {
 }
 
 /// ≈ 110 000 unique prefixes placed uniformly, in the length mix the
-/// benchmark and the micro-benches use (55 % /24, 30 % /16–/23,
-/// 10 % /25–/28, 5 % /8–/15), and the stream that churns them.
+/// benchmark uses (55 % /24, 30 % /16–/23, 10 % /25–/28, 5 % /8–/15),
+/// and the stream that churns them.
 fn uniform_table(seed: u64) -> (Vec<Ipv4Net>, DeltaStream) {
     let stream = DeltaStream::synthetic(seed, 110_000, churn());
     (stream.live_prefixes(), stream)
@@ -162,4 +162,50 @@ fn churn_keeps_the_table_bounded_and_clones_independent() {
         table.dead_cells()
     );
     assert_eq!(compactions, 1, "one compaction absorbs ≈ 40 000 deltas");
+}
+
+/// Invertible batches of 1, 10, 100 and 1 000 deltas against the
+/// benchmark-shaped table: announcements of fresh /24s and withdrawals of
+/// live prefixes, then the exact inverse. Each direction is patched chunk
+/// by chunk (110 000 prefixes put the default policy's recompile threshold
+/// at 5 500), and the round trip restores `len()`, `nodes()` and the live
+/// set: the layout a live feed leaves behind is the one it found.
+#[test]
+fn invertible_batches_patch_in_place_and_restore_the_layout() {
+    let (base, _) = uniform_table(0xB67);
+    let live: BTreeSet<Ipv4Net> = base.iter().copied().collect();
+    let mut table = CompiledTable::from_prefixes(base.iter().copied());
+    let base_nodes = table.nodes();
+    // Distinct /24s (an odd multiplier permutes the 2^24 blocks) that the
+    // table does not hold.
+    let mut fresh = (0u32..)
+        .map(|i| Ipv4Net::new(i.wrapping_mul(0x9E_3779) << 8, 24).unwrap())
+        .filter(|p| !live.contains(p));
+
+    for n in [1usize, 10, 100, 1_000] {
+        let gone = base.iter().copied().step_by(base.len() / n);
+        let (forward, inverse): (Vec<_>, Vec<_>) = (fresh.by_ref())
+            .take(n.div_ceil(2))
+            .map(|p| (TableDelta::announce(p), TableDelta::withdraw(p)))
+            .chain(
+                gone.take(n / 2)
+                    .map(|p| (TableDelta::withdraw(p), TableDelta::announce(p))),
+            )
+            .unzip();
+        assert_eq!(forward.len(), n);
+        let fwd = table.apply_delta(&forward);
+        let inv = table.apply_delta(&inverse);
+        assert!(
+            fwd.patched_in_place() && inv.patched_in_place(),
+            "batch of {n} fell back to recompile"
+        );
+        assert!(fwd.slot_writes() > 0, "batch of {n} wrote no slots");
+        assert_eq!(table.len(), base.len(), "round trip of {n} did not restore");
+        assert_eq!(
+            table.nodes(),
+            base_nodes,
+            "round trip of {n} changed the layout"
+        );
+    }
+    assert_eq!(table.live_prefixes(), base);
 }
