@@ -113,7 +113,7 @@ impl Clustering {
                     *slot = assign(Ipv4Addr::from(addr));
                 }
             },
-            Some((n_urls, &[])),
+            (n_urls, &[]),
             &Obs::disabled(),
         )
     }

@@ -125,7 +125,6 @@ const DEFAULT_CHUNK_BYTES: usize = 1 << 20;
 pub struct IngestPipeline<'t> {
     table: &'t CompiledMerged,
     chunk_bytes: usize,
-    url_stats: bool,
     max_error_rate: Option<f64>,
     io_retries: u32,
     threads: Option<usize>,
@@ -288,13 +287,11 @@ impl IngestReport {
 }
 
 impl<'t> IngestPipeline<'t> {
-    /// A pipeline over `table` with default chunking and per-cluster
-    /// unique-URL counting enabled.
+    /// A pipeline over `table` with default chunking.
     pub fn new(table: &'t CompiledMerged) -> Self {
         IngestPipeline {
             table,
             chunk_bytes: DEFAULT_CHUNK_BYTES,
-            url_stats: true,
             max_error_rate: None,
             io_retries: 2,
             threads: None,
@@ -319,14 +316,6 @@ impl<'t> IngestPipeline<'t> {
     /// line boundary).
     pub fn chunk_bytes(mut self, bytes: usize) -> Self {
         self.chunk_bytes = bytes.max(1);
-        self
-    }
-
-    /// Enables or disables per-cluster unique-URL counting. Disabling it
-    /// skips retaining (client, path) pairs entirely; `unique_urls` stays
-    /// 0 on every cluster.
-    pub fn url_stats(mut self, on: bool) -> Self {
-        self.url_stats = on;
         self
     }
 
@@ -570,7 +559,7 @@ impl<'t> IngestPipeline<'t> {
                     }
                 }
                 let before = out.errors.len();
-                out.scan(c, self.url_stats);
+                out.scan(c);
                 let chunk_errors = out.errors.len() - before;
                 self.record_chunk(c, chunk_errors);
                 if let Some((chunks_ctr, bytes_ctr)) = &shard_obs {
@@ -649,7 +638,7 @@ impl<'t> IngestPipeline<'t> {
 
         let mut n_urls = url_paths.first().map_or(0, Vec::len);
         let mut trans: Vec<Vec<u32>> = Vec::new();
-        if self.url_stats && shards.len() > 1 {
+        if shards.len() > 1 {
             let mut global: FxHashMap<&[u8], u32> = FxHashMap::default();
             for paths in &url_paths {
                 trans.push(
@@ -673,7 +662,7 @@ impl<'t> IngestPipeline<'t> {
                 self.table
                     .net_for_slice(addrs, out, DEFAULT_PREFETCH_DISTANCE)
             },
-            self.url_stats.then_some((n_urls, trans.as_slice())),
+            (n_urls, trans.as_slice()),
             &self.obs,
         );
 
@@ -777,20 +766,18 @@ impl<'a> ChunkOut<'a> {
     /// Accumulates one chunk. The User-Agent field is never consumed
     /// downstream, so the scan uses the no-UA record parser (identical
     /// records and errors, minus the per-line UA quote scan).
-    fn scan(&mut self, c: &Chunk<'a>, url_stats: bool) {
+    fn scan(&mut self, c: &Chunk<'a>) {
         for item in clf_bytes::records_no_ua(c.data, c.first_line) {
             match item {
                 Ok((_, r)) => {
                     let id = self.shard.add(r.addr, r.bytes as u64);
-                    if url_stats {
-                        let url_paths = &mut self.url_paths;
-                        let url = *self.url_ids.entry(r.path).or_insert_with(|| {
-                            url_paths.push(r.path);
-                            // analyze:allow(cast-truncation) url ids are u32 by format.
-                            (url_paths.len() - 1) as u32
-                        });
-                        self.shard.pairs.push((id, url));
-                    }
+                    let url_paths = &mut self.url_paths;
+                    let url = *self.url_ids.entry(r.path).or_insert_with(|| {
+                        url_paths.push(r.path);
+                        // analyze:allow(cast-truncation) url ids are u32 by format.
+                        (url_paths.len() - 1) as u32
+                    });
+                    self.shard.pairs.push((id, url));
                 }
                 Err(e) => self.errors.push(e),
             }
@@ -862,26 +849,6 @@ not a log line\n\
             assert_eq!(report.counts.records, 6);
             assert_eq!(report.bytes, SAMPLE.len());
         }
-    }
-
-    #[test]
-    fn url_stats_off_skips_counting() {
-        let table = table();
-        let report = IngestPipeline::new(&table)
-            .url_stats(false)
-            .run(SAMPLE.as_bytes());
-        assert!(report
-            .clustering
-            .clusters
-            .iter()
-            .all(|c| c.unique_urls == 0));
-        // Everything else is unaffected.
-        let with = IngestPipeline::new(&table).run(SAMPLE.as_bytes());
-        assert_eq!(
-            report.clustering.total_requests,
-            with.clustering.total_requests
-        );
-        assert_eq!(report.clustering.len(), with.clustering.len());
     }
 
     #[test]

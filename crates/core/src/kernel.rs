@@ -92,10 +92,10 @@ impl Shard {
 ///   prefix of `addrs[i]` (`None` = unclusterable); it is called on up to
 ///   `threads` disjoint spans concurrently;
 /// * **assemble** — [`Clustering::from_assignments`];
-/// * **unique URLs** — when `urls` is `Some((n_urls, trans))`, distinct
-///   (cluster, url) pairs are counted over a global url id space of size
-///   `n_urls`, shard `s`'s local id `u` meaning global id `trans[s][u]`;
-///   an empty `trans` says ids are already global.
+/// * **unique URLs** — `urls` is `(n_urls, trans)`: distinct (cluster,
+///   url) pairs are counted over a global url id space of size `n_urls`,
+///   shard `s`'s local id `u` meaning global id `trans[s][u]`; an empty
+///   `trans` says ids are already global.
 ///
 /// `obs` receives the `aggregate` / `lpm` stage spans.
 pub(crate) fn finish(
@@ -103,7 +103,7 @@ pub(crate) fn finish(
     shards: &[Shard],
     threads: usize,
     assign: &(impl Fn(&[u32], &mut [Option<Ipv4Net>]) + Sync),
-    urls: Option<(usize, &[Vec<u32>])>,
+    urls: (usize, &[Vec<u32>]),
     obs: &Obs,
 ) -> Clustering {
     let aggregate = obs.span("aggregate");
@@ -121,10 +121,8 @@ pub(crate) fn finish(
     let _assemble = obs.span("aggregate");
     let total_requests: u64 = clients.iter().map(|c| c.requests).sum();
     let mut clustering = Clustering::from_assignments(method, clients, assignments, total_requests);
-    if let Some(urls) = urls {
-        let limits = (BITMAP_MAX_BITS, BITMAP_WINDOW_BITS);
-        count_unique_urls(&mut clustering, shards, urls, threads, limits);
-    }
+    let limits = (BITMAP_MAX_BITS, BITMAP_WINDOW_BITS);
+    count_unique_urls(&mut clustering, shards, urls, threads, limits);
     clustering
 }
 
@@ -338,7 +336,7 @@ mod tests {
             }
         };
         let obs = Obs::disabled();
-        let base = finish("t", &shards, 2, &assign, None, &obs);
+        let base = finish("t", &shards, 2, &assign, (40, &trans), &obs);
         assert_eq!(base.clusters.len(), 2);
         assert_eq!(base.clusters[0].requests, 5);
         assert_eq!(base.unclustered[0].requests, 2);
@@ -346,6 +344,7 @@ mod tests {
         // bucketed multi-window bitmap must count alike.
         for limits in [(0, 0), (u64::MAX, 64), (u64::MAX, 128), (u64::MAX, 1 << 21)] {
             let mut counted = base.clone();
+            counted.clusters.iter_mut().for_each(|c| c.unique_urls = 0);
             count_unique_urls(&mut counted, &shards, (40, &trans), 2, limits);
             // Cluster 0: {0, 1} ∪ {1, 39, 0}; cluster 1: {39} ∪ {0}.
             let unique: Vec<u32> = counted.clusters.iter().map(|c| c.unique_urls).collect();

@@ -433,7 +433,12 @@ impl ClusterQuery for Clustering {
             clients: self.client_count() as u64,
             clusters: self.len() as u64,
             unclustered_requests,
-            coverage: self.coverage(),
+            // Request-weighted, as the field says and the stream computes;
+            // `Clustering::coverage` is the paper's client-weighted figure.
+            coverage: match self.total_requests {
+                0 => 0.0,
+                total => 1.0 - unclustered_requests as f64 / total as f64,
+            },
             table_version: 0,
         }
     }
@@ -450,7 +455,14 @@ mod tests {
         let mut spec = LogSpec::tiny("q", 13);
         spec.total_requests = 8_000;
         spec.target_clients = 300;
-        let log = generate(&u, &spec);
+        let mut log = generate(&u, &spec);
+        // One client no prefix covers (TEST-NET-2), so the client- and the
+        // request-weighted coverage differ.
+        let stray = u32::from(Ipv4Addr::new(198, 51, 100, 9));
+        log.requests.push(netclust_weblog::Request {
+            client: stray,
+            ..log.requests[0]
+        });
         let batch = Clustering::network_aware(&log, &standard_merged(&u, 0));
         let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
         for r in &log.requests {
@@ -485,7 +497,7 @@ mod tests {
         assert_eq!(bs.total_requests, ss.total_requests);
         assert_eq!(bs.clients, ss.clients);
         assert_eq!(bs.clusters, ss.clusters);
-        assert_eq!(bs.unclustered_requests, ss.unclustered_requests);
+        assert_eq!((bs.unclustered_requests, ss.unclustered_requests), (1, 1));
         assert!((bs.coverage - ss.coverage).abs() < 1e-9);
 
         let bt = batch.top(10);
@@ -565,7 +577,7 @@ mod tests {
         );
         let s = stream.summary().to_json();
         assert!(s.starts_with("{\"total_requests\": "), "{s}");
-        assert!(s.contains("\"coverage\": 1.000000"), "{s}");
+        assert!(s.contains("\"coverage\": 0.999875"), "{s}");
         let member = batch
             .clusters
             .iter()

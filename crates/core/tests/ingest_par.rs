@@ -153,30 +153,6 @@ proptest! {
             .run(data);
         assert_reports_identical(&strided, &serial, data, &format!("strided t={threads}"));
     }
-
-    /// Disabling URL stats changes nothing but the unique-URL counts, in
-    /// parallel exactly as in serial.
-    #[test]
-    fn parallel_url_stats_off_matches_serial(
-        lines in arb_lines(),
-        chunk_bytes in 24usize..1024,
-    ) {
-        let table = table();
-        let text = render(&lines);
-        let data = text.as_bytes();
-        let serial = IngestPipeline::new(&table)
-            .chunk_bytes(chunk_bytes)
-            .threads(1)
-            .url_stats(false)
-            .run(data);
-        let parallel = IngestPipeline::new(&table)
-            .chunk_bytes(chunk_bytes)
-            .threads(3)
-            .url_stats(false)
-            .run(data);
-        assert_reports_identical(&parallel, &serial, data, "url_stats off");
-        assert!(parallel.clustering.clusters.iter().all(|c| c.unique_urls == 0));
-    }
 }
 
 /// Injected `ingest.chunk_io` faults land on whichever worker stole the

@@ -34,7 +34,7 @@ pub use diff::{
     SnapshotDiff, DELTA_WIRE_BYTES,
 };
 pub use flat::{CompiledMerged, CompiledTable, Handle, DEFAULT_PREFETCH_DISTANCE};
-pub use patch::{DeltaKind, DeltaParseError, PatchPolicy, PatchReport, TableDelta};
+pub use patch::{parse_feed, DeltaKind, DeltaParseError, PatchPolicy, PatchReport, TableDelta};
 // The shared error-accounting shape (`ParseReport::counts()` returns it);
 // defined in `netclust-obs`, re-exported here so rtable users need no
 // extra import.

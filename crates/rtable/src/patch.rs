@@ -139,6 +139,28 @@ impl FromStr for TableDelta {
     }
 }
 
+/// Parses a feed of update lines — a `--bgp-feed` file, a `/v1/reload`
+/// body — into its batches: a blank line ends a batch, `#` comments are
+/// skipped. The error carries the 1-based number of the line it is for.
+pub fn parse_feed(text: &str) -> Result<Vec<Vec<TableDelta>>, (usize, DeltaParseError)> {
+    let mut batches = Vec::new();
+    let mut current = Vec::new();
+    for (lineno, raw) in text.lines().enumerate() {
+        let line = raw.trim();
+        if line.is_empty() {
+            if !current.is_empty() {
+                batches.push(std::mem::take(&mut current));
+            }
+        } else if !line.starts_with('#') {
+            current.push(line.parse().map_err(|e| (lineno + 1, e))?);
+        }
+    }
+    if !current.is_empty() {
+        batches.push(current);
+    }
+    Ok(batches)
+}
+
 /// When to give up on chunk-by-chunk patching and rebuild the whole layout.
 #[derive(Debug, Clone)]
 pub struct PatchPolicy {
@@ -483,6 +505,16 @@ mod tests {
             why("flap 10.1.0.0/16"),
             "unknown update \"flap\" (announce|withdraw|replace)"
         );
+
+        let feed = "# t0\nannounce 10.1.0.0/16\n \n\nwithdraw 10.1.0.0/16\n#\nreplace 10.1.0.0/16";
+        let batches = vec![
+            vec![TableDelta::announce(p)],
+            vec![TableDelta::withdraw(p), TableDelta::replace(p)],
+        ];
+        assert_eq!(parse_feed(feed), Ok(batches));
+        assert_eq!(parse_feed("# nothing\n\n"), Ok(vec![]));
+        let err = parse_feed("\n# c\nannounce 10.1.0.0/16\nflap 10.1.0.0/16\n").unwrap_err();
+        assert_eq!(err, (4, DeltaParseError::UnknownUpdate("flap".into())));
     }
 
     /// Reference check: the patched table must agree with a from-scratch

@@ -38,18 +38,22 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-use netclust_core::{JournalBatch, PatchBatchReport, PersistError};
+use netclust_core::{JournalBatch, PatchBatchReport, PersistError, StateStore};
 use netclust_rtable::TableDelta;
 
 use crate::router::AppState;
 
-/// The follower ↔ checkpointer mailbox. Present in [`AppState`] exactly
-/// when a state store is configured.
+/// Crash-safe persistence: the state store and the follower ↔
+/// checkpointer mailbox. Present in [`AppState`] when `--state-dir` is
+/// set.
 #[derive(Debug)]
 pub struct Checkpointer {
+    /// The mutex serializes journal appends and checkpoints; only this
+    /// module locks it, always before the stream.
+    store: Mutex<StateStore>,
     /// `--checkpoint-bytes`: trigger 1's threshold.
     threshold: u64,
     /// Log bytes applied to the stream that no durable snapshot covers.
@@ -72,9 +76,11 @@ struct Ctl {
 }
 
 impl Checkpointer {
-    /// A mailbox with trigger 1 at `threshold` unsnapshotted bytes.
-    pub fn new(threshold: u64) -> Self {
+    /// Persists into `store`, with trigger 1 at `threshold` unsnapshotted
+    /// bytes.
+    pub fn new(threshold: u64, store: StateStore) -> Self {
         Checkpointer {
+            store: Mutex::new(store),
             threshold,
             dirty: AtomicU64::new(0),
             ctl: Mutex::new(Ctl::default()),
@@ -160,7 +166,7 @@ impl Checkpointer {
 
 /// The `netclustd-checkpoint` thread body. Returns when
 /// [`Checkpointer::stop`] is called.
-pub(crate) fn run(state: Arc<AppState>) {
+pub(crate) fn run(state: &AppState) {
     let Some(cp) = &state.checkpointer else {
         return;
     };
@@ -170,7 +176,7 @@ pub(crate) fn run(state: Arc<AppState>) {
         // A failure is counted in `checkpoint_now` and leaves the bytes
         // dirty, so the trigger still holds: the retry is the next pass of
         // this loop, under the same duty bound.
-        let _ = checkpoint_now(&state);
+        let _ = checkpoint_now(state);
         not_before = Instant::now() + started.elapsed();
     }
 }
@@ -185,13 +191,10 @@ pub(crate) fn checkpoint_now(state: &AppState) -> Result<(), String> {
 }
 
 fn snapshot(state: &AppState, cp: &Checkpointer) -> Result<(), String> {
-    let mut store_guard = state
+    let mut store = cp
         .store
         .lock()
         .map_err(|_| "store lock poisoned".to_string())?;
-    let Some(store) = store_guard.as_mut() else {
-        return Ok(());
-    };
     let started = Instant::now();
     // Only the copy-out happens under the read lock; sorting the copy,
     // encoding it and every disk operation run with the follower free.
@@ -222,14 +225,14 @@ fn snapshot(state: &AppState, cp: &Checkpointer) -> Result<(), String> {
 /// Call with the follower and the checkpointer thread already joined.
 pub(crate) fn final_checkpoint(state: &AppState) -> Result<(), String> {
     checkpoint_now(state)?;
-    let mut guard = state
+    let Some(cp) = &state.checkpointer else {
+        return Ok(());
+    };
+    let mut store = cp
         .store
         .lock()
         .map_err(|_| "store lock poisoned".to_string())?;
-    match guard.as_mut() {
-        Some(store) => store.sync().map_err(|e| format!("final sync: {e}")),
-        None => Ok(()),
-    }
+    store.sync().map_err(|e| format!("final sync: {e}"))
 }
 
 /// Why [`apply_journaled`] did not apply a batch.
@@ -258,11 +261,11 @@ pub(crate) fn apply_journaled(
     state: &AppState,
     deltas: &[TableDelta],
 ) -> Result<PatchBatchReport, ApplyError> {
-    let mut store_guard = state
-        .store
-        .lock()
-        .map_err(|_| ApplyError::Poisoned("store"))?;
-    if let Some(store) = store_guard.as_mut() {
+    let mut store = match &state.checkpointer {
+        Some(cp) => Some(cp.store.lock().map_err(|_| ApplyError::Poisoned("store"))?),
+        None => None,
+    };
+    if let Some(store) = &mut store {
         let batch = JournalBatch {
             // ordering: monotone batch counter; the store mutex held
             // across append+apply already orders journal writes.
@@ -282,11 +285,20 @@ pub(crate) fn apply_journaled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netclust_core::FsyncPolicy;
     use std::time::Duration;
+
+    /// A checkpointer over an empty store in a fresh temp dir.
+    fn mailbox(name: &str, threshold: u64) -> Checkpointer {
+        let dir = std::env::temp_dir().join(format!("netclustd-cp-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = StateStore::create(dir, FsyncPolicy::Os).expect("store");
+        Checkpointer::new(threshold, store)
+    }
 
     #[test]
     fn the_two_triggers() {
-        let cp = Checkpointer::new(100);
+        let cp = mailbox("triggers", 100);
         assert!(!cp.consider(true), "quiet with nothing pending is not work");
         assert!(!cp.due(&cp.ctl()));
         cp.note_applied(99);
@@ -301,7 +313,7 @@ mod tests {
 
     #[test]
     fn triggers_coalesce_while_one_is_claimed() {
-        let cp = Checkpointer::new(1);
+        let cp = mailbox("coalesce", 1);
         cp.note_applied(5);
         assert!(!cp.consider(false), "first trigger wakes the thread");
         // The thread claims it and finds the duty bound already met.
@@ -314,7 +326,7 @@ mod tests {
 
     #[test]
     fn the_duty_bound_delays_the_start_and_stop_ends_the_wait() {
-        let cp = Checkpointer::new(1);
+        let cp = mailbox("duty", 1);
         cp.note_applied(5);
         let asked = Instant::now();
         let hold = Duration::from_millis(40);
@@ -322,7 +334,7 @@ mod tests {
         assert!(asked.elapsed() >= hold);
 
         // Nothing pending: the thread sleeps until stop wakes it.
-        let idle = Checkpointer::new(1);
+        let idle = mailbox("idle", 1);
         std::thread::scope(|scope| {
             let waiter = scope.spawn(|| idle.wait_for_work(Instant::now()));
             idle.stop();

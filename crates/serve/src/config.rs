@@ -25,7 +25,7 @@ mod table {
     pub const TOP: Flag = flags::TOP.default("10");
     pub const LISTEN: Flag = Flag::new("--listen", "ADDR", "host:port to bind; port 0 = any").default("127.0.0.1:0");
     pub const PORT_FILE: Flag = Flag::new("--port-file", "FILE", "write the bound address here once listening");
-    pub const HTTP_THREADS: Flag = Flag::new("--http-threads", "N", "HTTP worker pool size").default("4");
+    pub const HTTP_THREADS: Flag = Flag::new("--http-threads", "N", "HTTP worker threads = connections in service").default("4");
     pub const POLL_MS: Flag = Flag::new("--poll-ms", "MS", "how often the log is polled: freshness").default("200");
     pub const CHECKPOINT_BYTES: Flag = Flag::new("--checkpoint-bytes", "N", "snapshot a busy log every N applied bytes").default("4194304");
     pub const FAULT: Flag = Flag::new("--fault", "POINT=PROB", "arm a failpoint (tests)").repeatable();
@@ -90,7 +90,8 @@ impl ServeConfig {
         Self::default()
     }
 
-    /// Size of the HTTP worker pool.
+    /// Number of HTTP worker threads: each accepts and serves one
+    /// connection at a time, so also the connections in service.
     pub fn http_threads(mut self, threads: usize) -> Self {
         self.http_threads = threads.max(1);
         self

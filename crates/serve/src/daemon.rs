@@ -1,20 +1,22 @@
-//! The `netclustd` daemon: boot, accept loop, log follower, shutdown.
+//! The `netclustd` daemon: boot, HTTP workers, log follower, shutdown.
 //!
 //! [`Daemon::start`] assembles the whole service from a [`ServeConfig`]:
 //! it loads (or recovers) the clustering state, binds the listener,
-//! spawns the HTTP worker pool and the log-follower thread, and returns a
+//! spawns the HTTP workers and the log-follower thread, and returns a
 //! handle the caller polls until a stop is requested. Everything is
-//! `std`-only — the accept loop is a non-blocking listener with a short
-//! sleep, concurrency is the fixed `pool::ThreadPool`, and the
-//! follower is one thread polling the tailed log on a configured
+//! `std`-only. The `--http-threads` workers accept for themselves: they
+//! take the non-blocking listener in turn, the holder polls it with a
+//! short sleep, then serves the connection it got start to finish while
+//! the next idle worker takes the listener. At most that many connections
+//! are in service; the rest wait in the kernel's bounded listen queue.
+//! The follower is one thread polling the tailed log on a configured
 //! interval: poll → apply → publish, nothing else. Making the view
 //! durable happens behind it, on the checkpointer thread
 //! ([`crate::checkpoint`]), which exists only when a state dir is
 //! configured.
 //!
-//! Shutdown is graceful by construction: the accept thread owns the
-//! worker pool, so when the stop flag flips it stops accepting and drops
-//! the pool (which drains in-flight requests and joins every worker);
+//! Shutdown is graceful by construction: when the stop flag flips the
+//! workers stop accepting, finish the request they are in and are joined;
 //! the follower is joined next, then the checkpointer (an in-flight
 //! snapshot completes), and only then does [`Daemon::shutdown`] write the
 //! final checkpoint — the snapshot a `--resume` boot continues from.
@@ -28,7 +30,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use netclust_core::{
-    failpoints, FaultPlan, StateStore, StreamingClustering, SwapPolicy, VerdictPolicy,
+    failpoints, FaultInjector, FaultPlan, StateStore, StreamingClustering, SwapPolicy,
+    VerdictPolicy,
 };
 use netclust_obs::Obs;
 use netclust_rtable::{load_tables, MergedTable};
@@ -38,7 +41,6 @@ use crate::checkpoint::{self, Checkpointer};
 use crate::config::ServeConfig;
 use crate::http::{self, HttpResponse, Parse};
 use crate::json;
-use crate::pool::{Handler, ThreadPool};
 use crate::router::{self, AppState, ServeObs};
 
 /// Why the daemon failed to boot or shut down cleanly.
@@ -73,13 +75,13 @@ impl From<std::io::Error> for ServeError {
 }
 
 /// A running `netclustd` instance. Dropping it (or calling
-/// [`Daemon::shutdown`]) stops the accept loop, drains the worker pool,
-/// joins the follower, and writes the final checkpoint.
+/// [`Daemon::shutdown`]) stops and joins every thread and writes the
+/// final checkpoint.
 pub struct Daemon {
     addr: SocketAddr,
     state: Arc<AppState>,
     stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
     follower: Option<JoinHandle<()>>,
     checkpointer: Option<JoinHandle<()>>,
 }
@@ -92,9 +94,9 @@ impl fmt::Debug for Daemon {
 
 impl Daemon {
     /// Boots the daemon: loads or recovers state, binds the listener,
-    /// spawns the HTTP pool, (when a log is configured) the follower and
-    /// (when a state dir is configured) the checkpointer. Returns once the
-    /// service is answering requests.
+    /// spawns the HTTP workers, (when a log is configured) the follower
+    /// and (when a state dir is configured) the checkpointer. Returns once
+    /// the service is answering requests.
     pub fn start(config: ServeConfig) -> Result<Daemon, ServeError> {
         // The daemon always records metrics — `/metrics` is an endpoint,
         // not an opt-in — so a disabled RunConfig obs is upgraded here.
@@ -113,67 +115,54 @@ impl Daemon {
             std::fs::write(path, format!("{addr}\n"))?;
         }
 
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let plan = config.faults.clone();
-        let handler_state = Arc::clone(&state);
-        let handler_stop = Arc::clone(&stop);
-        let handler: Handler = Arc::new(move |conn| {
-            serve_connection(&handler_state, conn, &plan, &handler_stop);
-        });
-        let pool = ThreadPool::new(config.http_threads, handler);
-
-        let accept_plan = config.faults.clone();
-        let accept_state = Arc::clone(&state);
-        let accept_stop = Arc::clone(&stop);
-        let accept = std::thread::Builder::new()
-            .name("netclustd-accept".to_string())
-            .spawn(move || accept_loop(listener, pool, accept_state, accept_stop, accept_plan))?;
-
-        let checkpointer = match state.checkpointer {
-            None => None,
-            Some(_) => {
-                let state = Arc::clone(&state);
-                Some(
-                    std::thread::Builder::new()
-                        .name("netclustd-checkpoint".to_string())
-                        .spawn(move || checkpoint::run(state))?,
-                )
-            }
-        };
-
-        let follower = match &config.log {
-            None => None,
-            Some(path) => {
-                // A restored stream carries the cursor its snapshot was
-                // taken at; a fresh one starts at 0.
-                let offset = state
-                    .stream
-                    .read()
-                    .map_err(|_| ServeError::Persist("state lock poisoned".to_string()))?
-                    .feed_pos();
-                let follower = LogFollower::resume_at(path, offset);
-                let follow_state = Arc::clone(&state);
-                let follow_stop = Arc::clone(&stop);
-                let interval = config.poll_interval;
-                Some(
-                    std::thread::Builder::new()
-                        .name("netclustd-follow".to_string())
-                        .spawn(move || {
-                            follower_loop(follow_state, follower, interval, follow_stop)
-                        })?,
-                )
-            }
-        };
-
-        Ok(Daemon {
+        // An early return from here on drops `daemon`, which stops and
+        // joins whatever was already spawned.
+        let mut daemon = Daemon {
             addr,
-            state,
-            stop,
-            accept: Some(accept),
-            follower,
-            checkpointer,
-        })
+            state: Arc::clone(&state),
+            stop: Arc::new(AtomicBool::new(false)),
+            workers: Vec::new(),
+            follower: None,
+            checkpointer: None,
+        };
+
+        // What the workers take turns on: the listener, and the
+        // `serve.accept` injector under the same lock so shed decisions
+        // are drawn in accept order.
+        let acceptor = Arc::new(Mutex::new((listener, config.faults.injector())));
+        for i in 0..config.http_threads {
+            let (state, stop) = (Arc::clone(&state), Arc::clone(&daemon.stop));
+            let (acceptor, plan) = (Arc::clone(&acceptor), config.faults.clone());
+            let thread = std::thread::Builder::new().name(format!("netclustd-http-{i}"));
+            daemon.workers.push(thread.spawn(move || {
+                while let Some(conn) = next_connection(&state, &acceptor, &stop) {
+                    serve_connection(&state, conn, &plan, &stop, KEEP_ALIVE_IDLE);
+                }
+            })?);
+        }
+
+        if state.checkpointer.is_some() {
+            let state = Arc::clone(&state);
+            let thread = std::thread::Builder::new().name("netclustd-checkpoint".to_string());
+            daemon.checkpointer = Some(thread.spawn(move || checkpoint::run(&state))?);
+        }
+
+        if let Some(path) = &config.log {
+            // A restored stream carries the cursor its snapshot was
+            // taken at; a fresh one starts at 0.
+            let offset = state
+                .stream
+                .read()
+                .map_err(|_| ServeError::Persist("state lock poisoned".to_string()))?
+                .feed_pos();
+            let follower = LogFollower::resume_at(path, offset);
+            let (stop, interval) = (Arc::clone(&daemon.stop), config.poll_interval);
+            let thread = std::thread::Builder::new().name("netclustd-follow".to_string());
+            daemon.follower =
+                Some(thread.spawn(move || follower_loop(state, follower, interval, stop))?);
+        }
+
+        Ok(daemon)
     }
 
     /// The bound listen address (resolves ephemeral ports).
@@ -186,8 +175,8 @@ impl Daemon {
         &self.state
     }
 
-    /// Stops accepting, drains in-flight requests, joins the follower
-    /// and the checkpointer, and writes the final checkpoint.
+    /// Stops accepting, drains in-flight requests, joins the workers, the
+    /// follower and the checkpointer, and writes the final checkpoint.
     pub fn shutdown(mut self) -> Result<(), ServeError> {
         self.wind_down();
         checkpoint::final_checkpoint(&self.state).map_err(ServeError::Persist)
@@ -197,10 +186,7 @@ impl Daemon {
         // ordering: single stop flag, no data published through it;
         // SeqCst keeps the shutdown handshake trivially correct.
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.follower.take() {
+        for handle in self.workers.drain(..).chain(self.follower.take()) {
             let _ = handle.join();
         }
         if let Some(cp) = &self.state.checkpointer {
@@ -271,10 +257,7 @@ fn build_state(config: &ServeConfig, obs: &Obs) -> Result<AppState, ServeError> 
 
     Ok(AppState {
         stream: RwLock::new(stream),
-        checkpointer: store
-            .is_some()
-            .then(|| Checkpointer::new(config.checkpoint_bytes)),
-        store: Mutex::new(store),
+        checkpointer: store.map(|store| Checkpointer::new(config.checkpoint_bytes, store)),
         obs: obs.clone(),
         metrics: ServeObs::resolve(obs),
         deterministic: run.is_deterministic(),
@@ -284,44 +267,41 @@ fn build_state(config: &ServeConfig, obs: &Obs) -> Result<AppState, ServeError> 
     })
 }
 
-/// Accepts connections until the stop flag flips, dispatching each to the
-/// pool. Owns the pool so dropping it on exit drains in-flight requests.
-fn accept_loop(
-    listener: TcpListener,
-    pool: ThreadPool,
-    state: Arc<AppState>,
-    stop: Arc<AtomicBool>,
-    plan: FaultPlan,
-) {
-    let mut injector = plan.injector();
+/// Takes the listener and polls it until a connection arrives; `None`
+/// once the stop flag flips. Workers blocked on the lock meanwhile are
+/// idle, and each finds the flag set as soon as it gets its turn.
+fn next_connection(
+    state: &AppState,
+    acceptor: &Mutex<(TcpListener, FaultInjector)>,
+    stop: &AtomicBool,
+) -> Option<TcpStream> {
+    // Nothing under the lock can be left half-updated by a panicked holder.
+    let mut guard = acceptor.lock().unwrap_or_else(|p| p.into_inner());
+    let (listener, injector) = &mut *guard;
     // ordering: stop flag only — no data rides on it; SeqCst matches the
     // store side.
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((conn, _)) => {
                 if injector.should_fire(failpoints::SERVE_ACCEPT) {
-                    // Injected overload: shed the connection before it
-                    // reaches a worker. The client sees a closed socket,
-                    // exactly like a listen-backlog drop.
+                    // Injected overload: shed the connection before it is
+                    // served. The client sees a closed socket, exactly
+                    // like a listen-backlog drop.
                     state.metrics.accept_shed.inc();
-                    drop(conn);
                     continue;
                 }
                 let _ = conn.set_nodelay(true);
-                if !pool.execute(conn) {
-                    break;
+                return Some(conn);
+            }
+            Err(e) => {
+                if e.kind() != std::io::ErrorKind::WouldBlock {
+                    state.metrics.accept_shed.inc();
                 }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => {
-                state.metrics.accept_shed.inc();
                 std::thread::sleep(Duration::from_millis(2));
             }
         }
     }
-    drop(pool);
+    None
 }
 
 /// How long a worker waits in one `read` before re-checking the stop
@@ -329,18 +309,32 @@ fn accept_loop(
 /// connections.
 const READ_SLICE: Duration = Duration::from_millis(250);
 
-/// Idle keep-alive connections are closed after this long.
+/// How long a connection has to deliver its next complete request,
+/// counted from the previous response (from accept for the first one). An
+/// idle keep-alive connection is closed after this long, and so is one
+/// whose peer dribbles a request in: a worker is the accept capacity, and
+/// no peer may hold it for longer.
 const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(30);
 
 /// One connection's request loop: incremental parse, route, respond,
-/// keep-alive until close. Runs on a pool worker; never panics, never
-/// propagates.
-fn serve_connection(state: &AppState, mut conn: TcpStream, plan: &FaultPlan, stop: &AtomicBool) {
+/// keep-alive until close or until a request takes longer than `budget`
+/// ([`KEEP_ALIVE_IDLE`] in production). Runs on an HTTP worker; never
+/// panics, never propagates.
+fn serve_connection(
+    state: &AppState,
+    mut conn: TcpStream,
+    plan: &FaultPlan,
+    stop: &AtomicBool,
+    budget: Duration,
+) {
     let mut injector = plan.injector();
     let _ = conn.set_read_timeout(Some(READ_SLICE));
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut scratch = [0u8; 16 * 1024];
-    let mut idle = Duration::ZERO;
+    // analyze:allow(determinism) the clock only bounds how long a peer may take over one request; it never reaches an output.
+    let clock = std::time::Instant::now();
+    // `clock.elapsed()` at which the request being read has overstayed.
+    let mut due = budget;
     loop {
         // Drain every complete pipelined request already buffered.
         loop {
@@ -366,6 +360,7 @@ fn serve_connection(state: &AppState, mut conn: TcpStream, plan: &FaultPlan, sto
                     if !keep {
                         return;
                     }
+                    due = clock.elapsed() + budget;
                 }
                 Parse::Partial => break,
                 Parse::Invalid(msg) => {
@@ -376,12 +371,16 @@ fn serve_connection(state: &AppState, mut conn: TcpStream, plan: &FaultPlan, sto
                 }
             }
         }
+        if clock.elapsed() >= due {
+            // Silence is an idle connection; bytes are a request cut off.
+            if !buf.is_empty() {
+                state.metrics.parse_errors.inc();
+            }
+            return;
+        }
         match conn.read(&mut scratch) {
             Ok(0) => return,
-            Ok(n) => {
-                idle = Duration::ZERO;
-                buf.extend_from_slice(scratch.get(..n).unwrap_or_default());
-            }
+            Ok(n) => buf.extend_from_slice(scratch.get(..n).unwrap_or_default()),
             // A read timeout surfaces as WouldBlock or TimedOut depending
             // on the platform; either way it is the stop-flag checkpoint.
             Err(e)
@@ -390,10 +389,9 @@ fn serve_connection(state: &AppState, mut conn: TcpStream, plan: &FaultPlan, sto
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                idle += READ_SLICE;
                 // ordering: stop flag only — no data rides on it; SeqCst
                 // matches the store side.
-                if stop.load(Ordering::SeqCst) || idle >= KEEP_ALIVE_IDLE {
+                if stop.load(Ordering::SeqCst) {
                     return;
                 }
             }
@@ -487,6 +485,41 @@ fn follower_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A peer dribbling a request in a byte at a time — never a read
+    /// timeout — is cut off once the budget since the previous response is
+    /// spent, and counted as a request that did not parse.
+    #[test]
+    fn a_dribbled_request_is_cut_off_at_the_budget() {
+        let table = std::env::temp_dir().join(format!("netclustd-dribble-{}", std::process::id()));
+        std::fs::write(&table, "10.0.0.0/8\n").expect("table file");
+        let config = ServeConfig::new().tables(vec![table]);
+        let state = build_state(&config, &Obs::enabled()).expect("state");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (conn, _) = listener.accept().expect("accept");
+        let budget = Duration::from_millis(300);
+        let took = std::thread::scope(|scope| {
+            scope.spawn(move || {
+                // A whole request 100 ms in is answered and restarts the
+                // budget; then comes a head that never ends.
+                std::thread::sleep(Duration::from_millis(100));
+                let _ = peer.write_all(b"GET /healthz HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\n");
+                while peer.write_all(b"a").is_ok() {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            });
+            let accepted = std::time::Instant::now();
+            let (plan, stop) = (FaultPlan::disabled(), AtomicBool::new(false));
+            serve_connection(&state, conn, &plan, &stop, budget);
+            accepted.elapsed()
+        });
+        let ms = Duration::from_millis;
+        assert!(took >= ms(400), "cut off early: {took:?}");
+        assert!(took < ms(5_000), "held the worker for {took:?}");
+        let m = &state.metrics;
+        assert_eq!((m.requests.get(), m.parse_errors.get()), (1, 1));
+    }
 
     #[test]
     fn slices_are_whole_lines_within_the_bound() {

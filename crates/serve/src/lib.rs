@@ -11,9 +11,9 @@
 //! * keeps that view durable through the PR 8 state store (checksummed
 //!   snapshots + write-ahead journal, `--state-dir` / `--resume`),
 //! * answers the unified [`netclust_core::ClusterQuery`] surface over a
-//!   hand-rolled HTTP/1.1 + JSON API on `std::net` with a fixed thread
-//!   pool — no async runtime, no dependencies, matching the workspace's
-//!   vendored-shim discipline.
+//!   hand-rolled HTTP/1.1 + JSON API on `std::net` with a fixed number
+//!   of worker threads — no async runtime, no dependencies, matching the
+//!   workspace's vendored-shim discipline.
 //!
 //! Endpoints: `GET /v1/cluster?ip=`, `GET /v1/clusters/top?n=`,
 //! `GET /v1/verdict?ip=`, `GET /metrics`, `GET /healthz`, and
@@ -25,7 +25,8 @@
 //! hot-path dispatcher from parsed request to response; [`json`] renders
 //! the deterministic response bodies the router and reload path share;
 //! [`config`] is the [`ServeConfig`] builder the CLI flags parse into;
-//! [`daemon`] owns the listener, pool and follower; [`checkpoint`] owns
+//! [`daemon`] owns the listener, the HTTP workers that share it and the
+//! follower; [`checkpoint`] owns
 //! everything that touches the state store — the background checkpointer
 //! thread, the synchronous checkpoints, and the journal-before-apply step
 //! of a delta reload.
@@ -37,7 +38,6 @@ pub mod config;
 pub mod daemon;
 pub mod http;
 pub mod json;
-mod pool;
 pub mod router;
 
 pub use config::ServeConfig;

@@ -14,12 +14,12 @@
 
 use std::net::Ipv4Addr;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Mutex, RwLock};
+use std::sync::RwLock;
 
 use netclust_core::query::top_to_json;
-use netclust_core::{ClusterQuery, StateStore, StreamingClustering, VerdictPolicy};
+use netclust_core::{ClusterQuery, StreamingClustering, VerdictPolicy};
 use netclust_obs::{Counter, ErrorCounts, Gauge, Histogram, Obs};
-use netclust_rtable::{load_tables, MergedTable, TableDelta};
+use netclust_rtable::{load_tables, parse_feed, MergedTable, TableDelta};
 
 use crate::checkpoint::{self, ApplyError, Checkpointer};
 use crate::http::{HttpRequest, HttpResponse, Method};
@@ -98,12 +98,8 @@ pub struct AppState {
     /// snapshot exports take the read half; the follower and reloads take
     /// the write half.
     pub stream: RwLock<StreamingClustering>,
-    /// Crash-safe persistence, when `--state-dir` is set. The mutex
-    /// serializes journal appends and checkpoints; only
-    /// [`crate::checkpoint`] locks it, always before the stream.
-    pub store: Mutex<Option<StateStore>>,
-    /// The follower's line to the checkpointer thread; `Some` exactly
-    /// when `store` holds one.
+    /// Crash-safe persistence, when `--state-dir` is set: the state store
+    /// and the follower's line to the checkpointer thread.
     pub checkpointer: Option<Checkpointer>,
     /// The daemon-wide observability registry (`/metrics` snapshots it).
     pub obs: Obs,
@@ -320,16 +316,6 @@ fn reload_deltas(state: &AppState, body: &[u8]) -> HttpResponse {
 // analyze:allow(typed-errors) parse failures flow verbatim into the 400 JSON error body; no caller matches on them.
 pub fn parse_delta_lines(body: &[u8]) -> Result<Vec<TableDelta>, String> {
     let text = std::str::from_utf8(body).map_err(|_| "delta body is not UTF-8".to_string())?;
-    let mut deltas = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        deltas.push(
-            line.parse()
-                .map_err(|e| format!("line {}: {e}", lineno + 1))?,
-        );
-    }
-    Ok(deltas)
+    let batches = parse_feed(text).map_err(|(line, e)| format!("line {line}: {e}"))?;
+    Ok(batches.into_iter().flatten().collect())
 }

@@ -234,7 +234,13 @@ fn the_full_api_answers_over_one_keep_alive_connection() {
     let (status, _) = c.send("GET", "/v1/reload", None);
     assert_eq!(status, 405, "reload is POST-only");
 
+    // `c` is still open: it holds one worker in `read`, another is polling
+    // the listener and the rest wait for their turn at it. Shutdown takes
+    // one read slice (250 ms) at most, plus scheduling.
+    let asked = Instant::now();
     daemon.shutdown().expect("clean shutdown");
+    let took = asked.elapsed();
+    assert!(took < Duration::from_millis(500), "shutdown took {took:?}");
 }
 
 #[test]
@@ -341,6 +347,41 @@ fn the_accept_failpoint_sheds_connections() {
         daemon.state().metrics.accept_shed.get() >= 3
     });
     drop(daemon);
+}
+
+/// Two workers, two connections held open: a third and a fourth wait in
+/// the listen queue — connected, unanswered — and each is served, in
+/// arrival order, as a holder closes.
+#[test]
+fn waiting_connections_are_served_in_order_as_workers_free_up() {
+    let fx = fixture("queue", 43);
+    let daemon = Daemon::start(base_config(&fx).http_threads(2)).expect("boot");
+    let addr = daemon.local_addr();
+    let mut holders: Vec<Client> = (0..2).map(|_| Client::connect(addr)).collect();
+    for holder in &mut holders {
+        assert_eq!(holder.send("GET", "/healthz", None).0, 200);
+    }
+    let ask = |target: &str| {
+        let mut c = Client::connect(addr);
+        let request = format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n");
+        c.conn.write_all(request.as_bytes()).expect("send");
+        c
+    };
+    let (mut third, mut fourth) = (ask("/v1/clusters/top?n=1"), ask("/nope"));
+    let served = || daemon.state().metrics.requests.get();
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(served(), 2, "served with no worker free");
+
+    holders.pop();
+    let (status, body) = third.read_response();
+    assert!(
+        status == 200 && body.starts_with("{\"clusters\": ["),
+        "{body}"
+    );
+    assert_eq!(served(), 3, "the fourth was served with no worker free");
+    holders.pop();
+    assert_eq!(fourth.read_response().0, 404);
+    daemon.shutdown().expect("clean shutdown");
 }
 
 #[test]
@@ -514,6 +555,22 @@ fn netclustd_survives_kill_and_resumes_from_its_checkpoint() {
             && !get(addr, "/metrics").1.contains("\"serve.checkpoints\": 0")
     });
     let top_before = get(addr, "/v1/clusters/top?n=20").1;
+
+    // The thread model as a checked fact (a child process, so tests running
+    // in parallel here cannot disturb the count): main, the default four
+    // HTTP workers, follower, checkpointer — and nothing that only accepts.
+    // `comm` holds 15 bytes, which cuts the names short.
+    if cfg!(target_os = "linux") {
+        let tasks = std::fs::read_dir(format!("/proc/{}/task", first.0.id())).expect("tasks");
+        let comm = |task: std::io::Result<std::fs::DirEntry>| {
+            std::fs::read_to_string(task.ok()?.path().join("comm")).ok()
+        };
+        let mut names: Vec<String> = tasks.filter_map(comm).collect();
+        names.sort();
+        let want = "netclustd\nnetclustd-check\nnetclustd-follo\n".to_string()
+            + &"netclustd-http-\n".repeat(4);
+        assert_eq!(names.concat(), want);
+    }
 
     // SIGKILL: no graceful path, no final checkpoint.
     drop(first);

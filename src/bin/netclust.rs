@@ -32,7 +32,7 @@ use netclust::core::{
 };
 use netclust::netgen::{standard_collection, Universe, UniverseConfig};
 use netclust::obs::Obs;
-use netclust::rtable::{load_tables, MergedTable, TableDelta, TableKind};
+use netclust::rtable::{load_tables, parse_feed, MergedTable, TableDelta, TableKind};
 use netclust::weblog::chunk::LogData;
 use netclust::weblog::{clf, clf_bytes, generate, LogSpec};
 
@@ -272,35 +272,15 @@ fn parse_bgp_feed(spec: &str, merged: &MergedTable) -> Result<Vec<DeltaBatch>, C
     }
     let text = fs::read_to_string(spec)
         .map_err(|e| CliError::Input(format!("cluster: cannot read bgp feed {spec}: {e}")))?;
-    let mut batches: Vec<DeltaBatch> = Vec::new();
-    let mut current: Vec<TableDelta> = Vec::new();
-    let flush = |current: &mut Vec<TableDelta>, batches: &mut Vec<DeltaBatch>| {
-        if !current.is_empty() {
-            let tick = batches.len() as u64;
-            batches.push(DeltaBatch {
-                tick,
-                timestamp: tick,
-                deltas: std::mem::take(current),
-                session_reset: false,
-            });
-        }
+    let batches =
+        parse_feed(&text).map_err(|(line, e)| CliError::Input(format!("{spec}:{line}: {e}")))?;
+    let batch = |(tick, deltas): (usize, Vec<TableDelta>)| DeltaBatch {
+        tick: tick as u64,
+        timestamp: tick as u64,
+        deltas,
+        session_reset: false,
     };
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() {
-            flush(&mut current, &mut batches);
-            continue;
-        }
-        if line.starts_with('#') {
-            continue;
-        }
-        current.push(
-            line.parse()
-                .map_err(|e| CliError::Input(format!("{spec}:{}: {e}", lineno + 1)))?,
-        );
-    }
-    flush(&mut current, &mut batches);
-    Ok(batches)
+    Ok(batches.into_iter().enumerate().map(batch).collect())
 }
 
 /// Replays a BGP update feed against a streaming clustering of `data`:
