@@ -924,7 +924,7 @@ fn rule_hot_transitive(
 }
 
 /// State-apply entry points paired against journal `append_batch`.
-const APPLY_FNS: [&str; 3] = ["apply_deltas", "apply_deltas_with", "apply_batch"];
+const APPLY_FNS: [&str; 2] = ["apply_deltas", "apply_deltas_with"];
 /// Durability calls that must precede `rename` in checkpoint code.
 const SYNC_FNS: [&str; 4] = ["sync_all", "sync_data", "fsync_file", "fsync"];
 

@@ -59,9 +59,14 @@ impl Hasher for FxHasher {
         self.add(n as u64);
     }
 
+    /// hashbrown picks the bucket from the low bits and the control byte
+    /// from the top seven; the low *k* bits of a product depend only on the
+    /// low *k* bits of the word, so the raw hash would send addresses that
+    /// differ only in their high bits down one probe chain. The rotation
+    /// (rustc-hash 2's) puts the product's well-mixed high bits there.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 }
 
@@ -100,14 +105,18 @@ mod tests {
 
     #[test]
     fn hashes_spread() {
-        // Not a statistical test — just catch a degenerate implementation
-        // that maps sequential keys to few distinct values.
-        let mut seen = FxHashSet::default();
-        for i in 0..1000u32 {
+        // Not a statistical test — just catch a hash that leaves the bits
+        // the table uses (low: bucket, top 7: control byte) unmixed for
+        // keys that differ only in their high bits, as client addresses
+        // under one /16-aligned stride do.
+        let (mut buckets, mut tags) = (FxHashSet::default(), FxHashSet::default());
+        for i in 0..4096u32 {
             let mut h = FxHasher::default();
-            h.write_u32(i);
-            seen.insert(h.finish());
+            h.write_u32(i << 16);
+            buckets.insert(h.finish() & 0xFFF);
+            tags.insert(h.finish() >> 57);
         }
-        assert_eq!(seen.len(), 1000);
+        assert!(buckets.len() > 2048, "{} of 4096 buckets", buckets.len());
+        assert!(tags.len() > 96, "{} of 128 control bytes", tags.len());
     }
 }

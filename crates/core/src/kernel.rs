@@ -10,13 +10,15 @@
 //! commute, partition runs concatenate in address order, and unique-URL
 //! counts are invariant under url-id relabeling.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::net::Ipv4Addr;
 
 use netclust_obs::Obs;
 use netclust_prefix::Ipv4Net;
 
 use crate::cluster::{ClientStats, Clustering};
-use crate::fx::FxHashMap;
+use crate::fx::{FxHashMap, FxHasher};
 use crate::ingest::for_spans;
 
 /// Number of address-range partitions a shard splits its clients into
@@ -31,56 +33,96 @@ pub(crate) fn merge_partitions_for(threads: usize) -> usize {
     }
 }
 
+/// One client of a [`Shard`]: its address, its sums, and what the driver
+/// keeps beside them — nothing for the batch drivers, the memoized prefix
+/// assignment for the stream. One record, so a shard grows one vector.
+pub(crate) struct Client<T = ()> {
+    pub(crate) addr: u32,
+    pub(crate) requests: u64,
+    pub(crate) bytes: u64,
+    pub(crate) memo: T,
+}
+
 /// One accumulator: clients interned to dense ids through small address →
 /// id maps (partitioned by address range; one partition for a lone shard)
-/// with (requests, bytes) accumulated in a dense-indexed vector — the map
+/// with one [`Client`] record each in a dense-indexed vector — the map
 /// entry stays 8 bytes so the randomly-probed table fits cache — plus the
 /// (dense client id, url id) pair of every request whose URL is counted.
-pub(crate) struct Shard {
-    parts: Vec<FxHashMap<u32, u32>>,
+/// `S` hashes the addresses: Fx for a run's transient shards, std's keyed
+/// hasher for the daemon's long-lived one.
+pub(crate) struct Shard<T = (), S = BuildHasherDefault<FxHasher>> {
+    parts: Vec<HashMap<u32, u32, S>>,
     shift: u32,
-    accum: Vec<(u64, u64)>,
-    dense_addr: Vec<u32>,
+    /// One record per client, indexed by the id [`add`](Self::add) returns.
+    pub(crate) clients: Vec<Client<T>>,
     /// `(client id from `[`add`](Self::add)`, url id)`, one per counted
     /// request; url ids are shard-local unless [`finish`] is told otherwise.
     pub(crate) pairs: Vec<(u32, u32)>,
 }
 
-impl Shard {
+impl<T, S: BuildHasher + Default> Shard<T, S> {
     /// An empty shard over `n_parts` address partitions (a power of two;
     /// every shard of one run uses the same count).
     pub(crate) fn new(n_parts: usize) -> Self {
         debug_assert!(n_parts.is_power_of_two());
         Shard {
-            parts: vec![FxHashMap::default(); n_parts],
+            parts: (0..n_parts).map(|_| HashMap::default()).collect(),
             shift: 32 - n_parts.trailing_zeros(),
-            accum: Vec::new(),
-            dense_addr: Vec::new(),
+            clients: Vec::new(),
             pairs: Vec::new(),
         }
     }
 
+    // u64 shift: an unpartitioned shard has shift == 32.
+    fn part(&self, addr: u32) -> usize {
+        ((addr as u64) >> self.shift) as usize
+    }
+
+    /// Counts `requests` requests totalling `bytes` from `addr` and returns
+    /// the client's dense shard-local id; a client not seen before gets
+    /// `memo()` beside its sums.
+    #[inline]
+    pub(crate) fn add_many(
+        &mut self,
+        addr: u32,
+        requests: u64,
+        bytes: u64,
+        memo: impl FnOnce() -> T,
+    ) -> u32 {
+        let part = self.part(addr);
+        let clients = &mut self.clients;
+        // analyze:allow(panic-free-hot-path) part = addr >> shift < n_parts.
+        let id = *self.parts[part].entry(addr).or_insert_with(|| {
+            // analyze:allow(cast-truncation) dense client ids are u32 by design.
+            let id = clients.len() as u32;
+            clients.push(Client {
+                addr,
+                requests: 0,
+                bytes: 0,
+                memo: memo(),
+            });
+            id
+        });
+        // analyze:allow(panic-free-hot-path) id was handed out from clients.len().
+        let c = &mut self.clients[id as usize];
+        c.requests += requests;
+        c.bytes += bytes;
+        id
+    }
+
+    /// The record of `addr`, if it was ever added.
+    pub(crate) fn get(&self, addr: u32) -> Option<&Client<T>> {
+        let id = *self.parts.get(self.part(addr))?.get(&addr)?;
+        self.clients.get(id as usize)
+    }
+}
+
+impl Shard {
     /// Counts one request of `bytes` from `addr` and returns the client's
     /// dense shard-local id.
     #[inline]
     pub(crate) fn add(&mut self, addr: u32, bytes: u64) -> u32 {
-        // u64 shift: an unpartitioned shard has shift == 32.
-        let part = ((addr as u64) >> self.shift) as usize;
-        let accum = &mut self.accum;
-        let dense_addr = &mut self.dense_addr;
-        // analyze:allow(panic-free-hot-path) part = addr >> shift < n_parts.
-        let id = *self.parts[part].entry(addr).or_insert_with(|| {
-            // analyze:allow(cast-truncation) dense client ids are u32 by design.
-            let id = accum.len() as u32;
-            accum.push((0, 0));
-            dense_addr.push(addr);
-            id
-        });
-        // analyze:allow(panic-free-hot-path) id was handed out from accum.len().
-        let e = &mut self.accum[id as usize];
-        e.0 += 1;
-        e.1 += bytes;
-        id
+        self.add_many(addr, 1, bytes, || ())
     }
 }
 
@@ -127,18 +169,13 @@ pub(crate) fn finish(
 }
 
 /// Per-client sums across shards, sorted by address. With one shard its
-/// dense vectors already are the sums; otherwise one worker per address
+/// records already are the sums; otherwise one worker per address
 /// partition merges its slice of every shard — sums commute — and the
 /// sorted runs concatenate into global address order (partition p holds
 /// exactly the clients whose top bits equal p).
 fn merge_clients(shards: &[Shard], threads: usize) -> Vec<ClientStats> {
     if let [only] = shards {
-        return sorted_clients(
-            only.dense_addr
-                .iter()
-                .zip(&only.accum)
-                .map(|(&client, &sums)| (client, sums)),
-        );
+        return sorted_clients(only.clients.iter().map(|c| (c.addr, (c.requests, c.bytes))));
     }
     let n_parts = shards.first().map_or(0, |s| s.parts.len());
     let mut merged: Vec<Vec<ClientStats>> = Vec::new();
@@ -150,11 +187,11 @@ fn merge_clients(shards: &[Shard], threads: usize) -> Vec<ClientStats> {
             for s in shards {
                 // analyze:allow(panic-free-hot-path) p < n_parts == s.parts.len().
                 for (&client, &id) in &s.parts[p] {
-                    // analyze:allow(panic-free-hot-path) id was handed out from accum.len().
-                    let (requests, bytes) = s.accum[id as usize];
+                    // analyze:allow(panic-free-hot-path) id was handed out from clients.len().
+                    let c = &s.clients[id as usize];
                     let e = per_client.entry(client).or_insert((0, 0));
-                    e.0 += requests;
-                    e.1 += bytes;
+                    e.0 += c.requests;
+                    e.1 += c.bytes;
                 }
             }
             // analyze:allow(determinism) map drained to a vec and sorted below.
@@ -202,10 +239,10 @@ fn count_unique_urls(
     let mut cluster_of: Vec<Vec<u32>> = vec![Vec::new(); shards.len()];
     for_spans(&mut cluster_of, threads, &|start, span| {
         for (slot, s) in span.iter_mut().zip(shards.iter().skip(start)) {
-            *slot = (s.dense_addr.iter())
-                .map(|&a| {
+            *slot = (s.clients.iter())
+                .map(|c| {
                     clustering
-                        .cluster_index(Ipv4Addr::from(a))
+                        .cluster_index(Ipv4Addr::from(c.addr))
                         // analyze:allow(cast-truncation) cluster count < 2^32 (u32 ids by design).
                         .map_or(u32::MAX, |i| i as u32)
                 })
@@ -217,7 +254,7 @@ fn count_unique_urls(
     let keys = (shards.iter().zip(&cluster_of).enumerate()).flat_map(|(s, (shard, of))| {
         let tr = trans.get(s);
         shard.pairs.iter().filter_map(move |&(dense, url)| {
-            // analyze:allow(panic-free-hot-path) dense ids index dense_addr == cluster_of[s].
+            // analyze:allow(panic-free-hot-path) dense ids index clients == cluster_of[s].
             let idx = of[dense as usize];
             // analyze:allow(panic-free-hot-path) url < shard s's url count == trans[s].len().
             let url = tr.map_or(url, |tr| tr[url as usize]);

@@ -29,6 +29,7 @@
 //! desynchronized feed degrades the stream no further than a bad snapshot
 //! would.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -44,6 +45,7 @@ use netclust_weblog::clf_bytes;
 use netclust_weblog::Request;
 
 use crate::faults::{failpoints, FaultInjector};
+use crate::kernel::{Client, Shard};
 use crate::persist::{CorrectionState, FeedProgress, StreamState};
 
 /// Resolved swap/patch-path observability handles (`stream.swap.*`,
@@ -196,8 +198,8 @@ impl Default for SwapPolicy {
 }
 
 impl SwapPolicy {
-    /// A policy that accepts any compilable candidate (the legacy
-    /// unconditional swap).
+    /// A policy that accepts any compilable candidate: an unconditional
+    /// swap is [`try_swap`](StreamingClustering::try_swap) under it.
     pub fn permissive() -> Self {
         SwapPolicy {
             min_entries: 0,
@@ -350,32 +352,7 @@ impl StreamingBuilder {
 
     /// Compiles the table and builds the (empty) streaming clustering.
     pub fn build(self) -> StreamingClustering {
-        let mut compiled = self.table.compile();
-        compiled.attach_obs(&self.obs);
-        let metrics = StreamObs::resolve(&self.obs);
-        metrics.table_cost(&compiled);
-        let live = Arc::new(LiveTable {
-            table: compiled,
-            version: 0,
-        });
-        StreamingClustering {
-            published: Arc::new(RwLock::new(Arc::clone(&live))),
-            live,
-            spare: None,
-            tally: Tally::default(),
-            ids: HashMap::new(),
-            clients: Vec::new(),
-            total_requests: 0,
-            clf_counts: ErrorCounts::default(),
-            feed_pos: 0,
-            swap_stats: SwapStats::default(),
-            patch_stats: PatchStats::default(),
-            last_rejection: None,
-            correction: None,
-            policy: self.policy,
-            obs: self.obs,
-            metrics,
-        }
+        StreamingClustering::new(self.table, 0, self.policy, self.obs)
     }
 }
 
@@ -423,30 +400,12 @@ impl fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// One client's cumulative totals (kept so a table swap can rebuild the
-/// view without replaying the stream) and its memoized prefix assignment
-/// under the serving table (`None` = unclusterable).
-#[derive(Debug, Clone, Copy)]
-struct ClientRecord {
-    addr: u32,
-    requests: u64,
-    bytes: u64,
-    net: Option<Ipv4Net>,
-}
-
-/// The id a new client gets: its index in the record vector.
-fn next_id(clients: &[ClientRecord]) -> u32 {
-    u32::try_from(clients.len()).expect("one record per distinct IPv4 address fits u32")
-}
-
-impl ClientRecord {
-    /// What this client contributes to whichever cluster holds it.
-    fn totals(&self) -> StreamStats {
-        StreamStats {
-            clients: 1,
-            requests: self.requests,
-            bytes: self.bytes,
-        }
+/// What a client contributes to whichever cluster holds it.
+fn totals<T>(client: &Client<T>) -> StreamStats {
+    StreamStats {
+        clients: 1,
+        requests: client.requests,
+        bytes: client.bytes,
     }
 }
 
@@ -515,12 +474,13 @@ pub struct StreamingClustering {
     spare: Option<(Arc<LiveTable>, Vec<TableDelta>)>,
     /// Per-cluster aggregates and the unclustered request count.
     tally: Tally,
-    /// Client address → index into `clients`: the one per-client map, and
-    /// the one probe a log line costs. Its entries stay 8 bytes, so the
-    /// randomly-probed table is a fifth the size of one holding the records.
-    ids: HashMap<u32, u32>,
-    /// Everything kept per client, in first-seen order.
-    clients: Vec<ClientRecord>,
+    /// Every client seen, in first-seen order — the clustering kernel's
+    /// accumulator, one probe per log line. Beside the cumulative sums
+    /// (kept so a table swap can rebuild the view without replaying the
+    /// stream) a record memoizes the client's prefix assignment under the
+    /// serving table (`None` = unclusterable). Addresses are outside
+    /// input and the map lives as long as the daemon, so it is keyed.
+    seen: Shard<Option<Ipv4Net>, RandomState>,
     total_requests: u64,
     /// Raw-CLF ingest accounting: lines consumed by
     /// [`push_clf`](Self::push_clf) vs lines quarantined as malformed.
@@ -554,6 +514,32 @@ impl StreamingClustering {
             table,
             policy: SwapPolicy::default(),
             obs: Obs::disabled(),
+        }
+    }
+
+    /// An empty stream serving `table` as generation `version`.
+    fn new(table: MergedTable, version: u64, policy: SwapPolicy, obs: Obs) -> Self {
+        let mut table = table.compile();
+        table.attach_obs(&obs);
+        let metrics = StreamObs::resolve(&obs);
+        metrics.table_cost(&table);
+        let live = Arc::new(LiveTable { table, version });
+        StreamingClustering {
+            published: Arc::new(RwLock::new(Arc::clone(&live))),
+            live,
+            spare: None,
+            tally: Tally::default(),
+            seen: Shard::new(1),
+            total_requests: 0,
+            clf_counts: ErrorCounts::default(),
+            feed_pos: 0,
+            swap_stats: SwapStats::default(),
+            patch_stats: PatchStats::default(),
+            last_rejection: None,
+            correction: None,
+            policy,
+            obs,
+            metrics,
         }
     }
 
@@ -619,27 +605,25 @@ impl StreamingClustering {
     }
 
     fn push_raw(&mut self, client: u32, bytes: u64) {
-        self.total_requests += 1;
-        let (live, clients) = (&self.live, &mut self.clients);
-        let id = *self.ids.entry(client).or_insert_with(|| {
-            let id = next_id(clients);
-            clients.push(ClientRecord {
-                addr: client,
-                requests: 0,
-                bytes: 0,
-                net: live.table.net_for_u32(client),
-            });
-            id
+        self.push_many(client, 1, bytes);
+    }
+
+    /// Credits `requests` requests totalling `bytes` to `client`, resolving
+    /// it under the serving table if this is the first the stream sees of it.
+    fn push_many(&mut self, client: u32, requests: u64, bytes: u64) {
+        self.total_requests += requests;
+        let (live, mut first) = (&self.live, false);
+        let id = self.seen.add_many(client, requests, bytes, || {
+            first = true;
+            live.table.net_for_u32(client)
         });
-        let record = &mut self.clients[id as usize];
         let amount = StreamStats {
-            clients: u64::from(record.requests == 0),
-            requests: 1,
+            clients: u64::from(first),
+            requests,
             bytes,
         };
-        record.requests += 1;
-        record.bytes += bytes;
-        self.tally.credit(record.net, amount);
+        let net = self.seen.clients[id as usize].memo;
+        self.tally.credit(net, amount);
     }
 
     /// Number of clusters with at least one request.
@@ -664,7 +648,7 @@ impl StreamingClustering {
 
     /// The cluster a client currently maps to.
     pub fn cluster_of(&self, addr: Ipv4Addr) -> Option<Ipv4Net> {
-        self.record(u32::from(addr)).and_then(|c| c.net)
+        self.seen.get(u32::from(addr)).and_then(|c| c.memo)
     }
 
     /// The cluster `addr` maps to under the serving table, whether or not
@@ -674,8 +658,8 @@ impl StreamingClustering {
     /// generation. This is the daemon's `/v1/cluster` primitive.
     pub fn lookup_net(&self, addr: Ipv4Addr) -> Option<Ipv4Net> {
         let client = u32::from(addr);
-        match self.record(client) {
-            Some(record) => record.net,
+        match self.seen.get(client) {
+            Some(record) => record.memo,
             None => self.live.table.net_for_u32(client),
         }
     }
@@ -683,16 +667,13 @@ impl StreamingClustering {
     /// Cumulative `(requests, bytes)` for one client address, `None` when
     /// the address has never been seen.
     pub fn client_totals(&self, addr: Ipv4Addr) -> Option<(u64, u64)> {
-        self.record(u32::from(addr)).map(|c| (c.requests, c.bytes))
-    }
-
-    fn record(&self, client: u32) -> Option<&ClientRecord> {
-        self.ids.get(&client).map(|&id| &self.clients[id as usize])
+        let record = self.seen.get(u32::from(addr))?;
+        Some((record.requests, record.bytes))
     }
 
     /// Distinct client addresses seen.
     pub fn client_count(&self) -> usize {
-        self.clients.len()
+        self.seen.clients.len()
     }
 
     /// Requests from clients that matched no table entry at the time they
@@ -753,24 +734,6 @@ impl StreamingClustering {
         self.last_rejection
     }
 
-    /// Swaps in a fresh routing table unconditionally (adaptation to
-    /// routing dynamics): recompiles it and rebuilds the cluster view from
-    /// the retained per-client totals with one batch LPM sweep — no stream
-    /// replay needed. Prefer [`try_swap`](Self::try_swap), which validates
-    /// the candidate first.
-    pub fn swap_table(&mut self, table: MergedTable) {
-        let mut compiled = table.compile();
-        compiled.attach_obs(&self.obs);
-        let addrs: Vec<u32> = self.clients.iter().map(|c| c.addr).collect();
-        let nets = compiled.net_for_batch(&addrs);
-        self.install(compiled, nets);
-        self.swap_stats.accepted += 1;
-        self.swap_stats.stale_age = 0;
-        self.metrics.attempts.inc();
-        self.metrics.accepted.inc();
-        self.metrics.stale_age.set(0);
-    }
-
     /// Validated two-phase table swap: the candidate is sanity-checked and
     /// compiled *off to the side*; only a candidate that parses cleanly
     /// enough, compiles, and keeps covering the clients the stream has
@@ -795,8 +758,100 @@ impl StreamingClustering {
         noise: ErrorCounts,
         faults: &mut FaultInjector,
     ) -> SwapReport {
-        let policy = self.policy;
-        self.try_swap_inner(table, noise.ratio(), &policy, faults)
+        self.metrics.attempts.inc();
+        let noise_ratio = noise.ratio();
+        let candidate_entries = table.len();
+        let coverage_before = self.coverage();
+        let reject = |this: &mut Self, why: SwapRejection| {
+            this.swap_stats.rejected += 1;
+            this.swap_stats.stale_age += 1;
+            this.last_rejection = Some(why);
+            this.metrics.rejected.inc();
+            this.metrics.stale_age.set(this.swap_stats.stale_age);
+            SwapReport {
+                accepted: false,
+                rejection: Some(why),
+                candidate_entries,
+                coverage_before,
+                coverage_after: coverage_before,
+            }
+        };
+
+        if candidate_entries < self.policy.min_entries {
+            return reject(
+                self,
+                SwapRejection::TooFewEntries {
+                    entries: candidate_entries,
+                    floor: self.policy.min_entries,
+                },
+            );
+        }
+        if noise_ratio > self.policy.max_noise_ratio {
+            return reject(
+                self,
+                SwapRejection::NoiseOverBudget {
+                    ratio: noise_ratio,
+                    budget: self.policy.max_noise_ratio,
+                },
+            );
+        }
+        // Compile off to the side; the serving table stays untouched, so
+        // an injected (or real) compile failure degrades, never corrupts.
+        if faults.should_fire(failpoints::SWAP_COMPILE) {
+            return reject(self, SwapRejection::CompileFault);
+        }
+        let mut compiled = table.compile();
+        compiled.attach_obs(&self.obs);
+
+        // Re-resolve every known client against the candidate with one
+        // batch LPM sweep, rebuild the aggregates from the retained totals
+        // — no stream replay needed — and check request-weighted coverage
+        // retention before committing.
+        let addrs: Vec<u32> = self.seen.clients.iter().map(|c| c.addr).collect();
+        let nets = compiled.net_for_batch(&addrs);
+        let mut tally = Tally::default();
+        for (client, &net) in self.seen.clients.iter().zip(&nets) {
+            tally.credit(net, totals(client));
+        }
+        if self.total_requests > 0 {
+            let clustered = self.total_requests - tally.unclustered_requests;
+            let coverage_after = clustered as f64 / self.total_requests as f64;
+            let floor = coverage_before * self.policy.min_coverage_retention;
+            if coverage_after < floor {
+                return reject(
+                    self,
+                    SwapRejection::CoverageCollapse {
+                        before: coverage_before,
+                        after: coverage_after,
+                        floor,
+                    },
+                );
+            }
+        }
+
+        // Commit. A full swap supersedes the patch lineage: no batch
+        // catches a pre-swap generation up, so the spare goes with it.
+        self.publish(LiveTable {
+            table: compiled,
+            version: self.live.version + 1,
+        });
+        self.spare = None;
+        self.tally = tally;
+        for (client, net) in self.seen.clients.iter_mut().zip(nets) {
+            client.memo = net;
+        }
+        self.swap_stats.accepted += 1;
+        self.swap_stats.stale_age = 0;
+        self.last_rejection = None;
+        self.metrics.accepted.inc();
+        self.metrics.stale_age.set(0);
+        SwapReport {
+            accepted: true,
+            rejection: None,
+            candidate_entries,
+            coverage_before,
+            coverage_after: self.coverage(),
+        }
     }
 
     /// Applies one batch of per-prefix routing deltas incrementally: a
@@ -893,10 +948,11 @@ impl StreamingClustering {
         }
 
         // Re-resolve only the clients the batch can affect: those assigned
-        // to a withdrawn/replaced prefix and those an announced prefix
-        // covers (a longer match may capture them). Everyone else keeps
-        // their assignment — that containment argument is what makes a
-        // patch batch O(affected) instead of O(clients).
+        // to a withdrawn prefix and those any other delta's prefix covers
+        // (a longer match may capture them; a replace of a prefix that is
+        // not live is an announce). Everyone else keeps their assignment —
+        // that containment argument is what makes a patch batch
+        // O(affected) instead of O(clients).
         let withdrawn: BTreeSet<Ipv4Net> = deltas
             .iter()
             .filter(|d| d.kind == DeltaKind::Withdraw)
@@ -904,22 +960,22 @@ impl StreamingClustering {
             .collect();
         let announced: Vec<Ipv4Net> = deltas
             .iter()
-            .filter(|d| d.kind == DeltaKind::Announce)
+            .filter(|d| d.kind != DeltaKind::Withdraw)
             .map(|d| d.prefix)
             .collect();
         let mut moves: Vec<(usize, Option<Ipv4Net>)> = Vec::new();
         let mut unclustered_delta = 0i64;
-        for (id, record) in self.clients.iter().enumerate() {
-            let hit = record.net.is_some_and(|n| withdrawn.contains(&n))
+        for (id, record) in self.seen.clients.iter().enumerate() {
+            let hit = record.memo.is_some_and(|n| withdrawn.contains(&n))
                 || announced.iter().any(|p| p.contains_u32(record.addr));
             if !hit {
                 continue;
             }
             let new_net = candidate.table.net_for_u32(record.addr);
-            if new_net == record.net {
+            if new_net == record.memo {
                 continue;
             }
-            if record.net.is_none() {
+            if record.memo.is_none() {
                 unclustered_delta -= record.requests as i64;
             }
             if new_net.is_none() {
@@ -955,10 +1011,10 @@ impl StreamingClustering {
         self.spare = Some((superseded, deltas.to_vec()));
         let reassigned_clients = moves.len();
         for (id, new_net) in moves {
-            let record = &mut self.clients[id];
-            self.tally.debit(record.net, record.totals());
-            record.net = new_net;
-            self.tally.credit(new_net, record.totals());
+            let record = &mut self.seen.clients[id];
+            self.tally.debit(record.memo, totals(record));
+            record.memo = new_net;
+            self.tally.credit(new_net, totals(record));
         }
         self.patch_stats.accepted += 1;
         self.last_rejection = None;
@@ -983,95 +1039,6 @@ impl StreamingClustering {
             .write()
             .unwrap_or_else(PoisonError::into_inner) = Arc::clone(&next);
         std::mem::replace(&mut self.live, next)
-    }
-
-    fn try_swap_inner(
-        &mut self,
-        table: MergedTable,
-        noise_ratio: f64,
-        policy: &SwapPolicy,
-        faults: &mut FaultInjector,
-    ) -> SwapReport {
-        self.metrics.attempts.inc();
-        let candidate_entries = table.len();
-        let coverage_before = self.coverage();
-        let reject = |this: &mut Self, why: SwapRejection| {
-            this.swap_stats.rejected += 1;
-            this.swap_stats.stale_age += 1;
-            this.last_rejection = Some(why);
-            this.metrics.rejected.inc();
-            this.metrics.stale_age.set(this.swap_stats.stale_age);
-            SwapReport {
-                accepted: false,
-                rejection: Some(why),
-                candidate_entries,
-                coverage_before,
-                coverage_after: coverage_before,
-            }
-        };
-
-        if candidate_entries < policy.min_entries {
-            return reject(
-                self,
-                SwapRejection::TooFewEntries {
-                    entries: candidate_entries,
-                    floor: policy.min_entries,
-                },
-            );
-        }
-        if noise_ratio > policy.max_noise_ratio {
-            return reject(
-                self,
-                SwapRejection::NoiseOverBudget {
-                    ratio: noise_ratio,
-                    budget: policy.max_noise_ratio,
-                },
-            );
-        }
-        // Compile off to the side; the serving table stays untouched, so
-        // an injected (or real) compile failure degrades, never corrupts.
-        if faults.should_fire(failpoints::SWAP_COMPILE) {
-            return reject(self, SwapRejection::CompileFault);
-        }
-        let mut compiled = table.compile();
-        compiled.attach_obs(&self.obs);
-
-        // Re-resolve every known client against the candidate and check
-        // request-weighted coverage retention before committing.
-        let addrs: Vec<u32> = self.clients.iter().map(|c| c.addr).collect();
-        let nets = compiled.net_for_batch(&addrs);
-        if self.total_requests > 0 {
-            let clustered: u64 = (self.clients.iter().zip(&nets))
-                .filter(|(_, net)| net.is_some())
-                .map(|(c, _)| c.requests)
-                .sum();
-            let coverage_after = clustered as f64 / self.total_requests as f64;
-            let floor = coverage_before * policy.min_coverage_retention;
-            if coverage_after < floor {
-                return reject(
-                    self,
-                    SwapRejection::CoverageCollapse {
-                        before: coverage_before,
-                        after: coverage_after,
-                        floor,
-                    },
-                );
-            }
-        }
-
-        self.install(compiled, nets);
-        self.swap_stats.accepted += 1;
-        self.swap_stats.stale_age = 0;
-        self.last_rejection = None;
-        self.metrics.accepted.inc();
-        self.metrics.stale_age.set(0);
-        SwapReport {
-            accepted: true,
-            rejection: None,
-            candidate_entries,
-            coverage_before,
-            coverage_after: self.coverage(),
-        }
     }
 
     /// Records the durable residue of a self-correction pass so snapshots
@@ -1102,7 +1069,7 @@ impl StreamingClustering {
     pub fn export_unsorted(&self) -> UnsortedState {
         let bgp_prefixes = self.live.table.bgp().live_prefixes();
         let dump_prefixes = self.live.table.dump().live_prefixes();
-        let per_client: Vec<(u32, u64, u64)> = (self.clients.iter())
+        let per_client: Vec<(u32, u64, u64)> = (self.seen.clients.iter())
             .map(|c| (c.addr, c.requests, c.bytes))
             .collect();
         UnsortedState(StreamState {
@@ -1125,10 +1092,12 @@ impl StreamingClustering {
     /// Rebuilds a stream from a persisted [`StreamState`]: recompiles the
     /// two routing tiers from their live prefix sets (bit-identical to the
     /// compile the snapshot's table came from, since `live_prefixes` is
-    /// canonical), re-resolves every retained client with one batch LPM
-    /// sweep, and cross-checks the snapshot's stored totals against the
-    /// recomputed ones — a disagreement means a corrupt-but-checksummed
-    /// snapshot and is a typed [`RestoreError`], never a panic.
+    /// canonical), feeds every retained client's totals in the way
+    /// [`push`](Self::push) feeds one request, which resolves each under
+    /// the recompiled table, and cross-checks the snapshot's stored totals
+    /// against the recomputed ones — a disagreement means a
+    /// corrupt-but-checksummed snapshot and is a typed [`RestoreError`],
+    /// never a panic.
     ///
     /// The journal's delta batches are *not* applied here; replay them
     /// through [`apply_deltas`](Self::apply_deltas) afterwards, which also
@@ -1151,86 +1120,32 @@ impl StreamingClustering {
             TableKind::NetworkDump,
             state.dump_prefixes.clone(),
         );
-        let mut compiled = MergedTable::merge([&bgp, &dump]).compile();
-        compiled.attach_obs(&obs);
-        let metrics = StreamObs::resolve(&obs);
-        metrics.table_cost(&compiled);
-
-        // One batch LPM sweep re-derives the assignments and cluster
-        // aggregates — the same cost as `install()` pays on a table swap.
-        let addrs: Vec<u32> = state.per_client.iter().map(|&(c, _, _)| c).collect();
-        let nets = compiled.net_for_batch(&addrs);
-        let mut tally = Tally::default();
-        let mut ids = HashMap::with_capacity(state.per_client.len());
-        let mut clients = Vec::with_capacity(state.per_client.len());
-        let mut total_requests = 0u64;
-        for (&(client, requests, bytes), &net) in state.per_client.iter().zip(&nets) {
-            total_requests += requests;
-            let record = ClientRecord {
-                addr: client,
-                requests,
-                bytes,
-                net,
-            };
-            ids.insert(client, next_id(&clients));
-            clients.push(record);
-            tally.credit(net, record.totals());
+        let table = MergedTable::merge([&bgp, &dump]);
+        let mut stream = Self::new(table, state.table_version, policy, obs);
+        for &(client, requests, bytes) in &state.per_client {
+            stream.push_many(client, requests, bytes);
         }
-        if total_requests != state.total_requests {
+        if stream.total_requests != state.total_requests {
             return Err(RestoreError {
                 what: "total_requests",
                 stored: state.total_requests,
-                recomputed: total_requests,
+                recomputed: stream.total_requests,
             });
         }
-        if tally.unclustered_requests != state.unclustered_requests {
+        if stream.tally.unclustered_requests != state.unclustered_requests {
             return Err(RestoreError {
                 what: "unclustered_requests",
                 stored: state.unclustered_requests,
-                recomputed: tally.unclustered_requests,
+                recomputed: stream.tally.unclustered_requests,
             });
         }
-
-        let live = Arc::new(LiveTable {
-            table: compiled,
-            version: state.table_version,
-        });
-        Ok(StreamingClustering {
-            published: Arc::new(RwLock::new(Arc::clone(&live))),
-            live,
-            spare: None,
-            tally,
-            ids,
-            clients,
-            total_requests,
-            clf_counts: state.clf_counts,
-            feed_pos: state.feed_pos,
-            swap_stats: state.swap_stats,
-            patch_stats: state.patch_stats,
-            last_rejection: state.last_rejection,
-            correction: state.correction.clone(),
-            policy,
-            obs,
-            metrics,
-        })
-    }
-
-    /// Installs an already-compiled table, rebuilding cluster aggregates
-    /// from the retained per-client totals and the batch LPM sweep
-    /// (`nets[i]` is `clients[i]`'s assignment under the new table). A full
-    /// swap supersedes the patch lineage: no batch catches a pre-swap
-    /// generation up, so the spare is dropped with it.
-    fn install(&mut self, compiled: CompiledMerged, nets: Vec<Option<Ipv4Net>>) {
-        self.publish(LiveTable {
-            table: compiled,
-            version: self.live.version + 1,
-        });
-        self.spare = None;
-        self.tally = Tally::default();
-        for (record, net) in self.clients.iter_mut().zip(nets) {
-            record.net = net;
-            self.tally.credit(net, record.totals());
-        }
+        stream.clf_counts = state.clf_counts;
+        stream.feed_pos = state.feed_pos;
+        stream.swap_stats = state.swap_stats;
+        stream.patch_stats = state.patch_stats;
+        stream.last_rejection = state.last_rejection;
+        stream.correction = state.correction.clone();
+        Ok(stream)
     }
 }
 
@@ -1331,37 +1246,16 @@ mod tests {
         let before_total = stream.total_requests();
         // Swap to day 7's table: the view must equal a batch clustering
         // against that table.
-        stream.swap_table(standard_merged(&u, 7));
+        let report = stream.try_swap(standard_merged(&u, 7), ErrorCounts::default());
+        assert!(report.accepted, "rejected: {:?}", report.rejection);
         assert_eq!(stream.total_requests(), before_total);
+        assert_eq!(stream.swap_stats().accepted, 1);
         let batch = Clustering::network_aware(&log, &standard_merged(&u, 7));
         assert_eq!(stream.len(), batch.len());
         for cluster in &batch.clusters {
             let s = stream.stats(cluster.prefix).expect("present after swap");
             assert_eq!(s.requests, cluster.requests);
         }
-    }
-
-    #[test]
-    fn validated_swap_equals_unconditional_swap() {
-        let (u, log) = setup();
-        let mut validated = StreamingClustering::builder(standard_merged(&u, 0)).build();
-        let mut legacy = StreamingClustering::builder(standard_merged(&u, 0)).build();
-        for r in &log.requests {
-            validated.push(r);
-            legacy.push(r);
-        }
-        let report = validated.try_swap(standard_merged(&u, 7), ErrorCounts::default());
-        assert!(report.accepted, "rejected: {:?}", report.rejection);
-        legacy.swap_table(standard_merged(&u, 7));
-        // Accepted validated swap is byte-identical to the unconditional
-        // rebuild from retained per-client totals.
-        assert_eq!(validated.total_requests(), legacy.total_requests());
-        assert_eq!(validated.len(), legacy.len());
-        assert_eq!(validated.top_k(usize::MAX), legacy.top_k(usize::MAX));
-        assert!((validated.coverage() - legacy.coverage()).abs() < 1e-12);
-        assert_eq!(validated.swap_stats().accepted, 1);
-        assert_eq!(validated.swap_stats().stale_age, 0);
-        assert_eq!(validated.last_rejection(), None);
     }
 
     #[test]
@@ -1475,10 +1369,10 @@ mod tests {
     fn assert_view_consistent(stream: &StreamingClustering) {
         let handle = stream.handle();
         let mut tally = Tally::default();
-        for record in &stream.clients {
+        for record in &stream.seen.clients {
             let client = record.addr;
             assert_eq!(
-                record.net,
+                record.memo,
                 handle.net_for_u32(client),
                 "memoized assignment for {client:#010x} disagrees with the serving table"
             );
@@ -1536,6 +1430,32 @@ mod tests {
         assert!(stats.slot_writes > 0);
     }
 
+    /// `rtable::patch` installs a `replace` of a prefix that is not live as
+    /// an announce; the clients it covers must move with the table, and a
+    /// restart (which re-resolves everyone) must not change the answers.
+    #[test]
+    fn replace_of_an_absent_prefix_reassigns_the_clients_it_covers() {
+        let net = |s: &str| s.parse::<Ipv4Net>().expect("prefix");
+        let bgp = RoutingTable::new("B", "d0", TableKind::Bgp, vec![net("10.0.0.0/8")]);
+        let mut stream = StreamingClustering::builder(MergedTable::merge([&bgp])).build();
+        let (seen, unseen) = (Ipv4Addr::new(10, 1, 2, 3), Ipv4Addr::new(10, 1, 2, 4));
+        stream.push_raw(u32::from(seen), 100);
+        let report = stream.apply_deltas(&[TableDelta::replace(net("10.1.0.0/16"))]);
+        assert!(report.accepted, "rejected: {:?}", report.rejection);
+        assert_eq!(report.reassigned_clients, 1);
+        assert_eq!(stream.lookup_net(unseen), Some(net("10.1.0.0/16")));
+        assert_eq!(stream.lookup_net(seen), Some(net("10.1.0.0/16")));
+        assert_eq!(stream.stats(net("10.0.0.0/8")), None);
+        assert_view_consistent(&stream);
+        let restarted = StreamingClustering::restore(
+            &stream.export_state(),
+            SwapPolicy::default(),
+            Obs::disabled(),
+        )
+        .expect("a fresh export restores");
+        assert_eq!(restarted.top_k(usize::MAX), stream.top_k(usize::MAX));
+    }
+
     #[test]
     fn patch_equals_full_swap_of_same_prefix_set() {
         // Patching prefixes in and out must serve the same lookups as a
@@ -1543,7 +1463,9 @@ mod tests {
         // client.
         let (u, log) = setup();
         let mut patched = StreamingClustering::builder(standard_merged(&u, 0)).build();
-        let mut swapped = StreamingClustering::builder(standard_merged(&u, 0)).build();
+        let mut swapped = StreamingClustering::builder(standard_merged(&u, 0))
+            .swap_policy(SwapPolicy::permissive())
+            .build();
         for r in &log.requests {
             patched.push(r);
             swapped.push(r);
@@ -1574,7 +1496,8 @@ mod tests {
             netclust_rtable::TableKind::NetworkDump,
             merged.dump_prefixes(),
         );
-        swapped.swap_table(MergedTable::merge([&bgp, &dump]));
+        let report = swapped.try_swap(MergedTable::merge([&bgp, &dump]), ErrorCounts::default());
+        assert!(report.accepted, "rejected: {:?}", report.rejection);
         assert_eq!(patched.top_k(usize::MAX), swapped.top_k(usize::MAX));
         assert!((patched.coverage() - swapped.coverage()).abs() < 1e-12);
         assert_view_consistent(&patched);

@@ -9,7 +9,7 @@ use netclust_core::{
 };
 use netclust_obs::Obs;
 use netclust_prefix::Ipv4Net;
-use netclust_rtable::{MergedTable, RoutingTable, TableKind};
+use netclust_rtable::{DeltaKind, MergedTable, RoutingTable, TableDelta, TableKind};
 use netclust_weblog::{clf, Log, LogTruth, Request, UrlMeta};
 use proptest::prelude::*;
 
@@ -53,10 +53,10 @@ type Expected = (BTreeMap<Ipv4Net, [u64; 4]>, u64);
 
 /// The reference: ordered maps and the radix-trie LPM — nothing the
 /// clustering kernel or the compiled table is built from.
-fn oracle(log: &Log, table: &MergedTable) -> Expected {
+fn oracle(requests: &[Request], table: &MergedTable) -> Expected {
     let net_of = |client: u32| table.lookup_u32(client).map(|(net, _)| net);
     let mut per_client: BTreeMap<u32, [u64; 2]> = BTreeMap::new();
-    for r in &log.requests {
+    for r in requests {
         let sums = per_client.entry(r.client).or_default();
         *sums = [sums[0] + 1, sums[1] + r.bytes as u64];
     }
@@ -70,7 +70,7 @@ fn oracle(log: &Log, table: &MergedTable) -> Expected {
             None => unclustered += requests,
         }
     }
-    let urls: BTreeSet<(Ipv4Net, u32)> = (log.requests.iter())
+    let urls: BTreeSet<(Ipv4Net, u32)> = (requests.iter())
         .filter_map(|r| Some((net_of(r.client)?, r.url)))
         .collect();
     for (net, _) in urls {
@@ -151,13 +151,22 @@ proptest! {
     /// kernel: `Clustering::build` over the `Log`, `IngestPipeline` over
     /// its CLF rendering (plus malformed lines) at 1, 2 and 4 workers, and
     /// `StreamingClustering::push_clf` over the same bytes in arbitrary
-    /// line-aligned slices, before and after a snapshot round trip.
+    /// line-aligned slices with a batch of routing deltas after each —
+    /// `(kind, at, len)`: announce, withdraw or replace the prefix of
+    /// length `len` (7 = its own) at table prefix `at`'s address, so live
+    /// and absent prefixes that cover seen clients both come up. After
+    /// every batch a seen client, the table and a restarted daemon
+    /// (snapshot round trip) must agree.
     #[test]
     fn every_driver_matches_the_oracle(
         prefixes in proptest::collection::vec((any::<bool>(), any::<u32>(), 8u8..=26), 1..12),
         reqs in proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u8>()), 1..300),
         junk in proptest::collection::vec(any::<u16>(), 0..6),
         cuts in proptest::collection::vec(any::<u16>(), 0..6),
+        deltas in proptest::collection::vec(
+            proptest::collection::vec((0u8..3, any::<u8>(), 7u8..=26), 0..4),
+            7,
+        ),
         chunk_bytes in 64usize..600,
     ) {
         // Nested prefixes under two /8s, split across both table tiers.
@@ -168,6 +177,7 @@ proptest! {
             })
             .collect();
         let (bgp, dump) = nets.split_at(nets.len().div_ceil(2));
+        let mut live: BTreeSet<Ipv4Net> = bgp.iter().copied().collect();
         let bgp = RoutingTable::new("B", "d0", TableKind::Bgp, bgp.to_vec());
         let dump = RoutingTable::new("D", "d0", TableKind::NetworkDump, dump.to_vec());
         let table = MergedTable::merge([&bgp, &dump]);
@@ -181,14 +191,15 @@ proptest! {
             })
             .collect();
         let log = log_from(&triples);
-        let mut want = oracle(&log, &table);
+        let want = oracle(&log.requests, &table);
 
         let compiled = table.compile();
         prop_assert_eq!(&batch_view(&Clustering::network_aware_compiled(&log, &compiled)), &want);
 
+        const JUNK: &str = "not a log line\n";
         let mut lines: Vec<String> = clf::to_clf(&log).lines().map(|l| format!("{l}\n")).collect();
         for &at in &junk {
-            lines.insert(at as usize % (lines.len() + 1), "not a log line\n".into());
+            lines.insert(at as usize % (lines.len() + 1), JUNK.into());
         }
         let text = lines.concat();
         for threads in [1, 2, 4] {
@@ -205,17 +216,43 @@ proptest! {
         ends.push(lines.len());
         ends.sort_unstable();
         let mut start = 0;
-        for end in ends {
+        for (end, batch) in ends.into_iter().zip(&deltas) {
             stream.push_clf(lines[start..end].concat().as_bytes());
             start = end;
+            let batch: Vec<TableDelta> = (batch.iter())
+                .map(|&(kind, at, len)| {
+                    let at = nets[at as usize % nets.len()];
+                    let len = if len == 7 { at.len() } else { len };
+                    let prefix = Ipv4Net::new(at.addr_u32(), len).unwrap();
+                    match kind {
+                        0 => TableDelta::announce(prefix),
+                        1 => TableDelta::withdraw(prefix),
+                        _ => TableDelta::replace(prefix),
+                    }
+                })
+                .collect();
+            // A batch the swap policy turns away changes nothing.
+            if stream.apply_deltas(&batch).accepted {
+                for d in &batch {
+                    if d.kind == DeltaKind::Withdraw {
+                        live.remove(&d.prefix);
+                    } else {
+                        live.insert(d.prefix);
+                    }
+                }
+            }
+            let bgp = RoutingTable::new("B", "d0", TableKind::Bgp, live.iter().copied().collect());
+            let fed = lines[..end].iter().filter(|l| *l != JUNK).count();
+            // The streaming view does not track URLs.
+            let mut want = oracle(&log.requests[..fed], &MergedTable::merge([&bgp, &dump]));
+            want.0.values_mut().for_each(|row| row[3] = 0);
+            prop_assert_eq!(&stream_view(&stream), &want, "after {:?}", batch);
+            let restarted =
+                StreamingClustering::restore(&stream.export_state(), SwapPolicy::default(), Obs::disabled())
+                    .expect("a fresh export restores");
+            prop_assert_eq!(&stream_view(&restarted), &want, "restarted after {:?}", batch);
         }
-        want.0.values_mut().for_each(|row| row[3] = 0);
         prop_assert_eq!(stream.clf_counts().malformed, junk.len() as u64);
-        prop_assert_eq!(&stream_view(&stream), &want);
-        let restored =
-            StreamingClustering::restore(&stream.export_state(), SwapPolicy::default(), Obs::disabled())
-                .expect("a fresh export restores");
-        prop_assert_eq!(&stream_view(&restored), &want);
     }
 
     /// simple24 never produces more clusters than clients and never fewer

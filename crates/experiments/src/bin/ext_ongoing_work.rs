@@ -4,8 +4,8 @@
 //! real-time streaming clustering (§4).
 
 use netclust_core::{
-    merge_by_name_suffix, org_purity, selective_validate, Clustering, SamplePlan, SelectiveMode,
-    StreamingClustering,
+    merge_by_name_suffix, org_purity, selective_validate, Clustering, ErrorCounts, SamplePlan,
+    SelectiveMode, StreamingClustering, SwapPolicy,
 };
 use netclust_experiments::{nagano_env, pct, print_table};
 use netclust_prefix::Ipv4Net;
@@ -105,8 +105,9 @@ fn main() {
     );
 
     // --- Streaming clustering -----------------------------------------------
-    let mut stream =
-        StreamingClustering::builder(netclust_netgen::standard_merged(&universe, 0)).build();
+    let mut stream = StreamingClustering::builder(netclust_netgen::standard_merged(&universe, 0))
+        .swap_policy(SwapPolicy::permissive())
+        .build();
     let checkpoints = [0.25, 0.5, 0.75, 1.0];
     let mut rows = Vec::new();
     let mut fed = 0usize;
@@ -132,7 +133,10 @@ fn main() {
         &rows,
     );
     // Adapt to routing dynamics: swap in day 7's tables mid-flight.
-    stream.swap_table(netclust_netgen::standard_merged(&universe, 7));
+    stream.try_swap(
+        netclust_netgen::standard_merged(&universe, 7),
+        ErrorCounts::default(),
+    );
     println!(
         "\nafter swapping in day-7 tables: {} clusters, coverage {} (rebuilt without replay)",
         stream.len(),

@@ -352,8 +352,13 @@ fn serve_connection(
                         let _ = conn.write_all(&http::encode_response(&resp, false));
                         return;
                     }
-                    let keep = request.keep_alive;
                     let resp = router::handle(state, &request);
+                    // A peer that never pauses never reaches the read
+                    // timeout below, so a stopping daemon says so here: this
+                    // response is the connection's last.
+                    // ordering: stop flag only — no data rides on it; SeqCst
+                    // matches the store side.
+                    let keep = request.keep_alive && !stop.load(Ordering::SeqCst);
                     if conn.write_all(&http::encode_response(&resp, keep)).is_err() {
                         return;
                     }
@@ -486,18 +491,25 @@ fn follower_loop(
 mod tests {
     use super::*;
 
+    /// A daemon state over a one-prefix table, and a connected loopback
+    /// pair: the peer's end and the end `serve_connection` takes.
+    fn loopback(test: &str) -> (AppState, TcpStream, TcpStream) {
+        let table = std::env::temp_dir().join(format!("netclustd-{test}-{}", std::process::id()));
+        std::fs::write(&table, "10.0.0.0/8\n").expect("table file");
+        let config = ServeConfig::new().tables(vec![table]);
+        let state = build_state(&config, &Obs::enabled()).expect("state");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (conn, _) = listener.accept().expect("accept");
+        (state, peer, conn)
+    }
+
     /// A peer dribbling a request in a byte at a time — never a read
     /// timeout — is cut off once the budget since the previous response is
     /// spent, and counted as a request that did not parse.
     #[test]
     fn a_dribbled_request_is_cut_off_at_the_budget() {
-        let table = std::env::temp_dir().join(format!("netclustd-dribble-{}", std::process::id()));
-        std::fs::write(&table, "10.0.0.0/8\n").expect("table file");
-        let config = ServeConfig::new().tables(vec![table]);
-        let state = build_state(&config, &Obs::enabled()).expect("state");
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        let (conn, _) = listener.accept().expect("accept");
+        let (state, mut peer, conn) = loopback("dribble");
         let budget = Duration::from_millis(300);
         let took = std::thread::scope(|scope| {
             scope.spawn(move || {
@@ -519,6 +531,54 @@ mod tests {
         assert!(took < ms(5_000), "held the worker for {took:?}");
         let m = &state.metrics;
         assert_eq!((m.requests.get(), m.parse_errors.get()), (1, 1));
+    }
+
+    /// A peer that sends its next request the moment a reply arrives — the
+    /// benchmark's closed-loop client — never lets a read time out; it is
+    /// told `Connection: close` on the first response after stop instead.
+    #[test]
+    fn a_busy_keep_alive_peer_is_closed_at_the_first_response_after_stop() {
+        use std::io::{BufRead, BufReader};
+        let (state, mut peer, conn) = loopback("busy");
+        let (plan, stop) = (FaultPlan::disabled(), AtomicBool::new(false));
+        let ms = Duration::from_millis;
+        let started = std::time::Instant::now();
+        let (took, last_head) = std::thread::scope(|scope| {
+            let client = scope.spawn(move || {
+                let mut replies = BufReader::new(peer.try_clone().expect("clone"));
+                let mut last_head = String::new();
+                // Gives up after 3 s so a daemon that never closes fails
+                // the test instead of hanging it.
+                while started.elapsed() < ms(3_000)
+                    && peer.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").is_ok()
+                {
+                    let (mut head, mut line) = (String::new(), String::new());
+                    while replies.read_line(&mut line).is_ok_and(|n| n > 2) {
+                        head.push_str(&std::mem::take(&mut line));
+                    }
+                    let Some(len) = head
+                        .lines()
+                        .find_map(|l| l.strip_prefix("Content-Length: "))
+                    else {
+                        break;
+                    };
+                    let mut body = vec![0u8; len.parse().expect("length")];
+                    replies.read_exact(&mut body).expect("body");
+                    last_head = head;
+                }
+                last_head
+            });
+            scope.spawn(|| {
+                std::thread::sleep(ms(100));
+                stop.store(true, Ordering::SeqCst);
+            });
+            serve_connection(&state, conn, &plan, &stop, KEEP_ALIVE_IDLE);
+            (started.elapsed(), client.join().expect("client"))
+        });
+        assert!(took >= ms(100), "returned before stop: {took:?}");
+        assert!(took < ms(1_000), "outlasted stop by {took:?}");
+        assert!(last_head.contains("Connection: close"), "{last_head}");
+        assert!(state.metrics.requests.get() > 1);
     }
 
     #[test]
