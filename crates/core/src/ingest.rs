@@ -11,14 +11,16 @@
 //!
 //! 1. the input buffer (ideally an `mmap`'d file, see
 //!    [`chunk::LogData`]) is cut into line-aligned chunks
-//!    ([`chunk::split_lines`]),
+//!    ([`chunk::cut_lines`]) without being read,
 //! 2. N independent per-shard pipelines — scoped `std::thread` workers,
 //!    one shard each (one worker scans on the calling thread) — steal
 //!    chunks off a shared atomic index and scan them with the zero-copy
 //!    byte parser ([`clf_bytes::records_no_ua`]) straight into
 //!    shard-local accumulators: a clustering-kernel shard of dense client
 //!    ids, dense url ids, no `Log`, no per-line allocation (paths intern
-//!    as borrowed `&[u8]` slices of the input),
+//!    as borrowed `&[u8]` slices of the input); a chunk of a mapped file
+//!    is given back to the kernel as soon as it is scanned
+//!    ([`IngestPipeline::run_log`]), so the log is never resident whole,
 //! 3. the clustering kernel — the same one `Clustering::build` drives
 //!    from a `Log` — merges the shards into canonical global order
 //!    (per-partition client sums concatenate in address order, shard url
@@ -29,8 +31,10 @@
 //!
 //! Determinism holds by construction, not by scheduling: client sums
 //! commute, partition runs concatenate in address order, parse errors
-//! carry buffer-global line numbers (one sort restores line order), and
-//! unique-URL counts are invariant under url-id relabeling. The report
+//! are numbered within their chunk and offset by the line counts of the
+//! chunks before it once every chunk is scanned (one sort then restores
+//! line order), and unique-URL counts are invariant under url-id
+//! relabeling. The report
 //! is therefore byte-identical across thread counts and across
 //! work-stealing schedules — [`threads(1)`](IngestPipeline::threads) is
 //! the reference the parallel bench asserts against.
@@ -55,8 +59,6 @@
 //!   ([`IngestError::ChunkIo`]) with nothing half-counted.
 
 use std::fmt;
-use std::io;
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use netclust_obs::{Counter, ErrorCounts, Histogram, Obs};
@@ -83,6 +85,7 @@ struct IngestObs {
     clients: Counter,
     io_faults: Counter,
     chunks_retried: Counter,
+    released_bytes: Counter,
     chunk_bytes: Histogram,
     chunk_errors: Histogram,
 }
@@ -97,6 +100,7 @@ impl IngestObs {
             clients: obs.counter("ingest.clients"),
             io_faults: obs.counter("ingest.io_faults"),
             chunks_retried: obs.counter("ingest.chunks_retried"),
+            released_bytes: obs.counter("ingest.released_bytes"),
             chunk_bytes: obs.histogram("ingest.chunk_bytes"),
             chunk_errors: obs.histogram("ingest.chunk_errors"),
         }
@@ -111,8 +115,10 @@ const DEFAULT_CHUNK_BYTES: usize = 1 << 20;
 ///
 /// ```no_run
 /// use netclust_core::IngestPipeline;
-/// # fn demo(table: &netclust_rtable::CompiledMerged) -> Result<(), netclust_core::IngestError> {
-/// let report = IngestPipeline::new(table).run_file("access.log")?;
+/// use netclust_weblog::chunk::LogData;
+/// # fn demo(table: &netclust_rtable::CompiledMerged) -> Result<(), Box<dyn std::error::Error>> {
+/// let log = LogData::open("access.log")?;
+/// let report = IngestPipeline::new(table).run_log(&log)?;
 /// println!(
 ///     "{} clusters from {} lines ({} malformed)",
 ///     report.clustering.len(),
@@ -135,11 +141,9 @@ pub struct IngestPipeline<'t> {
 }
 
 /// Why a hardened ingest run ([`IngestPipeline::try_run`] /
-/// [`IngestPipeline::run_file`]) aborted.
+/// [`IngestPipeline::run_log`]) aborted.
 #[derive(Debug)]
 pub enum IngestError {
-    /// Opening or reading the input file failed.
-    Io(io::Error),
     /// A chunk read kept failing past the retry budget; nothing from the
     /// failing chunk was counted.
     ChunkIo {
@@ -164,7 +168,6 @@ pub enum IngestError {
 impl fmt::Display for IngestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            IngestError::Io(e) => write!(f, "ingest I/O error: {e}"),
             IngestError::ChunkIo {
                 chunk,
                 first_line,
@@ -195,20 +198,7 @@ impl fmt::Display for IngestError {
     }
 }
 
-impl std::error::Error for IngestError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            IngestError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for IngestError {
-    fn from(e: io::Error) -> Self {
-        IngestError::Io(e)
-    }
-}
+impl std::error::Error for IngestError {}
 
 /// One rejected input line resolved to its byte range (see
 /// [`IngestReport::quarantine`]).
@@ -320,7 +310,7 @@ impl<'t> IngestPipeline<'t> {
     }
 
     /// Sets the malformed-line budget for [`try_run`](Self::try_run) /
-    /// [`run_file`](Self::run_file): a run whose error ratio exceeds
+    /// [`run_log`](Self::run_log): a run whose error ratio exceeds
     /// `ratio` (clamped to `[0, 1]`) aborts with
     /// [`IngestError::ErrorBudget`] instead of silently skipping bad
     /// lines forever. Unset by default (skip-and-report, the classic
@@ -377,9 +367,9 @@ impl<'t> IngestPipeline<'t> {
     /// Runs the fused pipeline over an in-memory (or memory-mapped) CLF
     /// buffer. Never fails: malformed lines are skipped and reported.
     /// Budgets and fault injection apply only to
-    /// [`try_run`](Self::try_run) / [`run_file`](Self::run_file).
+    /// [`try_run`](Self::try_run) / [`run_log`](Self::run_log).
     pub fn run(&self, data: &[u8]) -> IngestReport {
-        match self.run_inner(data, false) {
+        match self.run_inner(data, None, false) {
             Ok(report) => report,
             // analyze:allow(panic-free-hot-path) with faults disarmed the
             // engine has no error path.
@@ -390,8 +380,9 @@ impl<'t> IngestPipeline<'t> {
     /// Per-chunk accounting, called once per successful chunk scan on
     /// whichever thread scanned it (counters and histograms are sharded
     /// atomics — safe and contention-free from workers).
-    fn record_chunk(&self, c: &Chunk<'_>, chunk_errors: usize) {
+    fn record_chunk(&self, c: &Chunk<'_>, chunk_errors: usize, released: usize) {
         self.metrics.chunks.inc();
+        self.metrics.released_bytes.add(released as u64);
         self.metrics.chunk_bytes.record(c.data.len() as u64);
         self.metrics.chunk_errors.record(chunk_errors as u64);
     }
@@ -412,8 +403,32 @@ impl<'t> IngestPipeline<'t> {
     /// on the finished report, so `ChunkIo` takes precedence over it.
     /// A successful faulted run is byte-identical to [`run`](Self::run).
     pub fn try_run(&self, data: &[u8]) -> Result<IngestReport, IngestError> {
+        self.run_hardened(data, None)
+    }
+
+    /// [`try_run`](Self::try_run) over a log file's contents, handing each
+    /// chunk's pages back to the kernel ([`LogData::release`]) as soon as
+    /// its scan finishes — the entry for a file too large to want
+    /// resident. With a mapped `log` the run's resident set is the
+    /// accumulators plus the chunks in flight, whatever the log's length;
+    /// with an owned one there is nothing to release and this *is*
+    /// `try_run`. The report is the same either way, and `log` stays fully
+    /// readable afterwards ([`IngestReport::quarantine`] included): the
+    /// path slices the url tables borrowed re-fault the same bytes from
+    /// the page cache when they are next read.
+    pub fn run_log(&self, log: &LogData) -> Result<IngestReport, IngestError> {
+        self.run_hardened(log, Some(log))
+    }
+
+    /// [`try_run`](Self::try_run) and [`run_log`](Self::run_log): faults
+    /// when armed, then the budget.
+    fn run_hardened(
+        &self,
+        data: &[u8],
+        release: Option<&LogData>,
+    ) -> Result<IngestReport, IngestError> {
         let faulted = self.faults.is_armed(failpoints::INGEST_CHUNK_IO);
-        let report = self.run_inner(data, faulted)?;
+        let report = self.run_inner(data, release, faulted)?;
         if let Some(max_ratio) = self.max_error_rate {
             if report.counts.records > 0 && report.counts.ratio() > max_ratio {
                 return Err(IngestError::ErrorBudget {
@@ -426,28 +441,43 @@ impl<'t> IngestPipeline<'t> {
         Ok(report)
     }
 
-    /// The shared engine behind [`run`](Self::run) and
-    /// [`try_run`](Self::try_run): chunk, scan into one shard per worker,
-    /// finish, account.
-    fn run_inner(&self, data: &[u8], faulted: bool) -> Result<IngestReport, IngestError> {
+    /// The shared engine behind every entry: chunk, scan into one shard
+    /// per worker (releasing scanned chunks of `release`, when given),
+    /// number the lines, finish, account.
+    fn run_inner(
+        &self,
+        data: &[u8],
+        release: Option<&LogData>,
+        faulted: bool,
+    ) -> Result<IngestReport, IngestError> {
         let _run = self.obs.span("ingest.run");
-        let chunks = {
+        let chunks: Vec<Chunk<'_>> = {
             let _s = self.obs.span("chunk");
-            chunk::split_lines(data, self.chunk_bytes)
+            // Finding a cut touches one page, but the kernel maps the whole
+            // page-cache folio under it (megabytes, where the file is cached
+            // in large folios): released as it goes, or the cutting alone
+            // could make most of the log resident before any worker starts.
+            chunk::cut_lines(data, self.chunk_bytes)
+                .inspect(|c| {
+                    if let Some(log) = release {
+                        log.release(c.data);
+                    }
+                })
+                .collect()
         };
-        let lines = total_lines(&chunks);
         let workers = self.effective_threads().min(chunks.len()).max(1);
         let n_parts = kernel::merge_partitions_for(workers);
         let scanned = {
             let _s = self.obs.span("parse");
-            self.scan_sharded(&chunks, workers, n_parts, faulted)
+            self.scan_sharded(&chunks, release, workers, n_parts, faulted)
         };
         match scanned {
             ScanOutcome::Done {
-                outs,
+                mut outs,
                 io_faults,
                 chunks_retried,
             } => {
+                let lines = number_lines(&mut outs, chunks.len());
                 let mut report = self.finish(outs, workers, lines, data.len());
                 report.io_faults = io_faults;
                 report.chunks_retried = chunks_retried;
@@ -463,10 +493,14 @@ impl<'t> IngestPipeline<'t> {
             } => {
                 self.metrics.io_faults.add(io_faults);
                 self.metrics.chunks_retried.add(chunks_retried);
+                // Every chunk before the failing one ends in a newline, so
+                // its first line is the newline count of the bytes before it.
+                // analyze:allow(panic-free-hot-path) workers only publish in-range chunk indices.
+                let offset: usize = chunks[..chunk].iter().map(|c| c.data.len()).sum();
                 Err(IngestError::ChunkIo {
                     chunk,
-                    // analyze:allow(panic-free-hot-path) workers only publish in-range chunk indices.
-                    first_line: chunks[chunk].first_line,
+                    // analyze:allow(panic-free-hot-path) chunk lengths sum to at most data.len().
+                    first_line: data[..offset].iter().filter(|&&b| b == b'\n').count(),
                     attempts: self.io_retries + 1,
                 })
             }
@@ -490,6 +524,7 @@ impl<'t> IngestPipeline<'t> {
     fn scan_sharded<'a>(
         &self,
         chunks: &[Chunk<'a>],
+        release: Option<&LogData>,
         workers: usize,
         n_parts: usize,
         faulted: bool,
@@ -558,10 +593,11 @@ impl<'t> IngestPipeline<'t> {
                         continue;
                     }
                 }
-                let before = out.errors.len();
-                out.scan(c);
-                let chunk_errors = out.errors.len() - before;
-                self.record_chunk(c, chunk_errors);
+                let chunk_errors = out.scan(i, c);
+                // The url table keeps slices of released pages; reading
+                // one again re-faults the same bytes (`LogData::release`).
+                let released = release.map_or(0, |log| log.release(c.data));
+                self.record_chunk(c, chunk_errors, released);
                 if let Some((chunks_ctr, bytes_ctr)) = &shard_obs {
                     chunks_ctr.inc();
                     bytes_ctr.add(c.data.len() as u64);
@@ -613,8 +649,9 @@ impl<'t> IngestPipeline<'t> {
     /// clustering [`kernel`], so the report is byte-identical no matter
     /// how many workers there were or which one scanned which chunk.
     ///
-    /// * **errors** carry buffer-global line numbers (each malformed line
-    ///   produces exactly one error), so one sort restores line order.
+    /// * **errors** carry buffer-global line numbers by now
+    ///   ([`number_lines`]; each malformed line produces exactly one
+    ///   error), so one sort restores line order.
     /// * **url ids** of several shards translate through one global
     ///   intern walked in shard order (equal ids ⇔ equal path bytes —
     ///   exactly the `Log` URL-interning identity); a lone shard's ids
@@ -676,15 +713,6 @@ impl<'t> IngestPipeline<'t> {
             chunks_retried: 0,
         }
     }
-
-    /// Opens `path` (memory-mapping when the platform allows, see
-    /// [`chunk::LogData::open`]) and runs the hardened pipeline over it —
-    /// fault injection and error budgets included (see
-    /// [`try_run`](Self::try_run)).
-    pub fn run_file(&self, path: impl AsRef<Path>) -> Result<IngestReport, IngestError> {
-        let data = LogData::open(path)?;
-        self.try_run(&data)
-    }
 }
 
 /// What the sharded scan produced: the per-worker shard outputs, or the
@@ -734,23 +762,58 @@ pub(crate) fn for_spans<T: Send, F: Fn(usize, &mut [T]) + Sync>(
     });
 }
 
-/// Buffer-global line count from the chunk list.
-fn total_lines(chunks: &[Chunk<'_>]) -> usize {
-    chunks
-        .last()
-        .map(|c| c.first_line + count_lines(c.data))
-        .unwrap_or(0)
+/// Makes the scan's chunk-local error line numbers buffer-global and
+/// returns the buffer's line count: one prefix sum over the per-chunk
+/// line counts the workers recorded, then each chunk's errors move up by
+/// the lines before their chunk. Runs after the join, when every count is
+/// known — which is what lets chunks be cut without being read.
+fn number_lines(outs: &mut [ChunkOut<'_>], n_chunks: usize) -> usize {
+    // `before[i]`: lines in chunks `0..i`; the last slot is the total.
+    let mut before = vec![0usize; n_chunks + 1];
+    for t in outs.iter().flat_map(|o| &o.scanned) {
+        if let Some(slot) = before.get_mut(t.chunk + 1) {
+            *slot = t.lines;
+        }
+    }
+    let mut total = 0usize;
+    for slot in &mut before {
+        total += *slot;
+        *slot = total;
+    }
+    for o in outs {
+        let mut errors = o.errors.iter_mut();
+        for t in &o.scanned {
+            let first_line = before.get(t.chunk).copied().unwrap_or(0);
+            for e in errors.by_ref().take(t.errors) {
+                e.line += first_line;
+            }
+        }
+    }
+    total
+}
+
+/// What a worker notes per scanned chunk so [`number_lines`] can place
+/// the chunk's lines in the buffer afterwards.
+struct ScannedChunk {
+    /// Index in the chunk list.
+    chunk: usize,
+    /// Lines in the chunk.
+    lines: usize,
+    /// How many of the worker's `errors`, in push order, are this chunk's.
+    errors: usize,
 }
 
 /// One scan worker's output: a kernel [`Shard`] of client sums and
 /// (client, url id) pairs, the paths behind those shard-local url ids
-/// (interned as borrowed slices of the input), and parse errors with
-/// global line numbers.
+/// (interned as borrowed slices of the input), parse errors numbered
+/// within their chunk, and the per-chunk notes that make those numbers
+/// global.
 struct ChunkOut<'a> {
     shard: Shard,
     url_ids: FxHashMap<&'a [u8], u32>,
     url_paths: Vec<&'a [u8]>,
     errors: Vec<ClfError>,
+    scanned: Vec<ScannedChunk>,
 }
 
 impl<'a> ChunkOut<'a> {
@@ -760,14 +823,18 @@ impl<'a> ChunkOut<'a> {
             url_ids: FxHashMap::default(),
             url_paths: Vec::new(),
             errors: Vec::new(),
+            scanned: Vec::new(),
         }
     }
 
-    /// Accumulates one chunk. The User-Agent field is never consumed
+    /// Accumulates chunk number `index` and returns how many of its lines
+    /// were malformed. The User-Agent field is never consumed
     /// downstream, so the scan uses the no-UA record parser (identical
     /// records and errors, minus the per-line UA quote scan).
-    fn scan(&mut self, c: &Chunk<'a>) {
-        for item in clf_bytes::records_no_ua(c.data, c.first_line) {
+    fn scan(&mut self, index: usize, c: &Chunk<'a>) -> usize {
+        let errors_before = self.errors.len();
+        let mut lines = 0;
+        for item in clf_bytes::records_no_ua(c.data, 0, &mut lines) {
             match item {
                 Ok((_, r)) => {
                     let id = self.shard.add(r.addr, r.bytes as u64);
@@ -782,17 +849,14 @@ impl<'a> ChunkOut<'a> {
                 Err(e) => self.errors.push(e),
             }
         }
-    }
-}
-
-/// Line count with `str::lines` semantics: newlines, plus a final
-/// unterminated line when present.
-fn count_lines(data: &[u8]) -> usize {
-    let newlines = chunk::count_newlines(data);
-    if data.last().is_some_and(|&b| b != b'\n') {
-        newlines + 1
-    } else {
-        newlines
+        let errors = self.errors.len() - errors_before;
+        self.scanned.push(ScannedChunk {
+            chunk: index,
+            // From the parser's own line walk: no second pass over the chunk.
+            lines,
+            errors,
+        });
+        errors
     }
 }
 
@@ -862,13 +926,14 @@ not a log line\n\
     }
 
     #[test]
-    fn run_file_round_trip() {
+    fn run_log_round_trip() {
         let dir = std::env::temp_dir().join(format!("netclust-ingest-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("access.log");
         std::fs::write(&path, SAMPLE).unwrap();
         let table = table();
-        let from_file = IngestPipeline::new(&table).run_file(&path).unwrap();
+        let log = LogData::open(&path).unwrap();
+        let from_file = IngestPipeline::new(&table).run_log(&log).unwrap();
         let from_mem = IngestPipeline::new(&table).run(SAMPLE.as_bytes());
         assert_eq!(from_file.clustering.len(), from_mem.clustering.len());
         assert_eq!(from_file.errors, from_mem.errors);
@@ -877,16 +942,56 @@ not a log line\n\
         // Zero-length file: clean empty report, not a panic.
         let empty_path = dir.join("empty.log");
         std::fs::write(&empty_path, b"").unwrap();
-        let empty = IngestPipeline::new(&table).run_file(&empty_path).unwrap();
+        let empty = IngestPipeline::new(&table)
+            .run_log(&LogData::open(&empty_path).unwrap())
+            .unwrap();
         assert!(empty.clustering.is_empty());
         assert_eq!(empty.counts.records, 0);
-
-        // A missing file is a typed I/O error.
-        let err = IngestPipeline::new(&table)
-            .run_file(dir.join("nope.log"))
-            .unwrap_err();
-        assert!(matches!(err, IngestError::Io(_)));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Parse errors are numbered inside their chunk and made global
+    /// after the scan: whatever the cut, the list is the serial parser's.
+    #[test]
+    fn chunk_lines_parse_with_global_numbers() {
+        let table = table();
+        let text = "garbage one\n\
+                    1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100\n\
+                    \n\
+                    garbage two\n\
+                    1.2.3.5 - - [13/Feb/1998:07:00:01 +0000] \"GET /y HTTP/1.0\" 200 100\n";
+        let serial: Vec<ClfError> = clf_bytes::records(text.as_bytes(), 0)
+            .filter_map(Result::err)
+            .collect();
+        assert_eq!(serial.iter().map(|e| e.line).collect::<Vec<_>>(), [0, 3]);
+        for max in [1usize, 16, 40, 4096] {
+            for threads in [1usize, 3] {
+                let report = IngestPipeline::new(&table)
+                    .chunk_bytes(max)
+                    .threads(threads)
+                    .run(text.as_bytes());
+                assert_eq!(report.errors, serial, "max={max} threads={threads}");
+                assert_eq!(report.counts, ErrorCounts::new(5, 2), "max={max}");
+            }
+        }
+    }
+
+    /// A malformed, unterminated final line that the chunker puts in its
+    /// own chunk keeps its buffer-global line number.
+    #[test]
+    fn error_line_numbers_cross_last_chunk_boundary() {
+        let table = table();
+        let text = "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100\n\
+                    1.2.3.5 - - [13/Feb/1998:07:00:01 +0000] \"GET /y HTTP/1.0\" 200 100\n\
+                    torn final line with no newline";
+        for max in [1usize, 8, 70, 1 << 12] {
+            let report = IngestPipeline::new(&table)
+                .chunk_bytes(max)
+                .run(text.as_bytes());
+            assert_eq!(report.counts, ErrorCounts::new(3, 1), "max={max}");
+            assert_eq!(report.errors[0].line, 2, "max={max}");
+            assert_eq!(report.clustering.total_requests, 2, "max={max}");
+        }
     }
 
     #[test]
@@ -1020,6 +1125,37 @@ not a log line\n\
             }
             other => panic!("expected ChunkIo, got {other:?}"),
         }
+
+        // A later chunk: its first line is the newline count before it,
+        // worked out on the error path (no chunk carries a number). The
+        // keyed schedule makes the first exhausted chunk a function of the
+        // seed alone, so take the first seed that spares chunk 0.
+        let data = SAMPLE.as_bytes();
+        let failing = |seed: u64, threads: usize| {
+            let run = IngestPipeline::new(&table)
+                .chunk_bytes(64)
+                .threads(threads)
+                .fault_plan(FaultPlan::new(seed).with(failpoints::INGEST_CHUNK_IO, 0.5))
+                .io_retries(0)
+                .try_run(data);
+            match run {
+                Err(IngestError::ChunkIo {
+                    chunk, first_line, ..
+                }) => Some((chunk, first_line)),
+                _ => None,
+            }
+        };
+        let (seed, (chunk, first_line)) = (2u64..64)
+            .find_map(|seed| Some(seed).zip(failing(seed, 1).filter(|&(chunk, _)| chunk > 0)))
+            .expect("some seed first fails a chunk after the first");
+        let before: usize = chunk::split_lines(data, 64)[..chunk]
+            .iter()
+            .map(|c| c.data.len())
+            .sum();
+        let newlines = data[..before].iter().filter(|&&b| b == b'\n').count();
+        assert!(newlines > 0, "seed={seed}");
+        assert_eq!(first_line, newlines, "seed={seed}");
+        assert_eq!(failing(seed, 3), Some((chunk, first_line)), "seed={seed}");
     }
 
     #[test]

@@ -3,10 +3,14 @@
 //! (`threads(1)`) over random corpora, chunk sizes, and thread counts —
 //! including parse errors, quarantine byte ranges, and error counts —
 //! and injected `ingest.chunk_io` faults must resolve to the same
-//! outcome no matter how many workers the chunks land on.
+//! outcome no matter how many workers the chunks land on. And the
+//! file-backed entry, which gives every scanned chunk's pages back to the
+//! kernel, must report exactly what `run` reports over an owned copy.
 
 use netclust_core::{failpoints, FaultPlan, IngestError, IngestPipeline, IngestReport};
+use netclust_obs::Obs;
 use netclust_rtable::{CompiledMerged, MergedTable, RoutingTable, TableKind};
+use netclust_weblog::chunk::LogData;
 use proptest::prelude::*;
 
 /// A routing table whose prefixes cover some — not all — of the corpus
@@ -234,4 +238,104 @@ fn fault_sweep_is_thread_count_invariant() {
     // most seeds recover, and the keyed schedule makes this stable.
     assert!(recovered > 0, "no seed recovered");
     let _ = aborted;
+}
+
+/// Releasing is invisible: over a mapped file, `run_log` hands every
+/// scanned chunk back to the kernel and still reports what `run` reports
+/// over an owned copy of the same bytes — clustering, errors with global
+/// line numbers, counts — across chunk sizes, thread counts and both
+/// schedules; afterwards the mapping still reads the exact rejected
+/// bytes. Only `ingest.released_bytes` tells the two apart.
+#[test]
+fn mapped_and_released_matches_owned() {
+    let table = table();
+    // ~1.3 MB: garbage every 41st line (so malformed lines straddle chunk
+    // boundaries at every chunk size) and a torn, unterminated last line.
+    let lines: Vec<Line> = (0..16_000u32)
+        .map(|i| {
+            if i % 41 == 7 {
+                Line::Garbage
+            } else {
+                Line::Request {
+                    base: (i % 8) as u8,
+                    low: (i.wrapping_mul(40_503) % 65_536) as u16,
+                    url: (i % 200) as u8,
+                    bytes: (i % 1500) as u16,
+                }
+            }
+        })
+        .collect();
+    let mut text = render(&lines);
+    text.push_str("torn final line with no newline");
+    let bytes = text.into_bytes();
+    let rejected: Vec<&[u8]> = bytes
+        .split(|&b| b == b'\n')
+        .filter(|l| l.starts_with(b"###") || l.starts_with(b"torn"))
+        .collect();
+    assert_eq!(rejected.len(), 16_000 / 41 + 1 + 1);
+
+    let dir = std::env::temp_dir().join(format!("netclust-ingest-par-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("access.log");
+    std::fs::write(&path, &bytes).unwrap();
+
+    let released = |obs: &Obs| obs.snapshot(true).counters["ingest.released_bytes"];
+    for chunk_bytes in [1usize, 64, 4096, 1 << 20] {
+        for threads in [1usize, 2, 4] {
+            for strided in [false, true] {
+                let ctx = format!("chunk_bytes={chunk_bytes} threads={threads} strided={strided}");
+                let pipeline = |obs: &Obs| {
+                    IngestPipeline::new(&table)
+                        .chunk_bytes(chunk_bytes)
+                        .threads(threads)
+                        .deterministic(strided)
+                        .obs(obs.clone())
+                };
+                let owned_obs = Obs::enabled();
+                let owned = pipeline(&owned_obs).run(&bytes);
+                assert_eq!(released(&owned_obs), 0, "{ctx}");
+
+                let log = LogData::open(&path).unwrap();
+                let mapped_obs = Obs::enabled();
+                let mapped = pipeline(&mapped_obs).run_log(&log).unwrap();
+                assert_reports_identical(&mapped, &owned, &bytes, &ctx);
+                if cfg!(target_os = "linux") {
+                    // Megabyte chunks give back all but their boundary
+                    // pages (of whatever size the host's pages are);
+                    // sub-page chunks have no whole page to give.
+                    let got = released(&mapped_obs) as usize;
+                    match chunk_bytes {
+                        0..=64 => assert_eq!(got, 0, "{ctx}"),
+                        4096 => assert!(got < bytes.len(), "{ctx}: released {got}"),
+                        _ => assert!(
+                            got > bytes.len() / 2 && got < bytes.len(),
+                            "{ctx}: released {got}"
+                        ),
+                    }
+                }
+                // The released mapping still reads every rejected line.
+                let quarantined: Vec<&[u8]> = mapped
+                    .quarantine(&log)
+                    .iter()
+                    .map(|q| &log[q.start..q.end])
+                    .collect();
+                assert_eq!(quarantined, rejected, "{ctx}");
+                assert_eq!(log.bytes(), &bytes[..], "{ctx}");
+            }
+        }
+    }
+
+    // An owned `LogData` through the same entry: nothing reaches the
+    // kernel and nothing changes.
+    let owned_log = LogData::from_vec(bytes.clone());
+    let obs = Obs::enabled();
+    let via_owned = IngestPipeline::new(&table)
+        .obs(obs.clone())
+        .run_log(&owned_log)
+        .unwrap();
+    assert_eq!(released(&obs), 0);
+    assert_eq!(owned_log.release(&owned_log), 0);
+    assert_eq!(owned_log.bytes(), &bytes[..]);
+    assert_eq!(via_owned.errors.len(), rejected.len());
+    std::fs::remove_dir_all(&dir).ok();
 }

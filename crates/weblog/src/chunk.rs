@@ -2,19 +2,22 @@
 //!
 //! Two pieces:
 //!
-//! * [`split_lines`] cuts a byte buffer into roughly equal chunks that
-//!   always end on line boundaries, each annotated with the 0-based line
-//!   number it starts at — so parallel workers can parse independent
-//!   chunks yet report buffer-global line numbers, and concatenating
-//!   per-chunk outputs in chunk order reproduces the serial result
-//!   exactly.
+//! * [`split_lines`] / [`cut_lines`] cut a byte buffer into roughly equal
+//!   chunks that always end on line boundaries, reading only the bytes
+//!   around each cut — so parallel workers can parse independent chunks, and
+//!   concatenating per-chunk outputs in chunk order reproduces the serial
+//!   result exactly. Chunks carry no line numbers: a worker numbers its
+//!   chunk's lines from 0 and the caller offsets them by the line counts
+//!   of the chunks before it, once those are known.
 //! * [`LogData`] holds a log file's bytes either as a private read-only
 //!   `mmap` (Unix, 64-bit — no copy, the page cache is the buffer) or as
 //!   an owned heap buffer (fallback everywhere else, and for empty
 //!   files). Either way, [`LogData::bytes`] is one contiguous `&[u8]` the
-//!   zero-copy parser can borrow from.
+//!   zero-copy parser can borrow from, and [`LogData::release`] hands the
+//!   pages of a scanned piece back to the kernel so a mapped log never
+//!   has to be resident all at once.
 //!
-//! The `mmap` binding is a two-symbol `extern "C"` declaration rather
+//! The `mmap` binding is a handful of `extern "C"` declarations rather
 //! than a `libc` dependency: the workspace is offline and the only
 //! platform this targets is the 64-bit Unix the toolchain itself runs on.
 
@@ -27,41 +30,28 @@ use std::path::Path;
 pub struct Chunk<'a> {
     /// The chunk's bytes; ends with `\n` except possibly the last chunk.
     pub data: &'a [u8],
-    /// 0-based line number (in the full buffer) of the chunk's first line.
-    pub first_line: usize,
-}
-
-/// Counts `\n` bytes eight at a time: each word is XORed with a lane of
-/// newlines and run through the exact zero-byte detector (the borrow-free
-/// `((v & 0x7f…) + 0x7f…) | v` form — the cheaper `v - 0x01…` variant can
-/// false-positive on the byte after a match), then one popcount per word
-/// tallies the hits. The ingest hot path calls this over whole log
-/// buffers, where a bytewise scan costs more than the chunking itself.
-pub fn count_newlines(data: &[u8]) -> usize {
-    const LANES: u64 = 0x0101_0101_0101_0101;
-    const NL: u64 = LANES * b'\n' as u64;
-    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
-    let mut count = 0;
-    let (words, tail) = data.as_chunks::<8>();
-    for w in words {
-        let v = u64::from_le_bytes(*w) ^ NL;
-        // High bit of each byte set iff that byte of `v` is zero.
-        let zeros = !(((v & LOW7) + LOW7) | v | LOW7);
-        count += zeros.count_ones() as usize;
-    }
-    count + tail.iter().filter(|&&b| b == b'\n').count()
 }
 
 /// Splits `data` into chunks of at most about `max_bytes` (always at
 /// least one full line), cut on `\n` boundaries. Every byte lands in
-/// exactly one chunk, in order, and each chunk records the global line
-/// number it starts at. Empty input produces no chunks.
+/// exactly one chunk, in order. Empty input produces no chunks.
 pub fn split_lines(data: &[u8], max_bytes: usize) -> Vec<Chunk<'_>> {
+    cut_lines(data, max_bytes).collect()
+}
+
+/// [`split_lines`] one chunk at a time. Finding a cut reads only the
+/// line straddling the `max_bytes` mark — about a page of a mapped file —
+/// but the kernel maps the whole page-cache folio under a touched page,
+/// which can be megabytes: a caller that must not let the cutting itself
+/// make a mapped file resident [`release`](LogData::release)s each chunk
+/// as it is cut.
+pub fn cut_lines(data: &[u8], max_bytes: usize) -> impl Iterator<Item = Chunk<'_>> {
     let max_bytes = max_bytes.max(1);
-    let mut chunks = Vec::with_capacity(data.len() / max_bytes + 1);
     let mut start = 0usize;
-    let mut first_line = 0usize;
-    while start < data.len() {
+    std::iter::from_fn(move || {
+        if start >= data.len() {
+            return None;
+        }
         let tentative = (start + max_bytes).min(data.len());
         // Extend to the end of the current line (inclusive newline). The
         // search starts one byte early so a chunk already ending in `\n`
@@ -71,15 +61,12 @@ pub fn split_lines(data: &[u8], max_bytes: usize) -> Vec<Chunk<'_>> {
             Some(i) => search_from + i + 1,
             None => data.len(),
         };
-        let piece = &data[start..end];
-        chunks.push(Chunk {
-            data: piece,
-            first_line,
-        });
-        first_line += count_newlines(piece);
+        let chunk = Chunk {
+            data: &data[start..end],
+        };
         start = end;
-    }
-    chunks
+        Some(chunk)
+    })
 }
 
 /// A log file's contents: memory-mapped when the platform allows,
@@ -145,6 +132,25 @@ impl LogData {
             Inner::Owned(v) => v,
         }
     }
+
+    /// Tells the kernel that `piece` — a scanned sub-slice of
+    /// [`bytes`](Self::bytes) — need not stay resident, and returns how
+    /// many bytes were released. For a mapping this drops the whole pages
+    /// inside `piece` from the resident set (pages `piece` only partly
+    /// covers are shared with a neighbouring piece and left alone). The
+    /// bytes stay readable: the mapping is read-only, private and never
+    /// written, so it holds no copies of its own, only references to the
+    /// page cache — a released page that is read again re-faults with the
+    /// same file bytes, and slices borrowed from it stay valid.
+    /// An owned buffer — whose pages the kernel could only give back
+    /// zeroed — and a `piece` from anywhere else are left untouched: 0.
+    pub fn release(&self, piece: &[u8]) -> usize {
+        match &self.inner {
+            #[cfg(all(unix, target_pointer_width = "64"))]
+            Inner::Mapped(m) => m.release(piece),
+            Inner::Owned(_) => 0,
+        }
+    }
 }
 
 impl std::ops::Deref for LogData {
@@ -161,8 +167,10 @@ mod mapped {
     use std::os::unix::io::AsRawFd;
 
     // Minimal mmap binding (64-bit Unix: `off_t` is `i64`). Values are
-    // identical across Linux and the BSDs for these two flags.
-    extern "C" {
+    // identical across Linux and the BSDs for these flags and the advice.
+    // SAFETY: the signatures are the C library's on every 64-bit Unix;
+    // `sysconf` reads a system constant and is sound to call with any name.
+    unsafe extern "C" {
         fn mmap(
             addr: *mut c_void,
             length: usize,
@@ -172,10 +180,17 @@ mod mapped {
             offset: i64,
         ) -> *mut c_void;
         fn munmap(addr: *mut c_void, length: usize) -> i32;
+        fn madvise(addr: *mut c_void, length: usize, advice: i32) -> i32;
+        safe fn sysconf(name: i32) -> i64;
     }
 
     const PROT_READ: i32 = 1;
     const MAP_PRIVATE: i32 = 2;
+    const MADV_DONTNEED: i32 = 4;
+    /// `_SC_PAGESIZE`: unlike the constants above it differs by system (30
+    /// on Linux, 29 on macOS). Where it is neither, `release` gets a value
+    /// it rejects or an address `madvise` refuses, and releases nothing.
+    const SC_PAGESIZE: i32 = if cfg!(target_os = "linux") { 30 } else { 29 };
 
     /// An owned read-only private mapping, unmapped on drop.
     pub struct Map {
@@ -228,6 +243,37 @@ mod mapped {
             // self; it stays valid until drop.
             unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
         }
+
+        /// [`LogData::release`](super::LogData::release) for a mapping:
+        /// 0 when `piece` is not part of it, covers no whole page, or the
+        /// kernel declines.
+        pub fn release(&self, piece: &[u8]) -> usize {
+            let base = self.ptr as usize;
+            let start = piece.as_ptr() as usize;
+            let end = start + piece.len();
+            let Ok(page) = usize::try_from(sysconf(SC_PAGESIZE)) else {
+                return 0;
+            };
+            if start < base || end > base + self.len || !page.is_power_of_two() {
+                return 0;
+            }
+            // The mapping starts on a page boundary, so absolute alignment
+            // is alignment within the file.
+            let first = start.next_multiple_of(page);
+            let last = end & !(page - 1);
+            if first >= last {
+                return 0;
+            }
+            // SAFETY: `first..last` lies inside the live mapping `self` owns
+            // (bounds checked above), and dropping pages of a PROT_READ +
+            // MAP_PRIVATE file mapping changes no byte a reader can see.
+            let rc = unsafe { madvise(first as *mut c_void, last - first, MADV_DONTNEED) };
+            if rc == 0 {
+                last - first
+            } else {
+                0
+            }
+        }
     }
 
     impl Drop for Map {
@@ -259,67 +305,6 @@ mod tests {
                 assert_eq!(*c.data.last().unwrap(), b'\n');
             }
             assert_eq!(rebuilt, text.as_bytes(), "max={max}");
-            // Line numbers are the running newline count.
-            let mut expect_line = 0usize;
-            for c in &chunks {
-                assert_eq!(c.first_line, expect_line, "max={max}");
-                expect_line += c.data.iter().filter(|&&b| b == b'\n').count();
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_lines_parse_with_global_numbers() {
-        use crate::clf_bytes;
-        let text = "garbage one\n\
-                    1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100\n\
-                    garbage two\n\
-                    1.2.3.5 - - [13/Feb/1998:07:00:01 +0000] \"GET /y HTTP/1.0\" 200 100\n";
-        let serial: Vec<_> = clf_bytes::records(text.as_bytes(), 0).collect();
-        for max in [1usize, 16, 40, 4096] {
-            let mut chunked = Vec::new();
-            for c in split_lines(text.as_bytes(), max) {
-                chunked.extend(clf_bytes::records(c.data, c.first_line));
-            }
-            assert_eq!(chunked.len(), serial.len(), "max={max}");
-            for (a, b) in chunked.iter().zip(&serial) {
-                match (a, b) {
-                    (Ok((la, ra)), Ok((lb, rb))) => {
-                        assert_eq!(la, lb);
-                        assert_eq!(ra.addr, rb.addr);
-                        assert_eq!(ra.path, rb.path);
-                    }
-                    (Err(ea), Err(eb)) => assert_eq!(ea, eb),
-                    other => panic!("mismatch: {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn count_newlines_matches_naive() {
-        let naive = |d: &[u8]| d.iter().filter(|&&b| b == b'\n').count();
-        let mut cases: Vec<Vec<u8>> = vec![
-            Vec::new(),
-            b"no newline".to_vec(),
-            b"\n".to_vec(),
-            vec![b'\n'; 64],
-            // `\n` followed by 0x0b: XOR against the newline lane gives
-            // adjacent 0x00, 0x01 bytes — the exact case where the
-            // subtract-borrow zero-byte trick overcounts.
-            b"\n\x0b\n\x0b\n\x0b\n\x0b\n\x0b".to_vec(),
-            // High-bit bytes around newlines.
-            vec![0x8a, b'\n', 0xff, 0x0a, 0x80, 0x7f, b'\n', 0x01, 0x00],
-        ];
-        // Every alignment of a newline within the 8-byte word, plus an
-        // unaligned tail.
-        for shift in 0..9 {
-            let mut v = vec![b'x'; 17];
-            v[shift] = b'\n';
-            cases.push(v);
-        }
-        for case in &cases {
-            assert_eq!(count_newlines(case), naive(case), "case={case:?}");
         }
     }
 
@@ -330,31 +315,12 @@ mod tests {
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[0].data, b"abc\n");
         assert_eq!(chunks[1].data, b"def");
-        assert_eq!(chunks[1].first_line, 1);
         assert!(split_lines(b"", 16).is_empty());
-    }
-
-    #[test]
-    fn error_line_numbers_cross_last_chunk_boundary() {
-        use crate::clf_bytes;
-        // A malformed, unterminated final line that the chunker must put
-        // in its own chunk: its reported line number has to stay global.
-        let text = "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100\n\
-                    1.2.3.5 - - [13/Feb/1998:07:00:01 +0000] \"GET /y HTTP/1.0\" 200 100\n\
-                    torn final line with no newline";
-        for max in [1usize, 8, 70, 1 << 12] {
-            let chunks = split_lines(text.as_bytes(), max);
-            let mut items = Vec::new();
-            for c in &chunks {
-                items.extend(clf_bytes::records(c.data, c.first_line));
-            }
-            assert_eq!(items.len(), 3, "max={max}");
-            assert!(items[0].is_ok() && items[1].is_ok());
-            let err = items[2].as_ref().expect_err("torn line is malformed");
-            assert_eq!(err.line, 2, "max={max}");
-            // The torn line never merges into the previous chunk's tail.
-            let last = chunks.last().unwrap();
-            assert!(last.data.ends_with(b"no newline"), "max={max}");
+        // An unterminated final line never merges into the previous
+        // chunk's tail, however small the chunks.
+        for max in 1..=4 {
+            let last = *split_lines(text, max).last().unwrap();
+            assert_eq!(last.data, b"def", "max={max}");
         }
     }
 
@@ -378,6 +344,37 @@ mod tests {
         let e = LogData::open(&empty).unwrap();
         assert!(e.bytes().is_empty());
         assert!(!e.is_mapped());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn release_keeps_every_byte_readable() {
+        let dir = std::env::temp_dir().join(format!("netclust-release-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("big.log");
+        let content: Vec<u8> = (0..1_000_000u32).map(|i| (i % 251) as u8).collect();
+        std::fs::write(&path, &content).unwrap();
+
+        let mapped = LogData::open(&path).unwrap();
+        // An unaligned middle piece: only its whole pages are released.
+        let released = mapped.release(&mapped[100..900_000]);
+        assert!(
+            released < 900_000 - 100 && released.is_multiple_of(4096),
+            "{released}"
+        );
+        #[cfg(target_os = "linux")]
+        assert!(mapped.is_mapped() && released > 0);
+        assert_eq!(mapped.bytes(), &content[..]);
+        // Too small to cover a page, and not part of the mapping at all.
+        assert_eq!(mapped.release(&mapped[10..20]), 0);
+        assert_eq!(mapped.release(&content[..]), 0);
+        assert_eq!(mapped.bytes(), &content[..]);
+
+        // An owned buffer must never reach the kernel: DONTNEED on
+        // anonymous memory would hand back zeroes.
+        let owned = LogData::from_vec(content.clone());
+        assert_eq!(owned.release(&owned[..]), 0);
+        assert_eq!(owned.bytes(), &content[..]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -383,25 +383,8 @@ fn parse_trimmed_impl<const WANT_UA: bool>(
 
 /// Iterator over the records of a CLF buffer: yields `Ok((lineno,
 /// record))` for parsable lines and `Err(error)` for malformed ones,
-/// skipping blank lines. `first_line` offsets the reported line numbers so
-/// chunked parsers report buffer-global positions.
+/// skipping blank lines. `first_line` offsets the reported line numbers.
 pub fn records(
-    data: &[u8],
-    first_line: usize,
-) -> impl Iterator<Item = Result<(usize, RawRecord<'_>), ClfError>> {
-    records_impl::<true>(data, first_line)
-}
-
-/// [`records`] over [`parse_record_no_ua`]: same records and errors with
-/// `ua` fixed to `b"-"`, skipping the User-Agent scan per line.
-pub fn records_no_ua(
-    data: &[u8],
-    first_line: usize,
-) -> impl Iterator<Item = Result<(usize, RawRecord<'_>), ClfError>> {
-    records_impl::<false>(data, first_line)
-}
-
-fn records_impl<const WANT_UA: bool>(
     data: &[u8],
     first_line: usize,
 ) -> impl Iterator<Item = Result<(usize, RawRecord<'_>), ClfError>> {
@@ -411,7 +394,31 @@ fn records_impl<const WANT_UA: bool>(
             return None;
         }
         let lineno = first_line + i;
-        Some(parse_trimmed_impl::<WANT_UA>(trimmed, lineno).map(|r| (lineno, r)))
+        Some(parse_trimmed_impl::<true>(trimmed, lineno).map(|r| (lineno, r)))
+    })
+}
+
+/// [`records`] over [`parse_record_no_ua`] — same records and errors with
+/// `ua` fixed to `b"-"`, skipping the User-Agent scan per line — for the
+/// chunked parser, which also has to learn how many lines each chunk
+/// held: as it walks, the iterator keeps `*lines_seen` at the number of
+/// lines passed so far, blank ones included, so once it is exhausted that
+/// is the buffer's line count and no second scan is needed for it. (A
+/// chain of its own, so the loop behind [`records`] — the daemon's
+/// parser — carries no counter.)
+pub fn records_no_ua<'a: 's, 's>(
+    data: &'a [u8],
+    first_line: usize,
+    lines_seen: &'s mut usize,
+) -> impl Iterator<Item = Result<(usize, RawRecord<'a>), ClfError>> + 's {
+    lines(data).enumerate().filter_map(move |(i, line)| {
+        *lines_seen = i + 1;
+        let trimmed = trim_ascii(line);
+        if trimmed.is_empty() {
+            return None;
+        }
+        let lineno = first_line + i;
+        Some(parse_trimmed_impl::<false>(trimmed, lineno).map(|r| (lineno, r)))
     })
 }
 
@@ -679,6 +686,11 @@ mod tests {
             let expect: Vec<&[u8]> = text.lines().map(str::as_bytes).collect();
             let got: Vec<&[u8]> = lines(text.as_bytes()).collect();
             assert_eq!(got, expect, "{text:?}");
+            // An exhausted record iterator has walked exactly these
+            // lines, blank ones included.
+            let mut seen = 0;
+            records_no_ua(text.as_bytes(), 7, &mut seen).for_each(drop);
+            assert_eq!(seen, expect.len(), "{text:?}");
         }
     }
 }

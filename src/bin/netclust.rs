@@ -568,7 +568,7 @@ fn cmd_cluster(p: &Parsed) -> Result<(), CliError> {
             }
             let report = run
                 .pipeline(&compiled)
-                .try_run(&data)
+                .run_log(&data)
                 .map_err(|e| match e {
                     IngestError::ErrorBudget { .. } => {
                         CliError::Budget(format!("cluster: {log_path}: {e}"))
