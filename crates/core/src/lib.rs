@@ -62,8 +62,8 @@ pub use ongoing::{
     merge_by_name_suffix, selective_validate, MergeReport, SelectiveMode, SelectiveReport,
 };
 pub use persist::{
-    CorrectionState, FeedProgress, FsyncPolicy, JournalBatch, PersistError, RecoveryReport,
-    StateStore, StreamState,
+    CorrectionState, EncodedState, FeedProgress, FsyncPolicy, JournalBatch, PersistError,
+    RecoveryReport, StateStore, StreamState,
 };
 pub use query::{
     ClusterAnswer, ClusterQuery, ClusterRow, QuerySummary, VerdictAnswer, VerdictPolicy,
@@ -74,7 +74,7 @@ pub use selfcorrect::{
 pub use sessions::{session_report, SessionReport, SessionStats};
 pub use stream::{
     PatchBatchReport, PatchStats, RestoreError, StreamHandle, StreamStats, StreamingBuilder,
-    StreamingClustering, SwapPolicy, SwapRejection, SwapReport, SwapStats, UnsortedState,
+    StreamingClustering, SwapPolicy, SwapRejection, SwapReport, SwapStats,
 };
 // The shared error-accounting shape carried by `IngestReport`, consumed by
 // `StreamingClustering::try_swap`, and produced by rtable's `ParseReport`;

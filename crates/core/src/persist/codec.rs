@@ -72,14 +72,19 @@ const fn crc_table() -> [u32; 256] {
 /// CRC32 (IEEE) of `bytes` — detects all single-bit errors by
 /// construction.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
+    !crc32_extend(u32::MAX, bytes)
+}
+
+/// The running (not yet inverted) CRC `crc` taken on over `bytes`, so one
+/// checksum can cover slices that do not lie end to end.
+fn crc32_extend(mut crc: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         // analyze:allow(cast-truncation) `b as u32` widens a u8; the usize cast takes a value masked to 8 bits.
         let idx = ((crc ^ b as u32) & 0xFF) as usize;
         // analyze:allow(panic-free-hot-path) idx is masked to 0..256 == CRC_TABLE.len().
         crc = CRC_TABLE[idx] ^ (crc >> 8);
     }
-    !crc
+    crc
 }
 
 /// Why a header or frame failed to decode. Offsets are file-absolute so
@@ -219,28 +224,21 @@ pub fn decode_header(bytes: &[u8]) -> Result<u8, FrameError> {
 /// `len` counts payload bytes only; the CRC covers the kind byte and the
 /// payload, so neither can flip undetected.
 pub fn encode_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
-    encode_frame_with(out, kind, |out| out.extend_from_slice(payload));
+    out.extend_from_slice(&frame_prefix(kind, payload.len()));
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&frame_crc(kind, payload).to_le_bytes());
 }
 
-/// [`encode_frame`] for a payload that does not exist as a slice yet:
-/// `fill` appends the payload straight onto `out`, and the length field
-/// reserved before it is patched afterwards. A multi-megabyte snapshot is
-/// thus encoded once, in place, instead of built and then copied. `fill`
-/// must only append.
-pub fn encode_frame_with(out: &mut Vec<u8>, kind: u8, fill: impl FnOnce(&mut Vec<u8>)) {
-    let len_at = out.len();
-    out.extend_from_slice(&[0u8; 4]);
-    let body_start = out.len();
-    out.push(kind);
-    let payload_start = out.len();
-    fill(out);
+/// The five bytes a frame puts before its payload: `[len u32][kind u8]`.
+pub fn frame_prefix(kind: u8, payload_len: usize) -> [u8; 5] {
     // analyze:allow(cast-truncation) payloads are single snapshot/batch records, far below u32::MAX; decode_frame re-validates the length against bytes present.
-    let len = out.len().saturating_sub(payload_start) as u32;
-    if let Some(dst) = out.get_mut(len_at..body_start) {
-        dst.copy_from_slice(&len.to_le_bytes());
-    }
-    let crc = crc32(out.get(body_start..).unwrap_or(&[]));
-    out.extend_from_slice(&crc.to_le_bytes());
+    let [a, b, c, d] = (payload_len as u32).to_le_bytes();
+    [a, b, c, d, kind]
+}
+
+/// The checksum a frame puts after its payload.
+pub fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
+    !crc32_extend(crc32_extend(u32::MAX, &[kind]), payload)
 }
 
 /// One decoded frame plus how many file bytes it spanned.

@@ -33,10 +33,9 @@ pub mod codec;
 mod state;
 
 pub use state::{
-    decode_batch, decode_state, encode_batch, encode_state, CorrectionState, FeedProgress,
-    JournalBatch, StateDecodeError, StreamState,
+    decode_batch, decode_state, encode_batch, encode_state, CorrectionState, EncodedState,
+    FeedProgress, JournalBatch, StateDecodeError, StreamState,
 };
-use state::{encode_state_into, encoded_state_hint};
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -48,7 +47,7 @@ use netclust_obs::{Counter, Obs};
 use crate::faults::{failpoints, FaultInjector};
 use crate::stream::RestoreError;
 use codec::{
-    decode_frame, decode_header, encode_frame, encode_frame_with, encode_header, FrameError,
+    decode_frame, decode_header, encode_frame, encode_header, frame_crc, frame_prefix, FrameError,
     FILE_JOURNAL, FILE_SNAPSHOT, FRAME_OVERHEAD, HEADER_BYTES, REC_BATCH, REC_STATE,
 };
 
@@ -383,18 +382,25 @@ impl StateStore {
     /// `snapshot-{g}.snap` without a journal recovers as that snapshot
     /// plus zero batches, which is exactly the state it captured.
     pub fn checkpoint(&mut self, state: &StreamState) -> Result<u64, PersistError> {
+        self.checkpoint_encoded(EncodedState::new(state, state.per_client.iter().copied()))
+    }
+
+    /// [`checkpoint`](Self::checkpoint) of a state that was encoded where
+    /// it lives (`StreamingClustering::encode_state`): its rows are sorted
+    /// in the buffer they were encoded into, and that buffer goes to the
+    /// file between the header and a checksum taken over it in place — no
+    /// second image of a multi-megabyte state is built.
+    pub fn checkpoint_encoded(&mut self, state: EncodedState) -> Result<u64, PersistError> {
         let next = self.seq + 1;
-        // The state is encoded once, straight into the file image: no
-        // intermediate payload buffer, no regrowth.
-        let mut bytes =
-            Vec::with_capacity(HEADER_BYTES + FRAME_OVERHEAD + encoded_state_hint(state));
-        bytes.extend_from_slice(&encode_header(FILE_SNAPSHOT));
-        encode_frame_with(&mut bytes, REC_STATE, |out| encode_state_into(out, state));
+        let payload = state.into_canonical();
 
         let tmp = self.dir.join(format!("snapshot-{next:06}.tmp"));
         let snap = self.snapshot_path(next);
         let mut file = File::create(&tmp).map_err(|e| io_err("create snapshot temp", &tmp, e))?;
-        file.write_all(&bytes)
+        file.write_all(&encode_header(FILE_SNAPSHOT))
+            .and_then(|()| file.write_all(&frame_prefix(REC_STATE, payload.len())))
+            .and_then(|()| file.write_all(&payload))
+            .and_then(|()| file.write_all(&frame_crc(REC_STATE, &payload).to_le_bytes()))
             .map_err(|e| io_err("write snapshot", &tmp, e))?;
         self.fsync_file(&file, &tmp)?;
         drop(file);
@@ -425,7 +431,9 @@ impl StateStore {
         self.appends_since_sync = 0;
         self.poisoned = false;
         self.metrics.snapshot_writes.inc();
-        self.metrics.snapshot_bytes.add(bytes.len() as u64);
+        self.metrics
+            .snapshot_bytes
+            .add((HEADER_BYTES + FRAME_OVERHEAD + payload.len()) as u64);
         self.prune();
         Ok(next)
     }

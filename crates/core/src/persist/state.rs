@@ -16,6 +16,7 @@
 
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 use netclust_obs::ErrorCounts;
 use netclust_prefix::Ipv4Net;
@@ -219,36 +220,83 @@ fn take_rejection(r: &mut Reader<'_>) -> Result<Option<SwapRejection>, StateDeco
     }
 }
 
-/// Serializes a [`StreamState`] to its canonical byte form (the payload of
-/// a snapshot file's single `REC_STATE` frame).
+/// Bytes in one client row on the wire: address `u32`, requests `u64`,
+/// bytes `u64`, little endian.
+const ROW_BYTES: usize = 20;
+
+/// Serializes a [`StreamState`] to its byte form (the payload of a
+/// snapshot file's single `REC_STATE` frame), rows in the order given:
+/// canonical exactly when `state.per_client` is sorted by address.
 pub fn encode_state(state: &StreamState) -> Vec<u8> {
-    let mut out = Vec::with_capacity(encoded_state_hint(state));
-    encode_state_into(&mut out, state);
-    out
+    EncodedState::new(state, state.per_client.iter().copied()).bytes
 }
 
-/// A close upper estimate of [`encode_state`]'s output length, for
-/// reserving the buffer once: the fixed fields and two prefix lists plus
-/// one 20-byte row per client (park keys, rare and short, are left to the
-/// vector's own growth).
-pub(super) fn encoded_state_hint(state: &StreamState) -> usize {
-    512 + (state.bgp_prefixes.len() + state.dump_prefixes.len()) * 5 + state.per_client.len() * 20
+/// A snapshot payload whose client rows may still be in the order their
+/// producer held them. Only
+/// [`StateStore::checkpoint_encoded`](super::StateStore::checkpoint_encoded)
+/// takes one, and it sorts the rows where they lie before a byte reaches
+/// the disk — the canonical order the decoder enforces cannot be skipped,
+/// and the rows exist once, in the buffer that becomes the file.
+#[derive(Debug)]
+pub struct EncodedState {
+    bytes: Vec<u8>,
+    /// Where the client rows lie in `bytes`, [`ROW_BYTES`] each.
+    rows: Range<usize>,
 }
 
-/// [`encode_state`] appending onto `out` — the snapshot writer encodes
-/// straight into its file buffer through this.
-pub(super) fn encode_state_into(out: &mut Vec<u8>, state: &StreamState) {
+impl EncodedState {
+    /// Encodes `head`'s fields and prefix lists around `rows` into one
+    /// buffer reserved once. `head.per_client` is not read: whoever has
+    /// the rows elsewhere (a live stream) passes them without building
+    /// that vector first.
+    pub(crate) fn new(
+        head: &StreamState,
+        rows: impl ExactSizeIterator<Item = (u32, u64, u64)>,
+    ) -> Self {
+        // The fixed fields and two prefix lists plus the rows; park keys,
+        // rare and short, are left to the vector's own growth.
+        let hint =
+            512 + (head.bgp_prefixes.len() + head.dump_prefixes.len()) * 5 + rows.len() * ROW_BYTES;
+        let mut bytes = Vec::with_capacity(hint);
+        let rows = encode_state_into(&mut bytes, head, rows);
+        EncodedState { bytes, rows }
+    }
+
+    /// The payload with its rows sorted by address, in place.
+    pub(super) fn into_canonical(mut self) -> Vec<u8> {
+        let region = self.bytes.get_mut(self.rows).unwrap_or_default();
+        let (rows, _) = region.as_chunks_mut::<ROW_BYTES>();
+        rows.sort_unstable_by_key(|&[a, b, c, d, ..]| u32::from_le_bytes([a, b, c, d]));
+        self.bytes
+    }
+}
+
+/// The one encoder of a [`StreamState`]: appends `state`'s wire form onto
+/// `out` with `rows` where `state.per_client` would go, and returns where
+/// in `out` they lie.
+fn encode_state_into(
+    out: &mut Vec<u8>,
+    state: &StreamState,
+    rows: impl ExactSizeIterator<Item = (u32, u64, u64)>,
+) -> Range<usize> {
     put_u64(out, state.table_version);
     put_u64(out, state.feed_pos);
     put_prefixes(out, &state.bgp_prefixes);
     put_prefixes(out, &state.dump_prefixes);
     // analyze:allow(cast-truncation) one row per distinct IPv4 client: len < 2^32 by construction.
-    put_u32(out, state.per_client.len() as u32);
-    for &(client, requests, bytes) in &state.per_client {
-        put_u32(out, client);
-        put_u64(out, requests);
-        put_u64(out, bytes);
+    put_u32(out, rows.len() as u32);
+    let rows_start = out.len();
+    for (client, requests, bytes) in rows {
+        // One append a row: this loop runs under the daemon's stream lock.
+        let mut row = [0u8; ROW_BYTES];
+        let (addr, sums) = row.split_at_mut(4);
+        let (reqs, served) = sums.split_at_mut(8);
+        addr.copy_from_slice(&client.to_le_bytes());
+        reqs.copy_from_slice(&requests.to_le_bytes());
+        served.copy_from_slice(&bytes.to_le_bytes());
+        out.extend_from_slice(&row);
     }
+    let rows = rows_start..out.len();
     put_u64(out, state.total_requests);
     put_u64(out, state.unclustered_requests);
     put_u64(out, state.clf_counts.records);
@@ -284,6 +332,7 @@ pub(super) fn encode_state_into(out: &mut Vec<u8>, state: &StreamState) {
     put_u64(out, state.feed.resets);
     put_u64(out, state.feed.deltas_total);
     put_u64(out, state.feed.reassigned);
+    rows
 }
 
 /// Decodes a [`StreamState`], enforcing the canonical form [`encode_state`]

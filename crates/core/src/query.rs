@@ -307,23 +307,44 @@ pub fn render_top_table(rows: &[ClusterRow]) -> String {
 }
 
 /// The first `n` of `items` under the total order `cmp`, in that order —
-/// what `sort_by(cmp)` + `truncate(n)` returns, without sorting the tail
-/// nobody reads: one O(len) selection, then a sort of the kept `n`.
-/// `cmp` must be total (no two items equal) for the result to be
-/// independent of the input order.
+/// what collecting, `sort_by(cmp)` and `truncate(n)` returns, without
+/// holding the rows nobody reads: they pass through a buffer of at most
+/// `max(2n, 64)`, cut back to the best `n` by one O(len) selection each
+/// time it fills, and the kept `n` are sorted at the end. After the first
+/// cut the worst row it kept is a bar: a row that does not beat it cannot
+/// be among the best `n` and costs one comparison. `cmp` must be total (no
+/// two items equal) for the result to be independent of the input order.
 pub(crate) fn keep_top<T>(
-    mut items: Vec<T>,
+    items: impl IntoIterator<Item = T>,
     n: usize,
     mut cmp: impl FnMut(&T, &T) -> std::cmp::Ordering,
 ) -> Vec<T> {
     if n == 0 {
-        items.clear();
-    } else if n < items.len() {
-        items.select_nth_unstable_by(n - 1, &mut cmp);
-        items.truncate(n);
+        return Vec::new();
     }
-    items.sort_unstable_by(cmp);
-    items
+    let items = items.into_iter();
+    let bound = n.saturating_mul(2).max(64);
+    let mut kept = Vec::with_capacity(bound.min(items.size_hint().0));
+    // Set by a cut, which leaves the best `n` in front, the worst of them
+    // last; rows pushed since lie behind it.
+    let mut barred = false;
+    for item in items {
+        if barred && kept.get(n - 1).is_some_and(|bar| cmp(&item, bar).is_ge()) {
+            continue;
+        }
+        kept.push(item);
+        if kept.len() == bound {
+            kept.select_nth_unstable_by(n - 1, &mut cmp);
+            kept.truncate(n);
+            barred = true;
+        }
+    }
+    if n < kept.len() {
+        kept.select_nth_unstable_by(n - 1, &mut cmp);
+        kept.truncate(n);
+    }
+    kept.sort_unstable_by(cmp);
+    kept
 }
 
 impl ClusterQuery for StreamingClustering {
@@ -411,7 +432,7 @@ impl ClusterQuery for Clustering {
     }
 
     fn top(&self, n: usize) -> Vec<ClusterRow> {
-        let busiest = keep_top(self.clusters.iter().collect(), n, |a, b| {
+        let busiest = keep_top(&self.clusters, n, |a, b| {
             b.requests.cmp(&a.requests).then(a.prefix.cmp(&b.prefix))
         });
         busiest
@@ -471,10 +492,19 @@ mod tests {
         (batch, stream)
     }
 
-    /// Selection must return exactly what the full sort did, for every
-    /// `n` around the interesting edges, ties on the primary key included.
+    /// Selection over an iterator must return exactly what the full sort
+    /// did, for every `n` around the interesting edges, ties on the primary
+    /// key included — and never have more than `max(2n, 64)` rows alive.
     #[test]
-    fn keep_top_equals_sort_then_truncate() {
+    fn keep_top_equals_sort_then_truncate_and_holds_a_bounded_buffer() {
+        use std::cell::Cell;
+        /// A row that counts itself in while it is alive.
+        struct Row<'a>((u64, u32), &'a Cell<usize>);
+        impl Drop for Row<'_> {
+            fn drop(&mut self) {
+                self.1.set(self.1.get() - 1);
+            }
+        }
         let by_count_then_id = |a: &(u64, u32), b: &(u64, u32)| b.0.cmp(&a.0).then(a.1.cmp(&b.1));
         // A small multiplicative generator: many ties on the count.
         let items: Vec<(u64, u32)> = (0..500u32)
@@ -484,7 +514,15 @@ mod tests {
         sorted.sort_by(by_count_then_id);
         for n in [0, 1, 2, 10, 499, 500, 501, 10_000] {
             let want: Vec<_> = sorted.iter().copied().take(n).collect();
-            assert_eq!(keep_top(items.clone(), n, by_count_then_id), want, "n={n}");
+            let (alive, most) = (Cell::new(0), Cell::new(0));
+            let rows = items.iter().map(|&item| {
+                alive.set(alive.get() + 1);
+                most.set(most.get().max(alive.get()));
+                Row(item, &alive)
+            });
+            let got = keep_top(rows, n, |a, b| by_count_then_id(&a.0, &b.0));
+            assert_eq!(got.iter().map(|r| r.0).collect::<Vec<_>>(), want, "n={n}");
+            assert!(most.get() <= (2 * n).max(64), "n={n} held {}", most.get());
         }
         assert!(keep_top(Vec::new(), 3, by_count_then_id).is_empty());
     }

@@ -46,7 +46,7 @@ use netclust_weblog::Request;
 
 use crate::faults::{failpoints, FaultInjector};
 use crate::kernel::{Client, Shard};
-use crate::persist::{CorrectionState, FeedProgress, StreamState};
+use crate::persist::{CorrectionState, EncodedState, FeedProgress, StreamState};
 
 /// Resolved swap/patch-path observability handles (`stream.swap.*`,
 /// `stream.patch.*`, and the serving table's cost as
@@ -353,24 +353,6 @@ impl StreamingBuilder {
     /// Compiles the table and builds the (empty) streaming clustering.
     pub fn build(self) -> StreamingClustering {
         StreamingClustering::new(self.table, 0, self.policy, self.obs)
-    }
-}
-
-/// A [`StreamState`] copied out of a stream whose client rows are still in
-/// hash order ([`StreamingClustering::export_unsorted`]). The wrapper
-/// keeps it away from the canonical codec until
-/// [`canonical`](Self::canonical) has sorted them.
-#[derive(Debug)]
-pub struct UnsortedState(StreamState);
-
-impl UnsortedState {
-    /// Sorts the client rows into the canonical (ascending address) order
-    /// snapshots are encoded and compared in.
-    pub fn canonical(mut self) -> StreamState {
-        self.0
-            .per_client
-            .sort_unstable_by_key(|&(client, _, _)| client);
-        self.0
     }
 }
 
@@ -703,11 +685,10 @@ impl StreamingClustering {
     /// The current top-`k` clusters by request count (ties broken by
     /// prefix for determinism).
     pub fn top_k(&self, k: usize) -> Vec<(Ipv4Net, StreamStats)> {
-        // analyze:allow(determinism) collected, then selected and sorted
-        // under a total order (prefix tie-break) below.
-        let v: Vec<(Ipv4Net, StreamStats)> =
-            self.tally.clusters.iter().map(|(&p, &s)| (p, s)).collect();
-        crate::query::keep_top(v, k, |a, b| {
+        // analyze:allow(determinism) selected and sorted under a total
+        // order (prefix tie-break), so the map's order cannot show.
+        let clusters = self.tally.clusters.iter().map(|(&p, &s)| (p, s));
+        crate::query::keep_top(clusters, k, |a, b| {
             b.1.requests.cmp(&a.1.requests).then(a.0.cmp(&b.0))
         })
     }
@@ -1058,26 +1039,37 @@ impl StreamingClustering {
     /// ([`feed_pos`](Self::feed_pos)). `feed` is left zeroed for the feed
     /// driver to fill in. [`restore`](Self::restore) is the inverse.
     pub fn export_state(&self) -> StreamState {
-        self.export_unsorted().canonical()
+        let mut state = self.export_head();
+        state.per_client = self.client_rows().collect();
+        state
+            .per_client
+            .sort_unstable_by_key(|&(client, _, _)| client);
+        state
     }
 
-    /// [`export_state`](Self::export_state) split at the point where
-    /// `self` is no longer needed: this half copies the state out, and
-    /// [`UnsortedState::canonical`] — three quarters of the cost at 500k
-    /// clients — sorts the copy. A caller exporting under a lock drops the
-    /// lock in between, so writers wait for the copy only.
-    pub fn export_unsorted(&self) -> UnsortedState {
-        let bgp_prefixes = self.live.table.bgp().live_prefixes();
-        let dump_prefixes = self.live.table.dump().live_prefixes();
-        let per_client: Vec<(u32, u64, u64)> = (self.seen.clients.iter())
-            .map(|c| (c.addr, c.requests, c.bytes))
-            .collect();
-        UnsortedState(StreamState {
+    /// What `StateStore::checkpoint(&self.export_state())` would write,
+    /// for `StateStore::checkpoint_encoded`: the client rows go from the
+    /// stream's records straight into the buffer that becomes the file,
+    /// unsorted, and the store sorts them there — when `self` is no longer
+    /// needed, so a caller encoding under a lock drops it first and
+    /// writers wait for one pass over the clients, no more.
+    pub fn encode_state(&self) -> EncodedState {
+        EncodedState::new(&self.export_head(), self.client_rows())
+    }
+
+    /// The retained `(address, requests, bytes)` totals, in first-seen order.
+    fn client_rows(&self) -> impl ExactSizeIterator<Item = (u32, u64, u64)> + '_ {
+        (self.seen.clients.iter()).map(|c| (c.addr, c.requests, c.bytes))
+    }
+
+    /// [`export_state`](Self::export_state) without the client rows.
+    fn export_head(&self) -> StreamState {
+        StreamState {
             table_version: self.live.version,
             feed_pos: self.feed_pos,
-            bgp_prefixes,
-            dump_prefixes,
-            per_client,
+            bgp_prefixes: self.live.table.bgp().live_prefixes(),
+            dump_prefixes: self.live.table.dump().live_prefixes(),
+            per_client: Vec::new(),
             total_requests: self.total_requests,
             unclustered_requests: self.tally.unclustered_requests,
             clf_counts: self.clf_counts,
@@ -1086,7 +1078,7 @@ impl StreamingClustering {
             last_rejection: self.last_rejection,
             correction: self.correction.clone(),
             feed: FeedProgress::default(),
-        })
+        }
     }
 
     /// Rebuilds a stream from a persisted [`StreamState`]: recompiles the

@@ -196,17 +196,17 @@ fn snapshot(state: &AppState, cp: &Checkpointer) -> Result<(), String> {
         .lock()
         .map_err(|_| "store lock poisoned".to_string())?;
     let started = Instant::now();
-    // Only the copy-out happens under the read lock; sorting the copy,
-    // encoding it and every disk operation run with the follower free.
-    let (unsorted, covered) = {
+    // Only the encoding happens under the read lock; sorting the encoded
+    // rows and every disk operation run with the follower free.
+    let (encoded, covered) = {
         let stream = state
             .stream
             .read()
             .map_err(|_| "state lock poisoned".to_string())?;
-        (stream.export_unsorted(), cp.dirty_bytes())
+        (stream.encode_state(), cp.dirty_bytes())
     };
     store
-        .checkpoint(&unsorted.canonical())
+        .checkpoint_encoded(encoded)
         .map_err(|e| format!("checkpoint failed: {e}"))?;
     // ordering: statistic, as in `note_applied`; only this function
     // subtracts, serialized by the store mutex, and never more than it

@@ -247,7 +247,7 @@ fn build_state(config: &ServeConfig, obs: &Obs) -> Result<AppState, ServeError> 
                 // snapshot a busy log for a long while; the journal a
                 // delta reload appends to has to exist before that.
                 fresh
-                    .checkpoint(&stream.export_state())
+                    .checkpoint_encoded(stream.encode_state())
                     .map_err(|e| ServeError::Persist(format!("base snapshot: {e}")))?;
                 store = Some(fresh);
             }
@@ -467,6 +467,7 @@ fn follower_loop(
                 }
                 state.metrics.follow_chunks.inc();
                 state.metrics.follow_bytes.add(chunk.len() as u64);
+                follower.recycle(chunk);
             }
             Ok(None) => idle_polls = idle_polls.saturating_add(1),
             Err(_) => state.metrics.follow_errors.inc(),

@@ -18,12 +18,14 @@ use netclust_serve::{Daemon, ServeConfig};
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
-mod sig {
+mod sys {
     use super::SHUTDOWN;
     use std::sync::atomic::Ordering;
 
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
+        #[cfg(all(target_os = "linux", target_env = "gnu"))]
+        fn mallopt(param: i32, value: i32) -> i32;
     }
 
     extern "C" fn on_signal(_signum: i32) {
@@ -36,7 +38,7 @@ mod sig {
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
 
-    pub(super) fn install() {
+    pub(super) fn install_signals() {
         // SAFETY: `signal` is the libc function std already links; the
         // handler is an `extern "C" fn` that performs a single atomic
         // store and touches nothing else.
@@ -45,15 +47,41 @@ mod sig {
             signal(SIGTERM, on_signal as *const () as usize);
         }
     }
+
+    /// Keeps glibc's mmap threshold where it starts, 128 KiB. Left alone
+    /// it rises to the size of every larger block freed (up to 32 MiB), and
+    /// from then on a snapshot buffer or a backlog chunk is carved from
+    /// the arena of the thread that asked — which keeps it after `free`,
+    /// one high-water mark per thread. Setting the threshold, to any
+    /// value, switches that adjustment off: such a block is mapped for its
+    /// lifetime and goes back to the kernel when it ends (DESIGN.md §17).
+    /// `main` calls this before it starts a thread; a refusal (return 0)
+    /// leaves the default behaviour, which is correct, only larger.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    pub(super) fn pin_mmap_threshold() {
+        const M_MMAP_THRESHOLD: i32 = -3;
+        // SAFETY: `mallopt` is the glibc function std's allocator already
+        // links; it takes two integers by value and sets a tunable of
+        // malloc's own, under malloc's own lock.
+        unsafe {
+            mallopt(M_MMAP_THRESHOLD, 128 << 10);
+        }
+    }
+
+    #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+    pub(super) fn pin_mmap_threshold() {}
 }
 
 #[cfg(not(unix))]
-mod sig {
+mod sys {
     /// No signal wiring off unix; ctrl-c kills the process directly.
-    pub(super) fn install() {}
+    pub(super) fn install_signals() {}
+
+    pub(super) fn pin_mmap_threshold() {}
 }
 
 fn main() -> ExitCode {
+    sys::pin_mmap_threshold();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if matches!(FLAGS.parse(&args), Err(FlagError::Help)) {
         print!("{}", FLAGS.render_help());
@@ -67,7 +95,7 @@ fn main() -> ExitCode {
         }
     };
 
-    sig::install();
+    sys::install_signals();
 
     let daemon = match Daemon::start(config) {
         Ok(daemon) => daemon,

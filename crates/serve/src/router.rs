@@ -175,7 +175,28 @@ fn health(state: &AppState) -> HttpResponse {
 }
 
 fn metrics(state: &AppState) -> HttpResponse {
+    // What the process holds as of this snapshot. Read from the kernel,
+    // so not a function of the input: left out of `--deterministic`
+    // output like every clock-derived value.
+    if !state.deterministic {
+        if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
+            for (name, key) in [
+                ("process.rss_bytes", "VmRSS:"),
+                ("process.hwm_bytes", "VmHWM:"),
+            ] {
+                if let Some(kb) = status_kb(&status, key) {
+                    state.obs.gauge(name).set(kb.saturating_mul(1024));
+                }
+            }
+        }
+    }
     HttpResponse::json(200, state.obs.snapshot(state.deterministic).to_json())
+}
+
+/// The value of a `Key:   123 kB` line of `/proc/<pid>/status`.
+fn status_kb(status: &str, key: &str) -> Option<u64> {
+    let line = status.lines().find_map(|l| l.strip_prefix(key))?;
+    line.split_ascii_whitespace().next()?.parse().ok()
 }
 
 fn ip_param(req: &HttpRequest) -> Result<Ipv4Addr, HttpResponse> {

@@ -223,6 +223,14 @@ fn the_full_api_answers_over_one_keep_alive_connection() {
     assert_eq!(status, 200);
     assert!(body.contains("serve.http.requests"), "{body}");
     assert!(body.contains("serve.follow.chunks"), "{body}");
+    if cfg!(target_os = "linux") {
+        // What the process holds, read when the snapshot is taken.
+        let (rss, hwm) = (
+            json_u64(&body, "process.rss_bytes"),
+            json_u64(&body, "process.hwm_bytes"),
+        );
+        assert!(0 < rss && rss <= hwm, "rss {rss}, high-water mark {hwm}");
+    }
 
     // Error surface, still on the same socket.
     let (status, _) = c.send("GET", "/v1/cluster", None);
@@ -555,6 +563,8 @@ fn netclustd_survives_kill_and_resumes_from_its_checkpoint() {
             && !get(addr, "/metrics").1.contains("\"serve.checkpoints\": 0")
     });
     let top_before = get(addr, "/v1/clusters/top?n=20").1;
+    // Under --deterministic /metrics is a function of the input alone.
+    assert!(!get(addr, "/metrics").1.contains("process."));
 
     // The thread model as a checked fact (a child process, so tests running
     // in parallel here cannot disturb the count): main, the default four

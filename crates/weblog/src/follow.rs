@@ -26,6 +26,11 @@ use std::path::PathBuf;
 /// unterminated line the follower holds on to: past it the line is dropped.
 pub const MAX_POLL_BYTES: u64 = 4 << 20;
 
+/// What a freshly reserved chunk holds beyond the bytes its poll may read:
+/// given back ([`LogFollower::recycle`]), it then also fits a poll that
+/// carries a longer partial line than the one it was sized for.
+const CARRY_ROOM: usize = 4 << 10;
+
 /// Tails one (possibly rotating) log file; see the module docs.
 #[derive(Debug)]
 pub struct LogFollower {
@@ -42,6 +47,10 @@ pub struct LogFollower {
     file_len: u64,
     /// Identity of the file last read, for rename-rotation detection.
     file_id: Option<u64>,
+    /// The last chunk handed out, given back ([`recycle`](Self::recycle))
+    /// for the next poll to read into. Every poll takes it, so a follower
+    /// whose log has gone quiet holds no buffer.
+    spare: Vec<u8>,
 }
 
 impl LogFollower {
@@ -62,7 +71,16 @@ impl LogFollower {
             dropped: 0,
             file_len: 0,
             file_id: None,
+            spare: Vec::new(),
         }
+    }
+
+    /// Gives back a chunk [`poll`](Self::poll) returned, once its lines
+    /// are applied: while a backlog lasts the next poll reads into it
+    /// instead of into 4 MiB of fresh pages. Optional — a chunk that is
+    /// kept or dropped costs the next poll one allocation.
+    pub fn recycle(&mut self, chunk: Vec<u8>) {
+        self.spare = chunk;
     }
 
     /// Byte offset just past the last complete line returned: the value
@@ -91,12 +109,16 @@ impl LogFollower {
     /// than carried without bound: the poll that gives up on it returns
     /// `InvalidData`, and later polls discard up to its newline.
     pub fn poll(&mut self) -> io::Result<Option<Vec<u8>>> {
+        let mut spare = std::mem::take(&mut self.spare);
         self.file_len = 0;
-        let meta = match fs::metadata(&self.path) {
-            Ok(m) => m,
+        // Length and identity come from the handle that is read below, so
+        // a rotation cannot slip between looking and reading.
+        let file = match File::open(&self.path) {
+            Ok(f) => f,
             Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
+        let meta = file.metadata()?;
         self.file_len = meta.len();
         let id = file_identity(&meta);
         let renamed = match (self.file_id, id) {
@@ -115,31 +137,50 @@ impl LogFollower {
             return Ok(None);
         }
 
-        let mut file = File::open(&self.path)?;
-        file.seek(SeekFrom::Start(self.read_pos))?;
-        let mut fresh = Vec::new();
-        file.take(MAX_POLL_BYTES).read_to_end(&mut fresh)?;
-        if fresh.is_empty() {
-            return Ok(None);
+        // One buffer for the call: the carried partial line, then room
+        // for everything this poll may read — the chunk the caller gave
+        // back if that is big enough, else reserved once.
+        let want = (meta.len() - self.read_pos).min(MAX_POLL_BYTES);
+        let room = usize::try_from(want).unwrap_or(usize::MAX);
+        let mut buf = std::mem::take(&mut self.carry);
+        let carried = buf.len();
+        if buf.capacity() - carried < room {
+            if spare.capacity() >= carried.saturating_add(room) {
+                spare.clear();
+                spare.extend_from_slice(&buf);
+                buf = spare;
+            } else {
+                buf.reserve_exact(room.saturating_add(CARRY_ROOM));
+            }
         }
-        self.read_pos += fresh.len() as u64;
+        let read = (&file)
+            .seek(SeekFrom::Start(self.read_pos))
+            .and_then(|_| (&file).take(want).read_to_end(&mut buf));
+        if read.is_err() {
+            // The next poll reads these bytes again.
+            buf.truncate(carried);
+        }
+        let fresh = buf.len() - carried;
+        if fresh == 0 {
+            self.carry = buf;
+            return read.map(|_| None);
+        }
+        self.read_pos += fresh as u64;
 
-        let mut fresh = fresh.as_slice();
         if self.dropped > 0 {
-            // The rest of a dropped line: discard through its newline.
-            match fresh.iter().position(|&b| b == b'\n') {
+            // The rest of a dropped line (nothing is carried while one is
+            // being skipped): discard through its newline.
+            match buf.iter().position(|&b| b == b'\n') {
                 Some(nl) => {
-                    fresh = fresh.get(nl + 1..).unwrap_or_default();
+                    buf.drain(..=nl);
                     self.dropped = 0;
                 }
                 None => {
-                    self.dropped += fresh.len() as u64;
+                    self.dropped += buf.len() as u64;
                     return Ok(None);
                 }
             }
         }
-        let mut buf = std::mem::take(&mut self.carry);
-        buf.extend_from_slice(fresh);
         match buf.iter().rposition(|&b| b == b'\n') {
             Some(last_nl) => {
                 self.carry = buf.split_off(last_nl + 1);
@@ -284,6 +325,40 @@ mod tests {
         append(&log, b"\ngood\ntorn");
         assert_eq!(fw.poll().expect("read"), Some(b"good\n".to_vec()));
         assert_eq!(fw.offset(), fw.file_len() - 4, "just past the good line");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Chunks given back are read into again, and what comes out is what
+    /// comes out without: whole lines, in order, nothing of an old chunk.
+    #[test]
+    fn recycled_chunks_are_reused_and_deliver_the_same_lines() {
+        let dir = tmpdir("recycle");
+        let log = dir.join("access.log");
+        // Lines of every length up to 300 bytes: the carried tail differs
+        // from poll to poll. Three polls' worth.
+        let mut blob = Vec::new();
+        for i in 0.. {
+            if blob.len() as u64 > 2 * MAX_POLL_BYTES + 1024 {
+                break;
+            }
+            blob.extend(std::iter::repeat_n(b'a' + (i % 26) as u8, i % 300));
+            blob.push(b'\n');
+        }
+        append(&log, &blob);
+        let mut fw = LogFollower::new(&log);
+        let (mut got, mut chunks, mut reused) = (Vec::new(), 0, 0);
+        let mut last_buffer = std::ptr::null();
+        while let Some(chunk) = fw.poll().expect("read") {
+            assert_eq!(chunk.last(), Some(&b'\n'));
+            got.extend_from_slice(&chunk);
+            chunks += 1;
+            reused += usize::from(chunk.as_ptr() == last_buffer);
+            last_buffer = chunk.as_ptr();
+            fw.recycle(chunk);
+        }
+        assert_eq!(got, blob);
+        assert_eq!((chunks, reused), (3, 2), "every chunk after the first");
+        assert_eq!(fw.spare.capacity(), 0, "a quiet follower holds no chunk");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,0 +1,161 @@
+//! What the daemon's three bursts may allocate: a top-N over every
+//! cluster, a snapshot of the stream, a poll of a backlog. Each is bounded
+//! by what it returns or writes, not by a copy of what it reads. This is
+//! its own test binary with one test, so no other test's allocations share
+//! the allocator it counts through.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::fmt::Write as _;
+use std::fs::{self, OpenOptions};
+use std::io::Write as _;
+use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use netclust::core::{FsyncPolicy, StateStore, StreamingClustering};
+use netclust::prefix::Ipv4Net;
+use netclust::rtable::{MergedTable, RoutingTable, TableKind};
+use netclust::weblog::follow::{LogFollower, MAX_POLL_BYTES};
+
+/// Bytes allocated and not yet freed, and the most that has been.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+fn grew(by: usize) {
+    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters beside it never touch the memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        // SAFETY: the caller's `layout` is passed through as given.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above
+        // with this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // Counted as the block changing size: what it costs while the
+        // allocator moves it is the allocator's, not the caller's.
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        grew(new_size);
+        // SAFETY: as for `dealloc`, and `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `work`; returns its result and the most it had allocated, beyond
+/// what was live when it started, at any moment (the result included).
+fn peak_of<R>(work: impl FnOnce() -> R) -> (R, usize) {
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let result = work();
+    (result, PEAK.load(Ordering::Relaxed) - before)
+}
+
+const SLACK: usize = 64 << 10;
+const CLUSTERS: u32 = 50_000;
+
+fn clf_line(out: &mut String, addr: u32, bytes: u32) {
+    let addr = Ipv4Addr::from(addr);
+    let _ = writeln!(
+        out,
+        "{addr} - - [13/Feb/1998:07:00:00 +0000] \"GET /a.html HTTP/1.0\" 200 {bytes} \"-\" \"Mozilla/4.5\""
+    );
+}
+
+#[test]
+fn a_top_n_a_poll_and_a_snapshot_allocate_what_they_return() {
+    let dir = std::env::temp_dir().join(format!("netclust-alloc-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+
+    // 50 000 /24 clusters of one client each, seen in an order that is
+    // neither the address order nor its reverse.
+    let prefixes: Vec<Ipv4Net> = (0..CLUSTERS)
+        .map(|i| Ipv4Net::new(0x0A00_0000 | (i << 8), 24).unwrap())
+        .collect();
+    let bgp = RoutingTable::new("B", "d0", TableKind::Bgp, prefixes);
+    let mut stream = StreamingClustering::builder(MergedTable::merge([&bgp])).build();
+    let mut text = String::new();
+    for i in 0..CLUSTERS {
+        let cluster = (i * 7_919) % CLUSTERS;
+        clf_line(
+            &mut text,
+            0x0A00_0000 | (cluster << 8) | 7,
+            100 + cluster % 900,
+        );
+        if cluster.is_multiple_of(5) {
+            clf_line(&mut text, 0x0A00_0000 | (cluster << 8) | 7, 1);
+        }
+    }
+    assert!(stream.push_clf(text.as_bytes()).is_empty());
+    assert_eq!(stream.len(), CLUSTERS as usize);
+    drop(text);
+
+    // A top-N reads every cluster and keeps a screenful.
+    let (top, peak) = peak_of(|| stream.top_k(10));
+    assert_eq!(top.len(), 10);
+    assert!(top.iter().all(|(_, s)| s.requests == 2));
+    println!("top_k(10) over {CLUSTERS} clusters: {peak} bytes");
+    assert!(peak < SLACK, "top_k(10) allocated {peak} bytes");
+
+    // A snapshot holds its file image — 20 bytes a client between the
+    // encoded prefix lists and counters — and, while it encodes them, the
+    // table's own copy of the prefix lists.
+    let clients = stream.client_count();
+    let budget = 20 * clients + CLUSTERS as usize * (5 + std::mem::size_of::<Ipv4Net>()) + SLACK;
+    let mut store = StateStore::create(dir.join("state"), FsyncPolicy::Os).unwrap();
+    let (written, peak) = peak_of(|| store.checkpoint_encoded(stream.encode_state()));
+    assert_eq!(written.unwrap(), 1);
+    println!("a snapshot of {clients} clients: {peak} bytes, budget {budget}");
+    assert!(peak < budget, "a snapshot allocated {peak} bytes");
+    let (_, recovered, _) = StateStore::recover(dir.join("state"), FsyncPolicy::Os).unwrap();
+    assert_eq!(recovered, stream.export_state());
+
+    // A poll holds one buffer: the line it was carrying, then what it read.
+    let log = dir.join("access.log");
+    let append = |bytes: &[u8]| {
+        let file = OpenOptions::new().create(true).append(true).open(&log);
+        file.unwrap().write_all(bytes).unwrap();
+    };
+    let carried = vec![b'c'; 1000];
+    append(b"first\n");
+    append(&carried);
+    let mut follower = LogFollower::new(&log);
+    assert_eq!(follower.poll().unwrap(), Some(b"first\n".to_vec()));
+    let mut backlog = vec![b'x'; MAX_POLL_BYTES as usize + (1 << 20)];
+    backlog.chunks_mut(64).for_each(|line| line[0] = b'\n');
+    append(&backlog);
+    let (chunk, peak) = peak_of(|| follower.poll());
+    let chunk = chunk.unwrap().expect("a backlog to read");
+    assert!(chunk.starts_with(&carried) && chunk.ends_with(b"\n"));
+    assert!(chunk.len() > MAX_POLL_BYTES as usize, "a full poll");
+    let budget = MAX_POLL_BYTES as usize + carried.len() + SLACK;
+    println!(
+        "a full poll carrying {} bytes: {peak} bytes, budget {budget}",
+        carried.len()
+    );
+    assert!(peak < budget, "a full poll allocated {peak} bytes");
+
+    // Given the chunk back, the next poll allocates its carried line only.
+    follower.recycle(chunk);
+    let (chunk, peak) = peak_of(|| follower.poll());
+    assert!(chunk.unwrap().is_some_and(|c| c.len() > 1 << 19));
+    println!("a poll into the chunk given back: {peak} bytes");
+    assert!(peak < SLACK, "a recycled poll allocated {peak} bytes");
+
+    let _ = fs::remove_dir_all(&dir);
+}

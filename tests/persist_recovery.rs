@@ -14,14 +14,15 @@
 //!    `--crash-after-batch`, restarted with `--resume`, compared
 //!    byte-for-byte against an uninterrupted run.
 
+use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use netclust::bgpsim::{DeltaBatch, DeltaStream, DeltaStreamConfig};
 use netclust::core::persist::codec::HEADER_BYTES;
 use netclust::core::{
-    failpoints, FaultInjector, FaultPlan, FsyncPolicy, JournalBatch, PersistError, StateStore,
-    StreamState, StreamingClustering, SwapPolicy,
+    failpoints, CorrectionState, FaultInjector, FaultPlan, FsyncPolicy, JournalBatch, PersistError,
+    StateStore, StreamState, StreamingClustering, SwapPolicy,
 };
 use netclust::netgen::{standard_merged, Universe, UniverseConfig};
 use netclust::obs::Obs;
@@ -437,6 +438,50 @@ fn corrupt_newest_snapshot_falls_back_one_generation() {
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_netclust")
+}
+
+/// The daemon's snapshot path — rows encoded from the live stream in the
+/// order it holds them, sorted where they lie — writes the file the
+/// export-then-checkpoint path writes, byte for byte.
+#[test]
+fn a_snapshot_encoded_from_the_stream_is_the_exported_one() {
+    let (u, clf, batches) = setup();
+    let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
+    stream.push_clf(&clf);
+    for b in &batches {
+        stream.apply_deltas(&b.deltas);
+    }
+    stream.set_correction(CorrectionState {
+        homogeneous: 40,
+        split: 2,
+        no_signal: 1,
+        parked: vec![
+            (Ipv4Addr::new(10, 0, 0, 9), "?addr:10.0.0.9".into()),
+            (Ipv4Addr::new(10, 2, 3, 4), "?cluster:10.2.0.0/16".into()),
+        ],
+    });
+    let exported = stream.export_state();
+    assert!(
+        exported.per_client.len() > 100 && exported.correction.is_some(),
+        "a snapshot with rows to order and parked rows after them"
+    );
+
+    let file = |name: &str, write: &dyn Fn(&mut StateStore) -> Result<u64, PersistError>| {
+        let dir = tmpdir(name);
+        let mut store = StateStore::create(&dir, FsyncPolicy::Os).expect("create store");
+        let generation = write(&mut store).expect("checkpoint");
+        let bytes = std::fs::read(store.snapshot_path(generation)).expect("snapshot file");
+        (dir, bytes)
+    };
+    let (_, by_export) = file("by-export", &|store| store.checkpoint(&exported));
+    let (dir, by_encode) = file("by-encode", &|store| {
+        store.checkpoint_encoded(stream.encode_state())
+    });
+    assert_eq!(by_encode, by_export);
+
+    // And it is that state: the file recovers to the export.
+    let (_, recovered, _) = StateStore::recover(&dir, FsyncPolicy::Os).expect("recover");
+    assert_eq!(recovered, exported);
 }
 
 #[test]
