@@ -1,73 +1,110 @@
-//! `netclust-analyze`: the workspace's static-analysis gate.
+//! `netclust-analyze`: the workspace contracts no compiler lint can state.
 //!
-//! A vendored, dependency-free, two-phase Rust source analyzer. Phase 1
-//! lexes every file ([`lex`]) and builds a workspace symbol index and
-//! call graph ([`graph`], [`resolve`]): item boundaries, `use`-aware
-//! name resolution good enough for in-workspace paths, call edges.
-//! Phase 2 runs the contract rules ([`rules`]) — per-file token checks
-//! (SAFETY-commented `unsafe`, panic-free hot modules, audited
-//! narrowing casts, determinism, typed public errors, justified atomic
-//! orderings) plus cross-file graph checks (transitive hot-path
-//! panic-freedom, WAL append-before-apply and fsync-before-rename,
-//! failpoint registry coverage). See `DESIGN.md` §12 for the contract
-//! rationale.
+//! A vendored, dependency-free, two-phase Rust source scanner. Phase 1
+//! lexes every file ([`lex`]) and builds a workspace item index
+//! ([`graph`]): items with their modules, call sites by name, path
+//! references, string literals. Phase 2 runs the contract rules
+//! ([`rules`]) — typed public errors and justified atomic orderings per
+//! file; WAL append-before-apply / fsync-before-rename and failpoint
+//! registry coverage across files. The contracts a type-aware lint *can*
+//! state (SAFETY-commented `unsafe`, panic-free hot modules, audited
+//! narrowing casts, determinism) are clippy lints written next to the
+//! code they bind; `cargo contracts` runs them. See `DESIGN.md` §12.
 //!
-//! The analyzer is a *lint with receipts*, not a prover: heuristic
-//! rules over a real token stream and a may-analysis call graph, with
-//! per-line and per-file allow markers recording the human
-//! justification wherever a site is sound for reasons the heuristics
-//! cannot see. CI runs `netclust-analyze --deny-all --json ANALYZE.json
-//! --sarif ANALYZE.sarif` as a hard gate; both reports are
-//! deterministic and byte-stable for a given tree.
+//! The analyzer is a *lint with receipts*, not a prover: heuristic rules
+//! over a real token stream, with per-line and per-file allow markers
+//! recording the human justification wherever a site is sound for
+//! reasons the heuristics cannot see. CI runs `netclust-analyze
+//! --deny-all` as a hard gate; its report — sorted `path:line: [rule]
+//! message` lines on stdout — is byte-stable for a given tree.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
 #![warn(missing_docs)]
 
 pub mod graph;
 pub mod lex;
-pub mod manifest;
-pub mod report;
-pub mod resolve;
 pub mod rules;
 
-use std::fmt;
 use std::path::{Path, PathBuf};
+use std::{fmt, io};
 
-pub use manifest::{Manifest, ManifestError};
-pub use report::{Finding, Report};
-
-/// Everything that can go wrong while scanning (other than findings).
-#[derive(Debug)]
-pub enum AnalyzeError {
-    /// Reading a file or directory failed.
-    Io {
-        /// The path that failed.
-        path: String,
-        /// The underlying I/O error.
-        source: std::io::Error,
-    },
-    /// The manifest was malformed.
-    Manifest(ManifestError),
+/// One rule violation at a source location.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// Rule identifier (one of [`rules::RULES`]).
+    pub rule: &'static str,
+    /// Root-relative path (forward slashes); attached by the scanner.
+    pub path: String,
+    /// 1-based source line.
+    pub line: u32,
+    /// Human-readable description with the suggested remedy.
+    pub message: String,
 }
 
-impl fmt::Display for AnalyzeError {
+impl Finding {
+    /// A finding without a path yet (the rules don't know it).
+    pub fn new(rule: &'static str, line: u32, message: String) -> Finding {
+        Finding {
+            rule,
+            path: String::new(),
+            line,
+            message,
+        }
+    }
+}
+
+/// A whole scan: every finding plus scan-coverage metadata.
+#[derive(Debug, Default)]
+pub struct Report {
+    /// All findings, sorted by `(path, line, rule, message)`.
+    pub findings: Vec<Finding>,
+    /// Number of `.rs` contract files scanned (per-file rules applied).
+    pub files_scanned: usize,
+    /// Number of test-target files (`tests/`, `benches/`) indexed for
+    /// the item index and marker hygiene but exempt from contracts.
+    pub test_files_indexed: usize,
+}
+
+impl Report {
+    /// Number of findings for `rule`.
+    pub fn count(&self, rule: &str) -> usize {
+        self.findings.iter().filter(|f| f.rule == rule).count()
+    }
+}
+
+/// The one report: a `path:line: [rule] message` line per finding, in
+/// sorted order, then the summary line.
+impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AnalyzeError::Io { path, source } => write!(f, "{path}: {source}"),
-            AnalyzeError::Manifest(e) => write!(f, "{e}"),
+        for x in &self.findings {
+            writeln!(f, "{}:{}: [{}] {}", x.path, x.line, x.rule, x.message)?;
         }
+        writeln!(
+            f,
+            "netclust-analyze: {} finding(s) across {} file(s); {} test-target file(s) indexed",
+            self.findings.len(),
+            self.files_scanned,
+            self.test_files_indexed
+        )
     }
 }
 
-impl std::error::Error for AnalyzeError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            AnalyzeError::Io { source, .. } => Some(source),
-            AnalyzeError::Manifest(e) => Some(e),
-        }
-    }
+/// `e`, naming the path it happened on.
+fn at(path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
-/// Directories never descended into, regardless of manifest excludes.
+/// Root-relative paths never scanned: the two vendored offline API shims
+/// (third-party surface we mirror, not code we hold to the workspace
+/// contracts) and the analyzer's own seeded-violation fixtures.
+pub const EXCLUDED: [&str; 3] = [
+    "crates/rand",
+    "crates/proptest",
+    "crates/analyze/tests/fixtures",
+];
+
+/// Directories never descended into.
 const ALWAYS_SKIP_DIRS: [&str; 3] = ["target", ".git", ".claude"];
 
 /// Directory components whose files are test-only targets (integration
@@ -82,56 +119,36 @@ fn is_test_target(rel: &str) -> bool {
 }
 
 /// Collects every `.rs` file under `path` (or `path` itself when it is a
-/// file), sorted, as paths relative to `root` with forward slashes.
-/// Test-target files are collected too — they feed the symbol graph and
-/// get marker hygiene — and are told apart later via [`is_test_target`].
-fn collect_rs_files(
-    root: &Path,
-    path: &Path,
-    manifest: &Manifest,
-    out: &mut Vec<String>,
-) -> Result<(), AnalyzeError> {
-    let io_err = |p: &Path, source: std::io::Error| AnalyzeError::Io {
-        path: p.display().to_string(),
-        source,
+/// file), as paths relative to `root` with forward slashes. Test-target
+/// files are collected too — they feed the item index and get marker
+/// hygiene — and are told apart later via [`is_test_target`].
+fn collect_rs_files(root: &Path, path: &Path, out: &mut Vec<String>) -> io::Result<()> {
+    let io_err = |e| at(path, e);
+    let rel = relative_slash(root, path);
+    let under = |r: &str, dir: &str| {
+        r.strip_prefix(dir)
+            .is_some_and(|t| t.is_empty() || t.starts_with('/'))
     };
-    let meta = std::fs::metadata(path).map_err(|e| io_err(path, e))?;
-    if meta.is_file() {
-        if path.extension().is_some_and(|e| e == "rs") {
-            if let Some(rel) = relative_slash(root, path) {
-                if !manifest.is_excluded(&rel) {
-                    out.push(rel);
-                }
-            }
+    if rel
+        .as_deref()
+        .is_some_and(|r| EXCLUDED.iter().any(|dir| under(r, dir)))
+    {
+        return Ok(());
+    }
+    if std::fs::metadata(path).map_err(io_err)?.is_file() {
+        if let Some(rel) = rel.filter(|r| r.ends_with(".rs")) {
+            out.push(rel);
         }
         return Ok(());
     }
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(path)
-        .map_err(|e| io_err(path, e))?
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| io_err(path, e))?
-        .into_iter()
-        .map(|e| e.path())
-        .collect();
-    entries.sort();
-    for entry in entries {
+    let entries = std::fs::read_dir(path)
+        .and_then(Iterator::collect::<Result<Vec<_>, _>>)
+        .map_err(io_err)?;
+    for entry in entries.into_iter().map(|e| e.path()) {
         let name = entry.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if entry.is_dir() {
-            if ALWAYS_SKIP_DIRS.contains(&name) || name.starts_with('.') {
-                continue;
-            }
-            if let Some(rel) = relative_slash(root, &entry) {
-                if manifest.is_excluded(&rel) {
-                    continue;
-                }
-            }
-            collect_rs_files(root, &entry, manifest, out)?;
-        } else if name.ends_with(".rs") {
-            if let Some(rel) = relative_slash(root, &entry) {
-                if !manifest.is_excluded(&rel) {
-                    out.push(rel);
-                }
-            }
+        let skip_dir = ALWAYS_SKIP_DIRS.contains(&name) || name.starts_with('.');
+        if (entry.is_dir() && !skip_dir) || name.ends_with(".rs") {
+            collect_rs_files(root, &entry, out)?;
         }
     }
     Ok(())
@@ -141,117 +158,75 @@ fn collect_rs_files(
 /// is not under `root`.
 fn relative_slash(root: &Path, path: &Path) -> Option<String> {
     let rel = path.strip_prefix(root).ok()?;
-    let mut s = String::new();
-    for comp in rel.components() {
-        if !s.is_empty() {
-            s.push('/');
-        }
-        s.push_str(comp.as_os_str().to_str()?);
-    }
-    Some(s)
+    let comps: Option<Vec<&str>> = rel.components().map(|c| c.as_os_str().to_str()).collect();
+    Some(comps?.join("/"))
 }
 
-/// Scans `paths` (files or directories, relative to `root`) under the
-/// given manifest, returning the normalized report.
+/// Scans `paths` (files or directories, relative to `root`; the whole of
+/// `root` when empty), returning the sorted report.
 ///
 /// Two phases: every collected file (contract *and* test-target) is
 /// read and lexed once, and the token streams feed the workspace
 /// [`graph::SymbolGraph`]; then the per-file rules run over contract
-/// files (test targets get marker hygiene only), the cross-file rules
-/// run over the graph, and manifest entries are checked against disk
-/// (`manifest-stale-path`).
-pub fn scan(root: &Path, paths: &[PathBuf], manifest: &Manifest) -> Result<Report, AnalyzeError> {
+/// files (test targets get marker hygiene only) and the cross-file
+/// rules run over the index.
+pub fn scan(root: &Path, paths: &[PathBuf]) -> io::Result<Report> {
     let mut files = Vec::new();
     if paths.is_empty() {
-        collect_rs_files(root, root, manifest, &mut files)?;
-    } else {
-        for p in paths {
-            let abs = if p.is_absolute() {
-                p.clone()
-            } else {
-                root.join(p)
-            };
-            collect_rs_files(root, &abs, manifest, &mut files)?;
-        }
+        collect_rs_files(root, root, &mut files)?;
+    }
+    for p in paths {
+        collect_rs_files(root, &root.join(p), &mut files)?;
     }
     files.sort();
     files.dedup();
 
-    // Phase 1: read + lex everything, build the symbol graph.
-    let metas: Vec<(String, bool)> = files
-        .iter()
-        .map(|rel| (rel.clone(), is_test_target(rel)))
-        .collect();
+    // Phase 1: read + lex everything, build the item index.
     let mut srcs: Vec<String> = Vec::with_capacity(files.len());
     for rel in &files {
         let abs = root.join(rel);
-        let src = std::fs::read_to_string(&abs).map_err(|e| AnalyzeError::Io {
-            path: abs.display().to_string(),
-            source: e,
-        })?;
-        srcs.push(src);
+        srcs.push(std::fs::read_to_string(&abs).map_err(|e| at(&abs, e))?);
     }
     let toks: Vec<Vec<lex::Tok<'_>>> = srcs.iter().map(|s| lex::lex(s)).collect();
-    let masks: Vec<Vec<bool>> = metas
+    let masks: Vec<Vec<bool>> = files
         .iter()
         .zip(&toks)
-        .map(|((_, is_test), t)| {
-            if *is_test {
+        .map(|(rel, t)| {
+            if is_test_target(rel) {
                 vec![true; t.len()]
             } else {
-                rules::test_mask_of(t)
+                rules::test_mask(t)
             }
         })
         .collect();
-    let graph = graph::SymbolGraph::build(&metas, &toks, &masks);
+    let graph = graph::SymbolGraph::build(&files, &toks, &masks);
 
-    // Phase 2a: per-file rules (contract files) / marker hygiene (test
-    // targets).
+    // Phase 2: per-file rules (contract files) / marker hygiene (test
+    // targets), then the cross-file rules, suppressed by the target
+    // file's own allow markers.
     let mut report = Report::default();
-    for (i, (rel, is_test)) in metas.iter().enumerate() {
-        let mut file_findings = if *is_test {
+    let mut found: Vec<(usize, Finding)> = Vec::new();
+    for (i, rel) in files.iter().enumerate() {
+        let file_findings = if is_test_target(rel) {
+            report.test_files_indexed += 1;
             rules::scan_markers(&toks[i])
         } else {
-            rules::scan_tokens(rel, &toks[i], manifest)
-        };
-        for f in &mut file_findings {
-            f.path = rel.clone();
-        }
-        report.findings.append(&mut file_findings);
-        if *is_test {
-            report.test_files_indexed += 1;
-        } else {
             report.files_scanned += 1;
-        }
+            rules::scan_tokens(&toks[i])
+        };
+        found.extend(file_findings.into_iter().map(|f| (i, f)));
     }
-
-    // Phase 2b: cross-file rules over the graph, suppressed by the
-    // target file's own allow markers.
-    for (fid, finding) in rules::scan_graph(&graph, &toks, &masks, manifest) {
-        let mut kept = rules::suppress(&toks[fid], vec![finding]);
-        for f in &mut kept {
-            f.path = metas[fid].0.clone();
-        }
-        report.findings.append(&mut kept);
+    for (fid, finding) in rules::scan_graph(&graph) {
+        let kept = rules::suppress(&toks[fid], vec![finding]);
+        found.extend(kept.into_iter().map(|f| (fid, f)));
     }
-
-    // Manifest entries that match nothing on disk are reported, not
-    // silently inert.
-    for (entry, line) in &manifest.entries {
-        if !root.join(entry).exists() {
-            report.findings.push(Finding {
-                rule: "manifest-stale-path",
-                path: manifest.source.clone(),
-                line: u32::try_from(*line).unwrap_or(u32::MAX),
-                message: format!(
-                    "manifest entry `{entry}` matches nothing on disk: remove it or fix \
-                     the path (a stale exclude can silently unscan a real module)"
-                ),
-            });
-        }
+    for (fid, mut f) in found {
+        f.path = files[fid].clone();
+        report.findings.push(f);
     }
-
-    report.normalize();
+    report.findings.sort_by(|a, b| {
+        (&a.path, a.line, a.rule, &a.message).cmp(&(&b.path, b.line, b.rule, &b.message))
+    });
     Ok(report)
 }
 

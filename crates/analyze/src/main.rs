@@ -2,160 +2,69 @@
 //!
 //! * `0` — scan ran; clean, or findings present without `--deny-all`
 //! * `1` — findings present under `--deny-all`
-//! * `2` — usage error (unknown flag, missing argument)
-//! * `3` — I/O or manifest error
+//! * `2` — usage error (unknown flag)
+//! * `3` — I/O error
 //!
 //! ```text
-//! netclust-analyze [--deny-all] [--json PATH] [--sarif PATH]
-//!                  [--manifest PATH] [paths…]
+//! netclust-analyze [--deny-all] [paths…]
 //! ```
 //!
-//! With no paths, scans the current directory. The manifest defaults to
-//! `analyze.manifest` in the current directory when present.
+//! With no paths, scans the current directory.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use netclust_analyze::{scan, Manifest};
+const USAGE: &str = "usage: netclust-analyze [--deny-all] [paths...]";
 
-const USAGE: &str = "usage: netclust-analyze [--deny-all] [--json PATH] [--sarif PATH] \
-     [--manifest PATH] [paths...]";
+const HELP: &str = "netclust-analyze: the workspace contracts no compiler lint can state
 
-const HELP: &str = "netclust-analyze: the workspace's two-phase static-analysis gate
-
-usage: netclust-analyze [options] [paths...]
+usage: netclust-analyze [--deny-all] [paths...]
 
 Scans Rust sources (the current directory when no paths are given),
-builds a workspace symbol graph, and checks the contract rules from
-DESIGN.md \u{a7}12. Exit codes: 0 clean (or findings without --deny-all),
-1 findings under --deny-all, 2 usage error, 3 I/O or manifest error.
+builds a workspace item index, and checks the rules of DESIGN.md \u{a7}12:
+typed-errors, atomic-ordering-audit, wal-ordering, failpoint-coverage.
+Prints one `path:line: [rule] message` line per finding, sorted.
+Exit codes: 0 clean (or findings without --deny-all), 1 findings under
+--deny-all, 2 usage error, 3 I/O error.
 
 options:
   --deny-all         exit 1 if any finding is reported (the CI gate mode)
-  --json PATH        write the deterministic ANALYZE.json report to PATH
-  --sarif PATH       write a SARIF 2.1.0 report to PATH (same findings,
-                     same byte-stability; uploadable to code-scanning UIs)
-  --manifest PATH    read path classifications ([exclude], [hot-path],
-                     [deterministic]) from PATH instead of the default
-                     ./analyze.manifest
   -h, --help         print this help
 
 Suppressions use `// analyze:allow(<rule>) <reason>` markers (or
 `analyze:allow-file` for a whole file); a marker without a reason, or
-naming an unknown rule, is itself a finding.";
-
-struct Options {
-    deny_all: bool,
-    json: Option<PathBuf>,
-    sarif: Option<PathBuf>,
-    manifest: Option<PathBuf>,
-    paths: Vec<PathBuf>,
-}
-
-/// Parses argv; `Err` carries the usage message.
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        deny_all: false,
-        json: None,
-        sarif: None,
-        manifest: None,
-        paths: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--deny-all" => opts.deny_all = true,
-            "--json" => {
-                let path = it.next().ok_or("--json requires a path argument")?;
-                opts.json = Some(PathBuf::from(path));
-            }
-            "--sarif" => {
-                let path = it.next().ok_or("--sarif requires a path argument")?;
-                opts.sarif = Some(PathBuf::from(path));
-            }
-            "--manifest" => {
-                let path = it.next().ok_or("--manifest requires a path argument")?;
-                opts.manifest = Some(PathBuf::from(path));
-            }
-            "--help" | "-h" => return Err(String::new()),
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
-            path => opts.paths.push(PathBuf::from(path)),
-        }
-    }
-    Ok(opts)
-}
+naming an unknown or retired rule, is itself a finding. The contracts
+clippy holds (`cargo contracts`) are waived with `#[allow(clippy::..,
+reason = \"..\")]` instead.";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(msg) => {
-            if msg.is_empty() {
+    let mut deny_all = false;
+    let mut paths: Vec<PathBuf> = Vec::new();
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--deny-all" => deny_all = true,
+            "--help" | "-h" => {
                 println!("{HELP}");
                 return ExitCode::SUCCESS;
             }
-            eprintln!("netclust-analyze: {msg}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let root = PathBuf::from(".");
-    let manifest = match &opts.manifest {
-        Some(path) => match Manifest::load(path) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("netclust-analyze: {e}");
-                return ExitCode::from(3);
+            flag if flag.starts_with('-') => {
+                eprintln!("netclust-analyze: unknown flag {flag}\n{USAGE}");
+                return ExitCode::from(2);
             }
-        },
-        None => {
-            let default = root.join("analyze.manifest");
-            if default.is_file() {
-                match Manifest::load(&default) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        eprintln!("netclust-analyze: {e}");
-                        return ExitCode::from(3);
-                    }
-                }
-            } else {
-                Manifest::default()
-            }
+            path => paths.push(PathBuf::from(path)),
         }
-    };
+    }
 
-    let report = match scan(&root, &opts.paths, &manifest) {
+    let report = match netclust_analyze::scan(&PathBuf::from("."), &paths) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("netclust-analyze: {e}");
             return ExitCode::from(3);
         }
     };
+    print!("{report}");
 
-    for f in &report.findings {
-        println!("{}:{}: [{}] {}", f.path, f.line, f.rule, f.message);
-    }
-    println!(
-        "netclust-analyze: {} finding(s) across {} file(s); {} test-target file(s) indexed",
-        report.findings.len(),
-        report.files_scanned,
-        report.test_files_indexed
-    );
-
-    if let Some(json_path) = &opts.json {
-        if let Err(e) = std::fs::write(json_path, report.to_json()) {
-            eprintln!("netclust-analyze: {}: {e}", json_path.display());
-            return ExitCode::from(3);
-        }
-    }
-    if let Some(sarif_path) = &opts.sarif {
-        if let Err(e) = std::fs::write(sarif_path, report.to_sarif()) {
-            eprintln!("netclust-analyze: {}: {e}", sarif_path.display());
-            return ExitCode::from(3);
-        }
-    }
-
-    if opts.deny_all && !report.findings.is_empty() {
+    if deny_all && !report.findings.is_empty() {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS

@@ -1,35 +1,19 @@
-//! The rule engine: workspace contracts checked per file and across the
-//! symbol graph.
+//! The rule engine: the workspace contracts no compiler lint can state,
+//! checked per file and across the item index.
 //!
 //! Per-file rules work directly on the output of [`crate::lex`] — no
 //! AST, no type information. Cross-file rules additionally consume the
-//! phase-1 [`crate::graph::SymbolGraph`] (item boundaries, call edges,
-//! path references). Either way this is a *lint*, not a proof: each
-//! rule documents its approximation, and per-line / per-file allow
+//! phase-1 [`crate::graph::SymbolGraph`] (items, call sites by name,
+//! path references, string literals). This is a *lint*, not a proof:
+//! each rule documents its approximation, and per-line / per-file allow
 //! markers (`// analyze:allow(<rule>) <reason>`) record the human
 //! judgement for sites the heuristic cannot clear on its own. A marker
-//! without a reason, or naming an unknown rule, is itself reported (as
-//! `allow-marker`) so suppressions stay auditable.
+//! without a reason, or naming an unknown or retired rule, is itself
+//! reported (as `allow-marker`) so suppressions stay auditable.
 //!
-//! Per-file rules ([`scan_source`]):
+//! Five earlier rules are clippy lints now ([`RETIRED`], DESIGN.md §12);
+//! what stays here has no lint:
 //!
-//! * `unsafe-safety-comment` — every `unsafe` token outside test code
-//!   must have a comment containing `SAFETY:` on its own line or within
-//!   the three lines above it.
-//! * `panic-free-hot-path` — in manifest-designated hot files, forbid
-//!   `.unwrap()` / `.expect(` / `panic!` / `unreachable!` / `todo!` /
-//!   `unimplemented!` and non-range `[index]` expressions. Range slices
-//!   (`[a..b]`) are permitted: the hot parsers are structured around
-//!   subslice narrowing, and every such site is covered by the
-//!   SWAR/bounds proofs in the modules themselves.
-//! * `cast-truncation` — flag `as u8/u16/u32/i8/i16/i32` everywhere
-//!   (potentially narrowing; the scanner cannot see the source type).
-//!   `as usize`/`as u64`/`as i64` are treated as widening: the
-//!   workspace's mmap seam already pins it to 64-bit targets.
-//! * `determinism` — forbid `SystemTime` / `Instant` everywhere, and in
-//!   manifest-designated deterministic-output files, iteration over
-//!   identifiers bound to `HashMap`/`HashSet` (insertion-order hazards
-//!   feeding reports and merges).
 //! * `typed-errors` — `pub fn … -> Result<_, E>` must not use `String`,
 //!   `&str`, or `Box<dyn …>` as `E`.
 //! * `atomic-ordering-audit` — every `Relaxed`/`Acquire`/`Release`/
@@ -38,64 +22,40 @@
 //!   inside `.store(`/`.swap(`/`.compare_exchange(` argument lists
 //!   (publishing stores must synchronize; only an allow marker clears
 //!   them).
-//!
-//! Cross-file rules ([`scan_graph`]):
-//!
-//! * `hot-path-transitive` — the `panic-free-hot-path` contract
-//!   propagated one call edge deep: helpers a hot function calls into
-//!   (in non-hot files) are scanned with the same panic checks.
-//! * `wal-ordering` — a function that both appends to the journal and
-//!   applies state must append first; in persist code, `rename` must be
-//!   preceded by an fsync-family call in the same function.
-//! * `failpoint-coverage` — every const in a `mod failpoints` registry
-//!   must be listed in `ALL`, evaluated somewhere in non-test code, and
-//!   armed in at least one test.
-//!
-//! Driver-level (reported by [`crate::scan`]):
-//!
-//! * `manifest-stale-path` — a manifest entry that matches nothing on
-//!   disk.
+//! * `wal-ordering` (cross-file) — a function that both appends to the
+//!   journal and applies state must append first; in persist code,
+//!   `rename` must be preceded by an fsync-family call in the same
+//!   function.
+//! * `failpoint-coverage` (cross-file) — every const in a `mod
+//!   failpoints` registry must be listed in `ALL`, evaluated somewhere in
+//!   non-test code, and armed in at least one test.
 //!
 //! Test code — items under `#[test]` / `#[cfg(test)]` (without `not`),
 //! and whole files under `tests/` / `benches/` — is exempt from the
 //! contracts; test-target files still get allow-marker hygiene checks,
-//! and their tokens feed the graph as arming evidence.
+//! and their tokens feed the index as arming evidence.
 
 use crate::graph::{RawCall, Symbol, SymbolGraph, SymbolKind};
-use crate::lex::{lex, Tok, TokKind};
-use crate::manifest::Manifest;
-use crate::report::Finding;
+use crate::lex::{Tok, TokKind};
+use crate::Finding;
 
-/// The contract rules (per-file, cross-file, manifest) plus the
-/// marker-hygiene meta rule, in report order.
-pub const RULES: [&str; 11] = [
-    "unsafe-safety-comment",
-    "panic-free-hot-path",
-    "hot-path-transitive",
-    "cast-truncation",
-    "determinism",
+/// The contract rules plus the marker-hygiene meta rule.
+pub const RULES: [&str; 5] = [
     "typed-errors",
     "atomic-ordering-audit",
     "wal-ordering",
     "failpoint-coverage",
-    "manifest-stale-path",
     "allow-marker",
 ];
 
-/// One-line description per rule, aligned with [`RULES`] (feeds the
-/// SARIF rule metadata).
-pub const RULE_HELP: [&str; 11] = [
-    "`unsafe` requires an adjacent `// SAFETY:` rationale",
-    "hot-path files must be panic-free (no unwrap/expect/panic!/indexing)",
-    "helpers called from hot-path files must be panic-free (one edge deep)",
-    "narrowing `as` casts must be audited or replaced with try_into",
-    "no wall-clock values; no hash-map iteration feeding deterministic output",
-    "public Result APIs must use typed errors, not String/&str/Box<dyn>",
-    "atomic memory orderings need `// ordering:` justifications; Relaxed denied on publishing stores",
-    "journal append must precede state apply; fsync must precede rename",
-    "every registered failpoint must be in ALL, evaluated live, and armed in a test",
-    "analysis manifest entries must exist on disk",
-    "allow markers must name a known rule and state a reason",
+/// Rules that became clippy lints, with the lint that holds the contract
+/// now: a marker still naming one waives nothing and is reported.
+pub const RETIRED: [(&str, &str); 5] = [
+    ("unsafe-safety-comment", "undocumented_unsafe_blocks"),
+    ("panic-free-hot-path", "unwrap_used / indexing_slicing"),
+    ("hot-path-transitive", "unwrap_used / indexing_slicing"),
+    ("cast-truncation", "cast_possible_truncation"),
+    ("determinism", "disallowed_types / iter_over_hash_type"),
 ];
 
 /// `true` when `name` is a known rule.
@@ -157,6 +117,16 @@ fn collect_allows(toks: &[Tok<'_>], findings: &mut Vec<Finding>) -> Vec<Allow> {
         }
         for rule in rule_list.split(',') {
             let rule = rule.trim();
+            if let Some((_, lint)) = RETIRED.iter().find(|(r, _)| *r == rule) {
+                bad(
+                    format!(
+                        "allow marker names retired rule `{rule}`: clippy holds that contract \
+                         now ({lint}); waive it with `#[allow(clippy::.., reason = \"..\")]`"
+                    ),
+                    findings,
+                );
+                continue;
+            }
             if !is_rule(rule) || rule == "allow-marker" {
                 bad(
                     format!("allow marker names unknown rule `{rule}`"),
@@ -177,7 +147,7 @@ fn collect_allows(toks: &[Tok<'_>], findings: &mut Vec<Finding>) -> Vec<Allow> {
 /// Marks which tokens sit inside test-only items: any item annotated
 /// `#[test]` or `#[cfg(test)]` (more precisely: an attribute mentioning
 /// `test` without `not`), through the end of its `{…}` body (or `;`).
-fn test_mask(toks: &[Tok<'_>]) -> Vec<bool> {
+pub fn test_mask(toks: &[Tok<'_>]) -> Vec<bool> {
     let mut mask = vec![false; toks.len()];
     let code: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
     let mut c = 0usize;
@@ -264,142 +234,9 @@ fn test_mask(toks: &[Tok<'_>]) -> Vec<bool> {
     mask
 }
 
-/// Public view of the test mask, for phase-1 indexing ([`crate::graph`]).
-pub fn test_mask_of(toks: &[Tok<'_>]) -> Vec<bool> {
-    test_mask(toks)
-}
-
 /// Indices of non-comment tokens, the stream most rules pattern-match on.
 fn code_indices(toks: &[Tok<'_>]) -> Vec<usize> {
     (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect()
-}
-
-/// Rule `unsafe-safety-comment`.
-fn rule_unsafe(toks: &[Tok<'_>], skip: &[bool], findings: &mut Vec<Finding>) {
-    for (i, t) in toks.iter().enumerate() {
-        if skip[i] || !t.is_ident("unsafe") {
-            continue;
-        }
-        let justified = toks.iter().any(|c| {
-            c.is_comment() && c.text.contains("SAFETY:") && c.line <= t.line && c.line + 3 >= t.line
-        });
-        if !justified {
-            findings.push(Finding::new(
-                "unsafe-safety-comment",
-                t.line,
-                "`unsafe` without an adjacent `// SAFETY:` rationale (same line or \
-                 the three lines above)"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-/// Shared panic scanner behind `panic-free-hot-path` (suffix empty) and
-/// `hot-path-transitive` (suffix names the hot caller). Scans the code
-/// indices it is given, which may be a whole file or one fn body.
-fn rule_panic_free(
-    rule: &'static str,
-    toks: &[Tok<'_>],
-    code: &[usize],
-    skip: &[bool],
-    suffix: &str,
-    findings: &mut Vec<Finding>,
-) {
-    const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-    for (c, &i) in code.iter().enumerate() {
-        if skip[i] {
-            continue;
-        }
-        let t = &toks[i];
-        // `.unwrap()` / `.expect(`
-        if t.is_punct(".") && c + 2 < code.len() {
-            let name = &toks[code[c + 1]];
-            let paren = &toks[code[c + 2]];
-            if (name.is_ident("unwrap") || name.is_ident("expect")) && paren.is_punct("(") {
-                findings.push(Finding::new(
-                    rule,
-                    name.line,
-                    format!(
-                        "`.{}()` can panic on a designated hot path; restructure with \
-                         pattern matching / `get`, or allow-mark with the guarding bound{suffix}",
-                        name.text
-                    ),
-                ));
-            }
-        }
-        // `panic!` and friends.
-        if t.kind == TokKind::Ident
-            && PANIC_MACROS.contains(&t.text)
-            && c + 1 < code.len()
-            && toks[code[c + 1]].is_punct("!")
-        {
-            findings.push(Finding::new(
-                rule,
-                t.line,
-                format!("`{}!` on a designated hot path{suffix}", t.text),
-            ));
-        }
-        // Non-range indexing `expr[i]`: a `[` in expression position
-        // (after an identifier, `)`, or `]`) whose contents carry no
-        // top-level range operator.
-        if t.is_punct("[") && c > 0 {
-            let prev = &toks[code[c - 1]];
-            let expr_pos = prev.kind == TokKind::Ident && !is_keyword_before_bracket(prev.text)
-                || prev.is_punct(")")
-                || prev.is_punct("]");
-            if expr_pos && !bracket_has_top_level_range(toks, code, c) {
-                findings.push(Finding::new(
-                    rule,
-                    t.line,
-                    format!(
-                        "`[index]` can panic on a designated hot path; use `get`/patterns, \
-                         or allow-mark with the bound that guards it{suffix}"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Keywords that can directly precede `[` without forming an index
-/// expression (`return [a, b]`, `break [x]`, `in [0, 1]`, …).
-fn is_keyword_before_bracket(text: &str) -> bool {
-    matches!(
-        text,
-        "return"
-            | "break"
-            | "in"
-            | "if"
-            | "else"
-            | "match"
-            | "mut"
-            | "dyn"
-            | "as"
-            | "where"
-            | "let"
-    )
-}
-
-/// `true` when the bracket group opening at code index `c` contains a
-/// `..`-family punct at its own nesting depth (i.e. the expression is a
-/// range slice, not a scalar index).
-fn bracket_has_top_level_range(toks: &[Tok<'_>], code: &[usize], c: usize) -> bool {
-    let mut depth = 0i32;
-    for &i in &code[c..] {
-        let t = &toks[i];
-        if t.is_punct("[") || t.is_punct("(") || t.is_punct("{") {
-            depth += 1;
-        } else if t.is_punct("]") || t.is_punct(")") || t.is_punct("}") {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if depth == 1 && t.kind == TokKind::Punct && matches!(t.text, ".." | "..=" | "...") {
-            return true;
-        }
-    }
-    false
 }
 
 /// The five atomic memory-ordering names.
@@ -496,136 +333,6 @@ fn rule_atomic(toks: &[Tok<'_>], code: &[usize], skip: &[bool], findings: &mut V
             ));
         }
     }
-}
-
-/// Rule `cast-truncation`.
-fn rule_casts(toks: &[Tok<'_>], code: &[usize], skip: &[bool], findings: &mut Vec<Finding>) {
-    const NARROW: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
-    for (c, &i) in code.iter().enumerate() {
-        if skip[i] {
-            continue;
-        }
-        let t = &toks[i];
-        if t.is_ident("as") && c + 1 < code.len() {
-            let target = &toks[code[c + 1]];
-            if target.kind == TokKind::Ident && NARROW.contains(&target.text) {
-                findings.push(Finding::new(
-                    "cast-truncation",
-                    t.line,
-                    format!(
-                        "narrowing `as {}` cast; use `try_into` with a typed error on \
-                         cold paths, or allow-mark citing the bound that makes it lossless",
-                        target.text
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Map-ish type names whose iteration order is nondeterministic.
-const MAP_TYPES: [&str; 4] = ["HashMap", "HashSet", "FxHashMap", "FxHashSet"];
-/// Methods that observe iteration order.
-const ITER_METHODS: [&str; 7] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "drain",
-];
-
-/// Rule `determinism`: `SystemTime`/`Instant` everywhere; hash-map
-/// iteration in deterministic-output files.
-fn rule_determinism(
-    toks: &[Tok<'_>],
-    code: &[usize],
-    skip: &[bool],
-    deterministic_file: bool,
-    findings: &mut Vec<Finding>,
-) {
-    // Identifiers bound to hash-map types in this file: `x: HashMap<…>`,
-    // `x = HashMap::new()`, `x: HashSet<…>` (fields, lets, params).
-    let mut map_idents: Vec<&str> = Vec::new();
-    for (c, &i) in code.iter().enumerate() {
-        let t = &toks[i];
-        if skip[i] {
-            continue;
-        }
-        if t.kind == TokKind::Ident && MAP_TYPES.contains(&t.text) && c >= 2 {
-            let sep = &toks[code[c - 1]];
-            let name = &toks[code[c - 2]];
-            if (sep.is_punct(":") || sep.is_punct("=")) && name.kind == TokKind::Ident {
-                map_idents.push(name.text);
-            }
-        }
-        if t.is_ident("SystemTime") || t.is_ident("Instant") {
-            findings.push(Finding::new(
-                "determinism",
-                t.line,
-                format!(
-                    "`{}` feeds wall-clock values into the pipeline; pass explicit \
-                     timestamps/seeds instead (or allow-mark: measurement-only code)",
-                    t.text
-                ),
-            ));
-        }
-    }
-    if !deterministic_file {
-        return;
-    }
-    for (c, &i) in code.iter().enumerate() {
-        if skip[i] {
-            continue;
-        }
-        let t = &toks[i];
-        // `map.iter()` / `.keys()` / … on a known hash-map binding.
-        if t.kind == TokKind::Ident
-            && map_idents.contains(&t.text)
-            && c + 2 < code.len()
-            && toks[code[c + 1]].is_punct(".")
-        {
-            let m = &toks[code[c + 2]];
-            if m.kind == TokKind::Ident
-                && ITER_METHODS.contains(&m.text)
-                && c + 3 < code.len()
-                && toks[code[c + 3]].is_punct("(")
-            {
-                findings.push(hash_iter_finding(t.text, m.line));
-            }
-        }
-        // `for x in &map { … }` / `for x in map {`.
-        if t.is_ident("in") {
-            let mut c2 = c + 1;
-            while c2 < code.len()
-                && (toks[code[c2]].is_punct("&") || toks[code[c2]].is_ident("mut"))
-            {
-                c2 += 1;
-            }
-            if c2 + 1 < code.len() {
-                let name = &toks[code[c2]];
-                if name.kind == TokKind::Ident
-                    && map_idents.contains(&name.text)
-                    && toks[code[c2 + 1]].is_punct("{")
-                {
-                    findings.push(hash_iter_finding(name.text, name.line));
-                }
-            }
-        }
-    }
-}
-
-fn hash_iter_finding(name: &str, line: u32) -> Finding {
-    Finding::new(
-        "determinism",
-        line,
-        format!(
-            "iteration over hash map `{name}` in a deterministic-output module; \
-             collect-and-sort (or BTreeMap), or allow-mark with why order cannot \
-             reach the output"
-        ),
-    )
 }
 
 /// Rule `typed-errors`: `pub fn … -> Result<_, String | &str | Box<dyn …>>`.
@@ -761,35 +468,15 @@ fn stringly_result_error(toks: &[Tok<'_>], ret: &[usize]) -> Option<&'static str
     None
 }
 
-/// Lexes and runs the per-file rules over one file's source — the
-/// standalone/unit-test entry point. The scanner driver pre-lexes once
-/// (the tokens also feed phase 1) and calls [`scan_tokens`].
-pub fn scan_source(rel: &str, src: &str, manifest: &Manifest) -> Vec<Finding> {
-    scan_tokens(rel, &lex(src), manifest)
-}
-
 /// Runs every per-file rule over one file's token stream, honouring
-/// allow markers. `rel` is the root-relative path (forward slashes)
-/// used for manifest classification; the returned findings carry no
-/// path (the caller attaches it).
-pub fn scan_tokens(rel: &str, toks: &[Tok<'_>], manifest: &Manifest) -> Vec<Finding> {
+/// allow markers. The returned findings carry no path (the caller
+/// attaches it).
+pub fn scan_tokens(toks: &[Tok<'_>]) -> Vec<Finding> {
     let code = code_indices(toks);
     let skip = test_mask(toks);
     let mut findings = Vec::new();
     let allows = collect_allows(toks, &mut findings);
 
-    rule_unsafe(toks, &skip, &mut findings);
-    if manifest.is_hot_path(rel) {
-        rule_panic_free("panic-free-hot-path", toks, &code, &skip, "", &mut findings);
-    }
-    rule_casts(toks, &code, &skip, &mut findings);
-    rule_determinism(
-        toks,
-        &code,
-        &skip,
-        manifest.is_deterministic(rel),
-        &mut findings,
-    );
     rule_typed_errors(toks, &code, &skip, &mut findings);
     rule_atomic(toks, &code, &skip, &mut findings);
 
@@ -845,82 +532,15 @@ fn apply_allows(toks: &[Tok<'_>], code: &[usize], allows: &[Allow], findings: &m
     });
 }
 
-/// Runs the cross-file rules over the phase-1 graph. Returns findings
+/// Runs the cross-file rules over the phase-1 index. Returns findings
 /// tagged with the index of the file they belong to; the driver
 /// attaches paths and applies that file's allow markers via
 /// [`suppress`].
-pub fn scan_graph(
-    g: &SymbolGraph,
-    toks_all: &[Vec<Tok<'_>>],
-    masks: &[Vec<bool>],
-    manifest: &Manifest,
-) -> Vec<(usize, Finding)> {
+pub fn scan_graph(g: &SymbolGraph) -> Vec<(usize, Finding)> {
     let mut out = Vec::new();
-    rule_hot_transitive(g, toks_all, masks, manifest, &mut out);
     rule_wal(g, &mut out);
     rule_failpoints(g, &mut out);
     out
-}
-
-/// Rule `hot-path-transitive`: the panic-free contract propagated one
-/// call edge deep. Every resolved callee of a hot-path function that
-/// lives in a non-hot, non-test file gets its body scanned with the
-/// same panic checks; the finding names the hot caller so the reader
-/// knows which loop reaches it.
-fn rule_hot_transitive(
-    g: &SymbolGraph,
-    toks_all: &[Vec<Tok<'_>>],
-    masks: &[Vec<bool>],
-    manifest: &Manifest,
-    out: &mut Vec<(usize, Finding)>,
-) {
-    let mut hot_callers: std::collections::BTreeMap<usize, Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for e in &g.edges {
-        let cs = &g.symbols[e.caller];
-        let ce = &g.symbols[e.callee];
-        if cs.in_test || ce.in_test || ce.body.is_none() || g.files[ce.file].is_test {
-            continue;
-        }
-        if !manifest.is_hot_path(&g.files[cs.file].path) {
-            continue;
-        }
-        if manifest.is_hot_path(&g.files[ce.file].path) {
-            continue; // already under the direct rule
-        }
-        hot_callers.entry(e.callee).or_default().push(e.caller);
-    }
-    for (callee, callers) in hot_callers {
-        let s = &g.symbols[callee];
-        let Some((b0, b1)) = s.body else { continue };
-        let mut names: Vec<String> = callers
-            .iter()
-            .map(|&c| format!("{}::{}", g.symbols[c].module, g.symbols[c].name))
-            .collect();
-        names.sort();
-        names.dedup();
-        let suffix = format!(
-            " [called from hot path `{}`]",
-            names.first().map_or("", |s| s)
-        );
-        let toks = &toks_all[s.file];
-        let body: Vec<usize> = code_indices(toks)
-            .into_iter()
-            .filter(|&i| i >= b0 && i <= b1)
-            .collect();
-        let mut findings = Vec::new();
-        rule_panic_free(
-            "hot-path-transitive",
-            toks,
-            &body,
-            &masks[s.file],
-            &suffix,
-            &mut findings,
-        );
-        for f in findings {
-            out.push((s.file, f));
-        }
-    }
 }
 
 /// State-apply entry points paired against journal `append_batch`.
@@ -969,7 +589,7 @@ fn rule_wal(g: &SymbolGraph, out: &mut Vec<(usize, Finding)>) {
                 }
             }
         }
-        if g.files[s.file].path.contains("persist") {
+        if g.files[s.file].contains("persist") {
             for c in &calls {
                 if c.name != "rename" {
                     continue;
@@ -1110,67 +730,14 @@ fn rule_failpoints(g: &SymbolGraph, out: &mut Vec<(usize, Finding)>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lex::lex;
 
     fn scan(src: &str) -> Vec<Finding> {
-        scan_source("x.rs", src, &Manifest::default())
-    }
-
-    fn scan_hot(src: &str) -> Vec<Finding> {
-        let m = Manifest {
-            hot_paths: vec!["x.rs".to_string()],
-            deterministic: vec!["x.rs".to_string()],
-            ..Manifest::default()
-        };
-        scan_source("x.rs", src, &m)
+        scan_tokens(&lex(src))
     }
 
     fn rules_of(findings: &[Finding]) -> Vec<&str> {
         findings.iter().map(|f| f.rule).collect()
-    }
-
-    #[test]
-    fn unsafe_requires_safety_comment() {
-        let bad = "fn f() { unsafe { g(); } }";
-        assert_eq!(rules_of(&scan(bad)), vec!["unsafe-safety-comment"]);
-        let good = "fn f() {\n    // SAFETY: g is sound here.\n    unsafe { g(); }\n}";
-        assert!(scan(good).is_empty());
-        let string_mention = "fn f() { let s = \"unsafe\"; }";
-        assert!(scan(string_mention).is_empty());
-    }
-
-    #[test]
-    fn hot_path_panics_and_indexing() {
-        let src = "fn f(v: &[u8]) -> u8 {\n    let x = v.get(0).unwrap();\n    v[1]\n}";
-        assert_eq!(
-            rules_of(&scan_hot(src)),
-            vec!["panic-free-hot-path", "panic-free-hot-path"]
-        );
-        // Ranges, attributes, array types and literals are not indexing.
-        let ok = "#[derive(Debug)]\nstruct S;\nfn g(v: &[u8]) -> &[u8] {\n    let _a: [u8; 2] = [0, 1];\n    &v[1..3]\n}";
-        assert!(scan_hot(ok).is_empty());
-        // Not a hot file: no findings.
-        assert!(scan(src).is_empty());
-    }
-
-    #[test]
-    fn narrowing_casts_flagged_everywhere() {
-        let src = "fn f(x: u64) -> u32 { x as u32 }";
-        assert_eq!(rules_of(&scan(src)), vec!["cast-truncation"]);
-        assert!(scan("fn f(x: u32) -> u64 { x as u64 }").is_empty());
-        assert!(scan("fn f(x: u32) -> usize { x as usize }").is_empty());
-    }
-
-    #[test]
-    fn determinism_flags_time_and_map_iteration() {
-        let time = "fn f() { let t = std::time::SystemTime::now(); }";
-        assert_eq!(rules_of(&scan(time)), vec!["determinism"]);
-        let map_iter = "use std::collections::HashMap;\nfn f() {\n    let m: HashMap<u32, u32> = HashMap::new();\n    for k in m.keys() { p(k); }\n}";
-        assert_eq!(rules_of(&scan_hot(map_iter)), vec!["determinism"]);
-        // Same iteration outside a deterministic module: allowed.
-        assert!(scan(map_iter).is_empty());
-        // Entry/insert access does not observe order.
-        let ok = "use std::collections::HashMap;\nfn f() {\n    let mut m: HashMap<u32, u32> = HashMap::new();\n    m.insert(1, 2);\n}";
-        assert!(scan_hot(ok).is_empty());
     }
 
     #[test]
@@ -1187,30 +754,40 @@ mod tests {
 
     #[test]
     fn allow_markers_suppress_and_are_audited() {
-        let marked = "fn f(x: u64) -> u32 {\n    // analyze:allow(cast-truncation) x is a line count < 2^32.\n    x as u32\n}";
+        let marked = "// analyze:allow(typed-errors) frozen caller.\npub fn f() -> Result<(), String> {\n    Ok(())\n}";
         assert!(scan(marked).is_empty());
-        let trailing = "fn f(x: u64) -> u32 {\n    x as u32 // analyze:allow(cast-truncation) bounded above.\n}";
+        let trailing =
+            "fn f(c: &AtomicU64) {\n    c.load(Relaxed); // analyze:allow(atomic-ordering-audit) stats only.\n}";
         assert!(scan(trailing).is_empty());
         let no_reason =
-            "fn f(x: u64) -> u32 {\n    // analyze:allow(cast-truncation)\n    x as u32\n}";
+            "// analyze:allow(typed-errors)\npub fn f() -> Result<(), String> { Ok(()) }";
         assert_eq!(
             rules_of(&scan(no_reason)),
-            vec!["allow-marker", "cast-truncation"]
+            vec!["allow-marker", "typed-errors"]
         );
         let unknown = "// analyze:allow(no-such-rule) whatever\nfn f() {}";
         assert_eq!(rules_of(&scan(unknown)), vec!["allow-marker"]);
-        let file_wide = "//! analyze:allow-file(cast-truncation) generator: all casts bounded.\nfn f(x: u64) -> u32 { x as u32 }\nfn g(x: u64) -> u16 { x as u16 }";
+        let file_wide = "//! analyze:allow-file(typed-errors) generated bindings.\npub fn f() -> Result<(), String> { Ok(()) }\npub fn g() -> Result<(), &str> { Ok(()) }";
         assert!(scan(file_wide).is_empty());
     }
 
     #[test]
+    fn a_marker_naming_a_retired_rule_is_a_finding() {
+        for (rule, _) in RETIRED {
+            let src = format!("// analyze:allow({rule}) once a waiver.\nfn f() {{}}");
+            let found = scan(&src);
+            assert_eq!(rules_of(&found), vec!["allow-marker"], "{rule}");
+            assert!(found[0].message.contains("retired"), "{}", found[0].message);
+            assert!(!is_rule(rule));
+        }
+    }
+
+    #[test]
     fn test_code_is_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn h() { v.unwrap(); let x = y[0]; let t = std::time::Instant::now(); }\n}";
-        assert!(scan_hot(src).is_empty());
-        let fn_test = "#[test]\nfn t() { assert_eq!(v.unwrap(), 3 as u8); }";
-        assert!(scan_hot(fn_test).is_empty());
+        let src = "#[cfg(test)]\nmod tests {\n    pub fn h() -> Result<(), String> { c.load(Relaxed); Ok(()) }\n}";
+        assert!(scan(src).is_empty());
         // `cfg(not(test))` is live code.
-        let not_test = "#[cfg(not(test))]\nfn live(x: u64) -> u32 { x as u32 }";
-        assert_eq!(rules_of(&scan(not_test)), vec!["cast-truncation"]);
+        let not_test = "#[cfg(not(test))]\npub fn live() -> Result<(), String> { Ok(()) }";
+        assert_eq!(rules_of(&scan(not_test)), vec!["typed-errors"]);
     }
 }

@@ -1,5 +1,6 @@
 //! Seeded `typed-errors` violations: public `Result` APIs with stringly
-//! error types.
+//! error types — plus the `allow-marker` hygiene cases: a marker naming
+//! an unknown rule, and one naming a rule that is a clippy lint now.
 
 pub fn stringly() -> Result<(), String> {
     // finding: public Result with String error
@@ -37,5 +38,11 @@ fn private_stringly() -> Result<(), String> {
 }
 
 pub fn uses_private() -> bool {
+    // analyze:allow(no-such-rule) finding: markers must name catalog rules
     private_stringly().is_ok()
+}
+
+pub fn narrowing(x: u64) -> u32 {
+    // analyze:allow(cast-truncation) finding: retired rule, waives nothing
+    x as u32
 }

@@ -2,7 +2,7 @@
 //! fine here), feeds the symbol graph as failpoint arming evidence, and
 //! still gets allow-marker hygiene — the reasonless marker is a finding.
 
-// analyze:allow(determinism)
+// analyze:allow(typed-errors)
 
 #[test]
 fn arms_fixture_failpoints() {

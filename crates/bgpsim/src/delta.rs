@@ -18,9 +18,11 @@
 //! the same seed and config emit identical batches in any order of
 //! construction.
 
+#![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
+
 use std::collections::BTreeSet;
 
-use netclust_netgen::{uniform_u64, unit_f64};
+use netclust_netgen::{uniform_index, uniform_u64, unit_f64};
 use netclust_prefix::Ipv4Net;
 use netclust_rtable::TableDelta;
 
@@ -184,19 +186,14 @@ impl DeltaStream {
             // but a burst the swap seam must absorb at once.
             let n = self.cfg.reset_burst.min(self.live.len());
             if n > 0 {
-                let start =
-                    uniform_u64(self.seed, &[S_RESET, t, 1], self.live.len() as u64) as usize;
+                let start = uniform_index(self.seed, &[S_RESET, t, 1], self.live.len());
                 for k in 0..n {
                     let p = self.live[(start + k) % self.live.len()];
                     deltas.push(TableDelta::replace(p));
                 }
             }
         } else {
-            let size = uniform_u64(
-                self.seed,
-                &[S_BATCH, t],
-                2 * self.cfg.mean_batch_size as u64 + 1,
-            ) as usize;
+            let size = uniform_index(self.seed, &[S_BATCH, t], 2 * self.cfg.mean_batch_size + 1);
             for k in 0..size as u64 {
                 if let Some(d) = self.draw_delta(t, k) {
                     deltas.push(d);
@@ -218,7 +215,7 @@ impl DeltaStream {
     fn draw_delta(&mut self, t: u64, k: u64) -> Option<TableDelta> {
         let r = unit_f64(self.seed, &[S_KIND, t, k]);
         if r < self.cfg.withdraw_fraction && !self.live.is_empty() {
-            let i = uniform_u64(self.seed, &[S_PICK, t, k], self.live.len() as u64) as usize;
+            let i = uniform_index(self.seed, &[S_PICK, t, k], self.live.len());
             let p = self.live.swap_remove(i);
             self.live_set.remove(&p);
             self.withdrawn.push(p);
@@ -226,14 +223,13 @@ impl DeltaStream {
         } else if r < self.cfg.withdraw_fraction + self.cfg.replace_fraction
             && !self.live.is_empty()
         {
-            let i = uniform_u64(self.seed, &[S_PICK, t, k], self.live.len() as u64) as usize;
+            let i = uniform_index(self.seed, &[S_PICK, t, k], self.live.len());
             Some(TableDelta::replace(self.live[i]))
         } else {
             let flap = !self.withdrawn.is_empty()
                 && unit_f64(self.seed, &[S_FLAP, t, k]) < self.cfg.flap_bias;
             let p = if flap {
-                let i = uniform_u64(self.seed, &[S_FLAP, t, k, 1], self.withdrawn.len() as u64)
-                    as usize;
+                let i = uniform_index(self.seed, &[S_FLAP, t, k, 1], self.withdrawn.len());
                 self.withdrawn.swap_remove(i)
             } else {
                 self.fresh += 1;
@@ -258,30 +254,28 @@ impl Iterator for DeltaStream {
 
 /// A synthetic prefix in the BGP length mix, deterministic per
 /// `(seed, label, i)`.
+#[allow(clippy::cast_possible_truncation, reason = "draws bounded below 8 (or 4) fit u8.")]
 fn synth_prefix(seed: u64, label: u64, i: u64) -> Ipv4Net {
     let r = unit_f64(seed, &[label, i, 0]);
     let len = if r < 0.55 {
         24
     } else if r < 0.85 {
-        // analyze:allow(cast-truncation) draw bounded below 8 fits u8.
         16 + (uniform_u64(seed, &[label, i, 1], 8) as u8)
     } else if r < 0.95 {
-        // analyze:allow(cast-truncation) draw bounded below 4 fits u8.
         25 + (uniform_u64(seed, &[label, i, 2], 4) as u8)
     } else {
-        // analyze:allow(cast-truncation) draw bounded below 8 fits u8.
         8 + (uniform_u64(seed, &[label, i, 3], 8) as u8)
     };
-    // analyze:allow(cast-truncation) masking a 64-bit draw to 32 address
-    // bits is the intended projection.
     let addr = derive_addr(seed, label, i) & (u32::MAX << (32 - u32::from(len)));
     Ipv4Net::new(addr, len).unwrap_or(Ipv4Net::DEFAULT)
 }
 
 /// 32 address bits from the derivation chain.
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "taking the low 32 bits of a mixed 64-bit draw is the intended projection."
+)]
 fn derive_addr(seed: u64, label: u64, i: u64) -> u32 {
-    // analyze:allow(cast-truncation) taking the low 32 bits of a mixed
-    // 64-bit draw is the intended projection.
     (uniform_u64(seed, &[label, i, 4], 1 << 32)) as u32
 }
 

@@ -20,6 +20,7 @@
 //! session-reset bursts) that drives the incremental patch layer in
 //! `netclust-rtable` (`CompiledTable::apply_delta`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod delta;

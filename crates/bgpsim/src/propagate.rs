@@ -128,7 +128,7 @@ impl<'u> PropagationModel<'u> {
         }
 
         // Phase 2: one peer hop from every up-reachable AS.
-        // analyze:allow(cast-truncation) AS ids are u32 by design.
+        #[allow(clippy::cast_possible_truncation, reason = "AS ids are u32 by design.")]
         let up_reached: Vec<u32> = (0..n as u32)
             .filter(|&a| best[a as usize].is_some())
             .collect();
@@ -147,7 +147,7 @@ impl<'u> PropagationModel<'u> {
 
         // Phase 3: down along provider→customer links from everything
         // reached so far.
-        // analyze:allow(cast-truncation) AS ids are u32 by design.
+        #[allow(clippy::cast_possible_truncation, reason = "AS ids are u32 by design.")]
         let mut frontier: Vec<u32> = (0..n as u32)
             .filter(|&a| best[a as usize].is_some())
             .collect();

@@ -99,7 +99,7 @@ impl Topology {
         let n = universe.ases().len();
         assert!(n >= 4, "topology needs at least 4 ASes");
         let mut rng = stream_rng(seed, &[0x709]);
-        // analyze:allow(cast-truncation) AS ids are u32 by design.
+        #[allow(clippy::cast_possible_truncation, reason = "AS ids are u32 by design.")]
         let mut order: Vec<u32> = (0..n as u32).collect();
         order.shuffle(&mut rng);
 
@@ -151,7 +151,7 @@ impl Topology {
             }
         }
         // Stubs: 1–2 tier-2 providers (occasionally a tier-1).
-        // analyze:allow(cast-truncation) AS ids are u32 by design.
+        #[allow(clippy::cast_possible_truncation, reason = "AS ids are u32 by design.")]
         for a in 0..n as u32 {
             if tier[a as usize] != 3 {
                 continue;
@@ -178,7 +178,7 @@ impl Topology {
     /// Verifies structural sanity: relationship symmetry and that every
     /// non-tier-1 AS has at least one provider (no partitions upward).
     pub fn check(&self) -> Result<(), TopologyError> {
-        // analyze:allow(cast-truncation) AS ids are u32 by design.
+        #[allow(clippy::cast_possible_truncation, reason = "AS ids are u32 by design.")]
         for a in 0..self.len() as u32 {
             for &p in &self.providers[a as usize] {
                 if !self.customers[p as usize].contains(&a) {

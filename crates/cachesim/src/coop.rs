@@ -63,6 +63,10 @@ impl CoopStats {
 /// indices absent from every group act standalone. Freshness uses the
 /// same TTL semantics as the main simulator, simplified to whole-object
 /// staleness (a stale copy counts as a miss at that proxy).
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "cluster indices are u32 by design; group count <= cluster count < 2^32."
+)]
 pub fn simulate_cooperative(
     log: &Log,
     clustering: &Clustering,
@@ -73,12 +77,9 @@ pub fn simulate_cooperative(
     let mut group_of: Vec<u32> = vec![u32::MAX; clustering.clusters.len()];
     for (gid, members) in groups.iter().enumerate() {
         for &m in members {
-            // analyze:allow(cast-truncation) group ids are bounded by the
-            // u32 cluster count.
             group_of[m] = gid as u32;
         }
     }
-    // analyze:allow(cast-truncation) group count <= cluster count < 2^32.
     let mut next = groups.len() as u32;
     for g in group_of.iter_mut() {
         if *g == u32::MAX {
@@ -89,7 +90,6 @@ pub fn simulate_cooperative(
     // Siblings per group.
     let mut members_of: Vec<Vec<u32>> = vec![Vec::new(); next as usize];
     for (idx, &g) in group_of.iter().enumerate() {
-        // analyze:allow(cast-truncation) cluster indices are u32 by design.
         members_of[g as usize].push(idx as u32);
     }
 
@@ -97,7 +97,6 @@ pub fn simulate_cooperative(
     let mut route: HashMap<u32, u32> = HashMap::new();
     for (idx, cluster) in clustering.clusters.iter().enumerate() {
         for client in &cluster.clients {
-            // analyze:allow(cast-truncation) cluster indices are u32 by design.
             route.insert(u32::from(client.addr), idx as u32);
         }
     }

@@ -10,6 +10,7 @@
 //! [`sweep_cache_sizes`] produces Figure 11's server-side curves and
 //! [`top_proxy_report`] Figure 12's per-proxy rows.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod coop;

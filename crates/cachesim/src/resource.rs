@@ -54,8 +54,10 @@ impl ResourceModel {
         let lo = (self.min_period_s as f64).ln();
         let hi = (self.max_period_s as f64).ln();
         let u = unit_f64(self.seed, &[0x4E6, url as u64]);
-        // analyze:allow(cast-truncation) the log-uniform draw lies within
-        // [min_period_s, max_period_s], both u32.
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "the log-uniform draw lies within [min_period_s, max_period_s], both u32."
+        )]
         Some((lo + u * (hi - lo)).exp() as u32)
     }
 
@@ -65,7 +67,7 @@ impl ResourceModel {
         match self.period(url) {
             None => 0,
             Some(p) => {
-                // analyze:allow(cast-truncation) phase < p, and p is u32.
+                #[allow(clippy::cast_possible_truncation, reason = "phase < p, and p is u32.")]
                 let phase = uniform_u64(self.seed, &[0x4E7, url as u64], p as u64) as u32;
                 ((t as u64) + phase as u64) / p as u64
             }

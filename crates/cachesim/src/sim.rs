@@ -106,7 +106,10 @@ pub fn simulate(log: &Log, clustering: &Clustering, config: &SimConfig) -> SimRe
     let mut route: HashMap<u32, u32> = HashMap::new();
     for (idx, cluster) in clustering.clusters.iter().enumerate() {
         for client in &cluster.clients {
-            // analyze:allow(cast-truncation) cluster indices are u32 by design.
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "cluster indices are u32 by design."
+            )]
             route.insert(u32::from(client.addr), idx as u32);
         }
     }

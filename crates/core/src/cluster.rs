@@ -13,6 +13,8 @@
 //! paper reports ≈0.1 % of clients — and kept separately for the
 //! self-correction stage to absorb (§3.5).
 
+#![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
+
 use std::net::Ipv4Addr;
 
 use netclust_obs::Obs;
@@ -123,6 +125,15 @@ impl Clustering {
     /// `assignments[i]`): clusters sorted by prefix, member/unclustered
     /// lists in client order, `unique_urls` left at 0 for the caller to
     /// fill.
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )]
     pub(crate) fn from_assignments(
         method: impl Into<String>,
         clients: Vec<ClientStats>,
@@ -142,19 +153,23 @@ impl Clustering {
         // `unclustered` inherit that order without re-sorting.
 
         // Materialize clusters, sorted by prefix.
-        // analyze:allow(determinism) keys are collected and sorted before use.
+        #[allow(clippy::disallowed_methods, reason = "keys are collected and sorted before use.")]
         let mut prefixes: Vec<Ipv4Net> = by_prefix.keys().copied().collect();
         prefixes.sort();
         let mut clusters = Vec::with_capacity(prefixes.len());
         let mut index = FxHashMap::with_capacity_and_hasher(clients.len(), Default::default());
         for prefix in prefixes {
-            // analyze:allow(hot-path-transitive) `prefix` was drawn from
-            // `by_prefix.keys()` just above, so the entry must exist.
+            #[allow(
+                clippy::expect_used,
+                reason = "`prefix` was drawn from `by_prefix.keys()` just above, so the entry must exist."
+            )]
             let clients = by_prefix.remove(&prefix).expect("key exists");
             let requests = clients.iter().map(|c| c.requests).sum();
             let bytes = clients.iter().map(|c| c.bytes).sum();
-            // analyze:allow(cast-truncation) cluster ids are u32 by design;
-            // one cluster per routing prefix bounds the count well below 2^32.
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "cluster ids are u32 by design; one cluster per routing prefix bounds the count well below 2^32."
+            )]
             let idx = clusters.len() as u32;
             for c in &clients {
                 index.insert(u32::from(c.addr), idx);

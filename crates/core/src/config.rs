@@ -338,7 +338,7 @@ impl<'a> Parsed<'a> {
 /// The rows `netclust cluster` and `netclustd` both take, declared once
 /// (`--top` without its default, which differs). One row a line; a row's
 /// help text is its documentation.
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "a row's help text is its documentation.")]
 #[rustfmt::skip]
 pub mod flags {
     use super::Flag;

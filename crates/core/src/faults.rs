@@ -96,6 +96,15 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A plan with no armed failpoints (nothing ever fires).
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )]
     pub fn disabled() -> Self {
         FaultPlan::default()
     }

@@ -7,6 +7,16 @@
 //! classic rotate-xor-multiply scheme (rustc's `FxHasher`) is the right
 //! trade. Vendored because the build environment is offline.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::HashMap;
 #[cfg(test)]
 use std::collections::HashSet;
@@ -38,6 +48,7 @@ impl Hasher for FxHasher {
         }
         if !rem.is_empty() {
             let mut tail = [0u8; 8];
+            #[allow(clippy::indexing_slicing, reason = "rem is shorter than one 8-byte chunk.")]
             tail[..rem.len()].copy_from_slice(rem);
             // Fold the length in so "a" and "a\0" keys differ.
             self.add(u64::from_le_bytes(tail) ^ (rem.len() as u64) << 56);

@@ -58,6 +58,17 @@
 //!   byte-identical to an unfaulted one; an unrecovered one fails cleanly
 //!   ([`IngestError::ChunkIo`]) with nothing half-counted.
 
+#![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -259,6 +270,7 @@ impl IngestReport {
         let mut pos = 0usize;
         while pos < data.len() {
             let Some(&want) = wanted.peek() else { break };
+            #[allow(clippy::indexing_slicing, reason = "pos < data.len() is the loop condition.")]
             let nl = data[pos..].iter().position(|&b| b == b'\n');
             let end = nl.map_or(data.len(), |p| pos + p);
             if line == want {
@@ -371,8 +383,10 @@ impl<'t> IngestPipeline<'t> {
     pub fn run(&self, data: &[u8]) -> IngestReport {
         match self.run_inner(data, None, false) {
             Ok(report) => report,
-            // analyze:allow(panic-free-hot-path) with faults disarmed the
-            // engine has no error path.
+            #[allow(
+                clippy::unreachable,
+                reason = "with faults disarmed the engine has no error path."
+            )]
             Err(_) => unreachable!("unfaulted ingest cannot fail"),
         }
     }
@@ -495,11 +509,17 @@ impl<'t> IngestPipeline<'t> {
                 self.metrics.chunks_retried.add(chunks_retried);
                 // Every chunk before the failing one ends in a newline, so
                 // its first line is the newline count of the bytes before it.
-                // analyze:allow(panic-free-hot-path) workers only publish in-range chunk indices.
+                #[allow(
+                    clippy::indexing_slicing,
+                    reason = "workers only publish in-range chunk indices."
+                )]
                 let offset: usize = chunks[..chunk].iter().map(|c| c.data.len()).sum();
                 Err(IngestError::ChunkIo {
                     chunk,
-                    // analyze:allow(panic-free-hot-path) chunk lengths sum to at most data.len().
+                    #[allow(
+                        clippy::indexing_slicing,
+                        reason = "chunk lengths sum to at most data.len()."
+                    )]
                     first_line: data[..offset].iter().filter(|&&b| b == b'\n').count(),
                     attempts: self.io_retries + 1,
                 })
@@ -558,7 +578,7 @@ impl<'t> IngestPipeline<'t> {
                 if i >= chunks.len() {
                     break;
                 }
-                // analyze:allow(panic-free-hot-path) i < chunks.len() just checked.
+                #[allow(clippy::indexing_slicing, reason = "i < chunks.len() just checked.")]
                 let c = &chunks[i];
                 if let Some(inj) = injector.as_mut() {
                     let mut attempt = 0u32;
@@ -606,6 +626,7 @@ impl<'t> IngestPipeline<'t> {
             (out, io_faults, chunks_retried)
         };
 
+        #[allow(clippy::expect_used, reason = "propagating a worker panic, not creating one.")]
         let results: Vec<(ChunkOut<'a>, u64, u64)> = if workers <= 1 {
             vec![worker(0)]
         } else {
@@ -613,7 +634,6 @@ impl<'t> IngestPipeline<'t> {
                 let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || worker(w))).collect();
                 handles
                     .into_iter()
-                    // analyze:allow(panic-free-hot-path) propagating a worker panic, not creating one.
                     .map(|h| h.join().expect("worker panicked"))
                     .collect()
             })
@@ -682,7 +702,10 @@ impl<'t> IngestPipeline<'t> {
                     paths
                         .iter()
                         .map(|&p| {
-                            // analyze:allow(cast-truncation) url ids are u32 by format.
+                            #[allow(
+                                clippy::cast_possible_truncation,
+                                reason = "url ids are u32 by format."
+                            )]
                             let next = global.len() as u32;
                             *global.entry(p).or_insert(next)
                         })
@@ -839,9 +862,12 @@ impl<'a> ChunkOut<'a> {
                 Ok((_, r)) => {
                     let id = self.shard.add(r.addr, r.bytes as u64);
                     let url_paths = &mut self.url_paths;
+                    #[allow(
+                        clippy::cast_possible_truncation,
+                        reason = "url ids are u32 by format."
+                    )]
                     let url = *self.url_ids.entry(r.path).or_insert_with(|| {
                         url_paths.push(r.path);
-                        // analyze:allow(cast-truncation) url ids are u32 by format.
                         (url_paths.len() - 1) as u32
                     });
                     self.shard.pairs.push((id, url));

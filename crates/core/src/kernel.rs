@@ -10,6 +10,17 @@
 //! commute, partition runs concatenate in address order, and unique-URL
 //! counts are invariant under url-id relabeling.
 
+#![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault};
 use std::net::Ipv4Addr;
@@ -74,6 +85,7 @@ impl<T, S: BuildHasher + Default> Shard<T, S> {
     }
 
     // u64 shift: an unpartitioned shard has shift == 32.
+    #[allow(clippy::cast_possible_truncation, reason = "addr >> shift < n_parts, a usize.")]
     fn part(&self, addr: u32) -> usize {
         ((addr as u64) >> self.shift) as usize
     }
@@ -82,6 +94,7 @@ impl<T, S: BuildHasher + Default> Shard<T, S> {
     /// the client's dense shard-local id; a client not seen before gets
     /// `memo()` beside its sums.
     #[inline]
+    #[allow(clippy::cast_possible_truncation, reason = "dense client ids are u32 by design.")]
     pub(crate) fn add_many(
         &mut self,
         addr: u32,
@@ -91,9 +104,8 @@ impl<T, S: BuildHasher + Default> Shard<T, S> {
     ) -> u32 {
         let part = self.part(addr);
         let clients = &mut self.clients;
-        // analyze:allow(panic-free-hot-path) part = addr >> shift < n_parts.
+        #[allow(clippy::indexing_slicing, reason = "part = addr >> shift < n_parts.")]
         let id = *self.parts[part].entry(addr).or_insert_with(|| {
-            // analyze:allow(cast-truncation) dense client ids are u32 by design.
             let id = clients.len() as u32;
             clients.push(Client {
                 addr,
@@ -103,7 +115,7 @@ impl<T, S: BuildHasher + Default> Shard<T, S> {
             });
             id
         });
-        // analyze:allow(panic-free-hot-path) id was handed out from clients.len().
+        #[allow(clippy::indexing_slicing, reason = "id was handed out from clients.len().")]
         let c = &mut self.clients[id as usize];
         c.requests += requests;
         c.bytes += bytes;
@@ -155,6 +167,7 @@ pub(crate) fn finish(
     let lpm = obs.span("lpm");
     let addrs: Vec<u32> = clients.iter().map(|c| u32::from(c.addr)).collect();
     let mut assignments: Vec<Option<Ipv4Net>> = vec![None; addrs.len()];
+    #[allow(clippy::indexing_slicing, reason = "spans tile `assignments`, as long as `addrs`.")]
     for_spans(&mut assignments, threads, &|start, span| {
         assign(&addrs[start..start + span.len()], span);
     });
@@ -185,16 +198,22 @@ fn merge_clients(shards: &[Shard], threads: usize) -> Vec<ClientStats> {
             let p = start + off;
             let mut per_client: FxHashMap<u32, (u64, u64)> = FxHashMap::default();
             for s in shards {
-                // analyze:allow(panic-free-hot-path) p < n_parts == s.parts.len().
+                #[allow(clippy::indexing_slicing, reason = "p < n_parts == s.parts.len().")]
+                #[allow(
+                    clippy::iter_over_hash_type,
+                    reason = "sums commute; map drained to a vec and sorted below."
+                )]
                 for (&client, &id) in &s.parts[p] {
-                    // analyze:allow(panic-free-hot-path) id was handed out from clients.len().
+                    #[allow(
+                        clippy::indexing_slicing,
+                        reason = "id was handed out from clients.len()."
+                    )]
                     let c = &s.clients[id as usize];
                     let e = per_client.entry(client).or_insert((0, 0));
                     e.0 += c.requests;
                     e.1 += c.bytes;
                 }
             }
-            // analyze:allow(determinism) map drained to a vec and sorted below.
             *slot = sorted_clients(per_client);
         }
     });
@@ -229,6 +248,7 @@ const BITMAP_WINDOW_BITS: u64 = 1 << 21;
 /// sort-dedup of packed keys. `(max_bits, window_bits)` are
 /// ([`BITMAP_MAX_BITS`], [`BITMAP_WINDOW_BITS`]) outside tests, which
 /// shrink them to reach every strategy on small inputs.
+#[allow(clippy::cast_possible_truncation, reason = "cluster count < 2^32 (u32 ids by design).")]
 fn count_unique_urls(
     clustering: &mut Clustering,
     shards: &[Shard],
@@ -243,7 +263,6 @@ fn count_unique_urls(
                 .map(|c| {
                     clustering
                         .cluster_index(Ipv4Addr::from(c.addr))
-                        // analyze:allow(cast-truncation) cluster count < 2^32 (u32 ids by design).
                         .map_or(u32::MAX, |i| i as u32)
                 })
                 .collect();
@@ -254,9 +273,12 @@ fn count_unique_urls(
     let keys = (shards.iter().zip(&cluster_of).enumerate()).flat_map(|(s, (shard, of))| {
         let tr = trans.get(s);
         shard.pairs.iter().filter_map(move |&(dense, url)| {
-            // analyze:allow(panic-free-hot-path) dense ids index clients == cluster_of[s].
+            #[allow(clippy::indexing_slicing, reason = "dense ids index clients == cluster_of[s].")]
             let idx = of[dense as usize];
-            // analyze:allow(panic-free-hot-path) url < shard s's url count == trans[s].len().
+            #[allow(
+                clippy::indexing_slicing,
+                reason = "url < shard s's url count == trans[s].len()."
+            )]
             let url = tr.map_or(url, |tr| tr[url as usize]);
             (idx != u32::MAX).then_some((idx as u64, url as u64))
         })
@@ -274,11 +296,14 @@ fn count_unique_urls(
 
 /// Counts distinct (cluster, url) pairs into `unique_urls` by sorting
 /// packed `cluster << 32 | url` keys.
+#[allow(
+    clippy::indexing_slicing,
+    reason = "key's high half is a valid cluster index by construction."
+)]
 fn count_unique_sorted(clustering: &mut Clustering, mut packed: Vec<u64>) {
     packed.sort_unstable();
     packed.dedup();
     for key in packed {
-        // analyze:allow(panic-free-hot-path) key's high half is a valid cluster index by construction.
         clustering.clusters[(key >> 32) as usize].unique_urls += 1;
     }
 }
@@ -291,6 +316,7 @@ fn count_unique_sorted(clustering: &mut Clustering, mut packed: Vec<u64>) {
 /// scatter into per-window buckets (sequential appends), then each
 /// window's bits are set and popcount-walked inside one cache-resident
 /// slice that is reused across windows.
+#[allow(clippy::cast_possible_truncation, reason = "n_bits <= max_bits (2^28) on this path.")]
 fn count_unique_bitmap(
     clustering: &mut Clustering,
     keys: impl Iterator<Item = u64>,
@@ -300,8 +326,8 @@ fn count_unique_bitmap(
     let n_bits = clustering.clusters.len() as u64 * n_urls as u64;
     if n_bits <= window_bits {
         let mut bits = vec![0u64; (n_bits as usize).div_ceil(64)];
+        #[allow(clippy::indexing_slicing, reason = "key < n_bits and bits holds n_bits bits.")]
         for key in keys {
-            // analyze:allow(panic-free-hot-path) key < n_bits and bits holds n_bits bits.
             bits[(key >> 6) as usize] |= 1 << (key & 63);
         }
         tally_window(clustering, &bits, 0, n_urls);
@@ -310,8 +336,11 @@ fn count_unique_bitmap(
     let n_windows = n_bits.div_ceil(window_bits) as usize;
     let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n_windows];
     for key in keys {
-        // analyze:allow(panic-free-hot-path, cast-truncation) key < n_bits so the
-        // bucket index < n_windows, and key % window_bits < 2^21 fits u32.
+        #[allow(
+            clippy::indexing_slicing,
+            clippy::cast_possible_truncation,
+            reason = "key < n_bits so the bucket index < n_windows, and key % window_bits < 2^21 fits u32."
+        )]
         buckets[(key / window_bits) as usize].push((key % window_bits) as u32);
     }
     let mut window = vec![0u64; (window_bits as usize) / 64];
@@ -320,8 +349,11 @@ fn count_unique_bitmap(
             continue;
         }
         window.fill(0);
+        #[allow(
+            clippy::indexing_slicing,
+            reason = "k < window_bits and window holds window_bits bits."
+        )]
         for &k in keys {
-            // analyze:allow(panic-free-hot-path) k < window_bits and window holds window_bits bits.
             window[(k >> 6) as usize] |= 1 << (k & 63);
         }
         tally_window(clustering, &window, w as u64 * window_bits, n_urls);
@@ -330,12 +362,16 @@ fn count_unique_bitmap(
 
 /// Adds each set bit of `bits` (bit `i` = global key `base + i`) to its
 /// cluster's `unique_urls`.
+#[allow(
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    reason = "key < clusters.len() * n_urls."
+)]
 fn tally_window(clustering: &mut Clustering, bits: &[u64], base: u64, n_urls: usize) {
     for (w, &word) in bits.iter().enumerate() {
         let mut word = word;
         while word != 0 {
             let key = base + (w as u64) * 64 + word.trailing_zeros() as u64;
-            // analyze:allow(panic-free-hot-path) key < clusters.len() * n_urls.
             clustering.clusters[(key / n_urls as u64) as usize].unique_urls += 1;
             word &= word - 1;
         }

@@ -6,6 +6,8 @@
 //! sorted in reverse order of clients (Figure 4) or requests (Figure 5).
 //! [`Distributions`] computes all of it once per clustering.
 
+#![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
+
 use crate::cluster::Clustering;
 
 /// Summary statistics over a series.
@@ -165,6 +167,7 @@ impl Distributions {
         }
         let mut sorted = series.to_vec();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
+        #[allow(clippy::cast_possible_truncation, reason = "clamped to 1..=len right here.")]
         let k = ((sorted.len() as f64 * percent / 100.0).ceil() as usize).clamp(1, sorted.len());
         let top: u64 = sorted[..k].iter().sum();
         let all: u64 = sorted.iter().sum();

@@ -10,6 +10,8 @@
 //! together). Useful for selective content distribution, proxy placement
 //! and load balancing.
 
+#![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
+
 use netclust_netgen::{stream_rng, Universe};
 use netclust_probe::Traceroute;
 use rand::seq::SliceRandom;
@@ -69,8 +71,8 @@ pub fn network_clusters(
                 .join(">");
             *votes.entry(key).or_default() += 1;
         }
-        // analyze:allow(determinism) max_by with a total (count, key)
-        // tie-break: iteration order cannot change the winner.
+        // max_by with a total (count, key) tie-break: iteration order
+        // cannot change the winner.
         let key = votes
             .into_iter()
             .max_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)))
@@ -86,6 +88,7 @@ pub fn network_clusters(
         entry.requests += cluster.requests;
         entry.clients += cluster.client_count() as u64;
     }
+    #[allow(clippy::disallowed_methods, reason = "sorted under a total order on the next line.")]
     let mut out: Vec<NetworkCluster> = groups.into_values().collect();
     out.sort_by(|a, b| b.requests.cmp(&a.requests).then(a.key.cmp(&b.key)));
     out

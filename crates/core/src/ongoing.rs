@@ -190,6 +190,7 @@ pub fn selective_validate(
     let mut rng = stream_rng(plan.seed, &[0x5E1_EC7]);
     let mut order: Vec<usize> = (0..clustering.clusters.len()).collect();
     order.shuffle(&mut rng);
+    #[allow(clippy::cast_possible_truncation, reason = "capped at the cluster count below.")]
     let n_sample = ((clustering.clusters.len() as f64 * plan.fraction).round() as usize)
         .max(plan.min_clusters)
         .min(clustering.clusters.len());

@@ -8,12 +8,22 @@
 //! recovery scan must stop on; multi-bit corruption is caught with
 //! probability `1 - 2^-32` per frame.
 //!
-//! This module is on the journal append hot path and is manifest-listed
-//! panic-free: every read is bounds-checked through [`Reader`], every
-//! decode returns a typed [`FrameError`], and arbitrary input — flipped,
-//! truncated, or adversarial — can never panic or over-allocate (frame
-//! lengths are validated against the bytes actually present before any
-//! allocation).
+//! This module is on the journal append hot path and denies the
+//! panic-family lints below: every read is bounds-checked through
+//! [`Reader`], every decode returns a typed [`FrameError`], and arbitrary
+//! input — flipped, truncated, or adversarial — can never panic or
+//! over-allocate (frame lengths are validated against the bytes actually
+//! present before any allocation).
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::fmt;
 
@@ -50,8 +60,9 @@ const CRC_TABLE: [u32; 256] = crc_table();
 const fn crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
+    #[allow(clippy::indexing_slicing, reason = "i ranges over 0..256 == table.len().")]
     while i < 256 {
-        // analyze:allow(cast-truncation) i < 256 fits u32 losslessly.
+        #[allow(clippy::cast_possible_truncation, reason = "i < 256 fits u32 losslessly.")]
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
@@ -62,7 +73,6 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        // analyze:allow(panic-free-hot-path) i ranges over 0..256 == table.len().
         table[i] = c;
         i += 1;
     }
@@ -78,10 +88,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// The running (not yet inverted) CRC `crc` taken on over `bytes`, so one
 /// checksum can cover slices that do not lie end to end.
 fn crc32_extend(mut crc: u32, bytes: &[u8]) -> u32 {
+    #[allow(clippy::indexing_slicing, reason = "idx is masked to 0..256 == CRC_TABLE.len().")]
     for &b in bytes {
-        // analyze:allow(cast-truncation) `b as u32` widens a u8; the usize cast takes a value masked to 8 bits.
         let idx = ((crc ^ b as u32) & 0xFF) as usize;
-        // analyze:allow(panic-free-hot-path) idx is masked to 0..256 == CRC_TABLE.len().
         crc = CRC_TABLE[idx] ^ (crc >> 8);
     }
     crc
@@ -231,7 +240,10 @@ pub fn encode_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
 
 /// The five bytes a frame puts before its payload: `[len u32][kind u8]`.
 pub fn frame_prefix(kind: u8, payload_len: usize) -> [u8; 5] {
-    // analyze:allow(cast-truncation) payloads are single snapshot/batch records, far below u32::MAX; decode_frame re-validates the length against bytes present.
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "payloads are single snapshot/batch records, far below u32::MAX; decode_frame re-validates the length against bytes present."
+    )]
     let [a, b, c, d] = (payload_len as u32).to_le_bytes();
     [a, b, c, d, kind]
 }

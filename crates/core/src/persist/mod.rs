@@ -29,6 +29,8 @@
 //! path is exercised by the same multi-seed sweeps as the rest of the
 //! pipeline.
 
+#![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
+
 pub mod codec;
 mod state;
 

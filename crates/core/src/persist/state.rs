@@ -137,7 +137,10 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 fn put_prefixes(out: &mut Vec<u8>, prefixes: &[Ipv4Net]) {
-    // analyze:allow(cast-truncation) an IPv4 prefix set is bounded far below u32::MAX entries.
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "an IPv4 prefix set is bounded far below u32::MAX entries."
+    )]
     put_u32(out, prefixes.len() as u32);
     for p in prefixes {
         put_u32(out, p.addr_u32());
@@ -199,11 +202,13 @@ fn put_rejection(out: &mut Vec<u8>, rejection: Option<SwapRejection>) {
 
 fn take_rejection(r: &mut Reader<'_>) -> Result<Option<SwapRejection>, StateDecodeError> {
     let what = "last_rejection";
+    // A count wider than this platform's usize is as bad as a missing one.
+    let count = |r: &mut Reader<'_>| r.u64_le().and_then(|v| usize::try_from(v).ok());
     match r.u8().ok_or(bad(what))? {
         0 => Ok(None),
         1 => Ok(Some(SwapRejection::TooFewEntries {
-            entries: r.u64_le().ok_or(bad(what))? as usize,
-            floor: r.u64_le().ok_or(bad(what))? as usize,
+            entries: count(r).ok_or(bad(what))?,
+            floor: count(r).ok_or(bad(what))?,
         })),
         2 => Ok(Some(SwapRejection::NoiseOverBudget {
             ratio: f64::from_bits(r.u64_le().ok_or(bad(what))?),
@@ -283,7 +288,10 @@ fn encode_state_into(
     put_u64(out, state.feed_pos);
     put_prefixes(out, &state.bgp_prefixes);
     put_prefixes(out, &state.dump_prefixes);
-    // analyze:allow(cast-truncation) one row per distinct IPv4 client: len < 2^32 by construction.
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "one row per distinct IPv4 client: len < 2^32 by construction."
+    )]
     put_u32(out, rows.len() as u32);
     let rows_start = out.len();
     for (client, requests, bytes) in rows {
@@ -318,11 +326,17 @@ fn encode_state_into(
             put_u64(out, c.homogeneous);
             put_u64(out, c.split);
             put_u64(out, c.no_signal);
-            // analyze:allow(cast-truncation) at most one parked row per IPv4 client: len < 2^32.
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "at most one parked row per IPv4 client: len < 2^32."
+            )]
             put_u32(out, c.parked.len() as u32);
             for (addr, key) in &c.parked {
                 put_u32(out, u32::from(*addr));
-                // analyze:allow(cast-truncation) park keys are short synthetic `?cluster:`/`?addr:` strings.
+                #[allow(
+                    clippy::cast_possible_truncation,
+                    reason = "park keys are short synthetic `?cluster:`/`?addr:` strings."
+                )]
                 put_u32(out, key.len() as u32);
                 out.extend_from_slice(key.as_bytes());
             }
@@ -436,7 +450,10 @@ pub fn encode_batch(batch: &JournalBatch) -> Vec<u8> {
     let mut out = Vec::with_capacity(13 + batch.deltas.len() * DELTA_WIRE_BYTES);
     put_u64(&mut out, batch.feed_index);
     out.push(u8::from(batch.session_reset));
-    // analyze:allow(cast-truncation) a feed batch holds at most a session-reset burst of deltas, far below u32::MAX.
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "a feed batch holds at most a session-reset burst of deltas, far below u32::MAX."
+    )]
     put_u32(&mut out, batch.deltas.len() as u32);
     out.extend_from_slice(&encode_deltas(&batch.deltas));
     out

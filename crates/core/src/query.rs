@@ -16,6 +16,8 @@
 //! printed with a fixed precision, so equal answers are byte-identical —
 //! the property the daemon's `--deterministic` end-to-end tests pin.
 
+#![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
+
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
@@ -228,6 +230,15 @@ impl ClusterRow {
 }
 
 /// Renders a top-N answer as a JSON document: `{"clusters": [...]}`.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 pub fn top_to_json(rows: &[ClusterRow]) -> String {
     let mut out = String::with_capacity(64 + rows.len() * 96);
     out.push_str("{\"clusters\": [");

@@ -6,6 +6,8 @@
 //! suffice". [`session_report`] reproduces that analysis for any log and
 //! assigner.
 
+#![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
+
 use std::collections::HashMap;
 
 use netclust_prefix::Ipv4Net;
@@ -68,8 +70,10 @@ where
     let consecutive_correlations = sessions
         .windows(2)
         .map(|pair| {
-            // analyze:allow(determinism) keys are collected, sorted, and
-            // deduped before any use.
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "keys are collected, sorted, and deduped before any use."
+            )]
             let mut prefixes: Vec<Ipv4Net> = pair[0]
                 .requests_by_prefix
                 .keys()

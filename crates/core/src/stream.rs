@@ -29,6 +29,8 @@
 //! desynchronized feed degrades the stream no further than a bad snapshot
 //! would.
 
+#![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
+
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -685,8 +687,10 @@ impl StreamingClustering {
     /// The current top-`k` clusters by request count (ties broken by
     /// prefix for determinism).
     pub fn top_k(&self, k: usize) -> Vec<(Ipv4Net, StreamStats)> {
-        // analyze:allow(determinism) selected and sorted under a total
-        // order (prefix tie-break), so the map's order cannot show.
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "selected and sorted under a total order (prefix tie-break), so the map's order cannot show."
+        )]
         let clusters = self.tally.clusters.iter().map(|(&p, &s)| (p, s));
         crate::query::keep_top(clusters, k, |a, b| {
             b.1.requests.cmp(&a.1.requests).then(a.0.cmp(&b.0))

@@ -52,6 +52,7 @@ pub fn threshold_busy(clustering: &Clustering, fraction: f64) -> ThresholdReport
             .then(a.cmp(&b))
     });
     let clustered_total: u64 = clustering.clusters.iter().map(|c| c.requests).sum();
+    #[allow(clippy::cast_possible_truncation, reason = "a float-to-int `as` saturates.")]
     let target = (clustered_total as f64 * fraction).ceil() as u64;
 
     let mut busy = Vec::new();

@@ -138,6 +138,7 @@ pub fn validate(
     let mut rng = stream_rng(plan.seed, &[0x7A11D]);
     let mut order: Vec<usize> = (0..clustering.clusters.len()).collect();
     order.shuffle(&mut rng);
+    #[allow(clippy::cast_possible_truncation, reason = "capped at the cluster count below.")]
     let n_sample = ((clustering.clusters.len() as f64 * plan.fraction).round() as usize)
         .max(plan.min_clusters)
         .min(clustering.clusters.len());

@@ -23,7 +23,7 @@ fn main() {
     let model = PropagationModel::new(&universe, topology, 0xB6);
     let topo = model.topology();
     let mut by_tier: Vec<Vec<u32>> = vec![Vec::new(); 4];
-    // analyze:allow(cast-truncation) AS ids are u32 by design.
+    #[allow(clippy::cast_possible_truncation, reason = "AS ids are u32 by design.")]
     for a in 0..topo.len() as u32 {
         by_tier[topo.tier[a as usize] as usize].push(a);
     }

@@ -112,6 +112,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut fed = 0usize;
     for &frac in &checkpoints {
+        #[allow(clippy::cast_possible_truncation, reason = "frac <= 1 keeps it within the log.")]
         let until = (log.requests.len() as f64 * frac) as usize;
         for r in &log.requests[fed..until] {
             stream.push(r);

@@ -44,6 +44,10 @@ fn main() {
     );
 
     // Detector verdicts against ground truth.
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "a scaled count; a float-to-int `as` saturates."
+    )]
     let min_requests = (20_000.0 * netclust_experiments::scale()) as u64;
     let config = AnomalyConfig {
         min_requests: min_requests.max(500),

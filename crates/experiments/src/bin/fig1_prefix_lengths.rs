@@ -17,6 +17,7 @@ fn main() {
     // (a) Histogram on day 0.
     let day0 = snapshot(&universe, &spec, 0, 0);
     let hist = PrefixLengthHistogram::from_prefixes(day0.prefixes().iter().copied());
+    #[allow(clippy::cast_possible_truncation, reason = "a bar of at most 60 columns.")]
     let rows: Vec<Vec<String>> = hist
         .nonzero()
         .map(|(len, count)| {

@@ -59,6 +59,10 @@ fn main() {
     let s_clients = Distributions::series_in(&ds.clients, &ds.by_clients);
     let a_reqs = Distributions::series_in(&da.requests, &da.by_requests);
     let s_reqs = Distributions::series_in(&ds.requests, &ds.by_requests);
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "a rank inside the series: frac < 1, and `min` caps it."
+    )]
     let rows: Vec<Vec<String>> = downsample(&a_clients, 16)
         .into_iter()
         .map(|(rank, v)| {

@@ -11,6 +11,7 @@ use netclust_experiments::{paper_universe, print_table, scaled};
 use netclust_netgen::standard_merged;
 use netclust_weblog::{generate, LogSpec};
 
+#[allow(clippy::cast_possible_truncation, reason = "a bar of at most 24 columns.")]
 fn bars(hist: &[u64], cols: usize) -> Vec<String> {
     // Compress the histogram to `cols` buckets of '#' bars.
     let chunk = hist.len().div_ceil(cols).max(1);

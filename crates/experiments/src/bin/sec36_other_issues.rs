@@ -48,6 +48,10 @@ fn main() {
     // Synthesize an ISP proxy trace: servers drawn from universe orgs with
     // heavy-tailed request counts.
     let mut rng = stream_rng(77, &[0x3E2]);
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "a scaled count; a float-to-int `as` saturates."
+    )]
     let n_servers = (69_192.0 * scale()) as usize;
     let mut counts = Vec::with_capacity(n_servers);
     let orgs = universe.orgs();
@@ -62,8 +66,10 @@ fn main() {
     // A sliver of servers outside any registered allocation.
     let extra = (counts.len() / 500).max(1);
     for i in 0..extra {
-        // analyze:allow(cast-truncation) i % 250 < 250, and the sliver is
-        // far too small for i / 250 to reach 256.
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "i % 250 < 250, and the sliver is far too small for i / 250 to reach 256."
+        )]
         let addr = std::net::Ipv4Addr::new(9, 9, (i / 250) as u8, (i % 250) as u8 + 1);
         counts.push((addr, 1, 8_000));
     }

@@ -7,6 +7,7 @@
 //! counts, scaled proportionally. `NETCLUST_SCALE=1` reproduces full paper
 //! scale (slower); the shapes are scale-free.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use netclust_netgen::{Universe, UniverseConfig};
@@ -43,6 +44,10 @@ pub fn universe_for(max_clients: u64) -> Universe {
 
 /// The universe all four scaled paper logs fit in.
 pub fn paper_universe() -> Universe {
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "a scaled count; a float-to-int `as` saturates."
+    )]
     let max = (180_000.0 * scale()) as u64; // Apache is the largest preset
     universe_for(max)
 }

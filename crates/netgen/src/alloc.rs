@@ -85,7 +85,7 @@ fn draw_kind(rng: &mut impl Rng, len: u8) -> OrgKind {
 /// Active-host cap per org, by kind and network size. ISPs have dense
 /// client populations; corporate networks are sparse.
 fn active_hosts(rng: &mut impl Rng, kind: OrgKind, net: Ipv4Net) -> u32 {
-    // analyze:allow(cast-truncation) num_addresses() - 2 <= 2^32 - 2.
+    #[allow(clippy::cast_possible_truncation, reason = "num_addresses() - 2 <= 2^32 - 2.")]
     let space = (net.num_addresses().saturating_sub(2)).max(1) as u32;
     let cap = match kind {
         OrgKind::Isp => 6000,
@@ -94,7 +94,7 @@ fn active_hosts(rng: &mut impl Rng, kind: OrgKind, net: Ipv4Net) -> u32 {
         OrgKind::Government => 150,
     };
     // Striped host addressing places at most 255 hosts per /24 stripe.
-    // analyze:allow(cast-truncation) num_addresses() / 256 <= 2^24.
+    #[allow(clippy::cast_possible_truncation, reason = "num_addresses() / 256 <= 2^24.")]
     let physical_stripes = ((net.num_addresses() / 256) as u32).max(1);
     let cap = cap.min(space).min(physical_stripes * 255);
     // Log-uniform population in [cap/8, cap], at least 1.
@@ -129,7 +129,7 @@ pub fn allocate(config: &UniverseConfig) -> Allocation {
     let num_countries = names::country_count();
 
     for as_idx in 0..config.num_ases {
-        // analyze:allow(cast-truncation) AS ids are u32 by design.
+        #[allow(clippy::cast_possible_truncation, reason = "AS ids are u32 by design.")]
         let as_id = as_idx as u32;
         let is_backbone = rng.gen_bool(0.08);
         let is_gateway = !is_backbone && rng.gen_bool(config.national_gateway_fraction);
@@ -155,24 +155,23 @@ pub fn allocate(config: &UniverseConfig) -> Allocation {
         // alignment holes.
         let total: u64 = lens.iter().map(|&l| 1u64 << (32 - u32::from(l))).sum();
         let agg_size = (total * 2).next_power_of_two().max(1 << 10);
-        // analyze:allow(cast-truncation) agg_size <= 2^32, so <= 32 zeros.
+        #[allow(clippy::cast_possible_truncation, reason = "agg_size <= 2^32, so <= 32 zeros.")]
         let agg_len = 32 - (agg_size.trailing_zeros() as u8);
 
         // Allocate the aggregate from the pool for this AS.
         let pool = as_idx % POOLS.len();
-        // analyze:allow(cast-truncation) agg_size <= the 32-bit pool span.
-        let aligned = align_up(cursors[pool], agg_size as u32);
+        #[allow(clippy::cast_possible_truncation, reason = "agg_size <= the 32-bit pool span.")]
+        let agg_span = agg_size as u32;
+        let aligned = align_up(cursors[pool], agg_span);
         let (_, pool_end) = POOLS[pool];
         assert!(
             aligned
-                // analyze:allow(cast-truncation) agg_size <= the 32-bit pool span.
-                .checked_add(agg_size as u32)
+                .checked_add(agg_span)
                 .map(|e| e <= pool_end)
                 .unwrap_or(false),
             "allocation pool {pool} exhausted at AS {as_idx}"
         );
-        // analyze:allow(cast-truncation) agg_size <= the 32-bit pool span.
-        cursors[pool] = aligned + agg_size as u32;
+        cursors[pool] = aligned + agg_span;
         let aggregate = Ipv4Net::new(aligned, agg_len).expect("valid aggregate length");
 
         // Pack org networks inside the aggregate, biggest first.
@@ -195,8 +194,7 @@ pub fn allocate(config: &UniverseConfig) -> Allocation {
                 Ipv4Net::new(start, len).expect("valid org length")
             } else {
                 let inner_aligned = align_up(inner, size);
-                // analyze:allow(cast-truncation) agg_size <= the 32-bit pool span.
-                if inner_aligned.saturating_add(size) > aligned + agg_size as u32 {
+                if inner_aligned.saturating_add(size) > aligned + agg_span {
                     // Slack exhausted (rare) — drop remaining orgs of this AS.
                     break;
                 }
@@ -204,7 +202,7 @@ pub fn allocate(config: &UniverseConfig) -> Allocation {
                 Ipv4Net::new(inner_aligned, len).expect("valid org length")
             };
 
-            // analyze:allow(cast-truncation) org ids are u32 by design.
+            #[allow(clippy::cast_possible_truncation, reason = "org ids are u32 by design.")]
             let org_id = orgs.len() as u32;
             let kind = draw_kind(&mut rng, len);
             let policy = if newly_allocated {

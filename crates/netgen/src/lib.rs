@@ -20,6 +20,7 @@
 //! before day 3's, or querying DNS names in any order, gives identical
 //! results.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod alloc;
@@ -32,7 +33,7 @@ pub mod vantage;
 
 pub use config::UniverseConfig;
 pub use org::{AnnouncePolicy, AutonomousSystem, Org, OrgId, OrgKind};
-pub use rng::{derive_seed, stream_rng, uniform_u64, unit_f64};
+pub use rng::{derive_seed, stream_rng, uniform_index, uniform_u64, unit_f64};
 pub use universe::{Announcement, Hop, Universe};
 pub use vantage::{
     registry_dump, snapshot, snapshot_with_attrs, standard_collection, standard_merged,

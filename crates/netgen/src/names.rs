@@ -7,7 +7,7 @@
 //! the same org together and separates different orgs.
 
 use crate::org::OrgKind;
-use crate::rng::uniform_u64;
+use crate::rng::{uniform_index, uniform_u64};
 
 const CORP_STEMS: &[&str] = &[
     "acme",
@@ -116,14 +116,14 @@ const COUNTRIES: &[&str] = &["hr", "fr", "jp", "za", "br", "in", "au", "de", "kr
 /// rule still has enough components to discriminate.
 pub fn org_domain(seed: u64, org_id: u64, kind: OrgKind, country: Option<usize>) -> String {
     let pick = |stems: &[&str], tld: &str| -> String {
-        let i = uniform_u64(seed, &[0xD0_17, org_id, 1], stems.len() as u64) as usize;
+        let i = uniform_index(seed, &[0xD0_17, org_id, 1], stems.len());
         let n = uniform_u64(seed, &[0xD0_17, org_id, 2], 9000) + 1;
         format!("{}{}.{}", stems[i], n, tld)
     };
     match (kind, country) {
         (_, Some(c)) => {
             let cc = COUNTRIES[c % COUNTRIES.len()];
-            let i = uniform_u64(seed, &[0xD0_17, org_id, 1], EDU_STEMS.len() as u64) as usize;
+            let i = uniform_index(seed, &[0xD0_17, org_id, 1], EDU_STEMS.len());
             let n = uniform_u64(seed, &[0xD0_17, org_id, 2], 9000) + 1;
             format!("{}{}.ac.{}", EDU_STEMS[i], n, cc)
         }
@@ -138,14 +138,14 @@ pub fn org_domain(seed: u64, org_id: u64, kind: OrgKind, country: Option<usize>)
 /// ISP's delegated (provider-aggregatable) space. Customers are small
 /// businesses, so they get `.com` domains distinct from the ISP's `.net`.
 pub fn customer_domain(seed: u64, org_id: u64, stripe: u64) -> String {
-    let i = uniform_u64(seed, &[0xC057, org_id, stripe, 1], CORP_STEMS.len() as u64) as usize;
+    let i = uniform_index(seed, &[0xC057, org_id, stripe, 1], CORP_STEMS.len());
     let n = uniform_u64(seed, &[0xC057, org_id, stripe, 2], 9000) + 1;
     format!("{}{}.com", CORP_STEMS[i], n)
 }
 
 /// A department label for multi-department organizations.
 pub fn dept_name(seed: u64, org_id: u64) -> &'static str {
-    DEPTS[uniform_u64(seed, &[0xDE_97, org_id], DEPTS.len() as u64) as usize]
+    DEPTS[uniform_index(seed, &[0xDE_97, org_id], DEPTS.len())]
 }
 
 /// Host name for the `host_idx`-th address of an org.

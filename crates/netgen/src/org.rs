@@ -103,7 +103,7 @@ impl Org {
     /// that populated subnets hold ~48 hosts each (dense local subnets,
     /// like real departments), bounded by the org's physical /24 count.
     fn stripes(&self) -> u32 {
-        // analyze:allow(cast-truncation) num_addresses() / 256 <= 2^24.
+        #[allow(clippy::cast_possible_truncation, reason = "num_addresses() / 256 <= 2^24.")]
         let physical = ((self.network.num_addresses() / 256) as u32).max(1);
         self.active_hosts.div_ceil(48).clamp(1, physical)
     }

@@ -45,6 +45,12 @@ pub fn uniform_u64(seed: u64, stream: &[u64], n: u64) -> u64 {
     ((derive_seed(seed, stream) as u128 * n as u128) >> 64) as u64
 }
 
+/// A stateless uniform index into a collection of `len` (`len > 0`).
+#[allow(clippy::cast_possible_truncation, reason = "the draw is below `len`, a usize.")]
+pub fn uniform_index(seed: u64, stream: &[u64], len: usize) -> usize {
+    uniform_u64(seed, stream, len as u64) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -109,9 +109,9 @@ fn vp_key(spec: &VantageSpec) -> u64 {
 }
 
 /// Day a route first exists (0 for the stable ~95 %).
+#[allow(clippy::cast_possible_truncation, reason = "the product lies in [0, MAX_BIRTH_DAY).")]
 fn birth_day(seed: u64, route: u64) -> u32 {
     if unit_f64(seed, &[S_BIRTH, route]) < P_NEW {
-        // analyze:allow(cast-truncation) the product lies in [0, MAX_BIRTH_DAY).
         1 + (unit_f64(seed, &[S_BIRTH, route, 1]) * (MAX_BIRTH_DAY as f64)) as u32
     } else {
         0

@@ -4,7 +4,11 @@
 //! [`now`]/[`Ticks`], and every clock-derived field is zeroed when a
 //! snapshot is taken in deterministic mode (see `report.rs`), so the
 //! nondeterminism never escapes into a deterministic artifact.
-// analyze:allow-file(determinism) measurement-only monotonic clock; all derived fields are zeroed in deterministic snapshots.
+
+#![allow(
+    clippy::disallowed_types,
+    reason = "measurement-only monotonic clock; all derived fields are zeroed in deterministic snapshots."
+)]
 
 use std::time::Instant;
 

@@ -24,6 +24,8 @@
 //! and then update lock-free; the only mutex on a measured path is at span
 //! close, which callers hold at stage/chunk granularity, never per record.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
 #![warn(missing_docs)]
 
 mod clock;

@@ -155,7 +155,7 @@ pub fn bucket_bounds(index: usize) -> (u64, u64) {
     if index == 0 {
         return (0, 0);
     }
-    // analyze:allow(cast-truncation) clamped to BUCKETS-1 = 64, fits u32.
+    #[allow(clippy::cast_possible_truncation, reason = "clamped to BUCKETS-1 = 64, fits u32.")]
     let i = index.min(BUCKETS - 1) as u32;
     let lo = 1u64 << (i - 1);
     let hi = if i == 64 { u64::MAX } else { (1u64 << i) - 1 };

@@ -29,6 +29,7 @@
 //! assert!(net.contains("12.65.147.94".parse().unwrap()));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod class;

@@ -23,9 +23,10 @@ pub struct Ipv4Net {
     len: u8,
 }
 
-// `len` is the prefix length in bits, not a container size; an `is_empty`
-// would be meaningless.
-#[allow(clippy::len_without_is_empty)]
+#[allow(
+    clippy::len_without_is_empty,
+    reason = "`len` is the prefix length in bits, not a container size; an `is_empty` would be meaningless."
+)]
 impl Ipv4Net {
     /// The default route `0.0.0.0/0`, which contains every address.
     pub const DEFAULT: Ipv4Net = Ipv4Net { addr: 0, len: 0 };
@@ -174,7 +175,10 @@ impl Ipv4Net {
         let step = 1u64 << (32 - u32::from(len));
         (0..count)
             .map(|i| Ipv4Net {
-                // analyze:allow(cast-truncation) i * step < 2^(32 - self.len) stays inside the block.
+                #[allow(
+                    clippy::cast_possible_truncation,
+                    reason = "i * step < 2^(32 - self.len) stays inside the block."
+                )]
                 addr: self.addr + (i * step) as u32,
                 len,
             })
@@ -198,11 +202,11 @@ impl Ipv4Net {
     ///
     /// `nth_host(0)` is the network address itself; callers that want
     /// "usable" host addresses typically start at 1.
+    #[allow(clippy::cast_possible_truncation, reason = "n < num_addresses() <= 2^32.")]
     pub fn nth_host(&self, n: u64) -> Option<Ipv4Addr> {
         if n >= self.num_addresses() {
             None
         } else {
-            // analyze:allow(cast-truncation) n < num_addresses() <= 2^32.
             Some(u32_to_addr(self.addr + n as u32))
         }
     }
@@ -273,11 +277,9 @@ impl FromStr for Ipv4Net {
         let len: u32 = len_part
             .parse()
             .map_err(|_| PrefixError::MalformedEntry(s.to_string()))?;
-        if len > 32 {
-            return Err(PrefixError::InvalidLength(len));
-        }
-        // analyze:allow(cast-truncation) len <= 32 checked above.
-        Ipv4Net::from_addr(addr, len as u8)
+        // `from_addr` refuses what fits a `u8` but exceeds 32.
+        let len = u8::try_from(len).map_err(|_| PrefixError::InvalidLength(len))?;
+        Ipv4Net::from_addr(addr, len)
     }
 }
 

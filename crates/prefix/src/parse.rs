@@ -59,11 +59,8 @@ pub fn parse_table_entry(entry: &str) -> Result<Ipv4Net, PrefixError> {
                 let len: u32 = mask_part
                     .parse()
                     .map_err(|_| PrefixError::MalformedEntry(entry.to_string()))?;
-                if len > 32 {
-                    return Err(PrefixError::InvalidLength(len));
-                }
-                // analyze:allow(cast-truncation) len <= 32 checked above.
-                len as u8
+                // `from_addr` refuses what fits a `u8` but exceeds 32.
+                u8::try_from(len).map_err(|_| PrefixError::InvalidLength(len))?
             };
             Ipv4Net::from_addr(addr, len)
         }
@@ -79,14 +76,9 @@ fn parse_padded_addr(s: &str) -> Result<Ipv4Addr, PrefixError> {
         if count == 4 {
             return Err(PrefixError::InvalidAddress(s.to_string()));
         }
-        let value: u32 = part
-            .parse()
+        octets[count] = part
+            .parse::<u8>()
             .map_err(|_| PrefixError::InvalidAddress(s.to_string()))?;
-        if value > 255 {
-            return Err(PrefixError::InvalidAddress(s.to_string()));
-        }
-        // analyze:allow(cast-truncation) value <= 255 checked above.
-        octets[count] = value as u8;
         count += 1;
     }
     if count == 0 {
@@ -102,8 +94,7 @@ fn mask_to_len(mask: Ipv4Addr) -> Option<u8> {
     let len = m.leading_ones();
     // Contiguous means the ones are exactly the leading `len` bits.
     if len == 32 || m << len == 0 {
-        // analyze:allow(cast-truncation) leading_ones() of a u32 is <= 32.
-        Some(len as u8)
+        u8::try_from(len).ok()
     } else {
         None
     }

@@ -122,7 +122,7 @@ impl RetryPolicy {
     /// Backoff charged before retry number `retry` (0-based): exponential
     /// doubling from the base, saturating at the cap.
     pub fn backoff_ms(&self, retry: u32) -> f64 {
-        // analyze:allow(cast-truncation) clamped to 30, well inside i32.
+        // Clamped to 30, well inside i32.
         let factor = 2f64.powi(retry.min(30) as i32);
         (self.base_backoff_ms * factor).min(self.max_backoff_ms)
     }

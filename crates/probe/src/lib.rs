@@ -15,6 +15,7 @@
 //!   with retry-and-capped-backoff recovery, so the lossy reality the
 //!   paper's §3.5 alludes to is reproducible in tests.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod faults;

@@ -247,7 +247,7 @@ impl<'u> Traceroute<'u> {
         // [1, max_ttl): probing ttl t answers iff t <= hops.len().
         self.stats.timeouts += 1;
         self.stats.time_ms += PROBE_TIMEOUT_MS;
-        // analyze:allow(cast-truncation) path depth is bounded by max_ttl.
+        #[allow(clippy::cast_possible_truncation, reason = "path depth is bounded by max_ttl.")]
         let depth = hops.len() as u32;
         let (mut lo, mut hi) = (1u32, u32::from(self.max_ttl) - 1);
         while lo < hi {
@@ -364,7 +364,7 @@ impl<'u> Traceroute<'u> {
         if found >= 2 {
             // Re-confirm the penultimate hop; if it stays silent its name
             // is unknown — a wildcard in the signature, not an error.
-            // analyze:allow(cast-truncation) found <= max_ttl.
+            #[allow(clippy::cast_possible_truncation, reason = "found <= max_ttl.")]
             if !self.probe_hop_with_retry(&hops, addr32, found as u32 - 1, &model, &policy) {
                 partial[found - 2].name = UNRESPONSIVE_HOP.to_string();
             }

@@ -12,6 +12,8 @@
 //! 6-byte records (kind, address, length) with a typed decode error —
 //! framing and checksumming live one layer up, in the journal codec.
 
+#![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
+
 use std::collections::BTreeSet;
 use std::fmt;
 

@@ -32,6 +32,16 @@
 //! paint-and-encode per node. Routing updates patch the layout chunk by
 //! chunk: see [`CompiledTable::apply_delta`] in `patch.rs`.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::fmt;
 use std::net::Ipv4Addr;
 

@@ -36,6 +36,16 @@
 //! a patched table is lookup-equivalent to a from-scratch compile of the
 //! same prefix set (`tests/patch_prop.rs`).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::fmt;
 use std::str::FromStr;
 
@@ -187,6 +197,7 @@ impl PatchPolicy {
     /// the layout once instead of patching, for a table with `live`
     /// prefixes.
     pub fn recompile_threshold(&self, live: usize) -> usize {
+        #[allow(clippy::cast_possible_truncation, reason = "a float-to-int `as` saturates.")]
         let scaled = (self.recompile_delta_fraction * live as f64) as usize;
         scaled.max(self.recompile_min_deltas)
     }

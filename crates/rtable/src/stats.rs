@@ -68,13 +68,11 @@ impl PrefixLengthHistogram {
 
     /// Iterates `(length, count)` for lengths that occur at least once.
     pub fn nonzero(&self) -> impl Iterator<Item = (u8, usize)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
+        // One count per length 0..=32, so the lengths can be counted in u8.
+        (0u8..)
+            .zip(&self.counts)
             .filter(|(_, &c)| c > 0)
-            // analyze:allow(cast-truncation) l indexes the 33-entry
-            // per-length histogram, so l <= 32 fits u8.
-            .map(|(l, &c)| (l as u8, c))
+            .map(|(l, &c)| (l, c))
     }
 
     /// The most common prefix length, or `None` on an empty set.

@@ -66,6 +66,15 @@ impl<V> Default for PrefixTrie<V> {
 
 impl<V> PrefixTrie<V> {
     /// Creates an empty trie.
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )]
     pub fn new() -> Self {
         PrefixTrie {
             nodes: vec![Node::new()],
@@ -108,6 +117,7 @@ impl<V> PrefixTrie<V> {
             let b = Self::bit(net.addr_u32(), depth);
             let child = self.nodes[idx as usize].children[b];
             idx = if child == NIL {
+                #[allow(clippy::cast_possible_truncation, reason = "node ids are u32 by design.")]
                 let new_idx = self.nodes.len() as NodeIdx;
                 self.nodes.push(Node::new());
                 self.nodes[idx as usize].children[b] = new_idx;

@@ -34,7 +34,11 @@
 //! **Lock order** is store → stream everywhere: the checkpointer takes the
 //! store mutex then the stream read lock (dropped before any disk I/O);
 //! `apply_journaled` takes the store mutex then the stream write lock.
-// analyze:allow-file(determinism) the clock only paces *when* a snapshot is taken (the duty bound), never what it contains; the one clock-derived metric is skipped under --deterministic.
+
+#![allow(
+    clippy::disallowed_types,
+    reason = "the clock only paces *when* a snapshot is taken (the duty bound), never what it contains; the one clock-derived metric is skipped under --deterministic."
+)]
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -183,6 +187,15 @@ pub(crate) fn run(state: &AppState) {
 
 /// Snapshots the stream — counts and log cursor exported together under
 /// one read lock — into the state store, if one is configured.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 pub(crate) fn checkpoint_now(state: &AppState) -> Result<(), String> {
     let Some(cp) = &state.checkpointer else {
         return Ok(());
@@ -257,6 +270,15 @@ impl fmt::Display for ApplyError {
 /// store is configured) *before* it is applied, both under the store
 /// mutex, so a crash between the two replays the batch on recovery
 /// instead of losing it and no snapshot can fall between them.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 pub(crate) fn apply_journaled(
     state: &AppState,
     deltas: &[TableDelta],

@@ -146,14 +146,10 @@ impl ServeConfig {
         self
     }
 
-    /// Parses `netclustd` command-line flags against [`FLAGS`]. Returns a
-    /// usage message on any unknown, repeated or malformed flag.
-    // analyze:allow(typed-errors) flag-parse failures are usage text printed verbatim to stderr; no caller matches on them.
-    pub fn from_args(args: &[String]) -> Result<ServeConfig, String> {
-        Self::from_flags(args).map_err(|e| e.to_string())
-    }
-
-    fn from_flags(args: &[String]) -> Result<ServeConfig, FlagError> {
+    /// Parses `netclustd` command-line flags against [`FLAGS`]:
+    /// [`FlagError::Help`] when `--help` is among them, the usage message
+    /// on any unknown, repeated or malformed flag.
+    pub fn from_args(args: &[String]) -> Result<ServeConfig, FlagError> {
         use table::*;
         let p = FLAGS.parse(args)?;
         if !p.given(&TABLE) && !p.given(&DUMP) {
@@ -294,17 +290,16 @@ mod tests {
                 twice.push(name.to_string());
             } else {
                 let err = ServeConfig::from_args(&argv(&["--table", "t", name]));
-                assert_eq!(err.expect_err(name), format!("{name} needs a value"));
+                let err = err.expect_err(name).to_string();
+                assert_eq!(err, format!("{name} needs a value"));
                 twice.extend([name.to_string(), sample(flag).to_string()]);
             }
             let again = ServeConfig::from_args(&twice);
             if flag.repeatable {
                 again.expect(name);
             } else {
-                assert_eq!(
-                    again.expect_err(name),
-                    format!("{name} given more than once")
-                );
+                let err = again.expect_err(name).to_string();
+                assert_eq!(err, format!("{name} given more than once"));
             }
         }
     }
@@ -321,7 +316,7 @@ mod tests {
         }
         // A hyphen is not the grammar: refused, and told what is.
         let err = ServeConfig::from_args(&argv(&["--table", "t", FSYNC.name, "every-batch"]));
-        let err = err.expect_err("not the grammar");
+        let err = err.expect_err("not the grammar").to_string();
         assert!(
             err.contains(grammar) && !err.contains("FsyncParseError"),
             "{err}"
@@ -331,7 +326,9 @@ mod tests {
     #[test]
     fn unknown_flags_and_failpoints_are_usage_errors() {
         let err = ServeConfig::from_args(&argv(&["--bogus"])).expect_err("unknown");
-        assert!(err.contains("--bogus"), "{err}");
+        assert!(err.to_string().contains("--bogus"), "{err}");
+        let help = ServeConfig::from_args(&argv(&["--table", "t", "--help"]));
+        assert!(matches!(help, Err(FlagError::Help)), "{help:?}");
         assert!(ServeConfig::from_args(&argv(&["--table", "t", "--fault", "nope=1"])).is_err());
         assert!(
             ServeConfig::from_args(&argv(&["--table", "t", "--fault", "serve.accept"])).is_err()

@@ -331,7 +331,10 @@ fn serve_connection(
     let _ = conn.set_read_timeout(Some(READ_SLICE));
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut scratch = [0u8; 16 * 1024];
-    // analyze:allow(determinism) the clock only bounds how long a peer may take over one request; it never reaches an output.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the clock only bounds how long a peer may take over one request; it never reaches an output."
+    )]
     let clock = std::time::Instant::now();
     // `clock.elapsed()` at which the request being read has overstayed.
     let mut due = budget;

@@ -275,6 +275,15 @@ pub struct HttpResponse {
 
 impl HttpResponse {
     /// A JSON response.
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )]
     pub fn json(status: u16, body: String) -> Self {
         HttpResponse {
             status,

@@ -6,6 +6,19 @@
 //! byte-identical bodies, which the `--deterministic` end-to-end test
 //! pins with `cmp`.
 
+// Every body here is rendered from `serve::router`, a hot file: the whole
+// module carries its panic-free lint set, private helper included.
+#![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::fmt::Write as _;
 
 use netclust_core::{PatchBatchReport, SwapReport};

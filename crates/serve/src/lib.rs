@@ -31,6 +31,7 @@
 //! thread, the synchronous checkpoints, and the journal-before-apply step
 //! of a delta reload.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;

@@ -83,12 +83,12 @@ mod sys {
 fn main() -> ExitCode {
     sys::pin_mmap_threshold();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if matches!(FLAGS.parse(&args), Err(FlagError::Help)) {
-        print!("{}", FLAGS.render_help());
-        return ExitCode::SUCCESS;
-    }
     let config = match ServeConfig::from_args(&args) {
         Ok(config) => config,
+        Err(FlagError::Help) => {
+            print!("{}", FLAGS.render_help());
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("netclustd: {msg}\n\n{}", FLAGS.render_help());
             return ExitCode::from(2);

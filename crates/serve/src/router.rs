@@ -12,6 +12,16 @@
 //! report from — so the daemon and the CLI cannot drift apart on
 //! semantics.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::net::Ipv4Addr;
 use std::sync::atomic::AtomicU64;
 use std::sync::RwLock;

@@ -21,6 +21,16 @@
 //! than a `libc` dependency: the workspace is offline and the only
 //! platform this targets is the 64-bit Unix the toolchain itself runs on.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::fs::File;
 use std::io;
 use std::path::Path;
@@ -57,10 +67,12 @@ pub fn cut_lines(data: &[u8], max_bytes: usize) -> impl Iterator<Item = Chunk<'_
         // search starts one byte early so a chunk already ending in `\n`
         // is not extended by a line.
         let search_from = tentative - 1;
+        #[allow(clippy::indexing_slicing, reason = "search_from = tentative - 1 < data.len().")]
         let end = match data[search_from..].iter().position(|&b| b == b'\n') {
             Some(i) => search_from + i + 1,
             None => data.len(),
         };
+        #[allow(clippy::indexing_slicing, reason = "start < end <= data.len().")]
         let chunk = Chunk {
             data: &data[start..end],
         };
@@ -215,6 +227,7 @@ mod mapped {
             if len == 0 || len > usize::MAX as u64 {
                 return None;
             }
+            #[allow(clippy::cast_possible_truncation, reason = "len <= usize::MAX checked above.")]
             let len = len as usize;
             // SAFETY: a fresh private read-only mapping of a file we hold
             // open; the kernel validates fd/length and returns MAP_FAILED

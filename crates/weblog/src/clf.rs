@@ -25,7 +25,7 @@ pub(crate) const MONTHS: [&str; 12] = [
 /// `String` keeps the error path allocation-free: real logs contain noise
 /// on the hot ingest path, and every malformed line is reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)] // The variants are their Display messages.
+#[allow(missing_docs, reason = "the variants are their Display messages.")]
 pub enum ClfErrorKind {
     MissingFields,
     BadClientAddress,
@@ -94,6 +94,15 @@ impl std::fmt::Display for ClfError {
 impl std::error::Error for ClfError {}
 
 /// Days since the Unix epoch for a civil date (Howard Hinnant's algorithm).
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 pub(crate) fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
     let y = if m <= 2 { y - 1 } else { y };
     let era = if y >= 0 { y } else { y - 399 } / 400;
@@ -113,10 +122,12 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
     let y = yoe as i64 + era * 400;
     let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
     let mp = (5 * doy + 2) / 153;
-    // analyze:allow(cast-truncation) day-of-year arithmetic: doy < 366 and
-    // mp < 12, so both results fit u32 (Howard Hinnant's civil algorithm).
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "day-of-year arithmetic: doy < 366 and mp < 12, so both results fit u32 (Howard Hinnant's civil algorithm)."
+    )]
     let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
-    // analyze:allow(cast-truncation) mp < 12, so m <= 13 fits u32.
+    #[allow(clippy::cast_possible_truncation, reason = "mp < 12, so m <= 13 fits u32.")]
     let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
     (if m <= 2 { y + 1 } else { y }, m, d)
 }
@@ -292,28 +303,31 @@ pub fn from_clf(name: &str, text: &str) -> (Log, Vec<ClfError>) {
     let end = parsed.last().map(|p| p.epoch).unwrap_or(0);
     let mut requests = Vec::with_capacity(parsed.len());
     for p in parsed {
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "Request.url is u32 by format; 2^32 distinct URLs cannot be interned from an addressable log."
+        )]
         let url = *url_index.entry(p.path.clone()).or_insert_with(|| {
             urls.push(UrlMeta {
                 path: p.path.clone(),
                 size: p.bytes,
             });
-            // analyze:allow(cast-truncation) Request.url is u32 by format;
-            // 2^32 distinct URLs cannot be interned from an addressable log.
             (urls.len() - 1) as u32
         });
         // Track the largest observed size as the canonical resource size.
         if p.bytes > urls[url as usize].size {
             urls[url as usize].size = p.bytes;
         }
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "Request.ua is u16 by format, matching the byte parser's interner."
+        )]
         let ua = *ua_index.entry(p.ua.clone()).or_insert_with(|| {
             uas.push(p.ua.clone());
-            // analyze:allow(cast-truncation) Request.ua is u16 by format,
-            // matching the byte parser's interner.
             (uas.len() - 1) as u16
         });
         requests.push(Request {
-            // analyze:allow(cast-truncation) time is an offset from the
-            // log's own start; Request.time is u32 by format.
+            #[allow(clippy::cast_possible_truncation, reason = "time is an offset from the log's own start; Request.time is u32 by format.")]
             time: (p.epoch - start_time) as u32,
             client: u32::from(p.addr),
             url,
@@ -332,8 +346,10 @@ pub fn from_clf(name: &str, text: &str) -> (Log, Vec<ClfError>) {
             uas
         },
         start_time,
-        // analyze:allow(cast-truncation) log span in seconds; Log.duration_s
-        // is u32 by format (~136 years).
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "log span in seconds; Log.duration_s is u32 by format (~136 years)."
+        )]
         duration_s: (end - start_time) as u32,
         truth: LogTruth::default(),
     };

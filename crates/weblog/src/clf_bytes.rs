@@ -24,6 +24,16 @@
 //! parallel parsing fused with compiled-LPM clustering — lives in
 //! `netclust-core` (`IngestPipeline`); this module provides its scanner.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::HashMap;
 
 use crate::clf::{days_from_civil, ClfError, ClfErrorKind, MONTHS};
@@ -210,6 +220,10 @@ fn parse_clf_time_fixed(s: &[u8]) -> Option<u64> {
 /// Parses a CLF date (the part between brackets) to Unix epoch seconds —
 /// byte-level twin of [`clf::parse_clf_time`](crate::clf::parse_clf_time).
 /// Only `+0000` offsets are accepted.
+#[allow(
+    clippy::indexing_slicing,
+    reason = "every range bound is an offset `find` returned for the slice it cuts (plus one past a found byte)."
+)]
 pub fn parse_clf_time_bytes(s: &[u8]) -> Option<u64> {
     if let Some(t) = parse_clf_time_fixed(s) {
         return Some(t);
@@ -227,7 +241,7 @@ pub fn parse_clf_time_bytes(s: &[u8]) -> Option<u64> {
         Some(i) => &year_part[..i],
         None => year_part,
     };
-    // analyze:allow(cast-truncation) parse_uint is bounded by u32::MAX above.
+    #[allow(clippy::cast_possible_truncation, reason = "parse_uint is bounded by u32::MAX above.")]
     let d = parse_uint(&date[..slash1], u32::MAX as u64)? as u32;
     let m = month_number(mon)?;
     let y = parse_uint(year, i64::MAX as u64)? as i64;
@@ -256,6 +270,7 @@ pub fn parse_clf_time_bytes(s: &[u8]) -> Option<u64> {
 /// Mirrors one step of `str::split(' ')` — the token may be empty, and
 /// `rest` is `None` when no space remains.
 #[inline]
+#[allow(clippy::indexing_slicing, reason = "i is where `find` saw the space in `s`.")]
 fn split_token(s: &[u8]) -> (&[u8], Option<&[u8]>) {
     match find(s, b' ') {
         Some(i) => (&s[..i], Some(&s[i + 1..])),
@@ -292,6 +307,10 @@ fn parse_record_impl<const WANT_UA: bool>(
 /// [`parse_record_impl`] over an already-trimmed line (the `records`
 /// iterators trim once while skipping blanks).
 #[inline]
+#[allow(
+    clippy::indexing_slicing,
+    reason = "every range bound is an offset `find`/`rposition` returned for the slice it cuts, or the fast path's 31, taken only after `get(31)` saw the bracket."
+)]
 fn parse_trimmed_impl<const WANT_UA: bool>(
     mut rest: &[u8],
     lineno: usize,
@@ -345,15 +364,15 @@ fn parse_trimmed_impl<const WANT_UA: bool>(
     };
     rest = trim_ascii_start(&rest[req_end + 1..]);
     let (status_tok, after_status) = split_token(rest);
-    // analyze:allow(cast-truncation) parse_uint is bounded by u16::MAX above.
+    #[allow(clippy::cast_possible_truncation, reason = "parse_uint is bounded by u16::MAX above.")]
     let status =
         parse_uint(status_tok, u16::MAX as u64).ok_or_else(|| err(ClfErrorKind::BadStatus))? as u16;
     let tail = after_status.ok_or_else(|| err(ClfErrorKind::MissingBytes))?;
     let (bytes_tok, after_bytes) = split_token(tail);
+    #[allow(clippy::cast_possible_truncation, reason = "parse_uint is bounded by u32::MAX above.")]
     let bytes: u32 = if bytes_tok == b"-" {
         0
     } else {
-        // analyze:allow(cast-truncation) parse_uint is bounded by u32::MAX above.
         parse_uint(bytes_tok, u32::MAX as u64).ok_or_else(|| err(ClfErrorKind::BadBytes))? as u32
     };
     // Optional combined-format tail: "referer" "user-agent". The UA is the
@@ -425,6 +444,10 @@ pub fn records_no_ua<'a: 's, 's>(
 /// Iterates `\n`-separated lines, stripping one trailing `\r` each —
 /// byte-level `str::lines`. A trailing newline does not produce a final
 /// empty line.
+#[allow(
+    clippy::indexing_slicing,
+    reason = "pos < data.len() is checked; i is where `find` saw the newline."
+)]
 pub fn lines(data: &[u8]) -> impl Iterator<Item = &[u8]> {
     let mut pos = 0usize;
     std::iter::from_fn(move || {
@@ -465,13 +488,15 @@ pub fn from_clf_bytes(name: &str, data: &[u8]) -> (Log, Vec<ClfError>) {
     let mut ua_index: HashMap<&[u8], u16> = HashMap::new();
     let mut requests = Vec::with_capacity(parsed.len());
     for p in &parsed {
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "Request.url is u32 by format; 2^32 distinct URLs cannot be interned from an addressable log."
+        )]
         let url = *url_index.entry(p.path).or_insert_with(|| {
             urls.push(UrlMeta {
                 path: String::from_utf8_lossy(p.path).into_owned(),
                 size: p.bytes,
             });
-            // analyze:allow(cast-truncation) Request.url is u32 by format;
-            // 2^32 distinct URLs cannot be interned from an addressable log.
             (urls.len() - 1) as u32
         });
         // Track the largest observed size as the canonical resource size.
@@ -480,15 +505,16 @@ pub fn from_clf_bytes(name: &str, data: &[u8]) -> (Log, Vec<ClfError>) {
                 meta.size = p.bytes;
             }
         }
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "Request.ua is u16 by format, matching the string parser's interner."
+        )]
         let ua = *ua_index.entry(p.ua).or_insert_with(|| {
             uas.push(String::from_utf8_lossy(p.ua).into_owned());
-            // analyze:allow(cast-truncation) Request.ua is u16 by format,
-            // matching the string parser's interner.
             (uas.len() - 1) as u16
         });
         requests.push(Request {
-            // analyze:allow(cast-truncation) time is an offset from the
-            // log's own start; Request.time is u32 by format.
+            #[allow(clippy::cast_possible_truncation, reason = "time is an offset from the log's own start; Request.time is u32 by format.")]
             time: (p.epoch - start_time) as u32,
             client: p.addr,
             url,
@@ -507,8 +533,10 @@ pub fn from_clf_bytes(name: &str, data: &[u8]) -> (Log, Vec<ClfError>) {
             uas
         },
         start_time,
-        // analyze:allow(cast-truncation) log span in seconds; Log.duration_s
-        // is u32 by format (~136 years), same bound as the string parser.
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "log span in seconds; Log.duration_s is u32 by format (~136 years), same bound as the string parser."
+        )]
         duration_s: (end - start_time) as u32,
         truth: LogTruth::default(),
     };

@@ -10,10 +10,10 @@
 //! **proxies** (high-volume clients that mimic the aggregate access
 //! pattern and carry many different User-Agents).
 
-// analyze:allow-file(cast-truncation) every narrowing cast here converts a
-// sample already bounded by its sampling range or spec field (hour <= 23,
-// pareto max params, UA-table length, u32 URL/host ids), so none can
-// truncate; see DESIGN.md §12.
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "every narrowing cast here converts a sample already bounded by its sampling range or spec field (hour <= 23, pareto max params, UA-table length, u32 URL/host ids), so none can truncate; see DESIGN.md §12."
+)]
 
 use std::net::Ipv4Addr;
 

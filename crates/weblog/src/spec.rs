@@ -209,6 +209,7 @@ impl LogSpec {
     /// shapes are scale-free.
     pub fn scale(mut self, factor: f64) -> Self {
         assert!(factor > 0.0, "scale factor must be positive");
+        #[allow(clippy::cast_possible_truncation, reason = "a float-to-int `as` saturates.")]
         let s = |v: u64| ((v as f64 * factor).round() as u64).max(1);
         // Scaled u32 fields saturate rather than wrap on absurd factors.
         let s32 = |v: u32| u32::try_from(s(u64::from(v))).unwrap_or(u32::MAX);

@@ -67,6 +67,7 @@ impl ZipfSampler {
 /// A discrete bounded Pareto draw in `[min, cap]`:
 /// `P(X >= x) ∝ x^-alpha`. Used for heavy-tailed cluster sizes and
 /// per-client request counts.
+#[allow(clippy::cast_possible_truncation, reason = "clamped to [min, cap] right after.")]
 pub fn pareto_u64(rng: &mut impl Rng, alpha: f64, min: u64, cap: u64) -> u64 {
     debug_assert!(alpha > 0.0 && min >= 1 && cap >= min);
     if cap == min {

@@ -331,10 +331,15 @@ fn run_bgp_feed(
                 StreamingClustering::restore(&state, SwapPolicy::default(), obs.clone())
                     .map_err(|e| persist_err(PersistError::from(e)))?;
             coverage_start = f64::from_bits(state.feed.coverage_start_bits);
-            resets = state.feed.resets as usize;
-            deltas_total = state.feed.deltas_total as usize;
-            reassigned = state.feed.reassigned as usize;
-            feed_pos = state.feed_pos as usize;
+            // Counts this binary wrote from a usize; one that does not fit
+            // back was written on a wider platform than this one.
+            let overflow =
+                |_| CliError::Unrecoverable("cluster: a snapshot count overflows usize".into());
+            let restored = |v: u64| usize::try_from(v).map_err(overflow);
+            resets = restored(state.feed.resets)?;
+            deltas_total = restored(state.feed.deltas_total)?;
+            reassigned = restored(state.feed.reassigned)?;
+            feed_pos = restored(state.feed_pos)?;
             for b in &report.batches {
                 if b.session_reset {
                     resets += 1;
@@ -345,7 +350,7 @@ fn run_bgp_feed(
                 // applying them here re-derives state, not new writes.
                 let r = stream.apply_deltas(&b.deltas);
                 reassigned += r.reassigned_clients;
-                feed_pos = (b.feed_index + 1) as usize;
+                feed_pos = restored(b.feed_index + 1)?;
             }
             store = Some(s.obs(obs));
             stream
@@ -403,8 +408,10 @@ fn run_bgp_feed(
             resets += 1;
         }
         deltas_total += batch.deltas.len();
-        // analyze:allow(determinism) measurement-only latency timing,
-        // disabled entirely under --deterministic.
+        #[allow(
+            clippy::disallowed_types,
+            reason = "measurement-only latency timing, disabled entirely under --deterministic."
+        )]
         let start = (!deterministic).then(std::time::Instant::now);
         let report = stream.apply_deltas(&batch.deltas);
         if let Some(start) = start {
@@ -462,6 +469,7 @@ fn run_bgp_feed(
     );
     if !latencies_ns.is_empty() {
         latencies_ns.sort_unstable();
+        #[allow(clippy::cast_possible_truncation, reason = "0 <= q <= 1 keeps the index in range.")]
         let at = |q: f64| latencies_ns[((latencies_ns.len() - 1) as f64 * q) as usize];
         println!(
             "  patch latency/batch: p50 {}ns, p90 {}ns, max {}ns",

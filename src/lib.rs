@@ -3,6 +3,7 @@
 //! Facade crate re-exporting the full `netclust` workspace. See the README
 //! for an overview and `netclust_core` for the clustering pipeline itself.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use netclust_bgpsim as bgpsim;
