@@ -2,7 +2,7 @@
 //!
 //! Clustering takes the client addresses of a server log and a *cluster
 //! assigner* — a function from address to identifying prefix — and produces
-//! per-cluster aggregates. Three assigners reproduce the paper's methods:
+//! per-cluster aggregates. Three [`Assigner`]s reproduce the paper's methods:
 //!
 //! * **network-aware** (the contribution): longest-prefix match against the
 //!   merged BGP/registry table ([`Clustering::network_aware`]),
@@ -14,16 +14,69 @@
 //! self-correction stage to absorb (§3.5).
 
 #![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::net::Ipv4Addr;
 
 use netclust_obs::Obs;
 use netclust_prefix::{classful_network, Ipv4Net};
-use netclust_rtable::{CompiledMerged, MergedTable};
+use netclust_rtable::{CompiledMerged, MergedTable, DEFAULT_PREFETCH_DISTANCE};
 use netclust_weblog::Log;
 
 use crate::fx::FxHashMap;
 use crate::kernel::{self, Shard};
+
+/// How an address gets its identifying prefix: the paper's three methods,
+/// each with the label its [`Clustering`] carries.
+#[derive(Clone, Copy)]
+pub enum Assigner<'t> {
+    /// Longest-prefix match against a compiled merged table.
+    NetworkAware(&'t CompiledMerged),
+    /// The simple approach of §2: shared first 24 bits.
+    Simple24,
+    /// The classful baseline of §2: Class A/B/C network boundaries
+    /// (multicast/reserved space is unclusterable).
+    Classful,
+}
+
+impl Assigner<'_> {
+    /// The method label of a clustering made this way.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Assigner::NetworkAware(_) => "network-aware",
+            Assigner::Simple24 => "simple-24",
+            Assigner::Classful => "classful",
+        }
+    }
+
+    /// The identifying prefix of `addr`, `None` when it is unclusterable.
+    pub fn net_for(&self, addr: u32) -> Option<Ipv4Net> {
+        match self {
+            Assigner::NetworkAware(table) => table.net_for_u32(addr),
+            // 24 <= 32, so this is always `Some`.
+            Assigner::Simple24 => Ipv4Net::new(addr, 24).ok(),
+            Assigner::Classful => classful_network(Ipv4Addr::from(addr)),
+        }
+    }
+
+    /// [`net_for`](Self::net_for) over a slice, a table's in one sweep.
+    pub(crate) fn net_for_slice(&self, addrs: &[u32], out: &mut [Option<Ipv4Net>]) {
+        if let Assigner::NetworkAware(table) = self {
+            return table.net_for_slice(addrs, out, DEFAULT_PREFETCH_DISTANCE);
+        }
+        for (&addr, slot) in addrs.iter().zip(out) {
+            *slot = self.net_for(addr);
+        }
+    }
+}
 
 /// Per-client aggregates inside a cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,15 +178,6 @@ impl Clustering {
     /// `assignments[i]`): clusters sorted by prefix, member/unclustered
     /// lists in client order, `unique_urls` left at 0 for the caller to
     /// fill.
-    #[deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::unreachable,
-        clippy::todo,
-        clippy::unimplemented,
-        clippy::indexing_slicing
-    )]
     pub(crate) fn from_assignments(
         method: impl Into<String>,
         clients: Vec<ClientStats>,
@@ -231,22 +275,23 @@ impl Clustering {
     /// [`network_aware`](Self::network_aware) against an already-compiled
     /// table.
     pub fn network_aware_compiled(log: &Log, table: &CompiledMerged) -> Self {
-        Self::build(log, "network-aware", |addr| {
-            table.net_for_u32(u32::from(addr))
-        })
+        Self::by(log, Assigner::NetworkAware(table))
     }
 
     /// The simple approach of §2: shared first 24 bits.
     pub fn simple24(log: &Log) -> Self {
-        Self::build(log, "simple-24", |addr| {
-            Some(Ipv4Net::from_addr(addr, 24).expect("24 is a valid length"))
-        })
+        Self::by(log, Assigner::Simple24)
     }
 
     /// The classful baseline of §2: Class A/B/C network boundaries
     /// (multicast/reserved space is unclusterable).
     pub fn classful(log: &Log) -> Self {
-        Self::build(log, "classful", classful_network)
+        Self::by(log, Assigner::Classful)
+    }
+
+    /// Clusters `log` by one of the paper's three methods, labelled with it.
+    pub fn by(log: &Log, how: Assigner<'_>) -> Self {
+        Self::build(log, how.label(), |addr| how.net_for(u32::from(addr)))
     }
 
     /// Number of identified clusters (excluding unclustered singletons).
@@ -261,7 +306,7 @@ impl Clustering {
 
     /// The cluster containing `addr`, if it was clustered.
     pub fn cluster_of(&self, addr: Ipv4Addr) -> Option<&Cluster> {
-        self.cluster_index(addr).map(|i| &self.clusters[i])
+        self.clusters.get(self.cluster_index(addr)?)
     }
 
     /// Index into [`clusters`](Self::clusters) of the cluster containing

@@ -11,6 +11,7 @@
 use std::fmt;
 use std::str::FromStr;
 
+use crate::cluster::Assigner;
 use crate::ingest::IngestPipeline;
 use crate::persist::FsyncPolicy;
 use crate::stream::StreamingClustering;
@@ -43,7 +44,8 @@ impl RunConfig {
         self
     }
 
-    /// Forces byte-identical output regardless of thread schedule.
+    /// Keeps clock-derived fields out of every output, so runs compare
+    /// byte for byte (reports never depend on the thread schedule).
     pub fn deterministic(mut self, on: bool) -> Self {
         self.deterministic = on;
         self
@@ -82,13 +84,16 @@ impl RunConfig {
         &self.obs
     }
 
-    /// Builds a batch ingest pipeline over `table` with every knob
+    /// [`pipeline_by`](Self::pipeline_by) the network-aware method over `table`.
+    pub fn pipeline<'t>(&self, table: &'t CompiledMerged) -> IngestPipeline<'t> {
+        self.pipeline_by(Assigner::NetworkAware(table))
+    }
+
+    /// Builds a batch ingest pipeline clustering by `how` with every knob
     /// applied. Callers may still chain pipeline-specific settings
     /// (chunk size, fault plans) on the result.
-    pub fn pipeline<'t>(&self, table: &'t CompiledMerged) -> IngestPipeline<'t> {
-        let mut p = IngestPipeline::new(table)
-            .obs(self.obs.clone())
-            .deterministic(self.deterministic);
+    pub fn pipeline_by<'t>(&self, how: Assigner<'t>) -> IngestPipeline<'t> {
+        let mut p = IngestPipeline::by(how).obs(self.obs.clone());
         if let Some(threads) = self.threads {
             p = p.threads(threads);
         }

@@ -24,10 +24,10 @@
 //! 3. the clustering kernel — the same one `Clustering::build` drives
 //!    from a `Log` — merges the shards into canonical global order
 //!    (per-partition client sums concatenate in address order, shard url
-//!    ids translate through one global intern), assigns clusters by batch
-//!    longest-prefix match over the compiled table, and assembles a
-//!    [`Clustering`] byte-identical to the `from_clf` →
-//!    `network_aware_compiled` route.
+//!    ids translate through one global intern), assigns clusters by the
+//!    pipeline's [`Assigner`] (batch longest-prefix match over the compiled
+//!    table, or a baseline's rule), and assembles a [`Clustering`]
+//!    byte-identical to the `from_clf` → [`Clustering::by`] route.
 //!
 //! Determinism holds by construction, not by scheduling: client sums
 //! commute, partition runs concatenate in address order, parse errors
@@ -37,7 +37,8 @@
 //! relabeling. The report
 //! is therefore byte-identical across thread counts and across
 //! work-stealing schedules — [`threads(1)`](IngestPipeline::threads) is
-//! the reference the parallel bench asserts against.
+//! the reference the parallel bench asserts against. Nothing recorded
+//! depends on the schedule either, so work stealing is the only one.
 //!
 //! ## Hardening
 //!
@@ -73,12 +74,12 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use netclust_obs::{Counter, ErrorCounts, Histogram, Obs};
-use netclust_rtable::{CompiledMerged, DEFAULT_PREFETCH_DISTANCE};
+use netclust_rtable::CompiledMerged;
 use netclust_weblog::chunk::{self, Chunk, LogData};
 use netclust_weblog::clf::ClfError;
 use netclust_weblog::clf_bytes;
 
-use crate::cluster::Clustering;
+use crate::cluster::{Assigner, Clustering};
 use crate::faults::{failpoints, FaultPlan};
 use crate::fx::FxHashMap;
 use crate::kernel::{self, Shard};
@@ -122,7 +123,8 @@ impl IngestObs {
 /// enough that a handful of chunks per thread keeps the pool busy.
 const DEFAULT_CHUNK_BYTES: usize = 1 << 20;
 
-/// A configured fused ingest pipeline over a compiled routing table.
+/// A configured fused ingest pipeline: raw CLF bytes to the [`Clustering`]
+/// of one [`Assigner`].
 ///
 /// ```no_run
 /// use netclust_core::IngestPipeline;
@@ -140,12 +142,11 @@ const DEFAULT_CHUNK_BYTES: usize = 1 << 20;
 /// # }
 /// ```
 pub struct IngestPipeline<'t> {
-    table: &'t CompiledMerged,
+    how: Assigner<'t>,
     chunk_bytes: usize,
     max_error_rate: Option<f64>,
     io_retries: u32,
     threads: Option<usize>,
-    deterministic: bool,
     faults: FaultPlan,
     obs: Obs,
     metrics: IngestObs,
@@ -227,7 +228,7 @@ pub struct QuarantinedLine {
 /// What one ingest run produced.
 #[derive(Debug)]
 pub struct IngestReport {
-    /// The network-aware clustering of the log's clients.
+    /// The clustering of the log's clients by the pipeline's method.
     pub clustering: Clustering,
     /// Malformed lines, in line order, with buffer-global line numbers —
     /// identical to what the string parser would report.
@@ -289,15 +290,19 @@ impl IngestReport {
 }
 
 impl<'t> IngestPipeline<'t> {
-    /// A pipeline over `table` with default chunking.
+    /// A network-aware pipeline over `table` with default chunking.
     pub fn new(table: &'t CompiledMerged) -> Self {
+        Self::by(Assigner::NetworkAware(table))
+    }
+
+    /// A pipeline clustering by `how`, with default chunking.
+    pub fn by(how: Assigner<'t>) -> Self {
         IngestPipeline {
-            table,
+            how,
             chunk_bytes: DEFAULT_CHUNK_BYTES,
             max_error_rate: None,
             io_retries: 2,
             threads: None,
-            deterministic: false,
             faults: FaultPlan::disabled(),
             obs: Obs::disabled(),
             metrics: IngestObs::default(),
@@ -344,17 +349,6 @@ impl<'t> IngestPipeline<'t> {
     /// report is byte-identical at every setting.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Replaces work stealing with a static strided chunk assignment
-    /// (worker *w* scans chunks `w, w + N, …`). The report is already
-    /// schedule-independent; this additionally makes *observability*
-    /// reproducible — per-shard `ingest.shard<w>.*` counters depend on
-    /// which worker scanned which chunk, so two `--deterministic` runs
-    /// must not let the race decide. Costs load balance; off by default.
-    pub fn deterministic(mut self, on: bool) -> Self {
-        self.deterministic = on;
         self
     }
 
@@ -481,56 +475,39 @@ impl<'t> IngestPipeline<'t> {
         };
         let workers = self.effective_threads().min(chunks.len()).max(1);
         let n_parts = kernel::merge_partitions_for(workers);
-        let scanned = {
+        let mut scan = {
             let _s = self.obs.span("parse");
             self.scan_sharded(&chunks, release, workers, n_parts, faulted)
         };
-        match scanned {
-            ScanOutcome::Done {
-                mut outs,
-                io_faults,
-                chunks_retried,
-            } => {
-                let lines = number_lines(&mut outs, chunks.len());
-                let mut report = self.finish(outs, workers, lines, data.len());
-                report.io_faults = io_faults;
-                report.chunks_retried = chunks_retried;
-                self.metrics.io_faults.add(io_faults);
-                self.metrics.chunks_retried.add(chunks_retried);
-                self.record_run(&report);
-                Ok(report)
-            }
-            ScanOutcome::ChunkIo {
+        self.metrics.io_faults.add(scan.io_faults);
+        self.metrics.chunks_retried.add(scan.chunks_retried);
+        if let Some(chunk) = scan.aborted {
+            // Every chunk before the failing one ends in a newline, so
+            // its first line is the newline count of the bytes before it.
+            #[allow(
+                clippy::indexing_slicing,
+                reason = "workers only publish in-range chunk indices."
+            )]
+            let offset: usize = chunks[..chunk].iter().map(|c| c.data.len()).sum();
+            return Err(IngestError::ChunkIo {
                 chunk,
-                io_faults,
-                chunks_retried,
-            } => {
-                self.metrics.io_faults.add(io_faults);
-                self.metrics.chunks_retried.add(chunks_retried);
-                // Every chunk before the failing one ends in a newline, so
-                // its first line is the newline count of the bytes before it.
                 #[allow(
                     clippy::indexing_slicing,
-                    reason = "workers only publish in-range chunk indices."
+                    reason = "chunk lengths sum to at most data.len()."
                 )]
-                let offset: usize = chunks[..chunk].iter().map(|c| c.data.len()).sum();
-                Err(IngestError::ChunkIo {
-                    chunk,
-                    #[allow(
-                        clippy::indexing_slicing,
-                        reason = "chunk lengths sum to at most data.len()."
-                    )]
-                    first_line: data[..offset].iter().filter(|&&b| b == b'\n').count(),
-                    attempts: self.io_retries + 1,
-                })
-            }
+                first_line: data[..offset].iter().filter(|&&b| b == b'\n').count(),
+                attempts: self.io_retries + 1,
+            });
         }
+        let lines = number_lines(&mut scan.outs, chunks.len());
+        let report = self.finish(scan, workers, lines, data.len());
+        self.record_run(&report);
+        Ok(report)
     }
 
     /// The sharded scan: `workers` scoped threads, each owning one
-    /// [`ChunkOut`] shard, steal chunks off a shared atomic index (or
-    /// walk a static stride in [`deterministic`](Self::deterministic)
-    /// mode) until the chunk list drains.
+    /// [`ChunkOut`] shard, steal chunks off a shared atomic index until
+    /// the chunk list drains.
     ///
     /// The hardening seam across workers is **chunk retry**: fault draws
     /// are keyed by `(chunk, attempt)`
@@ -548,33 +525,20 @@ impl<'t> IngestPipeline<'t> {
         workers: usize,
         n_parts: usize,
         faulted: bool,
-    ) -> ScanOutcome<'a> {
+    ) -> Scan<'a> {
         let next = AtomicUsize::new(0);
         let abort_chunk = AtomicUsize::new(usize::MAX);
 
-        let worker = |w: usize| -> (ChunkOut<'a>, u64, u64) {
+        let worker = || -> (ChunkOut<'a>, u64, u64) {
             let _span = self.obs.span("ingest.worker");
-            let shard_obs = self.obs.is_enabled().then(|| {
-                (
-                    self.obs.counter(&format!("ingest.shard{w}.chunks")),
-                    self.obs.counter(&format!("ingest.shard{w}.bytes")),
-                )
-            });
             let mut injector = faulted.then(|| self.faults.injector_with_obs(&self.obs));
             let mut out = ChunkOut::new(n_parts);
             let mut io_faults = 0u64;
             let mut chunks_retried = 0u64;
-            let mut cursor = w;
             loop {
-                let i = if self.deterministic {
-                    let i = cursor;
-                    cursor += workers;
-                    i
-                } else {
-                    // ordering: pure work-stealing ticket counter; only
-                    // atomicity matters, no data is published through it.
-                    next.fetch_add(1, Ordering::Relaxed)
-                };
+                // ordering: pure work-stealing ticket counter; only
+                // atomicity matters, no data is published through it.
+                let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= chunks.len() {
                     break;
                 }
@@ -618,20 +582,16 @@ impl<'t> IngestPipeline<'t> {
                 // one again re-faults the same bytes (`LogData::release`).
                 let released = release.map_or(0, |log| log.release(c.data));
                 self.record_chunk(c, chunk_errors, released);
-                if let Some((chunks_ctr, bytes_ctr)) = &shard_obs {
-                    chunks_ctr.inc();
-                    bytes_ctr.add(c.data.len() as u64);
-                }
             }
             (out, io_faults, chunks_retried)
         };
 
         #[allow(clippy::expect_used, reason = "propagating a worker panic, not creating one.")]
         let results: Vec<(ChunkOut<'a>, u64, u64)> = if workers <= 1 {
-            vec![worker(0)]
+            vec![worker()]
         } else {
             std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || worker(w))).collect();
+                let handles: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("worker panicked"))
@@ -650,18 +610,11 @@ impl<'t> IngestPipeline<'t> {
         // ordering: reads after every worker has been joined, which
         // already established the happens-before edges.
         let aborted = abort_chunk.load(Ordering::Relaxed);
-        if aborted != usize::MAX {
-            ScanOutcome::ChunkIo {
-                chunk: aborted,
-                io_faults,
-                chunks_retried,
-            }
-        } else {
-            ScanOutcome::Done {
-                outs,
-                io_faults,
-                chunks_retried,
-            }
+        Scan {
+            outs,
+            io_faults,
+            chunks_retried,
+            aborted: (aborted != usize::MAX).then_some(aborted),
         }
     }
 
@@ -676,17 +629,11 @@ impl<'t> IngestPipeline<'t> {
     ///   intern walked in shard order (equal ids ⇔ equal path bytes —
     ///   exactly the `Log` URL-interning identity); a lone shard's ids
     ///   are global already.
-    fn finish(
-        &self,
-        outs: Vec<ChunkOut<'_>>,
-        threads: usize,
-        lines: usize,
-        bytes: usize,
-    ) -> IngestReport {
-        let mut shards = Vec::with_capacity(outs.len());
-        let mut url_paths = Vec::with_capacity(outs.len());
+    fn finish(&self, scan: Scan<'_>, threads: usize, lines: usize, bytes: usize) -> IngestReport {
+        let mut shards = Vec::with_capacity(scan.outs.len());
+        let mut url_paths = Vec::with_capacity(scan.outs.len());
         let mut errors = Vec::new();
-        for o in outs {
+        for o in scan.outs {
             shards.push(o.shard);
             url_paths.push(o.url_paths);
             errors.extend(o.errors);
@@ -715,13 +662,10 @@ impl<'t> IngestPipeline<'t> {
             n_urls = global.len();
         }
         let clustering = kernel::finish(
-            "network-aware",
+            self.how.label(),
             &shards,
             threads,
-            &|addrs, out| {
-                self.table
-                    .net_for_slice(addrs, out, DEFAULT_PREFETCH_DISTANCE)
-            },
+            &|addrs, out| self.how.net_for_slice(addrs, out),
             (n_urls, trans.as_slice()),
             &self.obs,
         );
@@ -732,28 +676,21 @@ impl<'t> IngestPipeline<'t> {
             errors,
             counts,
             bytes,
-            io_faults: 0,
-            chunks_retried: 0,
+            io_faults: scan.io_faults,
+            chunks_retried: scan.chunks_retried,
         }
     }
 }
 
-/// What the sharded scan produced: the per-worker shard outputs, or the
-/// abort condition that stopped it (plus the fault tallies either way).
-enum ScanOutcome<'a> {
-    /// Every chunk scanned; shard outputs ready for the merge.
-    Done {
-        outs: Vec<ChunkOut<'a>>,
-        io_faults: u64,
-        chunks_retried: u64,
-    },
-    /// A chunk exhausted its read retries; `chunk` is the first such
-    /// chunk in input order (the one the serial scan would abort on).
-    ChunkIo {
-        chunk: usize,
-        io_faults: u64,
-        chunks_retried: u64,
-    },
+/// What the sharded scan produced: the per-worker shard outputs and the
+/// fault tallies.
+struct Scan<'a> {
+    outs: Vec<ChunkOut<'a>>,
+    io_faults: u64,
+    chunks_retried: u64,
+    /// The first chunk in input order that exhausted its read retries (the
+    /// one the serial scan would abort on); `outs` is then to be discarded.
+    aborted: Option<usize>,
 }
 
 /// Runs `f(start_index, span)` over near-equal contiguous spans of `out`,

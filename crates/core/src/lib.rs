@@ -6,9 +6,10 @@
 //!
 //! * [`Clustering`] — longest-prefix-match clustering against a merged
 //!   BGP/registry table, plus the simple `/24` and classful baselines (§2,
-//!   §3.2),
+//!   §3.2): one [`Assigner`] each,
 //! * [`IngestPipeline`] — fused zero-copy ingest from raw CLF bytes
-//!   (memory-mapped files included) straight to a [`Clustering`],
+//!   (memory-mapped files included) straight to a [`Clustering`], by any
+//!   of the three,
 //! * [`Distributions`], [`cdf`] — the per-cluster client/request/URL
 //!   metrics of Figures 3–7,
 //! * [`validate`] — sampled nslookup/traceroute validation (§3.3, Table 3),
@@ -51,7 +52,7 @@ pub use anomaly::{
     cluster_request_distribution, correlation, detect, hourly_histogram, strip_clients,
     AnomalyConfig, ClientClass, Detection,
 };
-pub use cluster::{ClientStats, Cluster, Clustering};
+pub use cluster::{Assigner, ClientStats, Cluster, Clustering};
 pub use config::{flags, Constraint, Flag, FlagError, FlagTable, Parsed, RunConfig};
 pub use dynamics::{dynamics_analysis, DynamicsRow, LogDynamics, LogUnderStudy};
 pub use faults::{failpoints, FaultInjector, FaultPlan};

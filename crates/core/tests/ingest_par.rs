@@ -1,16 +1,21 @@
-//! Parallel-ingest determinism properties: the sharded work-stealing
-//! scan must produce reports *byte-identical* to the serial reference
-//! (`threads(1)`) over random corpora, chunk sizes, and thread counts —
+//! Parallel-ingest determinism properties: for each of the three methods
+//! the serial scan (`threads(1)`) must report what the readable route —
+//! `clf::from_clf` into a `Log`, then `Clustering::by` — reports, and the
+//! sharded work-stealing scan must produce reports *byte-identical* to the
+//! serial one over random corpora, chunk sizes, and thread counts —
 //! including parse errors, quarantine byte ranges, and error counts —
 //! and injected `ingest.chunk_io` faults must resolve to the same
 //! outcome no matter how many workers the chunks land on. And the
 //! file-backed entry, which gives every scanned chunk's pages back to the
 //! kernel, must report exactly what `run` reports over an owned copy.
 
-use netclust_core::{failpoints, FaultPlan, IngestError, IngestPipeline, IngestReport};
+use netclust_core::{
+    failpoints, Assigner, Clustering, FaultPlan, IngestError, IngestPipeline, IngestReport,
+};
 use netclust_obs::Obs;
 use netclust_rtable::{CompiledMerged, MergedTable, RoutingTable, TableKind};
 use netclust_weblog::chunk::LogData;
+use netclust_weblog::clf;
 use proptest::prelude::*;
 
 /// A routing table whose prefixes cover some — not all — of the corpus
@@ -41,8 +46,9 @@ fn table() -> CompiledMerged {
 }
 
 /// Base /16s the corpus draws client addresses from: mostly inside the
-/// table's prefixes, a couple outside (unclustered), spread across the
-/// top address bits so multiple merge partitions fill.
+/// table's prefixes, a couple outside (unclustered, one of them for the
+/// classful method as well), spread across the top address bits so
+/// multiple merge partitions fill.
 const BASES: [u32; 8] = [
     0x0A00_0000, // 10.0/16        → 10/8
     0x0A01_0000, // 10.1/16        → the longer 10.1/16
@@ -51,7 +57,7 @@ const BASES: [u32; 8] = [
     0xCB00_0000, // 203.0/16       → dump tier
     0x0C41_0000, // 12.65/16       → dump tier (partially)
     0x0808_0000, // 8.8/16         → miss
-    0xDEAD_0000, // 222.173/16     → miss
+    0xE0AD_0000, // 224.173/16     → miss, and Class D: no classful network
 ];
 
 /// One corpus line: a client in `BASES[base] | low`, a url, a byte
@@ -128,8 +134,11 @@ fn assert_reports_identical(got: &IngestReport, want: &IngestReport, data: &[u8]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The sharded scan is byte-identical to the serial reference across
-    /// chunk sizes and thread counts, with and without work stealing.
+    /// Whatever the method, the serial scan equals the `Log` route —
+    /// clusters, members, `unique_urls`, the method label (all in the
+    /// `Debug` rendering) and the parse errors — and the sharded scan is
+    /// byte-identical to the serial one across chunk sizes and thread
+    /// counts.
     #[test]
     fn parallel_ingest_matches_serial(
         lines in arb_lines(),
@@ -139,23 +148,28 @@ proptest! {
         let table = table();
         let text = render(&lines);
         let data = text.as_bytes();
-        let serial = IngestPipeline::new(&table)
-            .chunk_bytes(chunk_bytes)
-            .threads(1)
-            .run(data);
-        let stolen = IngestPipeline::new(&table)
-            .chunk_bytes(chunk_bytes)
-            .threads(threads)
-            .run(data);
-        assert_reports_identical(&stolen, &serial, data, &format!("stealing t={threads}"));
-        // Static strided assignment (the `--deterministic` schedule)
-        // must agree with both.
-        let strided = IngestPipeline::new(&table)
-            .chunk_bytes(chunk_bytes)
-            .threads(threads)
-            .deterministic(true)
-            .run(data);
-        assert_reports_identical(&strided, &serial, data, &format!("strided t={threads}"));
+        let (log, log_errors) = clf::from_clf("prop", &text);
+        for how in [Assigner::NetworkAware(&table), Assigner::Simple24, Assigner::Classful] {
+            let method = how.label();
+            let want = Clustering::by(&log, how);
+            let serial = IngestPipeline::by(how)
+                .chunk_bytes(chunk_bytes)
+                .threads(1)
+                .run(data);
+            assert_eq!(serial.clustering.method, method);
+            assert_eq!(
+                format!("{:?}", serial.clustering),
+                format!("{want:?}"),
+                "{method}: serial scan vs the Log route"
+            );
+            assert_eq!(serial.errors, log_errors, "{method}");
+            assert_eq!(serial.counts.records as usize, lines.len(), "{method}");
+            let stolen = IngestPipeline::by(how)
+                .chunk_bytes(chunk_bytes)
+                .threads(threads)
+                .run(data);
+            assert_reports_identical(&stolen, &serial, data, &format!("{method} t={threads}"));
+        }
     }
 }
 
@@ -243,9 +257,9 @@ fn fault_sweep_is_thread_count_invariant() {
 /// Releasing is invisible: over a mapped file, `run_log` hands every
 /// scanned chunk back to the kernel and still reports what `run` reports
 /// over an owned copy of the same bytes — clustering, errors with global
-/// line numbers, counts — across chunk sizes, thread counts and both
-/// schedules; afterwards the mapping still reads the exact rejected
-/// bytes. Only `ingest.released_bytes` tells the two apart.
+/// line numbers, counts — across chunk sizes and thread counts;
+/// afterwards the mapping still reads the exact rejected bytes. Only
+/// `ingest.released_bytes` tells the two apart.
 #[test]
 fn mapped_and_released_matches_owned() {
     let table = table();
@@ -282,46 +296,43 @@ fn mapped_and_released_matches_owned() {
     let released = |obs: &Obs| obs.snapshot(true).counters["ingest.released_bytes"];
     for chunk_bytes in [1usize, 64, 4096, 1 << 20] {
         for threads in [1usize, 2, 4] {
-            for strided in [false, true] {
-                let ctx = format!("chunk_bytes={chunk_bytes} threads={threads} strided={strided}");
-                let pipeline = |obs: &Obs| {
-                    IngestPipeline::new(&table)
-                        .chunk_bytes(chunk_bytes)
-                        .threads(threads)
-                        .deterministic(strided)
-                        .obs(obs.clone())
-                };
-                let owned_obs = Obs::enabled();
-                let owned = pipeline(&owned_obs).run(&bytes);
-                assert_eq!(released(&owned_obs), 0, "{ctx}");
+            let ctx = format!("chunk_bytes={chunk_bytes} threads={threads}");
+            let pipeline = |obs: &Obs| {
+                IngestPipeline::new(&table)
+                    .chunk_bytes(chunk_bytes)
+                    .threads(threads)
+                    .obs(obs.clone())
+            };
+            let owned_obs = Obs::enabled();
+            let owned = pipeline(&owned_obs).run(&bytes);
+            assert_eq!(released(&owned_obs), 0, "{ctx}");
 
-                let log = LogData::open(&path).unwrap();
-                let mapped_obs = Obs::enabled();
-                let mapped = pipeline(&mapped_obs).run_log(&log).unwrap();
-                assert_reports_identical(&mapped, &owned, &bytes, &ctx);
-                if cfg!(target_os = "linux") {
-                    // Megabyte chunks give back all but their boundary
-                    // pages (of whatever size the host's pages are);
-                    // sub-page chunks have no whole page to give.
-                    let got = released(&mapped_obs) as usize;
-                    match chunk_bytes {
-                        0..=64 => assert_eq!(got, 0, "{ctx}"),
-                        4096 => assert!(got < bytes.len(), "{ctx}: released {got}"),
-                        _ => assert!(
-                            got > bytes.len() / 2 && got < bytes.len(),
-                            "{ctx}: released {got}"
-                        ),
-                    }
+            let log = LogData::open(&path).unwrap();
+            let mapped_obs = Obs::enabled();
+            let mapped = pipeline(&mapped_obs).run_log(&log).unwrap();
+            assert_reports_identical(&mapped, &owned, &bytes, &ctx);
+            if cfg!(target_os = "linux") {
+                // Megabyte chunks give back all but their boundary
+                // pages (of whatever size the host's pages are);
+                // sub-page chunks have no whole page to give.
+                let got = released(&mapped_obs) as usize;
+                match chunk_bytes {
+                    0..=64 => assert_eq!(got, 0, "{ctx}"),
+                    4096 => assert!(got < bytes.len(), "{ctx}: released {got}"),
+                    _ => assert!(
+                        got > bytes.len() / 2 && got < bytes.len(),
+                        "{ctx}: released {got}"
+                    ),
                 }
-                // The released mapping still reads every rejected line.
-                let quarantined: Vec<&[u8]> = mapped
-                    .quarantine(&log)
-                    .iter()
-                    .map(|q| &log[q.start..q.end])
-                    .collect();
-                assert_eq!(quarantined, rejected, "{ctx}");
-                assert_eq!(log.bytes(), &bytes[..], "{ctx}");
             }
+            // The released mapping still reads every rejected line.
+            let quarantined: Vec<&[u8]> = mapped
+                .quarantine(&log)
+                .iter()
+                .map(|q| &log[q.start..q.end])
+                .collect();
+            assert_eq!(quarantined, rejected, "{ctx}");
+            assert_eq!(log.bytes(), &bytes[..], "{ctx}");
         }
     }
 

@@ -15,6 +15,7 @@
     reason = "every narrowing cast here converts a sample already bounded by its sampling range or spec field (hour <= 23, pareto max params, UA-table length, u32 URL/host ids), so none can truncate; see DESIGN.md §12."
 )]
 
+use std::fmt;
 use std::net::Ipv4Addr;
 
 use netclust_netgen::{stream_rng, Universe};
@@ -101,12 +102,37 @@ fn make_urls(rng: &mut StdRng, n: u32) -> Vec<UrlMeta> {
         .collect()
 }
 
+/// The universe has too few organizations to host `spec.target_clients`
+/// clients plus the special (spider/proxy) clusters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UniverseTooSmall {
+    /// Clients placed when the organizations ran out.
+    pub room: u64,
+}
+
+impl fmt::Display for UniverseTooSmall {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let room = self.room;
+        write!(
+            f,
+            "universe too small: its organizations ran out after {room} clients"
+        )
+    }
+}
+
+impl std::error::Error for UniverseTooSmall {}
+
 /// Generates a complete synthetic log.
 ///
-/// Deterministic in `(universe seed, spec.seed)`. Panics if the universe
-/// has too few organizations to host `spec.target_clients` clients plus the
-/// special (spider/proxy) clusters.
+/// Deterministic in `(universe seed, spec.seed)`. Panics on
+/// [`UniverseTooSmall`]: the presets fit the universes they are run on.
 pub fn generate(universe: &Universe, spec: &LogSpec) -> Log {
+    try_generate(universe, spec).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`generate`] for a spec from outside the program, whose client count
+/// may not fit.
+pub fn try_generate(universe: &Universe, spec: &LogSpec) -> Result<Log, UniverseTooSmall> {
     let mut rng = stream_rng(spec.seed, &[0x106_6E4]);
     let urls = make_urls(&mut rng, spec.num_urls);
     let url_sampler = ZipfSampler::new(spec.num_urls as usize, spec.url_alpha);
@@ -134,9 +160,7 @@ pub fn generate(universe: &Universe, spec: &LogSpec) -> Log {
     let mut client_weights: Vec<f64> = Vec::new();
     let mut casual_requests = 0u64;
     while clients < spec.target_clients {
-        let org_id = org_iter
-            .next()
-            .expect("universe too small for the requested client count");
+        let org_id = org_iter.next().ok_or(UniverseTooSmall { room: clients })?;
         let org = universe.org(org_id);
         let cap = (org.active_hosts as u64).min(spec.max_cluster_clients);
         let n = pareto_u64(&mut rng, spec.cluster_size_alpha, 1, cap)
@@ -179,11 +203,9 @@ pub fn generate(universe: &Universe, spec: &LogSpec) -> Log {
                              rng: &mut StdRng,
                              companions: u32,
                              needed_hosts: u32|
-     -> u32 {
+     -> Result<u32, UniverseTooSmall> {
         let org_id = loop {
-            let id = org_iter
-                .next()
-                .expect("universe too small for special clusters");
+            let id = org_iter.next().ok_or(UniverseTooSmall { room: clients })?;
             if universe.org(id).active_hosts >= needed_hosts {
                 break id;
             }
@@ -200,7 +222,7 @@ pub fn generate(universe: &Universe, spec: &LogSpec) -> Log {
                 kind: ClientKind::Normal,
             });
         }
-        org_id
+        Ok(org_id)
     };
 
     for SpiderSpec {
@@ -216,7 +238,7 @@ pub fn generate(universe: &Universe, spec: &LogSpec) -> Log {
             &mut rng,
             *companions,
             companions + 1,
-        );
+        )?;
         let org = universe.org(org_id);
         let addr = u32::from(org.host_addr(*companions).expect("spider host"));
         let span = (6 * 3600).min(spec.duration_s);
@@ -246,7 +268,7 @@ pub fn generate(universe: &Universe, spec: &LogSpec) -> Log {
             &mut rng,
             *companions,
             companions + 1,
-        );
+        )?;
         let org = universe.org(org_id);
         let addr = u32::from(org.host_addr(*companions).expect("proxy host"));
         plans.push(ClientPlan {
@@ -342,7 +364,7 @@ pub fn generate(universe: &Universe, spec: &LogSpec) -> Log {
     let mut user_agents: Vec<String> = USER_AGENTS.iter().map(|s| s.to_string()).collect();
     user_agents.push(SPIDER_UA.to_string());
 
-    Log {
+    Ok(Log {
         name: spec.name.clone(),
         requests,
         urls,
@@ -350,7 +372,7 @@ pub fn generate(universe: &Universe, spec: &LogSpec) -> Log {
         start_time: spec.start_time,
         duration_s: spec.duration_s,
         truth,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ mod record;
 mod spec;
 mod zipf;
 
-pub use gen::generate;
+pub use gen::{generate, try_generate, UniverseTooSmall};
 pub use record::{Log, LogTruth, Request, UaId, UrlId, UrlMeta};
 pub use spec::{LogSpec, ProxySpec, SpiderSpec};
 pub use zipf::{pareto_u64, ZipfSampler};

@@ -18,6 +18,7 @@
 
 use std::fmt;
 use std::fs;
+use std::io::{self, Write};
 use std::net::Ipv4Addr;
 use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::PathBuf;
@@ -26,15 +27,15 @@ use std::process::ExitCode;
 use netclust::bgpsim::{DeltaBatch, DeltaStream, DeltaStreamConfig};
 use netclust::core::query::render_top_table;
 use netclust::core::{
-    threshold_busy, ClusterQuery, Clustering, ErrorCounts, FeedProgress, FlagError, FlagTable,
-    FsyncPolicy, IngestError, JournalBatch, Parsed, PersistError, RunConfig, StateStore,
-    StreamingClustering, SwapPolicy, VerdictPolicy,
+    threshold_busy, Assigner, ClusterQuery, FeedProgress, FlagError, FlagTable, FsyncPolicy,
+    IngestError, JournalBatch, Parsed, PersistError, RunConfig, StateStore, StreamingClustering,
+    SwapPolicy, VerdictPolicy,
 };
 use netclust::netgen::{standard_collection, Universe, UniverseConfig};
 use netclust::obs::Obs;
 use netclust::rtable::{load_tables, parse_feed, MergedTable, TableDelta, TableKind};
 use netclust::weblog::chunk::LogData;
-use netclust::weblog::{clf, clf_bytes, generate, LogSpec};
+use netclust::weblog::{clf, try_generate, LogSpec};
 
 /// Every option of `netclust synth` and `netclust cluster`, one row a
 /// line; the shared rows come from `netclust::core::flags`.
@@ -74,10 +75,7 @@ mod table {
         flags: &[LOG, TABLE, DUMP, METHOD, TOP, LOOKUP, VERDICT, MAX_ERROR_RATE, QUARANTINE, METRICS,
                  TRACE, THREADS, DETERMINISTIC, BGP_FEED, STATE_DIR, RESUME, FSYNC, CRASH_AFTER_BATCH],
         constraints: &[
-            OnlyWith(&[MAX_ERROR_RATE, QUARANTINE], METHOD, "aware"),
-            OnlyWith(&[METRICS, TRACE], METHOD, "aware"),
-            OnlyWith(&[THREADS], METHOD, "aware"),
-            OnlyWith(&[BGP_FEED], METHOD, "aware"),
+            OnlyWith(&[TABLE, DUMP, BGP_FEED], METHOD, "aware"),
             Requires(&[STATE_DIR], BGP_FEED),
             Requires(&[RESUME, FSYNC, CRASH_AFTER_BATCH], STATE_DIR),
         ],
@@ -111,12 +109,15 @@ enum CliError {
     /// state directory has a valid snapshot, or a snapshot failed its
     /// integrity cross-check on restore.
     Unrecoverable(String),
+    /// Standard output could not be written. A reader that went away
+    /// (`| head`) is a clean stop: `main` exits 0 and says nothing.
+    Stdout(io::Error),
 }
 
 impl CliError {
     fn exit_code(&self) -> ExitCode {
         match self {
-            CliError::Input(_) => ExitCode::from(1),
+            CliError::Input(_) | CliError::Stdout(_) => ExitCode::from(1),
             CliError::Usage(_) => ExitCode::from(2),
             CliError::Budget(_) => ExitCode::from(3),
             CliError::Unrecoverable(_) => ExitCode::from(4),
@@ -129,7 +130,16 @@ impl fmt::Display for CliError {
         match self {
             CliError::Usage(m) => write!(f, "usage: {m}"),
             CliError::Input(m) | CliError::Budget(m) | CliError::Unrecoverable(m) => f.write_str(m),
+            CliError::Stdout(e) => write!(f, "cannot write to stdout: {e}"),
         }
+    }
+}
+
+/// Only writes to the one stdout handle are `?`-converted; every file
+/// error is mapped by hand to an [`Input`](CliError::Input) naming the file.
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> Self {
+        CliError::Stdout(e)
     }
 }
 
@@ -162,16 +172,18 @@ fn persist_err(e: PersistError) -> CliError {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let out = &mut io::stdout().lock();
     let result = match args.first().map(String::as_str) {
-        Some("synth") => run("synth", &SYNTH, &args[1..], cmd_synth),
-        Some("cluster") => run("cluster", &CLUSTER, &args[1..], cmd_cluster),
-        _ => run("netclust", &NETCLUST, &args, |_| {
+        Some("synth") => run("synth", &SYNTH, &args[1..], out, cmd_synth),
+        Some("cluster") => run("cluster", &CLUSTER, &args[1..], out, cmd_cluster),
+        _ => run("netclust", &NETCLUST, &args, out, |_, _| {
             let usage = "<synth|cluster> [options]   (see --help)";
             Err(CliError::Usage(usage.to_string()))
         }),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        Err(CliError::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("netclust: {e}");
             e.exit_code()
@@ -181,20 +193,22 @@ fn main() -> ExitCode {
 
 /// Parses `args` against `table` and runs the command on them; `--help`
 /// prints the table (every sub-command's when there is none) instead.
+/// `out` is the process's stdout, the one handle everything prints through.
 fn run(
     cmd: &str,
     table: &FlagTable,
     args: &[String],
-    body: fn(&Parsed) -> Result<(), CliError>,
+    out: &mut dyn Write,
+    body: fn(&Parsed, &mut dyn Write) -> Result<(), CliError>,
 ) -> Result<(), CliError> {
     let result = match table.parse(args) {
-        Ok(parsed) => body(&parsed),
+        Ok(parsed) => body(&parsed, out),
         Err(FlagError::Help) => {
-            print!("{}", table.render_help());
+            let mut help = table.render_help();
             if table.flags.is_empty() {
-                print!("\n{}\n{}", SYNTH.render_help(), CLUSTER.render_help());
+                help += &format!("\n{}\n{}", SYNTH.render_help(), CLUSTER.render_help());
             }
-            Ok(())
+            out.write_all(help.as_bytes()).map_err(CliError::from)
         }
         Err(e) => Err(e.into()),
     };
@@ -204,14 +218,12 @@ fn run(
     })
 }
 
-fn cmd_synth(p: &Parsed) -> Result<(), CliError> {
-    let out: PathBuf = p.req(&OUT)?;
+fn cmd_synth(p: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
+    let dir: PathBuf = p.req(&OUT)?;
     let seed: u64 = p.req(&SEED)?;
     let requests: u64 = p.req(&REQUESTS)?;
     let clients: u64 = p.req(&CLIENTS)?;
 
-    fs::create_dir_all(&out)
-        .map_err(|e| CliError::Input(format!("synth: cannot create {}: {e}", out.display())))?;
     let universe = Universe::generate(UniverseConfig {
         seed,
         ..UniverseConfig::default()
@@ -219,16 +231,20 @@ fn cmd_synth(p: &Parsed) -> Result<(), CliError> {
     let mut spec = LogSpec::tiny("synth", seed);
     spec.total_requests = requests;
     spec.target_clients = clients;
-    let log = generate(&universe, &spec);
-    let log_path = out.join("access.log");
+    // Refused before anything is written: the universe is fixed, the count is not.
+    let log = try_generate(&universe, &spec).map_err(|e| CLIENTS.bad(&clients.to_string(), e))?;
+    fs::create_dir_all(&dir)
+        .map_err(|e| CliError::Input(format!("synth: cannot create {}: {e}", dir.display())))?;
+    let log_path = dir.join("access.log");
     fs::write(&log_path, clf::to_clf(&log))
         .map_err(|e| CliError::Input(format!("synth: cannot write {}: {e}", log_path.display())))?;
-    println!(
+    writeln!(
+        out,
         "wrote {} ({} requests, {} clients)",
         log_path.display(),
         log.requests.len(),
         log.client_count()
-    );
+    )?;
 
     for table in standard_collection(&universe, 0, 0) {
         let name = table.name.to_lowercase().replace(['&', '-'], "_");
@@ -236,18 +252,17 @@ fn cmd_synth(p: &Parsed) -> Result<(), CliError> {
             TableKind::Bgp => "bgp",
             TableKind::NetworkDump => "dump",
         };
-        let path = out.join(format!("{name}.{ext}"));
+        let path = dir.join(format!("{name}.{ext}"));
         let body: String = table.prefixes().iter().map(|p| format!("{p}\n")).collect();
         fs::write(&path, body)
             .map_err(|e| CliError::Input(format!("synth: cannot write {}: {e}", path.display())))?;
-        println!("wrote {} ({} prefixes)", path.display(), table.len());
+        writeln!(out, "wrote {} ({} prefixes)", path.display(), table.len())?;
     }
-    println!(
-        "\ntry: netclust cluster --log {}/access.log --table {}/*.bgp --dump {}/*.dump",
-        out.display(),
-        out.display(),
-        out.display()
-    );
+    let dir = dir.display();
+    writeln!(
+        out,
+        "\ntry: netclust cluster --log {dir}/access.log --table {dir}/*.bgp --dump {dir}/*.dump"
+    )?;
     Ok(())
 }
 
@@ -295,6 +310,7 @@ fn run_bgp_feed(
     obs: &Obs,
     deterministic: bool,
     persist: Option<PersistOpts>,
+    out: &mut dyn Write,
 ) -> Result<(), CliError> {
     let batches = parse_bgp_feed(spec, &merged)?;
 
@@ -441,47 +457,52 @@ fn run_bgp_feed(
         );
     }
     let stats = stream.patch_stats();
-    println!(
+    writeln!(
+        out,
         "\nbgp feed {spec}: {} batches ({} session resets), {} deltas",
         batches.len(),
         resets,
         deltas_total
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  applied {}: accepted {}, rejected {}, final table version {}",
         stats.batches,
         stats.accepted,
         stats.rejected,
         stream.table_version()
-    );
+    )?;
     if let Some(why) = stream.last_rejection() {
-        println!("  last rejection: {why:?}");
+        writeln!(out, "  last rejection: {why:?}")?;
     }
-    println!(
+    writeln!(
+        out,
         "  slot writes {}, group rebuilds {}, recompiles {}",
         stats.slot_writes, stats.group_rebuilds, stats.recompiles
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  reassigned {} client assignments, coverage {:.2}% -> {:.2}%",
         reassigned,
         coverage_start * 100.0,
         stream.coverage() * 100.0
-    );
+    )?;
     if !latencies_ns.is_empty() {
         latencies_ns.sort_unstable();
         #[allow(clippy::cast_possible_truncation, reason = "0 <= q <= 1 keeps the index in range.")]
         let at = |q: f64| latencies_ns[((latencies_ns.len() - 1) as f64 * q) as usize];
-        println!(
+        writeln!(
+            out,
             "  patch latency/batch: p50 {}ns, p90 {}ns, max {}ns",
             at(0.5),
             at(0.9),
             latencies_ns[latencies_ns.len() - 1]
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_cluster(p: &Parsed) -> Result<(), CliError> {
+fn cmd_cluster(p: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let log_path: String = p.req(&LOG)?;
     let log_path = log_path.as_str();
     let method = p.get(&METHOD).unwrap_or_default();
@@ -520,30 +541,18 @@ fn cmd_cluster(p: &Parsed) -> Result<(), CliError> {
         Obs::disabled()
     };
 
-    // Memory-map (or read) the log once; both routes parse the raw bytes
-    // with the zero-copy parser — no per-line Strings.
+    // Memory-map (or read) the log once.
     let data = LogData::open(log_path)
         .map_err(|e| CliError::Input(format!("cluster: cannot read log {log_path}: {e}")))?;
 
-    // The merged table is kept when a feed replay follows the batch run.
-    let mut feed_table: Option<MergedTable> = None;
-    let clustering = match method {
-        "simple" | "classful" => {
-            let (log, errors) = clf_bytes::from_clf_bytes(log_path, &data);
-            let counts = ErrorCounts::new(
-                (log.requests.len() + errors.len()) as u64,
-                errors.len() as u64,
-            );
-            if !counts.is_clean() {
-                eprintln!("note: {counts}");
-            }
-            if method == "simple" {
-                Clustering::simple24(&log)
-            } else {
-                Clustering::classful(&log)
-            }
-        }
-        "aware" => {
+    // The method picks how an address gets its prefix — only `aware` needs
+    // tables — and nothing else: every method runs the one fused pipeline.
+    let mut merged: Option<MergedTable> = None;
+    let compiled;
+    let how = match method {
+        "simple" => Assigner::Simple24,
+        "classful" => Assigner::Classful,
+        _ => {
             p.req::<String>(&TABLE)?; // this method cannot do without one
             let tables = load_tables::<String>(&p.each(&TABLE)?, &p.each(&DUMP)?)
                 .map_err(|e| CliError::Input(format!("cluster: {e}")))?;
@@ -551,66 +560,58 @@ fn cmd_cluster(p: &Parsed) -> Result<(), CliError> {
                 let (path, bad) = (&table.name, counts.malformed);
                 eprintln!("note: {path}: skipped {bad} unparsable lines");
             }
-            let merged = MergedTable::merge(tables.iter().map(|(table, _)| table));
-            println!(
+            let table = merged.insert(MergedTable::merge(tables.iter().map(|(table, _)| table)));
+            writeln!(
+                out,
                 "merged table: {} BGP + {} registry prefixes from {} files",
-                merged.bgp_len(),
-                merged.dump_len(),
-                merged.source_names().len()
-            );
-            // The fused pipeline: chunked zero-copy parse straight into
-            // compiled-LPM clustering, skipping the intermediate Log.
-            let mut compiled = merged.compile();
-            compiled.attach_obs(&obs);
-            // `--deterministic` also pins the static strided chunk
-            // schedule: per-shard worker counters must not depend on the
-            // work-stealing race when two runs are compared byte for byte.
-            let mut run = RunConfig::new()
-                .deterministic(deterministic)
-                .obs(obs.clone());
-            if let Some(t) = threads {
-                run = run.threads(t);
-            }
-            if let Some(rate) = max_error_rate {
-                run = run.max_error_rate(rate);
-            }
-            let report = run
-                .pipeline(&compiled)
-                .run_log(&data)
-                .map_err(|e| match e {
-                    IngestError::ErrorBudget { .. } => {
-                        CliError::Budget(format!("cluster: {log_path}: {e}"))
-                    }
-                    other => CliError::Input(format!("cluster: {log_path}: {other}")),
-                })?;
-            if !report.counts.is_clean() {
-                eprintln!("note: {}", report.counts);
-            }
-            if let Some(qpath) = quarantine_path {
-                let ranges = report.quarantine(&data);
-                let mut body = Vec::new();
-                for r in &ranges {
-                    body.extend_from_slice(&data[r.start..r.end]);
-                    body.push(b'\n');
-                }
-                fs::write(qpath, body).map_err(|e| {
-                    CliError::Input(format!("cluster: cannot write quarantine {qpath}: {e}"))
-                })?;
-                eprintln!("quarantined {} rejected lines -> {qpath}", ranges.len());
-            }
-            if bgp_feed.is_some() {
-                feed_table = Some(merged);
-            }
-            report.clustering
+                table.bgp_len(),
+                table.dump_len(),
+                table.source_names().len()
+            )?;
+            let mut table = table.compile();
+            table.attach_obs(&obs);
+            compiled = table;
+            Assigner::NetworkAware(&compiled)
         }
-        _ => unreachable!("method validated above"),
     };
+    let mut run = RunConfig::new()
+        .deterministic(deterministic)
+        .obs(obs.clone());
+    if let Some(t) = threads {
+        run = run.threads(t);
+    }
+    if let Some(rate) = max_error_rate {
+        run = run.max_error_rate(rate);
+    }
+    // Chunked zero-copy parse straight into the clustering kernel: no
+    // intermediate `Log`, scanned pages handed back as it goes.
+    let report = run.pipeline_by(how).run_log(&data).map_err(|e| match e {
+        IngestError::ErrorBudget { .. } => CliError::Budget(format!("cluster: {log_path}: {e}")),
+        other => CliError::Input(format!("cluster: {log_path}: {other}")),
+    })?;
+    if !report.counts.is_clean() {
+        eprintln!("note: {}", report.counts);
+    }
+    if let Some(qpath) = quarantine_path {
+        let ranges = report.quarantine(&data);
+        let mut body = Vec::new();
+        for r in &ranges {
+            body.extend_from_slice(&data[r.start..r.end]);
+            body.push(b'\n');
+        }
+        fs::write(qpath, body).map_err(|e| {
+            CliError::Input(format!("cluster: cannot write quarantine {qpath}: {e}"))
+        })?;
+        eprintln!("quarantined {} rejected lines -> {qpath}", ranges.len());
+    }
+    let clustering = report.clustering;
     if clustering.total_requests == 0 {
         let why = format!("cluster: no parsable requests in {log_path}");
         return Err(CliError::Input(why));
     }
 
-    println!(
+    writeln!(
+        out,
         "{}: {} requests, {} clients -> {} clusters ({:.2}% clustered, {} unclustered clients)",
         log_path,
         clustering.total_requests,
@@ -618,33 +619,33 @@ fn cmd_cluster(p: &Parsed) -> Result<(), CliError> {
         clustering.len(),
         clustering.coverage() * 100.0,
         clustering.unclustered.len()
-    );
+    )?;
     let busy = threshold_busy(&clustering, 0.7);
-    println!(
+    writeln!(
+        out,
         "busy clusters covering 70% of requests: {} (threshold {} requests)",
         busy.busy.len(),
         busy.threshold
-    );
+    )?;
     // Top-N, point lookups, and verdicts all go through the unified
     // ClusterQuery trait — the same surface `netclustd` serves over HTTP
     // — so the CLI report and the daemon's JSON cannot disagree.
-    println!();
-    print!("{}", render_top_table(&clustering.top(top)));
+    write!(out, "\n{}", render_top_table(&clustering.top(top)))?;
 
     for addr in lookups {
-        println!("{}", clustering.lookup(addr).to_json());
+        writeln!(out, "{}", clustering.lookup(addr).to_json())?;
     }
     for addr in verdicts {
         let verdict = clustering.verdict(addr, &VerdictPolicy::default());
-        println!("{}", verdict.to_json());
+        writeln!(out, "{}", verdict.to_json())?;
     }
 
     // Live-update replay: re-cluster the same log through the streaming
     // path, then patch the serving table batch by batch from the feed.
     // Runs before the snapshot below so `stream.patch.*` counters land in
     // `--metrics`/`--trace` output.
-    if let (Some(spec), Some(merged)) = (bgp_feed, feed_table) {
-        run_bgp_feed(spec, merged, &data, &obs, deterministic, persist)?;
+    if let (Some(spec), Some(merged)) = (bgp_feed, merged) {
+        run_bgp_feed(spec, merged, &data, &obs, deterministic, persist, out)?;
     }
 
     // Observability outputs, captured after the pipeline finished so the
@@ -658,16 +659,17 @@ fn cmd_cluster(p: &Parsed) -> Result<(), CliError> {
             eprintln!("wrote metrics -> {mpath}");
         }
         if trace {
-            println!(
-                "
-{:>8} {:>14} {:>12} {:>12}  span",
+            writeln!(
+                out,
+                "\n{:>8} {:>14} {:>12} {:>12}  span",
                 "count", "total_ns", "min_ns", "max_ns"
-            );
+            )?;
             for (path, sp) in &snap.spans {
-                println!(
+                writeln!(
+                    out,
                     "{:>8} {:>14} {:>12} {:>12}  {path}",
                     sp.count, sp.total_ns, sp.min_ns, sp.max_ns
-                );
+                )?;
             }
         }
     }

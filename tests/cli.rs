@@ -2,8 +2,9 @@
 //! dataset to disk, then cluster it back from the files — the full
 //! file-based workflow a downstream user runs.
 
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_netclust")
@@ -132,20 +133,72 @@ fn bad_usage_fails_cleanly() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("bogus"));
 
-    // Hardening flags are aware-only: usage error before any I/O.
+    // Tables are aware-only: usage error before any I/O.
     let out = Command::new(bin())
         .args([
-            "cluster",
-            "--log",
-            "x",
-            "--method",
-            "simple",
-            "--quarantine",
-            "q.log",
+            "cluster", "--log", "x", "--method", "simple", "--table", "t",
         ])
         .output()
         .expect("run with aware-only flag");
     assert_eq!(out.status.code(), Some(2));
+}
+
+/// `--clients` beyond what the default universe holds is refused by name,
+/// with the count that did fit — not a panic — and writes nothing.
+#[test]
+fn synth_refuses_more_clients_than_the_universe_holds() {
+    let parent = tmpdir("crowd");
+    let dir = parent.join("out");
+    let dir_arg = dir.to_string_lossy().into_owned();
+    let stderr = usage_error(&["synth", "--out", &dir_arg, "--clients", "15000"]);
+    let room = stderr
+        .strip_prefix("netclust: usage: synth: --clients got \"15000\": ")
+        .and_then(|why| why.strip_prefix("universe too small: its organizations ran out after "))
+        .and_then(|rest| rest.trim_end().strip_suffix(" clients"))
+        .unwrap_or_else(|| panic!("{stderr}"));
+    let room: u64 = room.parse().expect("a client count");
+    assert!((2_000..15_000).contains(&room), "{stderr}");
+    assert!(!dir.exists(), "a refused synth left {dir_arg} behind");
+    let _ = std::fs::remove_dir_all(&parent);
+}
+
+/// A reader that goes away (`| head`) stops either sub-command cleanly:
+/// exit 0 and nothing on stderr, not a `println!` panic.
+#[test]
+fn a_closed_stdout_pipe_is_a_clean_stop() {
+    let dir = tmpdir("pipe");
+    let synth = |out: &PathBuf| {
+        let mut cmd = Command::new(bin());
+        cmd.args(["synth", "--out"]).arg(out);
+        // 6 000 clients are some 2 500 /24s: 2 000 rows are ≈ 100 kB, more
+        // than a pipe holds, so the child is still writing when the reader goes.
+        cmd.args(["--seed", "6", "--requests", "30000", "--clients", "6000"]);
+        cmd
+    };
+    assert!(synth(&dir).status().expect("run synth").success());
+    let mut cluster = Command::new(bin());
+    cluster.args(["cluster", "--method", "simple", "--top", "2000", "--log"]);
+    cluster.arg(dir.join("access.log"));
+    for mut cmd in [cluster, synth(&dir.join("again"))] {
+        let mut child = cmd
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn");
+        // One line, then the read end closes with output still to come.
+        let mut stdout = BufReader::with_capacity(16, child.stdout.take().expect("piped"));
+        let mut line = String::new();
+        stdout.read_line(&mut line).expect("first line");
+        assert!(!line.is_empty());
+        drop(stdout);
+        let mut stderr = String::new();
+        let mut pipe = child.stderr.take().expect("piped");
+        pipe.read_to_string(&mut stderr).expect("stderr");
+        let status = child.wait().expect("wait");
+        assert_eq!(status.code(), Some(0), "{cmd:?}: {stderr}");
+        assert!(stderr.is_empty(), "{cmd:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A numeric flag whose value does not parse is a usage error naming the
@@ -195,12 +248,12 @@ fn metrics_snapshot_is_deterministic_and_trace_prints_spans() {
         .find(|p| p.extension().is_some_and(|x| x == "bgp"))
         .expect("synth wrote a BGP table");
 
-    let run = |metrics: &PathBuf| {
+    let table = table.to_str().expect("utf-8");
+    let run = |how: &[&str], metrics: &PathBuf| {
         let out = Command::new(bin())
             .args(["cluster", "--log"])
             .arg(&log)
-            .arg("--table")
-            .arg(&table)
+            .args(how)
             .arg("--metrics")
             .arg(metrics)
             .args(["--trace", "--deterministic"])
@@ -215,8 +268,8 @@ fn metrics_snapshot_is_deterministic_and_trace_prints_spans() {
     };
 
     let (m1, m2) = (dir.join("obs1.json"), dir.join("obs2.json"));
-    let out = run(&m1);
-    run(&m2);
+    let out = run(&["--table", table], &m1);
+    run(&["--table", table], &m2);
 
     // Two deterministic runs: byte-identical OBS.json.
     let a = std::fs::read(&m1).expect("metrics written");
@@ -245,12 +298,19 @@ fn metrics_snapshot_is_deterministic_and_trace_prints_spans() {
     assert!(stdout.contains("ingest.run"), "{stdout}");
     assert!(stdout.contains("ingest.run/"), "{stdout}");
 
-    // Observability flags are aware-only, like the hardening flags.
-    let out = Command::new(bin())
-        .args(["cluster", "--log", "x", "--method", "simple", "--trace"])
-        .output()
-        .expect("run trace with simple method");
-    assert_eq!(out.status.code(), Some(2));
+    // The baselines run the same pipeline: the same span paths, and two
+    // deterministic snapshots equal with nothing schedule-dependent in them.
+    let simple = |metrics: &PathBuf| {
+        let out = run(&["--method", "simple", "--threads", "2"], metrics);
+        let json = std::fs::read_to_string(metrics).expect("metrics");
+        (out.stdout, json)
+    };
+    let (first, second) = (simple(&m1), simple(&m2));
+    assert_eq!(first, second);
+    let (stdout, json) = first;
+    assert!(String::from_utf8_lossy(&stdout).contains("ingest.run/parse"));
+    assert!(json.contains("\"ingest.lines\""), "{json}");
+    assert!(!json.contains("ingest.shard"), "{json}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -545,36 +605,23 @@ fn every_row_of_both_tables_is_validated() {
 }
 
 /// Every constraint row, violated by each of its flags, with the whole
-/// stderr line pinned: scripts match on these.
+/// stderr line pinned: scripts match on these. What only a table can do is
+/// refused to the baselines by name — a `--table` they would never read
+/// included; everything else they take, being the same pipeline.
 #[test]
 fn constraint_messages_are_unchanged() {
-    let aware = |flags: &str| format!("cluster: {flags} to --method aware, not \"simple\"");
+    let aware = "cluster: --table/--dump/--bgp-feed only apply to --method aware, not \"simple\"";
     let needs_dir = "cluster: --resume/--fsync/--crash-after-batch require --state-dir";
     for (args, message) in [
         (
-            "--method simple --max-error-rate 0.5",
-            aware("--max-error-rate/--quarantine only apply"),
+            "--method simple --table /nonexistent.bgp",
+            aware.to_string(),
         ),
         (
-            "--method simple --quarantine q",
-            aware("--max-error-rate/--quarantine only apply"),
+            "--method classful --dump d",
+            aware.replace("simple", "classful"),
         ),
-        (
-            "--method simple --metrics m",
-            aware("--metrics/--trace only apply"),
-        ),
-        (
-            "--method classful --trace",
-            aware("--metrics/--trace only apply").replace("simple", "classful"),
-        ),
-        (
-            "--method simple --threads 2",
-            aware("--threads only applies"),
-        ),
-        (
-            "--method simple --bgp-feed synth:1:1",
-            aware("--bgp-feed only applies"),
-        ),
+        ("--method simple --bgp-feed synth:1:1", aware.to_string()),
         (
             "--table t --state-dir s",
             "cluster: --state-dir requires --bgp-feed".to_string(),
@@ -598,4 +645,52 @@ fn constraint_messages_are_unchanged() {
         "{stderr}"
     );
     assert!(!stderr.contains("FsyncParseError"), "{stderr}");
+
+    // The five flags the baselines used to be refused now run, and the
+    // budget binds them too: one line in three is over 25 %.
+    let dir = tmpdir("baseline-flags");
+    let log = dir.join("access.log");
+    let line =
+        |ip: &str| format!("{ip} - - [13/Feb/1998:07:00:00 +0000] \"GET /a HTTP/1.0\" 200 9\n");
+    let text = format!(
+        "{}torn line\n{}",
+        line("12.65.147.94"),
+        line("151.198.194.17")
+    );
+    std::fs::write(&log, text).expect("write log");
+    let (q, m) = (dir.join("q.log"), dir.join("m.json"));
+    for (method, flags, code) in [
+        ("simple", vec!["--max-error-rate", "0.5"], 0),
+        (
+            "simple",
+            vec!["--quarantine", q.to_str().expect("utf-8")],
+            0,
+        ),
+        ("simple", vec!["--metrics", m.to_str().expect("utf-8")], 0),
+        ("classful", vec!["--trace"], 0),
+        ("simple", vec!["--threads", "2"], 0),
+        ("classful", vec!["--max-error-rate", "0.25"], 3),
+    ] {
+        let out = Command::new(bin())
+            .args(["cluster", "--method", method, "--log"])
+            .arg(&log)
+            .args(&flags)
+            .output()
+            .expect("run a baseline");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(code), "{method} {flags:?}: {out:?}");
+        assert_eq!(
+            stdout.contains("2 clients -> 2 clusters"),
+            code == 0,
+            "{stdout}"
+        );
+    }
+    assert_eq!(
+        std::fs::read_to_string(&q).expect("quarantine"),
+        "torn line\n"
+    );
+    assert!(std::fs::read_to_string(&m)
+        .expect("metrics")
+        .contains("\"ingest.malformed\": 1"));
+    let _ = std::fs::remove_dir_all(&dir);
 }

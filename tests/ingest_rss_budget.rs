@@ -1,5 +1,6 @@
-//! Batch ingest must not hold the log: clustering a mapped file may grow
-//! the process's peak resident set by the accumulators and the chunks in
+//! Batch ingest must not hold the log: clustering a mapped file — by any
+//! of the three methods, which share the one pipeline — may grow the
+//! process's peak resident set by the accumulators and the chunks in
 //! flight, not by the file. This is its own test binary with one test, so
 //! no other test's allocations share the process whose high-water mark it
 //! reads.
@@ -9,7 +10,7 @@ use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::net::Ipv4Addr;
 
-use netclust::core::IngestPipeline;
+use netclust::core::{Assigner, IngestPipeline};
 use netclust::rtable::{MergedTable, RoutingTable, TableKind};
 use netclust::weblog::chunk::LogData;
 
@@ -68,13 +69,20 @@ fn clustering_a_mapped_log_does_not_hold_it() {
     let before = vm_hwm();
     let log = LogData::open(&path).unwrap();
     assert!(log.is_mapped() && log.len() as u64 >= LOG_BYTES);
-    let report = IngestPipeline::new(&table).run_log(&log).unwrap();
+    // One high-water mark over all three runs bounds each of them. The
+    // /24s: 16 third octets under each /16; everything is in Class A 10/8.
+    for (how, clusters) in [
+        (Assigner::NetworkAware(&table), 2),
+        (Assigner::Simple24, 32),
+        (Assigner::Classful, 1),
+    ] {
+        let report = IngestPipeline::by(how).run_log(&log).unwrap();
+        assert_eq!(report.counts.records, lines);
+        assert_eq!(report.counts.malformed, 0);
+        assert_eq!(report.clustering.client_count(), 4096);
+        assert_eq!(report.clustering.len(), clusters, "{}", how.label());
+    }
     let growth = vm_hwm() - before;
-
-    assert_eq!(report.counts.records, lines);
-    assert_eq!(report.counts.malformed, 0);
-    assert_eq!(report.clustering.client_count(), 4096);
-    assert_eq!(report.clustering.len(), 2);
     println!(
         "log {} bytes, peak resident set grew {growth} bytes",
         log.len()
