@@ -71,7 +71,8 @@ pub struct Checkpointer {
 
 #[derive(Debug, Default)]
 struct Ctl {
-    /// The follower's last report: two consecutive empty polls.
+    /// The follower's last report: no byte applied for a full poll
+    /// interval.
     quiet: bool,
     /// The thread has claimed a trigger: it is waiting out the duty bound
     /// or writing. Further triggers coalesce.

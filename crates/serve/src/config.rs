@@ -3,10 +3,10 @@
 //! [`netclust_core::RunConfig`] owns the knobs every clustering run shares
 //! (threads, determinism, error budget, fsync cadence, obs); `ServeConfig`
 //! embeds one and adds the daemon-only surface: where to listen, what to
-//! tail, how often to poll, when to checkpoint. Embedders and tests chain
-//! the setters; `netclustd` goes through [`ServeConfig::from_args`], which
-//! reads [`FLAGS`] and calls the same setters wherever one clamps, so a
-//! clamp or a default is written once.
+//! tail, how long to go without looking at it, when to checkpoint.
+//! Embedders and tests chain the setters; `netclustd` goes through
+//! [`ServeConfig::from_args`], which reads [`FLAGS`] and calls the same
+//! setters wherever one clamps, so a clamp or a default is written once.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -26,7 +26,7 @@ mod table {
     pub const LISTEN: Flag = Flag::new("--listen", "ADDR", "host:port to bind; port 0 = any").default("127.0.0.1:0");
     pub const PORT_FILE: Flag = Flag::new("--port-file", "FILE", "write the bound address here once listening");
     pub const HTTP_THREADS: Flag = Flag::new("--http-threads", "N", "HTTP worker threads = connections in service").default("4");
-    pub const POLL_MS: Flag = Flag::new("--poll-ms", "MS", "how often the log is polled: freshness").default("200");
+    pub const POLL_MS: Flag = Flag::new("--poll-ms", "MS", "longest wait between looks at the log").default("200");
     pub const CHECKPOINT_BYTES: Flag = Flag::new("--checkpoint-bytes", "N", "snapshot a busy log every N applied bytes").default("4194304");
     pub const FAULT: Flag = Flag::new("--fault", "POINT=PROB", "arm a failpoint (tests)").repeatable();
     pub const FAULT_SEED: Flag = Flag::new("--fault-seed", "N", "fault injection seed").default("1");
@@ -97,10 +97,12 @@ impl ServeConfig {
         self
     }
 
-    /// How often the log follower polls for new bytes. This is the
-    /// freshness of the served view (no snapshot is written between a log
-    /// line and its visibility), and one full interval without bytes is
-    /// what the checkpointer takes for a quiet log.
+    /// The longest the log follower goes without looking at the log. A
+    /// change notice on the log's directory wakes it sooner, so on Linux
+    /// this is the freshness only where notices do not arrive (no inotify
+    /// watch could be armed, or a filesystem that sends none). One full
+    /// interval without an applied byte is what the checkpointer takes
+    /// for a quiet log.
     pub fn poll_interval(mut self, interval: Duration) -> Self {
         self.poll_interval = interval.max(Duration::from_millis(1));
         self

@@ -9,8 +9,9 @@
 //! short sleep, then serves the connection it got start to finish while
 //! the next idle worker takes the listener. At most that many connections
 //! are in service; the rest wait in the kernel's bounded listen queue.
-//! The follower is one thread polling the tailed log on a configured
-//! interval: poll → apply → publish, nothing else. Making the view
+//! The follower is one thread tailing the log: poll → apply → publish,
+//! nothing else, then a wait that a change to the log ends (the poll
+//! interval bounds it). Making the view
 //! durable happens behind it, on the checkpointer thread
 //! ([`crate::checkpoint`]), which exists only when a state dir is
 //! configured.
@@ -434,15 +435,21 @@ fn split_slice(rest: &[u8]) -> (&[u8], &[u8]) {
 /// and counts together, one write-lock hold per [`APPLY_SLICE`]. The
 /// follower only *tells* the checkpointer what it applied and whether the
 /// log is quiet; no export, file write or fsync sits between a log line
-/// and its visibility.
+/// and its visibility. Between polls it waits for the log to change
+/// ([`LogFollower::wait`]), never longer than `interval`.
+#[allow(
+    clippy::disallowed_types,
+    reason = "the clock only decides when the log counts as quiet and how long a wait may last; it never reaches an output."
+)]
 fn follower_loop(
     state: Arc<AppState>,
     mut follower: LogFollower,
     interval: Duration,
     stop: Arc<AtomicBool>,
 ) {
-    // Consecutive empty polls; two of them span one full poll interval.
-    let mut idle_polls = 0u32;
+    // When the last byte was applied: the log is quiet one full interval
+    // after it.
+    let mut applied_at = std::time::Instant::now();
     // ordering: stop flag only — no data rides on it; SeqCst matches the
     // store side.
     while !stop.load(Ordering::SeqCst) {
@@ -450,7 +457,6 @@ fn follower_loop(
         let applied = matches!(polled, Ok(Some(_)));
         match polled {
             Ok(Some(chunk)) => {
-                idle_polls = 0;
                 let mut at = follower.offset().saturating_sub(chunk.len() as u64);
                 let mut rest = chunk.as_slice();
                 while !rest.is_empty() {
@@ -471,22 +477,38 @@ fn follower_loop(
                 state.metrics.follow_chunks.inc();
                 state.metrics.follow_bytes.add(chunk.len() as u64);
                 follower.recycle(chunk);
+                applied_at = std::time::Instant::now();
             }
-            Ok(None) => idle_polls = idle_polls.saturating_add(1),
+            Ok(None) => {}
             Err(_) => state.metrics.follow_errors.inc(),
         }
         state
             .metrics
             .follow_lag
             .set(follower.file_len().saturating_sub(follower.offset()));
+        let idle = applied_at.elapsed();
         if let Some(cp) = &state.checkpointer {
             state.metrics.checkpoint_dirty.set(cp.dirty_bytes());
-            if cp.consider(idle_polls >= 2) {
+            if cp.consider(idle >= interval) {
                 state.metrics.checkpoint_coalesced.inc();
             }
         }
         if !applied {
-            std::thread::sleep(interval);
+            // Until the log counts as quiet, wake in time to report it.
+            let bound = match interval.checked_sub(idle) {
+                Some(left) if !left.is_zero() => left,
+                _ => interval,
+            };
+            let wake = if follower.wait(bound) {
+                &state.metrics.follow_notified
+            } else {
+                &state.metrics.follow_timed_out
+            };
+            wake.inc();
+            state
+                .metrics
+                .follow_watching
+                .set(u64::from(follower.is_watching()));
         }
     }
 }

@@ -64,6 +64,13 @@ pub struct ServeObs {
     pub follow_errors: Counter,
     /// Bytes the followed file holds past the follower's cursor.
     pub follow_lag: Gauge,
+    /// Follower waits a change notice about the log ended.
+    pub follow_notified: Counter,
+    /// Follower waits that ran to their `--poll-ms` bound.
+    pub follow_timed_out: Counter,
+    /// 1 while the follower has a change notice armed on the log's
+    /// directory, 0 while freshness falls back to `--poll-ms`.
+    pub follow_watching: Gauge,
     /// Snapshots made durable (background, post-swap and shutdown alike).
     pub checkpoints: Counter,
     /// Checkpoint triggers that merged into a snapshot already pending or
@@ -92,6 +99,9 @@ impl ServeObs {
             follow_bytes: obs.counter("serve.follow.bytes"),
             follow_errors: obs.counter("serve.follow.errors"),
             follow_lag: obs.gauge("serve.follow.lag_bytes"),
+            follow_notified: obs.counter("serve.follow.wakes.notified"),
+            follow_timed_out: obs.counter("serve.follow.wakes.timed_out"),
+            follow_watching: obs.gauge("serve.follow.watching"),
             checkpoints: obs.counter("serve.checkpoints"),
             checkpoint_coalesced: obs.counter("serve.checkpoint.coalesced"),
             checkpoint_errors: obs.counter("serve.checkpoint.errors"),

@@ -802,3 +802,102 @@ fn a_trickle_is_served_fresh_and_checkpointed_behind() {
     let exit = terminate(&mut resumed);
     assert!(exit.success(), "{exit:?}");
 }
+
+/// The trickle above against the *default* `--poll-ms` (200 ms): the
+/// follower waits for the log, not for the clock, so an append is visible
+/// in milliseconds however long the interval — and the interval still
+/// decides when the log counts as quiet, so the busy second draws no
+/// snapshots.
+#[test]
+fn a_trickle_is_served_fresh_at_the_default_poll_interval() {
+    const APPENDS: usize = 200;
+    const LINES_PER_APPEND: usize = 50;
+    // `--poll-ms`' default: a gap this long between appends is a quiet log.
+    const QUIET: Duration = Duration::from_millis(200);
+    let fx = fixture_of("trickle-default", 41, (APPENDS * LINES_PER_APPEND) as u64);
+    let lines: Vec<&str> = fx.clf.lines().collect();
+    let blocks: Vec<String> = lines
+        .chunks(LINES_PER_APPEND)
+        .map(|block| block.iter().map(|l| format!("{l}\n")).collect())
+        .collect();
+    std::fs::write(&fx.log, "").expect("create empty log");
+    let port = fx.dir.join("port");
+    let _daemon = spawn_netclustd(&fx, &port, &[], false);
+    let addr = read_addr(&port);
+    let mut control = Client::connect(addr);
+    let metric = |c: &mut Client, key: &str| json_u64(&c.send("GET", "/metrics", None).1, key);
+    let before = metric(&mut control, "serve.checkpoints");
+
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let total = (APPENDS * LINES_PER_APPEND) as u64;
+    let (samples, written, stalls) = std::thread::scope(|scope| {
+        let watcher = scope.spawn(|| {
+            let mut c = Client::connect(addr);
+            let mut samples: Vec<(Instant, u64)> = Vec::new();
+            while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                let body = c.send("GET", "/healthz", None).1;
+                samples.push((Instant::now(), json_u64(&body, "total_requests")));
+            }
+            samples
+        });
+        let mut log = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&fx.log)
+            .expect("open log");
+        let start = Instant::now();
+        let mut written: Vec<(Instant, u64)> = Vec::new();
+        let mut stalls = 0u64;
+        for (i, block) in blocks.iter().enumerate() {
+            let due = start + Duration::from_millis(5) * i as u32;
+            std::thread::sleep(due.saturating_duration_since(Instant::now()));
+            log.write_all(block.as_bytes()).expect("append");
+            let now = Instant::now();
+            if written.last().is_some_and(|&(prev, _)| now - prev > QUIET) {
+                stalls += 1;
+            }
+            written.push((now, ((i + 1) * LINES_PER_APPEND) as u64));
+        }
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while json_u64(&control.send("GET", "/healthz", None).1, "total_requests") < total
+            && Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        done.store(true, std::sync::atomic::Ordering::SeqCst);
+        (watcher.join().expect("watcher"), written, stalls)
+    });
+    let during = metric(&mut control, "serve.checkpoints") - before;
+    assert!(
+        during <= 2 + stalls,
+        "{during} checkpoints during a busy second ({stalls} writer stalls)"
+    );
+
+    let mut latencies: Vec<Duration> = written
+        .iter()
+        .map(|&(at, total)| {
+            samples
+                .iter()
+                .find(|&&(_, t)| t >= total)
+                .map(|&(when, _)| when.saturating_duration_since(at))
+                .unwrap_or_else(|| panic!("append {total} never became visible"))
+        })
+        .collect();
+    latencies.sort();
+    let fresh = latencies
+        .iter()
+        .filter(|&&l| l <= Duration::from_millis(30))
+        .count();
+    let median = latencies[latencies.len() / 2];
+    eprintln!(
+        "{fresh} of {} appends visible within 30 ms, median {median:?}",
+        latencies.len()
+    );
+    assert!(
+        fresh * 10 >= latencies.len() * 9,
+        "under 90 % of appends visible within 30 ms (median {median:?}, {stalls} writer stalls)"
+    );
+    if cfg!(target_os = "linux") {
+        assert_eq!(metric(&mut control, "serve.follow.watching"), 1);
+        assert!(metric(&mut control, "serve.follow.wakes.notified") > 0);
+    }
+}

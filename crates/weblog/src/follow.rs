@@ -1,12 +1,25 @@
-//! Poll-based tailing of a rotating access log.
+//! Tailing a rotating access log, woken by the log's own changes.
 //!
 //! [`LogFollower`] is the daemon's input edge: it watches one log path,
 //! returns only *complete* lines (a torn trailing line is carried until
 //! its newline arrives), and survives the two rotation styles production
 //! log managers use — rename-and-recreate (`mv access.log access.log.1 &&
-//! touch access.log`) and copy-truncate. No inotify, no threads, no
-//! dependencies: the caller polls on its own schedule, which is what a
-//! deterministic daemon wants anyway.
+//! touch access.log`) and copy-truncate. The file is held open between
+//! polls, so a rename rotation first hands out the lines appended to the
+//! old file since the last poll, then moves on to the new one.
+//!
+//! [`poll`](LogFollower::poll) never blocks; the caller decides when to
+//! look. [`wait`](LogFollower::wait) is how it waits for the next change
+//! without a sleep of its own: on Linux it sits on an inotify watch of the
+//! log's *directory* (so creation, rename and deletion of the log are
+//! seen as well as writes to it) and returns at the first change notice
+//! that names the log file, or at its timeout. Where no watch can be
+//! armed — the directory does not exist yet, inotify limits are reached,
+//! another OS — it is a plain timed wait, and the timeout is the freshness.
+//! A filesystem that sends no notices (NFS, a FUSE mount), or a log path
+//! that is a symlink into another directory, is followed at the timeout
+//! too. No threads, no dependencies: the inotify binding is a few
+//! `extern "C"` declarations, as `chunk.rs`' `mmap` one is.
 //!
 //! The follower's [`offset`](LogFollower::offset) is always the byte
 //! position *after the last complete line handed out*, which makes it the
@@ -19,6 +32,7 @@
 use std::fs::{self, File};
 use std::io::{self, ErrorKind, Read, Seek, SeekFrom};
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// Upper bound on bytes consumed per [`LogFollower::poll`] call, so one
 /// poll against a huge backlog cannot stall the daemon's control loop.
@@ -35,6 +49,9 @@ const CARRY_ROOM: usize = 4 << 10;
 #[derive(Debug)]
 pub struct LogFollower {
     path: PathBuf,
+    /// The file being read, opened by the first poll that finds the path
+    /// and held until a rename rotation has been read to its end.
+    file: Option<File>,
     /// Bytes consumed from the current file, including any carried
     /// partial line.
     read_pos: u64,
@@ -43,14 +60,17 @@ pub struct LogFollower {
     /// Bytes of an over-long line discarded so far; its tail is still being
     /// skipped while this is non-zero.
     dropped: u64,
-    /// Length of the file at the last poll's `stat` (0 while it is absent).
+    /// Length of the held file at the last poll (0 while there is none).
     file_len: u64,
-    /// Identity of the file last read, for rename-rotation detection.
+    /// Identity of the held file, for rename-rotation detection.
     file_id: Option<u64>,
     /// The last chunk handed out, given back ([`recycle`](Self::recycle))
     /// for the next poll to read into. Every poll takes it, so a follower
     /// whose log has gone quiet holds no buffer.
     spare: Vec<u8>,
+    /// The change notice [`wait`](Self::wait) sleeps on: armed by the
+    /// first wait, dropped when the kernel drops it.
+    watch: Option<notice::Watch>,
 }
 
 impl LogFollower {
@@ -66,12 +86,14 @@ impl LogFollower {
     pub fn resume_at(path: impl Into<PathBuf>, offset: u64) -> Self {
         LogFollower {
             path: path.into(),
+            file: None,
             read_pos: offset,
             carry: Vec::new(),
             dropped: 0,
             file_len: 0,
             file_id: None,
             spare: Vec::new(),
+            watch: None,
         }
     }
 
@@ -96,51 +118,89 @@ impl LogFollower {
         self.file_len
     }
 
+    /// `true` while [`wait`](Self::wait) has a change notice armed, i.e.
+    /// wakes at the log's next change rather than at its timeout.
+    pub fn is_watching(&self) -> bool {
+        self.watch.is_some()
+    }
+
     /// Reads whatever complete lines have appeared since the last poll.
     ///
     /// Returns `Ok(None)` when there is nothing new (including the file
     /// not existing yet — a rotation window). Returns `Ok(Some(bytes))`
     /// with a buffer that always ends in `\n` and contains only whole
-    /// lines. Detects rotation by file identity change or truncation and
-    /// restarts from the new file's beginning, dropping any carried
-    /// partial line (it belonged to the rotated-away file).
+    /// lines. Rotation is a new file at the path (rename-and-recreate:
+    /// the held file is read to its end first, then the new one from its
+    /// beginning) or the held file shrinking (copy-truncate: read again
+    /// from its beginning). Either way a carried partial line is dropped:
+    /// it belonged to the rotated-away contents.
     ///
     /// A line still unterminated after [`MAX_POLL_BYTES`] is dropped rather
     /// than carried without bound: the poll that gives up on it returns
     /// `InvalidData`, and later polls discard up to its newline.
     pub fn poll(&mut self) -> io::Result<Option<Vec<u8>>> {
         let mut spare = std::mem::take(&mut self.spare);
-        self.file_len = 0;
-        // Length and identity come from the handle that is read below, so
-        // a rotation cannot slip between looking and reading.
-        let file = match File::open(&self.path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let meta = file.metadata()?;
-        self.file_len = meta.len();
-        let id = file_identity(&meta);
-        let renamed = match (self.file_id, id) {
-            (Some(old), Some(new)) => old != new,
-            _ => false,
-        };
-        if renamed || meta.len() < self.read_pos {
-            // Rename-and-recreate or copy-truncate: start over on the
-            // fresh file. The old file's unterminated tail is gone.
+        if self.file.is_some() && self.renamed()? {
+            if let Some(lines) = self.read_held(&mut spare)? {
+                return Ok(Some(lines));
+            }
+            // The old file is read out: start over on the new one.
+            self.file = None;
             self.read_pos = 0;
             self.carry.clear();
             self.dropped = 0;
         }
-        self.file_id = id;
-        if meta.len() <= self.read_pos {
+        if self.file.is_none() {
+            self.file_len = 0;
+            let file = match File::open(&self.path) {
+                Ok(f) => f,
+                Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+                Err(e) => return Err(e),
+            };
+            self.file_id = file_identity(&file.metadata()?);
+            self.file = Some(file);
+        }
+        self.read_held(&mut spare)
+    }
+
+    /// `true` when the path names a file other than the held one. A path
+    /// that names nothing is not a rotation yet: the writer may still be
+    /// appending to the renamed file until it opens the new one.
+    fn renamed(&self) -> io::Result<bool> {
+        match fs::metadata(&self.path) {
+            Ok(meta) => Ok(matches!(
+                (self.file_id, file_identity(&meta)),
+                (Some(held), Some(named)) if held != named
+            )),
+            Err(e) if e.kind() == ErrorKind::NotFound => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// The poll proper, on the held file: whole lines from `read_pos` on.
+    fn read_held(&mut self, spare: &mut Vec<u8>) -> io::Result<Option<Vec<u8>>> {
+        let Some(file) = &self.file else {
+            return Ok(None);
+        };
+        // The length comes from the handle that is read below, so a
+        // truncation cannot slip between looking and reading.
+        let len = file.metadata()?.len();
+        self.file_len = len;
+        if len < self.read_pos {
+            // Copy-truncate: start over on the shrunk file. Its old
+            // unterminated tail is gone.
+            self.read_pos = 0;
+            self.carry.clear();
+            self.dropped = 0;
+        }
+        if len <= self.read_pos {
             return Ok(None);
         }
 
         // One buffer for the call: the carried partial line, then room
         // for everything this poll may read — the chunk the caller gave
         // back if that is big enough, else reserved once.
-        let want = (meta.len() - self.read_pos).min(MAX_POLL_BYTES);
+        let want = (len - self.read_pos).min(MAX_POLL_BYTES);
         let room = usize::try_from(want).unwrap_or(usize::MAX);
         let mut buf = std::mem::take(&mut self.carry);
         let carried = buf.len();
@@ -148,14 +208,14 @@ impl LogFollower {
             if spare.capacity() >= carried.saturating_add(room) {
                 spare.clear();
                 spare.extend_from_slice(&buf);
-                buf = spare;
+                buf = std::mem::take(spare);
             } else {
                 buf.reserve_exact(room.saturating_add(CARRY_ROOM));
             }
         }
-        let read = (&file)
+        let read = (&*file)
             .seek(SeekFrom::Start(self.read_pos))
-            .and_then(|_| (&file).take(want).read_to_end(&mut buf));
+            .and_then(|_| (&*file).take(want).read_to_end(&mut buf));
         if read.is_err() {
             // The next poll reads these bytes again.
             buf.truncate(carried);
@@ -198,6 +258,57 @@ impl LogFollower {
             }
         }
     }
+
+    /// Sleeps until the log changes or `timeout` passes; `true` when a
+    /// change notice ended the wait, `false` at the timeout. Call it after
+    /// a [`poll`](Self::poll) that returned nothing.
+    ///
+    /// A change is a write to, creation, rename or deletion of the log
+    /// file, or a notice queue that overflowed (changes were lost, so one
+    /// may be the log's). Notices about other files in the directory do
+    /// not end the wait; those queued together with the log's are
+    /// consumed with it, so a burst of writes is one wake. The watch is
+    /// armed by the first wait, so a follower that never waits holds no
+    /// descriptor beyond its file. If the log changed between the last
+    /// poll and the arming, that wait returns at once. When the kernel
+    /// drops the watch (the directory was deleted or moved) the wait
+    /// returns and the next one arms a new watch; where none can be armed
+    /// (see [`is_watching`](Self::is_watching)), it sleeps out `timeout`.
+    pub fn wait(&mut self, timeout: Duration) -> bool {
+        if self.watch.is_none() {
+            self.watch = notice::Watch::arm(&self.path);
+            if self.watch.is_some() && self.changed_since_poll() {
+                return true;
+            }
+        }
+        let Some(watch) = &mut self.watch else {
+            std::thread::sleep(timeout);
+            return false;
+        };
+        match watch.wait(timeout) {
+            notice::Wake::Changed => true,
+            notice::Wake::TimedOut => false,
+            notice::Wake::Lost => {
+                self.watch = None;
+                true
+            }
+        }
+    }
+
+    /// Whether the path no longer looks as the last poll left it: a file
+    /// where there was none or another one, or a length the poll did not
+    /// see. A path gone while a file is held counts (it may be a rename
+    /// the poll has not seen), at the cost of one extra poll.
+    fn changed_since_poll(&self) -> bool {
+        match fs::metadata(&self.path) {
+            Ok(meta) => {
+                self.file.is_none()
+                    || file_identity(&meta) != self.file_id
+                    || meta.len() != self.file_len
+            }
+            Err(_) => self.file.is_some(),
+        }
+    }
 }
 
 #[cfg(unix)]
@@ -208,9 +319,234 @@ fn file_identity(meta: &fs::Metadata) -> Option<u64> {
 
 #[cfg(not(unix))]
 fn file_identity(_meta: &fs::Metadata) -> Option<u64> {
-    // Without a stable identity, rotation is still caught by the
-    // length-shrink check in `poll`.
+    // Without a stable identity a rename rotation is not seen; a
+    // copy-truncate still is, by the held file's length shrinking.
     None
+}
+
+/// The inotify binding behind [`LogFollower::wait`].
+#[cfg(target_os = "linux")]
+mod notice {
+    use std::ffi::{c_char, c_ulong, CString, OsString};
+    use std::fs::File;
+    use std::io::{ErrorKind, Read};
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+    use std::os::unix::ffi::OsStrExt;
+    use std::path::Path;
+    use std::time::Duration;
+
+    // SAFETY: the signatures are glibc's and musl's on Linux (`nfds_t` is
+    // `unsigned long`); `inotify_init1` takes flags by value and only
+    // returns a descriptor or -1.
+    unsafe extern "C" {
+        safe fn inotify_init1(flags: i32) -> i32;
+        fn inotify_add_watch(fd: i32, pathname: *const c_char, mask: u32) -> i32;
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: i32) -> i32;
+    }
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+
+    const POLLIN: i16 = 1;
+    /// `IN_NONBLOCK | IN_CLOEXEC`: `O_NONBLOCK` and `O_CLOEXEC` on every
+    /// Linux architecture Rust has a host toolchain for but SPARC and
+    /// PA-RISC, where `inotify_init1` refuses them (-1) and the follower
+    /// waits on the timeout alone.
+    const INIT_FLAGS: i32 = 0o4000 | 0o2_000_000;
+    const IN_MODIFY: u32 = 0x2;
+    const IN_CLOSE_WRITE: u32 = 0x8;
+    const IN_MOVED_FROM: u32 = 0x40;
+    const IN_MOVED_TO: u32 = 0x80;
+    const IN_CREATE: u32 = 0x100;
+    const IN_DELETE: u32 = 0x200;
+    const IN_MOVE_SELF: u32 = 0x800;
+    const IN_Q_OVERFLOW: u32 = 0x4000;
+    const IN_IGNORED: u32 = 0x8000;
+    const IN_ONLYDIR: u32 = 0x0100_0000;
+    /// What the directory is watched for: the log written, created, renamed
+    /// or deleted, and the directory itself moved (after which its path no
+    /// longer leads to the log, so the watch is dropped like an ignored one).
+    const MASK: u32 = IN_MODIFY
+        | IN_CLOSE_WRITE
+        | IN_CREATE
+        | IN_DELETE
+        | IN_MOVED_FROM
+        | IN_MOVED_TO
+        | IN_MOVE_SELF
+        | IN_ONLYDIR;
+    /// `struct inotify_event` without its name: wd, mask, cookie, len.
+    const HEADER: usize = 16;
+
+    /// How a [`Watch::wait`] ended.
+    pub(super) enum Wake {
+        /// A notice named the log, or the queue overflowed.
+        Changed,
+        TimedOut,
+        /// The kernel dropped the watch, or its queue cannot be read.
+        Lost,
+    }
+
+    /// One inotify instance with one watch: the log's directory.
+    #[derive(Debug)]
+    pub(super) struct Watch {
+        /// The inotify descriptor, read through `File`'s `read`.
+        queue: File,
+        /// The log's file name, as notices name it.
+        name: OsString,
+    }
+
+    impl Watch {
+        /// Watches the directory of `log`; `None` when it does not exist,
+        /// inotify limits are reached or `log` names no file.
+        pub(super) fn arm(log: &Path) -> Option<Watch> {
+            let name = log.file_name()?.to_owned();
+            let dir = match log.parent() {
+                Some(dir) if !dir.as_os_str().is_empty() => dir,
+                _ => Path::new("."),
+            };
+            let dir = CString::new(dir.as_os_str().as_bytes()).ok()?;
+            let fd = inotify_init1(INIT_FLAGS);
+            if fd < 0 {
+                return None;
+            }
+            // SAFETY: `fd` was just returned by `inotify_init1`; nothing else
+            // holds it, so `OwnedFd` is its one owner and closes it once.
+            let queue = File::from(unsafe { OwnedFd::from_raw_fd(fd) });
+            // SAFETY: `dir` is NUL-terminated and outlives the call, which
+            // only reads it; `queue` is a live inotify descriptor.
+            let wd = unsafe { inotify_add_watch(queue.as_raw_fd(), dir.as_ptr(), MASK) };
+            (wd >= 0).then_some(Watch { queue, name })
+        }
+
+        /// Waits up to `timeout` for a notice naming the log; see
+        /// [`LogFollower::wait`](super::LogFollower::wait).
+        #[allow(
+            clippy::disallowed_types,
+            reason = "the clock only bounds how long the follower sleeps when notices about other files wake it; it never reaches an output."
+        )]
+        pub(super) fn wait(&mut self, timeout: Duration) -> Wake {
+            let started = std::time::Instant::now();
+            loop {
+                let left = timeout.saturating_sub(started.elapsed());
+                // Rounded up, so the wait never ends before its timeout.
+                let ms = i32::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX);
+                let mut ready = PollFd {
+                    fd: self.queue.as_raw_fd(),
+                    events: POLLIN,
+                    revents: 0,
+                };
+                // SAFETY: one `pollfd` the kernel may write for the length of
+                // the call, and a live descriptor in it.
+                let n = unsafe { poll(&mut ready, 1, ms) };
+                if n == 0 {
+                    return Wake::TimedOut;
+                }
+                if n < 0 {
+                    if std::io::Error::last_os_error().kind() == ErrorKind::Interrupted {
+                        continue;
+                    }
+                    // Never a spin: a failing poll(2) leaves a timed wait.
+                    std::thread::sleep(left);
+                    return Wake::TimedOut;
+                }
+                if let Some(wake) = self.drain() {
+                    return wake;
+                }
+            }
+        }
+
+        /// Reads every queued notice; what they add up to for the log, or
+        /// `None` when none of them concerned it.
+        fn drain(&mut self) -> Option<Wake> {
+            // Room for 15 notices of the longest name (16 + 255 + NUL).
+            let mut buf = [0u8; 4096];
+            let (mut changed, mut lost) = (false, false);
+            loop {
+                let n = match self.queue.read(&mut buf) {
+                    Ok(0) => break,
+                    Ok(n) => n,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(_) => return Some(Wake::Lost),
+                };
+                let mut events = buf.get(..n).unwrap_or_default();
+                while let Some((mask, name, rest)) = next_event(events) {
+                    lost |= mask & (IN_IGNORED | IN_MOVE_SELF) != 0;
+                    changed |= mask & IN_Q_OVERFLOW != 0 || name == self.name.as_bytes();
+                    events = rest;
+                }
+            }
+            match (lost, changed) {
+                (true, _) => Some(Wake::Lost),
+                (false, true) => Some(Wake::Changed),
+                (false, false) => None,
+            }
+        }
+    }
+
+    /// Splits the first `struct inotify_event` off `events`: its mask, its
+    /// name without the NUL padding, and the records after it. The kernel
+    /// hands out whole records only.
+    fn next_event(events: &[u8]) -> Option<(u32, &[u8], &[u8])> {
+        let word = |at: usize| -> Option<u32> {
+            Some(u32::from_ne_bytes(events.get(at..at + 4)?.try_into().ok()?))
+        };
+        let (mask, len) = (word(4)?, usize::try_from(word(12)?).ok()?);
+        let end = HEADER.checked_add(len)?;
+        let padded = events.get(HEADER..end)?;
+        let name = padded.split(|&b| b == 0).next().unwrap_or_default();
+        Some((mask, name, events.get(end..)?))
+    }
+
+    #[cfg(test)]
+    #[test]
+    fn records_split_on_their_length_and_lose_their_padding() {
+        let mut events = Vec::new();
+        for (mask, name) in [(IN_MODIFY, &b"access.log\0\0"[..]), (IN_IGNORED, b"")] {
+            for word in [1, mask, 0, name.len() as u32] {
+                events.extend_from_slice(&word.to_ne_bytes());
+            }
+            events.extend_from_slice(name);
+        }
+        let (mask, name, rest) = next_event(&events).expect("first");
+        assert_eq!((mask, name), (IN_MODIFY, &b"access.log"[..]));
+        let (mask, name, rest) = next_event(rest).expect("second");
+        assert_eq!((mask, name, rest), (IN_IGNORED, &b""[..], &b""[..]));
+        assert!(next_event(&events[..HEADER + 3]).is_none(), "a cut record");
+    }
+}
+
+/// No change notices: every wait is a timed one.
+#[cfg(not(target_os = "linux"))]
+mod notice {
+    use std::path::Path;
+    use std::time::Duration;
+
+    #[allow(dead_code, reason = "the Linux binding's outcomes; only TimedOut happens here.")]
+    pub(super) enum Wake {
+        Changed,
+        TimedOut,
+        Lost,
+    }
+
+    #[derive(Debug)]
+    pub(super) struct Watch;
+
+    impl Watch {
+        pub(super) fn arm(_log: &Path) -> Option<Watch> {
+            None
+        }
+
+        pub(super) fn wait(&mut self, timeout: Duration) -> Wake {
+            std::thread::sleep(timeout);
+            Wake::TimedOut
+        }
+    }
 }
 
 #[cfg(test)]
@@ -219,6 +555,7 @@ mod tests {
     use std::fs::OpenOptions;
     use std::io::Write as _;
     use std::path::Path;
+    use std::time::Instant;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -235,6 +572,15 @@ mod tests {
             .open(path)
             .expect("open for append");
         f.write_all(bytes).expect("append");
+    }
+
+    /// Everything the follower has to hand out now, polled until `None`.
+    fn drain(fw: &mut LogFollower) -> Vec<u8> {
+        let mut got = Vec::new();
+        while let Some(chunk) = fw.poll().expect("read") {
+            got.extend_from_slice(&chunk);
+        }
+        got
     }
 
     #[test]
@@ -271,6 +617,32 @@ mod tests {
         append(&log, b"new-1\n");
         assert_eq!(fw.poll().expect("read"), Some(b"new-1\n".to_vec()));
         assert_eq!(fw.offset(), 6, "offset is into the new file");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Lines appended after the last poll and before the rename are read
+    /// from the held file before the new file is opened; the old file's
+    /// unterminated tail is dropped as before.
+    #[test]
+    fn a_rename_rotation_hands_out_the_old_files_unread_tail_first() {
+        let dir = tmpdir("tail");
+        let log = dir.join("access.log");
+        let mut fw = LogFollower::new(&log);
+        append(&log, b"old-1\n");
+        assert_eq!(fw.poll().expect("read"), Some(b"old-1\n".to_vec()));
+        append(&log, b"old-2\ntorn");
+        fs::rename(&log, dir.join("access.log.1")).expect("rotate");
+        append(&log, b"new-1\n");
+        assert_eq!(drain(&mut fw), b"old-2\nnew-1\n");
+        assert_eq!(fw.offset(), 6, "offset is into the new file");
+
+        // The writer keeps the renamed file until it reopens: while the
+        // path names nothing, the held file is still followed.
+        fs::rename(&log, dir.join("access.log.2")).expect("rotate again");
+        append(&dir.join("access.log.2"), b"late\n");
+        assert_eq!(drain(&mut fw), b"late\n");
+        append(&log, b"newer\n");
+        assert_eq!(drain(&mut fw), b"newer\n");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -375,12 +747,138 @@ mod tests {
         }
         append(&log, &blob);
         let mut fw = LogFollower::new(&log);
-        let mut got = Vec::new();
-        while let Some(chunk) = fw.poll().expect("read") {
-            assert_eq!(chunk.last(), Some(&b'\n'));
-            got.extend_from_slice(&chunk);
+        assert_eq!(drain(&mut fw), blob, "chunked polls reassemble the backlog");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Arms `fw`'s watch (consuming notices left from earlier changes),
+    /// then runs `change` about 50 ms into `fw.wait(timeout)`: how long
+    /// after `change` returned the wait ended, and what it said. The watch
+    /// is armed first, so the change is queued for the wait even if the
+    /// wait has not begun by then.
+    #[cfg(target_os = "linux")]
+    fn wait_across(
+        fw: &mut LogFollower,
+        timeout: Duration,
+        change: impl FnOnce() + Send,
+    ) -> (Duration, bool) {
+        while fw.wait(Duration::ZERO) {}
+        assert!(fw.is_watching());
+        std::thread::scope(|scope| {
+            let changer = scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                change();
+                Instant::now()
+            });
+            let woke = fw.wait(timeout);
+            let returned = Instant::now();
+            let changed = changer.join().expect("changer");
+            (returned.saturating_duration_since(changed), woke)
+        })
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_append_ends_a_long_wait() {
+        let dir = tmpdir("wake-append");
+        let log = dir.join("access.log");
+        append(&log, b"one\n");
+        let mut fw = LogFollower::new(&log);
+        assert_eq!(drain(&mut fw), b"one\n");
+        let (after, woke) =
+            wait_across(&mut fw, Duration::from_secs(10), || append(&log, b"two\n"));
+        assert!(woke && fw.is_watching());
+        assert!(after < Duration::from_millis(100), "woke {after:?} late");
+        assert_eq!(drain(&mut fw), b"two\n");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn both_rotations_end_a_long_wait() {
+        let dir = tmpdir("wake-rotate");
+        let log = dir.join("access.log");
+        append(&log, b"one\n");
+        let mut fw = LogFollower::new(&log);
+        assert_eq!(drain(&mut fw), b"one\n");
+
+        let (after, woke) = wait_across(&mut fw, Duration::from_secs(10), || {
+            fs::rename(&log, dir.join("access.log.1")).expect("rename");
+            append(&log, b"two\n");
+        });
+        assert!(woke, "rename-and-recreate");
+        assert!(after < Duration::from_millis(100), "woke {after:?} late");
+        assert_eq!(drain(&mut fw), b"two\n");
+
+        let (after, woke) = wait_across(&mut fw, Duration::from_secs(10), || {
+            fs::write(&log, b"3\n").expect("copy-truncate");
+        });
+        assert!(woke, "copy-truncate");
+        assert!(after < Duration::from_millis(100), "woke {after:?} late");
+        assert_eq!(drain(&mut fw), b"3\n");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_sibling_write_does_not_end_a_wait() {
+        let dir = tmpdir("wake-sibling");
+        let log = dir.join("access.log");
+        append(&log, b"one\n");
+        let mut fw = LogFollower::new(&log);
+        assert_eq!(drain(&mut fw), b"one\n");
+        let timeout = Duration::from_millis(300);
+        let started = Instant::now();
+        let (_, woke) = wait_across(&mut fw, timeout, || {
+            append(&dir.join("error.log"), b"noise\n");
+            fs::rename(dir.join("error.log"), dir.join("error.log.1")).expect("rename");
+        });
+        assert!(!woke && fw.is_watching());
+        assert!(started.elapsed() >= timeout, "ended early");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// No directory, no watch: the wait is the timeout. Once directory and
+    /// file exist, the next wait arms a watch and an append ends it.
+    #[test]
+    fn a_follower_of_a_missing_directory_waits_out_its_timeout() {
+        let dir = tmpdir("wake-late");
+        let log = dir.join("not-yet").join("access.log");
+        let mut fw = LogFollower::new(&log);
+        let timeout = Duration::from_millis(100);
+        let started = Instant::now();
+        assert!(!fw.wait(timeout));
+        assert!(started.elapsed() >= timeout);
+        assert!(!fw.is_watching());
+
+        fs::create_dir(dir.join("not-yet")).expect("mkdir");
+        append(&log, b"");
+        assert_eq!(fw.poll().expect("empty"), None);
+        #[cfg(target_os = "linux")]
+        {
+            let (after, woke) =
+                wait_across(&mut fw, Duration::from_secs(10), || append(&log, b"one\n"));
+            assert!(woke && fw.is_watching());
+            assert!(after < Duration::from_millis(100), "woke {after:?} late");
+            assert_eq!(drain(&mut fw), b"one\n");
         }
-        assert_eq!(got, blob, "chunked polls reassemble the whole backlog");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A change between the last poll and the arming of the watch is not
+    /// missed: that first wait returns at once.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_change_before_the_watch_is_armed_ends_the_first_wait() {
+        let dir = tmpdir("wake-early");
+        let log = dir.join("access.log");
+        let mut fw = LogFollower::new(&log);
+        assert_eq!(fw.poll().expect("absent"), None);
+        append(&log, b"one\n");
+        let started = Instant::now();
+        assert!(fw.wait(Duration::from_secs(10)));
+        assert!(started.elapsed() < Duration::from_secs(1));
+        assert_eq!(drain(&mut fw), b"one\n");
         let _ = fs::remove_dir_all(&dir);
     }
 }
