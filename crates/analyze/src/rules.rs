@@ -345,7 +345,7 @@ fn rule_typed_errors(toks: &[Tok<'_>], code: &[usize], skip: &[bool], findings: 
         if c + 1 < code.len() && toks[code[c + 1]].is_punct("(") {
             continue;
         }
-        // Find `fn` within the item qualifiers (`const unsafe extern "C" …`).
+        // Find `fn` within the item qualifiers (`const unsafe extern "<abi>" …`).
         let mut c2 = c + 1;
         let mut is_fn = false;
         while c2 < code.len() && c2 <= c + 5 {

@@ -13,6 +13,7 @@
 //! inputs' debug representation where available, but are not minimized) and
 //! `prop_assume!` skips the case rather than re-drawing.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collection;

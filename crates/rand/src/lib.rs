@@ -11,6 +11,7 @@
 //! netclust results only require *internal* determinism (same seed → same
 //! world), which this provides bit-for-bit on every platform.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::ops::{Range, RangeInclusive};

@@ -1,31 +1,26 @@
 //! The `netclustd` daemon: boot, HTTP workers, log follower, shutdown.
 //!
-//! [`Daemon::start`] assembles the whole service from a [`ServeConfig`]:
-//! it loads (or recovers) the clustering state, binds the listener,
-//! spawns the HTTP workers and the log-follower thread, and returns a
-//! handle the caller polls until a stop is requested. Everything is
-//! `std`-only. The `--http-threads` workers accept for themselves: they
-//! take the non-blocking listener in turn, the holder polls it with a
-//! short sleep, then serves the connection it got start to finish while
-//! the next idle worker takes the listener. At most that many connections
-//! are in service; the rest wait in the kernel's bounded listen queue.
-//! The follower is one thread tailing the log: poll → apply → publish,
-//! nothing else, then a wait that a change to the log ends (the poll
-//! interval bounds it). Making the view
-//! durable happens behind it, on the checkpointer thread
-//! ([`crate::checkpoint`]), which exists only when a state dir is
-//! configured.
+//! [`Daemon::start`] loads (or recovers) the clustering state, binds the
+//! listener and spawns the threads. The `--http-threads` workers accept
+//! for themselves, taking the listener in turn and serving what they got
+//! start to finish; at most that many connections are in service, the rest
+//! wait in the kernel's listen queue. The follower tails the log: poll →
+//! apply → publish, then a wait that a change to the log ends. The view is
+//! made durable behind it, on the checkpointer thread ([`crate::checkpoint`]).
 //!
-//! Shutdown is graceful by construction: when the stop flag flips the
-//! workers stop accepting, finish the request they are in and are joined;
-//! the follower is joined next, then the checkpointer (an in-flight
-//! snapshot completes), and only then does [`Daemon::shutdown`] write the
-//! final checkpoint — the snapshot a `--resume` boot continues from.
+//! **One wait.** Every blocking point is one `poll(2)` on its own
+//! descriptor plus the daemon's stop [`Waker`]: the acceptor on the
+//! listener, a worker on its connection, the follower on the log's change
+//! notices ([`LogFollower::wait`]). So [`Daemon::shutdown`] ends every wait
+//! at once: the workers finish the request they are in and are joined,
+//! then the follower, then the checkpointer (an in-flight snapshot
+//! completes), and only then is the final checkpoint written — the
+//! snapshot a `--resume` boot continues from.
 
 use std::fmt;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -36,6 +31,7 @@ use netclust_core::{
 };
 use netclust_obs::Obs;
 use netclust_rtable::{load_tables, MergedTable};
+use netclust_sys::{Wake, Waker};
 use netclust_weblog::follow::LogFollower;
 
 use crate::checkpoint::{self, Checkpointer};
@@ -81,7 +77,7 @@ impl From<std::io::Error> for ServeError {
 pub struct Daemon {
     addr: SocketAddr,
     state: Arc<AppState>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Waker>,
     workers: Vec<JoinHandle<()>>,
     follower: Option<JoinHandle<()>>,
     checkpointer: Option<JoinHandle<()>>,
@@ -121,7 +117,7 @@ impl Daemon {
         let mut daemon = Daemon {
             addr,
             state: Arc::clone(&state),
-            stop: Arc::new(AtomicBool::new(false)),
+            stop: Arc::new(Waker::new()?),
             workers: Vec::new(),
             follower: None,
             checkpointer: None,
@@ -184,9 +180,7 @@ impl Daemon {
     }
 
     fn wind_down(&mut self) {
-        // ordering: single stop flag, no data published through it;
-        // SeqCst keeps the shutdown handshake trivially correct.
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.wake();
         for handle in self.workers.drain(..).chain(self.follower.take()) {
             let _ = handle.join();
         }
@@ -268,20 +262,22 @@ fn build_state(config: &ServeConfig, obs: &Obs) -> Result<AppState, ServeError> 
     })
 }
 
-/// Takes the listener and polls it until a connection arrives; `None`
-/// once the stop flag flips. Workers blocked on the lock meanwhile are
-/// idle, and each finds the flag set as soon as it gets its turn.
+/// The acceptor's wait on the stop alone after an `accept` error: out of
+/// descriptors, the listener stays readable and waiting on it would spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Takes the listener and waits on it until a connection arrives; `None`
+/// once a stop is requested. Workers blocked on the lock meanwhile are
+/// idle, and each finds the stop requested as soon as it gets its turn.
 fn next_connection(
     state: &AppState,
     acceptor: &Mutex<(TcpListener, FaultInjector)>,
-    stop: &AtomicBool,
+    stop: &Waker,
 ) -> Option<TcpStream> {
     // Nothing under the lock can be left half-updated by a panicked holder.
     let mut guard = acceptor.lock().unwrap_or_else(|p| p.into_inner());
     let (listener, injector) = &mut *guard;
-    // ordering: stop flag only — no data rides on it; SeqCst matches the
-    // store side.
-    while !stop.load(Ordering::SeqCst) {
+    while !stop.is_woken() {
         match listener.accept() {
             Ok((conn, _)) => {
                 if injector.should_fire(failpoints::SERVE_ACCEPT) {
@@ -294,21 +290,17 @@ fn next_connection(
                 let _ = conn.set_nodelay(true);
                 return Some(conn);
             }
-            Err(e) => {
-                if e.kind() != std::io::ErrorKind::WouldBlock {
-                    state.metrics.accept_shed.inc();
-                }
-                std::thread::sleep(Duration::from_millis(2));
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                stop.wait_for(listener, None);
+            }
+            Err(_) => {
+                state.metrics.accept_shed.inc();
+                stop.wait(Some(ACCEPT_BACKOFF));
             }
         }
     }
     None
 }
-
-/// How long a worker waits in one `read` before re-checking the stop
-/// flag. Bounds graceful-shutdown latency for idle keep-alive
-/// connections.
-const READ_SLICE: Duration = Duration::from_millis(250);
 
 /// How long a connection has to deliver its next complete request,
 /// counted from the previous response (from accept for the first one). An
@@ -316,6 +308,11 @@ const READ_SLICE: Duration = Duration::from_millis(250);
 /// whose peer dribbles a request in: a worker is the accept capacity, and
 /// no peer may hold it for longer.
 const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(30);
+
+/// How long after an answer (or the accept) a stop still waits for a
+/// request on its way, so a peer that asks again at once is told
+/// `Connection: close` instead of finding the connection gone.
+const STOP_LINGER: Duration = Duration::from_millis(100);
 
 /// One connection's request loop: incremental parse, route, respond,
 /// keep-alive until close or until a request takes longer than `budget`
@@ -325,11 +322,10 @@ fn serve_connection(
     state: &AppState,
     mut conn: TcpStream,
     plan: &FaultPlan,
-    stop: &AtomicBool,
+    stop: &Waker,
     budget: Duration,
 ) {
     let mut injector = plan.injector();
-    let _ = conn.set_read_timeout(Some(READ_SLICE));
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut scratch = [0u8; 16 * 1024];
     #[allow(
@@ -357,12 +353,10 @@ fn serve_connection(
                         return;
                     }
                     let resp = router::handle(state, &request);
-                    // A peer that never pauses never reaches the read
-                    // timeout below, so a stopping daemon says so here: this
-                    // response is the connection's last.
-                    // ordering: stop flag only — no data rides on it; SeqCst
-                    // matches the store side.
-                    let keep = request.keep_alive && !stop.load(Ordering::SeqCst);
+                    // A peer that never pauses always has the next request
+                    // ready for the wait below, so a stopping daemon says so
+                    // here: this response is the connection's last.
+                    let keep = request.keep_alive && !stop.is_woken();
                     if conn.write_all(&http::encode_response(&resp, keep)).is_err() {
                         return;
                     }
@@ -380,31 +374,28 @@ fn serve_connection(
                 }
             }
         }
-        if clock.elapsed() >= due {
+        let left = due.saturating_sub(clock.elapsed());
+        if left.is_zero() {
             // Silence is an idle connection; bytes are a request cut off.
             if !buf.is_empty() {
                 state.metrics.parse_errors.inc();
             }
             return;
         }
-        match conn.read(&mut scratch) {
-            Ok(0) => return,
-            Ok(n) => buf.extend_from_slice(scratch.get(..n).unwrap_or_default()),
-            // A read timeout surfaces as WouldBlock or TimedOut depending
-            // on the platform; either way it is the stop-flag checkpoint.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // ordering: stop flag only — no data rides on it; SeqCst
-                // matches the store side.
-                if stop.load(Ordering::SeqCst) {
+        match stop.wait_for(&conn, Some(left)) {
+            Wake::Ready => {}
+            Wake::TimedOut => continue,
+            // The read below waits out the rest of the linger.
+            Wake::Stopped => {
+                let linger = (due - budget + STOP_LINGER).saturating_sub(clock.elapsed());
+                if linger.is_zero() || conn.set_read_timeout(Some(linger)).is_err() {
                     return;
                 }
             }
-            Err(_) => return,
+        }
+        match conn.read(&mut scratch) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => buf.extend_from_slice(scratch.get(..n).unwrap_or_default()),
         }
     }
 }
@@ -435,8 +426,8 @@ fn split_slice(rest: &[u8]) -> (&[u8], &[u8]) {
 /// and counts together, one write-lock hold per [`APPLY_SLICE`]. The
 /// follower only *tells* the checkpointer what it applied and whether the
 /// log is quiet; no export, file write or fsync sits between a log line
-/// and its visibility. Between polls it waits for the log to change
-/// ([`LogFollower::wait`]), never longer than `interval`.
+/// and its visibility. Between polls it waits for the log to change or the
+/// stop ([`LogFollower::wait`]), never longer than `interval`.
 #[allow(
     clippy::disallowed_types,
     reason = "the clock only decides when the log counts as quiet and how long a wait may last; it never reaches an output."
@@ -445,14 +436,12 @@ fn follower_loop(
     state: Arc<AppState>,
     mut follower: LogFollower,
     interval: Duration,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Waker>,
 ) {
     // When the last byte was applied: the log is quiet one full interval
     // after it.
     let mut applied_at = std::time::Instant::now();
-    // ordering: stop flag only — no data rides on it; SeqCst matches the
-    // store side.
-    while !stop.load(Ordering::SeqCst) {
+    while !stop.is_woken() {
         let polled = follower.poll();
         let applied = matches!(polled, Ok(Some(_)));
         match polled {
@@ -499,10 +488,10 @@ fn follower_loop(
                 Some(left) if !left.is_zero() => left,
                 _ => interval,
             };
-            let wake = if follower.wait(bound) {
-                &state.metrics.follow_notified
-            } else {
-                &state.metrics.follow_timed_out
+            let wake = match follower.wait(bound, &stop) {
+                Wake::Ready => &state.metrics.follow_notified,
+                Wake::TimedOut => &state.metrics.follow_timed_out,
+                Wake::Stopped => return,
             };
             wake.inc();
             state
@@ -530,14 +519,16 @@ mod tests {
         (state, peer, conn)
     }
 
-    /// A peer dribbling a request in a byte at a time — never a read
-    /// timeout — is cut off once the budget since the previous response is
+    /// A peer dribbling a request in a byte at a time — never a quiet
+    /// moment — is cut off once the budget since the previous response is
     /// spent, and counted as a request that did not parse.
     #[test]
     fn a_dribbled_request_is_cut_off_at_the_budget() {
         let (state, mut peer, conn) = loopback("dribble");
         let budget = Duration::from_millis(300);
         let took = std::thread::scope(|scope| {
+            // Before the peer starts its clock, so its 100 ms count in full.
+            let accepted = std::time::Instant::now();
             scope.spawn(move || {
                 // A whole request 100 ms in is answered and restarts the
                 // budget; then comes a head that never ends.
@@ -547,8 +538,7 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(10));
                 }
             });
-            let accepted = std::time::Instant::now();
-            let (plan, stop) = (FaultPlan::disabled(), AtomicBool::new(false));
+            let (plan, stop) = (FaultPlan::disabled(), Waker::new().expect("waker"));
             serve_connection(&state, conn, &plan, &stop, budget);
             accepted.elapsed()
         });
@@ -560,13 +550,14 @@ mod tests {
     }
 
     /// A peer that sends its next request the moment a reply arrives — the
-    /// benchmark's closed-loop client — never lets a read time out; it is
-    /// told `Connection: close` on the first response after stop instead.
+    /// benchmark's closed-loop client — always has a request ready when the
+    /// worker waits; it is told `Connection: close` on the first response
+    /// after stop instead.
     #[test]
     fn a_busy_keep_alive_peer_is_closed_at_the_first_response_after_stop() {
         use std::io::{BufRead, BufReader};
         let (state, mut peer, conn) = loopback("busy");
-        let (plan, stop) = (FaultPlan::disabled(), AtomicBool::new(false));
+        let (plan, stop) = (FaultPlan::disabled(), Waker::new().expect("waker"));
         let ms = Duration::from_millis;
         let started = std::time::Instant::now();
         let (took, last_head) = std::thread::scope(|scope| {
@@ -596,7 +587,7 @@ mod tests {
             });
             scope.spawn(|| {
                 std::thread::sleep(ms(100));
-                stop.store(true, Ordering::SeqCst);
+                stop.wake();
             });
             serve_connection(&state, conn, &plan, &stop, KEEP_ALIVE_IDLE);
             (started.elapsed(), client.join().expect("client"))

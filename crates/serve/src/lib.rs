@@ -25,11 +25,11 @@
 //! hot-path dispatcher from parsed request to response; [`json`] renders
 //! the deterministic response bodies the router and reload path share;
 //! [`config`] is the [`ServeConfig`] builder the CLI flags parse into;
-//! [`daemon`] owns the listener, the HTTP workers that share it and the
-//! follower; [`checkpoint`] owns
-//! everything that touches the state store — the background checkpointer
-//! thread, the synchronous checkpoints, and the journal-before-apply step
-//! of a delta reload.
+//! [`daemon`] owns the listener, the HTTP workers that share it, the
+//! follower and the stop (every wait a `poll(2)` that a
+//! [`netclust_sys::Waker`] ends); [`checkpoint`] owns everything that touches
+//! the state store — the background checkpointer thread, the synchronous
+//! checkpoints, and the journal-before-apply step of a delta reload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

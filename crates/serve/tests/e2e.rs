@@ -242,13 +242,51 @@ fn the_full_api_answers_over_one_keep_alive_connection() {
     let (status, _) = c.send("GET", "/v1/reload", None);
     assert_eq!(status, 405, "reload is POST-only");
 
-    // `c` is still open: it holds one worker in `read`, another is polling
-    // the listener and the rest wait for their turn at it. Shutdown takes
-    // one read slice (250 ms) at most, plus scheduling.
+    // `c` is still open: it holds one worker waiting on it, another waits
+    // on the listener and the rest for their turn at it. Shutdown wakes
+    // both waits.
     let asked = Instant::now();
     daemon.shutdown().expect("clean shutdown");
     let took = asked.elapsed();
     assert!(took < Duration::from_millis(500), "shutdown took {took:?}");
+}
+
+/// The stop wakes every wait: a follower whose next look is a minute away,
+/// a worker holding an idle keep-alive connection, the acceptor and the
+/// checkpointer all end theirs, and the final checkpoint is written.
+#[test]
+fn shutdown_ends_every_wait_at_once() {
+    let fx = fixture("stop", 47);
+    std::fs::write(&fx.log, &fx.clf).expect("write log");
+    let state_dir = fx.dir.join("state");
+    let args = [
+        "--table".to_string(),
+        path_list(&fx.tables),
+        "--dump".to_string(),
+        path_list(&fx.dumps),
+        "--log".to_string(),
+        fx.log.display().to_string(),
+        "--state-dir".to_string(),
+        state_dir.display().to_string(),
+        "--poll-ms".to_string(),
+        "60000".to_string(),
+    ];
+    let config = ServeConfig::from_args(&args).expect("flags");
+    let daemon = Daemon::start(config).expect("boot");
+    let addr = daemon.local_addr();
+    let mut idle = Client::connect(addr);
+    let want = format!("\"total_requests\": {}", fx.total_requests);
+    wait_for("log ingested", || {
+        idle.send("GET", "/healthz", None).1.contains(&want)
+    });
+    let before = snapshots(&state_dir);
+
+    let asked = Instant::now();
+    daemon.shutdown().expect("clean shutdown");
+    let took = asked.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    assert!(snapshots(&state_dir) > before, "no final checkpoint");
+    assert_eq!(tmp_files(&state_dir), Vec::<String>::new());
 }
 
 #[test]
@@ -521,15 +559,118 @@ fn read_addr(port_file: &Path) -> SocketAddr {
 
 /// `kill -TERM`, then the exit status.
 fn terminate(daemon: &mut Netclustd) -> std::process::ExitStatus {
+    signal_term(daemon);
+    wait_for("graceful exit", || {
+        matches!(daemon.0.try_wait(), Ok(Some(_)))
+    });
+    daemon.0.wait().expect("wait")
+}
+
+fn signal_term(daemon: &Netclustd) {
     let status = Command::new("kill")
         .args(["-TERM", &daemon.0.id().to_string()])
         .status()
         .expect("send SIGTERM");
     assert!(status.success(), "kill -TERM failed");
-    wait_for("graceful exit", || {
-        matches!(daemon.0.try_wait(), Ok(Some(_)))
+}
+
+/// The real binary at `--poll-ms 60000`, with a keep-alive connection
+/// open: SIGTERM wakes every wait, so it exits 0 at once rather than at
+/// the follower's next look, with a final snapshot and no `.tmp` left.
+#[test]
+fn a_sigterm_stops_a_slow_polling_daemon_at_once() {
+    let fx = fixture("sigterm", 53);
+    std::fs::write(&fx.log, &fx.clf).expect("write log");
+    let state_dir = fx.dir.join("state");
+    let port = fx.dir.join("port");
+    let mut daemon = spawn_netclustd(&fx, &port, &["--poll-ms", "60000"], false);
+    let mut idle = Client::connect(read_addr(&port));
+    let want = format!("\"total_requests\": {}", fx.total_requests);
+    wait_for("log ingested", || {
+        idle.send("GET", "/healthz", None).1.contains(&want)
     });
-    daemon.0.wait().expect("wait")
+    let before = snapshots(&state_dir);
+
+    let asked = Instant::now();
+    signal_term(&daemon);
+    let exit = loop {
+        if let Some(exit) = daemon.0.try_wait().expect("try_wait") {
+            break exit;
+        }
+        assert!(
+            asked.elapsed() < Duration::from_secs(5),
+            "no exit 5 s after SIGTERM"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    let took = asked.elapsed();
+    eprintln!("exited {} ms after SIGTERM", took.as_millis());
+    assert!(exit.success(), "SIGTERM: {exit:?}");
+    assert!(
+        took < Duration::from_secs(1),
+        "exited {took:?} after SIGTERM"
+    );
+    assert!(snapshots(&state_dir) > before, "no final checkpoint");
+    assert_eq!(tmp_files(&state_dir), Vec::<String>::new());
+    drop(idle);
+}
+
+/// Out of descriptors, `accept` fails and leaves the connection queued, so
+/// the listener stays readable: the acceptor must back off on the stop
+/// alone, not spin on the listener. Under `ulimit -n 32` with more workers
+/// than descriptors, connections past the limit are each an `EMFILE`;
+/// over one second the daemon may use a fifth of a core at most.
+#[cfg(target_os = "linux")]
+#[test]
+fn accept_errors_back_off_instead_of_spinning() {
+    let fx = fixture("emfile", 59);
+    let port = fx.dir.join("port");
+    let mut cmd = Command::new("sh");
+    cmd.arg("-c")
+        .arg("ulimit -n 32 && exec \"$0\" \"$@\"")
+        .arg(env!("CARGO_BIN_EXE_netclustd"))
+        .arg("--table")
+        .arg(path_list(&fx.tables))
+        .arg("--dump")
+        .arg(path_list(&fx.dumps))
+        .arg("--port-file")
+        .arg(&port)
+        .args(["--http-threads", "48"]);
+    let daemon = Netclustd(cmd.spawn().expect("spawn netclustd"));
+    let addr = read_addr(&port);
+    let held: Vec<TcpStream> = (0..40)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    // Every free descriptor taken, the rest of the queue an `EMFILE` each.
+    std::thread::sleep(Duration::from_millis(300));
+    let cpu = || {
+        let stat = std::fs::read_to_string(format!("/proc/{}/stat", daemon.0.id())).expect("stat");
+        let fields: Vec<u64> = stat
+            .rsplit_once(')')
+            .expect("comm")
+            .1
+            .split_whitespace()
+            .filter_map(|f| f.parse().ok())
+            .collect();
+        // utime + stime (fields 14 and 15), in clock ticks of 1/100 s.
+        Duration::from_millis(10 * (fields[10] + fields[11]))
+    };
+    let (cpu_before, wall) = (cpu(), Instant::now());
+    std::thread::sleep(Duration::from_secs(1));
+    let (spent, wall) = (cpu() - cpu_before, wall.elapsed());
+    eprintln!("{spent:?} of CPU over {wall:?} out of descriptors");
+    assert!(
+        spent * 5 < wall,
+        "{spent:?} of CPU over {wall:?}: the acceptor spins"
+    );
+
+    // Freed descriptors serve again, and the failures were counted.
+    drop(held);
+    let shed = json_u64(&get(addr, "/metrics").1, "serve.accept.shed");
+    assert!(
+        shed > 0,
+        "no accept failed: the test did not run out of descriptors"
+    );
 }
 
 /// The real binary: boot with persistence, ingest, SIGKILL mid-flight,
@@ -617,6 +758,21 @@ fn json_u64(body: &str, key: &str) -> u64 {
         .collect::<String>()
         .parse()
         .expect("a number")
+}
+
+/// The newest snapshot generation in `state_dir` (0 when there is none).
+fn snapshots(state_dir: &Path) -> u64 {
+    std::fs::read_dir(state_dir)
+        .expect("state dir")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter_map(|name| {
+            name.strip_prefix("snapshot-")?
+                .strip_suffix(".snap")?
+                .parse()
+                .ok()
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 fn tmp_files(state_dir: &Path) -> Vec<String> {

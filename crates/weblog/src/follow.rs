@@ -9,17 +9,11 @@
 //! old file since the last poll, then moves on to the new one.
 //!
 //! [`poll`](LogFollower::poll) never blocks; the caller decides when to
-//! look. [`wait`](LogFollower::wait) is how it waits for the next change
-//! without a sleep of its own: on Linux it sits on an inotify watch of the
-//! log's *directory* (so creation, rename and deletion of the log are
-//! seen as well as writes to it) and returns at the first change notice
-//! that names the log file, or at its timeout. Where no watch can be
-//! armed — the directory does not exist yet, inotify limits are reached,
-//! another OS — it is a plain timed wait, and the timeout is the freshness.
-//! A filesystem that sends no notices (NFS, a FUSE mount), or a log path
-//! that is a symlink into another directory, is followed at the timeout
-//! too. No threads, no dependencies: the inotify binding is a few
-//! `extern "C"` declarations, as `chunk.rs`' `mmap` one is.
+//! look. [`wait`](LogFollower::wait) waits for the next change in one
+//! `poll(2)` on a [`Watch`] of the log's *directory* (and of its target's,
+//! for a symlink) and the caller's stop [`Waker`]. Where no watch can be
+//! armed — no directory yet, a dangling link, inotify limits, another OS —
+//! or no notices come (NFS, FUSE), the timeout is the freshness.
 //!
 //! The follower's [`offset`](LogFollower::offset) is always the byte
 //! position *after the last complete line handed out*, which makes it the
@@ -31,8 +25,11 @@
 
 use std::fs::{self, File};
 use std::io::{self, ErrorKind, Read, Seek, SeekFrom};
+use std::os::unix::fs::MetadataExt;
 use std::path::PathBuf;
 use std::time::Duration;
+
+use netclust_sys::{Wake, Waker, Watch};
 
 /// Upper bound on bytes consumed per [`LogFollower::poll`] call, so one
 /// poll against a huge backlog cannot stall the daemon's control loop.
@@ -62,15 +59,15 @@ pub struct LogFollower {
     dropped: u64,
     /// Length of the held file at the last poll (0 while there is none).
     file_len: u64,
-    /// Identity of the held file, for rename-rotation detection.
+    /// Inode of the held file, for rename-rotation detection.
     file_id: Option<u64>,
     /// The last chunk handed out, given back ([`recycle`](Self::recycle))
     /// for the next poll to read into. Every poll takes it, so a follower
     /// whose log has gone quiet holds no buffer.
     spare: Vec<u8>,
     /// The change notice [`wait`](Self::wait) sleeps on: armed by the
-    /// first wait, dropped when the kernel drops it.
-    watch: Option<notice::Watch>,
+    /// first wait, dropped when it is spent.
+    watch: Option<Watch>,
 }
 
 impl LogFollower {
@@ -157,7 +154,7 @@ impl LogFollower {
                 Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
                 Err(e) => return Err(e),
             };
-            self.file_id = file_identity(&file.metadata()?);
+            self.file_id = Some(file.metadata()?.ino());
             self.file = Some(file);
         }
         self.read_held(&mut spare)
@@ -168,10 +165,7 @@ impl LogFollower {
     /// appending to the renamed file until it opens the new one.
     fn renamed(&self) -> io::Result<bool> {
         match fs::metadata(&self.path) {
-            Ok(meta) => Ok(matches!(
-                (self.file_id, file_identity(&meta)),
-                (Some(held), Some(named)) if held != named
-            )),
+            Ok(meta) => Ok(self.file_id.is_some_and(|held| held != meta.ino())),
             Err(e) if e.kind() == ErrorKind::NotFound => Ok(false),
             Err(e) => Err(e),
         }
@@ -259,293 +253,25 @@ impl LogFollower {
         }
     }
 
-    /// Sleeps until the log changes or `timeout` passes; `true` when a
-    /// change notice ended the wait, `false` at the timeout. Call it after
-    /// a [`poll`](Self::poll) that returned nothing.
-    ///
-    /// A change is a write to, creation, rename or deletion of the log
-    /// file, or a notice queue that overflowed (changes were lost, so one
-    /// may be the log's). Notices about other files in the directory do
-    /// not end the wait; those queued together with the log's are
-    /// consumed with it, so a burst of writes is one wake. The watch is
-    /// armed by the first wait, so a follower that never waits holds no
-    /// descriptor beyond its file. If the log changed between the last
-    /// poll and the arming, that wait returns at once. When the kernel
-    /// drops the watch (the directory was deleted or moved) the wait
-    /// returns and the next one arms a new watch; where none can be armed
-    /// (see [`is_watching`](Self::is_watching)), it sleeps out `timeout`.
-    pub fn wait(&mut self, timeout: Duration) -> bool {
+    /// After a [`poll`](Self::poll) that returned nothing: waits until the
+    /// log changes ([`Wake::Ready`]; see [`Watch::wait`]), `stop` is woken or
+    /// `timeout` passes. A wait that arms the watch returns at once, so the
+    /// poll after it sees what changed before the arming; a spent watch ends
+    /// the wait. With no watch armable the wait is on `stop` alone.
+    pub fn wait(&mut self, timeout: Duration, stop: &Waker) -> Wake {
         if self.watch.is_none() {
-            self.watch = notice::Watch::arm(&self.path);
-            if self.watch.is_some() && self.changed_since_poll() {
-                return true;
+            self.watch = Watch::arm(&self.path);
+            if self.watch.is_some() {
+                return Wake::Ready;
             }
         }
         let Some(watch) = &mut self.watch else {
-            std::thread::sleep(timeout);
-            return false;
+            return stop.wait(Some(timeout));
         };
-        match watch.wait(timeout) {
-            notice::Wake::Changed => true,
-            notice::Wake::TimedOut => false,
-            notice::Wake::Lost => {
-                self.watch = None;
-                true
-            }
-        }
-    }
-
-    /// Whether the path no longer looks as the last poll left it: a file
-    /// where there was none or another one, or a length the poll did not
-    /// see. A path gone while a file is held counts (it may be a rename
-    /// the poll has not seen), at the cost of one extra poll.
-    fn changed_since_poll(&self) -> bool {
-        match fs::metadata(&self.path) {
-            Ok(meta) => {
-                self.file.is_none()
-                    || file_identity(&meta) != self.file_id
-                    || meta.len() != self.file_len
-            }
-            Err(_) => self.file.is_some(),
-        }
-    }
-}
-
-#[cfg(unix)]
-fn file_identity(meta: &fs::Metadata) -> Option<u64> {
-    use std::os::unix::fs::MetadataExt;
-    Some(meta.ino())
-}
-
-#[cfg(not(unix))]
-fn file_identity(_meta: &fs::Metadata) -> Option<u64> {
-    // Without a stable identity a rename rotation is not seen; a
-    // copy-truncate still is, by the held file's length shrinking.
-    None
-}
-
-/// The inotify binding behind [`LogFollower::wait`].
-#[cfg(target_os = "linux")]
-mod notice {
-    use std::ffi::{c_char, c_ulong, CString, OsString};
-    use std::fs::File;
-    use std::io::{ErrorKind, Read};
-    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
-    use std::os::unix::ffi::OsStrExt;
-    use std::path::Path;
-    use std::time::Duration;
-
-    // SAFETY: the signatures are glibc's and musl's on Linux (`nfds_t` is
-    // `unsigned long`); `inotify_init1` takes flags by value and only
-    // returns a descriptor or -1.
-    unsafe extern "C" {
-        safe fn inotify_init1(flags: i32) -> i32;
-        fn inotify_add_watch(fd: i32, pathname: *const c_char, mask: u32) -> i32;
-        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: i32) -> i32;
-    }
-
-    /// `struct pollfd`.
-    #[repr(C)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    const POLLIN: i16 = 1;
-    /// `IN_NONBLOCK | IN_CLOEXEC`: `O_NONBLOCK` and `O_CLOEXEC` on every
-    /// Linux architecture Rust has a host toolchain for but SPARC and
-    /// PA-RISC, where `inotify_init1` refuses them (-1) and the follower
-    /// waits on the timeout alone.
-    const INIT_FLAGS: i32 = 0o4000 | 0o2_000_000;
-    const IN_MODIFY: u32 = 0x2;
-    const IN_CLOSE_WRITE: u32 = 0x8;
-    const IN_MOVED_FROM: u32 = 0x40;
-    const IN_MOVED_TO: u32 = 0x80;
-    const IN_CREATE: u32 = 0x100;
-    const IN_DELETE: u32 = 0x200;
-    const IN_MOVE_SELF: u32 = 0x800;
-    const IN_Q_OVERFLOW: u32 = 0x4000;
-    const IN_IGNORED: u32 = 0x8000;
-    const IN_ONLYDIR: u32 = 0x0100_0000;
-    /// What the directory is watched for: the log written, created, renamed
-    /// or deleted, and the directory itself moved (after which its path no
-    /// longer leads to the log, so the watch is dropped like an ignored one).
-    const MASK: u32 = IN_MODIFY
-        | IN_CLOSE_WRITE
-        | IN_CREATE
-        | IN_DELETE
-        | IN_MOVED_FROM
-        | IN_MOVED_TO
-        | IN_MOVE_SELF
-        | IN_ONLYDIR;
-    /// `struct inotify_event` without its name: wd, mask, cookie, len.
-    const HEADER: usize = 16;
-
-    /// How a [`Watch::wait`] ended.
-    pub(super) enum Wake {
-        /// A notice named the log, or the queue overflowed.
-        Changed,
-        TimedOut,
-        /// The kernel dropped the watch, or its queue cannot be read.
-        Lost,
-    }
-
-    /// One inotify instance with one watch: the log's directory.
-    #[derive(Debug)]
-    pub(super) struct Watch {
-        /// The inotify descriptor, read through `File`'s `read`.
-        queue: File,
-        /// The log's file name, as notices name it.
-        name: OsString,
-    }
-
-    impl Watch {
-        /// Watches the directory of `log`; `None` when it does not exist,
-        /// inotify limits are reached or `log` names no file.
-        pub(super) fn arm(log: &Path) -> Option<Watch> {
-            let name = log.file_name()?.to_owned();
-            let dir = match log.parent() {
-                Some(dir) if !dir.as_os_str().is_empty() => dir,
-                _ => Path::new("."),
-            };
-            let dir = CString::new(dir.as_os_str().as_bytes()).ok()?;
-            let fd = inotify_init1(INIT_FLAGS);
-            if fd < 0 {
-                return None;
-            }
-            // SAFETY: `fd` was just returned by `inotify_init1`; nothing else
-            // holds it, so `OwnedFd` is its one owner and closes it once.
-            let queue = File::from(unsafe { OwnedFd::from_raw_fd(fd) });
-            // SAFETY: `dir` is NUL-terminated and outlives the call, which
-            // only reads it; `queue` is a live inotify descriptor.
-            let wd = unsafe { inotify_add_watch(queue.as_raw_fd(), dir.as_ptr(), MASK) };
-            (wd >= 0).then_some(Watch { queue, name })
-        }
-
-        /// Waits up to `timeout` for a notice naming the log; see
-        /// [`LogFollower::wait`](super::LogFollower::wait).
-        #[allow(
-            clippy::disallowed_types,
-            reason = "the clock only bounds how long the follower sleeps when notices about other files wake it; it never reaches an output."
-        )]
-        pub(super) fn wait(&mut self, timeout: Duration) -> Wake {
-            let started = std::time::Instant::now();
-            loop {
-                let left = timeout.saturating_sub(started.elapsed());
-                // Rounded up, so the wait never ends before its timeout.
-                let ms = i32::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX);
-                let mut ready = PollFd {
-                    fd: self.queue.as_raw_fd(),
-                    events: POLLIN,
-                    revents: 0,
-                };
-                // SAFETY: one `pollfd` the kernel may write for the length of
-                // the call, and a live descriptor in it.
-                let n = unsafe { poll(&mut ready, 1, ms) };
-                if n == 0 {
-                    return Wake::TimedOut;
-                }
-                if n < 0 {
-                    if std::io::Error::last_os_error().kind() == ErrorKind::Interrupted {
-                        continue;
-                    }
-                    // Never a spin: a failing poll(2) leaves a timed wait.
-                    std::thread::sleep(left);
-                    return Wake::TimedOut;
-                }
-                if let Some(wake) = self.drain() {
-                    return wake;
-                }
-            }
-        }
-
-        /// Reads every queued notice; what they add up to for the log, or
-        /// `None` when none of them concerned it.
-        fn drain(&mut self) -> Option<Wake> {
-            // Room for 15 notices of the longest name (16 + 255 + NUL).
-            let mut buf = [0u8; 4096];
-            let (mut changed, mut lost) = (false, false);
-            loop {
-                let n = match self.queue.read(&mut buf) {
-                    Ok(0) => break,
-                    Ok(n) => n,
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => return Some(Wake::Lost),
-                };
-                let mut events = buf.get(..n).unwrap_or_default();
-                while let Some((mask, name, rest)) = next_event(events) {
-                    lost |= mask & (IN_IGNORED | IN_MOVE_SELF) != 0;
-                    changed |= mask & IN_Q_OVERFLOW != 0 || name == self.name.as_bytes();
-                    events = rest;
-                }
-            }
-            match (lost, changed) {
-                (true, _) => Some(Wake::Lost),
-                (false, true) => Some(Wake::Changed),
-                (false, false) => None,
-            }
-        }
-    }
-
-    /// Splits the first `struct inotify_event` off `events`: its mask, its
-    /// name without the NUL padding, and the records after it. The kernel
-    /// hands out whole records only.
-    fn next_event(events: &[u8]) -> Option<(u32, &[u8], &[u8])> {
-        let word = |at: usize| -> Option<u32> {
-            Some(u32::from_ne_bytes(events.get(at..at + 4)?.try_into().ok()?))
-        };
-        let (mask, len) = (word(4)?, usize::try_from(word(12)?).ok()?);
-        let end = HEADER.checked_add(len)?;
-        let padded = events.get(HEADER..end)?;
-        let name = padded.split(|&b| b == 0).next().unwrap_or_default();
-        Some((mask, name, events.get(end..)?))
-    }
-
-    #[cfg(test)]
-    #[test]
-    fn records_split_on_their_length_and_lose_their_padding() {
-        let mut events = Vec::new();
-        for (mask, name) in [(IN_MODIFY, &b"access.log\0\0"[..]), (IN_IGNORED, b"")] {
-            for word in [1, mask, 0, name.len() as u32] {
-                events.extend_from_slice(&word.to_ne_bytes());
-            }
-            events.extend_from_slice(name);
-        }
-        let (mask, name, rest) = next_event(&events).expect("first");
-        assert_eq!((mask, name), (IN_MODIFY, &b"access.log"[..]));
-        let (mask, name, rest) = next_event(rest).expect("second");
-        assert_eq!((mask, name, rest), (IN_IGNORED, &b""[..], &b""[..]));
-        assert!(next_event(&events[..HEADER + 3]).is_none(), "a cut record");
-    }
-}
-
-/// No change notices: every wait is a timed one.
-#[cfg(not(target_os = "linux"))]
-mod notice {
-    use std::path::Path;
-    use std::time::Duration;
-
-    #[allow(dead_code, reason = "the Linux binding's outcomes; only TimedOut happens here.")]
-    pub(super) enum Wake {
-        Changed,
-        TimedOut,
-        Lost,
-    }
-
-    #[derive(Debug)]
-    pub(super) struct Watch;
-
-    impl Watch {
-        pub(super) fn arm(_log: &Path) -> Option<Watch> {
-            None
-        }
-
-        pub(super) fn wait(&mut self, timeout: Duration) -> Wake {
-            std::thread::sleep(timeout);
-            Wake::TimedOut
-        }
+        watch.wait(stop, timeout).unwrap_or_else(|| {
+            self.watch = None;
+            Wake::Ready
+        })
     }
 }
 
@@ -751,8 +477,13 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A stop waker nothing wakes.
+    fn idle() -> Waker {
+        Waker::new().expect("waker")
+    }
+
     /// Arms `fw`'s watch (consuming notices left from earlier changes),
-    /// then runs `change` about 50 ms into `fw.wait(timeout)`: how long
+    /// then runs `change` about 50 ms into `fw.wait(timeout, ..)`: how long
     /// after `change` returned the wait ended, and what it said. The watch
     /// is armed first, so the change is queued for the wait even if the
     /// wait has not begun by then.
@@ -761,8 +492,9 @@ mod tests {
         fw: &mut LogFollower,
         timeout: Duration,
         change: impl FnOnce() + Send,
-    ) -> (Duration, bool) {
-        while fw.wait(Duration::ZERO) {}
+    ) -> (Duration, Wake) {
+        let stop = idle();
+        while fw.wait(Duration::ZERO, &stop) == Wake::Ready {}
         assert!(fw.is_watching());
         std::thread::scope(|scope| {
             let changer = scope.spawn(|| {
@@ -770,7 +502,7 @@ mod tests {
                 change();
                 Instant::now()
             });
-            let woke = fw.wait(timeout);
+            let woke = fw.wait(timeout, &stop);
             let returned = Instant::now();
             let changed = changer.join().expect("changer");
             (returned.saturating_duration_since(changed), woke)
@@ -787,9 +519,49 @@ mod tests {
         assert_eq!(drain(&mut fw), b"one\n");
         let (after, woke) =
             wait_across(&mut fw, Duration::from_secs(10), || append(&log, b"two\n"));
-        assert!(woke && fw.is_watching());
+        assert!(woke == Wake::Ready && fw.is_watching());
         assert!(after < Duration::from_millis(100), "woke {after:?} late");
         assert_eq!(drain(&mut fw), b"two\n");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The notices about a symlinked log name its target, in the target's
+    /// directory: that is watched too, so an append through the link ends
+    /// a wait as one to a plain file does. Swapping the link to a target
+    /// elsewhere spends the watch, and the next one follows the new target.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_symlinked_log_is_watched_where_its_target_is() {
+        let dir = tmpdir("wake-symlink");
+        let (links, logs) = (dir.join("a"), dir.join("b"));
+        fs::create_dir_all(&links).expect("mkdir a");
+        fs::create_dir_all(&logs).expect("mkdir b");
+        let link = links.join("access.log");
+        append(&logs.join("real.log"), b"one\n");
+        std::os::unix::fs::symlink(logs.join("real.log"), &link).expect("symlink");
+        let mut fw = LogFollower::new(&link);
+        assert_eq!(drain(&mut fw), b"one\n");
+        let (after, woke) =
+            wait_across(&mut fw, Duration::from_secs(10), || append(&link, b"two\n"));
+        assert!(woke == Wake::Ready && fw.is_watching());
+        assert!(after < Duration::from_millis(100), "woke {after:?} late");
+        assert_eq!(drain(&mut fw), b"two\n");
+
+        let (after, woke) = wait_across(&mut fw, Duration::from_secs(10), || {
+            fs::create_dir_all(dir.join("c")).expect("mkdir c");
+            append(&dir.join("c").join("next.log"), b"");
+            fs::remove_file(&link).expect("unlink");
+            std::os::unix::fs::symlink(dir.join("c").join("next.log"), &link).expect("relink");
+        });
+        assert!(woke == Wake::Ready, "symlink swap");
+        assert!(after < Duration::from_millis(100), "woke {after:?} late");
+        assert_eq!(drain(&mut fw), b"");
+        let (after, woke) = wait_across(&mut fw, Duration::from_secs(10), || {
+            append(&link, b"three\n")
+        });
+        assert!(woke == Wake::Ready && fw.is_watching());
+        assert!(after < Duration::from_millis(100), "woke {after:?} late");
+        assert_eq!(drain(&mut fw), b"three\n");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -806,14 +578,14 @@ mod tests {
             fs::rename(&log, dir.join("access.log.1")).expect("rename");
             append(&log, b"two\n");
         });
-        assert!(woke, "rename-and-recreate");
+        assert!(woke == Wake::Ready, "rename-and-recreate");
         assert!(after < Duration::from_millis(100), "woke {after:?} late");
         assert_eq!(drain(&mut fw), b"two\n");
 
         let (after, woke) = wait_across(&mut fw, Duration::from_secs(10), || {
             fs::write(&log, b"3\n").expect("copy-truncate");
         });
-        assert!(woke, "copy-truncate");
+        assert!(woke == Wake::Ready, "copy-truncate");
         assert!(after < Duration::from_millis(100), "woke {after:?} late");
         assert_eq!(drain(&mut fw), b"3\n");
         let _ = fs::remove_dir_all(&dir);
@@ -833,7 +605,7 @@ mod tests {
             append(&dir.join("error.log"), b"noise\n");
             fs::rename(dir.join("error.log"), dir.join("error.log.1")).expect("rename");
         });
-        assert!(!woke && fw.is_watching());
+        assert!(woke == Wake::TimedOut && fw.is_watching());
         assert!(started.elapsed() >= timeout, "ended early");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -847,7 +619,7 @@ mod tests {
         let mut fw = LogFollower::new(&log);
         let timeout = Duration::from_millis(100);
         let started = Instant::now();
-        assert!(!fw.wait(timeout));
+        assert_eq!(fw.wait(timeout, &idle()), Wake::TimedOut);
         assert!(started.elapsed() >= timeout);
         assert!(!fw.is_watching());
 
@@ -858,7 +630,7 @@ mod tests {
         {
             let (after, woke) =
                 wait_across(&mut fw, Duration::from_secs(10), || append(&log, b"one\n"));
-            assert!(woke && fw.is_watching());
+            assert!(woke == Wake::Ready && fw.is_watching());
             assert!(after < Duration::from_millis(100), "woke {after:?} late");
             assert_eq!(drain(&mut fw), b"one\n");
         }
@@ -866,7 +638,7 @@ mod tests {
     }
 
     /// A change between the last poll and the arming of the watch is not
-    /// missed: that first wait returns at once.
+    /// missed: the wait that arms it returns at once.
     #[cfg(target_os = "linux")]
     #[test]
     fn a_change_before_the_watch_is_armed_ends_the_first_wait() {
@@ -876,9 +648,40 @@ mod tests {
         assert_eq!(fw.poll().expect("absent"), None);
         append(&log, b"one\n");
         let started = Instant::now();
-        assert!(fw.wait(Duration::from_secs(10)));
+        assert_eq!(fw.wait(Duration::from_secs(10), &idle()), Wake::Ready);
         assert!(started.elapsed() < Duration::from_secs(1));
         assert_eq!(drain(&mut fw), b"one\n");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A stop ends a long wait at once, watched or not, and every wait
+    /// after it.
+    #[test]
+    fn a_stop_ends_a_long_wait_watched_or_not() {
+        let dir = tmpdir("wake-stop");
+        let log = dir.join("access.log");
+        append(&log, b"one\n");
+        let mut watched = LogFollower::new(&log);
+        assert_eq!(drain(&mut watched), b"one\n");
+        let mut unwatched = LogFollower::new(dir.join("not-yet").join("access.log"));
+        let stop = idle();
+        while watched.wait(Duration::ZERO, &stop) == Wake::Ready {}
+        let long = Duration::from_secs(10);
+        let started = Instant::now();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                stop.wake();
+            });
+            assert_eq!(watched.wait(long, &stop), Wake::Stopped);
+        });
+        assert_eq!(unwatched.wait(long, &stop), Wake::Stopped);
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            started.elapsed()
+        );
+        assert!(!unwatched.is_watching());
         let _ = fs::remove_dir_all(&dir);
     }
 }

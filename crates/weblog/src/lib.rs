@@ -15,6 +15,7 @@
 //!   ground truth is recorded in [`LogTruth`],
 //! * [`ZipfSampler`] / [`pareto_u64`] — the heavy-tail machinery.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chunk;

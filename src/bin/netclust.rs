@@ -16,6 +16,8 @@
 //! --state-dir has a valid snapshot, or a snapshot failed its integrity
 //! cross-check).
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::fs;
 use std::io::{self, Write};
