@@ -16,7 +16,7 @@
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
-use netclust_weblog::Log;
+use netclust_weblog::{Log, UaId};
 
 use crate::cluster::Clustering;
 
@@ -176,7 +176,7 @@ pub fn detect(log: &Log, clustering: &Clustering, config: &AnomalyConfig) -> Vec
     struct Detail {
         hist: Vec<u64>,
         urls: HashSet<u32>,
-        uas: HashSet<u16>,
+        uas: HashSet<UaId>,
     }
     let hours = log_hist.len();
     let mut details: HashMap<u32, Detail> = candidates

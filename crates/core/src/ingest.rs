@@ -1,11 +1,11 @@
 //! Fused zero-copy log ingest: bytes in, clusters out.
 //!
-//! The classic route from a Common Log Format file to a [`Clustering`]
-//! materializes an intermediate `Log` — every line becomes a `String`
-//! split, every path and user agent an interned allocation — before the
-//! clustering pass re-aggregates it all per client. For the multi-million
-//! line logs of the paper's evaluation that intermediate costs more than
-//! the clustering itself.
+//! The `Log` route from a Common Log Format file to a [`Clustering`]
+//! materializes an intermediate `Log` — every path and user agent an
+//! interned allocation, every line a `Request` — before the clustering
+//! pass re-aggregates it all per client. For the multi-million line logs
+//! of the paper's evaluation that intermediate costs more than the
+//! clustering itself.
 //!
 //! [`IngestPipeline`] fuses the stages instead:
 //!
@@ -231,7 +231,7 @@ pub struct IngestReport {
     /// The clustering of the log's clients by the pipeline's method.
     pub clustering: Clustering,
     /// Malformed lines, in line order, with buffer-global line numbers —
-    /// identical to what the string parser would report.
+    /// identical to what a serial [`clf_bytes::records`] pass reports.
     pub errors: Vec<ClfError>,
     /// Lines seen vs lines malformed — the workspace-wide error-accounting
     /// shape (`counts.records` is the old `lines` field; `counts.malformed`
@@ -851,9 +851,9 @@ not a log line\n\
 99.1.1.1 - - [13/Feb/1998:07:00:04 +0000] \"GET /c HTTP/1.0\" 200 10\n";
 
     #[test]
-    fn matches_string_parser_route() {
+    fn matches_log_route() {
         let table = table();
-        let (log, log_errors) = clf::from_clf("s", SAMPLE);
+        let (log, log_errors) = clf::from_clf("s", SAMPLE.as_bytes());
         let expect = Clustering::network_aware_compiled(&log, &table);
 
         for chunk_bytes in [1usize, 50, 1 << 20] {

@@ -1,11 +1,11 @@
-//! Equivalence of the fused zero-copy ingest pipeline with the classic
-//! string-parser route, on the committed synthetic corpus under
-//! `results/` (a generated CLF log with hand-planted malformed lines,
-//! plus one BGP and one registry table dump).
+//! Equivalence of the fused zero-copy ingest pipeline with the `Log`
+//! route (`clf::from_clf`, then `Clustering`), on the committed synthetic
+//! corpus under `results/` (a generated CLF log with hand-planted
+//! malformed lines, plus one BGP and one registry table dump).
 
 use netclust_core::{Clustering, IngestPipeline};
 use netclust_rtable::{MergedTable, RoutingTable, TableKind};
-use netclust_weblog::{clf, clf_bytes};
+use netclust_weblog::clf::{self, ClfErrorKind};
 
 const LOG: &str = include_str!(concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -43,29 +43,23 @@ fn assert_clusterings_equal(got: &Clustering, expect: &Clustering, context: &str
 }
 
 #[test]
-fn byte_parser_log_is_identical_to_string_parser_log() {
-    let (string_log, string_errors) = clf::from_clf("sample", LOG);
-    let (byte_log, byte_errors) = clf_bytes::from_clf_bytes("sample", LOG.as_bytes());
-    assert!(!string_errors.is_empty(), "corpus plants malformed lines");
-    assert_eq!(string_errors, byte_errors);
-    assert_eq!(string_log.name, byte_log.name);
-    assert_eq!(string_log.requests, byte_log.requests);
-    assert_eq!(string_log.urls, byte_log.urls);
-    assert_eq!(string_log.user_agents, byte_log.user_agents);
-    assert_eq!(string_log.start_time, byte_log.start_time);
-    assert_eq!(string_log.duration_s, byte_log.duration_s);
-}
-
-#[test]
-fn fused_pipeline_matches_string_parser_route() {
+fn fused_pipeline_matches_log_route() {
     let table = merged().compile();
-    let (log, log_errors) = clf::from_clf("sample", LOG);
+    let (log, log_errors) = clf::from_clf("sample", LOG.as_bytes());
     let expect = Clustering::network_aware_compiled(&log, &table);
-
-    // Full route through the byte-parsed Log too.
-    let (byte_log, _) = clf_bytes::from_clf_bytes("sample", LOG.as_bytes());
-    let via_bytes = Clustering::network_aware_compiled(&byte_log, &table);
-    assert_clusterings_equal(&via_bytes, &expect, "byte-log route");
+    // The planted malformed lines, pinned by line and kind.
+    let planted: Vec<(usize, ClfErrorKind)> = log_errors.iter().map(|e| (e.line, e.kind)).collect();
+    assert_eq!(
+        planted,
+        [
+            (98, ClfErrorKind::MissingBytes),
+            (310, ClfErrorKind::BadClientAddress),
+            (666, ClfErrorKind::BadClientAddress),
+            (810, ClfErrorKind::BadTimestamp),
+            (1097, ClfErrorKind::UnterminatedRequestLine),
+            (1336, ClfErrorKind::BadStatus),
+        ]
+    );
 
     // The fused pipeline, across chunk sizes spanning one-line-per-chunk
     // to single-chunk.
@@ -97,5 +91,4 @@ fn corpus_exercises_real_clustering() {
         .clusters
         .iter()
         .any(|c| c.unique_urls > 1 && c.client_count() > 1));
-    assert!(report.errors.len() >= 5);
 }

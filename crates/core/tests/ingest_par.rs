@@ -1,5 +1,5 @@
 //! Parallel-ingest determinism properties: for each of the three methods
-//! the serial scan (`threads(1)`) must report what the readable route —
+//! the serial scan (`threads(1)`) must report what the `Log` route —
 //! `clf::from_clf` into a `Log`, then `Clustering::by` — reports, and the
 //! sharded work-stealing scan must produce reports *byte-identical* to the
 //! serial one over random corpora, chunk sizes, and thread counts —
@@ -148,7 +148,7 @@ proptest! {
         let table = table();
         let text = render(&lines);
         let data = text.as_bytes();
-        let (log, log_errors) = clf::from_clf("prop", &text);
+        let (log, log_errors) = clf::from_clf("prop", data);
         for how in [Assigner::NetworkAware(&table), Assigner::Simple24, Assigner::Classful] {
             let method = how.label();
             let want = Clustering::by(&log, how);

@@ -10,11 +10,13 @@
 //!
 //! The trailing referer/User-Agent fields ("combined" format) are optional
 //! on input and always emitted on output (the User-Agent feeds the paper's
-//! proxy heuristic of §4.1.2).
+//! proxy heuristic of §4.1.2). The one parser is [`clf_bytes`];
+//! [`from_clf`] builds a [`Log`] from its records.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::net::Ipv4Addr;
 
+use crate::clf_bytes::{self, RawRecord};
 use crate::record::{Log, LogTruth, Request, UrlMeta};
 
 pub(crate) const MONTHS: [&str; 12] = [
@@ -34,9 +36,7 @@ pub enum ClfErrorKind {
     BadTimestamp,
     MissingRequestLine,
     UnterminatedRequestLine,
-    EmptyRequestLine,
     RequestLineLacksPath,
-    MissingStatus,
     BadStatus,
     MissingBytes,
     BadBytes,
@@ -53,9 +53,7 @@ impl ClfErrorKind {
             ClfErrorKind::BadTimestamp => "bad timestamp",
             ClfErrorKind::MissingRequestLine => "missing request line",
             ClfErrorKind::UnterminatedRequestLine => "unterminated request line",
-            ClfErrorKind::EmptyRequestLine => "empty request line",
             ClfErrorKind::RequestLineLacksPath => "request line lacks path",
-            ClfErrorKind::MissingStatus => "missing status",
             ClfErrorKind::BadStatus => "bad status",
             ClfErrorKind::MissingBytes => "missing bytes",
             ClfErrorKind::BadBytes => "bad bytes",
@@ -93,26 +91,6 @@ impl std::fmt::Display for ClfError {
 
 impl std::error::Error for ClfError {}
 
-/// Days since the Unix epoch for a civil date (Howard Hinnant's algorithm).
-#[deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing
-)]
-pub(crate) fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
-    let y = if m <= 2 { y - 1 } else { y };
-    let era = if y >= 0 { y } else { y - 399 } / 400;
-    let yoe = (y - era * 400) as u64;
-    let mp = (m + 9) % 12;
-    let doy = (153 * mp + 2) / 5 + d - 1;
-    let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy as u64;
-    era * 146_097 + doe as i64 - 719_468
-}
-
 /// Civil date from days since the Unix epoch.
 fn civil_from_days(z: i64) -> (i64, u32, u32) {
     let z = z + 719_468;
@@ -149,33 +127,8 @@ pub fn format_clf_time(epoch: u64) -> String {
     )
 }
 
-/// Parses a CLF date (the part between brackets) to Unix epoch seconds.
-/// Only `+0000` offsets are accepted (the generator always emits UTC).
-pub fn parse_clf_time(s: &str) -> Option<u64> {
-    // dd/Mon/yyyy:HH:MM:SS +0000
-    let (date, rest) = s.split_once(':')?;
-    let mut dmy = date.split('/');
-    let d: u32 = dmy.next()?.parse().ok()?;
-    let mon = dmy.next()?;
-    let y: i64 = dmy.next()?.parse().ok()?;
-    let m = u32::try_from(MONTHS.iter().position(|&x| x == mon)?).ok()? + 1;
-    let (time, zone) = rest.split_once(' ')?;
-    if zone != "+0000" {
-        return None;
-    }
-    let mut hms = time.split(':');
-    let h: u64 = hms.next()?.parse().ok()?;
-    let mi: u64 = hms.next()?.parse().ok()?;
-    let sec: u64 = hms.next()?.parse().ok()?;
-    if d == 0 || d > 31 || h > 23 || mi > 59 || sec > 60 {
-        return None;
-    }
-    let days = days_from_civil(y, m, d);
-    u64::try_from(days * 86_400 + (h * 3600 + mi * 60 + sec) as i64).ok()
-}
-
 /// Serializes one request as a combined-format CLF line.
-pub fn format_line(log: &Log, req: &Request) -> String {
+fn format_line(log: &Log, req: &Request) -> String {
     let mut out = String::with_capacity(96);
     let _ = write!(
         out,
@@ -200,136 +153,62 @@ pub fn to_clf(log: &Log) -> String {
     out
 }
 
-/// One parsed CLF line before interning.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ParsedLine {
-    addr: Ipv4Addr,
-    epoch: u64,
-    path: String,
-    status: u16,
-    bytes: u32,
-    ua: String,
-}
-
-fn parse_line(line: &str, lineno: usize) -> Result<ParsedLine, ClfError> {
-    let err = |kind: ClfErrorKind| ClfError { line: lineno, kind };
-    let mut rest = line.trim();
-    let sp = rest
-        .find(' ')
-        .ok_or_else(|| err(ClfErrorKind::MissingFields))?;
-    let addr: Ipv4Addr = rest[..sp]
-        .parse()
-        .map_err(|_| err(ClfErrorKind::BadClientAddress))?;
-    rest = &rest[sp + 1..];
-    let open = rest
-        .find('[')
-        .ok_or_else(|| err(ClfErrorKind::MissingTimestamp))?;
-    // The close bracket is searched *after* the open one, so a stray `]`
-    // earlier on the line cannot invert the slice.
-    let close = rest[open + 1..]
-        .find(']')
-        .map(|i| i + open + 1)
-        .ok_or_else(|| err(ClfErrorKind::MissingTimestampClose))?;
-    let epoch =
-        parse_clf_time(&rest[open + 1..close]).ok_or_else(|| err(ClfErrorKind::BadTimestamp))?;
-    rest = rest[close + 1..].trim_start();
-    if !rest.starts_with('"') {
-        return Err(err(ClfErrorKind::MissingRequestLine));
-    }
-    let req_end = rest[1..]
-        .find('"')
-        .ok_or_else(|| err(ClfErrorKind::UnterminatedRequestLine))?
-        + 1;
-    let request_line = &rest[1..req_end];
-    let mut parts = request_line.split(' ');
-    let _method = parts
-        .next()
-        .ok_or_else(|| err(ClfErrorKind::EmptyRequestLine))?;
-    let path = parts
-        .next()
-        .ok_or_else(|| err(ClfErrorKind::RequestLineLacksPath))?
-        .to_string();
-    rest = rest[req_end + 1..].trim_start();
-    let mut fields = rest.split(' ');
-    let status: u16 = fields
-        .next()
-        .ok_or_else(|| err(ClfErrorKind::MissingStatus))?
-        .parse()
-        .map_err(|_| err(ClfErrorKind::BadStatus))?;
-    let bytes_str = fields
-        .next()
-        .ok_or_else(|| err(ClfErrorKind::MissingBytes))?;
-    let bytes: u32 = if bytes_str == "-" {
-        0
-    } else {
-        bytes_str.parse().map_err(|_| err(ClfErrorKind::BadBytes))?
-    };
-    // Optional combined-format tail: "referer" "user-agent".
-    let tail = fields.collect::<Vec<_>>().join(" ");
-    let ua = tail.rsplit('"').nth(1).unwrap_or("-").to_string();
-    Ok(ParsedLine {
-        addr,
-        epoch,
-        path,
-        status,
-        bytes,
-        ua,
-    })
-}
-
-/// Parses a CLF document into a [`Log`]. URLs and User-Agents are interned;
-/// requests are sorted by time. Returns the log and the (0-based) line
-/// numbers that failed to parse — real logs contain noise, and the paper's
-/// pipeline runs unattended.
-pub fn from_clf(name: &str, text: &str) -> (Log, Vec<ClfError>) {
-    use std::collections::HashMap;
-    let mut urls: Vec<UrlMeta> = Vec::new();
-    let mut url_index: HashMap<String, u32> = HashMap::new();
-    let mut uas: Vec<String> = Vec::new();
-    let mut ua_index: HashMap<String, u16> = HashMap::new();
-    let mut parsed: Vec<ParsedLine> = Vec::new();
+/// Parses a CLF document into a [`Log`]. URLs and User-Agents are interned
+/// in order of first appearance; requests are sorted by time (ties keep
+/// input order). Returns the log and the (0-based) line numbers that
+/// failed to parse — real logs contain noise, and the paper's pipeline
+/// runs unattended. The per-line scan is [`clf_bytes::records`], so the
+/// bytes need not be UTF-8: paths and User-Agents are decoded lossily
+/// when they are interned. `Request::time` is a `u32` offset from the
+/// first request, so a request more than `u32::MAX` seconds (~136 years)
+/// after it is clamped to that offset.
+pub fn from_clf(name: &str, data: &[u8]) -> (Log, Vec<ClfError>) {
+    let mut parsed: Vec<RawRecord<'_>> = Vec::new();
     let mut errors = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_line(line, i) {
-            Ok(p) => parsed.push(p),
+    for item in clf_bytes::records(data, 0) {
+        match item {
+            Ok((_, r)) => parsed.push(r),
             Err(e) => errors.push(e),
         }
     }
     parsed.sort_by_key(|p| p.epoch);
     let start_time = parsed.first().map(|p| p.epoch).unwrap_or(0);
     let end = parsed.last().map(|p| p.epoch).unwrap_or(0);
+
+    let mut urls: Vec<UrlMeta> = Vec::new();
+    let mut url_index: HashMap<&[u8], u32> = HashMap::new();
+    let mut uas: Vec<String> = Vec::new();
+    let mut ua_index: HashMap<&[u8], u32> = HashMap::new();
     let mut requests = Vec::with_capacity(parsed.len());
-    for p in parsed {
+    for p in &parsed {
         #[allow(
             clippy::cast_possible_truncation,
             reason = "Request.url is u32 by format; 2^32 distinct URLs cannot be interned from an addressable log."
         )]
-        let url = *url_index.entry(p.path.clone()).or_insert_with(|| {
+        let url = *url_index.entry(p.path).or_insert_with(|| {
             urls.push(UrlMeta {
-                path: p.path.clone(),
+                path: String::from_utf8_lossy(p.path).into_owned(),
                 size: p.bytes,
             });
             (urls.len() - 1) as u32
         });
         // Track the largest observed size as the canonical resource size.
-        if p.bytes > urls[url as usize].size {
-            urls[url as usize].size = p.bytes;
+        if let Some(meta) = urls.get_mut(url as usize) {
+            if p.bytes > meta.size {
+                meta.size = p.bytes;
+            }
         }
         #[allow(
             clippy::cast_possible_truncation,
-            reason = "Request.ua is u16 by format, matching the byte parser's interner."
+            reason = "Request.ua is u32 by format, as Request.url is: the same bound."
         )]
-        let ua = *ua_index.entry(p.ua.clone()).or_insert_with(|| {
-            uas.push(p.ua.clone());
-            (uas.len() - 1) as u16
+        let ua = *ua_index.entry(p.ua).or_insert_with(|| {
+            uas.push(String::from_utf8_lossy(p.ua).into_owned());
+            (uas.len() - 1) as u32
         });
         requests.push(Request {
-            #[allow(clippy::cast_possible_truncation, reason = "time is an offset from the log's own start; Request.time is u32 by format.")]
-            time: (p.epoch - start_time) as u32,
-            client: u32::from(p.addr),
+            time: u32::try_from(p.epoch - start_time).unwrap_or(u32::MAX),
+            client: p.addr,
             url,
             bytes: p.bytes,
             status: p.status,
@@ -346,11 +225,7 @@ pub fn from_clf(name: &str, text: &str) -> (Log, Vec<ClfError>) {
             uas
         },
         start_time,
-        #[allow(
-            clippy::cast_possible_truncation,
-            reason = "log span in seconds; Log.duration_s is u32 by format (~136 years)."
-        )]
-        duration_s: (end - start_time) as u32,
+        duration_s: u32::try_from(end - start_time).unwrap_or(u32::MAX),
         truth: LogTruth::default(),
     };
     (log, errors)
@@ -359,27 +234,8 @@ pub fn from_clf(name: &str, text: &str) -> (Log, Vec<ClfError>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_roundtrip() {
-        // 13/Feb/1998 00:00:00 UTC = 887328000.
-        assert_eq!(format_clf_time(887_328_000), "13/Feb/1998:00:00:00 +0000");
-        assert_eq!(
-            parse_clf_time("13/Feb/1998:00:00:00 +0000"),
-            Some(887_328_000)
-        );
-        for &t in &[0u64, 887_328_000, 1_000_000_000, 4_102_444_799] {
-            assert_eq!(parse_clf_time(&format_clf_time(t)), Some(t), "t = {t}");
-        }
-    }
-
-    #[test]
-    fn time_rejects_garbage() {
-        assert_eq!(parse_clf_time("13/Feb/1998:00:00:00 +0100"), None);
-        assert_eq!(parse_clf_time("32/Feb/1998:00:00:00 +0000"), None);
-        assert_eq!(parse_clf_time("13/Xxx/1998:00:00:00 +0000"), None);
-        assert_eq!(parse_clf_time("nonsense"), None);
-    }
+    use crate::record::UaId;
+    use std::net::Ipv4Addr;
 
     #[test]
     fn line_roundtrip() {
@@ -407,13 +263,14 @@ mod tests {
             line,
             "12.65.147.94 - - [13/Feb/1998:00:00:05 +0000] \"GET /a.html HTTP/1.0\" 200 5120 \"-\" \"Mozilla/4.0 (X11; Linux)\""
         );
-        let (parsed, errs) = from_clf("t", &line);
+        let (parsed, errs) = from_clf("t", line.as_bytes());
         assert!(errs.is_empty());
         assert_eq!(parsed.requests.len(), 1);
         let r = parsed.requests[0];
         assert_eq!(r.client_addr().to_string(), "12.65.147.94");
         assert_eq!(r.bytes, 5120);
         assert_eq!(r.status, 200);
+        assert_eq!(parsed.start_time, 887_328_005);
         assert_eq!(parsed.urls[r.url as usize].path, "/a.html");
         assert_eq!(
             parsed.user_agents[r.ua as usize],
@@ -423,7 +280,7 @@ mod tests {
 
     #[test]
     fn plain_clf_without_ua_parses() {
-        let text = "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100\n\
+        let text = b"1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100\n\
                     1.2.3.5 - - [13/Feb/1998:07:00:01 +0000] \"GET /x HTTP/1.0\" 304 -\n";
         let (log, errs) = from_clf("plain", text);
         assert!(errs.is_empty(), "{errs:?}");
@@ -436,7 +293,7 @@ mod tests {
 
     #[test]
     fn noise_is_reported_not_fatal() {
-        let text = "garbage\n\
+        let text = b"garbage\n\
                     1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100\n\
                     999.1.1.1 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100\n";
         let (log, errs) = from_clf("noisy", text);
@@ -448,7 +305,7 @@ mod tests {
 
     #[test]
     fn out_of_order_lines_are_sorted() {
-        let text = "1.2.3.4 - - [13/Feb/1998:08:00:00 +0000] \"GET /b HTTP/1.0\" 200 2\n\
+        let text = b"1.2.3.4 - - [13/Feb/1998:08:00:00 +0000] \"GET /b HTTP/1.0\" 200 2\n\
                     1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /a HTTP/1.0\" 200 1\n";
         let (log, errs) = from_clf("ooo", text);
         assert!(errs.is_empty());
@@ -459,13 +316,77 @@ mod tests {
     }
 
     #[test]
+    fn offsets_past_u32_clamp_instead_of_wrapping() {
+        let text = b"1.2.3.4 - - [31/Dec/9999:00:00:00 +0000] \"GET /b HTTP/1.0\" 200 2\n\
+                    1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /a HTTP/1.0\" 200 1\n\
+                    1.2.3.4 - - [13/Feb/2100:07:00:00 +0000] \"GET /a HTTP/1.0\" 200 1\n";
+        let (log, errs) = from_clf("far", text);
+        assert!(errs.is_empty());
+        let times: Vec<u32> = log.requests.iter().map(|r| r.time).collect();
+        assert_eq!(times, [0, 3_218_832_000, u32::MAX]);
+        assert_eq!(log.duration_s, u32::MAX);
+        assert!(log.check().is_ok());
+    }
+
+    #[test]
     fn whole_log_roundtrip() {
-        let text = "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /a HTTP/1.0\" 200 10 \"-\" \"UA-1\"\n\
+        let text = b"1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /a HTTP/1.0\" 200 10 \"-\" \"UA-1\"\n\
                     5.6.7.8 - - [13/Feb/1998:07:30:00 +0000] \"GET /b HTTP/1.0\" 200 20 \"-\" \"UA-2\"\n";
         let (log, _) = from_clf("rt", text);
         let emitted = to_clf(&log);
-        let (log2, errs2) = from_clf("rt", &emitted);
+        let (log2, errs2) = from_clf("rt", emitted.as_bytes());
         assert!(errs2.is_empty());
         assert_eq!(log.requests, log2.requests);
+    }
+
+    /// Interning takes first-appearance order after the time sort, keeps
+    /// the largest size seen per path, and decodes non-UTF-8 bytes
+    /// lossily instead of rejecting the line.
+    #[test]
+    fn interning_order_sizes_and_lossy_bytes() {
+        let text = b"1.2.3.4 - - [13/Feb/1998:08:00:00 +0000] \"GET /b HTTP/1.0\" 200 2 \"-\" \"UA-1\"\n\
+                    1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /a HTTP/1.0\" 304 -\n\
+                    bogus line\n\
+                    5.6.7.8 - - [13/Feb/1998:07:30:00 +0000] \"GET /b HTTP/1.0\" 200 20 \"-\" \"UA-\xff\"\n";
+        let (log, errs) = from_clf("t", text);
+        // Sorted: 07:00 /a, 07:30 /b, 08:00 /b.
+        assert_eq!(
+            errs,
+            [ClfError {
+                line: 2,
+                kind: ClfErrorKind::BadClientAddress
+            }]
+        );
+        let paths: Vec<(&str, u32)> = log.urls.iter().map(|u| (&*u.path, u.size)).collect();
+        assert_eq!(paths, [("/a", 0), ("/b", 20)]);
+        assert_eq!(log.user_agents, ["-", "UA-\u{FFFD}", "UA-1"]);
+        let uas: Vec<u32> = log.requests.iter().map(|r| r.ua).collect();
+        assert_eq!(uas, [0, 1, 2]);
+        assert_eq!((log.start_time, log.duration_s), (887_353_200, 3600));
+        assert!(log.check().is_ok());
+    }
+
+    /// More distinct User-Agents than a 16-bit id holds (a large real log
+    /// has them): each keeps an id of its own.
+    #[test]
+    fn seventy_thousand_user_agents_keep_distinct_ids() {
+        const N: usize = 70_000;
+        let mut text = String::new();
+        for i in 0..N {
+            let _ = writeln!(
+                text,
+                "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 1 \"-\" \"ua-{i}\""
+            );
+        }
+        let (log, errs) = from_clf("uas", text.as_bytes());
+        assert!(errs.is_empty());
+        assert_eq!(log.user_agents.len(), N);
+        assert!(log.check().is_ok());
+        let ids: std::collections::BTreeSet<UaId> = log.requests.iter().map(|r| r.ua).collect();
+        assert_eq!(ids.len(), N);
+        // Equal times keep input order, so request i is line i.
+        for (i, r) in log.requests.iter().enumerate() {
+            assert_eq!(log.user_agents[r.ua as usize], format!("ua-{i}"));
+        }
     }
 }

@@ -1,24 +1,20 @@
-//! Zero-copy Common Log Format parsing over raw byte slices.
+//! The Common Log Format parser: a zero-copy field scanner over raw bytes.
 //!
-//! [`clf::from_clf`](crate::clf::from_clf) is the readable reference
-//! parser: it walks `&str` lines and allocates an owned `String` for every
-//! path and User-Agent it sees — two heap allocations per log line before
-//! clustering even starts. At production ingest rates (§4's real-time
-//! pipeline) parsing dominates the end-to-end cost, so this module
-//! re-implements the same grammar as a hand-rolled field scanner over
-//! `&[u8]`:
+//! Every CLF line the workspace reads goes through here: the batch
+//! ingest, the daemon's log follower, and
+//! [`clf::from_clf`](crate::clf::from_clf), which builds a
+//! [`Log`](crate::Log) from [`records`]. At production ingest rates (§4's
+//! real-time pipeline) parsing dominates the end-to-end cost, so the
+//! scanner allocates nothing per line:
 //!
-//! * [`parse_record`] decodes one line into a borrowed [`RawRecord`] —
-//!   no allocation; the path and User-Agent stay slices of the input,
-//! * the dotted-quad and CLF-timestamp decoders are inlined integer
-//!   scanners (reusing the same `days_from_civil` epoch math as the
-//!   string parser),
-//! * [`records`] iterates a whole buffer line by line, and
-//!   [`from_clf_bytes`] materializes a [`Log`] with byte-identical
-//!   contents to `from_clf` on the same input (property-tested).
-//!
-//! Errors mirror the string parser exactly: same [`ClfErrorKind`] at the
-//! same line numbers, so the two front ends are interchangeable.
+//! * each line decodes into a borrowed [`RawRecord`]; the path and
+//!   User-Agent stay slices of the input,
+//! * delimiter searches are SWAR (eight bytes at a time), and the
+//!   dotted-quad and CLF-timestamp decoders are inlined integer scanners,
+//!   with a fast path for the canonical fixed-width timestamp,
+//! * [`records`] iterates a whole buffer line by line, reporting each
+//!   malformed line as a [`ClfError`] with its line number, and
+//!   [`records_no_ua`] does the same without the User-Agent scan.
 //!
 //! The streaming consumer that never builds a `Log` at all — chunked
 //! parallel parsing fused with compiled-LPM clustering — lives in
@@ -34,10 +30,7 @@
     clippy::indexing_slicing
 )]
 
-use std::collections::HashMap;
-
-use crate::clf::{days_from_civil, ClfError, ClfErrorKind, MONTHS};
-use crate::record::{Log, LogTruth, Request, UrlMeta};
+use crate::clf::{ClfError, ClfErrorKind, MONTHS};
 
 /// One CLF line decoded without copying: the textual fields borrow from
 /// the input buffer.
@@ -190,6 +183,23 @@ fn two_digits(a: u8, b: u8) -> Option<u32> {
     }
 }
 
+/// The latest year a timestamp may carry: four digits, as the fixed-width
+/// path reads and [`format_clf_time`](crate::clf::format_clf_time)
+/// writes. The general path's year is unbounded text otherwise, and its
+/// day count, times 86 400, would overflow.
+const MAX_YEAR: u64 = 9999;
+
+/// Days since the Unix epoch for a civil date (Howard Hinnant's algorithm).
+fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
+    let y = if m <= 2 { y - 1 } else { y };
+    let era = if y >= 0 { y } else { y - 399 } / 400;
+    let yoe = (y - era * 400) as u64;
+    let mp = (m + 9) % 12;
+    let doy = (153 * mp + 2) / 5 + d - 1;
+    let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy as u64;
+    era * 146_097 + doe as i64 - 719_468
+}
+
 /// Fast path for the canonical fixed-width timestamp
 /// `dd/Mon/yyyy:HH:MM:SS +0000` (26 bytes, two-digit day). Returns `None`
 /// for anything else — including in-range shapes with out-of-range values
@@ -217,14 +227,13 @@ fn parse_clf_time_fixed(s: &[u8]) -> Option<u64> {
     u64::try_from(days * 86_400 + i64::from(h * 3600 + mi * 60 + sec)).ok()
 }
 
-/// Parses a CLF date (the part between brackets) to Unix epoch seconds —
-/// byte-level twin of [`clf::parse_clf_time`](crate::clf::parse_clf_time).
-/// Only `+0000` offsets are accepted.
+/// Parses a CLF date (the part between brackets) to Unix epoch seconds.
+/// Only `+0000` offsets and years up to [`MAX_YEAR`] are accepted.
 #[allow(
     clippy::indexing_slicing,
     reason = "every range bound is an offset `find` returned for the slice it cuts (plus one past a found byte)."
 )]
-pub fn parse_clf_time_bytes(s: &[u8]) -> Option<u64> {
+fn parse_clf_time(s: &[u8]) -> Option<u64> {
     if let Some(t) = parse_clf_time_fixed(s) {
         return Some(t);
     }
@@ -235,8 +244,7 @@ pub fn parse_clf_time_bytes(s: &[u8]) -> Option<u64> {
     let after = &date[slash1 + 1..];
     let slash2 = find(after, b'/')?;
     let (mon, year_part) = (&after[..slash2], &after[slash2 + 1..]);
-    // Like the string parser's `split('/')`, anything after a third slash
-    // is ignored rather than rejected.
+    // Anything after a third slash is ignored rather than rejected.
     let year = match find(year_part, b'/') {
         Some(i) => &year_part[..i],
         None => year_part,
@@ -244,7 +252,7 @@ pub fn parse_clf_time_bytes(s: &[u8]) -> Option<u64> {
     #[allow(clippy::cast_possible_truncation, reason = "parse_uint is bounded by u32::MAX above.")]
     let d = parse_uint(&date[..slash1], u32::MAX as u64)? as u32;
     let m = month_number(mon)?;
-    let y = parse_uint(year, i64::MAX as u64)? as i64;
+    let y = parse_uint(year, MAX_YEAR)? as i64;
     let space = find(rest, b' ')?;
     let (time, zone) = (&rest[..space], &rest[space + 1..]);
     if zone != b"+0000" {
@@ -278,40 +286,20 @@ fn split_token(s: &[u8]) -> (&[u8], Option<&[u8]>) {
     }
 }
 
-/// Decodes one CLF line into a borrowed [`RawRecord`]. `lineno` is the
-/// 0-based line number recorded in errors.
+/// Decodes one CLF line, already trimmed of ASCII whitespace (the
+/// `records` iterators trim once while skipping blanks), into a borrowed
+/// [`RawRecord`]. `lineno` is the 0-based line number recorded in errors.
 ///
-/// Grammar, field order, and error classification are identical to the
-/// string parser's: the same malformed line yields the same
-/// [`ClfErrorKind`] from both.
-pub fn parse_record(line: &[u8], lineno: usize) -> Result<RawRecord<'_>, ClfError> {
-    parse_record_impl::<true>(line, lineno)
-}
-
-/// [`parse_record`] minus the User-Agent extraction (`ua` is always
-/// `b"-"`). UA extraction never fails, so the `Result` — success or exact
-/// error — is identical; consumers that ignore the UA (the fused
-/// clustering pipeline) skip its backwards quote scan entirely.
-pub fn parse_record_no_ua(line: &[u8], lineno: usize) -> Result<RawRecord<'_>, ClfError> {
-    parse_record_impl::<false>(line, lineno)
-}
-
-#[inline]
-fn parse_record_impl<const WANT_UA: bool>(
-    line: &[u8],
-    lineno: usize,
-) -> Result<RawRecord<'_>, ClfError> {
-    parse_trimmed_impl::<WANT_UA>(trim_ascii(line), lineno)
-}
-
-/// [`parse_record_impl`] over an already-trimmed line (the `records`
-/// iterators trim once while skipping blanks).
+/// Without `WANT_UA`, `ua` is always `b"-"`: UA extraction never fails, so
+/// the `Result` — success or exact error — is otherwise the same, and
+/// consumers that ignore the UA (the fused clustering pipeline) skip its
+/// backwards quote scan entirely.
 #[inline]
 #[allow(
     clippy::indexing_slicing,
     reason = "every range bound is an offset `find`/`rposition` returned for the slice it cuts, or the fast path's 31, taken only after `get(31)` saw the bracket."
 )]
-fn parse_trimmed_impl<const WANT_UA: bool>(
+fn parse_line<const WANT_UA: bool>(
     mut rest: &[u8],
     lineno: usize,
 ) -> Result<RawRecord<'_>, ClfError> {
@@ -343,7 +331,7 @@ fn parse_trimmed_impl<const WANT_UA: bool>(
             let close = find(&rest[open + 1..], b']')
                 .map(|i| i + open + 1)
                 .ok_or_else(|| err(ClfErrorKind::MissingTimestampClose))?;
-            let t = parse_clf_time_bytes(&rest[open + 1..close])
+            let t = parse_clf_time(&rest[open + 1..close])
                 .ok_or_else(|| err(ClfErrorKind::BadTimestamp))?;
             (t, close)
         }
@@ -377,8 +365,7 @@ fn parse_trimmed_impl<const WANT_UA: bool>(
     };
     // Optional combined-format tail: "referer" "user-agent". The UA is the
     // segment between the last two quotes (everything before a lone quote,
-    // `-` when no quotes remain) — same selection rule as the string
-    // parser's `rsplit('"').nth(1)`.
+    // `-` when no quotes remain).
     let ua = match after_bytes {
         _ if !WANT_UA => &b"-"[..],
         None => &b"-"[..],
@@ -413,11 +400,11 @@ pub fn records(
             return None;
         }
         let lineno = first_line + i;
-        Some(parse_trimmed_impl::<true>(trimmed, lineno).map(|r| (lineno, r)))
+        Some(parse_line::<true>(trimmed, lineno).map(|r| (lineno, r)))
     })
 }
 
-/// [`records`] over [`parse_record_no_ua`] — same records and errors with
+/// [`records`] without the User-Agent — same records and errors with
 /// `ua` fixed to `b"-"`, skipping the User-Agent scan per line — for the
 /// chunked parser, which also has to learn how many lines each chunk
 /// held: as it walks, the iterator keeps `*lines_seen` at the number of
@@ -437,7 +424,7 @@ pub fn records_no_ua<'a: 's, 's>(
             return None;
         }
         let lineno = first_line + i;
-        Some(parse_trimmed_impl::<false>(trimmed, lineno).map(|r| (lineno, r)))
+        Some(parse_line::<false>(trimmed, lineno).map(|r| (lineno, r)))
     })
 }
 
@@ -464,89 +451,13 @@ pub fn lines(data: &[u8]) -> impl Iterator<Item = &[u8]> {
     })
 }
 
-/// Parses a CLF byte buffer into a [`Log`], producing output identical to
-/// [`clf::from_clf`](crate::clf::from_clf) on the same bytes (same
-/// requests, interning order, and error list) while allocating only at
-/// intern time — the per-line scan is zero-copy.
-pub fn from_clf_bytes(name: &str, data: &[u8]) -> (Log, Vec<ClfError>) {
-    let mut parsed: Vec<RawRecord<'_>> = Vec::new();
-    let mut errors = Vec::new();
-    for item in records(data, 0) {
-        match item {
-            Ok((_, r)) => parsed.push(r),
-            Err(e) => errors.push(e),
-        }
-    }
-    // Stable sort: ties keep input order, like the reference parser.
-    parsed.sort_by_key(|p| p.epoch);
-    let start_time = parsed.first().map(|p| p.epoch).unwrap_or(0);
-    let end = parsed.last().map(|p| p.epoch).unwrap_or(0);
-
-    let mut urls: Vec<UrlMeta> = Vec::new();
-    let mut url_index: HashMap<&[u8], u32> = HashMap::new();
-    let mut uas: Vec<String> = Vec::new();
-    let mut ua_index: HashMap<&[u8], u16> = HashMap::new();
-    let mut requests = Vec::with_capacity(parsed.len());
-    for p in &parsed {
-        #[allow(
-            clippy::cast_possible_truncation,
-            reason = "Request.url is u32 by format; 2^32 distinct URLs cannot be interned from an addressable log."
-        )]
-        let url = *url_index.entry(p.path).or_insert_with(|| {
-            urls.push(UrlMeta {
-                path: String::from_utf8_lossy(p.path).into_owned(),
-                size: p.bytes,
-            });
-            (urls.len() - 1) as u32
-        });
-        // Track the largest observed size as the canonical resource size.
-        if let Some(meta) = urls.get_mut(url as usize) {
-            if p.bytes > meta.size {
-                meta.size = p.bytes;
-            }
-        }
-        #[allow(
-            clippy::cast_possible_truncation,
-            reason = "Request.ua is u16 by format, matching the string parser's interner."
-        )]
-        let ua = *ua_index.entry(p.ua).or_insert_with(|| {
-            uas.push(String::from_utf8_lossy(p.ua).into_owned());
-            (uas.len() - 1) as u16
-        });
-        requests.push(Request {
-            #[allow(clippy::cast_possible_truncation, reason = "time is an offset from the log's own start; Request.time is u32 by format.")]
-            time: (p.epoch - start_time) as u32,
-            client: p.addr,
-            url,
-            bytes: p.bytes,
-            status: p.status,
-            ua,
-        });
-    }
-    let log = Log {
-        name: name.to_string(),
-        requests,
-        urls,
-        user_agents: if uas.is_empty() {
-            vec!["-".to_string()]
-        } else {
-            uas
-        },
-        start_time,
-        #[allow(
-            clippy::cast_possible_truncation,
-            reason = "log span in seconds; Log.duration_s is u32 by format (~136 years), same bound as the string parser."
-        )]
-        duration_s: (end - start_time) as u32,
-        truth: LogTruth::default(),
-    };
-    (log, errors)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clf;
+    use crate::clf::format_clf_time;
+
+    /// 13/Feb/1998:07:00:00 +0000, the time on most rows below.
+    const T0: u64 = 887_353_200;
 
     #[test]
     fn ipv4_matches_std() {
@@ -575,98 +486,242 @@ mod tests {
     }
 
     #[test]
-    fn time_matches_string_parser() {
-        for s in [
-            "13/Feb/1998:07:21:35 +0000",
-            "13/Feb/1998:00:00:00 +0000",
-            "01/Jan/1970:00:00:00 +0000",
-            "31/Dec/2099:23:59:60 +0000",
-            "13/Feb/1998:07:21:35 +0100",
-            "99/Feb/1998:07:21:35 +0000",
-            "5/Feb/1998:07:21:35 +0000",
-            "13/feb/1998:07:21:35 +0000",
-            "13/Feb/0098:07:21:35 +0000",
-            "32/Feb/1998:00:00:00 +0000",
-            "13/Xxx/1998:00:00:00 +0000",
-            "00/Feb/1998:00:00:00 +0000",
-            "13/Feb/1998:24:00:00 +0000",
-            "13/Feb/1998:00:61:00 +0000",
-            "13/Feb/1998:00:00 +0000",
-            "13/Feb/1998:07:21:35:99 +0000",
-            "5/Feb/1998/x:07:21:35 +0000",
-            "nonsense",
-            "",
+    fn time_roundtrips_through_the_writer() {
+        assert_eq!(format_clf_time(887_328_000), "13/Feb/1998:00:00:00 +0000");
+        // The last second of year 9999 is the latest a CLF date can say.
+        for t in [
+            0u64,
+            887_328_000,
+            1_000_000_000,
+            4_102_444_799,
+            253_402_300_799,
         ] {
             assert_eq!(
-                parse_clf_time_bytes(s.as_bytes()),
-                clf::parse_clf_time(s),
-                "{s:?}"
+                parse_clf_time(format_clf_time(t).as_bytes()),
+                Some(t),
+                "t = {t}"
             );
+        }
+    }
+
+    /// Each date pinned to what the parser makes of it, the fixed-width
+    /// fast path and the general fallback alike.
+    #[test]
+    fn time_pinned() {
+        for (s, want) in [
+            ("13/Feb/1998:07:21:35 +0000", Some(887_354_495)),
+            ("13/Feb/1998:00:00:00 +0000", Some(887_328_000)),
+            ("01/Jan/1970:00:00:00 +0000", Some(0)),
+            ("31/Dec/2099:23:59:60 +0000", Some(4_102_444_800)),
+            ("5/Feb/1998:07:21:35 +0000", Some(886_663_295)),
+            ("13/Feb/01998:07:21:35 +0000", Some(887_354_495)),
+            ("13/Feb/1998:07:21:35:99 +0000", Some(887_354_495)),
+            ("5/Feb/1998/x:07:21:35 +0000", Some(886_663_295)),
+            ("13/Feb/1998:07:21:35 +0100", None),
+            ("99/Feb/1998:07:21:35 +0000", None),
+            ("13/feb/1998:07:21:35 +0000", None),
+            ("13/Feb/0098:07:21:35 +0000", None),
+            ("32/Feb/1998:00:00:00 +0000", None),
+            ("13/Xxx/1998:00:00:00 +0000", None),
+            ("00/Feb/1998:00:00:00 +0000", None),
+            ("13/Feb/1998:24:00:00 +0000", None),
+            ("13/Feb/1998:00:61:00 +0000", None),
+            ("13/Feb/1998:00:00 +0000", None),
+            ("+13/Feb/1998:07:21:35 +0000", None),
+            ("13/Feb/+998:07:21:35 +0000", None),
+            ("13/Feb/10000:07:21:35 +0000", None),
+            ("13/Feb/99999999:07:21:35 +0000", None),
+            ("13/Feb/999999999999:07:21:35 +0000", None),
+            ("13/Feb/9223372036854775807:07:21:35 +0000", None),
+            ("13/Feb/18446744073709551616:07:21:35 +0000", None),
+            ("nonsense", None),
+            ("", None),
+        ] {
+            assert_eq!(parse_clf_time(s.as_bytes()), want, "{s:?}");
         }
     }
 
     #[test]
     fn record_zero_copy_fields() {
         let line = b"12.65.147.94 - - [13/Feb/1998:07:21:35 +0000] \"GET /a.html HTTP/1.0\" 200 5120 \"-\" \"Mozilla/4.0 (X11; Linux)\"";
-        let r = parse_record(line, 0).unwrap();
+        let (lineno, r) = records(line, 4).next().unwrap().unwrap();
+        assert_eq!(lineno, 4);
         assert_eq!(r.addr, u32::from_be_bytes([12, 65, 147, 94]));
         assert_eq!(r.path, b"/a.html");
         assert_eq!(r.status, 200);
         assert_eq!(r.bytes, 5120);
         assert_eq!(r.ua, b"Mozilla/4.0 (X11; Linux)");
-        assert_eq!(
-            r.epoch,
-            clf::parse_clf_time("13/Feb/1998:07:21:35 +0000").unwrap()
-        );
+        assert_eq!(r.epoch, 887_354_495);
         // The borrowed fields point into the input buffer.
         let base = line.as_ptr() as usize;
         let path_pos = r.path.as_ptr() as usize - base;
         assert_eq!(&line[path_pos..path_pos + r.path.len()], b"/a.html");
     }
 
-    #[test]
-    fn malformed_lines_match_string_parser_kinds() {
-        let cases: &[&str] = &[
-            "garbage",
-            "",
-            "   ",
-            "999.1.1.1 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100",
-            "1.2.3.4",
-            "1.2.3.4 - - 13/Feb/1998:07:00:00 \"GET /x HTTP/1.0\" 200 100",
-            "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000 \"GET /x HTTP/1.0\" 200 100",
-            "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] GET /x HTTP/1.0 200 100",
-            "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0 200 100",
-            "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET\" 200 100",
-            "1.2.3.4 - - [32/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100",
-            "1.2.3.4 - - [13/Zzz/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100",
-            "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" abc 100",
-            "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200",
-            "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 xyz",
-            "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 99999 1",
-            "1.2.3.4 ] - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100",
-        ];
-        let text = cases.join("\n");
-        let (str_log, str_errs) = clf::from_clf("m", &text);
-        let (byte_log, byte_errs) = from_clf_bytes("m", text.as_bytes());
-        assert_eq!(str_errs, byte_errs);
-        assert_eq!(str_log.requests, byte_log.requests);
+    /// One malformed line per error kind. The `match` is exhaustive, so a
+    /// new kind does not compile until it has a row here.
+    fn malformed(kind: ClfErrorKind) -> &'static str {
+        match kind {
+            ClfErrorKind::MissingFields => "1.2.3.4",
+            ClfErrorKind::BadClientAddress => {
+                "999.1.1.1 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100"
+            }
+            ClfErrorKind::MissingTimestamp => {
+                "1.2.3.4 - - 13/Feb/1998:07:00:00 \"GET /x HTTP/1.0\" 200 100"
+            }
+            ClfErrorKind::MissingTimestampClose => {
+                "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000 \"GET /x HTTP/1.0\" 200 100"
+            }
+            ClfErrorKind::BadTimestamp => {
+                "1.2.3.4 - - [32/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100"
+            }
+            ClfErrorKind::MissingRequestLine => {
+                "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] GET /x HTTP/1.0 200 100"
+            }
+            ClfErrorKind::UnterminatedRequestLine => {
+                "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0 200 100"
+            }
+            ClfErrorKind::RequestLineLacksPath => {
+                "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET\" 200 100"
+            }
+            ClfErrorKind::BadStatus => {
+                "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" abc 100"
+            }
+            ClfErrorKind::MissingBytes => {
+                "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200"
+            }
+            ClfErrorKind::BadBytes => {
+                "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 xyz"
+            }
+        }
     }
 
+    const KINDS: [ClfErrorKind; 11] = [
+        ClfErrorKind::MissingFields,
+        ClfErrorKind::BadClientAddress,
+        ClfErrorKind::MissingTimestamp,
+        ClfErrorKind::MissingTimestampClose,
+        ClfErrorKind::BadTimestamp,
+        ClfErrorKind::MissingRequestLine,
+        ClfErrorKind::UnterminatedRequestLine,
+        ClfErrorKind::RequestLineLacksPath,
+        ClfErrorKind::BadStatus,
+        ClfErrorKind::MissingBytes,
+        ClfErrorKind::BadBytes,
+    ];
+
+    /// What a line parses to: `Ok((epoch, user agent))` or the error kind.
+    type Outcome<Ua> = Result<(u64, Ua), ClfErrorKind>;
+
+    /// Lines at the edges of the grammar, each pinned to what this parser
+    /// does with it.
+    const EDGES: [(&str, Outcome<&str>); 20] = [
+        ("garbage", Err(ClfErrorKind::MissingFields)),
+        ("not a log line", Err(ClfErrorKind::BadClientAddress)),
+        (
+            "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 99999 1",
+            Err(ClfErrorKind::BadStatus),
+        ),
+        // A `]` before the timestamp: the close is searched after the open.
+        (
+            "1.2.3.4 ] - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100",
+            Ok((T0, "-")),
+        ),
+        // A leading `+` is not a digit, in any number.
+        (
+            "+1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100",
+            Err(ClfErrorKind::BadClientAddress),
+        ),
+        (
+            "1.2.3.4 - - [+13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100",
+            Err(ClfErrorKind::BadTimestamp),
+        ),
+        (
+            "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" +200 100",
+            Err(ClfErrorKind::BadStatus),
+        ),
+        (
+            "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 +100",
+            Err(ClfErrorKind::BadBytes),
+        ),
+        // Only ASCII whitespace (not U+00A0, U+2003 or the vertical tab)
+        // is trimmed or separates fields.
+        (
+            "\u{a0}1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100",
+            Err(ClfErrorKind::BadClientAddress),
+        ),
+        (
+            "\u{b}1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100",
+            Err(ClfErrorKind::BadClientAddress),
+        ),
+        (
+            "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100\u{2003}",
+            Err(ClfErrorKind::BadBytes),
+        ),
+        (
+            "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100 \"-\" \"UA\"\u{a0}",
+            Ok((T0, "UA")),
+        ),
+        // Double spaces: the UA is what the last two quotes enclose, but
+        // the status and bytes are exactly one space apart.
+        (
+            "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100  \"-\"  \"Mozilla/4.0  (X11)\"",
+            Ok((T0, "Mozilla/4.0  (X11)")),
+        ),
+        (
+            "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200  100",
+            Err(ClfErrorKind::BadBytes),
+        ),
+        (
+            "1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100 Mozilla\"",
+            Ok((T0, "Mozilla")),
+        ),
+        // The general timestamp path reads what the fixed-width one cannot.
+        (
+            "1.2.3.4 - - [5/Feb/1998:07:21:35 +0000] \"GET /x HTTP/1.0\" 200 100",
+            Ok((886_663_295, "-")),
+        ),
+        // Hostile years: beyond four digits the day count once overflowed.
+        (
+            "1.2.3.4 - - [13/Feb/10000:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100",
+            Err(ClfErrorKind::BadTimestamp),
+        ),
+        (
+            "1.2.3.4 - - [13/Feb/99999999:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100",
+            Err(ClfErrorKind::BadTimestamp),
+        ),
+        (
+            "1.2.3.4 - - [13/Feb/999999999999:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100",
+            Err(ClfErrorKind::BadTimestamp),
+        ),
+        (
+            "1.2.3.4 - - [13/Feb/9223372036854775807:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100",
+            Err(ClfErrorKind::BadTimestamp),
+        ),
+    ];
+
+    /// Every error kind and every edge row, as one buffer through
+    /// [`records`]: each line's outcome and line number pinned.
     #[test]
-    fn whole_log_matches_string_parser() {
-        let text = "1.2.3.4 - - [13/Feb/1998:08:00:00 +0000] \"GET /b HTTP/1.0\" 200 2 \"-\" \"UA-1\"\n\
-                    1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /a HTTP/1.0\" 304 -\n\
-                    bogus line\n\
-                    5.6.7.8 - - [13/Feb/1998:07:30:00 +0000] \"GET /b HTTP/1.0\" 200 20 \"-\" \"UA-2\"\n";
-        let (str_log, str_errs) = clf::from_clf("t", text);
-        let (byte_log, byte_errs) = from_clf_bytes("t", text.as_bytes());
-        assert_eq!(str_errs, byte_errs);
-        assert_eq!(str_log.requests, byte_log.requests);
-        assert_eq!(str_log.urls, byte_log.urls);
-        assert_eq!(str_log.user_agents, byte_log.user_agents);
-        assert_eq!(str_log.start_time, byte_log.start_time);
-        assert_eq!(str_log.duration_s, byte_log.duration_s);
-        assert!(byte_log.check().is_ok());
+    fn malformed_lines_pinned() {
+        let rows: Vec<(&str, Outcome<&str>)> = KINDS
+            .iter()
+            .map(|&kind| (malformed(kind), Err(kind)))
+            .chain(EDGES)
+            .collect();
+        let text = rows.iter().map(|r| r.0).collect::<Vec<_>>().join("\n");
+        let got: Vec<(usize, Outcome<&[u8]>)> = records(text.as_bytes(), 0)
+            .map(|item| match item {
+                Ok((line, r)) => (line, Ok((r.epoch, r.ua))),
+                Err(e) => (e.line, Err(e.kind)),
+            })
+            .collect();
+        let want: Vec<(usize, Outcome<&[u8]>)> = rows
+            .iter()
+            .enumerate()
+            .map(|(line, r)| (line, r.1.map(|(epoch, ua)| (epoch, ua.as_bytes()))))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -688,16 +743,18 @@ mod tests {
 
     #[test]
     fn no_ua_variant_matches_except_ua() {
-        let good = b"12.65.147.94 - - [13/Feb/1998:07:21:35 +0000] \"GET /a.html HTTP/1.0\" 200 5120 \"-\" \"Mozilla/4.0 (X11; Linux)\"";
-        let full = parse_record(good, 3).unwrap();
-        let lean = parse_record_no_ua(good, 3).unwrap();
-        assert_eq!(lean.ua, b"-");
-        assert_eq!(RawRecord { ua: b"-", ..full }, lean);
-        let bad = b"1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" abc 100";
-        assert_eq!(
-            parse_record(bad, 7).unwrap_err(),
-            parse_record_no_ua(bad, 7).unwrap_err()
-        );
+        let text = b"12.65.147.94 - - [13/Feb/1998:07:21:35 +0000] \"GET /a.html HTTP/1.0\" 200 5120 \"-\" \"Mozilla/4.0 (X11; Linux)\"\n\
+                     1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" abc 100\n";
+        let full: Vec<_> = records(text, 3).collect();
+        assert_eq!(full[0].as_ref().unwrap().1.ua, b"Mozilla/4.0 (X11; Linux)");
+        assert!(full[1].is_err());
+        let mut seen = 0;
+        let lean: Vec<_> = records_no_ua(text, 3, &mut seen).collect();
+        let want: Vec<_> = full
+            .into_iter()
+            .map(|item| item.map(|(line, r)| (line, RawRecord { ua: b"-", ..r })))
+            .collect();
+        assert_eq!(lean, want);
     }
 
     #[test]

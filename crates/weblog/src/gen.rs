@@ -12,7 +12,7 @@
 
 #![allow(
     clippy::cast_possible_truncation,
-    reason = "every narrowing cast here converts a sample already bounded by its sampling range or spec field (hour <= 23, pareto max params, UA-table length, u32 URL/host ids), so none can truncate; see DESIGN.md §12."
+    reason = "every narrowing cast here converts a sample already bounded by its sampling range or spec field (hour <= 23, pareto max params, u32 URL/host ids), so none can truncate; see DESIGN.md §12."
 )]
 
 use std::fmt;
@@ -23,11 +23,15 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::record::{Log, LogTruth, Request, UrlMeta};
+use crate::record::{Log, LogTruth, Request, UaId, UrlMeta};
 use crate::spec::{LogSpec, ProxySpec, SpiderSpec};
 use crate::zipf::{pareto_u64, ZipfSampler};
 
-const USER_AGENTS: &[&str] = &[
+/// How many regular User-Agents there are; the spider's is the id after
+/// them.
+const REGULAR_UAS: UaId = 12;
+
+const USER_AGENTS: [&str; REGULAR_UAS as usize] = [
     "Mozilla/4.04 (X11; Linux)",
     "Mozilla/4.5 (Windows 95)",
     "Mozilla/4.0 (Macintosh; PPC)",
@@ -49,7 +53,7 @@ struct ClientPlan {
     addr: u32,
     requests: u64,
     /// Index into the UA table; `None` means "random per request" (proxy).
-    ua: Option<u16>,
+    ua: Option<UaId>,
     kind: ClientKind,
 }
 
@@ -167,7 +171,7 @@ pub fn try_generate(universe: &Universe, spec: &LogSpec) -> Result<Log, Universe
             .min(spec.target_clients - clients);
         for i in 0..n {
             let addr = u32::from(org.host_addr(i as u32).expect("within active hosts"));
-            let ua = Some(rng.gen_range(0..USER_AGENTS.len()) as u16);
+            let ua = Some(rng.gen_range(0..REGULAR_UAS));
             if rng.gen_bool(spec.casual_fraction) {
                 // Casual one-visit client: a fixed handful of requests.
                 let requests = pareto_u64(&mut rng, 1.5, 1, 25);
@@ -218,7 +222,7 @@ pub fn try_generate(universe: &Universe, spec: &LogSpec) -> Result<Log, Universe
             plans.push(ClientPlan {
                 addr: u32::from(org.host_addr(i).expect("companion host")),
                 requests: 0,
-                ua: Some(rng.gen_range(0..USER_AGENTS.len()) as u16),
+                ua: Some(rng.gen_range(0..REGULAR_UAS)),
                 kind: ClientKind::Normal,
             });
         }
@@ -324,9 +328,7 @@ pub fn try_generate(universe: &Universe, spec: &LogSpec) -> Result<Log, Universe
             ClientKind::Normal | ClientKind::Casual | ClientKind::Proxy => {
                 for _ in 0..plan.requests {
                     let url = url_sampler.sample(&mut rng) as u32;
-                    let ua = plan
-                        .ua
-                        .unwrap_or_else(|| rng.gen_range(0..USER_AGENTS.len()) as u16);
+                    let ua = plan.ua.unwrap_or_else(|| rng.gen_range(0..REGULAR_UAS));
                     requests.push(Request {
                         time: sample_time(&mut rng, &cdf, spec.duration_s),
                         client: plan.addr,
@@ -353,7 +355,7 @@ pub fn try_generate(universe: &Universe, spec: &LogSpec) -> Result<Log, Universe
                         url,
                         bytes: urls[url as usize].size,
                         status: 200,
-                        ua: USER_AGENTS.len() as u16, // the spider UA slot
+                        ua: REGULAR_UAS, // the spider UA slot
                     });
                 }
             }
@@ -460,7 +462,7 @@ mod tests {
         let log = generate(&u, &spec);
         assert_eq!(log.truth.proxies.len(), 1);
         let proxy = u32::from(log.truth.proxies[0]);
-        let uas: std::collections::BTreeSet<u16> = log
+        let uas: std::collections::BTreeSet<UaId> = log
             .requests
             .iter()
             .filter(|r| r.client == proxy)
@@ -474,7 +476,7 @@ mod tests {
             .find(|r| r.client != proxy)
             .map(|r| r.client)
             .unwrap();
-        let normal_uas: std::collections::BTreeSet<u16> = log
+        let normal_uas: std::collections::BTreeSet<UaId> = log
             .requests
             .iter()
             .filter(|r| r.client == normal)

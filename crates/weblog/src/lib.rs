@@ -3,9 +3,11 @@
 //! logs (Nagano, Apache, EW3, Sun).
 //!
 //! * [`Log`] / [`Request`] — compact in-memory representation,
-//! * [`clf`] — Apache Common Log Format parsing and serialization,
-//! * [`clf_bytes`] — zero-copy byte-slice CLF parsing for the ingest hot
-//!   path ([`clf_bytes::RawRecord`] borrows from the input buffer),
+//! * [`clf`] — Apache Common Log Format serialization, and
+//!   [`clf::from_clf`], which builds a [`Log`] from CLF bytes,
+//! * [`clf_bytes`] — the one CLF parser, zero-copy over byte slices
+//!   ([`clf_bytes::RawRecord`] borrows from the input buffer), behind
+//!   `from_clf`, the batch ingest and the log follower alike,
 //! * [`chunk`] — line-aligned chunk splitting for parallel parsing and
 //!   mmap-backed file access ([`chunk::LogData`]),
 //! * [`LogSpec`] — generation parameters with paper presets

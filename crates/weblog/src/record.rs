@@ -9,7 +9,7 @@ pub type UrlId = u32;
 
 /// Identifier of an interned User-Agent string (index into
 /// [`Log::user_agents`]).
-pub type UaId = u16;
+pub type UaId = u32;
 
 /// One logged HTTP request.
 ///

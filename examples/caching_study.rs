@@ -31,7 +31,7 @@ fn main() {
     // Detour: the log round-trips through the standard Apache CLF, so real
     // logs can be ingested the same way.
     let text = clf::to_clf(&log);
-    let (parsed, errors) = clf::from_clf("study", &text);
+    let (parsed, errors) = clf::from_clf("study", text.as_bytes());
     assert!(errors.is_empty());
     assert_eq!(parsed.requests.len(), log.requests.len());
     println!(

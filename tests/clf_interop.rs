@@ -21,7 +21,7 @@ fn clf_roundtrip_preserves_analysis_results() {
     let original = generate(&universe, &spec);
 
     let text = clf::to_clf(&original);
-    let (parsed, errors) = clf::from_clf("interop", &text);
+    let (parsed, errors) = clf::from_clf("interop", text.as_bytes());
     assert!(errors.is_empty(), "{errors:?}");
     parsed.check().expect("parsed log is well-formed");
     assert_eq!(parsed.requests.len(), original.requests.len());
@@ -62,7 +62,7 @@ fn handcrafted_clf_runs_through_the_pipeline() {
 12.65.146.207 - - [13/Feb/1998:10:00:09 +0000] \"GET /results.html HTTP/1.0\" 200 4096\n\
 24.48.3.87 - - [13/Feb/1998:10:01:00 +0000] \"GET /index.html HTTP/1.0\" 200 2048\n\
 24.48.2.166 - - [13/Feb/1998:10:01:30 +0000] \"GET /medals.html HTTP/1.0\" 200 1024\n";
-    let (log, errors) = clf::from_clf("mini", text);
+    let (log, errors) = clf::from_clf("mini", text.as_bytes());
     assert!(errors.is_empty());
 
     // Cluster with a hand-built table holding the paper's two prefixes.
