@@ -30,8 +30,15 @@ use std::fmt;
 /// File magic: "NCLP" (netclust persist).
 pub const MAGIC: [u8; 4] = *b"NCLP";
 
-/// Current format version; bumped on any incompatible layout change.
-pub const FORMAT_VERSION: u16 = 1;
+/// The format version this build writes; bumped on any incompatible
+/// layout change. Version 2 codes a snapshot's client rows and prefix
+/// lists as delta varints; journals are laid out alike in both.
+pub const FORMAT_VERSION: u16 = 2;
+
+/// The oldest format version this build still reads. A version-1
+/// snapshot (fixed-width rows and prefixes) recovers and is rewritten in
+/// the current form by the next checkpoint.
+pub const OLDEST_READ_VERSION: u16 = 1;
 
 /// File kind tag: a full-snapshot file (one [`REC_STATE`] frame).
 pub const FILE_SNAPSHOT: u8 = 1;
@@ -158,12 +165,11 @@ impl fmt::Display for FrameError {
                 write!(f, "file header truncated: {have} of {HEADER_BYTES} bytes")
             }
             FrameError::BadMagic => write!(f, "bad magic (not a netclust persist file)"),
-            FrameError::BadVersion { found } => {
-                write!(
-                    f,
-                    "unsupported format version {found} (this build reads {FORMAT_VERSION})"
-                )
-            }
+            FrameError::BadVersion { found } => write!(
+                f,
+                "unsupported format version {found} \
+                 (this build reads {OLDEST_READ_VERSION} to {FORMAT_VERSION})"
+            ),
             FrameError::BadFileKind { found } => write!(f, "unknown file kind tag {found:#04x}"),
             FrameError::HeaderChecksum => write!(f, "file header checksum mismatch"),
             FrameError::TornFrame { offset, need, have } => write!(
@@ -203,8 +209,18 @@ pub fn encode_header(kind: u8) -> [u8; HEADER_BYTES] {
     h
 }
 
-/// Validates a file header and returns its file-kind tag.
-pub fn decode_header(bytes: &[u8]) -> Result<u8, FrameError> {
+/// What a valid file header says.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// [`FILE_SNAPSHOT`] or [`FILE_JOURNAL`].
+    pub kind: u8,
+    /// The format version the file was written in, between
+    /// [`OLDEST_READ_VERSION`] and [`FORMAT_VERSION`].
+    pub version: u16,
+}
+
+/// Validates a file header and returns its file kind and version.
+pub fn decode_header(bytes: &[u8]) -> Result<Header, FrameError> {
     let Some(h) = bytes.get(..HEADER_BYTES) else {
         return Err(FrameError::TruncatedHeader { have: bytes.len() });
     };
@@ -220,13 +236,13 @@ pub fn decode_header(bytes: &[u8]) -> Result<u8, FrameError> {
     if crc32(h.get(..8).unwrap_or(&[])) != stored {
         return Err(FrameError::HeaderChecksum);
     }
-    if version != FORMAT_VERSION {
+    if !(OLDEST_READ_VERSION..=FORMAT_VERSION).contains(&version) {
         return Err(FrameError::BadVersion { found: version });
     }
     if kind != FILE_SNAPSHOT && kind != FILE_JOURNAL {
         return Err(FrameError::BadFileKind { found: kind });
     }
-    Ok(kind)
+    Ok(Header { kind, version })
 }
 
 /// Appends one frame — `[len u32][kind u8][payload][crc u32]` — to `out`.
@@ -235,7 +251,9 @@ pub fn decode_header(bytes: &[u8]) -> Result<u8, FrameError> {
 pub fn encode_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     out.extend_from_slice(&frame_prefix(kind, payload.len()));
     out.extend_from_slice(payload);
-    out.extend_from_slice(&frame_crc(kind, payload).to_le_bytes());
+    let mut crc = FrameCrc::new(kind);
+    crc.update(payload);
+    out.extend_from_slice(&crc.finish().to_le_bytes());
 }
 
 /// The five bytes a frame puts before its payload: `[len u32][kind u8]`.
@@ -248,9 +266,27 @@ pub fn frame_prefix(kind: u8, payload_len: usize) -> [u8; 5] {
     [a, b, c, d, kind]
 }
 
-/// The checksum a frame puts after its payload.
-pub fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
-    !crc32_extend(crc32_extend(u32::MAX, &[kind]), payload)
+/// The checksum a frame puts after its payload, taken over the payload in
+/// pieces as they are produced, so a payload written out piece by piece
+/// never has to exist whole.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameCrc(u32);
+
+impl FrameCrc {
+    /// The checksum of a `kind` frame before any payload byte.
+    pub fn new(kind: u8) -> Self {
+        FrameCrc(crc32_extend(u32::MAX, &[kind]))
+    }
+
+    /// Takes the checksum on over the next `piece` of the payload.
+    pub fn update(&mut self, piece: &[u8]) {
+        self.0 = crc32_extend(self.0, piece);
+    }
+
+    /// The checksum of everything passed to [`update`](Self::update).
+    pub fn finish(self) -> u32 {
+        !self.0
+    }
 }
 
 /// One decoded frame plus how many file bytes it spanned.
@@ -378,6 +414,54 @@ impl<'a> Reader<'a> {
         b.copy_from_slice(s);
         Some(u64::from_le_bytes(b))
     }
+
+    /// Next LEB128 varint: seven bits a byte, low group first, the high
+    /// bit set on every byte but the last. Only the minimal spelling is
+    /// read — `None` for a last byte of zero after the first (an overlong
+    /// form), for a value past 64 bits, and past the end — so each value
+    /// has exactly one encoding ([`put_varint`]).
+    pub fn varint(&mut self) -> Option<u64> {
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            // The tenth byte carries bit 63 alone.
+            if shift == 63 && byte > 1 {
+                return None;
+            }
+            value |= u64::from(byte & 0x7F) << shift;
+            if byte & 0x80 == 0 {
+                return (byte != 0 || shift == 0).then_some(value);
+            }
+        }
+        None
+    }
+}
+
+/// Most bytes one [`put_varint`] writes.
+pub const VARINT_MAX_BYTES: usize = 10;
+
+/// Bytes [`put_varint`] writes for `value`: 1 to [`VARINT_MAX_BYTES`].
+pub fn varint_len(value: u64) -> usize {
+    let bits = u64::BITS - (value | 1).leading_zeros();
+    bits.div_ceil(7) as usize
+}
+
+/// Writes `value` as a minimal LEB128 varint at the start of `out` and
+/// returns how many bytes that took ([`Reader::varint`] reads it back).
+pub fn put_varint(out: &mut [u8; VARINT_MAX_BYTES], mut value: u64) -> usize {
+    let mut n = 0;
+    for slot in out.iter_mut() {
+        #[allow(clippy::cast_possible_truncation, reason = "masked to the low seven bits.")]
+        let group = (value & 0x7F) as u8;
+        value >>= 7;
+        n += 1;
+        if value == 0 {
+            *slot = group;
+            break;
+        }
+        *slot = group | 0x80;
+    }
+    n
 }
 
 #[cfg(test)]
@@ -409,10 +493,16 @@ mod tests {
     #[test]
     fn header_round_trip_and_rejections() {
         let h = encode_header(FILE_JOURNAL);
-        assert_eq!(decode_header(&h), Ok(FILE_JOURNAL));
+        let current = |kind| {
+            Ok(Header {
+                kind,
+                version: FORMAT_VERSION,
+            })
+        };
+        assert_eq!(decode_header(&h), current(FILE_JOURNAL));
         assert_eq!(
             decode_header(&encode_header(FILE_SNAPSHOT)),
-            Ok(FILE_SNAPSHOT)
+            current(FILE_SNAPSHOT)
         );
         // Truncated.
         assert_eq!(
@@ -434,17 +524,67 @@ mod tests {
                 );
             }
         }
-        // Future version.
-        let mut future = [0u8; HEADER_BYTES];
-        future[..4].copy_from_slice(&MAGIC);
-        future[4..6].copy_from_slice(&99u16.to_le_bytes());
-        future[6] = FILE_JOURNAL;
-        let crc = crc32(&future[..8]);
-        future[8..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(
-            decode_header(&future),
-            Err(FrameError::BadVersion { found: 99 })
-        );
+        // Every version from the oldest read to the current one is read;
+        // a future one and version 0 are not.
+        let versioned = |version: u16| {
+            let mut h = [0u8; HEADER_BYTES];
+            h[..4].copy_from_slice(&MAGIC);
+            h[4..6].copy_from_slice(&version.to_le_bytes());
+            h[6] = FILE_JOURNAL;
+            let crc = crc32(&h[..8]);
+            h[8..].copy_from_slice(&crc.to_le_bytes());
+            decode_header(&h)
+        };
+        for version in OLDEST_READ_VERSION..=FORMAT_VERSION {
+            let kind = FILE_JOURNAL;
+            assert_eq!(versioned(version), Ok(Header { kind, version }));
+        }
+        for found in [0, FORMAT_VERSION + 1, 99] {
+            assert_eq!(versioned(found), Err(FrameError::BadVersion { found }));
+        }
+    }
+
+    #[test]
+    fn varints_are_minimal_and_round_trip() {
+        let mut cases = vec![0, 1, 127, 128, 300, 16_383, 16_384, u64::MAX - 1, u64::MAX];
+        cases.extend((0..64).map(|bit| 1u64 << bit));
+        cases.extend((1..64).map(|bit| (1u64 << bit) - 1));
+        for value in cases {
+            let mut out = [0u8; VARINT_MAX_BYTES];
+            let n = put_varint(&mut out, value);
+            assert_eq!(n, varint_len(value), "{value}");
+            let mut r = Reader::new(&out[..n]);
+            assert_eq!(r.varint(), Some(value), "{value}");
+            assert!(r.is_empty());
+            // Every strict prefix is cut short.
+            for cut in 0..n {
+                assert_eq!(Reader::new(&out[..cut]).varint(), None, "{value} cut {cut}");
+            }
+        }
+        assert_eq!(varint_len(0), 1);
+        assert_eq!(varint_len(u64::from(u32::MAX)), 5);
+        assert_eq!(varint_len(u64::MAX), VARINT_MAX_BYTES);
+        // Overlong spellings: 0 and 1 padded with a continuation group of
+        // zero bits, and the ten-byte form of 0.
+        for overlong in [
+            &[0x80, 0x00][..],
+            &[0x81, 0x00],
+            &[0x80; 9],
+            &[0xFF, 0x80, 0x00],
+        ] {
+            let mut padded = overlong.to_vec();
+            if padded.len() == 9 {
+                padded.push(0x00);
+            }
+            assert_eq!(Reader::new(&padded).varint(), None, "{padded:x?}");
+        }
+        // Past 64 bits: a tenth byte above 1, or an eleventh byte.
+        let mut past = [0xFFu8; 10];
+        past[9] = 0x02;
+        assert_eq!(Reader::new(&past).varint(), None);
+        let mut eleven = [0x80u8; 11];
+        eleven[10] = 0x01;
+        assert_eq!(Reader::new(&eleven).varint(), None);
     }
 
     #[test]

@@ -49,9 +49,10 @@ use netclust_obs::{Counter, Obs};
 use crate::faults::{failpoints, FaultInjector};
 use crate::stream::RestoreError;
 use codec::{
-    decode_frame, decode_header, encode_frame, encode_header, frame_crc, frame_prefix, FrameError,
+    decode_frame, decode_header, encode_frame, encode_header, frame_prefix, FrameCrc, FrameError,
     FILE_JOURNAL, FILE_SNAPSHOT, FRAME_OVERHEAD, HEADER_BYTES, REC_BATCH, REC_STATE,
 };
+use state::decode_state_version;
 
 /// Default journal-size threshold (bytes) past which
 /// [`StateStore::wants_compaction`] suggests a snapshot-then-truncate
@@ -131,8 +132,10 @@ pub enum PersistError {
         /// The failpoint that fired.
         point: &'static str,
     },
-    /// An earlier append failed, so the journal tail is torn; further
-    /// appends would be lost past the tear. [`StateStore::checkpoint`]
+    /// An earlier append failed, so the journal tail is torn, or a
+    /// checkpoint failed after its snapshot was renamed into place, so
+    /// recovery would not replay the open journal: either way further
+    /// appends would be lost. A [`StateStore::checkpoint`] that succeeds
     /// rotates to a fresh journal and clears this.
     Poisoned,
     /// [`StateStore::append_batch`] before the first
@@ -170,7 +173,7 @@ impl fmt::Display for PersistError {
             }
             PersistError::Poisoned => write!(
                 f,
-                "journal poisoned by an earlier append failure; checkpoint to rotate"
+                "journal poisoned by an earlier failed append or checkpoint; checkpoint to rotate"
             ),
             PersistError::MissingJournal => {
                 write!(f, "append before the first checkpoint: no journal is open")
@@ -377,32 +380,44 @@ impl StateStore {
     }
 
     /// Writes a new snapshot generation atomically and rotates to a fresh
-    /// journal: temp write → fsync → rename, then a new `journal-{g}.wal`
-    /// holding only its header. Returns the new generation number. Old
-    /// generations beyond the retention count are pruned. On error the
-    /// store stays on the previous generation; a stranded
-    /// `snapshot-{g}.snap` without a journal recovers as that snapshot
-    /// plus zero batches, which is exactly the state it captured.
+    /// journal: temp write → fsync → rename → directory fsync, then a new
+    /// `journal-{g}.wal` holding only its header. Returns the new
+    /// generation number. Old generations beyond the retention count are
+    /// pruned. On error the store stays on the previous generation; a
+    /// stranded `snapshot-{g}.snap` without a journal recovers as that
+    /// snapshot plus zero batches, which is exactly the state it captured.
+    /// An error after the rename also poisons the store until a checkpoint
+    /// succeeds: recovery now starts from the new snapshot, so an append
+    /// to the previous generation's journal would be acknowledged and then
+    /// never replayed.
     pub fn checkpoint(&mut self, state: &StreamState) -> Result<u64, PersistError> {
         self.checkpoint_encoded(EncodedState::new(state, state.per_client.iter().copied()))
     }
 
     /// [`checkpoint`](Self::checkpoint) of a state that was encoded where
-    /// it lives (`StreamingClustering::encode_state`): its rows are sorted
-    /// in the buffer they were encoded into, and that buffer goes to the
-    /// file between the header and a checksum taken over it in place — no
-    /// second image of a multi-megabyte state is built.
-    pub fn checkpoint_encoded(&mut self, state: EncodedState) -> Result<u64, PersistError> {
+    /// it lives (`StreamingClustering::encode_state`): its fixed-width rows
+    /// are sorted in the buffer they were encoded into, then coded to their
+    /// varints on the way to the file through a bounded stack buffer, the
+    /// checksum taken as the pieces go — no second image of a
+    /// multi-megabyte state is built.
+    pub fn checkpoint_encoded(&mut self, mut state: EncodedState) -> Result<u64, PersistError> {
         let next = self.seq + 1;
-        let payload = state.into_canonical();
+        state.sort_rows();
+        let payload_len = state.wire_len();
 
         let tmp = self.dir.join(format!("snapshot-{next:06}.tmp"));
         let snap = self.snapshot_path(next);
         let mut file = File::create(&tmp).map_err(|e| io_err("create snapshot temp", &tmp, e))?;
+        let mut crc = FrameCrc::new(REC_STATE);
         file.write_all(&encode_header(FILE_SNAPSHOT))
-            .and_then(|()| file.write_all(&frame_prefix(REC_STATE, payload.len())))
-            .and_then(|()| file.write_all(&payload))
-            .and_then(|()| file.write_all(&frame_crc(REC_STATE, &payload).to_le_bytes()))
+            .and_then(|()| file.write_all(&frame_prefix(REC_STATE, payload_len)))
+            .and_then(|()| {
+                state.write_wire(|piece| {
+                    crc.update(piece);
+                    file.write_all(piece)
+                })
+            })
+            .and_then(|()| file.write_all(&crc.finish().to_le_bytes()))
             .map_err(|e| io_err("write snapshot", &tmp, e))?;
         self.fsync_file(&file, &tmp)?;
         drop(file);
@@ -415,17 +430,9 @@ impl StateStore {
             });
         }
         fs::rename(&tmp, &snap).map_err(|e| io_err("rename snapshot", &snap, e))?;
-        // Make the rename itself durable before the new journal exists.
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-
-        let jpath = self.journal_path(next);
-        let mut journal = File::create(&jpath).map_err(|e| io_err("create journal", &jpath, e))?;
-        journal
-            .write_all(&encode_header(FILE_JOURNAL))
-            .map_err(|e| io_err("write journal header", &jpath, e))?;
-        self.fsync_file(&journal, &jpath)?;
+        let journal = self
+            .start_journal(next)
+            .inspect_err(|_| self.poisoned = true)?;
 
         self.seq = next;
         self.journal = Some(journal);
@@ -435,9 +442,25 @@ impl StateStore {
         self.metrics.snapshot_writes.inc();
         self.metrics
             .snapshot_bytes
-            .add((HEADER_BYTES + FRAME_OVERHEAD + payload.len()) as u64);
+            .add((HEADER_BYTES + FRAME_OVERHEAD + payload_len) as u64);
         self.prune();
         Ok(next)
+    }
+
+    /// The durable half of a checkpoint after its rename: the rename made
+    /// durable by a directory fsync, then generation `next`'s journal
+    /// holding only its header, fsynced.
+    fn start_journal(&mut self, next: u64) -> Result<File, PersistError> {
+        let dir = File::open(&self.dir).map_err(|e| io_err("open state dir", &self.dir, e))?;
+        let dir_path = self.dir.clone();
+        self.fsync_file(&dir, &dir_path)?;
+        let jpath = self.journal_path(next);
+        let mut journal = File::create(&jpath).map_err(|e| io_err("create journal", &jpath, e))?;
+        journal
+            .write_all(&encode_header(FILE_JOURNAL))
+            .map_err(|e| io_err("write journal header", &jpath, e))?;
+        self.fsync_file(&journal, &jpath)?;
+        Ok(journal)
     }
 
     /// Removes generations older than the retention window. Best-effort:
@@ -626,17 +649,17 @@ impl StateStore {
 }
 
 /// Reads and fully validates one snapshot file: header, the single
-/// checksummed `REC_STATE` frame, structural decode, and no trailing
-/// bytes.
+/// checksummed `REC_STATE` frame, structural decode in the layout of the
+/// header's format version, and no trailing bytes.
 fn read_snapshot(path: &Path) -> Result<(StreamState, u64), PersistError> {
     let bytes = fs::read(path).map_err(|e| io_err("read snapshot", path, e))?;
     let corrupt = |cause: FrameError| PersistError::Corrupt {
         path: path.to_path_buf(),
         cause,
     };
-    let kind = decode_header(&bytes).map_err(corrupt)?;
-    if kind != FILE_SNAPSHOT {
-        return Err(corrupt(FrameError::BadFileKind { found: kind }));
+    let header = decode_header(&bytes).map_err(corrupt)?;
+    if header.kind != FILE_SNAPSHOT {
+        return Err(corrupt(FrameError::BadFileKind { found: header.kind }));
     }
     let body = bytes.get(HEADER_BYTES..).unwrap_or(&[]);
     let frame = decode_frame(body, HEADER_BYTES as u64)
@@ -658,7 +681,7 @@ fn read_snapshot(path: &Path) -> Result<(StreamState, u64), PersistError> {
             what: "trailing bytes after snapshot frame",
         }));
     }
-    let state = decode_state(frame.payload).map_err(|e| {
+    let state = decode_state_version(frame.payload, header.version).map_err(|e| {
         corrupt(FrameError::Malformed {
             offset: HEADER_BYTES as u64,
             what: e.what,
@@ -688,10 +711,11 @@ fn recover_journal(
 
     let mut batches = Vec::new();
     let mut tail: Option<FrameError> = None;
+    // Journals are laid out alike in every version read.
     let mut valid_end = match decode_header(&bytes) {
-        Ok(FILE_JOURNAL) => HEADER_BYTES as u64,
-        Ok(found) => {
-            tail = Some(FrameError::BadFileKind { found });
+        Ok(header) if header.kind == FILE_JOURNAL => HEADER_BYTES as u64,
+        Ok(header) => {
+            tail = Some(FrameError::BadFileKind { found: header.kind });
             0
         }
         Err(cause) => {

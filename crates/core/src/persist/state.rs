@@ -3,11 +3,17 @@
 //! [`JournalBatch`] journal record, with their canonical wire codecs.
 //!
 //! The encodings are **canonical**: prefixes and per-client rows are
-//! sorted, and the decoder *enforces* that ordering (plus prefix
-//! canonicality and UTF-8 park keys), so `decode(encode(s)) == s` and
-//! `encode(decode(b)) == b` for every accepted byte string. That is what
-//! lets the crash-recovery harness compare snapshot files byte-for-byte
-//! between a crashed-and-recovered process and an uninterrupted one.
+//! sorted and coded as minimal delta varints, and the decoder *enforces*
+//! that form (no overlong varint, no address past `u32::MAX`, strictly
+//! increasing prefixes with zero host bits, UTF-8 park keys), so
+//! `decode(encode(s)) == s` and `encode(decode(b)) == b` for every
+//! accepted byte string. That is what lets the crash-recovery harness
+//! compare snapshot files byte-for-byte between a crashed-and-recovered
+//! process and an uninterrupted one.
+//!
+//! Format version 1 wrote the same fields with fixed-width rows and
+//! prefixes; [`decode_state_version`] still reads it, and nothing writes
+//! it.
 //!
 //! Checksums and framing live one layer down in [`super::codec`]; this
 //! module assumes its input already passed a CRC, so a decode failure here
@@ -22,7 +28,9 @@ use netclust_obs::ErrorCounts;
 use netclust_prefix::Ipv4Net;
 use netclust_rtable::{decode_deltas, encode_deltas, TableDelta, DELTA_WIRE_BYTES};
 
-use super::codec::Reader;
+use super::codec::{
+    put_varint, varint_len, Reader, FORMAT_VERSION, OLDEST_READ_VERSION, VARINT_MAX_BYTES,
+};
 use crate::stream::{PatchStats, SwapRejection, SwapStats};
 
 /// Everything needed to reconstruct a `StreamingClustering` (and the CLI
@@ -136,26 +144,83 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+fn put_varint_vec(out: &mut Vec<u8>, value: u64) {
+    let mut buf = [0u8; VARINT_MAX_BYTES];
+    let n = put_varint(&mut buf, value);
+    out.extend_from_slice(buf.get(..n).unwrap_or_default());
+}
+
+/// How a format version lays out client rows and prefix lists; every
+/// other field is the same in all of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// Version 1, read only: a `u32` address and two `u64` counts a row,
+    /// a `u32` address and a length byte a prefix.
+    Fixed,
+    /// Version 2: delta varints, as [`put_prefixes`] and
+    /// [`EncodedState::write_wire`] write them.
+    Varint,
+}
+
+/// Each prefix as the two values it codes to: its address's distance from
+/// the previous prefix's address (from 0 for the first), and its length.
+fn coded_prefixes(prefixes: &[Ipv4Net]) -> impl Iterator<Item = (u64, u8)> + '_ {
+    let mut prev = 0u32;
+    prefixes.iter().map(move |p| {
+        // Wraps only for a list out of order, which the decoder then
+        // refuses as an address past `u32::MAX`.
+        let gap = p.addr_u32().wrapping_sub(prev);
+        prev = p.addr_u32();
+        (u64::from(gap), p.len())
+    })
+}
+
+/// Bytes [`put_prefixes`] appends for `prefixes`.
+fn prefixes_len(prefixes: &[Ipv4Net]) -> usize {
+    4 + coded_prefixes(prefixes)
+        .map(|(gap, _)| varint_len(gap) + 1)
+        .sum::<usize>()
+}
+
+/// Appends a prefix list: its `u32` count, then per prefix a varint and a
+/// length byte ([`coded_prefixes`]).
 fn put_prefixes(out: &mut Vec<u8>, prefixes: &[Ipv4Net]) {
     #[allow(
         clippy::cast_possible_truncation,
         reason = "an IPv4 prefix set is bounded far below u32::MAX entries."
     )]
     put_u32(out, prefixes.len() as u32);
-    for p in prefixes {
-        put_u32(out, p.addr_u32());
-        out.push(p.len());
+    for (gap, len) in coded_prefixes(prefixes) {
+        put_varint_vec(out, gap);
+        out.push(len);
     }
 }
 
-/// Decodes a sorted prefix list, enforcing canonical form: each prefix's
-/// host bits must already be zero and the list strictly increasing.
-fn take_prefixes(r: &mut Reader<'_>, what: &'static str) -> Result<Vec<Ipv4Net>, StateDecodeError> {
+/// Decodes a sorted prefix list, enforcing canonical form: every address
+/// within `u32`, each prefix's host bits already zero and the list
+/// strictly increasing by `(address, length)`.
+fn take_prefixes(
+    r: &mut Reader<'_>,
+    what: &'static str,
+    layout: Layout,
+) -> Result<Vec<Ipv4Net>, StateDecodeError> {
     let n = r.u32_le().ok_or(bad(what))? as usize;
-    let mut out = Vec::with_capacity(n.min(r.remaining() / 5));
+    let least = match layout {
+        Layout::Fixed => 5,
+        Layout::Varint => 2,
+    };
+    let mut out = Vec::with_capacity(n.min(r.remaining() / least));
     let mut prev: Option<Ipv4Net> = None;
     for _ in 0..n {
-        let addr = r.u32_le().ok_or(bad(what))?;
+        let addr = match layout {
+            Layout::Fixed => r.u32_le(),
+            Layout::Varint => {
+                let base = prev.map_or(0, |p| u64::from(p.addr_u32()));
+                let addr = r.varint().and_then(|gap| base.checked_add(gap));
+                addr.and_then(|a| u32::try_from(a).ok())
+            }
+        };
+        let addr = addr.ok_or(bad(what))?;
         let len = r.u8().ok_or(bad(what))?;
         let net = Ipv4Net::new(addr, len).map_err(|_| bad(what))?;
         if net.addr_u32() != addr {
@@ -225,25 +290,37 @@ fn take_rejection(r: &mut Reader<'_>) -> Result<Option<SwapRejection>, StateDeco
     }
 }
 
-/// Bytes in one client row on the wire: address `u32`, requests `u64`,
-/// bytes `u64`, little endian.
+/// Bytes in one client row as [`EncodedState`] holds it before coding:
+/// address `u32`, requests `u64`, bytes `u64`, little endian.
 const ROW_BYTES: usize = 20;
+
+/// Stack bytes the client rows are coded through on their way out of an
+/// [`EncodedState`]: the one buffer coding adds.
+const CODE_CHUNK: usize = 32 << 10;
 
 /// Serializes a [`StreamState`] to its byte form (the payload of a
 /// snapshot file's single `REC_STATE` frame), rows in the order given:
 /// canonical exactly when `state.per_client` is sorted by address.
 pub fn encode_state(state: &StreamState) -> Vec<u8> {
-    EncodedState::new(state, state.per_client.iter().copied()).bytes
+    let encoded = EncodedState::new(state, state.per_client.iter().copied());
+    let mut out = Vec::with_capacity(encoded.wire_len());
+    let Ok(()) = encoded.write_wire(|piece| {
+        out.extend_from_slice(piece);
+        Ok::<(), std::convert::Infallible>(())
+    });
+    out
 }
 
-/// A snapshot payload whose client rows may still be in the order their
-/// producer held them. Only
+/// A snapshot payload whose client rows are still fixed-width and may
+/// still be in the order their producer held them. Only
 /// [`StateStore::checkpoint_encoded`](super::StateStore::checkpoint_encoded)
-/// takes one, and it sorts the rows where they lie before a byte reaches
-/// the disk — the canonical order the decoder enforces cannot be skipped,
-/// and the rows exist once, in the buffer that becomes the file.
+/// takes one: it sorts the rows where they lie, then writes the payload
+/// with each row coded to its varints on the way out through one bounded
+/// stack buffer — the canonical order the decoder enforces cannot be
+/// skipped, and the rows exist once, in this buffer.
 #[derive(Debug)]
 pub struct EncodedState {
+    /// The payload in wire form except for the rows.
     bytes: Vec<u8>,
     /// Where the client rows lie in `bytes`, [`ROW_BYTES`] each.
     rows: Range<usize>,
@@ -258,27 +335,75 @@ impl EncodedState {
         head: &StreamState,
         rows: impl ExactSizeIterator<Item = (u32, u64, u64)>,
     ) -> Self {
-        // The fixed fields and two prefix lists plus the rows; park keys,
+        // The fixed fields, the two prefix lists and the rows; park keys,
         // rare and short, are left to the vector's own growth.
-        let hint =
-            512 + (head.bgp_prefixes.len() + head.dump_prefixes.len()) * 5 + rows.len() * ROW_BYTES;
-        let mut bytes = Vec::with_capacity(hint);
+        let prefixes = prefixes_len(&head.bgp_prefixes) + prefixes_len(&head.dump_prefixes);
+        let mut bytes = Vec::with_capacity(512 + prefixes + rows.len() * ROW_BYTES);
         let rows = encode_state_into(&mut bytes, head, rows);
         EncodedState { bytes, rows }
     }
 
-    /// The payload with its rows sorted by address, in place.
-    pub(super) fn into_canonical(mut self) -> Vec<u8> {
-        let region = self.bytes.get_mut(self.rows).unwrap_or_default();
+    /// Sorts the rows by address where they lie.
+    pub(super) fn sort_rows(&mut self) {
+        let region = self.bytes.get_mut(self.rows.clone()).unwrap_or_default();
         let (rows, _) = region.as_chunks_mut::<ROW_BYTES>();
         rows.sort_unstable_by_key(|&[a, b, c, d, ..]| u32::from_le_bytes([a, b, c, d]));
-        self.bytes
+    }
+
+    /// Bytes [`write_wire`](Self::write_wire) hands out.
+    pub(super) fn wire_len(&self) -> usize {
+        let rows: usize = self.coded_rows().flatten().map(varint_len).sum();
+        self.bytes.len() - self.rows.len() + rows
+    }
+
+    /// Hands the payload to `emit` in order and in pieces: the fields
+    /// before the rows, the rows coded through a [`CODE_CHUNK`] stack
+    /// buffer, the fields after them. Stops at `emit`'s first error.
+    pub(super) fn write_wire<E>(
+        &self,
+        mut emit: impl FnMut(&[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        emit(self.bytes.get(..self.rows.start).unwrap_or_default())?;
+        let mut chunk = [0u8; CODE_CHUNK];
+        let mut len = 0;
+        for row in self.coded_rows() {
+            if CODE_CHUNK - len < row.len() * VARINT_MAX_BYTES {
+                emit(chunk.get(..len).unwrap_or_default())?;
+                len = 0;
+            }
+            for value in row {
+                let slot = chunk.get_mut(len..).and_then(|s| s.first_chunk_mut());
+                len += slot.map_or(0, |slot| put_varint(slot, value));
+            }
+        }
+        emit(chunk.get(..len).unwrap_or_default())?;
+        emit(self.bytes.get(self.rows.end..).unwrap_or_default())
+    }
+
+    /// Each row as the three values it codes to: its address's distance
+    /// above the previous row's address plus one (the first row's address
+    /// itself), then requests and bytes.
+    fn coded_rows(&self) -> impl Iterator<Item = [u64; 3]> + '_ {
+        let region = self.bytes.get(self.rows.clone()).unwrap_or_default();
+        let mut next = 0u64;
+        region.as_chunks::<ROW_BYTES>().0.iter().map(move |row| {
+            let &[a0, a1, a2, a3, r0, r1, r2, r3, r4, r5, r6, r7, b0, b1, b2, b3, b4, b5, b6, b7] =
+                row;
+            let client = u64::from(u32::from_le_bytes([a0, a1, a2, a3]));
+            // Wraps only for rows out of address order, which the decoder
+            // then refuses as an address past `u32::MAX`.
+            let gap = client.wrapping_sub(next);
+            next = client + 1;
+            let requests = u64::from_le_bytes([r0, r1, r2, r3, r4, r5, r6, r7]);
+            let bytes = u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]);
+            [gap, requests, bytes]
+        })
     }
 }
 
-/// The one encoder of a [`StreamState`]: appends `state`'s wire form onto
-/// `out` with `rows` where `state.per_client` would go, and returns where
-/// in `out` they lie.
+/// The one encoder of a [`StreamState`]: appends `state`'s fields onto
+/// `out` — prefix lists in wire form, `rows` fixed-width where
+/// `state.per_client` would go — and returns where in `out` the rows lie.
 fn encode_state_into(
     out: &mut Vec<u8>,
     state: &StreamState,
@@ -349,28 +474,69 @@ fn encode_state_into(
     rows
 }
 
-/// Decodes a [`StreamState`], enforcing the canonical form [`encode_state`]
-/// produces (sorted prefixes, strictly increasing client rows, UTF-8 park
-/// keys, no trailing bytes). Never panics on arbitrary input.
+/// Decodes the client rows, enforcing strictly increasing addresses: in
+/// the varint layout by construction, with any address past `u32::MAX`
+/// refused.
+fn take_rows(r: &mut Reader<'_>, layout: Layout) -> Result<Vec<(u32, u64, u64)>, StateDecodeError> {
+    let n = r.u32_le().ok_or(bad("client count"))? as usize;
+    let least = match layout {
+        Layout::Fixed => ROW_BYTES,
+        Layout::Varint => 3,
+    };
+    let mut rows = Vec::with_capacity(n.min(r.remaining() / least));
+    // The lowest address the next row may hold.
+    let mut next = 0u64;
+    for _ in 0..n {
+        let row = match layout {
+            Layout::Fixed => {
+                let client = r.u32_le().ok_or(bad("client row"))?;
+                let requests = r.u64_le().ok_or(bad("client row"))?;
+                let bytes = r.u64_le().ok_or(bad("client row"))?;
+                if u64::from(client) < next {
+                    return Err(bad("client row order"));
+                }
+                (client, requests, bytes)
+            }
+            Layout::Varint => {
+                let gap = r.varint().ok_or(bad("client row"))?;
+                let client = next.checked_add(gap).and_then(|a| u32::try_from(a).ok());
+                let client = client.ok_or(bad("client address overflow"))?;
+                let requests = r.varint().ok_or(bad("client row"))?;
+                let bytes = r.varint().ok_or(bad("client row"))?;
+                (client, requests, bytes)
+            }
+        };
+        next = u64::from(row.0) + 1;
+        rows.push(row);
+    }
+    Ok(rows)
+}
+
+/// Decodes a [`StreamState`] in the current format, enforcing the
+/// canonical form [`encode_state`] produces (minimal varints, sorted
+/// prefixes, strictly increasing client rows, UTF-8 park keys, no trailing
+/// bytes). Never panics on arbitrary input.
 pub fn decode_state(bytes: &[u8]) -> Result<StreamState, StateDecodeError> {
+    decode_state_version(bytes, FORMAT_VERSION)
+}
+
+/// [`decode_state`] of a payload written in format `version` (a snapshot
+/// file header's), from [`OLDEST_READ_VERSION`] to [`FORMAT_VERSION`].
+pub(super) fn decode_state_version(
+    bytes: &[u8],
+    version: u16,
+) -> Result<StreamState, StateDecodeError> {
+    let layout = match version {
+        OLDEST_READ_VERSION => Layout::Fixed,
+        FORMAT_VERSION => Layout::Varint,
+        _ => return Err(bad("format version")),
+    };
     let mut r = Reader::new(bytes);
     let table_version = r.u64_le().ok_or(bad("table_version"))?;
     let feed_pos = r.u64_le().ok_or(bad("feed_pos"))?;
-    let bgp_prefixes = take_prefixes(&mut r, "bgp prefix list")?;
-    let dump_prefixes = take_prefixes(&mut r, "dump prefix list")?;
-    let n_clients = r.u32_le().ok_or(bad("client count"))? as usize;
-    let mut per_client = Vec::with_capacity(n_clients.min(r.remaining() / 20));
-    let mut prev: Option<u32> = None;
-    for _ in 0..n_clients {
-        let client = r.u32_le().ok_or(bad("client row"))?;
-        let requests = r.u64_le().ok_or(bad("client row"))?;
-        let bytes_served = r.u64_le().ok_or(bad("client row"))?;
-        if prev.is_some_and(|p| p >= client) {
-            return Err(bad("client row order"));
-        }
-        prev = Some(client);
-        per_client.push((client, requests, bytes_served));
-    }
+    let bgp_prefixes = take_prefixes(&mut r, "bgp prefix list", layout)?;
+    let dump_prefixes = take_prefixes(&mut r, "dump prefix list", layout)?;
+    let per_client = take_rows(&mut r, layout)?;
     let total_requests = r.u64_le().ok_or(bad("total_requests"))?;
     let unclustered_requests = r.u64_le().ok_or(bad("unclustered_requests"))?;
     let clf_counts = ErrorCounts::new(
@@ -586,18 +752,220 @@ mod tests {
         long.push(0);
         assert_eq!(decode_state(&long), Err(bad("trailing bytes")));
 
-        // Out-of-order client rows are rejected (canonical form).
+        // Out-of-order or repeated client rows code to an address past
+        // u32::MAX, which is rejected (canonical form).
+        for (i, j) in [(0, 1), (1, 2)] {
+            let mut s = state.clone();
+            s.per_client.swap(i, j);
+            let got = decode_state(&encode_state(&s));
+            assert_eq!(got, Err(bad("client address overflow")), "{i} <> {j}");
+        }
         let mut s = state.clone();
-        s.per_client.swap(0, 1);
-        assert_eq!(
-            decode_state(&encode_state(&s)),
-            Err(bad("client row order"))
-        );
+        s.per_client[1].0 = s.per_client[0].0;
+        let got = decode_state(&encode_state(&s));
+        assert_eq!(got, Err(bad("client address overflow")));
 
         // Out-of-order and non-canonical prefixes are rejected.
         let mut s = state.clone();
         s.bgp_prefixes.swap(0, 2);
         assert_eq!(decode_state(&encode_state(&s)), Err(bad("bgp prefix list")));
+    }
+
+    /// Every field at its edge: addresses 0 and `u32::MAX`, counts 0 and
+    /// `u64::MAX`, the shortest and longest prefixes, and empty lists.
+    #[test]
+    fn edge_values_round_trip_canonically() {
+        let mut edges = sample_state();
+        edges.bgp_prefixes = vec![
+            net("0.0.0.0/0"),
+            net("0.0.0.0/32"),
+            net("255.255.255.255/32"),
+        ];
+        edges.per_client = vec![
+            (0, 0, u64::MAX),
+            (1, u64::MAX, 0),
+            (u32::MAX - 1, 1, 1),
+            (u32::MAX, u64::MAX, u64::MAX),
+        ];
+        let mut empty = sample_state();
+        empty.bgp_prefixes.clear();
+        empty.dump_prefixes.clear();
+        empty.per_client.clear();
+        empty.correction = Some(CorrectionState::default());
+        for state in [edges, empty] {
+            let bytes = encode_state(&state);
+            let back = decode_state(&bytes).unwrap();
+            assert_eq!(back, state);
+            assert_eq!(encode_state(&back), bytes);
+        }
+    }
+
+    /// A payload of `sample_state()`'s fields with no dump prefixes, no
+    /// correction and hand-written bytes for the BGP prefix list and the
+    /// client rows: `(count, bytes)` each.
+    fn hand_payload(bgp: (u32, &[u8]), rows: (u32, &[u8])) -> Vec<u8> {
+        let mut rest = sample_state();
+        rest.dump_prefixes.clear();
+        rest.per_client.clear();
+        rest.correction = None;
+        let encoded = EncodedState::new(&rest, std::iter::empty());
+        let mut out = encoded.bytes[..16].to_vec();
+        out.extend_from_slice(&bgp.0.to_le_bytes());
+        out.extend_from_slice(bgp.1);
+        out.extend_from_slice(&0u32.to_le_bytes());
+        out.extend_from_slice(&rows.0.to_le_bytes());
+        out.extend_from_slice(rows.1);
+        out.extend_from_slice(&encoded.bytes[encoded.rows.end..]);
+        out
+    }
+
+    /// The wire form pinned byte for byte, and each way a byte string can
+    /// break canonical form: accepted payloads re-encode to themselves,
+    /// the rest fail with the named field.
+    #[test]
+    fn pinned_prefix_and_row_bytes() {
+        // 10.0.0.0 as a varint: 0x0A000000 in 7-bit groups, low first.
+        const TEN: [u8; 4] = [0x80, 0x80, 0x80, 0x50];
+        const MAX: [u8; 5] = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+        let cat = |parts: &[&[u8]]| parts.concat();
+        let ok_rows = cat(&[&[0x01, 0x03, 0xAC, 0x02], &[0x00, 0x05, 0x01]]);
+        let ok_bgp = cat(&[&TEN, &[8], &[0x00, 16], &[0x80, 0x80, 0x04, 16]]);
+        type Row<'a> = (
+            &'a str,
+            (u32, Vec<u8>),
+            (u32, Vec<u8>),
+            Result<(), &'static str>,
+        );
+        let table: Vec<Row> = vec![
+            (
+                "canonical",
+                (3, ok_bgp.clone()),
+                (2, ok_rows.clone()),
+                Ok(()),
+            ),
+            (
+                "u32::MAX",
+                (1, cat(&[&MAX, &[32]])),
+                (1, cat(&[&MAX, &[0, 0]])),
+                Ok(()),
+            ),
+            ("empty lists", (0, vec![]), (0, vec![]), Ok(())),
+            // Overlong varints: 1 and 0 spelled in two bytes.
+            (
+                "overlong gap",
+                (0, vec![]),
+                (1, vec![0x81, 0x00, 1, 1]),
+                Err("client row"),
+            ),
+            (
+                "overlong count",
+                (0, vec![]),
+                (1, vec![0x01, 0x80, 0x00, 1]),
+                Err("client row"),
+            ),
+            (
+                "overlong prefix",
+                (1, vec![0x80, 0x00, 0]),
+                (0, vec![]),
+                Err("bgp prefix list"),
+            ),
+            // Address sums past u32::MAX, first row and after a row.
+            (
+                "first address",
+                (0, vec![]),
+                (1, cat(&[&[0x80, 0x80, 0x80, 0x80, 0x10], &[1, 1]])),
+                Err("client address overflow"),
+            ),
+            (
+                "next address",
+                (0, vec![]),
+                (2, cat(&[&MAX[..], &[1, 1], &[0x00, 1, 1]])),
+                Err("client address overflow"),
+            ),
+            (
+                "prefix address",
+                (2, cat(&[&MAX, &[32], &[0x01, 32]])),
+                (0, vec![]),
+                Err("bgp prefix list"),
+            ),
+            // Prefix order and form.
+            (
+                "duplicate prefix",
+                (2, cat(&[&TEN, &[8], &[0x00, 8]])),
+                (0, vec![]),
+                Err("bgp prefix list"),
+            ),
+            (
+                "shorter after longer",
+                (2, cat(&[&TEN, &[16], &[0x00, 8]])),
+                (0, vec![]),
+                Err("bgp prefix list"),
+            ),
+            (
+                "host bits",
+                (1, vec![0x01, 8]),
+                (0, vec![]),
+                Err("bgp prefix list"),
+            ),
+            (
+                "length 33",
+                (1, vec![0x00, 33]),
+                (0, vec![]),
+                Err("bgp prefix list"),
+            ),
+        ];
+        for (name, bgp, rows, want) in table {
+            let bytes = hand_payload((bgp.0, &bgp.1), (rows.0, &rows.1));
+            match (decode_state(&bytes), want) {
+                (Ok(state), Ok(())) => assert_eq!(encode_state(&state), bytes, "{name}"),
+                (got, want) => assert_eq!(got.map(|_| ()), want.map_err(bad), "{name}"),
+            }
+        }
+        let state = decode_state(&hand_payload((3, &ok_bgp), (2, &ok_rows))).unwrap();
+        assert_eq!(state.per_client, [(1, 3, 300), (2, 5, 1)]);
+        let want = [net("10.0.0.0/8"), net("10.0.0.0/16"), net("10.1.0.0/16")];
+        assert_eq!(state.bgp_prefixes, want);
+    }
+
+    /// `state` in the version-1 layout, which only the decoder still
+    /// knows: fixed-width prefixes, and rows as [`EncodedState`] holds
+    /// them before coding, around the fields every version shares.
+    fn v1_payload(state: &StreamState) -> Vec<u8> {
+        let encoded = EncodedState::new(state, state.per_client.iter().copied());
+        let mut out = encoded.bytes[..16].to_vec();
+        for list in [&state.bgp_prefixes, &state.dump_prefixes] {
+            put_u32(&mut out, list.len() as u32);
+            for p in list {
+                put_u32(&mut out, p.addr_u32());
+                out.push(p.len());
+            }
+        }
+        put_u32(&mut out, state.per_client.len() as u32);
+        out.extend_from_slice(&encoded.bytes[encoded.rows.start..]);
+        out
+    }
+
+    #[test]
+    fn version_one_payloads_still_decode() {
+        let state = sample_state();
+        let v1 = v1_payload(&state);
+        assert_eq!(decode_state_version(&v1, 1), Ok(state.clone()));
+        // Rewritten in the current form, it is smaller and reads back.
+        let v2 = encode_state(&state);
+        assert!(v2.len() < v1.len());
+        assert_eq!(decode_state_version(&v2, FORMAT_VERSION), Ok(state.clone()));
+        for cut in 0..v1.len() {
+            assert!(decode_state_version(&v1[..cut], 1).is_err(), "cut at {cut}");
+        }
+        let mut s = state.clone();
+        s.per_client.swap(0, 1);
+        let got = decode_state_version(&v1_payload(&s), 1);
+        assert_eq!(got, Err(bad("client row order")));
+        let mut s = state;
+        s.bgp_prefixes.swap(0, 1);
+        let got = decode_state_version(&v1_payload(&s), 1);
+        assert_eq!(got, Err(bad("bgp prefix list")));
+        assert_eq!(decode_state_version(&v1, 0), Err(bad("format version")));
     }
 
     #[test]

@@ -8,15 +8,19 @@
 //!   most one snapshot in flight. The follower reports what it applied
 //!   ([`Checkpointer::note_applied`]) and whether the log is quiet
 //!   ([`Checkpointer::consider`]); the thread snapshots when
-//!   1. unsnapshotted log bytes reach `--checkpoint-bytes`, or
+//!   1. unsnapshotted log bytes reach `--checkpoint-bytes`,
 //!   2. bytes are pending and the log has been quiet for a full poll
-//!      interval,
+//!      interval, or
+//!   3. the last snapshot or journal append failed: the store may refuse
+//!      appends (`PersistError::Poisoned`, a reload's 503) until a snapshot
+//!      succeeds, however quiet the log,
 //!
 //!   and (the duty bound) never starts a snapshot sooner after the
-//!   previous one than the previous one took, so persistence costs at most
-//!   half a core however large the state or slow the disk. Triggers that
-//!   arrive while a snapshot is pending or in flight coalesce into the
-//!   next one.
+//!   previous one than the previous one took, nor sooner than
+//!   `RETRY_AFTER` after a failed one, so persistence costs at most half
+//!   a core however large the state or slow or broken the disk. Triggers
+//!   that arrive while a snapshot is pending or in flight coalesce into
+//!   the next one.
 //! * `checkpoint_now` — the same snapshot, synchronously: after an
 //!   accepted full-table swap, and (`final_checkpoint`) at shutdown.
 //! * `apply_journaled` — the write-ahead step of a delta reload.
@@ -34,6 +38,8 @@
 //! **Lock order** is store → stream everywhere: the checkpointer takes the
 //! store mutex then the stream read lock (dropped before any disk I/O);
 //! `apply_journaled` takes the store mutex then the stream write lock.
+//! The mailbox's own lock is innermost: it may be taken under the store
+//! mutex, and nothing else is taken while it is held.
 
 #![allow(
     clippy::disallowed_types,
@@ -41,9 +47,9 @@
 )]
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use netclust_core::{JournalBatch, PatchBatchReport, PersistError, StateStore};
 use netclust_rtable::TableDelta;
@@ -65,9 +71,15 @@ pub struct Checkpointer {
     /// lock that exports the snapshot, so the sample is exactly what that
     /// snapshot covers.
     dirty: AtomicU64,
+    /// Trigger 3: set by a failed snapshot or journal append, cleared by a
+    /// snapshot that succeeds.
+    failed: AtomicBool,
     ctl: Mutex<Ctl>,
     wake: Condvar,
 }
+
+/// The least time between a failed snapshot and the next attempt.
+const RETRY_AFTER: Duration = Duration::from_millis(20);
 
 #[derive(Debug, Default)]
 struct Ctl {
@@ -88,6 +100,7 @@ impl Checkpointer {
             store: Mutex::new(store),
             threshold,
             dirty: AtomicU64::new(0),
+            failed: AtomicBool::new(false),
             ctl: Mutex::new(Ctl::default()),
             wake: Condvar::new(),
         }
@@ -116,7 +129,20 @@ impl Checkpointer {
 
     fn due(&self, ctl: &Ctl) -> bool {
         let dirty = self.dirty_bytes();
-        dirty >= self.threshold || (ctl.quiet && dirty > 0)
+        // ordering: pairs with the `Release` stores of `failed`, which are
+        // made from other threads than this rule's.
+        dirty >= self.threshold || (ctl.quiet && dirty > 0) || self.failed.load(Ordering::Acquire)
+    }
+
+    /// Records a failed snapshot or journal append (trigger 3) and wakes
+    /// the thread, which may be waiting with no other trigger to come.
+    fn note_failure(&self) {
+        // ordering: read by the checkpointer thread in `due`.
+        self.failed.store(true, Ordering::Release);
+        let ctl = self.ctl();
+        if !ctl.busy {
+            self.wake.notify_one();
+        }
     }
 
     /// The follower's report after every turn: `quiet` once the log has
@@ -178,11 +204,12 @@ pub(crate) fn run(state: &AppState) {
     let mut not_before = Instant::now();
     while cp.wait_for_work(not_before) {
         let started = Instant::now();
-        // A failure is counted in `checkpoint_now` and leaves the bytes
-        // dirty, so the trigger still holds: the retry is the next pass of
-        // this loop, under the same duty bound.
-        let _ = checkpoint_now(state);
-        not_before = Instant::now() + started.elapsed();
+        // A failure is counted in `checkpoint_now` and raises trigger 3,
+        // so the retry is the next pass of this loop, under the same duty
+        // bound and never at once.
+        let failed = checkpoint_now(state).is_err();
+        let took = started.elapsed();
+        not_before = Instant::now() + if failed { took.max(RETRY_AFTER) } else { took };
     }
 }
 
@@ -201,7 +228,10 @@ pub(crate) fn checkpoint_now(state: &AppState) -> Result<(), String> {
     let Some(cp) = &state.checkpointer else {
         return Ok(());
     };
-    snapshot(state, cp).inspect_err(|_| state.metrics.checkpoint_errors.inc())
+    snapshot(state, cp).inspect_err(|_| {
+        state.metrics.checkpoint_errors.inc();
+        cp.note_failure();
+    })
 }
 
 fn snapshot(state: &AppState, cp: &Checkpointer) -> Result<(), String> {
@@ -226,6 +256,10 @@ fn snapshot(state: &AppState, cp: &Checkpointer) -> Result<(), String> {
     // subtracts, serialized by the store mutex, and never more than it
     // sampled — the counter cannot underflow.
     cp.dirty.fetch_sub(covered, Ordering::Relaxed);
+    // ordering: as in `Checkpointer::note_failure`. Cleared under the
+    // store mutex, so a failure this snapshot did not cover is raised after
+    // it, not lost.
+    cp.failed.store(false, Ordering::Release);
     state.metrics.checkpoints.inc();
     if !state.deterministic {
         // Clock-derived: kept out of byte-stable `--deterministic` metrics.
@@ -285,10 +319,13 @@ pub(crate) fn apply_journaled(
     deltas: &[TableDelta],
 ) -> Result<PatchBatchReport, ApplyError> {
     let mut store = match &state.checkpointer {
-        Some(cp) => Some(cp.store.lock().map_err(|_| ApplyError::Poisoned("store"))?),
+        Some(cp) => Some((
+            cp,
+            cp.store.lock().map_err(|_| ApplyError::Poisoned("store"))?,
+        )),
         None => None,
     };
-    if let Some(store) = &mut store {
+    if let Some((cp, store)) = &mut store {
         let batch = JournalBatch {
             // ordering: monotone batch counter; the store mutex held
             // across append+apply already orders journal writes.
@@ -296,7 +333,12 @@ pub(crate) fn apply_journaled(
             session_reset: false,
             deltas: deltas.to_vec(),
         };
-        store.append_batch(&batch).map_err(ApplyError::Journal)?;
+        // A refused append wants a snapshot: one lifts a poisoned store
+        // and rotates past a journal whose durability is in doubt.
+        store
+            .append_batch(&batch)
+            .inspect_err(|_| cp.note_failure())
+            .map_err(ApplyError::Journal)?;
     }
     let mut stream = state
         .stream
@@ -309,7 +351,6 @@ pub(crate) fn apply_journaled(
 mod tests {
     use super::*;
     use netclust_core::FsyncPolicy;
-    use std::time::Duration;
 
     /// A checkpointer over an empty store in a fresh temp dir.
     fn mailbox(name: &str, threshold: u64) -> Checkpointer {
@@ -332,6 +373,18 @@ mod tests {
         cp.note_applied(1);
         cp.consider(false);
         assert!(cp.due(&cp.ctl()), "threshold reached, quiet or not");
+    }
+
+    #[test]
+    fn a_failure_is_a_trigger_with_nothing_pending() {
+        let cp = mailbox("failure", 100);
+        assert!(!cp.due(&cp.ctl()));
+        cp.note_failure();
+        assert!(cp.due(&cp.ctl()), "a failure wants a snapshot");
+        assert!(cp.wait_for_work(Instant::now()));
+        // Only a snapshot that succeeds clears it.
+        cp.failed.store(false, Ordering::Release);
+        assert!(!cp.due(&cp.ctl()));
     }
 
     #[test]

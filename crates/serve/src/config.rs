@@ -15,6 +15,19 @@ use netclust_core::{failpoints, FaultPlan, FlagError, RunConfig};
 
 pub use table::FLAGS;
 
+/// The failpoints the daemon has a seam for, and so the ones `--fault`
+/// may arm: the accept loop, the request parser, and the state store's
+/// three (armed once the boot snapshot or recovery is done). The stream's
+/// `swap.compile` and `table.patch` and the batch ingest's
+/// `ingest.chunk_io` are not reached from here.
+pub const DAEMON_FAILPOINTS: &[&str] = &[
+    failpoints::SERVE_ACCEPT,
+    failpoints::SERVE_REQUEST_PARSE,
+    failpoints::PERSIST_JOURNAL_WRITE,
+    failpoints::PERSIST_SNAPSHOT_RENAME,
+    failpoints::PERSIST_FSYNC,
+];
+
 /// The `netclustd` options, one row a line; the first eight shared with
 /// `netclust cluster` (DESIGN.md §17).
 #[rustfmt::skip]
@@ -141,8 +154,8 @@ impl ServeConfig {
         self
     }
 
-    /// Deterministic fault plan (arming [`failpoints::SERVE_ACCEPT`] /
-    /// [`failpoints::SERVE_REQUEST_PARSE`] and friends).
+    /// Deterministic fault plan over the [`DAEMON_FAILPOINTS`]; any other
+    /// point it arms never fires.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
@@ -165,9 +178,10 @@ impl ServeConfig {
             let Some((point, prob)) = spec.split_once('=') else {
                 return Err(FAULT.bad(&spec, format_args!("wants {}", FAULT.metavar)));
             };
-            if !failpoints::all().contains(&point) {
-                let known = failpoints::all().join(", ");
-                return Err(FAULT.bad(&spec, format_args!("unknown failpoint (known: {known})")));
+            if !DAEMON_FAILPOINTS.contains(&point) {
+                let seams = DAEMON_FAILPOINTS.join(", ");
+                let why = format_args!("netclustd has no seam for that failpoint (it has {seams})");
+                return Err(FAULT.bad(&spec, why));
             }
             faults = faults.with(point, prob.parse().map_err(|e| FAULT.bad(&spec, e))?);
         }
@@ -331,10 +345,22 @@ mod tests {
         assert!(err.to_string().contains("--bogus"), "{err}");
         let help = ServeConfig::from_args(&argv(&["--table", "t", "--help"]));
         assert!(matches!(help, Err(FlagError::Help)), "{help:?}");
-        assert!(ServeConfig::from_args(&argv(&["--table", "t", "--fault", "nope=1"])).is_err());
         assert!(
             ServeConfig::from_args(&argv(&["--table", "t", "--fault", "serve.accept"])).is_err()
         );
+        // Every seam the daemon has is accepted; a failpoint it has no
+        // seam for is refused at parse time, naming the ones it has.
+        for point in failpoints::all().iter().copied().chain(["nope"]) {
+            let spec = format!("{point}=0.5");
+            let parsed = ServeConfig::from_args(&argv(&["--table", "t", "--fault", &spec]));
+            if DAEMON_FAILPOINTS.contains(&point) {
+                assert!(parsed.expect(point).faults.is_armed(point));
+            } else {
+                let err = parsed.expect_err(point).to_string();
+                assert!(err.contains(point), "{err}");
+                assert!(DAEMON_FAILPOINTS.iter().all(|p| err.contains(p)), "{err}");
+            }
+        }
         // Batch-ingest knobs belong to `netclust cluster`; the follower is
         // single-threaded and has no error budget to enforce.
         assert!(ServeConfig::from_args(&argv(&["--table", "t", "--threads", "3"])).is_err());

@@ -250,6 +250,10 @@ fn build_state(config: &ServeConfig, obs: &Obs) -> Result<AppState, ServeError> 
         }
     };
 
+    // The store's `persist.*` failpoints arm once the boot snapshot or the
+    // recovery is behind it: they model a disk failing under a daemon that
+    // is serving, not one that cannot start.
+    let store = store.map(|store| store.with_faults(config.faults.injector()));
     Ok(AppState {
         stream: RwLock::new(stream),
         checkpointer: store.map(|store| Checkpointer::new(config.checkpoint_bytes, store)),

@@ -502,6 +502,11 @@ fn netclustd_help_and_usage_errors() {
             "unknown flag \"--tpo\"",
         ),
         (&["--table", "t", "--top"][..], "--top needs a value"),
+        (
+            &["--table", "t", "--fault", "swap.compile=1"][..],
+            "no seam for that failpoint (it has serve.accept, serve.request.parse, \
+             persist.journal.write, persist.snapshot.rename, persist.fsync)",
+        ),
         (&["--top", "5"][..], "--table or --dump is required"),
     ] {
         let (code, stdout, stderr) = run(args);
@@ -746,6 +751,79 @@ fn netclustd_survives_kill_and_resumes_from_its_checkpoint() {
         exit.success(),
         "graceful shutdown must exit 0, got {exit:?}"
     );
+}
+
+/// The real binary on a disk whose fsyncs fail: `--fault persist.fsync`
+/// fails three in ten of the state store's fsyncs once it has booted. The
+/// daemon keeps answering, counts the snapshots that failed, and answers a
+/// reload 200 only for a batch it can keep: after `kill -9` and `--resume`,
+/// every batch it acknowledged is in the recovered table.
+#[test]
+fn failing_fsyncs_never_lose_an_acknowledged_reload() {
+    const RELOADS: usize = 40;
+    let fx = fixture("fsync-fault", 61);
+    let lines: Vec<&str> = fx.clf.lines().collect();
+    let per_turn = lines.len() / (RELOADS + 1);
+    let append = |from: usize, to: usize| {
+        let mut log = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&fx.log)
+            .expect("open log");
+        for line in &lines[from..to] {
+            writeln!(log, "{line}").expect("append");
+        }
+    };
+    append(0, per_turn);
+    let mut flags = vec!["--poll-ms", "20", "--checkpoint-bytes", "1"];
+    flags.extend(["--deterministic", "--fault-seed", "5"]);
+    let port_a = fx.dir.join("port-a");
+    let first = spawn_netclustd(
+        &fx,
+        &port_a,
+        &[&flags[..], &["--fault", "persist.fsync=0.3"]].concat(),
+        false,
+    );
+    let addr = read_addr(&port_a);
+    let mut client = Client::connect(addr);
+    let (mut acked, mut refused) = (Vec::new(), 0);
+    for i in 0..RELOADS {
+        // The log moves between reloads, so the checkpointer keeps
+        // snapshotting (and failing to) while they arrive.
+        append((i + 1) * per_turn, (i + 2) * per_turn);
+        let prefix = format!("198.18.0.{i}/32");
+        let body = format!("announce {prefix}\n");
+        match client.send("POST", "/v1/reload", Some(&body)) {
+            (200, _) => acked.push(prefix),
+            (503, _) => refused += 1,
+            (status, body) => panic!("reload {i}: {status} {body}"),
+        }
+        assert_eq!(client.send("GET", "/healthz", None).0, 200);
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let metrics = get(addr, "/metrics").1;
+    let failed = json_u64(&metrics, "serve.checkpoint.errors");
+    eprintln!(
+        "{} reloads acknowledged, {refused} refused, {failed} snapshots failed",
+        acked.len()
+    );
+    assert!(failed > 0, "no snapshot failed: the fault is not wired");
+    assert!(refused > 0 && !acked.is_empty(), "{refused} refused");
+
+    // SIGKILL, then resume on a sound disk.
+    drop(first);
+    let port_b = fx.dir.join("port-b");
+    let mut second = spawn_netclustd(&fx, &port_b, &flags, true);
+    let addr = read_addr(&port_b);
+    for prefix in &acked {
+        let ip = prefix.trim_end_matches("/32");
+        let body = get(addr, &format!("/v1/cluster?ip={ip}")).1;
+        assert!(
+            body.contains(&format!("\"cluster\": \"{prefix}\"")),
+            "acknowledged {prefix} lost: {body}"
+        );
+    }
+    assert!(terminate(&mut second).success());
 }
 
 fn json_u64(body: &str, key: &str) -> u64 {

@@ -17,7 +17,8 @@ const CLUSTERS: u32 = 50_000;
 /// The table, the binary and its threads, and room for one poll buffer.
 const BUDGET_FIXED: u64 = 16 << 20;
 /// A client's record, map entry and share of its cluster's aggregates,
-/// plus its 20-byte row in the one snapshot image.
+/// plus its 20-byte fixed-width row in the one snapshot image (coded to a
+/// few bytes of varints only on the way to the file).
 const BUDGET_PER_CLIENT: u64 = 96;
 
 /// A spawned `netclustd` that a failing assertion cannot leak.

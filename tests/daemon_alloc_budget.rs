@@ -112,9 +112,11 @@ fn a_top_n_a_poll_and_a_snapshot_allocate_what_they_return() {
     println!("top_k(10) over {CLUSTERS} clusters: {peak} bytes");
     assert!(peak < SLACK, "top_k(10) allocated {peak} bytes");
 
-    // A snapshot holds its file image — 20 bytes a client between the
-    // encoded prefix lists and counters — and, while it encodes them, the
-    // table's own copy of the prefix lists.
+    // A snapshot holds one fixed-width image — 20 bytes a client between
+    // the encoded prefix lists (at most 5 bytes a prefix here) and counters,
+    // the rows coded to the file's varints through a stack buffer on the
+    // way out — and, while it encodes them, the table's own copy of the
+    // prefix lists.
     let clients = stream.client_count();
     let budget = 20 * clients + CLUSTERS as usize * (5 + std::mem::size_of::<Ipv4Net>()) + SLACK;
     let mut store = StateStore::create(dir.join("state"), FsyncPolicy::Os).unwrap();

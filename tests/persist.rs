@@ -1,14 +1,24 @@
-//! Property-based tests on the durable frame codec: arbitrary payloads
+//! Property-based tests on the durable codecs: arbitrary frame payloads
 //! round-trip, and *every* single-bit flip or truncation of the encoded
 //! bytes is rejected with a typed error — never a panic, never silently
-//! wrong data. The unit tests in `persist::codec` pin reference vectors;
-//! these properties sweep the input space.
+//! wrong data; generated snapshot states round-trip and re-encode byte for
+//! byte, and any byte string the state decoder accepts is the encoding of
+//! what it decoded. The unit tests in `persist::codec` and `persist::state`
+//! pin reference vectors and wire bytes; these properties sweep the input
+//! space.
+
+use std::net::Ipv4Addr;
 
 use netclust::core::persist::codec::{
     decode_frame, decode_header, encode_frame, encode_header, FILE_JOURNAL, FILE_SNAPSHOT,
     HEADER_BYTES, REC_BATCH, REC_STATE,
 };
-use netclust::core::persist::{decode_batch, encode_batch, JournalBatch};
+use netclust::core::persist::{
+    decode_batch, decode_state, encode_batch, encode_state, JournalBatch,
+};
+use netclust::core::{
+    CorrectionState, ErrorCounts, FeedProgress, PatchStats, StreamState, SwapRejection, SwapStats,
+};
 use netclust::prefix::Ipv4Net;
 use netclust::rtable::TableDelta;
 use proptest::prelude::*;
@@ -43,6 +53,129 @@ fn arb_batch() -> impl Strategy<Value = JournalBatch> {
                     }
                 })
                 .collect(),
+        })
+}
+
+/// An address drawn to hit the edges often: 0, `u32::MAX`, a dense low
+/// run, or anywhere.
+fn arb_addr() -> impl Strategy<Value = u32> {
+    prop_oneof![Just(0u32), Just(u32::MAX), 0u32..64, any::<u32>()]
+}
+
+/// A count drawn likewise: 0, `u64::MAX`, small, or anywhere.
+fn arb_count() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), Just(u64::MAX), 0u64..300, any::<u64>()]
+}
+
+/// A sorted, duplicate-free prefix list, sometimes empty, sometimes with
+/// `0.0.0.0/0` or `255.255.255.255/32` in it.
+fn arb_prefixes() -> impl Strategy<Value = Vec<Ipv4Net>> {
+    let len = prop_oneof![Just(0usize), 0usize..40];
+    (len, proptest::collection::vec((arb_addr(), 0u8..=32), 40)).prop_map(|(len, raw)| {
+        let mut list: Vec<Ipv4Net> = raw[..len]
+            .iter()
+            .map(|&(addr, bits)| Ipv4Net::new(addr, bits).expect("canonicalised"))
+            .collect();
+        list.sort_unstable();
+        list.dedup();
+        list
+    })
+}
+
+fn arb_rejection() -> impl Strategy<Value = Option<SwapRejection>> {
+    (
+        0u8..6,
+        any::<usize>(),
+        any::<usize>(),
+        0.0f64..1.0,
+        0.0f64..1.0,
+    )
+        .prop_map(|(tag, entries, floor, a, b)| match tag {
+            0 => None,
+            1 => Some(SwapRejection::TooFewEntries { entries, floor }),
+            2 => Some(SwapRejection::NoiseOverBudget {
+                ratio: a,
+                budget: b,
+            }),
+            3 => Some(SwapRejection::CompileFault),
+            4 => Some(SwapRejection::PatchFault),
+            _ => Some(SwapRejection::CoverageCollapse {
+                before: a,
+                after: b,
+                floor: a * b,
+            }),
+        })
+}
+
+fn arb_correction() -> impl Strategy<Value = Option<CorrectionState>> {
+    let parked = proptest::collection::vec((arb_addr(), 0u8..3), 0..6);
+    (any::<bool>(), arb_count(), arb_count(), parked).prop_map(|(some, a, b, parked)| {
+        some.then(|| CorrectionState {
+            homogeneous: a,
+            split: b,
+            no_signal: a ^ b,
+            parked: parked
+                .into_iter()
+                .map(|(addr, kind)| {
+                    let addr = Ipv4Addr::from(addr);
+                    let key = match kind {
+                        0 => format!("?addr:{addr}"),
+                        1 => format!("?cluster:{addr}/32"),
+                        _ => String::new(),
+                    };
+                    (addr, key)
+                })
+                .collect(),
+        })
+    })
+}
+
+/// A snapshot state as a stream exports it: prefix lists and client rows
+/// sorted, every other field anything.
+fn arb_state() -> impl Strategy<Value = StreamState> {
+    let rows = proptest::collection::vec((arb_addr(), arb_count(), arb_count()), 0..60);
+    let counters = proptest::collection::vec(arb_count(), 20);
+    (
+        (arb_prefixes(), arb_prefixes()),
+        rows,
+        counters,
+        arb_rejection(),
+        arb_correction(),
+    )
+        .prop_map(|((bgp, dump), mut rows, c, last_rejection, correction)| {
+            rows.sort_unstable_by_key(|&(addr, _, _)| addr);
+            rows.dedup_by_key(|&mut (addr, _, _)| addr);
+            StreamState {
+                table_version: c[0],
+                feed_pos: c[1],
+                bgp_prefixes: bgp,
+                dump_prefixes: dump,
+                per_client: rows,
+                total_requests: c[2],
+                unclustered_requests: c[3],
+                clf_counts: ErrorCounts::new(c[4], c[5]),
+                swap_stats: SwapStats {
+                    accepted: c[6],
+                    rejected: c[7],
+                    stale_age: c[8],
+                },
+                patch_stats: PatchStats {
+                    batches: c[9],
+                    accepted: c[10],
+                    rejected: c[11],
+                    slot_writes: c[12],
+                    group_rebuilds: c[13],
+                    recompiles: c[14],
+                },
+                last_rejection,
+                correction,
+                feed: FeedProgress {
+                    coverage_start_bits: c[15],
+                    resets: c[16],
+                    deltas_total: c[17],
+                    reassigned: c[18],
+                },
+            }
         })
 }
 
@@ -131,7 +264,7 @@ proptest! {
     #[test]
     fn header_bit_flips_are_rejected(kind in prop_oneof![Just(FILE_SNAPSHOT), Just(FILE_JOURNAL)]) {
         let header = encode_header(kind);
-        prop_assert_eq!(decode_header(&header).expect("intact header"), kind);
+        prop_assert_eq!(decode_header(&header).expect("intact header").kind, kind);
         for bit in 0..HEADER_BYTES * 8 {
             let mut bad = header;
             bad[bit / 8] ^= 1 << (bit % 8);
@@ -156,6 +289,61 @@ proptest! {
                 cut,
                 bytes.len()
             );
+        }
+    }
+
+    /// A generated state decodes to itself, and re-encoding what was
+    /// decoded gives back the same bytes: the snapshot form is canonical.
+    #[test]
+    fn generated_states_round_trip_byte_identically(state in arb_state()) {
+        let bytes = encode_state(&state);
+        let back = decode_state(&bytes).expect("round trip");
+        prop_assert_eq!(&back, &state);
+        prop_assert_eq!(encode_state(&back), bytes);
+    }
+
+    /// Every truncation of a state payload is refused, and a sample of
+    /// byte mutations (a flipped byte; a byte spelled as an overlong
+    /// varint) is either refused with a typed error or decodes to a state
+    /// whose encoding is exactly the mutated bytes — never a panic, never
+    /// a second spelling of a state.
+    #[test]
+    fn truncated_or_mutated_states_are_refused_or_canonical(
+        state in arb_state(),
+        edits in proptest::collection::vec((any::<usize>(), 1u8..=255), 24),
+    ) {
+        let bytes = encode_state(&state);
+        for cut in 0..bytes.len() {
+            prop_assert!(
+                decode_state(&bytes[..cut]).is_err(),
+                "truncation to {} of {} bytes accepted",
+                cut,
+                bytes.len()
+            );
+        }
+        for (at, flip) in edits {
+            let at = at % bytes.len();
+            let mut flipped = bytes.clone();
+            flipped[at] ^= flip;
+            // A byte that could end a varint, spelled in two: the same
+            // value in an overlong form when it does end one.
+            let mut respelled = bytes.clone();
+            if respelled[at] < 0x80 {
+                respelled[at] |= 0x80;
+                respelled.insert(at + 1, 0x00);
+            }
+            for (how, bad) in [("flipped", flipped), ("respelled", respelled)] {
+                if let Ok(decoded) = decode_state(&bad) {
+                    prop_assert_eq!(
+                        encode_state(&decoded),
+                        bad,
+                        "byte {} {} ({:#04x}) decoded to a state spelled otherwise",
+                        at,
+                        how,
+                        flip
+                    );
+                }
+            }
         }
     }
 }

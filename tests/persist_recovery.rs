@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use netclust::bgpsim::{DeltaBatch, DeltaStream, DeltaStreamConfig};
-use netclust::core::persist::codec::HEADER_BYTES;
+use netclust::core::persist::codec::{decode_header, FORMAT_VERSION, HEADER_BYTES};
 use netclust::core::{
     failpoints, CorrectionState, FaultInjector, FaultPlan, FsyncPolicy, JournalBatch, PersistError,
     StateStore, StreamState, StreamingClustering, SwapPolicy,
@@ -432,6 +432,173 @@ fn corrupt_newest_snapshot_falls_back_one_generation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A checkpoint that fails after its snapshot was renamed into place has
+/// already moved recovery to the new generation. An append to the old
+/// generation's journal would then be acknowledged and never replayed, so
+/// the store refuses appends until a checkpoint succeeds: a batch is
+/// either refused or recovered.
+#[test]
+fn a_checkpoint_failing_past_its_rename_refuses_appends_until_the_next() {
+    let (u, clf, batches) = setup();
+    let dir = tmpdir("post-rename");
+    // `Os`: appends draw no fsync, so every draw below is a checkpoint's.
+    let mut store = StateStore::create(&dir, FsyncPolicy::Os).expect("create");
+    let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
+    stream.push_clf(&clf);
+    store
+        .checkpoint(&stream.export_state())
+        .expect("generation 1");
+
+    // A schedule whose first fsync (the snapshot temp file) passes and
+    // whose second, the first one after the rename, fails.
+    let fsync = failpoints::PERSIST_FSYNC;
+    let plan = (1..)
+        .map(|seed| FaultPlan::new(seed).with(fsync, 0.5))
+        .find(|plan| {
+            let mut probe = plan.injector();
+            !probe.should_fire(fsync) && probe.should_fire(fsync)
+        })
+        .expect("a seed with that schedule");
+    store = store.with_faults(plan.injector());
+    let failed = store.checkpoint(&stream.export_state());
+    assert!(
+        matches!(failed, Err(PersistError::InjectedFault { point }) if point == fsync),
+        "{failed:?}"
+    );
+    assert!(store.snapshot_path(2).exists(), "the rename happened");
+
+    let batch = JournalBatch {
+        feed_index: 0,
+        session_reset: false,
+        deltas: batches[0].deltas.clone(),
+    };
+    let appended = store.append_batch(&batch);
+    let (_, _, report) = StateStore::recover(&dir, FsyncPolicy::Os).expect("recover");
+    assert_eq!(report.generation, 2);
+    assert!(
+        appended.is_err() || report.batches.contains(&batch),
+        "an acknowledged append was lost"
+    );
+    assert!(
+        matches!(appended, Err(PersistError::Poisoned)),
+        "{appended:?}"
+    );
+
+    // A checkpoint that succeeds rotates to a fresh journal and lifts it.
+    store.take_faults();
+    assert_eq!(store.checkpoint(&stream.export_state()).expect("retry"), 2);
+    store
+        .append_batch(&batch)
+        .expect("appends are accepted again");
+    drop(store);
+    let (_, _, report) = StateStore::recover(&dir, FsyncPolicy::Os).expect("recover");
+    assert_eq!(report.batches, [batch]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The committed state dir in `tests/data/v1-state/state`, written in
+/// format version 1 (fixed-width client rows and prefixes) by
+/// `netclust cluster --log access.log --table t.bgp --dump t.dump
+/// --deterministic --bgp-feed feed.txt --state-dir state
+/// --crash-after-batch 3` run in that directory: the base snapshot and a
+/// journal of the feed's first three batches. Copied into a fresh `name`
+/// directory, since recovering writes to it.
+fn v1_state_dir(name: &str) -> (PathBuf, PathBuf) {
+    let inputs = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/v1-state");
+    let dir = tmpdir(name);
+    for file in ["snapshot-000001.snap", "journal-000001.wal"] {
+        std::fs::copy(inputs.join("state").join(file), dir.join(file)).expect("copy fixture");
+    }
+    (inputs, dir)
+}
+
+fn state_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("list state dir")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .collect();
+    names.sort();
+    names
+}
+
+/// Old state dirs still recover: the version-1 snapshot and its journal
+/// replay to what this build computes from the same inputs, the next
+/// checkpoint writes the current format, a second recovery reads back the
+/// same state, and the version-1 files are pruned once `KEEP` (two)
+/// newer generations exist.
+#[test]
+fn a_version_one_state_dir_recovers_and_is_rewritten_in_the_current_form() {
+    let (inputs, dir) = v1_state_dir("v1");
+    let (mut store, state, report) =
+        StateStore::recover(&dir, FsyncPolicy::EveryBatch).expect("a v1 dir recovers");
+    assert_eq!((report.generation, report.batches.len()), (1, 3));
+    assert!(report.tail.is_none());
+    assert_eq!((state.per_client.len(), state.total_requests), (11, 13));
+    assert_eq!(state.per_client.first().map(|r| r.0), Some(1), "0.0.0.1");
+    assert_eq!(state.per_client.last().map(|r| r.0), Some(u32::MAX - 1));
+    let mut recovered =
+        StreamingClustering::restore(&state, SwapPolicy::default(), Obs::disabled())
+            .expect("restore the v1 snapshot");
+    for b in &report.batches {
+        recovered.apply_deltas(&b.deltas);
+    }
+
+    // The same inputs through this build: tables, log, three batches.
+    let tables = netclust::rtable::load_tables(&[inputs.join("t.bgp")], &[inputs.join("t.dump")])
+        .expect("tables");
+    let merged = netclust::rtable::MergedTable::merge(tables.iter().map(|(t, _)| t));
+    let mut fresh = StreamingClustering::builder(merged).build();
+    fresh.push_clf(&std::fs::read(inputs.join("access.log")).expect("log"));
+    let feed = std::fs::read_to_string(inputs.join("feed.txt")).expect("feed");
+    for deltas in netclust::rtable::parse_feed(&feed)
+        .expect("feed parses")
+        .iter()
+        .take(3)
+    {
+        fresh.apply_deltas(deltas);
+    }
+    let mut want = recovered.export_state();
+    assert_eq!(want, fresh.export_state(), "v1 recovery diverged");
+
+    // The next checkpoint writes the current format, smaller.
+    want.feed_pos = 3;
+    want.feed = state.feed;
+    assert_eq!(store.checkpoint(&want).expect("checkpoint"), 2);
+    let v1 = std::fs::read(store.snapshot_path(1)).expect("v1 snapshot");
+    let v2 = std::fs::read(store.snapshot_path(2)).expect("v2 snapshot");
+    assert_eq!(decode_header(&v1).expect("v1 header").version, 1);
+    assert_eq!(
+        decode_header(&v2).expect("v2 header").version,
+        FORMAT_VERSION
+    );
+    assert!(v2.len() < v1.len(), "{} >= {} bytes", v2.len(), v1.len());
+    drop(store);
+
+    let (mut store, again, report) =
+        StateStore::recover(&dir, FsyncPolicy::EveryBatch).expect("recover the rewritten dir");
+    assert_eq!((report.generation, report.batches.len()), (2, 0));
+    assert_eq!(again, want);
+    assert_eq!(
+        std::fs::read(store.snapshot_path(2)).expect("v2 snapshot"),
+        v2
+    );
+
+    // Two generations are kept: the v1 pair goes with the second
+    // checkpoint past it.
+    assert!(state_files(&dir).contains(&"snapshot-000001.snap".to_string()));
+    assert_eq!(store.checkpoint(&again).expect("checkpoint"), 3);
+    assert_eq!(
+        state_files(&dir),
+        [
+            "journal-000002.wal",
+            "journal-000003.wal",
+            "snapshot-000002.snap",
+            "snapshot-000003.snap"
+        ]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Process level: the real binary, really killed.
 // ---------------------------------------------------------------------------
@@ -587,4 +754,59 @@ fn process_kill_and_restart_matches_uninterrupted_run() {
     let got = std::fs::read(newest(&crash_state)).expect("read recovered snapshot");
     assert_eq!(want, got, "final snapshot bytes diverged");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The binary across the format change: `--resume` from the version-1
+/// state dir finishes the feed and prints what an uninterrupted run of
+/// this build prints, and leaves the same final snapshot byte for byte.
+#[test]
+fn netclust_resumes_a_version_one_state_dir_byte_identically() {
+    let (inputs, crashed) = v1_state_dir("v1-cli");
+    let run = |state: &Path, resume: bool| {
+        let mut cmd = Command::new(bin());
+        cmd.current_dir(&inputs).args([
+            "cluster",
+            "--log",
+            "access.log",
+            "--table",
+            "t.bgp",
+            "--dump",
+            "t.dump",
+            "--deterministic",
+            "--bgp-feed",
+            "feed.txt",
+            "--state-dir",
+        ]);
+        cmd.arg(state);
+        if resume {
+            cmd.arg("--resume");
+        }
+        let out = cmd.output().expect("run netclust");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "resume={resume}: {stderr}");
+        (out.stdout, stderr)
+    };
+    let reference = crashed.with_file_name("netclust-persist-test-v1-cli-ref");
+    let _ = std::fs::remove_dir_all(&reference);
+    let (want, _) = run(&reference, false);
+    let (got, stderr) = run(&crashed, true);
+    assert!(
+        stderr.contains("generation 1: 3 journaled batches"),
+        "{stderr}"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&got),
+        String::from_utf8_lossy(&want)
+    );
+    let newest = |dir: &Path| {
+        let name = state_files(dir).into_iter().rfind(|n| n.ends_with(".snap"));
+        std::fs::read(dir.join(name.expect("a snapshot"))).expect("read snapshot")
+    };
+    assert_eq!(
+        newest(&crashed),
+        newest(&reference),
+        "final snapshots differ"
+    );
+    let _ = std::fs::remove_dir_all(&crashed);
+    let _ = std::fs::remove_dir_all(&reference);
 }
