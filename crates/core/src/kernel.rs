@@ -45,13 +45,38 @@ pub(crate) fn merge_partitions_for(threads: usize) -> usize {
 }
 
 /// One client of a [`Shard`]: its address, its sums, and what the driver
-/// keeps beside them — nothing for the batch drivers, the memoized prefix
-/// assignment for the stream. One record, so a shard grows one vector.
+/// keeps beside them — nothing for the batch drivers, the length of the
+/// prefix the address matched for the stream. One record, so a shard grows
+/// one vector.
 pub(crate) struct Client<T = ()> {
     pub(crate) addr: u32,
     pub(crate) requests: u64,
     pub(crate) bytes: u64,
     pub(crate) memo: T,
+}
+
+/// A stream client's memo when no prefix covers it.
+const UNCLUSTERED: u8 = u8::MAX;
+
+/// The memo of a client whose address matched `net`: its length. A
+/// cluster is the longest matched prefix of its members (§3.2.1), so the
+/// address masked to that length is the cluster, and a byte is enough.
+pub(crate) fn memo(net: Option<Ipv4Net>) -> u8 {
+    net.map_or(UNCLUSTERED, |n| n.len())
+}
+
+// A stream client costs what a batch client (`Client<()>`) does: the memo
+// byte sits in the padding after the address.
+const _: () = assert!(std::mem::size_of::<Client<u8>>() == 24);
+
+impl Client<u8> {
+    /// The cluster [`memo`] recorded: the address under its matched length.
+    pub(crate) fn cluster(&self) -> Option<Ipv4Net> {
+        match self.memo {
+            UNCLUSTERED => None,
+            len => Ipv4Net::new(self.addr, len).ok(),
+        }
+    }
 }
 
 /// One accumulator: clients interned to dense ids through small address →

@@ -391,18 +391,19 @@ impl StateStore {
     /// to the previous generation's journal would be acknowledged and then
     /// never replayed.
     pub fn checkpoint(&mut self, state: &StreamState) -> Result<u64, PersistError> {
-        self.checkpoint_encoded(EncodedState::new(state, state.per_client.iter().copied()))
+        self.checkpoint_encoded(EncodedState::of(state))
     }
 
     /// [`checkpoint`](Self::checkpoint) of a state that was encoded where
-    /// it lives (`StreamingClustering::encode_state`): its fixed-width rows
-    /// are sorted in the buffer they were encoded into, then coded to their
-    /// varints on the way to the file through a bounded stack buffer, the
-    /// checksum taken as the pieces go — no second image of a
-    /// multi-megabyte state is built.
+    /// it lives (`StreamingClustering::encode_state`): its prefix lists are
+    /// coded from the table generation it holds and its row keys sorted,
+    /// then each row is coded on the way to the file — address gap, then
+    /// its counts' varints copied from where they were encoded — through a
+    /// bounded stack buffer, the checksum taken as the pieces go. No image
+    /// of the rows in file order is built.
     pub fn checkpoint_encoded(&mut self, mut state: EncodedState) -> Result<u64, PersistError> {
         let next = self.seq + 1;
-        state.sort_rows();
+        state.finish();
         let payload_len = state.wire_len();
 
         let tmp = self.dir.join(format!("snapshot-{next:06}.tmp"));

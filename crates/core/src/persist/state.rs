@@ -22,7 +22,7 @@
 
 use std::fmt;
 use std::net::Ipv4Addr;
-use std::ops::Range;
+use std::sync::Arc;
 
 use netclust_obs::ErrorCounts;
 use netclust_prefix::Ipv4Net;
@@ -31,7 +31,7 @@ use netclust_rtable::{decode_deltas, encode_deltas, TableDelta, DELTA_WIRE_BYTES
 use super::codec::{
     put_varint, varint_len, Reader, FORMAT_VERSION, OLDEST_READ_VERSION, VARINT_MAX_BYTES,
 };
-use crate::stream::{PatchStats, SwapRejection, SwapStats};
+use crate::stream::{LiveTable, PatchStats, SwapRejection, SwapStats};
 
 /// Everything needed to reconstruct a `StreamingClustering` (and the CLI
 /// feed loop around it) from disk: the serving table's live prefix set per
@@ -144,6 +144,15 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Codes `value` as a varint at `out[at..]`, which has room for
+/// [`VARINT_MAX_BYTES`]; returns where it ends.
+fn put_varint_at(out: &mut [u8], at: usize, value: u64) -> usize {
+    match out.get_mut(at..).and_then(|s| s.first_chunk_mut()) {
+        Some(slot) => at + put_varint(slot, value),
+        None => at,
+    }
+}
+
 fn put_varint_vec(out: &mut Vec<u8>, value: u64) {
     let mut buf = [0u8; VARINT_MAX_BYTES];
     let n = put_varint(&mut buf, value);
@@ -162,37 +171,38 @@ enum Layout {
     Varint,
 }
 
-/// Each prefix as the two values it codes to: its address's distance from
-/// the previous prefix's address (from 0 for the first), and its length.
-fn coded_prefixes(prefixes: &[Ipv4Net]) -> impl Iterator<Item = (u64, u8)> + '_ {
-    let mut prev = 0u32;
-    prefixes.iter().map(move |p| {
-        // Wraps only for a list out of order, which the decoder then
-        // refuses as an address past `u32::MAX`.
-        let gap = p.addr_u32().wrapping_sub(prev);
-        prev = p.addr_u32();
-        (u64::from(gap), p.len())
-    })
+/// Most bytes [`put_prefixes`] spends on one prefix: a varint of a `u32`
+/// distance and the length byte.
+const PREFIX_MAX_BYTES: usize = 5 + 1;
+
+/// Appends the BGP and the dump prefix list to `out`, reserved once at
+/// their longest.
+fn put_lists(
+    out: &mut Vec<u8>,
+    bgp: impl ExactSizeIterator<Item = Ipv4Net>,
+    dump: impl ExactSizeIterator<Item = Ipv4Net>,
+) {
+    out.reserve(8 + (bgp.len() + dump.len()) * PREFIX_MAX_BYTES);
+    put_prefixes(out, bgp);
+    put_prefixes(out, dump);
 }
 
-/// Bytes [`put_prefixes`] appends for `prefixes`.
-fn prefixes_len(prefixes: &[Ipv4Net]) -> usize {
-    4 + coded_prefixes(prefixes)
-        .map(|(gap, _)| varint_len(gap) + 1)
-        .sum::<usize>()
-}
-
-/// Appends a prefix list: its `u32` count, then per prefix a varint and a
-/// length byte ([`coded_prefixes`]).
-fn put_prefixes(out: &mut Vec<u8>, prefixes: &[Ipv4Net]) {
+/// Appends a prefix list: its `u32` count, then per prefix a varint of its
+/// address's distance from the previous prefix's address (from 0 for the
+/// first) and its length byte.
+fn put_prefixes(out: &mut Vec<u8>, prefixes: impl ExactSizeIterator<Item = Ipv4Net>) {
     #[allow(
         clippy::cast_possible_truncation,
         reason = "an IPv4 prefix set is bounded far below u32::MAX entries."
     )]
     put_u32(out, prefixes.len() as u32);
-    for (gap, len) in coded_prefixes(prefixes) {
-        put_varint_vec(out, gap);
-        out.push(len);
+    let mut prev = 0u32;
+    for p in prefixes {
+        // Wraps only for a list out of order, which the decoder then
+        // refuses as an address past `u32::MAX`.
+        put_varint_vec(out, u64::from(p.addr_u32().wrapping_sub(prev)));
+        out.push(p.len());
+        prev = p.addr_u32();
     }
 }
 
@@ -290,19 +300,30 @@ fn take_rejection(r: &mut Reader<'_>) -> Result<Option<SwapRejection>, StateDeco
     }
 }
 
-/// Bytes in one client row as [`EncodedState`] holds it before coding:
-/// address `u32`, requests `u64`, bytes `u64`, little endian.
-const ROW_BYTES: usize = 20;
-
 /// Stack bytes the client rows are coded through on their way out of an
 /// [`EncodedState`]: the one buffer coding adds.
 const CODE_CHUNK: usize = 32 << 10;
+
+/// Bytes [`EncodedState`] reserves a row for its two counts' varints: a
+/// request count under 2^7 and a byte count under 2^21 take 4 (the rows of
+/// the benchmark's `wide` and `narrow` states take 3.6 and 3.9). A state
+/// whose rows take more grows the buffer.
+const SUMS_RESERVE: usize = 4;
+
+/// `n` copies of `fill` in a vector reserved for exactly them, and written:
+/// its pages are faulted in now. (A zero fill may be turned into a
+/// `calloc`, which maps pages untouched.)
+fn touched<T: Copy>(n: usize, fill: T) -> Vec<T> {
+    let mut v = Vec::with_capacity(n);
+    v.resize(n, fill);
+    v
+}
 
 /// Serializes a [`StreamState`] to its byte form (the payload of a
 /// snapshot file's single `REC_STATE` frame), rows in the order given:
 /// canonical exactly when `state.per_client` is sorted by address.
 pub fn encode_state(state: &StreamState) -> Vec<u8> {
-    let encoded = EncodedState::new(state, state.per_client.iter().copied());
+    let encoded = EncodedState::of(state);
     let mut out = Vec::with_capacity(encoded.wire_len());
     let Ok(()) = encoded.write_wire(|piece| {
         out.extend_from_slice(piece);
@@ -311,125 +332,219 @@ pub fn encode_state(state: &StreamState) -> Vec<u8> {
     out
 }
 
-/// A snapshot payload whose client rows are still fixed-width and may
-/// still be in the order their producer held them. Only
+/// A snapshot payload whose client rows are not coded yet and may still be
+/// in the order their producer held them: each row's two counts already as
+/// varints, in one buffer in that order, and per row a `u64` key, its
+/// address above the offset of its varints. Only
 /// [`StateStore::checkpoint_encoded`](super::StateStore::checkpoint_encoded)
-/// takes one: it sorts the rows where they lie, then writes the payload
-/// with each row coded to its varints on the way out through one bounded
-/// stack buffer — the canonical order the decoder enforces cannot be
-/// skipped, and the rows exist once, in this buffer.
-#[derive(Debug)]
+/// takes one: it codes the prefix lists if the producer left them to it,
+/// sorts the keys, then writes the payload with each row — its address
+/// gap, then its varints copied by offset — coded on the way out through
+/// one bounded stack buffer. The canonical order the decoder enforces
+/// cannot be skipped, and no row exists twice.
+///
+/// The default value is an empty one with no room reserved; see
+/// [`with_room`](Self::with_room).
+#[derive(Debug, Default)]
 pub struct EncodedState {
-    /// The payload in wire form except for the rows.
+    /// The payload in wire form but for the prefix lists, which go at
+    /// [`LISTS_AT`], and the client rows, which go at [`ROWS_AT`].
     bytes: Vec<u8>,
-    /// Where the client rows lie in `bytes`, [`ROW_BYTES`] each.
-    rows: Range<usize>,
+    /// The two prefix lists in wire form, once coded.
+    lists: Vec<u8>,
+    /// The serving generation whose prefix lists are still to be coded.
+    /// It is immutable, so they are coded from it after the producer's
+    /// lock is dropped, and then it is let go.
+    serving: Option<Arc<LiveTable>>,
+    /// Each row's requests and bytes as two varints, in the order the rows
+    /// came, then [`ROW_ROOM`] bytes of slack, so a row's varints are
+    /// copied out as one fixed-size block.
+    sums: Vec<u8>,
+    /// One a row: `address << 32 | offset of its varints in sums`.
+    keys: Vec<u64>,
 }
 
+/// Where the prefix lists go in the payload: after `table_version` and
+/// `feed_pos`.
+const LISTS_AT: usize = 16;
+
+/// Where the client rows go in [`EncodedState`]'s `bytes`: after the row
+/// count that follows the prefix lists.
+const ROWS_AT: usize = LISTS_AT + 4;
+
+/// Most bytes a row's two counts code to.
+const ROW_ROOM: usize = 2 * VARINT_MAX_BYTES;
+
 impl EncodedState {
-    /// Encodes `head`'s fields and prefix lists around `rows` into one
-    /// buffer reserved once. `head.per_client` is not read: whoever has
-    /// the rows elsewhere (a live stream) passes them without building
-    /// that vector first.
-    pub(crate) fn new(
-        head: &StreamState,
-        rows: impl ExactSizeIterator<Item = (u32, u64, u64)>,
-    ) -> Self {
-        // The fixed fields, the two prefix lists and the rows; park keys,
-        // rare and short, are left to the vector's own growth.
-        let prefixes = prefixes_len(&head.bgp_prefixes) + prefixes_len(&head.dump_prefixes);
-        let mut bytes = Vec::with_capacity(512 + prefixes + rows.len() * ROW_BYTES);
-        let rows = encode_state_into(&mut bytes, head, rows);
-        EncodedState { bytes, rows }
+    /// An empty one with room for the rows of `clients` clients, its pages
+    /// already written: a caller that encodes under a lock makes it before
+    /// taking the lock, and the pass under the lock then faults no page in
+    /// (on a 365 k-client state, about a quarter of that pass).
+    pub fn with_room(clients: usize) -> Self {
+        let mut keys = touched(clients, u64::MAX);
+        keys.clear();
+        EncodedState {
+            sums: touched(clients * SUMS_RESERVE + ROW_ROOM, u8::MAX),
+            keys,
+            ..EncodedState::default()
+        }
     }
 
-    /// Sorts the rows by address where they lie.
-    pub(super) fn sort_rows(&mut self) {
-        let region = self.bytes.get_mut(self.rows.clone()).unwrap_or_default();
-        let (rows, _) = region.as_chunks_mut::<ROW_BYTES>();
-        rows.sort_unstable_by_key(|&[a, b, c, d, ..]| u32::from_le_bytes([a, b, c, d]));
+    /// [`new`](Self::new) over everything `state` holds.
+    pub(crate) fn of(state: &StreamState) -> Self {
+        let rows = state.per_client.iter().copied();
+        Self::new(EncodedState::default(), state, None, rows)
+    }
+
+    /// Encodes `head`'s fields and `rows` into their varints and keys in
+    /// `room` (grown where it is short): one pass over the rows. The
+    /// prefix lists are `head`'s, coded here, or, given `serving`, that
+    /// generation's, coded by [`finish`](Self::finish). `head.per_client`
+    /// is not read: whoever has the rows elsewhere (a live stream) passes
+    /// them without building that vector first.
+    pub(crate) fn new(
+        room: EncodedState,
+        head: &StreamState,
+        serving: Option<Arc<LiveTable>>,
+        rows: impl ExactSizeIterator<Item = (u32, u64, u64)>,
+    ) -> Self {
+        let mut lists = Vec::new();
+        if serving.is_none() {
+            put_lists(
+                &mut lists,
+                head.bgp_prefixes.iter().copied(),
+                head.dump_prefixes.iter().copied(),
+            );
+        }
+        // Park keys, rare and short, are left to the vector's own growth.
+        let mut bytes = Vec::with_capacity(512);
+        put_u64(&mut bytes, head.table_version);
+        put_u64(&mut bytes, head.feed_pos);
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "one row per distinct IPv4 client: len < 2^32 by construction."
+        )]
+        put_u32(&mut bytes, rows.len() as u32);
+        put_tail(&mut bytes, head);
+
+        let EncodedState {
+            mut sums, mut keys, ..
+        } = room;
+        let least = rows.len() * SUMS_RESERVE + ROW_ROOM;
+        if sums.len() < least {
+            sums.resize(least, 0);
+        }
+        keys.reserve(rows.len());
+        let mut end = 0;
+        for (client, requests, served) in rows {
+            // This loop runs under the daemon's stream lock: a key pushed
+            // and two varints written in place, a row.
+            if sums.len() - end < ROW_ROOM {
+                sums.resize(2 * sums.len(), 0);
+            }
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "at most 20 bytes a row: 2^32 bytes is 214 M clients, past any state whose records (24 bytes each) this process holds."
+            )]
+            let at = end as u32;
+            keys.push((u64::from(client) << 32) | u64::from(at));
+            end = put_varint_at(&mut sums, end, requests);
+            end = put_varint_at(&mut sums, end, served);
+        }
+        sums.resize(end + ROW_ROOM, 0);
+        EncodedState {
+            bytes,
+            lists,
+            serving,
+            sums,
+            keys,
+        }
+    }
+
+    /// What is left once the producer's lock is dropped: the prefix lists
+    /// coded from the generation held for them (which is then let go), and
+    /// the rows put in address order by sorting their keys.
+    pub(super) fn finish(&mut self) {
+        if let Some(live) = self.serving.take() {
+            let (bgp, dump) = (live.table.bgp(), live.table.dump());
+            put_lists(&mut self.lists, bgp.live_iter(), dump.live_iter());
+        }
+        self.keys.sort_unstable();
     }
 
     /// Bytes [`write_wire`](Self::write_wire) hands out.
     pub(super) fn wire_len(&self) -> usize {
-        let rows: usize = self.coded_rows().flatten().map(varint_len).sum();
-        self.bytes.len() - self.rows.len() + rows
+        let gaps: usize = self.rows().map(|(gap, _)| varint_len(gap)).sum();
+        self.bytes.len() + self.lists.len() + gaps + self.sums.len() - ROW_ROOM
     }
 
     /// Hands the payload to `emit` in order and in pieces: the fields
-    /// before the rows, the rows coded through a [`CODE_CHUNK`] stack
-    /// buffer, the fields after them. Stops at `emit`'s first error.
+    /// before the prefix lists, the lists, the fields before the rows, the
+    /// rows coded through a [`CODE_CHUNK`] stack buffer, the fields after
+    /// them. Stops at `emit`'s first error.
     pub(super) fn write_wire<E>(
         &self,
         mut emit: impl FnMut(&[u8]) -> Result<(), E>,
     ) -> Result<(), E> {
-        emit(self.bytes.get(..self.rows.start).unwrap_or_default())?;
+        emit(self.bytes.get(..LISTS_AT).unwrap_or_default())?;
+        emit(&self.lists)?;
+        emit(self.bytes.get(LISTS_AT..ROWS_AT).unwrap_or_default())?;
         let mut chunk = [0u8; CODE_CHUNK];
         let mut len = 0;
-        for row in self.coded_rows() {
-            if CODE_CHUNK - len < row.len() * VARINT_MAX_BYTES {
+        for (gap, at) in self.rows() {
+            if CODE_CHUNK - len < VARINT_MAX_BYTES + ROW_ROOM {
                 emit(chunk.get(..len).unwrap_or_default())?;
                 len = 0;
             }
-            for value in row {
-                let slot = chunk.get_mut(len..).and_then(|s| s.first_chunk_mut());
-                len += slot.map_or(0, |slot| put_varint(slot, value));
+            len = put_varint_at(&mut chunk, len, gap);
+            // The row's varints and what follows them, as one block; the
+            // next row overwrites what is past them.
+            let from = self.sums.get(at..).and_then(|s| s.first_chunk());
+            let to = chunk.get_mut(len..).and_then(|s| s.first_chunk_mut());
+            if let (Some(from), Some(to)) = (from, to) {
+                *to = *from;
+                len += two_varints_len(from);
             }
         }
         emit(chunk.get(..len).unwrap_or_default())?;
-        emit(self.bytes.get(self.rows.end..).unwrap_or_default())
+        emit(self.bytes.get(ROWS_AT..).unwrap_or_default())
     }
 
-    /// Each row as the three values it codes to: its address's distance
-    /// above the previous row's address plus one (the first row's address
-    /// itself), then requests and bytes.
-    fn coded_rows(&self) -> impl Iterator<Item = [u64; 3]> + '_ {
-        let region = self.bytes.get(self.rows.clone()).unwrap_or_default();
+    /// Each row, in key order, as its address's distance above the
+    /// previous row's address plus one (the first row's address itself)
+    /// and where its varints start in `sums`.
+    fn rows(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
         let mut next = 0u64;
-        region.as_chunks::<ROW_BYTES>().0.iter().map(move |row| {
-            let &[a0, a1, a2, a3, r0, r1, r2, r3, r4, r5, r6, r7, b0, b1, b2, b3, b4, b5, b6, b7] =
-                row;
-            let client = u64::from(u32::from_le_bytes([a0, a1, a2, a3]));
+        self.keys.iter().map(move |&key| {
+            let client = key >> 32;
             // Wraps only for rows out of address order, which the decoder
             // then refuses as an address past `u32::MAX`.
             let gap = client.wrapping_sub(next);
             next = client + 1;
-            let requests = u64::from_le_bytes([r0, r1, r2, r3, r4, r5, r6, r7]);
-            let bytes = u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]);
-            [gap, requests, bytes]
+            #[allow(clippy::cast_possible_truncation, reason = "the key's low half is the offset.")]
+            let at = key as u32;
+            (gap, at as usize)
         })
     }
 }
 
-/// The one encoder of a [`StreamState`]: appends `state`'s fields onto
-/// `out` — prefix lists in wire form, `rows` fixed-width where
-/// `state.per_client` would go — and returns where in `out` the rows lie.
-fn encode_state_into(
-    out: &mut Vec<u8>,
-    state: &StreamState,
-    rows: impl ExactSizeIterator<Item = (u32, u64, u64)>,
-) -> Range<usize> {
-    put_u64(out, state.table_version);
-    put_u64(out, state.feed_pos);
-    put_prefixes(out, &state.bgp_prefixes);
-    put_prefixes(out, &state.dump_prefixes);
-    #[allow(
-        clippy::cast_possible_truncation,
-        reason = "one row per distinct IPv4 client: len < 2^32 by construction."
-    )]
-    put_u32(out, rows.len() as u32);
-    let rows_start = out.len();
-    for (client, requests, bytes) in rows {
-        // One append a row: this loop runs under the daemon's stream lock.
-        let mut row = [0u8; ROW_BYTES];
-        let (addr, sums) = row.split_at_mut(4);
-        let (reqs, served) = sums.split_at_mut(8);
-        addr.copy_from_slice(&client.to_le_bytes());
-        reqs.copy_from_slice(&requests.to_le_bytes());
-        served.copy_from_slice(&bytes.to_le_bytes());
-        out.extend_from_slice(&row);
+/// Bytes of the two varints `row` starts with: through the second byte
+/// whose top bit is clear, found among the first 16 at once.
+fn two_varints_len(row: &[u8; ROW_ROOM]) -> usize {
+    let Some(head) = row.first_chunk::<16>() else {
+        return ROW_ROOM;
+    };
+    let ends = !u128::from_le_bytes(*head) & 0x8080_8080_8080_8080_8080_8080_8080_8080;
+    let second = ends & ends.wrapping_sub(1);
+    if second != 0 {
+        return second.trailing_zeros() as usize / 8 + 1;
     }
-    let rows = rows_start..out.len();
+    let mut ends = (1..).zip(row).filter(|&(_, &b)| b & 0x80 == 0);
+    ends.nth(1).map_or(ROW_ROOM, |(len, _)| len)
+}
+
+/// Appends the fields of `state` that follow the client rows.
+fn put_tail(out: &mut Vec<u8>, state: &StreamState) {
     put_u64(out, state.total_requests);
     put_u64(out, state.unclustered_requests);
     put_u64(out, state.clf_counts.records);
@@ -471,7 +586,6 @@ fn encode_state_into(
     put_u64(out, state.feed.resets);
     put_u64(out, state.feed.deltas_total);
     put_u64(out, state.feed.reassigned);
-    rows
 }
 
 /// Decodes the client rows, enforcing strictly increasing addresses: in
@@ -480,7 +594,7 @@ fn encode_state_into(
 fn take_rows(r: &mut Reader<'_>, layout: Layout) -> Result<Vec<(u32, u64, u64)>, StateDecodeError> {
     let n = r.u32_le().ok_or(bad("client count"))? as usize;
     let least = match layout {
-        Layout::Fixed => ROW_BYTES,
+        Layout::Fixed => 4 + 8 + 8,
         Layout::Varint => 3,
     };
     let mut rows = Vec::with_capacity(n.min(r.remaining() / least));
@@ -808,14 +922,14 @@ mod tests {
         rest.dump_prefixes.clear();
         rest.per_client.clear();
         rest.correction = None;
-        let encoded = EncodedState::new(&rest, std::iter::empty());
+        let encoded = EncodedState::of(&rest);
         let mut out = encoded.bytes[..16].to_vec();
         out.extend_from_slice(&bgp.0.to_le_bytes());
         out.extend_from_slice(bgp.1);
         out.extend_from_slice(&0u32.to_le_bytes());
         out.extend_from_slice(&rows.0.to_le_bytes());
         out.extend_from_slice(rows.1);
-        out.extend_from_slice(&encoded.bytes[encoded.rows.end..]);
+        out.extend_from_slice(&encoded.bytes[ROWS_AT..]);
         out
     }
 
@@ -928,10 +1042,10 @@ mod tests {
     }
 
     /// `state` in the version-1 layout, which only the decoder still
-    /// knows: fixed-width prefixes, and rows as [`EncodedState`] holds
-    /// them before coding, around the fields every version shares.
+    /// knows: fixed-width prefixes and rows around the fields every
+    /// version shares.
     fn v1_payload(state: &StreamState) -> Vec<u8> {
-        let encoded = EncodedState::new(state, state.per_client.iter().copied());
+        let encoded = EncodedState::of(state);
         let mut out = encoded.bytes[..16].to_vec();
         for list in [&state.bgp_prefixes, &state.dump_prefixes] {
             put_u32(&mut out, list.len() as u32);
@@ -941,7 +1055,12 @@ mod tests {
             }
         }
         put_u32(&mut out, state.per_client.len() as u32);
-        out.extend_from_slice(&encoded.bytes[encoded.rows.start..]);
+        for &(client, requests, bytes) in &state.per_client {
+            put_u32(&mut out, client);
+            put_u64(&mut out, requests);
+            put_u64(&mut out, bytes);
+        }
+        out.extend_from_slice(&encoded.bytes[ROWS_AT..]);
         out
     }
 

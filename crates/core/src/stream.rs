@@ -47,7 +47,7 @@ use netclust_weblog::clf_bytes;
 use netclust_weblog::Request;
 
 use crate::faults::{failpoints, FaultInjector};
-use crate::kernel::{Client, Shard};
+use crate::kernel::{memo, Client, Shard};
 use crate::persist::{CorrectionState, EncodedState, FeedProgress, StreamState};
 
 /// Resolved swap/patch-path observability handles (`stream.swap.*`,
@@ -101,10 +101,11 @@ impl StreamObs {
 }
 
 /// One published generation of the serving table, tagged with its patch
-/// lineage version (what [`StreamHandle::version`] reports).
+/// lineage version (what [`StreamHandle::version`] reports). Never changed
+/// once published.
 #[derive(Debug, Clone)]
-struct LiveTable {
-    table: CompiledMerged,
+pub(crate) struct LiveTable {
+    pub(crate) table: CompiledMerged,
     version: u64,
 }
 
@@ -461,10 +462,11 @@ pub struct StreamingClustering {
     /// Every client seen, in first-seen order — the clustering kernel's
     /// accumulator, one probe per log line. Beside the cumulative sums
     /// (kept so a table swap can rebuild the view without replaying the
-    /// stream) a record memoizes the client's prefix assignment under the
-    /// serving table (`None` = unclusterable). Addresses are outside
-    /// input and the map lives as long as the daemon, so it is keyed.
-    seen: Shard<Option<Ipv4Net>, RandomState>,
+    /// stream) a record memoizes the length of the prefix the client
+    /// matched under the serving table (`kernel::memo`; read back with
+    /// `Client::cluster`). Addresses are outside input and the map lives
+    /// as long as the daemon, so it is keyed.
+    seen: Shard<u8, RandomState>,
     total_requests: u64,
     /// Raw-CLF ingest accounting: lines consumed by
     /// [`push_clf`](Self::push_clf) vs lines quarantined as malformed.
@@ -599,14 +601,14 @@ impl StreamingClustering {
         let (live, mut first) = (&self.live, false);
         let id = self.seen.add_many(client, requests, bytes, || {
             first = true;
-            live.table.net_for_u32(client)
+            memo(live.table.net_for_u32(client))
         });
         let amount = StreamStats {
             clients: u64::from(first),
             requests,
             bytes,
         };
-        let net = self.seen.clients[id as usize].memo;
+        let net = self.seen.clients[id as usize].cluster();
         self.tally.credit(net, amount);
     }
 
@@ -632,7 +634,7 @@ impl StreamingClustering {
 
     /// The cluster a client currently maps to.
     pub fn cluster_of(&self, addr: Ipv4Addr) -> Option<Ipv4Net> {
-        self.seen.get(u32::from(addr)).and_then(|c| c.memo)
+        self.seen.get(u32::from(addr)).and_then(Client::cluster)
     }
 
     /// The cluster `addr` maps to under the serving table, whether or not
@@ -643,7 +645,7 @@ impl StreamingClustering {
     pub fn lookup_net(&self, addr: Ipv4Addr) -> Option<Ipv4Net> {
         let client = u32::from(addr);
         match self.seen.get(client) {
-            Some(record) => record.memo,
+            Some(record) => record.cluster(),
             None => self.live.table.net_for_u32(client),
         }
     }
@@ -823,7 +825,7 @@ impl StreamingClustering {
         self.spare = None;
         self.tally = tally;
         for (client, net) in self.seen.clients.iter_mut().zip(nets) {
-            client.memo = net;
+            client.memo = memo(net);
         }
         self.swap_stats.accepted += 1;
         self.swap_stats.stale_age = 0;
@@ -949,30 +951,32 @@ impl StreamingClustering {
             .map(|d| d.prefix)
             .collect();
         let mut moves: Vec<(usize, Option<Ipv4Net>)> = Vec::new();
-        let mut unclustered_delta = 0i64;
+        // Wide enough for any sum of u64 counts with either sign.
+        let mut unclustered_delta = 0i128;
         for (id, record) in self.seen.clients.iter().enumerate() {
-            let hit = record.memo.is_some_and(|n| withdrawn.contains(&n))
+            let net = record.cluster();
+            let hit = net.is_some_and(|n| withdrawn.contains(&n))
                 || announced.iter().any(|p| p.contains_u32(record.addr));
             if !hit {
                 continue;
             }
             let new_net = candidate.table.net_for_u32(record.addr);
-            if new_net == record.memo {
+            if new_net == net {
                 continue;
             }
-            if record.memo.is_none() {
-                unclustered_delta -= record.requests as i64;
+            if net.is_none() {
+                unclustered_delta -= i128::from(record.requests);
             }
             if new_net.is_none() {
-                unclustered_delta += record.requests as i64;
+                unclustered_delta += i128::from(record.requests);
             }
             moves.push((id, new_net));
         }
         let coverage_after = if self.total_requests == 0 {
             0.0
         } else {
-            let unclustered = (self.tally.unclustered_requests as i64 + unclustered_delta).max(0);
-            1.0 - unclustered as f64 / self.total_requests as f64
+            let unclustered = i128::from(self.tally.unclustered_requests) + unclustered_delta;
+            1.0 - unclustered.max(0) as f64 / self.total_requests as f64
         };
         if self.total_requests > 0 {
             let floor = coverage_before * self.policy.min_coverage_retention;
@@ -997,8 +1001,8 @@ impl StreamingClustering {
         let reassigned_clients = moves.len();
         for (id, new_net) in moves {
             let record = &mut self.seen.clients[id];
-            self.tally.debit(record.memo, totals(record));
-            record.memo = new_net;
+            self.tally.debit(record.cluster(), totals(record));
+            record.memo = memo(new_net);
             self.tally.credit(new_net, totals(record));
         }
         self.patch_stats.accepted += 1;
@@ -1044,6 +1048,8 @@ impl StreamingClustering {
     /// driver to fill in. [`restore`](Self::restore) is the inverse.
     pub fn export_state(&self) -> StreamState {
         let mut state = self.export_head();
+        state.bgp_prefixes = self.live.table.bgp().live_prefixes();
+        state.dump_prefixes = self.live.table.dump().live_prefixes();
         state.per_client = self.client_rows().collect();
         state
             .per_client
@@ -1052,13 +1058,18 @@ impl StreamingClustering {
     }
 
     /// What `StateStore::checkpoint(&self.export_state())` would write,
-    /// for `StateStore::checkpoint_encoded`: the client rows go from the
-    /// stream's records straight into the buffer that becomes the file,
-    /// unsorted, and the store sorts them there — when `self` is no longer
-    /// needed, so a caller encoding under a lock drops it first and
-    /// writers wait for one pass over the clients, no more.
-    pub fn encode_state(&self) -> EncodedState {
-        EncodedState::new(&self.export_head(), self.client_rows())
+    /// for `StateStore::checkpoint_encoded`: each client's counts from its
+    /// record to their varints in `room`, unsorted, beside a sort key, and
+    /// the serving generation held for its prefix lists; the store codes
+    /// those from the table as it holds them and sorts the keys — when
+    /// `self` is no longer needed, so a caller encoding under a lock drops
+    /// it first and writers wait for one pass over the clients, no more. A
+    /// caller with a lock to keep short makes `room` with
+    /// [`EncodedState::with_room`] before taking it; any other passes
+    /// `EncodedState::default()`.
+    pub fn encode_state(&self, room: EncodedState) -> EncodedState {
+        let (head, rows) = (self.export_head(), self.client_rows());
+        EncodedState::new(room, &head, Some(Arc::clone(&self.live)), rows)
     }
 
     /// The retained `(address, requests, bytes)` totals, in first-seen order.
@@ -1066,13 +1077,14 @@ impl StreamingClustering {
         (self.seen.clients.iter()).map(|c| (c.addr, c.requests, c.bytes))
     }
 
-    /// [`export_state`](Self::export_state) without the client rows.
+    /// [`export_state`](Self::export_state) without the prefix lists and
+    /// the client rows.
     fn export_head(&self) -> StreamState {
         StreamState {
             table_version: self.live.version,
             feed_pos: self.feed_pos,
-            bgp_prefixes: self.live.table.bgp().live_prefixes(),
-            dump_prefixes: self.live.table.dump().live_prefixes(),
+            bgp_prefixes: Vec::new(),
+            dump_prefixes: Vec::new(),
             per_client: Vec::new(),
             total_requests: self.total_requests,
             unclustered_requests: self.tally.unclustered_requests,
@@ -1368,7 +1380,7 @@ mod tests {
         for record in &stream.seen.clients {
             let client = record.addr;
             assert_eq!(
-                record.memo,
+                record.cluster(),
                 handle.net_for_u32(client),
                 "memoized assignment for {client:#010x} disagrees with the serving table"
             );

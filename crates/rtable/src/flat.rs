@@ -49,7 +49,7 @@ use netclust_obs::{Counter, Obs};
 use netclust_prefix::Ipv4Net;
 
 use crate::table::{MatchSource, MergedTable};
-use crate::trie::PrefixTrie;
+use crate::trie::{PrefixTrie, PrefixTrieIter};
 
 /// Lookup/miss counters for one compiled tier. Disabled (no-op) by default;
 /// [`CompiledTable::attach_obs`] resolves live handles. Counting happens at
@@ -279,6 +279,9 @@ pub struct CompiledTable {
     /// patching the arena may contain dead (withdrawn) entries that no
     /// slot references; see [`live_prefixes`](Self::live_prefixes).
     pub(crate) prefixes: Vec<Ipv4Net>,
+    /// `prefixes` was compiled strictly increasing, so until a patch the
+    /// arena is its own live set in order (a [`MergedTable`] tier is).
+    sorted: bool,
     /// Incremental-update bookkeeping (shadow trie, free handles); built
     /// by the first [`apply_delta`](Self::apply_delta) call.
     pub(crate) patch: Option<Box<crate::patch::PatchState>>,
@@ -298,9 +301,11 @@ impl CompiledTable {
             free_nodes: Vec::new(),
             dead_cells: 0,
             prefixes: prefixes.into_iter().collect(),
+            sorted: false,
             patch: None,
             obs: TableObs::default(),
         };
+        table.sorted = table.prefixes.is_sorted_by(|a, b| a < b);
         debug_assert!(
             u32::try_from(table.prefixes.len()).is_ok_and(|n| n < NODE_FLAG - 1),
             "every slot (handle + 1) must stay below NODE_FLAG"
@@ -542,15 +547,24 @@ impl CompiledTable {
     /// entries. Equals [`prefixes`](Self::prefixes) (sorted, deduplicated)
     /// on a freshly compiled table.
     pub fn live_prefixes(&self) -> Vec<Ipv4Net> {
-        match &self.patch {
-            Some(state) => state.trie.prefixes(),
+        self.live_iter().collect()
+    }
+
+    /// [`live_prefixes`](Self::live_prefixes) without the vector: the
+    /// arena itself while it is unpatched and was compiled in order, the
+    /// patch layer's shadow trie in order once the table is patched. Only
+    /// an unpatched arena compiled out of order is copied, to be sorted.
+    pub fn live_iter(&self) -> LivePrefixes<'_> {
+        LivePrefixes(match &self.patch {
+            Some(state) => Live::Trie(state.trie.iter(), state.trie.len()),
+            None if self.sorted => Live::Arena(self.prefixes.iter()),
             None => {
-                let mut v = self.prefixes.clone();
-                v.sort();
-                v.dedup();
-                v
+                let mut copy = self.prefixes.clone();
+                copy.sort_unstable();
+                copy.dedup();
+                Live::Copied(copy.into_iter())
             }
-        }
+        })
     }
 
     /// Number of live prefixes. Before any patch this is the arena length
@@ -609,6 +623,44 @@ impl fmt::Debug for CompiledTable {
             .finish()
     }
 }
+
+/// The live prefixes of a [`CompiledTable`] in ascending order, from
+/// [`CompiledTable::live_iter`].
+pub struct LivePrefixes<'a>(Live<'a>);
+
+enum Live<'a> {
+    Arena(std::slice::Iter<'a, Ipv4Net>),
+    /// The shadow trie's in-order walk and how many prefixes it has left.
+    Trie(PrefixTrieIter<'a, u32>, usize),
+    Copied(std::vec::IntoIter<Ipv4Net>),
+}
+
+impl Iterator for LivePrefixes<'_> {
+    type Item = Ipv4Net;
+
+    fn next(&mut self) -> Option<Ipv4Net> {
+        match &mut self.0 {
+            Live::Arena(arena) => arena.next().copied(),
+            Live::Trie(walk, left) => {
+                let (net, _) = walk.next()?;
+                *left = left.saturating_sub(1);
+                Some(net)
+            }
+            Live::Copied(copy) => copy.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = match &self.0 {
+            Live::Arena(arena) => arena.len(),
+            Live::Trie(_, left) => *left,
+            Live::Copied(copy) => copy.len(),
+        };
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for LivePrefixes<'_> {}
 
 impl<V> PrefixTrie<V> {
     /// Freezes this trie's current prefix set into a [`CompiledTable`].
@@ -983,6 +1035,40 @@ mod tests {
         assert_eq!(t.lookup_handle(a("10.0.0.100")).index(), Some(1));
         assert_eq!(t.lookup(a("10.0.0.100")), Some(net("10.0.0.64/26")));
         assert_eq!(t.lookup(a("10.0.0.1")), Some(net("10.0.0.0/24")));
+    }
+
+    /// The three shapes `live_iter` walks — an arena in order, one out of
+    /// order or with a duplicate, and a patched table's shadow trie — list
+    /// the live set ascending, and say how many are left as they go.
+    #[test]
+    fn live_iter_lists_the_live_set_in_order_with_or_without_a_copy() {
+        use crate::patch::TableDelta;
+        let ordered = [net("10.0.0.0/8"), net("10.0.0.0/24"), net("12.0.0.0/8")];
+        let in_order = CompiledTable::from_prefixes(ordered);
+        assert!(matches!(in_order.live_iter().0, Live::Arena(_)));
+        let shuffled = [ordered[2], ordered[0], ordered[1], ordered[0]];
+        let out_of_order = CompiledTable::from_prefixes(shuffled);
+        assert!(matches!(out_of_order.live_iter().0, Live::Copied(_)));
+        let mut patched = CompiledTable::from_prefixes(ordered);
+        patched.apply_delta(&[
+            TableDelta::withdraw(ordered[1]),
+            TableDelta::announce(net("11.0.0.0/8")),
+        ]);
+        assert!(matches!(patched.live_iter().0, Live::Trie(..)));
+        let after_patch = [ordered[0], net("11.0.0.0/8"), ordered[2]];
+        for (table, want) in [
+            (&in_order, &ordered[..]),
+            (&out_of_order, &ordered[..]),
+            (&patched, &after_patch[..]),
+        ] {
+            let mut live = table.live_iter();
+            for (i, &p) in want.iter().enumerate() {
+                assert_eq!(live.len(), want.len() - i);
+                assert_eq!(live.next(), Some(p));
+            }
+            assert_eq!((live.len(), live.next()), (0, None));
+            assert_eq!(table.live_prefixes(), want);
+        }
     }
 
     #[test]

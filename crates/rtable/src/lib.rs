@@ -33,7 +33,7 @@ pub use diff::{
     decode_deltas, dynamic_prefix_set, effect_on, encode_deltas, maximum_effect, DeltaCodecError,
     SnapshotDiff, DELTA_WIRE_BYTES,
 };
-pub use flat::{CompiledMerged, CompiledTable, Handle, DEFAULT_PREFETCH_DISTANCE};
+pub use flat::{CompiledMerged, CompiledTable, Handle, LivePrefixes, DEFAULT_PREFETCH_DISTANCE};
 pub use patch::{parse_feed, DeltaKind, DeltaParseError, PatchPolicy, PatchReport, TableDelta};
 // The shared error-accounting shape (`ParseReport::counts()` returns it);
 // defined in `netclust-obs`, re-exported here so rtable users need no

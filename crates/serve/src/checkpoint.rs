@@ -51,7 +51,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use netclust_core::{JournalBatch, PatchBatchReport, PersistError, StateStore};
+use netclust_core::{EncodedState, JournalBatch, PatchBatchReport, PersistError, StateStore};
 use netclust_rtable::TableDelta;
 
 use crate::router::AppState;
@@ -240,14 +240,26 @@ fn snapshot(state: &AppState, cp: &Checkpointer) -> Result<(), String> {
         .lock()
         .map_err(|_| "store lock poisoned".to_string())?;
     let started = Instant::now();
-    // Only the encoding happens under the read lock; sorting the encoded
-    // rows and every disk operation run with the follower free.
-    let (encoded, covered) = {
-        let stream = state
+    let read = || {
+        state
             .stream
             .read()
-            .map_err(|_| "state lock poisoned".to_string())?;
-        (stream.encode_state(), cp.dirty_bytes())
+            .map_err(|_| "state lock poisoned".to_string())
+    };
+    // Only the encoding happens under the read lock: the room it writes to
+    // is mapped before (with a margin for clients that arrive meanwhile),
+    // and sorting the row keys and every disk operation run after, with
+    // the follower free.
+    let clients = read()?.client_count();
+    let room = EncodedState::with_room(clients + clients / 64);
+    let (encoded, covered, held) = {
+        let stream = read()?;
+        let locked = Instant::now();
+        (
+            stream.encode_state(room),
+            cp.dirty_bytes(),
+            locked.elapsed(),
+        )
     };
     store
         .checkpoint_encoded(encoded)
@@ -265,6 +277,8 @@ fn snapshot(state: &AppState, cp: &Checkpointer) -> Result<(), String> {
         // Clock-derived: kept out of byte-stable `--deterministic` metrics.
         let ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
         state.metrics.checkpoint_ms.record(ms);
+        let us = u64::try_from(held.as_micros()).unwrap_or(u64::MAX);
+        state.metrics.checkpoint_hold_us.record(us);
     }
     Ok(())
 }

@@ -26,8 +26,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use netclust_core::{
-    failpoints, FaultInjector, FaultPlan, StateStore, StreamingClustering, SwapPolicy,
-    VerdictPolicy,
+    failpoints, EncodedState, FaultInjector, FaultPlan, StateStore, StreamingClustering,
+    SwapPolicy, VerdictPolicy,
 };
 use netclust_obs::Obs;
 use netclust_rtable::{load_tables, MergedTable};
@@ -242,7 +242,7 @@ fn build_state(config: &ServeConfig, obs: &Obs) -> Result<AppState, ServeError> 
                 // snapshot a busy log for a long while; the journal a
                 // delta reload appends to has to exist before that.
                 fresh
-                    .checkpoint_encoded(stream.encode_state())
+                    .checkpoint_encoded(stream.encode_state(EncodedState::default()))
                     .map_err(|e| ServeError::Persist(format!("base snapshot: {e}")))?;
                 store = Some(fresh);
             }
@@ -404,34 +404,15 @@ fn serve_connection(
     }
 }
 
-/// Most bytes applied under one hold of the stream write lock. A 4 MiB
-/// catch-up chunk applied whole stalls every reader for its full parse;
-/// in slices of this size the stall is a fraction of a millisecond.
-const APPLY_SLICE: usize = 64 << 10;
-
-/// Splits whole-line `rest` after its last newline within [`APPLY_SLICE`]
-/// bytes (after its first newline when one line is longer than that).
-fn split_slice(rest: &[u8]) -> (&[u8], &[u8]) {
-    let Some(head) = rest.get(..APPLY_SLICE) else {
-        return (rest, &[]);
-    };
-    let cut = match head.iter().rposition(|&b| b == b'\n') {
-        Some(i) => i + 1,
-        None => rest
-            .iter()
-            .position(|&b| b == b'\n')
-            .map_or(rest.len(), |i| i + 1),
-    };
-    rest.split_at(cut)
-}
-
 /// Tails the access log — poll → apply → publish, and nothing else: each
-/// polled chunk goes through the CLF parser into the live stream, cursor
-/// and counts together, one write-lock hold per [`APPLY_SLICE`]. The
-/// follower only *tells* the checkpointer what it applied and whether the
-/// log is quiet; no export, file write or fsync sits between a log line
-/// and its visibility. Between polls it waits for the log to change or the
-/// stop ([`LogFollower::wait`]), never longer than `interval`.
+/// polled chunk (a poll reads at most
+/// [`APPLY_SLICE`](netclust_weblog::follow::APPLY_SLICE)) goes through the
+/// CLF parser into the live stream, cursor and counts together, in one
+/// write-lock hold. The follower only *tells* the checkpointer what it
+/// applied and whether the log is quiet; no export, file write or fsync
+/// sits between a log line and its visibility. Between polls it waits for
+/// the log to change or the stop ([`LogFollower::wait`]), never longer
+/// than `interval`.
 #[allow(
     clippy::disallowed_types,
     reason = "the clock only decides when the log counts as quiet and how long a wait may last; it never reaches an output."
@@ -448,25 +429,21 @@ fn follower_loop(
     while !stop.is_woken() {
         let polled = follower.poll();
         let applied = matches!(polled, Ok(Some(_)));
+        // A line longer than a poll returns nothing until its last slice is
+        // read: the bytes already there are read without a wait.
+        let more = applied || (polled.is_ok() && follower.has_unread());
         match polled {
             Ok(Some(chunk)) => {
-                let mut at = follower.offset().saturating_sub(chunk.len() as u64);
-                let mut rest = chunk.as_slice();
-                while !rest.is_empty() {
-                    let (slice, tail) = split_slice(rest);
-                    at += slice.len() as u64;
-                    let Ok(mut stream) = state.stream.write() else {
-                        state.metrics.follow_errors.inc();
-                        eprintln!("netclustd: follower stopped: state lock poisoned");
-                        return;
-                    };
-                    let _ = stream.push_clf_at(slice, at);
-                    if let Some(cp) = &state.checkpointer {
-                        cp.note_applied(slice.len() as u64);
-                    }
-                    drop(stream);
-                    rest = tail;
+                let Ok(mut stream) = state.stream.write() else {
+                    state.metrics.follow_errors.inc();
+                    eprintln!("netclustd: follower stopped: state lock poisoned");
+                    return;
+                };
+                let _ = stream.push_clf_at(&chunk, follower.offset());
+                if let Some(cp) = &state.checkpointer {
+                    cp.note_applied(chunk.len() as u64);
                 }
+                drop(stream);
                 state.metrics.follow_chunks.inc();
                 state.metrics.follow_bytes.add(chunk.len() as u64);
                 follower.recycle(chunk);
@@ -486,7 +463,7 @@ fn follower_loop(
                 state.metrics.checkpoint_coalesced.inc();
             }
         }
-        if !applied {
+        if !more {
             // Until the log counts as quiet, wake in time to report it.
             let bound = match interval.checked_sub(idle) {
                 Some(left) if !left.is_zero() => left,
@@ -600,33 +577,5 @@ mod tests {
         assert!(took < ms(1_000), "outlasted stop by {took:?}");
         assert!(last_head.contains("Connection: close"), "{last_head}");
         assert!(state.metrics.requests.get() > 1);
-    }
-
-    #[test]
-    fn slices_are_whole_lines_within_the_bound() {
-        // 70-byte lines, one 100 KiB line in the middle, ~300 KiB in all.
-        let mut log = Vec::new();
-        for i in 0..4_000 {
-            if i == 2_000 {
-                log.extend(std::iter::repeat_n(b'x', 100 << 10));
-                log.push(b'\n');
-            }
-            log.extend_from_slice(format!("{i:069}\n").as_bytes());
-        }
-        let mut rest = log.as_slice();
-        let mut rebuilt = Vec::new();
-        let mut oversized = 0;
-        while !rest.is_empty() {
-            let (slice, tail) = split_slice(rest);
-            assert_eq!(slice.last(), Some(&b'\n'), "line-aligned");
-            if slice.len() > APPLY_SLICE {
-                oversized += 1;
-                assert_eq!(slice.iter().filter(|&&b| b == b'\n').count(), 1);
-            }
-            rebuilt.extend_from_slice(slice);
-            rest = tail;
-        }
-        assert_eq!(rebuilt, log);
-        assert_eq!(oversized, 1, "only the one line longer than a slice");
     }
 }

@@ -83,6 +83,10 @@ pub struct ServeObs {
     /// Wall time of each snapshot (export + write + fsync + rename), ms.
     /// Not recorded under `--deterministic`.
     pub checkpoint_ms: Histogram,
+    /// How long each snapshot held the stream's read lock to encode, µs:
+    /// what a follower write (and every reader queued behind it) waited.
+    /// Not recorded under `--deterministic`.
+    pub checkpoint_hold_us: Histogram,
 }
 
 impl ServeObs {
@@ -107,6 +111,7 @@ impl ServeObs {
             checkpoint_errors: obs.counter("serve.checkpoint.errors"),
             checkpoint_dirty: obs.gauge("serve.checkpoint.dirty_bytes"),
             checkpoint_ms: obs.histogram("serve.checkpoint.ms"),
+            checkpoint_hold_us: obs.histogram("serve.checkpoint.hold_us"),
         }
     }
 }

@@ -31,11 +31,16 @@ use std::time::Duration;
 
 use netclust_sys::{Wake, Waker, Watch};
 
-/// Upper bound on bytes consumed per [`LogFollower::poll`] call, so one
-/// poll against a huge backlog cannot stall the daemon's control loop.
-/// The remainder is returned by subsequent polls. Also the longest
-/// unterminated line the follower holds on to: past it the line is dropped.
-pub const MAX_POLL_BYTES: u64 = 4 << 20;
+/// Most bytes one [`LogFollower::poll`] reads; a backlog is handed out in
+/// polls of this size. The daemon applies each poll under one hold of its
+/// stream's write lock, so this also bounds how long a catch-up keeps a
+/// reader waiting (a fraction of a millisecond of parsing), and what a
+/// backlog costs in memory beyond the carried line.
+pub const APPLY_SLICE: u64 = 64 << 10;
+
+/// The longest unterminated line the follower holds on to, over as many
+/// polls as it takes to arrive: past it the line is dropped.
+pub const MAX_LINE_BYTES: u64 = 4 << 20;
 
 /// What a freshly reserved chunk holds beyond the bytes its poll may read:
 /// given back ([`LogFollower::recycle`]), it then also fits a poll that
@@ -96,8 +101,8 @@ impl LogFollower {
 
     /// Gives back a chunk [`poll`](Self::poll) returned, once its lines
     /// are applied: while a backlog lasts the next poll reads into it
-    /// instead of into 4 MiB of fresh pages. Optional — a chunk that is
-    /// kept or dropped costs the next poll one allocation.
+    /// instead of into fresh pages. Optional — a chunk that is kept or
+    /// dropped costs the next poll one allocation.
     pub fn recycle(&mut self, chunk: Vec<u8>) {
         self.spare = chunk;
     }
@@ -115,6 +120,13 @@ impl LogFollower {
         self.file_len
     }
 
+    /// `true` when the last [`poll`](Self::poll) left bytes of the file
+    /// unread: a backlog longer than one poll, or a line still arriving in
+    /// slices. The next poll has work without waiting for a change.
+    pub fn has_unread(&self) -> bool {
+        self.read_pos < self.file_len
+    }
+
     /// `true` while [`wait`](Self::wait) has a change notice armed, i.e.
     /// wakes at the log's next change rather than at its timeout.
     pub fn is_watching(&self) -> bool {
@@ -126,20 +138,27 @@ impl LogFollower {
     /// Returns `Ok(None)` when there is nothing new (including the file
     /// not existing yet — a rotation window). Returns `Ok(Some(bytes))`
     /// with a buffer that always ends in `\n` and contains only whole
-    /// lines. Rotation is a new file at the path (rename-and-recreate:
-    /// the held file is read to its end first, then the new one from its
-    /// beginning) or the held file shrinking (copy-truncate: read again
-    /// from its beginning). Either way a carried partial line is dropped:
-    /// it belonged to the rotated-away contents.
+    /// lines: those that end within the next [`APPLY_SLICE`] bytes, after
+    /// the partial line carried from the last poll. Rotation is a new file
+    /// at the path (rename-and-recreate: the held file is read to its end
+    /// first, then the new one from its beginning) or the held file
+    /// shrinking (copy-truncate: read again from its beginning). Either
+    /// way a carried partial line is dropped: it belonged to the
+    /// rotated-away contents.
     ///
-    /// A line still unterminated after [`MAX_POLL_BYTES`] is dropped rather
+    /// A line still unterminated after [`MAX_LINE_BYTES`] is dropped rather
     /// than carried without bound: the poll that gives up on it returns
     /// `InvalidData`, and later polls discard up to its newline.
     pub fn poll(&mut self) -> io::Result<Option<Vec<u8>>> {
         let mut spare = std::mem::take(&mut self.spare);
-        if self.file.is_some() && self.renamed()? {
+        if self.file.is_some() {
+            // Whatever the path names now, the held file is read to its
+            // end first; only then is a rename looked for.
             if let Some(lines) = self.read_held(&mut spare)? {
                 return Ok(Some(lines));
+            }
+            if !self.renamed()? {
+                return Ok(None);
             }
             // The old file is read out: start over on the new one.
             self.file = None;
@@ -147,16 +166,14 @@ impl LogFollower {
             self.carry.clear();
             self.dropped = 0;
         }
-        if self.file.is_none() {
-            self.file_len = 0;
-            let file = match File::open(&self.path) {
-                Ok(f) => f,
-                Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
-                Err(e) => return Err(e),
-            };
-            self.file_id = Some(file.metadata()?.ino());
-            self.file = Some(file);
-        }
+        self.file_len = 0;
+        let file = match File::open(&self.path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        self.file_id = Some(file.metadata()?.ino());
+        self.file = Some(file);
         self.read_held(&mut spare)
     }
 
@@ -193,8 +210,9 @@ impl LogFollower {
 
         // One buffer for the call: the carried partial line, then room
         // for everything this poll may read — the chunk the caller gave
-        // back if that is big enough, else reserved once.
-        let want = (len - self.read_pos).min(MAX_POLL_BYTES);
+        // back if that is big enough, else reserved once (a line carried
+        // over many polls grows it by doubling).
+        let want = (len - self.read_pos).min(APPLY_SLICE);
         let room = usize::try_from(want).unwrap_or(usize::MAX);
         let mut buf = std::mem::take(&mut self.carry);
         let carried = buf.len();
@@ -204,7 +222,7 @@ impl LogFollower {
                 spare.extend_from_slice(&buf);
                 buf = std::mem::take(spare);
             } else {
-                buf.reserve_exact(room.saturating_add(CARRY_ROOM));
+                buf.reserve(room.saturating_add(CARRY_ROOM));
             }
         }
         let read = (&*file)
@@ -216,6 +234,8 @@ impl LogFollower {
         }
         let fresh = buf.len() - carried;
         if fresh == 0 {
+            // The file ended before its length said: nothing is unread.
+            self.file_len = self.file_len.min(self.read_pos);
             self.carry = buf;
             return read.map(|_| None);
         }
@@ -240,9 +260,9 @@ impl LogFollower {
                 self.carry = buf.split_off(last_nl + 1);
                 Ok(Some(buf))
             }
-            None if buf.len() as u64 > MAX_POLL_BYTES => {
+            None if buf.len() as u64 > MAX_LINE_BYTES => {
                 self.dropped = buf.len() as u64;
-                let why = format!("unterminated line over {MAX_POLL_BYTES} bytes dropped");
+                let why = format!("unterminated line over {MAX_LINE_BYTES} bytes dropped");
                 Err(io::Error::new(ErrorKind::InvalidData, why))
             }
             None => {
@@ -403,19 +423,38 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A line past the cap is dropped once, said once, and skipped through
+    /// its newline over as many polls as its tail takes; the cursor stays
+    /// at its start throughout.
     #[test]
     fn an_endless_line_is_dropped_not_carried_without_bound() {
         let dir = tmpdir("endless");
         let log = dir.join("access.log");
         append(&log, b"first\n");
-        append(&log, &vec![b'x'; MAX_POLL_BYTES as usize + (1 << 20)]);
+        append(&log, &vec![b'x'; MAX_LINE_BYTES as usize + (1 << 20)]);
         let mut fw = LogFollower::new(&log);
         assert_eq!(fw.poll().expect("read"), Some(b"first\n".to_vec()));
-        assert_eq!(fw.carry.len() as u64, MAX_POLL_BYTES - 6, "under the cap");
-        let err = fw.poll().expect_err("past the cap: dropped, and said so");
-        assert_eq!(err.kind(), ErrorKind::InvalidData);
-        assert!(fw.carry.is_empty(), "nothing of the line is kept");
-        assert_eq!(fw.offset(), 6, "cursor stays at the line's start");
+        let mut errors = 0;
+        for _ in 0..(MAX_LINE_BYTES / APPLY_SLICE) * 2 {
+            match fw.poll() {
+                Ok(got) => assert_eq!(got, None, "nothing of the line is handed out"),
+                Err(err) => {
+                    assert_eq!(err.kind(), ErrorKind::InvalidData);
+                    assert!(fw.carry.is_empty(), "nothing of the line is kept");
+                    errors += 1;
+                }
+            }
+            assert!(
+                fw.carry.len() as u64 <= MAX_LINE_BYTES,
+                "carried past the cap"
+            );
+            assert_eq!(fw.offset(), 6, "cursor stays at the line's start");
+        }
+        assert_eq!(errors, 1, "dropped, and said so, once");
+        assert!(
+            fw.dropped > MAX_LINE_BYTES,
+            "the whole line is being skipped"
+        );
 
         append(&log, b"still the same line");
         assert_eq!(fw.poll().expect("skipping"), None);
@@ -423,6 +462,123 @@ mod tests {
         append(&log, b"\ngood\ntorn");
         assert_eq!(fw.poll().expect("read"), Some(b"good\n".to_vec()));
         assert_eq!(fw.offset(), fw.file_len() - 4, "just past the good line");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A line longer than a poll but under the cap is carried across the
+    /// polls it spans and handed out once, whole; the cursor never points
+    /// into it.
+    #[test]
+    fn a_line_longer_than_a_poll_arrives_whole_and_once() {
+        let dir = tmpdir("long-line");
+        let log = dir.join("access.log");
+        let mut long = vec![b'L'; 1 << 20];
+        long.push(b'\n');
+        append(&log, b"before\n");
+        append(&log, &long);
+        append(&log, b"after\n");
+        let end = fs::metadata(&log).expect("stat").len();
+        let starts = [0, 7, 7 + long.len() as u64, end];
+        let mut fw = LogFollower::new(&log);
+        let (mut got, mut polls) = (Vec::new(), 0);
+        while fw.offset() < end && polls < 100 {
+            match fw.poll().expect("no error") {
+                Some(chunk) => got.push(chunk),
+                None => assert!(fw.has_unread(), "a poll mid-line says there is more"),
+            }
+            polls += 1;
+            assert!(
+                starts.contains(&fw.offset()),
+                "offset {} in a line",
+                fw.offset()
+            );
+        }
+        assert!(
+            polls as u64 > long.len() as u64 / APPLY_SLICE,
+            "{polls} polls"
+        );
+        assert!(!fw.has_unread());
+        let whole: Vec<&[u8]> = got.iter().map(Vec::as_slice).collect();
+        assert_eq!(whole, [&b"before\n"[..], &[&long[..], b"after\n"].concat()]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Numbered lines, `n` of them from `first` on, tagged `tag`.
+    fn numbered(tag: &str, first: usize, n: usize) -> Vec<u8> {
+        (first..first + n)
+            .flat_map(|i| format!("{tag}-{i:08}-{}\n", "y".repeat(i % 97)).into_bytes())
+            .collect()
+    }
+
+    /// A rename rotation in the middle of a backlog several polls long: the
+    /// rest of the old file, then the new one, every line once, in order.
+    #[test]
+    fn a_rename_mid_backlog_loses_and_repeats_no_line() {
+        let dir = tmpdir("rename-backlog");
+        let log = dir.join("access.log");
+        let old = numbered("old", 0, 4_000);
+        assert!(old.len() as u64 > 3 * APPLY_SLICE);
+        append(&log, &old);
+        let mut fw = LogFollower::new(&log);
+        let mut got = fw.poll().expect("read").expect("a first slice");
+        assert!((got.len() as u64) < APPLY_SLICE + 64);
+        fs::rename(&log, dir.join("access.log.1")).expect("rotate");
+        let new = numbered("new", 0, 2_000);
+        append(&log, &new);
+        got.extend_from_slice(&drain(&mut fw));
+        assert_eq!(got, [old, new.clone()].concat());
+        assert_eq!(fw.offset(), new.len() as u64);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A copy-truncate in the middle of a backlog: what was handed out is a
+    /// whole-line prefix of the old contents ending at the cursor (so the
+    /// copy's unread part starts there), and the new contents follow whole,
+    /// once; nothing of the old file is handed out again.
+    #[test]
+    fn a_copy_truncate_mid_backlog_repeats_no_line() {
+        let dir = tmpdir("truncate-backlog");
+        let log = dir.join("access.log");
+        let old = numbered("old", 0, 3_000);
+        append(&log, &old);
+        let mut fw = LogFollower::new(&log);
+        let mut before = Vec::new();
+        for _ in 0..2 {
+            before.extend_from_slice(&fw.poll().expect("read").expect("a slice"));
+        }
+        let cut = fw.offset();
+        assert_eq!(before, old[..cut as usize], "a whole-line prefix");
+        fs::copy(&log, dir.join("access.log.1")).expect("copy");
+        fs::write(&log, b"").expect("truncate");
+        let new = numbered("new", 0, 500);
+        assert!(
+            (new.len() as u64) < cut,
+            "the truncation shows as a shorter file"
+        );
+        append(&log, &new);
+        assert_eq!(drain(&mut fw), new);
+        assert_eq!(fw.offset(), new.len() as u64);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A cursor checkpointed between two polls of a backlog resumes at the
+    /// next line: the two followers together hand out the file once.
+    #[test]
+    fn resume_at_mid_backlog_continues_exactly() {
+        let dir = tmpdir("resume-backlog");
+        let log = dir.join("access.log");
+        let lines = numbered("line", 0, 8_000);
+        append(&log, &lines);
+        let mut fw = LogFollower::new(&log);
+        let mut got = Vec::new();
+        for _ in 0..3 {
+            got.extend_from_slice(&fw.poll().expect("read").expect("a slice"));
+        }
+        let checkpoint = fw.offset();
+        assert!(checkpoint < lines.len() as u64 / 2, "mid-backlog");
+        let mut resumed = LogFollower::resume_at(&log, checkpoint);
+        got.extend_from_slice(&drain(&mut resumed));
+        assert_eq!(got, lines);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -436,7 +592,7 @@ mod tests {
         // from poll to poll. Three polls' worth.
         let mut blob = Vec::new();
         for i in 0.. {
-            if blob.len() as u64 > 2 * MAX_POLL_BYTES + 1024 {
+            if blob.len() as u64 > 2 * APPLY_SLICE + 1024 {
                 break;
             }
             blob.extend(std::iter::repeat_n(b'a' + (i % 26) as u8, i % 300));
@@ -467,7 +623,7 @@ mod tests {
         // Two polls' worth of 64-byte lines.
         let line = [b'x'; 63];
         let mut blob = Vec::new();
-        while (blob.len() as u64) < MAX_POLL_BYTES + 1024 {
+        while (blob.len() as u64) < APPLY_SLICE + 1024 {
             blob.extend_from_slice(&line);
             blob.push(b'\n');
         }

@@ -3,11 +3,14 @@
 //! bytes is rejected with a typed error — never a panic, never silently
 //! wrong data; generated snapshot states round-trip and re-encode byte for
 //! byte, and any byte string the state decoder accepts is the encoding of
-//! what it decoded. The unit tests in `persist::codec` and `persist::state`
+//! what it decoded; a stream restored from a generated state writes the
+//! same snapshot file by either of its two routes to the store. The unit
+//! tests in `persist::codec` and `persist::state`
 //! pin reference vectors and wire bytes; these properties sweep the input
 //! space.
 
 use std::net::Ipv4Addr;
+use std::path::Path;
 
 use netclust::core::persist::codec::{
     decode_frame, decode_header, encode_frame, encode_header, FILE_JOURNAL, FILE_SNAPSHOT,
@@ -17,10 +20,13 @@ use netclust::core::persist::{
     decode_batch, decode_state, encode_batch, encode_state, JournalBatch,
 };
 use netclust::core::{
-    CorrectionState, ErrorCounts, FeedProgress, PatchStats, StreamState, SwapRejection, SwapStats,
+    CorrectionState, EncodedState, ErrorCounts, FeedProgress, FsyncPolicy, PatchStats,
+    PersistError, StateStore, StreamState, StreamingClustering, SwapPolicy, SwapRejection,
+    SwapStats,
 };
+use netclust::obs::Obs;
 use netclust::prefix::Ipv4Net;
-use netclust::rtable::TableDelta;
+use netclust::rtable::{MergedTable, RoutingTable, TableDelta, TableKind};
 use proptest::prelude::*;
 
 fn arb_payload() -> impl Strategy<Value = Vec<u8>> {
@@ -179,7 +185,93 @@ fn arb_state() -> impl Strategy<Value = StreamState> {
         })
 }
 
+/// `state` made one a stream can be restored from and patched: each count
+/// that would push its column's sum over all clients past `u64::MAX`
+/// becomes 0 (so no cluster's aggregate can overflow, whatever a patch
+/// regroups), the two request totals are what the rows and the tables
+/// say, and the version and patch counters leave room to count a batch.
+fn restorable(mut state: StreamState) -> StreamState {
+    let p = &mut state.patch_stats;
+    for counter in [
+        &mut state.table_version,
+        &mut p.batches,
+        &mut p.accepted,
+        &mut p.rejected,
+        &mut p.slot_writes,
+        &mut p.group_rebuilds,
+        &mut p.recompiles,
+    ] {
+        *counter >>= 1;
+    }
+    let (mut requests, mut bytes) = (0u64, 0u64);
+    for (_, r, b) in &mut state.per_client {
+        for (value, sum) in [(r, &mut requests), (b, &mut bytes)] {
+            match sum.checked_add(*value) {
+                Some(total) => *sum = total,
+                None => *value = 0,
+            }
+        }
+    }
+    let tier = |kind, prefixes: &Vec<Ipv4Net>| RoutingTable::new("t", "d", kind, prefixes.clone());
+    let bgp = tier(TableKind::Bgp, &state.bgp_prefixes);
+    let dump = tier(TableKind::NetworkDump, &state.dump_prefixes);
+    let table = MergedTable::merge([&bgp, &dump]);
+    state.total_requests = requests;
+    state.unclustered_requests = (state.per_client.iter())
+        .filter(|&&(addr, _, _)| table.lookup_u32(addr).is_none())
+        .map(|&(_, r, _)| r)
+        .sum();
+    state
+}
+
+/// The snapshot file `write` leaves in a fresh store under `dir`.
+fn snapshot_file(
+    dir: &Path,
+    write: impl FnOnce(&mut StateStore) -> Result<u64, PersistError>,
+) -> Vec<u8> {
+    let _ = std::fs::remove_dir_all(dir);
+    let mut store = StateStore::create(dir, FsyncPolicy::Os).expect("create store");
+    let generation = write(&mut store).expect("checkpoint");
+    std::fs::read(store.snapshot_path(generation)).expect("snapshot file")
+}
+
 proptest! {
+    /// The daemon's snapshot path — the stream encoding its counts and
+    /// row keys, the store sorting the keys and coding each row on the way
+    /// out — writes the file the export-then-checkpoint path writes, byte
+    /// for byte, over the table as compiled (prefixes read from its arena)
+    /// and as patched (from its shadow trie), into room made beforehand
+    /// for fewer rows, as many, or more; both recover to the export.
+    #[test]
+    fn a_stream_encodes_the_snapshot_it_exports(
+        state in arb_state(),
+        patch in any::<bool>(),
+        batch in arb_batch(),
+        room in 0usize..80,
+    ) {
+        let state = restorable(state);
+        let mut stream =
+            StreamingClustering::restore(&state, SwapPolicy::permissive(), Obs::disabled())
+                .expect("a restorable state");
+        if patch {
+            stream.apply_deltas(&batch.deltas);
+        }
+        let exported = stream.export_state();
+        let dir = std::env::temp_dir().join(format!("netclust-codec-eq-{}", std::process::id()));
+        let (by_export, by_encode) = (dir.join("export"), dir.join("encode"));
+        let exported_bytes = snapshot_file(&by_export, |store| store.checkpoint(&exported));
+        let encoded_bytes =
+            snapshot_file(&by_encode, |store| {
+                store.checkpoint_encoded(stream.encode_state(EncodedState::with_room(room)))
+            });
+        prop_assert_eq!(&encoded_bytes, &exported_bytes);
+        for from in [&by_export, &by_encode] {
+            let (_, recovered, _) = StateStore::recover(from, FsyncPolicy::Os).expect("recover");
+            prop_assert_eq!(&recovered, &exported);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Any payload of any record kind comes back bit-for-bit.
     #[test]
     fn frame_round_trips(payload in arb_payload(), kind in arb_kind()) {

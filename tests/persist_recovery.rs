@@ -21,8 +21,8 @@ use std::process::Command;
 use netclust::bgpsim::{DeltaBatch, DeltaStream, DeltaStreamConfig};
 use netclust::core::persist::codec::{decode_header, FORMAT_VERSION, HEADER_BYTES};
 use netclust::core::{
-    failpoints, CorrectionState, FaultInjector, FaultPlan, FsyncPolicy, JournalBatch, PersistError,
-    StateStore, StreamState, StreamingClustering, SwapPolicy,
+    failpoints, CorrectionState, EncodedState, FaultInjector, FaultPlan, FsyncPolicy, JournalBatch,
+    PersistError, StateStore, StreamState, StreamingClustering, SwapPolicy,
 };
 use netclust::netgen::{standard_merged, Universe, UniverseConfig};
 use netclust::obs::Obs;
@@ -559,6 +559,21 @@ fn a_version_one_state_dir_recovers_and_is_rewritten_in_the_current_form() {
     }
     let mut want = recovered.export_state();
     assert_eq!(want, fresh.export_state(), "v1 recovery diverged");
+    // The stream recovered from version 1 writes one file by either route.
+    let snapshot = |name: &str, write: &dyn Fn(&mut StateStore) -> Result<u64, PersistError>| {
+        let into = tmpdir(name);
+        let mut store = StateStore::create(&into, FsyncPolicy::Os).expect("create store");
+        let generation = write(&mut store).expect("checkpoint");
+        let bytes = std::fs::read(store.snapshot_path(generation)).expect("snapshot file");
+        let _ = std::fs::remove_dir_all(&into);
+        bytes
+    };
+    assert_eq!(
+        snapshot("v1-encode", &|store| store.checkpoint_encoded(
+            recovered.encode_state(EncodedState::default())
+        )),
+        snapshot("v1-export", &|store| store.checkpoint(&want)),
+    );
 
     // The next checkpoint writes the current format, smaller.
     want.feed_pos = 3;
@@ -587,6 +602,11 @@ fn a_version_one_state_dir_recovers_and_is_rewritten_in_the_current_form() {
     // checkpoint past it.
     assert!(state_files(&dir).contains(&"snapshot-000001.snap".to_string()));
     assert_eq!(store.checkpoint(&again).expect("checkpoint"), 3);
+    assert_eq!(
+        std::fs::read(store.snapshot_path(3)).expect("re-checkpointed"),
+        v2,
+        "the recovered state re-checkpoints byte-identically"
+    );
     assert_eq!(
         state_files(&dir),
         [
@@ -642,7 +662,8 @@ fn a_snapshot_encoded_from_the_stream_is_the_exported_one() {
     };
     let (_, by_export) = file("by-export", &|store| store.checkpoint(&exported));
     let (dir, by_encode) = file("by-encode", &|store| {
-        store.checkpoint_encoded(stream.encode_state())
+        let room = EncodedState::with_room(stream.client_count());
+        store.checkpoint_encoded(stream.encode_state(room))
     });
     assert_eq!(by_encode, by_export);
 
