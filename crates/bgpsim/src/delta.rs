@@ -159,11 +159,6 @@ impl DeltaStream {
         DeltaStream::new(seed, live, cfg)
     }
 
-    /// The current live prefix set size.
-    pub fn live_len(&self) -> usize {
-        self.live.len()
-    }
-
     /// The starting live set (sorted copy) — handy for compiling the
     /// table the stream will patch.
     pub fn live_prefixes(&self) -> Vec<Ipv4Net> {
@@ -341,7 +336,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(live.len(), stream.live_len());
+        assert_eq!(live.len(), stream.live_prefixes().len());
     }
 
     #[test]
@@ -390,12 +385,9 @@ mod tests {
     #[test]
     fn synthetic_mix_favors_slash24() {
         let stream = DeltaStream::synthetic(2, 10_000, DeltaStreamConfig::default());
-        let n24 = stream
-            .live_prefixes()
-            .iter()
-            .filter(|p| p.len() == 24)
-            .count();
-        let total = stream.live_len();
+        let live = stream.live_prefixes();
+        let n24 = live.iter().filter(|p| p.len() == 24).count();
+        let total = live.len();
         let frac = n24 as f64 / total as f64;
         assert!((0.45..0.65).contains(&frac), "/24 fraction {frac}");
     }

@@ -109,18 +109,6 @@ impl Cluster {
     pub fn client_count(&self) -> usize {
         self.clients.len()
     }
-
-    /// The member issuing the most requests, with its request share of the
-    /// cluster (0.0 for an empty cluster). Drives spider/proxy heuristics.
-    pub fn dominant_client(&self) -> Option<(Ipv4Addr, f64)> {
-        let top = self.clients.iter().max_by_key(|c| c.requests)?;
-        let share = if self.requests == 0 {
-            0.0
-        } else {
-            top.requests as f64 / self.requests as f64
-        };
-        Some((top.addr, share))
-    }
 }
 
 /// The result of clustering one log with one method.
@@ -481,16 +469,6 @@ mod tests {
         assert_eq!(c.prefix.to_string(), "12.65.128.0/19");
         assert!(clustering.cluster_of("99.1.1.1".parse().unwrap()).is_none());
         assert!(clustering.cluster_of("8.8.8.8".parse().unwrap()).is_none());
-    }
-
-    #[test]
-    fn dominant_client() {
-        let log = sample_log();
-        let clustering = Clustering::network_aware(&log, &merged());
-        // In cluster 0 client 3 (12.65.144.247) issues 4 of 10 requests.
-        let (addr, share) = clustering.clusters[0].dominant_client().unwrap();
-        assert_eq!(addr.to_string(), "12.65.144.247");
-        assert!((share - 0.4).abs() < 1e-12);
     }
 
     #[test]

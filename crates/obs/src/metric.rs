@@ -123,9 +123,9 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: u64) {
         if let Some(cell) = &self.cell {
-            // analyze:allow(atomic-ordering-audit) gauge value is pure
-            // telemetry read by snapshots; no reader derives a
-            // happens-before edge from it, staleness is acceptable.
+            // ordering: pure telemetry read by snapshots; no reader derives
+            // a happens-before edge from it and staleness is acceptable, so
+            // tests/source_contracts.rs waives this relaxed publish.
             cell.store(v, Ordering::Relaxed);
         }
     }

@@ -52,24 +52,6 @@ impl AddressClass {
             AddressClass::D | AddressClass::E => None,
         }
     }
-
-    /// Total number of networks in this class (§2's counts:
-    /// 128 Class A, 2^14 Class B, 2^21 Class C).
-    pub fn network_count(&self) -> Option<u64> {
-        match self {
-            AddressClass::A => Some(128),
-            AddressClass::B => Some(1 << 14),
-            AddressClass::C => Some(1 << 21),
-            AddressClass::D | AddressClass::E => None,
-        }
-    }
-
-    /// Number of addresses per network in this class
-    /// (2^24, 2^16 and 2^8 for A, B and C).
-    pub fn hosts_per_network(&self) -> Option<u64> {
-        self.default_prefix_len()
-            .map(|l| 1u64 << (32 - u32::from(l)))
-    }
 }
 
 /// The classful network containing `addr`, or `None` for Class D/E space.
@@ -105,16 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_section2_counts() {
-        assert_eq!(AddressClass::A.network_count(), Some(128));
-        assert_eq!(AddressClass::A.hosts_per_network(), Some(16_777_216));
-        assert_eq!(AddressClass::B.network_count(), Some(16_384));
-        assert_eq!(AddressClass::B.hosts_per_network(), Some(65_536));
-        assert_eq!(AddressClass::C.network_count(), Some(2_097_152));
-        assert_eq!(AddressClass::C.hosts_per_network(), Some(256));
-    }
-
-    #[test]
     fn classful_network_examples() {
         assert_eq!(
             classful_network(a("18.26.0.1")).unwrap().to_string(),
@@ -135,7 +107,7 @@ mod tests {
     #[test]
     fn default_lengths_match_class() {
         assert_eq!(AddressClass::D.default_prefix_len(), None);
-        assert_eq!(AddressClass::E.hosts_per_network(), None);
+        assert_eq!(AddressClass::E.default_prefix_len(), None);
         assert_eq!(AddressClass::B.default_prefix_len(), Some(16));
     }
 }

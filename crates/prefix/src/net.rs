@@ -76,12 +76,6 @@ impl Ipv4Net {
         self.len
     }
 
-    /// `true` for the zero-length default route.
-    #[inline]
-    pub fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     /// The netmask as a host-order integer (`/19` → `0xFFFF_E000`).
     #[inline]
     pub fn netmask_u32(&self) -> u32 {
@@ -225,13 +219,6 @@ impl Ipv4Net {
             net = net.supernet().expect("the default route covers everything");
         }
         net
-    }
-
-    /// Tests whether the prefix sits on the historical classful boundary for
-    /// its leading bits (Class A `/8`, B `/16`, C `/24`) — the shape the
-    /// abbreviated table format implies (§3.1.2 format iii).
-    pub fn is_classful(&self) -> bool {
-        crate::class::AddressClass::of(self.addr()).default_prefix_len() == Some(self.len)
     }
 }
 
@@ -440,15 +427,6 @@ mod tests {
             net("1.0.0.0/8").common_supernet(net("200.0.0.0/8")),
             Ipv4Net::DEFAULT
         );
-    }
-
-    #[test]
-    fn classful_detection() {
-        assert!(net("18.0.0.0/8").is_classful()); // Class A
-        assert!(net("151.198.0.0/16").is_classful()); // Class B
-        assert!(net("199.1.2.0/24").is_classful()); // Class C
-        assert!(!net("18.0.0.0/16").is_classful());
-        assert!(!net("199.1.2.0/23").is_classful());
     }
 
     #[test]

@@ -58,30 +58,6 @@ impl SnapshotDiff {
         out
     }
 
-    /// Like [`deltas`](Self::deltas), but prefixes present in both
-    /// snapshots whose route attributes changed (per `old`/`new`'s
-    /// attribute tables) are reported as
-    /// [`DeltaKind::Replace`](crate::DeltaKind::Replace) — attribute
-    /// churn that a patch layer can count without touching slots.
-    pub fn deltas_with_replacements(old: &RoutingTable, new: &RoutingTable) -> Vec<TableDelta> {
-        let diff = Self::between(old, new);
-        let mut out = diff.deltas();
-        let old_set = old.prefix_set();
-        for (i, &p) in new.prefixes().iter().enumerate() {
-            if !old_set.contains(&p) {
-                continue;
-            }
-            let changed = match (new.attrs(i), old.attrs_of(p)) {
-                (Some(na), Some(oa)) => na != oa,
-                (a, b) => a.is_some() != b.is_some(),
-            };
-            if changed {
-                out.push(TableDelta::replace(p));
-            }
-        }
-        out
-    }
-
     /// `true` when the snapshots are identical.
     pub fn is_empty(&self) -> bool {
         self.added.is_empty() && self.removed.is_empty()
@@ -212,16 +188,6 @@ pub fn maximum_effect(snapshots: &[&RoutingTable]) -> usize {
     dynamic_prefix_set(snapshots).len()
 }
 
-/// Restricts a dynamic prefix set to the prefixes in `used`: the maximum
-/// effect *on a particular log*, whose clusters only use a subset of the
-/// table (Table 4's per-log "Maximum effect" rows).
-pub fn effect_on<'a, I>(dynamic: &BTreeSet<Ipv4Net>, used: I) -> usize
-where
-    I: IntoIterator<Item = &'a Ipv4Net>,
-{
-    used.into_iter().filter(|p| dynamic.contains(p)).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,47 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn attribute_churn_reports_replace_deltas() {
-        use crate::patch::DeltaKind;
-        use crate::table::{RouteAttrs, RoutingTable, TableKind};
-        let attrs = |hop: &str| RouteAttrs {
-            description: String::new(),
-            next_hop: hop.to_string(),
-            as_path: vec![7018],
-        };
-        let old = RoutingTable::with_attrs(
-            "A",
-            "d0",
-            TableKind::Bgp,
-            vec![
-                (net("6.0.0.0/8"), attrs("r1")),
-                (net("18.0.0.0/8"), attrs("r1")),
-            ],
-        );
-        let new = RoutingTable::with_attrs(
-            "A",
-            "d1",
-            TableKind::Bgp,
-            vec![
-                (net("6.0.0.0/8"), attrs("r2")), // next hop changed
-                (net("18.0.0.0/8"), attrs("r1")),
-                (net("24.48.2.0/23"), attrs("r1")),
-            ],
-        );
-        let deltas = SnapshotDiff::deltas_with_replacements(&old, &new);
-        assert_eq!(
-            deltas,
-            vec![
-                TableDelta::announce(net("24.48.2.0/23")),
-                TableDelta {
-                    prefix: net("6.0.0.0/8"),
-                    kind: DeltaKind::Replace
-                },
-            ]
-        );
-    }
-
-    #[test]
     fn delta_wire_round_trip() {
         let deltas = vec![
             TableDelta::announce(net("24.48.2.0/23")),
@@ -368,16 +293,5 @@ mod tests {
         // Errors render a message naming the record.
         let msg = DeltaCodecError::BadKind { index: 3, found: 9 }.to_string();
         assert!(msg.contains("record 3"), "{msg}");
-    }
-
-    #[test]
-    fn effect_on_restricts_to_used_prefixes() {
-        let d0 = table("A", &["6.0.0.0/8", "18.0.0.0/8", "24.48.2.0/23"]);
-        let d1 = table("A", &["6.0.0.0/8"]);
-        let dynamic = dynamic_prefix_set(&[&d0, &d1]);
-        assert_eq!(dynamic.len(), 2);
-        // A log that only used 18.0.0.0/8 and 6.0.0.0/8 sees effect 1.
-        let used: Vec<Ipv4Net> = nets(&["18.0.0.0/8", "6.0.0.0/8"]);
-        assert_eq!(effect_on(&dynamic, used.iter()), 1);
     }
 }

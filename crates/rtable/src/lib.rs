@@ -30,7 +30,7 @@ mod testutil;
 mod trie;
 
 pub use diff::{
-    decode_deltas, dynamic_prefix_set, effect_on, encode_deltas, maximum_effect, DeltaCodecError,
+    decode_deltas, dynamic_prefix_set, encode_deltas, maximum_effect, DeltaCodecError,
     SnapshotDiff, DELTA_WIRE_BYTES,
 };
 pub use flat::{CompiledMerged, CompiledTable, Handle, LivePrefixes, DEFAULT_PREFETCH_DISTANCE};

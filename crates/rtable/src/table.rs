@@ -207,15 +207,6 @@ impl RoutingTable {
         self.attrs.get(i)
     }
 
-    /// Attributes for an exact prefix, when present and recorded (the
-    /// prefix list is sorted, so this is a binary search).
-    pub fn attrs_of(&self, net: Ipv4Net) -> Option<&RouteAttrs> {
-        self.prefixes
-            .binary_search(&net)
-            .ok()
-            .and_then(|i| self.attrs.get(i))
-    }
-
     /// Iterates `(prefix, attrs)` pairs; attrs default to empty when the
     /// table was built without them.
     pub fn routes(&self) -> impl Iterator<Item = (Ipv4Net, RouteAttrs)> + '_ {

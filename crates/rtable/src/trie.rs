@@ -92,12 +92,6 @@ impl<V> PrefixTrie<V> {
         self.len == 0
     }
 
-    /// Number of arena nodes, including valueless interior nodes. Exposed
-    /// for memory-accounting in benchmarks.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Bytes held by the node arena (removed prefixes keep their nodes).
     pub fn memory_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<Node<V>>()

@@ -22,6 +22,7 @@
     clippy::indexing_slicing
 )]
 
+use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::atomic::AtomicU64;
 use std::sync::RwLock;
@@ -29,7 +30,7 @@ use std::sync::RwLock;
 use netclust_core::query::top_to_json;
 use netclust_core::{ClusterQuery, StreamingClustering, VerdictPolicy};
 use netclust_obs::{Counter, ErrorCounts, Gauge, Histogram, Obs};
-use netclust_rtable::{load_tables, parse_feed, MergedTable, TableDelta};
+use netclust_rtable::{load_tables, parse_feed, DeltaParseError, MergedTable, TableDelta};
 
 use crate::checkpoint::{self, ApplyError, Checkpointer};
 use crate::http::{HttpRequest, HttpResponse, Method};
@@ -334,7 +335,7 @@ fn reload_swap(
 fn reload_deltas(state: &AppState, body: &[u8]) -> HttpResponse {
     let deltas = match parse_delta_lines(body) {
         Ok(deltas) => deltas,
-        Err(msg) => return HttpResponse::json(400, json::error_body(&msg)),
+        Err(e) => return HttpResponse::json(400, json::error_body(&e.to_string())),
     };
     if deltas.is_empty() {
         return HttpResponse::json(400, json::error_body("delta body held no updates"));
@@ -356,12 +357,89 @@ fn reload_deltas(state: &AppState, body: &[u8]) -> HttpResponse {
     )
 }
 
+/// Why a `/v1/reload` delta body does not parse. Its text is the 400
+/// answer's error message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DeltaBodyError {
+    /// The body is not UTF-8.
+    NotUtf8,
+    /// A line (1-based) is not an update.
+    Line(usize, DeltaParseError),
+}
+
+impl fmt::Display for DeltaBodyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DeltaBodyError::NotUtf8 => f.write_str("delta body is not UTF-8"),
+            DeltaBodyError::Line(line, e) => write!(f, "line {line}: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for DeltaBodyError {}
+
+/// The message, for callers that report errors as text.
+impl From<DeltaBodyError> for String {
+    fn from(e: DeltaBodyError) -> String {
+        e.to_string()
+    }
+}
+
 /// Parses one `announce|withdraw|replace PREFIX` feed (blank lines and
 /// `#` comments ignored) — the same wire grammar as the CLI's
 /// `--bgp-feed` files.
-// analyze:allow(typed-errors) parse failures flow verbatim into the 400 JSON error body; no caller matches on them.
-pub fn parse_delta_lines(body: &[u8]) -> Result<Vec<TableDelta>, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "delta body is not UTF-8".to_string())?;
-    let batches = parse_feed(text).map_err(|(line, e)| format!("line {line}: {e}"))?;
+pub fn parse_delta_lines(body: &[u8]) -> Result<Vec<TableDelta>, DeltaBodyError> {
+    let text = std::str::from_utf8(body).map_err(|_| DeltaBodyError::NotUtf8)?;
+    let batches = parse_feed(text).map_err(|(line, e)| DeltaBodyError::Line(line, e))?;
     Ok(batches.into_iter().flatten().collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The answer to a `/v1/reload` of `body` on a daemon with an empty
+    /// table.
+    fn reload_body(body: &[u8]) -> (u16, String) {
+        let stream = StreamingClustering::builder(MergedTable::merge(std::iter::empty())).build();
+        let state = AppState {
+            stream: RwLock::new(stream),
+            checkpointer: None,
+            obs: Obs::disabled(),
+            metrics: ServeObs::default(),
+            deterministic: true,
+            top_default: 10,
+            verdict: VerdictPolicy::default(),
+            feed_index: AtomicU64::new(0),
+        };
+        let req = HttpRequest {
+            method: Method::Post,
+            path: "/v1/reload".to_string(),
+            query: Vec::new(),
+            keep_alive: false,
+            body: body.to_vec(),
+        };
+        let resp = handle(&state, &req);
+        (resp.status, String::from_utf8(resp.body).expect("UTF-8"))
+    }
+
+    #[test]
+    fn a_bad_delta_body_answers_400_with_the_pinned_message() {
+        assert_eq!(
+            reload_body(b"announce 10.0.0.0/8\n\xff\n"),
+            (400, r#"{"error": "delta body is not UTF-8"}"#.to_string())
+        );
+        assert_eq!(
+            reload_body(b"announce 10.0.0.0/8\n# a comment\nflap 10.1.0.0/16\n"),
+            (
+                400,
+                r#"{"error": "line 3: unknown update \"flap\" (announce|withdraw|replace)"}"#
+                    .to_string()
+            )
+        );
+        let e = parse_delta_lines(b"announce 10.0.0.0/33").expect_err("bad prefix");
+        let text: String = e.clone().into();
+        assert_eq!(text, e.to_string());
+        assert_eq!(text, r#"line 1: bad prefix in "announce 10.0.0.0/33""#);
+    }
 }

@@ -363,9 +363,9 @@ fn run_bgp_feed(
                     resets += 1;
                 }
                 deltas_total += b.deltas.len();
-                // analyze:allow(wal-ordering) recovery replay: these
-                // batches were already journaled before the crash, so
-                // applying them here re-derives state, not new writes.
+                // Recovery replay, waived in tests/source_contracts.rs:
+                // these batches were already journaled before the crash,
+                // so applying them here re-derives state, not new writes.
                 let r = stream.apply_deltas(&b.deltas);
                 reassigned += r.reassigned_clients;
                 feed_pos = restored(b.feed_index + 1)?;
