@@ -28,7 +28,7 @@ use std::net::Ipv4Addr;
 
 use netclust_obs::Obs;
 use netclust_prefix::{classful_network, Ipv4Net};
-use netclust_rtable::{CompiledMerged, MergedTable, DEFAULT_PREFETCH_DISTANCE};
+use netclust_rtable::{CompiledTable, MergedTable, DEFAULT_PREFETCH_DISTANCE};
 use netclust_weblog::Log;
 
 use crate::fx::FxHashMap;
@@ -39,7 +39,7 @@ use crate::kernel::{self, Shard};
 #[derive(Clone, Copy)]
 pub enum Assigner<'t> {
     /// Longest-prefix match against a compiled merged table.
-    NetworkAware(&'t CompiledMerged),
+    NetworkAware(&'t CompiledTable),
     /// The simple approach of §2: shared first 24 bits.
     Simple24,
     /// The classful baseline of §2: Class A/B/C network boundaries
@@ -60,7 +60,7 @@ impl Assigner<'_> {
     /// The identifying prefix of `addr`, `None` when it is unclusterable.
     pub fn net_for(&self, addr: u32) -> Option<Ipv4Net> {
         match self {
-            Assigner::NetworkAware(table) => table.net_for_u32(addr),
+            Assigner::NetworkAware(table) => table.lookup(addr),
             // 24 <= 32, so this is always `Some`.
             Assigner::Simple24 => Ipv4Net::new(addr, 24).ok(),
             Assigner::Classful => classful_network(Ipv4Addr::from(addr)),
@@ -251,7 +251,7 @@ impl Clustering {
 
     /// The paper's network-aware method: LPM against the merged table.
     ///
-    /// The table is compiled first (see [`CompiledMerged`]), so
+    /// The table is compiled first (see [`CompiledTable`]), so
     /// per-address matching is one to three cache-resident array loads
     /// instead of a trie walk. Callers clustering many logs against
     /// one table should compile once and use
@@ -262,7 +262,7 @@ impl Clustering {
 
     /// [`network_aware`](Self::network_aware) against an already-compiled
     /// table.
-    pub fn network_aware_compiled(log: &Log, table: &CompiledMerged) -> Self {
+    pub fn network_aware_compiled(log: &Log, table: &CompiledTable) -> Self {
         Self::by(log, Assigner::NetworkAware(table))
     }
 

@@ -16,7 +16,7 @@ use crate::ingest::IngestPipeline;
 use crate::persist::FsyncPolicy;
 use crate::stream::StreamingClustering;
 use netclust_obs::Obs;
-use netclust_rtable::{CompiledMerged, MergedTable};
+use netclust_rtable::{CompiledTable, MergedTable};
 
 /// The execution knobs shared by every clustering run — batch or
 /// streaming, one-shot or daemon. Construct with [`RunConfig::new`], set
@@ -85,7 +85,7 @@ impl RunConfig {
     }
 
     /// [`pipeline_by`](Self::pipeline_by) the network-aware method over `table`.
-    pub fn pipeline<'t>(&self, table: &'t CompiledMerged) -> IngestPipeline<'t> {
+    pub fn pipeline<'t>(&self, table: &'t CompiledTable) -> IngestPipeline<'t> {
         self.pipeline_by(Assigner::NetworkAware(table))
     }
 

@@ -74,7 +74,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use netclust_obs::{Counter, ErrorCounts, Histogram, Obs};
-use netclust_rtable::CompiledMerged;
+use netclust_rtable::CompiledTable;
 use netclust_weblog::chunk::{self, Chunk, LogData};
 use netclust_weblog::clf::ClfError;
 use netclust_weblog::clf_bytes;
@@ -129,7 +129,7 @@ const DEFAULT_CHUNK_BYTES: usize = 1 << 20;
 /// ```no_run
 /// use netclust_core::IngestPipeline;
 /// use netclust_weblog::chunk::LogData;
-/// # fn demo(table: &netclust_rtable::CompiledMerged) -> Result<(), Box<dyn std::error::Error>> {
+/// # fn demo(table: &netclust_rtable::CompiledTable) -> Result<(), Box<dyn std::error::Error>> {
 /// let log = LogData::open("access.log")?;
 /// let report = IngestPipeline::new(table).run_log(&log)?;
 /// println!(
@@ -291,7 +291,7 @@ impl IngestReport {
 
 impl<'t> IngestPipeline<'t> {
     /// A network-aware pipeline over `table` with default chunking.
-    pub fn new(table: &'t CompiledMerged) -> Self {
+    pub fn new(table: &'t CompiledTable) -> Self {
         Self::by(Assigner::NetworkAware(table))
     }
 
@@ -829,7 +829,7 @@ mod tests {
     use netclust_rtable::{MergedTable, RoutingTable, TableKind};
     use netclust_weblog::clf;
 
-    fn table() -> CompiledMerged {
+    fn table() -> CompiledTable {
         let bgp = RoutingTable::new(
             "B",
             "d0",

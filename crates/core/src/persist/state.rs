@@ -466,8 +466,8 @@ impl EncodedState {
     /// the rows put in address order by sorting their keys.
     pub(super) fn finish(&mut self) {
         if let Some(live) = self.serving.take() {
-            let (bgp, dump) = (live.table.bgp(), live.table.dump());
-            put_lists(&mut self.lists, bgp.live_iter(), dump.live_iter());
+            let dump = live.table.dump_prefixes().iter().copied();
+            put_lists(&mut self.lists, live.table.live_iter(), dump);
         }
         self.keys.sort_unstable();
     }

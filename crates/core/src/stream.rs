@@ -19,7 +19,7 @@
 //!
 //! Between full swaps, live BGP churn lands **incrementally**:
 //! [`StreamingClustering::apply_deltas`] patches a copy of the serving
-//! table in place (`CompiledMerged::apply_delta`), re-resolves only the
+//! table in place (`CompiledTable::apply_delta`), re-resolves only the
 //! clients a batch can affect, and publishes the patched generation as an
 //! `Arc` — readers ([`StreamHandle`]) clone the pointer and look up in a
 //! whole generation, never a torn one, and the superseded generation is
@@ -39,9 +39,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 
 use netclust_obs::{Counter, ErrorCounts, Gauge, Histogram, Obs};
 use netclust_prefix::Ipv4Net;
-use netclust_rtable::{
-    CompiledMerged, DeltaKind, MergedTable, PatchReport, RoutingTable, TableDelta, TableKind,
-};
+use netclust_rtable::{CompiledTable, DeltaKind, MergedTable, PatchReport, TableDelta};
 use netclust_weblog::clf::ClfError;
 use netclust_weblog::clf_bytes;
 use netclust_weblog::Request;
@@ -93,7 +91,7 @@ impl StreamObs {
     /// Records what the generation about to serve costs. Bytes and dead
     /// cells depend on how the table got here (patched, recycled or
     /// freshly compiled), not only on its prefix set.
-    fn table_cost(&self, table: &CompiledMerged) {
+    fn table_cost(&self, table: &CompiledTable) {
         self.table_bytes.set(table.memory_bytes() as u64);
         self.table_nodes.set(table.nodes() as u64);
         self.table_dead_cells.set(table.dead_cells() as u64);
@@ -105,14 +103,14 @@ impl StreamObs {
 /// once published.
 #[derive(Debug, Clone)]
 pub(crate) struct LiveTable {
-    pub(crate) table: CompiledMerged,
+    pub(crate) table: CompiledTable,
     version: u64,
 }
 
 impl LiveTable {
     /// Live prefix count, both tiers.
     fn entries(&self) -> usize {
-        self.table.bgp().len() + self.table.dump().len()
+        self.table.len()
     }
 }
 
@@ -148,7 +146,7 @@ impl StreamHandle {
 
     /// [`net_for`](Self::net_for) on a raw big-endian address.
     pub fn net_for_u32(&self, addr: u32) -> Option<Ipv4Net> {
-        self.current().table.net_for_u32(addr)
+        self.current().table.lookup(addr)
     }
 
     /// Patch-lineage version of the generation currently serving (bumps on
@@ -182,7 +180,7 @@ pub struct SwapPolicy {
     /// snapshot is a scrape failure, not a routing change).
     pub min_entries: usize,
     /// Maximum tolerated parse-noise ratio of the candidate's source dump
-    /// (see `netclust_rtable::ParseReport::noise_ratio`).
+    /// (see `netclust_rtable::ParseReport::counts`).
     pub max_noise_ratio: f64,
     /// The candidate's request-weighted coverage of the currently-known
     /// clients must be at least this fraction of the serving table's
@@ -355,7 +353,7 @@ impl StreamingBuilder {
 
     /// Compiles the table and builds the (empty) streaming clustering.
     pub fn build(self) -> StreamingClustering {
-        StreamingClustering::new(self.table, 0, self.policy, self.obs)
+        StreamingClustering::new(self.table.compile(), 0, self.policy, self.obs)
     }
 }
 
@@ -439,7 +437,7 @@ impl Tally {
 /// An incrementally-maintained clustering over a request stream.
 ///
 /// The routing table is compiled once at construction
-/// ([`CompiledMerged`]), so the per-request hot path does one to three
+/// ([`CompiledTable`]), so the per-request hot path does one to three
 /// array lookups; [`try_swap`](Self::try_swap) validates and recompiles,
 /// and [`apply_deltas`](Self::apply_deltas) patches incrementally. Either
 /// publishes a whole new generation, so [`handle`](Self::handle) lookups on
@@ -504,8 +502,7 @@ impl StreamingClustering {
     }
 
     /// An empty stream serving `table` as generation `version`.
-    fn new(table: MergedTable, version: u64, policy: SwapPolicy, obs: Obs) -> Self {
-        let mut table = table.compile();
+    fn new(mut table: CompiledTable, version: u64, policy: SwapPolicy, obs: Obs) -> Self {
         table.attach_obs(&obs);
         let metrics = StreamObs::resolve(&obs);
         metrics.table_cost(&table);
@@ -601,7 +598,7 @@ impl StreamingClustering {
         let (live, mut first) = (&self.live, false);
         let id = self.seen.add_many(client, requests, bytes, || {
             first = true;
-            memo(live.table.net_for_u32(client))
+            memo(live.table.lookup(client))
         });
         let amount = StreamStats {
             clients: u64::from(first),
@@ -646,7 +643,7 @@ impl StreamingClustering {
         let client = u32::from(addr);
         match self.seen.get(client) {
             Some(record) => record.cluster(),
-            None => self.live.table.net_for_u32(client),
+            None => self.live.table.lookup(client),
         }
     }
 
@@ -844,7 +841,7 @@ impl StreamingClustering {
     /// Applies one batch of per-prefix routing deltas incrementally: a
     /// *copy* of the serving table (the superseded generation when no
     /// reader still holds it, caught up by the one batch it lacks) is
-    /// patched in place (`CompiledMerged::apply_delta`), only the clients
+    /// patched in place (`CompiledTable::apply_delta`), only the clients
     /// the batch can affect are re-resolved, and the [`SwapPolicy`]
     /// entry/coverage gates run before the patched generation is
     /// published. Rejection discards the candidate; the old generation
@@ -960,7 +957,7 @@ impl StreamingClustering {
             if !hit {
                 continue;
             }
-            let new_net = candidate.table.net_for_u32(record.addr);
+            let new_net = candidate.table.lookup(record.addr);
             if new_net == net {
                 continue;
             }
@@ -1048,8 +1045,8 @@ impl StreamingClustering {
     /// driver to fill in. [`restore`](Self::restore) is the inverse.
     pub fn export_state(&self) -> StreamState {
         let mut state = self.export_head();
-        state.bgp_prefixes = self.live.table.bgp().live_prefixes();
-        state.dump_prefixes = self.live.table.dump().live_prefixes();
+        state.bgp_prefixes = self.live.table.live_prefixes();
+        state.dump_prefixes = self.live.table.dump_prefixes().to_vec();
         state.per_client = self.client_rows().collect();
         state
             .per_client
@@ -1097,10 +1094,11 @@ impl StreamingClustering {
         }
     }
 
-    /// Rebuilds a stream from a persisted [`StreamState`]: recompiles the
-    /// two routing tiers from their live prefix sets (bit-identical to the
-    /// compile the snapshot's table came from, since `live_prefixes` is
-    /// canonical), feeds every retained client's totals in the way
+    /// Rebuilds a stream from a persisted [`StreamState`]: compiles the
+    /// two routing tiers straight from their live prefix lists (the same
+    /// constructor [`MergedTable::compile`] runs, so the layout is the one
+    /// a fresh build of those sets gets), feeds every retained client's
+    /// totals in the way
     /// [`push`](Self::push) feeds one request, which resolves each under
     /// the recompiled table, and cross-checks the snapshot's stored totals
     /// against the recomputed ones — a disagreement means a
@@ -1116,19 +1114,7 @@ impl StreamingClustering {
         policy: SwapPolicy,
         obs: Obs,
     ) -> Result<Self, RestoreError> {
-        let bgp = RoutingTable::new(
-            "recovered-bgp",
-            "recovered",
-            TableKind::Bgp,
-            state.bgp_prefixes.clone(),
-        );
-        let dump = RoutingTable::new(
-            "recovered-dump",
-            "recovered",
-            TableKind::NetworkDump,
-            state.dump_prefixes.clone(),
-        );
-        let table = MergedTable::merge([&bgp, &dump]);
+        let table = CompiledTable::tiered(&state.bgp_prefixes, &state.dump_prefixes);
         let mut stream = Self::new(table, state.table_version, policy, obs);
         for &(client, requests, bytes) in &state.per_client {
             stream.push_many(client, requests, bytes);
@@ -1162,6 +1148,7 @@ mod tests {
     use super::*;
     use crate::cluster::Clustering;
     use netclust_netgen::{standard_merged, Universe, UniverseConfig};
+    use netclust_rtable::{RoutingTable, TableKind};
     use netclust_weblog::{generate, LogSpec};
 
     fn setup() -> (Universe, netclust_weblog::Log) {
@@ -1502,7 +1489,7 @@ mod tests {
             "dump-equiv",
             "d0",
             netclust_rtable::TableKind::NetworkDump,
-            merged.dump_prefixes(),
+            merged.dump_prefixes().to_vec(),
         );
         let report = swapped.try_swap(MergedTable::merge([&bgp, &dump]), ErrorCounts::default());
         assert!(report.accepted, "rejected: {:?}", report.rejection);
@@ -1582,7 +1569,7 @@ mod tests {
             assert_view_consistent(&stream);
         }
         assert_eq!(stalled.version, 0);
-        assert_eq!(stalled.table.net_for_u32(probe), Some(victims[0]));
+        assert_eq!(stalled.table.lookup(probe), Some(victims[0]));
         assert_ne!(stream.lookup_net(Ipv4Addr::from(probe)), Some(victims[0]));
     }
 

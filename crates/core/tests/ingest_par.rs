@@ -13,7 +13,7 @@ use netclust_core::{
     failpoints, Assigner, Clustering, FaultPlan, IngestError, IngestPipeline, IngestReport,
 };
 use netclust_obs::Obs;
-use netclust_rtable::{CompiledMerged, MergedTable, RoutingTable, TableKind};
+use netclust_rtable::{CompiledTable, MergedTable, RoutingTable, TableKind};
 use netclust_weblog::chunk::LogData;
 use netclust_weblog::clf;
 use proptest::prelude::*;
@@ -21,7 +21,7 @@ use proptest::prelude::*;
 /// A routing table whose prefixes cover some — not all — of the corpus
 /// base networks below, so clusterings mix clustered and unclustered
 /// clients and both LPM tiers answer.
-fn table() -> CompiledMerged {
+fn table() -> CompiledTable {
     let bgp = RoutingTable::new(
         "B",
         "d0",

@@ -62,7 +62,7 @@ fn fault_sweep_rollback_leaves_old_generation_intact() {
             .injector();
         let mut feed = DeltaStream::new(
             seed,
-            standard_merged(&u, 0).bgp_prefixes(),
+            standard_merged(&u, 0).bgp_prefixes().to_vec(),
             DeltaStreamConfig::default(),
         );
         let mut accepted_batches: Vec<Vec<TableDelta>> = Vec::new();
@@ -113,7 +113,7 @@ fn fault_sweep_rollback_leaves_old_generation_intact() {
         );
         assert!((stream.coverage() - mirror.coverage()).abs() < 1e-12);
         let (h, hm) = (stream.handle(), mirror.handle());
-        for addr in probes(&standard_merged(&u, 0).bgp_prefixes()) {
+        for addr in probes(standard_merged(&u, 0).bgp_prefixes()) {
             assert_eq!(h.net_for_u32(addr), hm.net_for_u32(addr), "seed {seed}");
         }
     }

@@ -366,7 +366,7 @@ mod tests {
         );
         // Unregistered orgs are absent.
         for org in u.orgs().iter().filter(|o| !o.registered) {
-            assert!(!arin.contains(org.network));
+            assert!(!arin.prefixes().contains(&org.network));
         }
     }
 

@@ -1,11 +1,13 @@
-//! A compiled longest-prefix-match table: a DIR-16 root over
-//! popcount-compressed nodes.
+//! The compiled longest-prefix-match table: a DIR-16 root over
+//! popcount-compressed nodes, one layout for both source tiers.
 //!
-//! The [`PrefixTrie`] is the *build-side* structure: cheap inserts and
-//! removals, but every lookup walks up to 32 pointer-chasing node hops.
-//! For the clustering hot path — millions of client addresses matched
-//! against a frozen table — [`CompiledTable`] flattens the same prefix
-//! set into three arrays small enough to stay in cache:
+//! §3.2.1 of the paper answers a client with its longest BGP match, and
+//! with its longest registry-dump match only when no BGP prefix covers it.
+//! That rule partitions the address space into answer classes, and a
+//! leaf-pushed layout encodes any partition: [`CompiledTable`] paints the
+//! registry tier first and the BGP tier over it, so every position holds
+//! its final answer and one walk serves both tiers. The three arrays are
+//! small enough to stay in cache:
 //!
 //! * `root`: one `u32` per /16 (2^16 entries, 256 KiB). An entry is
 //!   either a *leaf slot* (`handle + 1`, `0` = no match) or, with
@@ -20,16 +22,15 @@
 //!   two identical [`step`](CompiledTable::step)s.
 //! * `spill`: run values of nodes with more runs than fit inline.
 //!
-//! Nodes are *leaf-pushed*: every position carries its final answer (the
-//! longest match at that depth, covering shorter prefixes included), so
-//! no lookup ever backtracks or consults a fallback.
-//!
-//! Matches are returned as [`Handle`]s — dense `Copy` indices into a
+//! Matches are returned as [`Handle`]s — dense `Copy` indices into one
 //! prefix arena — so batch lookups move no heap data and results can be
-//! compared, hashed, and resolved to an [`Ipv4Net`] later.
+//! compared, hashed, and resolved to an [`Ipv4Net`] later. The arena holds
+//! the registry tier first, so a handle's tier is a comparison with the
+//! registry tier's length ([`CompiledTable::source`]).
 //!
 //! Build cost is one sort of the prefixes by /16 chunk plus one 256-entry
-//! paint-and-encode per node. Routing updates patch the layout chunk by
+//! paint-and-encode per node; the input is the [`MergedTable`]'s two sorted
+//! lists, and no trie is built. Routing updates patch the layout chunk by
 //! chunk: see [`CompiledTable::apply_delta`] in `patch.rs`.
 
 #![deny(
@@ -43,28 +44,56 @@
 )]
 
 use std::fmt;
-use std::net::Ipv4Addr;
 
 use netclust_obs::{Counter, Obs};
 use netclust_prefix::Ipv4Net;
 
 use crate::table::{MatchSource, MergedTable};
-use crate::trie::{PrefixTrie, PrefixTrieIter};
+use crate::trie::PrefixTrieIter;
 
-/// Lookup/miss counters for one compiled tier. Disabled (no-op) by default;
-/// [`CompiledTable::attach_obs`] resolves live handles. Counting happens at
-/// call/batch granularity so the inner `lookup_handle` loop stays pure.
+/// Lookup accounting (`lpm.*`). Disabled (no-op) by default;
+/// [`CompiledTable::attach_obs`] resolves live handles. Counting happens
+/// at call/batch granularity so the inner `lookup_handle` loop stays pure.
+/// Every counter is a function of the lookups' tiers: a BGP miss is a
+/// registry fallback, and a registry miss is a final miss.
 #[derive(Clone, Debug, Default)]
 struct TableObs {
     lookups: Counter,
     misses: Counter,
+    fallbacks: Counter,
+    bgp_lookups: Counter,
+    bgp_misses: Counter,
+    dump_lookups: Counter,
+    dump_misses: Counter,
 }
 
 impl TableObs {
-    fn resolve(obs: &Obs, prefix: &str) -> Self {
+    fn resolve(obs: &Obs) -> Self {
         Self {
-            lookups: obs.counter(&format!("{prefix}.lookups")),
-            misses: obs.counter(&format!("{prefix}.misses")),
+            lookups: obs.counter("lpm.lookups"),
+            misses: obs.counter("lpm.misses"),
+            fallbacks: obs.counter("lpm.dump_fallbacks"),
+            bgp_lookups: obs.counter("lpm.bgp.lookups"),
+            bgp_misses: obs.counter("lpm.bgp.misses"),
+            dump_lookups: obs.counter("lpm.dump.lookups"),
+            dump_misses: obs.counter("lpm.dump.misses"),
+        }
+    }
+
+    /// Counts `n` lookups, of which `fallbacks` found no BGP prefix and
+    /// `misses` no prefix at all.
+    #[inline]
+    fn count(&self, n: u64, fallbacks: u64, misses: u64) {
+        self.lookups.add(n);
+        self.bgp_lookups.add(n);
+        if fallbacks > 0 {
+            self.fallbacks.add(fallbacks);
+            self.bgp_misses.add(fallbacks);
+            self.dump_lookups.add(fallbacks);
+        }
+        if misses > 0 {
+            self.misses.add(misses);
+            self.dump_misses.add(misses);
         }
     }
 }
@@ -83,7 +112,7 @@ const INLINE_RUNS: usize = 6;
 /// `Node::spill` value of a node whose runs are inline.
 const NO_SPILL: u32 = u32::MAX;
 
-/// Accepted by [`CompiledMerged::net_for_slice`] and ignored: the table is
+/// Accepted by [`CompiledTable::net_for_slice`] and ignored: the table is
 /// cache-resident, so there is no DRAM round trip for a software prefetch
 /// to hide (see DESIGN.md §9 for the measurement). The constant and the
 /// parameter stay because `benchmark/benches/layers.rs` passes them and
@@ -243,17 +272,60 @@ fn key_slot(key: u64) -> u32 {
     u32::try_from(key & 0xFFFF_FFFF).unwrap_or(0)
 }
 
+/// Number of runs of equal values in 256 positions.
+fn runs(vals: &[u32; 256]) -> usize {
+    vals.chunk_by(|a, b| a == b).count()
+}
+
+/// One tier's answers over a /16 chunk, before encoding: the slot at each
+/// value of the third address byte, and for every /24 holding a longer
+/// prefix the slot at each value of the fourth.
+struct Paint {
+    mid: [u32; 256],
+    /// `(third byte, positions)`, ascending by third byte.
+    lows: Vec<(usize, [u32; 256])>,
+}
+
+impl Paint {
+    /// The answers at each fourth byte under third byte `third`.
+    fn low(&self, third: usize) -> [u32; 256] {
+        match self.lows.binary_search_by_key(&third, |(t, _)| *t) {
+            Ok(at) => self.lows.get(at).map_or([0; 256], |(_, low)| *low),
+            Err(_) => [self.mid.get(third).copied().unwrap_or(0); 256],
+        }
+    }
+
+    /// Run values the chunk would store were this tier the whole table:
+    /// what a patch reports, so the figure is the BGP tier's however much
+    /// registry space shows through it.
+    fn cells(&self) -> usize {
+        let mut mid = self.mid;
+        let mut cells = 0;
+        // No prefix longer than /24 fills its /24, so every low array has
+        // two runs or more and is a node: an entry unlike any other.
+        for (id, (third, low)) in (0u32..).zip(&self.lows) {
+            cells += runs(low);
+            if let Some(e) = mid.get_mut(*third) {
+                *e = NODE_FLAG | id;
+            }
+        }
+        let n = runs(&mid);
+        cells + if n > 1 { n } else { 0 }
+    }
+}
+
 /// A longest-prefix-match table compiled to the DIR-16 + compressed-node
-/// layout. Built from a [`PrefixTrie`] (see [`PrefixTrie::compile`]) or
-/// any prefix list (see [`CompiledTable::from_prefixes`]).
+/// layout, holding the BGP tier and, below it, the registry-dump tier.
+/// Built from a [`MergedTable`] (see [`MergedTable::compile`]) or from one
+/// prefix list (see [`CompiledTable::from_prefixes`]).
 ///
 /// ```
-/// use netclust_rtable::{CompiledTable, PrefixTrie};
+/// use netclust_rtable::CompiledTable;
 ///
-/// let mut trie = PrefixTrie::new();
-/// trie.insert("12.0.0.0/8".parse().unwrap(), ());
-/// trie.insert("12.65.128.0/19".parse().unwrap(), ());
-/// let table = trie.compile();
+/// let table = CompiledTable::from_prefixes([
+///     "12.0.0.0/8".parse().unwrap(),
+///     "12.65.128.0/19".parse().unwrap(),
+/// ]);
 ///
 /// let net = table.lookup(u32::from_be_bytes([12, 65, 147, 94])).unwrap();
 /// assert_eq!(net.to_string(), "12.65.128.0/19");
@@ -275,37 +347,65 @@ pub struct CompiledTable {
     pub(crate) free_nodes: Vec<u32>,
     /// `spill` cells that belonged to freed nodes.
     pub(crate) dead_cells: usize,
-    /// Dense prefix arena; [`Handle`]s index into this. After in-place
-    /// patching the arena may contain dead (withdrawn) entries that no
-    /// slot references; see [`live_prefixes`](Self::live_prefixes).
+    /// Dense prefix arena; [`Handle`]s index into this. The first
+    /// `dump_len` entries are the registry tier, sorted and never patched;
+    /// the rest are the BGP tier. After in-place patching the BGP part may
+    /// contain dead (withdrawn) entries that no slot references; see
+    /// [`live_prefixes`](Self::live_prefixes).
     pub(crate) prefixes: Vec<Ipv4Net>,
-    /// `prefixes` was compiled strictly increasing, so until a patch the
-    /// arena is its own live set in order (a [`MergedTable`] tier is).
+    /// Arena entries of the registry tier: handles below it are registry
+    /// matches.
+    pub(crate) dump_len: u32,
+    /// The BGP part of `prefixes` was compiled strictly increasing, so
+    /// until a patch it is its own live set in order (a [`MergedTable`]
+    /// tier is).
     sorted: bool,
     /// Incremental-update bookkeeping (shadow trie, free handles); built
     /// by the first [`apply_delta`](Self::apply_delta) call.
     pub(crate) patch: Option<Box<crate::patch::PatchState>>,
-    /// Lookup/miss accounting (no-op unless attached).
+    /// Lookup accounting (no-op unless attached).
     obs: TableObs,
 }
 
 impl CompiledTable {
-    /// Compiles a prefix list. Order does not matter; duplicates keep one
-    /// arena entry each (the last occurrence wins the match, but equal
-    /// prefixes are indistinguishable as [`Ipv4Net`]s anyway).
+    /// Compiles one prefix list as the BGP tier, with no registry tier.
+    /// Order does not matter; duplicates keep one arena entry each (the
+    /// last occurrence wins the match, but equal prefixes are
+    /// indistinguishable as [`Ipv4Net`]s anyway).
     pub fn from_prefixes(prefixes: impl IntoIterator<Item = Ipv4Net>) -> Self {
+        Self::build(prefixes.into_iter().collect(), 0)
+    }
+
+    /// Compiles both tiers: `bgp` in any order, over `dump`, which a BGP
+    /// match always wins against. This is [`MergedTable::compile`]; a
+    /// snapshot's per-tier lists are recompiled through it too.
+    pub fn tiered(bgp: &[Ipv4Net], dump: &[Ipv4Net]) -> Self {
+        let mut arena = Vec::with_capacity(bgp.len() + dump.len());
+        arena.extend_from_slice(dump);
+        // A patch that uncovers the registry tier binary-searches it.
+        arena.sort_unstable();
+        arena.dedup();
+        let dump_len = u32::try_from(arena.len()).unwrap_or(NODE_FLAG - 1);
+        arena.extend_from_slice(bgp);
+        Self::build(arena, dump_len)
+    }
+
+    /// Compiles `prefixes`, of which the first `dump_len` are the registry
+    /// tier.
+    fn build(prefixes: Vec<Ipv4Net>, dump_len: u32) -> Self {
         let mut table = CompiledTable {
             root: Vec::new(),
             nodes: Vec::new(),
             spill: Vec::new(),
             free_nodes: Vec::new(),
             dead_cells: 0,
-            prefixes: prefixes.into_iter().collect(),
+            prefixes,
+            dump_len,
             sorted: false,
             patch: None,
             obs: TableObs::default(),
         };
-        table.sorted = table.prefixes.is_sorted_by(|a, b| a < b);
+        table.sorted = table.bgp_arena().is_sorted_by(|a, b| a < b);
         debug_assert!(
             u32::try_from(table.prefixes.len()).is_ok_and(|n| n < NODE_FLAG - 1),
             "every slot (handle + 1) must stay below NODE_FLAG"
@@ -316,6 +416,26 @@ impl CompiledTable {
             table.rebuild(handles);
         }
         table
+    }
+
+    /// The registry tier's part of the arena: sorted, static.
+    pub(crate) fn dump_arena(&self) -> &[Ipv4Net] {
+        self.prefixes
+            .get(..self.dump_len as usize)
+            .unwrap_or_default()
+    }
+
+    /// The BGP tier's part of the arena, dead entries included.
+    fn bgp_arena(&self) -> &[Ipv4Net] {
+        self.prefixes
+            .get(self.dump_len as usize..)
+            .unwrap_or_default()
+    }
+
+    /// `true` when `slot` (a handle + 1) names a registry prefix.
+    #[inline]
+    pub(crate) fn is_dump_slot(&self, slot: u32) -> bool {
+        slot.wrapping_sub(1) < self.dump_len
     }
 
     /// Rebuilds `root`, `nodes` and `spill` from scratch for the arena
@@ -329,22 +449,24 @@ impl CompiledTable {
         self.free_nodes.clear();
         self.dead_cells = 0;
 
-        // (length, handle) of the ≤/16 prefixes; chunk keys of the rest.
-        let mut short: Vec<(u8, u32)> = Vec::new();
+        // (tier, length, handle) of the ≤/16 prefixes; chunk keys of the
+        // rest.
+        let mut short: Vec<(bool, u8, u32)> = Vec::new();
         let mut long: Vec<u64> = Vec::with_capacity(live.size_hint().0);
         for h in live {
             let Some(net) = self.prefixes.get(h as usize) else {
                 continue;
             };
             if net.len() <= 16 {
-                short.push((net.len(), h));
+                short.push((h >= self.dump_len, net.len(), h));
             } else {
                 long.push(chunk_key(*net, h + 1));
             }
         }
-        // Ascending length, so longer prefixes overwrite shorter ones.
+        // The registry tier first, then BGP over it; each by ascending
+        // length, so longer prefixes overwrite shorter ones.
         short.sort_unstable();
-        for (len, h) in short {
+        for (_, len, h) in short {
             let Some(net) = self.prefixes.get(h as usize) else {
                 continue;
             };
@@ -366,40 +488,91 @@ impl CompiledTable {
     }
 
     /// Builds the nodes of one /16 chunk and returns its root entry.
-    /// `cover` is the slot of the longest ≤/16 match over the chunk;
-    /// `items` are the [`chunk_key`]s of the chunk's longer prefixes,
-    /// sorted. `cells` is advanced by the number of run values written.
+    /// `cover` is the slot of the chunk's ≤/16 answer (BGP, else
+    /// registry); `items` are the [`chunk_key`]s of the chunk's longer
+    /// prefixes of both tiers, sorted. `cells` is advanced by the run
+    /// values the BGP tier's layout alone would store (see
+    /// [`PatchReport::cell_writes`](crate::PatchReport::cell_writes)).
     pub(crate) fn build_chunk(&mut self, cover: u32, items: &[u64], cells: &mut usize) -> u32 {
-        let mut mid = [cover; 256];
-        let mut items = items.iter().peekable();
-        while let Some(&key) = items.next() {
+        let bgp_cover = if self.is_dump_slot(cover) { 0 } else { cover };
+        let dump_items = items.iter().any(|&k| self.is_dump_slot(key_slot(k)));
+        let top = self.paint(
+            bgp_cover,
+            items.iter().filter(|&&k| !self.is_dump_slot(key_slot(k))),
+        );
+        if bgp_cover != 0 || (cover == 0 && !dump_items) {
+            // No registry answer shows through: the layout is BGP's alone.
+            return self.encode(&top, None, cells);
+        }
+        let under = self.paint(
+            cover,
+            items.iter().filter(|&&k| self.is_dump_slot(key_slot(k))),
+        );
+        *cells += top.cells();
+        self.encode(&top, Some(&under), &mut 0)
+    }
+
+    /// One tier's answers over a chunk: `items` (one tier's chunk keys, in
+    /// order) painted over `cover`.
+    fn paint<'a>(&self, cover: u32, items: impl Iterator<Item = &'a u64>) -> Paint {
+        let mut paint = Paint {
+            mid: [cover; 256],
+            lows: Vec::new(),
+        };
+        for &key in items {
             let Some(net) = self.net_of_key(key) else {
                 continue;
             };
+            let addr = net.addr_u32();
             if net.len() <= 24 {
-                let lo = ((net.addr_u32() >> 8) & 0xFF) as usize;
+                let lo = ((addr >> 8) & 0xFF) as usize;
                 let count = 1usize << (24 - net.len());
-                if let Some(run) = mid.get_mut(lo..lo + count) {
+                if let Some(run) = paint.mid.get_mut(lo..lo + count) {
                     run.fill(key_slot(key));
                 }
                 continue;
             }
             // All /17–/24 prefixes sorted ahead of this one, so the
-            // position for its third byte already holds the leaf the
-            // >/24 prefixes of that /24 are painted over.
-            let third = ((net.addr_u32() >> 8) & 0xFF) as usize;
-            let mut low = [mid.get(third).copied().unwrap_or(cover); 256];
-            let mut next = Some((key, net));
-            while let Some((key, net)) = next {
-                let lo = (net.addr_u32() & 0xFF) as usize;
-                let count = 1usize << (32 - net.len());
-                if let Some(run) = low.get_mut(lo..lo + count) {
-                    run.fill(key_slot(key));
+            // position for its third byte already holds the answer its
+            // /24's longer prefixes are painted over.
+            let third = ((addr >> 8) & 0xFF) as usize;
+            if paint.lows.last().map(|(t, _)| *t) != Some(third) {
+                let under = paint.mid.get(third).copied().unwrap_or(cover);
+                paint.lows.push((third, [under; 256]));
+            }
+            let lo = (addr & 0xFF) as usize;
+            let count = 1usize << (32 - net.len());
+            let low = paint
+                .lows
+                .last_mut()
+                .and_then(|(_, l)| l.get_mut(lo..lo + count));
+            if let Some(run) = low {
+                run.fill(key_slot(key));
+            }
+        }
+        paint
+    }
+
+    /// Stores a chunk — `top`'s answers, and `under`'s where `top` has
+    /// none — and returns its root entry: the low nodes in ascending /24
+    /// order, then the mid node over them.
+    fn encode(&mut self, top: &Paint, under: Option<&Paint>, cells: &mut usize) -> u32 {
+        let mut mid = top.mid;
+        let mut thirds: Vec<usize> = top.lows.iter().map(|(t, _)| *t).collect();
+        if let Some(under) = under {
+            for (m, &u) in mid.iter_mut().zip(&under.mid) {
+                *m = if *m != 0 { *m } else { u };
+            }
+            thirds.extend(under.lows.iter().map(|(t, _)| *t));
+            thirds.sort_unstable();
+            thirds.dedup();
+        }
+        for third in thirds {
+            let mut low = top.low(third);
+            if let Some(under) = under {
+                for (v, b) in low.iter_mut().zip(under.low(third)) {
+                    *v = if *v != 0 { *v } else { b };
                 }
-                // Same /24: the keys agree above the length bits.
-                next = items
-                    .next_if(|&&k| k >> 38 == key >> 38)
-                    .and_then(|&k| self.net_of_key(k).map(|n| (k, n)));
             }
             let entry = self.entry_for(&low, cells);
             if let Some(e) = mid.get_mut(third) {
@@ -477,12 +650,14 @@ impl CompiledTable {
         }
     }
 
-    /// Wires this table's lookup/miss counters (`{prefix}.lookups`,
-    /// `{prefix}.misses`) to `obs`. Counting is per scalar call or per
-    /// batch; [`lookup_handle`](Self::lookup_handle) itself stays
+    /// Wires the lookup counters to `obs`: `lpm.lookups`, `lpm.misses`
+    /// (no prefix of either tier), `lpm.dump_fallbacks` (no BGP prefix),
+    /// and per tier `lpm.bgp.*` / `lpm.dump.*`, where the registry tier
+    /// counts the fallbacks as its lookups. Counting is per scalar call or
+    /// per batch; [`lookup_handle`](Self::lookup_handle) itself stays
     /// uninstrumented so the innermost loop is identical in both modes.
-    pub fn attach_obs(&mut self, obs: &Obs, prefix: &str) {
-        self.obs = TableObs::resolve(obs, prefix);
+    pub fn attach_obs(&mut self, obs: &Obs) {
+        self.obs = TableObs::resolve(obs);
     }
 
     /// One level of the lookup: the value of node `entry` at the low byte
@@ -516,15 +691,22 @@ impl CompiledTable {
         Handle::from_slot(entry)
     }
 
-    /// Longest-prefix match resolving straight to the matched prefix.
+    /// `true` when `handle` is no BGP match: a registry match or a miss.
+    #[inline]
+    fn falls_back(&self, handle: Handle) -> bool {
+        // NONE wraps to slot 0.
+        handle.0.wrapping_add(1) <= self.dump_len
+    }
+
+    /// The cluster prefix for `addr`: its longest BGP match, else its
+    /// longest registry match. Counted (see [`attach_obs`](Self::attach_obs)).
     #[inline]
     pub fn lookup(&self, addr: u32) -> Option<Ipv4Net> {
-        let net = self.resolve(self.lookup_handle(addr));
-        self.obs.lookups.inc();
-        if net.is_none() {
-            self.obs.misses.inc();
-        }
-        net
+        let h = self.lookup_handle(addr);
+        let miss = h.is_none();
+        self.obs
+            .count(1, u64::from(self.falls_back(h)), u64::from(miss));
+        self.resolve(h)
     }
 
     /// The prefix a handle refers to, or `None` for [`Handle::NONE`] (or a
@@ -532,6 +714,52 @@ impl CompiledTable {
     #[inline]
     pub fn resolve(&self, handle: Handle) -> Option<Ipv4Net> {
         handle.index().and_then(|i| self.prefixes.get(i)).copied()
+    }
+
+    /// Which tier a handle's prefix came from, or `None` for
+    /// [`Handle::NONE`] (or a handle outside this arena).
+    #[inline]
+    pub fn source(&self, handle: Handle) -> Option<MatchSource> {
+        self.resolve(handle)?;
+        Some(if self.falls_back(handle) {
+            MatchSource::NetworkDump
+        } else {
+            MatchSource::Bgp
+        })
+    }
+
+    /// Batch form of [`lookup`](Self::lookup). The stream's table swaps
+    /// re-resolve every client with it; the ingest kernel calls
+    /// [`net_for_slice`](Self::net_for_slice).
+    pub fn net_for_batch(&self, addrs: &[u32]) -> Vec<Option<Ipv4Net>> {
+        let mut out = vec![None; addrs.len()];
+        self.net_for_slice(addrs, &mut out, DEFAULT_PREFETCH_DISTANCE);
+        out
+    }
+
+    /// Slice-writing form of [`net_for_batch`](Self::net_for_batch):
+    /// fills `out[i]` with the cluster for `addrs[i]` (no allocation at
+    /// all — the parallel ingest merge hands each worker-sized span of one
+    /// pre-sized assignment vector straight to this). `_distance` was the
+    /// software-prefetch lookahead of the DIR-24-8 layout and is ignored;
+    /// it stays for the frozen benchmark harness's call (see
+    /// [`DEFAULT_PREFETCH_DISTANCE`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out` is shorter than `addrs`.
+    pub fn net_for_slice(&self, addrs: &[u32], out: &mut [Option<Ipv4Net>], _distance: usize) {
+        assert!(out.len() >= addrs.len(), "output buffer too short");
+        let mut fallbacks = 0u64;
+        let mut misses = 0u64;
+        for (&addr, slot) in addrs.iter().zip(out.iter_mut()) {
+            let h = self.lookup_handle(addr);
+            fallbacks += u64::from(self.falls_back(h));
+            misses += u64::from(h.is_none());
+            *slot = self.resolve(h);
+        }
+        // Counting is batched so the per-address loop above is untouched.
+        self.obs.count(addrs.len() as u64, fallbacks, misses);
     }
 
     /// The dense prefix arena; [`Handle`]s index into this slice. On a
@@ -543,9 +771,15 @@ impl CompiledTable {
         &self.prefixes
     }
 
-    /// The current live prefix set, sorted: the arena minus withdrawn
-    /// entries. Equals [`prefixes`](Self::prefixes) (sorted, deduplicated)
-    /// on a freshly compiled table.
+    /// The registry tier, sorted. Patches never change it.
+    pub fn dump_prefixes(&self) -> &[Ipv4Net] {
+        self.dump_arena()
+    }
+
+    /// The BGP tier's current live prefix set, sorted: its arena part
+    /// minus withdrawn entries. Equals that part (sorted, deduplicated)
+    /// on a freshly compiled table. On a table from
+    /// [`from_prefixes`](Self::from_prefixes) that is every prefix.
     pub fn live_prefixes(&self) -> Vec<Ipv4Net> {
         self.live_iter().collect()
     }
@@ -557,9 +791,9 @@ impl CompiledTable {
     pub fn live_iter(&self) -> LivePrefixes<'_> {
         LivePrefixes(match &self.patch {
             Some(state) => Live::Trie(state.trie.iter(), state.trie.len()),
-            None if self.sorted => Live::Arena(self.prefixes.iter()),
+            None if self.sorted => Live::Arena(self.bgp_arena().iter()),
             None => {
-                let mut copy = self.prefixes.clone();
+                let mut copy = self.bgp_arena().to_vec();
                 copy.sort_unstable();
                 copy.dedup();
                 Live::Copied(copy.into_iter())
@@ -567,12 +801,13 @@ impl CompiledTable {
         })
     }
 
-    /// Number of live prefixes. Before any patch this is the arena length
-    /// (duplicates included, matching what was compiled in); after the
-    /// patch layer initializes it is the deduplicated live count.
+    /// Number of live prefixes, both tiers. Before any patch this is the
+    /// arena length (duplicates included, matching what was compiled in);
+    /// after the patch layer initializes it counts the BGP tier
+    /// deduplicated.
     pub fn len(&self) -> usize {
         match &self.patch {
-            Some(state) => state.trie.len(),
+            Some(state) => self.dump_arena().len() + state.trie.len(),
             None => self.prefixes.len(),
         }
     }
@@ -596,8 +831,8 @@ impl CompiledTable {
 
     /// Lookup-side memory footprint in bytes: every array a lookup or a
     /// patch of the layout touches, free list and dead cells included.
-    /// The lazily built shadow trie is
-    /// [`patch_state_bytes`](Self::patch_state_bytes).
+    /// The shadow trie the first [`apply_delta`](Self::apply_delta)
+    /// builds is not counted.
     pub fn memory_bytes(&self) -> usize {
         self.root.len() * 4
             + self.nodes.len() * std::mem::size_of::<Node>()
@@ -605,26 +840,20 @@ impl CompiledTable {
             + self.free_nodes.len() * 4
             + self.prefixes.len() * std::mem::size_of::<Ipv4Net>()
     }
-
-    /// Bytes held by the patch layer's shadow state (live-set trie and
-    /// free handles): 0 until the first
-    /// [`apply_delta`](Self::apply_delta).
-    pub fn patch_state_bytes(&self) -> usize {
-        self.patch.as_ref().map_or(0, |s| s.memory_bytes())
-    }
 }
 
 impl fmt::Debug for CompiledTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledTable")
             .field("prefixes", &self.prefixes.len())
+            .field("dump_len", &self.dump_len)
             .field("nodes", &self.nodes())
             .field("memory_bytes", &self.memory_bytes())
             .finish()
     }
 }
 
-/// The live prefixes of a [`CompiledTable`] in ascending order, from
+/// The live BGP prefixes of a [`CompiledTable`] in ascending order, from
 /// [`CompiledTable::live_iter`].
 pub struct LivePrefixes<'a>(Live<'a>);
 
@@ -662,178 +891,12 @@ impl Iterator for LivePrefixes<'_> {
 
 impl ExactSizeIterator for LivePrefixes<'_> {}
 
-impl<V> PrefixTrie<V> {
-    /// Freezes this trie's current prefix set into a [`CompiledTable`].
-    /// Values are not carried over — compiled lookups return the matched
-    /// prefix (or a [`Handle`] to it), which is what the clustering hot
-    /// path consumes.
-    pub fn compile(&self) -> CompiledTable {
-        CompiledTable::from_prefixes(self.prefixes())
-    }
-}
-
-/// The compiled form of a [`MergedTable`]: both source tiers frozen to
-/// flat tables, preserving the BGP-primary / registry-fallback semantics
-/// of [`MergedTable::lookup`].
-#[derive(Clone)]
-pub struct CompiledMerged {
-    bgp: CompiledTable,
-    dump: CompiledTable,
-    obs: MergedObs,
-}
-
-/// Merged-level lookup accounting: total lookups, final misses (neither
-/// tier matched) and registry fallbacks (BGP missed, dump consulted).
-#[derive(Clone, Debug, Default)]
-struct MergedObs {
-    lookups: Counter,
-    misses: Counter,
-    fallbacks: Counter,
-}
-
-impl CompiledMerged {
-    /// Wires merged-level counters (`lpm.lookups`, `lpm.misses`,
-    /// `lpm.dump_fallbacks`) and per-tier counters (`lpm.bgp.*`,
-    /// `lpm.dump.*`) to `obs`.
-    pub fn attach_obs(&mut self, obs: &Obs) {
-        self.bgp.attach_obs(obs, "lpm.bgp");
-        self.dump.attach_obs(obs, "lpm.dump");
-        self.obs = MergedObs {
-            lookups: obs.counter("lpm.lookups"),
-            misses: obs.counter("lpm.misses"),
-            fallbacks: obs.counter("lpm.dump_fallbacks"),
-        };
-    }
-
-    /// The compiled BGP (primary) tier.
-    pub fn bgp(&self) -> &CompiledTable {
-        &self.bgp
-    }
-
-    /// The compiled registry-dump (fallback) tier.
-    pub fn dump(&self) -> &CompiledTable {
-        &self.dump
-    }
-
-    /// Mutable access to the BGP tier for the patch layer (BGP deltas only
-    /// ever touch the primary tier; the registry dump is static).
-    pub(crate) fn bgp_tier_mut(&mut self) -> &mut CompiledTable {
-        &mut self.bgp
-    }
-
-    /// Longest-prefix match with source attribution: BGP tier first, then
-    /// registry fallback — identical semantics to [`MergedTable::lookup_u32`].
-    #[inline]
-    pub fn lookup_u32(&self, addr: u32) -> Option<(Ipv4Net, MatchSource)> {
-        if let Some(net) = self.bgp.lookup(addr) {
-            Some((net, MatchSource::Bgp))
-        } else {
-            self.dump
-                .lookup(addr)
-                .map(|net| (net, MatchSource::NetworkDump))
-        }
-    }
-
-    /// [`lookup_u32`](Self::lookup_u32) on an [`Ipv4Addr`].
-    #[inline]
-    pub fn lookup(&self, addr: Ipv4Addr) -> Option<(Ipv4Net, MatchSource)> {
-        self.lookup_u32(u32::from(addr))
-    }
-
-    /// The matched cluster prefix for `addr`, ignoring source attribution
-    /// (the clustering hot path).
-    #[inline]
-    pub fn net_for_u32(&self, addr: u32) -> Option<Ipv4Net> {
-        self.obs.lookups.inc();
-        let net = self.bgp.lookup(addr).or_else(|| {
-            self.obs.fallbacks.inc();
-            self.dump.lookup(addr)
-        });
-        if net.is_none() {
-            self.obs.misses.inc();
-        }
-        net
-    }
-
-    /// Batch form of [`net_for_u32`](Self::net_for_u32): one handle sweep
-    /// over the BGP tier, with per-miss registry fallback. The stream's
-    /// table swaps and snapshot restore re-resolve every client with it;
-    /// the ingest kernel calls [`net_for_slice`](Self::net_for_slice).
-    pub fn net_for_batch(&self, addrs: &[u32]) -> Vec<Option<Ipv4Net>> {
-        let mut out = vec![None; addrs.len()];
-        self.net_for_slice(addrs, &mut out, DEFAULT_PREFETCH_DISTANCE);
-        out
-    }
-
-    /// Slice-writing form of [`net_for_batch`](Self::net_for_batch):
-    /// fills `out[i]` with the cluster for `addrs[i]` (no allocation at
-    /// all — the parallel ingest merge hands each worker-sized span of one
-    /// pre-sized assignment vector straight to this). `_distance` was the
-    /// software-prefetch lookahead of the DIR-24-8 layout and is ignored;
-    /// it stays for the frozen benchmark harness's call (see
-    /// [`DEFAULT_PREFETCH_DISTANCE`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out` is shorter than `addrs`.
-    pub fn net_for_slice(&self, addrs: &[u32], out: &mut [Option<Ipv4Net>], _distance: usize) {
-        assert!(out.len() >= addrs.len(), "output buffer too short");
-        let mut fallbacks = 0u64;
-        let mut misses = 0u64;
-        for (&addr, slot) in addrs.iter().zip(out.iter_mut()) {
-            let h = self.bgp.lookup_handle(addr);
-            let net = self.bgp.resolve(h).or_else(|| {
-                fallbacks += 1;
-                self.dump.lookup(addr)
-            });
-            if net.is_none() {
-                misses += 1;
-            }
-            *slot = net;
-        }
-        // Counting is batched so the per-address loop above is untouched:
-        // three counter adds per chunk-sized batch, not per address.
-        self.obs.lookups.add(addrs.len() as u64);
-        self.obs.fallbacks.add(fallbacks);
-        self.obs.misses.add(misses);
-        self.bgp.obs.lookups.add(addrs.len() as u64);
-        self.bgp.obs.misses.add(fallbacks);
-    }
-
-    /// Combined memory footprint of both tiers in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.bgp.memory_bytes() + self.dump.memory_bytes()
-    }
-
-    /// Live nodes in both tiers.
-    pub fn nodes(&self) -> usize {
-        self.bgp.nodes() + self.dump.nodes()
-    }
-
-    /// Dead spill cells in both tiers.
-    pub fn dead_cells(&self) -> usize {
-        self.bgp.dead_cells() + self.dump.dead_cells()
-    }
-}
-
-impl fmt::Debug for CompiledMerged {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CompiledMerged")
-            .field("bgp", &self.bgp)
-            .field("dump", &self.dump)
-            .finish()
-    }
-}
-
 impl MergedTable {
-    /// Freezes both tiers into a [`CompiledMerged`] for array-indexed
-    /// lookups. Recompile after mutating the source tables.
-    pub fn compile(&self) -> CompiledMerged {
-        CompiledMerged {
-            bgp: CompiledTable::from_prefixes(self.bgp_prefixes()),
-            dump: CompiledTable::from_prefixes(self.dump_prefixes()),
-            obs: MergedObs::default(),
-        }
+    /// Compiles both tiers into one [`CompiledTable`] for array-indexed
+    /// lookups, straight from their sorted lists. Recompile after mutating
+    /// the source tables.
+    pub fn compile(&self) -> CompiledTable {
+        CompiledTable::tiered(self.bgp_prefixes(), self.dump_prefixes())
     }
 }
 
@@ -841,6 +904,8 @@ impl MergedTable {
 mod tests {
     use super::*;
     use crate::table::{RoutingTable, TableKind};
+    use crate::trie::PrefixTrie;
+    use std::net::Ipv4Addr;
 
     fn net(s: &str) -> Ipv4Net {
         s.parse().unwrap()
@@ -902,24 +967,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_trie_on_paper_example() {
-        let mut trie = PrefixTrie::new();
-        trie.insert(net("12.65.128.0/19"), ());
-        trie.insert(net("24.48.2.0/23"), ());
-        let t = trie.compile();
-        for ip in [
-            "12.65.147.94",
-            "12.65.144.247",
-            "24.48.3.87",
-            "24.48.2.166",
-            "1.1.1.1",
-        ] {
-            let expect = trie.longest_match_u32(a(ip)).map(|(n, _)| n);
-            assert_eq!(t.lookup(a(ip)), expect, "{ip}");
-        }
-    }
-
-    #[test]
     fn handle_matches_scalar() {
         let t = CompiledTable::from_prefixes([net("12.0.0.0/8"), net("24.48.2.0/23")]);
         for ip in ["12.1.2.3", "24.48.3.87"] {
@@ -976,32 +1023,13 @@ mod tests {
     }
 
     #[test]
-    fn compiled_merged_preserves_tier_semantics() {
-        let bgp = RoutingTable::new("B", "d0", TableKind::Bgp, vec![net("12.0.0.0/8")]);
-        let dump = RoutingTable::new(
-            "N",
-            "d0",
-            TableKind::NetworkDump,
-            vec![net("12.65.128.0/19")],
-        );
-        let merged = MergedTable::merge([&bgp, &dump]);
-        let compiled = merged.compile();
-        // BGP wins even when the dump prefix is longer.
-        for ip in ["12.65.147.94", "12.1.1.1", "99.1.1.1"] {
-            assert_eq!(compiled.lookup_u32(a(ip)), merged.lookup_u32(a(ip)), "{ip}");
-        }
-        assert_eq!(
-            compiled.net_for_u32(a("12.65.147.94")),
-            Some(net("12.0.0.0/8"))
-        );
-    }
-
-    #[test]
     fn handle_resolves_to_arena_prefix() {
         let t = CompiledTable::from_prefixes([net("10.0.0.0/8")]);
         let h = t.lookup_handle(a("10.1.2.3"));
         assert!(h.is_some());
         assert_eq!(t.prefixes()[h.index().unwrap()], net("10.0.0.0/8"));
+        assert_eq!(t.source(h), Some(MatchSource::Bgp));
+        assert_eq!(t.source(Handle::NONE), None);
     }
 
     #[test]
@@ -1079,7 +1107,7 @@ mod tests {
         assert!(t.spill.is_empty());
         let expect = ROOT_LEN * 4 + 2 * 64 + 2 * std::mem::size_of::<Ipv4Net>();
         assert_eq!(t.memory_bytes(), expect);
-        assert_eq!(t.patch_state_bytes(), 0, "no shadow trie before a patch");
+        assert!(t.patch.is_none(), "no shadow trie before a patch");
 
         // A spilled node adds its run values. Freed nodes and dead cells
         // stay counted: they are memory the table holds until it compacts.
@@ -1097,7 +1125,7 @@ mod tests {
         assert_eq!(t.free_nodes.len(), 1, "each rebuild reused the freed node");
         assert_eq!(t.dead_cells(), t.spill.len(), "every spilled range is dead");
         assert_eq!(t.memory_bytes(), fixed + t.spill.len() * 4 + 4);
-        assert!(t.patch_state_bytes() > 0);
+        assert!(t.patch.is_some());
     }
 
     #[test]
@@ -1131,7 +1159,7 @@ mod tests {
 
     /// Runs a build with nesting at every level and a full /16 lookup
     /// sweep in a debug build, executing every `debug_assert!` invariant
-    /// in `from_prefixes` and `entry_for` (slot and node-id bounds).
+    /// in `build` and `entry_for` (slot and node-id bounds).
     #[cfg(debug_assertions)]
     #[test]
     fn debug_invariants_hold_across_build_and_sweep() {
@@ -1177,7 +1205,7 @@ mod tests {
             .collect();
         assert_eq!(compiled.net_for_batch(&addrs).len(), 3);
         // Scalar: one more full miss.
-        assert_eq!(compiled.net_for_u32(a("99.9.9.9")), None);
+        assert_eq!(compiled.lookup(a("99.9.9.9")), None);
 
         let snap = obs.snapshot(true);
         assert_eq!(snap.counters.get("lpm.lookups"), Some(&4));
@@ -1185,5 +1213,7 @@ mod tests {
         assert_eq!(snap.counters.get("lpm.dump_fallbacks"), Some(&3));
         assert_eq!(snap.counters.get("lpm.bgp.lookups"), Some(&4));
         assert_eq!(snap.counters.get("lpm.bgp.misses"), Some(&3));
+        assert_eq!(snap.counters.get("lpm.dump.lookups"), Some(&3));
+        assert_eq!(snap.counters.get("lpm.dump.misses"), Some(&2));
     }
 }

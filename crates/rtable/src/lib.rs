@@ -4,12 +4,12 @@
 //! This crate implements the paper's §3.1 (prefix extraction and table
 //! merging) and §3.4 (effect of BGP dynamics) machinery:
 //!
-//! * [`PrefixTrie`] — arena-allocated binary trie with longest-prefix match,
-//! * [`CompiledTable`] / [`CompiledMerged`] — the trie frozen into a
-//!   cache-resident DIR-16 root + popcount-compressed nodes for one to
-//!   three array loads per lookup on the clustering hot path,
-//! * [`RoutingTable`] / [`MergedTable`] — named snapshots and the unified
-//!   two-tier (BGP primary / registry-dump secondary) lookup table,
+//! * [`RoutingTable`] / [`MergedTable`] — named snapshots and their union,
+//!   a sorted prefix list per tier (BGP primary / registry-dump secondary),
+//! * [`CompiledTable`] — both tiers in one cache-resident DIR-16 root +
+//!   popcount-compressed nodes: one to three array loads per lookup,
+//! * [`PrefixTrie`] — arena-allocated binary trie with longest-prefix
+//!   match (the patch layer's shadow of the live BGP set),
 //! * [`PrefixLengthHistogram`] — Figure 1's prefix-length distribution,
 //! * [`SnapshotDiff`], [`dynamic_prefix_set`], [`maximum_effect`] — the
 //!   dynamics measures behind Table 4,
@@ -33,7 +33,7 @@ pub use diff::{
     decode_deltas, dynamic_prefix_set, encode_deltas, maximum_effect, DeltaCodecError,
     SnapshotDiff, DELTA_WIRE_BYTES,
 };
-pub use flat::{CompiledMerged, CompiledTable, Handle, LivePrefixes, DEFAULT_PREFETCH_DISTANCE};
+pub use flat::{CompiledTable, Handle, LivePrefixes, DEFAULT_PREFETCH_DISTANCE};
 pub use patch::{parse_feed, DeltaKind, DeltaParseError, PatchPolicy, PatchReport, TableDelta};
 // The shared error-accounting shape (`ParseReport::counts()` returns it);
 // defined in `netclust-obs`, re-exported here so rtable users need no

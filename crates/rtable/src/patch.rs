@@ -5,18 +5,24 @@
 //! [`CompiledTable`] absorbs a delta by rebuilding only the part of the
 //! layout the prefix can reach, never the table.
 //!
-//! A shadow [`PrefixTrie`] (live prefix → arena handle) is the source of
-//! truth; the compressed layout is a function of it, chunk by chunk:
+//! Deltas are BGP updates; the registry tier is static. A shadow
+//! [`PrefixTrie`] (live BGP prefix → arena handle) is the source of truth
+//! for the BGP tier, the sorted registry part of the arena for the other,
+//! and the compressed layout is a function of both, chunk by chunk:
 //!
 //! * **A prefix longer than `/16`** lives in exactly one /16 chunk. The
 //!   chunk's nodes are freed and rebuilt from the trie's subtree under
-//!   that /16, painted over the longest remaining ≤/16 cover — the same
-//!   `build_chunk` the compiler runs, so a patched chunk is identical to
-//!   a compiled one.
+//!   that /16 and the registry prefixes in it, painted over the chunk's
+//!   ≤/16 answer — the same `build_chunk` the compiler runs, so a patched
+//!   chunk is identical to a compiled one.
 //! * **A prefix of `/16` or shorter** covers whole root entries. For each
-//!   one it owns (no longer ≤/16 prefix sits between), a leaf entry is
-//!   rewritten with the new cover and a node chunk is rebuilt over it
-//!   (nodes are leaf-pushed, so the cover is baked into their runs).
+//!   one it owns (no longer ≤/16 BGP prefix sits between), a leaf entry is
+//!   rewritten with the new answer and a node chunk is rebuilt over it
+//!   (nodes are leaf-pushed, so the cover is baked into their runs). A
+//!   withdraw that leaves no BGP cover uncovers registry space: the
+//!   entry takes the registry's ≤/16 answer, and a chunk the registry
+//!   holds longer prefixes in is repainted from the static list (as an
+//!   announce over such a chunk collapses it back to a leaf).
 //! * **Bulk** — a batch that crosses
 //!   [`PatchPolicy::recompile_threshold`] updates the trie only and
 //!   rebuilds the whole layout once ([`PatchReport::recompiled`]).
@@ -30,11 +36,11 @@
 //! The first `apply_delta` call builds the shadow state in O(#prefixes);
 //! subsequent patches are proportional to the chunks the delta reaches.
 //! What a patch *reports* (`slot_writes`, `groups_rebuilt`, `recompiled`)
-//! depends only on the live prefix set and the batch, never on the
-//! table's patch history — `core::stream` persists those counters and a
-//! resumed process must reproduce them. The proptest suite enforces that
-//! a patched table is lookup-equivalent to a from-scratch compile of the
-//! same prefix set (`tests/patch_prop.rs`).
+//! depends only on the live BGP set and the batch, never on the table's
+//! patch history or on the registry tier under it — `core::stream`
+//! persists those counters and a resumed process must reproduce them. The
+//! proptest suite enforces that a patched table is lookup-equivalent to a
+//! from-scratch compile of the same prefix set (`tests/patch_prop.rs`).
 
 #![deny(
     clippy::unwrap_used,
@@ -51,7 +57,8 @@ use std::str::FromStr;
 
 use netclust_prefix::Ipv4Net;
 
-use crate::flat::{chunk_key, CompiledMerged, CompiledTable, NODE_FLAG, ROOT_LEN};
+use crate::flat::{chunk_key, CompiledTable, NODE_FLAG, ROOT_LEN};
+use crate::table::longest_in;
 use crate::trie::PrefixTrie;
 
 /// Dead spill cells below which compaction is not worth a layout rebuild
@@ -219,9 +226,13 @@ pub struct PatchReport {
     /// Root entries stored: leaves rewritten with a new cover, and the
     /// entry of every rebuilt chunk.
     pub root_writes: usize,
-    /// Run values written into rebuilt chunks' nodes.
+    /// Run values the BGP tier's nodes hold in the chunks rebuilt for it:
+    /// what a layout of that tier alone would write, however much registry
+    /// space the same chunks show through.
     pub cell_writes: usize,
-    /// /16 chunks rebuilt from the shadow trie.
+    /// /16 chunks rebuilt for BGP prefixes longer than /16 in them (a
+    /// chunk repainted only for the registry tier under a changed cover
+    /// is one root write).
     pub groups_rebuilt: usize,
     /// `true` when the batch crossed the policy's density threshold and
     /// the layout was rebuilt once instead of chunk by chunk.
@@ -262,21 +273,15 @@ impl PatchReport {
     }
 }
 
-/// Shadow bookkeeping for patching: the live prefix set with its arena
+/// Shadow bookkeeping for patching: the live BGP prefix set with its arena
 /// handles, and the arena slots withdrawals vacated.
 #[derive(Clone)]
 pub(crate) struct PatchState {
-    /// Live prefix → arena handle. The source of truth every chunk
-    /// rebuild reads.
+    /// Live BGP prefix → arena handle. The source of truth every chunk
+    /// rebuild reads for that tier.
     pub(crate) trie: PrefixTrie<u32>,
     /// Dead arena slots, reused before the arena grows.
     free_handles: Vec<u32>,
-}
-
-impl PatchState {
-    pub(crate) fn memory_bytes(&self) -> usize {
-        self.trie.memory_bytes() + self.free_handles.len() * 4
-    }
 }
 
 impl CompiledTable {
@@ -311,8 +316,9 @@ impl CompiledTable {
             }
             if d.prefix.len() > 16 {
                 let idx = d.prefix.addr_u32() >> 16;
-                let (cover, _) = Self::cover(&state, idx);
-                self.rebuild_chunk(&state, idx, cover, &mut report);
+                report.cell_writes += self.rebuild_chunk(&state, idx);
+                report.root_writes += 1;
+                report.groups_rebuilt += 1;
             } else {
                 let announce = d.kind != DeltaKind::Withdraw;
                 self.refresh_root(&state, d.prefix, announce, &mut report);
@@ -322,21 +328,23 @@ impl CompiledTable {
             && self.dead_cells >= COMPACT_MIN_DEAD_CELLS
             && self.dead_cells > self.spill.len() - self.dead_cells;
         if report.recompiled || report.compacted {
-            self.rebuild(state.trie.iter().map(|(_, &h)| h));
+            let bgp = state.trie.iter().map(|(_, &h)| h);
+            self.rebuild((0..self.dump_len).chain(bgp));
         }
         self.patch = Some(state);
         report
     }
 
-    /// Builds the shadow state from the current arena: the live trie plus
-    /// free handles for arena duplicates (the later copy wins the match,
-    /// exactly as `rebuild`'s paint order decides it).
+    /// Builds the shadow state from the BGP part of the arena: the live
+    /// trie plus free handles for arena duplicates (the later copy wins
+    /// the match, exactly as `rebuild`'s paint order decides it).
     fn build_patch_state(&self) -> Box<PatchState> {
         let mut state = PatchState {
             trie: PrefixTrie::new(),
             free_handles: Vec::new(),
         };
-        for (h, net) in (0u32..).zip(&self.prefixes) {
+        let bgp = self.prefixes.get(self.dump_len as usize..);
+        for (h, net) in (self.dump_len..).zip(bgp.unwrap_or_default()) {
             if let Some(prev) = state.trie.insert(*net, h) {
                 state.free_handles.push(prev);
             }
@@ -396,8 +404,8 @@ impl CompiledTable {
         true
     }
 
-    /// The slot and length of the longest live ≤/16 prefix covering /16
-    /// chunk `idx` (`(0, -1)` when there is none, so plain `<` orders
+    /// The slot and length of the longest live ≤/16 BGP prefix covering
+    /// /16 chunk `idx` (`(0, -1)` when there is none, so plain `<` orders
     /// "no match" below every real prefix).
     fn cover(state: &PatchState, idx: u32) -> (u32, i32) {
         match state.trie.longest_match_capped(idx << 16, 16) {
@@ -406,9 +414,36 @@ impl CompiledTable {
         }
     }
 
+    /// The live BGP prefixes longer than /16 in chunk `idx`, with their
+    /// handles.
+    fn bgp_long(state: &PatchState, idx: u32) -> impl Iterator<Item = (Ipv4Net, &u32)> {
+        let chunk = Ipv4Net::new(idx << 16, 16).ok();
+        let under = chunk.into_iter().flat_map(|c| state.trie.subtree(c));
+        under.filter(|(net, _)| net.len() > 16)
+    }
+
+    /// The registry prefixes longer than /16 in chunk `idx`, with their
+    /// handles: a range of the sorted registry arena.
+    fn dump_long(&self, idx: u32) -> impl Iterator<Item = (Ipv4Net, u32)> + '_ {
+        let dump = self.dump_arena();
+        let lo = dump.partition_point(|n| n.addr_u32() >> 16 < idx);
+        let hi = dump.partition_point(|n| n.addr_u32() >> 16 <= idx);
+        let first = u32::try_from(lo).unwrap_or(u32::MAX);
+        (first..)
+            .zip(dump.get(lo..hi).unwrap_or_default())
+            .filter_map(|(h, net)| (net.len() > 16).then_some((*net, h)))
+    }
+
+    /// The slot of the longest registry prefix of /16 or shorter covering
+    /// chunk `idx`, or 0.
+    fn dump_cover(&self, idx: u32) -> u32 {
+        let h = longest_in(self.dump_arena(), idx << 16, 16);
+        h.and_then(|h| u32::try_from(h + 1).ok()).unwrap_or(0)
+    }
+
     /// After a ≤/16 prefix was announced or withdrawn: brings every root
-    /// entry it owns — those no longer ≤/16 prefix covers — up to date.
-    /// Entries under a longer cover cannot see the change.
+    /// entry it owns — those no longer ≤/16 BGP prefix covers — up to
+    /// date. Entries under a longer cover cannot see the change.
     fn refresh_root(
         &mut self,
         state: &PatchState,
@@ -425,64 +460,63 @@ impl CompiledTable {
             } else {
                 cover_len < len
             };
-            if !owned {
+            let Some(&entry) = self.root.get(idx as usize).filter(|_| owned) else {
+                continue;
+            };
+            // The report counts what the BGP tier's layout alone does: a
+            // chunk rebuild where it holds a node, a leaf write elsewhere.
+            let bgp_node = Self::bgp_long(state, idx).next().is_some();
+            report.root_writes += 1;
+            if !bgp_node
+                && entry & NODE_FLAG == 0
+                && (slot != 0 || self.dump_long(idx).next().is_none())
+            {
+                // A leaf before and after: the new BGP cover, or the
+                // registry's answer it uncovered.
+                let leaf = if slot != 0 {
+                    slot
+                } else {
+                    self.dump_cover(idx)
+                };
+                if let Some(e) = self.root.get_mut(idx as usize) {
+                    *e = leaf;
+                }
                 continue;
             }
-            match self.root.get_mut(idx as usize) {
-                Some(entry) if *entry & NODE_FLAG == 0 => {
-                    *entry = slot;
-                    report.root_writes += 1;
-                }
-                Some(_) => self.rebuild_chunk(state, idx, slot, report),
-                None => {}
+            let cells = self.rebuild_chunk(state, idx);
+            if bgp_node {
+                report.cell_writes += cells;
+                report.groups_rebuilt += 1;
             }
         }
     }
 
-    /// Frees /16 chunk `idx`'s nodes and rebuilds them from the trie's
-    /// subtree under that /16, over `cover`, the slot of the chunk's
-    /// longest ≤/16 match (a leaf entry when nothing longer than /16 is
-    /// left there).
-    fn rebuild_chunk(
-        &mut self,
-        state: &PatchState,
-        idx: u32,
-        cover: u32,
-        report: &mut PatchReport,
-    ) {
-        let Ok(chunk) = Ipv4Net::new(idx << 16, 16) else {
-            return;
-        };
+    /// Frees /16 chunk `idx`'s nodes and repaints it: the live BGP
+    /// prefixes longer than /16 in it (the trie's subtree) over the
+    /// registry's (the static list), under the chunk's ≤/16 answer. The
+    /// entry is a leaf when nothing longer than /16 shows there. Returns
+    /// the run values the BGP tier's layout alone holds in the chunk.
+    fn rebuild_chunk(&mut self, state: &PatchState, idx: u32) -> usize {
         let Some(&old) = self.root.get(idx as usize) else {
-            return;
+            return 0;
         };
         self.free_tree(old);
-        let mut items: Vec<u64> = state
-            .trie
-            .subtree(chunk)
-            .filter(|(net, _)| net.len() > 16)
-            .map(|(net, &h)| chunk_key(net, h + 1))
-            .collect();
+        let (slot, _) = Self::cover(state, idx);
+        let cover = if slot != 0 {
+            slot
+        } else {
+            self.dump_cover(idx)
+        };
+        let bgp = Self::bgp_long(state, idx).map(|(net, &h)| chunk_key(net, h + 1));
+        let mut items: Vec<u64> = bgp.collect();
+        items.extend(self.dump_long(idx).map(|(net, h)| chunk_key(net, h + 1)));
         items.sort_unstable();
-        let entry = self.build_chunk(cover, &items, &mut report.cell_writes);
+        let mut cells = 0;
+        let entry = self.build_chunk(cover, &items, &mut cells);
         if let Some(e) = self.root.get_mut(idx as usize) {
             *e = entry;
-            report.root_writes += 1;
         }
-        report.groups_rebuilt += 1;
-    }
-}
-
-impl CompiledMerged {
-    /// Applies BGP deltas to the primary tier in place (the registry-dump
-    /// fallback tier is static). See [`CompiledTable::apply_delta`].
-    pub fn apply_delta(&mut self, deltas: &[TableDelta]) -> PatchReport {
-        self.bgp_tier_mut().apply_delta(deltas)
-    }
-
-    /// [`apply_delta`](Self::apply_delta) with an explicit [`PatchPolicy`].
-    pub fn apply_delta_with(&mut self, deltas: &[TableDelta], policy: &PatchPolicy) -> PatchReport {
-        self.bgp_tier_mut().apply_delta_with(deltas, policy)
+        cells
     }
 }
 
@@ -738,11 +772,8 @@ mod tests {
         let r = compiled.apply_delta(&[TableDelta::announce(net("24.48.0.0/16"))]);
         assert!(r.patched_in_place());
         // BGP tier now wins over the dump's longer /23.
-        assert_eq!(
-            compiled.net_for_u32(a("24.48.3.87")),
-            Some(net("24.48.0.0/16"))
-        );
-        assert_eq!(compiled.dump().len(), 1, "fallback tier untouched");
+        assert_eq!(compiled.lookup(a("24.48.3.87")), Some(net("24.48.0.0/16")));
+        assert_eq!(compiled.dump_prefixes().len(), 1, "fallback tier untouched");
     }
 
     #[test]

@@ -22,8 +22,6 @@ use std::path::Path;
 use netclust_obs::ErrorCounts;
 use netclust_prefix::{parse_table_entry, Ipv4Net};
 
-use crate::trie::PrefixTrie;
-
 /// Per-line accounting of one snapshot parse: how much of the dump was
 /// usable, and exactly which lines were not.
 ///
@@ -50,17 +48,6 @@ impl ParseReport {
     pub fn counts(&self) -> crate::ErrorCounts {
         let content = self.total_lines.saturating_sub(self.skipped);
         crate::ErrorCounts::new(content as u64, self.bad.len() as u64)
-    }
-
-    /// Fraction of *content* lines (total minus blank/comment) that were
-    /// malformed; 0 on an empty input.
-    pub fn noise_ratio(&self) -> f64 {
-        self.counts().ratio()
-    }
-
-    /// `true` when every content line parsed.
-    pub fn is_clean(&self) -> bool {
-        self.bad.is_empty()
     }
 }
 
@@ -202,11 +189,6 @@ impl RoutingTable {
         self.prefixes.is_empty()
     }
 
-    /// Attributes for the `i`-th (sorted) prefix, when recorded.
-    pub fn attrs(&self, i: usize) -> Option<&RouteAttrs> {
-        self.attrs.get(i)
-    }
-
     /// Iterates `(prefix, attrs)` pairs; attrs default to empty when the
     /// table was built without them.
     pub fn routes(&self) -> impl Iterator<Item = (Ipv4Net, RouteAttrs)> + '_ {
@@ -214,11 +196,6 @@ impl RoutingTable {
             .iter()
             .enumerate()
             .map(|(i, net)| (*net, self.attrs.get(i).cloned().unwrap_or_default()))
-    }
-
-    /// `true` when the exact prefix appears in this snapshot.
-    pub fn contains(&self, net: Ipv4Net) -> bool {
-        self.prefixes.binary_search(&net).is_ok()
     }
 
     /// The set of prefixes as a `BTreeSet` (used by dynamics analysis).
@@ -242,7 +219,7 @@ impl fmt::Display for RoutingTable {
 
 /// Reads and parses the files of both tiers — `bgp` as [`TableKind::Bgp`],
 /// then `dumps` as [`TableKind::NetworkDump`] — each named after its path
-/// and paired with its parse noise (lines seen, lines skipped): what a swap
+/// and paired with its parse noise ([`ParseReport::counts`]): what a swap
 /// gate budgets against and what the CLI prints a note about. An unreadable
 /// file is the `io::Error` with the path in its message.
 pub fn load_tables<P: AsRef<Path>>(
@@ -256,11 +233,19 @@ pub fn load_tables<P: AsRef<Path>>(
             let path = path.to_string_lossy();
             let text = std::fs::read_to_string(&*path)
                 .map_err(|e| io::Error::new(e.kind(), format!("cannot read table {path}: {e}")))?;
-            let lines = text.lines().count() as u64;
-            let (table, bad) = RoutingTable::parse(path, "file", kind, &text);
-            Ok((table, ErrorCounts::new(lines, bad as u64)))
+            let (table, report) = RoutingTable::parse_report(path, "file", kind, &text);
+            Ok((table, report.counts()))
         })
         .collect()
+}
+
+/// Index of the longest prefix in sorted `list` that contains `addr` and
+/// is at most `max_len` long: one binary search per length.
+pub(crate) fn longest_in(list: &[Ipv4Net], addr: u32, max_len: u8) -> Option<usize> {
+    (0..=max_len)
+        .rev()
+        .filter_map(|len| Ipv4Net::new(addr, len).ok())
+        .find_map(|net| list.binary_search(&net).ok())
 }
 
 /// Which source tier a merged-table match came from.
@@ -273,15 +258,17 @@ pub enum MatchSource {
 }
 
 /// The unified prefix/netmask table built from many snapshots (§3.1.2's
-/// "single, large table"), preserving the primary/secondary source split.
+/// "single, large table"), preserving the primary/secondary source split:
+/// each tier is the union of its snapshots, one sorted, deduplicated list.
 ///
 /// Longest-prefix matching first consults the BGP tier; only addresses with
 /// no routed match fall back to the registry tier. The paper reports this
 /// fallback lifts client coverage from ~99% to ~99.9% while keeping
-/// allocation-granularity prefixes from overriding routed ones.
+/// allocation-granularity prefixes from overriding routed ones. Serving
+/// compiles both into one layout ([`compile`](Self::compile)).
 pub struct MergedTable {
-    bgp: PrefixTrie<()>,
-    dump: PrefixTrie<()>,
+    bgp: Vec<Ipv4Net>,
+    dump: Vec<Ipv4Net>,
     source_names: Vec<String>,
 }
 
@@ -291,8 +278,8 @@ impl MergedTable {
     where
         I: IntoIterator<Item = &'a RoutingTable>,
     {
-        let mut bgp = PrefixTrie::new();
-        let mut dump = PrefixTrie::new();
+        let mut bgp = Vec::new();
+        let mut dump = Vec::new();
         let mut source_names = Vec::new();
         for table in tables {
             source_names.push(table.name.clone());
@@ -300,9 +287,11 @@ impl MergedTable {
                 TableKind::Bgp => &mut bgp,
                 TableKind::NetworkDump => &mut dump,
             };
-            for net in table.prefixes() {
-                target.insert(*net, ());
-            }
+            target.extend_from_slice(table.prefixes());
+        }
+        for tier in [&mut bgp, &mut dump] {
+            tier.sort_unstable();
+            tier.dedup();
         }
         MergedTable {
             bgp,
@@ -343,25 +332,26 @@ impl MergedTable {
         self.lookup_u32(u32::from(addr))
     }
 
-    /// [`lookup`](Self::lookup) on a raw `u32` address.
+    /// [`lookup`](Self::lookup) on a raw `u32` address: a binary search of
+    /// each sorted list per prefix length. The serving path compiles instead;
+    /// this one is the reference the compiled table is checked against.
     pub fn lookup_u32(&self, addr: u32) -> Option<(Ipv4Net, MatchSource)> {
-        if let Some((net, _)) = self.bgp.longest_match_u32(addr) {
-            Some((net, MatchSource::Bgp))
-        } else {
-            self.dump
-                .longest_match_u32(addr)
-                .map(|(net, _)| (net, MatchSource::NetworkDump))
+        let longest =
+            |tier: &[Ipv4Net]| longest_in(tier, addr, 32).and_then(|i| tier.get(i).copied());
+        match longest(&self.bgp) {
+            Some(net) => Some((net, MatchSource::Bgp)),
+            None => longest(&self.dump).map(|net| (net, MatchSource::NetworkDump)),
         }
     }
 
     /// All prefixes of the BGP tier, sorted.
-    pub fn bgp_prefixes(&self) -> Vec<Ipv4Net> {
-        self.bgp.prefixes()
+    pub fn bgp_prefixes(&self) -> &[Ipv4Net] {
+        &self.bgp
     }
 
     /// All prefixes of the registry tier, sorted.
-    pub fn dump_prefixes(&self) -> Vec<Ipv4Net> {
-        self.dump.prefixes()
+    pub fn dump_prefixes(&self) -> &[Ipv4Net] {
+        &self.dump
     }
 }
 
@@ -389,9 +379,7 @@ mod tests {
             vec![net("18.0.0.0/8"), net("6.0.0.0/8"), net("18.0.0.0/8")],
         );
         assert_eq!(t.len(), 2);
-        assert_eq!(t.prefixes()[0], net("6.0.0.0/8"));
-        assert!(t.contains(net("18.0.0.0/8")));
-        assert!(!t.contains(net("18.0.0.0/16")));
+        assert_eq!(t.prefixes(), [net("6.0.0.0/8"), net("18.0.0.0/8")]);
     }
 
     #[test]
@@ -425,12 +413,15 @@ mod tests {
                 (5, "999.1.2.3/8".to_string())
             ]
         );
-        assert!((report.noise_ratio() - 0.5).abs() < 1e-12);
-        assert!(!report.is_clean());
+        assert_eq!(
+            report.counts(),
+            ErrorCounts::new(4, 2),
+            "comments are not noise"
+        );
         // Empty and all-comment inputs are clean with zero noise.
-        let (_, empty) = RoutingTable::parse_report("Y", "d0", TableKind::Bgp, "");
-        assert_eq!(empty.noise_ratio(), 0.0);
-        assert!(empty.is_clean());
+        let (_, empty) = RoutingTable::parse_report("Y", "d0", TableKind::Bgp, "# c\n\n");
+        assert_eq!(empty.counts().ratio(), 0.0);
+        assert!(empty.counts().is_clean());
     }
 
     #[test]
@@ -458,9 +449,9 @@ mod tests {
                 ),
             ],
         );
-        assert_eq!(t.attrs(0).unwrap().description, "Army");
-        assert_eq!(t.attrs(1).unwrap().description, "MIT");
         let routes: Vec<_> = t.routes().collect();
+        assert_eq!(routes[0].1.description, "Army");
+        assert_eq!(routes[1].1.description, "MIT");
         assert_eq!(routes[1].1.as_path, vec![3]);
     }
 

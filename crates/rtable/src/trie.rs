@@ -1,9 +1,11 @@
 //! A binary radix trie over IPv4 prefixes with longest-prefix match.
 //!
-//! This is the data structure at the heart of the paper's clustering step
-//! (§3.2.1): every client address is matched against the unified
-//! prefix/netmask table "similar to what IP routers do", and the longest
-//! matching prefix identifies the client's cluster.
+//! The paper's clustering step (§3.2.1) matches every client address
+//! against the unified prefix/netmask table "similar to what IP routers
+//! do". The serving table is compiled from sorted lists and never walks a
+//! trie; this one is the patch layer's shadow of the live BGP set (cheap
+//! inserts and removals, ordered subtree walks) and the reference the
+//! compiled layout is tested against.
 //!
 //! The trie is arena-allocated (nodes live in a `Vec`, children are
 //! indices), one bit per level, maximum depth 32. Interior nodes without a
@@ -92,11 +94,6 @@ impl<V> PrefixTrie<V> {
         self.len == 0
     }
 
-    /// Bytes held by the node arena (removed prefixes keep their nodes).
-    pub fn memory_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<Node<V>>()
-    }
-
     /// Bit `depth` (0 = most significant) of `addr`.
     #[inline]
     fn bit(addr: u32, depth: u8) -> usize {
@@ -144,12 +141,6 @@ impl<V> PrefixTrie<V> {
     pub fn get(&self, net: Ipv4Net) -> Option<&V> {
         self.find_node(net)
             .and_then(|idx| self.nodes[idx as usize].value.as_ref())
-    }
-
-    /// Mutable exact-match lookup.
-    pub fn get_mut(&mut self, net: Ipv4Net) -> Option<&mut V> {
-        self.find_node(net)
-            .and_then(move |idx| self.nodes[idx as usize].value.as_mut())
     }
 
     /// `true` when the exact prefix is stored.
@@ -217,27 +208,6 @@ impl<V> PrefixTrie<V> {
         best.map(|(len, v)| (Ipv4Net::new(addr, len).expect("len <= 32"), v))
     }
 
-    /// All stored prefixes that contain `addr`, shortest first (the full
-    /// match chain, useful for aggregation analysis).
-    pub fn match_chain_u32(&self, addr: u32) -> Vec<(Ipv4Net, &V)> {
-        let mut idx: NodeIdx = 0;
-        let mut chain = Vec::new();
-        for depth in 0..=32u8 {
-            let node = &self.nodes[idx as usize];
-            if let Some(v) = node.value.as_ref() {
-                chain.push((Ipv4Net::new(addr, depth).expect("len <= 32"), v));
-            }
-            if depth == 32 {
-                break;
-            }
-            idx = node.children[Self::bit(addr, depth)];
-            if idx == NIL {
-                break;
-            }
-        }
-        chain
-    }
-
     /// Iterates over all stored `(prefix, value)` pairs in address order
     /// (depth-first, zero branch before one branch).
     pub fn iter(&self) -> PrefixTrieIter<'_, V> {
@@ -258,11 +228,6 @@ impl<V> PrefixTrie<V> {
             #[cfg(debug_assertions)]
             last: None,
         }
-    }
-
-    /// Collects the stored prefixes in address order.
-    pub fn prefixes(&self) -> Vec<Ipv4Net> {
-        self.iter().map(|(net, _)| net).collect()
     }
 }
 
@@ -354,7 +319,7 @@ mod tests {
             .into_iter()
             .map(|n| (n, ()))
             .collect();
-        let ps = trie.prefixes();
+        let ps: Vec<Ipv4Net> = trie.iter().map(|(n, _)| n).collect();
         assert_eq!(ps.len(), specs.len());
         let mut sorted = ps.clone();
         sorted.sort_by_key(|n| (n.addr_u32(), n.len()));
@@ -370,7 +335,7 @@ mod tests {
         let trie: PrefixTrie<()> = PrefixTrie::new();
         assert!(trie.is_empty());
         assert!(trie.longest_match(addr("1.2.3.4")).is_none());
-        assert!(trie.prefixes().is_empty());
+        assert!(trie.iter().next().is_none());
     }
 
     #[test]
@@ -422,20 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn match_chain_lists_all_containing_prefixes() {
-        let mut trie = PrefixTrie::new();
-        trie.insert(net("0.0.0.0/0"), 0u8);
-        trie.insert(net("12.0.0.0/8"), 8);
-        trie.insert(net("12.65.128.0/19"), 19);
-        let chain = trie.match_chain_u32(u32::from(addr("12.65.147.94")));
-        assert_eq!(
-            chain.iter().map(|(n, _)| n.len()).collect::<Vec<_>>(),
-            [0, 8, 19]
-        );
-        assert_eq!(*chain.last().unwrap().1, 19);
-    }
-
-    #[test]
     fn host_routes_and_root() {
         let mut trie = PrefixTrie::new();
         trie.insert(Ipv4Net::host(addr("1.2.3.4")), "host");
@@ -457,7 +408,7 @@ mod tests {
         let trie: PrefixTrie<()> = nets.iter().map(|s| (net(s), ())).collect();
         let mut expected: Vec<Ipv4Net> = nets.iter().map(|s| net(s)).collect();
         expected.sort();
-        assert_eq!(trie.prefixes(), expected);
+        assert!(trie.iter().map(|(n, _)| n).eq(expected));
         assert_eq!(trie.iter().count(), nets.len());
     }
 
@@ -487,16 +438,6 @@ mod tests {
         assert!(under("12.67.0.0/16").is_empty());
         assert!(under("12.65.0.0/17").is_empty());
         assert_eq!(under("0.0.0.0/0"), nets);
-    }
-
-    #[test]
-    fn get_mut_updates_in_place() {
-        let mut trie = PrefixTrie::new();
-        trie.insert(net("10.0.0.0/8"), 0u64);
-        *trie.get_mut(net("10.0.0.0/8")).unwrap() += 41;
-        *trie.get_mut(net("10.0.0.0/8")).unwrap() += 1;
-        assert_eq!(trie.get(net("10.0.0.0/8")), Some(&42));
-        assert!(trie.get_mut(net("11.0.0.0/8")).is_none());
     }
 
     #[test]

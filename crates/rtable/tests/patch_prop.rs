@@ -147,6 +147,40 @@ proptest! {
         assert_equiv(&recompile, &live_b, &random);
     }
 
+    /// With a registry tier under the BGP one: patched ≡ a fresh compile
+    /// of the live BGP set over the same registry set, where BGP
+    /// withdraws uncover registry space and announces mask it again; and
+    /// every report equals what the BGP tier alone reports, which is what
+    /// `core::stream` persists.
+    #[test]
+    fn patched_two_tier_table_is_equivalent_and_reports_the_bgp_tier(
+        initial in proptest::collection::btree_set(arb_net(), 0..32),
+        dump in proptest::collection::btree_set(arb_net(), 0..24),
+        batches in proptest::collection::vec(proptest::collection::vec(arb_op(), 1..12), 1..5),
+        random in proptest::collection::vec(any::<u32>(), 16),
+    ) {
+        let dump: Vec<Ipv4Net> = dump.into_iter().collect();
+        let mut live = initial.clone();
+        let bgp: Vec<Ipv4Net> = initial.iter().copied().collect();
+        let mut table = CompiledTable::tiered(&bgp, &dump);
+        let mut alone = CompiledTable::from_prefixes(bgp);
+        for ops in &batches {
+            let deltas = realize(ops, &mut live);
+            prop_assert_eq!(table.apply_delta(&deltas), alone.apply_delta(&deltas));
+            let bgp: Vec<Ipv4Net> = live.iter().copied().collect();
+            let fresh = CompiledTable::tiered(&bgp, &dump);
+            prop_assert_eq!(table.live_prefixes(), bgp);
+            prop_assert_eq!(table.dump_prefixes(), &dump[..]);
+            prop_assert_eq!(table.nodes(), fresh.nodes());
+            let all: BTreeSet<Ipv4Net> = live.iter().chain(&dump).copied().collect();
+            for addr in probes_for(&all, &random) {
+                let (h, want) = (table.lookup_handle(addr), fresh.lookup_handle(addr));
+                prop_assert_eq!(table.resolve(h), fresh.resolve(want), "{:#010x}", addr);
+                prop_assert_eq!(table.source(h), fresh.source(want), "{:#010x}", addr);
+            }
+        }
+    }
+
     /// Withdraw-to-empty and rebuild-from-empty round-trips: the table
     /// passes through the degenerate empty layout and comes back correct.
     #[test]
@@ -342,6 +376,74 @@ fn long_prefix_count_has_no_recompile_cliff() {
                 trie.longest_match_u32(addr).map(|(p, _)| p),
                 "/{len}: lookup({addr:#010x})"
             );
+        }
+    }
+}
+
+/// A BGP withdraw that uncovers registry space repaints it from the
+/// static list — at the root, in a chunk the registry holds longer
+/// prefixes in, and under a BGP chunk — an announce masks it again, and
+/// what each patch reports is what the BGP tier alone reports.
+#[test]
+fn withdraws_uncover_the_registry_and_reports_ignore_it() {
+    let nets =
+        |specs: &[&str]| -> Vec<Ipv4Net> { specs.iter().map(|s| s.parse().unwrap()).collect() };
+    let net = |s: &str| -> Ipv4Net { s.parse().unwrap() };
+    let dump = nets(&[
+        "24.48.0.0/16",
+        "24.48.2.0/24",
+        "24.49.0.0/12",
+        "24.50.3.64/26",
+    ]);
+    let mut live = nets(&[
+        "24.0.0.0/8",
+        "24.48.2.128/25",
+        "24.50.0.0/17",
+        "30.1.0.0/16",
+    ]);
+    let mut table = CompiledTable::tiered(&live, &dump);
+    let mut alone = CompiledTable::from_prefixes(live.clone());
+    let batches = [
+        vec![TableDelta::withdraw(net("24.0.0.0/8"))],
+        vec![TableDelta::withdraw(net("24.50.0.0/17"))],
+        vec![TableDelta::announce(net("24.48.0.0/14"))],
+        vec![
+            TableDelta::withdraw(net("24.48.2.128/25")),
+            TableDelta::withdraw(net("30.1.0.0/16")),
+        ],
+        vec![
+            TableDelta::withdraw(net("24.48.0.0/14")),
+            TableDelta::announce(net("24.0.0.0/8")),
+        ],
+    ];
+    let probes = (0x1800_0000u32..0x1900_0000)
+        .step_by(97)
+        .chain(0x1830_0000..=0x1832_FFFF)
+        .chain([0x1E01_0001]);
+    let probes: Vec<u32> = probes.collect();
+    for batch in &batches {
+        for d in batch {
+            live.retain(|&p| p != d.prefix);
+            if d.kind != netclust_rtable::DeltaKind::Withdraw {
+                live.push(d.prefix);
+            }
+        }
+        live.sort();
+        assert_eq!(
+            table.apply_delta(batch),
+            alone.apply_delta(batch),
+            "{batch:?}"
+        );
+        let fresh = CompiledTable::tiered(&live, &dump);
+        assert_eq!(table.nodes(), fresh.nodes(), "{batch:?}");
+        for &p in &probes {
+            let (h, want) = (table.lookup_handle(p), fresh.lookup_handle(p));
+            assert_eq!(
+                table.resolve(h),
+                fresh.resolve(want),
+                "{batch:?}: {p:#010x}"
+            );
+            assert_eq!(table.source(h), fresh.source(want), "{batch:?}: {p:#010x}");
         }
     }
 }

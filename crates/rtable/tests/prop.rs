@@ -6,8 +6,8 @@ use std::collections::BTreeMap;
 
 use netclust_prefix::Ipv4Net;
 use netclust_rtable::{
-    dynamic_prefix_set, maximum_effect, MergedTable, PrefixTrie, RoutingTable, SnapshotDiff,
-    TableKind,
+    dynamic_prefix_set, maximum_effect, CompiledTable, MatchSource, MergedTable, PrefixTrie,
+    RoutingTable, SnapshotDiff, TableKind,
 };
 use proptest::prelude::*;
 
@@ -92,37 +92,9 @@ proptest! {
         entries in proptest::collection::btree_set(arb_net(), 0..64),
     ) {
         let trie: PrefixTrie<()> = entries.iter().map(|n| (*n, ())).collect();
-        let listed = trie.prefixes();
+        let listed: Vec<Ipv4Net> = trie.iter().map(|(n, _)| n).collect();
         let expected: Vec<Ipv4Net> = entries.into_iter().collect();
         prop_assert_eq!(listed, expected);
-    }
-
-    /// match_chain is the sorted chain of containing prefixes and ends at
-    /// the longest match.
-    #[test]
-    fn match_chain_consistent(
-        entries in proptest::collection::btree_set(arb_net(), 1..48),
-        addr in any::<u32>(),
-    ) {
-        let trie: PrefixTrie<()> = entries.iter().map(|n| (*n, ())).collect();
-        let chain = trie.match_chain_u32(addr);
-        // Strictly increasing lengths, all containing addr and stored.
-        let mut last_len = None;
-        for (net, _) in &chain {
-            prop_assert!(net.contains_u32(addr));
-            prop_assert!(entries.contains(net));
-            if let Some(l) = last_len {
-                prop_assert!(net.len() > l);
-            }
-            last_len = Some(net.len());
-        }
-        prop_assert_eq!(
-            chain.last().map(|(n, _)| *n),
-            trie.longest_match_u32(addr).map(|(n, _)| n)
-        );
-        // Chain length equals the number of stored prefixes containing addr.
-        let expect = entries.iter().filter(|n| n.contains_u32(addr)).count();
-        prop_assert_eq!(chain.len(), expect);
     }
 
     /// Two-tier lookup: a BGP match always wins over the registry tier,
@@ -134,7 +106,6 @@ proptest! {
         dump in proptest::collection::btree_set(arb_net(), 0..32),
         probes in proptest::collection::vec(any::<u32>(), 24),
     ) {
-        use netclust_rtable::{MatchSource, MergedTable};
         let bgp_map: BTreeMap<Ipv4Net, u32> = bgp.iter().map(|&n| (n, 0)).collect();
         let dump_map: BTreeMap<Ipv4Net, u32> = dump.iter().map(|&n| (n, 0)).collect();
         let tb = RoutingTable::new("B", "d", TableKind::Bgp, bgp.iter().copied().collect());
@@ -161,7 +132,7 @@ proptest! {
     ) {
         let map: BTreeMap<Ipv4Net, u32> = entries.iter().map(|&n| (n, 0)).collect();
         let trie: PrefixTrie<()> = entries.iter().map(|&n| (n, ())).collect();
-        let compiled = trie.compile();
+        let compiled = CompiledTable::from_prefixes(entries.iter().copied());
         prop_assert_eq!(compiled.len(), entries.len());
         for addr in targeted_probes(&entries, &offsets, &random) {
             let expect = naive_lpm(&map, addr).map(|(n, _)| n);
@@ -171,10 +142,12 @@ proptest! {
         }
     }
 
-    /// The compiled merged table preserves the two-tier semantics of the
-    /// trie-backed [`MergedTable`] exactly — scalar and batch, on prefix
-    /// sets that pack short, long (>/24) and host-route entries of both
-    /// tiers into one /16.
+    /// The one compiled table keeps the two-tier semantics exactly — the
+    /// match and its tier, scalar and batch — against a reference of two
+    /// tries (BGP longest match, else registry longest match) and the
+    /// sorted-list [`MergedTable::lookup_u32`], on prefix sets that pack
+    /// short, long (>/24) and host-route entries of both tiers into one
+    /// /16.
     #[test]
     fn compiled_merged_matches_merged(
         bgp in proptest::collection::btree_set(arb_net_wide(), 0..32),
@@ -186,19 +159,25 @@ proptest! {
         let td = RoutingTable::new("D", "d", TableKind::NetworkDump, dump.iter().copied().collect());
         let merged = MergedTable::merge([&tb, &td]);
         let compiled = merged.compile();
+        let bgp_trie: PrefixTrie<()> = bgp.iter().map(|&n| (n, ())).collect();
+        let dump_trie: PrefixTrie<()> = dump.iter().map(|&n| (n, ())).collect();
+        let reference = |addr: u32| match bgp_trie.longest_match_u32(addr) {
+            Some((net, _)) => Some((net, MatchSource::Bgp)),
+            None => dump_trie.longest_match_u32(addr).map(|(net, _)| (net, MatchSource::NetworkDump)),
+        };
         let all: std::collections::BTreeSet<Ipv4Net> = bgp.union(&dump).copied().collect();
         let probes = targeted_probes(&all, &offsets, &random);
         for &addr in &probes {
-            prop_assert_eq!(compiled.lookup_u32(addr), merged.lookup_u32(addr));
-            prop_assert_eq!(
-                compiled.net_for_u32(addr),
-                merged.lookup_u32(addr).map(|(n, _)| n)
-            );
+            let expect = reference(addr);
+            let h = compiled.lookup_handle(addr);
+            prop_assert_eq!(compiled.resolve(h).zip(compiled.source(h)), expect);
+            prop_assert_eq!(merged.lookup_u32(addr), expect);
+            prop_assert_eq!(compiled.lookup(addr), expect.map(|(n, _)| n));
         }
         let nets = compiled.net_for_batch(&probes);
         prop_assert_eq!(nets.len(), probes.len());
         for (&addr, net) in probes.iter().zip(nets) {
-            prop_assert_eq!(net, merged.lookup_u32(addr).map(|(n, _)| n));
+            prop_assert_eq!(net, reference(addr).map(|(n, _)| n));
         }
     }
 
@@ -240,11 +219,74 @@ proptest! {
             coarse.union(&fine).copied().collect();
         let map: BTreeMap<Ipv4Net, u32> = entries.iter().map(|&n| (n, 0)).collect();
         let trie: PrefixTrie<()> = entries.iter().map(|&n| (n, ())).collect();
-        let compiled = trie.compile();
+        let compiled = CompiledTable::from_prefixes(entries.iter().copied());
         for addr in targeted_probes(&entries, &offsets, &random) {
             let expect = naive_lpm(&map, addr).map(|(n, _)| n);
             prop_assert_eq!(trie.longest_match_u32(addr).map(|(n, _)| n), expect);
             prop_assert_eq!(compiled.lookup(addr), expect);
         }
+    }
+}
+
+fn nets(specs: &[&str]) -> Vec<Ipv4Net> {
+    specs.iter().map(|s| s.parse().unwrap()).collect()
+}
+
+/// One layout for both tiers: a BGP match wins where the registry's is
+/// longer, the tier comes from the handle, a registry prefix under a BGP
+/// cover costs no node, and there is one root.
+#[test]
+fn one_table_holds_both_tiers() {
+    let bgp = nets(&["12.0.0.0/8", "24.48.2.0/24"]);
+    let dump = nets(&["12.65.128.0/19", "99.1.2.0/24"]);
+    let tb = RoutingTable::new("B", "d", TableKind::Bgp, bgp.clone());
+    let td = RoutingTable::new("D", "d", TableKind::NetworkDump, dump.clone());
+    let merged = MergedTable::merge([&tb, &td]);
+    let table = merged.compile();
+    for ip in [
+        "12.65.147.94",
+        "99.1.2.3",
+        "24.48.2.7",
+        "24.48.3.7",
+        "1.1.1.1",
+    ] {
+        let addr = u32::from(ip.parse::<std::net::Ipv4Addr>().unwrap());
+        let h = table.lookup_handle(addr);
+        assert_eq!(
+            table.resolve(h).zip(table.source(h)),
+            merged.lookup_u32(addr),
+            "{ip}"
+        );
+    }
+    // 24.48/16 and 99.1/16 hold a node each; 12.65/16 is the BGP /8's leaf.
+    assert_eq!(table.nodes(), 2);
+    assert_eq!(table.memory_bytes(), (1 << 16) * 4 + 2 * 64 + 4 * 8);
+    assert_eq!(
+        (table.live_prefixes(), table.dump_prefixes()),
+        (bgp, &dump[..])
+    );
+    assert_eq!(table.len(), 4);
+}
+
+/// The registry tier shows through wherever BGP has no answer, at every
+/// level of the layout: under a BGP /24 with a hole, beside a BGP /25 in a
+/// registry /24, and under a registry /25 in a BGP-less /16.
+#[test]
+fn registry_answers_show_through_every_bgp_hole() {
+    let bgp = nets(&["24.48.2.0/25", "24.48.3.0/24", "24.48.3.128/26"]);
+    let dump = nets(&[
+        "24.48.0.0/16",
+        "24.48.2.0/24",
+        "24.48.3.192/27",
+        "24.49.5.128/25",
+    ]);
+    let table = CompiledTable::tiered(&bgp, &dump);
+    let tb: PrefixTrie<()> = bgp.iter().map(|&n| (n, ())).collect();
+    let td: PrefixTrie<()> = dump.iter().map(|&n| (n, ())).collect();
+    for probe in 0x182F_FF00..=0x1831_0600u32 {
+        let expect = (tb.longest_match_u32(probe))
+            .or_else(|| td.longest_match_u32(probe))
+            .map(|(n, _)| n);
+        assert_eq!(table.lookup(probe), expect, "probe {probe:#x}");
     }
 }

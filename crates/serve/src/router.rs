@@ -401,6 +401,12 @@ mod tests {
     /// The answer to a `/v1/reload` of `body` on a daemon with an empty
     /// table.
     fn reload_body(body: &[u8]) -> (u16, String) {
+        reload_request(Vec::new(), body)
+    }
+
+    /// The answer to a `/v1/reload` with `query` and `body` on a daemon
+    /// with an empty table.
+    fn reload_request(query: Vec<(String, String)>, body: &[u8]) -> (u16, String) {
         let stream = StreamingClustering::builder(MergedTable::merge(std::iter::empty())).build();
         let state = AppState {
             stream: RwLock::new(stream),
@@ -415,7 +421,7 @@ mod tests {
         let req = HttpRequest {
             method: Method::Post,
             path: "/v1/reload".to_string(),
-            query: Vec::new(),
+            query,
             keep_alive: false,
             body: body.to_vec(),
         };
@@ -441,5 +447,29 @@ mod tests {
         let text: String = e.clone().into();
         assert_eq!(text, e.to_string());
         assert_eq!(text, r#"line 1: bad prefix in "announce 10.0.0.0/33""#);
+    }
+
+    /// A table file whose content lines are half noise is refused however
+    /// many comment lines it carries: blank and comment lines are never
+    /// noise, so they cannot dilute the ratio a swap reload budgets (5 %).
+    #[test]
+    fn comment_lines_do_not_dilute_a_reload_noise_ratio() {
+        let dir = std::env::temp_dir().join(format!("netclust-noise-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("t.dump");
+        let mut text = "# a registry dump\n".repeat(100);
+        for i in 0..5 {
+            text.push_str(&format!("10.{i}.0.0/16\nnot-a-prefix\n"));
+        }
+        std::fs::write(&path, text).expect("write dump");
+        let dump = path.to_string_lossy().into_owned();
+        let (status, body) = reload_request(vec![("dump".to_string(), dump)], b"");
+        assert_eq!(status, 409, "{body}");
+        assert!(
+            body.contains("NoiseOverBudget { ratio: 0.5, budget: 0.05 }"),
+            "{body}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

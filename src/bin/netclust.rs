@@ -284,7 +284,11 @@ fn parse_bgp_feed(spec: &str, merged: &MergedTable) -> Result<Vec<DeltaBatch>, C
                 BGP_FEED.name
             )));
         };
-        let stream = DeltaStream::new(seed, merged.bgp_prefixes(), DeltaStreamConfig::default());
+        let stream = DeltaStream::new(
+            seed,
+            merged.bgp_prefixes().to_vec(),
+            DeltaStreamConfig::default(),
+        );
         return Ok(stream.take(ticks).collect());
     }
     let text = fs::read_to_string(spec)

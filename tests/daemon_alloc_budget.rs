@@ -1,8 +1,9 @@
-//! What the daemon holds per client, and what its three bursts may
-//! allocate: a top-N over every cluster, a snapshot of the stream, a poll
-//! of a backlog. Each burst is bounded by what it returns or writes, not by
-//! a copy of what it reads. This is its own test binary with one test, so
-//! no other test's allocations share the allocator it counts through.
+//! What the daemon holds per client, and what its bursts may allocate: the
+//! table build at boot and reload, a top-N over every cluster, a snapshot
+//! of the stream, a poll of a backlog. Each burst is bounded by what it
+//! returns or writes, not by a copy of what it reads. This is its own test
+//! binary, and its tests take one lock, so no other test's allocations
+//! share the allocator it counts through.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -10,10 +11,12 @@ use std::fs::{self, OpenOptions};
 use std::io::Write as _;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use netclust::bgpsim::{DeltaStream, DeltaStreamConfig};
 use netclust::core::{EncodedState, FsyncPolicy, StateStore, StreamingClustering};
 use netclust::prefix::Ipv4Net;
-use netclust::rtable::{MergedTable, RoutingTable, TableKind};
+use netclust::rtable::{load_tables, MergedTable, RoutingTable, TableKind};
 use netclust::weblog::follow::{LogFollower, APPLY_SLICE};
 
 /// Bytes allocated and not yet freed, and the most that has been.
@@ -59,6 +62,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Held by every test for its whole run: the counters are process-wide.
+static ALONE: Mutex<()> = Mutex::new(());
+
+fn alone() -> MutexGuard<'static, ()> {
+    ALONE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Runs `work`; returns its result and the most it had allocated, beyond
 /// what was live when it started, at any moment (the result included).
 fn peak_of<R>(work: impl FnOnce() -> R) -> (R, usize) {
@@ -79,8 +89,49 @@ fn clf_line(out: &mut String, addr: u32, bytes: u32) {
     );
 }
 
+/// What the table build beyond the table itself may allocate, per prefix
+/// read: the file's parsed list, the merged tier and the compile's chunk
+/// keys, each 8 bytes a prefix, and the slack of vectors grown by doubling.
+/// Two binary tries as the merge's intermediate cost ≈ 88 more.
+const BUILD_BYTES_PER_PREFIX: usize = 40;
+
+/// Boot and a `/v1/reload` swap read the table files, merge them and
+/// compile the result; the peak of that is the serving table plus a few
+/// sorted lists, not a trie per tier beside it. The table is the
+/// benchmark's shape: ≈ 110 000 prefixes, 8 % of them in the registry dump.
+#[test]
+fn the_table_build_peaks_at_the_table_it_builds() {
+    let _alone = alone();
+    let dir = std::env::temp_dir().join(format!("netclust-build-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let churn = DeltaStreamConfig::default();
+    let prefixes = DeltaStream::synthetic(0x51CE, 110_000, churn).live_prefixes();
+    let split = prefixes.len() * 92 / 100;
+    let (bgp, dump) = (dir.join("t.bgp"), dir.join("t.dump"));
+    for (path, tier) in [(&bgp, &prefixes[..split]), (&dump, &prefixes[split..])] {
+        let text: String = tier.iter().map(|p| format!("{p}\n")).collect();
+        fs::write(path, text).unwrap();
+    }
+
+    let (table, peak) = peak_of(|| {
+        let tables = load_tables(&[&bgp], &[&dump]).unwrap();
+        MergedTable::merge(tables.iter().map(|(table, _)| table)).compile()
+    });
+    assert_eq!(table.len(), prefixes.len());
+    let budget = table.memory_bytes() + BUILD_BYTES_PER_PREFIX * prefixes.len();
+    println!(
+        "load + merge + compile of {} prefixes: {peak} bytes for a {} byte table, budget {budget}",
+        prefixes.len(),
+        table.memory_bytes()
+    );
+    assert!(peak <= budget, "the table build allocated {peak} bytes");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn a_top_n_a_poll_and_a_snapshot_allocate_what_they_return() {
+    let _alone = alone();
     let dir = std::env::temp_dir().join(format!("netclust-alloc-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();

@@ -53,7 +53,11 @@ fn setup() -> (Universe, Vec<u8>, Vec<DeltaBatch>) {
     let log = generate(&u, &spec);
     let clf = clf::to_clf(&log).into_bytes();
     let merged = standard_merged(&u, 0);
-    let stream = DeltaStream::new(42, merged.bgp_prefixes(), DeltaStreamConfig::default());
+    let stream = DeltaStream::new(
+        42,
+        merged.bgp_prefixes().to_vec(),
+        DeltaStreamConfig::default(),
+    );
     let batches: Vec<DeltaBatch> = stream.take(30).collect();
     (u, clf, batches)
 }

@@ -12,9 +12,10 @@ use netclust::rtable::{
     CompiledTable, DeltaKind, MergedTable, RoutingTable, TableDelta, TableKind,
 };
 
-/// What either tier of a compiled table may cost (the DIR-24-8 layout
-/// this replaced paid 64 MiB per tier before the first prefix).
-const TIER_BUDGET_BYTES: usize = 16 << 20;
+/// What a compiled table may cost, both tiers in its one layout (the
+/// DIR-24-8 layout this replaced paid 64 MiB per tier before the first
+/// prefix).
+const TABLE_BUDGET_BYTES: usize = 16 << 20;
 
 /// The churn model every test here shares: batches of ~8, no session
 /// resets (those are replaces, which never touch the layout).
@@ -33,20 +34,20 @@ fn uniform_table(seed: u64) -> (Vec<Ipv4Net>, DeltaStream) {
     (stream.live_prefixes(), stream)
 }
 
-fn assert_within_budget(shape: &str, tier: &str, table: &CompiledTable) {
+fn assert_within_budget(shape: &str, table: &CompiledTable) {
     let bytes = table.memory_bytes();
     println!(
-        "{shape} {tier}: {} prefixes, {} nodes, {bytes} bytes, {:.1} bytes/prefix",
+        "{shape}: {} prefixes ({} registry), {} nodes, {bytes} bytes, {:.1} bytes/prefix",
         table.len(),
+        table.dump_prefixes().len(),
         table.nodes(),
         bytes as f64 / table.len().max(1) as f64
     );
     assert!(
-        bytes <= TIER_BUDGET_BYTES,
-        "{shape} {tier} tier costs {bytes} bytes, budget {TIER_BUDGET_BYTES}"
+        bytes <= TABLE_BUDGET_BYTES,
+        "{shape} table costs {bytes} bytes, budget {TABLE_BUDGET_BYTES}"
     );
     assert_eq!(table.dead_cells(), 0, "a fresh compile strands nothing");
-    assert_eq!(table.patch_state_bytes(), 0, "no shadow trie until a patch");
 }
 
 /// The benchmark's table: uniform placement, so almost every prefix longer
@@ -63,8 +64,7 @@ fn benchmark_shaped_table_fits_the_budget() {
         prefixes[split..].to_vec(),
     );
     let compiled = MergedTable::merge([&bgp, &dump]).compile();
-    assert_within_budget("uniform", "bgp", compiled.bgp());
-    assert_within_budget("uniform", "dump", compiled.dump());
+    assert_within_budget("uniform", &compiled);
 }
 
 /// A generated universe's table: allocation-clustered like a real one
@@ -74,8 +74,7 @@ fn benchmark_shaped_table_fits_the_budget() {
 fn allocation_clustered_table_fits_the_budget() {
     let universe = Universe::generate(UniverseConfig::paper(7));
     let compiled = standard_merged(&universe, 0).compile();
-    assert_within_budget("clustered", "bgp", compiled.bgp());
-    assert_within_budget("clustered", "dump", compiled.dump());
+    assert_within_budget("clustered", &compiled);
 }
 
 /// At least 20 000 deltas of synthetic BGP churn on the benchmark-shaped
