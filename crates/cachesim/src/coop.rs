@@ -59,7 +59,7 @@ impl CoopStats {
 
 /// Replays `log` through per-cluster proxies that cooperate within
 /// `groups`: `groups[i]` lists the cluster indices forming proxy cluster
-/// `i` (e.g. the members of a `netclust_core::NetworkCluster`). Cluster
+/// `i` (e.g. the members of a `netclust_experiments::NetworkCluster`). Cluster
 /// indices absent from every group act standalone. Freshness uses the
 /// same TTL semantics as the main simulator, simplified to whole-object
 /// staleness (a stale copy counts as a miss at that proxy).
@@ -173,8 +173,7 @@ pub fn simulate_cooperative(
 mod tests {
     use super::*;
     use crate::sim::simulate;
-    use netclust_netgen::{standard_merged, Universe, UniverseConfig};
-    use netclust_weblog::{generate, LogSpec};
+    use netclust_netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
 
     fn setup() -> (Log, Clustering) {
         let u = Universe::generate(UniverseConfig::small(7));

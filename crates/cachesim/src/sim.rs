@@ -223,8 +223,7 @@ pub fn top_proxy_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netclust_netgen::{Universe, UniverseConfig};
-    use netclust_weblog::{generate, LogSpec};
+    use netclust_netgen::{generate, LogSpec, Universe, UniverseConfig};
 
     fn setup() -> (Log, Clustering) {
         let u = Universe::generate(UniverseConfig::small(7));
@@ -260,7 +259,8 @@ mod tests {
             .map(|p| p.bytes_hit + p.bytes_miss)
             .sum::<u64>()
             + result.direct_bytes;
-        assert_eq!(bytes, log.total_bytes());
+        let log_bytes: u64 = log.requests.iter().map(|r| u64::from(r.bytes)).sum();
+        assert_eq!(bytes, log_bytes);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::cluster::Assigner;
-use crate::ingest::IngestPipeline;
+use crate::ingest::{ErrorRate, IngestPipeline};
 use crate::persist::FsyncPolicy;
 use crate::stream::StreamingClustering;
 use netclust_obs::Obs;
@@ -26,7 +26,7 @@ use netclust_rtable::{CompiledTable, MergedTable};
 pub struct RunConfig {
     threads: Option<usize>,
     deterministic: bool,
-    max_error_rate: Option<f64>,
+    max_error_rate: Option<ErrorRate>,
     fsync: FsyncPolicy,
     obs: Obs,
 }
@@ -51,9 +51,9 @@ impl RunConfig {
         self
     }
 
-    /// Aborts ingest when the malformed-line ratio exceeds `ratio`.
-    pub fn max_error_rate(mut self, ratio: f64) -> Self {
-        self.max_error_rate = Some(ratio.clamp(0.0, 1.0));
+    /// Aborts ingest when the malformed-line ratio exceeds `budget`.
+    pub fn max_error_rate(mut self, budget: ErrorRate) -> Self {
+        self.max_error_rate = Some(budget);
         self
     }
 
@@ -97,8 +97,8 @@ impl RunConfig {
         if let Some(threads) = self.threads {
             p = p.threads(threads);
         }
-        if let Some(ratio) = self.max_error_rate {
-            p = p.max_error_rate(ratio);
+        if let Some(budget) = self.max_error_rate {
+            p = p.max_error_rate(budget);
         }
         p
     }
@@ -362,8 +362,7 @@ pub mod flags {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netclust_netgen::{standard_merged, Universe, UniverseConfig};
-    use netclust_weblog::{generate, LogSpec};
+    use netclust_netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
 
     #[test]
     fn config_constructs_equivalent_batch_and_stream_views() {
@@ -376,7 +375,7 @@ mod tests {
         let cfg = RunConfig::new()
             .threads(2)
             .deterministic(true)
-            .max_error_rate(0.5);
+            .max_error_rate(ErrorRate::new(0.5).unwrap());
         assert!(cfg.is_deterministic());
 
         let merged = standard_merged(&u, 0);

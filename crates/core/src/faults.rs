@@ -17,8 +17,8 @@
 
 use std::collections::BTreeMap;
 
-use netclust_netgen::unit_f64;
 use netclust_obs::Obs;
+use netclust_prefix::unit_f64;
 
 /// Well-known failpoint names wired through the pipeline.
 pub mod failpoints {
@@ -252,11 +252,6 @@ impl FaultInjector {
         }
     }
 
-    /// Times `point` has been evaluated.
-    pub fn evaluations(&self, point: &str) -> u64 {
-        self.counts.get(point).map(|c| c.0).unwrap_or(0)
-    }
-
     /// Times `point` actually fired.
     pub fn fired(&self, point: &str) -> u64 {
         self.counts.get(point).map(|c| c.1).unwrap_or(0)
@@ -267,13 +262,18 @@ impl FaultInjector {
 mod tests {
     use super::*;
 
+    /// Times `point` has been evaluated.
+    fn evaluations(inj: &FaultInjector, point: &str) -> u64 {
+        inj.counts.get(point).map_or(0, |c| c.0)
+    }
+
     #[test]
     fn disabled_injector_never_fires() {
         let mut inj = FaultInjector::disabled();
         for _ in 0..100 {
             assert!(!inj.should_fire(failpoints::SWAP_COMPILE));
         }
-        assert_eq!(inj.evaluations(failpoints::SWAP_COMPILE), 0);
+        assert_eq!(evaluations(&inj, failpoints::SWAP_COMPILE), 0);
         assert!(!inj.is_armed(failpoints::SWAP_COMPILE));
     }
 
@@ -298,7 +298,7 @@ mod tests {
         for _ in 0..2000 {
             inj.should_fire("x");
         }
-        assert_eq!(inj.evaluations("x"), 2000);
+        assert_eq!(evaluations(&inj, "x"), 2000);
         let rate = inj.fired("x") as f64 / 2000.0;
         assert!((0.2..0.3).contains(&rate), "rate {rate}");
     }
@@ -342,7 +342,7 @@ mod tests {
             .collect();
         reverse.reverse();
         assert_eq!(forward, reverse);
-        assert_eq!(rev.evaluations(failpoints::INGEST_CHUNK_IO), 32);
+        assert_eq!(evaluations(&rev, failpoints::INGEST_CHUNK_IO), 32);
         // Distinct attempts on one chunk draw independently of each other
         // and of other chunks.
         let mut inj = plan.injector();
@@ -367,7 +367,7 @@ mod tests {
         }
         main.absorb(&w1);
         main.absorb(&w2);
-        assert_eq!(main.evaluations("x"), 10);
+        assert_eq!(evaluations(&main, "x"), 10);
         assert_eq!(main.fired("x"), fired);
     }
 

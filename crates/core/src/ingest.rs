@@ -144,12 +144,25 @@ const DEFAULT_CHUNK_BYTES: usize = 1 << 20;
 pub struct IngestPipeline<'t> {
     how: Assigner<'t>,
     chunk_bytes: usize,
-    max_error_rate: Option<f64>,
+    max_error_rate: Option<ErrorRate>,
     io_retries: u32,
     threads: Option<usize>,
     faults: FaultPlan,
     obs: Obs,
     metrics: IngestObs,
+}
+
+/// A malformed-line budget ([`IngestPipeline::max_error_rate`]): a
+/// fraction from 0 to 1. [`ErrorRate::new`] is its one check, so no setter
+/// clamps and a NaN cannot turn the budget off.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ErrorRate(f64);
+
+impl ErrorRate {
+    /// `ratio` as a budget; `None` for NaN or anything outside `[0, 1]`.
+    pub fn new(ratio: f64) -> Option<ErrorRate> {
+        (0.0..=1.0).contains(&ratio).then_some(ErrorRate(ratio))
+    }
 }
 
 /// Why a hardened ingest run ([`IngestPipeline::try_run`] /
@@ -328,12 +341,11 @@ impl<'t> IngestPipeline<'t> {
 
     /// Sets the malformed-line budget for [`try_run`](Self::try_run) /
     /// [`run_log`](Self::run_log): a run whose error ratio exceeds
-    /// `ratio` (clamped to `[0, 1]`) aborts with
-    /// [`IngestError::ErrorBudget`] instead of silently skipping bad
-    /// lines forever. Unset by default (skip-and-report, the classic
-    /// behaviour).
-    pub fn max_error_rate(mut self, ratio: f64) -> Self {
-        self.max_error_rate = Some(ratio.clamp(0.0, 1.0));
+    /// `budget` aborts with [`IngestError::ErrorBudget`] instead of
+    /// silently skipping bad lines forever. Unset by default
+    /// (skip-and-report, the classic behaviour).
+    pub fn max_error_rate(mut self, budget: ErrorRate) -> Self {
+        self.max_error_rate = Some(budget);
         self
     }
 
@@ -356,6 +368,8 @@ impl<'t> IngestPipeline<'t> {
     /// [`try_run`](Self::try_run) injects chunk-read failures on the
     /// plan's deterministic schedule and exercises the
     /// discard-and-retry checkpoint path.
+    // Waived in tests/source_contracts.rs (`pub-fn-caller`): no flag arms
+    // ingest faults; tests/faults.rs observes the retry path through it.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
@@ -410,6 +424,9 @@ impl<'t> IngestPipeline<'t> {
     /// granularity, and the malformed-line budget (when set) is enforced
     /// on the finished report, so `ChunkIo` takes precedence over it.
     /// A successful faulted run is byte-identical to [`run`](Self::run).
+    // Waived in tests/source_contracts.rs (`pub-fn-caller`): the binaries
+    // ingest a mapped file through `run_log`; the fault and budget tests
+    // observe the same hardened path over a byte slice.
     pub fn try_run(&self, data: &[u8]) -> Result<IngestReport, IngestError> {
         self.run_hardened(data, None)
     }
@@ -437,7 +454,7 @@ impl<'t> IngestPipeline<'t> {
     ) -> Result<IngestReport, IngestError> {
         let faulted = self.faults.is_armed(failpoints::INGEST_CHUNK_IO);
         let report = self.run_inner(data, release, faulted)?;
-        if let Some(max_ratio) = self.max_error_rate {
+        if let Some(ErrorRate(max_ratio)) = self.max_error_rate {
             if report.counts.records > 0 && report.counts.ratio() > max_ratio {
                 return Err(IngestError::ErrorBudget {
                     counts: report.counts,
@@ -962,7 +979,7 @@ not a log line\n\
         let table = table();
         // SAMPLE has 1 malformed line out of 6 (≈16.7%).
         let err = IngestPipeline::new(&table)
-            .max_error_rate(0.10)
+            .max_error_rate(ErrorRate::new(0.10).unwrap())
             .try_run(SAMPLE.as_bytes())
             .unwrap_err();
         match err {
@@ -980,7 +997,7 @@ not a log line\n\
         }
         // A budget the noise fits under passes through untouched.
         let ok = IngestPipeline::new(&table)
-            .max_error_rate(0.20)
+            .max_error_rate(ErrorRate::new(0.20).unwrap())
             .try_run(SAMPLE.as_bytes())
             .unwrap();
         assert_eq!(ok.errors.len(), 1);

@@ -35,8 +35,8 @@ pub mod codec;
 mod state;
 
 pub use state::{
-    decode_batch, decode_state, encode_batch, encode_state, CorrectionState, EncodedState,
-    FeedProgress, JournalBatch, StateDecodeError, StreamState,
+    decode_batch, decode_state, encode_batch, encode_state, EncodedState, FeedProgress,
+    JournalBatch, StateDecodeError, StreamState,
 };
 
 use std::fmt;
@@ -338,6 +338,8 @@ impl StateStore {
     /// Takes the armed injector back (draw counts included), leaving the
     /// store fault-free — how the kill-and-restart harness carries one
     /// flaky-disk model across simulated process lifetimes.
+    // Waived in tests/source_contracts.rs (`pub-fn-caller`): only the
+    // kill-and-restart tests hand an injector from one store to the next.
     pub fn take_faults(&mut self) -> FaultInjector {
         std::mem::replace(&mut self.faults, FaultInjector::disabled())
     }

@@ -5,7 +5,7 @@
 //! The encodings are **canonical**: prefixes and per-client rows are
 //! sorted and coded as minimal delta varints, and the decoder *enforces*
 //! that form (no overlong varint, no address past `u32::MAX`, strictly
-//! increasing prefixes with zero host bits, UTF-8 park keys), so
+//! increasing prefixes with zero host bits, a zero reserved byte), so
 //! `decode(encode(s)) == s` and `encode(decode(b)) == b` for every
 //! accepted byte string. That is what lets the crash-recovery harness
 //! compare snapshot files byte-for-byte between a crashed-and-recovered
@@ -21,7 +21,6 @@
 //! typed [`StateDecodeError`], never a panic.
 
 use std::fmt;
-use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use netclust_obs::ErrorCounts;
@@ -65,27 +64,8 @@ pub struct StreamState {
     pub patch_stats: PatchStats,
     /// The most recent swap/patch rejection, if any.
     pub last_rejection: Option<SwapRejection>,
-    /// Self-correction outcome, when a correction pass has run.
-    pub correction: Option<CorrectionState>,
     /// Feed-loop accounting owned by the CLI driver.
     pub feed: FeedProgress,
-}
-
-/// Durable residue of a self-correction pass
-/// ([`self_correct`](crate::self_correct)): the quorum verdict counts and
-/// the clients *parked* under synthetic `?cluster:`/`?addr:` keys because
-/// probing told us nothing — exactly the set a later pass must re-probe.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CorrectionState {
-    /// Clusters that passed the homogeneity quorum.
-    pub homogeneous: u64,
-    /// Clusters partitioned because their members disagreed.
-    pub split: u64,
-    /// Clusters kept intact because probing yielded no signal.
-    pub no_signal: u64,
-    /// Parked addresses with the synthetic group key each sits under,
-    /// sorted by key then address (the correction pass's `BTreeMap` order).
-    pub parked: Vec<(Ipv4Addr, String)>,
 }
 
 /// CLI feed-loop accounting persisted alongside the stream so a mid-feed
@@ -559,29 +539,8 @@ fn put_tail(out: &mut Vec<u8>, state: &StreamState) {
     put_u64(out, state.patch_stats.group_rebuilds);
     put_u64(out, state.patch_stats.recompiles);
     put_rejection(out, state.last_rejection);
-    match &state.correction {
-        None => out.push(0),
-        Some(c) => {
-            out.push(1);
-            put_u64(out, c.homogeneous);
-            put_u64(out, c.split);
-            put_u64(out, c.no_signal);
-            #[allow(
-                clippy::cast_possible_truncation,
-                reason = "at most one parked row per IPv4 client: len < 2^32."
-            )]
-            put_u32(out, c.parked.len() as u32);
-            for (addr, key) in &c.parked {
-                put_u32(out, u32::from(*addr));
-                #[allow(
-                    clippy::cast_possible_truncation,
-                    reason = "park keys are short synthetic `?cluster:`/`?addr:` strings."
-                )]
-                put_u32(out, key.len() as u32);
-                out.extend_from_slice(key.as_bytes());
-            }
-        }
-    }
+    // Reserved: once a study-state tag, zero in every snapshot written.
+    out.push(0);
     put_u64(out, state.feed.coverage_start_bits);
     put_u64(out, state.feed.resets);
     put_u64(out, state.feed.deltas_total);
@@ -628,8 +587,11 @@ fn take_rows(r: &mut Reader<'_>, layout: Layout) -> Result<Vec<(u32, u64, u64)>,
 
 /// Decodes a [`StreamState`] in the current format, enforcing the
 /// canonical form [`encode_state`] produces (minimal varints, sorted
-/// prefixes, strictly increasing client rows, UTF-8 park keys, no trailing
-/// bytes). Never panics on arbitrary input.
+/// prefixes, strictly increasing client rows, a zero reserved byte, no
+/// trailing bytes). Never panics on arbitrary input.
+// Waived in tests/source_contracts.rs (`pub-fn-caller`): the store reads a
+// snapshot by its header's version; the codec properties observe the
+// current format through this entry.
 pub fn decode_state(bytes: &[u8]) -> Result<StreamState, StateDecodeError> {
     decode_state_version(bytes, FORMAT_VERSION)
 }
@@ -671,32 +633,10 @@ pub(super) fn decode_state_version(
         recompiles: r.u64_le().ok_or(bad("patch_stats"))?,
     };
     let last_rejection = take_rejection(&mut r)?;
-    let correction = match r.u8().ok_or(bad("correction tag"))? {
-        0 => None,
-        1 => {
-            let homogeneous = r.u64_le().ok_or(bad("correction"))?;
-            let split = r.u64_le().ok_or(bad("correction"))?;
-            let no_signal = r.u64_le().ok_or(bad("correction"))?;
-            let n_parked = r.u32_le().ok_or(bad("correction"))? as usize;
-            let mut parked = Vec::with_capacity(n_parked.min(r.remaining() / 8));
-            for _ in 0..n_parked {
-                let addr = Ipv4Addr::from(r.u32_le().ok_or(bad("parked address"))?);
-                let key_len = r.u32_le().ok_or(bad("parked key"))? as usize;
-                let raw = r.take(key_len).ok_or(bad("parked key"))?;
-                let key = std::str::from_utf8(raw)
-                    .map_err(|_| bad("parked key utf-8"))?
-                    .to_owned();
-                parked.push((addr, key));
-            }
-            Some(CorrectionState {
-                homogeneous,
-                split,
-                no_signal,
-                parked,
-            })
-        }
-        _ => return Err(bad("correction tag")),
-    };
+    // The reserved byte after the rejection (see `put_tail`).
+    if r.u8().ok_or(bad("correction tag"))? != 0 {
+        return Err(bad("correction tag"));
+    }
     let feed = FeedProgress {
         coverage_start_bits: r.u64_le().ok_or(bad("feed progress"))?,
         resets: r.u64_le().ok_or(bad("feed progress"))?,
@@ -718,7 +658,6 @@ pub(super) fn decode_state_version(
         swap_stats,
         patch_stats,
         last_rejection,
-        correction,
         feed,
     })
 }
@@ -802,15 +741,6 @@ mod tests {
                 after: 0.2,
                 floor: 0.76,
             }),
-            correction: Some(CorrectionState {
-                homogeneous: 40,
-                split: 2,
-                no_signal: 1,
-                parked: vec![
-                    (Ipv4Addr::new(10, 0, 0, 9), "?addr:10.0.0.9".into()),
-                    (Ipv4Addr::new(10, 2, 3, 4), "?cluster:10.2.0.0/16".into()),
-                ],
-            }),
             feed: FeedProgress {
                 coverage_start_bits: 0.875f64.to_bits(),
                 resets: 2,
@@ -845,7 +775,6 @@ mod tests {
         ] {
             let mut s = sample_state();
             s.last_rejection = rejection;
-            s.correction = None;
             assert_eq!(decode_state(&encode_state(&s)).unwrap(), s);
         }
     }
@@ -885,6 +814,28 @@ mod tests {
         assert_eq!(decode_state(&encode_state(&s)), Err(bad("bgp prefix list")));
     }
 
+    /// The byte before the feed progress is reserved: zero in every
+    /// snapshot written, and anything else refused by name in either
+    /// version.
+    #[test]
+    fn a_nonzero_reserved_byte_is_refused() {
+        let state = sample_state();
+        for (version, mut bytes) in [
+            (FORMAT_VERSION, encode_state(&state)),
+            (OLDEST_READ_VERSION, v1_payload(&state)),
+        ] {
+            // Four u64s of feed progress follow the reserved byte.
+            let at = bytes.len() - 33;
+            assert_eq!(bytes[at], 0);
+            assert_eq!(decode_state_version(&bytes, version), Ok(state.clone()));
+            for tag in [1, 2, 0xFF] {
+                bytes[at] = tag;
+                let got = decode_state_version(&bytes, version);
+                assert_eq!(got, Err(bad("correction tag")), "v{version} tag {tag}");
+            }
+        }
+    }
+
     /// Every field at its edge: addresses 0 and `u32::MAX`, counts 0 and
     /// `u64::MAX`, the shortest and longest prefixes, and empty lists.
     #[test]
@@ -905,7 +856,6 @@ mod tests {
         empty.bgp_prefixes.clear();
         empty.dump_prefixes.clear();
         empty.per_client.clear();
-        empty.correction = Some(CorrectionState::default());
         for state in [edges, empty] {
             let bytes = encode_state(&state);
             let back = decode_state(&bytes).unwrap();
@@ -914,14 +864,13 @@ mod tests {
         }
     }
 
-    /// A payload of `sample_state()`'s fields with no dump prefixes, no
-    /// correction and hand-written bytes for the BGP prefix list and the
-    /// client rows: `(count, bytes)` each.
+    /// A payload of `sample_state()`'s fields with no dump prefixes and
+    /// hand-written bytes for the BGP prefix list and the client rows:
+    /// `(count, bytes)` each.
     fn hand_payload(bgp: (u32, &[u8]), rows: (u32, &[u8])) -> Vec<u8> {
         let mut rest = sample_state();
         rest.dump_prefixes.clear();
         rest.per_client.clear();
-        rest.correction = None;
         let encoded = EncodedState::of(&rest);
         let mut out = encoded.bytes[..16].to_vec();
         out.extend_from_slice(&bgp.0.to_le_bytes());

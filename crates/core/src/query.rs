@@ -23,7 +23,6 @@ use std::net::Ipv4Addr;
 
 use netclust_prefix::Ipv4Net;
 
-use crate::anomaly::ClientClass;
 use crate::cluster::Clustering;
 use crate::stream::StreamingClustering;
 
@@ -87,7 +86,8 @@ pub struct QuerySummary {
 /// §4.1.2's signals available without the raw log: request volume and the
 /// client's share of its cluster (Figure 10's "the spider dwarfs its
 /// cluster-mates"). The timing and User-Agent signals need the full log
-/// and stay in [`crate::detect`].
+/// and stay in the study's offline detector (`netclust_experiments::detect`,
+/// whose `AnomalyConfig` takes its volume and share thresholds from here).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VerdictPolicy {
     /// Minimum requests before a client is even suspicious.
@@ -98,12 +98,22 @@ pub struct VerdictPolicy {
 
 impl Default for VerdictPolicy {
     fn default() -> Self {
-        // Mirrors `AnomalyConfig::default()`'s volume/share thresholds.
         VerdictPolicy {
             min_requests: 5_000,
             min_cluster_share: 0.80,
         }
     }
+}
+
+/// What a client was classified as.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ClientClass {
+    /// An ordinary (visible) client.
+    Normal,
+    /// A bulk crawler.
+    Spider,
+    /// A forwarding proxy with hidden clients behind it.
+    SuspectedProxy,
 }
 
 /// The answer to "is this client a spider or a proxy".
@@ -139,8 +149,8 @@ pub trait ClusterQuery {
     fn summary(&self) -> QuerySummary;
 
     /// Structural spider/proxy verdict for `addr` under `policy`: volume
-    /// and cluster-share only (the log-dependent signals live in
-    /// [`crate::detect`]). Default implementation derives everything from
+    /// and cluster-share only (the log-dependent signals need the raw log:
+    /// see [`VerdictPolicy`]). Default implementation derives everything from
     /// [`lookup`](Self::lookup).
     fn verdict(&self, addr: Ipv4Addr, policy: &VerdictPolicy) -> VerdictAnswer {
         let a = self.lookup(addr);
@@ -479,8 +489,7 @@ impl ClusterQuery for Clustering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netclust_netgen::{standard_merged, Universe, UniverseConfig};
-    use netclust_weblog::{generate, LogSpec};
+    use netclust_netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
 
     fn setup() -> (Clustering, StreamingClustering) {
         let u = Universe::generate(UniverseConfig::small(7));

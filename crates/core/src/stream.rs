@@ -46,7 +46,7 @@ use netclust_weblog::Request;
 
 use crate::faults::{failpoints, FaultInjector};
 use crate::kernel::{memo, Client, Shard};
-use crate::persist::{CorrectionState, EncodedState, FeedProgress, StreamState};
+use crate::persist::{EncodedState, FeedProgress, StreamState};
 
 /// Resolved swap/patch-path observability handles (`stream.swap.*`,
 /// `stream.patch.*`, and the serving table's cost as
@@ -153,11 +153,6 @@ impl StreamHandle {
     /// every accepted patch batch or full swap).
     pub fn version(&self) -> u64 {
         self.current().version
-    }
-
-    /// Live prefix count of the serving generation (both tiers).
-    pub fn table_len(&self) -> usize {
-        self.current().entries()
     }
 }
 
@@ -479,9 +474,6 @@ pub struct StreamingClustering {
     patch_stats: PatchStats,
     /// The most recent rejection, for operators polling stats.
     last_rejection: Option<SwapRejection>,
-    /// Durable residue of the last self-correction pass, carried so
-    /// snapshots preserve it across restarts.
-    correction: Option<CorrectionState>,
     /// Thresholds applied by [`try_swap`](Self::try_swap).
     policy: SwapPolicy,
     /// Registry swapped-in tables resolve their LPM counters against.
@@ -519,7 +511,6 @@ impl StreamingClustering {
             swap_stats: SwapStats::default(),
             patch_stats: PatchStats::default(),
             last_rejection: None,
-            correction: None,
             policy,
             obs,
             metrics,
@@ -1027,17 +1018,6 @@ impl StreamingClustering {
         std::mem::replace(&mut self.live, next)
     }
 
-    /// Records the durable residue of a self-correction pass so snapshots
-    /// ([`export_state`](Self::export_state)) preserve it across restarts.
-    pub fn set_correction(&mut self, correction: CorrectionState) {
-        self.correction = Some(correction);
-    }
-
-    /// The recorded self-correction residue, if a pass has run.
-    pub fn correction(&self) -> Option<&CorrectionState> {
-        self.correction.as_ref()
-    }
-
     /// Exports everything the durability layer persists: the serving
     /// table's live prefix sets, the retained per-client totals, every
     /// cumulative counter, and the resume cursor as of the same instant
@@ -1089,7 +1069,6 @@ impl StreamingClustering {
             swap_stats: self.swap_stats,
             patch_stats: self.patch_stats,
             last_rejection: self.last_rejection,
-            correction: self.correction.clone(),
             feed: FeedProgress::default(),
         }
     }
@@ -1138,7 +1117,6 @@ impl StreamingClustering {
         stream.swap_stats = state.swap_stats;
         stream.patch_stats = state.patch_stats;
         stream.last_rejection = state.last_rejection;
-        stream.correction = state.correction.clone();
         Ok(stream)
     }
 }
@@ -1147,9 +1125,8 @@ impl StreamingClustering {
 mod tests {
     use super::*;
     use crate::cluster::Clustering;
-    use netclust_netgen::{standard_merged, Universe, UniverseConfig};
+    use netclust_netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
     use netclust_rtable::{RoutingTable, TableKind};
-    use netclust_weblog::{generate, LogSpec};
 
     fn setup() -> (Universe, netclust_weblog::Log) {
         let u = Universe::generate(UniverseConfig::small(7));
@@ -1400,7 +1377,7 @@ mod tests {
         let (busiest, busy_stats) = stream.top_k(1)[0];
         let report = stream.apply_deltas(&[TableDelta::withdraw(busiest)]);
         assert!(report.accepted, "rejected: {:?}", report.rejection);
-        assert!(report.patch.patched_in_place());
+        assert!(!report.patch.recompiled);
         assert!(report.reassigned_clients as u64 >= busy_stats.clients);
         assert_eq!(stream.stats(busiest), None);
         assert_view_consistent(&stream);
@@ -1667,7 +1644,7 @@ mod tests {
         let mut resumed = StreamingClustering::restore(&state, SwapPolicy::default(), obs.clone())
             .expect("restore");
         let report = resumed.apply_deltas(&journaled);
-        assert!(report.accepted && report.patch.patched_in_place());
+        assert!(report.accepted && !report.patch.recompiled);
         assert_eq!(
             resumed.cluster_of(Ipv4Addr::from(client)),
             Some(Ipv4Net::new(client, 26).expect("/26"))

@@ -4,8 +4,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use netclust_core::{
-    cdf, cdf_at, threshold_busy, Cluster, Clustering, Distributions, IngestPipeline, StreamStats,
-    StreamingClustering, Summary, SwapPolicy,
+    threshold_busy, Cluster, Clustering, IngestPipeline, StreamStats, StreamingClustering,
+    SwapPolicy,
 };
 use netclust_obs::Obs;
 use netclust_prefix::Ipv4Net;
@@ -139,7 +139,8 @@ proptest! {
         prop_assert_eq!(req_total, log.requests.len() as u64);
         let byte_total: u64 = clustering.clusters.iter().map(|c| c.bytes).sum::<u64>()
             + clustering.unclustered.iter().map(|c| c.bytes).sum::<u64>();
-        prop_assert_eq!(byte_total, log.total_bytes());
+        let log_bytes: u64 = log.requests.iter().map(|r| u64::from(r.bytes)).sum();
+        prop_assert_eq!(byte_total, log_bytes);
         // unique_urls bounded by requests and by the URL space.
         for cluster in &clustering.clusters {
             prop_assert!(cluster.unique_urls as u64 <= cluster.requests);
@@ -290,46 +291,5 @@ proptest! {
         let (lo, hi) = report.busy_request_range;
         prop_assert!(lo <= hi);
         prop_assert_eq!(report.threshold, lo);
-    }
-
-    /// Distribution series and orderings are consistent with the clusters.
-    #[test]
-    fn distributions_are_consistent(reqs in arb_reqs()) {
-        let log = log_from(&reqs);
-        let clustering = Clustering::simple24(&log);
-        let d = Distributions::of(&clustering);
-        prop_assert_eq!(d.clients.len(), clustering.len());
-        // Orderings are permutations.
-        let mut a = d.by_clients.clone();
-        a.sort_unstable();
-        prop_assert_eq!(&a, &(0..clustering.len()).collect::<Vec<_>>());
-        let mut b = d.by_requests.clone();
-        b.sort_unstable();
-        prop_assert_eq!(&b, &(0..clustering.len()).collect::<Vec<_>>());
-        // Reordered series are non-increasing.
-        let by_c = Distributions::series_in(&d.clients, &d.by_clients);
-        prop_assert!(by_c.windows(2).all(|w| w[0] >= w[1]));
-        let by_r = Distributions::series_in(&d.requests, &d.by_requests);
-        prop_assert!(by_r.windows(2).all(|w| w[0] >= w[1]));
-        // Summary totals match.
-        if let Some(s) = Summary::of(&d.requests) {
-            prop_assert_eq!(s.total, clustering.clusters.iter().map(|c| c.requests).sum::<u64>());
-            prop_assert!(s.min <= s.max);
-        }
-    }
-
-    /// The CDF is a valid distribution function: non-decreasing, ends at
-    /// 1.0, and cdf_at brackets every value correctly.
-    #[test]
-    fn cdf_is_valid(values in proptest::collection::vec(0u64..1000, 1..200)) {
-        let points = cdf(&values);
-        prop_assert!((points.last().unwrap().1 - 1.0).abs() < 1e-12);
-        prop_assert!(points.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1));
-        for &v in &values {
-            let frac = cdf_at(&points, v);
-            let expect = values.iter().filter(|&&x| x <= v).count() as f64
-                / values.len() as f64;
-            prop_assert!((frac - expect).abs() < 1e-12);
-        }
     }
 }

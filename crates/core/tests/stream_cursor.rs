@@ -21,9 +21,9 @@ use std::sync::RwLock;
 use std::thread;
 
 use netclust_core::{StreamState, StreamingClustering, SwapPolicy};
-use netclust_netgen::{standard_merged, Universe, UniverseConfig};
+use netclust_netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
 use netclust_obs::Obs;
-use netclust_weblog::{clf, generate, LogSpec};
+use netclust_weblog::clf;
 
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 0xBEEF, 0xFA17];
 

@@ -12,10 +12,9 @@ use std::thread;
 
 use netclust_bgpsim::{DeltaStream, DeltaStreamConfig};
 use netclust_core::{failpoints, FaultPlan, StreamHandle, StreamingClustering, SwapRejection};
-use netclust_netgen::{standard_merged, Universe, UniverseConfig};
+use netclust_netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
 use netclust_prefix::Ipv4Net;
 use netclust_rtable::{MergedTable, RoutingTable, TableDelta, TableKind};
-use netclust_weblog::{generate, LogSpec};
 
 fn setup() -> (Universe, netclust_weblog::Log) {
     let u = Universe::generate(UniverseConfig::small(7));
@@ -273,6 +272,5 @@ fn a_handle_outlives_its_stream() {
     drop(stream);
     assert_eq!(handle.version(), version);
     assert_eq!(handle.net_for_u32(canary_probe), expect);
-    assert!(handle.table_len() > 0);
     assert_eq!(handle.clone().net_for(Ipv4Addr::from(canary_probe)), expect);
 }

@@ -9,8 +9,8 @@
 //! is used, i.e. the reproduction does not hinge on the statistical model.
 
 use netclust_bgpsim::{PropagationModel, Topology};
-use netclust_core::{validate, Clustering, SamplePlan};
-use netclust_experiments::{nagano_env, pct, print_table};
+use netclust_core::Clustering;
+use netclust_experiments::{nagano_env, pct, print_table, validate, SamplePlan};
 use netclust_netgen::registry_dump;
 use netclust_rtable::MergedTable;
 

@@ -4,8 +4,8 @@
 //! extra traffic kept off the origin versus standalone proxies.
 
 use netclust_cachesim::{simulate_cooperative, ResourceModel, SimConfig};
-use netclust_core::{network_clusters, Clustering};
-use netclust_experiments::{nagano_env, pct, print_table};
+use netclust_core::Clustering;
+use netclust_experiments::{nagano_env, network_clusters, pct, print_table};
 
 fn main() {
     let (universe, log, merged) = nagano_env();

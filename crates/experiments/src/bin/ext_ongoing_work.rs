@@ -3,11 +3,11 @@
 //! guard), selective-sampling validation (§3.3's threshold idea), and
 //! real-time streaming clustering (§4).
 
-use netclust_core::{
-    merge_by_name_suffix, org_purity, selective_validate, Clustering, ErrorCounts, SamplePlan,
-    SelectiveMode, StreamingClustering, SwapPolicy,
+use netclust_core::{Clustering, ErrorCounts, StreamingClustering, SwapPolicy};
+use netclust_experiments::{
+    merge_by_name_suffix, nagano_env, org_purity, pct, print_table, selective_validate, SamplePlan,
+    SelectiveMode,
 };
-use netclust_experiments::{nagano_env, pct, print_table};
 use netclust_prefix::Ipv4Net;
 
 fn main() {

@@ -5,10 +5,11 @@
 //! 99.79 % of its 27-host cluster — and covers 4,426 of 116,274 URLs. The
 //! Sun proxy cluster has two clients issuing 2,699 and 323,867 requests.
 
-use netclust_core::{cluster_request_distribution, detect, AnomalyConfig, ClientClass, Clustering};
-use netclust_experiments::{paper_universe, pct, print_table, scaled};
-use netclust_netgen::standard_merged;
-use netclust_weblog::{generate, LogSpec};
+use netclust_core::{ClientClass, Clustering};
+use netclust_experiments::{
+    cluster_request_distribution, detect, paper_universe, pct, print_table, scaled, AnomalyConfig,
+};
+use netclust_netgen::{generate, standard_merged, LogSpec};
 
 fn main() {
     let universe = paper_universe();

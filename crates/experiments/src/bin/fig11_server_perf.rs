@@ -7,8 +7,8 @@
 //! network-aware hit ratios reach 60–75 % on the Nagano event log.
 
 use netclust_cachesim::{fig11_sizes, sweep_cache_sizes, SimConfig};
-use netclust_core::{detect, strip_clients, AnomalyConfig, Clustering};
-use netclust_experiments::{nagano_env, pct, print_table};
+use netclust_core::Clustering;
+use netclust_experiments::{detect, nagano_env, pct, print_table, strip_clients, AnomalyConfig};
 
 fn main() {
     let (_u, log, merged) = nagano_env();

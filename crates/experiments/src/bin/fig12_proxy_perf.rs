@@ -8,8 +8,10 @@
 //! potential benefit of proxy caching".
 
 use netclust_cachesim::{simulate, top_proxy_report, SimConfig};
-use netclust_core::{detect, strip_clients, AnomalyConfig, Clustering};
-use netclust_experiments::{downsample, nagano_env, pct, print_table};
+use netclust_core::Clustering;
+use netclust_experiments::{
+    detect, downsample, nagano_env, pct, print_table, strip_clients, AnomalyConfig,
+};
 
 fn main() {
     let (_u, log, merged) = nagano_env();

@@ -5,8 +5,8 @@
 //! <1,000 requests; the request distribution is more heavy-tailed than the
 //! client distribution (suspected proxies/spiders live in that tail).
 
-use netclust_core::{cdf, cdf_at, Clustering, Distributions};
-use netclust_experiments::{nagano_env, pct, print_table};
+use netclust_core::Clustering;
+use netclust_experiments::{cdf, cdf_at, nagano_env, pct, print_table, Distributions};
 
 fn main() {
     let (_u, log, merged) = nagano_env();

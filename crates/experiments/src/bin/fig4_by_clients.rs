@@ -6,8 +6,8 @@
 //! more URLs, but a few relatively small clusters issue ~1 % of all
 //! requests and touch ~20 % of all URLs — the spider/proxy signature.
 
-use netclust_core::{Clustering, Distributions};
-use netclust_experiments::{downsample, nagano_env, print_table};
+use netclust_core::Clustering;
+use netclust_experiments::{downsample, nagano_env, print_table, Distributions};
 
 fn main() {
     let (_u, log, merged) = nagano_env();

@@ -5,8 +5,8 @@
 //! URLs, but some busy clusters have very few clients (and may touch few
 //! URLs) — again the spider/proxy signal.
 
-use netclust_core::{Clustering, Distributions};
-use netclust_experiments::{downsample, nagano_env, print_table};
+use netclust_core::Clustering;
+use netclust_experiments::{downsample, nagano_env, print_table, Distributions};
 
 fn main() {
     let (_u, log, merged) = nagano_env();

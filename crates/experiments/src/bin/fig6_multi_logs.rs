@@ -5,10 +5,9 @@
 //! Paper reference: every observation made on the Nagano log (heavy tails,
 //! busy small clusters, suspected spiders/proxies) holds on all four logs.
 
-use netclust_core::{Clustering, Distributions};
-use netclust_experiments::{paper_universe, pct, print_table, scaled};
-use netclust_netgen::standard_merged;
-use netclust_weblog::{generate, LogSpec};
+use netclust_core::Clustering;
+use netclust_experiments::{paper_universe, pct, print_table, scaled, Distributions};
+use netclust_netgen::{generate, standard_merged, LogSpec};
 
 fn main() {
     let universe = paper_universe();

@@ -7,8 +7,8 @@
 //! requests, 0.08 %) for simple; simple clusters cap at 256 clients by
 //! construction and have smaller mean and variance.
 
-use netclust_core::{Clustering, Distributions, Summary};
-use netclust_experiments::{downsample, nagano_env, print_table};
+use netclust_core::Clustering;
+use netclust_experiments::{downsample, nagano_env, print_table, Distributions, Summary};
 
 fn main() {
     let (_u, log, merged) = nagano_env();

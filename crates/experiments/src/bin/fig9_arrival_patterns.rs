@@ -6,10 +6,9 @@
 //! spikes; the spider shows a burst with no resemblance to the diurnal
 //! pattern.
 
-use netclust_core::{correlation, hourly_histogram, Clustering};
-use netclust_experiments::{paper_universe, print_table, scaled};
-use netclust_netgen::standard_merged;
-use netclust_weblog::{generate, LogSpec};
+use netclust_core::Clustering;
+use netclust_experiments::{correlation, hourly_histogram, paper_universe, print_table, scaled};
+use netclust_netgen::{generate, standard_merged, LogSpec};
 
 #[allow(clippy::cast_possible_truncation, reason = "a bar of at most 24 columns.")]
 fn bars(hist: &[u64], cols: usize) -> Vec<String> {

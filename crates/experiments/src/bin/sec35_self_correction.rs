@@ -4,8 +4,8 @@
 //! same-signature clusters merge (too-small repair); mixed clusters split
 //! (too-large repair). Ground-truth org purity improves accordingly.
 
-use netclust_core::{org_purity, self_correct, Clustering, CorrectionConfig};
-use netclust_experiments::{nagano_env, pct};
+use netclust_core::Clustering;
+use netclust_experiments::{nagano_env, org_purity, pct, self_correct, CorrectionConfig};
 
 fn main() {
     let (universe, log, merged) = nagano_env();

@@ -7,8 +7,8 @@
 //! the 12.4 M requests; client clusters group further into network
 //! clusters via traceroute path suffixes.
 
-use netclust_core::{network_clusters, session_report, threshold_busy, Clustering};
-use netclust_experiments::{nagano_env, pct, print_table, scale};
+use netclust_core::{threshold_busy, Clustering};
+use netclust_experiments::{nagano_env, network_clusters, pct, print_table, scale, session_report};
 use netclust_netgen::stream_rng;
 use netclust_weblog::pareto_u64;
 use rand::Rng;

@@ -8,11 +8,12 @@
 //! 48.6 %. The optimized traceroute saves ~90 % of probes and ~80 % of
 //! waiting time versus the classic tool.
 
-use netclust_core::{validate, Clustering, SamplePlan, ValidationReport};
-use netclust_experiments::{paper_universe, pct, print_table, scaled};
-use netclust_netgen::standard_merged;
+use netclust_core::Clustering;
+use netclust_experiments::{
+    paper_universe, pct, print_table, scaled, validate, SamplePlan, ValidationReport,
+};
+use netclust_netgen::{generate, standard_merged, LogSpec};
 use netclust_probe::{TraceOutcome, Traceroute};
-use netclust_weblog::{generate, LogSpec};
 
 fn main() {
     let universe = paper_universe();

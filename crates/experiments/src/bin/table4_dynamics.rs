@@ -7,10 +7,9 @@
 //! stay under ~3 % of clusters, and under ~5 % of busy clusters — BGP
 //! dynamics barely perturbs clustering.
 
-use netclust_core::{dynamics_analysis, threshold_busy, Clustering, LogUnderStudy};
-use netclust_experiments::{paper_universe, print_table, scaled};
-use netclust_netgen::{standard_merged, VantageSpec};
-use netclust_weblog::{generate, LogSpec};
+use netclust_core::{threshold_busy, Clustering};
+use netclust_experiments::{dynamics_analysis, paper_universe, print_table, scaled, LogUnderStudy};
+use netclust_netgen::{generate, standard_merged, LogSpec, VantageSpec};
 
 fn main() {
     let universe = paper_universe();

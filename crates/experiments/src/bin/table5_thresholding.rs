@@ -6,8 +6,8 @@
 //! sizes 1–1,343 clients); simple keeps 3,242 of 23,523 (threshold 696,
 //! busy sizes 4–63 clients).
 
-use netclust_core::{detect, strip_clients, threshold_busy, AnomalyConfig, Clustering};
-use netclust_experiments::{nagano_env, print_table};
+use netclust_core::{threshold_busy, Clustering};
+use netclust_experiments::{detect, nagano_env, print_table, strip_clients, AnomalyConfig};
 
 fn main() {
     let (_u, log, merged) = nagano_env();

@@ -1,5 +1,24 @@
-//! Shared scaffolding for the experiment binaries, one per table/figure of
-//! the paper.
+//! The paper's offline studies of the clustering, and the scaffolding of
+//! the experiment binaries, one per table/figure of the paper.
+//!
+//! The product (`netclust-core`) computes one function: the longest-prefix
+//! match of each client against a merged BGP/registry table. Everything
+//! the paper measures *about* that function lives here, run against the
+//! synthetic Internet of `netclust-netgen` and probed through
+//! `netclust-probe`:
+//!
+//! * [`Distributions`], [`cdf`] — the per-cluster client/request/URL
+//!   metrics of Figures 3–7,
+//! * [`validate`] — sampled nslookup/traceroute validation (§3.3, Table 3),
+//! * [`dynamics_analysis`] — the effect of BGP churn (§3.4, Table 4),
+//! * [`self_correct`] — merge/split/absorb repair via traceroute sampling
+//!   (§3.5),
+//! * [`network_clusters`] — second-level clustering, [`session_report`] —
+//!   time-partitioned stability, and [`selective_validate`] /
+//!   [`merge_by_name_suffix`] — the ongoing-work extensions (§3.6),
+//! * [`detect`] — spider and proxy identification (§4.1.2, Figures 9–10);
+//!   its volume and share thresholds are the served verdict's
+//!   (`netclust_core::VerdictPolicy`).
 //!
 //! Every binary prints a deterministic plain-text reproduction of its
 //! exhibit. Workload sizes honor the `NETCLUST_SCALE` environment variable
@@ -10,8 +29,34 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use netclust_netgen::{Universe, UniverseConfig};
-use netclust_weblog::LogSpec;
+mod anomaly;
+mod dynamics;
+mod metrics;
+mod netcluster;
+mod ongoing;
+mod selfcorrect;
+mod sessions;
+mod validation;
+
+pub use anomaly::{
+    cluster_request_distribution, correlation, detect, hourly_histogram, strip_clients,
+    AnomalyConfig, Detection,
+};
+pub use dynamics::{
+    dynamic_prefix_set, dynamics_analysis, DynamicsRow, LogDynamics, LogUnderStudy,
+};
+pub use metrics::{cdf, cdf_at, Distributions, Summary};
+pub use netcluster::{network_clusters, NetworkCluster};
+pub use ongoing::{
+    merge_by_name_suffix, selective_validate, MergeReport, SelectiveMode, SelectiveReport,
+};
+pub use selfcorrect::{
+    org_purity, self_correct, self_correct_with, CorrectionConfig, CorrectionReport,
+};
+pub use sessions::{session_report, SessionReport, SessionStats};
+pub use validation::{validate, SamplePlan, TestCounts, ValidationReport};
+
+use netclust_netgen::{LogSpec, Universe, UniverseConfig};
 
 /// Universe seed shared by every experiment.
 pub const UNIVERSE_SEED: u64 = 0x5EED_2000;
@@ -56,7 +101,7 @@ pub fn paper_universe() -> Universe {
 /// the setup most experiments start from.
 pub fn nagano_env() -> (Universe, netclust_weblog::Log, netclust_rtable::MergedTable) {
     let universe = paper_universe();
-    let log = netclust_weblog::generate(&universe, &scaled(LogSpec::nagano(1)));
+    let log = netclust_netgen::generate(&universe, &scaled(LogSpec::nagano(1)));
     let merged = netclust_netgen::standard_merged(&universe, 0);
     (universe, log, merged)
 }

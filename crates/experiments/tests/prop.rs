@@ -1,0 +1,105 @@
+//! Property-based tests on the Figure 3–7 distribution metrics and the
+//! §3.4 dynamic prefix set.
+
+use netclust_core::Clustering;
+use netclust_experiments::{cdf, cdf_at, dynamic_prefix_set, Distributions, Summary};
+use netclust_prefix::Ipv4Net;
+use netclust_rtable::{RoutingTable, TableKind};
+use netclust_weblog::{Log, LogTruth, Request, UrlMeta};
+use proptest::prelude::*;
+
+/// Builds a log from arbitrary (client, url, time) triples.
+fn log_from(reqs: &[(u32, u8, u16)]) -> Log {
+    let mut requests: Vec<Request> = reqs
+        .iter()
+        .map(|&(client, url, time)| Request {
+            time: time as u32,
+            client,
+            url: url as u32,
+            bytes: 100 + url as u32,
+            status: 200,
+            ua: 0,
+        })
+        .collect();
+    requests.sort_by_key(|r| r.time);
+    Log {
+        name: "prop".into(),
+        requests,
+        urls: (0..=255)
+            .map(|i| UrlMeta {
+                path: format!("/{i}"),
+                size: 100 + i,
+            })
+            .collect(),
+        user_agents: vec!["UA".into()],
+        start_time: 0,
+        duration_s: u16::MAX as u32,
+        truth: LogTruth::default(),
+    }
+}
+
+fn arb_net() -> impl Strategy<Value = Ipv4Net> {
+    // Clustered address space, so two sets overlap.
+    (0u32..1 << 16, 8u8..=28).prop_map(|(hi, len)| Ipv4Net::new(hi << 16, len).unwrap())
+}
+
+fn arb_reqs() -> impl Strategy<Value = Vec<(u32, u8, u16)>> {
+    proptest::collection::vec((any::<u32>(), any::<u8>(), any::<u16>()), 1..300)
+}
+
+proptest! {
+    /// Distribution series and orderings are consistent with the clusters.
+    #[test]
+    fn distributions_are_consistent(reqs in arb_reqs()) {
+        let log = log_from(&reqs);
+        let clustering = Clustering::simple24(&log);
+        let d = Distributions::of(&clustering);
+        prop_assert_eq!(d.clients.len(), clustering.len());
+        // Orderings are permutations.
+        let mut a = d.by_clients.clone();
+        a.sort_unstable();
+        prop_assert_eq!(&a, &(0..clustering.len()).collect::<Vec<_>>());
+        let mut b = d.by_requests.clone();
+        b.sort_unstable();
+        prop_assert_eq!(&b, &(0..clustering.len()).collect::<Vec<_>>());
+        // Reordered series are non-increasing.
+        let by_c = Distributions::series_in(&d.clients, &d.by_clients);
+        prop_assert!(by_c.windows(2).all(|w| w[0] >= w[1]));
+        let by_r = Distributions::series_in(&d.requests, &d.by_requests);
+        prop_assert!(by_r.windows(2).all(|w| w[0] >= w[1]));
+        // Summary totals match.
+        if let Some(s) = Summary::of(&d.requests) {
+            prop_assert_eq!(s.total, clustering.clusters.iter().map(|c| c.requests).sum::<u64>());
+            prop_assert!(s.min <= s.max);
+        }
+    }
+
+    /// The CDF is a valid distribution function: non-decreasing, ends at
+    /// 1.0, and cdf_at brackets every value correctly.
+    #[test]
+    fn cdf_is_valid(values in proptest::collection::vec(0u64..1000, 1..200)) {
+        let points = cdf(&values);
+        prop_assert!((points.last().unwrap().1 - 1.0).abs() < 1e-12);
+        prop_assert!(points.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1));
+        for &v in &values {
+            let frac = cdf_at(&points, v);
+            let expect = values.iter().filter(|&&x| x <= v).count() as f64
+                / values.len() as f64;
+            prop_assert!((frac - expect).abs() < 1e-12);
+        }
+    }
+
+    /// For two snapshots the dynamic prefix set is their symmetric
+    /// difference.
+    #[test]
+    fn dynamic_set_of_two_is_the_symmetric_difference(
+        a in proptest::collection::btree_set(arb_net(), 0..32),
+        b in proptest::collection::btree_set(arb_net(), 0..32),
+    ) {
+        let ta = RoutingTable::new("A", "d0", TableKind::Bgp, a.iter().copied().collect());
+        let tb = RoutingTable::new("A", "d1", TableKind::Bgp, b.iter().copied().collect());
+        let dynamic = dynamic_prefix_set(&[&ta, &tb]);
+        let sym: Vec<Ipv4Net> = a.symmetric_difference(&b).copied().collect();
+        prop_assert_eq!(dynamic.into_iter().collect::<Vec<_>>(), sym);
+    }
+}

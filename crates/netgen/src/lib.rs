@@ -14,7 +14,11 @@
 //! * knobs ([`UniverseConfig`]) for every mis-identification source the
 //!   paper discusses: aggregated-only orgs, national gateways,
 //!   more-specific announcements, unresolvable hosts, and unregistered
-//!   allocations.
+//!   allocations,
+//! * [`generate`] — server logs drawn over a [`Universe`] from a
+//!   [`LogSpec`] (paper presets [`LogSpec::nagano`] etc., proportional
+//!   [`LogSpec::scale`]), embedding spiders and proxies whose ground truth
+//!   is recorded in the log's `netclust_weblog::LogTruth`.
 //!
 //! Everything is a pure function of the seed: generating day 7's snapshot
 //! before day 3's, or querying DNS names in any order, gives identical
@@ -25,15 +29,19 @@
 
 mod alloc;
 mod config;
+mod gen;
 mod names;
 mod org;
 mod rng;
+mod spec;
 mod universe;
 pub mod vantage;
 
 pub use config::UniverseConfig;
+pub use gen::{generate, try_generate, UniverseTooSmall};
 pub use org::{AnnouncePolicy, AutonomousSystem, Org, OrgId, OrgKind};
 pub use rng::{derive_seed, stream_rng, uniform_index, uniform_u64, unit_f64};
+pub use spec::{LogSpec, ProxySpec, SpiderSpec};
 pub use universe::{Announcement, Hop, Universe};
 pub use vantage::{
     registry_dump, snapshot, snapshot_with_attrs, standard_collection, standard_merged,

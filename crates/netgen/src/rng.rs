@@ -8,34 +8,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// SplitMix64 finalizer — a strong 64-bit mixing function.
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Combines a seed with stream labels into a single derived seed.
-pub fn derive_seed(seed: u64, stream: &[u64]) -> u64 {
-    let mut acc = mix(seed ^ 0x6A09_E667_F3BC_C908);
-    for &s in stream {
-        acc = mix(acc ^ s);
-    }
-    acc
-}
+pub use netclust_prefix::{derive_seed, unit_f64};
 
 /// A seeded [`StdRng`] for the given stream.
 pub fn stream_rng(seed: u64, stream: &[u64]) -> StdRng {
     StdRng::seed_from_u64(derive_seed(seed, stream))
-}
-
-/// A uniform `f64` in `[0, 1)` derived statelessly from a stream — for
-/// one-shot probabilistic decisions (e.g. "is this host resolvable?").
-pub fn unit_f64(seed: u64, stream: &[u64]) -> f64 {
-    // 53 random mantissa bits.
-    (derive_seed(seed, stream) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// A stateless uniform draw in `0..n` (`n > 0`).
@@ -62,27 +39,6 @@ mod tests {
         let mut a = stream_rng(42, &[7]);
         let mut b = stream_rng(42, &[7]);
         assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-    }
-
-    #[test]
-    fn streams_are_independent() {
-        assert_ne!(derive_seed(42, &[1]), derive_seed(42, &[2]));
-        assert_ne!(derive_seed(42, &[1, 2]), derive_seed(42, &[2, 1]));
-        assert_ne!(derive_seed(1, &[5]), derive_seed(2, &[5]));
-    }
-
-    #[test]
-    fn unit_f64_in_range_and_spread() {
-        let mut lo = 0usize;
-        for i in 0..1000u64 {
-            let v = unit_f64(9, &[i]);
-            assert!((0.0..1.0).contains(&v));
-            if v < 0.5 {
-                lo += 1;
-            }
-        }
-        // Crude uniformity check: roughly half below 0.5.
-        assert!((300..700).contains(&lo), "lo = {lo}");
     }
 
     #[test]

@@ -178,35 +178,6 @@ impl Snapshot {
         out.push_str("}\n}\n");
         out
     }
-
-    /// Monotone-prefix check: every counter/histogram/span in `self` exists
-    /// in `later` with counts at least as large, and gauge keys carry over.
-    /// A snapshot taken mid-run must be a prefix of the final report.
-    /// Clock-derived span fields are ignored.
-    pub fn is_prefix_of(&self, later: &Snapshot) -> bool {
-        let counters_ok = self
-            .counters
-            .iter()
-            .all(|(k, v)| later.counters.get(k).is_some_and(|lv| lv >= v));
-        let gauges_ok = self.gauges.keys().all(|k| later.gauges.contains_key(k));
-        let hists_ok = self.histograms.iter().all(|(k, h)| {
-            later.histograms.get(k).is_some_and(|lh| {
-                lh.count >= h.count
-                    && lh.sum >= h.sum
-                    && h.buckets.iter().all(|(lo, _, n)| {
-                        lh.buckets
-                            .iter()
-                            .find(|(llo, _, _)| llo == lo)
-                            .is_some_and(|(_, _, ln)| ln >= n)
-                    })
-            })
-        });
-        let spans_ok = self
-            .spans
-            .iter()
-            .all(|(k, s)| later.spans.get(k).is_some_and(|ls| ls.count >= s.count));
-        counters_ok && gauges_ok && hists_ok && spans_ok
-    }
 }
 
 fn render_scalar_map(out: &mut String, map: &BTreeMap<String, u64>) {
@@ -282,19 +253,6 @@ mod tests {
         }
         let snap = obs.snapshot(false);
         assert!(snap.spans.get("work").expect("span").total_ns > 0);
-    }
-
-    #[test]
-    fn prefix_relation_holds_and_detects_violations() {
-        let obs = Obs::enabled();
-        obs.counter("c").add(1);
-        obs.histogram("h").record(4);
-        let early = obs.snapshot(true);
-        obs.counter("c").add(1);
-        obs.histogram("h").record(4);
-        let late = obs.snapshot(true);
-        assert!(early.is_prefix_of(&late));
-        assert!(!late.is_prefix_of(&early));
     }
 
     #[test]

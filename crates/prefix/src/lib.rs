@@ -9,7 +9,9 @@
 //!   sources use (§3.1.2): dotted netmask, `/len` suffix, and the
 //!   classful abbreviation, plus format unification,
 //! * the historical **classful** (Class A/B/C) address taxonomy used by the
-//!   paper's alternate baseline (§2).
+//!   paper's alternate baseline (§2),
+//! * [`derive_seed`] / [`unit_f64`] — the one stateless seed mixer, shared
+//!   by the fault injector and the synthetic Internet.
 //!
 //! Everything is plain data with no I/O; the routing-table machinery that
 //! consumes these types lives in `netclust-rtable`.
@@ -36,11 +38,13 @@ mod class;
 mod error;
 mod net;
 mod parse;
+mod seed;
 
 pub use class::{classful_network, AddressClass};
 pub use error::PrefixError;
 pub use net::Ipv4Net;
-pub use parse::{parse_table_entry, unify_entries};
+pub use parse::parse_table_entry;
+pub use seed::{derive_seed, unit_f64};
 
 use std::net::Ipv4Addr;
 

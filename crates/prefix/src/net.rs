@@ -82,12 +82,6 @@ impl Ipv4Net {
         mask_of(self.len)
     }
 
-    /// The netmask in dotted-quad form (`/19` → `255.255.224.0`).
-    #[inline]
-    pub fn netmask(&self) -> Ipv4Addr {
-        u32_to_addr(self.netmask_u32())
-    }
-
     /// Number of addresses covered by this prefix (`2^(32-len)`).
     ///
     /// Returned as `u64` so that `/0` does not overflow.
@@ -154,41 +148,6 @@ impl Ipv4Net {
                 len,
             };
             Some((low, high))
-        }
-    }
-
-    /// Splits this prefix into all its subnets of length `len`.
-    ///
-    /// Returns an empty vector when `len` is shorter than `self.len()` or
-    /// greater than 32. The result is ordered by address.
-    pub fn subnets_of_len(&self, len: u8) -> Vec<Ipv4Net> {
-        if len < self.len || len > 32 {
-            return Vec::new();
-        }
-        let count = 1u64 << u32::from(len - self.len);
-        let step = 1u64 << (32 - u32::from(len));
-        (0..count)
-            .map(|i| Ipv4Net {
-                #[allow(
-                    clippy::cast_possible_truncation,
-                    reason = "i * step < 2^(32 - self.len) stays inside the block."
-                )]
-                addr: self.addr + (i * step) as u32,
-                len,
-            })
-            .collect()
-    }
-
-    /// The sibling prefix sharing this prefix's immediate supernet, or
-    /// `None` at `/0`. Two siblings can be aggregated into their supernet.
-    pub fn sibling(&self) -> Option<Ipv4Net> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(Ipv4Net {
-                addr: self.addr ^ (1u32 << (32 - u32::from(self.len))),
-                len: self.len,
-            })
         }
     }
 
@@ -318,10 +277,11 @@ mod tests {
 
     #[test]
     fn netmask_matches_length() {
-        assert_eq!(net("10.0.0.0/8").netmask().to_string(), "255.0.0.0");
-        assert_eq!(net("12.65.128.0/19").netmask().to_string(), "255.255.224.0");
-        assert_eq!(net("1.2.3.4/32").netmask().to_string(), "255.255.255.255");
-        assert_eq!(Ipv4Net::DEFAULT.netmask().to_string(), "0.0.0.0");
+        let dotted = |n: Ipv4Net| Ipv4Addr::from(n.netmask_u32()).to_string();
+        assert_eq!(dotted(net("10.0.0.0/8")), "255.0.0.0");
+        assert_eq!(dotted(net("12.65.128.0/19")), "255.255.224.0");
+        assert_eq!(dotted(net("1.2.3.4/32")), "255.255.255.255");
+        assert_eq!(dotted(Ipv4Net::DEFAULT), "0.0.0.0");
     }
 
     #[test]
@@ -363,28 +323,6 @@ mod tests {
         assert_eq!(hi.supernet().unwrap(), n);
         assert!(net("0.0.0.0/0").supernet().is_none());
         assert!(net("1.2.3.4/32").subnets().is_none());
-    }
-
-    #[test]
-    fn sibling_pairs() {
-        let lo = net("24.48.2.0/24");
-        let hi = net("24.48.3.0/24");
-        assert_eq!(lo.sibling().unwrap(), hi);
-        assert_eq!(hi.sibling().unwrap(), lo);
-        assert_eq!(lo.supernet(), hi.supernet());
-        assert!(Ipv4Net::DEFAULT.sibling().is_none());
-    }
-
-    #[test]
-    fn subnets_of_len_enumerates_in_order() {
-        let n = net("192.168.0.0/22");
-        let subs = n.subnets_of_len(24);
-        assert_eq!(subs.len(), 4);
-        assert_eq!(subs[0].to_string(), "192.168.0.0/24");
-        assert_eq!(subs[3].to_string(), "192.168.3.0/24");
-        assert_eq!(n.subnets_of_len(22), vec![n]);
-        assert!(n.subnets_of_len(21).is_empty());
-        assert!(n.subnets_of_len(33).is_empty());
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! 3. `x1.x2.x3.0` — bare address, an abbreviation for the classful
 //!    network it belongs to (Class A → `/8`, B → `/16`, C → `/24`).
 //!
-//! [`parse_table_entry`] accepts all three, and [`unify_entries`] converts a
-//! whole file's worth of lines into a deduplicated, sorted prefix list — the
-//! paper's "standard format" unification step.
+//! [`parse_table_entry`] accepts all three and returns the one canonical
+//! [`Ipv4Net`] — the paper's "standard format" unification step. Reading a
+//! whole table file is `netclust_rtable::RoutingTable::parse`.
 
 use std::net::Ipv4Addr;
 
@@ -100,38 +100,6 @@ fn mask_to_len(mask: Ipv4Addr) -> Option<u8> {
     }
 }
 
-/// Parses many entry lines into a deduplicated, sorted prefix table.
-///
-/// Blank lines and lines starting with `#` (comments added by our dump
-/// scripts) are skipped. Unparsable lines are returned separately rather
-/// than aborting the whole file — real table dumps contain noise, and the
-/// paper's pipeline is designed to run unattended.
-///
-/// Returns `(prefixes, bad_lines)` where `prefixes` is sorted and unique.
-pub fn unify_entries<'a, I>(lines: I) -> (Vec<Ipv4Net>, Vec<(usize, String)>)
-where
-    I: IntoIterator<Item = &'a str>,
-{
-    let mut prefixes = Vec::new();
-    let mut bad = Vec::new();
-    for (idx, line) in lines.into_iter().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        // Entries may carry extra columns (next hop, AS path); the prefix is
-        // the first whitespace-separated token.
-        let token = line.split_whitespace().next().unwrap_or("");
-        match parse_table_entry(token) {
-            Ok(net) => prefixes.push(net),
-            Err(_) => bad.push((idx, line.to_string())),
-        }
-    }
-    prefixes.sort();
-    prefixes.dedup();
-    (prefixes, bad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,13 +160,9 @@ mod tests {
     fn all_contiguous_masks_roundtrip() {
         for len in 0u8..=32 {
             let net = Ipv4Net::new(0x0A00_0000, len).unwrap();
-            let entry = format!("10.0.0.0/{}", net.netmask());
-            assert_eq!(
-                parse_table_entry(&entry).unwrap().len(),
-                len,
-                "mask {}",
-                net.netmask()
-            );
+            let mask = std::net::Ipv4Addr::from(net.netmask_u32());
+            let entry = format!("10.0.0.0/{mask}");
+            assert_eq!(parse_table_entry(&entry).unwrap().len(), len, "mask {mask}");
         }
     }
 
@@ -216,34 +180,6 @@ mod tests {
         ] {
             assert!(parse_table_entry(bad).is_err(), "{bad:?} should fail");
         }
-    }
-
-    #[test]
-    fn unify_dedupes_sorts_and_reports_noise() {
-        let file = "\
-# BGP snapshot, vantage X
-12.65.128.0/19  cs.cht.vbns.net  1742
-12.65.128/255.255.224
-18.0.0.0
-garbage line here
-9.0.0.0/8
-
-18.0.0.0/8";
-        let (prefixes, bad) = unify_entries(file.lines());
-        assert_eq!(
-            prefixes.iter().map(|n| n.to_string()).collect::<Vec<_>>(),
-            ["9.0.0.0/8", "12.65.128.0/19", "18.0.0.0/8"]
-        );
-        assert_eq!(bad.len(), 1);
-        assert!(bad[0].1.contains("garbage"));
-    }
-
-    #[test]
-    fn unify_takes_first_token_only() {
-        let (prefixes, bad) = unify_entries(["6.0.0.0/8 cs.ny-nap.vbns.net 7170 1455"]);
-        assert_eq!(prefixes.len(), 1);
-        assert!(bad.is_empty());
-        assert_eq!(prefixes[0].to_string(), "6.0.0.0/8");
     }
 
     #[test]

@@ -18,7 +18,7 @@ proptest! {
     /// The dotted-netmask form parses back to the same prefix.
     #[test]
     fn dotted_mask_roundtrip(net in arb_net()) {
-        let entry = format!("{}/{}", net.addr(), net.netmask());
+        let entry = format!("{}/{}", net.addr(), u32_to_addr(net.netmask_u32()));
         prop_assert_eq!(parse_table_entry(&entry).unwrap(), net);
     }
 
@@ -54,24 +54,10 @@ proptest! {
     fn subnets_partition(net in arb_net()) {
         if let Some((lo, hi)) = net.subnets() {
             prop_assert!(net.covers(&lo) && net.covers(&hi));
-            prop_assert_eq!(lo.sibling().unwrap(), hi);
+            prop_assert_eq!(lo.supernet(), hi.supernet());
             prop_assert_eq!(u32::from(lo.last()).wrapping_add(1), u32::from(hi.first()));
             prop_assert_eq!(lo.first(), net.first());
             prop_assert_eq!(hi.last(), net.last());
-        }
-    }
-
-    /// subnets_of_len covers the block exactly, in order, without overlap.
-    #[test]
-    fn subnets_of_len_partition(net in (any::<u32>(), 0u8..=24).prop_map(|(a, l)| Ipv4Net::new(a, l).unwrap()), extra in 0u8..=8) {
-        let len = net.len() + extra;
-        let subs = net.subnets_of_len(len);
-        prop_assert_eq!(subs.len() as u64, 1u64 << extra);
-        let mut expect = u32::from(net.first());
-        for s in &subs {
-            prop_assert_eq!(u32::from(s.first()), expect);
-            prop_assert_eq!(s.len(), len);
-            expect = u32::from(s.last()).wrapping_add(1);
         }
     }
 

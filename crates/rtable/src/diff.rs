@@ -1,68 +1,16 @@
-//! Snapshot differencing and BGP-dynamics measures (§3.4, Table 4).
-//!
-//! The paper studies how day-scale BGP churn affects clustering. Its key
-//! quantity is the **dynamic prefix set** over a testing period: the set of
-//! prefixes *not* present in every snapshot (union minus intersection). The
-//! **maximum effect** is the size of that set — an upper bound on how many
-//! prefixes (and hence clusters) churn could touch.
-//!
-//! [`TableDelta`] batches are also the currency of the durability layer's
-//! write-ahead journal, so this module owns their wire form:
+//! The wire form of [`TableDelta`] batches, the currency of the
+//! durability layer's write-ahead journal:
 //! [`encode_deltas`] / [`decode_deltas`] serialize a batch as fixed-width
 //! 6-byte records (kind, address, length) with a typed decode error —
 //! framing and checksumming live one layer up, in the journal codec.
 
 #![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use netclust_prefix::Ipv4Net;
 
 use crate::patch::{DeltaKind, TableDelta};
-use crate::table::RoutingTable;
-
-/// Prefix-level difference between two snapshots of the same vantage point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotDiff {
-    /// Prefixes present in the new snapshot but not the old.
-    pub added: Vec<Ipv4Net>,
-    /// Prefixes present in the old snapshot but not the new.
-    pub removed: Vec<Ipv4Net>,
-}
-
-impl SnapshotDiff {
-    /// Computes `new - old` / `old - new` (both outputs sorted).
-    pub fn between(old: &RoutingTable, new: &RoutingTable) -> Self {
-        let old_set = old.prefix_set();
-        let new_set = new.prefix_set();
-        SnapshotDiff {
-            added: new_set.difference(&old_set).copied().collect(),
-            removed: old_set.difference(&new_set).copied().collect(),
-        }
-    }
-
-    /// Total number of changed prefixes.
-    pub fn churn(&self) -> usize {
-        self.added.len() + self.removed.len()
-    }
-
-    /// The diff as per-prefix routing deltas — the shared currency with
-    /// `bgpsim::DeltaStream` and [`crate::CompiledTable::apply_delta`]:
-    /// withdrawals first (so a replace-style snapshot change never leaves
-    /// a transiently doubled table), then announcements, both sorted.
-    pub fn deltas(&self) -> Vec<TableDelta> {
-        let mut out = Vec::with_capacity(self.churn());
-        out.extend(self.removed.iter().copied().map(TableDelta::withdraw));
-        out.extend(self.added.iter().copied().map(TableDelta::announce));
-        out
-    }
-
-    /// `true` when the snapshots are identical.
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
-    }
-}
 
 /// Bytes per serialized [`TableDelta`]: kind `u8`, address `u32` LE,
 /// prefix length `u8`.
@@ -165,88 +113,10 @@ pub fn decode_deltas(bytes: &[u8]) -> Result<Vec<TableDelta>, DeltaCodecError> {
     Ok(out)
 }
 
-/// The dynamic prefix set over a series of snapshots: prefixes that are not
-/// in the intersection of all snapshots (i.e. appear or disappear at least
-/// once during the period). Empty input yields an empty set.
-pub fn dynamic_prefix_set(snapshots: &[&RoutingTable]) -> BTreeSet<Ipv4Net> {
-    let mut iter = snapshots.iter();
-    let Some(first) = iter.next() else {
-        return BTreeSet::new();
-    };
-    let mut union = first.prefix_set();
-    let mut intersection = union.clone();
-    for snap in iter {
-        let set = snap.prefix_set();
-        union.extend(set.iter().copied());
-        intersection.retain(|p| set.contains(p));
-    }
-    union.difference(&intersection).copied().collect()
-}
-
-/// The paper's *maximum effect*: `|dynamic_prefix_set|`.
-pub fn maximum_effect(snapshots: &[&RoutingTable]) -> usize {
-    dynamic_prefix_set(snapshots).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{bgp_table as table, net, nets};
-
-    #[test]
-    fn diff_between_snapshots() {
-        let old = table("A", &["6.0.0.0/8", "18.0.0.0/8"]);
-        let new = table("A", &["6.0.0.0/8", "24.48.2.0/23"]);
-        let d = SnapshotDiff::between(&old, &new);
-        assert_eq!(d.added, vec![net("24.48.2.0/23")]);
-        assert_eq!(d.removed, vec![net("18.0.0.0/8")]);
-        assert_eq!(d.churn(), 2);
-        assert!(!d.is_empty());
-    }
-
-    #[test]
-    fn identical_snapshots_have_empty_diff() {
-        let t = table("A", &["6.0.0.0/8"]);
-        let d = SnapshotDiff::between(&t, &t);
-        assert!(d.is_empty());
-        assert_eq!(d.churn(), 0);
-    }
-
-    #[test]
-    fn dynamic_set_is_union_minus_intersection() {
-        let d0 = table("A", &["6.0.0.0/8", "18.0.0.0/8", "24.48.2.0/23"]);
-        let d1 = table("A", &["6.0.0.0/8", "18.0.0.0/8", "12.65.128.0/19"]);
-        let d2 = table("A", &["6.0.0.0/8", "18.0.0.0/8"]);
-        let dynamic = dynamic_prefix_set(&[&d0, &d1, &d2]);
-        let expect: BTreeSet<Ipv4Net> = nets(&["24.48.2.0/23", "12.65.128.0/19"])
-            .into_iter()
-            .collect();
-        assert_eq!(dynamic, expect);
-        assert_eq!(maximum_effect(&[&d0, &d1, &d2]), 2);
-    }
-
-    #[test]
-    fn single_snapshot_has_no_dynamics() {
-        let d0 = table("A", &["6.0.0.0/8"]);
-        assert_eq!(maximum_effect(&[&d0]), 0);
-        assert!(dynamic_prefix_set(&[]).is_empty());
-    }
-
-    #[test]
-    fn deltas_order_withdrawals_before_announcements() {
-        use crate::patch::DeltaKind;
-        let old = table("A", &["6.0.0.0/8", "18.0.0.0/8"]);
-        let new = table("A", &["6.0.0.0/8", "24.48.2.0/23"]);
-        let deltas = SnapshotDiff::between(&old, &new).deltas();
-        assert_eq!(
-            deltas,
-            vec![
-                TableDelta::withdraw(net("18.0.0.0/8")),
-                TableDelta::announce(net("24.48.2.0/23")),
-            ]
-        );
-        assert!(deltas.iter().all(|d| d.kind != DeltaKind::Replace));
-    }
+    use crate::testutil::net;
 
     #[test]
     fn delta_wire_round_trip() {

@@ -1,8 +1,10 @@
-//! Routing-table substrate: radix-trie longest-prefix match, snapshot
-//! modelling, multi-table merging, and BGP-dynamics analysis.
+//! Routing-table substrate: snapshot modelling, multi-table merging, the
+//! compiled longest-prefix-match table, and live patching from BGP update
+//! streams.
 //!
-//! This crate implements the paper's §3.1 (prefix extraction and table
-//! merging) and §3.4 (effect of BGP dynamics) machinery:
+//! This crate implements the paper's §3.1 machinery (prefix extraction and
+//! table merging); the §3.4 dynamics measures that study it live in
+//! `netclust-experiments`:
 //!
 //! * [`RoutingTable`] / [`MergedTable`] — named snapshots and their union,
 //!   a sorted prefix list per tier (BGP primary / registry-dump secondary),
@@ -11,8 +13,6 @@
 //! * [`PrefixTrie`] — arena-allocated binary trie with longest-prefix
 //!   match (the patch layer's shadow of the live BGP set),
 //! * [`PrefixLengthHistogram`] — Figure 1's prefix-length distribution,
-//! * [`SnapshotDiff`], [`dynamic_prefix_set`], [`maximum_effect`] — the
-//!   dynamics measures behind Table 4,
 //! * [`TableDelta`] / [`CompiledTable::apply_delta`] — incremental
 //!   chunk-by-chunk patching of the compiled layout from BGP update
 //!   streams.
@@ -29,10 +29,7 @@ mod table;
 mod testutil;
 mod trie;
 
-pub use diff::{
-    decode_deltas, dynamic_prefix_set, encode_deltas, maximum_effect, DeltaCodecError,
-    SnapshotDiff, DELTA_WIRE_BYTES,
-};
+pub use diff::{decode_deltas, encode_deltas, DeltaCodecError, DELTA_WIRE_BYTES};
 pub use flat::{CompiledTable, Handle, LivePrefixes, DEFAULT_PREFETCH_DISTANCE};
 pub use patch::{parse_feed, DeltaKind, DeltaParseError, PatchPolicy, PatchReport, TableDelta};
 // The shared error-accounting shape (`ParseReport::counts()` returns it);

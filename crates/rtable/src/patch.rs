@@ -252,11 +252,6 @@ impl PatchReport {
         self.root_writes + self.cell_writes
     }
 
-    /// `true` when every delta was applied chunk by chunk.
-    pub fn patched_in_place(&self) -> bool {
-        !self.recompiled
-    }
-
     /// Folds another report into this one (batch accounting across
     /// repeated calls). The flags are sticky.
     pub fn merge(&mut self, other: &PatchReport) {
@@ -594,7 +589,7 @@ mod tests {
     fn announce_below_16_rebuilds_its_one_chunk() {
         let mut t = CompiledTable::from_prefixes(nets(&["12.0.0.0/8"]));
         let r = t.apply_delta(&[TableDelta::announce(net("12.65.128.0/19"))]);
-        assert!(r.patched_in_place());
+        assert!(!r.recompiled);
         assert!(r.initialized);
         assert_eq!(r.announced, 1);
         // The /16 turns from a leaf into one node: /8, /19, /8.
@@ -607,7 +602,7 @@ mod tests {
     fn announce_does_not_clobber_longer_matches() {
         let mut t = CompiledTable::from_prefixes(nets(&["12.65.128.0/19"]));
         let r = t.apply_delta(&[TableDelta::announce(net("12.0.0.0/8"))]);
-        assert!(r.patched_in_place());
+        assert!(!r.recompiled);
         // 255 leaf root entries take the /8; the /19's chunk is rebuilt
         // over it, and the /19's run must survive inside.
         assert_eq!((r.root_writes, r.groups_rebuilt), (256, 1));
@@ -619,7 +614,7 @@ mod tests {
         let mut t =
             CompiledTable::from_prefixes(nets(&["12.0.0.0/8", "12.65.0.0/16", "12.65.128.0/19"]));
         let r = t.apply_delta(&[TableDelta::withdraw(net("12.65.0.0/16"))]);
-        assert!(r.patched_in_place());
+        assert!(!r.recompiled);
         assert_eq!(r.withdrawn, 1);
         assert_equivalent(&t, &nets(&["12.0.0.0/8", "12.65.128.0/19"]), &probes());
     }
@@ -638,7 +633,7 @@ mod tests {
         let mut t = CompiledTable::from_prefixes(nets(&["24.48.2.0/24"]));
         assert_eq!(t.nodes(), 1);
         let r = t.apply_delta(&[TableDelta::announce(net("24.48.2.128/25"))]);
-        assert!(r.patched_in_place());
+        assert!(!r.recompiled);
         assert_eq!(r.groups_rebuilt, 1);
         assert_eq!(t.nodes(), 2);
         assert_equivalent(&t, &nets(&["24.48.2.0/24", "24.48.2.128/25"]), &probes());
@@ -648,12 +643,12 @@ mod tests {
     fn withdraw_long_frees_its_node_for_reuse() {
         let mut t = CompiledTable::from_prefixes(nets(&["24.48.2.0/24", "24.48.2.128/25"]));
         let r = t.apply_delta(&[TableDelta::withdraw(net("24.48.2.128/25"))]);
-        assert!(r.patched_in_place());
+        assert!(!r.recompiled);
         assert_eq!((t.nodes(), t.free_nodes.len()), (1, 1));
         assert_equivalent(&t, &nets(&["24.48.2.0/24"]), &probes());
         // The freed node is reused by the next long announce.
         let r2 = t.apply_delta(&[TableDelta::announce(net("24.48.2.192/26"))]);
-        assert!(r2.patched_in_place());
+        assert!(!r2.recompiled);
         assert_eq!((t.nodes(), t.nodes.len()), (2, 2));
         assert_equivalent(&t, &nets(&["24.48.2.0/24", "24.48.2.192/26"]), &probes());
     }
@@ -664,7 +659,7 @@ mod tests {
         // one must not leak into the other.
         let mut t = CompiledTable::from_prefixes(nets(&["10.0.2.128/25", "10.1.2.128/25"]));
         let r = t.apply_delta(&[TableDelta::withdraw(net("10.0.2.128/25"))]);
-        assert!(r.patched_in_place());
+        assert!(!r.recompiled);
         assert_equivalent(&t, &nets(&["10.1.2.128/25"]), &probes());
     }
 
@@ -674,7 +669,7 @@ mod tests {
         // the structurally identical sibling keeps missing.
         let mut t = CompiledTable::from_prefixes(nets(&["10.0.2.128/25", "10.1.2.128/25"]));
         let r = t.apply_delta(&[TableDelta::announce(net("10.0.2.0/24"))]);
-        assert!(r.patched_in_place());
+        assert!(!r.recompiled);
         assert_equivalent(
             &t,
             &nets(&["10.0.2.128/25", "10.1.2.128/25", "10.0.2.0/24"]),
@@ -689,13 +684,13 @@ mod tests {
             TableDelta::withdraw(net("12.0.0.0/8")),
             TableDelta::withdraw(net("24.48.2.128/25")),
         ]);
-        assert!(r.patched_in_place());
+        assert!(!r.recompiled);
         assert!(t.is_empty());
         assert_eq!(t.nodes(), 0, "an emptied chunk is a leaf again");
         assert!(t.lookup(a("12.1.1.1")).is_none());
         assert!(t.lookup(a("24.48.2.129")).is_none());
         let r2 = t.apply_delta(&[TableDelta::announce(net("24.48.2.128/25"))]);
-        assert!(r2.patched_in_place());
+        assert!(!r2.recompiled);
         assert_equivalent(&t, &nets(&["24.48.2.128/25"]), &probes());
     }
 
@@ -706,7 +701,7 @@ mod tests {
             TableDelta::announce(net("12.0.0.0/8")),
             TableDelta::withdraw(net("99.0.0.0/8")),
         ]);
-        assert!(r.patched_in_place());
+        assert!(!r.recompiled);
         assert_eq!(r.noops, 2);
         assert_eq!(r.slot_writes(), 0);
         assert_equivalent(&t, &nets(&["12.0.0.0/8"]), &probes());
@@ -737,7 +732,7 @@ mod tests {
         assert_equivalent(&t, &expect, &probes());
         // The recompiled table keeps patching incrementally afterwards.
         let r2 = t.apply_delta(&[TableDelta::withdraw(net("12.0.0.0/8"))]);
-        assert!(r2.patched_in_place());
+        assert!(!r2.recompiled);
         assert!(!r2.initialized, "state survives the recompile");
     }
 
@@ -745,11 +740,11 @@ mod tests {
     fn empty_compile_materializes_its_root_then_patches() {
         let mut t = CompiledTable::from_prefixes([]);
         let r = t.apply_delta(&[TableDelta::announce(net("12.0.0.0/8"))]);
-        assert!(r.patched_in_place());
+        assert!(!r.recompiled);
         assert_eq!(r.root_writes, 256);
         assert_equivalent(&t, &nets(&["12.0.0.0/8"]), &probes());
         let r2 = t.apply_delta(&[TableDelta::announce(net("18.0.0.0/8"))]);
-        assert!(r2.patched_in_place());
+        assert!(!r2.recompiled);
         assert_equivalent(&t, &nets(&["12.0.0.0/8", "18.0.0.0/8"]), &probes());
     }
 
@@ -770,7 +765,7 @@ mod tests {
         let dump = RoutingTable::new("N", "d0", TableKind::NetworkDump, nets(&["24.48.2.0/23"]));
         let mut compiled = MergedTable::merge([&bgp, &dump]).compile();
         let r = compiled.apply_delta(&[TableDelta::announce(net("24.48.0.0/16"))]);
-        assert!(r.patched_in_place());
+        assert!(!r.recompiled);
         // BGP tier now wins over the dump's longer /23.
         assert_eq!(compiled.lookup(a("24.48.3.87")), Some(net("24.48.0.0/16")));
         assert_eq!(compiled.dump_prefixes().len(), 1, "fallback tier untouched");

@@ -5,8 +5,6 @@ use std::net::Ipv4Addr;
 
 use netclust_prefix::Ipv4Net;
 
-use crate::table::{RoutingTable, TableKind};
-
 /// Parses one prefix spec.
 pub(crate) fn net(spec: &str) -> Ipv4Net {
     spec.parse().expect("test prefix spec")
@@ -20,9 +18,4 @@ pub(crate) fn addr(spec: &str) -> Ipv4Addr {
 /// Parses a list of prefix specs.
 pub(crate) fn nets(specs: &[&str]) -> Vec<Ipv4Net> {
     specs.iter().map(|s| net(s)).collect()
-}
-
-/// A BGP snapshot named `name` over the given prefix specs.
-pub(crate) fn bgp_table(name: &str, specs: &[&str]) -> RoutingTable {
-    RoutingTable::new(name, "d", TableKind::Bgp, nets(specs))
 }

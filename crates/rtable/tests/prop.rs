@@ -1,13 +1,11 @@
-//! Property-based tests: the radix trie agrees with a naive reference
-//! implementation of longest-prefix match, and dynamics measures satisfy
-//! their set-algebra definitions.
+//! Property-based tests: the radix trie and the compiled table agree with
+//! a naive reference implementation of longest-prefix match.
 
 use std::collections::BTreeMap;
 
 use netclust_prefix::Ipv4Net;
 use netclust_rtable::{
-    dynamic_prefix_set, maximum_effect, CompiledTable, MatchSource, MergedTable, PrefixTrie,
-    RoutingTable, SnapshotDiff, TableKind,
+    CompiledTable, MatchSource, MergedTable, PrefixTrie, RoutingTable, TableKind,
 };
 use proptest::prelude::*;
 
@@ -179,23 +177,6 @@ proptest! {
         for (&addr, net) in probes.iter().zip(nets) {
             prop_assert_eq!(net, reference(addr).map(|(n, _)| n));
         }
-    }
-
-    /// Dynamics: the dynamic prefix set equals union minus intersection and
-    /// the pairwise diff churn bounds it.
-    #[test]
-    fn dynamics_set_algebra(
-        a in proptest::collection::btree_set(arb_net(), 0..32),
-        b in proptest::collection::btree_set(arb_net(), 0..32),
-    ) {
-        let ta = RoutingTable::new("A", "d0", TableKind::Bgp, a.iter().copied().collect());
-        let tb = RoutingTable::new("A", "d1", TableKind::Bgp, b.iter().copied().collect());
-        let dynamic = dynamic_prefix_set(&[&ta, &tb]);
-        let diff = SnapshotDiff::between(&ta, &tb);
-        // For two snapshots, dynamic set == symmetric difference == diff churn.
-        let sym: Vec<Ipv4Net> = a.symmetric_difference(&b).copied().collect();
-        prop_assert_eq!(dynamic.iter().copied().collect::<Vec<_>>(), sym);
-        prop_assert_eq!(maximum_effect(&[&ta, &tb]), diff.churn());
     }
 }
 

@@ -15,10 +15,10 @@ use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
 use netclust_core::{failpoints, FaultPlan};
-use netclust_netgen::{standard_collection, Universe, UniverseConfig};
+use netclust_netgen::{generate, standard_collection, LogSpec, Universe, UniverseConfig};
 use netclust_rtable::TableKind;
 use netclust_serve::{Daemon, ServeConfig};
-use netclust_weblog::{clf, generate, LogSpec};
+use netclust_weblog::clf;
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("netclustd-e2e-{name}-{}", std::process::id()));

@@ -110,6 +110,8 @@ impl LogData {
     }
 
     /// `true` when the contents are memory-mapped rather than copied.
+    // Waived in tests/source_contracts.rs (`pub-fn-caller`): the ingest
+    // memory-budget test checks the log was mapped, not read.
     pub fn is_mapped(&self) -> bool {
         matches!(self.0, Inner::Mapped(_))
     }

@@ -1,6 +1,8 @@
-//! Web-server log substrate: the log model, Common Log Format I/O, and a
-//! synthetic workload generator calibrated to the paper's four evaluation
-//! logs (Nagano, Apache, EW3, Sun).
+//! Web-server log substrate: the log model, Common Log Format I/O,
+//! line-aligned chunking and the live log follower. The synthetic workload
+//! generator calibrated to the paper's four evaluation logs lives in
+//! `netclust-netgen` (`generate`, `LogSpec`), beside the synthetic
+//! Internet it draws clients from.
 //!
 //! * [`Log`] / [`Request`] — compact in-memory representation,
 //! * [`clf`] — Apache Common Log Format serialization, and
@@ -10,12 +12,10 @@
 //!   `from_clf`, the batch ingest and the log follower alike,
 //! * [`chunk`] — line-aligned chunk splitting for parallel parsing and
 //!   mmap-backed file access ([`chunk::LogData`]),
-//! * [`LogSpec`] — generation parameters with paper presets
-//!   ([`LogSpec::nagano`] etc.) and proportional [`LogSpec::scale`],
-//! * [`generate`] — deterministic generation over a
-//!   [`netclust_netgen::Universe`], embedding spiders and proxies whose
-//!   ground truth is recorded in [`LogTruth`],
-//! * [`ZipfSampler`] / [`pareto_u64`] — the heavy-tail machinery.
+//! * [`ZipfSampler`] / [`pareto_u64`] — the heavy-tail machinery. Only
+//!   the generators use it (`netclust-netgen`, and the benchmark harness,
+//!   which imports it from here); it is the one reason `rand` is in this
+//!   crate's dependencies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,12 +24,8 @@ pub mod chunk;
 pub mod clf;
 pub mod clf_bytes;
 pub mod follow;
-mod gen;
 mod record;
-mod spec;
 mod zipf;
 
-pub use gen::{generate, try_generate, UniverseTooSmall};
 pub use record::{Log, LogTruth, Request, UaId, UrlId, UrlMeta};
-pub use spec::{LogSpec, ProxySpec, SpiderSpec};
 pub use zipf::{pareto_u64, ZipfSampler};

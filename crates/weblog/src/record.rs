@@ -154,11 +154,6 @@ impl Log {
             .len()
     }
 
-    /// Total bytes across all responses.
-    pub fn total_bytes(&self) -> u64 {
-        self.requests.iter().map(|r| r.bytes as u64).sum()
-    }
-
     /// Splits the log into `n` equal time sessions (§3.6's 6-hour
     /// partitions). Requests at the boundary go to the later session; all
     /// sessions share the URL and UA tables.
@@ -291,7 +286,6 @@ mod tests {
         let log = tiny_log();
         assert_eq!(log.client_count(), 3);
         assert_eq!(log.accessed_url_count(), 2);
-        assert_eq!(log.total_bytes(), 600);
         assert_eq!(
             log.unique_clients(),
             vec![

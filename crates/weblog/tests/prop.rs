@@ -1,11 +1,11 @@
-//! Property-based tests: log generation invariants and CLF round-trips.
+//! Property-based tests of the CLF parser over generated corpora.
 
 use std::collections::BTreeMap;
 
-use netclust_netgen::{Universe, UniverseConfig};
+use netclust_netgen::{generate, LogSpec, ProxySpec, SpiderSpec, Universe, UniverseConfig};
 use netclust_weblog::clf::{self, ClfError};
 use netclust_weblog::clf_bytes::{self, RawRecord};
-use netclust_weblog::{generate, Log, LogSpec, ProxySpec, SpiderSpec};
+use netclust_weblog::Log;
 use proptest::prelude::*;
 
 fn universe() -> Universe {
@@ -33,67 +33,6 @@ fn as_text(log: &Log) -> Vec<(u64, u32, &str, u32, u16, &str)> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Generated logs are well-formed for arbitrary (small) volumes, hit
-    /// the requested totals approximately, and stay deterministic.
-    #[test]
-    fn generated_logs_are_well_formed(
-        seed in 0u64..1_000,
-        requests in 500u64..5_000,
-        clients in 20u64..200,
-        urls in 20u32..300,
-        casual in 0.0f64..1.0,
-    ) {
-        let u = universe();
-        let mut spec = LogSpec::tiny("p", seed);
-        spec.total_requests = requests;
-        spec.target_clients = clients;
-        spec.num_urls = urls;
-        spec.casual_fraction = casual;
-        let log = generate(&u, &spec);
-        prop_assert!(log.check().is_ok(), "{:?}", log.check());
-        let got = log.requests.len() as f64 / requests as f64;
-        prop_assert!((0.5..1.5).contains(&got), "request ratio {got}");
-        prop_assert!(log.client_count() as u64 >= clients.min(log.client_count() as u64));
-        // URL ids are within the table.
-        prop_assert!(log.requests.iter().all(|r| (r.url) < urls));
-        // Every client belongs to some org of the universe.
-        for addr in log.unique_clients().iter().take(20) {
-            prop_assert!(u.owner(*addr).is_some(), "client {addr} outside universe");
-        }
-        // Determinism.
-        let again = generate(&u, &spec);
-        prop_assert_eq!(log.requests.len(), again.requests.len());
-        prop_assert_eq!(&log.requests[..5.min(log.requests.len())],
-                        &again.requests[..5.min(again.requests.len())]);
-    }
-
-    /// Planted anomalies always land in the truth record with exactly the
-    /// requested volume.
-    #[test]
-    fn planted_anomalies_are_recorded(
-        seed in 0u64..500,
-        spider_reqs in 200u64..2_000,
-        proxy_reqs in 200u64..2_000,
-        companions in 0u32..10,
-    ) {
-        let u = universe();
-        let mut spec = LogSpec::tiny("p", seed);
-        spec.total_requests = 4_000;
-        spec.target_clients = 60;
-        spec.spiders = vec![SpiderSpec { requests: spider_reqs, unique_urls: 50, companions }];
-        spec.proxies = vec![ProxySpec { requests: proxy_reqs, companions }];
-        let log = generate(&u, &spec);
-        prop_assert_eq!(log.truth.spiders.len(), 1);
-        prop_assert_eq!(log.truth.proxies.len(), 1);
-        let spider = u32::from(log.truth.spiders[0]);
-        let proxy = u32::from(log.truth.proxies[0]);
-        prop_assert_ne!(spider, proxy);
-        let s_count = log.requests.iter().filter(|r| r.client == spider).count() as u64;
-        let p_count = log.requests.iter().filter(|r| r.client == proxy).count() as u64;
-        prop_assert_eq!(s_count, spider_reqs);
-        prop_assert_eq!(p_count, proxy_reqs);
-    }
 
     /// A generated log, written with `to_clf` and parsed back, is the same
     /// requests in the same order: absolute time, client, path, bytes,

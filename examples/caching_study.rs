@@ -10,11 +10,10 @@
 //! approach fragments organizations, so it under-reports the benefit of
 //! caching — the paper's central warning to simulation studies.
 
-use netclust::cachesim::{sweep_cache_sizes, SimConfig};
 use netclust::core::Clustering;
-use netclust::netgen::{standard_merged, Universe, UniverseConfig};
+use netclust::netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
 use netclust::weblog::clf;
-use netclust::weblog::{generate, LogSpec};
+use netclust_cachesim::{sweep_cache_sizes, SimConfig};
 
 fn main() {
     let universe = Universe::generate(UniverseConfig {

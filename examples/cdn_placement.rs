@@ -10,10 +10,10 @@
 //! of each, group proxies by shared upstream into proxy clusters, and
 //! quantify the benefit with the trace-driven cache simulation.
 
-use netclust::cachesim::{simulate, SimConfig};
-use netclust::core::{network_clusters, threshold_busy, Clustering};
-use netclust::netgen::{standard_merged, Universe, UniverseConfig};
-use netclust::weblog::{generate, LogSpec};
+use netclust::core::{threshold_busy, Clustering};
+use netclust::netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
+use netclust_cachesim::{simulate, SimConfig};
+use netclust_experiments::network_clusters;
 
 fn main() {
     let universe = Universe::generate(UniverseConfig {

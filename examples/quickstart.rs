@@ -9,9 +9,9 @@
 //! build routing tables, merge them, cluster a log by longest-prefix
 //! match, compare against the naive /24 grouping, and validate a sample.
 
-use netclust::core::{validate, Clustering, SamplePlan};
-use netclust::netgen::{standard_merged, Universe, UniverseConfig};
-use netclust::weblog::{generate, LogSpec};
+use netclust::core::Clustering;
+use netclust::netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
+use netclust_experiments::{validate, SamplePlan};
 
 fn main() {
     // 1. A synthetic Internet stands in for the real one: ASes, orgs,

@@ -10,11 +10,11 @@
 //! burstiness, and User-Agent diversity. Finally it strips the spider and
 //! shows how the busy-cluster ranking changes.
 
-use netclust::core::{
-    detect, hourly_histogram, strip_clients, threshold_busy, AnomalyConfig, ClientClass, Clustering,
+use netclust::core::{threshold_busy, ClientClass, Clustering};
+use netclust::netgen::{
+    generate, standard_merged, LogSpec, ProxySpec, SpiderSpec, Universe, UniverseConfig,
 };
-use netclust::netgen::{standard_merged, Universe, UniverseConfig};
-use netclust::weblog::{generate, LogSpec, ProxySpec, SpiderSpec};
+use netclust_experiments::{detect, hourly_histogram, strip_clients, AnomalyConfig};
 
 fn main() {
     let universe = Universe::generate(UniverseConfig {

@@ -29,15 +29,15 @@ use std::process::ExitCode;
 use netclust::bgpsim::{DeltaBatch, DeltaStream, DeltaStreamConfig};
 use netclust::core::query::render_top_table;
 use netclust::core::{
-    threshold_busy, Assigner, ClusterQuery, FeedProgress, FlagError, FlagTable, FsyncPolicy,
-    IngestError, JournalBatch, Parsed, PersistError, RunConfig, StateStore, StreamingClustering,
-    SwapPolicy, VerdictPolicy,
+    threshold_busy, Assigner, ClusterQuery, ErrorRate, FeedProgress, FlagError, FlagTable,
+    FsyncPolicy, IngestError, JournalBatch, Parsed, PersistError, RunConfig, StateStore,
+    StreamingClustering, SwapPolicy, VerdictPolicy,
 };
-use netclust::netgen::{standard_collection, Universe, UniverseConfig};
+use netclust::netgen::{standard_collection, try_generate, LogSpec, Universe, UniverseConfig};
 use netclust::obs::Obs;
 use netclust::rtable::{load_tables, parse_feed, MergedTable, TableDelta, TableKind};
 use netclust::weblog::chunk::LogData;
-use netclust::weblog::{clf, try_generate, LogSpec};
+use netclust::weblog::clf;
 
 /// Every option of `netclust synth` and `netclust cluster`, one row a
 /// line; the shared rows come from `netclust::core::flags`.
@@ -519,7 +519,15 @@ fn cmd_cluster(p: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         )));
     }
     let top: usize = p.req(&TOP)?;
-    let max_error_rate: Option<f64> = p.opt(&MAX_ERROR_RATE)?;
+    // NaN or a ratio outside [0, 1] is refused here, never clamped.
+    let out_of_range = || {
+        let raw = p.get(&MAX_ERROR_RATE).unwrap_or_default();
+        MAX_ERROR_RATE.bad(raw, "not a fraction from 0 to 1")
+    };
+    let max_error_rate = p.opt::<f64>(&MAX_ERROR_RATE)?;
+    let max_error_rate = max_error_rate
+        .map(|r| ErrorRate::new(r).ok_or_else(out_of_range))
+        .transpose()?;
     let quarantine_path = p.get(&QUARANTINE);
     let metrics_path = p.get(&METRICS);
     let trace = p.given(&TRACE);

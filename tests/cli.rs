@@ -375,6 +375,42 @@ fn error_budget_and_quarantine() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--max-error-rate` is a fraction from 0 to 1 and nothing else: NaN, a
+/// negative, a ratio above 1 and infinity are usage errors naming the
+/// flag, never a budget silently turned off or clamped.
+#[test]
+fn max_error_rate_outside_zero_to_one_is_a_usage_error() {
+    let dir = tmpdir("budget-range");
+    // 400 lines, every other one garbage: a malformed ratio of 0.5.
+    let log_path = dir.join("half.log");
+    let line =
+        "12.65.147.94 - - [13/Feb/1998:07:00:00 +0000] \"GET /a HTTP/1.0\" 200 120 \"-\" \"UA\"\n";
+    std::fs::write(&log_path, format!("{line}garbage\n").repeat(200)).expect("write log");
+    let table_path = dir.join("t.bgp");
+    std::fs::write(&table_path, "12.65.128.0/19\n").expect("write table");
+    let run = |rate: &str| {
+        Command::new(bin())
+            .args(["cluster", "--log"])
+            .arg(&log_path)
+            .arg("--table")
+            .arg(&table_path)
+            .args(["--max-error-rate", rate])
+            .output()
+            .expect("run cluster")
+    };
+    for (rate, code) in [("0.1", 3), ("0", 3), ("0.5", 0), ("1", 0)] {
+        let out = run(rate);
+        assert_eq!(out.status.code(), Some(code), "{rate}: {out:?}");
+    }
+    for rate in ["nan", "NaN", "-1", "2", "inf", "-inf", "1.0000001"] {
+        let out = run(rate);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{rate}: {stderr}");
+        assert!(stderr.contains("--max-error-rate"), "{rate}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn persistence_flags_validate_before_any_io() {
     // --state-dir needs a feed to persist.

@@ -2,9 +2,11 @@
 //! seeds. Two independent reconstructions of the whole world must agree
 //! bit-for-bit on everything the experiments report.
 
-use netclust::core::{validate, Clustering, SamplePlan};
-use netclust::netgen::{snapshot, standard_merged, Universe, UniverseConfig, VantageSpec};
-use netclust::weblog::{generate, LogSpec};
+use netclust::core::Clustering;
+use netclust::netgen::{
+    generate, snapshot, standard_merged, LogSpec, Universe, UniverseConfig, VantageSpec,
+};
+use netclust_experiments::{validate, SamplePlan};
 
 fn build() -> (Universe, netclust::weblog::Log) {
     let universe = Universe::generate(UniverseConfig {

@@ -16,14 +16,15 @@
 //!    never a half-counted result.
 
 use netclust::core::{
-    failpoints, self_correct, Clustering, CorrectionConfig, ErrorCounts, FaultPlan, FsyncPolicy,
-    IngestError, IngestPipeline, JournalBatch, StateStore, StreamingClustering, SwapRejection,
+    failpoints, Clustering, ErrorCounts, FaultPlan, FsyncPolicy, IngestError, IngestPipeline,
+    JournalBatch, StateStore, StreamingClustering, SwapRejection,
 };
-use netclust::netgen::{standard_merged, Universe, UniverseConfig};
+use netclust::netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
 use netclust::prefix::Ipv4Net;
-use netclust::probe::ProbeFaultModel;
 use netclust::rtable::TableDelta;
-use netclust::weblog::{clf, generate, LogSpec};
+use netclust::weblog::clf;
+use netclust_experiments::{self_correct, CorrectionConfig};
+use netclust_probe::ProbeFaultModel;
 
 /// The fixed seed sweep (also run by CI's fault smoke step): eight seeds
 /// chosen once, never derived from time or environment.

@@ -9,7 +9,6 @@
 //! pin reference vectors and wire bytes; these properties sweep the input
 //! space.
 
-use std::net::Ipv4Addr;
 use std::path::Path;
 
 use netclust::core::persist::codec::{
@@ -20,9 +19,8 @@ use netclust::core::persist::{
     decode_batch, decode_state, encode_batch, encode_state, JournalBatch,
 };
 use netclust::core::{
-    CorrectionState, EncodedState, ErrorCounts, FeedProgress, FsyncPolicy, PatchStats,
-    PersistError, StateStore, StreamState, StreamingClustering, SwapPolicy, SwapRejection,
-    SwapStats,
+    EncodedState, ErrorCounts, FeedProgress, FsyncPolicy, PatchStats, PersistError, StateStore,
+    StreamState, StreamingClustering, SwapPolicy, SwapRejection, SwapStats,
 };
 use netclust::obs::Obs;
 use netclust::prefix::Ipv4Net;
@@ -113,29 +111,6 @@ fn arb_rejection() -> impl Strategy<Value = Option<SwapRejection>> {
         })
 }
 
-fn arb_correction() -> impl Strategy<Value = Option<CorrectionState>> {
-    let parked = proptest::collection::vec((arb_addr(), 0u8..3), 0..6);
-    (any::<bool>(), arb_count(), arb_count(), parked).prop_map(|(some, a, b, parked)| {
-        some.then(|| CorrectionState {
-            homogeneous: a,
-            split: b,
-            no_signal: a ^ b,
-            parked: parked
-                .into_iter()
-                .map(|(addr, kind)| {
-                    let addr = Ipv4Addr::from(addr);
-                    let key = match kind {
-                        0 => format!("?addr:{addr}"),
-                        1 => format!("?cluster:{addr}/32"),
-                        _ => String::new(),
-                    };
-                    (addr, key)
-                })
-                .collect(),
-        })
-    })
-}
-
 /// A snapshot state as a stream exports it: prefix lists and client rows
 /// sorted, every other field anything.
 fn arb_state() -> impl Strategy<Value = StreamState> {
@@ -146,9 +121,8 @@ fn arb_state() -> impl Strategy<Value = StreamState> {
         rows,
         counters,
         arb_rejection(),
-        arb_correction(),
     )
-        .prop_map(|((bgp, dump), mut rows, c, last_rejection, correction)| {
+        .prop_map(|((bgp, dump), mut rows, c, last_rejection)| {
             rows.sort_unstable_by_key(|&(addr, _, _)| addr);
             rows.dedup_by_key(|&mut (addr, _, _)| addr);
             StreamState {
@@ -174,7 +148,6 @@ fn arb_state() -> impl Strategy<Value = StreamState> {
                     recompiles: c[14],
                 },
                 last_rejection,
-                correction,
                 feed: FeedProgress {
                     coverage_start_bits: c[15],
                     resets: c[16],

@@ -14,19 +14,18 @@
 //!    `--crash-after-batch`, restarted with `--resume`, compared
 //!    byte-for-byte against an uninterrupted run.
 
-use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use netclust::bgpsim::{DeltaBatch, DeltaStream, DeltaStreamConfig};
 use netclust::core::persist::codec::{decode_header, FORMAT_VERSION, HEADER_BYTES};
 use netclust::core::{
-    failpoints, CorrectionState, EncodedState, FaultInjector, FaultPlan, FsyncPolicy, JournalBatch,
-    PersistError, StateStore, StreamState, StreamingClustering, SwapPolicy,
+    failpoints, EncodedState, FaultInjector, FaultPlan, FsyncPolicy, JournalBatch, PersistError,
+    StateStore, StreamState, StreamingClustering, SwapPolicy,
 };
-use netclust::netgen::{standard_merged, Universe, UniverseConfig};
+use netclust::netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
 use netclust::obs::Obs;
-use netclust::weblog::{clf, generate, LogSpec};
+use netclust::weblog::clf;
 
 /// The fixed seed sweep shared with `tests/faults.rs` and CI.
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 0xBEEF, 0xFA17];
@@ -642,19 +641,10 @@ fn a_snapshot_encoded_from_the_stream_is_the_exported_one() {
     for b in &batches {
         stream.apply_deltas(&b.deltas);
     }
-    stream.set_correction(CorrectionState {
-        homogeneous: 40,
-        split: 2,
-        no_signal: 1,
-        parked: vec![
-            (Ipv4Addr::new(10, 0, 0, 9), "?addr:10.0.0.9".into()),
-            (Ipv4Addr::new(10, 2, 3, 4), "?cluster:10.2.0.0/16".into()),
-        ],
-    });
     let exported = stream.export_state();
     assert!(
-        exported.per_client.len() > 100 && exported.correction.is_some(),
-        "a snapshot with rows to order and parked rows after them"
+        exported.per_client.len() > 100,
+        "a snapshot with rows to order"
     );
 
     let file = |name: &str, write: &dyn Fn(&mut StateStore) -> Result<u64, PersistError>| {

@@ -2,13 +2,15 @@
 //! universe → routing tables → server log → clustering → validation →
 //! self-correction → anomaly elimination → thresholding → cache simulation.
 
-use netclust::cachesim::{simulate, sweep_cache_sizes, SimConfig};
-use netclust::core::{
-    detect, org_purity, self_correct, strip_clients, threshold_busy, validate, AnomalyConfig,
-    Clustering, CorrectionConfig, SamplePlan,
+use netclust::core::{threshold_busy, Clustering};
+use netclust::netgen::{
+    generate, standard_merged, LogSpec, ProxySpec, SpiderSpec, Universe, UniverseConfig,
 };
-use netclust::netgen::{standard_merged, Universe, UniverseConfig};
-use netclust::weblog::{generate, LogSpec, ProxySpec, SpiderSpec};
+use netclust_cachesim::{simulate, sweep_cache_sizes, SimConfig};
+use netclust_experiments::{
+    detect, org_purity, self_correct, strip_clients, validate, AnomalyConfig, CorrectionConfig,
+    SamplePlan,
+};
 
 fn universe() -> Universe {
     Universe::generate(UniverseConfig {

@@ -14,6 +14,13 @@
 //! * `failpoint-coverage`: every const of a `mod failpoints` is in its
 //!   `ALL`, named as `failpoints::NAME` by non-test code, and named by a
 //!   test, by that path or by its wire string.
+//! * `product-closure`: the `[dependencies]` of a product crate's
+//!   `Cargo.toml` (`PRODUCT`: what `netclust cluster` and `netclustd` are
+//!   built from) name product crates only — no simulator, prober or study
+//!   library rides into the daemon.
+//! * `pub-fn-caller`: every `pub fn` of a product crate is named by
+//!   non-test code somewhere in the repository (`benchmark/benches/`
+//!   counts): a function only its own tests call is not product.
 //!
 //! And the one OS seam: `crates/sys` is the only crate that may hold
 //! `unsafe` code, and it holds every `extern "C"` of the product.
@@ -26,6 +33,7 @@
 //! blanked. The scan skips `target/`, hidden directories and the two
 //! vendored shims.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -44,7 +52,42 @@ const WAIVERS: &[(&str, &str, &str)] = &[
         "wal-ordering",
         "let r = stream.apply_deltas(&b.deltas);",
     ),
+    // The benchmark harness imports `ZipfSampler` from weblog.
+    (
+        "crates/weblog/Cargo.toml",
+        "product-closure",
+        "rand = { workspace = true }",
+    ),
+    // Seams only tests observe; each site says what observes it.
+    (
+        "crates/core/src/ingest.rs",
+        "pub-fn-caller",
+        "pub fn fault_plan(mut self, plan: FaultPlan) -> Self {",
+    ),
+    (
+        "crates/core/src/ingest.rs",
+        "pub-fn-caller",
+        "pub fn try_run(&self, data: &[u8]) -> Result<IngestReport, IngestError> {",
+    ),
+    (
+        "crates/core/src/persist/mod.rs",
+        "pub-fn-caller",
+        "pub fn take_faults(&mut self) -> FaultInjector {",
+    ),
+    (
+        "crates/core/src/persist/state.rs",
+        "pub-fn-caller",
+        "pub fn decode_state(bytes: &[u8]) -> Result<StreamState, StateDecodeError> {",
+    ),
+    (
+        "crates/weblog/src/chunk.rs",
+        "pub-fn-caller",
+        "pub fn is_mapped(&self) -> bool {",
+    ),
 ];
+
+/// The product crates, by directory under `crates/`.
+const PRODUCT: [&str; 7] = ["prefix", "rtable", "obs", "sys", "weblog", "core", "serve"];
 
 /// The two vendored API shims: third-party surface, not held to the
 /// contracts.
@@ -621,6 +664,96 @@ fn failpoint_coverage(sources: &[Source], out: &mut Vec<Finding>) {
     }
 }
 
+/// `pub-fn-caller`: a product `pub fn` whose name no non-test line
+/// names, its own declaration aside. Lines under `benchmark/benches/`
+/// count as callers: the harness drives the product's layers by name.
+fn pub_fn_callers(sources: &[Source], out: &mut Vec<Finding>) {
+    let mut named = BTreeSet::new();
+    for src in sources {
+        let bench = src.path.starts_with("benchmark/benches/");
+        for (i, line) in src.lines.iter().enumerate() {
+            if (line.test && !bench) || line.import {
+                continue;
+            }
+            let code = src.code_line(i);
+            let mut start = None;
+            for (j, c) in code.char_indices().chain([(code.len(), ' ')]) {
+                match (is_ident(c), start) {
+                    (true, None) => start = Some(j),
+                    (false, Some(k)) => {
+                        if !code[..k].ends_with("fn ") {
+                            named.insert(&code[k..j]);
+                        }
+                        start = None;
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+    for src in sources {
+        let product = PRODUCT
+            .iter()
+            .any(|c| src.path.starts_with(&format!("crates/{c}/src/")));
+        if !product {
+            continue;
+        }
+        for i in (0..src.lines.len()).filter(|&i| !src.lines[i].test) {
+            let code = src.code_line(i).trim_start();
+            match fn_name(code) {
+                Some(name) if code.starts_with("pub ") && !named.contains(name) => {
+                    let message = format!("`pub fn {name}` is named by no code outside tests");
+                    out.push(src.finding(i, "pub-fn-caller", message));
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
+/// `product-closure` over one product crate's manifest: every crate its
+/// `[dependencies]` (or a `[target.….dependencies]`, or a
+/// `[dependencies.NAME]` table) names must be `netclust-<PRODUCT>`.
+fn product_closure(path: &str, manifest: &str, out: &mut Vec<Finding>) {
+    let mut deps = false;
+    for (i, raw) in manifest.lines().enumerate() {
+        let line = raw.trim();
+        let name = match line.strip_prefix('[') {
+            Some(header) => {
+                let header = header.trim_end_matches(']');
+                deps = header == "dependencies" || header.ends_with(".dependencies");
+                header.strip_prefix("dependencies.")
+            }
+            None if deps && !line.starts_with('#') => line.split_once('=').map(|(n, _)| n.trim()),
+            None => None,
+        };
+        let Some(name) = name else { continue };
+        if !name
+            .strip_prefix("netclust-")
+            .is_some_and(|c| PRODUCT.contains(&c))
+        {
+            out.push(Finding {
+                path: path.to_string(),
+                line: i + 1,
+                rule: "product-closure",
+                text: line.to_string(),
+                message: format!("a product crate depends on `{name}`, which is no product crate"),
+            });
+        }
+    }
+}
+
+/// `product-closure` over every product crate's `Cargo.toml`.
+fn manifest_findings() -> Vec<Finding> {
+    let mut out = Vec::new();
+    for krate in PRODUCT {
+        let path = format!("crates/{krate}/Cargo.toml");
+        let text = fs::read_to_string(root().join(&path)).unwrap_or_else(|e| panic!("{path}: {e}"));
+        product_closure(&path, &text, &mut out);
+    }
+    out
+}
+
 /// Every finding over `sources`, in path and line order.
 fn check(sources: &[Source]) -> Vec<Finding> {
     let mut out = Vec::new();
@@ -630,6 +763,7 @@ fn check(sources: &[Source]) -> Vec<Finding> {
         wal_ordering(src, &mut out);
     }
     failpoint_coverage(sources, &mut out);
+    pub_fn_callers(sources, &mut out);
     out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     out
 }
@@ -715,7 +849,9 @@ fn the_workspace_keeps_every_source_contract() {
     let sources = workspace();
     let contract_files = sources.iter().filter(|s| !s.test_target).count();
     assert!(contract_files > 100, "only {contract_files} contract files");
-    let left = waive(check(&sources), WAIVERS).unwrap_or_else(|e| panic!("{e}"));
+    let mut found = check(&sources);
+    found.extend(manifest_findings());
+    let left = waive(found, WAIVERS).unwrap_or_else(|e| panic!("{e}"));
     assert!(left.is_empty(), "\n{}", report(&left));
 }
 
@@ -905,6 +1041,98 @@ fn arms_by_wire_name() {
         .map(|f| f.line)
         .collect();
     assert_eq!(unarmed, [3, 4, 6]);
+}
+
+#[test]
+fn product_closure_fires_on_a_non_product_dependency() {
+    let manifest = "\
+[package]
+name = \"netclust-demo\"
+
+[dependencies]
+netclust-prefix = { workspace = true }
+# netclust-probe = { workspace = true }
+netclust-netgen = { workspace = true }
+rand = \"0.8\"
+
+[dev-dependencies]
+netclust-experiments = { workspace = true }
+proptest = { workspace = true }
+
+[target.'cfg(unix)'.dependencies]
+netclust-probe = { workspace = true }
+
+[dependencies.netclust-bgpsim]
+path = \"../bgpsim\"
+";
+    let mut found = Vec::new();
+    product_closure("crates/demo/Cargo.toml", manifest, &mut found);
+    let lines: Vec<(usize, &str)> = found.iter().map(|f| (f.line, f.rule)).collect();
+    let rule = "product-closure";
+    assert_eq!(lines, [(7, rule), (8, rule), (15, rule), (17, rule)]);
+    assert!(
+        found[0].message.contains("`netclust-netgen`"),
+        "{}",
+        found[0]
+    );
+}
+
+#[test]
+fn pub_fn_caller_fires_on_a_function_only_tests_name() {
+    let product = "\
+pub fn served() -> u64 {
+    helper()
+}
+pub fn benched() -> u64 {
+    1
+}
+pub fn tested_only() -> u64 {
+    2
+}
+pub fn unnamed() -> u64 {
+    3
+}
+pub(crate) fn helper() -> u64 {
+    4
+}
+pub use self::unnamed as reexported;
+#[cfg(test)]
+mod tests {
+    pub fn in_tests() {}
+    #[test]
+    fn t() {
+        assert_eq!(super::tested_only(), 2);
+    }
+}
+";
+    let study = "\
+fn main() {
+    // unnamed() in a comment is no caller,
+    let _ = \"nor unnamed() in a string\";
+    println!(\"{}\", demo::served());
+}
+";
+    let bench = "fn run() -> u64 {\n    demo::benched()\n}\n";
+    let test = "#[test]\nfn t() {\n    demo::tested_only();\n}\n";
+    let callers = |with_bench: bool| -> Vec<usize> {
+        let mut sources = vec![
+            Source::parse("crates/core/src/demo.rs", product),
+            Source::parse("crates/experiments/src/bin/demo.rs", study),
+            Source::parse("tests/demo.rs", test),
+        ];
+        if with_bench {
+            sources.push(Source::parse("benchmark/benches/demo.rs", bench));
+        }
+        let found = check(&sources);
+        let found = found.iter().filter(|f| f.rule == "pub-fn-caller");
+        found.map(|f| f.line).collect()
+    };
+    assert_eq!(callers(true), [7, 10]);
+    // Without the harness, `benched` has no caller either.
+    assert_eq!(callers(false), [4, 7, 10]);
+    // A crate outside the product is not held to the rule.
+    let found = check(&[Source::parse("crates/demo/src/lib.rs", product)]);
+    assert!(found.iter().all(|f| f.rule != "pub-fn-caller"));
 }
 
 #[test]
