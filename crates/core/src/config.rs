@@ -363,6 +363,7 @@ pub mod flags {
 mod tests {
     use super::*;
     use netclust_netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
+    use netclust_weblog::chunk::LogData;
 
     #[test]
     fn config_constructs_equivalent_batch_and_stream_views() {
@@ -382,7 +383,7 @@ mod tests {
         let compiled = merged.compile();
         let report = cfg
             .pipeline(&compiled)
-            .try_run(clf.as_bytes())
+            .run_log(&LogData::from_vec(clf.clone().into_bytes()))
             .expect("within budget");
 
         let mut stream = cfg.streaming(standard_merged(&u, 0));

@@ -50,14 +50,11 @@
 //!   ([`IngestError::ErrorBudget`]),
 //! * **quarantine** — [`IngestReport::quarantine`] resolves every rejected
 //!   line to its byte range in the input so operators can extract exactly
-//!   what was dropped,
-//! * **fault injection** — [`IngestPipeline::fault_plan`] arms the
-//!   [`failpoints::INGEST_CHUNK_IO`] failpoint: chunk reads fail
-//!   mid-scan, the partial chunk state is discarded (chunk-granularity
-//!   checkpoint), and the read retries up to
-//!   [`io_retries`](IngestPipeline::io_retries) times. A recovered run is
-//!   byte-identical to an unfaulted one; an unrecovered one fails cleanly
-//!   ([`IngestError::ChunkIo`]) with nothing half-counted.
+//!   what was dropped.
+//!
+//! There is no chunk-read retry: a chunk is a slice of a buffer already
+//! read or mapped, and a mapped page that fails to load is a `SIGBUS`,
+//! not an error a retry could see. The scan has no error path at all.
 
 #![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
 #![deny(
@@ -80,7 +77,6 @@ use netclust_weblog::clf::ClfError;
 use netclust_weblog::clf_bytes;
 
 use crate::cluster::{Assigner, Clustering};
-use crate::faults::{failpoints, FaultPlan};
 use crate::fx::FxHashMap;
 use crate::kernel::{self, Shard};
 
@@ -95,8 +91,6 @@ struct IngestObs {
     lines: Counter,
     malformed: Counter,
     clients: Counter,
-    io_faults: Counter,
-    chunks_retried: Counter,
     released_bytes: Counter,
     chunk_bytes: Histogram,
     chunk_errors: Histogram,
@@ -110,8 +104,6 @@ impl IngestObs {
             lines: obs.counter("ingest.lines"),
             malformed: obs.counter("ingest.malformed"),
             clients: obs.counter("ingest.clients"),
-            io_faults: obs.counter("ingest.io_faults"),
-            chunks_retried: obs.counter("ingest.chunks_retried"),
             released_bytes: obs.counter("ingest.released_bytes"),
             chunk_bytes: obs.histogram("ingest.chunk_bytes"),
             chunk_errors: obs.histogram("ingest.chunk_errors"),
@@ -145,9 +137,7 @@ pub struct IngestPipeline<'t> {
     how: Assigner<'t>,
     chunk_bytes: usize,
     max_error_rate: Option<ErrorRate>,
-    io_retries: u32,
     threads: Option<usize>,
-    faults: FaultPlan,
     obs: Obs,
     metrics: IngestObs,
 }
@@ -165,20 +155,9 @@ impl ErrorRate {
     }
 }
 
-/// Why a hardened ingest run ([`IngestPipeline::try_run`] /
-/// [`IngestPipeline::run_log`]) aborted.
+/// Why a budgeted ingest run ([`IngestPipeline::run_log`]) aborted.
 #[derive(Debug)]
 pub enum IngestError {
-    /// A chunk read kept failing past the retry budget; nothing from the
-    /// failing chunk was counted.
-    ChunkIo {
-        /// 0-based index of the failing chunk.
-        chunk: usize,
-        /// Buffer-global line number of the chunk's first line.
-        first_line: usize,
-        /// Read attempts made (1 initial + retries).
-        attempts: u32,
-    },
     /// The malformed-line ratio blew the configured budget.
     ErrorBudget {
         /// Lines seen vs lines malformed (the workspace-wide shape).
@@ -193,14 +172,6 @@ pub enum IngestError {
 impl fmt::Display for IngestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            IngestError::ChunkIo {
-                chunk,
-                first_line,
-                attempts,
-            } => write!(
-                f,
-                "chunk {chunk} (first line {first_line}) failed after {attempts} read attempts"
-            ),
             IngestError::ErrorBudget {
                 counts,
                 max_ratio,
@@ -252,19 +223,14 @@ pub struct IngestReport {
     pub counts: ErrorCounts,
     /// Input size in bytes.
     pub bytes: usize,
-    /// Injected chunk-read faults encountered (0 unless a fault plan is
-    /// armed).
-    pub io_faults: u64,
-    /// Chunks that needed at least one re-read to ingest.
-    pub chunks_retried: u64,
 }
 
 impl IngestReport {
     /// Fraction of *parsed* requests assigned to a cluster. Quarantined
     /// (malformed) lines never became requests and are excluded from the
     /// denominator — they are accounted in [`counts`](Self::counts), not
-    /// as clustered misses — so injected `ingest.chunk_io` faults or log
-    /// corruption cannot dilute coverage. `1.0` on an empty input.
+    /// as clustered misses — so log corruption cannot dilute coverage.
+    /// `1.0` on an empty input.
     pub fn coverage(&self) -> f64 {
         if self.clustering.total_requests == 0 {
             return 1.0;
@@ -314,9 +280,7 @@ impl<'t> IngestPipeline<'t> {
             how,
             chunk_bytes: DEFAULT_CHUNK_BYTES,
             max_error_rate: None,
-            io_retries: 2,
             threads: None,
-            faults: FaultPlan::disabled(),
             obs: Obs::disabled(),
             metrics: IngestObs::default(),
         }
@@ -339,8 +303,7 @@ impl<'t> IngestPipeline<'t> {
         self
     }
 
-    /// Sets the malformed-line budget for [`try_run`](Self::try_run) /
-    /// [`run_log`](Self::run_log): a run whose error ratio exceeds
+    /// Sets the malformed-line budget for [`run_log`](Self::run_log): a run whose error ratio exceeds
     /// `budget` aborts with [`IngestError::ErrorBudget`] instead of
     /// silently skipping bad lines forever. Unset by default
     /// (skip-and-report, the classic behaviour).
@@ -349,29 +312,11 @@ impl<'t> IngestPipeline<'t> {
         self
     }
 
-    /// Sets how many times a failed chunk read is retried before the run
-    /// aborts with [`IngestError::ChunkIo`] (default 2).
-    pub fn io_retries(mut self, retries: u32) -> Self {
-        self.io_retries = retries;
-        self
-    }
-
     /// Pins the worker count for the sharded scan. Default: the host's
     /// available parallelism. `1` scans on the calling thread; the
     /// report is byte-identical at every setting.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Arms a fault plan. When [`failpoints::INGEST_CHUNK_IO`] is armed,
-    /// [`try_run`](Self::try_run) injects chunk-read failures on the
-    /// plan's deterministic schedule and exercises the
-    /// discard-and-retry checkpoint path.
-    // Waived in tests/source_contracts.rs (`pub-fn-caller`): no flag arms
-    // ingest faults; tests/faults.rs observes the retry path through it.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
         self
     }
 
@@ -386,17 +331,9 @@ impl<'t> IngestPipeline<'t> {
 
     /// Runs the fused pipeline over an in-memory (or memory-mapped) CLF
     /// buffer. Never fails: malformed lines are skipped and reported.
-    /// Budgets and fault injection apply only to
-    /// [`try_run`](Self::try_run) / [`run_log`](Self::run_log).
+    /// The error budget applies only to [`run_log`](Self::run_log).
     pub fn run(&self, data: &[u8]) -> IngestReport {
-        match self.run_inner(data, None, false) {
-            Ok(report) => report,
-            #[allow(
-                clippy::unreachable,
-                reason = "with faults disarmed the engine has no error path."
-            )]
-            Err(_) => unreachable!("unfaulted ingest cannot fail"),
-        }
+        self.run_inner(data, None)
     }
 
     /// Per-chunk accounting, called once per successful chunk scan on
@@ -419,41 +356,19 @@ impl<'t> IngestPipeline<'t> {
             .add(report.clustering.client_count() as u64);
     }
 
-    /// Runs the hardened pipeline: injected chunk-read faults (when a
-    /// plan arms [`failpoints::INGEST_CHUNK_IO`]) are retried at chunk
-    /// granularity, and the malformed-line budget (when set) is enforced
-    /// on the finished report, so `ChunkIo` takes precedence over it.
-    /// A successful faulted run is byte-identical to [`run`](Self::run).
-    // Waived in tests/source_contracts.rs (`pub-fn-caller`): the binaries
-    // ingest a mapped file through `run_log`; the fault and budget tests
-    // observe the same hardened path over a byte slice.
-    pub fn try_run(&self, data: &[u8]) -> Result<IngestReport, IngestError> {
-        self.run_hardened(data, None)
-    }
-
-    /// [`try_run`](Self::try_run) over a log file's contents, handing each
-    /// chunk's pages back to the kernel ([`LogData::release`]) as soon as
-    /// its scan finishes — the entry for a file too large to want
+    /// [`run`](Self::run) over a log file's contents, enforcing the
+    /// malformed-line budget (when set) on the finished report and handing
+    /// each chunk's pages back to the kernel ([`LogData::release`]) as
+    /// soon as its scan finishes — the entry for a file too large to want
     /// resident. With a mapped `log` the run's resident set is the
     /// accumulators plus the chunks in flight, whatever the log's length;
-    /// with an owned one there is nothing to release and this *is*
-    /// `try_run`. The report is the same either way, and `log` stays fully
-    /// readable afterwards ([`IngestReport::quarantine`] included): the
-    /// path slices the url tables borrowed re-fault the same bytes from
-    /// the page cache when they are next read.
+    /// with an owned one there is nothing to release. The report is the
+    /// same either way, and `log` stays fully readable afterwards
+    /// ([`IngestReport::quarantine`] included): the path slices the url
+    /// tables borrowed re-fault the same bytes from the page cache when
+    /// they are next read.
     pub fn run_log(&self, log: &LogData) -> Result<IngestReport, IngestError> {
-        self.run_hardened(log, Some(log))
-    }
-
-    /// [`try_run`](Self::try_run) and [`run_log`](Self::run_log): faults
-    /// when armed, then the budget.
-    fn run_hardened(
-        &self,
-        data: &[u8],
-        release: Option<&LogData>,
-    ) -> Result<IngestReport, IngestError> {
-        let faulted = self.faults.is_armed(failpoints::INGEST_CHUNK_IO);
-        let report = self.run_inner(data, release, faulted)?;
+        let report = self.run_inner(log, Some(log));
         if let Some(ErrorRate(max_ratio)) = self.max_error_rate {
             if report.counts.records > 0 && report.counts.ratio() > max_ratio {
                 return Err(IngestError::ErrorBudget {
@@ -469,12 +384,7 @@ impl<'t> IngestPipeline<'t> {
     /// The shared engine behind every entry: chunk, scan into one shard
     /// per worker (releasing scanned chunks of `release`, when given),
     /// number the lines, finish, account.
-    fn run_inner(
-        &self,
-        data: &[u8],
-        release: Option<&LogData>,
-        faulted: bool,
-    ) -> Result<IngestReport, IngestError> {
+    fn run_inner(&self, data: &[u8], release: Option<&LogData>) -> IngestReport {
         let _run = self.obs.span("ingest.run");
         let chunks: Vec<Chunk<'_>> = {
             let _s = self.obs.span("chunk");
@@ -492,66 +402,31 @@ impl<'t> IngestPipeline<'t> {
         };
         let workers = self.effective_threads().min(chunks.len()).max(1);
         let n_parts = kernel::merge_partitions_for(workers);
-        let mut scan = {
+        let mut outs = {
             let _s = self.obs.span("parse");
-            self.scan_sharded(&chunks, release, workers, n_parts, faulted)
+            self.scan_sharded(&chunks, release, workers, n_parts)
         };
-        self.metrics.io_faults.add(scan.io_faults);
-        self.metrics.chunks_retried.add(scan.chunks_retried);
-        if let Some(chunk) = scan.aborted {
-            // Every chunk before the failing one ends in a newline, so
-            // its first line is the newline count of the bytes before it.
-            #[allow(
-                clippy::indexing_slicing,
-                reason = "workers only publish in-range chunk indices."
-            )]
-            let offset: usize = chunks[..chunk].iter().map(|c| c.data.len()).sum();
-            return Err(IngestError::ChunkIo {
-                chunk,
-                #[allow(
-                    clippy::indexing_slicing,
-                    reason = "chunk lengths sum to at most data.len()."
-                )]
-                first_line: data[..offset].iter().filter(|&&b| b == b'\n').count(),
-                attempts: self.io_retries + 1,
-            });
-        }
-        let lines = number_lines(&mut scan.outs, chunks.len());
-        let report = self.finish(scan, workers, lines, data.len());
+        let lines = number_lines(&mut outs, chunks.len());
+        let report = self.finish(outs, workers, lines, data.len());
         self.record_run(&report);
-        Ok(report)
+        report
     }
 
     /// The sharded scan: `workers` scoped threads, each owning one
     /// [`ChunkOut`] shard, steal chunks off a shared atomic index until
     /// the chunk list drains.
-    ///
-    /// The hardening seam across workers is **chunk retry**: fault draws
-    /// are keyed by `(chunk, attempt)`
-    /// ([`FaultInjector::should_fire_keyed`]), so a plan trips the same
-    /// chunks no matter which worker steals them. A chunk that exhausts
-    /// its retries publishes its index via `fetch_min`; because the
-    /// shared index hands chunks out in order and every stolen chunk
-    /// still gets its fault draws (scans are skipped once an abort is
-    /// pending — their output would be discarded), the published
-    /// minimum is exactly the chunk the serial scan would abort on.
     fn scan_sharded<'a>(
         &self,
         chunks: &[Chunk<'a>],
         release: Option<&LogData>,
         workers: usize,
         n_parts: usize,
-        faulted: bool,
-    ) -> Scan<'a> {
+    ) -> Vec<ChunkOut<'a>> {
         let next = AtomicUsize::new(0);
-        let abort_chunk = AtomicUsize::new(usize::MAX);
 
-        let worker = || -> (ChunkOut<'a>, u64, u64) {
+        let worker = || -> ChunkOut<'a> {
             let _span = self.obs.span("ingest.worker");
-            let mut injector = faulted.then(|| self.faults.injector_with_obs(&self.obs));
             let mut out = ChunkOut::new(n_parts);
-            let mut io_faults = 0u64;
-            let mut chunks_retried = 0u64;
             loop {
                 // ordering: pure work-stealing ticket counter; only
                 // atomicity matters, no data is published through it.
@@ -561,78 +436,30 @@ impl<'t> IngestPipeline<'t> {
                 }
                 #[allow(clippy::indexing_slicing, reason = "i < chunks.len() just checked.")]
                 let c = &chunks[i];
-                if let Some(inj) = injector.as_mut() {
-                    let mut attempt = 0u32;
-                    let exhausted = loop {
-                        if !inj.should_fire_keyed(
-                            failpoints::INGEST_CHUNK_IO,
-                            &[i as u64, u64::from(attempt)],
-                        ) {
-                            break false;
-                        }
-                        io_faults += 1;
-                        if attempt == 0 {
-                            chunks_retried += 1;
-                        }
-                        if attempt >= self.io_retries {
-                            break true;
-                        }
-                        attempt += 1;
-                    };
-                    if exhausted {
-                        // ordering: monotone min over chunk indices; the
-                        // join below is the synchronization point.
-                        abort_chunk.fetch_min(i, Ordering::Relaxed);
-                        continue;
-                    }
-                    // An abort is pending: keep draining chunks for their
-                    // fault draws (the minimum must be exact) but skip
-                    // scans — the output is about to be discarded.
-                    // ordering: advisory fast-path skip; a stale read only
-                    // delays the skip by one chunk, never changes the result.
-                    if abort_chunk.load(Ordering::Relaxed) != usize::MAX {
-                        continue;
-                    }
-                }
                 let chunk_errors = out.scan(i, c);
                 // The url table keeps slices of released pages; reading
                 // one again re-faults the same bytes (`LogData::release`).
                 let released = release.map_or(0, |log| log.release(c.data));
                 self.record_chunk(c, chunk_errors, released);
             }
-            (out, io_faults, chunks_retried)
+            out
         };
 
-        #[allow(clippy::expect_used, reason = "propagating a worker panic, not creating one.")]
-        let results: Vec<(ChunkOut<'a>, u64, u64)> = if workers <= 1 {
-            vec![worker()]
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            })
-        };
-
-        let mut outs = Vec::with_capacity(results.len());
-        let mut io_faults = 0u64;
-        let mut chunks_retried = 0u64;
-        for (out, f, r) in results {
-            outs.push(out);
-            io_faults += f;
-            chunks_retried += r;
+        if workers <= 1 {
+            return vec![worker()];
         }
-        // ordering: reads after every worker has been joined, which
-        // already established the happens-before edges.
-        let aborted = abort_chunk.load(Ordering::Relaxed);
-        Scan {
-            outs,
-            io_faults,
-            chunks_retried,
-            aborted: (aborted != usize::MAX).then_some(aborted),
-        }
+        let mut outs = Vec::with_capacity(workers);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
+            for h in handles {
+                #[allow(
+                    clippy::expect_used,
+                    reason = "propagating a worker panic, not creating one."
+                )]
+                outs.push(h.join().expect("worker panicked"));
+            }
+        });
+        outs
     }
 
     /// The deterministic tail of a run: the shards go through the
@@ -646,11 +473,17 @@ impl<'t> IngestPipeline<'t> {
     ///   intern walked in shard order (equal ids ⇔ equal path bytes —
     ///   exactly the `Log` URL-interning identity); a lone shard's ids
     ///   are global already.
-    fn finish(&self, scan: Scan<'_>, threads: usize, lines: usize, bytes: usize) -> IngestReport {
-        let mut shards = Vec::with_capacity(scan.outs.len());
-        let mut url_paths = Vec::with_capacity(scan.outs.len());
+    fn finish(
+        &self,
+        outs: Vec<ChunkOut<'_>>,
+        threads: usize,
+        lines: usize,
+        bytes: usize,
+    ) -> IngestReport {
+        let mut shards = Vec::with_capacity(outs.len());
+        let mut url_paths = Vec::with_capacity(outs.len());
         let mut errors = Vec::new();
-        for o in scan.outs {
+        for o in outs {
             shards.push(o.shard);
             url_paths.push(o.url_paths);
             errors.extend(o.errors);
@@ -693,21 +526,8 @@ impl<'t> IngestPipeline<'t> {
             errors,
             counts,
             bytes,
-            io_faults: scan.io_faults,
-            chunks_retried: scan.chunks_retried,
         }
     }
-}
-
-/// What the sharded scan produced: the per-worker shard outputs and the
-/// fault tallies.
-struct Scan<'a> {
-    outs: Vec<ChunkOut<'a>>,
-    io_faults: u64,
-    chunks_retried: u64,
-    /// The first chunk in input order that exhausted its read retries (the
-    /// one the serial scan would abort on); `outs` is then to be discarded.
-    aborted: Option<usize>,
 }
 
 /// Runs `f(start_index, span)` over near-equal contiguous spans of `out`,
@@ -980,25 +800,21 @@ not a log line\n\
         // SAMPLE has 1 malformed line out of 6 (≈16.7%).
         let err = IngestPipeline::new(&table)
             .max_error_rate(ErrorRate::new(0.10).unwrap())
-            .try_run(SAMPLE.as_bytes())
+            .run_log(&LogData::from_vec(SAMPLE.into()))
             .unwrap_err();
-        match err {
-            IngestError::ErrorBudget {
-                counts,
-                max_ratio,
-                sample,
-            } => {
-                assert_eq!(counts, ErrorCounts::new(6, 1));
-                assert_eq!(max_ratio, 0.10);
-                assert_eq!(sample.len(), 1);
-                assert_eq!(sample[0].line, 1);
-            }
-            other => panic!("expected ErrorBudget, got {other:?}"),
-        }
+        let IngestError::ErrorBudget {
+            counts,
+            max_ratio,
+            sample,
+        } = err;
+        assert_eq!(counts, ErrorCounts::new(6, 1));
+        assert_eq!(max_ratio, 0.10);
+        assert_eq!(sample.len(), 1);
+        assert_eq!(sample[0].line, 1);
         // A budget the noise fits under passes through untouched.
         let ok = IngestPipeline::new(&table)
             .max_error_rate(ErrorRate::new(0.20).unwrap())
-            .try_run(SAMPLE.as_bytes())
+            .run_log(&LogData::from_vec(SAMPLE.into()))
             .unwrap();
         assert_eq!(ok.errors.len(), 1);
     }
@@ -1028,114 +844,6 @@ not a log line\n\
             b"trailing junk"
         );
         assert_eq!(q[1].end, tail_garbage.len());
-    }
-
-    #[test]
-    fn recovered_faulted_run_is_byte_identical() {
-        let table = table();
-        let clean = IngestPipeline::new(&table)
-            .chunk_bytes(64)
-            .run(SAMPLE.as_bytes());
-        // A 50% chunk-read fault rate with generous retries: every chunk
-        // eventually reads, and the merged result must be exactly the
-        // clean run — chunk-granularity checkpoints never double-count.
-        let plan = FaultPlan::new(0xFA17).with(failpoints::INGEST_CHUNK_IO, 0.5);
-        let faulted = IngestPipeline::new(&table)
-            .chunk_bytes(64)
-            .fault_plan(plan.clone())
-            .io_retries(64)
-            .try_run(SAMPLE.as_bytes())
-            .unwrap();
-        assert!(faulted.io_faults > 0, "seed produced no faults");
-        assert!(faulted.chunks_retried > 0);
-        assert_eq!(faulted.counts, clean.counts);
-        assert_eq!(faulted.errors, clean.errors);
-        assert_eq!(
-            faulted.clustering.total_requests,
-            clean.clustering.total_requests
-        );
-        assert_eq!(
-            faulted.clustering.clusters.len(),
-            clean.clustering.clusters.len()
-        );
-        for (f, c) in faulted
-            .clustering
-            .clusters
-            .iter()
-            .zip(&clean.clustering.clusters)
-        {
-            assert_eq!(f.prefix, c.prefix);
-            assert_eq!(f.clients, c.clients);
-            assert_eq!(f.requests, c.requests);
-            assert_eq!(f.bytes, c.bytes);
-            assert_eq!(f.unique_urls, c.unique_urls);
-        }
-        assert_eq!(faulted.clustering.unclustered, clean.clustering.unclustered);
-
-        // Determinism: the same seed replays the same fault schedule.
-        let replay = IngestPipeline::new(&table)
-            .chunk_bytes(64)
-            .fault_plan(plan)
-            .io_retries(64)
-            .try_run(SAMPLE.as_bytes())
-            .unwrap();
-        assert_eq!(replay.io_faults, faulted.io_faults);
-        assert_eq!(replay.chunks_retried, faulted.chunks_retried);
-    }
-
-    #[test]
-    fn exhausted_retries_fail_cleanly() {
-        let table = table();
-        let plan = FaultPlan::new(1).with(failpoints::INGEST_CHUNK_IO, 1.0);
-        let err = IngestPipeline::new(&table)
-            .chunk_bytes(64)
-            .fault_plan(plan)
-            .io_retries(3)
-            .try_run(SAMPLE.as_bytes())
-            .unwrap_err();
-        match err {
-            IngestError::ChunkIo {
-                chunk,
-                first_line,
-                attempts,
-            } => {
-                assert_eq!(chunk, 0);
-                assert_eq!(first_line, 0);
-                assert_eq!(attempts, 4);
-            }
-            other => panic!("expected ChunkIo, got {other:?}"),
-        }
-
-        // A later chunk: its first line is the newline count before it,
-        // worked out on the error path (no chunk carries a number). The
-        // keyed schedule makes the first exhausted chunk a function of the
-        // seed alone, so take the first seed that spares chunk 0.
-        let data = SAMPLE.as_bytes();
-        let failing = |seed: u64, threads: usize| {
-            let run = IngestPipeline::new(&table)
-                .chunk_bytes(64)
-                .threads(threads)
-                .fault_plan(FaultPlan::new(seed).with(failpoints::INGEST_CHUNK_IO, 0.5))
-                .io_retries(0)
-                .try_run(data);
-            match run {
-                Err(IngestError::ChunkIo {
-                    chunk, first_line, ..
-                }) => Some((chunk, first_line)),
-                _ => None,
-            }
-        };
-        let (seed, (chunk, first_line)) = (2u64..64)
-            .find_map(|seed| Some(seed).zip(failing(seed, 1).filter(|&(chunk, _)| chunk > 0)))
-            .expect("some seed first fails a chunk after the first");
-        let before: usize = chunk::split_lines(data, 64)[..chunk]
-            .iter()
-            .map(|c| c.data.len())
-            .sum();
-        let newlines = data[..before].iter().filter(|&&b| b == b'\n').count();
-        assert!(newlines > 0, "seed={seed}");
-        assert_eq!(first_line, newlines, "seed={seed}");
-        assert_eq!(failing(seed, 3), Some((chunk, first_line)), "seed={seed}");
     }
 
     #[test]

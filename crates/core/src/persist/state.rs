@@ -226,7 +226,9 @@ fn take_prefixes(
 }
 
 /// Wire tag for a [`SwapRejection`] (0 = none). `f64` fields travel as
-/// `to_bits` so the round trip is bit-exact (NaN included).
+/// `to_bits` so the round trip is bit-exact (NaN included). Tags 3 and 4
+/// are reserved: they named the simulated compile and patch faults, which
+/// no product binary could arm, and are refused on read.
 fn put_rejection(out: &mut Vec<u8>, rejection: Option<SwapRejection>) {
     match rejection {
         None => out.push(0),
@@ -240,8 +242,6 @@ fn put_rejection(out: &mut Vec<u8>, rejection: Option<SwapRejection>) {
             put_u64(out, ratio.to_bits());
             put_u64(out, budget.to_bits());
         }
-        Some(SwapRejection::CompileFault) => out.push(3),
-        Some(SwapRejection::PatchFault) => out.push(4),
         Some(SwapRejection::CoverageCollapse {
             before,
             after,
@@ -269,8 +269,6 @@ fn take_rejection(r: &mut Reader<'_>) -> Result<Option<SwapRejection>, StateDeco
             ratio: f64::from_bits(r.u64_le().ok_or(bad(what))?),
             budget: f64::from_bits(r.u64_le().ok_or(bad(what))?),
         })),
-        3 => Ok(Some(SwapRejection::CompileFault)),
-        4 => Ok(Some(SwapRejection::PatchFault)),
         5 => Ok(Some(SwapRejection::CoverageCollapse {
             before: f64::from_bits(r.u64_le().ok_or(bad(what))?),
             after: f64::from_bits(r.u64_le().ok_or(bad(what))?),
@@ -770,8 +768,6 @@ mod tests {
                 ratio: 0.5,
                 budget: 0.05,
             }),
-            Some(SwapRejection::CompileFault),
-            Some(SwapRejection::PatchFault),
         ] {
             let mut s = sample_state();
             s.last_rejection = rejection;
@@ -832,6 +828,28 @@ mod tests {
                 bytes[at] = tag;
                 let got = decode_state_version(&bytes, version);
                 assert_eq!(got, Err(bad("correction tag")), "v{version} tag {tag}");
+            }
+        }
+    }
+
+    /// Rejection tags 3 and 4 are reserved: refused by name in either
+    /// version, as is any tag past the last.
+    #[test]
+    fn a_reserved_rejection_tag_is_refused() {
+        let mut state = sample_state();
+        state.last_rejection = None;
+        for (version, mut bytes) in [
+            (FORMAT_VERSION, encode_state(&state)),
+            (OLDEST_READ_VERSION, v1_payload(&state)),
+        ] {
+            // The reserved byte and four u64s of feed progress follow it.
+            let at = bytes.len() - 34;
+            assert_eq!(bytes[at], 0);
+            assert_eq!(decode_state_version(&bytes, version), Ok(state.clone()));
+            for tag in [3, 4, 6, 0xFF] {
+                bytes[at] = tag;
+                let got = decode_state_version(&bytes, version);
+                assert_eq!(got, Err(bad("last_rejection")), "v{version} tag {tag}");
             }
         }
     }

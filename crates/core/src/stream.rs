@@ -44,7 +44,6 @@ use netclust_weblog::clf::ClfError;
 use netclust_weblog::clf_bytes;
 use netclust_weblog::Request;
 
-use crate::faults::{failpoints, FaultInjector};
 use crate::kernel::{memo, Client, Shard};
 use crate::persist::{EncodedState, FeedProgress, StreamState};
 
@@ -222,12 +221,6 @@ pub enum SwapRejection {
         /// The policy's budget.
         budget: f64,
     },
-    /// Compiling the candidate failed (injected fault or real).
-    CompileFault,
-    /// Patching the candidate generation failed mid-apply (injected fault
-    /// or real); the half-patched generation was discarded and the old one
-    /// keeps serving.
-    PatchFault,
     /// The candidate would drop coverage of the known clients too far.
     CoverageCollapse {
         /// Serving table's request-weighted coverage.
@@ -298,7 +291,7 @@ pub struct PatchStats {
     pub batches: u64,
     /// Batches published.
     pub accepted: u64,
-    /// Batches rejected (gates or injected faults).
+    /// Batches rejected by the swap gates.
     pub rejected: u64,
     /// Direct slot writes across accepted and rejected batches.
     pub slot_writes: u64,
@@ -710,9 +703,9 @@ impl StreamingClustering {
     }
 
     /// Validated two-phase table swap: the candidate is sanity-checked and
-    /// compiled *off to the side*; only a candidate that parses cleanly
-    /// enough, compiles, and keeps covering the clients the stream has
-    /// already seen replaces the serving table. On rejection the old table
+    /// compiled *off to the side*; only a candidate with enough entries
+    /// that parsed cleanly enough and keeps covering the clients the
+    /// stream has already seen replaces the serving table. On rejection the old table
     /// keeps serving untouched and the stale-age counter grows.
     ///
     /// `noise` is the candidate's source parse-noise accounting
@@ -721,18 +714,6 @@ impl StreamingClustering {
     /// the policy configured at build time
     /// ([`StreamingBuilder::swap_policy`]).
     pub fn try_swap(&mut self, table: MergedTable, noise: ErrorCounts) -> SwapReport {
-        self.try_swap_with(table, noise, &mut FaultInjector::disabled())
-    }
-
-    /// [`try_swap`](Self::try_swap) with a fault injector: the
-    /// [`failpoints::SWAP_COMPILE`] failpoint simulates the candidate
-    /// compile dying, which must be survivable like any other rejection.
-    pub fn try_swap_with(
-        &mut self,
-        table: MergedTable,
-        noise: ErrorCounts,
-        faults: &mut FaultInjector,
-    ) -> SwapReport {
         self.metrics.attempts.inc();
         let noise_ratio = noise.ratio();
         let candidate_entries = table.len();
@@ -770,11 +751,8 @@ impl StreamingClustering {
                 },
             );
         }
-        // Compile off to the side; the serving table stays untouched, so
-        // an injected (or real) compile failure degrades, never corrupts.
-        if faults.should_fire(failpoints::SWAP_COMPILE) {
-            return reject(self, SwapRejection::CompileFault);
-        }
+        // Compile off to the side; the serving table stays untouched until
+        // the coverage gate below passes.
         let mut compiled = table.compile();
         compiled.attach_obs(&self.obs);
 
@@ -839,18 +817,6 @@ impl StreamingClustering {
     /// keeps serving, and concurrent [`handle`](Self::handle) lookups wait
     /// for neither outcome.
     pub fn apply_deltas(&mut self, deltas: &[TableDelta]) -> PatchBatchReport {
-        self.apply_deltas_with(deltas, &mut FaultInjector::disabled())
-    }
-
-    /// [`apply_deltas`](Self::apply_deltas) with a fault injector: the
-    /// [`failpoints::TABLE_PATCH`] failpoint simulates the in-place patch
-    /// dying mid-apply, which must discard the candidate and leave the old
-    /// generation intact.
-    pub fn apply_deltas_with(
-        &mut self,
-        deltas: &[TableDelta],
-        faults: &mut FaultInjector,
-    ) -> PatchBatchReport {
         let _span = self.obs.span("stream.patch");
         let coverage_before = self.coverage();
         if deltas.is_empty() {
@@ -907,11 +873,8 @@ impl StreamingClustering {
             }
         };
 
-        // An injected (or real) mid-patch death: the half-patched candidate
-        // is dropped on the floor; the serving generation was never touched.
-        if faults.should_fire(failpoints::TABLE_PATCH) {
-            return reject(self, SwapRejection::PatchFault);
-        }
+        // A rejected candidate is dropped on the floor; the serving
+        // generation was never touched.
         if candidate_entries < self.policy.min_entries {
             return reject(
                 self,
@@ -1312,29 +1275,6 @@ mod tests {
         assert!(snap.counters.get("lpm.lookups").copied().unwrap_or(0) > 0);
     }
 
-    #[test]
-    fn injected_compile_fault_is_survivable() {
-        let (u, log) = setup();
-        let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
-        for r in &log.requests {
-            stream.push(r);
-        }
-        let before = stream.top_k(usize::MAX);
-        let mut faults = crate::FaultPlan::new(42)
-            .with(failpoints::SWAP_COMPILE, 1.0)
-            .injector();
-        let report =
-            stream.try_swap_with(standard_merged(&u, 7), ErrorCounts::default(), &mut faults);
-        assert!(!report.accepted);
-        assert_eq!(report.rejection, Some(SwapRejection::CompileFault));
-        // Old table keeps serving, untouched.
-        assert_eq!(stream.top_k(usize::MAX), before);
-        assert_eq!(faults.fired(failpoints::SWAP_COMPILE), 1);
-        // Retrying with the fault disarmed succeeds.
-        let ok = stream.try_swap(standard_merged(&u, 7), ErrorCounts::default());
-        assert!(ok.accepted);
-    }
-
     /// The streaming view after any sequence of patches/swaps must equal a
     /// from-scratch re-resolution of every retained client against the
     /// serving table — the incremental aggregate moves cannot drift.
@@ -1551,28 +1491,42 @@ mod tests {
     }
 
     #[test]
-    fn injected_patch_fault_discards_candidate() {
+    fn entry_floor_discards_the_patched_candidate() {
         let (u, log) = setup();
-        let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
+        let merged = standard_merged(&u, 0);
+        let entries = merged.len();
+        let mut stream = StreamingClustering::builder(merged)
+            .swap_policy(SwapPolicy {
+                min_entries: entries,
+                ..SwapPolicy::default()
+            })
+            .build();
         for r in &log.requests {
             stream.push(r);
         }
         let before = stream.top_k(usize::MAX);
         let (target, _) = before[0];
-        let mut faults = crate::FaultPlan::new(7)
-            .with(failpoints::TABLE_PATCH, 1.0)
-            .injector();
-        let report = stream.apply_deltas_with(&[TableDelta::withdraw(target)], &mut faults);
+        // A lone withdrawal leaves the patched candidate one entry short.
+        let report = stream.apply_deltas(&[TableDelta::withdraw(target)]);
         assert!(!report.accepted);
-        assert_eq!(report.rejection, Some(SwapRejection::PatchFault));
-        assert_eq!(faults.fired(failpoints::TABLE_PATCH), 1);
+        assert_eq!(
+            report.rejection,
+            Some(SwapRejection::TooFewEntries {
+                entries: entries - 1,
+                floor: entries,
+            })
+        );
         // Old generation serves untouched.
         assert_eq!(stream.top_k(usize::MAX), before);
         assert!(stream.stats(target).is_some());
+        assert_eq!(stream.patch_stats().rejected, 1);
         assert_view_consistent(&stream);
-        // Disarmed retry applies.
-        let report = stream.apply_deltas(&[TableDelta::withdraw(target)]);
-        assert!(report.accepted);
+        // The same withdrawal with an announcement that keeps the floor
+        // applies.
+        let spare = "203.0.113.0/24".parse().unwrap();
+        let report =
+            stream.apply_deltas(&[TableDelta::announce(spare), TableDelta::withdraw(target)]);
+        assert!(report.accepted, "{:?}", report.rejection);
         assert_eq!(stream.stats(target), None);
         assert_view_consistent(&stream);
     }

@@ -3,15 +3,11 @@
 //! `clf::from_clf` into a `Log`, then `Clustering::by` — reports, and the
 //! sharded work-stealing scan must produce reports *byte-identical* to the
 //! serial one over random corpora, chunk sizes, and thread counts —
-//! including parse errors, quarantine byte ranges, and error counts —
-//! and injected `ingest.chunk_io` faults must resolve to the same
-//! outcome no matter how many workers the chunks land on. And the
-//! file-backed entry, which gives every scanned chunk's pages back to the
+//! including parse errors, quarantine byte ranges, and error counts. And
+//! the file-backed entry, which gives every scanned chunk's pages back to the
 //! kernel, must report exactly what `run` reports over an owned copy.
 
-use netclust_core::{
-    failpoints, Assigner, Clustering, FaultPlan, IngestError, IngestPipeline, IngestReport,
-};
+use netclust_core::{Assigner, Clustering, IngestPipeline, IngestReport};
 use netclust_obs::Obs;
 use netclust_rtable::{CompiledTable, MergedTable, RoutingTable, TableKind};
 use netclust_weblog::chunk::LogData;
@@ -171,87 +167,6 @@ proptest! {
             assert_reports_identical(&stolen, &serial, data, &format!("{method} t={threads}"));
         }
     }
-}
-
-/// Injected `ingest.chunk_io` faults land on whichever worker stole the
-/// chunk, yet every seed must resolve to the same outcome as the serial
-/// faulted run: recovered seeds byte-identical, exhausted seeds aborting
-/// on the same chunk with the same attempt count.
-#[test]
-fn fault_sweep_is_thread_count_invariant() {
-    const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 0xBEEF, 0xFA17];
-    let table = table();
-    let lines: Vec<Line> = (0..600)
-        .map(|i| {
-            if i % 37 == 0 {
-                Line::Garbage
-            } else {
-                Line::Request {
-                    base: (i % 8) as u8,
-                    low: (i * 977 % 65_536) as u16,
-                    url: (i % 50) as u8,
-                    bytes: (i % 1500) as u16,
-                }
-            }
-        })
-        .collect();
-    let text = render(&lines);
-    let data = text.as_bytes();
-    let clean = IngestPipeline::new(&table)
-        .chunk_bytes(512)
-        .threads(1)
-        .run(data);
-    let mut recovered = 0usize;
-    let mut aborted = 0usize;
-    for &seed in &SEEDS {
-        let plan = FaultPlan::new(seed).with(failpoints::INGEST_CHUNK_IO, 0.4);
-        // ~90 chunks at 0.4 loss: 5 retries puts per-chunk exhaustion at
-        // 0.4⁶ ≈ 0.4%, so most seeds recover end to end while a few still
-        // exercise the abort path.
-        let run = |threads: usize| {
-            IngestPipeline::new(&table)
-                .chunk_bytes(512)
-                .threads(threads)
-                .fault_plan(plan.clone())
-                .io_retries(5)
-                .try_run(data)
-        };
-        let serial = run(1);
-        let parallel = run(3);
-        match (serial, parallel) {
-            (Ok(s), Ok(p)) => {
-                recovered += 1;
-                assert!(p.io_faults > 0, "seed={seed}: plan fired nothing");
-                assert_eq!(p.io_faults, s.io_faults, "seed={seed}");
-                assert_eq!(p.chunks_retried, s.chunks_retried, "seed={seed}");
-                assert_reports_identical(&p, &s, data, &format!("seed={seed}"));
-                assert_reports_identical(&p, &clean, data, &format!("seed={seed} vs clean"));
-            }
-            (
-                Err(IngestError::ChunkIo {
-                    chunk: sc,
-                    first_line: sl,
-                    attempts: sa,
-                }),
-                Err(IngestError::ChunkIo {
-                    chunk: pc,
-                    first_line: pl,
-                    attempts: pa,
-                }),
-            ) => {
-                aborted += 1;
-                assert_eq!((pc, pl, pa), (sc, sl, sa), "seed={seed}");
-                assert_eq!(pa, 6, "seed={seed}");
-            }
-            (s, p) => panic!(
-                "seed={seed}: outcome diverged across thread counts: serial {s:?} vs parallel {p:?}"
-            ),
-        }
-    }
-    // The sweep must exercise the recovery path; with 0.4 × 3 attempts
-    // most seeds recover, and the keyed schedule makes this stable.
-    assert!(recovered > 0, "no seed recovered");
-    let _ = aborted;
 }
 
 /// Releasing is invisible: over a mapped file, `run_log` hands every

@@ -1,6 +1,6 @@
 //! Live-update integration tests for the streaming clustering: an 8-seed
-//! fault sweep over [`failpoints::TABLE_PATCH`] proving every injected
-//! mid-patch death leaves the old generation serving untouched, and
+//! sweep of patch batches the [`SwapPolicy`] gates turn away, proving
+//! every rejected candidate leaves the old generation serving untouched, and
 //! multi-threaded reader tests proving [`StreamHandle`] lookups proceed —
 //! never observing a torn table, however many handles are live — while the
 //! owner publishes delta batches, and after the owner is gone.
@@ -11,9 +11,9 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 
 use netclust_bgpsim::{DeltaStream, DeltaStreamConfig};
-use netclust_core::{failpoints, FaultPlan, StreamHandle, StreamingClustering, SwapRejection};
+use netclust_core::{StreamHandle, StreamingClustering, SwapPolicy, SwapRejection};
 use netclust_netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
-use netclust_prefix::Ipv4Net;
+use netclust_prefix::{unit_f64, Ipv4Net};
 use netclust_rtable::{MergedTable, RoutingTable, TableDelta, TableKind};
 
 fn setup() -> (Universe, netclust_weblog::Log) {
@@ -41,60 +41,80 @@ fn probes(nets: &[Ipv4Net]) -> Vec<u32> {
     v
 }
 
-/// 8-seed sweep: drive a faulted stream and a fault-free mirror with the
-/// same accepted batches; every `table.patch` trip must reject the batch
-/// and leave version, view, and lookups untouched, and the survivor
-/// lineage must equal the mirror's exactly.
+/// 8-seed sweep: drive a gated stream and an ungated mirror with the same
+/// accepted batches. The stream's entry floor sits one above the dump
+/// tier, and on a seeded 30 % of steps it is first sent a batch
+/// withdrawing every live BGP prefix: each such batch must be rejected and
+/// leave version, view, and lookups untouched, and the survivor lineage
+/// must equal the mirror's exactly.
 #[test]
-fn fault_sweep_rollback_leaves_old_generation_intact() {
+fn gate_sweep_rollback_leaves_old_generation_intact() {
     const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 0xBEEF, 0xFA17];
     let (u, log) = setup();
+    let floor = standard_merged(&u, 0).dump_prefixes().len() + 1;
     for &seed in &SEEDS {
-        let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
+        let mut stream = StreamingClustering::builder(standard_merged(&u, 0))
+            .swap_policy(SwapPolicy {
+                min_entries: floor,
+                ..SwapPolicy::default()
+            })
+            .build();
         let mut mirror = StreamingClustering::builder(standard_merged(&u, 0)).build();
         for r in &log.requests {
             stream.push(r);
             mirror.push(r);
         }
-        let mut faults = FaultPlan::new(seed)
-            .with(failpoints::TABLE_PATCH, 0.3)
-            .injector();
         let mut feed = DeltaStream::new(
             seed,
             standard_merged(&u, 0).bgp_prefixes().to_vec(),
             DeltaStreamConfig::default(),
         );
         let mut accepted_batches: Vec<Vec<TableDelta>> = Vec::new();
-        for _ in 0..60 {
-            let batch = feed.next_batch();
-            let version_before = stream.table_version();
-            let view_before = stream.top_k(usize::MAX);
-            let coverage_before = stream.coverage();
-            let report = stream.apply_deltas_with(&batch.deltas, &mut faults);
-            if report.accepted {
-                if !batch.deltas.is_empty() {
-                    accepted_batches.push(batch.deltas.clone());
-                }
-            } else {
-                // Rollback: the rejected candidate (faulted or gated) was
-                // discarded without touching the serving generation.
-                assert_eq!(stream.table_version(), version_before, "seed {seed}");
-                assert_eq!(stream.top_k(usize::MAX), view_before, "seed {seed}");
-                assert!((stream.coverage() - coverage_before).abs() < 1e-12);
-                if report.rejection == Some(SwapRejection::PatchFault) {
-                    assert!(faults.fired(failpoints::TABLE_PATCH) > 0);
+        let mut poisoned = 0u64;
+        for step in 0..60 {
+            let mut batches = Vec::new();
+            if unit_f64(seed, &[step]) < 0.3 {
+                let live = stream.export_state().bgp_prefixes;
+                batches.push((true, live.into_iter().map(TableDelta::withdraw).collect()));
+            }
+            batches.push((false, feed.next_batch().deltas));
+            for (poison, deltas) in batches {
+                let version_before = stream.table_version();
+                let view_before = stream.top_k(usize::MAX);
+                let coverage_before = stream.coverage();
+                let report = stream.apply_deltas(&deltas);
+                if report.accepted {
+                    assert!(!poison, "seed {seed}: a batch under the floor was accepted");
+                    if !deltas.is_empty() {
+                        accepted_batches.push(deltas);
+                    }
+                } else {
+                    // Rollback: the rejected candidate was discarded
+                    // without touching the serving generation.
+                    assert_eq!(stream.table_version(), version_before, "seed {seed}");
+                    assert_eq!(stream.top_k(usize::MAX), view_before, "seed {seed}");
+                    assert!((stream.coverage() - coverage_before).abs() < 1e-12);
+                    if poison {
+                        poisoned += 1;
+                        assert!(
+                            matches!(
+                                report.rejection,
+                                Some(SwapRejection::TooFewEntries { entries, .. })
+                                    if entries < floor
+                            ),
+                            "seed {seed}: {:?}",
+                            report.rejection
+                        );
+                    }
                 }
             }
         }
-        // 60 draws at p=0.3 make a silent sweep astronomically unlikely —
-        // a zero here means the failpoint came unwired.
-        assert!(
-            faults.fired(failpoints::TABLE_PATCH) >= 1,
-            "seed {seed}: table.patch never fired"
-        );
-        assert!(stream.patch_stats().rejected >= faults.fired(failpoints::TABLE_PATCH));
+        // 60 draws at p=0.3 make a sweep without a poisoned batch
+        // astronomically unlikely — a zero here means the draw came unwired.
+        assert!(poisoned >= 1, "seed {seed}: no batch was poisoned");
+        assert!(stream.patch_stats().rejected >= poisoned);
 
-        // The fault-free mirror accepts the same lineage and converges to
+        // The ungated mirror accepts the same lineage and converges to
         // the identical view and serving table.
         for deltas in &accepted_batches {
             let r = mirror.apply_deltas(deltas);

@@ -6,27 +6,16 @@
 //! tail, how long to go without looking at it, when to checkpoint.
 //! Embedders and tests chain the setters; `netclustd` goes through
 //! [`ServeConfig::from_args`], which reads [`FLAGS`] and calls the same
-//! setters wherever one clamps, so a clamp or a default is written once.
+//! setters, so a default is written once. The setters clamp a zero count
+//! to 1 for embedders; the flags refuse it.
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::PathBuf;
 use std::time::Duration;
 
 use netclust_core::{failpoints, FaultPlan, FlagError, RunConfig};
 
 pub use table::FLAGS;
-
-/// The failpoints the daemon has a seam for, and so the ones `--fault`
-/// may arm: the accept loop, the request parser, and the state store's
-/// three (armed once the boot snapshot or recovery is done). The stream's
-/// `swap.compile` and `table.patch` and the batch ingest's
-/// `ingest.chunk_io` are not reached from here.
-pub const DAEMON_FAILPOINTS: &[&str] = &[
-    failpoints::SERVE_ACCEPT,
-    failpoints::SERVE_REQUEST_PARSE,
-    failpoints::PERSIST_JOURNAL_WRITE,
-    failpoints::PERSIST_SNAPSHOT_RENAME,
-    failpoints::PERSIST_FSYNC,
-];
 
 /// The `netclustd` options, one row a line; the first eight shared with
 /// `netclust cluster` (DESIGN.md §17).
@@ -154,8 +143,10 @@ impl ServeConfig {
         self
     }
 
-    /// Deterministic fault plan over the [`DAEMON_FAILPOINTS`]; any other
-    /// point it arms never fires.
+    /// Deterministic fault plan over [`failpoints::ALL`]: the accept loop,
+    /// the request parser, and the state store's three (armed once the
+    /// boot snapshot or recovery is done). Any other point it arms never
+    /// fires.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
@@ -178,12 +169,16 @@ impl ServeConfig {
             let Some((point, prob)) = spec.split_once('=') else {
                 return Err(FAULT.bad(&spec, format_args!("wants {}", FAULT.metavar)));
             };
-            if !DAEMON_FAILPOINTS.contains(&point) {
-                let seams = DAEMON_FAILPOINTS.join(", ");
-                let why = format_args!("netclustd has no seam for that failpoint (it has {seams})");
+            if !failpoints::ALL.contains(&point) {
+                let seams = failpoints::ALL.join(", ");
+                let why = format_args!("no such failpoint (there are {seams})");
                 return Err(FAULT.bad(&spec, why));
             }
-            faults = faults.with(point, prob.parse().map_err(|e| FAULT.bad(&spec, e))?);
+            let prob: f64 = prob.parse().map_err(|e| FAULT.bad(&spec, e))?;
+            if !(0.0..=1.0).contains(&prob) {
+                return Err(FAULT.bad(&spec, "wants a probability from 0 to 1"));
+            }
+            faults = faults.with(point, prob);
         }
         let run = RunConfig::new().deterministic(p.given(&DETERMINISTIC));
         let cfg = ServeConfig {
@@ -202,12 +197,11 @@ impl ServeConfig {
             },
             ..ServeConfig::new()
         };
-        // The setters that clamp are the only place the clamps live.
         Ok(cfg
-            .http_threads(p.req(&HTTP_THREADS)?)
-            .poll_interval(Duration::from_millis(p.req(&POLL_MS)?))
-            .checkpoint_bytes(p.req(&CHECKPOINT_BYTES)?)
-            .top_default(p.req(&TOP)?))
+            .http_threads(p.req::<NonZeroUsize>(&HTTP_THREADS)?.get())
+            .poll_interval(Duration::from_millis(p.req::<NonZeroU64>(&POLL_MS)?.get()))
+            .checkpoint_bytes(p.req::<NonZeroU64>(&CHECKPOINT_BYTES)?.get())
+            .top_default(p.req::<NonZeroUsize>(&TOP)?.get()))
     }
 }
 
@@ -274,7 +268,7 @@ mod tests {
             cfg.run.fsync_policy(),
             netclust_core::FsyncPolicy::EveryN(3)
         );
-        assert!(cfg.faults.is_armed(failpoints::SERVE_ACCEPT));
+        assert_eq!(cfg.faults.probability(failpoints::SERVE_ACCEPT), 0.5);
     }
 
     #[test]
@@ -283,9 +277,11 @@ mod tests {
         let built = ServeConfig::new().tables(vec![PathBuf::from("t")]);
         assert_eq!(format!("{parsed:?}"), format!("{built:?}"));
 
-        let zeros = "--table t --http-threads 0 --poll-ms 0 --checkpoint-bytes 0 --top 0";
-        let zeros: Vec<&str> = zeros.split(' ').collect();
-        let cfg = ServeConfig::from_args(&argv(&zeros)).expect("zeros clamp");
+        let cfg = ServeConfig::new()
+            .http_threads(0)
+            .poll_interval(Duration::ZERO)
+            .checkpoint_bytes(0)
+            .top_default(0);
         assert_eq!(
             (cfg.http_threads, cfg.checkpoint_bytes, cfg.top_default),
             (1, 1, 1)
@@ -348,18 +344,32 @@ mod tests {
         assert!(
             ServeConfig::from_args(&argv(&["--table", "t", "--fault", "serve.accept"])).is_err()
         );
-        // Every seam the daemon has is accepted; a failpoint it has no
-        // seam for is refused at parse time, naming the ones it has.
-        for point in failpoints::all().iter().copied().chain(["nope"]) {
+        // Every failpoint is accepted; an unknown one is refused at parse
+        // time, naming the ones there are.
+        for point in failpoints::ALL.iter().copied().chain(["nope"]) {
             let spec = format!("{point}=0.5");
             let parsed = ServeConfig::from_args(&argv(&["--table", "t", "--fault", &spec]));
-            if DAEMON_FAILPOINTS.contains(&point) {
-                assert!(parsed.expect(point).faults.is_armed(point));
+            if point != "nope" {
+                assert_eq!(parsed.expect(point).faults.probability(point), 0.5);
             } else {
                 let err = parsed.expect_err(point).to_string();
                 assert!(err.contains(point), "{err}");
-                assert!(DAEMON_FAILPOINTS.iter().all(|p| err.contains(p)), "{err}");
+                assert!(failpoints::ALL.iter().all(|p| err.contains(p)), "{err}");
             }
+        }
+        // A probability is a number from 0 to 1: NaN, a negative or
+        // anything past 1 is refused, not clamped or left disarmed.
+        for prob in ["nan", "NaN", "-1", "-0.1", "1.5", "2", "inf"] {
+            let spec = format!("serve.accept={prob}");
+            let parsed = ServeConfig::from_args(&argv(&["--table", "t", "--fault", &spec]));
+            let err = parsed.expect_err(&spec).to_string();
+            assert!(err.starts_with("--fault"), "{err}");
+        }
+        // Counts are at least 1, as `netclust --threads` is.
+        for flag in ["--http-threads", "--poll-ms", "--checkpoint-bytes", "--top"] {
+            let parsed = ServeConfig::from_args(&argv(&["--table", "t", flag, "0"]));
+            let err = parsed.expect_err(flag).to_string();
+            assert!(err.starts_with(flag), "{err}");
         }
         // Batch-ingest knobs belong to `netclust cluster`; the follower is
         // single-threaded and has no error budget to enforce.

@@ -504,8 +504,16 @@ fn netclustd_help_and_usage_errors() {
         (&["--table", "t", "--top"][..], "--top needs a value"),
         (
             &["--table", "t", "--fault", "swap.compile=1"][..],
-            "no seam for that failpoint (it has serve.accept, serve.request.parse, \
-             persist.journal.write, persist.snapshot.rename, persist.fsync)",
+            "no such failpoint (there are persist.journal.write, persist.snapshot.rename, \
+             persist.fsync, serve.accept, serve.request.parse)",
+        ),
+        (
+            &["--table", "t", "--fault", "serve.accept=nan"][..],
+            "--fault got \"serve.accept=nan\": wants a probability from 0 to 1",
+        ),
+        (
+            &["--table", "t", "--http-threads", "0"][..],
+            "--http-threads got \"0\"",
         ),
         (&["--top", "5"][..], "--table or --dump is required"),
     ] {

@@ -601,7 +601,6 @@ fn cmd_cluster(p: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     // intermediate `Log`, scanned pages handed back as it goes.
     let report = run.pipeline_by(how).run_log(&data).map_err(|e| match e {
         IngestError::ErrorBudget { .. } => CliError::Budget(format!("cluster: {log_path}: {e}")),
-        other => CliError::Input(format!("cluster: {log_path}: {other}")),
     })?;
     if !report.counts.is_clean() {
         eprintln!("note: {}", report.counts);

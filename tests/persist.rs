@@ -88,7 +88,7 @@ fn arb_prefixes() -> impl Strategy<Value = Vec<Ipv4Net>> {
 
 fn arb_rejection() -> impl Strategy<Value = Option<SwapRejection>> {
     (
-        0u8..6,
+        0u8..4,
         any::<usize>(),
         any::<usize>(),
         0.0f64..1.0,
@@ -101,8 +101,6 @@ fn arb_rejection() -> impl Strategy<Value = Option<SwapRejection>> {
                 ratio: a,
                 budget: b,
             }),
-            3 => Some(SwapRejection::CompileFault),
-            4 => Some(SwapRejection::PatchFault),
             _ => Some(SwapRejection::CoverageCollapse {
                 before: a,
                 after: b,

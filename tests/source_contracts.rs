@@ -7,7 +7,7 @@
 //!   `AcqRel` / `SeqCst` has `// ordering:` on its line or one of the
 //!   three above, and `Relaxed` never sits in the arguments of `.store(`,
 //!   `.swap(` or `.compare_exchange*(`.
-//! * `wal-ordering`: no function calls `apply_deltas*` before its first
+//! * `wal-ordering`: no function calls `apply_deltas` before its first
 //!   `append_batch`, and in a `persist` path a `rename` comes after a
 //!   `sync_all` / `sync_data` / `fsync_file` / `fsync` in the same
 //!   function.
@@ -59,16 +59,6 @@ const WAIVERS: &[(&str, &str, &str)] = &[
         "rand = { workspace = true }",
     ),
     // Seams only tests observe; each site says what observes it.
-    (
-        "crates/core/src/ingest.rs",
-        "pub-fn-caller",
-        "pub fn fault_plan(mut self, plan: FaultPlan) -> Self {",
-    ),
-    (
-        "crates/core/src/ingest.rs",
-        "pub-fn-caller",
-        "pub fn try_run(&self, data: &[u8]) -> Result<IngestReport, IngestError> {",
-    ),
     (
         "crates/core/src/persist/mod.rs",
         "pub-fn-caller",
@@ -532,7 +522,7 @@ fn atomic_orderings(src: &Source, out: &mut Vec<Finding>) {
     }
 }
 
-const APPLY: [&str; 2] = ["apply_deltas", "apply_deltas_with"];
+const APPLY: [&str; 1] = ["apply_deltas"];
 const APPEND: [&str; 1] = ["append_batch"];
 const RENAME: [&str; 1] = ["rename"];
 const SYNC: [&str; 4] = ["sync_all", "sync_data", "fsync_file", "fsync"];
@@ -946,7 +936,6 @@ fn wal_ordering_fires_on_apply_before_append_and_rename_before_fsync() {
 pub fn backwards(s: &mut Store, batch: &[u8]) {
     s.apply_deltas(batch);
     s.append_batch(batch);
-    s.apply_deltas_with(batch, 1);
 }
 
 pub fn forwards(s: &mut Store, batch: &[u8]) {
@@ -971,7 +960,7 @@ pub fn synced(dir: &Path) -> io::Result<()> {
 ";
     let rule = "wal-ordering";
     let found = seeded("crates/demo/src/persist/mod.rs", src);
-    assert_eq!(found, [(2, rule), (18, rule)]);
+    assert_eq!(found, [(2, rule), (17, rule)]);
     // A rename needs its fsync only on a persist path.
     let found = seeded("crates/demo/src/store.rs", src);
     assert_eq!(found, [(2, rule)]);
