@@ -27,6 +27,7 @@ use std::net::Ipv4Addr;
 
 use netclust_obs::Obs;
 use netclust_prefix::Ipv4Net;
+use netclust_rtable::Handle;
 
 use crate::cluster::{ClientStats, Clustering};
 use crate::fx::{FxHashMap, FxHasher};
@@ -45,9 +46,9 @@ pub(crate) fn merge_partitions_for(threads: usize) -> usize {
 }
 
 /// One client of a [`Shard`]: its address, its sums, and what the driver
-/// keeps beside them — nothing for the batch drivers, the length of the
-/// prefix the address matched for the stream. One record, so a shard grows
-/// one vector.
+/// keeps beside them — nothing for the batch drivers, the handle of the
+/// table entry the address matched for the stream. One record, so a shard
+/// grows one vector.
 pub(crate) struct Client<T = ()> {
     pub(crate) addr: u32,
     pub(crate) requests: u64,
@@ -55,29 +56,10 @@ pub(crate) struct Client<T = ()> {
     pub(crate) memo: T,
 }
 
-/// A stream client's memo when no prefix covers it.
-const UNCLUSTERED: u8 = u8::MAX;
-
-/// The memo of a client whose address matched `net`: its length. A
-/// cluster is the longest matched prefix of its members (§3.2.1), so the
-/// address masked to that length is the cluster, and a byte is enough.
-pub(crate) fn memo(net: Option<Ipv4Net>) -> u8 {
-    net.map_or(UNCLUSTERED, |n| n.len())
-}
-
-// A stream client costs what a batch client (`Client<()>`) does: the memo
-// byte sits in the padding after the address.
-const _: () = assert!(std::mem::size_of::<Client<u8>>() == 24);
-
-impl Client<u8> {
-    /// The cluster [`memo`] recorded: the address under its matched length.
-    pub(crate) fn cluster(&self) -> Option<Ipv4Net> {
-        match self.memo {
-            UNCLUSTERED => None,
-            len => Ipv4Net::new(self.addr, len).ok(),
-        }
-    }
-}
+// A stream client costs what a batch client (`Client<()>`) does: its
+// match's `u32` handle (`Handle::NONE` when no prefix covers it) sits in
+// the padding after the address.
+const _: () = assert!(std::mem::size_of::<Client<Handle>>() == 24);
 
 /// One accumulator: clients interned to dense ids through small address →
 /// id maps (partitioned by address range; one partition for a lone shard)
@@ -151,6 +133,28 @@ impl<T, S: BuildHasher + Default> Shard<T, S> {
     pub(crate) fn get(&self, addr: u32) -> Option<&Client<T>> {
         let id = *self.parts.get(self.part(addr))?.get(&addr)?;
         self.clients.get(id as usize)
+    }
+
+    /// Bytes the client records fill: records × record size. Written, so
+    /// resident; the vector's spare capacity is not touched and not
+    /// counted.
+    pub(crate) fn record_bytes(&self) -> usize {
+        self.clients.len() * std::mem::size_of::<Client<T>>()
+    }
+
+    /// Bytes the address → id maps hold: each map's buckets (a power of
+    /// two that its capacity is 7/8 of) × an 8-byte entry and a control
+    /// byte. An estimate: std does not publish its hash table's layout, so
+    /// this follows the one it has today.
+    pub(crate) fn map_bytes(&self) -> usize {
+        let buckets = |cap: usize| match cap {
+            0 => 0,
+            cap => (cap * 8).div_ceil(7).next_power_of_two(),
+        };
+        let entry = std::mem::size_of::<(u32, u32)>() + 1;
+        (self.parts.iter())
+            .map(|m| buckets(m.capacity()) * entry)
+            .sum()
     }
 }
 

@@ -55,8 +55,8 @@ pub use query::{
     VerdictPolicy,
 };
 pub use stream::{
-    PatchBatchReport, PatchStats, RestoreError, StreamHandle, StreamStats, StreamingBuilder,
-    StreamingClustering, SwapPolicy, SwapRejection, SwapReport, SwapStats,
+    PatchBatchReport, PatchStats, RestoreError, StreamHandle, StreamMemory, StreamStats,
+    StreamingBuilder, StreamingClustering, SwapPolicy, SwapRejection, SwapReport, SwapStats,
 };
 // The shared error-accounting shape carried by `IngestReport`, consumed by
 // `StreamingClustering::try_swap`, and produced by rtable's `ParseReport`;

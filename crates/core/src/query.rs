@@ -7,7 +7,7 @@
 //! presume an online *ip → cluster oracle*. [`ClusterQuery`] is that
 //! oracle's contract: the one-shot CLI answers it from a batch
 //! [`Clustering`], the `netclustd` daemon answers it from a live
-//! [`StreamingClustering`], and report rendering, verdicts, and top-N all
+//! [`StreamingClustering`](crate::stream::StreamingClustering), and report rendering, verdicts, and top-N all
 //! flow through the same typed requests and responses instead of
 //! binary-private code paths.
 //!
@@ -24,7 +24,6 @@ use std::net::Ipv4Addr;
 use netclust_prefix::Ipv4Net;
 
 use crate::cluster::Clustering;
-use crate::stream::StreamingClustering;
 
 /// The answer to "which cluster serves this address, and how busy is it".
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -368,47 +367,6 @@ pub(crate) fn keep_top<T>(
     kept
 }
 
-impl ClusterQuery for StreamingClustering {
-    fn lookup(&self, addr: Ipv4Addr) -> ClusterAnswer {
-        let cluster = self.lookup_net(addr);
-        let stats = cluster.and_then(|net| self.stats(net)).unwrap_or_default();
-        let (client_requests, client_bytes) = self.client_totals(addr).unwrap_or((0, 0));
-        ClusterAnswer {
-            addr,
-            cluster,
-            cluster_clients: stats.clients,
-            cluster_requests: stats.requests,
-            cluster_bytes: stats.bytes,
-            client_requests,
-            client_bytes,
-        }
-    }
-
-    fn top(&self, n: usize) -> Vec<ClusterRow> {
-        self.top_k(n)
-            .into_iter()
-            .map(|(prefix, s)| ClusterRow {
-                prefix,
-                clients: s.clients,
-                requests: s.requests,
-                bytes: s.bytes,
-                unique_urls: None,
-            })
-            .collect()
-    }
-
-    fn summary(&self) -> QuerySummary {
-        QuerySummary {
-            total_requests: self.total_requests(),
-            clients: self.client_count() as u64,
-            clusters: self.len() as u64,
-            unclustered_requests: self.unclustered_requests(),
-            coverage: self.coverage(),
-            table_version: self.table_version(),
-        }
-    }
-}
-
 impl ClusterQuery for Clustering {
     fn lookup(&self, addr: Ipv4Addr) -> ClusterAnswer {
         match self.cluster_of(addr) {
@@ -489,6 +447,7 @@ impl ClusterQuery for Clustering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::StreamingClustering;
     use netclust_netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
 
     fn setup() -> (Clustering, StreamingClustering) {

@@ -32,20 +32,20 @@
 #![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
 
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, PoisonError, RwLock};
 
 use netclust_obs::{Counter, ErrorCounts, Gauge, Histogram, Obs};
 use netclust_prefix::Ipv4Net;
-use netclust_rtable::{CompiledTable, DeltaKind, MergedTable, PatchReport, TableDelta};
+use netclust_rtable::{CompiledTable, DeltaKind, Handle, MergedTable, PatchReport, TableDelta};
 use netclust_weblog::clf::ClfError;
 use netclust_weblog::clf_bytes;
 use netclust_weblog::Request;
 
-use crate::kernel::{memo, Client, Shard};
+use crate::kernel::{Client, Shard};
 use crate::persist::{EncodedState, FeedProgress, StreamState};
+use crate::query::{keep_top, ClusterAnswer, ClusterQuery, ClusterRow, QuerySummary};
 
 /// Resolved swap/patch-path observability handles (`stream.swap.*`,
 /// `stream.patch.*`, and the serving table's cost as
@@ -106,13 +106,6 @@ pub(crate) struct LiveTable {
     version: u64,
 }
 
-impl LiveTable {
-    /// Live prefix count, both tiers.
-    fn entries(&self) -> usize {
-        self.table.len()
-    }
-}
-
 /// A lookup handle over the serving table, for reader threads concurrent
 /// with [`StreamingClustering::apply_deltas`] /
 /// [`try_swap`](StreamingClustering::try_swap) on the owner. Every call
@@ -138,12 +131,8 @@ impl StreamHandle {
         )
     }
 
-    /// Longest-prefix cluster for `addr` under the current generation.
-    pub fn net_for(&self, addr: Ipv4Addr) -> Option<Ipv4Net> {
-        self.net_for_u32(u32::from(addr))
-    }
-
-    /// [`net_for`](Self::net_for) on a raw big-endian address.
+    /// Longest-prefix cluster for the raw big-endian address `addr` under
+    /// the current generation.
     pub fn net_for_u32(&self, addr: u32) -> Option<Ipv4Net> {
         self.current().table.lookup(addr)
     }
@@ -164,6 +153,19 @@ pub struct StreamStats {
     pub requests: u64,
     /// Bytes served.
     pub bytes: u64,
+}
+
+/// What [`StreamingClustering::memory`] reports: bytes each growing store
+/// fills, as its elements × element size (the map: its buckets).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamMemory {
+    /// The client records, 24 bytes each.
+    pub client_records: usize,
+    /// The address → client id map.
+    pub address_map: usize,
+    /// The per-cluster aggregates: a 4-byte index entry per table handle
+    /// and a 24-byte slot per cluster.
+    pub aggregates: usize,
 }
 
 /// Thresholds a candidate routing table must clear before it replaces the
@@ -380,45 +382,120 @@ fn totals<T>(client: &Client<T>) -> StreamStats {
     }
 }
 
-/// Where client totals are credited: per-cluster aggregates, plus the
-/// requests of clients no prefix covers.
-#[derive(Debug, Default, PartialEq)]
+/// One cluster's aggregates, beside the handle of its table entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    handle: Handle,
+    /// At most the stream's client count, whose ids are `u32`.
+    clients: u32,
+    requests: u64,
+    bytes: u64,
+}
+
+impl Slot {
+    fn stats(&self) -> StreamStats {
+        StreamStats {
+            clients: u64::from(self.clients),
+            requests: self.requests,
+            bytes: self.bytes,
+        }
+    }
+}
+
+/// A [`Tally::slot_of`] entry for a handle no client matches.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Where client totals are credited: a slot per cluster with a client,
+/// found through the serving table's handle of its prefix, plus the
+/// requests of clients no prefix covers. The slots are dense, so a
+/// cluster costs its 24-byte slot, and every handle of the table a 4-byte
+/// index entry (DESIGN.md §17 has the layout it was measured against).
+#[derive(Debug, Default)]
 struct Tally {
-    clusters: HashMap<Ipv4Net, StreamStats>,
+    /// Per handle of the serving table: its slot in `live`, or [`NO_SLOT`].
+    slot_of: Vec<u32>,
+    /// One slot per cluster with at least one client, in no order.
+    live: Vec<Slot>,
     unclustered_requests: u64,
 }
 
 impl Tally {
-    /// Credits `amount` to the cluster `net`, or its requests to the
-    /// unclustered count when there is none.
-    fn credit(&mut self, net: Option<Ipv4Net>, amount: StreamStats) {
-        match net {
-            Some(net) => {
-                let stats = self.clusters.entry(net).or_default();
-                stats.clients += amount.clients;
-                stats.requests += amount.requests;
-                stats.bytes += amount.bytes;
-            }
-            None => self.unclustered_requests += amount.requests,
+    /// An empty tally with an index entry for each of a table's `handles`
+    /// (sized once: a restore feeds clients in address order, so their
+    /// handles would otherwise grow the index one at a time).
+    fn with_handles(handles: usize) -> Self {
+        Tally {
+            slot_of: vec![NO_SLOT; handles],
+            ..Tally::default()
         }
     }
 
-    /// Inverse of [`credit`](Self::credit); a cluster whose last client
-    /// leaves is removed.
-    fn debit(&mut self, net: Option<Ipv4Net>, amount: StreamStats) {
-        match net {
-            Some(net) => {
-                if let Some(stats) = self.clusters.get_mut(&net) {
-                    stats.clients = stats.clients.saturating_sub(amount.clients);
-                    stats.requests = stats.requests.saturating_sub(amount.requests);
-                    stats.bytes = stats.bytes.saturating_sub(amount.bytes);
-                    if stats.clients == 0 {
-                        self.clusters.remove(&net);
-                    }
-                }
-            }
-            None => self.unclustered_requests -= amount.requests,
+    /// The aggregates of the cluster `handle` names, if it has a client.
+    fn get(&self, handle: Handle) -> Option<&Slot> {
+        let slot = *self.slot_of.get(handle.index()?)?;
+        self.live.get(slot as usize)
+    }
+
+    /// Credits `amount` to the cluster `handle` names, or its requests to
+    /// the unclustered count when it names none.
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "slots and a cluster's clients are at most the stream's clients, whose ids are u32."
+    )]
+    fn credit(&mut self, handle: Handle, amount: StreamStats) {
+        let Some(h) = handle.index() else {
+            self.unclustered_requests += amount.requests;
+            return;
+        };
+        if h >= self.slot_of.len() {
+            // A handle a patch appended to the arena.
+            self.slot_of.reserve_exact(h + 1 - self.slot_of.len());
+            self.slot_of.resize(h + 1, NO_SLOT);
         }
+        let at = &mut self.slot_of[h];
+        if *at == NO_SLOT {
+            *at = self.live.len() as u32;
+            self.live.push(Slot {
+                handle,
+                clients: 0,
+                requests: 0,
+                bytes: 0,
+            });
+        }
+        let slot = &mut self.live[*at as usize];
+        slot.clients += amount.clients as u32;
+        slot.requests += amount.requests;
+        slot.bytes += amount.bytes;
+    }
+
+    /// Inverse of [`credit`](Self::credit), exactly: `amount` was credited
+    /// to `handle` before. A cluster whose last client leaves gives its
+    /// slot up.
+    #[allow(clippy::cast_possible_truncation, reason = "as in credit: slots and clients fit u32.")]
+    fn debit(&mut self, handle: Handle, amount: StreamStats) {
+        let Some(h) = handle.index() else {
+            self.unclustered_requests -= amount.requests;
+            return;
+        };
+        let at = self.slot_of[h] as usize;
+        let slot = &mut self.live[at];
+        slot.clients -= amount.clients as u32;
+        slot.requests -= amount.requests;
+        slot.bytes -= amount.bytes;
+        if slot.clients == 0 {
+            debug_assert_eq!((slot.requests, slot.bytes), (0, 0));
+            self.slot_of[h] = NO_SLOT;
+            self.live.swap_remove(at);
+            if let Some(moved) = self.live.get(at).and_then(|s| s.handle.index()) {
+                self.slot_of[moved] = at as u32;
+            }
+        }
+    }
+
+    /// Bytes the index and the slots fill: entries × element size.
+    fn bytes(&self) -> usize {
+        self.slot_of.len() * std::mem::size_of::<u32>()
+            + self.live.len() * std::mem::size_of::<Slot>()
     }
 }
 
@@ -448,11 +525,11 @@ pub struct StreamingClustering {
     /// Every client seen, in first-seen order — the clustering kernel's
     /// accumulator, one probe per log line. Beside the cumulative sums
     /// (kept so a table swap can rebuild the view without replaying the
-    /// stream) a record memoizes the length of the prefix the client
-    /// matched under the serving table (`kernel::memo`; read back with
-    /// `Client::cluster`). Addresses are outside input and the map lives
-    /// as long as the daemon, so it is keyed.
-    seen: Shard<u8, RandomState>,
+    /// stream) a record memoizes the handle of the table entry the client
+    /// matched under the serving table, which indexes `tally`. Addresses
+    /// are outside input and the map lives as long as the daemon, so it
+    /// is keyed.
+    seen: Shard<Handle, RandomState>,
     total_requests: u64,
     /// Raw-CLF ingest accounting: lines consumed by
     /// [`push_clf`](Self::push_clf) vs lines quarantined as malformed.
@@ -491,12 +568,13 @@ impl StreamingClustering {
         table.attach_obs(&obs);
         let metrics = StreamObs::resolve(&obs);
         metrics.table_cost(&table);
+        let tally = Tally::with_handles(table.prefixes().len());
         let live = Arc::new(LiveTable { table, version });
         StreamingClustering {
             published: Arc::new(RwLock::new(Arc::clone(&live))),
             live,
             spare: None,
-            tally: Tally::default(),
+            tally,
             seen: Shard::new(1),
             total_requests: 0,
             clf_counts: ErrorCounts::default(),
@@ -582,60 +660,30 @@ impl StreamingClustering {
         let (live, mut first) = (&self.live, false);
         let id = self.seen.add_many(client, requests, bytes, || {
             first = true;
-            memo(live.table.lookup(client))
+            live.table.match_handle(client)
         });
         let amount = StreamStats {
             clients: u64::from(first),
             requests,
             bytes,
         };
-        let net = self.seen.clients[id as usize].cluster();
-        self.tally.credit(net, amount);
+        let handle = self.seen.clients[id as usize].memo;
+        self.tally.credit(handle, amount);
     }
 
     /// Number of clusters with at least one request.
     pub fn len(&self) -> usize {
-        self.tally.clusters.len()
+        self.tally.live.len()
     }
 
     /// `true` before any clustered request arrives.
     pub fn is_empty(&self) -> bool {
-        self.tally.clusters.is_empty()
+        self.tally.live.is_empty()
     }
 
     /// Total requests consumed.
     pub fn total_requests(&self) -> u64 {
         self.total_requests
-    }
-
-    /// Aggregates for one cluster prefix.
-    pub fn stats(&self, prefix: Ipv4Net) -> Option<StreamStats> {
-        self.tally.clusters.get(&prefix).copied()
-    }
-
-    /// The cluster a client currently maps to.
-    pub fn cluster_of(&self, addr: Ipv4Addr) -> Option<Ipv4Net> {
-        self.seen.get(u32::from(addr)).and_then(Client::cluster)
-    }
-
-    /// The cluster `addr` maps to under the serving table, whether or not
-    /// the client has been seen: a seen client answers from its memoized
-    /// assignment (kept consistent across swaps and patches), an unseen
-    /// address is resolved by a longest-prefix match against the current
-    /// generation. This is the daemon's `/v1/cluster` primitive.
-    pub fn lookup_net(&self, addr: Ipv4Addr) -> Option<Ipv4Net> {
-        let client = u32::from(addr);
-        match self.seen.get(client) {
-            Some(record) => record.cluster(),
-            None => self.live.table.lookup(client),
-        }
-    }
-
-    /// Cumulative `(requests, bytes)` for one client address, `None` when
-    /// the address has never been seen.
-    pub fn client_totals(&self, addr: Ipv4Addr) -> Option<(u64, u64)> {
-        let record = self.seen.get(u32::from(addr))?;
-        Some((record.requests, record.bytes))
     }
 
     /// Distinct client addresses seen.
@@ -668,16 +716,27 @@ impl StreamingClustering {
     }
 
     /// The current top-`k` clusters by request count (ties broken by
-    /// prefix for determinism).
+    /// prefix for determinism): a selection over the dense slots that
+    /// resolves a slot's prefix only to break a tie and for the `k` kept.
     pub fn top_k(&self, k: usize) -> Vec<(Ipv4Net, StreamStats)> {
-        #[allow(
-            clippy::disallowed_methods,
-            reason = "selected and sorted under a total order (prefix tie-break), so the map's order cannot show."
-        )]
-        let clusters = self.tally.clusters.iter().map(|(&p, &s)| (p, s));
-        crate::query::keep_top(clusters, k, |a, b| {
-            b.1.requests.cmp(&a.1.requests).then(a.0.cmp(&b.0))
-        })
+        let table = &self.live.table;
+        let top = keep_top(self.tally.live.iter(), k, |a, b| {
+            (b.requests.cmp(&a.requests))
+                .then_with(|| table.resolve(a.handle).cmp(&table.resolve(b.handle)))
+        });
+        (top.into_iter())
+            .filter_map(|slot| Some((table.resolve(slot.handle)?, slot.stats())))
+            .collect()
+    }
+
+    /// What the stream's growing stores fill, each its elements × element
+    /// size (read from the stores, not from the allocator).
+    pub fn memory(&self) -> StreamMemory {
+        StreamMemory {
+            client_records: self.seen.record_bytes(),
+            address_map: self.seen.map_bytes(),
+            aggregates: self.tally.bytes(),
+        }
     }
 
     /// Swap accounting: accepted/rejected counts and the stale-table age.
@@ -761,10 +820,10 @@ impl StreamingClustering {
         // — no stream replay needed — and check request-weighted coverage
         // retention before committing.
         let addrs: Vec<u32> = self.seen.clients.iter().map(|c| c.addr).collect();
-        let nets = compiled.net_for_batch(&addrs);
-        let mut tally = Tally::default();
-        for (client, &net) in self.seen.clients.iter().zip(&nets) {
-            tally.credit(net, totals(client));
+        let handles = compiled.match_handles(&addrs);
+        let mut tally = Tally::with_handles(compiled.prefixes().len());
+        for (client, &handle) in self.seen.clients.iter().zip(&handles) {
+            tally.credit(handle, totals(client));
         }
         if self.total_requests > 0 {
             let clustered = self.total_requests - tally.unclustered_requests;
@@ -790,8 +849,8 @@ impl StreamingClustering {
         });
         self.spare = None;
         self.tally = tally;
-        for (client, net) in self.seen.clients.iter_mut().zip(nets) {
-            client.memo = memo(net);
+        for (client, handle) in self.seen.clients.iter_mut().zip(handles) {
+            client.memo = handle;
         }
         self.swap_stats.accepted += 1;
         self.swap_stats.stale_age = 0;
@@ -824,7 +883,7 @@ impl StreamingClustering {
                 accepted: true,
                 rejection: None,
                 patch: PatchReport::default(),
-                candidate_entries: self.live.entries(),
+                candidate_entries: self.live.table.len(),
                 reassigned_clients: 0,
                 coverage_before,
                 coverage_after: coverage_before,
@@ -857,7 +916,7 @@ impl StreamingClustering {
             .patch_group_rebuilds
             .add(patch.groups_rebuilt as u64);
 
-        let candidate_entries = candidate.entries();
+        let candidate_entries = candidate.table.len();
         let reject = |this: &mut Self, why: SwapRejection| {
             this.patch_stats.rejected += 1;
             this.last_rejection = Some(why);
@@ -890,29 +949,37 @@ impl StreamingClustering {
         // (a longer match may capture them; a replace of a prefix that is
         // not live is an announce). Everyone else keeps their assignment —
         // that containment argument is what makes a patch batch
-        // O(affected) instead of O(clients).
-        let withdrawn: BTreeSet<Ipv4Net> = deltas
-            .iter()
+        // O(affected) instead of O(clients) — and their handle, which a
+        // patch never moves (DESIGN.md §15). A freed handle may come back
+        // for another prefix, so the aggregates move on a change of handle
+        // and a reassignment is a change of prefix.
+        let (serving, patched) = (&self.live.table, &candidate.table);
+        // The serving handles of the withdrawn prefixes, sorted.
+        let mut withdrawn: Vec<usize> = (deltas.iter())
             .filter(|d| d.kind == DeltaKind::Withdraw)
-            .map(|d| d.prefix)
+            .filter_map(|d| serving.handle_of(d.prefix)?.index())
             .collect();
+        withdrawn.sort_unstable();
         let announced: Vec<Ipv4Net> = deltas
             .iter()
             .filter(|d| d.kind != DeltaKind::Withdraw)
             .map(|d| d.prefix)
             .collect();
-        let mut moves: Vec<(usize, Option<Ipv4Net>)> = Vec::new();
+        let mut moves: Vec<(usize, Handle)> = Vec::new();
+        let mut reassigned_clients = 0;
         // Wide enough for any sum of u64 counts with either sign.
         let mut unclustered_delta = 0i128;
         for (id, record) in self.seen.clients.iter().enumerate() {
-            let net = record.cluster();
-            let hit = net.is_some_and(|n| withdrawn.contains(&n))
+            let hit = (record.memo.index()).is_some_and(|h| withdrawn.binary_search(&h).is_ok())
                 || announced.iter().any(|p| p.contains_u32(record.addr));
             if !hit {
                 continue;
             }
-            let new_net = candidate.table.lookup(record.addr);
-            if new_net == net {
+            let net = serving.resolve(record.memo);
+            let handle = patched.match_handle(record.addr);
+            let new_net = patched.resolve(handle);
+            reassigned_clients += usize::from(new_net != net);
+            if handle == record.memo {
                 continue;
             }
             if net.is_none() {
@@ -921,7 +988,7 @@ impl StreamingClustering {
             if new_net.is_none() {
                 unclustered_delta += i128::from(record.requests);
             }
-            moves.push((id, new_net));
+            moves.push((id, handle));
         }
         let coverage_after = if self.total_requests == 0 {
             0.0
@@ -949,12 +1016,11 @@ impl StreamingClustering {
         candidate.version = self.live.version + 1;
         let superseded = self.publish(candidate);
         self.spare = Some((superseded, deltas.to_vec()));
-        let reassigned_clients = moves.len();
-        for (id, new_net) in moves {
+        for (id, handle) in moves {
             let record = &mut self.seen.clients[id];
-            self.tally.debit(record.cluster(), totals(record));
-            record.memo = memo(new_net);
-            self.tally.credit(new_net, totals(record));
+            self.tally.debit(record.memo, totals(record));
+            record.memo = handle;
+            self.tally.credit(handle, totals(record));
         }
         self.patch_stats.accepted += 1;
         self.last_rejection = None;
@@ -1084,10 +1150,59 @@ impl StreamingClustering {
     }
 }
 
+impl ClusterQuery for StreamingClustering {
+    /// `addr`'s cluster under the serving table — a seen client's
+    /// memoized handle, else a longest-prefix match — with its aggregates
+    /// and the client's own totals, for one probe of the address map and
+    /// one index.
+    fn lookup(&self, addr: Ipv4Addr) -> ClusterAnswer {
+        let client = u32::from(addr);
+        let (handle, client_requests, client_bytes) = match self.seen.get(client) {
+            Some(record) => (record.memo, record.requests, record.bytes),
+            None => (self.live.table.match_handle(client), 0, 0),
+        };
+        let stats = self.tally.get(handle).map(Slot::stats).unwrap_or_default();
+        ClusterAnswer {
+            addr,
+            cluster: self.live.table.resolve(handle),
+            cluster_clients: stats.clients,
+            cluster_requests: stats.requests,
+            cluster_bytes: stats.bytes,
+            client_requests,
+            client_bytes,
+        }
+    }
+
+    fn top(&self, n: usize) -> Vec<ClusterRow> {
+        self.top_k(n)
+            .into_iter()
+            .map(|(prefix, s)| ClusterRow {
+                prefix,
+                clients: s.clients,
+                requests: s.requests,
+                bytes: s.bytes,
+                unique_urls: None,
+            })
+            .collect()
+    }
+
+    fn summary(&self) -> QuerySummary {
+        QuerySummary {
+            total_requests: self.total_requests(),
+            clients: self.client_count() as u64,
+            clusters: self.len() as u64,
+            unclustered_requests: self.unclustered_requests(),
+            coverage: self.coverage(),
+            table_version: self.table_version(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::Clustering;
+    use crate::query::ClusterQuery;
     use netclust_netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
     use netclust_rtable::{RoutingTable, TableKind};
 
@@ -1098,6 +1213,16 @@ mod tests {
         spec.target_clients = 300;
         let log = generate(&u, &spec);
         (u, log)
+    }
+
+    /// A cluster's aggregates as a top-N over every cluster lists them.
+    fn stats(stream: &StreamingClustering, prefix: Ipv4Net) -> Option<StreamStats> {
+        (stream.top_k(usize::MAX).into_iter()).find_map(|(p, s)| (p == prefix).then_some(s))
+    }
+
+    /// The cluster `addr` maps to, as `/v1/cluster` answers it.
+    fn cluster_of(stream: &StreamingClustering, addr: Ipv4Addr) -> Option<Ipv4Net> {
+        stream.lookup(addr).cluster
     }
 
     #[test]
@@ -1112,7 +1237,7 @@ mod tests {
         assert_eq!(stream.len(), batch.len());
         assert_eq!(stream.total_requests(), log.requests.len() as u64);
         for cluster in &batch.clusters {
-            let s = stream.stats(cluster.prefix).expect("cluster present");
+            let s = stats(&stream, cluster.prefix).expect("cluster present");
             assert_eq!(s.requests, cluster.requests, "{}", cluster.prefix);
             assert_eq!(s.clients, cluster.client_count() as u64);
             assert_eq!(s.bytes, cluster.bytes);
@@ -1137,9 +1262,7 @@ mod tests {
         assert!(errors.is_empty());
         assert_eq!(by_bytes.total_requests(), by_request.total_requests());
         assert_eq!(by_bytes.len(), by_request.len());
-        for (prefix, stats) in by_request.top_k(usize::MAX) {
-            assert_eq!(by_bytes.stats(prefix), Some(stats), "{prefix}");
-        }
+        assert_eq!(by_bytes.top_k(usize::MAX), by_request.top_k(usize::MAX));
         assert!((by_bytes.coverage() - by_request.coverage()).abs() < 1e-12);
         // Malformed lines are surfaced, well-formed ones still land.
         let mut s = StreamingClustering::builder(standard_merged(&u, 0)).build();
@@ -1188,7 +1311,7 @@ mod tests {
         let batch = Clustering::network_aware(&log, &standard_merged(&u, 7));
         assert_eq!(stream.len(), batch.len());
         for cluster in &batch.clusters {
-            let s = stream.stats(cluster.prefix).expect("present after swap");
+            let s = stats(&stream, cluster.prefix).expect("present after swap");
             assert_eq!(s.requests, cluster.requests);
         }
     }
@@ -1284,21 +1407,31 @@ mod tests {
         for record in &stream.seen.clients {
             let client = record.addr;
             assert_eq!(
-                record.cluster(),
+                stream.live.table.resolve(record.memo),
                 handle.net_for_u32(client),
                 "memoized assignment for {client:#010x} disagrees with the serving table"
             );
-            match handle.net_for_u32(client) {
-                Some(net) => {
-                    let s = tally.clusters.entry(net).or_default();
-                    s.clients += 1;
-                    s.requests += record.requests;
-                    s.bytes += record.bytes;
-                }
-                None => tally.unclustered_requests += record.requests,
-            }
+            tally.credit(record.memo, totals(record));
         }
-        assert_eq!(stream.tally, tally);
+        assert_eq!(
+            stream.tally.unclustered_requests,
+            tally.unclustered_requests
+        );
+        // Slots are in no order: compare them by handle, and every index
+        // entry against the slot it names.
+        let by_handle = |t: &Tally| {
+            let mut slots = t.live.clone();
+            slots.sort_unstable_by_key(|s| s.handle.index());
+            slots
+        };
+        assert_eq!(by_handle(&stream.tally), by_handle(&tally));
+        for (h, &at) in stream.tally.slot_of.iter().enumerate() {
+            let slot = stream.tally.live.get(at as usize);
+            assert_eq!(
+                slot.and_then(|s| s.handle.index()),
+                (at != NO_SLOT).then_some(h)
+            );
+        }
     }
 
     #[test]
@@ -1319,14 +1452,14 @@ mod tests {
         assert!(report.accepted, "rejected: {:?}", report.rejection);
         assert!(!report.patch.recompiled);
         assert!(report.reassigned_clients as u64 >= busy_stats.clients);
-        assert_eq!(stream.stats(busiest), None);
+        assert_eq!(stats(&stream, busiest), None);
         assert_view_consistent(&stream);
 
         // Re-announce it: the clients move back.
         let report = stream.apply_deltas(&[TableDelta::announce(busiest)]);
         assert!(report.accepted);
         assert_eq!(
-            stream.stats(busiest),
+            stats(&stream, busiest),
             Some(busy_stats),
             "announce must restore the withdrawn cluster exactly"
         );
@@ -1355,9 +1488,9 @@ mod tests {
         let report = stream.apply_deltas(&[TableDelta::replace(net("10.1.0.0/16"))]);
         assert!(report.accepted, "rejected: {:?}", report.rejection);
         assert_eq!(report.reassigned_clients, 1);
-        assert_eq!(stream.lookup_net(unseen), Some(net("10.1.0.0/16")));
-        assert_eq!(stream.lookup_net(seen), Some(net("10.1.0.0/16")));
-        assert_eq!(stream.stats(net("10.0.0.0/8")), None);
+        assert_eq!(cluster_of(&stream, unseen), Some(net("10.1.0.0/16")));
+        assert_eq!(cluster_of(&stream, seen), Some(net("10.1.0.0/16")));
+        assert_eq!(stats(&stream, net("10.0.0.0/8")), None);
         assert_view_consistent(&stream);
         let restarted = StreamingClustering::restore(
             &stream.export_state(),
@@ -1396,16 +1529,11 @@ mod tests {
             .copied()
             .filter(|p| !victims.contains(p))
             .collect();
-        let bgp = netclust_rtable::RoutingTable::new(
-            "patched-equiv",
-            "d0",
-            netclust_rtable::TableKind::Bgp,
-            keep,
-        );
-        let dump = netclust_rtable::RoutingTable::new(
+        let bgp = RoutingTable::new("patched-equiv", "d0", TableKind::Bgp, keep);
+        let dump = RoutingTable::new(
             "dump-equiv",
             "d0",
-            netclust_rtable::TableKind::NetworkDump,
+            TableKind::NetworkDump,
             merged.dump_prefixes().to_vec(),
         );
         let report = swapped.try_swap(MergedTable::merge([&bgp, &dump]), ErrorCounts::default());
@@ -1487,7 +1615,7 @@ mod tests {
         }
         assert_eq!(stalled.version, 0);
         assert_eq!(stalled.table.lookup(probe), Some(victims[0]));
-        assert_ne!(stream.lookup_net(Ipv4Addr::from(probe)), Some(victims[0]));
+        assert_ne!(cluster_of(&stream, Ipv4Addr::from(probe)), Some(victims[0]));
     }
 
     #[test]
@@ -1518,7 +1646,7 @@ mod tests {
         );
         // Old generation serves untouched.
         assert_eq!(stream.top_k(usize::MAX), before);
-        assert!(stream.stats(target).is_some());
+        assert!(stats(&stream, target).is_some());
         assert_eq!(stream.patch_stats().rejected, 1);
         assert_view_consistent(&stream);
         // The same withdrawal with an announcement that keeps the floor
@@ -1527,7 +1655,7 @@ mod tests {
         let report =
             stream.apply_deltas(&[TableDelta::announce(spare), TableDelta::withdraw(target)]);
         assert!(report.accepted, "{:?}", report.rejection);
-        assert_eq!(stream.stats(target), None);
+        assert_eq!(stats(&stream, target), None);
         assert_view_consistent(&stream);
     }
 
@@ -1585,7 +1713,7 @@ mod tests {
         let mut before = StreamingClustering::builder(MergedTable::merge([&bgp])).build();
         let client = 0x2000_0000 | (n << 8) | 0x81;
         before.push_raw(client, 100);
-        assert_eq!(before.cluster_of(Ipv4Addr::from(client)), None);
+        assert_eq!(cluster_of(&before, Ipv4Addr::from(client)), None);
 
         // The crash: state snapshotted, then one batch journaled.
         let state = before.export_state();
@@ -1600,7 +1728,7 @@ mod tests {
         let report = resumed.apply_deltas(&journaled);
         assert!(report.accepted && !report.patch.recompiled);
         assert_eq!(
-            resumed.cluster_of(Ipv4Addr::from(client)),
+            cluster_of(&resumed, Ipv4Addr::from(client)),
             Some(Ipv4Net::new(client, 26).expect("/26"))
         );
         assert_eq!(resumed.patch_stats().recompiles, 0);
@@ -1635,7 +1763,7 @@ mod tests {
         // cluster_of answers for seen clients.
         let client = log.requests[0].client_addr();
         assert_eq!(
-            stream.cluster_of(client).is_some(),
+            cluster_of(&stream, client).is_some(),
             standard_merged(&u, 0).lookup(client).is_some()
         );
     }

@@ -4,8 +4,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use netclust_core::{
-    threshold_busy, Cluster, Clustering, IngestPipeline, StreamStats, StreamingClustering,
-    SwapPolicy,
+    threshold_busy, Cluster, ClusterQuery, Clustering, ErrorCounts, IngestPipeline, StreamStats,
+    StreamingClustering, SwapPolicy,
 };
 use netclust_obs::Obs;
 use netclust_prefix::Ipv4Net;
@@ -103,6 +103,66 @@ fn stream_view(s: &StreamingClustering) -> Expected {
     (clusters, s.unclustered_requests())
 }
 
+/// Everything a stream answers about its clusters must be the oracle's
+/// for the `requests` it was fed under `table`: every cluster's
+/// aggregates, the cluster count, a top-N under the (requests descending,
+/// prefix) order for a few N, the request total, and each seen client's
+/// `/v1/cluster` answer.
+fn check_stream(
+    s: &StreamingClustering,
+    want: &Expected,
+    (requests, table): (&[Request], &MergedTable),
+    what: &str,
+) -> Result<(), String> {
+    prop_assert_eq!(&stream_view(s), want, "{}", what);
+    prop_assert_eq!(s.len(), want.0.len(), "{}", what);
+    prop_assert_eq!(s.total_requests(), requests.len() as u64, "{}", what);
+    let mut per_client: BTreeMap<u32, [u64; 2]> = BTreeMap::new();
+    for r in requests {
+        let sums = per_client.entry(r.client).or_default();
+        *sums = [sums[0] + 1, sums[1] + r.bytes as u64];
+    }
+    for (&client, &[requests, bytes]) in &per_client {
+        let a = s.lookup(Ipv4Addr::from(client));
+        let net = table.lookup_u32(client).map(|(net, _)| net);
+        let row = net.map_or([0; 4], |net| want.0[&net]);
+        let got = [a.cluster_clients, a.cluster_requests, a.cluster_bytes, 0];
+        prop_assert_eq!((a.cluster, got), (net, row), "{:#010x} {}", client, what);
+        prop_assert_eq!(
+            (a.client_requests, a.client_bytes),
+            (requests, bytes),
+            "{}",
+            what
+        );
+    }
+    let mut ranked: Vec<(Ipv4Net, StreamStats)> = (want.0.iter())
+        .map(|(&net, &[clients, requests, bytes, _])| {
+            let stats = StreamStats {
+                clients,
+                requests,
+                bytes,
+            };
+            (net, stats)
+        })
+        .collect();
+    ranked.sort_by(|a, b| b.1.requests.cmp(&a.1.requests).then(a.0.cmp(&b.0)));
+    for n in [0, 1, 3] {
+        let top = &ranked[..n.min(ranked.len())];
+        prop_assert_eq!(&s.top_k(n)[..], top, "top {} {}", n, what);
+    }
+    Ok(())
+}
+
+/// Distinct clients of `requests` whose cluster differs between the two
+/// tables: what a batch that turns one into the other reassigns.
+fn moved(requests: &[Request], before: &MergedTable, after: &MergedTable) -> usize {
+    let clients: BTreeSet<u32> = requests.iter().map(|r| r.client).collect();
+    let net = |t: &MergedTable, c: u32| t.lookup_u32(c).map(|(net, _)| net);
+    (clients.into_iter())
+        .filter(|&c| net(before, c) != net(after, c))
+        .count()
+}
+
 proptest! {
     /// Clustering is a partition: every client lands in exactly one
     /// cluster (or unclustered), and aggregates add up to log totals.
@@ -155,9 +215,18 @@ proptest! {
     /// line-aligned slices with a batch of routing deltas after each —
     /// `(kind, at, len)`: announce, withdraw or replace the prefix of
     /// length `len` (7 = its own) at table prefix `at`'s address, so live
-    /// and absent prefixes that cover seen clients both come up. After
-    /// every batch a seen client, the table and a restarted daemon
-    /// (snapshot round trip) must agree.
+    /// and absent prefixes that cover seen clients both come up. A batch
+    /// may open with a shape that exercises the table's handles: withdraw
+    /// a live prefix and announce another (which takes the freed handle),
+    /// the same and then re-announce the first (which moves it to a new
+    /// handle with its clients), or re-announce a prefix an earlier batch
+    /// withdrew. After every batch, accepted or rejected, the stream, a
+    /// restarted daemon (snapshot round trip) and, where the case asks,
+    /// the stream after a whole-table swap to the same prefixes must agree
+    /// with the oracle on every cluster, the cluster count and the top-N,
+    /// and the batch must report as reassigned exactly the seen clients
+    /// whose prefix changed. Where the case asks, the run goes on from the
+    /// restarted daemon, whose handles a fresh compile numbered.
     #[test]
     fn every_driver_matches_the_oracle(
         prefixes in proptest::collection::vec((any::<bool>(), any::<u32>(), 8u8..=26), 1..12),
@@ -165,7 +234,10 @@ proptest! {
         junk in proptest::collection::vec(any::<u16>(), 0..6),
         cuts in proptest::collection::vec(any::<u16>(), 0..6),
         deltas in proptest::collection::vec(
-            proptest::collection::vec((0u8..3, any::<u8>(), 7u8..=26), 0..4),
+            (
+                (0u8..6, any::<u8>(), any::<u8>(), 0u8..4),
+                proptest::collection::vec((0u8..3, any::<u8>(), 7u8..=26), 0..4),
+            ),
             7,
         ),
         chunk_bytes in 64usize..600,
@@ -216,42 +288,82 @@ proptest! {
         let mut ends: Vec<usize> = cuts.iter().map(|&c| c as usize % lines.len()).collect();
         ends.push(lines.len());
         ends.sort_unstable();
+        let merged = |live: &BTreeSet<Ipv4Net>| {
+            let bgp = RoutingTable::new("B", "d0", TableKind::Bgp, live.iter().copied().collect());
+            MergedTable::merge([&bgp, &dump])
+        };
+        let mut withdrawn_before: Vec<Ipv4Net> = Vec::new();
         let mut start = 0;
-        for (end, batch) in ends.into_iter().zip(&deltas) {
+        for (end, ((shape, a, b, after), rest)) in ends.into_iter().zip(&deltas) {
             stream.push_clf(lines[start..end].concat().as_bytes());
             start = end;
-            let batch: Vec<TableDelta> = (batch.iter())
-                .map(|&(kind, at, len)| {
-                    let at = nets[at as usize % nets.len()];
-                    let len = if len == 7 { at.len() } else { len };
-                    let prefix = Ipv4Net::new(at.addr_u32(), len).unwrap();
-                    match kind {
-                        0 => TableDelta::announce(prefix),
-                        1 => TableDelta::withdraw(prefix),
-                        _ => TableDelta::replace(prefix),
+            let fed = lines[..end].iter().filter(|l| *l != JUNK).count();
+            let seen = &log.requests[..fed];
+            let live_now: Vec<Ipv4Net> = live.iter().copied().collect();
+            let victim = live_now.get(*a as usize % live_now.len().max(1)).copied();
+            let other = {
+                let at = nets[*b as usize % nets.len()];
+                Ipv4Net::new(at.addr_u32(), 8 + b % 19).unwrap()
+            };
+            let mut batch = Vec::new();
+            match (shape, victim) {
+                (1 | 2, Some(victim)) => {
+                    batch.push(TableDelta::withdraw(victim));
+                    batch.push(TableDelta::announce(other));
+                    if *shape == 2 {
+                        batch.push(TableDelta::announce(victim));
                     }
-                })
-                .collect();
+                }
+                (3, _) if !withdrawn_before.is_empty() => {
+                    let again = withdrawn_before[*a as usize % withdrawn_before.len()];
+                    batch.push(TableDelta::announce(again));
+                }
+                _ => {}
+            }
+            batch.extend(rest.iter().map(|&(kind, at, len)| {
+                let at = nets[at as usize % nets.len()];
+                let len = if len == 7 { at.len() } else { len };
+                let prefix = Ipv4Net::new(at.addr_u32(), len).unwrap();
+                match kind {
+                    0 => TableDelta::announce(prefix),
+                    1 => TableDelta::withdraw(prefix),
+                    _ => TableDelta::replace(prefix),
+                }
+            }));
+            let before = merged(&live);
             // A batch the swap policy turns away changes nothing.
-            if stream.apply_deltas(&batch).accepted {
+            let report = stream.apply_deltas(&batch);
+            if report.accepted {
                 for d in &batch {
                     if d.kind == DeltaKind::Withdraw {
                         live.remove(&d.prefix);
+                        withdrawn_before.push(d.prefix);
                     } else {
                         live.insert(d.prefix);
                     }
                 }
             }
-            let bgp = RoutingTable::new("B", "d0", TableKind::Bgp, live.iter().copied().collect());
-            let fed = lines[..end].iter().filter(|l| *l != JUNK).count();
+            let table_now = merged(&live);
+            let reassigned = if report.accepted { moved(seen, &before, &table_now) } else { 0 };
+            prop_assert_eq!(report.reassigned_clients, reassigned, "after {:?}", batch);
             // The streaming view does not track URLs.
-            let mut want = oracle(&log.requests[..fed], &MergedTable::merge([&bgp, &dump]));
+            let mut want = oracle(seen, &table_now);
             want.0.values_mut().for_each(|row| row[3] = 0);
-            prop_assert_eq!(&stream_view(&stream), &want, "after {:?}", batch);
+            let fed = (seen, &table_now);
+            check_stream(&stream, &want, fed, &format!("after {batch:?}"))?;
             let restarted =
                 StreamingClustering::restore(&stream.export_state(), SwapPolicy::default(), Obs::disabled())
                     .expect("a fresh export restores");
-            prop_assert_eq!(&stream_view(&restarted), &want, "restarted after {:?}", batch);
+            check_stream(&restarted, &want, fed, &format!("restarted after {batch:?}"))?;
+            match after {
+                1 => {
+                    let swap = stream.try_swap(merged(&live), ErrorCounts::default());
+                    prop_assert_eq!(swap.accepted, !table_now.is_empty());
+                    check_stream(&stream, &want, fed, &format!("swapped after {batch:?}"))?;
+                }
+                2 => stream = restarted,
+                _ => {}
+            }
         }
         prop_assert_eq!(stream.clf_counts().malformed, junk.len() as u64);
     }

@@ -11,7 +11,7 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 
 use netclust_bgpsim::{DeltaStream, DeltaStreamConfig};
-use netclust_core::{StreamHandle, StreamingClustering, SwapPolicy, SwapRejection};
+use netclust_core::{ClusterQuery, StreamHandle, StreamingClustering, SwapPolicy, SwapRejection};
 use netclust_netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
 use netclust_prefix::{unit_f64, Ipv4Net};
 use netclust_rtable::{MergedTable, RoutingTable, TableDelta, TableKind};
@@ -288,9 +288,9 @@ fn a_handle_outlives_its_stream() {
         assert!(stream.apply_deltas(&feed.next_batch().deltas).accepted);
     }
     let version = stream.table_version();
-    let expect = stream.lookup_net(Ipv4Addr::from(canary_probe));
+    let expect = stream.lookup(Ipv4Addr::from(canary_probe)).cluster;
     drop(stream);
     assert_eq!(handle.version(), version);
     assert_eq!(handle.net_for_u32(canary_probe), expect);
-    assert_eq!(handle.clone().net_for(Ipv4Addr::from(canary_probe)), expect);
+    assert_eq!(handle.clone().net_for_u32(canary_probe), expect);
 }

@@ -702,11 +702,17 @@ impl CompiledTable {
     /// longest registry match. Counted (see [`attach_obs`](Self::attach_obs)).
     #[inline]
     pub fn lookup(&self, addr: u32) -> Option<Ipv4Net> {
+        self.resolve(self.match_handle(addr))
+    }
+
+    /// [`lookup`](Self::lookup) stopped at the handle: counted like it,
+    /// for a caller that keys its own state by handle.
+    #[inline]
+    pub fn match_handle(&self, addr: u32) -> Handle {
         let h = self.lookup_handle(addr);
-        let miss = h.is_none();
         self.obs
-            .count(1, u64::from(self.falls_back(h)), u64::from(miss));
-        self.resolve(h)
+            .count(1, u64::from(self.falls_back(h)), u64::from(h.is_none()));
+        h
     }
 
     /// The prefix a handle refers to, or `None` for [`Handle::NONE`] (or a
@@ -714,6 +720,31 @@ impl CompiledTable {
     #[inline]
     pub fn resolve(&self, handle: Handle) -> Option<Ipv4Net> {
         handle.index().and_then(|i| self.prefixes.get(i)).copied()
+    }
+
+    /// The handle a match that ends on exactly `prefix` yields: its live
+    /// BGP entry's, else its registry entry's, else `None` — which a
+    /// lookup of the prefix's address cannot tell when a longer prefix
+    /// starts there.
+    pub fn handle_of(&self, prefix: Ipv4Net) -> Option<Handle> {
+        let bgp = match &self.patch {
+            Some(state) => state.trie.get(prefix).copied(),
+            None => {
+                // As compiled: strictly increasing, or in any order with
+                // the last copy of a duplicate the one painted.
+                let arena = self.bgp_arena();
+                let at = if self.sorted {
+                    arena.binary_search(&prefix).ok()
+                } else {
+                    arena.iter().rposition(|p| *p == prefix)
+                };
+                at.and_then(|i| u32::try_from(i).ok())
+                    .map(|i| self.dump_len + i)
+            }
+        };
+        let dump = || self.dump_arena().binary_search(&prefix).ok();
+        bgp.or_else(|| dump().and_then(|i| u32::try_from(i).ok()))
+            .map(Handle)
     }
 
     /// Which tier a handle's prefix came from, or `None` for
@@ -728,16 +759,24 @@ impl CompiledTable {
         })
     }
 
-    /// Batch form of [`lookup`](Self::lookup). The stream's table swaps
-    /// re-resolve every client with it; the ingest kernel calls
-    /// [`net_for_slice`](Self::net_for_slice).
-    pub fn net_for_batch(&self, addrs: &[u32]) -> Vec<Option<Ipv4Net>> {
-        let mut out = vec![None; addrs.len()];
-        self.net_for_slice(addrs, &mut out, DEFAULT_PREFETCH_DISTANCE);
-        out
+    /// Batch form of [`match_handle`](Self::match_handle), counted once
+    /// for the batch. The stream's table swaps re-resolve every client
+    /// with it; the ingest kernel calls [`net_for_slice`](Self::net_for_slice).
+    pub fn match_handles(&self, addrs: &[u32]) -> Vec<Handle> {
+        let (mut fallbacks, mut misses) = (0u64, 0u64);
+        let handles = (addrs.iter())
+            .map(|&addr| {
+                let h = self.lookup_handle(addr);
+                fallbacks += u64::from(self.falls_back(h));
+                misses += u64::from(h.is_none());
+                h
+            })
+            .collect();
+        self.obs.count(addrs.len() as u64, fallbacks, misses);
+        handles
     }
 
-    /// Slice-writing form of [`net_for_batch`](Self::net_for_batch):
+    /// Batch form of [`lookup`](Self::lookup):
     /// fills `out[i]` with the cluster for `addrs[i]` (no allocation at
     /// all — the parallel ingest merge hands each worker-sized span of one
     /// pre-sized assignment vector straight to this). `_distance` was the
@@ -1011,7 +1050,8 @@ mod tests {
             .iter()
             .map(|s| a(s))
             .collect();
-        let expect = compiled.net_for_batch(&addrs);
+        let handles = compiled.match_handles(&addrs);
+        let expect: Vec<_> = handles.iter().map(|&h| compiled.resolve(h)).collect();
         let mut out = vec![None; addrs.len()];
         compiled.net_for_slice(&addrs, &mut out, DEFAULT_PREFETCH_DISTANCE);
         assert_eq!(out, expect);
@@ -1030,6 +1070,58 @@ mod tests {
         assert_eq!(t.prefixes()[h.index().unwrap()], net("10.0.0.0/8"));
         assert_eq!(t.source(h), Some(MatchSource::Bgp));
         assert_eq!(t.source(Handle::NONE), None);
+    }
+
+    /// `handle_of` names the entry a match ending on the prefix yields,
+    /// compiled sorted or not and patched, where a lookup of the prefix's
+    /// address may land on a longer prefix.
+    #[test]
+    fn handle_of_names_the_entry_a_match_on_the_prefix_ends_on() {
+        let bgp = RoutingTable::new(
+            "B",
+            "d0",
+            TableKind::Bgp,
+            vec![net("10.0.0.0/16"), net("10.0.0.0/8")],
+        );
+        let dump = RoutingTable::new(
+            "N",
+            "d0",
+            TableKind::NetworkDump,
+            vec![net("10.0.0.0/8"), net("10.1.0.0/16")],
+        );
+        let mut t = MergedTable::merge([&bgp, &dump]).compile();
+        let of = |t: &CompiledTable, p: &str| t.handle_of(net(p)).unwrap();
+        // The BGP /8 shadows the registry's equal one; 10.0.0.1 reaches
+        // the /16 at the /8's address, 10.2.0.1 the /8.
+        assert_eq!(of(&t, "10.0.0.0/8"), t.lookup_handle(a("10.2.0.1")));
+        assert_eq!(of(&t, "10.0.0.0/16"), t.lookup_handle(a("10.0.0.1")));
+        // Under the BGP /8 the registry /16 is no address's match, but it
+        // has its entry.
+        let h = of(&t, "10.1.0.0/16");
+        assert_eq!(t.resolve(h), Some(net("10.1.0.0/16")));
+        assert_eq!(t.source(h), Some(MatchSource::NetworkDump));
+        assert_eq!(t.handle_of(net("11.0.0.0/8")), None);
+        // Patched: the withdrawn /8 uncovers the registry's, an announce
+        // gets a handle of its own.
+        t.apply_delta(&[
+            crate::TableDelta::withdraw(net("10.0.0.0/8")),
+            crate::TableDelta::announce(net("10.3.0.0/16")),
+        ]);
+        assert_eq!(of(&t, "10.0.0.0/8"), t.lookup_handle(a("10.2.0.1")));
+        assert_eq!(
+            t.source(of(&t, "10.0.0.0/8")),
+            Some(MatchSource::NetworkDump)
+        );
+        assert_eq!(of(&t, "10.3.0.0/16"), t.lookup_handle(a("10.3.0.1")));
+        assert_eq!(of(&t, "10.1.0.0/16"), t.lookup_handle(a("10.1.0.1")));
+        // Unsorted, with a duplicate: the last copy is the one painted.
+        let t = CompiledTable::from_prefixes([
+            net("10.0.0.0/16"),
+            net("9.0.0.0/8"),
+            net("10.0.0.0/16"),
+        ]);
+        assert_eq!(of(&t, "10.0.0.0/16"), t.lookup_handle(a("10.0.0.1")));
+        assert_eq!(of(&t, "10.0.0.0/16").index(), Some(2));
     }
 
     #[test]
@@ -1203,15 +1295,17 @@ mod tests {
             .iter()
             .map(|s| a(s))
             .collect();
-        assert_eq!(compiled.net_for_batch(&addrs).len(), 3);
-        // Scalar: one more full miss.
+        assert_eq!(compiled.match_handles(&addrs).len(), 3);
+        // Scalar: one more full miss, and a BGP hit that stops at its handle.
         assert_eq!(compiled.lookup(a("99.9.9.9")), None);
+        let h = compiled.match_handle(a("12.9.9.9"));
+        assert_eq!(compiled.resolve(h), Some(net("12.0.0.0/8")));
 
         let snap = obs.snapshot(true);
-        assert_eq!(snap.counters.get("lpm.lookups"), Some(&4));
+        assert_eq!(snap.counters.get("lpm.lookups"), Some(&5));
         assert_eq!(snap.counters.get("lpm.misses"), Some(&2));
         assert_eq!(snap.counters.get("lpm.dump_fallbacks"), Some(&3));
-        assert_eq!(snap.counters.get("lpm.bgp.lookups"), Some(&4));
+        assert_eq!(snap.counters.get("lpm.bgp.lookups"), Some(&5));
         assert_eq!(snap.counters.get("lpm.bgp.misses"), Some(&3));
         assert_eq!(snap.counters.get("lpm.dump.lookups"), Some(&3));
         assert_eq!(snap.counters.get("lpm.dump.misses"), Some(&2));

@@ -172,10 +172,10 @@ proptest! {
             prop_assert_eq!(merged.lookup_u32(addr), expect);
             prop_assert_eq!(compiled.lookup(addr), expect.map(|(n, _)| n));
         }
-        let nets = compiled.net_for_batch(&probes);
-        prop_assert_eq!(nets.len(), probes.len());
-        for (&addr, net) in probes.iter().zip(nets) {
-            prop_assert_eq!(net, reference(addr).map(|(n, _)| n));
+        let handles = compiled.match_handles(&probes);
+        prop_assert_eq!(handles.len(), probes.len());
+        for (&addr, h) in probes.iter().zip(handles) {
+            prop_assert_eq!(compiled.resolve(h), reference(addr).map(|(n, _)| n));
         }
     }
 }

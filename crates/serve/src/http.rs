@@ -115,7 +115,7 @@ pub fn parse_request(buf: &[u8]) -> Parse {
         _ => Method::Other,
     };
 
-    let mut content_length = 0usize;
+    let mut content_length = None;
     let mut keep_alive = http11;
     for line in lines {
         if line.is_empty() {
@@ -129,10 +129,16 @@ pub fn parse_request(buf: &[u8]) -> Parse {
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            let Ok(n) = value.parse::<usize>() else {
-                return Parse::Invalid("unparsable content-length");
+            // RFC 9112 §6.3: digits only (`usize::from_str` would take a
+            // leading `+`), and a repeat must say the same length.
+            let n = match value.parse::<usize>() {
+                Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => n,
+                _ => return Parse::Invalid("unparsable content-length"),
             };
-            content_length = n;
+            if content_length.is_some_and(|earlier| earlier != n) {
+                return Parse::Invalid("conflicting content-length headers");
+            }
+            content_length = Some(n);
         } else if name.eq_ignore_ascii_case("connection") {
             if value.eq_ignore_ascii_case("close") {
                 keep_alive = false;
@@ -144,6 +150,7 @@ pub fn parse_request(buf: &[u8]) -> Parse {
             return Parse::Invalid("transfer-encoding is not supported");
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Parse::Invalid("body exceeds 1 MiB");
     }
@@ -370,6 +377,32 @@ mod tests {
         let (req, consumed) = complete(&full);
         assert_eq!(req.body, b"1234567890");
         assert_eq!(consumed, full.len());
+    }
+
+    /// RFC 9112 §6.3: a length with a sign, or two different lengths, is
+    /// invalid framing, not the last header winning; a repeat of the same
+    /// length is allowed.
+    #[test]
+    fn content_length_is_digits_and_one_value() {
+        for (wire, why) in [
+            (
+                &b"POST /x HTTP/1.1\r\nContent-Length: +5\r\n\r\n12345"[..],
+                "unparsable content-length",
+            ),
+            (
+                b"POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\n12345",
+                "conflicting content-length headers",
+            ),
+            (
+                b"POST /x HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 5\r\n\r\n12345",
+                "conflicting content-length headers",
+            ),
+        ] {
+            assert_eq!(parse_request(wire), Parse::Invalid(why), "{wire:?}");
+        }
+        let (req, _) =
+            complete(b"POST /x HTTP/1.1\r\nContent-Length: 5\r\ncontent-length:  5\r\n\r\n12345");
+        assert_eq!(req.body, b"12345");
     }
 
     #[test]

@@ -205,14 +205,35 @@ fn metrics(state: &AppState) -> HttpResponse {
     // so not a function of the input: left out of `--deterministic`
     // output like every clock-derived value.
     if !state.deterministic {
-        if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
-            for (name, key) in [
-                ("process.rss_bytes", "VmRSS:"),
-                ("process.hwm_bytes", "VmHWM:"),
-            ] {
-                if let Some(kb) = status_kb(&status, key) {
-                    state.obs.gauge(name).set(kb.saturating_mul(1024));
-                }
+        let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+        let bytes = |key| status_kb(&status, key).map(|kb| kb.saturating_mul(1024));
+        let rss = bytes("VmRSS:");
+        for (name, value) in [
+            ("process.rss_bytes", rss),
+            ("process.hwm_bytes", bytes("VmHWM:")),
+        ] {
+            if let Some(value) = value {
+                state.obs.gauge(name).set(value);
+            }
+        }
+        // Where the resident set goes: each store the stream grows, as its
+        // elements × element size, and what neither they nor the table
+        // (`lpm.table_bytes`, the same gauge the stream publishes) account
+        // for.
+        if let Ok(memory) = state.stream.read().map(|stream| stream.memory()) {
+            let stores = [
+                ("mem.client_records_bytes", memory.client_records),
+                ("mem.address_map_bytes", memory.address_map),
+                ("mem.aggregates_bytes", memory.aggregates),
+            ];
+            let mut attributed = state.obs.gauge("lpm.table_bytes").get();
+            for (name, value) in stores {
+                state.obs.gauge(name).set(value as u64);
+                attributed += value as u64;
+            }
+            if let Some(rss) = rss {
+                let rest = rss.saturating_sub(attributed);
+                state.obs.gauge("mem.unattributed_bytes").set(rest);
             }
         }
     }

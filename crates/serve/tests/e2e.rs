@@ -366,6 +366,15 @@ fn reload_applies_deltas_and_swaps_tables() {
     assert_eq!(status, 400);
     let (status, _) = c.send("POST", "/v1/reload", Some("frobnicate 1.2.3.0/24\n"));
     assert_eq!(status, 400);
+    // Two different lengths are invalid framing (RFC 9112 §6.3): the
+    // answer is 400 on the wire, not whichever header came last.
+    let mut raw = Client::connect(addr);
+    let wire = "POST /v1/reload HTTP/1.1\r\nContent-Length: 8\r\n\
+                Content-Length: 22\r\n\r\nannounce 10.98.0.0/16\n";
+    raw.conn.write_all(wire.as_bytes()).expect("send request");
+    let (status, body) = raw.read_response();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("content-length"), "{body}");
 
     daemon.shutdown().expect("clean shutdown");
 }

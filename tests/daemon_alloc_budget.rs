@@ -80,6 +80,9 @@ fn peak_of<R>(work: impl FnOnce() -> R) -> (R, usize) {
 
 const SLACK: usize = 64 << 10;
 const CLUSTERS: u32 = 50_000;
+/// What the per-cluster aggregates may fill, per cluster of a stream
+/// whose table has one prefix a cluster.
+const AGGREGATE_BYTES_PER_CLUSTER: usize = 28;
 
 fn clf_line(out: &mut String, addr: u32, bytes: u32) {
     let addr = Ipv4Addr::from(addr);
@@ -160,12 +163,26 @@ fn a_top_n_a_poll_and_a_snapshot_allocate_what_they_return() {
     assert_eq!(stream.len(), CLUSTERS as usize);
     drop(text);
 
-    // The client records are the one block a push grows in place (the hash
-    // maps move to fresh tables), doubling from 4: for 50 000 clients, 2^16
-    // records of 24 bytes — address, matched prefix length, two sums.
+    // The client records and the aggregates' slots are the blocks a push
+    // grows in place (the hash map moves to fresh tables), doubling from 4:
+    // for 50 000 clients, 2^16 records of 24 bytes — address, the handle of
+    // its match, two sums — and as many slots of 24.
     let regrown = LARGEST_REGROWTH.load(Ordering::Relaxed);
     println!("the client records: {regrown} bytes for 2^16 records");
     assert_eq!(regrown, 24 << 16, "a client record is not 24 bytes");
+
+    // The aggregates: a 4-byte index entry per table handle and a 24-byte
+    // slot per cluster, 28 bytes a cluster. A hash map keyed by prefix
+    // filled 2^16 buckets of a 32-byte entry and a control byte for as many
+    // clusters, 43.3 bytes a cluster.
+    let memory = stream.memory();
+    let budget = AGGREGATE_BYTES_PER_CLUSTER * CLUSTERS as usize;
+    println!(
+        "the aggregates of {CLUSTERS} clusters: {} bytes, budget {budget}",
+        memory.aggregates
+    );
+    assert!(memory.aggregates <= budget, "{memory:?}");
+    assert_eq!(memory.client_records, 24 * stream.client_count());
 
     // A top-N reads every cluster and keeps a screenful.
     let (top, peak) = peak_of(|| stream.top_k(10));
