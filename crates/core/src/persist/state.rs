@@ -368,6 +368,13 @@ impl EncodedState {
         }
     }
 
+    /// Bytes its row buffers hold, as capacity: the 8-byte sort keys and
+    /// the varint sums, the room a snapshot maps beside the state it
+    /// encodes.
+    pub fn room_bytes(&self) -> usize {
+        self.keys.capacity() * std::mem::size_of::<u64>() + self.sums.capacity()
+    }
+
     /// [`new`](Self::new) over everything `state` holds.
     pub(crate) fn of(state: &StreamState) -> Self {
         let rows = state.per_client.iter().copied();

@@ -156,12 +156,12 @@ pub struct StreamStats {
 }
 
 /// What [`StreamingClustering::memory`] reports: bytes each growing store
-/// fills, as its elements × element size (the map: its buckets).
+/// fills, as its elements × element size (the index: its slots).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamMemory {
     /// The client records, 24 bytes each.
     pub client_records: usize,
-    /// The address → client id map.
+    /// The address → client id index, 4 bytes a slot.
     pub address_map: usize,
     /// The per-cluster aggregates: a 4-byte index entry per table handle
     /// and a 24-byte slot per cluster.
@@ -527,8 +527,8 @@ pub struct StreamingClustering {
     /// (kept so a table swap can rebuild the view without replaying the
     /// stream) a record memoizes the handle of the table entry the client
     /// matched under the serving table, which indexes `tally`. Addresses
-    /// are outside input and the map lives as long as the daemon, so it
-    /// is keyed.
+    /// are outside input and the address index lives as long as the
+    /// daemon, so its hash is keyed.
     seen: Shard<Handle, RandomState>,
     total_requests: u64,
     /// Raw-CLF ingest accounting: lines consumed by
@@ -1124,6 +1124,7 @@ impl StreamingClustering {
     ) -> Result<Self, RestoreError> {
         let table = CompiledTable::tiered(&state.bgp_prefixes, &state.dump_prefixes);
         let mut stream = Self::new(table, state.table_version, policy, obs);
+        stream.seen.reserve(state.per_client.len());
         for &(client, requests, bytes) in &state.per_client {
             stream.push_many(client, requests, bytes);
         }
@@ -1153,7 +1154,7 @@ impl StreamingClustering {
 impl ClusterQuery for StreamingClustering {
     /// `addr`'s cluster under the serving table — a seen client's
     /// memoized handle, else a longest-prefix match — with its aggregates
-    /// and the client's own totals, for one probe of the address map and
+    /// and the client's own totals, for one probe of the address index and
     /// one index.
     fn lookup(&self, addr: Ipv4Addr) -> ClusterAnswer {
         let client = u32::from(addr);

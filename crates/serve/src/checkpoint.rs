@@ -261,6 +261,12 @@ fn snapshot(state: &AppState, cp: &Checkpointer) -> Result<(), String> {
             locked.elapsed(),
         )
     };
+    if !state.deterministic {
+        // Sized by the allocator, like `process.*`: the high-water mark's
+        // distance over the resident set, which this room is freed from.
+        let room = u64::try_from(encoded.room_bytes()).unwrap_or(u64::MAX);
+        state.obs.gauge("mem.snapshot_buffer_bytes").set(room);
+    }
     store
         .checkpoint_encoded(encoded)
         .map_err(|e| format!("checkpoint failed: {e}"))?;

@@ -121,12 +121,21 @@ pub fn parse_request(buf: &[u8]) -> Parse {
         if line.is_empty() {
             continue;
         }
+        // RFC 9112 §5.2: a line folded onto the previous one is refused.
+        if line.first().is_some_and(|&b| b == b' ' || b == b'\t') {
+            return Parse::Invalid("obsolete line folding");
+        }
         let Ok(line) = std::str::from_utf8(line) else {
             return Parse::Invalid("header is not UTF-8");
         };
         let Some((name, value)) = line.split_once(':') else {
             return Parse::Invalid("header without a colon");
         };
+        // RFC 9112 §5.1: a name is a token, with no whitespace before the
+        // colon; `Content-Length : 5` must not pass as some other header.
+        if name.is_empty() || !name.bytes().all(is_tchar) {
+            return Parse::Invalid("header name is not a token");
+        }
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
             // RFC 9112 §6.3: digits only (`usize::from_str` would take a
@@ -177,6 +186,11 @@ pub fn parse_request(buf: &[u8]) -> Parse {
         },
         consumed: body_end,
     }
+}
+
+/// A `tchar` of RFC 9110 §5.6.2: what a field name is made of.
+fn is_tchar(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
 }
 
 /// Locates the head terminator (a blank line: `\r\n\r\n`, `\n\n`, or a
@@ -403,6 +417,45 @@ mod tests {
         let (req, _) =
             complete(b"POST /x HTTP/1.1\r\nContent-Length: 5\r\ncontent-length:  5\r\n\r\n12345");
         assert_eq!(req.body, b"12345");
+    }
+
+    /// RFC 9112 §5.1 and §5.2: whitespace before the colon, an empty or
+    /// non-token name, and a folded line are invalid, so a length or an
+    /// encoding cannot hide behind a header the parser would skip and the
+    /// body be read as the next request.
+    #[test]
+    fn header_names_are_tokens() {
+        for (wire, why) in [
+            (
+                &b"POST /x HTTP/1.1\r\nContent-Length : 5\r\n\r\n12345"[..],
+                "header name is not a token",
+            ),
+            (
+                b"POST /x HTTP/1.1\r\nTransfer-Encoding\t: chunked\r\n\r\n",
+                "header name is not a token",
+            ),
+            (
+                b"GET /x HTTP/1.1\r\n: empty\r\n\r\n",
+                "header name is not a token",
+            ),
+            (
+                b"GET /x HTTP/1.1\r\nX(y): 1\r\n\r\n",
+                "header name is not a token",
+            ),
+            (
+                b"GET /x HTTP/1.1\r\nX-A: 1\r\n folded: 2\r\n\r\n",
+                "obsolete line folding",
+            ),
+            (
+                b"GET /x HTTP/1.1\r\nX-A: 1\r\n\tmore\r\n\r\n",
+                "obsolete line folding",
+            ),
+        ] {
+            assert_eq!(parse_request(wire), Parse::Invalid(why), "{wire:?}");
+        }
+        let (req, _) =
+            complete(b"POST /x HTTP/1.1\r\nX-Odd_Name.1~!: v\r\nContent-Length: 2\r\n\r\nok");
+        assert_eq!(req.body, b"ok");
     }
 
     #[test]

@@ -375,6 +375,16 @@ fn reload_applies_deltas_and_swaps_tables() {
     let (status, body) = raw.read_response();
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("content-length"), "{body}");
+    // Neither is a length behind whitespace before the colon (RFC 9112
+    // §5.1): a skipped header would leave its body to parse as the next
+    // request.
+    let mut raw = Client::connect(addr);
+    let wire = "POST /v1/reload HTTP/1.1\r\nContent-Length : 22\r\n\r\n\
+                announce 10.97.0.0/16\n";
+    raw.conn.write_all(wire.as_bytes()).expect("send request");
+    let (status, body) = raw.read_response();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("not a token"), "{body}");
 
     daemon.shutdown().expect("clean shutdown");
 }
@@ -726,8 +736,11 @@ fn netclustd_survives_kill_and_resumes_from_its_checkpoint() {
             && !get(addr, "/metrics").1.contains("\"serve.checkpoints\": 0")
     });
     let top_before = get(addr, "/v1/clusters/top?n=20").1;
-    // Under --deterministic /metrics is a function of the input alone.
-    assert!(!get(addr, "/metrics").1.contains("process."));
+    // Under --deterministic /metrics is a function of the input alone:
+    // nothing read from the kernel or sized by the allocator.
+    let metrics = get(addr, "/metrics").1;
+    assert!(!metrics.contains("process."), "{metrics}");
+    assert!(!metrics.contains("\"mem."), "{metrics}");
 
     // The thread model as a checked fact (a child process, so tests running
     // in parallel here cannot disturb the count): main, the default four

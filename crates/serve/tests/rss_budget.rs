@@ -17,14 +17,15 @@ const CLUSTERS: u32 = 50_000;
 /// The table, the binary and its threads. A poll reads 64 KiB, so a
 /// backlog needs no room of its own.
 const BUDGET_FIXED: u64 = 12 << 20;
-/// A client's 24-byte record, map entry and share of its cluster's
-/// aggregates, plus what the one snapshot in flight holds for it: its
-/// counts' varints and an 8-byte sort key. The whole reads 16.2–16.3 MB on
-/// a 2-vCPU x86-64 Linux host (16.8–17.1 with the aggregates in a map
-/// keyed by prefix, which 36 bytes a client allowed); a 4 MiB poll buffer,
-/// or 20 bytes a client more in the state or the snapshot, each put it
-/// over.
-const BUDGET_PER_CLIENT: u64 = 32;
+/// A client's 24-byte record, its share of the address index (4-byte
+/// slots at 7/8 load at most) and of its cluster's aggregates, plus what
+/// the one snapshot in flight holds for it: its counts' varints and an
+/// 8-byte sort key. The whole reads 14.8–14.9 MB on a 2-vCPU x86-64 Linux
+/// host (16.1–16.3 with the index a std map of 9 bytes a bucket, which 32
+/// bytes a client allowed; 16.8–17.1 with the aggregates in a map keyed by
+/// prefix, which 36 allowed); a 4 MiB poll buffer, or 20 bytes a client
+/// more in the state or the snapshot, each put it over.
+const BUDGET_PER_CLIENT: u64 = 25;
 
 /// A spawned `netclustd` that a failing assertion cannot leak.
 struct Netclustd(Child);
@@ -172,6 +173,14 @@ fn a_caught_up_daemon_fits_a_budget_per_client() {
     }
     let rest = json_u64(&metrics, "mem.unattributed_bytes");
     println!("lpm.table_bytes + mem.*: {attributed}, mem.unattributed_bytes {rest}");
+    // Not resident any more: the last snapshot's room, freed when it was
+    // written, which is what the high-water mark holds over the resident
+    // set.
+    let room = json_u64(&metrics, "mem.snapshot_buffer_bytes");
+    println!(
+        "mem.snapshot_buffer_bytes {room}, high-water mark - resident {}",
+        hwm - rss
+    );
     assert!(
         attributed < rss,
         "{attributed} bytes attributed of {rss} resident"

@@ -83,6 +83,11 @@ const CLUSTERS: u32 = 50_000;
 /// What the per-cluster aggregates may fill, per cluster of a stream
 /// whose table has one prefix a cluster.
 const AGGREGATE_BYTES_PER_CLUSTER: usize = 28;
+/// What the address → id index may fill, per bucket of a table grown by
+/// doubling at 7/8 load: one `u32` slot holding the client's id and hash
+/// bits. A std `HashMap<u32, u32>` filled 9, an 8-byte entry and a
+/// control byte.
+const ADDRESS_MAP_BYTES_PER_BUCKET: usize = 4;
 
 fn clf_line(out: &mut String, addr: u32, bytes: u32) {
     let addr = Ipv4Addr::from(addr);
@@ -164,7 +169,7 @@ fn a_top_n_a_poll_and_a_snapshot_allocate_what_they_return() {
     drop(text);
 
     // The client records and the aggregates' slots are the blocks a push
-    // grows in place (the hash map moves to fresh tables), doubling from 4:
+    // grows in place (the address index moves to fresh slots), doubling from 4:
     // for 50 000 clients, 2^16 records of 24 bytes — address, the handle of
     // its match, two sums — and as many slots of 24.
     let regrown = LARGEST_REGROWTH.load(Ordering::Relaxed);
@@ -183,6 +188,18 @@ fn a_top_n_a_poll_and_a_snapshot_allocate_what_they_return() {
     );
     assert!(memory.aggregates <= budget, "{memory:?}");
     assert_eq!(memory.client_records, 24 * stream.client_count());
+
+    // The address → id index: 2^16 buckets for 50 000 clients, 4 bytes
+    // each (262 144); the address stays in the record. A std map's 9 bytes
+    // a bucket (589 824) fail it.
+    let buckets = (stream.client_count() * 8 / 7).next_power_of_two();
+    let budget = ADDRESS_MAP_BYTES_PER_BUCKET * buckets;
+    println!(
+        "the address map of {} clients: {} bytes, budget {budget}",
+        stream.client_count(),
+        memory.address_map
+    );
+    assert!(memory.address_map <= budget, "{memory:?}");
 
     // A top-N reads every cluster and keeps a screenful.
     let (top, peak) = peak_of(|| stream.top_k(10));
