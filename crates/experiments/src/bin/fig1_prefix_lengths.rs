@@ -6,9 +6,8 @@
 //! prefixes outnumber long ones; day-to-day counts barely move (e.g. /24
 //! count 13,937 → 14,018 across 7/3–7/6/1999).
 
-use netclust_experiments::{paper_universe, pct, print_table};
+use netclust_experiments::{paper_universe, pct, print_table, PrefixLengthHistogram};
 use netclust_netgen::{snapshot, VantageSpec};
-use netclust_rtable::PrefixLengthHistogram;
 
 fn main() {
     let universe = paper_universe();

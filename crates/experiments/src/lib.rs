@@ -16,6 +16,8 @@
 //! * [`network_clusters`] — second-level clustering, [`session_report`] —
 //!   time-partitioned stability, and [`selective_validate`] /
 //!   [`merge_by_name_suffix`] — the ongoing-work extensions (§3.6),
+//! * [`PrefixLengthHistogram`] — the prefix-length distribution of
+//!   Figure 1,
 //! * [`detect`] — spider and proxy identification (§4.1.2, Figures 9–10);
 //!   its volume and share thresholds are the served verdict's
 //!   (`netclust_core::VerdictPolicy`).
@@ -34,6 +36,7 @@ mod dynamics;
 mod metrics;
 mod netcluster;
 mod ongoing;
+mod prefix_lengths;
 mod selfcorrect;
 mod sessions;
 mod validation;
@@ -50,6 +53,7 @@ pub use netcluster::{network_clusters, NetworkCluster};
 pub use ongoing::{
     merge_by_name_suffix, selective_validate, MergeReport, SelectiveMode, SelectiveReport,
 };
+pub use prefix_lengths::PrefixLengthHistogram;
 pub use selfcorrect::{
     org_purity, self_correct, self_correct_with, CorrectionConfig, CorrectionReport,
 };

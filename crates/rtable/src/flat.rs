@@ -12,15 +12,19 @@
 //! * `root`: one `u32` per /16 (2^16 entries, 256 KiB). An entry is
 //!   either a *leaf slot* (`handle + 1`, `0` = no match) or, with
 //!   [`NODE_FLAG`] set, the id of a node.
-//! * `nodes`: 64-byte [`Node`]s, each covering the next 8 address bits.
-//!   The node's 256 positions are stored run-length compressed: a 256-bit
-//!   bitmap marks where a run of equal values starts, per-word popcount
-//!   prefixes turn "which run is byte `b` in" into one `popcnt`, and the
-//!   run values (again leaf slots or child node ids) sit inline (up to
-//!   [`INLINE_RUNS`]) or in `spill`. The same node type serves address
+//! * two node stores, each node covering the next 8 address bits with
+//!   its 256 positions stored as runs of equal values (again leaf slots
+//!   or child node entries), in the smaller of two classes that holds
+//!   its runs: a 32-byte [`Node32`] (2–6 runs) lists the bytes where its
+//!   runs start and holds the values inline, and the run of byte `b` is
+//!   the number of start bytes at or below `b`; a 64-byte [`Node`] (7 or
+//!   more) marks the starts in a 256-bit bitmap whose per-word popcount
+//!   prefixes turn "which run is byte `b` in" into one `popcnt`, and
+//!   keeps its values in `spill`. Each store is aligned to its node size,
+//!   so a node never straddles a cache line. Both classes serve address
 //!   bits 15..8 and bits 7..0, so a lookup is the root load plus at most
-//!   two identical [`step`](CompiledTable::step)s.
-//! * `spill`: run values of nodes with more runs than fit inline.
+//!   two [`step`](CompiledTable::step)s.
+//! * `spill`: run values of the 64-byte nodes.
 //!
 //! Matches are returned as [`Handle`]s — dense `Copy` indices into one
 //! prefix arena — so batch lookups move no heap data and results can be
@@ -98,19 +102,23 @@ impl TableObs {
     }
 }
 
-/// Set on a root entry or run value that names a node (low 31 bits = node
-/// id) instead of encoding a match directly.
+/// Set on a root entry or run value that names a node instead of
+/// encoding a match directly: the bit below it names the node's class
+/// ([`LARGE_FLAG`]), the low bits its index in that class's store.
 pub(crate) const NODE_FLAG: u32 = 1 << 31;
+
+/// Set on a node entry that names a 64-byte [`Node`], clear on one that
+/// names a [`Node32`].
+const LARGE_FLAG: u32 = 1 << 30;
+
+/// A node entry's index bits.
+const INDEX_MASK: u32 = LARGE_FLAG - 1;
+
+/// Runs a [`Node32`] holds; a node with more is a 64-byte [`Node`].
+const PACKED_RUNS: usize = 6;
 
 /// Root entries of a materialized table: one per /16.
 pub(crate) const ROOT_LEN: usize = 1 << 16;
-
-/// Run values a node stores in its own cache line; longer run arrays live
-/// in `spill`.
-const INLINE_RUNS: usize = 6;
-
-/// `Node::spill` value of a node whose runs are inline.
-const NO_SPILL: u32 = u32::MAX;
 
 /// Accepted by [`CompiledTable::net_for_slice`] and ignored: the table is
 /// cache-resident, so there is no DRAM round trip for a software prefetch
@@ -164,8 +172,53 @@ impl Handle {
     }
 }
 
-/// 256 leaf-pushed positions (one per value of the next address byte),
-/// stored as runs of equal values. One cache line.
+/// A node of 2 to 6 runs: 32 bytes, its start bytes and run count in
+/// the first eight. Byte `b`'s run is the number of start bytes at or
+/// below `b`; a node of fewer than six runs repeats its last start and
+/// its last value to the end, so the padding resolves like the run it
+/// repeats.
+#[derive(Clone, Copy)]
+#[repr(C, align(32))]
+pub(crate) struct Node32 {
+    /// Where runs 1 to 5 start (run 0 starts at byte 0).
+    starts: [u8; PACKED_RUNS - 1],
+    /// Number of runs.
+    runs: u8,
+    /// The run values.
+    vals: [u32; PACKED_RUNS],
+}
+
+impl Node32 {
+    /// The node of runs starting at byte 0 and at each of `starts`, with
+    /// `vals` (one more than `starts`, at most six).
+    fn new(starts: &[u8], vals: &[u32]) -> Self {
+        let (last_start, last_val) = (starts.last(), vals.last());
+        Node32 {
+            starts: std::array::from_fn(|i| *starts.get(i).or(last_start).unwrap_or(&0)),
+            runs: u8::try_from(vals.len()).unwrap_or(u8::MAX),
+            vals: std::array::from_fn(|i| *vals.get(i).or(last_val).unwrap_or(&0)),
+        }
+    }
+
+    /// The run values.
+    fn values(&self) -> &[u32] {
+        self.vals.get(..usize::from(self.runs)).unwrap_or(&[])
+    }
+
+    /// The value at position `byte` (at most 255).
+    #[inline]
+    fn value(&self, byte: u32) -> u32 {
+        let run = self
+            .starts
+            .iter()
+            .filter(|&&s| u32::from(s) <= byte)
+            .count();
+        self.vals.get(run).copied().unwrap_or(0)
+    }
+}
+
+/// A node of 7 runs or more: a 256-bit map of where runs start, with its
+/// run values in `spill`. One cache line.
 #[derive(Clone, Copy)]
 #[repr(C, align(64))]
 pub(crate) struct Node {
@@ -175,42 +228,31 @@ pub(crate) struct Node {
     /// Runs starting in the words before word `w` (`rank[0]` is 0), so
     /// byte `b`'s run is `rank[b / 64] + popcount(starts[b / 64] up to b) - 1`.
     rank: [u8; 4],
-    /// Offset of this node's run values in `CompiledTable::spill`, or
-    /// [`NO_SPILL`] when they are `inline`.
+    /// Offset of this node's run values in `CompiledTable::spill`.
     spill: u32,
-    /// The run values when there are at most [`INLINE_RUNS`] of them.
-    inline: [u32; INLINE_RUNS],
 }
 
 impl Node {
-    /// Encodes 256 positions, writing the run values to `runs` and
-    /// returning the node (still without storage for them) and their
-    /// count.
-    fn encode(vals: &[u32; 256], runs: &mut [u32; 256]) -> (Node, usize) {
+    /// The node of runs starting at byte 0 and at each of `starts`, its
+    /// values at `spill`.
+    fn new(starts: &[u8], spill: u32) -> Self {
         let mut node = Node {
-            starts: [0; 4],
+            starts: [1, 0, 0, 0],
             rank: [0; 4],
-            spill: NO_SPILL,
-            inline: [0; INLINE_RUNS],
+            spill,
         };
-        let mut n = 0usize;
-        let mut prev = None;
-        let words = node.starts.iter_mut().zip(node.rank.iter_mut());
-        for ((word, rank), bytes) in words.zip(vals.chunks(64)) {
-            // At most 192 runs start before the last word.
-            *rank = u8::try_from(n).unwrap_or(u8::MAX);
-            for (b, &v) in bytes.iter().enumerate() {
-                if prev != Some(v) {
-                    prev = Some(v);
-                    *word |= 1 << b;
-                    if let Some(r) = runs.get_mut(n) {
-                        *r = v;
-                    }
-                    n += 1;
-                }
+        for &b in starts {
+            if let Some(word) = node.starts.get_mut(usize::from(b >> 6)) {
+                *word |= 1 << (b & 63);
             }
         }
-        (node, n)
+        let mut before = 0;
+        for (rank, word) in node.rank.iter_mut().zip(node.starts) {
+            // At most 192 runs start before the last word.
+            *rank = u8::try_from(before).unwrap_or(u8::MAX);
+            before += word.count_ones();
+        }
+        node
     }
 
     /// Number of runs (= stored values).
@@ -218,16 +260,10 @@ impl Node {
         self.starts.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// The run values, wherever they are stored.
-    fn values<'a>(&'a self, spill: &'a [u32]) -> &'a [u32] {
-        let n = self.runs();
-        let stored = if self.spill == NO_SPILL {
-            self.inline.get(..n)
-        } else {
-            let at = self.spill as usize;
-            spill.get(at..at + n)
-        };
-        stored.unwrap_or(&[])
+    /// The run values.
+    fn values<'a>(&self, spill: &'a [u32]) -> &'a [u32] {
+        let at = self.spill as usize;
+        spill.get(at..at + self.runs()).unwrap_or(&[])
     }
 
     /// The value at position `byte` (only the low 8 bits are used).
@@ -241,12 +277,70 @@ impl Node {
         // Bit 0 of word 0 is set on every encoded node, so the count is
         // at least 1; a zeroed node degrades to "no match".
         let run = (usize::from(rank) + upto.count_ones() as usize).wrapping_sub(1);
-        let cell = if self.spill == NO_SPILL {
-            self.inline.get(run)
-        } else {
-            spill.get((self.spill as usize).wrapping_add(run))
-        };
+        let cell = spill.get((self.spill as usize).wrapping_add(run));
         cell.copied().unwrap_or(0)
+    }
+}
+
+/// The store of one node class: ids index `nodes`; freed ids are listed
+/// in `free` and reused before `nodes` grows, except that a freed last
+/// node is dropped, so a chunk rebuilt in place leaves the store as long
+/// as a fresh compile would.
+#[derive(Clone)]
+pub(crate) struct Pool<T> {
+    pub(crate) nodes: Vec<T>,
+    pub(crate) free: Vec<u32>,
+}
+
+impl<T> Pool<T> {
+    const fn new() -> Self {
+        Pool {
+            nodes: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn get(&self, id: u32) -> Option<&T> {
+        self.nodes.get(id as usize)
+    }
+
+    fn alloc(&mut self, node: T) -> u32 {
+        if let Some(id) = self.free.pop() {
+            if let Some(freed) = self.nodes.get_mut(id as usize) {
+                *freed = node;
+            }
+            return id;
+        }
+        debug_assert!(
+            self.nodes.len() <= INDEX_MASK as usize,
+            "node index fits 30 bits"
+        );
+        let id = u32::try_from(self.nodes.len()).unwrap_or(0);
+        self.nodes.push(node);
+        id
+    }
+
+    fn free(&mut self, id: u32) {
+        if id as usize + 1 == self.nodes.len() {
+            self.nodes.pop();
+        } else {
+            self.free.push(id);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.free.clear();
+    }
+
+    /// Nodes some entry names.
+    fn live(&self) -> usize {
+        self.nodes.len() - self.free.len()
+    }
+
+    /// The store's bytes, free list included.
+    fn bytes(&self) -> usize {
+        self.nodes.len() * std::mem::size_of::<T>() + self.free.len() * 4
     }
 }
 
@@ -336,15 +430,13 @@ pub struct CompiledTable {
     /// One entry per /16; empty when the table was compiled from no
     /// prefixes (every lookup misses without touching memory).
     pub(crate) root: Vec<u32>,
-    /// Node storage; ids index into this. Freed ids are in `free_nodes`.
-    pub(crate) nodes: Vec<Node>,
-    /// Run values of nodes with more than [`INLINE_RUNS`] runs.
-    /// Append-only between compactions: a freed node's range is counted
-    /// in `dead_cells`, not reused.
+    /// Nodes of 2–6 runs.
+    pub(crate) small: Pool<Node32>,
+    /// Nodes of 7 runs or more.
+    pub(crate) large: Pool<Node>,
+    /// Run values of the `large` nodes. Append-only between compactions:
+    /// a freed node's range is counted in `dead_cells`, not reused.
     pub(crate) spill: Vec<u32>,
-    /// Ids of nodes no entry references any more, reused before `nodes`
-    /// grows.
-    pub(crate) free_nodes: Vec<u32>,
     /// `spill` cells that belonged to freed nodes.
     pub(crate) dead_cells: usize,
     /// Dense prefix arena; [`Handle`]s index into this. The first
@@ -395,9 +487,9 @@ impl CompiledTable {
     fn build(prefixes: Vec<Ipv4Net>, dump_len: u32) -> Self {
         let mut table = CompiledTable {
             root: Vec::new(),
-            nodes: Vec::new(),
+            small: Pool::new(),
+            large: Pool::new(),
             spill: Vec::new(),
-            free_nodes: Vec::new(),
             dead_cells: 0,
             prefixes,
             dump_len,
@@ -438,15 +530,15 @@ impl CompiledTable {
         slot.wrapping_sub(1) < self.dump_len
     }
 
-    /// Rebuilds `root`, `nodes` and `spill` from scratch for the arena
+    /// Rebuilds `root`, the node stores and `spill` from scratch for the arena
     /// entries named by `live` (the compile step, and the patch layer's
     /// bulk and compaction path). The arena itself is left alone.
     pub(crate) fn rebuild(&mut self, live: impl Iterator<Item = u32>) {
         self.root.clear();
         self.root.resize(ROOT_LEN, 0);
-        self.nodes.clear();
+        self.small.clear();
+        self.large.clear();
         self.spill.clear();
-        self.free_nodes.clear();
         self.dead_cells = 0;
 
         // (tier, length, handle) of the ≤/16 prefixes; chunk keys of the
@@ -588,65 +680,60 @@ impl CompiledTable {
         self.prefixes.get(slot.wrapping_sub(1)).copied()
     }
 
-    /// Stores 256 positions as a node and returns the entry naming it — or
-    /// the value itself when all positions agree, which is how a chunk
-    /// whose long prefixes were all withdrawn turns back into a leaf.
+    /// Stores 256 positions as a node of the smaller class that holds
+    /// their runs and returns the entry naming it — or the value itself
+    /// when all positions agree, which is how a chunk whose long prefixes
+    /// were all withdrawn turns back into a leaf.
     fn entry_for(&mut self, vals: &[u32; 256], cells: &mut usize) -> u32 {
+        // Where each run starts, and its value.
+        let mut starts = [0u8; 256];
         let mut runs = [0u32; 256];
-        let (mut node, n) = Node::encode(vals, &mut runs);
-        let Some(values) = runs.get(..n) else {
+        let (mut n, mut prev) = (0usize, None);
+        for (b, &v) in vals.iter().enumerate() {
+            if prev != Some(v) {
+                prev = Some(v);
+                if let (Some(s), Some(r)) = (starts.get_mut(n), runs.get_mut(n)) {
+                    (*s, *r) = (u8::try_from(b).unwrap_or(u8::MAX), v);
+                }
+                n += 1;
+            }
+        }
+        let (Some(starts), Some(values)) = (starts.get(1..n), runs.get(..n)) else {
             return 0;
         };
         if let [only] = values {
             return *only;
         }
         *cells += n;
-        match node.inline.get_mut(..n) {
-            Some(inline) => inline.copy_from_slice(values),
-            None => {
-                // The spill offset must stay distinguishable from NO_SPILL;
-                // 2^32 cells would be a 16 GiB table.
-                node.spill = u32::try_from(self.spill.len()).unwrap_or(NO_SPILL - 1);
-                self.spill.extend_from_slice(values);
-            }
+        if n <= PACKED_RUNS {
+            return NODE_FLAG | self.small.alloc(Node32::new(starts, values));
         }
-        let id = match self.free_nodes.pop() {
-            Some(id) => {
-                if let Some(freed) = self.nodes.get_mut(id as usize) {
-                    *freed = node;
-                }
-                id
-            }
-            None => {
-                debug_assert!(
-                    self.nodes.len() < NODE_FLAG as usize,
-                    "node id fits 31 bits"
-                );
-                let id = u32::try_from(self.nodes.len()).unwrap_or(0);
-                self.nodes.push(node);
-                id
-            }
-        };
-        NODE_FLAG | id
+        // The spill offset is a u32; 2^32 cells would be a 16 GiB table.
+        let at = u32::try_from(self.spill.len()).unwrap_or(u32::MAX);
+        self.spill.extend_from_slice(values);
+        NODE_FLAG | LARGE_FLAG | self.large.alloc(Node::new(starts, at))
     }
 
     /// Returns the node behind `entry` (if it names one) and every node
-    /// below it to the free list, counting their spilled cells as dead.
+    /// below it to their stores, counting spilled cells as dead.
     pub(crate) fn free_tree(&mut self, entry: u32) {
         let mut pending = vec![entry];
         while let Some(entry) = pending.pop() {
             if entry & NODE_FLAG == 0 {
                 continue;
             }
-            let id = entry & !NODE_FLAG;
-            let Some(node) = self.nodes.get(id as usize) else {
-                continue;
-            };
-            if node.spill != NO_SPILL {
-                self.dead_cells += node.runs();
+            let id = entry & INDEX_MASK;
+            if entry & LARGE_FLAG == 0 {
+                if let Some(node) = self.small.get(id) {
+                    pending.extend_from_slice(node.values());
+                    self.small.free(id);
+                }
+            } else if let Some(node) = self.large.get(id) {
+                let values = node.values(&self.spill);
+                self.dead_cells += values.len();
+                pending.extend_from_slice(values);
+                self.large.free(id);
             }
-            pending.extend_from_slice(node.values(&self.spill));
-            self.free_nodes.push(id);
         }
     }
 
@@ -666,9 +753,11 @@ impl CompiledTable {
     fn step(&self, entry: u32, bits: u32) -> u32 {
         // Entries only ever name nodes this table allocated; a miss on a
         // corrupt id degrades to "no match".
-        match self.nodes.get((entry & !NODE_FLAG) as usize) {
-            Some(node) => node.value(bits & 0xFF, &self.spill),
-            None => 0,
+        let (id, byte) = (entry & INDEX_MASK, bits & 0xFF);
+        if entry & LARGE_FLAG == 0 {
+            self.small.get(id).map_or(0, |n| n.value(byte))
+        } else {
+            self.large.get(id).map_or(0, |n| n.value(byte, &self.spill))
         }
     }
 
@@ -859,7 +948,13 @@ impl CompiledTable {
     /// Number of live nodes. A function of the live prefix set alone: a
     /// patched table has as many as a fresh compile of the same set.
     pub fn nodes(&self) -> usize {
-        self.nodes.len() - self.free_nodes.len()
+        self.node_classes().iter().sum()
+    }
+
+    /// Live nodes of each class: 32-byte (2–6 runs) and 64-byte (7 runs
+    /// or more, values spilled).
+    pub fn node_classes(&self) -> [usize; 2] {
+        [self.small.live(), self.large.live()]
     }
 
     /// `spill` cells no node references any more (garbage the next
@@ -874,9 +969,9 @@ impl CompiledTable {
     /// builds is not counted.
     pub fn memory_bytes(&self) -> usize {
         self.root.len() * 4
-            + self.nodes.len() * std::mem::size_of::<Node>()
+            + self.small.bytes()
+            + self.large.bytes()
             + self.spill.len() * 4
-            + self.free_nodes.len() * 4
             + self.prefixes.len() * std::mem::size_of::<Ipv4Net>()
     }
 }
@@ -887,6 +982,7 @@ impl fmt::Debug for CompiledTable {
             .field("prefixes", &self.prefixes.len())
             .field("dump_len", &self.dump_len)
             .field("nodes", &self.nodes())
+            .field("node_classes", &self.node_classes())
             .field("memory_bytes", &self.memory_bytes())
             .finish()
     }
@@ -1016,7 +1112,7 @@ mod tests {
 
     #[test]
     fn every_run_boundary_resolves_like_the_trie() {
-        // A chunk whose mid node spills (more than INLINE_RUNS runs) over
+        // A chunk whose mid node spills (7 runs or more) over
         // a /12 cover, with >/24 prefixes at both ends of a /24.
         let specs = [
             "24.48.0.0/12",
@@ -1193,11 +1289,12 @@ mod tests {
 
     #[test]
     fn memory_accounting_counts_every_array() {
-        // Root + one mid node + one low node (both inline) + the arena.
+        // Root + one mid node + one low node (3 and 2 runs: 32 bytes
+        // each) + the arena.
         let t = CompiledTable::from_prefixes([net("24.48.2.0/24"), net("24.48.2.128/25")]);
         assert_eq!(t.nodes(), 2);
         assert!(t.spill.is_empty());
-        let expect = ROOT_LEN * 4 + 2 * 64 + 2 * std::mem::size_of::<Ipv4Net>();
+        let expect = ROOT_LEN * 4 + 2 * 32 + 2 * std::mem::size_of::<Ipv4Net>();
         assert_eq!(t.memory_bytes(), expect);
         assert!(t.patch.is_none(), "no shadow trie before a patch");
 
@@ -1208,15 +1305,17 @@ mod tests {
         );
         assert_eq!(t.nodes(), 1);
         assert_eq!(t.spill.len(), 16, "8 /24s over a miss: 16 runs");
-        let fixed = ROOT_LEN * 4 + 64 + 8 * std::mem::size_of::<Ipv4Net>();
-        assert_eq!(t.memory_bytes(), fixed + 16 * 4);
+        let fixed = ROOT_LEN * 4 + 8 * std::mem::size_of::<Ipv4Net>();
+        assert_eq!(t.memory_bytes(), fixed + 64 + 16 * 4);
         for p in t.prefixes().to_vec() {
             t.apply_delta(&[crate::TableDelta::withdraw(p)]);
         }
+        // The one chunk's node was its store's last each time it was
+        // freed, so no store kept it.
         assert_eq!(t.nodes(), 0);
-        assert_eq!(t.free_nodes.len(), 1, "each rebuild reused the freed node");
+        assert_eq!((t.small.free.len(), t.large.free.len()), (0, 0));
         assert_eq!(t.dead_cells(), t.spill.len(), "every spilled range is dead");
-        assert_eq!(t.memory_bytes(), fixed + t.spill.len() * 4 + 4);
+        assert_eq!(t.memory_bytes(), fixed + t.spill.len() * 4);
         assert!(t.patch.is_some());
     }
 
@@ -1280,6 +1379,46 @@ mod tests {
         // Foreign/corrupt handles degrade to "no match", never a panic.
         assert_eq!(t.resolve(Handle(1_000_000)), None);
         assert_eq!(t.resolve(Handle::NONE), None);
+    }
+
+    proptest::proptest! {
+        /// Every class that holds an array's runs answers each of its 256
+        /// positions as the array does, and so does the node `entry_for`
+        /// picks, read through `step`.
+        #[test]
+        fn every_class_answers_each_position_like_the_array(
+            cuts in proptest::collection::btree_set(1u8..=255, 1..20),
+            picks in proptest::collection::vec(1u32..1 << 20, 20),
+        ) {
+            // Run i starts at byte 0 or at the i-th cut; neighbours differ.
+            let starts: Vec<u8> = cuts.into_iter().collect();
+            let mut values: Vec<u32> = Vec::new();
+            for &pick in picks.iter().take(starts.len() + 1) {
+                let same = values.last() == Some(&pick);
+                values.push(pick + u32::from(same));
+            }
+            let mut array = [0u32; 256];
+            for (b, v) in array.iter_mut().enumerate() {
+                let run = starts.iter().filter(|&&s| usize::from(s) <= b).count();
+                *v = values[run];
+            }
+            let n = values.len();
+            let large = Node::new(&starts, 0);
+            for b in 0..=255u32 {
+                let want = array[b as usize];
+                if n <= PACKED_RUNS {
+                    proptest::prop_assert_eq!(Node32::new(&starts, &values).value(b), want);
+                }
+                proptest::prop_assert_eq!(large.value(b, &values), want);
+            }
+            let mut t = CompiledTable::from_prefixes([]);
+            let entry = t.entry_for(&array, &mut 0);
+            let large = entry & LARGE_FLAG != 0;
+            proptest::prop_assert_eq!((large, t.nodes()), (n > PACKED_RUNS, 1));
+            for b in 0..=255u32 {
+                proptest::prop_assert_eq!(t.step(entry, b), array[b as usize]);
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! streams.
 //!
 //! This crate implements the paper's §3.1 machinery (prefix extraction and
-//! table merging); the §3.4 dynamics measures that study it live in
-//! `netclust-experiments`:
+//! table merging); the §3.4 dynamics measures and Figure 1's prefix-length
+//! histogram that study it live in `netclust-experiments`:
 //!
 //! * [`RoutingTable`] / [`MergedTable`] — named snapshots and their union,
 //!   a sorted prefix list per tier (BGP primary / registry-dump secondary),
@@ -12,7 +12,6 @@
 //!   popcount-compressed nodes: one to three array loads per lookup,
 //! * [`PrefixTrie`] — arena-allocated binary trie with longest-prefix
 //!   match (the patch layer's shadow of the live BGP set),
-//! * [`PrefixLengthHistogram`] — Figure 1's prefix-length distribution,
 //! * [`TableDelta`] / [`CompiledTable::apply_delta`] — incremental
 //!   chunk-by-chunk patching of the compiled layout from BGP update
 //!   streams.
@@ -23,7 +22,6 @@
 mod diff;
 mod flat;
 mod patch;
-mod stats;
 mod table;
 #[cfg(test)]
 mod testutil;
@@ -36,7 +34,6 @@ pub use patch::{parse_feed, DeltaKind, DeltaParseError, PatchPolicy, PatchReport
 // defined in `netclust-obs`, re-exported here so rtable users need no
 // extra import.
 pub use netclust_obs::ErrorCounts;
-pub use stats::PrefixLengthHistogram;
 pub use table::{
     load_tables, MatchSource, MergedTable, ParseReport, RouteAttrs, RoutingTable, TableKind,
 };

@@ -641,16 +641,51 @@ mod tests {
 
     #[test]
     fn withdraw_long_frees_its_node_for_reuse() {
-        let mut t = CompiledTable::from_prefixes(nets(&["24.48.2.0/24", "24.48.2.128/25"]));
+        // 24.48/16's low and mid node, then 24.49/16's mid node: three
+        // 32-byte nodes in build order.
+        let base = ["24.48.2.0/24", "24.48.2.128/25", "24.49.2.0/24"];
+        let mut t = CompiledTable::from_prefixes(nets(&base));
+        assert_eq!((t.nodes(), t.small.nodes.len()), (3, 3));
         let r = t.apply_delta(&[TableDelta::withdraw(net("24.48.2.128/25"))]);
         assert!(!r.recompiled);
-        assert_eq!((t.nodes(), t.free_nodes.len()), (1, 1));
-        assert_equivalent(&t, &nets(&["24.48.2.0/24"]), &probes());
-        // The freed node is reused by the next long announce.
+        // Both of the chunk's nodes were freed; its new mid node took one.
+        assert_eq!((t.nodes(), t.small.free.len()), (2, 1));
+        assert_equivalent(&t, &nets(&["24.48.2.0/24", "24.49.2.0/24"]), &probes());
+        // The other freed node is reused by the next long announce.
         let r2 = t.apply_delta(&[TableDelta::announce(net("24.48.2.192/26"))]);
         assert!(!r2.recompiled);
-        assert_eq!((t.nodes(), t.nodes.len()), (2, 2));
-        assert_equivalent(&t, &nets(&["24.48.2.0/24", "24.48.2.192/26"]), &probes());
+        assert_eq!((t.nodes(), t.small.nodes.len()), (3, 3));
+        let after = ["24.48.2.0/24", "24.48.2.192/26", "24.49.2.0/24"];
+        assert_equivalent(&t, &nets(&after), &probes());
+    }
+
+    #[test]
+    fn a_rebuilt_last_chunk_leaves_its_stores_as_long_as_a_fresh_compile() {
+        // One /24 grown past six runs and back: the low node moves from
+        // store to store, and each freed node was its store's last. The
+        // arena keeps withdrawn entries, so it is left out.
+        let layout =
+            |t: &CompiledTable| t.memory_bytes() - t.dead_cells() * 4 - t.prefixes().len() * 8;
+        let block = 0x0A0A_0A00u32;
+        let mut t = CompiledTable::from_prefixes(nets(&["10.10.10.0/24"]));
+        let longs: Vec<Ipv4Net> = (0..8u32)
+            .map(|i| Ipv4Net::new(block | i << 5, 28).unwrap())
+            .collect();
+        let mut live = vec![net("10.10.10.0/24")];
+        for (i, &p) in longs.iter().chain(longs.iter().rev()).enumerate() {
+            let announce = i < longs.len();
+            t.apply_delta(&[if announce {
+                live.push(p);
+                TableDelta::announce(p)
+            } else {
+                live.retain(|&q| q != p);
+                TableDelta::withdraw(p)
+            }]);
+            let fresh = CompiledTable::from_prefixes(live.iter().copied());
+            assert_eq!(layout(&t), layout(&fresh), "after {} deltas", i + 1);
+            assert!(t.small.free.is_empty());
+            assert_equivalent(&t, &live, &probes());
+        }
     }
 
     #[test]

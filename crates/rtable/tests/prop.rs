@@ -209,6 +209,22 @@ proptest! {
     }
 }
 
+/// The oracle property's prefix sets compile to nodes of both classes,
+/// so the reference checks every lookup path.
+#[test]
+fn oracle_tables_reach_every_node_class() {
+    let mut rng = proptest::TestRng::for_test("oracle_tables_reach_every_node_class");
+    let sets = proptest::collection::btree_set(arb_net_wide(), 0..96);
+    let mut seen = [0usize; 2];
+    for _ in 0..64 {
+        let table = CompiledTable::from_prefixes(sets.generate(&mut rng));
+        for (s, n) in seen.iter_mut().zip(table.node_classes()) {
+            *s += n;
+        }
+    }
+    assert!(seen.iter().all(|&n| n > 0), "nodes per class: {seen:?}");
+}
+
 fn nets(specs: &[&str]) -> Vec<Ipv4Net> {
     specs.iter().map(|s| s.parse().unwrap()).collect()
 }
@@ -239,9 +255,10 @@ fn one_table_holds_both_tiers() {
             "{ip}"
         );
     }
-    // 24.48/16 and 99.1/16 hold a node each; 12.65/16 is the BGP /8's leaf.
+    // 24.48/16 and 99.1/16 hold a 3-run, 32-byte node each; 12.65/16 is
+    // the BGP /8's leaf.
     assert_eq!(table.nodes(), 2);
-    assert_eq!(table.memory_bytes(), (1 << 16) * 4 + 2 * 64 + 4 * 8);
+    assert_eq!(table.memory_bytes(), (1 << 16) * 4 + 2 * 32 + 4 * 8);
     assert_eq!(
         (table.live_prefixes(), table.dump_prefixes()),
         (bgp, &dump[..])

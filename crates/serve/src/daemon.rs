@@ -514,7 +514,9 @@ mod tests {
                 // A whole request 100 ms in is answered and restarts the
                 // budget; then comes a head that never ends.
                 std::thread::sleep(Duration::from_millis(100));
-                let _ = peer.write_all(b"GET /healthz HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\n");
+                let _ = peer.write_all(
+                    b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\nGET /healthz HTTP/1.1\r\n",
+                );
                 while peer.write_all(b"a").is_ok() {
                     std::thread::sleep(Duration::from_millis(10));
                 }
@@ -548,7 +550,9 @@ mod tests {
                 // Gives up after 3 s so a daemon that never closes fails
                 // the test instead of hanging it.
                 while started.elapsed() < ms(3_000)
-                    && peer.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").is_ok()
+                    && peer
+                        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                        .is_ok()
                 {
                     let (mut head, mut line) = (String::new(), String::new());
                     while replies.read_line(&mut line).is_ok_and(|n| n > 2) {

@@ -16,6 +16,10 @@
 /// Upper bound on the request head (request line + headers + CRLFCRLF).
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 
+/// Bytes of the longest head terminator, `\r\n\r\n`: a head of
+/// [`MAX_HEAD_BYTES`] may still be arriving until this many more have.
+const MAX_TERMINATOR_BYTES: usize = 4;
+
 /// Upper bound on a request body (`/v1/reload` delta feeds are the only
 /// bodies the API accepts).
 pub const MAX_BODY_BYTES: usize = 1 << 20;
@@ -79,7 +83,7 @@ pub enum Parse {
 /// Incremental request parser; see [`Parse`].
 pub fn parse_request(buf: &[u8]) -> Parse {
     let Some((head_len, body_start)) = find_head_end(buf) else {
-        return if buf.len() > MAX_HEAD_BYTES {
+        return if buf.len() >= MAX_HEAD_BYTES + MAX_TERMINATOR_BYTES {
             Parse::Invalid("request head exceeds 8 KiB")
         } else {
             Parse::Partial
@@ -117,6 +121,7 @@ pub fn parse_request(buf: &[u8]) -> Parse {
 
     let mut content_length = None;
     let mut keep_alive = http11;
+    let mut host = false;
     for line in lines {
         if line.is_empty() {
             continue;
@@ -157,7 +162,20 @@ pub fn parse_request(buf: &[u8]) -> Parse {
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
             // Chunked bodies are outside the daemon's subset.
             return Parse::Invalid("transfer-encoding is not supported");
+        } else if name.eq_ignore_ascii_case("host") {
+            // RFC 9112 §3.2: one `Host` line, with a valid value.
+            if host {
+                return Parse::Invalid("more than one host header");
+            }
+            if !is_host(value) {
+                return Parse::Invalid("invalid host header");
+            }
+            host = true;
         }
+    }
+    // RFC 9112 §3.2: an HTTP/1.1 request names its host; 1.0 may not.
+    if http11 && !host {
+        return Parse::Invalid("missing host header");
     }
     let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
@@ -191,6 +209,46 @@ pub fn parse_request(buf: &[u8]) -> Parse {
 /// A `tchar` of RFC 9110 §5.6.2: what a field name is made of.
 fn is_tchar(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
+}
+
+/// A `Host` value of RFC 9110 §7.2: `uri-host [ ":" port ]`, the host a
+/// bracketed IP literal or a (possibly empty) reg-name of RFC 3986 §3.2.2
+/// — which an IPv4 address is — and the port digits.
+fn is_host(value: &str) -> bool {
+    let (host, port) = match value.strip_prefix('[') {
+        Some(literal) => match literal.split_once(']') {
+            Some((ip, port))
+                if !ip.is_empty() && ip.bytes().all(|b| b == b':' || is_name_char(b)) =>
+            {
+                ("", port)
+            }
+            _ => return false,
+        },
+        None => value.split_at(value.find(':').unwrap_or(value.len())),
+    };
+    let port_ok = port.is_empty()
+        || port
+            .strip_prefix(':')
+            .is_some_and(|p| p.bytes().all(|b| b.is_ascii_digit()));
+    port_ok && is_reg_name(host.as_bytes())
+}
+
+/// Name characters and percent escapes only.
+fn is_reg_name(mut name: &[u8]) -> bool {
+    while let Some((&b, rest)) = name.split_first() {
+        name = match (b, rest) {
+            (b'%', [hi, lo, tail @ ..]) if hex(*hi).is_some() && hex(*lo).is_some() => tail,
+            _ if is_name_char(b) => rest,
+            _ => return false,
+        };
+    }
+    true
+}
+
+/// RFC 3986's unreserved characters and sub-delimiters: a reg-name's, and
+/// with `:` an IP literal's.
+fn is_name_char(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b"-._~!$&'()*+,;=".contains(&b)
 }
 
 /// Locates the head terminator (a blank line: `\r\n\r\n`, `\n\n`, or a
@@ -384,7 +442,7 @@ mod tests {
 
     #[test]
     fn torn_body_asks_for_more_bytes() {
-        let wire = b"POST /v1/reload HTTP/1.1\r\nContent-Length: 10\r\n\r\n12345";
+        let wire = b"POST /v1/reload HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\n12345";
         assert_eq!(parse_request(wire), Parse::Partial);
         let mut full = wire.to_vec();
         full.extend_from_slice(b"67890");
@@ -400,22 +458,23 @@ mod tests {
     fn content_length_is_digits_and_one_value() {
         for (wire, why) in [
             (
-                &b"POST /x HTTP/1.1\r\nContent-Length: +5\r\n\r\n12345"[..],
+                &b"POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: +5\r\n\r\n12345"[..],
                 "unparsable content-length",
             ),
             (
-                b"POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\n12345",
+                b"POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\n12345",
                 "conflicting content-length headers",
             ),
             (
-                b"POST /x HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 5\r\n\r\n12345",
+                b"POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: 3\r\ncontent-length: 5\r\n\r\n12345",
                 "conflicting content-length headers",
             ),
         ] {
             assert_eq!(parse_request(wire), Parse::Invalid(why), "{wire:?}");
         }
-        let (req, _) =
-            complete(b"POST /x HTTP/1.1\r\nContent-Length: 5\r\ncontent-length:  5\r\n\r\n12345");
+        let (req, _) = complete(
+            b"POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\ncontent-length:  5\r\n\r\n12345",
+        );
         assert_eq!(req.body, b"12345");
     }
 
@@ -427,34 +486,35 @@ mod tests {
     fn header_names_are_tokens() {
         for (wire, why) in [
             (
-                &b"POST /x HTTP/1.1\r\nContent-Length : 5\r\n\r\n12345"[..],
+                &b"POST /x HTTP/1.1\r\nHost: x\r\nContent-Length : 5\r\n\r\n12345"[..],
                 "header name is not a token",
             ),
             (
-                b"POST /x HTTP/1.1\r\nTransfer-Encoding\t: chunked\r\n\r\n",
+                b"POST /x HTTP/1.1\r\nHost: x\r\nTransfer-Encoding\t: chunked\r\n\r\n",
                 "header name is not a token",
             ),
             (
-                b"GET /x HTTP/1.1\r\n: empty\r\n\r\n",
+                b"GET /x HTTP/1.1\r\nHost: x\r\n: empty\r\n\r\n",
                 "header name is not a token",
             ),
             (
-                b"GET /x HTTP/1.1\r\nX(y): 1\r\n\r\n",
+                b"GET /x HTTP/1.1\r\nHost: x\r\nX(y): 1\r\n\r\n",
                 "header name is not a token",
             ),
             (
-                b"GET /x HTTP/1.1\r\nX-A: 1\r\n folded: 2\r\n\r\n",
+                b"GET /x HTTP/1.1\r\nHost: x\r\nX-A: 1\r\n folded: 2\r\n\r\n",
                 "obsolete line folding",
             ),
             (
-                b"GET /x HTTP/1.1\r\nX-A: 1\r\n\tmore\r\n\r\n",
+                b"GET /x HTTP/1.1\r\nHost: x\r\nX-A: 1\r\n\tmore\r\n\r\n",
                 "obsolete line folding",
             ),
         ] {
             assert_eq!(parse_request(wire), Parse::Invalid(why), "{wire:?}");
         }
-        let (req, _) =
-            complete(b"POST /x HTTP/1.1\r\nX-Odd_Name.1~!: v\r\nContent-Length: 2\r\n\r\nok");
+        let (req, _) = complete(
+            b"POST /x HTTP/1.1\r\nHost: x\r\nX-Odd_Name.1~!: v\r\nContent-Length: 2\r\n\r\nok",
+        );
         assert_eq!(req.body, b"ok");
     }
 
@@ -465,10 +525,32 @@ mod tests {
         assert!(matches!(parse_request(&wire), Parse::Invalid(_)));
     }
 
+    /// A head of exactly the limit is valid, however its terminator is
+    /// torn: its first bytes alone are not yet too long.
+    #[test]
+    fn a_head_at_the_limit_is_partial_until_its_terminator_arrives() {
+        for eol in ["\r\n", "\n"] {
+            let start = format!("GET /x HTTP/1.1{eol}Host: x{eol}X-Pad: ");
+            let pad = "a".repeat(MAX_HEAD_BYTES - start.len());
+            let wire = format!("{start}{pad}{eol}{eol}");
+            for cut in MAX_HEAD_BYTES..wire.len() {
+                assert_eq!(
+                    parse_request(&wire.as_bytes()[..cut]),
+                    Parse::Partial,
+                    "{cut}"
+                );
+            }
+            let (_, consumed) = complete(wire.as_bytes());
+            assert_eq!(consumed, wire.len());
+            let over = format!("{start}a{pad}{eol}{eol}");
+            assert!(matches!(parse_request(over.as_bytes()), Parse::Invalid(_)));
+        }
+    }
+
     #[test]
     fn oversized_body_is_rejected() {
         let wire = format!(
-            "POST /v1/reload HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            "POST /v1/reload HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
         assert!(matches!(parse_request(wire.as_bytes()), Parse::Invalid(_)));
@@ -477,9 +559,9 @@ mod tests {
     #[test]
     fn pipelined_keep_alive_requests_parse_in_sequence() {
         let mut wire = Vec::new();
-        wire.extend_from_slice(b"GET /healthz HTTP/1.1\r\n\r\n");
-        wire.extend_from_slice(b"GET /v1/clusters/top?n=3 HTTP/1.1\r\n\r\n");
-        wire.extend_from_slice(b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
+        wire.extend_from_slice(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+        wire.extend_from_slice(b"GET /v1/clusters/top?n=3 HTTP/1.1\r\nHost: x\r\n\r\n");
+        wire.extend_from_slice(b"GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
 
         let (r1, c1) = complete(&wire);
         assert_eq!(r1.path, "/healthz");
@@ -503,6 +585,80 @@ mod tests {
         let (req, _) = complete(b"GET /healthz HTTP/1.0\nHost: x\n\n");
         assert_eq!(req.path, "/healthz");
         assert!(!req.keep_alive, "HTTP/1.0 defaults to close");
+        // HTTP/1.0 may leave the host out.
+        let (req, _) = complete(b"GET /healthz HTTP/1.0\r\n\r\n");
+        assert_eq!(req.path, "/healthz");
+    }
+
+    /// RFC 9112 §3.2: an HTTP/1.1 request without `Host`, and any request
+    /// with two `Host` lines or an invalid value, is refused.
+    #[test]
+    fn host_is_required_once_and_valid() {
+        for (wire, why) in [
+            (&b"GET /x HTTP/1.1\r\n\r\n"[..], "missing host header"),
+            (
+                b"GET /x HTTP/1.1\r\nHost: a\r\nhost: a\r\n\r\n",
+                "more than one host header",
+            ),
+            (
+                b"GET /x HTTP/1.0\r\nHost: a\r\nHost: b\r\n\r\n",
+                "more than one host header",
+            ),
+            (
+                b"GET /x HTTP/1.1\r\nHost: a b\r\n\r\n",
+                "invalid host header",
+            ),
+            (
+                b"GET /x HTTP/1.0\r\nHost: a/b\r\n\r\n",
+                "invalid host header",
+            ),
+            (
+                b"GET /x HTTP/1.1\r\nHost: a:8x\r\n\r\n",
+                "invalid host header",
+            ),
+            (
+                b"GET /x HTTP/1.1\r\nHost: a:1:2\r\n\r\n",
+                "invalid host header",
+            ),
+            (
+                b"GET /x HTTP/1.1\r\nHost: a%2\r\n\r\n",
+                "invalid host header",
+            ),
+            (
+                b"GET /x HTTP/1.1\r\nHost: [::1\r\n\r\n",
+                "invalid host header",
+            ),
+            (
+                b"GET /x HTTP/1.1\r\nHost: []\r\n\r\n",
+                "invalid host header",
+            ),
+            (
+                b"GET /x HTTP/1.1\r\nHost: [::1]x\r\n\r\n",
+                "invalid host header",
+            ),
+            (
+                b"GET /x HTTP/1.1\r\nHost: u@h\r\n\r\n",
+                "invalid host header",
+            ),
+        ] {
+            assert_eq!(parse_request(wire), Parse::Invalid(why), "{wire:?}");
+        }
+        for host in [
+            "",
+            "t",
+            "127.0.0.1:8080",
+            "example.com",
+            "[::1]",
+            "[::1]:80",
+            "a%2Fb",
+            "h:",
+        ] {
+            let wire = format!("GET /x HTTP/1.1\r\nHost: {host}\r\n\r\n");
+            assert!(
+                matches!(parse_request(wire.as_bytes()), Parse::Complete { .. }),
+                "{host:?}"
+            );
+        }
     }
 
     #[test]
@@ -510,9 +666,9 @@ mod tests {
         for case in [
             &b"BOGUS\r\n\r\n"[..],
             b"GET /x HTTP/2.0\r\n\r\n",
-            b"GET /x HTTP/1.1\r\nbroken header line\r\n\r\n",
-            b"GET /x HTTP/1.1\r\nContent-Length: banana\r\n\r\n",
-            b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+            b"GET /x HTTP/1.1\r\nHost: x\r\nbroken header line\r\n\r\n",
+            b"GET /x HTTP/1.1\r\nHost: x\r\nContent-Length: banana\r\n\r\n",
+            b"POST /x HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n",
             b"\xff\xfe\r\n\r\n",
         ] {
             assert!(

@@ -369,7 +369,7 @@ fn reload_applies_deltas_and_swaps_tables() {
     // Two different lengths are invalid framing (RFC 9112 §6.3): the
     // answer is 400 on the wire, not whichever header came last.
     let mut raw = Client::connect(addr);
-    let wire = "POST /v1/reload HTTP/1.1\r\nContent-Length: 8\r\n\
+    let wire = "POST /v1/reload HTTP/1.1\r\nHost: t\r\nContent-Length: 8\r\n\
                 Content-Length: 22\r\n\r\nannounce 10.98.0.0/16\n";
     raw.conn.write_all(wire.as_bytes()).expect("send request");
     let (status, body) = raw.read_response();
@@ -379,12 +379,20 @@ fn reload_applies_deltas_and_swaps_tables() {
     // §5.1): a skipped header would leave its body to parse as the next
     // request.
     let mut raw = Client::connect(addr);
-    let wire = "POST /v1/reload HTTP/1.1\r\nContent-Length : 22\r\n\r\n\
+    let wire = "POST /v1/reload HTTP/1.1\r\nHost: t\r\nContent-Length : 22\r\n\r\n\
                 announce 10.97.0.0/16\n";
     raw.conn.write_all(wire.as_bytes()).expect("send request");
     let (status, body) = raw.read_response();
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("not a token"), "{body}");
+    // An HTTP/1.1 request must name its host (RFC 9112 §3.2).
+    let mut raw = Client::connect(addr);
+    raw.conn
+        .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
+        .expect("send request");
+    let (status, body) = raw.read_response();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("missing host header"), "{body}");
 
     daemon.shutdown().expect("clean shutdown");
 }

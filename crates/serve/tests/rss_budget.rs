@@ -15,12 +15,15 @@ const CLIENTS: u32 = 200_000;
 const CLUSTERS: u32 = 50_000;
 
 /// The table, the binary and its threads. A poll reads 64 KiB, so a
-/// backlog needs no room of its own.
+/// backlog needs no room of its own. This test's table is 50 000
+/// adjacent /24s: 196 nodes of 256 runs, a 64-byte line in any layout, so
+/// sizing nodes by their runs takes nothing off it (worst of five runs
+/// 14.95 MB, and 14.97 with every node a 64-byte line).
 const BUDGET_FIXED: u64 = 12 << 20;
 /// A client's 24-byte record, its share of the address index (4-byte
 /// slots at 7/8 load at most) and of its cluster's aggregates, plus what
 /// the one snapshot in flight holds for it: its counts' varints and an
-/// 8-byte sort key. The whole reads 14.8–14.9 MB on a 2-vCPU x86-64 Linux
+/// 8-byte sort key. The whole reads 14.75–14.97 MB on a 2-vCPU x86-64 Linux
 /// host (16.1–16.3 with the index a std map of 9 bytes a bucket, which 32
 /// bytes a client allowed; 16.8–17.1 with the aggregates in a map keyed by
 /// prefix, which 36 allowed); a 4 MiB poll buffer, or 20 bytes a client

@@ -12,10 +12,15 @@ use netclust::rtable::{
     CompiledTable, DeltaKind, MergedTable, RoutingTable, TableDelta, TableKind,
 };
 
-/// What a compiled table may cost, both tiers in its one layout (the
-/// DIR-24-8 layout this replaced paid 64 MiB per tier before the first
-/// prefix).
-const TABLE_BUDGET_BYTES: usize = 16 << 20;
+/// What a compiled table may cost per prefix, both tiers in its one
+/// layout, on the benchmark-shaped table: 34.9 bytes with nodes in two
+/// size classes, 50.1 when every node took a 64-byte line.
+const UNIFORM_BYTES_PER_PREFIX: f64 = 38.0;
+
+/// The same on a generated universe's table, where the 256 KiB root and
+/// the 8-byte arena entries are most of it: 21.8 bytes with the two
+/// classes, 22.5 with 64-byte nodes only.
+const CLUSTERED_BYTES_PER_PREFIX: f64 = 22.2;
 
 /// The churn model every test here shares: batches of ~8, no session
 /// resets (those are replaces, which never touch the layout).
@@ -34,18 +39,28 @@ fn uniform_table(seed: u64) -> (Vec<Ipv4Net>, DeltaStream) {
     (stream.live_prefixes(), stream)
 }
 
-fn assert_within_budget(shape: &str, table: &CompiledTable) {
-    let bytes = table.memory_bytes();
+/// Holds `table` to `per_prefix` bytes a prefix, and the layout with
+/// every node in a 64-byte line to more than that.
+fn assert_within_budget(shape: &str, table: &CompiledTable, per_prefix: f64) {
+    let (bytes, prefixes) = (table.memory_bytes(), table.len().max(1) as f64);
+    let [small, large] = table.node_classes();
+    let one_class = bytes + small * (64 - 32);
     println!(
-        "{shape}: {} prefixes ({} registry), {} nodes, {bytes} bytes, {:.1} bytes/prefix",
+        "{shape}: {} prefixes ({} registry), {} nodes (32 B {small}, 64 B {large}), \
+         {bytes} bytes, {:.1} bytes/prefix ({:.1} in 64-byte nodes only)",
         table.len(),
         table.dump_prefixes().len(),
         table.nodes(),
-        bytes as f64 / table.len().max(1) as f64
+        bytes as f64 / prefixes,
+        one_class as f64 / prefixes,
     );
     assert!(
-        bytes <= TABLE_BUDGET_BYTES,
-        "{shape} table costs {bytes} bytes, budget {TABLE_BUDGET_BYTES}"
+        bytes as f64 <= per_prefix * prefixes,
+        "{shape} table costs {bytes} bytes, budget {per_prefix} a prefix"
+    );
+    assert!(
+        one_class as f64 > per_prefix * prefixes,
+        "{shape}: the budget no longer tells 64-byte nodes apart"
     );
     assert_eq!(table.dead_cells(), 0, "a fresh compile strands nothing");
 }
@@ -64,7 +79,7 @@ fn benchmark_shaped_table_fits_the_budget() {
         prefixes[split..].to_vec(),
     );
     let compiled = MergedTable::merge([&bgp, &dump]).compile();
-    assert_within_budget("uniform", &compiled);
+    assert_within_budget("uniform", &compiled, UNIFORM_BYTES_PER_PREFIX);
 }
 
 /// A generated universe's table: allocation-clustered like a real one
@@ -74,7 +89,7 @@ fn benchmark_shaped_table_fits_the_budget() {
 fn allocation_clustered_table_fits_the_budget() {
     let universe = Universe::generate(UniverseConfig::paper(7));
     let compiled = standard_merged(&universe, 0).compile();
-    assert_within_budget("clustered", &compiled);
+    assert_within_budget("clustered", &compiled, CLUSTERED_BYTES_PER_PREFIX);
 }
 
 /// At least 20 000 deltas of synthetic BGP churn on the benchmark-shaped
