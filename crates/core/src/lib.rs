@@ -51,8 +51,7 @@ pub use persist::{
     StateStore, StreamState,
 };
 pub use query::{
-    ClientClass, ClusterAnswer, ClusterQuery, ClusterRow, QuerySummary, VerdictAnswer,
-    VerdictPolicy,
+    ClientClass, ClusterAnswer, ClusterQuery, ClusterRow, VerdictAnswer, VerdictPolicy,
 };
 pub use stream::{
     PatchBatchReport, PatchStats, RestoreError, StreamHandle, StreamMemory, StreamStats,

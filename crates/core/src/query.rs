@@ -4,12 +4,14 @@
 //! The paper's clustering is presented as an offline batch analysis, but
 //! §4's real-time discussion and every downstream consumer (CDN server
 //! ranking per cluster, role classification from connection patterns)
-//! presume an online *ip → cluster oracle*. [`ClusterQuery`] is that
-//! oracle's contract: the one-shot CLI answers it from a batch
-//! [`Clustering`], the `netclustd` daemon answers it from a live
-//! [`StreamingClustering`](crate::stream::StreamingClustering), and report rendering, verdicts, and top-N all
-//! flow through the same typed requests and responses instead of
-//! binary-private code paths.
+//! presume an online *ip → cluster oracle*. Its rule: the cluster of any
+//! address, seen or not, is the address's longest match, with that
+//! cluster's aggregates and the address's own totals. [`ClusterQuery`]
+//! states it for the live [`StreamingClustering`](crate::stream::StreamingClustering)
+//! the `netclustd` daemon serves; the one-shot CLI answers the same rule
+//! from a batch [`Clustering`] and the [`Assigner`] that built it
+//! ([`Clustering::answer`]), and both classify through
+//! [`VerdictPolicy::judge`].
 //!
 //! Responses render to JSON through hand-rolled, dependency-free writers
 //! (the same discipline as `netclust-obs`): sorted/fixed key order, floats
@@ -23,7 +25,7 @@ use std::net::Ipv4Addr;
 
 use netclust_prefix::Ipv4Net;
 
-use crate::cluster::Clustering;
+use crate::cluster::{Assigner, Clustering};
 
 /// The answer to "which cluster serves this address, and how busy is it".
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,25 +64,6 @@ pub struct ClusterRow {
     pub unique_urls: Option<u64>,
 }
 
-/// Whole-view accounting: the header every report and `/healthz`-style
-/// probe needs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuerySummary {
-    /// Requests consumed.
-    pub total_requests: u64,
-    /// Distinct clients seen.
-    pub clients: u64,
-    /// Clusters with at least one request.
-    pub clusters: u64,
-    /// Requests from clients matching no table entry.
-    pub unclustered_requests: u64,
-    /// Fraction of requests that were clusterable.
-    pub coverage: f64,
-    /// Patch-lineage version of the serving table (0 for a batch view,
-    /// which never swaps).
-    pub table_version: u64,
-}
-
 /// Thresholds for the *structural* spider/proxy verdict — the subset of
 /// §4.1.2's signals available without the raw log: request volume and the
 /// client's share of its cluster (Figure 10's "the spider dwarfs its
@@ -100,6 +83,38 @@ impl Default for VerdictPolicy {
         VerdictPolicy {
             min_requests: 5_000,
             min_cluster_share: 0.80,
+        }
+    }
+}
+
+impl VerdictPolicy {
+    /// The structural spider/proxy verdict on an answer: volume and
+    /// cluster share only (the log-dependent signals need the raw log).
+    pub fn judge(&self, a: &ClusterAnswer) -> VerdictAnswer {
+        let cluster_share = match a.cluster {
+            Some(_) if a.cluster_requests > 0 => {
+                a.client_requests as f64 / a.cluster_requests as f64
+            }
+            Some(_) => 0.0,
+            None => 1.0,
+        };
+        let class = if a.client_requests < self.min_requests {
+            ClientClass::Normal
+        } else if cluster_share >= self.min_cluster_share {
+            // Figure 10: "almost all the requests are issued by the
+            // spider" — it dwarfs its cluster-mates.
+            ClientClass::Spider
+        } else {
+            // Heavy but blended into a busy cluster: volume alone says
+            // proxy-like; the UA/timing signals would firm this up.
+            ClientClass::SuspectedProxy
+        };
+        VerdictAnswer {
+            addr: a.addr,
+            cluster: a.cluster,
+            class,
+            requests: a.client_requests,
+            cluster_share,
         }
     }
 }
@@ -131,53 +146,24 @@ pub struct VerdictAnswer {
     pub cluster_share: f64,
 }
 
-/// The unified agent/server query surface. Batch and streaming views both
-/// answer it; everything user-facing (CLI report, daemon endpoints)
-/// consumes this trait instead of reaching into either representation.
+/// The query surface `netclustd` serves, implemented by the live stream.
+/// The batch CLI answers the same rule through [`Clustering::answer`] and
+/// [`Clustering::top`].
 pub trait ClusterQuery {
     /// Which cluster serves `addr`, with the cluster's and the client's
     /// observed traffic. Always answers — an unknown address comes back
-    /// with `cluster: None` and zero counts, never an error.
+    /// with its longest match (or `cluster: None`) and zero client
+    /// counts, never an error.
     fn lookup(&self, addr: Ipv4Addr) -> ClusterAnswer;
 
     /// The `n` busiest clusters by request count, ties broken by prefix so
     /// equal views render byte-identical answers.
     fn top(&self, n: usize) -> Vec<ClusterRow>;
 
-    /// Whole-view accounting.
-    fn summary(&self) -> QuerySummary;
-
-    /// Structural spider/proxy verdict for `addr` under `policy`: volume
-    /// and cluster-share only (the log-dependent signals need the raw log:
-    /// see [`VerdictPolicy`]). Default implementation derives everything from
-    /// [`lookup`](Self::lookup).
+    /// Structural spider/proxy verdict for `addr` under `policy`: the
+    /// [`lookup`](Self::lookup) answer, [judged](VerdictPolicy::judge).
     fn verdict(&self, addr: Ipv4Addr, policy: &VerdictPolicy) -> VerdictAnswer {
-        let a = self.lookup(addr);
-        let cluster_share = match a.cluster {
-            Some(_) if a.cluster_requests > 0 => {
-                a.client_requests as f64 / a.cluster_requests as f64
-            }
-            Some(_) => 0.0,
-            None => 1.0,
-        };
-        let class = if a.client_requests < policy.min_requests {
-            ClientClass::Normal
-        } else if cluster_share >= policy.min_cluster_share {
-            // Figure 10: "almost all the requests are issued by the
-            // spider" — it dwarfs its cluster-mates.
-            ClientClass::Spider
-        } else {
-            // Heavy but blended into a busy cluster: volume alone says
-            // proxy-like; the UA/timing signals would firm this up.
-            ClientClass::SuspectedProxy
-        };
-        VerdictAnswer {
-            addr,
-            cluster: a.cluster,
-            class,
-            requests: a.client_requests,
-            cluster_share,
-        }
+        policy.judge(&self.lookup(addr))
     }
 }
 
@@ -259,26 +245,6 @@ pub fn top_to_json(rows: &[ClusterRow]) -> String {
     }
     out.push_str("]}");
     out
-}
-
-impl QuerySummary {
-    /// Deterministic JSON rendering. `coverage` is printed with six fixed
-    /// decimals so equal summaries are byte-identical.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(192);
-        let _ = write!(
-            out,
-            "{{\"total_requests\": {}, \"clients\": {}, \"clusters\": {}, \
-             \"unclustered_requests\": {}, \"coverage\": {:.6}, \"table_version\": {}}}",
-            self.total_requests,
-            self.clients,
-            self.clusters,
-            self.unclustered_requests,
-            self.coverage,
-            self.table_version
-        );
-        out
-    }
 }
 
 impl VerdictAnswer {
@@ -367,50 +333,39 @@ pub(crate) fn keep_top<T>(
     kept
 }
 
-impl ClusterQuery for Clustering {
-    fn lookup(&self, addr: Ipv4Addr) -> ClusterAnswer {
-        match self.cluster_of(addr) {
-            Some(cluster) => {
-                let member = cluster
-                    .clients
-                    .binary_search_by_key(&addr, |c| c.addr)
-                    .ok()
-                    .and_then(|i| cluster.clients.get(i));
-                let (client_requests, client_bytes) =
-                    member.map_or((0, 0), |c| (c.requests, c.bytes));
-                ClusterAnswer {
-                    addr,
-                    cluster: Some(cluster.prefix),
-                    cluster_clients: cluster.client_count() as u64,
-                    cluster_requests: cluster.requests,
-                    cluster_bytes: cluster.bytes,
-                    client_requests,
-                    client_bytes,
-                }
-            }
-            None => {
-                // Unclustered clients are retained sorted by address.
-                let member = self
-                    .unclustered
-                    .binary_search_by_key(&addr, |c| c.addr)
-                    .ok()
-                    .and_then(|i| self.unclustered.get(i));
-                let (client_requests, client_bytes) =
-                    member.map_or((0, 0), |c| (c.requests, c.bytes));
-                ClusterAnswer {
-                    addr,
-                    cluster: None,
-                    cluster_clients: 0,
-                    cluster_requests: 0,
-                    cluster_bytes: 0,
-                    client_requests,
-                    client_bytes,
-                }
-            }
+impl Clustering {
+    /// The answer for `addr` under `how`, the assigner this clustering was
+    /// made by — the rule the daemon's [`ClusterQuery::lookup`] follows,
+    /// for an address the log never saw as for one it did: the cluster is
+    /// the assigner's, its aggregates are that cluster's (zeros when it
+    /// has no client), and the client's totals come from its member list,
+    /// or from [`unclustered`](Self::unclustered) when there is no cluster.
+    pub fn answer(&self, how: Assigner<'_>, addr: Ipv4Addr) -> ClusterAnswer {
+        let cluster = how.net_for(u32::from(addr));
+        let found = cluster.and_then(|prefix| {
+            let i = self.clusters.binary_search_by_key(&prefix, |c| c.prefix);
+            self.clusters.get(i.ok()?)
+        });
+        let members = match cluster {
+            None => &self.unclustered[..],
+            Some(_) => found.map_or(&[][..], |c| &c.clients[..]),
+        };
+        let member =
+            (members.binary_search_by_key(&addr, |c| c.addr).ok()).and_then(|i| members.get(i));
+        ClusterAnswer {
+            addr,
+            cluster,
+            cluster_clients: found.map_or(0, |c| c.client_count() as u64),
+            cluster_requests: found.map_or(0, |c| c.requests),
+            cluster_bytes: found.map_or(0, |c| c.bytes),
+            client_requests: member.map_or(0, |c| c.requests),
+            client_bytes: member.map_or(0, |c| c.bytes),
         }
     }
 
-    fn top(&self, n: usize) -> Vec<ClusterRow> {
+    /// The `n` busiest clusters by request count, ties broken by prefix,
+    /// with their unique URL counts.
+    pub fn top(&self, n: usize) -> Vec<ClusterRow> {
         let busiest = keep_top(&self.clusters, n, |a, b| {
             b.requests.cmp(&a.requests).then(a.prefix.cmp(&b.prefix))
         });
@@ -425,23 +380,6 @@ impl ClusterQuery for Clustering {
             })
             .collect()
     }
-
-    fn summary(&self) -> QuerySummary {
-        let unclustered_requests: u64 = self.unclustered.iter().map(|c| c.requests).sum();
-        QuerySummary {
-            total_requests: self.total_requests,
-            clients: self.client_count() as u64,
-            clusters: self.len() as u64,
-            unclustered_requests,
-            // Request-weighted, as the field says and the stream computes;
-            // `Clustering::coverage` is the paper's client-weighted figure.
-            coverage: match self.total_requests {
-                0 => 0.0,
-                total => 1.0 - unclustered_requests as f64 / total as f64,
-            },
-            table_version: 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -449,26 +387,27 @@ mod tests {
     use super::*;
     use crate::stream::StreamingClustering;
     use netclust_netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
+    use netclust_rtable::CompiledTable;
 
-    fn setup() -> (Clustering, StreamingClustering) {
+    fn setup() -> (CompiledTable, Clustering, StreamingClustering) {
         let u = Universe::generate(UniverseConfig::small(7));
         let mut spec = LogSpec::tiny("q", 13);
         spec.total_requests = 8_000;
         spec.target_clients = 300;
         let mut log = generate(&u, &spec);
-        // One client no prefix covers (TEST-NET-2), so the client- and the
-        // request-weighted coverage differ.
+        // One client no prefix covers (TEST-NET-2): the unclustered answer.
         let stray = u32::from(Ipv4Addr::new(198, 51, 100, 9));
         log.requests.push(netclust_weblog::Request {
             client: stray,
             ..log.requests[0]
         });
-        let batch = Clustering::network_aware(&log, &standard_merged(&u, 0));
+        let table = standard_merged(&u, 0).compile();
+        let batch = Clustering::by(&log, Assigner::NetworkAware(&table));
         let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
         for r in &log.requests {
             stream.push(r);
         }
-        (batch, stream)
+        (table, batch, stream)
     }
 
     /// Selection over an iterator must return exactly what the full sort
@@ -507,16 +446,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_stream_agree_through_the_trait() {
-        let (batch, stream) = setup();
-        let bs = batch.summary();
-        let ss = stream.summary();
-        assert_eq!(bs.total_requests, ss.total_requests);
-        assert_eq!(bs.clients, ss.clients);
-        assert_eq!(bs.clusters, ss.clusters);
-        assert_eq!((bs.unclustered_requests, ss.unclustered_requests), (1, 1));
-        assert!((bs.coverage - ss.coverage).abs() < 1e-9);
-
+    fn batch_and_stream_answer_alike() {
+        let (table, batch, stream) = setup();
+        let how = Assigner::NetworkAware(&table);
+        assert_eq!(batch.total_requests, stream.total_requests());
+        assert_eq!(batch.client_count(), stream.client_count());
+        assert_eq!(batch.len(), stream.len());
+        assert_eq!(stream.unclustered_requests(), 1);
         let bt = batch.top(10);
         let st = stream.top(10);
         assert_eq!(bt.len(), st.len());
@@ -529,46 +465,37 @@ mod tests {
             assert_eq!(s.unique_urls, None);
         }
 
-        // Per-address lookups agree wherever the batch view can answer
-        // (every member client).
-        for row in &bt {
-            let b = batch.lookup(row.prefix.addr());
-            let s = stream.lookup(row.prefix.addr());
-            // The network address itself may be unseen; counts still agree.
-            assert_eq!(b.client_requests, s.client_requests);
+        // Every member, the stray, and each top cluster's network address
+        // (seen or not): one answer from both views.
+        let members = batch.clusters.iter().flat_map(|c| &c.clients);
+        let addrs = (members.chain(&batch.unclustered).map(|c| c.addr))
+            .chain(bt.iter().map(|row| row.prefix.addr()));
+        for addr in addrs {
+            assert_eq!(batch.answer(how, addr), stream.lookup(addr), "{addr}");
         }
-        for cluster in &batch.clusters {
-            let Some(member) = cluster.clients.first() else {
-                continue;
-            };
-            let b = batch.lookup(member.addr);
-            let s = stream.lookup(member.addr);
-            assert_eq!(b.cluster, s.cluster);
-            assert_eq!(b.cluster_requests, s.cluster_requests);
-            assert_eq!(b.cluster_bytes, s.cluster_bytes);
-            assert_eq!(b.client_requests, s.client_requests);
-            assert_eq!(b.client_bytes, s.client_bytes);
-            assert_eq!(b.client_requests, member.requests);
-        }
+        let stray = batch.answer(how, Ipv4Addr::new(198, 51, 100, 9));
+        assert_eq!((stray.cluster, stray.client_requests), (None, 1));
     }
 
     #[test]
     fn unknown_address_answers_cleanly() {
-        let (batch, stream) = setup();
+        let (table, batch, stream) = setup();
         let addr = Ipv4Addr::new(203, 0, 113, 7); // TEST-NET-3: never generated
-        for view in [&batch as &dyn ClusterQuery, &stream as &dyn ClusterQuery] {
-            let a = view.lookup(addr);
+        let policy = VerdictPolicy::default();
+        let batch = batch.answer(Assigner::NetworkAware(&table), addr);
+        for a in [batch, stream.lookup(addr)] {
             assert_eq!(a.client_requests, 0);
             assert_eq!(a.client_bytes, 0);
-            let v = view.verdict(addr, &VerdictPolicy::default());
+            let v = policy.judge(&a);
             assert_eq!(v.class, ClientClass::Normal);
             assert_eq!(v.requests, 0);
         }
+        assert_eq!(stream.verdict(addr, &policy), policy.judge(&batch));
     }
 
     #[test]
     fn verdict_classifies_by_volume_and_share() {
-        let (_, mut stream) = setup();
+        let (_, _, mut stream) = setup();
         // A synthetic spider: one client hammers a quiet corner of the
         // address space far beyond the volume floor.
         let spider = stream.top(1).first().map(|r| r.prefix.addr());
@@ -586,29 +513,26 @@ mod tests {
 
     #[test]
     fn json_rendering_is_deterministic_and_shaped() {
-        let (batch, stream) = setup();
+        let (table, batch, stream) = setup();
         assert_eq!(
             top_to_json(&batch.top(5)),
             top_to_json(&batch.top(5)),
             "equal answers must render byte-identically"
         );
-        let s = stream.summary().to_json();
-        assert!(s.starts_with("{\"total_requests\": "), "{s}");
-        assert!(s.contains("\"coverage\": 0.999875"), "{s}");
         let member = batch
             .clusters
             .iter()
             .find_map(|c| c.clients.first())
             .expect("a member");
-        let a = batch.lookup(member.addr).to_json();
-        assert!(a.contains("\"cluster\": \""), "{a}");
+        let a = batch.answer(Assigner::NetworkAware(&table), member.addr);
+        assert!(a.to_json().contains("\"cluster\": \""), "{}", a.to_json());
         let miss = stream.lookup(Ipv4Addr::new(203, 0, 113, 9)).to_json();
         assert!(miss.contains("\"cluster\": null"), "{miss}");
     }
 
     #[test]
     fn top_table_renders_both_views() {
-        let (batch, stream) = setup();
+        let (_, batch, stream) = setup();
         let bt = render_top_table(&batch.top(3));
         assert!(bt.contains("cluster"), "{bt}");
         assert!(bt.lines().count() >= 2);

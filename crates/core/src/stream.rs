@@ -45,7 +45,7 @@ use netclust_weblog::Request;
 
 use crate::kernel::{Client, Shard};
 use crate::persist::{EncodedState, FeedProgress, StreamState};
-use crate::query::{keep_top, ClusterAnswer, ClusterQuery, ClusterRow, QuerySummary};
+use crate::query::{keep_top, ClusterAnswer, ClusterQuery, ClusterRow};
 
 /// Resolved swap/patch-path observability handles (`stream.swap.*`,
 /// `stream.patch.*`, and the serving table's cost as
@@ -1185,17 +1185,6 @@ impl ClusterQuery for StreamingClustering {
                 unique_urls: None,
             })
             .collect()
-    }
-
-    fn summary(&self) -> QuerySummary {
-        QuerySummary {
-            total_requests: self.total_requests(),
-            clients: self.client_count() as u64,
-            clusters: self.len() as u64,
-            unclustered_requests: self.unclustered_requests(),
-            coverage: self.coverage(),
-            table_version: self.table_version(),
-        }
     }
 }
 

@@ -4,8 +4,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use netclust_core::{
-    threshold_busy, Cluster, ClusterQuery, Clustering, ErrorCounts, IngestPipeline, StreamStats,
-    StreamingClustering, SwapPolicy,
+    threshold_busy, Assigner, ClientClass, Cluster, ClusterAnswer, ClusterQuery, Clustering,
+    ErrorCounts, IngestPipeline, StreamStats, StreamingClustering, SwapPolicy, VerdictAnswer,
+    VerdictPolicy,
 };
 use netclust_obs::Obs;
 use netclust_prefix::Ipv4Net;
@@ -54,12 +55,14 @@ type Expected = (BTreeMap<Ipv4Net, [u64; 4]>, u64);
 /// The reference: ordered maps and the radix-trie LPM — nothing the
 /// clustering kernel or the compiled table is built from.
 fn oracle(requests: &[Request], table: &MergedTable) -> Expected {
-    let net_of = |client: u32| table.lookup_u32(client).map(|(net, _)| net);
-    let mut per_client: BTreeMap<u32, [u64; 2]> = BTreeMap::new();
-    for r in requests {
-        let sums = per_client.entry(r.client).or_default();
-        *sums = [sums[0] + 1, sums[1] + r.bytes as u64];
-    }
+    oracle_by(requests, |client| {
+        table.lookup_u32(client).map(|(net, _)| net)
+    })
+}
+
+/// [`oracle`] under any address → cluster rule.
+fn oracle_by(requests: &[Request], net_of: impl Fn(u32) -> Option<Ipv4Net>) -> Expected {
+    let per_client = per_client(requests);
     let (mut clusters, mut unclustered) = (BTreeMap::<Ipv4Net, [u64; 4]>::new(), 0);
     for (&client, &[requests, bytes]) in &per_client {
         match net_of(client) {
@@ -92,6 +95,106 @@ fn batch_view(c: &Clustering) -> Expected {
     (clusters, c.unclustered.iter().map(|u| u.requests).sum())
 }
 
+/// Requests and bytes per client address.
+fn per_client(requests: &[Request]) -> BTreeMap<u32, [u64; 2]> {
+    let mut per_client: BTreeMap<u32, [u64; 2]> = BTreeMap::new();
+    for r in requests {
+        let sums = per_client.entry(r.client).or_default();
+        *sums = [sums[0] + 1, sums[1] + r.bytes as u64];
+    }
+    per_client
+}
+
+/// Point answers against the oracle's rule: the cluster of every seen
+/// client and every `unseen` address is `net_of`'s, with that cluster's
+/// aggregates in `want` (zeros when it has no client) and the address's
+/// own totals in `requests` (zeros when unseen); an unseen address's
+/// verdict is `normal`, with no requests and a share of 0 (1 when it has
+/// no cluster).
+fn check_answers(
+    (answer, verdict): (
+        impl Fn(Ipv4Addr) -> ClusterAnswer,
+        impl Fn(Ipv4Addr) -> VerdictAnswer,
+    ),
+    net_of: impl Fn(u32) -> Option<Ipv4Net>,
+    (want, requests): (&Expected, &[Request]),
+    unseen: &[u32],
+    what: &str,
+) -> Result<(), String> {
+    let per_client = per_client(requests);
+    let totals = unseen.iter().map(|&addr| (addr, [0, 0]));
+    for (client, [requests, bytes]) in per_client.into_iter().chain(totals) {
+        let addr = Ipv4Addr::from(client);
+        let a = answer(addr);
+        let net = net_of(client);
+        let row = net
+            .and_then(|net| want.0.get(&net))
+            .copied()
+            .unwrap_or([0; 4]);
+        let got = [a.cluster_clients, a.cluster_requests, a.cluster_bytes];
+        prop_assert_eq!(
+            (a.cluster, got),
+            (net, [row[0], row[1], row[2]]),
+            "{} {}",
+            addr,
+            what
+        );
+        prop_assert_eq!(
+            (a.client_requests, a.client_bytes),
+            (requests, bytes),
+            "{} {}",
+            addr,
+            what
+        );
+    }
+    for &client in unseen {
+        let addr = Ipv4Addr::from(client);
+        let net = net_of(client);
+        let want = VerdictAnswer {
+            addr,
+            cluster: net,
+            class: ClientClass::Normal,
+            requests: 0,
+            cluster_share: if net.is_some() { 0.0 } else { 1.0 },
+        };
+        prop_assert_eq!(verdict(addr), want, "{}", what);
+    }
+    Ok(())
+}
+
+/// The batch answer path the CLI's `--lookup`/`--verdict` print.
+fn batch_answers<'a>(
+    c: &'a Clustering,
+    how: Assigner<'a>,
+) -> (
+    impl Fn(Ipv4Addr) -> ClusterAnswer + 'a,
+    impl Fn(Ipv4Addr) -> VerdictAnswer + 'a,
+) {
+    let verdict = move |addr| VerdictPolicy::default().judge(&c.answer(how, addr));
+    (move |addr| c.answer(how, addr), verdict)
+}
+
+/// Addresses no request in `log` came from: for each `(sel, bits)`, one
+/// inside table prefix `sel` (with `bits` as its host part), one next to a
+/// client (so inside a cluster that has clients) or one anywhere.
+fn unseen_addrs(log: &Log, nets: &[Ipv4Net], probes: &[(u8, u32)]) -> Vec<u32> {
+    let clients: Vec<u32> = (log.requests.iter().map(|r| r.client))
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let addrs = probes.iter().map(|&(sel, bits)| match sel % 3 {
+        0 if !nets.is_empty() => {
+            let net = nets[sel as usize % nets.len()];
+            net.addr_u32() | (bits & !net.netmask_u32())
+        }
+        1 if !clients.is_empty() => clients[bits as usize % clients.len()] ^ (8 << (bits % 3)),
+        _ => bits,
+    });
+    addrs
+        .filter(|a| clients.binary_search(a).is_err())
+        .collect()
+}
+
 /// The streaming view does not track URLs: its last column is 0.
 fn stream_view(s: &StreamingClustering) -> Expected {
     let row = |k: StreamStats| [k.clients, k.requests, k.bytes, 0];
@@ -106,35 +209,24 @@ fn stream_view(s: &StreamingClustering) -> Expected {
 /// Everything a stream answers about its clusters must be the oracle's
 /// for the `requests` it was fed under `table`: every cluster's
 /// aggregates, the cluster count, a top-N under the (requests descending,
-/// prefix) order for a few N, the request total, and each seen client's
-/// `/v1/cluster` answer.
+/// prefix) order for a few N, the request total, and the `/v1/cluster`
+/// answer for each seen client and each `unseen` address, with the
+/// `/v1/verdict` answer for the latter.
 fn check_stream(
     s: &StreamingClustering,
     want: &Expected,
-    (requests, table): (&[Request], &MergedTable),
+    (requests, table, unseen): (&[Request], &MergedTable, &[u32]),
     what: &str,
 ) -> Result<(), String> {
     prop_assert_eq!(&stream_view(s), want, "{}", what);
     prop_assert_eq!(s.len(), want.0.len(), "{}", what);
     prop_assert_eq!(s.total_requests(), requests.len() as u64, "{}", what);
-    let mut per_client: BTreeMap<u32, [u64; 2]> = BTreeMap::new();
-    for r in requests {
-        let sums = per_client.entry(r.client).or_default();
-        *sums = [sums[0] + 1, sums[1] + r.bytes as u64];
-    }
-    for (&client, &[requests, bytes]) in &per_client {
-        let a = s.lookup(Ipv4Addr::from(client));
-        let net = table.lookup_u32(client).map(|(net, _)| net);
-        let row = net.map_or([0; 4], |net| want.0[&net]);
-        let got = [a.cluster_clients, a.cluster_requests, a.cluster_bytes, 0];
-        prop_assert_eq!((a.cluster, got), (net, row), "{:#010x} {}", client, what);
-        prop_assert_eq!(
-            (a.client_requests, a.client_bytes),
-            (requests, bytes),
-            "{}",
-            what
-        );
-    }
+    let answers = (
+        |addr| s.lookup(addr),
+        |addr| s.verdict(addr, &VerdictPolicy::default()),
+    );
+    let net_of = |client| table.lookup_u32(client).map(|(net, _)| net);
+    check_answers(answers, net_of, (want, requests), unseen, what)?;
     let mut ranked: Vec<(Ipv4Net, StreamStats)> = (want.0.iter())
         .map(|(&net, &[clients, requests, bytes, _])| {
             let stats = StreamStats {
@@ -226,7 +318,11 @@ proptest! {
     /// with the oracle on every cluster, the cluster count and the top-N,
     /// and the batch must report as reassigned exactly the seen clients
     /// whose prefix changed. Where the case asks, the run goes on from the
-    /// restarted daemon, whose handles a fresh compile numbered.
+    /// restarted daemon, whose handles a fresh compile numbered. Every
+    /// driver also answers addresses no request came from — inside table
+    /// prefixes, next to clients, anywhere — by the oracle's rule: the
+    /// batch ones through the CLI's answer path, the stream after every
+    /// slice, batch and restore.
     #[test]
     fn every_driver_matches_the_oracle(
         prefixes in proptest::collection::vec((any::<bool>(), any::<u32>(), 8u8..=26), 1..12),
@@ -241,6 +337,7 @@ proptest! {
             7,
         ),
         chunk_bytes in 64usize..600,
+        probes in proptest::collection::vec((any::<u8>(), any::<u32>()), 1..8),
     ) {
         // Nested prefixes under two /8s, split across both table tiers.
         let nets: Vec<Ipv4Net> = (prefixes.iter())
@@ -266,8 +363,14 @@ proptest! {
         let log = log_from(&triples);
         let want = oracle(&log.requests, &table);
 
+        let unseen = unseen_addrs(&log, &nets, &probes);
+        let net_of = |client| table.lookup_u32(client).map(|(net, _)| net);
+
         let compiled = table.compile();
-        prop_assert_eq!(&batch_view(&Clustering::network_aware_compiled(&log, &compiled)), &want);
+        let how = Assigner::NetworkAware(&compiled);
+        let built = Clustering::by(&log, how);
+        prop_assert_eq!(&batch_view(&built), &want);
+        check_answers(batch_answers(&built, how), net_of, (&want, &log.requests), &unseen, "build")?;
 
         const JUNK: &str = "not a log line\n";
         let mut lines: Vec<String> = clf::to_clf(&log).lines().map(|l| format!("{l}\n")).collect();
@@ -282,6 +385,9 @@ proptest! {
                 .run(text.as_bytes());
             prop_assert_eq!(report.counts.malformed, junk.len() as u64);
             prop_assert_eq!(&batch_view(&report.clustering), &want, "threads={}", threads);
+            let answers = batch_answers(&report.clustering, how);
+            let what = format!("ingest threads={threads}");
+            check_answers(answers, net_of, (&want, &log.requests), &unseen, &what)?;
         }
 
         let mut stream = StreamingClustering::builder(table).build();
@@ -349,7 +455,7 @@ proptest! {
             // The streaming view does not track URLs.
             let mut want = oracle(seen, &table_now);
             want.0.values_mut().for_each(|row| row[3] = 0);
-            let fed = (seen, &table_now);
+            let fed = (seen, &table_now, &unseen[..]);
             check_stream(&stream, &want, fed, &format!("after {batch:?}"))?;
             let restarted =
                 StreamingClustering::restore(&stream.export_state(), SwapPolicy::default(), Obs::disabled())
@@ -366,6 +472,33 @@ proptest! {
             }
         }
         prop_assert_eq!(stream.clf_counts().malformed, junk.len() as u64);
+    }
+
+    /// The simple and classful answers follow the network-aware rule for
+    /// every address, seen or not: the method's cluster (the /24; the
+    /// Class A/B/C network, none for D/E space), its aggregates and the
+    /// address's own totals.
+    #[test]
+    fn simple_and_classful_answer_every_address(
+        reqs in arb_reqs(),
+        probes in proptest::collection::vec((any::<u8>(), any::<u32>()), 1..16),
+    ) {
+        let log = log_from(&reqs);
+        let unseen = unseen_addrs(&log, &[], &probes);
+        let slash24 = |a: u32| Ipv4Net::new(a, 24).ok();
+        let classful = |a: u32| match a >> 24 {
+            0..=127 => Ipv4Net::new(a, 8).ok(),
+            128..=191 => Ipv4Net::new(a, 16).ok(),
+            192..=223 => Ipv4Net::new(a, 24).ok(),
+            _ => None,
+        };
+        let methods = [(Assigner::Simple24, slash24 as fn(u32) -> _), (Assigner::Classful, classful)];
+        for (how, net_of) in methods {
+            let clustering = Clustering::by(&log, how);
+            let want = oracle_by(&log.requests, net_of);
+            let answers = batch_answers(&clustering, how);
+            check_answers(answers, net_of, (&want, &log.requests), &unseen, how.label())?;
+        }
     }
 
     /// simple24 never produces more clusters than clients and never fewer

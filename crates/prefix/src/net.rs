@@ -220,9 +220,8 @@ impl FromStr for Ipv4Net {
         let addr: Ipv4Addr = addr_part
             .parse()
             .map_err(|_| PrefixError::InvalidAddress(addr_part.to_string()))?;
-        let len: u32 = len_part
-            .parse()
-            .map_err(|_| PrefixError::MalformedEntry(s.to_string()))?;
+        let len: u32 = crate::parse::decimal(len_part)
+            .ok_or_else(|| PrefixError::MalformedEntry(s.to_string()))?;
         // `from_addr` refuses what fits a `u8` but exceeds 32.
         let len = u8::try_from(len).map_err(|_| PrefixError::InvalidLength(len))?;
         Ipv4Net::from_addr(addr, len)

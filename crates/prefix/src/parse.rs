@@ -56,9 +56,8 @@ pub fn parse_table_entry(entry: &str) -> Result<Ipv4Net, PrefixError> {
                     .ok_or_else(|| PrefixError::NonContiguousMask(mask_part.to_string()))?
             } else {
                 // Format (ii): numeric length.
-                let len: u32 = mask_part
-                    .parse()
-                    .map_err(|_| PrefixError::MalformedEntry(entry.to_string()))?;
+                let len: u32 = decimal(mask_part)
+                    .ok_or_else(|| PrefixError::MalformedEntry(entry.to_string()))?;
                 // `from_addr` refuses what fits a `u8` but exceeds 32.
                 u8::try_from(len).map_err(|_| PrefixError::InvalidLength(len))?
             };
@@ -76,15 +75,20 @@ fn parse_padded_addr(s: &str) -> Result<Ipv4Addr, PrefixError> {
         if count == 4 {
             return Err(PrefixError::InvalidAddress(s.to_string()));
         }
-        octets[count] = part
-            .parse::<u8>()
-            .map_err(|_| PrefixError::InvalidAddress(s.to_string()))?;
+        octets[count] = decimal(part).ok_or_else(|| PrefixError::InvalidAddress(s.to_string()))?;
         count += 1;
     }
     if count == 0 {
         return Err(PrefixError::InvalidAddress(s.to_string()));
     }
     Ok(Ipv4Addr::from(octets))
+}
+
+/// A number written in ASCII digits only: `str::parse` alone also takes
+/// a leading `+`.
+pub(crate) fn decimal<T: std::str::FromStr>(s: &str) -> Option<T> {
+    let digits = !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    digits.then(|| s.parse().ok()).flatten()
 }
 
 /// Converts a dotted netmask to a prefix length, or `None` when the mask's
@@ -132,6 +136,18 @@ mod tests {
         assert_eq!(parse_table_entry("18").unwrap().to_string(), "18.0.0.0/8");
         // Class D/E space has no classful network.
         assert!(parse_table_entry("224.0.0.0").is_err());
+    }
+
+    #[test]
+    fn a_sign_is_not_a_digit() {
+        for entry in [
+            "+12.65.128.0/19",
+            "12.65.+128.0/19",
+            "12.65.128.0/+19",
+            "12/+255.0",
+        ] {
+            assert!(parse_table_entry(entry).is_err(), "{entry}");
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ mod trie;
 
 pub use diff::{decode_deltas, encode_deltas, DeltaCodecError, DELTA_WIRE_BYTES};
 pub use flat::{CompiledTable, Handle, LivePrefixes, DEFAULT_PREFETCH_DISTANCE};
-pub use patch::{parse_feed, DeltaKind, DeltaParseError, PatchPolicy, PatchReport, TableDelta};
+pub use patch::{parse_feed, DeltaKind, DeltaParseError, PatchReport, TableDelta};
 // The shared error-accounting shape (`ParseReport::counts()` returns it);
 // defined in `netclust-obs`, re-exported here so rtable users need no
 // extra import.

@@ -23,9 +23,9 @@
 //!   entry takes the registry's ≤/16 answer, and a chunk the registry
 //!   holds longer prefixes in is repainted from the static list (as an
 //!   announce over such a chunk collapses it back to a leaf).
-//! * **Bulk** — a batch that crosses
-//!   [`PatchPolicy::recompile_threshold`] updates the trie only and
-//!   rebuilds the whole layout once ([`PatchReport::recompiled`]).
+//! * **Bulk** — a batch of at least `RECOMPILE_PERCENT` % of the live
+//!   prefixes, and at least `RECOMPILE_MIN_DELTAS`, updates the trie
+//!   only and rebuilds the whole layout once ([`PatchReport::recompiled`]).
 //! * **Compaction** — freed nodes are reused, but the run arrays of
 //!   spilled nodes are append-only: a rebuilt chunk leaves its old ranges
 //!   behind as dead cells. When dead cells outnumber live ones (and are
@@ -178,37 +178,15 @@ pub fn parse_feed(text: &str) -> Result<Vec<Vec<TableDelta>>, (usize, DeltaParse
     Ok(batches)
 }
 
-/// When to give up on chunk-by-chunk patching and rebuild the whole layout.
-#[derive(Debug, Clone)]
-pub struct PatchPolicy {
-    /// Rebuild when a batch touches more than this fraction of the live
-    /// prefix set (rebuilding chunk after chunk then costs more than one
-    /// sequential rebuild of all of them).
-    pub recompile_delta_fraction: f64,
-    /// Floor for the recompile threshold, so small tables still patch
-    /// small batches in place.
-    pub recompile_min_deltas: usize,
-}
+/// A batch that touches this share (in percent) of the live prefix set
+/// rebuilds the whole layout once instead of chunk by chunk: rebuilding
+/// chunk after chunk then costs more than one sequential rebuild of all
+/// of them.
+const RECOMPILE_PERCENT: usize = 5;
 
-impl Default for PatchPolicy {
-    fn default() -> Self {
-        PatchPolicy {
-            recompile_delta_fraction: 0.05,
-            recompile_min_deltas: 64,
-        }
-    }
-}
-
-impl PatchPolicy {
-    /// Batch size at which [`CompiledTable::apply_delta_with`] rebuilds
-    /// the layout once instead of patching, for a table with `live`
-    /// prefixes.
-    pub fn recompile_threshold(&self, live: usize) -> usize {
-        #[allow(clippy::cast_possible_truncation, reason = "a float-to-int `as` saturates.")]
-        let scaled = (self.recompile_delta_fraction * live as f64) as usize;
-        scaled.max(self.recompile_min_deltas)
-    }
-}
+/// The floor of the recompile threshold, so small tables still patch
+/// small batches in place.
+const RECOMPILE_MIN_DELTAS: usize = 64;
 
 /// What one [`CompiledTable::apply_delta`] call did, for observability
 /// and tests.
@@ -280,18 +258,13 @@ pub(crate) struct PatchState {
 }
 
 impl CompiledTable {
-    /// Applies a batch of routing deltas in place with the default
-    /// [`PatchPolicy`]. See [`apply_delta_with`](Self::apply_delta_with).
-    pub fn apply_delta(&mut self, deltas: &[TableDelta]) -> PatchReport {
-        self.apply_delta_with(deltas, &PatchPolicy::default())
-    }
-
     /// Applies a batch of routing deltas, rebuilding only the chunks each
-    /// delta reaches — or the whole layout once, when the batch crosses
-    /// `policy`'s density threshold. Deltas apply in order; later entries
+    /// delta reaches — or the whole layout once, when the batch holds at
+    /// least `RECOMPILE_PERCENT` % of the live prefixes and at least
+    /// `RECOMPILE_MIN_DELTAS`. Deltas apply in order; later entries
     /// win. After the call the table is lookup-equivalent to a
     /// from-scratch compile of the delta'd prefix set.
-    pub fn apply_delta_with(&mut self, deltas: &[TableDelta], policy: &PatchPolicy) -> PatchReport {
+    pub fn apply_delta(&mut self, deltas: &[TableDelta]) -> PatchReport {
         let mut report = PatchReport::default();
         let mut state = match self.patch.take() {
             Some(s) => s,
@@ -304,7 +277,8 @@ impl CompiledTable {
             // Compiled from no prefixes: materialize the all-miss root.
             self.root.resize(ROOT_LEN, 0);
         }
-        report.recompiled = deltas.len() >= policy.recompile_threshold(state.trie.len());
+        let threshold = state.trie.len() * RECOMPILE_PERCENT / 100;
+        report.recompiled = deltas.len() >= threshold.max(RECOMPILE_MIN_DELTAS);
         for d in deltas {
             if !self.update_live_set(&mut state, d, &mut report) || report.recompiled {
                 continue;
@@ -760,7 +734,7 @@ mod tests {
             .map(|i| TableDelta::announce(Ipv4Net::new(i << 16, 16).unwrap()))
             .collect();
         let r = t.apply_delta(&deltas);
-        assert!(r.recompiled, "128 deltas cross the default threshold");
+        assert!(r.recompiled, "128 deltas cross the threshold");
         assert_eq!(r.announced, 128);
         let mut expect = nets(&["12.0.0.0/8"]);
         expect.extend((0..128u32).map(|i| Ipv4Net::new(i << 16, 16).unwrap()));

@@ -220,8 +220,10 @@ impl fmt::Display for RoutingTable {
 /// Reads and parses the files of both tiers — `bgp` as [`TableKind::Bgp`],
 /// then `dumps` as [`TableKind::NetworkDump`] — each named after its path
 /// and paired with its parse noise ([`ParseReport::counts`]): what a swap
-/// gate budgets against and what the CLI prints a note about. An unreadable
-/// file is the `io::Error` with the path in its message.
+/// gate budgets against and what the CLI prints a note about. A byte that
+/// is not UTF-8 spoils only its line (read as U+FFFD, so a prefix column
+/// holding one is a malformed line). An unreadable file is the `io::Error`
+/// with the path in its message.
 pub fn load_tables<P: AsRef<Path>>(
     bgp: &[P],
     dumps: &[P],
@@ -231,8 +233,9 @@ pub fn load_tables<P: AsRef<Path>>(
     files
         .map(|(path, kind)| {
             let path = path.to_string_lossy();
-            let text = std::fs::read_to_string(&*path)
+            let bytes = std::fs::read(&*path)
                 .map_err(|e| io::Error::new(e.kind(), format!("cannot read table {path}: {e}")))?;
+            let text = String::from_utf8_lossy(&bytes);
             let (table, report) = RoutingTable::parse_report(path, "file", kind, &text);
             Ok((table, report.counts()))
         })

@@ -8,7 +8,7 @@
 use std::collections::BTreeSet;
 
 use netclust_prefix::Ipv4Net;
-use netclust_rtable::{CompiledTable, PatchPolicy, PrefixTrie, TableDelta};
+use netclust_rtable::{CompiledTable, PatchReport, PrefixTrie, TableDelta};
 use proptest::prelude::*;
 
 mod common;
@@ -120,31 +120,42 @@ proptest! {
         }
     }
 
-    /// Forcing the bulk rebuild on every batch (threshold 0 density)
-    /// agrees with the chunk-by-chunk path and the reference — down to
-    /// what the two report, which `core::stream` persists.
+    /// A batch at the recompile threshold (its floor, 64 deltas, on a
+    /// table of fewer than 1 280 prefixes) takes the bulk rebuild; the
+    /// same deltas in sub-threshold pieces take the chunk-by-chunk path.
+    /// Both agree with the reference, and their summed live-set counts
+    /// agree with each other — what `core::stream` persists.
     #[test]
     fn recompile_fallback_agrees_with_patch_path(
         initial in proptest::collection::btree_set(arb_net(), 1..32),
-        ops in proptest::collection::vec(arb_op(), 1..16),
+        ops in proptest::collection::vec(arb_op(), 64),
+        cuts in proptest::collection::vec(1usize..64, 1..8),
         random in proptest::collection::vec(any::<u32>(), 16),
     ) {
-        let eager = PatchPolicy { recompile_min_deltas: 0, recompile_delta_fraction: 0.0 };
-        let mut live_a = initial.clone();
-        let mut live_b = initial.clone();
-        let mut patch = CompiledTable::from_prefixes(initial.iter().copied());
-        let mut recompile = CompiledTable::from_prefixes(initial.iter().copied());
-        let deltas = realize(&ops, &mut live_a);
-        realize(&ops, &mut live_b);
-        let r_patch = patch.apply_delta(&deltas);
-        let r_rec = recompile.apply_delta_with(&deltas, &eager);
-        prop_assert!(r_rec.recompiled);
-        prop_assert_eq!(r_patch.announced, r_rec.announced);
-        prop_assert_eq!(r_patch.withdrawn, r_rec.withdrawn);
-        prop_assert_eq!(r_patch.replaced, r_rec.replaced);
-        prop_assert_eq!(r_patch.noops, r_rec.noops);
-        assert_equiv(&patch, &live_a, &random);
-        assert_equiv(&recompile, &live_b, &random);
+        let mut live = initial.clone();
+        let deltas = realize(&ops, &mut live);
+        // A withdraw of a live prefix from an empty set realizes to nothing.
+        prop_assume!(deltas.len() == 64);
+        let mut bulk = CompiledTable::from_prefixes(initial.iter().copied());
+        let whole = bulk.apply_delta(&deltas);
+        prop_assert!(whole.recompiled);
+        let mut pieces = CompiledTable::from_prefixes(initial.iter().copied());
+        let mut summed = PatchReport::default();
+        let mut rest = &deltas[..];
+        for &cut in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (piece, after) = rest.split_at(cut.min(rest.len()));
+            let r = pieces.apply_delta(piece);
+            prop_assert!(!r.recompiled, "{} deltas", piece.len());
+            summed.merge(&r);
+            rest = after;
+        }
+        let counts = |r: &PatchReport| (r.announced, r.withdrawn, r.replaced, r.noops);
+        prop_assert_eq!(counts(&whole), counts(&summed));
+        assert_equiv(&bulk, &live, &random);
+        assert_equiv(&pieces, &live, &random);
     }
 
     /// With a registry tier under the BGP one: patched ≡ a fresh compile

@@ -1,6 +1,7 @@
 //! Properties of the incremental request parser over requests drawn from
 //! the grammar it accepts — request line, field lines, `Content-Length`
-//! bodies, bare-LF heads and heads near [`MAX_HEAD_BYTES`] — and over
+//! bodies, bare-LF heads and heads near [`MAX_HEAD_BYTES`] — over the
+//! two field forms it refuses (`Transfer-Encoding`, obs-fold), and over
 //! byte edits of them: torn reads change nothing, pipelined requests come
 //! apart one by one, and no input panics. The shim does not shrink: a
 //! failure prints the bytes it was given.
@@ -107,6 +108,38 @@ fn build(
     }
 }
 
+/// A request with one more head line the parser must refuse: a
+/// `Transfer-Encoding` field (any case, any value) or a line folded onto
+/// the one before it (RFC 9112 §5.2's obs-fold), at any line boundary of
+/// the head after the request line.
+fn arb_refused() -> impl Strategy<Value = Wire> {
+    let name = prop_oneof![
+        Just("Transfer-Encoding"),
+        Just("transfer-encoding"),
+        Just("TRANSFER-ENCODING"),
+    ];
+    let field = (name, "[ \t]{0,2}", "[ -~]{0,12}").prop_map(|(n, ws, v)| format!("{n}:{ws}{v}"));
+    let fold = ("[ \t]{1,3}", "[ -~]{0,16}").prop_map(|(ws, rest)| format!("{ws}{rest}"));
+    let line = prop_oneof![field, fold];
+    (arb_wire(), line, any::<usize>()).prop_map(|(mut wire, line, at)| {
+        let head = &wire.bytes[..wire.head_end];
+        let eol: &[u8] = if head.ends_with(b"\r\n\r\n") {
+            b"\r\n"
+        } else {
+            b"\n"
+        };
+        // Line starts after the request line, the closing blank one last.
+        let starts: Vec<usize> = (1..wire.head_end - eol.len() + 1)
+            .filter(|&i| head[i - 1] == b'\n')
+            .collect();
+        let at = starts[at % starts.len()];
+        let inserted = [line.as_bytes(), eol].concat();
+        wire.head_end += inserted.len();
+        wire.bytes.splice(at..at, inserted);
+        wire
+    })
+}
+
 /// What a connection loop ends with when `wire` arrives as two reads
 /// split at `cut`: it parses after each read and reads on only after
 /// `Partial`.
@@ -171,6 +204,22 @@ proptest! {
         }
     }
 
+    /// A `Transfer-Encoding` field or a folded line makes the request
+    /// invalid, fed whole or as two reads split anywhere.
+    #[test]
+    fn transfer_encoding_and_folded_lines_are_refused(wire in arb_refused()) {
+        let whole = parse_request(&wire.bytes);
+        prop_assert!(
+            matches!(whole, Parse::Invalid(_)),
+            "{:?} on {:?}",
+            whole,
+            String::from_utf8_lossy(&wire.bytes)
+        );
+        for cut in cuts(wire.bytes.len(), wire.head_end) {
+            prop_assert_eq!(&fed_in_two(&wire.bytes, cut), &whole, "cut {}", cut);
+        }
+    }
+
     /// n requests written back to back parse to the n requests, in order,
     /// each consuming its own bytes and nothing of the next.
     #[test]
@@ -193,7 +242,10 @@ proptest! {
     /// consumed some of them, a call for more, or a refusal — and it does
     /// not depend on how the bytes were split into reads.
     #[test]
-    fn edited_bytes_never_panic_and_split_alike(wire in arb_wire(), edits in vec(arb_edit(), 1..5)) {
+    fn edited_bytes_never_panic_and_split_alike(
+        wire in prop_oneof![arb_wire(), arb_refused()],
+        edits in vec(arb_edit(), 1..5),
+    ) {
         let mut bytes = wire.bytes.clone();
         for edit in edits {
             apply(&mut bytes, edit);

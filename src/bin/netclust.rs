@@ -29,9 +29,9 @@ use std::process::ExitCode;
 use netclust::bgpsim::{DeltaBatch, DeltaStream, DeltaStreamConfig};
 use netclust::core::query::render_top_table;
 use netclust::core::{
-    threshold_busy, Assigner, ClusterQuery, ErrorRate, FeedProgress, FlagError, FlagTable,
-    FsyncPolicy, IngestError, JournalBatch, Parsed, PersistError, RunConfig, StateStore,
-    StreamingClustering, SwapPolicy, VerdictPolicy,
+    threshold_busy, Assigner, ErrorRate, FeedProgress, FlagError, FlagTable, FsyncPolicy,
+    IngestError, JournalBatch, Parsed, PersistError, RunConfig, StateStore, StreamingClustering,
+    SwapPolicy, VerdictPolicy,
 };
 use netclust::netgen::{standard_collection, try_generate, LogSpec, Universe, UniverseConfig};
 use netclust::obs::Obs;
@@ -640,16 +640,16 @@ fn cmd_cluster(p: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         busy.busy.len(),
         busy.threshold
     )?;
-    // Top-N, point lookups, and verdicts all go through the unified
-    // ClusterQuery trait — the same surface `netclustd` serves over HTTP
-    // — so the CLI report and the daemon's JSON cannot disagree.
     write!(out, "\n{}", render_top_table(&clustering.top(top)))?;
 
+    // Point answers follow the daemon's rule for every address, seen or
+    // not: the method's cluster, its aggregates, the client's totals.
+    let policy = VerdictPolicy::default();
     for addr in lookups {
-        writeln!(out, "{}", clustering.lookup(addr).to_json())?;
+        writeln!(out, "{}", clustering.answer(how, addr).to_json())?;
     }
     for addr in verdicts {
-        let verdict = clustering.verdict(addr, &VerdictPolicy::default());
+        let verdict = policy.judge(&clustering.answer(how, addr));
         writeln!(out, "{}", verdict.to_json())?;
     }
 
