@@ -34,6 +34,7 @@
 pub mod codec;
 mod state;
 
+pub(crate) use state::RowBytes;
 pub use state::{
     decode_batch, decode_state, encode_batch, encode_state, EncodedState, FeedProgress,
     JournalBatch, StateDecodeError, StreamState,
@@ -41,7 +42,7 @@ pub use state::{
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use netclust_obs::{Counter, Obs};
@@ -393,21 +394,33 @@ impl StateStore {
     /// to the previous generation's journal would be acknowledged and then
     /// never replayed.
     pub fn checkpoint(&mut self, state: &StreamState) -> Result<u64, PersistError> {
-        self.checkpoint_encoded(EncodedState::of(state))
+        let payload = encode_state(state);
+        self.write_snapshot(payload.len(), |emit| emit(&payload))
     }
 
     /// [`checkpoint`](Self::checkpoint) of a state that was encoded where
-    /// it lives (`StreamingClustering::encode_state`): its prefix lists are
-    /// coded from the table generation it holds and its row keys sorted,
-    /// then each row is coded on the way to the file — address gap, then
-    /// its counts' varints copied from where they were encoded — through a
-    /// bounded stack buffer, the checksum taken as the pieces go. No image
-    /// of the rows in file order is built.
+    /// it lives (`StreamingClustering::encode_state`): each /16 of its
+    /// rows is sorted, then the payload is coded on the way to the file —
+    /// the prefix lists from the table generation it holds, which is let
+    /// go after them, and each row's address gap before its counts'
+    /// varints, copied from where they were encoded — through a bounded
+    /// stack buffer, the checksum taken as the pieces go. No image of the
+    /// rows in file order is built, and the room is freed before the
+    /// fsync.
     pub fn checkpoint_encoded(&mut self, mut state: EncodedState) -> Result<u64, PersistError> {
-        let next = self.seq + 1;
         state.finish();
-        let payload_len = state.wire_len();
+        self.write_snapshot(state.wire_len(), move |emit| state.write_wire(emit))
+    }
 
+    /// The steps of [`checkpoint`](Self::checkpoint) around a payload of
+    /// `payload_len` bytes that `write` hands to the function it is given,
+    /// in pieces.
+    fn write_snapshot(
+        &mut self,
+        payload_len: usize,
+        write: impl FnOnce(&mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()>,
+    ) -> Result<u64, PersistError> {
+        let next = self.seq + 1;
         let tmp = self.dir.join(format!("snapshot-{next:06}.tmp"));
         let snap = self.snapshot_path(next);
         let mut file = File::create(&tmp).map_err(|e| io_err("create snapshot temp", &tmp, e))?;
@@ -415,7 +428,7 @@ impl StateStore {
         file.write_all(&encode_header(FILE_SNAPSHOT))
             .and_then(|()| file.write_all(&frame_prefix(REC_STATE, payload_len)))
             .and_then(|()| {
-                state.write_wire(|piece| {
+                write(&mut |piece| {
                     crc.update(piece);
                     file.write_all(piece)
                 })

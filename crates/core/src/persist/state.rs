@@ -20,6 +20,7 @@
 //! means a *structural* problem (a version skew or a bug), reported as a
 //! typed [`StateDecodeError`], never a panic.
 
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::Arc;
 
@@ -133,12 +134,6 @@ fn put_varint_at(out: &mut [u8], at: usize, value: u64) -> usize {
     }
 }
 
-fn put_varint_vec(out: &mut Vec<u8>, value: u64) {
-    let mut buf = [0u8; VARINT_MAX_BYTES];
-    let n = put_varint(&mut buf, value);
-    out.extend_from_slice(buf.get(..n).unwrap_or_default());
-}
-
 /// How a format version lays out client rows and prefix lists; every
 /// other field is the same in all of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,44 +141,20 @@ enum Layout {
     /// Version 1, read only: a `u32` address and two `u64` counts a row,
     /// a `u32` address and a length byte a prefix.
     Fixed,
-    /// Version 2: delta varints, as [`put_prefixes`] and
-    /// [`EncodedState::write_wire`] write them.
+    /// Version 2: delta varints, as [`Chunked::prefixes`],
+    /// [`encode_state`] and [`EncodedState::write_wire`] write them.
     Varint,
 }
 
-/// Most bytes [`put_prefixes`] spends on one prefix: a varint of a `u32`
-/// distance and the length byte.
-const PREFIX_MAX_BYTES: usize = 5 + 1;
-
-/// Appends the BGP and the dump prefix list to `out`, reserved once at
-/// their longest.
-fn put_lists(
-    out: &mut Vec<u8>,
-    bgp: impl ExactSizeIterator<Item = Ipv4Net>,
-    dump: impl ExactSizeIterator<Item = Ipv4Net>,
-) {
-    out.reserve(8 + (bgp.len() + dump.len()) * PREFIX_MAX_BYTES);
-    put_prefixes(out, bgp);
-    put_prefixes(out, dump);
-}
-
-/// Appends a prefix list: its `u32` count, then per prefix a varint of its
-/// address's distance from the previous prefix's address (from 0 for the
-/// first) and its length byte.
-fn put_prefixes(out: &mut Vec<u8>, prefixes: impl ExactSizeIterator<Item = Ipv4Net>) {
-    #[allow(
-        clippy::cast_possible_truncation,
-        reason = "an IPv4 prefix set is bounded far below u32::MAX entries."
-    )]
-    put_u32(out, prefixes.len() as u32);
+/// Bytes [`Chunked::prefixes`] codes `prefixes` to, but for the count.
+fn prefixes_len(prefixes: impl Iterator<Item = Ipv4Net>) -> usize {
     let mut prev = 0u32;
-    for p in prefixes {
-        // Wraps only for a list out of order, which the decoder then
-        // refuses as an address past `u32::MAX`.
-        put_varint_vec(out, u64::from(p.addr_u32().wrapping_sub(prev)));
-        out.push(p.len());
+    (prefixes.map(|p| {
+        let gap = p.addr_u32().wrapping_sub(prev);
         prev = p.addr_u32();
-    }
+        varint_len(u64::from(gap)) + 1
+    }))
+    .sum()
 }
 
 /// Decodes a sorted prefix list, enforcing canonical form: every address
@@ -278,14 +249,105 @@ fn take_rejection(r: &mut Reader<'_>) -> Result<Option<SwapRejection>, StateDeco
     }
 }
 
-/// Stack bytes the client rows are coded through on their way out of an
-/// [`EncodedState`]: the one buffer coding adds.
+/// Stack bytes a payload is coded through on its way out: the one buffer
+/// coding adds.
 const CODE_CHUNK: usize = 32 << 10;
 
-/// Bytes [`EncodedState`] reserves a row for its two counts' varints: a
-/// request count under 2^7 and a byte count under 2^21 take 4 (the rows of
-/// the benchmark's `wide` and `narrow` states take 3.6 and 3.9). A state
-/// whose rows take more grows the buffer.
+/// A payload coded through one [`CODE_CHUNK`] stack buffer, handed to
+/// `emit` in pieces: the buffer whenever the next code might not fit, and
+/// the fixed fields as they are.
+struct Chunked<F> {
+    buf: [u8; CODE_CHUNK],
+    len: usize,
+    emit: F,
+}
+
+impl<E, F: FnMut(&[u8]) -> Result<(), E>> Chunked<F> {
+    fn new(emit: F) -> Self {
+        Chunked {
+            buf: [0; CODE_CHUNK],
+            len: 0,
+            emit,
+        }
+    }
+
+    /// Hands out what is buffered unless `n` more bytes fit.
+    fn room(&mut self, n: usize) -> Result<(), E> {
+        if CODE_CHUNK - self.len < n {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> Result<(), E> {
+        if self.len == 0 {
+            return Ok(());
+        }
+        let full = self.buf.get(..self.len).unwrap_or_default();
+        self.len = 0;
+        (self.emit)(full)
+    }
+
+    /// Hands out what is buffered, then `piece` as it is.
+    fn piece(&mut self, piece: &[u8]) -> Result<(), E> {
+        self.flush()?;
+        (self.emit)(piece)
+    }
+
+    /// Codes `value` as a varint; [`room`](Self::room) was made for it.
+    fn varint(&mut self, value: u64) {
+        self.len = put_varint_at(&mut self.buf, self.len, value);
+    }
+
+    /// Copies `bytes`; [`room`](Self::room) was made for them.
+    fn bytes(&mut self, bytes: &[u8]) {
+        if let Some(to) = self.buf.get_mut(self.len..self.len + bytes.len()) {
+            to.copy_from_slice(bytes);
+            self.len += bytes.len();
+        }
+    }
+
+    /// Copies the first `len` bytes of `block`, as the whole block; the
+    /// next code overwrites what is past them. [`room`](Self::room) was
+    /// made for the block.
+    fn block(&mut self, block: &[u8; ROW_ROOM], len: usize) {
+        if let Some(to) = self
+            .buf
+            .get_mut(self.len..)
+            .and_then(|s| s.first_chunk_mut())
+        {
+            *to = *block;
+            self.len += len;
+        }
+    }
+
+    /// A prefix list: its `u32` count, then per prefix a varint of its
+    /// address's distance from the previous prefix's address (from 0 for
+    /// the first) and its length byte.
+    fn prefixes(&mut self, prefixes: impl ExactSizeIterator<Item = Ipv4Net>) -> Result<(), E> {
+        self.room(4)?;
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "an IPv4 prefix set is bounded far below u32::MAX entries."
+        )]
+        self.bytes(&(prefixes.len() as u32).to_le_bytes());
+        let mut prev = 0u32;
+        for p in prefixes {
+            self.room(VARINT_MAX_BYTES + 1)?;
+            // Wraps only for a list out of order, which the decoder then
+            // refuses as an address past `u32::MAX`.
+            self.varint(u64::from(p.addr_u32().wrapping_sub(prev)));
+            self.bytes(&[p.len()]);
+            prev = p.addr_u32();
+        }
+        Ok(())
+    }
+}
+
+/// Bytes a bucketed row reserves for its two counts' varints in
+/// [`EncodedState::with_room`]: a request count under 2^7 and a byte count
+/// under 2^21 take 4 (the rows of the benchmark's `wide` and `narrow`
+/// states take 3.6 and 3.9). A state whose rows take more grows the room.
 const SUMS_RESERVE: usize = 4;
 
 /// `n` copies of `fill` in a vector reserved for exactly them, and written:
@@ -297,218 +359,369 @@ fn touched<T: Copy>(n: usize, fill: T) -> Vec<T> {
     v
 }
 
+/// The payload's fields but for the prefix lists, which go at
+/// [`LISTS_AT`], and the client rows, which go at [`ROWS_AT`]: `head`'s,
+/// with a count of `rows` rows.
+fn fields(head: &StreamState, rows: usize) -> Vec<u8> {
+    // The fields after the rows are about 150 bytes.
+    let mut bytes = Vec::with_capacity(256);
+    put_u64(&mut bytes, head.table_version);
+    put_u64(&mut bytes, head.feed_pos);
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "one row per distinct IPv4 client: len < 2^32 by construction."
+    )]
+    put_u32(&mut bytes, rows as u32);
+    put_tail(&mut bytes, head);
+    bytes
+}
+
 /// Serializes a [`StreamState`] to its byte form (the payload of a
 /// snapshot file's single `REC_STATE` frame), rows in the order given:
 /// canonical exactly when `state.per_client` is sorted by address.
 pub fn encode_state(state: &StreamState) -> Vec<u8> {
-    let encoded = EncodedState::of(state);
-    let mut out = Vec::with_capacity(encoded.wire_len());
-    let Ok(()) = encoded.write_wire(|piece| {
+    let mut out = Vec::new();
+    let mut to = |piece: &[u8]| {
         out.extend_from_slice(piece);
-        Ok::<(), std::convert::Infallible>(())
-    });
+        Ok::<(), Infallible>(())
+    };
+    let Ok(()) = code_state(&mut Chunked::new(&mut to), state);
     out
 }
 
-/// A snapshot payload whose client rows are not coded yet and may still be
-/// in the order their producer held them: each row's two counts already as
-/// varints, in one buffer in that order, and per row a `u64` key, its
-/// address above the offset of its varints. Only
+/// Codes `state` through `to`, rows in the order given.
+fn code_state<E>(
+    to: &mut Chunked<impl FnMut(&[u8]) -> Result<(), E>>,
+    state: &StreamState,
+) -> Result<(), E> {
+    let fields = fields(state, state.per_client.len());
+    to.piece(fields.get(..LISTS_AT).unwrap_or_default())?;
+    to.prefixes(state.bgp_prefixes.iter().copied())?;
+    to.prefixes(state.dump_prefixes.iter().copied())?;
+    to.piece(fields.get(LISTS_AT..ROWS_AT).unwrap_or_default())?;
+    let mut next = 0u64;
+    for &(client, requests, bytes) in &state.per_client {
+        to.room(3 * VARINT_MAX_BYTES)?;
+        // Wraps only for rows out of address order, which the decoder
+        // then refuses as an address past `u32::MAX`.
+        to.varint(u64::from(client).wrapping_sub(next));
+        to.varint(requests);
+        to.varint(bytes);
+        next = u64::from(client) + 1;
+    }
+    to.piece(fields.get(ROWS_AT..).unwrap_or_default())
+}
+
+/// A snapshot payload whose client rows are coded but for their address
+/// gaps, bucketed by /16 and within a bucket still in the order their
+/// producer held them: a row is `[low 16 address bits][requests
+/// varint][bytes varint]`, in its /16's bucket of one buffer, the buckets
+/// in address order. Only
 /// [`StateStore::checkpoint_encoded`](super::StateStore::checkpoint_encoded)
-/// takes one: it codes the prefix lists if the producer left them to it,
-/// sorts the keys, then writes the payload with each row — its address
-/// gap, then its varints copied by offset — coded on the way out through
-/// one bounded stack buffer. The canonical order the decoder enforces
-/// cannot be skipped, and no row exists twice.
+/// takes one: it sorts each bucket by its low bits
+/// (`finish`), then writes the payload — the prefix lists
+/// coded from the serving generation the producer held, each row's
+/// address gap then its varints — through one bounded stack buffer. The
+/// canonical order the decoder enforces cannot be skipped, and no row
+/// exists twice.
 ///
 /// The default value is an empty one with no room reserved; see
 /// [`with_room`](Self::with_room).
 #[derive(Debug, Default)]
 pub struct EncodedState {
-    /// The payload in wire form but for the prefix lists, which go at
-    /// [`LISTS_AT`], and the client rows, which go at [`ROWS_AT`].
+    /// The payload's fields but for the prefix lists and the client rows
+    /// ([`fields`]).
     bytes: Vec<u8>,
-    /// The two prefix lists in wire form, once coded.
-    lists: Vec<u8>,
-    /// The serving generation whose prefix lists are still to be coded.
-    /// It is immutable, so they are coded from it after the producer's
-    /// lock is dropped, and then it is let go.
+    /// The serving generation whose prefix lists are coded on the way
+    /// out. It is immutable, so they are coded from it after the
+    /// producer's lock is dropped, and it is let go once they are.
     serving: Option<Arc<LiveTable>>,
-    /// Each row's requests and bytes as two varints, in the order the rows
-    /// came, then [`ROW_ROOM`] bytes of slack, so a row's varints are
-    /// copied out as one fixed-size block.
-    sums: Vec<u8>,
-    /// One a row: `address << 32 | offset of its varints in sums`.
-    keys: Vec<u64>,
+    /// The rows, bucket after bucket, then [`ROW_MAX`] bytes of slack, so
+    /// a row is written in, and its varints copied out, as one fixed-size
+    /// block.
+    rows: Vec<u8>,
+    /// Where each /16's bucket ends in `rows`, which is where the next
+    /// one starts: [`BUCKETS`] of them.
+    ends: Vec<u32>,
 }
 
 /// Where the prefix lists go in the payload: after `table_version` and
 /// `feed_pos`.
 const LISTS_AT: usize = 16;
 
-/// Where the client rows go in [`EncodedState`]'s `bytes`: after the row
-/// count that follows the prefix lists.
+/// Where the client rows go in [`fields`]: after the row count that
+/// follows the prefix lists.
 const ROWS_AT: usize = LISTS_AT + 4;
 
 /// Most bytes a row's two counts code to.
 const ROW_ROOM: usize = 2 * VARINT_MAX_BYTES;
 
+/// Most bytes a bucketed row takes.
+const ROW_MAX: usize = LOW_BYTES + ROW_ROOM;
+
+/// One bucket a /16, indexed by an address's top 16 bits.
+const BUCKETS: usize = 1 << 16;
+
+/// Bytes a bucketed row keeps of its address: the low 16 bits.
+const LOW_BYTES: usize = 2;
+
+/// Fewest bytes a bucketed row takes: its low bits and two one-byte
+/// varints.
+const MIN_ROW: usize = LOW_BYTES + 2;
+
+/// The bucket of `client`: its /16.
+fn bucket(client: u32) -> usize {
+    (client >> 16) as usize
+}
+
+/// Bytes the bucketed row of a client with these `(requests, bytes)`
+/// takes.
+#[allow(clippy::cast_possible_truncation, reason = "at most 22 bytes a row.")]
+fn row_len((requests, bytes): (u64, u64)) -> u32 {
+    (LOW_BYTES + varint_len(requests) + varint_len(bytes)) as u32
+}
+
+/// Bytes the bucketed rows of each /16's clients take, kept by the stream
+/// as their counts change: the sizes [`EncodedState::new`] lays its
+/// buckets out by, so the encoder's pass under the stream's lock is its
+/// only pass over the records. One `u32` a /16: a /16's rows take at most
+/// 2^16 × 22 bytes.
+#[derive(Debug)]
+pub(crate) struct RowBytes(Vec<u32>);
+
+impl RowBytes {
+    /// No client yet. Pages are written as their /16s fill.
+    pub(crate) fn new() -> Self {
+        RowBytes(vec![0; BUCKETS])
+    }
+
+    /// Notes that `client`'s counts went from `before` (`None` for a
+    /// client not seen before) to `after`. Counts only grow, and a varint
+    /// only lengthens with its value.
+    pub(crate) fn note(&mut self, client: u32, before: Option<(u64, u64)>, after: (u64, u64)) {
+        let grown = row_len(after) - before.map_or(0, row_len);
+        if grown != 0 {
+            if let Some(len) = self.0.get_mut(bucket(client)) {
+                *len += grown;
+            }
+        }
+    }
+}
+
+/// The low address bits and the length of the bucketed row at `rows[at..]`,
+/// if the buffer holds one there with its slack.
+fn row_at(rows: &[u8], at: usize) -> Option<(u32, usize)> {
+    let row = rows.get(at..)?;
+    let low = row.first_chunk::<LOW_BYTES>()?;
+    let sums = row.get(LOW_BYTES..)?.first_chunk::<ROW_ROOM>()?;
+    Some((
+        u32::from(u16::from_le_bytes(*low)),
+        LOW_BYTES + two_varints_len(sums),
+    ))
+}
+
 impl EncodedState {
-    /// An empty one with room for the rows of `clients` clients, its pages
-    /// already written: a caller that encodes under a lock makes it before
-    /// taking the lock, and the pass under the lock then faults no page in
-    /// (on a 365 k-client state, about a quarter of that pass).
+    /// An empty one with room for the rows of `clients` clients and the
+    /// bucket table, their pages already written: a caller that encodes
+    /// under a lock makes it before taking the lock, and the pass under
+    /// the lock then faults no page in.
     pub fn with_room(clients: usize) -> Self {
-        let mut keys = touched(clients, u64::MAX);
-        keys.clear();
         EncodedState {
-            sums: touched(clients * SUMS_RESERVE + ROW_ROOM, u8::MAX),
-            keys,
+            rows: touched(clients * (LOW_BYTES + SUMS_RESERVE) + ROW_MAX, u8::MAX),
+            ends: touched(BUCKETS, u32::MAX),
             ..EncodedState::default()
         }
     }
 
-    /// Bytes its row buffers hold, as capacity: the 8-byte sort keys and
-    /// the varint sums, the room a snapshot maps beside the state it
-    /// encodes.
+    /// Bytes it holds and will hold, as capacity: the bucketed rows, the
+    /// bucket table and the scratch the store sorts a bucket in, sized by
+    /// the largest — the room a snapshot maps beside the state it encodes.
     pub fn room_bytes(&self) -> usize {
-        self.keys.capacity() * std::mem::size_of::<u64>() + self.sums.capacity()
+        let table = self.ends.capacity() * std::mem::size_of::<u32>();
+        self.rows.capacity() + table + Self::scratch_bytes(self.largest_bucket())
     }
 
-    /// [`new`](Self::new) over everything `state` holds.
-    pub(crate) fn of(state: &StreamState) -> Self {
-        let rows = state.per_client.iter().copied();
-        Self::new(EncodedState::default(), state, None, rows)
-    }
-
-    /// Encodes `head`'s fields and `rows` into their varints and keys in
-    /// `room` (grown where it is short): one pass over the rows. The
-    /// prefix lists are `head`'s, coded here, or, given `serving`, that
-    /// generation's, coded by [`finish`](Self::finish). `head.per_client`
-    /// is not read: whoever has the rows elsewhere (a live stream) passes
-    /// them without building that vector first.
+    /// Encodes `head`'s fields and `rows` into their buckets in `room`
+    /// (grown where it is short), holding `serving` for the prefix lists:
+    /// the bucket table laid out from `sizes`, each bucket starting where
+    /// the one before it ends, then one pass over the rows, each written
+    /// at its bucket's cursor, so that the table ends as the buckets' ends.
+    /// `sizes` must be what `rows` take. `head.per_client` is not read:
+    /// whoever has the rows elsewhere (a live stream) passes them without
+    /// building that vector first.
     pub(crate) fn new(
         room: EncodedState,
         head: &StreamState,
-        serving: Option<Arc<LiveTable>>,
+        serving: Arc<LiveTable>,
+        sizes: &RowBytes,
         rows: impl ExactSizeIterator<Item = (u32, u64, u64)>,
     ) -> Self {
-        let mut lists = Vec::new();
-        if serving.is_none() {
-            put_lists(
-                &mut lists,
-                head.bgp_prefixes.iter().copied(),
-                head.dump_prefixes.iter().copied(),
-            );
-        }
-        // Park keys, rare and short, are left to the vector's own growth.
-        let mut bytes = Vec::with_capacity(512);
-        put_u64(&mut bytes, head.table_version);
-        put_u64(&mut bytes, head.feed_pos);
-        #[allow(
-            clippy::cast_possible_truncation,
-            reason = "one row per distinct IPv4 client: len < 2^32 by construction."
-        )]
-        put_u32(&mut bytes, rows.len() as u32);
-        put_tail(&mut bytes, head);
-
+        let bytes = fields(head, rows.len());
         let EncodedState {
-            mut sums, mut keys, ..
+            rows: mut buf,
+            mut ends,
+            ..
         } = room;
-        let least = rows.len() * SUMS_RESERVE + ROW_ROOM;
-        if sums.len() < least {
-            sums.resize(least, 0);
+        // This runs under the daemon's stream lock.
+        let mut total = 0u32;
+        ends.clear();
+        ends.extend(sizes.0.iter().map(|&len| {
+            let start = total;
+            total += len;
+            start
+        }));
+        // At most 22 bytes a row: 2^32 bytes is 195 M clients, past any
+        // state whose records (24 bytes each) this process holds.
+        let least = total as usize + ROW_MAX;
+        if buf.len() < least {
+            buf.reserve_exact(least - buf.len());
+            buf.resize(least, 0);
         }
-        keys.reserve(rows.len());
-        let mut end = 0;
         for (client, requests, served) in rows {
-            // This loop runs under the daemon's stream lock: a key pushed
-            // and two varints written in place, a row.
-            if sums.len() - end < ROW_ROOM {
-                sums.resize(2 * sums.len(), 0);
-            }
-            #[allow(
-                clippy::cast_possible_truncation,
-                reason = "at most 20 bytes a row: 2^32 bytes is 214 M clients, past any state whose records (24 bytes each) this process holds."
-            )]
-            let at = end as u32;
-            keys.push((u64::from(client) << 32) | u64::from(at));
-            end = put_varint_at(&mut sums, end, requests);
-            end = put_varint_at(&mut sums, end, served);
+            let Some(end) = ends.get_mut(bucket(client)) else {
+                continue;
+            };
+            let at = *end as usize;
+            let Some(row) = buf
+                .get_mut(at..)
+                .and_then(|s| s.first_chunk_mut::<ROW_MAX>())
+            else {
+                continue;
+            };
+            let (low, sums) = row.split_at_mut(LOW_BYTES);
+            #[allow(clippy::cast_possible_truncation, reason = "the low 16 bits.")]
+            low.copy_from_slice(&(client as u16).to_le_bytes());
+            let n = put_varint_at(sums, 0, requests);
+            #[allow(clippy::cast_possible_truncation, reason = "within total, a u32.")]
+            let len = (LOW_BYTES + put_varint_at(sums, n, served)) as u32;
+            *end += len;
         }
-        sums.resize(end + ROW_ROOM, 0);
         EncodedState {
             bytes,
-            lists,
-            serving,
-            sums,
-            keys,
+            serving: Some(serving),
+            rows: buf,
+            ends,
         }
     }
 
-    /// What is left once the producer's lock is dropped: the prefix lists
-    /// coded from the generation held for them (which is then let go), and
-    /// the rows put in address order by sorting their keys.
+    /// Bytes of the largest bucket's rows.
+    fn largest_bucket(&self) -> usize {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        let lens = starts.zip(&self.ends).map(|(start, &end)| end - start);
+        lens.max().unwrap_or(0) as usize
+    }
+
+    /// The scratch [`finish`](Self::finish) sorts buckets of at most
+    /// `largest` bytes in: a sorted copy of the bucket and an 8-byte key
+    /// for each of its rows.
+    fn scratch_bytes(largest: usize) -> usize {
+        largest + largest / MIN_ROW * std::mem::size_of::<u64>()
+    }
+
+    /// What is left once the producer's lock is dropped: each bucket's
+    /// rows put in address order, in a scratch no larger than the largest
+    /// bucket needs (a bucket already in order is only read).
     pub(super) fn finish(&mut self) {
-        if let Some(live) = self.serving.take() {
-            let dump = live.table.dump_prefixes().iter().copied();
-            put_lists(&mut self.lists, live.table.live_iter(), dump);
+        let largest = self.largest_bucket();
+        // One a row: its low address bits above its offset in `rows`.
+        let mut keys: Vec<u64> = Vec::with_capacity(largest / MIN_ROW);
+        let mut sorted = Vec::with_capacity(largest);
+        let mut start = 0;
+        for &end in &self.ends {
+            let bucket = start as usize..end as usize;
+            start = end;
+            keys.clear();
+            let (mut at, mut in_order) = (bucket.start, true);
+            while let Some((low, len)) = (at < bucket.end).then(|| row_at(&self.rows, at)).flatten()
+            {
+                let key = u64::from(low) << 32 | at as u64;
+                in_order &= keys.last().is_none_or(|&last| last < key);
+                keys.push(key);
+                at += len;
+            }
+            if in_order {
+                continue;
+            }
+            keys.sort_unstable();
+            sorted.clear();
+            for &key in &keys {
+                #[allow(
+                    clippy::cast_possible_truncation,
+                    reason = "the key's low half is the offset."
+                )]
+                let at = key as u32 as usize;
+                if let Some((_, len)) = row_at(&self.rows, at) {
+                    sorted.extend_from_slice(self.rows.get(at..at + len).unwrap_or_default());
+                }
+            }
+            if let Some(rows) = self.rows.get_mut(bucket) {
+                rows.copy_from_slice(&sorted);
+            }
         }
-        self.keys.sort_unstable();
     }
 
     /// Bytes [`write_wire`](Self::write_wire) hands out.
     pub(super) fn wire_len(&self) -> usize {
-        let gaps: usize = self.rows().map(|(gap, _)| varint_len(gap)).sum();
-        self.bytes.len() + self.lists.len() + gaps + self.sums.len() - ROW_ROOM
+        let lists = self.serving.as_ref().map_or(0, |live| {
+            let dump = live.table.dump_prefixes().iter().copied();
+            8 + prefixes_len(live.table.live_iter()) + prefixes_len(dump)
+        });
+        let rows: usize = self.rows().map(|(gap, _, len)| varint_len(gap) + len).sum();
+        self.bytes.len() + lists + rows
     }
 
-    /// Hands the payload to `emit` in order and in pieces: the fields
-    /// before the prefix lists, the lists, the fields before the rows, the
-    /// rows coded through a [`CODE_CHUNK`] stack buffer, the fields after
-    /// them. Stops at `emit`'s first error.
+    /// Hands the payload to `emit` in order and in pieces, coded through
+    /// a [`CODE_CHUNK`] stack buffer: the fields before the prefix lists,
+    /// the lists (after which the generation held for them is let go), the
+    /// fields before the rows, the rows, the fields after them. Stops at
+    /// `emit`'s first error.
     pub(super) fn write_wire<E>(
-        &self,
-        mut emit: impl FnMut(&[u8]) -> Result<(), E>,
+        &mut self,
+        emit: impl FnMut(&[u8]) -> Result<(), E>,
     ) -> Result<(), E> {
-        emit(self.bytes.get(..LISTS_AT).unwrap_or_default())?;
-        emit(&self.lists)?;
-        emit(self.bytes.get(LISTS_AT..ROWS_AT).unwrap_or_default())?;
-        let mut chunk = [0u8; CODE_CHUNK];
-        let mut len = 0;
-        for (gap, at) in self.rows() {
-            if CODE_CHUNK - len < VARINT_MAX_BYTES + ROW_ROOM {
-                emit(chunk.get(..len).unwrap_or_default())?;
-                len = 0;
-            }
-            len = put_varint_at(&mut chunk, len, gap);
-            // The row's varints and what follows them, as one block; the
-            // next row overwrites what is past them.
-            let from = self.sums.get(at..).and_then(|s| s.first_chunk());
-            let to = chunk.get_mut(len..).and_then(|s| s.first_chunk_mut());
-            if let (Some(from), Some(to)) = (from, to) {
-                *to = *from;
-                len += two_varints_len(from);
+        let mut to = Chunked::new(emit);
+        to.piece(self.bytes.get(..LISTS_AT).unwrap_or_default())?;
+        if let Some(live) = self.serving.take() {
+            to.prefixes(live.table.live_iter())?;
+            to.prefixes(live.table.dump_prefixes().iter().copied())?;
+        }
+        to.piece(self.bytes.get(LISTS_AT..ROWS_AT).unwrap_or_default())?;
+        for (gap, at, len) in self.rows() {
+            to.room(VARINT_MAX_BYTES + ROW_ROOM)?;
+            to.varint(gap);
+            if let Some(sums) = self.rows.get(at..).and_then(|s| s.first_chunk()) {
+                to.block(sums, len);
             }
         }
-        emit(chunk.get(..len).unwrap_or_default())?;
-        emit(self.bytes.get(ROWS_AT..).unwrap_or_default())
+        to.piece(self.bytes.get(ROWS_AT..).unwrap_or_default())
     }
 
-    /// Each row, in key order, as its address's distance above the
-    /// previous row's address plus one (the first row's address itself)
-    /// and where its varints start in `sums`.
-    fn rows(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+    /// Each row, in bucket order, as its address's distance above the
+    /// previous row's address plus one (the first row's address itself),
+    /// where its varints start in `rows` and how many bytes they take.
+    fn rows(&self) -> impl Iterator<Item = (u64, usize, usize)> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        let buckets = (0u32..).zip(starts.zip(self.ends.iter().copied()));
         let mut next = 0u64;
-        self.keys.iter().map(move |&key| {
-            let client = key >> 32;
-            // Wraps only for rows out of address order, which the decoder
-            // then refuses as an address past `u32::MAX`.
+        let rows = buckets.flat_map(move |(high, (start, end))| {
+            let mut at = start as usize;
+            std::iter::from_fn(move || {
+                if at >= end as usize {
+                    return None;
+                }
+                let (low, len) = row_at(&self.rows, at)?;
+                let row = (high << 16 | low, at + LOW_BYTES, len - LOW_BYTES);
+                at += len;
+                Some(row)
+            })
+        });
+        rows.map(move |(client, at, len)| {
+            let client = u64::from(client);
+            // Wraps only for a client given twice, which the decoder then
+            // refuses as an address past `u32::MAX`.
             let gap = client.wrapping_sub(next);
             next = client + 1;
-            #[allow(clippy::cast_possible_truncation, reason = "the key's low half is the offset.")]
-            let at = key as u32;
-            (gap, at as usize)
+            (gap, at, len)
         })
     }
 }
@@ -889,6 +1102,33 @@ mod tests {
         }
     }
 
+    /// Prefix lists and rows many times the code buffer, in codes of
+    /// every width, so codes meet its end at every offset: each is coded
+    /// whole, and the payload reads back to the state.
+    #[test]
+    fn payloads_longer_than_the_code_buffer_round_trip() {
+        let mut long = sample_state();
+        let mut prefixes: Vec<Ipv4Net> = (0..40_000u32)
+            .map(|i| Ipv4Net::new(i.wrapping_mul(107_377), (i % 33) as u8).unwrap())
+            .collect();
+        prefixes.sort_unstable();
+        prefixes.dedup();
+        long.dump_prefixes = prefixes.split_off(prefixes.len() / 2);
+        long.bgp_prefixes = prefixes;
+        long.per_client = (0..40_000u32)
+            .map(|i| {
+                (
+                    i * 65_537 + i % 7,
+                    u64::from(i) << (i % 40),
+                    u64::MAX >> (i % 64),
+                )
+            })
+            .collect();
+        let bytes = encode_state(&long);
+        assert!(bytes.len() > 8 * CODE_CHUNK);
+        assert_eq!(decode_state(&bytes), Ok(long));
+    }
+
     /// A payload of `sample_state()`'s fields with no dump prefixes and
     /// hand-written bytes for the BGP prefix list and the client rows:
     /// `(count, bytes)` each.
@@ -896,14 +1136,14 @@ mod tests {
         let mut rest = sample_state();
         rest.dump_prefixes.clear();
         rest.per_client.clear();
-        let encoded = EncodedState::of(&rest);
-        let mut out = encoded.bytes[..16].to_vec();
+        let fields = fields(&rest, 0);
+        let mut out = fields[..16].to_vec();
         out.extend_from_slice(&bgp.0.to_le_bytes());
         out.extend_from_slice(bgp.1);
         out.extend_from_slice(&0u32.to_le_bytes());
         out.extend_from_slice(&rows.0.to_le_bytes());
         out.extend_from_slice(rows.1);
-        out.extend_from_slice(&encoded.bytes[ROWS_AT..]);
+        out.extend_from_slice(&fields[ROWS_AT..]);
         out
     }
 
@@ -1019,8 +1259,8 @@ mod tests {
     /// knows: fixed-width prefixes and rows around the fields every
     /// version shares.
     fn v1_payload(state: &StreamState) -> Vec<u8> {
-        let encoded = EncodedState::of(state);
-        let mut out = encoded.bytes[..16].to_vec();
+        let fields = fields(state, 0);
+        let mut out = fields[..16].to_vec();
         for list in [&state.bgp_prefixes, &state.dump_prefixes] {
             put_u32(&mut out, list.len() as u32);
             for p in list {
@@ -1034,7 +1274,7 @@ mod tests {
             put_u64(&mut out, requests);
             put_u64(&mut out, bytes);
         }
-        out.extend_from_slice(&encoded.bytes[ROWS_AT..]);
+        out.extend_from_slice(&fields[ROWS_AT..]);
         out
     }
 

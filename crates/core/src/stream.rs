@@ -44,7 +44,7 @@ use netclust_weblog::clf_bytes;
 use netclust_weblog::Request;
 
 use crate::kernel::{Client, Shard};
-use crate::persist::{EncodedState, FeedProgress, StreamState};
+use crate::persist::{EncodedState, FeedProgress, RowBytes, StreamState};
 use crate::query::{keep_top, ClusterAnswer, ClusterQuery, ClusterRow};
 
 /// Resolved swap/patch-path observability handles (`stream.swap.*`,
@@ -530,6 +530,9 @@ pub struct StreamingClustering {
     /// are outside input and the address index lives as long as the
     /// daemon, so its hash is keyed.
     seen: Shard<Handle, RandomState>,
+    /// What each /16's clients' snapshot rows take, kept as `seen` counts:
+    /// [`encode_state`](Self::encode_state) lays its buckets out by it.
+    row_bytes: RowBytes,
     total_requests: u64,
     /// Raw-CLF ingest accounting: lines consumed by
     /// [`push_clf`](Self::push_clf) vs lines quarantined as malformed.
@@ -576,6 +579,7 @@ impl StreamingClustering {
             spare: None,
             tally,
             seen: Shard::new(1),
+            row_bytes: RowBytes::new(),
             total_requests: 0,
             clf_counts: ErrorCounts::default(),
             feed_pos: 0,
@@ -667,7 +671,11 @@ impl StreamingClustering {
             requests,
             bytes,
         };
-        let handle = self.seen.clients[id as usize].memo;
+        let record = &self.seen.clients[id as usize];
+        let after = (record.requests, record.bytes);
+        let before = (!first).then(|| (after.0 - requests, after.1 - bytes));
+        self.row_bytes.note(client, before, after);
+        let handle = record.memo;
         self.tally.credit(handle, amount);
     }
 
@@ -1064,18 +1072,21 @@ impl StreamingClustering {
     }
 
     /// What `StateStore::checkpoint(&self.export_state())` would write,
-    /// for `StateStore::checkpoint_encoded`: each client's counts from its
-    /// record to their varints in `room`, unsorted, beside a sort key, and
-    /// the serving generation held for its prefix lists; the store codes
-    /// those from the table as it holds them and sorts the keys — when
+    /// for `StateStore::checkpoint_encoded`: each client's row — the low
+    /// bits of its address and its counts' varints — written from its
+    /// record into its /16's bucket in `room`, unsorted within it, and the
+    /// serving generation held for the prefix lists; the store sorts each
+    /// bucket and codes those lists from the table as it holds them — when
     /// `self` is no longer needed, so a caller encoding under a lock drops
-    /// it first and writers wait for one pass over the clients, no more. A
-    /// caller with a lock to keep short makes `room` with
+    /// it first and writers wait for one pass over the records, no more
+    /// (the buckets are laid out from sizes kept as the counts change).
+    /// A caller with a lock to keep short makes `room` with
     /// [`EncodedState::with_room`] before taking it; any other passes
     /// `EncodedState::default()`.
     pub fn encode_state(&self, room: EncodedState) -> EncodedState {
         let (head, rows) = (self.export_head(), self.client_rows());
-        EncodedState::new(room, &head, Some(Arc::clone(&self.live)), rows)
+        let serving = Arc::clone(&self.live);
+        EncodedState::new(room, &head, serving, &self.row_bytes, rows)
     }
 
     /// The retained `(address, requests, bytes)` totals, in first-seen order.

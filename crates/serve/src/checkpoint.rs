@@ -246,10 +246,11 @@ fn snapshot(state: &AppState, cp: &Checkpointer) -> Result<(), String> {
             .read()
             .map_err(|_| "state lock poisoned".to_string())
     };
-    // Only the encoding happens under the read lock: the room it writes to
-    // is mapped before (with a margin for clients that arrive meanwhile),
-    // and sorting the row keys and every disk operation run after, with
-    // the follower free.
+    // Only the encoding happens under the read lock, one pass writing each
+    // client's row into its /16's bucket: the room it writes to is mapped
+    // before (with a margin for clients that arrive meanwhile), and
+    // sorting each /16, coding the prefix lists and every disk operation
+    // run after, with the follower free.
     let clients = read()?.client_count();
     let room = EncodedState::with_room(clients + clients / 64);
     let (encoded, covered, held) = {

@@ -22,13 +22,17 @@ const CLUSTERS: u32 = 50_000;
 const BUDGET_FIXED: u64 = 12 << 20;
 /// A client's 24-byte record, its share of the address index (4-byte
 /// slots at 7/8 load at most) and of its cluster's aggregates, plus what
-/// the one snapshot in flight holds for it: its counts' varints and an
-/// 8-byte sort key. The whole reads 14.75–14.97 MB on a 2-vCPU x86-64 Linux
-/// host (16.1–16.3 with the index a std map of 9 bytes a bucket, which 32
-/// bytes a client allowed; 16.8–17.1 with the aggregates in a map keyed by
-/// prefix, which 36 allowed); a 4 MiB poll buffer, or 20 bytes a client
-/// more in the state or the snapshot, each put it over.
-const BUDGET_PER_CLIENT: u64 = 25;
+/// the one snapshot in flight holds for it: its row in its /16's bucket,
+/// the low 16 address bits and its counts' varints (the bucket table
+/// and the one /16's sort scratch are in the fixed part). The whole reads
+/// 13.90–14.02 MB on a 2-vCPU x86-64 Linux host (five runs; 14.75–14.97
+/// with an 8-byte sort key a row beside the varints and the prefix lists
+/// coded into a buffer, which 25 bytes a client allowed; 16.1–16.3 with
+/// the index a std map of 9 bytes a bucket, which 32 allowed; 16.8–17.1
+/// with the aggregates in a map keyed by prefix, which 36 allowed); a
+/// 4 MiB poll buffer, or 15 bytes a client more in the state or the
+/// snapshot, each put it over.
+const BUDGET_PER_CLIENT: u64 = 20;
 
 /// A spawned `netclustd` that a failing assertion cannot leak.
 struct Netclustd(Child);

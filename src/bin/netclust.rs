@@ -173,6 +173,7 @@ fn persist_err(e: PersistError) -> CliError {
 }
 
 fn main() -> ExitCode {
+    netclust_sys::pin_mmap_threshold();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let out = &mut io::stdout().lock();
     let result = match args.first().map(String::as_str) {

@@ -1,6 +1,7 @@
 //! What the daemon holds per client, and what its bursts may allocate: the
 //! table build at boot and reload, a top-N over every cluster, a snapshot
-//! of the stream, a poll of a backlog. Each burst is bounded by what it
+//! of the stream (also of clients crowded into one /16 or one /8), a poll
+//! of a backlog. Each burst is bounded by what it
 //! returns or writes, not by a copy of what it reads. This is its own test
 //! binary, and its tests take one lock, so no other test's allocations
 //! share the allocator it counts through.
@@ -88,6 +89,13 @@ const AGGREGATE_BYTES_PER_CLUSTER: usize = 28;
 /// bits. A std `HashMap<u32, u32>` filled 9, an 8-byte entry and a
 /// control byte.
 const ADDRESS_MAP_BYTES_PER_BUCKET: usize = 4;
+
+/// What a snapshot in flight may hold per client: its row in its /16's
+/// bucket, 2 bytes of address and its counts' varints (≈ 5 bytes; the
+/// room is made for 6 with a 1/64 margin for late arrivals).
+const SNAPSHOT_BYTES_PER_CLIENT: usize = 7;
+/// The snapshot's table of its 2^16 buckets' ends, a `u32` each.
+const BUCKET_TABLE_BYTES: usize = 4 << 16;
 
 fn clf_line(out: &mut String, addr: u32, bytes: u32) {
     let addr = Ipv4Addr::from(addr);
@@ -208,13 +216,17 @@ fn a_top_n_a_poll_and_a_snapshot_allocate_what_they_return() {
     println!("top_k(10) over {CLUSTERS} clusters: {peak} bytes");
     assert!(peak < SLACK, "top_k(10) allocated {peak} bytes");
 
-    // A snapshot holds, per client, its counts as varints (3 bytes here)
-    // and an 8-byte sort key, beside the coded prefix lists (reserved at 6
-    // bytes a prefix) and counters; the rows are coded to the file through
-    // a stack buffer on the way out, and the prefixes are read from the
-    // table where it holds them, not copied.
+    // A snapshot holds, per client, a row in its /16's bucket — the low 16
+    // address bits and its counts' varints, 5 bytes here, in room made
+    // for 6 — beside the table of the buckets' ends and the scratch one
+    // /16 is sorted in (256 rows here). The prefix lists are coded from
+    // the table where it holds them on the way to the file, through the
+    // stack buffer the rows go through, so they take no room. This is
+    // the budget table's "per client, in flight" row: 12 bytes a client
+    // and 6 a prefix before (an 8-byte sort key a row, and the lists
+    // coded into a buffer), which this budget fails by ≈ 230 KB.
     let clients = stream.client_count();
-    let budget = 12 * clients + CLUSTERS as usize * 6 + SLACK;
+    let budget = SNAPSHOT_BYTES_PER_CLIENT * clients + BUCKET_TABLE_BYTES + SLACK;
     let mut store = StateStore::create(dir.join("state"), FsyncPolicy::Os).unwrap();
     let (written, peak) = peak_of(|| {
         let room = EncodedState::with_room(clients + clients / 64);
@@ -266,5 +278,53 @@ fn a_top_n_a_poll_and_a_snapshot_allocate_what_they_return() {
     println!("a poll into the chunk given back: {peak} bytes");
     assert!(peak < 1024, "a recycled poll allocated {peak} bytes");
 
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The room a snapshot takes does not depend on how the clients share the
+/// address space: every client in one /16, or spread over one /8, each
+/// pushed out of address order. It stays under 8 bytes a client, the
+/// bucket table, and the scratch the densest /16 is sorted in — a copy
+/// of its rows (5 bytes a row here) and an 8-byte key for every 4 bytes
+/// of them, the shortest a row can be: 3 × 5 bytes a row.
+#[test]
+fn a_snapshot_of_crowded_clients_stays_in_its_room() {
+    let _alone = alone();
+    let dir = std::env::temp_dir().join(format!("netclust-crowd-{}", std::process::id()));
+    let ten = Ipv4Net::new(0x0A00_0000, 8).unwrap();
+    let bgp = RoutingTable::new("B", "d0", TableKind::Bgp, vec![ten]);
+    // (clients, the most in one /16, the i-th client's low 24 bits): odd
+    // multipliers, so every client is distinct and none in order.
+    type Low = fn(u32) -> u32;
+    let crowds: [(&str, u32, usize, Low); 2] = [
+        ("one /16", 1 << 16, 1 << 16, |i| {
+            (1 << 16) | (i.wrapping_mul(40_503) & 0xFFFF)
+        }),
+        ("one /8", 200_000, 1_000, |i| {
+            i.wrapping_mul(2_654_435_761) & 0xFF_FFFF
+        }),
+    ];
+    for (name, clients, densest, low) in crowds {
+        let _ = fs::remove_dir_all(&dir);
+        let mut stream = StreamingClustering::builder(MergedTable::merge([&bgp])).build();
+        let mut text = String::new();
+        for i in 0..clients {
+            clf_line(&mut text, 0x0A00_0000 | low(i), 100 + i % 900);
+        }
+        assert!(stream.push_clf(text.as_bytes()).is_empty());
+        drop(text);
+        let clients = stream.client_count();
+        let budget = 8 * clients + BUCKET_TABLE_BYTES + 3 * 5 * densest + SLACK;
+        let mut store = StateStore::create(dir.join("state"), FsyncPolicy::Os).unwrap();
+        let (written, peak) = peak_of(|| {
+            let room = EncodedState::with_room(clients + clients / 64);
+            store.checkpoint_encoded(stream.encode_state(room))
+        });
+        assert_eq!(written.unwrap(), 1);
+        println!("a snapshot of {clients} clients in {name}: {peak} bytes, budget {budget}");
+        assert!(peak < budget, "a snapshot of {name} allocated {peak} bytes");
+        let (_, recovered, _) = StateStore::recover(dir.join("state"), FsyncPolicy::Os).unwrap();
+        assert_eq!(recovered, stream.export_state());
+    }
     let _ = fs::remove_dir_all(&dir);
 }

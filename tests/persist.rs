@@ -25,6 +25,7 @@ use netclust::core::{
 use netclust::obs::Obs;
 use netclust::prefix::Ipv4Net;
 use netclust::rtable::{MergedTable, RoutingTable, TableDelta, TableKind};
+use netclust::weblog::Request;
 use proptest::prelude::*;
 
 fn arb_payload() -> impl Strategy<Value = Vec<u8>> {
@@ -109,6 +110,22 @@ fn arb_rejection() -> impl Strategy<Value = Option<SwapRejection>> {
         })
 }
 
+/// Rows that crowd the address space: none, hundreds in one /16, or
+/// neighbours across a /16 edge (`a.b.255.255` and `a.b+1.0.0`).
+fn arb_crowded_rows() -> impl Strategy<Value = Vec<(u32, u64, u64)>> {
+    let low_rows = proptest::collection::vec((any::<u16>(), arb_count(), arb_count()), 100..400);
+    let one_16 = (any::<u16>(), low_rows).prop_map(|(high, rows)| {
+        (rows.into_iter())
+            .map(|(low, r, b)| (u32::from(high) << 16 | u32::from(low), r, b))
+            .collect()
+    });
+    let edge = (1u32..=0xFFFF, arb_count(), arb_count()).prop_map(|(high, r, b)| {
+        let first = high << 16;
+        vec![(first - 1, r, b), (first, b, r)]
+    });
+    prop_oneof![Just(Vec::new()), one_16, edge]
+}
+
 /// A snapshot state as a stream exports it: prefix lists and client rows
 /// sorted, every other field anything.
 fn arb_state() -> impl Strategy<Value = StreamState> {
@@ -116,11 +133,12 @@ fn arb_state() -> impl Strategy<Value = StreamState> {
     let counters = proptest::collection::vec(arb_count(), 20);
     (
         (arb_prefixes(), arb_prefixes()),
-        rows,
+        (rows, arb_crowded_rows()),
         counters,
         arb_rejection(),
     )
-        .prop_map(|((bgp, dump), mut rows, c, last_rejection)| {
+        .prop_map(|((bgp, dump), (mut rows, crowded), c, last_rejection)| {
+            rows.extend(crowded);
             rows.sort_unstable_by_key(|&(addr, _, _)| addr);
             rows.dedup_by_key(|&mut (addr, _, _)| addr);
             StreamState {
@@ -206,16 +224,64 @@ fn snapshot_file(
     std::fs::read(store.snapshot_path(generation)).expect("snapshot file")
 }
 
+/// Requests fed to a stream after its restore, in the order drawn, each
+/// `(pick, low bits, where, bytes)`: `where` 0 is a new client in the /16
+/// of the restored client `pick` names, 1 that client itself (its counts
+/// grow, and their varints may lengthen), 2 a client near the
+/// 10.11.255.255 / 10.12.0.0 edge, 3 anywhere.
+fn arb_pushes() -> impl Strategy<Value = Vec<(usize, u16, u8, u32)>> {
+    let bytes = prop_oneof![0u32..300, any::<u32>()];
+    proptest::collection::vec((any::<usize>(), any::<u16>(), 0u8..4, bytes), 0..200)
+}
+
+/// Feeds `pushes` (see [`arb_pushes`]) to `stream`, restored from `state`,
+/// skipping any that would carry a request or byte total past `u64::MAX`.
+fn push_shuffled(
+    stream: &mut StreamingClustering,
+    state: &StreamState,
+    pushes: &[(usize, u16, u8, u32)],
+) {
+    let total =
+        |column: fn(&(u32, u64, u64)) -> u64| -> u64 { state.per_client.iter().map(column).sum() };
+    let (mut requests, mut bytes) = (total(|r| r.1), total(|r| r.2));
+    for &(pick, low, place, sent) in pushes {
+        let restored = state.per_client.get(pick % state.per_client.len().max(1));
+        let client = match (place, restored) {
+            (0, Some(&(addr, _, _))) => addr & !0xFFFF | u32::from(low),
+            (1, Some(&(addr, _, _))) => addr,
+            (2, _) => 0x0A0B_FF00 + u32::from(low % 512),
+            _ => u32::from(low) << 16 | u32::from(low.rotate_left(5)),
+        };
+        let (Some(r), Some(b)) = (requests.checked_add(1), bytes.checked_add(u64::from(sent)))
+        else {
+            continue;
+        };
+        (requests, bytes) = (r, b);
+        stream.push(&Request {
+            time: 0,
+            client,
+            url: 0,
+            bytes: sent,
+            status: 200,
+            ua: 0,
+        });
+    }
+}
+
 proptest! {
-    /// The daemon's snapshot path — the stream encoding its counts and
-    /// row keys, the store sorting the keys and coding each row on the way
-    /// out — writes the file the export-then-checkpoint path writes, byte
-    /// for byte, over the table as compiled (prefixes read from its arena)
-    /// and as patched (from its shadow trie), into room made beforehand
-    /// for fewer rows, as many, or more; both recover to the export.
+    /// The daemon's snapshot path — the stream writing each client's row
+    /// into its /16's bucket in the order it holds them, the store sorting
+    /// each bucket and coding the rows on the way out — writes the file
+    /// the export-then-checkpoint path writes, byte for byte, over the
+    /// table as compiled (prefixes read from its arena) and as patched
+    /// (from its shadow trie), into room made beforehand for fewer rows,
+    /// as many, or more; both recover to the export. After its restore,
+    /// which feeds the rows in address order, the stream is fed requests
+    /// in a shuffled order, so buckets fill out of order and rows grow.
     #[test]
     fn a_stream_encodes_the_snapshot_it_exports(
         state in arb_state(),
+        pushes in arb_pushes(),
         patch in any::<bool>(),
         batch in arb_batch(),
         room in 0usize..80,
@@ -224,6 +290,7 @@ proptest! {
         let mut stream =
             StreamingClustering::restore(&state, SwapPolicy::permissive(), Obs::disabled())
                 .expect("a restorable state");
+        push_shuffled(&mut stream, &state, &pushes);
         if patch {
             stream.apply_deltas(&batch.deltas);
         }
