@@ -44,10 +44,11 @@ pub(crate) fn merge_partitions_for(threads: usize) -> usize {
     }
 }
 
-/// One client of a [`Shard`]: its address, its sums, and what the driver
-/// keeps beside them — nothing for the batch drivers, the handle of the
-/// table entry the address matched for the stream. One record, so a shard
-/// grows one vector.
+/// One client: its address, its sums, and what its holder keeps beside
+/// them — nothing in a batch [`Shard`], the handle of the table entry the
+/// address matched in the stream's store (`clients::Clients`). One record,
+/// so a store grows one vector.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Client<T = ()> {
     pub(crate) addr: u32,
     pub(crate) requests: u64,
@@ -60,20 +61,18 @@ pub(crate) struct Client<T = ()> {
 // the padding after the address.
 const _: () = assert!(std::mem::size_of::<Client<Handle>>() == 24);
 
-/// One accumulator: clients interned to dense ids through small address →
-/// id indexes (partitioned by address range; one partition for a lone
-/// shard) with one [`Client`] record each in a dense-indexed vector, plus
-/// the (dense client id, url id) pair of every request whose URL is
-/// counted. An index holds ids only, 4 bytes a slot ([`Index`]); the
-/// address it is keyed by stays in the record. `S` hashes the addresses:
-/// Fx for a run's transient shards, std's keyed hasher for the daemon's
-/// long-lived one.
-pub(crate) struct Shard<T = (), S = BuildHasherDefault<FxHasher>> {
+/// A batch run's accumulator: clients interned to dense ids through small
+/// address → id indexes (partitioned by address range; one partition for
+/// a lone shard) with one [`Client`] record each in a dense-indexed
+/// vector, plus the (dense client id, url id) pair of every request whose
+/// URL is counted. An index holds ids only, 4 bytes a slot ([`Index`]);
+/// the address it is keyed by stays in the record, hashed by Fx: a run's
+/// shards live as long as the run.
+pub(crate) struct Shard {
     parts: Vec<Index>,
     shift: u32,
-    hasher: S,
     /// One record per client, indexed by the id [`add`](Self::add) returns.
-    pub(crate) clients: Vec<Client<T>>,
+    pub(crate) clients: Vec<Client>,
     /// `(client id from `[`add`](Self::add)`, url id)`, one per counted
     /// request; url ids are shard-local unless [`finish`] is told otherwise.
     pub(crate) pairs: Vec<(u32, u32)>,
@@ -129,7 +128,7 @@ impl Index {
     /// The id of `addr` (hashing to `hash`), or the empty slot where it
     /// would go.
     #[inline]
-    fn find<T>(&self, hash: u64, addr: u32, clients: &[Client<T>]) -> Result<u32, usize> {
+    fn find(&self, hash: u64, addr: u32, clients: &[Client]) -> Result<u32, usize> {
         let Some(mask) = self.slots.len().checked_sub(1) else {
             return Err(0);
         };
@@ -152,7 +151,7 @@ impl Index {
     /// Makes room for one more client, whose id is `id`: widens the id
     /// field when `id` would not fit below its all-ones value, and doubles
     /// the slots at 7/8 load. `true` if the slots moved.
-    fn make_room<T>(&mut self, id: u32, hasher: &impl BuildHasher, clients: &[Client<T>]) -> bool {
+    fn make_room(&mut self, id: u32, hasher: &impl BuildHasher, clients: &[Client]) -> bool {
         self.widen(32 - id.saturating_add(1).leading_zeros());
         let grow = (self.len + 1) * 8 > self.slots.len() * 7;
         if grow {
@@ -179,7 +178,7 @@ impl Index {
     /// Moves every slot into `n` fresh ones (a power of two), each placed
     /// by its record's address — read in id order when this index holds
     /// every record, a sequential pass instead of a random read a slot.
-    fn resize<T>(&mut self, n: usize, hasher: &impl BuildHasher, clients: &[Client<T>]) {
+    fn resize(&mut self, n: usize, hasher: &impl BuildHasher, clients: &[Client]) {
         let old = std::mem::replace(&mut self.slots, vec![EMPTY; n]);
         if self.len == clients.len() {
             #[allow(
@@ -232,7 +231,10 @@ impl Index {
     }
 }
 
-impl<T, S: BuildHasher + Default> Shard<T, S> {
+/// The hasher a [`Shard`]'s indexes place addresses by.
+type Fx = BuildHasherDefault<FxHasher>;
+
+impl Shard {
     /// An empty shard over `n_parts` address partitions (a power of two;
     /// every shard of one run uses the same count).
     pub(crate) fn new(n_parts: usize) -> Self {
@@ -240,7 +242,6 @@ impl<T, S: BuildHasher + Default> Shard<T, S> {
         Shard {
             parts: (0..n_parts).map(|_| Index::default()).collect(),
             shift: 32 - n_parts.trailing_zeros(),
-            hasher: S::default(),
             clients: Vec::new(),
             pairs: Vec::new(),
         }
@@ -252,19 +253,26 @@ impl<T, S: BuildHasher + Default> Shard<T, S> {
         ((addr as u64) >> self.shift) as usize
     }
 
-    /// Counts `requests` requests totalling `bytes` from `addr` and returns
-    /// the client's dense shard-local id; a client not seen before gets
-    /// `memo()` beside its sums.
+    /// Counts one request of `bytes` from `addr` and returns the client's
+    /// dense shard-local id.
+    #[inline]
+    pub(crate) fn add(&mut self, addr: u32, bytes: u64) -> u32 {
+        self.add_hashed(&Fx::default(), addr, 1, bytes)
+    }
+
+    /// [`add`](Self::add) of `requests` requests, with addresses placed by
+    /// `hasher`: every call on one shard passes the same one (tests pass
+    /// one too weak to tell addresses apart).
     #[inline]
     #[allow(clippy::cast_possible_truncation, reason = "dense client ids are u32 by design.")]
-    pub(crate) fn add_many(
+    fn add_hashed(
         &mut self,
+        hasher: &impl BuildHasher,
         addr: u32,
         requests: u64,
         bytes: u64,
-        memo: impl FnOnce() -> T,
     ) -> u32 {
-        let hash = self.hasher.hash_one(addr);
+        let hash = hasher.hash_one(addr);
         let part = self.part(addr);
         #[allow(clippy::indexing_slicing, reason = "part = addr >> shift < n_parts.")]
         let index = &mut self.parts[part];
@@ -272,7 +280,7 @@ impl<T, S: BuildHasher + Default> Shard<T, S> {
             Ok(id) => id,
             Err(mut pos) => {
                 let id = self.clients.len() as u32;
-                if index.make_room(id, &self.hasher, &self.clients) {
+                if index.make_room(id, hasher, &self.clients) {
                     pos = index.find(hash, addr, &self.clients).err().unwrap_or(pos);
                 }
                 index.put(pos, hash, id);
@@ -280,7 +288,7 @@ impl<T, S: BuildHasher + Default> Shard<T, S> {
                     addr,
                     requests: 0,
                     bytes: 0,
-                    memo: memo(),
+                    memo: (),
                 });
                 id
             }
@@ -290,57 +298,6 @@ impl<T, S: BuildHasher + Default> Shard<T, S> {
         c.requests += requests;
         c.bytes += bytes;
         id
-    }
-
-    /// Sizes a one-partition shard's index for `n` more clients, as large
-    /// as adding them would grow it and with ids as wide, so that adding
-    /// them moves no slot.
-    pub(crate) fn reserve(&mut self, n: usize) {
-        debug_assert_eq!(self.parts.len(), 1, "a partition's share of n is unknown");
-        let ids = self.clients.len() + n;
-        for index in &mut self.parts {
-            index.widen((usize::BITS - ids.leading_zeros()).min(32));
-            let mut slots = index.slots.len().max(MIN_SLOTS);
-            while (index.len + n) * 8 > slots * 7 {
-                slots *= 2;
-            }
-            if slots > index.slots.len() {
-                index.resize(slots, &self.hasher, &self.clients);
-            }
-        }
-    }
-
-    /// The record of `addr`, if it was ever added.
-    pub(crate) fn get(&self, addr: u32) -> Option<&Client<T>> {
-        let index = self.parts.get(self.part(addr))?;
-        let id = index
-            .find(self.hasher.hash_one(addr), addr, &self.clients)
-            .ok()?;
-        self.clients.get(id as usize)
-    }
-
-    /// Bytes the client records fill: records × record size. Written, so
-    /// resident; the vector's spare capacity is not touched and not
-    /// counted.
-    pub(crate) fn record_bytes(&self) -> usize {
-        self.clients.len() * std::mem::size_of::<Client<T>>()
-    }
-
-    /// Bytes the address → id indexes hold: their slots × 4. Every slot is
-    /// written when its index is allocated, so all of it is resident.
-    pub(crate) fn map_bytes(&self) -> usize {
-        (self.parts.iter())
-            .map(|p| p.slots.len() * std::mem::size_of::<u32>())
-            .sum()
-    }
-}
-
-impl Shard {
-    /// Counts one request of `bytes` from `addr` and returns the client's
-    /// dense shard-local id.
-    #[inline]
-    pub(crate) fn add(&mut self, addr: u32, bytes: u64) -> u32 {
-        self.add_many(addr, 1, bytes, || ())
     }
 }
 
@@ -583,23 +540,54 @@ fn tally_window(clustering: &mut Clustering, bits: &[u64], base: u64, n_urls: us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::hash_map::RandomState;
     use std::collections::BTreeMap;
     use std::hash::Hasher;
 
     use proptest::prelude::*;
 
-    impl<T, S: BuildHasher + Default> Shard<T, S> {
-        /// The longest probe any client's lookup makes: slots read from
-        /// its home slot to its own, inclusive.
-        fn longest_probe(&self) -> usize {
+    impl Shard {
+        /// The record of `addr` placed by `hasher`, if it was ever added.
+        fn get(&self, hasher: &impl BuildHasher, addr: u32) -> Option<&Client> {
+            let index = self.parts.get(self.part(addr))?;
+            let id = index
+                .find(hasher.hash_one(addr), addr, &self.clients)
+                .ok()?;
+            self.clients.get(id as usize)
+        }
+
+        /// Sizes a one-partition shard's index for `n` more clients, as
+        /// large as adding them would grow it and with ids as wide, so that
+        /// adding them moves no slot.
+        fn reserve(&mut self, hasher: &impl BuildHasher, n: usize) {
+            assert_eq!(self.parts.len(), 1, "a partition's share of n is unknown");
+            let ids = self.clients.len() + n;
+            for index in &mut self.parts {
+                index.widen((usize::BITS - ids.leading_zeros()).min(32));
+                let mut slots = index.slots.len().max(MIN_SLOTS);
+                while (index.len + n) * 8 > slots * 7 {
+                    slots *= 2;
+                }
+                if slots > index.slots.len() {
+                    index.resize(slots, hasher, &self.clients);
+                }
+            }
+        }
+
+        /// Bytes the indexes' slots hold.
+        fn map_bytes(&self) -> usize {
+            self.parts.iter().map(|p| p.slots.len() * 4).sum()
+        }
+
+        /// The longest probe any client's lookup makes under `hasher`:
+        /// slots read from its home slot to its own, inclusive.
+        fn longest_probe(&self, hasher: &impl BuildHasher) -> usize {
             let mut longest = 0;
             for index in &self.parts {
                 let (mask, id_mask) = (index.slots.len().wrapping_sub(1), low_mask(index.id_bits));
                 for (pos, &slot) in index.slots.iter().enumerate() {
                     if slot != EMPTY {
                         let addr = self.clients[(slot & id_mask) as usize].addr;
-                        let home = index.home(self.hasher.hash_one(addr));
+                        let home = index.home(hasher.hash_one(addr));
                         longest = longest.max(pos.wrapping_sub(home) & mask);
                     }
                 }
@@ -638,28 +626,31 @@ mod tests {
         k.wrapping_mul(0x9E37_79B1)
     }
 
-    /// Drives a shard of `n_parts` partitions and a `BTreeMap` side by side
-    /// through `ops` (address key, requests, bytes), reserving room for the
-    /// second half's new clients halfway when `reserve` says so: ids are
-    /// dense and first-seen, and at every growth or re-tag and at the end
-    /// each client's record holds its sums and no absent address is found.
+    /// Drives a shard of `n_parts` partitions, its addresses placed by
+    /// `S`, and a `BTreeMap` side by side through `ops` (address key,
+    /// requests, bytes), reserving room for the second half's new clients
+    /// halfway when `reserve` says so: ids are dense and first-seen, and at
+    /// every growth or re-tag and at the end each client's record (the one
+    /// its id names) holds its sums and no absent address is found.
     fn matches_the_oracle<S: BuildHasher + Default>(
         n_parts: usize,
         ops: &[(u32, u8, u16)],
         reserve: bool,
     ) -> Result<(), String> {
-        let mut shard: Shard<u32, S> = Shard::new(n_parts);
+        let hasher = S::default();
+        let mut shard = Shard::new(n_parts);
         let mut oracle: BTreeMap<u32, (u32, u64, u64)> = BTreeMap::new();
-        let check = |shard: &Shard<u32, S>, oracle: &BTreeMap<u32, (u32, u64, u64)>| {
+        let check = |shard: &Shard, oracle: &BTreeMap<u32, (u32, u64, u64)>| {
             prop_assert_eq!(shard.clients.len(), oracle.len());
             for (&addr, &(id, requests, bytes)) in oracle {
-                let c = shard.get(addr).ok_or(format!("{addr:#x} lost"))?;
-                prop_assert_eq!((c.addr, c.memo), (addr, id));
+                let c = shard.get(&hasher, addr).ok_or(format!("{addr:#x} lost"))?;
+                let by_id = &shard.clients[id as usize];
+                prop_assert_eq!((c.addr, by_id.addr), (addr, addr));
                 prop_assert_eq!((c.requests, c.bytes), (requests, bytes));
             }
             for k in 1024..2048 {
                 prop_assert!(
-                    shard.get(spread(k)).is_none(),
+                    shard.get(&hasher, spread(k)).is_none(),
                     "absent {:#x} found",
                     spread(k)
                 );
@@ -669,14 +660,14 @@ mod tests {
         let mut layout = shard.layout();
         for (i, &(key, requests, bytes)) in ops.iter().enumerate() {
             if reserve && i == ops.len() / 2 {
-                shard.reserve(ops.len() - i);
+                shard.reserve(&hasher, ops.len() - i);
             }
             let addr = spread(key % 1024);
             let next = oracle.len() as u32;
             let want = oracle.entry(addr).or_insert((next, 0, 0));
             want.1 += u64::from(requests);
             want.2 += u64::from(bytes);
-            let id = shard.add_many(addr, requests.into(), bytes.into(), || next);
+            let id = shard.add_hashed(&hasher, addr, requests.into(), bytes.into());
             prop_assert_eq!(id, want.0, "{:#x}", addr);
             if shard.layout() != layout {
                 layout = shard.layout();
@@ -711,23 +702,15 @@ mod tests {
     fn addresses_that_differ_only_above_bit_16_keep_probes_short() {
         // DESIGN §10: under a hash whose table bits ignore an address's
         // high half, these 65 536 clients share one probe chain.
-        fn longest<S: BuildHasher + Default>() -> (usize, usize) {
-            let mut shard: Shard<(), S> = Shard::new(1);
-            for a in 0..=u32::from(u16::MAX) {
-                shard.add_many(a << 16 | 0x0101, 1, 1, || ());
-            }
-            (shard.longest_probe(), shard.map_bytes())
+        let mut shard = Shard::new(1);
+        for a in 0..=u32::from(u16::MAX) {
+            shard.add(a << 16 | 0x0101, 1);
         }
-        for (name, (probe, bytes)) in [
-            ("fx", longest::<BuildHasherDefault<FxHasher>>()),
-            ("keyed", longest::<RandomState>()),
-        ] {
-            println!("{name}: longest probe {probe} slots of {}", bytes / 4);
-            assert_eq!(bytes, 4 << 17, "{name}: 65 536 clients at 7/8 load");
-            // At this load std's keyed hash reads 22–45 slots over forty
-            // runs (16 fit one cache line); a shared chain reads 65 536.
-            assert!(probe <= 128, "{name}: a probe of {probe} slots");
-        }
+        let (probe, bytes) = (shard.longest_probe(&Fx::default()), shard.map_bytes());
+        println!("fx: longest probe {probe} slots of {}", bytes / 4);
+        assert_eq!(bytes, 4 << 17, "65 536 clients at 7/8 load");
+        // A shared chain reads 65 536 slots; 16 fit one cache line.
+        assert!(probe <= 128, "a probe of {probe} slots");
     }
 
     #[test]

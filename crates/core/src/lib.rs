@@ -31,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod clients;
 mod cluster;
 mod config;
 mod faults;
@@ -55,7 +56,8 @@ pub use query::{
 };
 pub use stream::{
     PatchBatchReport, PatchStats, RestoreError, StreamHandle, StreamMemory, StreamStats,
-    StreamingBuilder, StreamingClustering, SwapPolicy, SwapRejection, SwapReport, SwapStats,
+    StreamWork, StreamingBuilder, StreamingClustering, SwapPolicy, SwapRejection, SwapReport,
+    SwapStats,
 };
 // The shared error-accounting shape carried by `IngestReport`, consumed by
 // `StreamingClustering::try_swap`, and produced by rtable's `ParseReport`;

@@ -441,6 +441,7 @@ impl<'a> Reader<'a> {
 pub const VARINT_MAX_BYTES: usize = 10;
 
 /// Bytes [`put_varint`] writes for `value`: 1 to [`VARINT_MAX_BYTES`].
+#[inline]
 pub fn varint_len(value: u64) -> usize {
     let bits = u64::BITS - (value | 1).leading_zeros();
     bits.div_ceil(7) as usize
@@ -448,7 +449,25 @@ pub fn varint_len(value: u64) -> usize {
 
 /// Writes `value` as a minimal LEB128 varint at the start of `out` and
 /// returns how many bytes that took ([`Reader::varint`] reads it back).
+/// The bytes of `out` past those may be written too.
+#[inline]
 pub fn put_varint(out: &mut [u8; VARINT_MAX_BYTES], mut value: u64) -> usize {
+    if value < 1 << 28 {
+        // Four bytes or fewer — a snapshot row's counts and gaps — with no
+        // branch on the length, which varies row by row: each seven-bit
+        // group in a byte of its own, a continuation bit on every byte but
+        // the last, stored as one four-byte word.
+        let v = value;
+        let len =
+            1 + usize::from(v >= 1 << 7) + usize::from(v >= 1 << 14) + usize::from(v >= 1 << 21);
+        let groups = (v & 0x7F) | (v << 1 & 0x7F00) | (v << 2 & 0x7F_0000) | (v << 3 & 0x7F00_0000);
+        let more = 0x0080_8080u64 >> (8 * (4 - len));
+        let [a, b, c, d, ..] = (groups | more).to_le_bytes();
+        if let Some(word) = out.first_chunk_mut() {
+            *word = [a, b, c, d];
+        }
+        return len;
+    }
     let mut n = 0;
     for slot in out.iter_mut() {
         #[allow(clippy::cast_possible_truncation, reason = "masked to the low seven bits.")]

@@ -34,7 +34,6 @@
 pub mod codec;
 mod state;
 
-pub(crate) use state::RowBytes;
 pub use state::{
     decode_batch, decode_state, encode_batch, encode_state, EncodedState, FeedProgress,
     JournalBatch, StateDecodeError, StreamState,
@@ -399,16 +398,12 @@ impl StateStore {
     }
 
     /// [`checkpoint`](Self::checkpoint) of a state that was encoded where
-    /// it lives (`StreamingClustering::encode_state`): each /16 of its
-    /// rows is sorted, then the payload is coded on the way to the file —
-    /// the prefix lists from the table generation it holds, which is let
-    /// go after them, and each row's address gap before its counts'
-    /// varints, copied from where they were encoded — through a bounded
-    /// stack buffer, the checksum taken as the pieces go. No image of the
-    /// rows in file order is built, and the room is freed before the
-    /// fsync.
+    /// it lives (`StreamingClustering::encode_state`): the payload goes to
+    /// the file in pieces — the prefix lists coded from the table
+    /// generation it holds, which is let go after them, through a bounded
+    /// stack buffer, and the rows as they were coded — the checksum taken
+    /// as the pieces go. The room is freed before the fsync.
     pub fn checkpoint_encoded(&mut self, mut state: EncodedState) -> Result<u64, PersistError> {
-        state.finish();
         self.write_snapshot(state.wire_len(), move |emit| state.write_wire(emit))
     }
 

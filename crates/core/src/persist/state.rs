@@ -127,6 +127,7 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 
 /// Codes `value` as a varint at `out[at..]`, which has room for
 /// [`VARINT_MAX_BYTES`]; returns where it ends.
+#[inline]
 fn put_varint_at(out: &mut [u8], at: usize, value: u64) -> usize {
     match out.get_mut(at..).and_then(|s| s.first_chunk_mut()) {
         Some(slot) => at + put_varint(slot, value),
@@ -307,17 +308,15 @@ impl<E, F: FnMut(&[u8]) -> Result<(), E>> Chunked<F> {
         }
     }
 
-    /// Copies the first `len` bytes of `block`, as the whole block; the
-    /// next code overwrites what is past them. [`room`](Self::room) was
-    /// made for the block.
-    fn block(&mut self, block: &[u8; ROW_ROOM], len: usize) {
+    /// Codes a client row ([`put_row`]); [`room`](Self::room) was made
+    /// for [`ROW_MAX`] bytes.
+    fn row(&mut self, next: u64, row: (u32, u64, u64)) {
         if let Some(to) = self
             .buf
             .get_mut(self.len..)
             .and_then(|s| s.first_chunk_mut())
         {
-            *to = *block;
-            self.len += len;
+            self.len += put_row(to, next, row);
         }
     }
 
@@ -344,11 +343,31 @@ impl<E, F: FnMut(&[u8]) -> Result<(), E>> Chunked<F> {
     }
 }
 
-/// Bytes a bucketed row reserves for its two counts' varints in
-/// [`EncodedState::with_room`]: a request count under 2^7 and a byte count
-/// under 2^21 take 4 (the rows of the benchmark's `wide` and `narrow`
-/// states take 3.6 and 3.9). A state whose rows take more grows the room.
-const SUMS_RESERVE: usize = 4;
+/// Most bytes a client row codes to: its address gap and its two counts,
+/// a varint each.
+const ROW_MAX: usize = 3 * VARINT_MAX_BYTES;
+
+/// Bytes [`EncodedState::with_room`] reserves a row: a gap under 2^14, a
+/// request count under 2^7 and a byte count under 2^21 take 6 (the rows
+/// of the benchmark's seed-11 `wide` state take 5.3). A state whose rows
+/// take more grows the room.
+const ROW_RESERVE: usize = 6;
+
+/// Codes the row of `client` with these counts at the start of `out`, its
+/// address as its distance from `next` — the address after the previous
+/// row's, 0 before the first row — and returns the bytes it took.
+#[inline]
+fn put_row(
+    out: &mut [u8; ROW_MAX],
+    next: u64,
+    (client, requests, bytes): (u32, u64, u64),
+) -> usize {
+    // Wraps only for rows out of address order, which the decoder then
+    // refuses as an address past `u32::MAX`.
+    let at = put_varint_at(out, 0, u64::from(client).wrapping_sub(next));
+    let at = put_varint_at(out, at, requests);
+    put_varint_at(out, at, bytes)
+}
 
 /// `n` copies of `fill` in a vector reserved for exactly them, and written:
 /// its pages are faulted in now. (A zero fill may be turned into a
@@ -400,30 +419,20 @@ fn code_state<E>(
     to.prefixes(state.dump_prefixes.iter().copied())?;
     to.piece(fields.get(LISTS_AT..ROWS_AT).unwrap_or_default())?;
     let mut next = 0u64;
-    for &(client, requests, bytes) in &state.per_client {
-        to.room(3 * VARINT_MAX_BYTES)?;
-        // Wraps only for rows out of address order, which the decoder
-        // then refuses as an address past `u32::MAX`.
-        to.varint(u64::from(client).wrapping_sub(next));
-        to.varint(requests);
-        to.varint(bytes);
-        next = u64::from(client) + 1;
+    for &row in &state.per_client {
+        to.room(ROW_MAX)?;
+        to.row(next, row);
+        next = u64::from(row.0) + 1;
     }
     to.piece(fields.get(ROWS_AT..).unwrap_or_default())
 }
 
-/// A snapshot payload whose client rows are coded but for their address
-/// gaps, bucketed by /16 and within a bucket still in the order their
-/// producer held them: a row is `[low 16 address bits][requests
-/// varint][bytes varint]`, in its /16's bucket of one buffer, the buckets
-/// in address order. Only
+/// A snapshot payload whose client rows are coded as the file holds them,
+/// by a producer that walks its clients in address order: only
 /// [`StateStore::checkpoint_encoded`](super::StateStore::checkpoint_encoded)
-/// takes one: it sorts each bucket by its low bits
-/// (`finish`), then writes the payload — the prefix lists
-/// coded from the serving generation the producer held, each row's
-/// address gap then its varints — through one bounded stack buffer. The
-/// canonical order the decoder enforces cannot be skipped, and no row
-/// exists twice.
+/// takes one, and writes the payload — the prefix lists coded from the
+/// serving generation the producer held, the rows as they are — through
+/// one bounded stack buffer.
 ///
 /// The default value is an empty one with no room reserved; see
 /// [`with_room`](Self::with_room).
@@ -436,13 +445,11 @@ pub struct EncodedState {
     /// out. It is immutable, so they are coded from it after the
     /// producer's lock is dropped, and it is let go once they are.
     serving: Option<Arc<LiveTable>>,
-    /// The rows, bucket after bucket, then [`ROW_MAX`] bytes of slack, so
-    /// a row is written in, and its varints copied out, as one fixed-size
-    /// block.
+    /// The client rows, coded, in `rows[..end]`; the rest is room, at
+    /// least [`ROW_MAX`] bytes past the last row, so a row is coded in
+    /// place.
     rows: Vec<u8>,
-    /// Where each /16's bucket ends in `rows`, which is where the next
-    /// one starts: [`BUCKETS`] of them.
-    ends: Vec<u32>,
+    end: usize,
 }
 
 /// Where the prefix lists go in the payload: after `table_version` and
@@ -453,210 +460,52 @@ const LISTS_AT: usize = 16;
 /// follows the prefix lists.
 const ROWS_AT: usize = LISTS_AT + 4;
 
-/// Most bytes a row's two counts code to.
-const ROW_ROOM: usize = 2 * VARINT_MAX_BYTES;
-
-/// Most bytes a bucketed row takes.
-const ROW_MAX: usize = LOW_BYTES + ROW_ROOM;
-
-/// One bucket a /16, indexed by an address's top 16 bits.
-const BUCKETS: usize = 1 << 16;
-
-/// Bytes a bucketed row keeps of its address: the low 16 bits.
-const LOW_BYTES: usize = 2;
-
-/// Fewest bytes a bucketed row takes: its low bits and two one-byte
-/// varints.
-const MIN_ROW: usize = LOW_BYTES + 2;
-
-/// The bucket of `client`: its /16.
-fn bucket(client: u32) -> usize {
-    (client >> 16) as usize
-}
-
-/// Bytes the bucketed row of a client with these `(requests, bytes)`
-/// takes.
-#[allow(clippy::cast_possible_truncation, reason = "at most 22 bytes a row.")]
-fn row_len((requests, bytes): (u64, u64)) -> u32 {
-    (LOW_BYTES + varint_len(requests) + varint_len(bytes)) as u32
-}
-
-/// Bytes the bucketed rows of each /16's clients take, kept by the stream
-/// as their counts change: the sizes [`EncodedState::new`] lays its
-/// buckets out by, so the encoder's pass under the stream's lock is its
-/// only pass over the records. One `u32` a /16: a /16's rows take at most
-/// 2^16 × 22 bytes.
-#[derive(Debug)]
-pub(crate) struct RowBytes(Vec<u32>);
-
-impl RowBytes {
-    /// No client yet. Pages are written as their /16s fill.
-    pub(crate) fn new() -> Self {
-        RowBytes(vec![0; BUCKETS])
-    }
-
-    /// Notes that `client`'s counts went from `before` (`None` for a
-    /// client not seen before) to `after`. Counts only grow, and a varint
-    /// only lengthens with its value.
-    pub(crate) fn note(&mut self, client: u32, before: Option<(u64, u64)>, after: (u64, u64)) {
-        let grown = row_len(after) - before.map_or(0, row_len);
-        if grown != 0 {
-            if let Some(len) = self.0.get_mut(bucket(client)) {
-                *len += grown;
-            }
-        }
-    }
-}
-
-/// The low address bits and the length of the bucketed row at `rows[at..]`,
-/// if the buffer holds one there with its slack.
-fn row_at(rows: &[u8], at: usize) -> Option<(u32, usize)> {
-    let row = rows.get(at..)?;
-    let low = row.first_chunk::<LOW_BYTES>()?;
-    let sums = row.get(LOW_BYTES..)?.first_chunk::<ROW_ROOM>()?;
-    Some((
-        u32::from(u16::from_le_bytes(*low)),
-        LOW_BYTES + two_varints_len(sums),
-    ))
-}
-
 impl EncodedState {
-    /// An empty one with room for the rows of `clients` clients and the
-    /// bucket table, their pages already written: a caller that encodes
-    /// under a lock makes it before taking the lock, and the pass under
-    /// the lock then faults no page in.
+    /// An empty one with room for the rows of `clients` clients, its pages
+    /// already written: a caller that encodes under a lock makes it before
+    /// taking the lock, and the walk under the lock then faults no page in.
     pub fn with_room(clients: usize) -> Self {
         EncodedState {
-            rows: touched(clients * (LOW_BYTES + SUMS_RESERVE) + ROW_MAX, u8::MAX),
-            ends: touched(BUCKETS, u32::MAX),
+            rows: touched(clients * ROW_RESERVE + ROW_MAX, u8::MAX),
             ..EncodedState::default()
         }
     }
 
-    /// Bytes it holds and will hold, as capacity: the bucketed rows, the
-    /// bucket table and the scratch the store sorts a bucket in, sized by
-    /// the largest — the room a snapshot maps beside the state it encodes.
+    /// Bytes it holds, as capacity: the room its rows are coded in — what
+    /// a snapshot maps beside the state it encodes.
     pub fn room_bytes(&self) -> usize {
-        let table = self.ends.capacity() * std::mem::size_of::<u32>();
-        self.rows.capacity() + table + Self::scratch_bytes(self.largest_bucket())
+        self.rows.capacity()
     }
 
-    /// Encodes `head`'s fields and `rows` into their buckets in `room`
-    /// (grown where it is short), holding `serving` for the prefix lists:
-    /// the bucket table laid out from `sizes`, each bucket starting where
-    /// the one before it ends, then one pass over the rows, each written
-    /// at its bucket's cursor, so that the table ends as the buckets' ends.
-    /// `sizes` must be what `rows` take. `head.per_client` is not read:
-    /// whoever has the rows elsewhere (a live stream) passes them without
-    /// building that vector first.
+    /// Encodes `head`'s fields and `rows`, which come in address order,
+    /// into `room` (grown where it is short), holding `serving` for the
+    /// prefix lists. `head.per_client` is not read: whoever has the rows
+    /// elsewhere (a live stream) passes them without building that vector
+    /// first.
     pub(crate) fn new(
         room: EncodedState,
         head: &StreamState,
         serving: Arc<LiveTable>,
-        sizes: &RowBytes,
-        rows: impl ExactSizeIterator<Item = (u32, u64, u64)>,
+        rows: impl Iterator<Item = (u32, u64, u64)>,
     ) -> Self {
-        let bytes = fields(head, rows.len());
-        let EncodedState {
-            rows: mut buf,
-            mut ends,
-            ..
-        } = room;
         // This runs under the daemon's stream lock.
-        let mut total = 0u32;
-        ends.clear();
-        ends.extend(sizes.0.iter().map(|&len| {
-            let start = total;
-            total += len;
-            start
-        }));
-        // At most 22 bytes a row: 2^32 bytes is 195 M clients, past any
-        // state whose records (24 bytes each) this process holds.
-        let least = total as usize + ROW_MAX;
-        if buf.len() < least {
-            buf.reserve_exact(least - buf.len());
-            buf.resize(least, 0);
-        }
-        for (client, requests, served) in rows {
-            let Some(end) = ends.get_mut(bucket(client)) else {
-                continue;
-            };
-            let at = *end as usize;
-            let Some(row) = buf
-                .get_mut(at..)
-                .and_then(|s| s.first_chunk_mut::<ROW_MAX>())
-            else {
-                continue;
-            };
-            let (low, sums) = row.split_at_mut(LOW_BYTES);
-            #[allow(clippy::cast_possible_truncation, reason = "the low 16 bits.")]
-            low.copy_from_slice(&(client as u16).to_le_bytes());
-            let n = put_varint_at(sums, 0, requests);
-            #[allow(clippy::cast_possible_truncation, reason = "within total, a u32.")]
-            let len = (LOW_BYTES + put_varint_at(sums, n, served)) as u32;
-            *end += len;
+        let (mut buf, mut end, mut next, mut count) = (room.rows, 0, 0u64, 0);
+        for row in rows {
+            if buf.len() < end + ROW_MAX {
+                // A sixteenth more: the pages written are the ones coded.
+                buf.resize(end + ROW_MAX + buf.len() / 16, 0);
+            }
+            if let Some(to) = buf.get_mut(end..).and_then(|s| s.first_chunk_mut()) {
+                end += put_row(to, next, row);
+            }
+            next = u64::from(row.0) + 1;
+            count += 1;
         }
         EncodedState {
-            bytes,
+            bytes: fields(head, count),
             serving: Some(serving),
             rows: buf,
-            ends,
-        }
-    }
-
-    /// Bytes of the largest bucket's rows.
-    fn largest_bucket(&self) -> usize {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        let lens = starts.zip(&self.ends).map(|(start, &end)| end - start);
-        lens.max().unwrap_or(0) as usize
-    }
-
-    /// The scratch [`finish`](Self::finish) sorts buckets of at most
-    /// `largest` bytes in: a sorted copy of the bucket and an 8-byte key
-    /// for each of its rows.
-    fn scratch_bytes(largest: usize) -> usize {
-        largest + largest / MIN_ROW * std::mem::size_of::<u64>()
-    }
-
-    /// What is left once the producer's lock is dropped: each bucket's
-    /// rows put in address order, in a scratch no larger than the largest
-    /// bucket needs (a bucket already in order is only read).
-    pub(super) fn finish(&mut self) {
-        let largest = self.largest_bucket();
-        // One a row: its low address bits above its offset in `rows`.
-        let mut keys: Vec<u64> = Vec::with_capacity(largest / MIN_ROW);
-        let mut sorted = Vec::with_capacity(largest);
-        let mut start = 0;
-        for &end in &self.ends {
-            let bucket = start as usize..end as usize;
-            start = end;
-            keys.clear();
-            let (mut at, mut in_order) = (bucket.start, true);
-            while let Some((low, len)) = (at < bucket.end).then(|| row_at(&self.rows, at)).flatten()
-            {
-                let key = u64::from(low) << 32 | at as u64;
-                in_order &= keys.last().is_none_or(|&last| last < key);
-                keys.push(key);
-                at += len;
-            }
-            if in_order {
-                continue;
-            }
-            keys.sort_unstable();
-            sorted.clear();
-            for &key in &keys {
-                #[allow(
-                    clippy::cast_possible_truncation,
-                    reason = "the key's low half is the offset."
-                )]
-                let at = key as u32 as usize;
-                if let Some((_, len)) = row_at(&self.rows, at) {
-                    sorted.extend_from_slice(self.rows.get(at..at + len).unwrap_or_default());
-                }
-            }
-            if let Some(rows) = self.rows.get_mut(bucket) {
-                rows.copy_from_slice(&sorted);
-            }
+            end,
         }
     }
 
@@ -666,15 +515,14 @@ impl EncodedState {
             let dump = live.table.dump_prefixes().iter().copied();
             8 + prefixes_len(live.table.live_iter()) + prefixes_len(dump)
         });
-        let rows: usize = self.rows().map(|(gap, _, len)| varint_len(gap) + len).sum();
-        self.bytes.len() + lists + rows
+        self.bytes.len() + lists + self.end
     }
 
-    /// Hands the payload to `emit` in order and in pieces, coded through
-    /// a [`CODE_CHUNK`] stack buffer: the fields before the prefix lists,
-    /// the lists (after which the generation held for them is let go), the
-    /// fields before the rows, the rows, the fields after them. Stops at
-    /// `emit`'s first error.
+    /// Hands the payload to `emit` in order and in pieces: the fields
+    /// before the prefix lists, the lists coded through a [`CODE_CHUNK`]
+    /// stack buffer (after which the generation held for them is let go),
+    /// the fields before the rows, the rows, the fields after them. Stops
+    /// at `emit`'s first error.
     pub(super) fn write_wire<E>(
         &mut self,
         emit: impl FnMut(&[u8]) -> Result<(), E>,
@@ -686,59 +534,9 @@ impl EncodedState {
             to.prefixes(live.table.dump_prefixes().iter().copied())?;
         }
         to.piece(self.bytes.get(LISTS_AT..ROWS_AT).unwrap_or_default())?;
-        for (gap, at, len) in self.rows() {
-            to.room(VARINT_MAX_BYTES + ROW_ROOM)?;
-            to.varint(gap);
-            if let Some(sums) = self.rows.get(at..).and_then(|s| s.first_chunk()) {
-                to.block(sums, len);
-            }
-        }
+        to.piece(self.rows.get(..self.end).unwrap_or_default())?;
         to.piece(self.bytes.get(ROWS_AT..).unwrap_or_default())
     }
-
-    /// Each row, in bucket order, as its address's distance above the
-    /// previous row's address plus one (the first row's address itself),
-    /// where its varints start in `rows` and how many bytes they take.
-    fn rows(&self) -> impl Iterator<Item = (u64, usize, usize)> + '_ {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        let buckets = (0u32..).zip(starts.zip(self.ends.iter().copied()));
-        let mut next = 0u64;
-        let rows = buckets.flat_map(move |(high, (start, end))| {
-            let mut at = start as usize;
-            std::iter::from_fn(move || {
-                if at >= end as usize {
-                    return None;
-                }
-                let (low, len) = row_at(&self.rows, at)?;
-                let row = (high << 16 | low, at + LOW_BYTES, len - LOW_BYTES);
-                at += len;
-                Some(row)
-            })
-        });
-        rows.map(move |(client, at, len)| {
-            let client = u64::from(client);
-            // Wraps only for a client given twice, which the decoder then
-            // refuses as an address past `u32::MAX`.
-            let gap = client.wrapping_sub(next);
-            next = client + 1;
-            (gap, at, len)
-        })
-    }
-}
-
-/// Bytes of the two varints `row` starts with: through the second byte
-/// whose top bit is clear, found among the first 16 at once.
-fn two_varints_len(row: &[u8; ROW_ROOM]) -> usize {
-    let Some(head) = row.first_chunk::<16>() else {
-        return ROW_ROOM;
-    };
-    let ends = !u128::from_le_bytes(*head) & 0x8080_8080_8080_8080_8080_8080_8080_8080;
-    let second = ends & ends.wrapping_sub(1);
-    if second != 0 {
-        return second.trailing_zeros() as usize / 8 + 1;
-    }
-    let mut ends = (1..).zip(row).filter(|&(_, &b)| b & 0x80 == 0);
-    ends.nth(1).map_or(ROW_ROOM, |(len, _)| len)
 }
 
 /// Appends the fields of `state` that follow the client rows.

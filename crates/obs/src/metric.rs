@@ -1,4 +1,4 @@
-//! Counters, gauges and log2 histograms.
+//! Counters, gauges and log-linear histograms.
 //!
 //! Counter cells are sharded across cache-line-padded atomics: each thread
 //! is assigned a shard round-robin on first use, so concurrent chunk workers
@@ -14,8 +14,17 @@ use std::sync::Arc;
 /// counts; more shards only cost snapshot-time summing.
 const SHARDS: usize = 16;
 
-/// Number of log2 histogram buckets: `{0}` plus one per power of two.
-pub const BUCKETS: usize = 65;
+/// Sub-buckets a power of two is split into, as bits: 8, each an eighth
+/// of its power of two wide, so a bucket's midpoint is within 6.25 % of
+/// every value in it.
+const SUB_BITS: u32 = 3;
+
+/// Sub-buckets a power of two is split into.
+const SUB: usize = 1 << SUB_BITS;
+
+/// Number of histogram buckets: one for each value below 8, then 8 for
+/// each power of two from 2^3 to 2^63.
+pub const BUCKETS: usize = SUB + (64 - SUB_BITS as usize) * SUB;
 
 #[repr(align(64))]
 #[derive(Debug)]
@@ -137,29 +146,46 @@ impl Gauge {
     }
 }
 
-/// Bucket index for a value: bucket 0 holds exactly `{0}`, bucket `k >= 1`
-/// holds `[2^(k-1), 2^k - 1]`.
+/// Bucket index for a value: a value below 8 has a bucket of its own; in
+/// `[2^k, 2^(k+1) - 1]`, `k >= 3`, eight buckets of `2^(k-3)` values each
+/// follow one another.
 #[inline]
+#[allow(clippy::cast_possible_truncation, reason = "v < SUB, and the sub-bucket is 3 bits.")]
 pub fn bucket_index(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        64 - v.leading_zeros() as usize
+    if v < SUB as u64 {
+        return v as usize;
     }
+    let k = 63 - v.leading_zeros();
+    let sub = (v >> (k - SUB_BITS)) as usize & (SUB - 1);
+    SUB + (k - SUB_BITS) as usize * SUB + sub
 }
 
 /// Inclusive `(lo, hi)` bounds of bucket `index`; every recorded value `v`
 /// satisfies `lo <= v && v <= hi` for its own bucket. Indices past the last
 /// bucket clamp to it.
 pub fn bucket_bounds(index: usize) -> (u64, u64) {
-    if index == 0 {
-        return (0, 0);
+    let i = index.min(BUCKETS - 1);
+    if i < SUB {
+        return (i as u64, i as u64);
     }
-    #[allow(clippy::cast_possible_truncation, reason = "clamped to BUCKETS-1 = 64, fits u32.")]
-    let i = index.min(BUCKETS - 1) as u32;
-    let lo = 1u64 << (i - 1);
-    let hi = if i == 64 { u64::MAX } else { (1u64 << i) - 1 };
-    (lo, hi)
+    #[allow(clippy::cast_possible_truncation, reason = "(BUCKETS - SUB) / SUB = 61, fits u32.")]
+    let k = ((i - SUB) / SUB) as u32 + SUB_BITS;
+    let width = 1u64 << (k - SUB_BITS);
+    let lo = (1u64 << k) + ((i - SUB) % SUB) as u64 * width;
+    (lo, lo + (width - 1))
+}
+
+/// Inclusive bounds of the power of two `v` lies in: `{0}`, then
+/// `[2^k, 2^(k+1) - 1]` — the bucket a deterministic snapshot folds `v`'s
+/// sub-bucket into.
+pub(crate) fn octave_bounds(v: u64) -> (u64, u64) {
+    match v.checked_ilog2() {
+        None => (0, 0),
+        Some(k) => {
+            let lo = 1u64 << k;
+            (lo, lo + (lo - 1))
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -205,7 +231,7 @@ impl HistogramCell {
     }
 }
 
-/// A log2-bucketed value histogram handle.
+/// A log-linear value histogram handle: eight buckets a power of two.
 #[derive(Clone, Debug, Default)]
 pub struct Histogram {
     pub(crate) cell: Option<Arc<HistogramCell>>,
@@ -233,15 +259,31 @@ mod tests {
     #[test]
     fn bucket_edges() {
         assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(u64::MAX), 64);
+        assert_eq!(bucket_index(7), 7);
+        assert_eq!(bucket_index(8), 8);
+        assert_eq!(bucket_index(15), 15);
+        assert_eq!(bucket_index(16), 16);
+        assert_eq!(bucket_index(17), 16);
+        assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
         assert_eq!(bucket_bounds(0), (0, 0));
-        assert_eq!(bucket_bounds(1), (1, 1));
-        assert_eq!(bucket_bounds(2), (2, 3));
-        assert_eq!(bucket_bounds(64), (1u64 << 63, u64::MAX));
+        assert_eq!(bucket_bounds(7), (7, 7));
+        assert_eq!(bucket_bounds(16), (16, 17));
+        assert_eq!(bucket_bounds(BUCKETS - 1), (15 << 60, u64::MAX));
+        assert_eq!(octave_bounds(0), (0, 0));
+        assert_eq!(octave_bounds(5), (4, 7));
+        assert_eq!(octave_bounds(u64::MAX), (1u64 << 63, u64::MAX));
+    }
+
+    /// A 5 ms hold and an 8 ms one land in different buckets, and every
+    /// bucket from 8 on is at most an eighth of its lower bound wide: a
+    /// median read as a bucket's midpoint is within 6.25 %.
+    #[test]
+    fn a_bucket_resolves_an_eighth_of_its_power_of_two() {
+        assert_ne!(bucket_index(5_000), bucket_index(8_000));
+        for i in SUB..BUCKETS {
+            let (lo, hi) = bucket_bounds(i);
+            assert!(hi - lo < lo.div_ceil(8), "bucket {i}: {lo}..={hi}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::metric::bucket_bounds;
+use crate::metric::{bucket_bounds, octave_bounds};
 use crate::registry::Registry;
 
 /// One histogram's state at snapshot time.
@@ -13,7 +13,8 @@ pub struct HistogramSnapshot {
     /// Sum of all recorded values.
     pub sum: u64,
     /// Non-empty buckets as `(lo, hi, count)` with inclusive bounds,
-    /// ascending by `lo`.
+    /// ascending by `lo`: eight a power of two, or one in a deterministic
+    /// snapshot.
     pub buckets: Vec<(u64, u64, u64)>,
 }
 
@@ -75,15 +76,23 @@ impl Snapshot {
         }
         for (name, cell) in locked(&reg.histograms).iter() {
             let (count, sum, raw) = cell.read();
-            let buckets = raw
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| **n > 0)
-                .map(|(i, n)| {
-                    let (lo, hi) = bucket_bounds(i);
-                    (lo, hi, *n)
-                })
-                .collect();
+            let mut buckets: Vec<(u64, u64, u64)> = Vec::new();
+            for (i, &n) in raw.iter().enumerate().filter(|&(_, &n)| n > 0) {
+                let (lo, hi) = bucket_bounds(i);
+                // A deterministic snapshot folds the sub-buckets into their
+                // power of two: its histograms count input-fixed values
+                // (chunk sizes, deltas a batch), and its bytes are compared
+                // across builds, which have always rendered those buckets.
+                let (lo, hi) = if deterministic {
+                    octave_bounds(lo)
+                } else {
+                    (lo, hi)
+                };
+                match buckets.last_mut() {
+                    Some(last) if last.0 == lo => last.2 += n,
+                    _ => buckets.push((lo, hi, n)),
+                }
+            }
             snap.histograms.insert(
                 name.clone(),
                 HistogramSnapshot {

@@ -84,18 +84,17 @@ const CLUSTERS: u32 = 50_000;
 /// What the per-cluster aggregates may fill, per cluster of a stream
 /// whose table has one prefix a cluster.
 const AGGREGATE_BYTES_PER_CLUSTER: usize = 28;
-/// What the address → id index may fill, per bucket of a table grown by
-/// doubling at 7/8 load: one `u32` slot holding the client's id and hash
-/// bits. A std `HashMap<u32, u32>` filled 9, an 8-byte entry and a
-/// control byte.
-const ADDRESS_MAP_BYTES_PER_BUCKET: usize = 4;
+/// What finds a client record by its address, whatever the client count:
+/// the store's root, a `u32` offset per /16 and one past the last, and
+/// its arrival tail's index, 2^14 `u16` slots. The hashed address → id
+/// index it replaced filled 4 bytes a bucket (2.10 MB for the 380 000
+/// clients of the benchmark's `wide`), a std `HashMap<u32, u32>` 9.
+const ADDRESS_MAP_BYTES: usize = 4 * ((1 << 16) + 1) + 2 * (1 << 14);
 
-/// What a snapshot in flight may hold per client: its row in its /16's
-/// bucket, 2 bytes of address and its counts' varints (≈ 5 bytes; the
-/// room is made for 6 with a 1/64 margin for late arrivals).
-const SNAPSHOT_BYTES_PER_CLIENT: usize = 7;
-/// The snapshot's table of its 2^16 buckets' ends, a `u32` each.
-const BUCKET_TABLE_BYTES: usize = 4 << 16;
+/// What a snapshot in flight may hold per client: its row as the file
+/// holds it, its address gap and its counts' varints (≈ 5 bytes here;
+/// the room is made for 6 with a 1/64 margin for late arrivals).
+const SNAPSHOT_BYTES_PER_CLIENT: usize = 6;
 
 fn clf_line(out: &mut String, addr: u32, bytes: u32) {
     let addr = Ipv4Addr::from(addr);
@@ -176,10 +175,10 @@ fn a_top_n_a_poll_and_a_snapshot_allocate_what_they_return() {
     assert_eq!(stream.len(), CLUSTERS as usize);
     drop(text);
 
-    // The client records and the aggregates' slots are the blocks a push
-    // grows in place (the address index moves to fresh slots), doubling from 4:
-    // for 50 000 clients, 2^16 records of 24 bytes — address, the handle of
-    // its match, two sums — and as many slots of 24.
+    // The run of client records and the aggregates' slots are the blocks a
+    // push grows in place, doubling: for 50 000 clients, 2^16 records of 24
+    // bytes — address, the handle of its match, two sums — and as many
+    // slots of 24.
     let regrown = LARGEST_REGROWTH.load(Ordering::Relaxed);
     println!("the client records: {regrown} bytes for 2^16 records");
     assert_eq!(regrown, 24 << 16, "a client record is not 24 bytes");
@@ -197,11 +196,9 @@ fn a_top_n_a_poll_and_a_snapshot_allocate_what_they_return() {
     assert!(memory.aggregates <= budget, "{memory:?}");
     assert_eq!(memory.client_records, 24 * stream.client_count());
 
-    // The address → id index: 2^16 buckets for 50 000 clients, 4 bytes
-    // each (262 144); the address stays in the record. A std map's 9 bytes
-    // a bucket (589 824) fail it.
-    let buckets = (stream.client_count() * 8 / 7).next_power_of_two();
-    let budget = ADDRESS_MAP_BYTES_PER_BUCKET * buckets;
+    // The root and the tail's index: 294 916 bytes for any number of
+    // clients; the address stays in the record.
+    let budget = ADDRESS_MAP_BYTES;
     println!(
         "the address map of {} clients: {} bytes, budget {budget}",
         stream.client_count(),
@@ -216,17 +213,17 @@ fn a_top_n_a_poll_and_a_snapshot_allocate_what_they_return() {
     println!("top_k(10) over {CLUSTERS} clusters: {peak} bytes");
     assert!(peak < SLACK, "top_k(10) allocated {peak} bytes");
 
-    // A snapshot holds, per client, a row in its /16's bucket — the low 16
-    // address bits and its counts' varints, 5 bytes here, in room made
-    // for 6 — beside the table of the buckets' ends and the scratch one
-    // /16 is sorted in (256 rows here). The prefix lists are coded from
-    // the table where it holds them on the way to the file, through the
-    // stack buffer the rows go through, so they take no room. This is
-    // the budget table's "per client, in flight" row: 12 bytes a client
-    // and 6 a prefix before (an 8-byte sort key a row, and the lists
-    // coded into a buffer), which this budget fails by ≈ 230 KB.
+    // A snapshot holds, per client, its row as the file holds it — the
+    // address gap and the counts' varints, 5 bytes here, in room made for
+    // 6 — coded in one walk in address order. The prefix lists are coded
+    // from the table where it holds them on the way to the file, through a
+    // stack buffer, so they take no room. This is the budget table's "per
+    // client, in flight" row: 7 bytes a client and a 256 KiB table of /16
+    // buckets with rows bucketed unsorted, 12 bytes a client and 6 a
+    // prefix before that (an 8-byte sort key a row, and the lists coded
+    // into a buffer).
     let clients = stream.client_count();
-    let budget = SNAPSHOT_BYTES_PER_CLIENT * clients + BUCKET_TABLE_BYTES + SLACK;
+    let budget = SNAPSHOT_BYTES_PER_CLIENT * clients + SLACK;
     let mut store = StateStore::create(dir.join("state"), FsyncPolicy::Os).unwrap();
     let (written, peak) = peak_of(|| {
         let room = EncodedState::with_room(clients + clients / 64);
@@ -283,28 +280,26 @@ fn a_top_n_a_poll_and_a_snapshot_allocate_what_they_return() {
 
 /// The room a snapshot takes does not depend on how the clients share the
 /// address space: every client in one /16, or spread over one /8, each
-/// pushed out of address order. It stays under 8 bytes a client, the
-/// bucket table, and the scratch the densest /16 is sorted in — a copy
-/// of its rows (5 bytes a row here) and an 8-byte key for every 4 bytes
-/// of them, the shortest a row can be: 3 × 5 bytes a row.
+/// pushed out of address order. It stays under the 6 bytes a client its
+/// rows are reserved (4 bytes a row here); no /16 is sorted on the way.
 #[test]
 fn a_snapshot_of_crowded_clients_stays_in_its_room() {
     let _alone = alone();
     let dir = std::env::temp_dir().join(format!("netclust-crowd-{}", std::process::id()));
     let ten = Ipv4Net::new(0x0A00_0000, 8).unwrap();
     let bgp = RoutingTable::new("B", "d0", TableKind::Bgp, vec![ten]);
-    // (clients, the most in one /16, the i-th client's low 24 bits): odd
-    // multipliers, so every client is distinct and none in order.
+    // (clients, the i-th client's low 24 bits): odd multipliers, so every
+    // client is distinct and none in order.
     type Low = fn(u32) -> u32;
-    let crowds: [(&str, u32, usize, Low); 2] = [
-        ("one /16", 1 << 16, 1 << 16, |i| {
+    let crowds: [(&str, u32, Low); 2] = [
+        ("one /16", 1 << 16, |i| {
             (1 << 16) | (i.wrapping_mul(40_503) & 0xFFFF)
         }),
-        ("one /8", 200_000, 1_000, |i| {
+        ("one /8", 200_000, |i| {
             i.wrapping_mul(2_654_435_761) & 0xFF_FFFF
         }),
     ];
-    for (name, clients, densest, low) in crowds {
+    for (name, clients, low) in crowds {
         let _ = fs::remove_dir_all(&dir);
         let mut stream = StreamingClustering::builder(MergedTable::merge([&bgp])).build();
         let mut text = String::new();
@@ -314,7 +309,7 @@ fn a_snapshot_of_crowded_clients_stays_in_its_room() {
         assert!(stream.push_clf(text.as_bytes()).is_empty());
         drop(text);
         let clients = stream.client_count();
-        let budget = 8 * clients + BUCKET_TABLE_BYTES + 3 * 5 * densest + SLACK;
+        let budget = SNAPSHOT_BYTES_PER_CLIENT * clients + SLACK;
         let mut store = StateStore::create(dir.join("state"), FsyncPolicy::Os).unwrap();
         let (written, peak) = peak_of(|| {
             let room = EncodedState::with_room(clients + clients / 64);

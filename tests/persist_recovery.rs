@@ -654,7 +654,7 @@ fn a_snapshot_encoded_from_the_stream_is_the_exported_one() {
         let bytes = std::fs::read(store.snapshot_path(generation)).expect("snapshot file");
         (dir, bytes)
     };
-    let (_, by_export) = file("by-export", &|store| store.checkpoint(&exported));
+    let (export_dir, by_export) = file("by-export", &|store| store.checkpoint(&exported));
     let (dir, by_encode) = file("by-encode", &|store| {
         let room = EncodedState::with_room(stream.client_count());
         store.checkpoint_encoded(stream.encode_state(room))
@@ -664,6 +664,8 @@ fn a_snapshot_encoded_from_the_stream_is_the_exported_one() {
     // And it is that state: the file recovers to the export.
     let (_, recovered, _) = StateStore::recover(&dir, FsyncPolicy::Os).expect("recover");
     assert_eq!(recovered, exported);
+    let _ = std::fs::remove_dir_all(&export_dir);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -74,6 +74,11 @@ const WAIVERS: &[(&str, &str, &str)] = &[
         "pub-fn-caller",
         "pub fn is_mapped(&self) -> bool {",
     ),
+    (
+        "crates/core/src/stream.rs",
+        "pub-fn-caller",
+        "pub fn ledger(&self) -> StreamWork {",
+    ),
 ];
 
 /// The product crates, by directory under `crates/`.
