@@ -269,15 +269,16 @@ fn push_shuffled(
 }
 
 proptest! {
-    /// The daemon's snapshot path — the stream writing each client's row
-    /// into its /16's bucket in the order it holds them, the store sorting
-    /// each bucket and coding the rows on the way out — writes the file
-    /// the export-then-checkpoint path writes, byte for byte, over the
-    /// table as compiled (prefixes read from its arena) and as patched
-    /// (from its shadow trie), into room made beforehand for fewer rows,
-    /// as many, or more; both recover to the export. After its restore,
-    /// which feeds the rows in address order, the stream is fed requests
-    /// in a shuffled order, so buckets fill out of order and rows grow.
+    /// The daemon's snapshot path — the stream coding its client rows in
+    /// one walk in address order, the sorted run with the arrival tail's
+    /// records let in where they fall, and the store coding the prefix
+    /// lists on the way out — writes the file the export-then-checkpoint
+    /// path writes, byte for byte, over the table as compiled (prefixes
+    /// read from its arena) and as patched (from its shadow trie), into
+    /// room made beforehand for fewer rows, as many, or more; both recover
+    /// to the export. After its restore, which lays the rows out as the
+    /// sorted run, the stream is fed requests in a shuffled order, so new
+    /// clients land in the arrival tail out of order and rows grow.
     #[test]
     fn a_stream_encodes_the_snapshot_it_exports(
         state in arb_state(),
