@@ -1,8 +1,10 @@
-//! The stream's clients in address order (DESIGN.md §10): one sorted run
-//! of [`Client`] records found through a root of 2^16 + 1 offsets, one a
-//! /16, plus a bounded arrival tail with a small keyed index, sorted and
-//! merged backwards into the run when full. A position names a record
-//! until the next insert: an index into the run, then into the tail.
+//! Clients in address order (DESIGN.md §10), the one client store: one
+//! sorted run of [`Client`] records found through a root of 2^16 + 1
+//! offsets, one a /16, plus a bounded arrival tail with a small keyed
+//! index, sorted and merged backwards into the run when full. A position
+//! names a record until the next insert: an index into the run, then into
+//! the tail. A record's memo is the stream's matched [`Handle`] or a batch
+//! shard's first-seen dense id; the store only keeps it.
 
 #![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
 #![deny(
@@ -35,15 +37,15 @@ const SCAN: usize = 16;
 /// A free tail-index slot; one in use holds a tail position plus one.
 const FREE: u16 = 0;
 
-/// A stream's client records, in address order but for the arrival tail.
-pub(crate) struct Clients {
+/// Client records, in address order but for the arrival tail.
+pub(crate) struct Clients<T = Handle> {
     /// Sorted by address; no address twice, none in the tail.
-    run: Vec<Client<Handle>>,
+    run: Vec<Client<T>>,
     /// Per /16 `h`, the run records below it: `h`'s are
     /// `run[root[h]..root[h + 1]]`.
     root: Vec<u32>,
     /// Clients not yet merged, in arrival order: at most `cap`.
-    tail: Vec<Client<Handle>>,
+    tail: Vec<Client<T>>,
     /// Linear probing over the tail's positions, at least twice `cap`
     /// slots, so a probe ends. Addresses are outside input, so the hash
     /// is keyed, and a probe reads at most the tail whatever the key.
@@ -54,7 +56,7 @@ pub(crate) struct Clients {
     moved: u64,
 }
 
-impl Clients {
+impl<T: Copy> Clients<T> {
     /// An empty store.
     pub(crate) fn new() -> Self {
         Self::with_tail(TAIL)
@@ -76,8 +78,8 @@ impl Clients {
 
     /// A store of `run`, which is sorted by address with no address twice
     /// (as a snapshot's rows are), laid out with no merge.
-    pub(crate) fn from_sorted(run: Vec<Client<Handle>>) -> Self {
-        let mut clients = Clients::new();
+    pub(crate) fn from_sorted(run: Vec<Client<T>>) -> Self {
+        let mut clients = Self::new();
         count_below(&mut clients.root, &run);
         clients.run = run;
         clients
@@ -89,28 +91,23 @@ impl Clients {
     }
 
     /// Counts `requests` requests of `bytes` from `addr`, a new client with
-    /// `memo()` as its handle; returns its handle and whether it was new.
+    /// `memo()` as its memo; returns its memo and whether it was new.
     #[inline]
     pub(crate) fn add(
         &mut self,
         addr: u32,
         requests: u64,
         bytes: u64,
-        memo: impl FnOnce() -> Handle,
-    ) -> (Handle, bool) {
-        let slot = match self.find(addr) {
-            Ok(pos) => {
-                let Some(c) = self.at_mut(pos) else {
-                    return (Handle::NONE, false);
-                };
-                c.requests += requests;
-                c.bytes += bytes;
-                return (c.memo, false);
-            }
-            Err(slot) => slot,
-        };
+        memo: impl FnOnce() -> T,
+    ) -> (T, bool) {
+        let found = self.find(addr);
+        if let Some(c) = found.ok().and_then(|pos| self.at_mut(pos)) {
+            c.requests += requests;
+            c.bytes += bytes;
+            return (c.memo, false);
+        }
         let slot = if self.tail.len() < self.cap {
-            slot
+            found.err().unwrap_or_default()
         } else {
             self.merge();
             self.tail_find(addr).err().unwrap_or_default()
@@ -129,20 +126,20 @@ impl Clients {
     }
 
     /// The record of `addr`, if it is held.
-    pub(crate) fn get(&self, addr: u32) -> Option<&Client<Handle>> {
+    pub(crate) fn get(&self, addr: u32) -> Option<&Client<T>> {
         self.at(self.find(addr).ok()?)
     }
 
     /// The record at position `pos`.
-    pub(crate) fn at(&self, pos: usize) -> Option<&Client<Handle>> {
+    pub(crate) fn at(&self, pos: usize) -> Option<&Client<T>> {
         match pos.checked_sub(self.run.len()) {
             None => self.run.get(pos),
             Some(at) => self.tail.get(at),
         }
     }
 
-    /// The record at position `pos`, to change its sums or handle.
-    pub(crate) fn at_mut(&mut self, pos: usize) -> Option<&mut Client<Handle>> {
+    /// The record at position `pos`, to change its sums or memo.
+    pub(crate) fn at_mut(&mut self, pos: usize) -> Option<&mut Client<T>> {
         match pos.checked_sub(self.run.len()) {
             None => self.run.get_mut(pos),
             Some(at) => self.tail.get_mut(at),
@@ -164,7 +161,7 @@ impl Clients {
 
     /// Every record in address order: the run, each tail record let in
     /// where it falls (the tail's positions sorted, 2 bytes each).
-    pub(crate) fn in_order(&self) -> impl Iterator<Item = &Client<Handle>> {
+    pub(crate) fn in_order(&self) -> impl Iterator<Item = &Client<T>> {
         let mut order: Vec<u16> = (0..self.tail.len()).map(tail_at).collect();
         order.sort_unstable_by_key(|&at| self.tail.get(usize::from(at)).map(|c| c.addr));
         let tail = (order.into_iter()).filter_map(|at| self.tail.get(usize::from(at)));
@@ -177,15 +174,15 @@ impl Clients {
     }
 
     /// Merges the tail into the run and returns it, every record in
-    /// address order, for a caller to change handles or sums.
-    pub(crate) fn settled(&mut self) -> &mut [Client<Handle>] {
+    /// address order, for a caller to change memos or sums.
+    pub(crate) fn settled(&mut self) -> &mut [Client<T>] {
         self.merge();
         &mut self.run
     }
 
     /// Bytes the records fill (spare capacity is untouched, uncounted).
     pub(crate) fn record_bytes(&self) -> usize {
-        self.len() * std::mem::size_of::<Client<Handle>>()
+        self.len() * std::mem::size_of::<Client<T>>()
     }
 
     /// Bytes the root and the tail's index hold.
@@ -285,7 +282,7 @@ impl Clients {
 
 /// Adds to each root entry the records of `sorted`, in address order,
 /// that lie below its /16.
-fn count_below(root: &mut [u32], sorted: &[Client<Handle>]) {
+fn count_below<T>(root: &mut [u32], sorted: &[Client<T>]) {
     let (mut below, mut sorted) = (0usize, sorted.iter().peekable());
     for (high, start) in (0u32..).zip(root.iter_mut()) {
         while sorted.next_if(|c| c.addr >> 16 < high).is_some() {
@@ -314,6 +311,7 @@ fn offset(at: usize) -> u32 {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
+    use std::fmt::Debug;
 
     use netclust_prefix::Ipv4Net;
     use netclust_rtable::{CompiledTable, MergedTable, RoutingTable, TableKind};
@@ -329,7 +327,10 @@ mod tests {
     /// Every way the store answers, against `oracle`: the count, each
     /// record by lookup and in order, absent addresses, and each /16's
     /// range as positions.
-    fn check(store: &Clients, oracle: &BTreeMap<u32, (u64, u64, Handle)>) -> Result<(), String> {
+    fn check<T: Copy + PartialEq + Debug>(
+        store: &Clients<T>,
+        oracle: &BTreeMap<u32, (u64, u64, T)>,
+    ) -> Result<(), String> {
         prop_assert_eq!(store.len(), oracle.len());
         prop_assert!(store.tail.len() <= store.cap);
         for (&addr, &(requests, bytes, memo)) in oracle {
@@ -339,10 +340,10 @@ mod tests {
                 (addr, requests, bytes, memo)
             );
         }
-        let walked: Vec<(u32, u64, u64, Handle)> = (store.in_order())
+        let walked: Vec<(u32, u64, u64, T)> = (store.in_order())
             .map(|c| (c.addr, c.requests, c.bytes, c.memo))
             .collect();
-        let want: Vec<(u32, u64, u64, Handle)> = (oracle.iter())
+        let want: Vec<(u32, u64, u64, T)> = (oracle.iter())
             .map(|(&a, &(r, b, m))| (a, r, b, m))
             .collect();
         prop_assert_eq!(walked, want);
@@ -383,26 +384,23 @@ mod tests {
     /// Drives a store whose tail holds `cap` records and a `BTreeMap` side
     /// by side through `ops` (address key, requests, bytes), checking every
     /// answer after every op — so at every tail fill, and on either side
-    /// of every merge — then once more after a settle.
-    fn matches_the_oracle(
-        table: &CompiledTable,
+    /// of every merge — then once more after a settle. A new client's memo
+    /// is `memo(addr, clients seen before it)`, and stays as it was given.
+    fn matches_the_oracle<T: Copy + PartialEq + Debug>(
         cap: usize,
         ops: &[(u16, u8, u16)],
+        memo: impl Fn(u32, usize) -> T,
     ) -> Result<(), String> {
         let mut store = Clients::with_tail(cap);
         let mut oracle = BTreeMap::new();
         for &(k, requests, bytes) in ops {
             let addr = addr_of(k);
-            let new = !oracle.contains_key(&addr);
-            let want = oracle
-                .entry(addr)
-                .or_insert((0, 0, table.match_handle(addr)));
+            let (new, seen) = (!oracle.contains_key(&addr), oracle.len());
+            let want = oracle.entry(addr).or_insert((0, 0, memo(addr, seen)));
             want.0 += u64::from(requests);
             want.1 += u64::from(bytes);
-            let (handle, first) = store.add(addr, requests.into(), bytes.into(), || {
-                table.match_handle(addr)
-            });
-            prop_assert_eq!((handle, first), (want.2, new), "{:#x}", addr);
+            let (got, first) = store.add(addr, requests.into(), bytes.into(), || memo(addr, seen));
+            prop_assert_eq!((got, first), (want.2, new), "{:#x}", addr);
             check(&store, &oracle)?;
         }
         store.settled();
@@ -417,13 +415,18 @@ mod tests {
     proptest! {
         /// The store against a `BTreeMap`: pushes, lookups, range walks
         /// and in-order walks after every op, under tails of one record
-        /// (a merge every new client), a few, and more than the ops fill.
+        /// (a merge every new client), a few, and more than the ops fill;
+        /// memos the stream's matched handles, then a batch shard's dense
+        /// first-seen ids, which no merge may renumber.
         #[test]
         fn the_store_matches_an_oracle(ops in arb_ops(), cap in 1usize..12) {
             let table = table();
-            matches_the_oracle(&table, cap, &ops)?;
-            matches_the_oracle(&table, 1, &ops)?;
-            matches_the_oracle(&table, 512, &ops)?;
+            let handle = |addr, _| table.match_handle(addr);
+            matches_the_oracle(cap, &ops, handle)?;
+            matches_the_oracle(1, &ops, handle)?;
+            matches_the_oracle(512, &ops, handle)?;
+            let id = |_, seen| u32::try_from(seen).expect("a few hundred clients");
+            matches_the_oracle(cap, &ops, id)?;
         }
     }
 

@@ -140,7 +140,7 @@ impl Clustering {
     where
         F: Fn(Ipv4Addr) -> Option<Ipv4Net> + Sync,
     {
-        let mut shard = Shard::new(1);
+        let mut shard = Shard::new();
         let mut n_urls = 0usize;
         for r in &log.requests {
             let id = shard.add(r.client, r.bytes as u64);
@@ -149,7 +149,7 @@ impl Clustering {
         }
         kernel::finish(
             method,
-            &[shard],
+            &mut [shard],
             1,
             &|addrs: &[u32], out: &mut [Option<Ipv4Net>]| {
                 for (&addr, slot) in addrs.iter().zip(out) {

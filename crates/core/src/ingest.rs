@@ -401,10 +401,9 @@ impl<'t> IngestPipeline<'t> {
                 .collect()
         };
         let workers = self.effective_threads().min(chunks.len()).max(1);
-        let n_parts = kernel::merge_partitions_for(workers);
         let mut outs = {
             let _s = self.obs.span("parse");
-            self.scan_sharded(&chunks, release, workers, n_parts)
+            self.scan_sharded(&chunks, release, workers)
         };
         let lines = number_lines(&mut outs, chunks.len());
         let report = self.finish(outs, workers, lines, data.len());
@@ -420,13 +419,12 @@ impl<'t> IngestPipeline<'t> {
         chunks: &[Chunk<'a>],
         release: Option<&LogData>,
         workers: usize,
-        n_parts: usize,
     ) -> Vec<ChunkOut<'a>> {
         let next = AtomicUsize::new(0);
 
         let worker = || -> ChunkOut<'a> {
             let _span = self.obs.span("ingest.worker");
-            let mut out = ChunkOut::new(n_parts);
+            let mut out = ChunkOut::new();
             loop {
                 // ordering: pure work-stealing ticket counter; only
                 // atomicity matters, no data is published through it.
@@ -513,7 +511,7 @@ impl<'t> IngestPipeline<'t> {
         }
         let clustering = kernel::finish(
             self.how.label(),
-            &shards,
+            &mut shards,
             threads,
             &|addrs, out| self.how.net_for_slice(addrs, out),
             (n_urls, trans.as_slice()),
@@ -614,9 +612,9 @@ struct ChunkOut<'a> {
 }
 
 impl<'a> ChunkOut<'a> {
-    fn new(n_parts: usize) -> Self {
+    fn new() -> Self {
         ChunkOut {
-            shard: Shard::new(n_parts),
+            shard: Shard::new(),
             url_ids: FxHashMap::default(),
             url_paths: Vec::new(),
             errors: Vec::new(),

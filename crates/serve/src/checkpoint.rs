@@ -371,19 +371,20 @@ pub(crate) fn apply_journaled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::TempDir;
     use netclust_core::FsyncPolicy;
 
-    /// A checkpointer over an empty store in a fresh temp dir.
-    fn mailbox(name: &str, threshold: u64) -> Checkpointer {
-        let dir = std::env::temp_dir().join(format!("netclustd-cp-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = StateStore::create(dir, FsyncPolicy::Os).expect("store");
-        Checkpointer::new(threshold, store)
+    /// A checkpointer over an empty store in a fresh temp dir, and the
+    /// dir's guard.
+    fn mailbox(name: &str, threshold: u64) -> (Checkpointer, TempDir) {
+        let dir = TempDir::new(&format!("netclustd-cp-{name}"));
+        let store = StateStore::create(dir.join("state"), FsyncPolicy::Os).expect("store");
+        (Checkpointer::new(threshold, store), dir)
     }
 
     #[test]
     fn the_two_triggers() {
-        let cp = mailbox("triggers", 100);
+        let (cp, _dir) = mailbox("triggers", 100);
         assert!(!cp.consider(true), "quiet with nothing pending is not work");
         assert!(!cp.due(&cp.ctl()));
         cp.note_applied(99);
@@ -398,7 +399,7 @@ mod tests {
 
     #[test]
     fn a_failure_is_a_trigger_with_nothing_pending() {
-        let cp = mailbox("failure", 100);
+        let (cp, _dir) = mailbox("failure", 100);
         assert!(!cp.due(&cp.ctl()));
         cp.note_failure();
         assert!(cp.due(&cp.ctl()), "a failure wants a snapshot");
@@ -410,7 +411,7 @@ mod tests {
 
     #[test]
     fn triggers_coalesce_while_one_is_claimed() {
-        let cp = mailbox("coalesce", 1);
+        let (cp, _dir) = mailbox("coalesce", 1);
         cp.note_applied(5);
         assert!(!cp.consider(false), "first trigger wakes the thread");
         // The thread claims it and finds the duty bound already met.
@@ -423,7 +424,7 @@ mod tests {
 
     #[test]
     fn the_duty_bound_delays_the_start_and_stop_ends_the_wait() {
-        let cp = mailbox("duty", 1);
+        let (cp, _dir) = mailbox("duty", 1);
         cp.note_applied(5);
         let asked = Instant::now();
         let hold = Duration::from_millis(40);
@@ -431,7 +432,7 @@ mod tests {
         assert!(asked.elapsed() >= hold);
 
         // Nothing pending: the thread sleeps until stop wakes it.
-        let idle = mailbox("idle", 1);
+        let (idle, _dir) = mailbox("idle", 1);
         std::thread::scope(|scope| {
             let waiter = scope.spawn(|| idle.wait_for_work(Instant::now()));
             idle.stop();

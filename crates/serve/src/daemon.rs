@@ -486,11 +486,14 @@ fn follower_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::TempDir;
 
-    /// A daemon state over a one-prefix table, and a connected loopback
-    /// pair: the peer's end and the end `serve_connection` takes.
+    /// A daemon state over a one-prefix table (its file gone once read),
+    /// and a connected loopback pair: the peer's end and the end
+    /// `serve_connection` takes.
     fn loopback(test: &str) -> (AppState, TcpStream, TcpStream) {
-        let table = std::env::temp_dir().join(format!("netclustd-{test}-{}", std::process::id()));
+        let dir = TempDir::new(&format!("netclustd-{test}"));
+        let table = dir.join("t.bgp");
         std::fs::write(&table, "10.0.0.0/8\n").expect("table file");
         let config = ServeConfig::new().tables(vec![table]);
         let state = build_state(&config, &Obs::enabled()).expect("state");

@@ -11,6 +11,7 @@ use std::fmt::Write as _;
 use std::fs::{self, OpenOptions};
 use std::io::Write as _;
 use std::net::Ipv4Addr;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -96,6 +97,33 @@ const ADDRESS_MAP_BYTES: usize = 4 * ((1 << 16) + 1) + 2 * (1 << 14);
 /// the room is made for 6 with a 1/64 margin for late arrivals).
 const SNAPSHOT_BYTES_PER_CLIENT: usize = 6;
 
+/// A fresh directory under the temp dir, removed with what it holds when
+/// dropped: at the end of the test that made it, or as its panic unwinds.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(name: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
 fn clf_line(out: &mut String, addr: u32, bytes: u32) {
     let addr = Ipv4Addr::from(addr);
     let _ = writeln!(
@@ -117,9 +145,7 @@ const BUILD_BYTES_PER_PREFIX: usize = 40;
 #[test]
 fn the_table_build_peaks_at_the_table_it_builds() {
     let _alone = alone();
-    let dir = std::env::temp_dir().join(format!("netclust-build-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("netclust-build");
     let churn = DeltaStreamConfig::default();
     let prefixes = DeltaStream::synthetic(0x51CE, 110_000, churn).live_prefixes();
     let split = prefixes.len() * 92 / 100;
@@ -141,15 +167,12 @@ fn the_table_build_peaks_at_the_table_it_builds() {
         table.memory_bytes()
     );
     assert!(peak <= budget, "the table build allocated {peak} bytes");
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn a_top_n_a_poll_and_a_snapshot_allocate_what_they_return() {
     let _alone = alone();
-    let dir = std::env::temp_dir().join(format!("netclust-alloc-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("netclust-alloc");
 
     // 50 000 /24 clusters of one client each, seen in an order that is
     // neither the address order nor its reverse.
@@ -274,8 +297,6 @@ fn a_top_n_a_poll_and_a_snapshot_allocate_what_they_return() {
         .is_some_and(|c| c.len() as u64 > APPLY_SLICE / 2));
     println!("a poll into the chunk given back: {peak} bytes");
     assert!(peak < 1024, "a recycled poll allocated {peak} bytes");
-
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// The room a snapshot takes does not depend on how the clients share the
@@ -285,7 +306,7 @@ fn a_top_n_a_poll_and_a_snapshot_allocate_what_they_return() {
 #[test]
 fn a_snapshot_of_crowded_clients_stays_in_its_room() {
     let _alone = alone();
-    let dir = std::env::temp_dir().join(format!("netclust-crowd-{}", std::process::id()));
+    let dir = TempDir::new("netclust-crowd");
     let ten = Ipv4Net::new(0x0A00_0000, 8).unwrap();
     let bgp = RoutingTable::new("B", "d0", TableKind::Bgp, vec![ten]);
     // (clients, the i-th client's low 24 bits): odd multipliers, so every
@@ -300,7 +321,7 @@ fn a_snapshot_of_crowded_clients_stays_in_its_room() {
         }),
     ];
     for (name, clients, low) in crowds {
-        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(dir.join("state"));
         let mut stream = StreamingClustering::builder(MergedTable::merge([&bgp])).build();
         let mut text = String::new();
         for i in 0..clients {
@@ -321,5 +342,4 @@ fn a_snapshot_of_crowded_clients_stays_in_its_room() {
         let (_, recovered, _) = StateStore::recover(dir.join("state"), FsyncPolicy::Os).unwrap();
         assert_eq!(recovered, stream.export_state());
     }
-    let _ = fs::remove_dir_all(&dir);
 }
