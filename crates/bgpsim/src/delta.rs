@@ -373,7 +373,7 @@ mod tests {
         // End-to-end: apply 100 batches to a compiled table and check the
         // table's live set tracks the stream's.
         let mut stream = DeltaStream::synthetic(9, 800, DeltaStreamConfig::default());
-        let mut table = CompiledTable::from_prefixes(stream.live_prefixes());
+        let mut table = CompiledTable::tiered(&stream.live_prefixes(), &[]);
         for batch in (&mut stream).take(100) {
             table.apply_delta(&batch.deltas);
         }

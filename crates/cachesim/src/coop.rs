@@ -173,6 +173,7 @@ pub fn simulate_cooperative(
 mod tests {
     use super::*;
     use crate::sim::simulate;
+    use netclust_core::Assigner;
     use netclust_netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
 
     fn setup() -> (Log, Clustering) {
@@ -182,7 +183,10 @@ mod tests {
         spec.num_urls = 400;
         let log = generate(&u, &spec);
         let merged = standard_merged(&u, 0);
-        (log.clone(), Clustering::network_aware(&log, &merged))
+        (
+            log.clone(),
+            Clustering::by(&log, Assigner::NetworkAware(&merged.compile())),
+        )
     }
 
     fn config() -> SimConfig {

@@ -223,6 +223,7 @@ pub fn top_proxy_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netclust_core::Assigner;
     use netclust_netgen::{generate, LogSpec, Universe, UniverseConfig};
 
     fn setup() -> (Log, Clustering) {
@@ -232,7 +233,7 @@ mod tests {
         spec.num_urls = 300;
         let log = generate(&u, &spec);
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::network_aware(&log, &merged);
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
         (log, clustering)
     }
 
@@ -322,7 +323,7 @@ mod tests {
         // The headline of Figure 11: coarser (network-aware) clusters
         // share caches better than /24 fragments at equal capacity.
         let (log, aware) = setup();
-        let simple = Clustering::simple24(&log);
+        let simple = Clustering::by(&log, Assigner::Simple24);
         let cfg = config(u64::MAX);
         let aware_result = simulate(&log, &aware, &cfg);
         let simple_result = simulate(&log, &simple, &cfg);

@@ -5,9 +5,9 @@
 //! per-cluster aggregates. Three [`Assigner`]s reproduce the paper's methods:
 //!
 //! * **network-aware** (the contribution): longest-prefix match against the
-//!   merged BGP/registry table ([`Clustering::network_aware`]),
-//! * **simple**: fixed `/24` grouping ([`Clustering::simple24`]),
-//! * **classful**: Class A/B/C boundaries ([`Clustering::classful`]).
+//!   compiled merged BGP/registry table ([`Assigner::NetworkAware`]),
+//! * **simple**: fixed `/24` grouping ([`Assigner::Simple24`]),
+//! * **classful**: Class A/B/C boundaries ([`Assigner::Classful`]).
 //!
 //! Clients whose address matches no table entry are *unclustered* — the
 //! paper reports ≈0.1 % of clients — and kept separately for the
@@ -28,7 +28,7 @@ use std::net::Ipv4Addr;
 
 use netclust_obs::Obs;
 use netclust_prefix::{classful_network, Ipv4Net};
-use netclust_rtable::{CompiledTable, MergedTable, DEFAULT_PREFETCH_DISTANCE};
+use netclust_rtable::{CompiledTable, DEFAULT_PREFETCH_DISTANCE};
 use netclust_weblog::Log;
 
 use crate::fx::FxHashMap;
@@ -166,7 +166,7 @@ impl Clustering {
     /// `assignments[i]`): clusters sorted by prefix, member/unclustered
     /// lists in client order, `unique_urls` left at 0 for the caller to
     /// fill.
-    pub(crate) fn from_assignments(
+    pub fn from_assignments(
         method: impl Into<String>,
         clients: Vec<ClientStats>,
         assignments: Vec<Option<Ipv4Net>>,
@@ -224,59 +224,6 @@ impl Clustering {
         }
     }
 
-    /// Clusters a bare address/requests/bytes list — no log needed. Used
-    /// for §3.6's *server clustering* of the destinations in a proxy log
-    /// (unique URL counts are not available and stay 0).
-    pub fn from_counts<F>(
-        counts: &[(Ipv4Addr, u64, u64)],
-        method: impl Into<String>,
-        assign: F,
-    ) -> Self
-    where
-        F: Fn(Ipv4Addr) -> Option<Ipv4Net>,
-    {
-        let mut clients: Vec<ClientStats> = counts
-            .iter()
-            .map(|&(addr, requests, bytes)| ClientStats {
-                addr,
-                requests,
-                bytes,
-            })
-            .collect();
-        clients.sort_by_key(|c| c.addr);
-        let assignments = clients.iter().map(|c| assign(c.addr)).collect();
-        let total_requests = clients.iter().map(|c| c.requests).sum();
-        Self::from_assignments(method, clients, assignments, total_requests)
-    }
-
-    /// The paper's network-aware method: LPM against the merged table.
-    ///
-    /// The table is compiled first (see [`CompiledTable`]), so
-    /// per-address matching is one to three cache-resident array loads
-    /// instead of a trie walk. Callers clustering many logs against
-    /// one table should compile once and use
-    /// [`network_aware_compiled`](Self::network_aware_compiled).
-    pub fn network_aware(log: &Log, table: &MergedTable) -> Self {
-        Self::network_aware_compiled(log, &table.compile())
-    }
-
-    /// [`network_aware`](Self::network_aware) against an already-compiled
-    /// table.
-    pub fn network_aware_compiled(log: &Log, table: &CompiledTable) -> Self {
-        Self::by(log, Assigner::NetworkAware(table))
-    }
-
-    /// The simple approach of §2: shared first 24 bits.
-    pub fn simple24(log: &Log) -> Self {
-        Self::by(log, Assigner::Simple24)
-    }
-
-    /// The classful baseline of §2: Class A/B/C network boundaries
-    /// (multicast/reserved space is unclusterable).
-    pub fn classful(log: &Log) -> Self {
-        Self::by(log, Assigner::Classful)
-    }
-
     /// Clusters `log` by one of the paper's three methods, labelled with it.
     pub fn by(log: &Log, how: Assigner<'_>) -> Self {
         Self::build(log, how.label(), |addr| how.net_for(u32::from(addr)))
@@ -318,11 +265,6 @@ impl Clustering {
         self.index.len() as f64 / total as f64
     }
 
-    /// Largest cluster by client count, if any.
-    pub fn largest_by_clients(&self) -> Option<&Cluster> {
-        self.clusters.iter().max_by_key(|c| c.client_count())
-    }
-
     /// Busiest cluster by request count, if any.
     pub fn busiest(&self) -> Option<&Cluster> {
         self.clusters.iter().max_by_key(|c| c.requests)
@@ -332,7 +274,7 @@ impl Clustering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netclust_rtable::{RoutingTable, TableKind};
+    use netclust_rtable::{MergedTable, RoutingTable, TableKind};
     use netclust_weblog::{LogTruth, Request, UrlMeta};
 
     /// A hand-built log: 4 clients in 12.65.128.0/19, 2 in 24.48.2.0/23,
@@ -395,7 +337,7 @@ mod tests {
     #[test]
     fn paper_worked_example() {
         let log = sample_log();
-        let clustering = Clustering::network_aware(&log, &merged());
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged().compile()));
         assert_eq!(clustering.len(), 2);
         let c0 = &clustering.clusters[0];
         assert_eq!(c0.prefix.to_string(), "12.65.128.0/19");
@@ -412,7 +354,7 @@ mod tests {
     #[test]
     fn aggregates_are_consistent() {
         let log = sample_log();
-        let clustering = Clustering::network_aware(&log, &merged());
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged().compile()));
         let total: u64 = clustering.clusters.iter().map(|c| c.requests).sum::<u64>()
             + clustering
                 .unclustered
@@ -430,7 +372,7 @@ mod tests {
     #[test]
     fn unique_urls_per_cluster() {
         let log = sample_log();
-        let clustering = Clustering::network_aware(&log, &merged());
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged().compile()));
         // First cluster: clients 0-3 access urls {0, 1, 2, 0} → 3 unique.
         assert_eq!(clustering.clusters[0].unique_urls, 3);
         // Second cluster: clients 4,5 access urls {1, 2} → 2 unique.
@@ -440,19 +382,19 @@ mod tests {
     #[test]
     fn simple24_splits_differently() {
         let log = sample_log();
-        let simple = Clustering::simple24(&log);
+        let simple = Clustering::by(&log, Assigner::Simple24);
         // 12.65.147.x, 12.65.146.x, 12.65.144.x → three /24s;
         // 24.48.3.x vs 24.48.2.x → two /24s; 99.1.1.1 → its own.
         assert_eq!(simple.len(), 6);
         assert!(simple.unclustered.is_empty());
-        let aware = Clustering::network_aware(&log, &merged());
+        let aware = Clustering::by(&log, Assigner::NetworkAware(&merged().compile()));
         assert!(simple.len() > aware.len());
     }
 
     #[test]
     fn classful_merges_by_class() {
         let log = sample_log();
-        let classful = Clustering::classful(&log);
+        let classful = Clustering::by(&log, Assigner::Classful);
         // 12.x → Class A 12.0.0.0/8; 24.x → 24.0.0.0/8; 99.x → 99.0.0.0/8.
         assert_eq!(classful.len(), 3);
         assert_eq!(classful.clusters[0].prefix.to_string(), "12.0.0.0/8");
@@ -462,7 +404,7 @@ mod tests {
     #[test]
     fn cluster_of_lookup() {
         let log = sample_log();
-        let clustering = Clustering::network_aware(&log, &merged());
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged().compile()));
         let c = clustering
             .cluster_of("12.65.147.94".parse().unwrap())
             .unwrap();
@@ -474,23 +416,33 @@ mod tests {
     #[test]
     fn largest_and_busiest() {
         let log = sample_log();
-        let clustering = Clustering::network_aware(&log, &merged());
-        assert_eq!(clustering.largest_by_clients().unwrap().client_count(), 4);
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged().compile()));
+        let largest = clustering.clusters.iter().map(|c| c.client_count()).max();
+        assert_eq!(largest, Some(4));
         assert_eq!(clustering.busiest().unwrap().requests, 11); // clients 5,6: 5+6
     }
 
     #[test]
-    fn from_counts_matches_build() {
+    fn from_assignments_clusters_bare_counts() {
         // Server clustering: addresses with request counts, no log.
-        let counts: Vec<(Ipv4Addr, u64, u64)> = vec![
-            ("12.65.147.94".parse().unwrap(), 10, 1000),
-            ("12.65.146.207".parse().unwrap(), 5, 500),
-            ("24.48.3.87".parse().unwrap(), 7, 700),
-            ("99.1.1.1".parse().unwrap(), 1, 100),
-        ];
+        let clients: Vec<ClientStats> = [
+            ("12.65.146.207", 5, 500),
+            ("12.65.147.94", 10, 1000),
+            ("24.48.3.87", 7, 700),
+            ("99.1.1.1", 1, 100),
+        ]
+        .map(|(addr, requests, bytes)| ClientStats {
+            addr: addr.parse().unwrap(),
+            requests,
+            bytes,
+        })
+        .to_vec();
         let table = merged();
-        let clustering =
-            Clustering::from_counts(&counts, "servers", |a| table.lookup(a).map(|(n, _)| n));
+        let assignments = clients
+            .iter()
+            .map(|c| table.lookup(c.addr).map(|(n, _)| n))
+            .collect();
+        let clustering = Clustering::from_assignments("servers", clients, assignments, 23);
         assert_eq!(clustering.len(), 2);
         assert_eq!(clustering.clusters[0].requests, 15);
         assert_eq!(clustering.clusters[0].bytes, 1500);
@@ -513,9 +465,8 @@ mod tests {
             duration_s: 0,
             truth: LogTruth::default(),
         };
-        let clustering = Clustering::simple24(&log);
+        let clustering = Clustering::by(&log, Assigner::Simple24);
         assert!(clustering.is_empty());
         assert_eq!(clustering.coverage(), 0.0);
-        assert!(clustering.largest_by_clients().is_none());
     }
 }

@@ -689,7 +689,7 @@ not a log line\n\
     fn matches_log_route() {
         let table = table();
         let (log, log_errors) = clf::from_clf("s", SAMPLE.as_bytes());
-        let expect = Clustering::network_aware_compiled(&log, &table);
+        let expect = Clustering::by(&log, Assigner::NetworkAware(&table));
 
         for chunk_bytes in [1usize, 50, 1 << 20] {
             let report = IngestPipeline::new(&table)

@@ -195,18 +195,6 @@ impl Default for SwapPolicy {
     }
 }
 
-impl SwapPolicy {
-    /// A policy that accepts any compilable candidate: an unconditional
-    /// swap is [`try_swap`](StreamingClustering::try_swap) under it.
-    pub fn permissive() -> Self {
-        SwapPolicy {
-            min_entries: 0,
-            max_noise_ratio: 1.0,
-            min_coverage_retention: 0.0,
-        }
-    }
-}
-
 /// Why a candidate table was turned away.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SwapRejection {
@@ -341,6 +329,9 @@ impl StreamingBuilder {
     /// (default: [`SwapPolicy::default`]).
     ///
     /// [`try_swap`]: StreamingClustering::try_swap
+    // Waived in tests/source_contracts.rs (`pub-fn-caller`): the only way
+    // a test sets a policy on a fresh stream; the swap-gate sweep in
+    // crates/core/tests/stream_live.rs reads it.
     pub fn swap_policy(mut self, policy: SwapPolicy) -> Self {
         self.policy = policy;
         self
@@ -1255,7 +1246,7 @@ impl ClusterQuery for StreamingClustering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::Clustering;
+    use crate::cluster::{Assigner, Clustering};
     use crate::query::ClusterQuery;
     use netclust_netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
     use netclust_rtable::{RoutingTable, TableKind};
@@ -1283,7 +1274,7 @@ mod tests {
     fn streaming_matches_batch() {
         let (u, log) = setup();
         let merged = standard_merged(&u, 0);
-        let batch = Clustering::network_aware(&log, &merged);
+        let batch = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
         let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
         for r in &log.requests {
             stream.push(r);
@@ -1344,7 +1335,7 @@ mod tests {
         assert!(top.windows(2).all(|w| w[0].1.requests >= w[1].1.requests));
         // The top cluster matches the batch busiest.
         let merged = standard_merged(&u, 0);
-        let batch = Clustering::network_aware(&log, &merged);
+        let batch = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
         assert_eq!(top[0].1.requests, batch.busiest().unwrap().requests);
     }
 
@@ -1362,7 +1353,10 @@ mod tests {
         assert!(report.accepted, "rejected: {:?}", report.rejection);
         assert_eq!(stream.total_requests(), before_total);
         assert_eq!(stream.swap_stats().accepted, 1);
-        let batch = Clustering::network_aware(&log, &standard_merged(&u, 7));
+        let batch = Clustering::by(
+            &log,
+            Assigner::NetworkAware(&standard_merged(&u, 7).compile()),
+        );
         assert_eq!(stream.len(), batch.len());
         for cluster in &batch.clusters {
             let s = stats(&stream, cluster.prefix).expect("present after swap");
@@ -1563,7 +1557,11 @@ mod tests {
         let (u, log) = setup();
         let mut patched = StreamingClustering::builder(standard_merged(&u, 0)).build();
         let mut swapped = StreamingClustering::builder(standard_merged(&u, 0))
-            .swap_policy(SwapPolicy::permissive())
+            .swap_policy(SwapPolicy {
+                min_entries: 0,
+                max_noise_ratio: 1.0,
+                min_coverage_retention: 0.0,
+            })
             .build();
         for r in &log.requests {
             patched.push(r);

@@ -100,7 +100,7 @@ pub fn threshold_busy(clustering: &Clustering, fraction: f64) -> ThresholdReport
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::Clustering;
+    use crate::cluster::Assigner;
     use netclust_weblog::{Log, LogTruth, Request, UrlMeta};
 
     /// Clusters with requests 1000, 500, 300, 100, 50 (five /24s).
@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn seventy_percent_rule() {
-        let clustering = Clustering::simple24(&log());
+        let clustering = Clustering::by(&log(), Assigner::Simple24);
         let report = threshold_busy(&clustering, 0.7);
         // Total 1950; 70 % = 1365; clusters 1000 + 500 = 1500 suffice.
         assert_eq!(report.busy.len(), 2);
@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn full_fraction_keeps_everything() {
-        let clustering = Clustering::simple24(&log());
+        let clustering = Clustering::by(&log(), Assigner::Simple24);
         let report = threshold_busy(&clustering, 1.0);
         assert_eq!(report.busy.len(), 5);
         assert_eq!(report.threshold, 50);
@@ -164,7 +164,7 @@ mod tests {
 
     #[test]
     fn busy_order_is_descending() {
-        let clustering = Clustering::simple24(&log());
+        let clustering = Clustering::by(&log(), Assigner::Simple24);
         let report = threshold_busy(&clustering, 0.9);
         let reqs: Vec<u64> = report
             .busy
@@ -177,7 +177,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "fraction")]
     fn bad_fraction_panics() {
-        let clustering = Clustering::simple24(&log());
+        let clustering = Clustering::by(&log(), Assigner::Simple24);
         let _ = threshold_busy(&clustering, 0.0);
     }
 
@@ -192,7 +192,7 @@ mod tests {
             duration_s: 0,
             truth: LogTruth::default(),
         };
-        let clustering = Clustering::simple24(&empty);
+        let clustering = Clustering::by(&empty, Assigner::Simple24);
         let report = threshold_busy(&clustering, 0.7);
         assert!(report.busy.is_empty());
         assert_eq!(report.threshold, 0);

@@ -3,7 +3,7 @@
 //! corpus under `results/` (a generated CLF log with hand-planted
 //! malformed lines, plus one BGP and one registry table dump).
 
-use netclust_core::{Clustering, IngestPipeline};
+use netclust_core::{Assigner, Clustering, IngestPipeline};
 use netclust_rtable::{MergedTable, RoutingTable, TableKind};
 use netclust_weblog::clf::{self, ClfErrorKind};
 
@@ -46,7 +46,7 @@ fn assert_clusterings_equal(got: &Clustering, expect: &Clustering, context: &str
 fn fused_pipeline_matches_log_route() {
     let table = merged().compile();
     let (log, log_errors) = clf::from_clf("sample", LOG.as_bytes());
-    let expect = Clustering::network_aware_compiled(&log, &table);
+    let expect = Clustering::by(&log, Assigner::NetworkAware(&table));
     // The planted malformed lines, pinned by line and kind.
     let planted: Vec<(usize, ClfErrorKind)> = log_errors.iter().map(|e| (e.line, e.kind)).collect();
     assert_eq!(

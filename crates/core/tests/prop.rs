@@ -507,10 +507,10 @@ proptest! {
     fn method_granularity_bounds(reqs in arb_reqs()) {
         let log = log_from(&reqs);
         let clients = log.client_count();
-        let simple = Clustering::simple24(&log);
+        let simple = Clustering::by(&log, Assigner::Simple24);
         prop_assert!(simple.len() <= clients);
         prop_assert!(simple.len() >= clients.div_ceil(256));
-        let classful = Clustering::classful(&log);
+        let classful = Clustering::by(&log, Assigner::Classful);
         // Every classful cluster (A/B/C) covers whole /24s, so it cannot
         // outnumber the /24 clustering plus unclustered D/E space.
         prop_assert!(classful.len() <= simple.len());
@@ -521,7 +521,7 @@ proptest! {
     #[test]
     fn threshold_covers_fraction(reqs in arb_reqs(), pct in 1u32..=100) {
         let log = log_from(&reqs);
-        let clustering = Clustering::simple24(&log);
+        let clustering = Clustering::by(&log, Assigner::Simple24);
         let fraction = pct as f64 / 100.0;
         let report = threshold_busy(&clustering, fraction);
         let total: u64 = clustering.clusters.iter().map(|c| c.requests).sum();

@@ -251,6 +251,7 @@ pub fn strip_clients(log: &Log, clients: &[Ipv4Addr]) -> Log {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netclust_core::Assigner;
     use netclust_netgen::{generate, LogSpec, ProxySpec, SpiderSpec, Universe, UniverseConfig};
 
     fn setup() -> (Universe, Log) {
@@ -298,7 +299,7 @@ mod tests {
     fn detects_planted_spider_and_proxy() {
         let (u, log) = setup();
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::network_aware(&log, &merged);
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
         let config = AnomalyConfig {
             min_requests: 3_000,
             ..Default::default()
@@ -331,7 +332,7 @@ mod tests {
         let u = Universe::generate(UniverseConfig::small(7));
         let spec = LogSpec::tiny("clean", 9);
         let log = generate(&u, &spec);
-        let clustering = Clustering::simple24(&log);
+        let clustering = Clustering::by(&log, Assigner::Simple24);
         let detections = detect(&log, &clustering, &AnomalyConfig::default());
         assert!(detections.is_empty(), "{detections:?}");
     }
@@ -340,7 +341,7 @@ mod tests {
     fn fig9_and_fig10_series() {
         let (u, log) = setup();
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::network_aware(&log, &merged);
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
         let spider = log.truth.spiders[0];
         let spider_u32 = u32::from(spider);
         // Fig 9(c): spider histogram is a burst — at most 7 nonzero hours.

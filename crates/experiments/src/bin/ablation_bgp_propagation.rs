@@ -9,7 +9,7 @@
 //! is used, i.e. the reproduction does not hinge on the statistical model.
 
 use netclust_bgpsim::{PropagationModel, Topology};
-use netclust_core::Clustering;
+use netclust_core::{Assigner, Clustering};
 use netclust_experiments::{nagano_env, pct, print_table, validate, SamplePlan};
 use netclust_netgen::registry_dump;
 use netclust_rtable::MergedTable;
@@ -71,7 +71,7 @@ fn main() {
         ("statistical", &statistical_merged),
         ("propagated", &propagated_merged),
     ] {
-        let clustering = Clustering::network_aware(&log, merged);
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
         let report = validate(&universe, &clustering, &SamplePlan::default());
         rows.push(vec![
             label.to_string(),

@@ -2,12 +2,12 @@
 //! minutes yields similar results" to the 1-hour default).
 
 use netclust_cachesim::{simulate, ResourceModel, SimConfig};
-use netclust_core::Clustering;
+use netclust_core::{Assigner, Clustering};
 use netclust_experiments::{nagano_env, pct, print_table};
 
 fn main() {
     let (_u, log, merged) = nagano_env();
-    let clustering = Clustering::network_aware(&log, &merged);
+    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
 
     let mut rows = Vec::new();
     for (label, ttl) in [

@@ -4,12 +4,12 @@
 //! extra traffic kept off the origin versus standalone proxies.
 
 use netclust_cachesim::{simulate_cooperative, ResourceModel, SimConfig};
-use netclust_core::Clustering;
+use netclust_core::{Assigner, Clustering};
 use netclust_experiments::{nagano_env, network_clusters, pct, print_table};
 
 fn main() {
     let (universe, log, merged) = nagano_env();
-    let clustering = Clustering::network_aware(&log, &merged);
+    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
 
     // Proxy clusters = second-level network clusters (per upstream/AS).
     let nets = network_clusters(&universe, &clustering, 2, 2, 0xC00F);

@@ -3,7 +3,7 @@
 //! guard), selective-sampling validation (§3.3's threshold idea), and
 //! real-time streaming clustering (§4).
 
-use netclust_core::{Clustering, ErrorCounts, StreamingClustering, SwapPolicy};
+use netclust_core::{Assigner, Clustering, ErrorCounts, StreamingClustering, SwapPolicy};
 use netclust_experiments::{
     merge_by_name_suffix, nagano_env, org_purity, pct, print_table, selective_validate, SamplePlan,
     SelectiveMode,
@@ -12,7 +12,7 @@ use netclust_prefix::Ipv4Net;
 
 fn main() {
     let (universe, log, merged) = nagano_env();
-    let clustering = Clustering::network_aware(&log, &merged);
+    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
 
     // --- Suffix-based merging with and without the AS hint ----------------
     // The AS hint comes from the announcement data (origin AS per prefix),
@@ -25,10 +25,11 @@ fn main() {
     // Origin AS of a cluster prefix: exact announcement, or the covering
     // one (registry-derived prefixes are not announced verbatim).
     let origin_of = |p: Ipv4Net| -> Option<u32> {
-        origin_trie
-            .get(p)
-            .copied()
-            .or_else(|| origin_trie.longest_match(p.addr()).map(|(_, &asn)| asn))
+        origin_trie.get(p).copied().or_else(|| {
+            origin_trie
+                .longest_match_u32(p.addr_u32())
+                .map(|(_, &asn)| asn)
+        })
     };
     let unguarded = merge_by_name_suffix(
         &universe,
@@ -106,7 +107,11 @@ fn main() {
 
     // --- Streaming clustering -----------------------------------------------
     let mut stream = StreamingClustering::builder(netclust_netgen::standard_merged(&universe, 0))
-        .swap_policy(SwapPolicy::permissive())
+        .swap_policy(SwapPolicy {
+            min_entries: 0,
+            max_noise_ratio: 1.0,
+            min_coverage_retention: 0.0,
+        })
         .build();
     let checkpoints = [0.25, 0.5, 0.75, 1.0];
     let mut rows = Vec::new();

@@ -5,7 +5,7 @@
 //! 99.79 % of its 27-host cluster — and covers 4,426 of 116,274 URLs. The
 //! Sun proxy cluster has two clients issuing 2,699 and 323,867 requests.
 
-use netclust_core::{ClientClass, Clustering};
+use netclust_core::{Assigner, ClientClass, Clustering};
 use netclust_experiments::{
     cluster_request_distribution, detect, paper_universe, pct, print_table, scaled, AnomalyConfig,
 };
@@ -15,7 +15,7 @@ fn main() {
     let universe = paper_universe();
     let merged = standard_merged(&universe, 0);
     let log = generate(&universe, &scaled(LogSpec::sun(1)));
-    let clustering = Clustering::network_aware(&log, &merged);
+    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
 
     let spider = log.truth.spiders[0];
     let dist = cluster_request_distribution(&clustering, spider);

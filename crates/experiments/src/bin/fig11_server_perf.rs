@@ -7,22 +7,22 @@
 //! network-aware hit ratios reach 60–75 % on the Nagano event log.
 
 use netclust_cachesim::{fig11_sizes, sweep_cache_sizes, SimConfig};
-use netclust_core::Clustering;
+use netclust_core::{Assigner, Clustering};
 use netclust_experiments::{detect, nagano_env, pct, print_table, strip_clients, AnomalyConfig};
 
 fn main() {
     let (_u, log, merged) = nagano_env();
 
     // Eliminate spiders/proxies, as the paper does before simulation.
-    let pre = Clustering::network_aware(&log, &merged);
+    let pre = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
     let anomalous: Vec<std::net::Ipv4Addr> = detect(&log, &pre, &AnomalyConfig::default())
         .iter()
         .map(|d| d.addr)
         .collect();
     let log = strip_clients(&log, &anomalous);
 
-    let aware = Clustering::network_aware(&log, &merged);
-    let simple = Clustering::simple24(&log);
+    let aware = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let simple = Clustering::by(&log, Assigner::Simple24);
     let config = SimConfig::paper(0);
     let sizes = fig11_sizes();
 

@@ -8,22 +8,22 @@
 //! potential benefit of proxy caching".
 
 use netclust_cachesim::{simulate, top_proxy_report, SimConfig};
-use netclust_core::Clustering;
+use netclust_core::{Assigner, Clustering};
 use netclust_experiments::{
     detect, downsample, nagano_env, pct, print_table, strip_clients, AnomalyConfig,
 };
 
 fn main() {
     let (_u, log, merged) = nagano_env();
-    let pre = Clustering::network_aware(&log, &merged);
+    let pre = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
     let anomalous: Vec<std::net::Ipv4Addr> = detect(&log, &pre, &AnomalyConfig::default())
         .iter()
         .map(|d| d.addr)
         .collect();
     let log = strip_clients(&log, &anomalous);
 
-    let aware = Clustering::network_aware(&log, &merged);
-    let simple = Clustering::simple24(&log);
+    let aware = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let simple = Clustering::by(&log, Assigner::Simple24);
     let config = SimConfig::paper(u64::MAX); // infinite caches
 
     for clustering in [&aware, &simple] {

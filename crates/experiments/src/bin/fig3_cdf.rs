@@ -5,12 +5,12 @@
 //! <1,000 requests; the request distribution is more heavy-tailed than the
 //! client distribution (suspected proxies/spiders live in that tail).
 
-use netclust_core::Clustering;
+use netclust_core::{Assigner, Clustering};
 use netclust_experiments::{cdf, cdf_at, nagano_env, pct, print_table, Distributions};
 
 fn main() {
     let (_u, log, merged) = nagano_env();
-    let clustering = Clustering::network_aware(&log, &merged);
+    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
     let d = Distributions::of(&clustering);
 
     for (title, series, marks) in [

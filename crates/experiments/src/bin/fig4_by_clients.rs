@@ -6,12 +6,14 @@
 //! more URLs, but a few relatively small clusters issue ~1 % of all
 //! requests and touch ~20 % of all URLs — the spider/proxy signature.
 
-use netclust_core::Clustering;
-use netclust_experiments::{downsample, nagano_env, print_table, Distributions};
+use netclust_core::{Assigner, Clustering};
+use netclust_experiments::{
+    accessed_url_count, downsample, nagano_env, print_table, Distributions,
+};
 
 fn main() {
     let (_u, log, merged) = nagano_env();
-    let clustering = Clustering::network_aware(&log, &merged);
+    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
     let d = Distributions::of(&clustering);
 
     let clients = Distributions::series_in(&d.clients, &d.by_clients);
@@ -38,7 +40,7 @@ fn main() {
     // Paper's observation: some small clusters issue a disproportionate
     // share of requests / URLs.
     let total_requests: u64 = d.requests.iter().sum();
-    let total_urls = log.accessed_url_count() as f64;
+    let total_urls = accessed_url_count(&log) as f64;
     let small_heavy = d
         .by_clients
         .iter()

@@ -5,12 +5,12 @@
 //! URLs, but some busy clusters have very few clients (and may touch few
 //! URLs) — again the spider/proxy signal.
 
-use netclust_core::Clustering;
+use netclust_core::{Assigner, Clustering};
 use netclust_experiments::{downsample, nagano_env, print_table, Distributions};
 
 fn main() {
     let (_u, log, merged) = nagano_env();
-    let clustering = Clustering::network_aware(&log, &merged);
+    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
     let d = Distributions::of(&clustering);
 
     let requests = Distributions::series_in(&d.requests, &d.by_requests);

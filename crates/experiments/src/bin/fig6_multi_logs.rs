@@ -5,7 +5,7 @@
 //! Paper reference: every observation made on the Nagano log (heavy tails,
 //! busy small clusters, suspected spiders/proxies) holds on all four logs.
 
-use netclust_core::Clustering;
+use netclust_core::{Assigner, Clustering};
 use netclust_experiments::{paper_universe, pct, print_table, scaled, Distributions};
 use netclust_netgen::{generate, standard_merged, LogSpec};
 
@@ -16,7 +16,7 @@ fn main() {
     let mut rows = Vec::new();
     for spec in LogSpec::paper_presets(1) {
         let log = generate(&universe, &scaled(spec));
-        let clustering = Clustering::network_aware(&log, &merged);
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
         let d = Distributions::of(&clustering);
         let top = |order: &[usize], series: &[u64], k: usize| -> String {
             order

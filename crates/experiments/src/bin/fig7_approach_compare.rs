@@ -7,21 +7,25 @@
 //! requests, 0.08 %) for simple; simple clusters cap at 256 clients by
 //! construction and have smaller mean and variance.
 
-use netclust_core::Clustering;
+use netclust_core::{Assigner, Clustering};
 use netclust_experiments::{downsample, nagano_env, print_table, Distributions, Summary};
 
 fn main() {
     let (_u, log, merged) = nagano_env();
-    let aware = Clustering::network_aware(&log, &merged);
-    let simple = Clustering::simple24(&log);
-    let classful = Clustering::classful(&log);
+    let aware = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let simple = Clustering::by(&log, Assigner::Simple24);
+    let classful = Clustering::by(&log, Assigner::Classful);
 
     let mut rows = Vec::new();
     for clustering in [&aware, &simple, &classful] {
         let d = Distributions::of(clustering);
         let sizes = Summary::of(&d.clients).unwrap();
         let reqs = Summary::of(&d.requests).unwrap();
-        let largest = clustering.largest_by_clients().unwrap();
+        let largest = clustering
+            .clusters
+            .iter()
+            .max_by_key(|c| c.client_count())
+            .unwrap();
         rows.push(vec![
             clustering.method.clone(),
             clustering.len().to_string(),

@@ -6,7 +6,7 @@
 //! spikes; the spider shows a burst with no resemblance to the diurnal
 //! pattern.
 
-use netclust_core::Clustering;
+use netclust_core::{Assigner, Clustering};
 use netclust_experiments::{correlation, hourly_histogram, paper_universe, print_table, scaled};
 use netclust_netgen::{generate, standard_merged, LogSpec};
 
@@ -25,7 +25,7 @@ fn main() {
     let universe = paper_universe();
     let merged = standard_merged(&universe, 0);
     let log = generate(&universe, &scaled(LogSpec::sun(1)));
-    let clustering = Clustering::network_aware(&log, &merged);
+    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
 
     let whole = hourly_histogram(&log, |_| true);
     let proxy = u32::from(log.truth.proxies[0]);

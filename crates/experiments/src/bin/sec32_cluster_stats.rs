@@ -6,8 +6,10 @@
 //! clients, 1–339,632 requests, 1–8,095 unique URLs; >99.9 % of clients
 //! are clusterable with the full table union, ~99 % with BGP tables alone.
 
-use netclust_core::Clustering;
-use netclust_experiments::{nagano_env, pct, print_table, scale};
+use netclust_core::{Assigner, Clustering};
+use netclust_experiments::{
+    accessed_url_count, nagano_env, pct, print_table, scale, unique_clients,
+};
 use netclust_netgen::{registry_dump, standard_vantages};
 use netclust_rtable::MergedTable;
 
@@ -15,7 +17,7 @@ fn main() {
     println!("scale factor: {}", scale());
     let (universe, log, merged) = nagano_env();
 
-    let clustering = Clustering::network_aware(&log, &merged);
+    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
     let sizes: Vec<u64> = clustering
         .clusters
         .iter()
@@ -37,7 +39,7 @@ fn main() {
     println!("\n== §3.2.2 cluster statistics (nagano) ==");
     println!("requests            : {}", log.requests.len());
     println!("clients             : {}", clustering.client_count());
-    println!("unique URLs accessed: {}", log.accessed_url_count());
+    println!("unique URLs accessed: {}", accessed_url_count(&log));
     println!("client clusters     : {}", clustering.len());
     println!(
         "coverage            : {} clustered ({} unclustered clients)",
@@ -57,7 +59,7 @@ fn main() {
     let specs = standard_vantages();
     let mut tables = Vec::new();
     let mut rows = Vec::new();
-    let clients = log.unique_clients();
+    let clients = unique_clients(&log);
     for spec in &specs {
         tables.push(netclust_netgen::snapshot(&universe, spec, 0, 0));
         let merged_k = MergedTable::merge(tables.iter());

@@ -4,12 +4,12 @@
 //! same-signature clusters merge (too-small repair); mixed clusters split
 //! (too-large repair). Ground-truth org purity improves accordingly.
 
-use netclust_core::Clustering;
+use netclust_core::{Assigner, Clustering};
 use netclust_experiments::{nagano_env, org_purity, pct, self_correct, CorrectionConfig};
 
 fn main() {
     let (universe, log, merged) = nagano_env();
-    let clustering = Clustering::network_aware(&log, &merged);
+    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
 
     println!("== §3.5 self-correction (nagano) ==");
     println!(

@@ -7,11 +7,34 @@
 //! the 12.4 M requests; client clusters group further into network
 //! clusters via traceroute path suffixes.
 
-use netclust_core::{threshold_busy, Clustering};
+use std::net::Ipv4Addr;
+
+use netclust_core::{threshold_busy, Assigner, ClientStats, Clustering};
 use netclust_experiments::{nagano_env, network_clusters, pct, print_table, scale, session_report};
-use netclust_netgen::stream_rng;
-use netclust_weblog::pareto_u64;
+use netclust_netgen::{pareto_u64, stream_rng};
+use netclust_rtable::MergedTable;
 use rand::Rng;
+
+/// Clusters a bare (address, requests, bytes) list — no log needed: the
+/// server clustering of the destinations in a proxy log. Unique URL
+/// counts are not available and stay 0.
+fn server_clustering(counts: &[(Ipv4Addr, u64, u64)], merged: &MergedTable) -> Clustering {
+    let mut servers: Vec<ClientStats> = counts
+        .iter()
+        .map(|&(addr, requests, bytes)| ClientStats {
+            addr,
+            requests,
+            bytes,
+        })
+        .collect();
+    servers.sort_by_key(|c| c.addr);
+    let assignments = servers
+        .iter()
+        .map(|c| merged.lookup(c.addr).map(|(n, _)| n))
+        .collect();
+    let total_requests = servers.iter().map(|c| c.requests).sum();
+    Clustering::from_assignments("servers", servers, assignments, total_requests)
+}
 
 fn main() {
     let (universe, log, merged) = nagano_env();
@@ -70,10 +93,10 @@ fn main() {
             clippy::cast_possible_truncation,
             reason = "i % 250 < 250, and the sliver is far too small for i / 250 to reach 256."
         )]
-        let addr = std::net::Ipv4Addr::new(9, 9, (i / 250) as u8, (i % 250) as u8 + 1);
+        let addr = Ipv4Addr::new(9, 9, (i / 250) as u8, (i % 250) as u8 + 1);
         counts.push((addr, 1, 8_000));
     }
-    let servers = Clustering::from_counts(&counts, "servers", |a| merged.lookup(a).map(|(n, _)| n));
+    let servers = server_clustering(&counts, &merged);
     println!("\n== §3.6 server clustering from a proxy log ==");
     println!("unique server addresses : {}", counts.len());
     println!("server clusters         : {}", servers.len());
@@ -91,7 +114,7 @@ fn main() {
     );
 
     // --- Second-level clustering -------------------------------------------
-    let clustering = Clustering::network_aware(&log, &merged);
+    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
     let nets = network_clusters(&universe, &clustering, 2, 2, 0xF00D);
     println!("\n== §3.6 second-level (network) clustering ==");
     println!("client clusters   : {}", clustering.len());

@@ -7,10 +7,10 @@ use netclust_netgen::{snapshot_with_attrs, VantageSpec};
 fn main() {
     let universe = paper_universe();
     let spec = VantageSpec::new("VBNS", 0.025, 0.10);
-    let table = snapshot_with_attrs(&universe, &spec, 0, 0);
+    let (table, routes) = snapshot_with_attrs(&universe, &spec, 0, 0);
 
-    let rows: Vec<Vec<String>> = table
-        .routes()
+    let rows: Vec<Vec<String>> = routes
+        .into_iter()
         .take(12)
         .map(|(net, attrs)| {
             vec![

@@ -8,7 +8,7 @@
 //! 48.6 %. The optimized traceroute saves ~90 % of probes and ~80 % of
 //! waiting time versus the classic tool.
 
-use netclust_core::Clustering;
+use netclust_core::{Assigner, Clustering};
 use netclust_experiments::{
     paper_universe, pct, print_table, scaled, validate, SamplePlan, ValidationReport,
 };
@@ -31,7 +31,7 @@ fn main() {
     let mut reports: Vec<(String, ValidationReport)> = Vec::new();
     for spec in [LogSpec::apache(1), LogSpec::nagano(1), LogSpec::sun(1)] {
         let log = generate(&universe, &scaled(spec));
-        let clustering = Clustering::network_aware(&log, &merged);
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
         let report = validate(&universe, &clustering, &plan);
         reports.push((log.name.clone(), report));
     }
@@ -89,7 +89,7 @@ fn main() {
     // Optimized vs classic traceroute cost (§3.3's savings claims),
     // measured over the Nagano sample's clients.
     let log = generate(&universe, &scaled(LogSpec::nagano(1)));
-    let clustering = Clustering::network_aware(&log, &merged);
+    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
     let clients: Vec<std::net::Ipv4Addr> = clustering
         .clusters
         .iter()

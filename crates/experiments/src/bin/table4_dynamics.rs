@@ -7,7 +7,7 @@
 //! stay under ~3 % of clusters, and under ~5 % of busy clusters — BGP
 //! dynamics barely perturbs clustering.
 
-use netclust_core::{threshold_busy, Clustering};
+use netclust_core::{threshold_busy, Assigner, Clustering};
 use netclust_experiments::{dynamics_analysis, paper_universe, print_table, scaled, LogUnderStudy};
 use netclust_netgen::{generate, standard_merged, LogSpec, VantageSpec};
 
@@ -20,7 +20,7 @@ fn main() {
         .into_iter()
         .map(|spec| {
             let log = generate(&universe, &scaled(spec));
-            let clustering = Clustering::network_aware(&log, &merged);
+            let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
             (log.name.clone(), clustering)
         })
         .collect();

@@ -6,14 +6,14 @@
 //! sizes 1–1,343 clients); simple keeps 3,242 of 23,523 (threshold 696,
 //! busy sizes 4–63 clients).
 
-use netclust_core::{threshold_busy, Clustering};
+use netclust_core::{threshold_busy, Assigner, Clustering};
 use netclust_experiments::{detect, nagano_env, print_table, strip_clients, AnomalyConfig};
 
 fn main() {
     let (_u, log, merged) = nagano_env();
 
     // Eliminate detected spiders/proxies first (§4.1.3 step order).
-    let clustering0 = Clustering::network_aware(&log, &merged);
+    let clustering0 = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
     let detections = detect(&log, &clustering0, &AnomalyConfig::default());
     let anomalous: Vec<std::net::Ipv4Addr> = detections.iter().map(|d| d.addr).collect();
     let log = strip_clients(&log, &anomalous);
@@ -22,8 +22,8 @@ fn main() {
         anomalous.len()
     );
 
-    let aware = Clustering::network_aware(&log, &merged);
-    let simple = Clustering::simple24(&log);
+    let aware = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let simple = Clustering::by(&log, Assigner::Simple24);
 
     let mut rows = Vec::new();
     for clustering in [&aware, &simple] {

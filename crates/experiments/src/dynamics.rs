@@ -23,10 +23,10 @@ pub fn dynamic_prefix_set(snapshots: &[&RoutingTable]) -> BTreeSet<Ipv4Net> {
     let Some(first) = iter.next() else {
         return BTreeSet::new();
     };
-    let mut union = first.prefix_set();
+    let mut union: BTreeSet<Ipv4Net> = first.prefixes().iter().copied().collect();
     let mut intersection = union.clone();
     for snap in iter {
-        let set = snap.prefix_set();
+        let set: BTreeSet<Ipv4Net> = snap.prefixes().iter().copied().collect();
         union.extend(set.iter().copied());
         intersection.retain(|p| set.contains(p));
     }
@@ -102,7 +102,7 @@ pub fn dynamics_analysis(
         let refs: Vec<&RoutingTable> = snaps.iter().collect();
         let dynamic = dynamic_prefix_set(&refs);
         let end_table = snaps.last().expect("at least one snapshot");
-        let end_set: BTreeSet<Ipv4Net> = end_table.prefix_set();
+        let end_set: BTreeSet<Ipv4Net> = end_table.prefixes().iter().copied().collect();
 
         let logs_out = logs
             .iter()
@@ -138,6 +138,7 @@ pub fn dynamics_analysis(
 mod tests {
     use super::*;
     use netclust_core::threshold_busy;
+    use netclust_core::Assigner;
     use netclust_netgen::{generate, LogSpec, UniverseConfig};
     use netclust_rtable::TableKind;
 
@@ -171,7 +172,7 @@ mod tests {
         let u = Universe::generate(UniverseConfig::small(7));
         let log = generate(&u, &LogSpec::tiny("d", 3));
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::network_aware(&log, &merged);
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
         let thresh = threshold_busy(&clustering, 0.7);
         let spec = VantageSpec::new("OREGON", 0.94, 0.03);
         let studies = [LogUnderStudy {

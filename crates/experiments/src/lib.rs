@@ -13,8 +13,8 @@
 //! * [`dynamics_analysis`] — the effect of BGP churn (§3.4, Table 4),
 //! * [`self_correct`] — merge/split/absorb repair via traceroute sampling
 //!   (§3.5),
-//! * [`network_clusters`] — second-level clustering, [`session_report`] —
-//!   time-partitioned stability, and [`selective_validate`] /
+//! * [`network_clusters`] — second-level clustering, [`session_report`] /
+//!   [`split_sessions`] — time-partitioned stability, and [`selective_validate`] /
 //!   [`merge_by_name_suffix`] — the ongoing-work extensions (§3.6),
 //! * [`PrefixLengthHistogram`] — the prefix-length distribution of
 //!   Figure 1,
@@ -48,7 +48,7 @@ pub use anomaly::{
 pub use dynamics::{
     dynamic_prefix_set, dynamics_analysis, DynamicsRow, LogDynamics, LogUnderStudy,
 };
-pub use metrics::{cdf, cdf_at, Distributions, Summary};
+pub use metrics::{accessed_url_count, cdf, cdf_at, unique_clients, Distributions, Summary};
 pub use netcluster::{network_clusters, NetworkCluster};
 pub use ongoing::{
     merge_by_name_suffix, selective_validate, MergeReport, SelectiveMode, SelectiveReport,
@@ -57,7 +57,7 @@ pub use prefix_lengths::PrefixLengthHistogram;
 pub use selfcorrect::{
     org_purity, self_correct, self_correct_with, CorrectionConfig, CorrectionReport,
 };
-pub use sessions::{session_report, SessionReport, SessionStats};
+pub use sessions::{session_report, split_sessions, SessionReport, SessionStats};
 pub use validation::{validate, SamplePlan, TestCounts, ValidationReport};
 
 use netclust_netgen::{LogSpec, Universe, UniverseConfig};

@@ -8,7 +8,23 @@
 
 #![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
 
+use std::collections::BTreeSet;
+use std::net::Ipv4Addr;
+
 use netclust_core::Clustering;
+use netclust_weblog::Log;
+
+/// The distinct client addresses of `log`, sorted.
+pub fn unique_clients(log: &Log) -> Vec<Ipv4Addr> {
+    let set: BTreeSet<u32> = log.requests.iter().map(|r| r.client).collect();
+    set.into_iter().map(Ipv4Addr::from).collect()
+}
+
+/// Number of distinct URLs `log` actually accessed (≤ `urls.len()`).
+pub fn accessed_url_count(log: &Log) -> usize {
+    let set: BTreeSet<u32> = log.requests.iter().map(|r| r.url).collect();
+    set.len()
+}
 
 /// Summary statistics over a series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -182,7 +198,7 @@ impl Distributions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netclust_core::Clustering;
+    use netclust_core::Assigner;
     use netclust_prefix::Ipv4Net;
     use netclust_weblog::{Log, LogTruth, Request, UrlMeta};
 
@@ -246,7 +262,7 @@ mod tests {
     #[test]
     fn orderings_are_descending() {
         let log = log_with(&[(1, 3, 10), (2, 10, 1), (3, 1, 100)]);
-        let clustering = Clustering::simple24(&log);
+        let clustering = Clustering::by(&log, Assigner::Simple24);
         let d = Distributions::of(&clustering);
         // by_clients: 10-client cluster first.
         assert_eq!(d.clients[d.by_clients[0]], 10);
@@ -260,7 +276,7 @@ mod tests {
     #[test]
     fn fractions() {
         let log = log_with(&[(1, 3, 10), (2, 10, 1), (3, 1, 100)]);
-        let clustering = Clustering::simple24(&log);
+        let clustering = Clustering::by(&log, Assigner::Simple24);
         let d = Distributions::of(&clustering);
         assert!((d.fraction_clusters_with_clients_below(10) - 2.0 / 3.0).abs() < 1e-12);
         assert!((d.fraction_clusters_with_requests_below(100) - 2.0 / 3.0).abs() < 1e-12);
@@ -281,7 +297,7 @@ mod tests {
         // The paper stresses Figures 4(a)-(c) share x positions: check the
         // orderings produce consistent parallel series.
         let log = log_with(&[(1, 5, 7), (2, 2, 50)]);
-        let clustering = Clustering::simple24(&log);
+        let clustering = Clustering::by(&log, Assigner::Simple24);
         let d = Distributions::of(&clustering);
         let i = d.by_clients[0];
         assert_eq!(d.clients[i], 5);

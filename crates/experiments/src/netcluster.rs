@@ -96,6 +96,7 @@ pub fn network_clusters(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netclust_core::Assigner;
     use netclust_netgen::{generate, LogSpec, UniverseConfig};
 
     #[test]
@@ -103,7 +104,7 @@ mod tests {
         let u = Universe::generate(UniverseConfig::small(7));
         let log = generate(&u, &LogSpec::tiny("nc", 23));
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::network_aware(&log, &merged);
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
         let nets = network_clusters(&u, &clustering, 2, 2, 0xAB);
         // Grouping is a partition of the clusters.
         let total: usize = nets.iter().map(|n| n.members.len()).sum();
@@ -129,7 +130,7 @@ mod tests {
         let u = Universe::generate(UniverseConfig::small(9));
         let log = generate(&u, &LogSpec::tiny("nc2", 29));
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::network_aware(&log, &merged);
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
         let nets = network_clusters(&u, &clustering, 1, 2, 0xCD);
         // For every group with >1 member, all pure members' orgs must share
         // an AS (their upstream border router is per-AS).
@@ -149,7 +150,7 @@ mod tests {
         let u = Universe::generate(UniverseConfig::small(7));
         let log = generate(&u, &LogSpec::tiny("nc", 23));
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let mut clustering = Clustering::network_aware(&log, &merged);
+        let mut clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
         let baseline = network_clusters(&u, &clustering, 2, 2, 0xAB);
         // Splice in a memberless cluster; it must neither join a group nor
         // mint a bogus ""-keyed network cluster.
@@ -172,7 +173,7 @@ mod tests {
         let u = Universe::generate(UniverseConfig::small(7));
         let log = generate(&u, &LogSpec::tiny("nc", 23));
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::network_aware(&log, &merged);
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
         let a = network_clusters(&u, &clustering, 2, 2, 1);
         let b = network_clusters(&u, &clustering, 2, 2, 1);
         assert_eq!(a, b);

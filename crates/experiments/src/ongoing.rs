@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use netclust_core::Clustering;
-use netclust_netgen::{stream_rng, Universe};
+use netclust_netgen::{common_supernet, stream_rng, Universe};
 use netclust_prefix::Ipv4Net;
 use netclust_probe::{name_suffix, Nslookup, TraceOutcome, Traceroute};
 use netclust_weblog::Log;
@@ -109,7 +109,7 @@ where
         let prefix = members
             .iter()
             .map(|&i| clustering.clusters[i].prefix)
-            .reduce(|a, b| a.common_supernet(b))
+            .reduce(common_supernet)
             .expect("groups are non-empty");
         merged_away += members.len() - 1;
         for &i in members {
@@ -256,6 +256,7 @@ pub fn selective_validate(
 mod tests {
     use super::*;
     use crate::selfcorrect::org_purity;
+    use netclust_core::Assigner;
     use netclust_netgen::{generate, LogSpec, UniverseConfig};
 
     fn setup() -> (Universe, Log, Clustering) {
@@ -265,7 +266,7 @@ mod tests {
         spec.total_requests = 15_000;
         let log = generate(&u, &spec);
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::network_aware(&log, &merged);
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
         (u, log, clustering)
     }
 
@@ -283,7 +284,7 @@ mod tests {
         spec.total_requests = 20_000;
         let log = generate(&u, &spec);
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::network_aware(&log, &merged);
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
         let report = merge_by_name_suffix(
             &u,
             &log,

@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
 use netclust_core::Clustering;
-use netclust_netgen::{stream_rng, Universe};
+use netclust_netgen::{common_supernet, stream_rng, Universe};
 use netclust_obs::Obs;
 use netclust_prefix::Ipv4Net;
 use netclust_probe::{sig_specificity, sigs_compatible, ProbeFaultModel, RetryPolicy, Traceroute};
@@ -326,13 +326,13 @@ pub fn self_correct_with(
             members
                 .iter()
                 .map(|&a| Ipv4Net::host(a))
-                .reduce(|a, b| a.common_supernet(b))
+                .reduce(common_supernet)
                 .expect("groups are non-empty")
         } else {
             prefixes
                 .iter()
                 .copied()
-                .reduce(|a, b| a.common_supernet(b))
+                .reduce(common_supernet)
                 .expect("non-empty prefix list")
         };
         for addr in members {
@@ -385,6 +385,7 @@ pub fn self_correct_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netclust_core::Assigner;
     use netclust_netgen::{generate, LogSpec, UniverseConfig};
 
     fn setup() -> (Universe, Log, Clustering) {
@@ -394,7 +395,7 @@ mod tests {
         spec.total_requests = 15_000;
         let log = generate(&u, &spec);
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::network_aware(&log, &merged);
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
         (u, log, clustering)
     }
 

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use netclust_core::Clustering;
 use netclust_prefix::Ipv4Net;
-use netclust_weblog::Log;
+use netclust_weblog::{Log, Request};
 
 use crate::anomaly::correlation;
 
@@ -47,8 +47,7 @@ pub fn session_report<F>(log: &Log, n: u32, assign: F) -> SessionReport
 where
     F: Fn(std::net::Ipv4Addr) -> Option<Ipv4Net> + Copy + Sync,
 {
-    let sessions: Vec<SessionStats> = log
-        .sessions(n)
+    let sessions: Vec<SessionStats> = split_sessions(log, n)
         .iter()
         .map(|s| {
             let clustering = Clustering::build(s, "session", assign);
@@ -98,6 +97,41 @@ where
         sessions,
         consecutive_correlations,
     }
+}
+
+/// Splits `log` into `n` equal time sessions (§3.6's 6-hour partitions).
+/// Requests at the boundary go to the later session; all sessions share
+/// the URL and UA tables.
+pub fn split_sessions(log: &Log, n: u32) -> Vec<Log> {
+    assert!(n >= 1, "need at least one session");
+    let span = (log.duration_s / n).max(1);
+    let mut parts: Vec<Vec<Request>> = vec![Vec::new(); n as usize];
+    for r in &log.requests {
+        let idx = (r.time / span).min(n - 1);
+        // Rebase times onto the session's own clock.
+        parts[idx as usize].push(Request {
+            time: r.time - idx * span,
+            ..*r
+        });
+    }
+    parts
+        .into_iter()
+        .enumerate()
+        .map(|(i, requests)| Log {
+            name: format!("{}.s{}", log.name, i),
+            requests,
+            urls: log.urls.clone(),
+            user_agents: log.user_agents.clone(),
+            start_time: log.start_time + (i as u64) * span as u64,
+            // The last session absorbs the division remainder.
+            duration_s: if i + 1 == n as usize {
+                log.duration_s.saturating_sub((n - 1) * span)
+            } else {
+                span
+            },
+            truth: log.truth.clone(),
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -249,6 +249,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netclust_core::Assigner;
     use netclust_netgen::{generate, LogSpec, UniverseConfig};
 
     fn setup() -> (Universe, Clustering) {
@@ -256,7 +257,7 @@ mod tests {
         let spec = LogSpec::tiny("v", 21);
         let log = generate(&u, &spec);
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::network_aware(&log, &merged);
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
         (u, clustering)
     }
 

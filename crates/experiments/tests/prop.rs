@@ -1,8 +1,14 @@
 //! Property-based tests on the Figure 3–7 distribution metrics and the
 //! §3.4 dynamic prefix set.
 
-use netclust_core::Clustering;
-use netclust_experiments::{cdf, cdf_at, dynamic_prefix_set, Distributions, Summary};
+use netclust_core::{Assigner, Clustering};
+use std::net::Ipv4Addr;
+
+use netclust_experiments::{
+    accessed_url_count, cdf, cdf_at, dynamic_prefix_set, split_sessions, unique_clients,
+    Distributions, Summary,
+};
+use netclust_netgen::{generate, LogSpec, Universe, UniverseConfig};
 use netclust_prefix::Ipv4Net;
 use netclust_rtable::{RoutingTable, TableKind};
 use netclust_weblog::{Log, LogTruth, Request, UrlMeta};
@@ -38,6 +44,30 @@ fn log_from(reqs: &[(u32, u8, u16)]) -> Log {
     }
 }
 
+#[test]
+fn counts() {
+    let log = log_from(&[(1, 0, 0), (2, 1, 10), (1, 0, 50), (3, 1, 99)]);
+    assert_eq!(accessed_url_count(&log), 2);
+    let clients = [1u32, 2, 3].map(Ipv4Addr::from);
+    assert_eq!(unique_clients(&log), clients);
+}
+
+#[test]
+fn sessions_partition_requests() {
+    let mut log = log_from(&[(1, 0, 0), (2, 1, 10), (1, 0, 50), (3, 1, 99)]);
+    log.name = "tiny".into();
+    log.duration_s = 100;
+    let sessions = split_sessions(&log, 4);
+    assert_eq!(sessions.len(), 4);
+    let total: usize = sessions.iter().map(|s| s.requests.len()).sum();
+    assert_eq!(total, log.requests.len());
+    assert_eq!(sessions[0].requests.len(), 2); // t=0, t=10
+    assert_eq!(sessions[2].requests.len(), 1); // t=50
+    assert_eq!(sessions[3].requests.len(), 1); // t=99
+    assert!(sessions[1].requests.is_empty());
+    assert_eq!(sessions[2].name, "tiny.s2");
+}
+
 fn arb_net() -> impl Strategy<Value = Ipv4Net> {
     // Clustered address space, so two sets overlap.
     (0u32..1 << 16, 8u8..=28).prop_map(|(hi, len)| Ipv4Net::new(hi << 16, len).unwrap())
@@ -52,7 +82,7 @@ proptest! {
     #[test]
     fn distributions_are_consistent(reqs in arb_reqs()) {
         let log = log_from(&reqs);
-        let clustering = Clustering::simple24(&log);
+        let clustering = Clustering::by(&log, Assigner::Simple24);
         let d = Distributions::of(&clustering);
         prop_assert_eq!(d.clients.len(), clustering.len());
         // Orderings are permutations.
@@ -101,5 +131,26 @@ proptest! {
         let dynamic = dynamic_prefix_set(&[&ta, &tb]);
         let sym: Vec<Ipv4Net> = a.symmetric_difference(&b).copied().collect();
         prop_assert_eq!(dynamic.into_iter().collect::<Vec<_>>(), sym);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Session partitioning conserves requests for any session count.
+    #[test]
+    fn sessions_conserve_requests(seed in 0u64..200, n in 1u32..12) {
+        let u = Universe::generate(UniverseConfig::small(7));
+        let mut spec = LogSpec::tiny("s", seed);
+        spec.total_requests = 1_000;
+        spec.target_clients = 50;
+        let log = generate(&u, &spec);
+        let sessions = split_sessions(&log, n);
+        prop_assert_eq!(sessions.len(), n as usize);
+        let total: usize = sessions.iter().map(|s| s.requests.len()).sum();
+        prop_assert_eq!(total, log.requests.len());
+        for s in &sessions {
+            prop_assert!(s.check().is_ok());
+        }
     }
 }

@@ -12,6 +12,7 @@ use rand::Rng;
 
 use crate::config::UniverseConfig;
 use crate::names;
+use crate::net::num_addresses;
 use crate::org::{AnnouncePolicy, AutonomousSystem, Org, OrgKind};
 use crate::rng::{stream_rng, unit_f64};
 
@@ -86,7 +87,7 @@ fn draw_kind(rng: &mut impl Rng, len: u8) -> OrgKind {
 /// client populations; corporate networks are sparse.
 fn active_hosts(rng: &mut impl Rng, kind: OrgKind, net: Ipv4Net) -> u32 {
     #[allow(clippy::cast_possible_truncation, reason = "num_addresses() - 2 <= 2^32 - 2.")]
-    let space = (net.num_addresses().saturating_sub(2)).max(1) as u32;
+    let space = (num_addresses(net).saturating_sub(2)).max(1) as u32;
     let cap = match kind {
         OrgKind::Isp => 6000,
         OrgKind::University => 1500,
@@ -95,7 +96,7 @@ fn active_hosts(rng: &mut impl Rng, kind: OrgKind, net: Ipv4Net) -> u32 {
     };
     // Striped host addressing places at most 255 hosts per /24 stripe.
     #[allow(clippy::cast_possible_truncation, reason = "num_addresses() / 256 <= 2^24.")]
-    let physical_stripes = ((net.num_addresses() / 256) as u32).max(1);
+    let physical_stripes = ((num_addresses(net) / 256) as u32).max(1);
     let cap = cap.min(space).min(physical_stripes * 255);
     // Log-uniform population in [cap/8, cap], at least 1.
     let lo = (cap / 8).max(1);
@@ -263,6 +264,7 @@ fn align_up(value: u32, align: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::covers;
 
     fn small() -> Allocation {
         allocate(&UniverseConfig::small(7))
@@ -287,7 +289,7 @@ mod tests {
         nets.sort();
         for pair in nets.windows(2) {
             assert!(
-                !pair[0].covers(&pair[1]) && u32::from(pair[0].last()) < pair[1].addr_u32(),
+                !covers(pair[0], pair[1]) && u32::from(pair[0].last()) < pair[1].addr_u32(),
                 "overlap: {} vs {}",
                 pair[0],
                 pair[1]
@@ -297,7 +299,7 @@ mod tests {
             let asys = &alloc.ases[org.as_id as usize];
             if org.registered {
                 assert!(
-                    asys.aggregate.covers(&org.network),
+                    covers(asys.aggregate, org.network),
                     "{} not in {}",
                     org.network,
                     asys.aggregate
@@ -305,7 +307,7 @@ mod tests {
             } else {
                 // Newly-allocated space lives outside the old aggregate.
                 assert!(
-                    !asys.aggregate.covers(&org.network),
+                    !covers(asys.aggregate, org.network),
                     "{} fresh",
                     org.network
                 );
@@ -388,7 +390,7 @@ mod tests {
         for org in &alloc.orgs {
             assert!(org.active_hosts >= 1);
             assert!(
-                (org.active_hosts as u64) <= org.network.num_addresses().saturating_sub(2).max(1)
+                (org.active_hosts as u64) <= num_addresses(org.network).saturating_sub(2).max(1)
             );
         }
     }

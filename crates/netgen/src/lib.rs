@@ -31,6 +31,7 @@ mod alloc;
 mod config;
 mod gen;
 mod names;
+mod net;
 mod org;
 mod rng;
 mod spec;
@@ -39,11 +40,12 @@ pub mod vantage;
 
 pub use config::UniverseConfig;
 pub use gen::{generate, try_generate, UniverseTooSmall};
+pub use net::common_supernet;
 pub use org::{AnnouncePolicy, AutonomousSystem, Org, OrgId, OrgKind};
-pub use rng::{derive_seed, stream_rng, uniform_index, uniform_u64, unit_f64};
+pub use rng::{derive_seed, pareto_u64, stream_rng, uniform_index, uniform_u64, unit_f64};
 pub use spec::{LogSpec, ProxySpec, SpiderSpec};
 pub use universe::{Announcement, Hop, Universe};
 pub use vantage::{
     registry_dump, snapshot, snapshot_with_attrs, standard_collection, standard_merged,
-    standard_vantages, VantageSpec, TICKS_PER_DAY,
+    standard_vantages, RouteAttrs, VantageSpec, TICKS_PER_DAY,
 };

@@ -90,7 +90,7 @@ impl Org {
     pub fn announced_prefixes(&self) -> Vec<Ipv4Net> {
         match self.policy {
             AnnouncePolicy::Exact => vec![self.network],
-            AnnouncePolicy::MoreSpecifics => match self.network.subnets() {
+            AnnouncePolicy::MoreSpecifics => match crate::net::subnets(self.network) {
                 Some((lo, hi)) => vec![lo, hi],
                 // A /32 network cannot split; fall back to exact.
                 None => vec![self.network],
@@ -104,7 +104,7 @@ impl Org {
     /// like real departments), bounded by the org's physical /24 count.
     fn stripes(&self) -> u32 {
         #[allow(clippy::cast_possible_truncation, reason = "num_addresses() / 256 <= 2^24.")]
-        let physical = ((self.network.num_addresses() / 256) as u32).max(1);
+        let physical = ((crate::net::num_addresses(self.network) / 256) as u32).max(1);
         self.active_hosts.div_ceil(48).clamp(1, physical)
     }
 
@@ -122,7 +122,7 @@ impl Org {
         }
         let stripes = self.stripes();
         let offset = (idx % stripes) as u64 * 256 + (idx / stripes) as u64 + 1;
-        self.network.nth_host(offset)
+        crate::net::nth_host(self.network, offset)
     }
 
     /// The /24 stripe index an active host's address falls in (stripes are

@@ -6,7 +6,7 @@
 //! day 7's AADS snapshot before day 3's, always yields identical results.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 pub use netclust_prefix::{derive_seed, unit_f64};
 
@@ -26,6 +26,23 @@ pub fn uniform_u64(seed: u64, stream: &[u64], n: u64) -> u64 {
 #[allow(clippy::cast_possible_truncation, reason = "the draw is below `len`, a usize.")]
 pub fn uniform_index(seed: u64, stream: &[u64], len: usize) -> usize {
     uniform_u64(seed, stream, len as u64) as usize
+}
+
+/// A discrete bounded Pareto draw in `[min, cap]`:
+/// `P(X >= x) ∝ x^-alpha`. Used for heavy-tailed cluster sizes and
+/// per-client request counts.
+#[allow(clippy::cast_possible_truncation, reason = "clamped to [min, cap] right after.")]
+pub fn pareto_u64(rng: &mut impl Rng, alpha: f64, min: u64, cap: u64) -> u64 {
+    debug_assert!(alpha > 0.0 && min >= 1 && cap >= min);
+    if cap == min {
+        return min;
+    }
+    // Inverse-CDF for the continuous bounded Pareto, then floor.
+    let u: f64 = rng.gen_range(0.0..1.0);
+    let l = (min as f64).powf(-alpha);
+    let h = (cap as f64 + 1.0).powf(-alpha);
+    let x = (l - u * (l - h)).powf(-1.0 / alpha);
+    (x as u64).clamp(min, cap)
 }
 
 #[cfg(test)]
@@ -51,5 +68,29 @@ mod tests {
         let seen: std::collections::BTreeSet<u64> =
             (0..1000u64).map(|i| uniform_u64(3, &[i], 10)).collect();
         assert_eq!(seen.len(), 10);
+    }
+
+    #[test]
+    fn pareto_bounds_and_tail() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut max_seen = 0;
+        let mut sum = 0u64;
+        let n = 50_000;
+        for _ in 0..n {
+            let x = pareto_u64(&mut rng, 1.25, 1, 1500);
+            assert!((1..=1500).contains(&x));
+            max_seen = max_seen.max(x);
+            sum += x;
+        }
+        // Heavy tail: some large values occur, but the mean stays small.
+        assert!(max_seen > 300, "max {max_seen}");
+        let mean = sum as f64 / n as f64;
+        assert!((1.5..20.0).contains(&mean), "mean {mean}");
+    }
+
+    #[test]
+    fn pareto_degenerate_range() {
+        let mut rng = StdRng::seed_from_u64(4);
+        assert_eq!(pareto_u64(&mut rng, 1.0, 5, 5), 5);
     }
 }

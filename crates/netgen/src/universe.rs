@@ -90,7 +90,9 @@ impl Universe {
     /// exactly when all its members map to one org.
     pub fn owner(&self, addr: Ipv4Addr) -> Option<OrgId> {
         // Org networks are disjoint, so LPM here is plain containment.
-        self.truth.longest_match(addr).map(|(_, id)| *id)
+        self.truth
+            .longest_match_u32(u32::from(addr))
+            .map(|(_, id)| *id)
     }
 
     /// All routes announced into BGP as of `day` (newly-allocated orgs
@@ -393,9 +395,9 @@ mod tests {
         {
             let asys = &u.ases()[org.as_id as usize];
             assert!(asys.announces_aggregate);
-            assert!(anns
-                .iter()
-                .any(|a| a.org.is_none() && a.as_id == org.as_id && a.prefix.covers(&org.network)));
+            assert!(anns.iter().any(|a| a.org.is_none()
+                && a.as_id == org.as_id
+                && crate::net::covers(a.prefix, org.network)));
         }
     }
 

@@ -13,7 +13,7 @@
 //! reproducing the BGP dynamics that §3.4 measures.
 
 use netclust_prefix::Ipv4Net;
-use netclust_rtable::{MergedTable, RouteAttrs, RoutingTable, TableKind};
+use netclust_rtable::{MergedTable, RoutingTable, TableKind};
 
 use crate::rng::unit_f64;
 use crate::universe::{Announcement, Universe};
@@ -196,9 +196,26 @@ pub fn snapshot(u: &Universe, spec: &VantageSpec, day: u32, tick: u32) -> Routin
     )
 }
 
-/// Generates a snapshot with Table 2-style route attributes (next hop, AS
-/// path, org description) for presentation experiments.
-pub fn snapshot_with_attrs(u: &Universe, spec: &VantageSpec, day: u32, tick: u32) -> RoutingTable {
+/// Per-route attributes, as seen in Table 2 of the paper.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RouteAttrs {
+    /// Human-readable description of the destination network.
+    pub description: String,
+    /// Next-hop router name or address.
+    pub next_hop: String,
+    /// AS path (origin last).
+    pub as_path: Vec<u32>,
+}
+
+/// Generates a snapshot beside its Table 2-style route attributes (next
+/// hop, AS path, org description), one per prefix in the table's order,
+/// for presentation experiments.
+pub fn snapshot_with_attrs(
+    u: &Universe,
+    spec: &VantageSpec,
+    day: u32,
+    tick: u32,
+) -> (RoutingTable, Vec<(Ipv4Net, RouteAttrs)>) {
     let plain = snapshot(u, spec, day, tick);
     let routes = plain
         .prefixes()
@@ -222,12 +239,7 @@ pub fn snapshot_with_attrs(u: &Universe, spec: &VantageSpec, day: u32, tick: u32
             )
         })
         .collect();
-    RoutingTable::with_attrs(
-        &spec.name,
-        format!("day{day}.t{tick}"),
-        TableKind::Bgp,
-        routes,
-    )
+    (plain, routes)
 }
 
 /// Generates a registry network dump (ARIN/NLANR-like): allocation-level
@@ -279,6 +291,7 @@ pub fn standard_merged(u: &Universe, day: u32) -> MergedTable {
 mod tests {
     use super::*;
     use crate::config::UniverseConfig;
+    use std::collections::BTreeSet;
 
     fn universe() -> Universe {
         Universe::generate(UniverseConfig::small(7))
@@ -331,10 +344,8 @@ mod tests {
         let spec = VantageSpec::new("AADS", 0.23, 0.06);
         let t0 = snapshot(&u, &spec, 0, 0);
         let t1 = snapshot(&u, &spec, 0, 1);
-        let churn = t0
-            .prefix_set()
-            .symmetric_difference(&t1.prefix_set())
-            .count();
+        let set = |t: &RoutingTable| t.prefixes().iter().copied().collect::<BTreeSet<_>>();
+        let churn = set(&t0).symmetric_difference(&set(&t1)).count();
         // Some flutter but far less than the table size.
         assert!(churn < t0.len() / 10, "churn {churn} size {}", t0.len());
     }
@@ -388,12 +399,10 @@ mod tests {
     fn attrs_snapshot_describes_org_routes() {
         let u = universe();
         let spec = VantageSpec::new("VBNS", 0.4, 0.05);
-        let t = snapshot_with_attrs(&u, &spec, 0, 0);
+        let (t, routes) = snapshot_with_attrs(&u, &spec, 0, 0);
         assert!(!t.is_empty());
-        let described = t
-            .routes()
-            .filter(|(_, a)| !a.description.is_empty())
-            .count();
-        assert_eq!(described, t.len());
+        let prefixes: Vec<Ipv4Net> = routes.iter().map(|(p, _)| *p).collect();
+        assert_eq!(prefixes, t.prefixes());
+        assert!(routes.iter().all(|(_, a)| !a.description.is_empty()));
     }
 }

@@ -4,7 +4,7 @@
 //! *On Network-Aware Clustering of Web Clients* (Krishnamurthy & Wang):
 //!
 //! * [`Ipv4Net`] — a CIDR prefix (`12.65.128.0/19`) with canonical
-//!   representation, containment and subnet/supernet arithmetic,
+//!   representation and address containment,
 //! * parsing of the **three textual formats** the paper's routing-table
 //!   sources use (§3.1.2): dotted netmask, `/len` suffix, and the
 //!   classful abbreviation, plus format unification,

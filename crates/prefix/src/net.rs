@@ -82,14 +82,6 @@ impl Ipv4Net {
         mask_of(self.len)
     }
 
-    /// Number of addresses covered by this prefix (`2^(32-len)`).
-    ///
-    /// Returned as `u64` so that `/0` does not overflow.
-    #[inline]
-    pub fn num_addresses(&self) -> u64 {
-        1u64 << (32 - u32::from(self.len))
-    }
-
     /// First address of the block (the network address itself).
     #[inline]
     pub fn first(&self) -> Ipv4Addr {
@@ -112,72 +104,6 @@ impl Ipv4Net {
     #[inline]
     pub fn contains_u32(&self, addr: u32) -> bool {
         (addr & self.netmask_u32()) == self.addr
-    }
-
-    /// Tests whether `other` is fully contained in (or equal to) `self`.
-    #[inline]
-    pub fn covers(&self, other: &Ipv4Net) -> bool {
-        self.len <= other.len && (other.addr & self.netmask_u32()) == self.addr
-    }
-
-    /// The immediate supernet (one bit shorter), or `None` at `/0`.
-    pub fn supernet(&self) -> Option<Ipv4Net> {
-        if self.len == 0 {
-            None
-        } else {
-            let len = self.len - 1;
-            Some(Ipv4Net {
-                addr: self.addr & mask_of(len),
-                len,
-            })
-        }
-    }
-
-    /// The two immediate subnets (one bit longer), or `None` at `/32`.
-    pub fn subnets(&self) -> Option<(Ipv4Net, Ipv4Net)> {
-        if self.len == 32 {
-            None
-        } else {
-            let len = self.len + 1;
-            let low = Ipv4Net {
-                addr: self.addr,
-                len,
-            };
-            let high = Ipv4Net {
-                addr: self.addr | (1u32 << (32 - u32::from(len))),
-                len,
-            };
-            Some((low, high))
-        }
-    }
-
-    /// The `n`-th host address inside the block, or `None` past the end.
-    ///
-    /// `nth_host(0)` is the network address itself; callers that want
-    /// "usable" host addresses typically start at 1.
-    #[allow(clippy::cast_possible_truncation, reason = "n < num_addresses() <= 2^32.")]
-    pub fn nth_host(&self, n: u64) -> Option<Ipv4Addr> {
-        if n >= self.num_addresses() {
-            None
-        } else {
-            Some(u32_to_addr(self.addr + n as u32))
-        }
-    }
-
-    /// The smallest prefix covering both `self` and `other` (their lowest
-    /// common ancestor in the prefix tree). Used when self-correction
-    /// merges clusters and must "recompute the network prefix and netmask
-    /// accordingly" (§3.5).
-    pub fn common_supernet(self, other: Ipv4Net) -> Ipv4Net {
-        let mut net = if self.len() <= other.len() {
-            self
-        } else {
-            other
-        };
-        while !(net.covers(&self) && net.covers(&other)) {
-            net = net.supernet().expect("the default route covers everything");
-        }
-        net
     }
 }
 
@@ -284,15 +210,11 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_covers() {
+    fn contains() {
         let n = net("24.48.2.0/23");
         assert!(n.contains("24.48.2.166".parse().unwrap()));
         assert!(n.contains("24.48.3.87".parse().unwrap()));
         assert!(!n.contains("24.48.4.1".parse().unwrap()));
-        assert!(n.covers(&net("24.48.2.0/24")));
-        assert!(n.covers(&net("24.48.3.0/24")));
-        assert!(!n.covers(&net("24.48.2.0/22")));
-        assert!(Ipv4Net::DEFAULT.covers(&n));
     }
 
     #[test]
@@ -313,27 +235,10 @@ mod tests {
     }
 
     #[test]
-    fn supernet_subnet_roundtrip() {
-        let n = net("12.65.128.0/19");
-        let (lo, hi) = n.subnets().unwrap();
-        assert_eq!(lo.to_string(), "12.65.128.0/20");
-        assert_eq!(hi.to_string(), "12.65.144.0/20");
-        assert_eq!(lo.supernet().unwrap(), n);
-        assert_eq!(hi.supernet().unwrap(), n);
-        assert!(net("0.0.0.0/0").supernet().is_none());
-        assert!(net("1.2.3.4/32").subnets().is_none());
-    }
-
-    #[test]
-    fn address_counts_and_bounds() {
+    fn bounds() {
         let n = net("10.1.2.0/23");
-        assert_eq!(n.num_addresses(), 512);
         assert_eq!(n.first().to_string(), "10.1.2.0");
         assert_eq!(n.last().to_string(), "10.1.3.255");
-        assert_eq!(Ipv4Net::DEFAULT.num_addresses(), 1u64 << 32);
-        assert_eq!(n.nth_host(0).unwrap().to_string(), "10.1.2.0");
-        assert_eq!(n.nth_host(511).unwrap().to_string(), "10.1.3.255");
-        assert!(n.nth_host(512).is_none());
     }
 
     #[test]
@@ -347,30 +252,9 @@ mod tests {
     }
 
     #[test]
-    fn common_supernet_examples() {
-        let a = net("24.48.2.0/24");
-        let b = net("24.48.3.0/24");
-        assert_eq!(a.common_supernet(b), net("24.48.2.0/23"));
-        assert_eq!(b.common_supernet(a), net("24.48.2.0/23"));
-        // Containment: the covering prefix wins.
-        assert_eq!(
-            net("10.0.0.0/8").common_supernet(net("10.1.0.0/16")),
-            net("10.0.0.0/8")
-        );
-        // Identical prefixes are their own supernet.
-        assert_eq!(a.common_supernet(a), a);
-        // Totally disjoint halves meet at the default route.
-        assert_eq!(
-            net("1.0.0.0/8").common_supernet(net("200.0.0.0/8")),
-            Ipv4Net::DEFAULT
-        );
-    }
-
-    #[test]
     fn host_route() {
         let h = Ipv4Net::host("1.2.3.4".parse().unwrap());
         assert_eq!(h.len(), 32);
-        assert_eq!(h.num_addresses(), 1);
         assert!(h.contains("1.2.3.4".parse().unwrap()));
     }
 }

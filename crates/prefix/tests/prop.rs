@@ -39,28 +39,6 @@ proptest! {
         prop_assert_eq!(net.contains(u32_to_addr(probe)), (lo..=hi).contains(&probe));
     }
 
-    /// covers() is consistent with supernet chains.
-    #[test]
-    fn supernet_covers(net in arb_net()) {
-        if let Some(sup) = net.supernet() {
-            prop_assert!(sup.covers(&net));
-            prop_assert!(!net.covers(&sup) || net == sup);
-            prop_assert_eq!(sup.num_addresses(), net.num_addresses() * 2);
-        }
-    }
-
-    /// Splitting into one-bit-longer subnets partitions the address space.
-    #[test]
-    fn subnets_partition(net in arb_net()) {
-        if let Some((lo, hi)) = net.subnets() {
-            prop_assert!(net.covers(&lo) && net.covers(&hi));
-            prop_assert_eq!(lo.supernet(), hi.supernet());
-            prop_assert_eq!(u32::from(lo.last()).wrapping_add(1), u32::from(hi.first()));
-            prop_assert_eq!(lo.first(), net.first());
-            prop_assert_eq!(hi.last(), net.last());
-        }
-    }
-
     /// Ordering is total and agrees with (addr, len) lexicographic order.
     #[test]
     fn ordering_is_lexicographic(a in arb_net(), b in arb_net()) {

@@ -410,16 +410,16 @@ impl Paint {
 
 /// A longest-prefix-match table compiled to the DIR-16 + compressed-node
 /// layout, holding the BGP tier and, below it, the registry-dump tier.
-/// Built from a [`MergedTable`] (see [`MergedTable::compile`]) or from one
-/// prefix list (see [`CompiledTable::from_prefixes`]).
+/// Built from a [`MergedTable`] (see [`MergedTable::compile`]) or from the
+/// two tiers' prefix lists (see [`CompiledTable::tiered`]).
 ///
 /// ```
 /// use netclust_rtable::CompiledTable;
 ///
-/// let table = CompiledTable::from_prefixes([
+/// let table = CompiledTable::tiered(&[
 ///     "12.0.0.0/8".parse().unwrap(),
 ///     "12.65.128.0/19".parse().unwrap(),
-/// ]);
+/// ], &[]);
 ///
 /// let net = table.lookup(u32::from_be_bytes([12, 65, 147, 94])).unwrap();
 /// assert_eq!(net.to_string(), "12.65.128.0/19");
@@ -460,14 +460,6 @@ pub struct CompiledTable {
 }
 
 impl CompiledTable {
-    /// Compiles one prefix list as the BGP tier, with no registry tier.
-    /// Order does not matter; duplicates keep one arena entry each (the
-    /// last occurrence wins the match, but equal prefixes are
-    /// indistinguishable as [`Ipv4Net`]s anyway).
-    pub fn from_prefixes(prefixes: impl IntoIterator<Item = Ipv4Net>) -> Self {
-        Self::build(prefixes.into_iter().collect(), 0)
-    }
-
     /// Compiles both tiers: `bgp` in any order, over `dump`, which a BGP
     /// match always wins against. This is [`MergedTable::compile`]; a
     /// snapshot's per-tier lists are recompiled through it too.
@@ -907,7 +899,7 @@ impl CompiledTable {
     /// The BGP tier's current live prefix set, sorted: its arena part
     /// minus withdrawn entries. Equals that part (sorted, deduplicated)
     /// on a freshly compiled table. On a table from
-    /// [`from_prefixes`](Self::from_prefixes) that is every prefix.
+    /// [`tiered`](Self::tiered) with no registry tier that is every prefix.
     pub fn live_prefixes(&self) -> Vec<Ipv4Net> {
         self.live_iter().collect()
     }
@@ -1052,7 +1044,7 @@ mod tests {
 
     #[test]
     fn empty_table_allocates_nothing_and_misses() {
-        let t = CompiledTable::from_prefixes([]);
+        let t = CompiledTable::tiered(&[], &[]);
         assert!(t.is_empty());
         assert_eq!(t.memory_bytes(), 0);
         assert_eq!(t.lookup_handle(a("1.2.3.4")), Handle::NONE);
@@ -1061,7 +1053,7 @@ mod tests {
 
     #[test]
     fn short_prefixes_single_load() {
-        let t = CompiledTable::from_prefixes([net("12.0.0.0/8"), net("12.65.128.0/19")]);
+        let t = CompiledTable::tiered(&[net("12.0.0.0/8"), net("12.65.128.0/19")], &[]);
         assert_eq!(t.lookup(a("12.65.147.94")), Some(net("12.65.128.0/19")));
         assert_eq!(t.lookup(a("12.1.1.1")), Some(net("12.0.0.0/8")));
         assert!(t.lookup(a("99.1.1.1")).is_none());
@@ -1072,11 +1064,14 @@ mod tests {
 
     #[test]
     fn long_prefixes_take_a_second_node_step() {
-        let t = CompiledTable::from_prefixes([
-            net("24.48.2.0/24"),
-            net("24.48.2.128/25"),
-            net("24.48.2.192/32"),
-        ]);
+        let t = CompiledTable::tiered(
+            &[
+                net("24.48.2.0/24"),
+                net("24.48.2.128/25"),
+                net("24.48.2.192/32"),
+            ],
+            &[],
+        );
         assert_eq!(t.lookup(a("24.48.2.1")), Some(net("24.48.2.0/24")));
         assert_eq!(t.lookup(a("24.48.2.129")), Some(net("24.48.2.128/25")));
         assert_eq!(t.lookup(a("24.48.2.192")), Some(net("24.48.2.192/32")));
@@ -1088,7 +1083,7 @@ mod tests {
     #[test]
     fn long_prefix_without_short_cover() {
         // A /26 with no enclosing ≤/24: bytes outside it must miss.
-        let t = CompiledTable::from_prefixes([net("10.0.0.64/26")]);
+        let t = CompiledTable::tiered(&[net("10.0.0.64/26")], &[]);
         assert_eq!(t.lookup(a("10.0.0.100")), Some(net("10.0.0.64/26")));
         assert!(t.lookup(a("10.0.0.1")).is_none());
         assert!(t.lookup(a("10.0.0.128")).is_none());
@@ -1096,14 +1091,14 @@ mod tests {
 
     #[test]
     fn default_route_covers_everything() {
-        let t = CompiledTable::from_prefixes([Ipv4Net::DEFAULT, net("18.0.0.0/8")]);
+        let t = CompiledTable::tiered(&[Ipv4Net::DEFAULT, net("18.0.0.0/8")], &[]);
         assert_eq!(t.lookup(a("18.1.2.3")), Some(net("18.0.0.0/8")));
         assert_eq!(t.lookup(a("200.1.2.3")), Some(Ipv4Net::DEFAULT));
     }
 
     #[test]
     fn handle_matches_scalar() {
-        let t = CompiledTable::from_prefixes([net("12.0.0.0/8"), net("24.48.2.0/23")]);
+        let t = CompiledTable::tiered(&[net("12.0.0.0/8"), net("24.48.2.0/23")], &[]);
         for ip in ["12.1.2.3", "24.48.3.87"] {
             assert_eq!(t.resolve(t.lookup_handle(a(ip))), t.lookup(a(ip)), "{ip}");
         }
@@ -1125,7 +1120,7 @@ mod tests {
             "24.48.2.255/32",
             "24.48.3.0/32",
         ];
-        let t = CompiledTable::from_prefixes(crate::testutil::nets(&specs));
+        let t = CompiledTable::tiered(&crate::testutil::nets(&specs), &[]);
         assert!(!t.spill.is_empty(), "the mid node's runs are spilled");
         let trie: PrefixTrie<()> = crate::testutil::nets(&specs)
             .into_iter()
@@ -1160,7 +1155,7 @@ mod tests {
 
     #[test]
     fn handle_resolves_to_arena_prefix() {
-        let t = CompiledTable::from_prefixes([net("10.0.0.0/8")]);
+        let t = CompiledTable::tiered(&[net("10.0.0.0/8")], &[]);
         let h = t.lookup_handle(a("10.1.2.3"));
         assert!(h.is_some());
         assert_eq!(t.prefixes()[h.index().unwrap()], net("10.0.0.0/8"));
@@ -1211,23 +1206,25 @@ mod tests {
         assert_eq!(of(&t, "10.3.0.0/16"), t.lookup_handle(a("10.3.0.1")));
         assert_eq!(of(&t, "10.1.0.0/16"), t.lookup_handle(a("10.1.0.1")));
         // Unsorted, with a duplicate: the last copy is the one painted.
-        let t = CompiledTable::from_prefixes([
-            net("10.0.0.0/16"),
-            net("9.0.0.0/8"),
-            net("10.0.0.0/16"),
-        ]);
+        let t = CompiledTable::tiered(
+            &[net("10.0.0.0/16"), net("9.0.0.0/8"), net("10.0.0.0/16")],
+            &[],
+        );
         assert_eq!(of(&t, "10.0.0.0/16"), t.lookup_handle(a("10.0.0.1")));
         assert_eq!(of(&t, "10.0.0.0/16").index(), Some(2));
     }
 
     #[test]
     fn arena_keeps_input_order() {
-        let t = CompiledTable::from_prefixes([
-            net("12.0.0.0/8"),
-            net("24.48.2.128/25"),
-            net("10.0.0.0/24"),
-            net("24.48.2.192/32"),
-        ]);
+        let t = CompiledTable::tiered(
+            &[
+                net("12.0.0.0/8"),
+                net("24.48.2.128/25"),
+                net("10.0.0.0/24"),
+                net("24.48.2.192/32"),
+            ],
+            &[],
+        );
         // One slot width for every length: nothing reorders the arena.
         let lens: Vec<u8> = t.prefixes().iter().map(|p| p.len()).collect();
         assert_eq!(lens, vec![8, 25, 24, 32]);
@@ -1240,11 +1237,10 @@ mod tests {
 
     #[test]
     fn duplicate_prefixes_keep_arena_entries_and_one_chunk() {
-        let t = CompiledTable::from_prefixes([
-            net("10.0.0.64/26"),
-            net("10.0.0.64/26"),
-            net("10.0.0.0/24"),
-        ]);
+        let t = CompiledTable::tiered(
+            &[net("10.0.0.64/26"), net("10.0.0.64/26"), net("10.0.0.0/24")],
+            &[],
+        );
         assert_eq!(t.len(), 3, "duplicates keep arena entries");
         assert_eq!(t.nodes(), 2);
         // The later copy wins the match.
@@ -1260,12 +1256,12 @@ mod tests {
     fn live_iter_lists_the_live_set_in_order_with_or_without_a_copy() {
         use crate::patch::TableDelta;
         let ordered = [net("10.0.0.0/8"), net("10.0.0.0/24"), net("12.0.0.0/8")];
-        let in_order = CompiledTable::from_prefixes(ordered);
+        let in_order = CompiledTable::tiered(&ordered, &[]);
         assert!(matches!(in_order.live_iter().0, Live::Arena(_)));
         let shuffled = [ordered[2], ordered[0], ordered[1], ordered[0]];
-        let out_of_order = CompiledTable::from_prefixes(shuffled);
+        let out_of_order = CompiledTable::tiered(&shuffled, &[]);
         assert!(matches!(out_of_order.live_iter().0, Live::Copied(_)));
-        let mut patched = CompiledTable::from_prefixes(ordered);
+        let mut patched = CompiledTable::tiered(&ordered, &[]);
         patched.apply_delta(&[
             TableDelta::withdraw(ordered[1]),
             TableDelta::announce(net("11.0.0.0/8")),
@@ -1291,7 +1287,7 @@ mod tests {
     fn memory_accounting_counts_every_array() {
         // Root + one mid node + one low node (3 and 2 runs: 32 bytes
         // each) + the arena.
-        let t = CompiledTable::from_prefixes([net("24.48.2.0/24"), net("24.48.2.128/25")]);
+        let t = CompiledTable::tiered(&[net("24.48.2.0/24"), net("24.48.2.128/25")], &[]);
         assert_eq!(t.nodes(), 2);
         assert!(t.spill.is_empty());
         let expect = ROOT_LEN * 4 + 2 * 32 + 2 * std::mem::size_of::<Ipv4Net>();
@@ -1300,8 +1296,11 @@ mod tests {
 
         // A spilled node adds its run values. Freed nodes and dead cells
         // stay counted: they are memory the table holds until it compacts.
-        let mut t = CompiledTable::from_prefixes(
-            (0..8u32).map(|i| Ipv4Net::new(0x1830_0000 | (i << 9), 24).unwrap()),
+        let mut t = CompiledTable::tiered(
+            &(0..8u32)
+                .map(|i| Ipv4Net::new(0x1830_0000 | (i << 9), 24).unwrap())
+                .collect::<Vec<_>>(),
+            &[],
         );
         assert_eq!(t.nodes(), 1);
         assert_eq!(t.spill.len(), 16, "8 /24s over a miss: 16 runs");
@@ -1326,7 +1325,7 @@ mod tests {
         let n = (u16::MAX as usize) + 16;
         let mut prefixes = vec![net("0.0.0.0/0")];
         prefixes.extend((0..n as u32).map(|i| Ipv4Net::new(i << 8, 25).unwrap()));
-        let t = CompiledTable::from_prefixes(prefixes.iter().copied());
+        let t = CompiledTable::tiered(&prefixes, &[]);
         // One low node per /24 holding a /25, one mid node per /16 above.
         assert_eq!(t.nodes(), n + n.div_ceil(256));
 
@@ -1365,7 +1364,7 @@ mod tests {
             "10.1.4.128/25",
             "10.1.2.192/26", // duplicate: same nodes, extra arena entry
         ];
-        let t = CompiledTable::from_prefixes(testutil::nets(&specs));
+        let t = CompiledTable::tiered(&testutil::nets(&specs), &[]);
         assert_eq!(t.nodes(), 4); // 10.1/16, then 10.1.2.x, 10.1.3.x, 10.1.4.x
         let mut trie = PrefixTrie::new();
         for n in testutil::nets(&specs) {
@@ -1411,7 +1410,7 @@ mod tests {
                 }
                 proptest::prop_assert_eq!(large.value(b, &values), want);
             }
-            let mut t = CompiledTable::from_prefixes([]);
+            let mut t = CompiledTable::tiered(&[], &[]);
             let entry = t.entry_for(&array, &mut 0);
             let large = entry & LARGE_FLAG != 0;
             proptest::prop_assert_eq!((large, t.nodes()), (n > PACKED_RUNS, 1));

@@ -34,7 +34,5 @@ pub use patch::{parse_feed, DeltaKind, DeltaParseError, PatchReport, TableDelta}
 // defined in `netclust-obs`, re-exported here so rtable users need no
 // extra import.
 pub use netclust_obs::ErrorCounts;
-pub use table::{
-    load_tables, MatchSource, MergedTable, ParseReport, RouteAttrs, RoutingTable, TableKind,
-};
+pub use table::{load_tables, MatchSource, MergedTable, ParseReport, RoutingTable, TableKind};
 pub use trie::{PrefixTrie, PrefixTrieIter};

@@ -534,7 +534,7 @@ mod tests {
     /// Reference check: the patched table must agree with a from-scratch
     /// compile of `expect` on every probe.
     fn assert_equivalent(t: &CompiledTable, expect: &[Ipv4Net], probes: &[u32]) {
-        let fresh = CompiledTable::from_prefixes(expect.iter().copied());
+        let fresh = CompiledTable::tiered(expect, &[]);
         for &p in probes {
             assert_eq!(t.lookup(p), fresh.lookup(p), "probe {:#010x}", p);
         }
@@ -561,7 +561,7 @@ mod tests {
 
     #[test]
     fn announce_below_16_rebuilds_its_one_chunk() {
-        let mut t = CompiledTable::from_prefixes(nets(&["12.0.0.0/8"]));
+        let mut t = CompiledTable::tiered(&nets(&["12.0.0.0/8"]), &[]);
         let r = t.apply_delta(&[TableDelta::announce(net("12.65.128.0/19"))]);
         assert!(!r.recompiled);
         assert!(r.initialized);
@@ -574,7 +574,7 @@ mod tests {
 
     #[test]
     fn announce_does_not_clobber_longer_matches() {
-        let mut t = CompiledTable::from_prefixes(nets(&["12.65.128.0/19"]));
+        let mut t = CompiledTable::tiered(&nets(&["12.65.128.0/19"]), &[]);
         let r = t.apply_delta(&[TableDelta::announce(net("12.0.0.0/8"))]);
         assert!(!r.recompiled);
         // 255 leaf root entries take the /8; the /19's chunk is rebuilt
@@ -585,8 +585,10 @@ mod tests {
 
     #[test]
     fn withdraw_short_backfills_from_remaining_set() {
-        let mut t =
-            CompiledTable::from_prefixes(nets(&["12.0.0.0/8", "12.65.0.0/16", "12.65.128.0/19"]));
+        let mut t = CompiledTable::tiered(
+            &nets(&["12.0.0.0/8", "12.65.0.0/16", "12.65.128.0/19"]),
+            &[],
+        );
         let r = t.apply_delta(&[TableDelta::withdraw(net("12.65.0.0/16"))]);
         assert!(!r.recompiled);
         assert_eq!(r.withdrawn, 1);
@@ -597,14 +599,14 @@ mod tests {
     fn withdraw_does_not_touch_longer_owners() {
         // Withdrawing the /16 must leave the /19's slots intact even
         // though its range covers them.
-        let mut t = CompiledTable::from_prefixes(nets(&["12.65.0.0/16", "12.65.128.0/19"]));
+        let mut t = CompiledTable::tiered(&nets(&["12.65.0.0/16", "12.65.128.0/19"]), &[]);
         t.apply_delta(&[TableDelta::withdraw(net("12.65.0.0/16"))]);
         assert_equivalent(&t, &nets(&["12.65.128.0/19"]), &probes());
     }
 
     #[test]
     fn announce_long_adds_a_low_node_over_the_24() {
-        let mut t = CompiledTable::from_prefixes(nets(&["24.48.2.0/24"]));
+        let mut t = CompiledTable::tiered(&nets(&["24.48.2.0/24"]), &[]);
         assert_eq!(t.nodes(), 1);
         let r = t.apply_delta(&[TableDelta::announce(net("24.48.2.128/25"))]);
         assert!(!r.recompiled);
@@ -618,7 +620,7 @@ mod tests {
         // 24.48/16's low and mid node, then 24.49/16's mid node: three
         // 32-byte nodes in build order.
         let base = ["24.48.2.0/24", "24.48.2.128/25", "24.49.2.0/24"];
-        let mut t = CompiledTable::from_prefixes(nets(&base));
+        let mut t = CompiledTable::tiered(&nets(&base), &[]);
         assert_eq!((t.nodes(), t.small.nodes.len()), (3, 3));
         let r = t.apply_delta(&[TableDelta::withdraw(net("24.48.2.128/25"))]);
         assert!(!r.recompiled);
@@ -641,7 +643,7 @@ mod tests {
         let layout =
             |t: &CompiledTable| t.memory_bytes() - t.dead_cells() * 4 - t.prefixes().len() * 8;
         let block = 0x0A0A_0A00u32;
-        let mut t = CompiledTable::from_prefixes(nets(&["10.10.10.0/24"]));
+        let mut t = CompiledTable::tiered(&nets(&["10.10.10.0/24"]), &[]);
         let longs: Vec<Ipv4Net> = (0..8u32)
             .map(|i| Ipv4Net::new(block | i << 5, 28).unwrap())
             .collect();
@@ -655,7 +657,7 @@ mod tests {
                 live.retain(|&q| q != p);
                 TableDelta::withdraw(p)
             }]);
-            let fresh = CompiledTable::from_prefixes(live.iter().copied());
+            let fresh = CompiledTable::tiered(&live, &[]);
             assert_eq!(layout(&t), layout(&fresh), "after {} deltas", i + 1);
             assert!(t.small.free.is_empty());
             assert_equivalent(&t, &live, &probes());
@@ -666,7 +668,7 @@ mod tests {
     fn chunk_rebuild_does_not_leak_into_sibling_chunks() {
         // Two chunks with structurally identical >/24 coverage; patching
         // one must not leak into the other.
-        let mut t = CompiledTable::from_prefixes(nets(&["10.0.2.128/25", "10.1.2.128/25"]));
+        let mut t = CompiledTable::tiered(&nets(&["10.0.2.128/25", "10.1.2.128/25"]), &[]);
         let r = t.apply_delta(&[TableDelta::withdraw(net("10.0.2.128/25"))]);
         assert!(!r.recompiled);
         assert_equivalent(&t, &nets(&["10.1.2.128/25"]), &probes());
@@ -676,7 +678,7 @@ mod tests {
     fn cover_update_does_not_leak_into_sibling_chunks() {
         // A /24 announced under one chunk's /25 repaints that chunk only;
         // the structurally identical sibling keeps missing.
-        let mut t = CompiledTable::from_prefixes(nets(&["10.0.2.128/25", "10.1.2.128/25"]));
+        let mut t = CompiledTable::tiered(&nets(&["10.0.2.128/25", "10.1.2.128/25"]), &[]);
         let r = t.apply_delta(&[TableDelta::announce(net("10.0.2.0/24"))]);
         assert!(!r.recompiled);
         assert_equivalent(
@@ -688,7 +690,7 @@ mod tests {
 
     #[test]
     fn withdraw_to_empty_and_reannounce() {
-        let mut t = CompiledTable::from_prefixes(nets(&["12.0.0.0/8", "24.48.2.128/25"]));
+        let mut t = CompiledTable::tiered(&nets(&["12.0.0.0/8", "24.48.2.128/25"]), &[]);
         let r = t.apply_delta(&[
             TableDelta::withdraw(net("12.0.0.0/8")),
             TableDelta::withdraw(net("24.48.2.128/25")),
@@ -705,7 +707,7 @@ mod tests {
 
     #[test]
     fn duplicate_announce_and_absent_withdraw_are_noops() {
-        let mut t = CompiledTable::from_prefixes(nets(&["12.0.0.0/8"]));
+        let mut t = CompiledTable::tiered(&nets(&["12.0.0.0/8"]), &[]);
         let r = t.apply_delta(&[
             TableDelta::announce(net("12.0.0.0/8")),
             TableDelta::withdraw(net("99.0.0.0/8")),
@@ -718,7 +720,7 @@ mod tests {
 
     #[test]
     fn replace_of_live_prefix_counts_as_replaced() {
-        let mut t = CompiledTable::from_prefixes(nets(&["12.0.0.0/8"]));
+        let mut t = CompiledTable::tiered(&nets(&["12.0.0.0/8"]), &[]);
         let r = t.apply_delta(&[TableDelta::replace(net("12.0.0.0/8"))]);
         assert_eq!(r.replaced, 1);
         assert_eq!(r.noops, 0);
@@ -729,7 +731,7 @@ mod tests {
 
     #[test]
     fn dense_batch_falls_back_to_recompile() {
-        let mut t = CompiledTable::from_prefixes(nets(&["12.0.0.0/8"]));
+        let mut t = CompiledTable::tiered(&nets(&["12.0.0.0/8"]), &[]);
         let deltas: Vec<TableDelta> = (0..128u32)
             .map(|i| TableDelta::announce(Ipv4Net::new(i << 16, 16).unwrap()))
             .collect();
@@ -747,7 +749,7 @@ mod tests {
 
     #[test]
     fn empty_compile_materializes_its_root_then_patches() {
-        let mut t = CompiledTable::from_prefixes([]);
+        let mut t = CompiledTable::tiered(&[], &[]);
         let r = t.apply_delta(&[TableDelta::announce(net("12.0.0.0/8"))]);
         assert!(!r.recompiled);
         assert_eq!(r.root_writes, 256);
@@ -759,7 +761,7 @@ mod tests {
 
     #[test]
     fn arena_tombstones_are_reused() {
-        let mut t = CompiledTable::from_prefixes(nets(&["12.0.0.0/8", "24.48.2.128/25"]));
+        let mut t = CompiledTable::tiered(&nets(&["12.0.0.0/8", "24.48.2.128/25"]), &[]);
         let before = t.prefixes().len();
         t.apply_delta(&[TableDelta::withdraw(net("24.48.2.128/25"))]);
         t.apply_delta(&[TableDelta::announce(net("24.48.3.128/25"))]);
@@ -782,7 +784,7 @@ mod tests {
 
     #[test]
     fn patched_table_clone_is_independent() {
-        let mut t = CompiledTable::from_prefixes(nets(&["12.0.0.0/8"]));
+        let mut t = CompiledTable::tiered(&nets(&["12.0.0.0/8"]), &[]);
         t.apply_delta(&[TableDelta::announce(net("18.0.0.0/8"))]);
         let mut copy = t.clone();
         copy.apply_delta(&[TableDelta::withdraw(net("12.0.0.0/8"))]);
@@ -797,7 +799,7 @@ mod tests {
         let base: Vec<Ipv4Net> = (0..8u32)
             .map(|i| Ipv4Net::new(0x1830_0000 | (i << 9), 24).unwrap())
             .collect();
-        let mut t = CompiledTable::from_prefixes(base.iter().copied());
+        let mut t = CompiledTable::tiered(&base, &[]);
         let flap = [
             TableDelta::withdraw(net("24.48.0.0/24")),
             TableDelta::announce(net("24.48.0.0/24")),
@@ -810,7 +812,7 @@ mod tests {
             if r.compacted {
                 compactions += 1;
                 assert_eq!(t.dead_cells(), 0);
-                let fresh = CompiledTable::from_prefixes(base.iter().copied());
+                let fresh = CompiledTable::tiered(&base, &[]);
                 assert_eq!(t.memory_bytes(), fresh.memory_bytes());
             } else {
                 assert!(t.dead_cells() > before);

@@ -13,7 +13,6 @@
 //! [`RoutingTable`] models one snapshot; [`MergedTable`] is the union used
 //! for clustering, keeping the primary/secondary distinction.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::io;
 use std::net::Ipv4Addr;
@@ -60,17 +59,6 @@ pub enum TableKind {
     NetworkDump,
 }
 
-/// Optional per-route attributes, as seen in Table 2 of the paper.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RouteAttrs {
-    /// Human-readable description of the destination network.
-    pub description: String,
-    /// Next-hop router name or address.
-    pub next_hop: String,
-    /// AS path (origin last).
-    pub as_path: Vec<u32>,
-}
-
 /// A single named routing-table snapshot: a set of prefixes plus metadata.
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
@@ -82,8 +70,6 @@ pub struct RoutingTable {
     pub kind: TableKind,
     /// Sorted, deduplicated prefixes.
     prefixes: Vec<Ipv4Net>,
-    /// Attributes parallel to `prefixes` when available (may be empty).
-    attrs: Vec<RouteAttrs>,
 }
 
 impl RoutingTable {
@@ -101,28 +87,6 @@ impl RoutingTable {
             date: date.into(),
             kind,
             prefixes,
-            attrs: Vec::new(),
-        }
-    }
-
-    /// Builds a snapshot with per-route attributes. Attribute order follows
-    /// the *sorted* prefix order after construction, so callers should pass
-    /// pairs; duplicates keep the first attribute.
-    pub fn with_attrs(
-        name: impl Into<String>,
-        date: impl Into<String>,
-        kind: TableKind,
-        mut routes: Vec<(Ipv4Net, RouteAttrs)>,
-    ) -> Self {
-        routes.sort_by_key(|(net, _)| *net);
-        routes.dedup_by_key(|(net, _)| *net);
-        let (prefixes, attrs) = routes.into_iter().unzip();
-        RoutingTable {
-            name: name.into(),
-            date: date.into(),
-            kind,
-            prefixes,
-            attrs,
         }
     }
 
@@ -187,20 +151,6 @@ impl RoutingTable {
     /// `true` when the snapshot has no entries.
     pub fn is_empty(&self) -> bool {
         self.prefixes.is_empty()
-    }
-
-    /// Iterates `(prefix, attrs)` pairs; attrs default to empty when the
-    /// table was built without them.
-    pub fn routes(&self) -> impl Iterator<Item = (Ipv4Net, RouteAttrs)> + '_ {
-        self.prefixes
-            .iter()
-            .enumerate()
-            .map(|(i, net)| (*net, self.attrs.get(i).cloned().unwrap_or_default()))
-    }
-
-    /// The set of prefixes as a `BTreeSet` (used by dynamics analysis).
-    pub fn prefix_set(&self) -> BTreeSet<Ipv4Net> {
-        self.prefixes.iter().copied().collect()
     }
 }
 
@@ -425,37 +375,6 @@ mod tests {
         let (_, empty) = RoutingTable::parse_report("Y", "d0", TableKind::Bgp, "# c\n\n");
         assert_eq!(empty.counts().ratio(), 0.0);
         assert!(empty.counts().is_clean());
-    }
-
-    #[test]
-    fn attrs_follow_sorted_prefixes() {
-        let t = RoutingTable::with_attrs(
-            "VBNS",
-            "12/1999",
-            TableKind::Bgp,
-            vec![
-                (
-                    net("18.0.0.0/8"),
-                    RouteAttrs {
-                        description: "MIT".into(),
-                        next_hop: "cs.cht.vbns.net".into(),
-                        as_path: vec![3],
-                    },
-                ),
-                (
-                    net("6.0.0.0/8"),
-                    RouteAttrs {
-                        description: "Army".into(),
-                        next_hop: "cs.ny-nap.vbns.net".into(),
-                        as_path: vec![7170, 1455],
-                    },
-                ),
-            ],
-        );
-        let routes: Vec<_> = t.routes().collect();
-        assert_eq!(routes[0].1.description, "Army");
-        assert_eq!(routes[1].1.description, "MIT");
-        assert_eq!(routes[1].1.as_path, vec![3]);
     }
 
     #[test]

@@ -46,11 +46,11 @@ impl<V> Node<V> {
 /// trie.insert("12.0.0.0/8".parse().unwrap(), "coarse");
 /// trie.insert("12.65.128.0/19".parse().unwrap(), "fine");
 ///
-/// let (net, v) = trie.longest_match("12.65.147.94".parse().unwrap()).unwrap();
+/// let (net, v) = trie.longest_match_u32(u32::from_be_bytes([12, 65, 147, 94])).unwrap();
 /// assert_eq!(net.to_string(), "12.65.128.0/19");
 /// assert_eq!(*v, "fine");
 ///
-/// let (net, v) = trie.longest_match("12.1.1.1".parse().unwrap()).unwrap();
+/// let (net, v) = trie.longest_match_u32(u32::from_be_bytes([12, 1, 1, 1])).unwrap();
 /// assert_eq!(net.to_string(), "12.0.0.0/8");
 /// assert_eq!(*v, "coarse");
 /// ```
@@ -179,11 +179,6 @@ impl<V> PrefixTrie<V> {
             }
         }
         best.map(|(len, v)| (Ipv4Net::new(addr, len).expect("len <= 32"), v))
-    }
-
-    /// Longest-prefix match on an [`std::net::Ipv4Addr`].
-    pub fn longest_match(&self, addr: std::net::Ipv4Addr) -> Option<(Ipv4Net, &V)> {
-        self.longest_match_u32(u32::from(addr))
     }
 
     /// Longest-prefix match considering only prefixes of length at most
@@ -330,11 +325,15 @@ mod tests {
         s.parse().unwrap()
     }
 
+    fn lpm<'t, V>(trie: &'t PrefixTrie<V>, ip: &str) -> Option<(Ipv4Net, &'t V)> {
+        trie.longest_match_u32(u32::from(addr(ip)))
+    }
+
     #[test]
     fn empty_trie_matches_nothing() {
         let trie: PrefixTrie<()> = PrefixTrie::new();
         assert!(trie.is_empty());
-        assert!(trie.longest_match(addr("1.2.3.4")).is_none());
+        assert!(lpm(&trie, "1.2.3.4").is_none());
         assert!(trie.iter().next().is_none());
     }
 
@@ -349,7 +348,7 @@ mod tests {
         assert_eq!(trie.remove(net("10.0.0.0/8")), Some(2));
         assert_eq!(trie.remove(net("10.0.0.0/8")), None);
         assert!(trie.is_empty());
-        assert!(trie.longest_match(addr("10.1.1.1")).is_none());
+        assert!(lpm(&trie, "10.1.1.1").is_none());
     }
 
     #[test]
@@ -358,7 +357,7 @@ mod tests {
         let mut trie = PrefixTrie::new();
         trie.insert(net("12.65.128.0/19"), ());
         trie.insert(net("24.48.2.0/23"), ());
-        let cluster_of = |ip: &str| trie.longest_match(addr(ip)).unwrap().0.to_string();
+        let cluster_of = |ip: &str| lpm(&trie, ip).unwrap().0.to_string();
         for ip in [
             "12.65.147.94",
             "12.65.147.149",
@@ -379,7 +378,7 @@ mod tests {
         trie.insert(net("12.0.0.0/8"), "eight");
         trie.insert(net("12.65.0.0/16"), "sixteen");
         trie.insert(net("12.65.128.0/19"), "nineteen");
-        let m = |ip: &str| *trie.longest_match(addr(ip)).unwrap().1;
+        let m = |ip: &str| *lpm(&trie, ip).unwrap().1;
         assert_eq!(m("12.65.147.94"), "nineteen");
         assert_eq!(m("12.65.1.1"), "sixteen");
         assert_eq!(m("12.99.1.1"), "eight");
@@ -391,8 +390,8 @@ mod tests {
         let mut trie = PrefixTrie::new();
         trie.insert(Ipv4Net::host(addr("1.2.3.4")), "host");
         trie.insert(Ipv4Net::DEFAULT, "root");
-        assert_eq!(*trie.longest_match(addr("1.2.3.4")).unwrap().1, "host");
-        assert_eq!(*trie.longest_match(addr("1.2.3.5")).unwrap().1, "root");
+        assert_eq!(*lpm(&trie, "1.2.3.4").unwrap().1, "host");
+        assert_eq!(*lpm(&trie, "1.2.3.5").unwrap().1, "root");
         assert_eq!(trie.len(), 2);
     }
 
@@ -446,10 +445,7 @@ mod tests {
         trie.insert(net("12.0.0.0/8"), "eight");
         trie.insert(net("12.65.128.0/19"), "nineteen");
         trie.remove(net("12.65.128.0/19"));
-        assert_eq!(
-            *trie.longest_match(addr("12.65.147.94")).unwrap().1,
-            "eight"
-        );
+        assert_eq!(*lpm(&trie, "12.65.147.94").unwrap().1, "eight");
         assert_eq!(trie.len(), 1);
     }
 
@@ -458,8 +454,8 @@ mod tests {
         let mut trie = PrefixTrie::new();
         trie.insert(net("24.48.2.0/24"), "low");
         trie.insert(net("24.48.3.0/24"), "high");
-        assert_eq!(*trie.longest_match(addr("24.48.2.1")).unwrap().1, "low");
-        assert_eq!(*trie.longest_match(addr("24.48.3.1")).unwrap().1, "high");
-        assert!(trie.longest_match(addr("24.48.4.1")).is_none());
+        assert_eq!(*lpm(&trie, "24.48.2.1").unwrap().1, "low");
+        assert_eq!(*lpm(&trie, "24.48.3.1").unwrap().1, "high");
+        assert!(lpm(&trie, "24.48.4.1").is_none());
     }
 }

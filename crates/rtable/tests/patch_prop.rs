@@ -90,7 +90,7 @@ fn probes_for(live: &BTreeSet<Ipv4Net>, random: &[u32]) -> Vec<u32> {
 }
 
 fn assert_equiv(patched: &CompiledTable, live: &BTreeSet<Ipv4Net>, random: &[u32]) {
-    let fresh = CompiledTable::from_prefixes(live.iter().copied());
+    let fresh = CompiledTable::tiered(&live.iter().copied().collect::<Vec<_>>(), &[]);
     let mut live_sorted: Vec<Ipv4Net> = live.iter().copied().collect();
     live_sorted.sort();
     assert_eq!(patched.live_prefixes(), live_sorted);
@@ -112,7 +112,7 @@ proptest! {
         random in proptest::collection::vec(any::<u32>(), 24),
     ) {
         let mut live = initial.clone();
-        let mut table = CompiledTable::from_prefixes(initial.iter().copied());
+        let mut table = CompiledTable::tiered(&initial.iter().copied().collect::<Vec<_>>(), &[]);
         for ops in &batches {
             let deltas = realize(ops, &mut live);
             table.apply_delta(&deltas);
@@ -136,10 +136,10 @@ proptest! {
         let deltas = realize(&ops, &mut live);
         // A withdraw of a live prefix from an empty set realizes to nothing.
         prop_assume!(deltas.len() == 64);
-        let mut bulk = CompiledTable::from_prefixes(initial.iter().copied());
+        let mut bulk = CompiledTable::tiered(&initial.iter().copied().collect::<Vec<_>>(), &[]);
         let whole = bulk.apply_delta(&deltas);
         prop_assert!(whole.recompiled);
-        let mut pieces = CompiledTable::from_prefixes(initial.iter().copied());
+        let mut pieces = CompiledTable::tiered(&initial.iter().copied().collect::<Vec<_>>(), &[]);
         let mut summed = PatchReport::default();
         let mut rest = &deltas[..];
         for &cut in cuts.iter().cycle() {
@@ -174,7 +174,7 @@ proptest! {
         let mut live = initial.clone();
         let bgp: Vec<Ipv4Net> = initial.iter().copied().collect();
         let mut table = CompiledTable::tiered(&bgp, &dump);
-        let mut alone = CompiledTable::from_prefixes(bgp);
+        let mut alone = CompiledTable::tiered(&bgp, &[]);
         for ops in &batches {
             let deltas = realize(ops, &mut live);
             prop_assert_eq!(table.apply_delta(&deltas), alone.apply_delta(&deltas));
@@ -199,7 +199,7 @@ proptest! {
         initial in proptest::collection::btree_set(arb_net(), 1..24),
         random in proptest::collection::vec(any::<u32>(), 16),
     ) {
-        let mut table = CompiledTable::from_prefixes(initial.iter().copied());
+        let mut table = CompiledTable::tiered(&initial.iter().copied().collect::<Vec<_>>(), &[]);
         let wipe: Vec<TableDelta> = initial.iter().map(|&p| TableDelta::withdraw(p)).collect();
         table.apply_delta(&wipe);
         prop_assert_eq!(table.len(), 0);
@@ -220,7 +220,7 @@ fn low_node_growth_and_collapse_stays_equivalent() {
     let block = 0x0A0A_0A00u32;
     let mut live: BTreeSet<Ipv4Net> = BTreeSet::new();
     live.insert(Ipv4Net::new(block, 24).unwrap());
-    let mut table = CompiledTable::from_prefixes(live.iter().copied());
+    let mut table = CompiledTable::tiered(&live.iter().copied().collect::<Vec<_>>(), &[]);
     let random: Vec<u32> = (0..=255u32).map(|i| block | i).collect();
 
     // Grow: pack /26s, /28s and host routes into the block one at a time.
@@ -239,7 +239,7 @@ fn low_node_growth_and_collapse_stays_equivalent() {
         table.apply_delta(&[TableDelta::announce(*p)]);
         assert_eq!(table.lookup(p.addr_u32()), Some(*p));
     }
-    let grown = CompiledTable::from_prefixes(live.iter().copied());
+    let grown = CompiledTable::tiered(&live.iter().copied().collect::<Vec<_>>(), &[]);
     assert_eq!(table.nodes(), grown.nodes());
     for &addr in &random {
         assert_eq!(table.lookup(addr), grown.lookup(addr));
@@ -251,7 +251,7 @@ fn low_node_growth_and_collapse_stays_equivalent() {
         live.remove(p);
         table.apply_delta(&[TableDelta::withdraw(*p)]);
     }
-    let fresh = CompiledTable::from_prefixes(live.iter().copied());
+    let fresh = CompiledTable::tiered(&live.iter().copied().collect::<Vec<_>>(), &[]);
     assert_eq!((table.nodes(), fresh.nodes()), (1, 1));
     for &addr in &random {
         assert_eq!(table.lookup(addr), fresh.lookup(addr));
@@ -307,7 +307,7 @@ fn short_prefixes_over_node_chunks_stay_equivalent() {
         "25.0.0.0/30", // just past the /8
     ];
     let mut live: BTreeSet<Ipv4Net> = specs.iter().map(|s| s.parse().unwrap()).collect();
-    let mut table = CompiledTable::from_prefixes(live.iter().copied());
+    let mut table = CompiledTable::tiered(&live.iter().copied().collect::<Vec<_>>(), &[]);
     assert_matches_trie(&table, &live, "compiled");
 
     // Nested under (/16 inside the /14), between (/12 over the /14, under
@@ -337,7 +337,7 @@ fn short_prefixes_over_node_chunks_stay_equivalent() {
             assert!(!r.recompiled && !r.compacted, "{spec}");
             assert!(r.slot_writes() > 0, "{spec} reaches at least one entry");
             assert_matches_trie(&table, &live, spec);
-            let fresh = CompiledTable::from_prefixes(live.iter().copied());
+            let fresh = CompiledTable::tiered(&live.iter().copied().collect::<Vec<_>>(), &[]);
             assert_eq!(table.nodes(), fresh.nodes(), "{spec}");
         }
     }
@@ -369,7 +369,7 @@ fn long_prefix_count_has_no_recompile_cliff() {
             .map(|i| Ipv4Net::new(0x2000_0000 | (i << 8), len).unwrap())
             .collect();
         live.insert(gone);
-        let mut table = CompiledTable::from_prefixes(live.iter().copied());
+        let mut table = CompiledTable::tiered(&live.iter().copied().collect::<Vec<_>>(), &[]);
 
         let more = Ipv4Net::new(0x2000_0000 | (n << 8) | 0x80, 26).unwrap();
         let r = table.apply_delta(&[TableDelta::announce(more)]);
@@ -413,7 +413,7 @@ fn withdraws_uncover_the_registry_and_reports_ignore_it() {
         "30.1.0.0/16",
     ]);
     let mut table = CompiledTable::tiered(&live, &dump);
-    let mut alone = CompiledTable::from_prefixes(live.clone());
+    let mut alone = CompiledTable::tiered(&live, &[]);
     let batches = [
         vec![TableDelta::withdraw(net("24.0.0.0/8"))],
         vec![TableDelta::withdraw(net("24.50.0.0/17"))],

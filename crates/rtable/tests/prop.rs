@@ -130,7 +130,7 @@ proptest! {
     ) {
         let map: BTreeMap<Ipv4Net, u32> = entries.iter().map(|&n| (n, 0)).collect();
         let trie: PrefixTrie<()> = entries.iter().map(|&n| (n, ())).collect();
-        let compiled = CompiledTable::from_prefixes(entries.iter().copied());
+        let compiled = CompiledTable::tiered(&entries.iter().copied().collect::<Vec<_>>(), &[]);
         prop_assert_eq!(compiled.len(), entries.len());
         for addr in targeted_probes(&entries, &offsets, &random) {
             let expect = naive_lpm(&map, addr).map(|(n, _)| n);
@@ -200,7 +200,7 @@ proptest! {
             coarse.union(&fine).copied().collect();
         let map: BTreeMap<Ipv4Net, u32> = entries.iter().map(|&n| (n, 0)).collect();
         let trie: PrefixTrie<()> = entries.iter().map(|&n| (n, ())).collect();
-        let compiled = CompiledTable::from_prefixes(entries.iter().copied());
+        let compiled = CompiledTable::tiered(&entries.iter().copied().collect::<Vec<_>>(), &[]);
         for addr in targeted_probes(&entries, &offsets, &random) {
             let expect = naive_lpm(&map, addr).map(|(n, _)| n);
             prop_assert_eq!(trie.longest_match_u32(addr).map(|(n, _)| n), expect);
@@ -217,7 +217,10 @@ fn oracle_tables_reach_every_node_class() {
     let sets = proptest::collection::btree_set(arb_net_wide(), 0..96);
     let mut seen = [0usize; 2];
     for _ in 0..64 {
-        let table = CompiledTable::from_prefixes(sets.generate(&mut rng));
+        let table = CompiledTable::tiered(
+            &sets.generate(&mut rng).into_iter().collect::<Vec<_>>(),
+            &[],
+        );
         for (s, n) in seen.iter_mut().zip(table.node_classes()) {
             *s += n;
         }

@@ -162,6 +162,8 @@ pub fn to_clf(log: &Log) -> String {
 /// when they are interned. `Request::time` is a `u32` offset from the
 /// first request, so a request more than `u32::MAX` seconds (~136 years)
 /// after it is clamped to that offset.
+// Waived in tests/source_contracts.rs (`pub-fn-caller`): the `Log` route
+// that crates/core/tests/ingest_par.rs holds every pipeline to.
 pub fn from_clf(name: &str, data: &[u8]) -> (Log, Vec<ClfError>) {
     let mut parsed: Vec<RawRecord<'_>> = Vec::new();
     let mut errors = Vec::new();

@@ -12,10 +12,9 @@
 //!   `from_clf`, the batch ingest and the log follower alike,
 //! * [`chunk`] — line-aligned chunk splitting for parallel parsing and
 //!   mmap-backed file access ([`chunk::LogData`]),
-//! * [`ZipfSampler`] / [`pareto_u64`] — the heavy-tail machinery. Only
-//!   the generators use it (`netclust-netgen`, and the benchmark harness,
-//!   which imports it from here); it is the one reason `rand` is in this
-//!   crate's dependencies.
+//! * [`ZipfSampler`] — Zipf-like rank draws. Only the generators use it
+//!   (`netclust-netgen`, and the benchmark harness, which imports it from
+//!   here); it is the one reason `rand` is in this crate's dependencies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,4 +27,4 @@ mod record;
 mod zipf;
 
 pub use record::{Log, LogTruth, Request, UaId, UrlId, UrlMeta};
-pub use zipf::{pareto_u64, ZipfSampler};
+pub use zipf::ZipfSampler;

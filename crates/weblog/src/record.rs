@@ -130,12 +130,6 @@ pub struct Log {
 }
 
 impl Log {
-    /// The distinct client addresses, sorted.
-    pub fn unique_clients(&self) -> Vec<Ipv4Addr> {
-        let set: BTreeSet<u32> = self.requests.iter().map(|r| r.client).collect();
-        set.into_iter().map(Ipv4Addr::from).collect()
-    }
-
     /// Number of distinct clients.
     pub fn client_count(&self) -> usize {
         self.requests
@@ -143,50 +137,6 @@ impl Log {
             .map(|r| r.client)
             .collect::<BTreeSet<_>>()
             .len()
-    }
-
-    /// Number of distinct URLs actually accessed (≤ `urls.len()`).
-    pub fn accessed_url_count(&self) -> usize {
-        self.requests
-            .iter()
-            .map(|r| r.url)
-            .collect::<BTreeSet<_>>()
-            .len()
-    }
-
-    /// Splits the log into `n` equal time sessions (§3.6's 6-hour
-    /// partitions). Requests at the boundary go to the later session; all
-    /// sessions share the URL and UA tables.
-    pub fn sessions(&self, n: u32) -> Vec<Log> {
-        assert!(n >= 1, "need at least one session");
-        let span = (self.duration_s / n).max(1);
-        let mut parts: Vec<Vec<Request>> = vec![Vec::new(); n as usize];
-        for r in &self.requests {
-            let idx = (r.time / span).min(n - 1);
-            // Rebase times onto the session's own clock.
-            parts[idx as usize].push(Request {
-                time: r.time - idx * span,
-                ..*r
-            });
-        }
-        parts
-            .into_iter()
-            .enumerate()
-            .map(|(i, requests)| Log {
-                name: format!("{}.s{}", self.name, i),
-                requests,
-                urls: self.urls.clone(),
-                user_agents: self.user_agents.clone(),
-                start_time: self.start_time + (i as u64) * span as u64,
-                // The last session absorbs the division remainder.
-                duration_s: if i + 1 == n as usize {
-                    self.duration_s.saturating_sub((n - 1) * span)
-                } else {
-                    span
-                },
-                truth: self.truth.clone(),
-            })
-            .collect()
     }
 
     /// Validates internal consistency (indices in range, times sorted and
@@ -225,55 +175,25 @@ impl Log {
 mod tests {
     use super::*;
 
+    /// Clients 1, 2, 1, 3 at times 0, 10, 50, 99 fetch /a, /b, /a, /b.
     fn tiny_log() -> Log {
-        let urls = vec![
-            UrlMeta {
-                path: "/a".into(),
-                size: 100,
-            },
-            UrlMeta {
-                path: "/b".into(),
-                size: 200,
-            },
-        ];
-        let reqs = vec![
-            Request {
-                time: 0,
-                client: 1,
-                url: 0,
-                bytes: 100,
+        let urls = [("/a", 100), ("/b", 200)].map(|(path, size)| UrlMeta {
+            path: path.into(),
+            size,
+        });
+        let requests =
+            [(0, 1, 0), (10, 2, 1), (50, 1, 0), (99, 3, 1)].map(|(time, client, url)| Request {
+                time,
+                client,
+                url,
+                bytes: urls[url as usize].size,
                 status: 200,
                 ua: 0,
-            },
-            Request {
-                time: 10,
-                client: 2,
-                url: 1,
-                bytes: 200,
-                status: 200,
-                ua: 0,
-            },
-            Request {
-                time: 50,
-                client: 1,
-                url: 0,
-                bytes: 100,
-                status: 200,
-                ua: 0,
-            },
-            Request {
-                time: 99,
-                client: 3,
-                url: 1,
-                bytes: 200,
-                status: 200,
-                ua: 0,
-            },
-        ];
+            });
         Log {
             name: "tiny".into(),
-            requests: reqs,
-            urls,
+            requests: requests.to_vec(),
+            urls: urls.to_vec(),
             user_agents: vec!["Mozilla/4.0".into()],
             start_time: 887_328_000,
             duration_s: 100,
@@ -285,30 +205,7 @@ mod tests {
     fn counts() {
         let log = tiny_log();
         assert_eq!(log.client_count(), 3);
-        assert_eq!(log.accessed_url_count(), 2);
-        assert_eq!(
-            log.unique_clients(),
-            vec![
-                Ipv4Addr::from(1u32),
-                Ipv4Addr::from(2u32),
-                Ipv4Addr::from(3u32)
-            ]
-        );
         assert!(log.check().is_ok());
-    }
-
-    #[test]
-    fn sessions_partition_requests() {
-        let log = tiny_log();
-        let sessions = log.sessions(4);
-        assert_eq!(sessions.len(), 4);
-        let total: usize = sessions.iter().map(|s| s.requests.len()).sum();
-        assert_eq!(total, log.requests.len());
-        assert_eq!(sessions[0].requests.len(), 2); // t=0, t=10
-        assert_eq!(sessions[2].requests.len(), 1); // t=50
-        assert_eq!(sessions[3].requests.len(), 1); // t=99
-        assert!(sessions[1].requests.is_empty());
-        assert_eq!(sessions[2].name, "tiny.s2");
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! Web request popularity is famously Zipf-like (the paper cites Breslau et
 //! al. [7] and observes "such Zipf-like distributions are common in a
 //! variety of Web measurements"). [`ZipfSampler`] draws ranks `0..n` with
-//! probability proportional to `1 / (rank+1)^alpha` via an inverted CDF,
-//! and [`pareto_u64`] provides the heavy-tailed integer draws used for
-//! cluster sizes and per-client activity.
+//! probability proportional to `1 / (rank+1)^alpha` via an inverted CDF.
 
 use rand::Rng;
 
@@ -62,23 +60,6 @@ impl ZipfSampler {
         let prev = if k == 0 { 0.0 } else { self.cdf[k - 1] };
         (self.cdf[k] - prev) / total
     }
-}
-
-/// A discrete bounded Pareto draw in `[min, cap]`:
-/// `P(X >= x) ∝ x^-alpha`. Used for heavy-tailed cluster sizes and
-/// per-client request counts.
-#[allow(clippy::cast_possible_truncation, reason = "clamped to [min, cap] right after.")]
-pub fn pareto_u64(rng: &mut impl Rng, alpha: f64, min: u64, cap: u64) -> u64 {
-    debug_assert!(alpha > 0.0 && min >= 1 && cap >= min);
-    if cap == min {
-        return min;
-    }
-    // Inverse-CDF for the continuous bounded Pareto, then floor.
-    let u: f64 = rng.gen_range(0.0..1.0);
-    let l = (min as f64).powf(-alpha);
-    let h = (cap as f64 + 1.0).powf(-alpha);
-    let x = (l - u * (l - h)).powf(-1.0 / alpha);
-    (x as u64).clamp(min, cap)
 }
 
 #[cfg(test)]
@@ -138,29 +119,5 @@ mod tests {
     #[should_panic(expected = "at least one rank")]
     fn zero_ranks_panic() {
         let _ = ZipfSampler::new(0, 1.0);
-    }
-
-    #[test]
-    fn pareto_bounds_and_tail() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut max_seen = 0;
-        let mut sum = 0u64;
-        let n = 50_000;
-        for _ in 0..n {
-            let x = pareto_u64(&mut rng, 1.25, 1, 1500);
-            assert!((1..=1500).contains(&x));
-            max_seen = max_seen.max(x);
-            sum += x;
-        }
-        // Heavy tail: some large values occur, but the mean stays small.
-        assert!(max_seen > 300, "max {max_seen}");
-        let mean = sum as f64 / n as f64;
-        assert!((1.5..20.0).contains(&mean), "mean {mean}");
-    }
-
-    #[test]
-    fn pareto_degenerate_range() {
-        let mut rng = StdRng::seed_from_u64(4);
-        assert_eq!(pareto_u64(&mut rng, 1.0, 5, 5), 5);
     }
 }

@@ -128,21 +128,4 @@ proptest! {
         prop_assert_eq!(parsed.requests.len(), records.len());
         prop_assert!(parsed.check().is_ok(), "{:?}", parsed.check());
     }
-
-    /// Session partitioning conserves requests for any session count.
-    #[test]
-    fn sessions_conserve_requests(seed in 0u64..200, n in 1u32..12) {
-        let u = universe();
-        let mut spec = LogSpec::tiny("s", seed);
-        spec.total_requests = 1_000;
-        spec.target_clients = 50;
-        let log = generate(&u, &spec);
-        let sessions = log.sessions(n);
-        prop_assert_eq!(sessions.len(), n as usize);
-        let total: usize = sessions.iter().map(|s| s.requests.len()).sum();
-        prop_assert_eq!(total, log.requests.len());
-        for s in &sessions {
-            prop_assert!(s.check().is_ok());
-        }
-    }
 }

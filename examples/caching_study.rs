@@ -10,7 +10,7 @@
 //! approach fragments organizations, so it under-reports the benefit of
 //! caching — the paper's central warning to simulation studies.
 
-use netclust::core::Clustering;
+use netclust::core::{Assigner, Clustering};
 use netclust::netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
 use netclust::weblog::clf;
 use netclust_cachesim::{sweep_cache_sizes, SimConfig};
@@ -43,9 +43,9 @@ fn main() {
 
     // The study: identical trace, three clustering granularities.
     let clusterings = [
-        Clustering::network_aware(&parsed, &merged),
-        Clustering::simple24(&parsed),
-        Clustering::classful(&parsed),
+        Clustering::by(&parsed, Assigner::NetworkAware(&merged.compile())),
+        Clustering::by(&parsed, Assigner::Simple24),
+        Clustering::by(&parsed, Assigner::Classful),
     ];
     let sizes: Vec<u64> = vec![256 << 10, 1 << 20, 4 << 20, 16 << 20];
     println!("\nserver-side hit ratio by per-proxy cache size:");

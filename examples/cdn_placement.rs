@@ -10,7 +10,7 @@
 //! of each, group proxies by shared upstream into proxy clusters, and
 //! quantify the benefit with the trace-driven cache simulation.
 
-use netclust::core::{threshold_busy, Clustering};
+use netclust::core::{threshold_busy, Assigner, Clustering};
 use netclust::netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
 use netclust_cachesim::{simulate, SimConfig};
 use netclust_experiments::network_clusters;
@@ -28,7 +28,7 @@ fn main() {
 
     // Step 1: cluster clients and keep the busy clusters that cover 70 %
     // of all requests.
-    let clustering = Clustering::network_aware(&log, &merged);
+    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
     let busy = threshold_busy(&clustering, 0.7);
     println!(
         "{} clusters; {} busy ones cover 70% of {} requests (threshold {} reqs/cluster)",

@@ -9,7 +9,7 @@
 //! build routing tables, merge them, cluster a log by longest-prefix
 //! match, compare against the naive /24 grouping, and validate a sample.
 
-use netclust::core::Clustering;
+use netclust::core::{Assigner, Clustering};
 use netclust::netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
 use netclust_experiments::{validate, SamplePlan};
 
@@ -48,13 +48,17 @@ fn main() {
     );
 
     // 4. Network-aware clustering: longest-prefix match per client.
-    let clustering = Clustering::network_aware(&log, &merged);
+    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
     println!(
         "network-aware: {} clusters, {:.2}% of clients clustered",
         clustering.len(),
         clustering.coverage() * 100.0
     );
-    let largest = clustering.largest_by_clients().expect("non-empty log");
+    let largest = clustering
+        .clusters
+        .iter()
+        .max_by_key(|c| c.client_count())
+        .expect("non-empty log");
     println!(
         "largest cluster: {} with {} clients, {} requests, {} unique URLs",
         largest.prefix,
@@ -64,7 +68,7 @@ fn main() {
     );
 
     // 5. The simple /24 baseline fragments administrative domains.
-    let simple = Clustering::simple24(&log);
+    let simple = Clustering::by(&log, Assigner::Simple24);
     println!(
         "simple /24:    {} clusters ({:.1}x more than network-aware)",
         simple.len(),

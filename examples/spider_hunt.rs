@@ -10,7 +10,7 @@
 //! burstiness, and User-Agent diversity. Finally it strips the spider and
 //! shows how the busy-cluster ranking changes.
 
-use netclust::core::{threshold_busy, ClientClass, Clustering};
+use netclust::core::{threshold_busy, Assigner, ClientClass, Clustering};
 use netclust::netgen::{
     generate, standard_merged, LogSpec, ProxySpec, SpiderSpec, Universe, UniverseConfig,
 };
@@ -35,7 +35,7 @@ fn main() {
         companions: 1,
     }];
     let log = generate(&universe, &spec);
-    let clustering = Clustering::network_aware(&log, &merged);
+    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
 
     let config = AnomalyConfig {
         min_requests: 5_000,
@@ -87,7 +87,10 @@ fn main() {
         .collect();
     let before = threshold_busy(&clustering, 0.7);
     let cleaned = strip_clients(&log, &spiders);
-    let after = threshold_busy(&Clustering::network_aware(&cleaned, &merged), 0.7);
+    let after = threshold_busy(
+        &Clustering::by(&cleaned, Assigner::NetworkAware(&merged.compile())),
+        0.7,
+    );
     println!(
         "\nbusy clusters before stripping spiders: {} (threshold {}), after: {} (threshold {})",
         before.busy.len(),

@@ -4,6 +4,28 @@
 //! `netclust` CLI drives (`synth`, `--bgp-feed synth:`). See the README for
 //! an overview and `netclust_core` for the clustering pipeline itself; the
 //! paper's studies of it are `netclust-experiments` and `netclust-cachesim`.
+//!
+//! Cluster any log against any prefix table (the README's minimal API
+//! usage, which `tests/cli.rs` holds equal to this block):
+//!
+//! ```no_run
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! use netclust::core::RunConfig;
+//! use netclust::rtable::{MergedTable, RoutingTable, TableKind};
+//! use netclust::weblog::chunk::LogData;
+//!
+//! // Map a real Apache log, parse a BGP table dump, then cluster.
+//! let data = LogData::open("access.log")?;
+//! let (table, _bad) = RoutingTable::parse("RouteViews", "2000-01-01", TableKind::Bgp,
+//!                                         &std::fs::read_to_string("bgp.txt")?);
+//! let merged = MergedTable::merge([&table]);
+//! let report = RunConfig::new().pipeline(&merged.compile()).run_log(&data)?;
+//! for cluster in report.clustering.clusters.iter().take(10) {
+//!     println!("{}: {} clients, {} requests", cluster.prefix, cluster.client_count(), cluster.requests);
+//! }
+//! # Ok(())
+//! # }
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

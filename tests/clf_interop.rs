@@ -2,7 +2,7 @@
 //! serialized to CLF and re-parsed must produce the same clustering and
 //! caching results — so the pipeline works identically on real logs.
 
-use netclust::core::Clustering;
+use netclust::core::{Assigner, Clustering};
 use netclust::netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
 use netclust::weblog::{clf, Log};
 use netclust_cachesim::{simulate, SimConfig};
@@ -30,8 +30,8 @@ fn clf_roundtrip_preserves_analysis_results() {
     assert_eq!(bytes(&parsed), bytes(&original));
 
     // Clustering is identical cluster-for-cluster.
-    let c_orig = Clustering::network_aware(&original, &merged);
-    let c_parsed = Clustering::network_aware(&parsed, &merged);
+    let c_orig = Clustering::by(&original, Assigner::NetworkAware(&merged.compile()));
+    let c_parsed = Clustering::by(&parsed, Assigner::NetworkAware(&merged.compile()));
     assert_eq!(c_orig.len(), c_parsed.len());
     for (a, b) in c_orig.clusters.iter().zip(&c_parsed.clusters) {
         assert_eq!(a.prefix, b.prefix);
@@ -78,7 +78,7 @@ fn handcrafted_clf_runs_through_the_pipeline() {
         ],
     );
     let merged = MergedTable::merge([&table]);
-    let clustering = Clustering::network_aware(&log, &merged);
+    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
     assert_eq!(clustering.len(), 2);
     assert_eq!(clustering.clusters[0].client_count(), 3);
     assert_eq!(clustering.clusters[1].client_count(), 2);

@@ -3,18 +3,18 @@
 //! file-based workflow a downstream user runs.
 
 use std::io::{BufRead, BufReader, Read};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+
+mod common;
+use common::TempDir;
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_netclust")
 }
 
-fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("netclust-cli-test-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
+fn tmpdir(name: &str) -> TempDir {
+    TempDir::new(&format!("netclust-cli-test-{name}"))
 }
 
 #[test]
@@ -79,7 +79,6 @@ fn synth_then_cluster_roundtrip() {
         stdout.lines().any(|l| l.contains('/') && l.contains('.')),
         "{stdout}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -100,7 +99,6 @@ fn cluster_simple_method_needs_no_tables() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("clusters"), "{stdout}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -159,7 +157,6 @@ fn synth_refuses_more_clients_than_the_universe_holds() {
     let room: u64 = room.parse().expect("a client count");
     assert!((2_000..15_000).contains(&room), "{stderr}");
     assert!(!dir.exists(), "a refused synth left {dir_arg} behind");
-    let _ = std::fs::remove_dir_all(&parent);
 }
 
 /// A reader that goes away (`| head`) stops either sub-command cleanly:
@@ -167,7 +164,7 @@ fn synth_refuses_more_clients_than_the_universe_holds() {
 #[test]
 fn a_closed_stdout_pipe_is_a_clean_stop() {
     let dir = tmpdir("pipe");
-    let synth = |out: &PathBuf| {
+    let synth = |out: &Path| {
         let mut cmd = Command::new(bin());
         cmd.args(["synth", "--out"]).arg(out);
         // 6 000 clients are some 2 500 /24s: 2 000 rows are ≈ 100 kB, more
@@ -198,7 +195,6 @@ fn a_closed_stdout_pipe_is_a_clean_stop() {
         assert_eq!(status.code(), Some(0), "{cmd:?}: {stderr}");
         assert!(stderr.is_empty(), "{cmd:?}: {stderr}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A numeric flag whose value does not parse is a usage error naming the
@@ -311,7 +307,6 @@ fn metrics_snapshot_is_deterministic_and_trace_prints_spans() {
     assert!(String::from_utf8_lossy(&stdout).contains("ingest.run/parse"));
     assert!(json.contains("\"ingest.lines\""), "{json}");
     assert!(!json.contains("ingest.shard"), "{json}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -327,7 +322,6 @@ fn missing_table_file_names_the_file() {
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("/nonexistent/table.bgp"), "{stderr}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -372,7 +366,6 @@ fn error_budget_and_quarantine() {
     assert_eq!(out.status.code(), Some(0), "{:?}", out);
     let quarantined = std::fs::read_to_string(&q_path).expect("quarantine written");
     assert_eq!(quarantined, "utter garbage line\nmore garbage\n");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `--max-error-rate` is a fraction from 0 to 1 and nothing else: NaN, a
@@ -408,7 +401,6 @@ fn max_error_rate_outside_zero_to_one_is_a_usage_error() {
         assert_eq!(out.status.code(), Some(2), "{rate}: {stderr}");
         assert!(stderr.contains("--max-error-rate"), "{rate}: {stderr}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -501,7 +493,6 @@ fn resume_without_valid_snapshot_exits_four() {
     assert_eq!(out.status.code(), Some(4), "{:?}", out);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unrecoverable"), "{stderr}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The rows of one sub-command as `netclust --help` prints them: (name,
@@ -597,6 +588,21 @@ fn help_is_generated_and_the_readme_quotes_it() {
     assert!(
         readme.contains(&format!("```text\n{help}```")),
         "README.md Command line: paste the output of `netclust --help`"
+    );
+    // The API example is the facade's doctest, which compiles it.
+    let docs: String = include_str!("../src/lib.rs")
+        .lines()
+        .filter_map(|line| line.strip_prefix("//!"))
+        .filter(|line| !line.starts_with(" # "))
+        .map(|line| format!("{}\n", line.strip_prefix(' ').unwrap_or(line)))
+        .collect();
+    let example = readme
+        .split("```rust\n")
+        .nth(1)
+        .and_then(|b| b.split("```").next());
+    assert!(
+        docs.contains(&format!("```no_run\n{}```", example.expect("a rust block"))),
+        "README.md Minimal API usage: paste the doctest of src/lib.rs"
     );
 }
 
@@ -728,5 +734,4 @@ fn constraint_messages_are_unchanged() {
     assert!(std::fs::read_to_string(&m)
         .expect("metrics")
         .contains("\"ingest.malformed\": 1"));
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -99,7 +99,11 @@ fn a_patch_batch_reads_only_its_prefixes_clients_and_the_tail() {
     let extra = 1_000u32;
     for clients in [0u32, 40_000, 380_000] {
         let mut stream = StreamingClustering::builder(merged(&prefixes))
-            .swap_policy(SwapPolicy::permissive())
+            .swap_policy(SwapPolicy {
+                min_entries: 0,
+                max_noise_ratio: 1.0,
+                min_coverage_retention: 0.0,
+            })
             .build();
         let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ u64::from(clients);
         let mut place = |stream: &mut StreamingClustering| {

@@ -11,7 +11,6 @@ use std::fmt::Write as _;
 use std::fs::{self, OpenOptions};
 use std::io::Write as _;
 use std::net::Ipv4Addr;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -20,6 +19,9 @@ use netclust::core::{EncodedState, FsyncPolicy, StateStore, StreamingClustering}
 use netclust::prefix::Ipv4Net;
 use netclust::rtable::{load_tables, MergedTable, RoutingTable, TableKind};
 use netclust::weblog::follow::{LogFollower, APPLY_SLICE};
+
+mod common;
+use common::TempDir;
 
 /// Bytes allocated and not yet freed, and the most that has been.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -96,33 +98,6 @@ const ADDRESS_MAP_BYTES: usize = 4 * ((1 << 16) + 1) + 2 * (1 << 14);
 /// holds it, its address gap and its counts' varints (≈ 5 bytes here;
 /// the room is made for 6 with a 1/64 margin for late arrivals).
 const SNAPSHOT_BYTES_PER_CLIENT: usize = 6;
-
-/// A fresh directory under the temp dir, removed with what it holds when
-/// dropped: at the end of the test that made it, or as its panic unwinds.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
-
-impl std::ops::Deref for TempDir {
-    type Target = Path;
-
-    fn deref(&self) -> &Path {
-        &self.0
-    }
-}
 
 fn clf_line(out: &mut String, addr: u32, bytes: u32) {
     let addr = Ipv4Addr::from(addr);

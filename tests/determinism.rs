@@ -2,7 +2,7 @@
 //! seeds. Two independent reconstructions of the whole world must agree
 //! bit-for-bit on everything the experiments report.
 
-use netclust::core::Clustering;
+use netclust::core::{Assigner, Clustering};
 use netclust::netgen::{
     generate, snapshot, standard_merged, LogSpec, Universe, UniverseConfig, VantageSpec,
 };
@@ -51,8 +51,8 @@ fn clustering_and_validation_are_reproducible() {
     let (u, log) = build();
     let merged1 = standard_merged(&u, 0);
     let merged2 = standard_merged(&u, 0);
-    let c1 = Clustering::network_aware(&log, &merged1);
-    let c2 = Clustering::network_aware(&log, &merged2);
+    let c1 = Clustering::by(&log, Assigner::NetworkAware(&merged1.compile()));
+    let c2 = Clustering::by(&log, Assigner::NetworkAware(&merged2.compile()));
     assert_eq!(c1.len(), c2.len());
     for (a, b) in c1.clusters.iter().zip(&c2.clusters) {
         assert_eq!(a.prefix, b.prefix);

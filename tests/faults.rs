@@ -19,9 +19,12 @@
 
 use std::collections::BTreeMap;
 
+mod common;
+use common::TempDir;
+
 use netclust::core::{
-    failpoints, Clustering, ErrorCounts, FaultPlan, FsyncPolicy, IngestPipeline, JournalBatch,
-    StateStore, StreamingClustering, SwapRejection,
+    failpoints, Assigner, Clustering, ErrorCounts, FaultPlan, FsyncPolicy, IngestPipeline,
+    JournalBatch, StateStore, StreamingClustering, SwapRejection,
 };
 use netclust::netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
 use netclust::prefix::{unit_f64, Ipv4Net};
@@ -91,11 +94,7 @@ fn persist_faults_never_lose_or_reorder_journaled_batches_across_seeds() {
         })
         .collect();
     for &seed in &SEEDS {
-        let dir = std::env::temp_dir().join(format!(
-            "netclust-faults-persist-{seed}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new(&format!("netclust-faults-persist-{seed}"));
         let mut faults = Some(
             FaultPlan::new(seed)
                 .with(failpoints::PERSIST_JOURNAL_WRITE, 0.2)
@@ -142,7 +141,6 @@ fn persist_faults_never_lose_or_reorder_journaled_batches_across_seeds() {
             StateStore::recover(&dir, FsyncPolicy::EveryBatch).expect("final recover");
         assert_eq!(report.batches, batches, "seed={seed}");
         assert!(report.tail.is_none(), "seed={seed}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -230,7 +228,10 @@ fn swap_faults_leave_old_table_serving_across_seeds() {
         } else {
             // The view must equal a batch rebuild against the table that
             // survived the last accepted swap.
-            let batch = Clustering::network_aware(&log, &standard_merged(&u, serving_day));
+            let batch = Clustering::by(
+                &log,
+                Assigner::NetworkAware(&standard_merged(&u, serving_day).compile()),
+            );
             assert_eq!(stream.len(), batch.len(), "seed={seed}");
             let view: BTreeMap<Ipv4Net, u64> = (stream.top_k(usize::MAX).into_iter())
                 .map(|(prefix, s)| (prefix, s.requests))
@@ -249,7 +250,7 @@ fn swap_faults_leave_old_table_serving_across_seeds() {
 fn self_correction_converges_across_seeds() {
     let (u, log) = setup();
     let merged = standard_merged(&u, 0);
-    let clustering = Clustering::network_aware(&log, &merged);
+    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
     let clean = self_correct(&u, &log, &clustering, &CorrectionConfig::default());
     let clean_len = clean.clustering.len() as f64;
     for &seed in &SEEDS {

@@ -10,6 +10,9 @@ use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::net::Ipv4Addr;
 
+mod common;
+use common::TempDir;
+
 use netclust::core::{Assigner, IngestPipeline};
 use netclust::rtable::{MergedTable, RoutingTable, TableKind};
 use netclust::weblog::chunk::LogData;
@@ -30,8 +33,7 @@ fn vm_hwm() -> u64 {
 
 #[test]
 fn clustering_a_mapped_log_does_not_hold_it() {
-    let dir = std::env::temp_dir().join(format!("netclust-rss-{}", std::process::id()));
-    fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("netclust-rss");
     let path = dir.join("access.log");
 
     // 4 096 clients under two /16s, 512 urls, streamed to disk line by
@@ -93,5 +95,4 @@ fn clustering_a_mapped_log_does_not_hold_it() {
         log.len()
     );
     drop(log);
-    fs::remove_dir_all(&dir).ok();
 }

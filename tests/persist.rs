@@ -11,6 +11,9 @@
 
 use std::path::Path;
 
+mod common;
+use common::TempDir;
+
 use netclust::core::persist::codec::{
     decode_frame, decode_header, encode_frame, encode_header, FILE_JOURNAL, FILE_SNAPSHOT,
     HEADER_BYTES, REC_BATCH, REC_STATE,
@@ -213,12 +216,12 @@ fn restorable(mut state: StreamState) -> StreamState {
     state
 }
 
-/// The snapshot file `write` leaves in a fresh store under `dir`.
+/// The snapshot file `write` leaves in a fresh store under `dir`, which
+/// does not exist yet.
 fn snapshot_file(
     dir: &Path,
     write: impl FnOnce(&mut StateStore) -> Result<u64, PersistError>,
 ) -> Vec<u8> {
-    let _ = std::fs::remove_dir_all(dir);
     let mut store = StateStore::create(dir, FsyncPolicy::Os).expect("create store");
     let generation = write(&mut store).expect("checkpoint");
     std::fs::read(store.snapshot_path(generation)).expect("snapshot file")
@@ -289,14 +292,18 @@ proptest! {
     ) {
         let state = restorable(state);
         let mut stream =
-            StreamingClustering::restore(&state, SwapPolicy::permissive(), Obs::disabled())
+            StreamingClustering::restore(&state, SwapPolicy {
+                min_entries: 0,
+                max_noise_ratio: 1.0,
+                min_coverage_retention: 0.0,
+            }, Obs::disabled())
                 .expect("a restorable state");
         push_shuffled(&mut stream, &state, &pushes);
         if patch {
             stream.apply_deltas(&batch.deltas);
         }
         let exported = stream.export_state();
-        let dir = std::env::temp_dir().join(format!("netclust-codec-eq-{}", std::process::id()));
+        let dir = TempDir::new("netclust-codec-eq");
         let (by_export, by_encode) = (dir.join("export"), dir.join("encode"));
         let exported_bytes = snapshot_file(&by_export, |store| store.checkpoint(&exported));
         let encoded_bytes =
@@ -308,7 +315,6 @@ proptest! {
             let (_, recovered, _) = StateStore::recover(from, FsyncPolicy::Os).expect("recover");
             prop_assert_eq!(&recovered, &exported);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Any payload of any record kind comes back bit-for-bit.

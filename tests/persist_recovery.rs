@@ -17,6 +17,9 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+mod common;
+use common::TempDir;
+
 use netclust::bgpsim::{DeltaBatch, DeltaStream, DeltaStreamConfig};
 use netclust::core::persist::codec::{decode_header, FORMAT_VERSION, HEADER_BYTES};
 use netclust::core::{
@@ -34,14 +37,8 @@ const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 0xBEEF, 0xFA17];
 /// `persist.snapshot.rename` seam) actually fire during a 30-batch feed.
 const COMPACT: u64 = 1024;
 
-fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "netclust-persist-test-{name}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
+fn tmpdir(name: &str) -> TempDir {
+    TempDir::new(&format!("netclust-persist-test-{name}"))
 }
 
 fn setup() -> (Universe, Vec<u8>, Vec<DeltaBatch>) {
@@ -189,7 +186,6 @@ fn crash_point_sweep_recovers_to_reference() {
             let mut norm = persisted.clone();
             norm.feed_pos = 0;
             assert_eq!(norm, reference, "point={point} seed={seed}");
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
@@ -246,7 +242,6 @@ fn torn_journal_tail_truncates_to_valid_prefix() {
         assert_eq!(again.batches.len(), report.batches.len(), "cut={cut}");
         assert!(again.tail.is_none(), "cut={cut}: tail survived truncation");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -276,7 +271,6 @@ fn bit_flipped_journal_replays_only_the_valid_prefix() {
         // have truncated the file).
         std::fs::write(&path, &pristine).expect("restore journal");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The two policies that do not fsync every append, one body over both:
@@ -358,7 +352,6 @@ fn relaxed_fsync_policies_sync_on_schedule_and_recover_prefix_exact() {
         let (_store, _state, report) = StateStore::recover(&dir, policy).expect("recover");
         assert_eq!(report.batches.len(), APPENDS, "{spelling}");
         assert!(report.tail.is_none(), "{spelling}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -432,7 +425,6 @@ fn corrupt_newest_snapshot_falls_back_one_generation() {
         Err(PersistError::Unrecoverable { .. }) => {}
         other => panic!("expected Unrecoverable, got {other:?}"),
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A checkpoint that fails after its snapshot was renamed into place has
@@ -496,7 +488,6 @@ fn a_checkpoint_failing_past_its_rename_refuses_appends_until_the_next() {
     drop(store);
     let (_, _, report) = StateStore::recover(&dir, FsyncPolicy::Os).expect("recover");
     assert_eq!(report.batches, [batch]);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The committed state dir in `tests/data/v1-state/state`, written in
@@ -506,7 +497,7 @@ fn a_checkpoint_failing_past_its_rename_refuses_appends_until_the_next() {
 /// --crash-after-batch 3` run in that directory: the base snapshot and a
 /// journal of the feed's first three batches. Copied into a fresh `name`
 /// directory, since recovering writes to it.
-fn v1_state_dir(name: &str) -> (PathBuf, PathBuf) {
+fn v1_state_dir(name: &str) -> (PathBuf, TempDir) {
     let inputs = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/v1-state");
     let dir = tmpdir(name);
     for file in ["snapshot-000001.snap", "journal-000001.wal"] {
@@ -567,9 +558,7 @@ fn a_version_one_state_dir_recovers_and_is_rewritten_in_the_current_form() {
         let into = tmpdir(name);
         let mut store = StateStore::create(&into, FsyncPolicy::Os).expect("create store");
         let generation = write(&mut store).expect("checkpoint");
-        let bytes = std::fs::read(store.snapshot_path(generation)).expect("snapshot file");
-        let _ = std::fs::remove_dir_all(&into);
-        bytes
+        std::fs::read(store.snapshot_path(generation)).expect("snapshot file")
     };
     assert_eq!(
         snapshot("v1-encode", &|store| store.checkpoint_encoded(
@@ -619,7 +608,6 @@ fn a_version_one_state_dir_recovers_and_is_rewritten_in_the_current_form() {
             "snapshot-000003.snap"
         ]
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -654,7 +642,7 @@ fn a_snapshot_encoded_from_the_stream_is_the_exported_one() {
         let bytes = std::fs::read(store.snapshot_path(generation)).expect("snapshot file");
         (dir, bytes)
     };
-    let (export_dir, by_export) = file("by-export", &|store| store.checkpoint(&exported));
+    let (_export_dir, by_export) = file("by-export", &|store| store.checkpoint(&exported));
     let (dir, by_encode) = file("by-encode", &|store| {
         let room = EncodedState::with_room(stream.client_count());
         store.checkpoint_encoded(stream.encode_state(room))
@@ -664,8 +652,6 @@ fn a_snapshot_encoded_from_the_stream_is_the_exported_one() {
     // And it is that state: the file recovers to the export.
     let (_, recovered, _) = StateStore::recover(&dir, FsyncPolicy::Os).expect("recover");
     assert_eq!(recovered, exported);
-    let _ = std::fs::remove_dir_all(&export_dir);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -770,7 +756,6 @@ fn process_kill_and_restart_matches_uninterrupted_run() {
     let want = std::fs::read(newest(&ref_state)).expect("read reference snapshot");
     let got = std::fs::read(newest(&crash_state)).expect("read recovered snapshot");
     assert_eq!(want, got, "final snapshot bytes diverged");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The binary across the format change: `--resume` from the version-1
@@ -803,8 +788,8 @@ fn netclust_resumes_a_version_one_state_dir_byte_identically() {
         assert!(out.status.success(), "resume={resume}: {stderr}");
         (out.stdout, stderr)
     };
-    let reference = crashed.with_file_name("netclust-persist-test-v1-cli-ref");
-    let _ = std::fs::remove_dir_all(&reference);
+    let reference_dir = tmpdir("v1-cli-ref");
+    let reference = reference_dir.join("state");
     let (want, _) = run(&reference, false);
     let (got, stderr) = run(&crashed, true);
     assert!(
@@ -824,6 +809,4 @@ fn netclust_resumes_a_version_one_state_dir_byte_identically() {
         newest(&reference),
         "final snapshots differ"
     );
-    let _ = std::fs::remove_dir_all(&crashed);
-    let _ = std::fs::remove_dir_all(&reference);
 }

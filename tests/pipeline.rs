@@ -2,7 +2,7 @@
 //! universe → routing tables → server log → clustering → validation →
 //! self-correction → anomaly elimination → thresholding → cache simulation.
 
-use netclust::core::{threshold_busy, Clustering};
+use netclust::core::{threshold_busy, Assigner, Clustering};
 use netclust::netgen::{
     generate, standard_merged, LogSpec, ProxySpec, SpiderSpec, Universe, UniverseConfig,
 };
@@ -42,7 +42,7 @@ fn full_pipeline_reproduces_paper_shapes() {
     log.check().expect("generated log is well-formed");
 
     // §3.2: clustering coverage ~99.9%.
-    let clustering = Clustering::network_aware(&log, &merged);
+    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
     assert!(
         clustering.coverage() > 0.99,
         "coverage {}",
@@ -54,7 +54,7 @@ fn full_pipeline_reproduces_paper_shapes() {
     );
 
     // §2 vs §3: the simple approach fragments orgs.
-    let simple = Clustering::simple24(&log);
+    let simple = Clustering::by(&log, Assigner::Simple24);
     assert!(
         simple.len() > clustering.len(),
         "{} vs {}",
@@ -119,7 +119,7 @@ fn full_pipeline_reproduces_paper_shapes() {
 
     // ...and stripped before thresholding (§4.1.3).
     let cleaned = strip_clients(&log, &found);
-    let cleaned_clustering = Clustering::network_aware(&cleaned, &merged);
+    let cleaned_clustering = Clustering::by(&cleaned, Assigner::NetworkAware(&merged.compile()));
     let thresh = threshold_busy(&cleaned_clustering, 0.7);
     assert!(!thresh.busy.is_empty());
     assert!(thresh.busy.len() < cleaned_clustering.len());
@@ -132,7 +132,11 @@ fn full_pipeline_reproduces_paper_shapes() {
     // §4.1.5: caching — aware beats simple at equal (large) capacity.
     let cfg = SimConfig::paper(u64::MAX);
     let aware_result = simulate(&cleaned, &cleaned_clustering, &cfg);
-    let simple_result = simulate(&cleaned, &Clustering::simple24(&cleaned), &cfg);
+    let simple_result = simulate(
+        &cleaned,
+        &Clustering::by(&cleaned, Assigner::Simple24),
+        &cfg,
+    );
     assert!(
         aware_result.server_hit_ratio() >= simple_result.server_hit_ratio(),
         "aware {} vs simple {}",
@@ -165,7 +169,7 @@ fn unclustered_clients_exist_and_self_correction_absorbs_them() {
     spec.target_clients = 1_500;
     spec.total_requests = 30_000;
     let log = generate(&universe, &spec);
-    let clustering = Clustering::network_aware(&log, &merged);
+    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
     assert!(
         !clustering.unclustered.is_empty(),
         "expected some unclusterable clients with 3% unregistered orgs"

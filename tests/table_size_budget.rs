@@ -103,7 +103,7 @@ fn allocation_clustered_table_fits_the_budget() {
 #[test]
 fn churn_keeps_the_table_bounded_and_clones_independent() {
     let (base, stream) = uniform_table(0xC4A2);
-    let mut table = CompiledTable::from_prefixes(base.iter().copied());
+    let mut table = CompiledTable::tiered(&base, &[]);
     let mut live: BTreeSet<Ipv4Net> = base.iter().copied().collect();
     // 20 000 addresses spread over the whole space (golden-ratio steps).
     let random: Vec<u32> = (0..20_000u32)
@@ -128,7 +128,7 @@ fn churn_keeps_the_table_bounded_and_clones_independent() {
         }
         next_check += 1_000;
 
-        let fresh = CompiledTable::from_prefixes(live.iter().copied());
+        let fresh = CompiledTable::tiered(&live.iter().copied().collect::<Vec<_>>(), &[]);
         assert!(
             table.memory_bytes() <= 2 * fresh.memory_bytes(),
             "after {applied} deltas: {} bytes patched vs {} fresh",
@@ -188,7 +188,7 @@ fn churn_keeps_the_table_bounded_and_clones_independent() {
 fn invertible_batches_patch_in_place_and_restore_the_layout() {
     let (base, _) = uniform_table(0xB67);
     let live: BTreeSet<Ipv4Net> = base.iter().copied().collect();
-    let mut table = CompiledTable::from_prefixes(base.iter().copied());
+    let mut table = CompiledTable::tiered(&base, &[]);
     let base_nodes = table.nodes();
     // Distinct /24s (an odd multiplier permutes the 2^24 blocks) that the
     // table does not hold.
