@@ -3,6 +3,8 @@
 //! guard), selective-sampling validation (§3.3's threshold idea), and
 //! real-time streaming clustering (§4).
 
+use std::collections::BTreeMap;
+
 use netclust_core::{Assigner, Clustering, ErrorCounts, StreamingClustering, SwapPolicy};
 use netclust_experiments::{
     merge_by_name_suffix, nagano_env, org_purity, pct, print_table, selective_validate, SamplePlan,
@@ -17,15 +19,17 @@ fn main() {
     // --- Suffix-based merging with and without the AS hint ----------------
     // The AS hint comes from the announcement data (origin AS per prefix),
     // exactly what real BGP dumps carry in their AS paths.
-    let origin_trie: netclust_rtable::PrefixTrie<u32> = universe
+    let origins: BTreeMap<Ipv4Net, u32> = universe
         .announcements(0)
         .into_iter()
         .map(|a| (a.prefix, a.as_id))
         .collect();
+    let origin_trie: netclust_rtable::PrefixTrie<u32> =
+        origins.iter().map(|(&p, &asn)| (p, asn)).collect();
     // Origin AS of a cluster prefix: exact announcement, or the covering
     // one (registry-derived prefixes are not announced verbatim).
     let origin_of = |p: Ipv4Net| -> Option<u32> {
-        origin_trie.get(p).copied().or_else(|| {
+        origins.get(&p).copied().or_else(|| {
             origin_trie
                 .longest_match_u32(p.addr_u32())
                 .map(|(_, &asn)| asn)

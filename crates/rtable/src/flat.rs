@@ -53,7 +53,6 @@ use netclust_obs::{Counter, Obs};
 use netclust_prefix::Ipv4Net;
 
 use crate::table::{MatchSource, MergedTable};
-use crate::trie::PrefixTrieIter;
 
 /// Lookup accounting (`lpm.*`). Disabled (no-op) by default;
 /// [`CompiledTable::attach_obs`] resolves live handles. Counting happens
@@ -366,6 +365,20 @@ fn key_slot(key: u64) -> u32 {
     u32::try_from(key & 0xFFFF_FFFF).unwrap_or(0)
 }
 
+/// Sorts `tier` and moves its distinct prefixes to the front, in order;
+/// returns how many there are.
+fn sort_unique(tier: &mut [Ipv4Net]) -> usize {
+    tier.sort_unstable();
+    let mut kept = 0usize;
+    for read in 0..tier.len() {
+        if tier.get(read) != kept.checked_sub(1).and_then(|last| tier.get(last)) {
+            tier.swap(kept, read);
+            kept += 1;
+        }
+    }
+    kept
+}
+
 /// Number of runs of equal values in 256 positions.
 fn runs(vals: &[u32; 256]) -> usize {
     vals.chunk_by(|a, b| a == b).count()
@@ -448,30 +461,30 @@ pub struct CompiledTable {
     /// Arena entries of the registry tier: handles below it are registry
     /// matches.
     pub(crate) dump_len: u32,
-    /// The BGP part of `prefixes` was compiled strictly increasing, so
-    /// until a patch it is its own live set in order (a [`MergedTable`]
-    /// tier is).
-    sorted: bool,
-    /// Incremental-update bookkeeping (shadow trie, free handles); built
-    /// by the first [`apply_delta`](Self::apply_delta) call.
+    /// Incremental-update bookkeeping (the live BGP map, free handles);
+    /// built by the first [`apply_delta`](Self::apply_delta) call.
     pub(crate) patch: Option<Box<crate::patch::PatchState>>,
     /// Lookup accounting (no-op unless attached).
     obs: TableObs,
 }
 
 impl CompiledTable {
-    /// Compiles both tiers: `bgp` in any order, over `dump`, which a BGP
-    /// match always wins against. This is [`MergedTable::compile`]; a
-    /// snapshot's per-tier lists are recompiled through it too.
+    /// Compiles both tiers: `bgp` in any order, over `dump` in any order,
+    /// which a BGP match always wins against; duplicates collapse. This is
+    /// [`MergedTable::compile`]; a snapshot's per-tier lists are
+    /// recompiled through it too.
     pub fn tiered(bgp: &[Ipv4Net], dump: &[Ipv4Net]) -> Self {
+        // Each tier is sorted and deduplicated where it lies in the arena,
+        // so the build holds one list: a patch binary-searches the
+        // registry tier and bulk-builds its live map from the BGP tier.
         let mut arena = Vec::with_capacity(bgp.len() + dump.len());
         arena.extend_from_slice(dump);
-        // A patch that uncovers the registry tier binary-searches it.
-        arena.sort_unstable();
-        arena.dedup();
-        let dump_len = u32::try_from(arena.len()).unwrap_or(NODE_FLAG - 1);
+        let dump_len = sort_unique(&mut arena);
+        arena.truncate(dump_len);
         arena.extend_from_slice(bgp);
-        Self::build(arena, dump_len)
+        let bgp_len = sort_unique(arena.get_mut(dump_len..).unwrap_or_default());
+        arena.truncate(dump_len + bgp_len);
+        Self::build(arena, u32::try_from(dump_len).unwrap_or(NODE_FLAG - 1))
     }
 
     /// Compiles `prefixes`, of which the first `dump_len` are the registry
@@ -485,11 +498,9 @@ impl CompiledTable {
             dead_cells: 0,
             prefixes,
             dump_len,
-            sorted: false,
             patch: None,
             obs: TableObs::default(),
         };
-        table.sorted = table.bgp_arena().is_sorted_by(|a, b| a < b);
         debug_assert!(
             u32::try_from(table.prefixes.len()).is_ok_and(|n| n < NODE_FLAG - 1),
             "every slot (handle + 1) must stay below NODE_FLAG"
@@ -509,8 +520,9 @@ impl CompiledTable {
             .unwrap_or_default()
     }
 
-    /// The BGP tier's part of the arena, dead entries included.
-    fn bgp_arena(&self) -> &[Ipv4Net] {
+    /// The BGP tier's part of the arena: strictly increasing as compiled;
+    /// after a patch, in no order and with dead entries.
+    pub(crate) fn bgp_arena(&self) -> &[Ipv4Net] {
         self.prefixes
             .get(self.dump_len as usize..)
             .unwrap_or_default()
@@ -809,19 +821,10 @@ impl CompiledTable {
     /// starts there.
     pub fn handle_of(&self, prefix: Ipv4Net) -> Option<Handle> {
         let bgp = match &self.patch {
-            Some(state) => state.trie.get(prefix).copied(),
-            None => {
-                // As compiled: strictly increasing, or in any order with
-                // the last copy of a duplicate the one painted.
-                let arena = self.bgp_arena();
-                let at = if self.sorted {
-                    arena.binary_search(&prefix).ok()
-                } else {
-                    arena.iter().rposition(|p| *p == prefix)
-                };
-                at.and_then(|i| u32::try_from(i).ok())
-                    .map(|i| self.dump_len + i)
-            }
+            Some(state) => state.live.get(&prefix).copied(),
+            None => (self.bgp_arena().binary_search(&prefix).ok())
+                .and_then(|i| u32::try_from(i).ok())
+                .map(|i| self.dump_len + i),
         };
         let dump = || self.dump_arena().binary_search(&prefix).ok();
         bgp.or_else(|| dump().and_then(|i| u32::try_from(i).ok()))
@@ -897,37 +900,29 @@ impl CompiledTable {
     }
 
     /// The BGP tier's current live prefix set, sorted: its arena part
-    /// minus withdrawn entries. Equals that part (sorted, deduplicated)
-    /// on a freshly compiled table. On a table from
-    /// [`tiered`](Self::tiered) with no registry tier that is every prefix.
+    /// minus withdrawn entries. Equals that part on a freshly compiled
+    /// table. On a table from [`tiered`](Self::tiered) with no registry
+    /// tier that is every prefix.
     pub fn live_prefixes(&self) -> Vec<Ipv4Net> {
         self.live_iter().collect()
     }
 
     /// [`live_prefixes`](Self::live_prefixes) without the vector: the
-    /// arena itself while it is unpatched and was compiled in order, the
-    /// patch layer's shadow trie in order once the table is patched. Only
-    /// an unpatched arena compiled out of order is copied, to be sorted.
+    /// arena itself while it is unpatched (the compile sorted it), the
+    /// patch layer's live map in order once the table is patched.
     pub fn live_iter(&self) -> LivePrefixes<'_> {
         LivePrefixes(match &self.patch {
-            Some(state) => Live::Trie(state.trie.iter(), state.trie.len()),
-            None if self.sorted => Live::Arena(self.bgp_arena().iter()),
-            None => {
-                let mut copy = self.bgp_arena().to_vec();
-                copy.sort_unstable();
-                copy.dedup();
-                Live::Copied(copy.into_iter())
-            }
+            Some(state) => Live::Map(state.live.keys()),
+            None => Live::Arena(self.bgp_arena().iter()),
         })
     }
 
-    /// Number of live prefixes, both tiers. Before any patch this is the
-    /// arena length (duplicates included, matching what was compiled in);
-    /// after the patch layer initializes it counts the BGP tier
-    /// deduplicated.
+    /// Number of live prefixes, both tiers, each counted once per tier
+    /// (the compile collapsed duplicates): the arena length before any
+    /// patch, the registry tier and the live map after.
     pub fn len(&self) -> usize {
         match &self.patch {
-            Some(state) => self.dump_arena().len() + state.trie.len(),
+            Some(state) => self.dump_arena().len() + state.live.len(),
             None => self.prefixes.len(),
         }
     }
@@ -957,8 +952,8 @@ impl CompiledTable {
 
     /// Lookup-side memory footprint in bytes: every array a lookup or a
     /// patch of the layout touches, free list and dead cells included.
-    /// The shadow trie the first [`apply_delta`](Self::apply_delta)
-    /// builds is not counted.
+    /// The live map the first [`apply_delta`](Self::apply_delta) builds
+    /// is not counted.
     pub fn memory_bytes(&self) -> usize {
         self.root.len() * 4
             + self.small.bytes()
@@ -986,9 +981,7 @@ pub struct LivePrefixes<'a>(Live<'a>);
 
 enum Live<'a> {
     Arena(std::slice::Iter<'a, Ipv4Net>),
-    /// The shadow trie's in-order walk and how many prefixes it has left.
-    Trie(PrefixTrieIter<'a, u32>, usize),
-    Copied(std::vec::IntoIter<Ipv4Net>),
+    Map(std::collections::btree_map::Keys<'a, Ipv4Net, u32>),
 }
 
 impl Iterator for LivePrefixes<'_> {
@@ -997,20 +990,14 @@ impl Iterator for LivePrefixes<'_> {
     fn next(&mut self) -> Option<Ipv4Net> {
         match &mut self.0 {
             Live::Arena(arena) => arena.next().copied(),
-            Live::Trie(walk, left) => {
-                let (net, _) = walk.next()?;
-                *left = left.saturating_sub(1);
-                Some(net)
-            }
-            Live::Copied(copy) => copy.next(),
+            Live::Map(keys) => keys.next().copied(),
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         let left = match &self.0 {
             Live::Arena(arena) => arena.len(),
-            Live::Trie(_, left) => *left,
-            Live::Copied(copy) => copy.len(),
+            Live::Map(keys) => keys.len(),
         };
         (left, Some(left))
     }
@@ -1164,7 +1151,7 @@ mod tests {
     }
 
     /// `handle_of` names the entry a match ending on the prefix yields,
-    /// compiled sorted or not and patched, where a lookup of the prefix's
+    /// compiled from any order and patched, where a lookup of the prefix's
     /// address may land on a longer prefix.
     #[test]
     fn handle_of_names_the_entry_a_match_on_the_prefix_ends_on() {
@@ -1205,68 +1192,36 @@ mod tests {
         );
         assert_eq!(of(&t, "10.3.0.0/16"), t.lookup_handle(a("10.3.0.1")));
         assert_eq!(of(&t, "10.1.0.0/16"), t.lookup_handle(a("10.1.0.1")));
-        // Unsorted, with a duplicate: the last copy is the one painted.
+        // Unsorted, with a duplicate: the compile keeps one entry, in
+        // order, and that is the one painted.
         let t = CompiledTable::tiered(
             &[net("10.0.0.0/16"), net("9.0.0.0/8"), net("10.0.0.0/16")],
             &[],
         );
+        assert_eq!(t.prefixes(), [net("9.0.0.0/8"), net("10.0.0.0/16")]);
         assert_eq!(of(&t, "10.0.0.0/16"), t.lookup_handle(a("10.0.0.1")));
-        assert_eq!(of(&t, "10.0.0.0/16").index(), Some(2));
+        assert_eq!(of(&t, "10.0.0.0/16").index(), Some(1));
     }
 
+    /// The two shapes `live_iter` walks — the arena, which the compile
+    /// sorted and deduplicated whatever order it was given, and a patched
+    /// table's live map — list the live set ascending, and say how many
+    /// are left as they go.
     #[test]
-    fn arena_keeps_input_order() {
-        let t = CompiledTable::tiered(
-            &[
-                net("12.0.0.0/8"),
-                net("24.48.2.128/25"),
-                net("10.0.0.0/24"),
-                net("24.48.2.192/32"),
-            ],
-            &[],
-        );
-        // One slot width for every length: nothing reorders the arena.
-        let lens: Vec<u8> = t.prefixes().iter().map(|p| p.len()).collect();
-        assert_eq!(lens, vec![8, 25, 24, 32]);
-        // Handles still resolve to the right prefix.
-        assert_eq!(t.lookup(a("24.48.2.192")), Some(net("24.48.2.192/32")));
-        assert_eq!(t.lookup(a("24.48.2.129")), Some(net("24.48.2.128/25")));
-        assert_eq!(t.lookup(a("12.9.9.9")), Some(net("12.0.0.0/8")));
-        assert_eq!(t.lookup(a("10.0.0.7")), Some(net("10.0.0.0/24")));
-    }
-
-    #[test]
-    fn duplicate_prefixes_keep_arena_entries_and_one_chunk() {
-        let t = CompiledTable::tiered(
-            &[net("10.0.0.64/26"), net("10.0.0.64/26"), net("10.0.0.0/24")],
-            &[],
-        );
-        assert_eq!(t.len(), 3, "duplicates keep arena entries");
-        assert_eq!(t.nodes(), 2);
-        // The later copy wins the match.
-        assert_eq!(t.lookup_handle(a("10.0.0.100")).index(), Some(1));
-        assert_eq!(t.lookup(a("10.0.0.100")), Some(net("10.0.0.64/26")));
-        assert_eq!(t.lookup(a("10.0.0.1")), Some(net("10.0.0.0/24")));
-    }
-
-    /// The three shapes `live_iter` walks — an arena in order, one out of
-    /// order or with a duplicate, and a patched table's shadow trie — list
-    /// the live set ascending, and say how many are left as they go.
-    #[test]
-    fn live_iter_lists_the_live_set_in_order_with_or_without_a_copy() {
+    fn live_iter_lists_the_live_set_in_order_from_the_arena_or_the_map() {
         use crate::patch::TableDelta;
         let ordered = [net("10.0.0.0/8"), net("10.0.0.0/24"), net("12.0.0.0/8")];
         let in_order = CompiledTable::tiered(&ordered, &[]);
         assert!(matches!(in_order.live_iter().0, Live::Arena(_)));
         let shuffled = [ordered[2], ordered[0], ordered[1], ordered[0]];
         let out_of_order = CompiledTable::tiered(&shuffled, &[]);
-        assert!(matches!(out_of_order.live_iter().0, Live::Copied(_)));
+        assert!(matches!(out_of_order.live_iter().0, Live::Arena(_)));
         let mut patched = CompiledTable::tiered(&ordered, &[]);
         patched.apply_delta(&[
             TableDelta::withdraw(ordered[1]),
             TableDelta::announce(net("11.0.0.0/8")),
         ]);
-        assert!(matches!(patched.live_iter().0, Live::Trie(..)));
+        assert!(matches!(patched.live_iter().0, Live::Map(_)));
         let after_patch = [ordered[0], net("11.0.0.0/8"), ordered[2]];
         for (table, want) in [
             (&in_order, &ordered[..]),
@@ -1292,7 +1247,7 @@ mod tests {
         assert!(t.spill.is_empty());
         let expect = ROOT_LEN * 4 + 2 * 32 + 2 * std::mem::size_of::<Ipv4Net>();
         assert_eq!(t.memory_bytes(), expect);
-        assert!(t.patch.is_none(), "no shadow trie before a patch");
+        assert!(t.patch.is_none(), "no live map before a patch");
 
         // A spilled node adds its run values. Freed nodes and dead cells
         // stay counted: they are memory the table holds until it compacts.
@@ -1362,10 +1317,11 @@ mod tests {
             "10.1.2.192/26",
             "10.1.3.128/25",
             "10.1.4.128/25",
-            "10.1.2.192/26", // duplicate: same nodes, extra arena entry
+            "10.1.2.192/26", // duplicate: same nodes, one arena entry
         ];
         let t = CompiledTable::tiered(&testutil::nets(&specs), &[]);
         assert_eq!(t.nodes(), 4); // 10.1/16, then 10.1.2.x, 10.1.3.x, 10.1.4.x
+        assert_eq!(t.len(), specs.len() - 1);
         let mut trie = PrefixTrie::new();
         for n in testutil::nets(&specs) {
             trie.insert(n, ());

@@ -11,7 +11,8 @@
 //! * [`CompiledTable`] — both tiers in one cache-resident DIR-16 root +
 //!   popcount-compressed nodes: one to three array loads per lookup,
 //! * [`PrefixTrie`] — arena-allocated binary trie with longest-prefix
-//!   match (the patch layer's shadow of the live BGP set),
+//!   match (the obvious reference the tests and the benchmark's oracle
+//!   hold the compiled table to),
 //! * [`TableDelta`] / [`CompiledTable::apply_delta`] — incremental
 //!   chunk-by-chunk patching of the compiled layout from BGP update
 //!   streams.
@@ -35,4 +36,4 @@ pub use patch::{parse_feed, DeltaKind, DeltaParseError, PatchReport, TableDelta}
 // extra import.
 pub use netclust_obs::ErrorCounts;
 pub use table::{load_tables, MatchSource, MergedTable, ParseReport, RoutingTable, TableKind};
-pub use trie::{PrefixTrie, PrefixTrieIter};
+pub use trie::PrefixTrie;

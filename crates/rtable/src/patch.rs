@@ -5,15 +5,18 @@
 //! [`CompiledTable`] absorbs a delta by rebuilding only the part of the
 //! layout the prefix can reach, never the table.
 //!
-//! Deltas are BGP updates; the registry tier is static. A shadow
-//! [`PrefixTrie`] (live BGP prefix → arena handle) is the source of truth
-//! for the BGP tier, the sorted registry part of the arena for the other,
-//! and the compressed layout is a function of both, chunk by chunk:
+//! Deltas are BGP updates; the registry tier is static. Both tiers are
+//! kept in order: the registry tier as the sorted head of the arena, the
+//! BGP tier as a [`BTreeMap`] (live prefix → arena handle) built from the
+//! arena's sorted tail by the first patch. Each is read the same three
+//! ways — a chunk's longer prefixes as a range, a chunk's ≤/16 cover as
+//! exact probes longest first, the whole tier in order — and the
+//! compressed layout is a function of both, chunk by chunk:
 //!
 //! * **A prefix longer than `/16`** lives in exactly one /16 chunk. The
-//!   chunk's nodes are freed and rebuilt from the trie's subtree under
-//!   that /16 and the registry prefixes in it, painted over the chunk's
-//!   ≤/16 answer — the same `build_chunk` the compiler runs, so a patched
+//!   chunk's nodes are freed and rebuilt from both tiers' ranges of
+//!   prefixes longer than /16 in it, painted over the chunk's ≤/16
+//!   answer — the same `build_chunk` the compiler runs, so a patched
 //!   chunk is identical to a compiled one.
 //! * **A prefix of `/16` or shorter** covers whole root entries. For each
 //!   one it owns (no longer ≤/16 BGP prefix sits between), a leaf entry is
@@ -24,17 +27,18 @@
 //!   holds longer prefixes in is repainted from the static list (as an
 //!   announce over such a chunk collapses it back to a leaf).
 //! * **Bulk** — a batch of at least `RECOMPILE_PERCENT` % of the live
-//!   prefixes, and at least `RECOMPILE_MIN_DELTAS`, updates the trie
+//!   prefixes, and at least `RECOMPILE_MIN_DELTAS`, updates the live map
 //!   only and rebuilds the whole layout once ([`PatchReport::recompiled`]).
 //! * **Compaction** — freed nodes are reused, but the run arrays of
 //!   spilled nodes are append-only: a rebuilt chunk leaves its old ranges
 //!   behind as dead cells. When dead cells outnumber live ones (and are
 //!   worth a rebuild at all, [`COMPACT_MIN_DEAD_CELLS`]) the layout is
-//!   rebuilt from the trie ([`PatchReport::compacted`]), so a patched
+//!   rebuilt from the live map ([`PatchReport::compacted`]), so a patched
 //!   table stays within a constant factor of a fresh compile.
 //!
-//! The first `apply_delta` call builds the shadow state in O(#prefixes);
-//! subsequent patches are proportional to the chunks the delta reaches.
+//! The first `apply_delta` call builds the live map from the arena in
+//! O(#prefixes); subsequent patches are proportional to the chunks the
+//! delta reaches.
 //! What a patch *reports* (`slot_writes`, `groups_rebuilt`, `recompiled`)
 //! depends only on the live BGP set and the batch, never on the table's
 //! patch history or on the registry tier under it — `core::stream`
@@ -52,6 +56,7 @@
     clippy::indexing_slicing
 )]
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -59,7 +64,6 @@ use netclust_prefix::Ipv4Net;
 
 use crate::flat::{chunk_key, CompiledTable, NODE_FLAG, ROOT_LEN};
 use crate::table::longest_in;
-use crate::trie::PrefixTrie;
 
 /// Dead spill cells below which compaction is not worth a layout rebuild
 /// (16 KiB of garbage), however few live cells there are.
@@ -219,8 +223,8 @@ pub struct PatchReport {
     /// cells outnumbered live ones). Unlike every other field this
     /// depends on the table's patch history, not only on the live set.
     pub compacted: bool,
-    /// `true` when this call built the shadow patch state (first patch on
-    /// a freshly compiled table).
+    /// `true` when this call built the patch state (first patch on a
+    /// freshly compiled table).
     pub initialized: bool,
 }
 
@@ -246,13 +250,13 @@ impl PatchReport {
     }
 }
 
-/// Shadow bookkeeping for patching: the live BGP prefix set with its arena
+/// Bookkeeping for patching: the live BGP prefix set with its arena
 /// handles, and the arena slots withdrawals vacated.
 #[derive(Clone)]
 pub(crate) struct PatchState {
-    /// Live BGP prefix → arena handle. The source of truth every chunk
-    /// rebuild reads for that tier.
-    pub(crate) trie: PrefixTrie<u32>,
+    /// Live BGP prefix → arena handle, in (address, length) order. The
+    /// source of truth every chunk rebuild reads for that tier.
+    pub(crate) live: BTreeMap<Ipv4Net, u32>,
     /// Dead arena slots, reused before the arena grows.
     free_handles: Vec<u32>,
 }
@@ -277,7 +281,7 @@ impl CompiledTable {
             // Compiled from no prefixes: materialize the all-miss root.
             self.root.resize(ROOT_LEN, 0);
         }
-        let threshold = state.trie.len() * RECOMPILE_PERCENT / 100;
+        let threshold = state.live.len() * RECOMPILE_PERCENT / 100;
         report.recompiled = deltas.len() >= threshold.max(RECOMPILE_MIN_DELTAS);
         for d in deltas {
             if !self.update_live_set(&mut state, d, &mut report) || report.recompiled {
@@ -297,31 +301,24 @@ impl CompiledTable {
             && self.dead_cells >= COMPACT_MIN_DEAD_CELLS
             && self.dead_cells > self.spill.len() - self.dead_cells;
         if report.recompiled || report.compacted {
-            let bgp = state.trie.iter().map(|(_, &h)| h);
+            let bgp = state.live.values().copied();
             self.rebuild((0..self.dump_len).chain(bgp));
         }
         self.patch = Some(state);
         report
     }
 
-    /// Builds the shadow state from the BGP part of the arena: the live
-    /// trie plus free handles for arena duplicates (the later copy wins
-    /// the match, exactly as `rebuild`'s paint order decides it).
+    /// Builds the patch state from the BGP part of the arena, which the
+    /// compile left strictly increasing: a bulk build of the live map.
     fn build_patch_state(&self) -> Box<PatchState> {
-        let mut state = PatchState {
-            trie: PrefixTrie::new(),
+        let bgp = (self.dump_len..).zip(self.bgp_arena());
+        Box::new(PatchState {
+            live: bgp.map(|(h, net)| (*net, h)).collect(),
             free_handles: Vec::new(),
-        };
-        let bgp = self.prefixes.get(self.dump_len as usize..);
-        for (h, net) in (self.dump_len..).zip(bgp.unwrap_or_default()) {
-            if let Some(prev) = state.trie.insert(*net, h) {
-                state.free_handles.push(prev);
-            }
-        }
-        Box::new(state)
+        })
     }
 
-    /// Applies one delta to the shadow trie and the arena. Returns `true`
+    /// Applies one delta to the live map and the arena. Returns `true`
     /// when the live set changed (the layout then needs refreshing where
     /// the prefix reaches).
     fn update_live_set(
@@ -332,7 +329,7 @@ impl CompiledTable {
     ) -> bool {
         let net = delta.prefix;
         if delta.kind == DeltaKind::Withdraw {
-            let Some(dead) = state.trie.remove(net) else {
+            let Some(dead) = state.live.remove(&net) else {
                 report.noops += 1;
                 return false;
             };
@@ -340,7 +337,7 @@ impl CompiledTable {
             report.withdrawn += 1;
             return true;
         }
-        if state.trie.contains(net) {
+        if state.live.contains_key(&net) {
             // Re-announcement of a live prefix: the layout already
             // resolves to it.
             if delta.kind == DeltaKind::Replace {
@@ -366,7 +363,7 @@ impl CompiledTable {
                 h
             }
         };
-        state.trie.insert(net, h);
+        state.live.insert(net, h);
         // A replace of an absent prefix is a plain announce: the
         // distinction only matters when the prefix was already live.
         report.announced += 1;
@@ -377,18 +374,20 @@ impl CompiledTable {
     /// /16 chunk `idx` (`(0, -1)` when there is none, so plain `<` orders
     /// "no match" below every real prefix).
     fn cover(state: &PatchState, idx: u32) -> (u32, i32) {
-        match state.trie.longest_match_capped(idx << 16, 16) {
-            Some((net, &h)) => (h + 1, i32::from(net.len())),
-            None => (0, -1),
-        }
+        let probe = |net: Ipv4Net| state.live.get(&net).map(|&h| (h + 1, i32::from(net.len())));
+        longest_in(idx << 16, 16, probe).unwrap_or((0, -1))
     }
 
     /// The live BGP prefixes longer than /16 in chunk `idx`, with their
-    /// handles.
-    fn bgp_long(state: &PatchState, idx: u32) -> impl Iterator<Item = (Ipv4Net, &u32)> {
-        let chunk = Ipv4Net::new(idx << 16, 16).ok();
-        let under = chunk.into_iter().flat_map(|c| state.trie.subtree(c));
-        under.filter(|(net, _)| net.len() > 16)
+    /// handles: a range of the live map. In (address, length) order the
+    /// chunk's /17 at its first address comes right after its ≤/16
+    /// prefixes, and every other prefix in the chunk is longer than /16.
+    fn bgp_long(state: &PatchState, idx: u32) -> impl Iterator<Item = (Ipv4Net, u32)> + '_ {
+        let first = Ipv4Net::new(idx << 16, 17).unwrap_or(Ipv4Net::DEFAULT);
+        let chunk = state.live.range(first..);
+        chunk
+            .take_while(move |(net, _)| net.addr_u32() >> 16 == idx)
+            .map(|(net, &h)| (*net, h))
     }
 
     /// The registry prefixes longer than /16 in chunk `idx`, with their
@@ -406,7 +405,8 @@ impl CompiledTable {
     /// The slot of the longest registry prefix of /16 or shorter covering
     /// chunk `idx`, or 0.
     fn dump_cover(&self, idx: u32) -> u32 {
-        let h = longest_in(self.dump_arena(), idx << 16, 16);
+        let dump = self.dump_arena();
+        let h = longest_in(idx << 16, 16, |net| dump.binary_search(&net).ok());
         h.and_then(|h| u32::try_from(h + 1).ok()).unwrap_or(0)
     }
 
@@ -461,10 +461,11 @@ impl CompiledTable {
     }
 
     /// Frees /16 chunk `idx`'s nodes and repaints it: the live BGP
-    /// prefixes longer than /16 in it (the trie's subtree) over the
-    /// registry's (the static list), under the chunk's ≤/16 answer. The
-    /// entry is a leaf when nothing longer than /16 shows there. Returns
-    /// the run values the BGP tier's layout alone holds in the chunk.
+    /// prefixes longer than /16 in it (a range of the live map) over the
+    /// registry's (a range of the static list), under the chunk's ≤/16
+    /// answer. The entry is a leaf when nothing longer than /16 shows
+    /// there. Returns the run values the BGP tier's layout alone holds in
+    /// the chunk.
     fn rebuild_chunk(&mut self, state: &PatchState, idx: u32) -> usize {
         let Some(&old) = self.root.get(idx as usize) else {
             return 0;
@@ -476,7 +477,7 @@ impl CompiledTable {
         } else {
             self.dump_cover(idx)
         };
-        let bgp = Self::bgp_long(state, idx).map(|(net, &h)| chunk_key(net, h + 1));
+        let bgp = Self::bgp_long(state, idx).map(|(net, h)| chunk_key(net, h + 1));
         let mut items: Vec<u64> = bgp.collect();
         items.extend(self.dump_long(idx).map(|(net, h)| chunk_key(net, h + 1)));
         items.sort_unstable();

@@ -192,13 +192,19 @@ pub fn load_tables<P: AsRef<Path>>(
         .collect()
 }
 
-/// Index of the longest prefix in sorted `list` that contains `addr` and
-/// is at most `max_len` long: one binary search per length.
-pub(crate) fn longest_in(list: &[Ipv4Net], addr: u32, max_len: u8) -> Option<usize> {
+/// Longest first: `probe` on each prefix of `max_len` bits down to /0 that
+/// contains `addr`, until one answers. With an exact lookup of a tier as
+/// the probe (a binary search of a sorted list, a map's `get`), that is
+/// the tier's longest match of at most `max_len` bits.
+pub(crate) fn longest_in<T>(
+    addr: u32,
+    max_len: u8,
+    probe: impl FnMut(Ipv4Net) -> Option<T>,
+) -> Option<T> {
     (0..=max_len)
         .rev()
         .filter_map(|len| Ipv4Net::new(addr, len).ok())
-        .find_map(|net| list.binary_search(&net).ok())
+        .find_map(probe)
 }
 
 /// Which source tier a merged-table match came from.
@@ -289,8 +295,11 @@ impl MergedTable {
     /// each sorted list per prefix length. The serving path compiles instead;
     /// this one is the reference the compiled table is checked against.
     pub fn lookup_u32(&self, addr: u32) -> Option<(Ipv4Net, MatchSource)> {
-        let longest =
-            |tier: &[Ipv4Net]| longest_in(tier, addr, 32).and_then(|i| tier.get(i).copied());
+        let longest = |tier: &[Ipv4Net]| {
+            longest_in(addr, 32, |net| {
+                tier.binary_search(&net).is_ok().then_some(net)
+            })
+        };
         match longest(&self.bgp) {
             Some(net) => Some((net, MatchSource::Bgp)),
             None => longest(&self.dump).map(|net| (net, MatchSource::NetworkDump)),

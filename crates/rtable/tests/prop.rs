@@ -84,17 +84,6 @@ proptest! {
         prop_assert_eq!(before, after);
     }
 
-    /// Trie iteration returns prefixes in sorted order with no duplicates.
-    #[test]
-    fn iteration_sorted_unique(
-        entries in proptest::collection::btree_set(arb_net(), 0..64),
-    ) {
-        let trie: PrefixTrie<()> = entries.iter().map(|n| (*n, ())).collect();
-        let listed: Vec<Ipv4Net> = trie.iter().map(|(n, _)| n).collect();
-        let expected: Vec<Ipv4Net> = entries.into_iter().collect();
-        prop_assert_eq!(listed, expected);
-    }
-
     /// Two-tier lookup: a BGP match always wins over the registry tier,
     /// registry only answers when no BGP prefix covers the address, and
     /// the merged result equals the tier-wise reference computation.
@@ -121,22 +110,37 @@ proptest! {
 
     /// Compiled lookup ≡ trie LPM ≡ linear scan, over prefix sets
     /// mixing short, long (>/24) and host-route entries; a handle resolves
-    /// to the prefix scalar lookup reports.
+    /// to the prefix scalar lookup reports. The same set given shuffled,
+    /// every third prefix twice, compiles to the same table: `tiered`
+    /// sorts and deduplicates each tier.
     #[test]
     fn compiled_matches_trie_and_reference(
         entries in proptest::collection::btree_set(arb_net_wide(), 0..96),
         offsets in proptest::collection::vec(any::<u32>(), 4),
         random in proptest::collection::vec(any::<u32>(), 32),
+        shuffle in any::<u32>(),
     ) {
         let map: BTreeMap<Ipv4Net, u32> = entries.iter().map(|&n| (n, 0)).collect();
         let trie: PrefixTrie<()> = entries.iter().map(|&n| (n, ())).collect();
-        let compiled = CompiledTable::tiered(&entries.iter().copied().collect::<Vec<_>>(), &[]);
+        let list: Vec<Ipv4Net> = entries.iter().copied().collect();
+        let compiled = CompiledTable::tiered(&list, &[]);
         prop_assert_eq!(compiled.len(), entries.len());
+        let mut keyed: Vec<(u32, Ipv4Net)> = (0u32..)
+            .zip(list.iter().chain(list.iter().step_by(3)))
+            .map(|(i, &n)| ((i ^ shuffle).wrapping_mul(0x9E37_79B9), n))
+            .collect();
+        keyed.sort_unstable();
+        let shuffled: Vec<Ipv4Net> = keyed.into_iter().map(|(_, n)| n).collect();
+        let copy = CompiledTable::tiered(&shuffled, &[]);
+        prop_assert_eq!(copy.len(), compiled.len());
+        prop_assert_eq!(copy.live_prefixes(), compiled.live_prefixes());
         for addr in targeted_probes(&entries, &offsets, &random) {
             let expect = naive_lpm(&map, addr).map(|(n, _)| n);
             prop_assert_eq!(trie.longest_match_u32(addr).map(|(n, _)| n), expect);
             prop_assert_eq!(compiled.lookup(addr), expect);
             prop_assert_eq!(compiled.resolve(compiled.lookup_handle(addr)), expect);
+            prop_assert_eq!(copy.lookup(addr), expect);
+            prop_assert_eq!(copy.lookup_handle(addr), compiled.lookup_handle(addr));
         }
     }
 

@@ -1,5 +1,6 @@
 //! What the daemon holds per client, and what its bursts may allocate: the
-//! table build at boot and reload, a top-N over every cluster, a snapshot
+//! table build at boot and reload, the first patch of a table, a top-N
+//! over every cluster, a snapshot
 //! of the stream (also of clients crowded into one /16 or one /8), a poll
 //! of a backlog. Each burst is bounded by what it
 //! returns or writes, not by a copy of what it reads. This is its own test
@@ -113,6 +114,22 @@ fn clf_line(out: &mut String, addr: u32, bytes: u32) {
 /// Two binary tries as the merge's intermediate cost ≈ 88 more.
 const BUILD_BYTES_PER_PREFIX: usize = 40;
 
+/// What the first patch of a table may allocate and keep beyond the table
+/// it patches: the live map of its BGP tier, which that patch builds
+/// (≈ 2.3 MB for the benchmark's ≈ 101 000 BGP prefixes), and the chunks
+/// one batch rebuilds. The binary trie it replaced kept 17.64 MB.
+const FIRST_PATCH_BYTES: usize = 4 << 20;
+
+/// The benchmark's table shape: ≈ 110 000 prefixes, sorted, and the index
+/// where the BGP tier (the first 92 %) ends and the registry dump begins.
+/// The delta stream of the same seed patches it.
+fn benchmark_table() -> (Vec<Ipv4Net>, usize) {
+    let churn = DeltaStreamConfig::default();
+    let prefixes = DeltaStream::synthetic(0x51CE, 110_000, churn).live_prefixes();
+    let split = prefixes.len() * 92 / 100;
+    (prefixes, split)
+}
+
 /// Boot and a `/v1/reload` swap read the table files, merge them and
 /// compile the result; the peak of that is the serving table plus a few
 /// sorted lists, not a trie per tier beside it. The table is the
@@ -121,9 +138,7 @@ const BUILD_BYTES_PER_PREFIX: usize = 40;
 fn the_table_build_peaks_at_the_table_it_builds() {
     let _alone = alone();
     let dir = TempDir::new("netclust-build");
-    let churn = DeltaStreamConfig::default();
-    let prefixes = DeltaStream::synthetic(0x51CE, 110_000, churn).live_prefixes();
-    let split = prefixes.len() * 92 / 100;
+    let (prefixes, split) = benchmark_table();
     let (bgp, dump) = (dir.join("t.bgp"), dir.join("t.dump"));
     for (path, tier) in [(&bgp, &prefixes[..split]), (&dump, &prefixes[split..])] {
         let text: String = tier.iter().map(|p| format!("{p}\n")).collect();
@@ -142,6 +157,36 @@ fn the_table_build_peaks_at_the_table_it_builds() {
         table.memory_bytes()
     );
     assert!(peak <= budget, "the table build allocated {peak} bytes");
+}
+
+/// The first routing update a served table takes builds its patch state:
+/// the BGP tier's live set in order, bulk-built from the compiled arena,
+/// beside the table and not a copy of its size several times over. The
+/// table is the benchmark's shape, patched by one batch of its stream.
+#[test]
+fn the_first_patch_peaks_near_the_table_it_patches() {
+    let _alone = alone();
+    let (prefixes, split) = benchmark_table();
+    let (bgp, dump) = prefixes.split_at(split);
+    let bgp = RoutingTable::new("B", "d0", TableKind::Bgp, bgp.to_vec());
+    let dump = RoutingTable::new("N", "d0", TableKind::NetworkDump, dump.to_vec());
+    let mut table = MergedTable::merge([&bgp, &dump]).compile();
+    let mut stream = DeltaStream::synthetic(0x51CE, 110_000, DeltaStreamConfig::default());
+    let batch = stream
+        .find(|b| !b.is_empty())
+        .expect("the stream never ends");
+
+    let (report, peak) = peak_of(|| table.apply_delta(&batch.deltas));
+    assert!(report.initialized && !report.recompiled, "{report:?}");
+    println!(
+        "the first patch of a {} byte table, {} deltas: {peak} bytes, budget {FIRST_PATCH_BYTES}",
+        table.memory_bytes(),
+        batch.len()
+    );
+    assert!(
+        peak <= FIRST_PATCH_BYTES,
+        "the first patch allocated {peak} bytes"
+    );
 }
 
 #[test]
