@@ -96,7 +96,7 @@ pub fn simulate_cooperative(
     // Routing and caches.
     let mut route: HashMap<u32, u32> = HashMap::new();
     for (idx, cluster) in clustering.clusters.iter().enumerate() {
-        for client in &cluster.clients {
+        for client in clustering.members(cluster) {
             route.insert(u32::from(client.addr), idx as u32);
         }
     }
@@ -250,12 +250,16 @@ mod tests {
             stats.local_hits + stats.sibling_hits + stats.origin_fetches,
             stats.requests
         );
+        let unclustered = clustering.unclustered();
         assert_eq!(
             stats.bytes_local + stats.bytes_sibling + stats.bytes_origin,
-            // All clustered requests' bytes.
+            // All clustered requests' bytes: those of every client the
+            // clustering does not list as unclustered.
             log.requests
                 .iter()
-                .filter(|r| clustering.cluster_of(r.client_addr()).is_some())
+                .filter(
+                    |r| (unclustered.binary_search_by_key(&r.client_addr(), |c| c.addr)).is_err()
+                )
                 .map(|r| r.bytes as u64)
                 .sum::<u64>()
         );

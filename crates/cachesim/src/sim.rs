@@ -105,7 +105,7 @@ pub fn simulate(log: &Log, clustering: &Clustering, config: &SimConfig) -> SimRe
     // Client → proxy (cluster index) routing table.
     let mut route: HashMap<u32, u32> = HashMap::new();
     for (idx, cluster) in clustering.clusters.iter().enumerate() {
-        for client in &cluster.clients {
+        for client in clustering.members(cluster) {
             #[allow(
                 clippy::cast_possible_truncation,
                 reason = "cluster indices are u32 by design."

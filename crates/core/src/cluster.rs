@@ -31,7 +31,6 @@ use netclust_prefix::{classful_network, Ipv4Net};
 use netclust_rtable::{CompiledTable, DEFAULT_PREFETCH_DISTANCE};
 use netclust_weblog::Log;
 
-use crate::fx::FxHashMap;
 use crate::kernel::{self, Shard};
 
 /// How an address gets its identifying prefix: the paper's three methods,
@@ -89,13 +88,16 @@ pub struct ClientStats {
     pub bytes: u64,
 }
 
-/// One identified client cluster.
-#[derive(Debug, Clone)]
+/// One identified client cluster: its aggregates, and where its members
+/// lie in its clustering's member run ([`Clustering::members`]).
+#[derive(Debug, Clone, Default)]
 pub struct Cluster {
     /// The identifying prefix (the shared longest match).
     pub prefix: Ipv4Net,
-    /// Member clients, sorted by address.
-    pub clients: Vec<ClientStats>,
+    /// Where its members start in the member run.
+    pub start: u32,
+    /// Number of member clients.
+    pub clients: u32,
     /// Total requests issued from within the cluster.
     pub requests: u64,
     /// Total response bytes.
@@ -107,7 +109,7 @@ pub struct Cluster {
 impl Cluster {
     /// Number of clients.
     pub fn client_count(&self) -> usize {
-        self.clients.len()
+        self.clients as usize
     }
 }
 
@@ -118,12 +120,13 @@ pub struct Clustering {
     pub method: String,
     /// Identified clusters, sorted by prefix.
     pub clusters: Vec<Cluster>,
-    /// Clients that matched no prefix, with their stats.
-    pub unclustered: Vec<ClientStats>,
     /// Total requests in the log (clustered + unclustered).
     pub total_requests: u64,
-    /// Client address → index into `clusters`.
-    index: FxHashMap<u32, u32>,
+    /// Every client, grouped: each cluster's members in cluster order,
+    /// each run in address order, then the unclustered in address order.
+    pub(crate) members: Vec<ClientStats>,
+    /// How many of `members` are clustered.
+    pub(crate) clustered: usize,
 }
 
 impl Clustering {
@@ -133,7 +136,7 @@ impl Clustering {
     ///
     /// One pass over the requests on the calling thread fills a single
     /// shard of the clustering kernel; clusters come out sorted by prefix,
-    /// clients and unclustered sorted by address. (Logs too large for that
+    /// members and unclustered sorted by address. (Logs too large for that
     /// are raw files: [`IngestPipeline`](crate::IngestPipeline) drives the
     /// same kernel from several scan workers without building a `Log`.)
     pub fn build<F>(log: &Log, method: impl Into<String>, assign: F) -> Self
@@ -161,69 +164,6 @@ impl Clustering {
         )
     }
 
-    /// Materializes the final structure from address-sorted per-client
-    /// stats and their prefix assignments (`clients[i]` pairs with
-    /// `assignments[i]`): clusters sorted by prefix, member/unclustered
-    /// lists in client order, `unique_urls` left at 0 for the caller to
-    /// fill.
-    pub fn from_assignments(
-        method: impl Into<String>,
-        clients: Vec<ClientStats>,
-        assignments: Vec<Option<Ipv4Net>>,
-        total_requests: u64,
-    ) -> Self {
-        debug_assert_eq!(clients.len(), assignments.len());
-        let mut by_prefix: FxHashMap<Ipv4Net, Vec<ClientStats>> = FxHashMap::default();
-        let mut unclustered = Vec::new();
-        for (stats, prefix) in clients.iter().zip(&assignments) {
-            match prefix {
-                Some(prefix) => by_prefix.entry(*prefix).or_default().push(*stats),
-                None => unclustered.push(*stats),
-            }
-        }
-        // `clients` arrives address-sorted, so per-cluster member lists and
-        // `unclustered` inherit that order without re-sorting.
-
-        // Materialize clusters, sorted by prefix.
-        #[allow(clippy::disallowed_methods, reason = "keys are collected and sorted before use.")]
-        let mut prefixes: Vec<Ipv4Net> = by_prefix.keys().copied().collect();
-        prefixes.sort();
-        let mut clusters = Vec::with_capacity(prefixes.len());
-        let mut index = FxHashMap::with_capacity_and_hasher(clients.len(), Default::default());
-        for prefix in prefixes {
-            #[allow(
-                clippy::expect_used,
-                reason = "`prefix` was drawn from `by_prefix.keys()` just above, so the entry must exist."
-            )]
-            let clients = by_prefix.remove(&prefix).expect("key exists");
-            let requests = clients.iter().map(|c| c.requests).sum();
-            let bytes = clients.iter().map(|c| c.bytes).sum();
-            #[allow(
-                clippy::cast_possible_truncation,
-                reason = "cluster ids are u32 by design; one cluster per routing prefix bounds the count well below 2^32."
-            )]
-            let idx = clusters.len() as u32;
-            for c in &clients {
-                index.insert(u32::from(c.addr), idx);
-            }
-            clusters.push(Cluster {
-                prefix,
-                clients,
-                requests,
-                bytes,
-                unique_urls: 0,
-            });
-        }
-
-        Clustering {
-            method: method.into(),
-            clusters,
-            unclustered,
-            total_requests,
-            index,
-        }
-    }
-
     /// Clusters `log` by one of the paper's three methods, labelled with it.
     pub fn by(log: &Log, how: Assigner<'_>) -> Self {
         Self::build(log, how.label(), |addr| how.net_for(u32::from(addr)))
@@ -239,20 +179,21 @@ impl Clustering {
         self.clusters.is_empty()
     }
 
-    /// The cluster containing `addr`, if it was clustered.
-    pub fn cluster_of(&self, addr: Ipv4Addr) -> Option<&Cluster> {
-        self.clusters.get(self.cluster_index(addr)?)
+    /// The members of `cluster`, one of [`clusters`](Self::clusters), in
+    /// address order (none for a cluster of no client).
+    pub fn members(&self, cluster: &Cluster) -> &[ClientStats] {
+        let start = cluster.start as usize;
+        (self.members.get(start..start + cluster.client_count())).unwrap_or_default()
     }
 
-    /// Index into [`clusters`](Self::clusters) of the cluster containing
-    /// `addr`, if it was clustered.
-    pub fn cluster_index(&self, addr: Ipv4Addr) -> Option<usize> {
-        self.index.get(&u32::from(addr)).map(|&i| i as usize)
+    /// Clients that matched no prefix, with their stats, in address order.
+    pub fn unclustered(&self) -> &[ClientStats] {
+        self.members.get(self.clustered..).unwrap_or_default()
     }
 
     /// Total clients (clustered + unclustered).
     pub fn client_count(&self) -> usize {
-        self.index.len() + self.unclustered.len()
+        self.members.len()
     }
 
     /// Fraction of clients that were clustered — the paper's headline
@@ -262,12 +203,7 @@ impl Clustering {
         if total == 0 {
             return 0.0;
         }
-        self.index.len() as f64 / total as f64
-    }
-
-    /// Busiest cluster by request count, if any.
-    pub fn busiest(&self) -> Option<&Cluster> {
-        self.clusters.iter().max_by_key(|c| c.requests)
+        self.clustered as f64 / total as f64
     }
 }
 
@@ -345,8 +281,8 @@ mod tests {
         let c1 = &clustering.clusters[1];
         assert_eq!(c1.prefix.to_string(), "24.48.2.0/23");
         assert_eq!(c1.client_count(), 2);
-        assert_eq!(clustering.unclustered.len(), 1);
-        assert_eq!(clustering.unclustered[0].addr.to_string(), "99.1.1.1");
+        assert_eq!(clustering.unclustered().len(), 1);
+        assert_eq!(clustering.unclustered()[0].addr.to_string(), "99.1.1.1");
         // Coverage: 6 of 7 clients.
         assert!((clustering.coverage() - 6.0 / 7.0).abs() < 1e-12);
     }
@@ -357,7 +293,7 @@ mod tests {
         let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged().compile()));
         let total: u64 = clustering.clusters.iter().map(|c| c.requests).sum::<u64>()
             + clustering
-                .unclustered
+                .unclustered()
                 .iter()
                 .map(|c| c.requests)
                 .sum::<u64>();
@@ -386,7 +322,7 @@ mod tests {
         // 12.65.147.x, 12.65.146.x, 12.65.144.x → three /24s;
         // 24.48.3.x vs 24.48.2.x → two /24s; 99.1.1.1 → its own.
         assert_eq!(simple.len(), 6);
-        assert!(simple.unclustered.is_empty());
+        assert!(simple.unclustered().is_empty());
         let aware = Clustering::by(&log, Assigner::NetworkAware(&merged().compile()));
         assert!(simple.len() > aware.len());
     }
@@ -402,15 +338,88 @@ mod tests {
     }
 
     #[test]
-    fn cluster_of_lookup() {
+    fn members_are_slices_of_one_grouped_run() {
         let log = sample_log();
         let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged().compile()));
-        let c = clustering
-            .cluster_of("12.65.147.94".parse().unwrap())
-            .unwrap();
-        assert_eq!(c.prefix.to_string(), "12.65.128.0/19");
-        assert!(clustering.cluster_of("99.1.1.1".parse().unwrap()).is_none());
-        assert!(clustering.cluster_of("8.8.8.8".parse().unwrap()).is_none());
+        let addrs = |members: &[ClientStats]| -> Vec<String> {
+            members.iter().map(|c| c.addr.to_string()).collect()
+        };
+        let [c0, c1] = &clustering.clusters[..] else {
+            panic!("two clusters")
+        };
+        assert_eq!(
+            addrs(clustering.members(c0)),
+            [
+                "12.65.144.247",
+                "12.65.146.207",
+                "12.65.147.94",
+                "12.65.147.149"
+            ]
+        );
+        assert_eq!(addrs(clustering.members(c1)), ["24.48.2.166", "24.48.3.87"]);
+        assert_eq!((c0.start, c1.start), (0, 4));
+        // Client 4 (24.48.3.87) issued 5 requests, client 5 (24.48.2.166) 6.
+        let requests: Vec<u64> = clustering.members(c1).iter().map(|c| c.requests).collect();
+        assert_eq!(requests, [6, 5]);
+        assert_eq!(addrs(clustering.unclustered()), ["99.1.1.1"]);
+        // A cluster of no client has no members, wherever it says they start.
+        let memberless = Cluster {
+            start: 99,
+            clients: 0,
+            ..c0.clone()
+        };
+        assert!(clustering.members(&memberless).is_empty());
+    }
+
+    #[test]
+    fn nested_prefixes_regroup_the_address_order() {
+        // 10.1.0.0/16 inside 10.0.0.0/8: the /8's members straddle the
+        // /16's in address order, and an unclustered client sits between.
+        let table = MergedTable::merge([&RoutingTable::new(
+            "T",
+            "d0",
+            TableKind::Bgp,
+            vec![
+                "10.0.0.0/8".parse().unwrap(),
+                "10.1.0.0/16".parse().unwrap(),
+            ],
+        )])
+        .compile();
+        let mut log = sample_log();
+        for (r, addr) in log.requests.iter_mut().zip([
+            "10.0.0.1", "10.1.0.1", "10.1.0.1", "10.2.0.1", "10.2.0.1", "10.2.0.1", "9.9.9.9",
+            "10.1.0.2", "11.0.0.1",
+        ]) {
+            r.client = u32::from(addr.parse::<Ipv4Addr>().unwrap());
+        }
+        log.requests.truncate(9);
+        let clustering = Clustering::by(&log, Assigner::NetworkAware(&table));
+        let groups: Vec<(String, Vec<String>)> = (clustering.clusters.iter())
+            .map(|c| {
+                let members = clustering.members(c).iter().map(|m| m.addr.to_string());
+                (c.prefix.to_string(), members.collect())
+            })
+            .collect();
+        assert_eq!(
+            groups,
+            [
+                (
+                    "10.0.0.0/8".into(),
+                    vec!["10.0.0.1".into(), "10.2.0.1".into()]
+                ),
+                (
+                    "10.1.0.0/16".into(),
+                    vec!["10.1.0.1".into(), "10.1.0.2".into()]
+                ),
+            ]
+        );
+        let unclustered: Vec<String> = (clustering.unclustered().iter())
+            .map(|c| c.addr.to_string())
+            .collect();
+        assert_eq!(unclustered, ["9.9.9.9", "11.0.0.1"]);
+        assert_eq!(clustering.clusters[0].requests, 4);
+        assert_eq!(clustering.clusters[1].requests, 3);
+        assert_eq!(clustering.client_count(), 6);
     }
 
     #[test]
@@ -419,39 +428,7 @@ mod tests {
         let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged().compile()));
         let largest = clustering.clusters.iter().map(|c| c.client_count()).max();
         assert_eq!(largest, Some(4));
-        assert_eq!(clustering.busiest().unwrap().requests, 11); // clients 5,6: 5+6
-    }
-
-    #[test]
-    fn from_assignments_clusters_bare_counts() {
-        // Server clustering: addresses with request counts, no log.
-        let clients: Vec<ClientStats> = [
-            ("12.65.146.207", 5, 500),
-            ("12.65.147.94", 10, 1000),
-            ("24.48.3.87", 7, 700),
-            ("99.1.1.1", 1, 100),
-        ]
-        .map(|(addr, requests, bytes)| ClientStats {
-            addr: addr.parse().unwrap(),
-            requests,
-            bytes,
-        })
-        .to_vec();
-        let table = merged();
-        let assignments = clients
-            .iter()
-            .map(|c| table.lookup(c.addr).map(|(n, _)| n))
-            .collect();
-        let clustering = Clustering::from_assignments("servers", clients, assignments, 23);
-        assert_eq!(clustering.len(), 2);
-        assert_eq!(clustering.clusters[0].requests, 15);
-        assert_eq!(clustering.clusters[0].bytes, 1500);
-        assert_eq!(clustering.unclustered.len(), 1);
-        assert_eq!(clustering.total_requests, 23);
-        assert_eq!(clustering.clusters[0].unique_urls, 0);
-        assert!(clustering
-            .cluster_of("24.48.3.87".parse().unwrap())
-            .is_some());
+        assert_eq!(clustering.top(1)[0].requests, 11); // clients 5,6: 5+6
     }
 
     #[test]

@@ -226,19 +226,6 @@ pub struct IngestReport {
 }
 
 impl IngestReport {
-    /// Fraction of *parsed* requests assigned to a cluster. Quarantined
-    /// (malformed) lines never became requests and are excluded from the
-    /// denominator — they are accounted in [`counts`](Self::counts), not
-    /// as clustered misses — so log corruption cannot dilute coverage.
-    /// `1.0` on an empty input.
-    pub fn coverage(&self) -> f64 {
-        if self.clustering.total_requests == 0 {
-            return 1.0;
-        }
-        let unclustered: u64 = self.clustering.unclustered.iter().map(|c| c.requests).sum();
-        1.0 - unclustered as f64 / self.clustering.total_requests as f64
-    }
-
     /// Resolves every malformed line to its byte range in `data` (the
     /// buffer this report was produced from) — the quarantine sink: the
     /// exact rejected bytes, with line numbers, ready to be written out
@@ -701,12 +688,12 @@ not a log line\n\
             assert_eq!(got.clusters.len(), expect.clusters.len());
             for (g, e) in got.clusters.iter().zip(&expect.clusters) {
                 assert_eq!(g.prefix, e.prefix, "chunk_bytes={chunk_bytes}");
-                assert_eq!(g.clients, e.clients);
+                assert_eq!(got.members(g), expect.members(e));
                 assert_eq!(g.requests, e.requests);
                 assert_eq!(g.bytes, e.bytes);
                 assert_eq!(g.unique_urls, e.unique_urls);
             }
-            assert_eq!(got.unclustered, expect.unclustered);
+            assert_eq!(got.unclustered(), expect.unclustered());
             assert_eq!(report.errors, log_errors);
             assert_eq!(report.counts.records, 6);
             assert_eq!(report.bytes, SAMPLE.len());

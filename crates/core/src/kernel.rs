@@ -28,7 +28,7 @@ use netclust_prefix::Ipv4Net;
 use netclust_rtable::Handle;
 
 use crate::clients::Clients;
-use crate::cluster::{ClientStats, Clustering};
+use crate::cluster::{ClientStats, Cluster, Clustering};
 use crate::ingest::for_spans;
 
 /// One client: its address, its sums, and what its holder keeps beside
@@ -77,18 +77,25 @@ impl Shard {
     }
 }
 
+/// A record's memo when no cluster holds it.
+const UNCLUSTERED: u32 = u32::MAX;
+
+/// Records a worker hands its assigner at a time.
+const BLOCK: usize = 4096;
+
 /// Turns filled shards into a [`Clustering`] labelled `method`.
 ///
 /// * **merge** — clients merge per address range and the sorted
-///   ranges concatenate into global address order;
-/// * **assign** — `assign(addrs, out)` fills `out[i]` with the identifying
-///   prefix of `addrs[i]` (`None` = unclusterable); it is called on up to
-///   `threads` disjoint spans concurrently;
-/// * **assemble** — [`Clustering::from_assignments`];
+///   ranges concatenate into one run in global address order;
+/// * **assign** — [`label`]: each record's memo becomes its cluster's
+///   index, and the clusters' sums are taken;
 /// * **unique URLs** — `urls` is `(n_urls, trans)`: distinct (cluster,
 ///   url) pairs are counted over a global url id space of size `n_urls`,
 ///   shard `s`'s local id `u` meaning global id `trans[s][u]`; an empty
-///   `trans` says ids are already global.
+///   `trans` says ids are already global;
+/// * **regroup** — the run, sorted by (cluster, address), is the
+///   clustering's member run: cluster ids rise with prefixes, and the
+///   unclustered ([`UNCLUSTERED`]) come last.
 ///
 /// `obs` receives the `aggregate` / `lpm` stage spans.
 pub(crate) fn finish(
@@ -100,53 +107,52 @@ pub(crate) fn finish(
     obs: &Obs,
 ) -> Clustering {
     let aggregate = obs.span("aggregate");
-    let clients = merge_clients(shards, threads);
+    let mut run = merge_clients(shards, threads);
     drop(aggregate);
 
     let lpm = obs.span("lpm");
-    let addrs: Vec<u32> = clients.iter().map(|c| u32::from(c.addr)).collect();
-    let mut assignments: Vec<Option<Ipv4Net>> = vec![None; addrs.len()];
-    #[allow(clippy::indexing_slicing, reason = "spans tile `assignments`, as long as `addrs`.")]
-    for_spans(&mut assignments, threads, &|start, span| {
-        assign(&addrs[start..start + span.len()], span);
-    });
+    let mut clusters = label(&mut run, threads, assign);
     drop(lpm);
 
     let _assemble = obs.span("aggregate");
-    let total_requests: u64 = clients.iter().map(|c| c.requests).sum();
-    let mut clustering = Clustering::from_assignments(method, clients, assignments, total_requests);
     let limits = (BITMAP_MAX_BITS, BITMAP_WINDOW_BITS);
-    count_unique_urls(&mut clustering, shards, urls, threads, limits);
-    clustering
-}
-
-/// Number of address ranges the clients of several shards merge in,
-/// given a worker count: a few per worker, so that a crowded range evens
-/// out over the spans.
-fn merge_partitions_for(threads: usize) -> usize {
-    if threads <= 1 {
-        1
-    } else {
-        (threads * 2).next_power_of_two().clamp(4, 64)
+    count_unique_urls(&mut clusters, &run, shards, urls, threads, limits);
+    let total_requests = run.iter().map(|c| c.requests).sum();
+    run.sort_unstable_by_key(|c| (c.memo, c.addr));
+    let mut clustered = 0;
+    for k in &mut clusters {
+        k.start = clustered;
+        clustered += k.clients;
+    }
+    // The same 24 bytes a record: `collect` reuses the run's allocation.
+    let members = (run.into_iter())
+        .map(|c| ClientStats {
+            addr: Ipv4Addr::from(c.addr),
+            requests: c.requests,
+            bytes: c.bytes,
+        })
+        .collect();
+    Clustering {
+        method: method.into(),
+        clusters,
+        total_requests,
+        members,
+        clustered: clustered as usize,
     }
 }
 
 /// Per-client sums across shards, sorted by address. One shard's records
 /// already are the sums, walked in address order. Several are each
-/// settled into a sorted run; then one worker per address range merges
-/// that range of every run — sums commute — and the ranges concatenate
-/// into global address order.
+/// settled into a sorted run; then one worker per address range (a few
+/// per worker, so that a crowded range evens out) merges that range of
+/// every run — sums commute — and the ranges concatenate into global
+/// address order. The run is sized once: it becomes the member run.
 #[allow(clippy::cast_possible_truncation, reason = "a range's bounds are below 2^32.")]
-fn merge_clients(shards: &mut [Shard], threads: usize) -> Vec<ClientStats> {
-    let stats = |addr: u32, requests, bytes| ClientStats {
-        addr: Ipv4Addr::from(addr),
-        requests,
-        bytes,
-    };
+fn merge_clients(shards: &mut [Shard], threads: usize) -> Vec<Client<u32>> {
     if let [only] = shards {
-        return (only.clients.in_order())
-            .map(|c| stats(c.addr, c.requests, c.bytes))
-            .collect();
+        let mut run = Vec::with_capacity(only.clients.len());
+        run.extend(only.clients.in_order());
+        return run;
     }
     for_spans(shards, threads, &|_, span| {
         for s in span {
@@ -154,9 +160,9 @@ fn merge_clients(shards: &mut [Shard], threads: usize) -> Vec<ClientStats> {
         }
     });
     let shards = &*shards;
-    let n_parts = merge_partitions_for(threads);
+    let n_parts = (threads * 2).next_power_of_two().clamp(4, 64);
     let width = (1u64 << 32) / n_parts as u64;
-    let mut merged: Vec<Vec<ClientStats>> = vec![Vec::new(); n_parts];
+    let mut merged: Vec<Vec<Client<u32>>> = vec![Vec::new(); n_parts];
     for_spans(&mut merged, threads, &|start, span| {
         for (p, out) in (start as u64..).zip(span) {
             let (lo, hi) = ((p * width) as u32, (p * width + width - 1) as u32);
@@ -169,7 +175,12 @@ fn merge_clients(shards: &mut [Shard], threads: usize) -> Vec<ClientStats> {
             loop {
                 let heads = runs.iter_mut().filter_map(|r| r.peek().map(|c| c.addr));
                 let Some(addr) = heads.min() else { break };
-                let mut sum = stats(addr, 0, 0);
+                let mut sum = Client {
+                    addr,
+                    requests: 0,
+                    bytes: 0,
+                    memo: UNCLUSTERED,
+                };
                 for r in &mut runs {
                     if let Some(c) = r.next_if(|c| c.addr == addr) {
                         sum.requests += c.requests;
@@ -180,7 +191,68 @@ fn merge_clients(shards: &mut [Shard], threads: usize) -> Vec<ClientStats> {
             }
         }
     });
-    merged.into_iter().flatten().collect()
+    let mut run = Vec::with_capacity(merged.iter().map(Vec::len).sum());
+    for part in merged {
+        run.extend(part);
+    }
+    run
+}
+
+/// Looks every record of `run` up through `assign` (`out[i]` is the
+/// identifying prefix of `addrs[i]`, `None` = unclusterable), on blocks of
+/// [`BLOCK`] records from up to `threads` spans, and returns the clusters,
+/// sorted by prefix, with their client counts and sums; each record's memo
+/// is left its cluster's index, [`UNCLUSTERED`] for none. Until then a
+/// span lists the prefix of each stretch of its records that share one,
+/// and a memo names its stretch there.
+#[allow(clippy::cast_possible_truncation, reason = "stretch and cluster ids are u32 by design.")]
+fn label(
+    run: &mut [Client<u32>],
+    threads: usize,
+    assign: &(impl Fn(&[u32], &mut [Option<Ipv4Net>]) + Sync),
+) -> Vec<Cluster> {
+    let span = run.len().div_ceil(threads.max(1)).max(1);
+    let mut parts: Vec<_> = run.chunks_mut(span).map(|s| (s, Vec::new())).collect();
+    for_spans(&mut parts, threads, &|_, parts| {
+        let (mut addrs, mut nets) = (Vec::with_capacity(BLOCK), vec![None; BLOCK]);
+        for (records, stretches) in parts {
+            for block in records.chunks_mut(BLOCK) {
+                addrs.clear();
+                addrs.extend(block.iter().map(|c| c.addr));
+                let nets = nets.get_mut(..block.len()).unwrap_or_default();
+                assign(&addrs, nets);
+                for (c, &net) in block.iter_mut().zip(&*nets) {
+                    if let Some(net) = net.filter(|net| stretches.last() != Some(net)) {
+                        stretches.push(net);
+                    }
+                    c.memo = net.map_or(UNCLUSTERED, |_| stretches.len() as u32 - 1);
+                }
+            }
+        }
+    });
+    let mut prefixes: Vec<Ipv4Net> = parts.iter().flat_map(|(_, s)| s).copied().collect();
+    prefixes.sort_unstable();
+    prefixes.dedup();
+    let mut clusters: Vec<Cluster> = (prefixes.iter())
+        .map(|&prefix| Cluster {
+            prefix,
+            ..Cluster::default()
+        })
+        .collect();
+    for (records, stretches) in parts {
+        let ids: Vec<u32> = (stretches.iter())
+            .map(|p| prefixes.binary_search(p).map_or(UNCLUSTERED, |i| i as u32))
+            .collect();
+        for c in records.iter_mut() {
+            c.memo = ids.get(c.memo as usize).copied().unwrap_or(UNCLUSTERED);
+            if let Some(k) = clusters.get_mut(c.memo as usize) {
+                k.clients += 1;
+                k.requests += c.requests;
+                k.bytes += c.bytes;
+            }
+        }
+    }
+    clusters
 }
 
 /// Bitmap dedup ceiling: above this many (cluster × url) bits the
@@ -191,17 +263,18 @@ const BITMAP_MAX_BITS: u64 = 1 << 28;
 /// cache-resident while a bucket's keys scatter into it.
 const BITMAP_WINDOW_BITS: u64 = 1 << 21;
 
-/// Fills per-cluster `unique_urls`: shard-local client ids map to cluster
-/// indices through each record's memo, url ids to global ones (equal ids
-/// ⇔ equal URLs, so counts are invariant under the relabeling), and
-/// distinct (cluster, url) keys are counted — in a bitmap when
-/// `clusters × urls` is small enough, else by sort-dedup of packed keys.
-/// `(max_bits, window_bits)` are ([`BITMAP_MAX_BITS`],
-/// [`BITMAP_WINDOW_BITS`]) outside tests, which shrink them to reach every
-/// strategy on small inputs.
-#[allow(clippy::cast_possible_truncation, reason = "cluster count < 2^32 (u32 ids by design).")]
+/// Fills per-cluster `unique_urls`: each shard's dense client ids map to
+/// cluster indices by a walk of its records beside `run` (both are in
+/// address order, and `run` holds every shard's clients, each memo its
+/// cluster's index), url ids to global ones (equal ids ⇔ equal URLs, so
+/// counts are invariant under the relabeling), and distinct (cluster,
+/// url) keys are counted — in a bitmap when `clusters × urls` is small
+/// enough, else by sort-dedup of packed keys. `(max_bits, window_bits)`
+/// are ([`BITMAP_MAX_BITS`], [`BITMAP_WINDOW_BITS`]) outside tests, which
+/// shrink them to reach every strategy on small inputs.
 fn count_unique_urls(
-    clustering: &mut Clustering,
+    clusters: &mut [Cluster],
+    run: &[Client<u32>],
     shards: &[Shard],
     (n_urls, trans): (usize, &[Vec<u32>]),
     threads: usize,
@@ -210,11 +283,12 @@ fn count_unique_urls(
     let mut cluster_of: Vec<Vec<u32>> = vec![Vec::new(); shards.len()];
     for_spans(&mut cluster_of, threads, &|start, span| {
         for (of, s) in span.iter_mut().zip(shards.iter().skip(start)) {
-            of.resize(s.clients.len(), u32::MAX);
+            of.resize(s.clients.len(), UNCLUSTERED);
+            let mut merged = run.iter();
             for c in s.clients.in_order() {
                 if let Some(slot) = of.get_mut(c.memo as usize) {
-                    *slot = (clustering.cluster_index(Ipv4Addr::from(c.addr)))
-                        .map_or(u32::MAX, |i| i as u32);
+                    let found = merged.find(|m| m.addr == c.addr);
+                    *slot = found.map_or(UNCLUSTERED, |m| m.memo);
                 }
             }
         }
@@ -231,17 +305,17 @@ fn count_unique_urls(
                 reason = "url < shard s's url count == trans[s].len()."
             )]
             let url = tr.map_or(url, |tr| tr[url as usize]);
-            (idx != u32::MAX).then_some((idx as u64, url as u64))
+            (idx != UNCLUSTERED).then_some((idx as u64, url as u64))
         })
     });
-    let n_bits = clustering.clusters.len() as u64 * n_urls as u64;
+    let n_bits = clusters.len() as u64 * n_urls as u64;
     if n_bits > 0 && n_bits <= max_bits {
         let keys = keys.map(|(idx, url)| idx * n_urls as u64 + url);
-        count_unique_bitmap(clustering, keys, n_urls, window_bits);
+        count_unique_bitmap(clusters, keys, n_urls, window_bits);
     } else {
         let mut packed = Vec::with_capacity(shards.iter().map(|s| s.pairs.len()).sum());
         packed.extend(keys.map(|(idx, url)| (idx << 32) | url));
-        count_unique_sorted(clustering, packed);
+        count_unique_sorted(clusters, packed);
     }
 }
 
@@ -251,11 +325,11 @@ fn count_unique_urls(
     clippy::indexing_slicing,
     reason = "key's high half is a valid cluster index by construction."
 )]
-fn count_unique_sorted(clustering: &mut Clustering, mut packed: Vec<u64>) {
+fn count_unique_sorted(clusters: &mut [Cluster], mut packed: Vec<u64>) {
     packed.sort_unstable();
     packed.dedup();
     for key in packed {
-        clustering.clusters[(key >> 32) as usize].unique_urls += 1;
+        clusters[(key >> 32) as usize].unique_urls += 1;
     }
 }
 
@@ -269,19 +343,19 @@ fn count_unique_sorted(clustering: &mut Clustering, mut packed: Vec<u64>) {
 /// slice that is reused across windows.
 #[allow(clippy::cast_possible_truncation, reason = "n_bits <= max_bits (2^28) on this path.")]
 fn count_unique_bitmap(
-    clustering: &mut Clustering,
+    clusters: &mut [Cluster],
     keys: impl Iterator<Item = u64>,
     n_urls: usize,
     window_bits: u64,
 ) {
-    let n_bits = clustering.clusters.len() as u64 * n_urls as u64;
+    let n_bits = clusters.len() as u64 * n_urls as u64;
     if n_bits <= window_bits {
         let mut bits = vec![0u64; (n_bits as usize).div_ceil(64)];
         #[allow(clippy::indexing_slicing, reason = "key < n_bits and bits holds n_bits bits.")]
         for key in keys {
             bits[(key >> 6) as usize] |= 1 << (key & 63);
         }
-        tally_window(clustering, &bits, 0, n_urls);
+        tally_window(clusters, &bits, 0, n_urls);
         return;
     }
     let n_windows = n_bits.div_ceil(window_bits) as usize;
@@ -307,7 +381,7 @@ fn count_unique_bitmap(
         for &k in keys {
             window[(k >> 6) as usize] |= 1 << (k & 63);
         }
-        tally_window(clustering, &window, w as u64 * window_bits, n_urls);
+        tally_window(clusters, &window, w as u64 * window_bits, n_urls);
     }
 }
 
@@ -318,12 +392,12 @@ fn count_unique_bitmap(
     clippy::cast_possible_truncation,
     reason = "key < clusters.len() * n_urls."
 )]
-fn tally_window(clustering: &mut Clustering, bits: &[u64], base: u64, n_urls: usize) {
+fn tally_window(clusters: &mut [Cluster], bits: &[u64], base: u64, n_urls: usize) {
     for (w, &word) in bits.iter().enumerate() {
         let mut word = word;
         while word != 0 {
             let key = base + (w as u64) * 64 + word.trailing_zeros() as u64;
-            clustering.clusters[(key / n_urls as u64) as usize].unique_urls += 1;
+            clusters[(key / n_urls as u64) as usize].unique_urls += 1;
             word &= word - 1;
         }
     }
@@ -360,18 +434,22 @@ mod tests {
             }
         };
         let obs = Obs::disabled();
-        let base = finish("t", &mut shards, 2, &assign, (40, &trans), &obs);
-        assert_eq!(base.clusters.len(), 2);
-        assert_eq!(base.clusters[0].requests, 5);
-        assert_eq!(base.unclustered[0].requests, 2);
+        let clustering = finish("t", &mut shards, 2, &assign, (40, &trans), &obs);
+        assert_eq!(clustering.clusters.len(), 2);
+        assert_eq!(clustering.clusters[0].requests, 5);
+        assert_eq!(clustering.unclustered()[0].requests, 2);
+        let unique: Vec<u32> = clustering.clusters.iter().map(|c| c.unique_urls).collect();
+        assert_eq!(unique, [3, 2]);
         // (max_bits, window_bits): sort-dedup, one-window bitmap, and the
-        // bucketed multi-window bitmap must count alike.
+        // bucketed multi-window bitmap must count alike, over the run in
+        // address order that `finish` counts beside.
+        let mut run = merge_clients(&mut shards, 2);
+        let clusters = label(&mut run, 2, &assign);
         for limits in [(0, 0), (u64::MAX, 64), (u64::MAX, 128), (u64::MAX, 1 << 21)] {
-            let mut counted = base.clone();
-            counted.clusters.iter_mut().for_each(|c| c.unique_urls = 0);
-            count_unique_urls(&mut counted, &shards, (40, &trans), 2, limits);
+            let mut counted = clusters.clone();
+            count_unique_urls(&mut counted, &run, &shards, (40, &trans), 2, limits);
             // Cluster 0: {0, 1} ∪ {1, 39, 0}; cluster 1: {39} ∪ {0}.
-            let unique: Vec<u32> = counted.clusters.iter().map(|c| c.unique_urls).collect();
+            let unique: Vec<u32> = counted.iter().map(|c| c.unique_urls).collect();
             assert_eq!(unique, [3, 2], "limits={limits:?}");
         }
     }

@@ -338,8 +338,9 @@ impl Clustering {
     /// made by — the rule the daemon's [`ClusterQuery::lookup`] follows,
     /// for an address the log never saw as for one it did: the cluster is
     /// the assigner's, its aggregates are that cluster's (zeros when it
-    /// has no client), and the client's totals come from its member list,
-    /// or from [`unclustered`](Self::unclustered) when there is no cluster.
+    /// has no client), and the client's totals come from its
+    /// [`members`](Self::members), or from
+    /// [`unclustered`](Self::unclustered) when there is no cluster.
     pub fn answer(&self, how: Assigner<'_>, addr: Ipv4Addr) -> ClusterAnswer {
         let cluster = how.net_for(u32::from(addr));
         let found = cluster.and_then(|prefix| {
@@ -347,8 +348,8 @@ impl Clustering {
             self.clusters.get(i.ok()?)
         });
         let members = match cluster {
-            None => &self.unclustered[..],
-            Some(_) => found.map_or(&[][..], |c| &c.clients[..]),
+            None => self.unclustered(),
+            Some(_) => found.map_or(&[][..], |c| self.members(c)),
         };
         let member =
             (members.binary_search_by_key(&addr, |c| c.addr).ok()).and_then(|i| members.get(i));
@@ -467,8 +468,8 @@ mod tests {
 
         // Every member, the stray, and each top cluster's network address
         // (seen or not): one answer from both views.
-        let members = batch.clusters.iter().flat_map(|c| &c.clients);
-        let addrs = (members.chain(&batch.unclustered).map(|c| c.addr))
+        let members = batch.clusters.iter().flat_map(|c| batch.members(c));
+        let addrs = (members.chain(batch.unclustered()).map(|c| c.addr))
             .chain(bt.iter().map(|row| row.prefix.addr()));
         for addr in addrs {
             assert_eq!(batch.answer(how, addr), stream.lookup(addr), "{addr}");
@@ -522,7 +523,7 @@ mod tests {
         let member = batch
             .clusters
             .iter()
-            .find_map(|c| c.clients.first())
+            .find_map(|c| batch.members(c).first())
             .expect("a member");
         let a = batch.answer(Assigner::NetworkAware(&table), member.addr);
         assert!(a.to_json().contains("\"cluster\": \""), "{}", a.to_json());

@@ -1289,7 +1289,7 @@ mod tests {
         }
         // Coverage agrees (request-weighted vs client-weighted differ, so
         // compare against the request tally directly).
-        let unclustered_reqs: u64 = batch.unclustered.iter().map(|c| c.requests).sum();
+        let unclustered_reqs: u64 = batch.unclustered().iter().map(|c| c.requests).sum();
         let expect = 1.0 - unclustered_reqs as f64 / log.requests.len() as f64;
         assert!((stream.coverage() - expect).abs() < 1e-12);
     }
@@ -1336,7 +1336,7 @@ mod tests {
         // The top cluster matches the batch busiest.
         let merged = standard_merged(&u, 0);
         let batch = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
-        assert_eq!(top[0].1.requests, batch.busiest().unwrap().requests);
+        assert_eq!(top[0].1.requests, batch.top(1)[0].requests);
     }
 
     #[test]

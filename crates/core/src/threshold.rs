@@ -6,7 +6,7 @@
 //! the log. Table 5 reports the resulting threshold and the client/request
 //! ranges of the kept and filtered clusters.
 
-use crate::cluster::Clustering;
+use crate::cluster::Cluster;
 
 /// Outcome of thresholding one clustering.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,8 +16,8 @@ pub struct ThresholdReport {
     /// Requests-per-cluster of the smallest kept cluster (Table 5's
     /// "Threshold" row).
     pub threshold: u64,
-    /// Indices (into `Clustering::clusters`) of busy clusters, descending
-    /// by requests.
+    /// Indices (into the clusters thresholded) of busy clusters,
+    /// descending by requests.
     pub busy: Vec<usize>,
     /// Clients across busy clusters.
     pub busy_clients: u64,
@@ -33,25 +33,25 @@ pub struct ThresholdReport {
     pub lessbusy_client_range: (u64, u64),
 }
 
-/// Selects busy clusters covering `fraction` of the clustering's clustered
-/// requests.
+/// Selects busy clusters covering `fraction` of the requests of
+/// `clusters`, a clustering's.
 ///
 /// # Panics
 ///
 /// Panics unless `0.0 < fraction <= 1.0`.
-pub fn threshold_busy(clustering: &Clustering, fraction: f64) -> ThresholdReport {
+pub fn threshold_busy(clusters: &[Cluster], fraction: f64) -> ThresholdReport {
     assert!(
         fraction > 0.0 && fraction <= 1.0,
         "fraction must be in (0, 1]"
     );
-    let mut order: Vec<usize> = (0..clustering.clusters.len()).collect();
+    let mut order: Vec<usize> = (0..clusters.len()).collect();
     order.sort_by(|&a, &b| {
-        clustering.clusters[b]
+        clusters[b]
             .requests
-            .cmp(&clustering.clusters[a].requests)
+            .cmp(&clusters[a].requests)
             .then(a.cmp(&b))
     });
-    let clustered_total: u64 = clustering.clusters.iter().map(|c| c.requests).sum();
+    let clustered_total: u64 = clusters.iter().map(|c| c.requests).sum();
     #[allow(clippy::cast_possible_truncation, reason = "a float-to-int `as` saturates.")]
     let target = (clustered_total as f64 * fraction).ceil() as u64;
 
@@ -61,7 +61,7 @@ pub fn threshold_busy(clustering: &Clustering, fraction: f64) -> ThresholdReport
         if acc >= target {
             break;
         }
-        acc += clustering.clusters[idx].requests;
+        acc += clusters[idx].requests;
         busy.push(idx);
     }
 
@@ -80,12 +80,12 @@ pub fn threshold_busy(clustering: &Clustering, fraction: f64) -> ThresholdReport
         }
     };
     let lessbusy: Vec<usize> = order[busy.len()..].to_vec();
-    let req = |i: usize| clustering.clusters[i].requests;
-    let cli = |i: usize| clustering.clusters[i].client_count() as u64;
+    let req = |i: usize| clusters[i].requests;
+    let cli = |i: usize| clusters[i].client_count() as u64;
     let busy_clients: u64 = busy.iter().map(|&i| cli(i)).sum();
 
     ThresholdReport {
-        total_clusters: clustering.clusters.len(),
+        total_clusters: clusters.len(),
         threshold: busy.last().map(|&i| req(i)).unwrap_or(0),
         busy_requests: acc,
         busy_request_range: range(&busy, &req),
@@ -100,7 +100,7 @@ pub fn threshold_busy(clustering: &Clustering, fraction: f64) -> ThresholdReport
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::Assigner;
+    use crate::cluster::{Assigner, Clustering};
     use netclust_weblog::{Log, LogTruth, Request, UrlMeta};
 
     /// Clusters with requests 1000, 500, 300, 100, 50 (five /24s).
@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn seventy_percent_rule() {
         let clustering = Clustering::by(&log(), Assigner::Simple24);
-        let report = threshold_busy(&clustering, 0.7);
+        let report = threshold_busy(&clustering.clusters, 0.7);
         // Total 1950; 70 % = 1365; clusters 1000 + 500 = 1500 suffice.
         assert_eq!(report.busy.len(), 2);
         assert_eq!(report.busy_requests, 1500);
@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn full_fraction_keeps_everything() {
         let clustering = Clustering::by(&log(), Assigner::Simple24);
-        let report = threshold_busy(&clustering, 1.0);
+        let report = threshold_busy(&clustering.clusters, 1.0);
         assert_eq!(report.busy.len(), 5);
         assert_eq!(report.threshold, 50);
         assert_eq!(report.lessbusy_request_range, (0, 0));
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn busy_order_is_descending() {
         let clustering = Clustering::by(&log(), Assigner::Simple24);
-        let report = threshold_busy(&clustering, 0.9);
+        let report = threshold_busy(&clustering.clusters, 0.9);
         let reqs: Vec<u64> = report
             .busy
             .iter()
@@ -178,7 +178,7 @@ mod tests {
     #[should_panic(expected = "fraction")]
     fn bad_fraction_panics() {
         let clustering = Clustering::by(&log(), Assigner::Simple24);
-        let _ = threshold_busy(&clustering, 0.0);
+        let _ = threshold_busy(&clustering.clusters, 0.0);
     }
 
     #[test]
@@ -193,7 +193,7 @@ mod tests {
             truth: LogTruth::default(),
         };
         let clustering = Clustering::by(&empty, Assigner::Simple24);
-        let report = threshold_busy(&clustering, 0.7);
+        let report = threshold_busy(&clustering.clusters, 0.7);
         assert!(report.busy.is_empty());
         assert_eq!(report.threshold, 0);
     }

@@ -34,12 +34,12 @@ fn assert_clusterings_equal(got: &Clustering, expect: &Clustering, context: &str
     assert_eq!(got.clusters.len(), expect.clusters.len(), "{context}");
     for (g, e) in got.clusters.iter().zip(&expect.clusters) {
         assert_eq!(g.prefix, e.prefix, "{context}");
-        assert_eq!(g.clients, e.clients, "{context} {}", e.prefix);
+        assert_eq!(got.members(g), expect.members(e), "{context} {}", e.prefix);
         assert_eq!(g.requests, e.requests, "{context} {}", e.prefix);
         assert_eq!(g.bytes, e.bytes, "{context} {}", e.prefix);
         assert_eq!(g.unique_urls, e.unique_urls, "{context} {}", e.prefix);
     }
-    assert_eq!(got.unclustered, expect.unclustered, "{context}");
+    assert_eq!(got.unclustered(), expect.unclustered(), "{context}");
 }
 
 #[test]

@@ -4,9 +4,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use netclust_core::{
-    threshold_busy, Assigner, ClientClass, Cluster, ClusterAnswer, ClusterQuery, Clustering,
-    ErrorCounts, IngestPipeline, StreamStats, StreamingClustering, SwapPolicy, VerdictAnswer,
-    VerdictPolicy,
+    threshold_busy, Assigner, ClientClass, ClientStats, Cluster, ClusterAnswer, ClusterQuery,
+    Clustering, ErrorCounts, IngestPipeline, StreamStats, StreamingClustering, SwapPolicy,
+    VerdictAnswer, VerdictPolicy,
 };
 use netclust_obs::Obs;
 use netclust_prefix::Ipv4Net;
@@ -52,25 +52,38 @@ fn arb_reqs() -> impl Strategy<Value = Vec<(u32, u8, u16)>> {
 /// bytes, unique URLs]`, and the requests of clients no prefix covers.
 type Expected = (BTreeMap<Ipv4Net, [u64; 4]>, u64);
 
+/// One client as its cluster lists it: (address, requests, bytes).
+type Member = (u32, u64, u64);
+
+/// Whom a batch clustering must list: per prefix its members, and the
+/// clients no prefix covers, each in address order.
+type Members = (BTreeMap<Ipv4Net, Vec<Member>>, Vec<Member>);
+
 /// The reference: ordered maps and the radix-trie LPM — nothing the
 /// clustering kernel or the compiled table is built from.
-fn oracle(requests: &[Request], table: &MergedTable) -> Expected {
+fn oracle(requests: &[Request], table: &MergedTable) -> (Expected, Members) {
     oracle_by(requests, |client| {
         table.lookup_u32(client).map(|(net, _)| net)
     })
 }
 
 /// [`oracle`] under any address → cluster rule.
-fn oracle_by(requests: &[Request], net_of: impl Fn(u32) -> Option<Ipv4Net>) -> Expected {
+fn oracle_by(requests: &[Request], net_of: impl Fn(u32) -> Option<Ipv4Net>) -> (Expected, Members) {
     let per_client = per_client(requests);
     let (mut clusters, mut unclustered) = (BTreeMap::<Ipv4Net, [u64; 4]>::new(), 0);
+    let mut members: Members = (BTreeMap::new(), Vec::new());
     for (&client, &[requests, bytes]) in &per_client {
+        let member = (client, requests, bytes);
         match net_of(client) {
             Some(net) => {
                 let c = clusters.entry(net).or_default();
                 *c = [c[0] + 1, c[1] + requests, c[2] + bytes, 0];
+                members.0.entry(net).or_default().push(member);
             }
-            None => unclustered += requests,
+            None => {
+                unclustered += requests;
+                members.1.push(member);
+            }
         }
     }
     let urls: BTreeSet<(Ipv4Net, u32)> = (requests.iter())
@@ -79,20 +92,29 @@ fn oracle_by(requests: &[Request], net_of: impl Fn(u32) -> Option<Ipv4Net>) -> E
     for (net, _) in urls {
         clusters.get_mut(&net).expect("a client put it there")[3] += 1;
     }
-    (clusters, unclustered)
+    ((clusters, unclustered), members)
 }
 
-fn batch_view(c: &Clustering) -> Expected {
+fn batch_view(c: &Clustering) -> (Expected, Members) {
+    let listed = |members: &[ClientStats]| -> Vec<Member> {
+        (members.iter())
+            .map(|m| (u32::from(m.addr), m.requests, m.bytes))
+            .collect()
+    };
     let row = |k: &Cluster| {
         [
-            k.clients.len() as u64,
+            c.members(k).len() as u64,
             k.requests,
             k.bytes,
             k.unique_urls as u64,
         ]
     };
     let clusters = c.clusters.iter().map(|k| (k.prefix, row(k))).collect();
-    (clusters, c.unclustered.iter().map(|u| u.requests).sum())
+    let unclustered = c.unclustered().iter().map(|u| u.requests).sum();
+    let members = (c.clusters.iter())
+        .map(|k| (k.prefix, listed(c.members(k))))
+        .collect();
+    ((clusters, unclustered), (members, listed(c.unclustered())))
 }
 
 /// Requests and bytes per client address.
@@ -263,23 +285,27 @@ proptest! {
         let log = log_from(&reqs);
         // An arbitrary assigner: cluster by client % modulus, with one
         // residue class unclusterable.
-        let clustering = Clustering::build(&log, "prop", |addr| {
-            let r = u32::from(addr) % (modulus + 1);
+        let rule = |addr: u32| {
+            let r = addr % (modulus + 1);
             if r == modulus {
                 None
             } else {
                 Some(Ipv4Net::new(r << 8, 24).unwrap())
             }
-        });
+        };
+        let clustering = Clustering::build(&log, "prop", |addr| rule(u32::from(addr)));
+        // Its prefixes need not cover their members: the member run is
+        // grouped by the rule all the same.
+        prop_assert_eq!(batch_view(&clustering), oracle_by(&log.requests, rule));
         // Client partition.
         let mut seen: BTreeSet<Ipv4Addr> = BTreeSet::new();
         for cluster in &clustering.clusters {
-            prop_assert!(!cluster.clients.is_empty(), "no empty clusters");
-            for c in &cluster.clients {
+            prop_assert!(!clustering.members(cluster).is_empty(), "no empty clusters");
+            for c in clustering.members(cluster) {
                 prop_assert!(seen.insert(c.addr), "client {} in two clusters", c.addr);
             }
         }
-        for c in &clustering.unclustered {
+        for c in clustering.unclustered() {
             prop_assert!(seen.insert(c.addr), "unclustered client duplicated");
         }
         let expected: BTreeSet<Ipv4Addr> =
@@ -287,10 +313,10 @@ proptest! {
         prop_assert_eq!(seen, expected);
         // Request and byte conservation.
         let req_total: u64 = clustering.clusters.iter().map(|c| c.requests).sum::<u64>()
-            + clustering.unclustered.iter().map(|c| c.requests).sum::<u64>();
+            + clustering.unclustered().iter().map(|c| c.requests).sum::<u64>();
         prop_assert_eq!(req_total, log.requests.len() as u64);
         let byte_total: u64 = clustering.clusters.iter().map(|c| c.bytes).sum::<u64>()
-            + clustering.unclustered.iter().map(|c| c.bytes).sum::<u64>();
+            + clustering.unclustered().iter().map(|c| c.bytes).sum::<u64>();
         let log_bytes: u64 = log.requests.iter().map(|r| u64::from(r.bytes)).sum();
         prop_assert_eq!(byte_total, log_bytes);
         // unique_urls bounded by requests and by the URL space.
@@ -361,7 +387,8 @@ proptest! {
             })
             .collect();
         let log = log_from(&triples);
-        let want = oracle(&log.requests, &table);
+        let (want, members) = oracle(&log.requests, &table);
+        let want_batch = (want.clone(), members);
 
         let unseen = unseen_addrs(&log, &nets, &probes);
         let net_of = |client| table.lookup_u32(client).map(|(net, _)| net);
@@ -369,7 +396,7 @@ proptest! {
         let compiled = table.compile();
         let how = Assigner::NetworkAware(&compiled);
         let built = Clustering::by(&log, how);
-        prop_assert_eq!(&batch_view(&built), &want);
+        prop_assert_eq!(&batch_view(&built), &want_batch);
         check_answers(batch_answers(&built, how), net_of, (&want, &log.requests), &unseen, "build")?;
 
         const JUNK: &str = "not a log line\n";
@@ -384,7 +411,7 @@ proptest! {
                 .chunk_bytes(chunk_bytes)
                 .run(text.as_bytes());
             prop_assert_eq!(report.counts.malformed, junk.len() as u64);
-            prop_assert_eq!(&batch_view(&report.clustering), &want, "threads={}", threads);
+            prop_assert_eq!(&batch_view(&report.clustering), &want_batch, "threads={}", threads);
             let answers = batch_answers(&report.clustering, how);
             let what = format!("ingest threads={threads}");
             check_answers(answers, net_of, (&want, &log.requests), &unseen, &what)?;
@@ -453,7 +480,7 @@ proptest! {
             let reassigned = if report.accepted { moved(seen, &before, &table_now) } else { 0 };
             prop_assert_eq!(report.reassigned_clients, reassigned, "after {:?}", batch);
             // The streaming view does not track URLs.
-            let mut want = oracle(seen, &table_now);
+            let (mut want, _) = oracle(seen, &table_now);
             want.0.values_mut().for_each(|row| row[3] = 0);
             let fed = (seen, &table_now, &unseen[..]);
             check_stream(&stream, &want, fed, &format!("after {batch:?}"))?;
@@ -495,7 +522,9 @@ proptest! {
         let methods = [(Assigner::Simple24, slash24 as fn(u32) -> _), (Assigner::Classful, classful)];
         for (how, net_of) in methods {
             let clustering = Clustering::by(&log, how);
-            let want = oracle_by(&log.requests, net_of);
+            let want_batch = oracle_by(&log.requests, net_of);
+            prop_assert_eq!(&batch_view(&clustering), &want_batch, "{}", how.label());
+            let want = want_batch.0;
             let answers = batch_answers(&clustering, how);
             check_answers(answers, net_of, (&want, &log.requests), &unseen, how.label())?;
         }
@@ -523,7 +552,7 @@ proptest! {
         let log = log_from(&reqs);
         let clustering = Clustering::by(&log, Assigner::Simple24);
         let fraction = pct as f64 / 100.0;
-        let report = threshold_busy(&clustering, fraction);
+        let report = threshold_busy(&clustering.clusters, fraction);
         let total: u64 = clustering.clusters.iter().map(|c| c.requests).sum();
         let target = (total as f64 * fraction).ceil() as u64;
         prop_assert!(report.busy_requests >= target.min(total));

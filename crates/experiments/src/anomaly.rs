@@ -16,7 +16,8 @@
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
-use netclust_core::{ClientClass, Clustering, VerdictPolicy};
+use netclust_core::{ClientClass, Cluster, Clustering, VerdictPolicy};
+use netclust_prefix::Ipv4Net;
 use netclust_weblog::{Log, UaId};
 
 /// Detection thresholds. Defaults follow the paper's qualitative rules.
@@ -133,12 +134,32 @@ pub fn correlation(a: &[u64], b: &[u64]) -> f64 {
     }
 }
 
+/// The cluster of `clustering` that holds `addr` among its members: the
+/// longest of its prefixes that covers `addr` and lists it. Every prefix
+/// a clustering by the paper's methods (or by self-correction) makes
+/// covers its members, so a cover's members are the only place to look.
+pub fn cluster_of(clustering: &Clustering, addr: Ipv4Addr) -> Option<&Cluster> {
+    let clusters = &clustering.clusters;
+    (0..=32).rev().find_map(|len| {
+        let net = Ipv4Net::from_addr(addr, len).ok()?;
+        let i = clusters.binary_search_by_key(&net, |c| c.prefix).ok()?;
+        let cluster = clusters.get(i)?;
+        let members = clustering.members(cluster);
+        members.binary_search_by_key(&addr, |c| c.addr).ok()?;
+        Some(cluster)
+    })
+}
+
 /// The per-client request distribution within one cluster, descending —
 /// Figure 10's series.
 pub fn cluster_request_distribution(clustering: &Clustering, prefix_of: Ipv4Addr) -> Vec<u64> {
-    match clustering.cluster_of(prefix_of) {
+    match cluster_of(clustering, prefix_of) {
         Some(cluster) => {
-            let mut v: Vec<u64> = cluster.clients.iter().map(|c| c.requests).collect();
+            let mut v: Vec<u64> = clustering
+                .members(cluster)
+                .iter()
+                .map(|c| c.requests)
+                .collect();
             v.sort_unstable_by(|a, b| b.cmp(a));
             v
         }
@@ -199,8 +220,7 @@ pub fn detect(log: &Log, clustering: &Clustering, config: &AnomalyConfig) -> Vec
     for &client in &candidates {
         let addr = Ipv4Addr::from(client);
         let requests = per_client[&client];
-        let cluster_share = clustering
-            .cluster_of(addr)
+        let cluster_share = cluster_of(clustering, addr)
             .map(|cl| {
                 if cl.requests == 0 {
                     0.0

@@ -7,7 +7,9 @@
 //! pattern.
 
 use netclust_core::{Assigner, Clustering};
-use netclust_experiments::{correlation, hourly_histogram, paper_universe, print_table, scaled};
+use netclust_experiments::{
+    cluster_of, correlation, hourly_histogram, paper_universe, print_table, scaled,
+};
 use netclust_netgen::{generate, standard_merged, LogSpec};
 
 #[allow(clippy::cast_possible_truncation, reason = "a bar of at most 24 columns.")]
@@ -30,19 +32,15 @@ fn main() {
     let whole = hourly_histogram(&log, |_| true);
     let proxy = u32::from(log.truth.proxies[0]);
     let spider = u32::from(log.truth.spiders[0]);
-    let proxy_cluster = clustering
-        .cluster_of(log.truth.proxies[0])
-        .expect("proxy clustered");
-    let spider_cluster = clustering
-        .cluster_of(log.truth.spiders[0])
-        .expect("spider clustered");
-    let proxy_members: std::collections::HashSet<u32> = proxy_cluster
-        .clients
+    let proxy_cluster = cluster_of(&clustering, log.truth.proxies[0]).expect("proxy clustered");
+    let spider_cluster = cluster_of(&clustering, log.truth.spiders[0]).expect("spider clustered");
+    let proxy_members: std::collections::HashSet<u32> = clustering
+        .members(proxy_cluster)
         .iter()
         .map(|c| u32::from(c.addr))
         .collect();
-    let spider_members: std::collections::HashSet<u32> = spider_cluster
-        .clients
+    let spider_members: std::collections::HashSet<u32> = clustering
+        .members(spider_cluster)
         .iter()
         .map(|c| u32::from(c.addr))
         .collect();

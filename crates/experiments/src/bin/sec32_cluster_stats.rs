@@ -44,7 +44,7 @@ fn main() {
     println!(
         "coverage            : {} clustered ({} unclustered clients)",
         pct(clustering.coverage()),
-        clustering.unclustered.len()
+        clustering.unclustered().len()
     );
     let (lo, hi) = minmax(&sizes);
     println!("cluster size range  : {lo} - {hi} clients");

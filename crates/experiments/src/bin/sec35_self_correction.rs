@@ -15,7 +15,7 @@ fn main() {
     println!(
         "before: {} clusters, {} unclustered clients, coverage {}",
         clustering.len(),
-        clustering.unclustered.len(),
+        clustering.unclustered().len(),
         pct(clustering.coverage())
     );
     println!(

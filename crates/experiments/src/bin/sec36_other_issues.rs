@@ -7,33 +7,42 @@
 //! the 12.4 M requests; client clusters group further into network
 //! clusters via traceroute path suffixes.
 
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-use netclust_core::{threshold_busy, Assigner, ClientStats, Clustering};
+use netclust_core::{threshold_busy, Assigner, Cluster, Clustering};
 use netclust_experiments::{nagano_env, network_clusters, pct, print_table, scale, session_report};
 use netclust_netgen::{pareto_u64, stream_rng};
+use netclust_prefix::Ipv4Net;
 use netclust_rtable::MergedTable;
 use rand::Rng;
 
 /// Clusters a bare (address, requests, bytes) list — no log needed: the
-/// server clustering of the destinations in a proxy log. Unique URL
-/// counts are not available and stay 0.
-fn server_clustering(counts: &[(Ipv4Addr, u64, u64)], merged: &MergedTable) -> Clustering {
-    let mut servers: Vec<ClientStats> = counts
-        .iter()
-        .map(|&(addr, requests, bytes)| ClientStats {
-            addr,
-            requests,
-            bytes,
-        })
-        .collect();
-    servers.sort_by_key(|c| c.addr);
-    let assignments = servers
-        .iter()
-        .map(|c| merged.lookup(c.addr).map(|(n, _)| n))
-        .collect();
-    let total_requests = servers.iter().map(|c| c.requests).sum();
-    Clustering::from_assignments("servers", servers, assignments, total_requests)
+/// server clustering of the destinations in a proxy log, each entry one
+/// server (an address listed twice counts twice). Unique URL counts are
+/// not available and stay 0. Returns the clusters, sorted by prefix, and
+/// how many entries no prefix covers.
+fn server_clusters(counts: &[(Ipv4Addr, u64, u64)], merged: &MergedTable) -> (Vec<Cluster>, usize) {
+    let mut by_prefix: BTreeMap<Ipv4Net, Cluster> = BTreeMap::new();
+    let mut unclustered = 0;
+    for &(addr, requests, bytes) in counts {
+        let Some((prefix, _)) = merged.lookup(addr) else {
+            unclustered += 1;
+            continue;
+        };
+        let cluster = by_prefix.entry(prefix).or_insert(Cluster {
+            prefix,
+            start: 0,
+            clients: 0,
+            requests: 0,
+            bytes: 0,
+            unique_urls: 0,
+        });
+        cluster.clients += 1;
+        cluster.requests += requests;
+        cluster.bytes += bytes;
+    }
+    (by_prefix.into_values().collect(), unclustered)
 }
 
 fn main() {
@@ -96,14 +105,14 @@ fn main() {
         let addr = Ipv4Addr::new(9, 9, (i / 250) as u8, (i % 250) as u8 + 1);
         counts.push((addr, 1, 8_000));
     }
-    let servers = server_clustering(&counts, &merged);
+    let (servers, unclustered) = server_clusters(&counts, &merged);
     println!("\n== §3.6 server clustering from a proxy log ==");
     println!("unique server addresses : {}", counts.len());
     println!("server clusters         : {}", servers.len());
     println!(
         "unclusterable            : {} ({}) (paper: ~0.2%)",
-        servers.unclustered.len(),
-        pct(servers.unclustered.len() as f64 / counts.len() as f64)
+        unclustered,
+        pct(unclustered as f64 / counts.len() as f64)
     );
     let busy = threshold_busy(&servers, 0.7);
     println!(

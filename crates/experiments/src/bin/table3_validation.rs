@@ -94,7 +94,7 @@ fn main() {
         .clusters
         .iter()
         .step_by(100.max(clustering.len() / 300))
-        .flat_map(|c| c.clients.iter().take(3).map(|cl| cl.addr))
+        .flat_map(|c| clustering.members(c).iter().take(3).map(|cl| cl.addr))
         .collect();
     let mut classic = Traceroute::classic(&universe);
     let mut optimized = Traceroute::optimized(&universe);

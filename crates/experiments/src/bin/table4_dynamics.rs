@@ -26,7 +26,7 @@ fn main() {
         .collect();
     let busies: Vec<Vec<usize>> = logs
         .iter()
-        .map(|(_, c)| threshold_busy(c, 0.7).busy)
+        .map(|(_, c)| threshold_busy(&c.clusters, 0.7).busy)
         .collect();
     let studies: Vec<LogUnderStudy<'_>> = logs
         .iter()

@@ -27,7 +27,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for clustering in [&aware, &simple] {
-        let t = threshold_busy(clustering, 0.7);
+        let t = threshold_busy(&clustering.clusters, 0.7);
         rows.push(vec![
             clustering.method.clone(),
             t.total_clusters.to_string(),
@@ -66,8 +66,8 @@ fn main() {
         ],
         &rows,
     );
-    let ta = threshold_busy(&aware, 0.7);
-    let ts = threshold_busy(&simple, 0.7);
+    let ta = threshold_busy(&aware.clusters, 0.7);
+    let ts = threshold_busy(&simple.clusters, 0.7);
     println!(
         "\nbusy-cluster ratio simple/aware: {:.2} (paper: 3242/717 = 4.52)",
         ts.busy.len() as f64 / ta.busy.len().max(1) as f64

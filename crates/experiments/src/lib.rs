@@ -42,7 +42,7 @@ mod sessions;
 mod validation;
 
 pub use anomaly::{
-    cluster_request_distribution, correlation, detect, hourly_histogram, strip_clients,
+    cluster_of, cluster_request_distribution, correlation, detect, hourly_histogram, strip_clients,
     AnomalyConfig, Detection,
 };
 pub use dynamics::{

@@ -49,10 +49,11 @@ pub fn network_clusters(
     for (idx, cluster) in clustering.clusters.iter().enumerate() {
         // A memberless cluster has nothing to traceroute; skipping it keeps
         // the empty suffix key from minting a bogus "" network cluster.
-        if cluster.clients.is_empty() {
+        if clustering.members(cluster).is_empty() {
             continue;
         }
-        let mut sample: Vec<std::net::Ipv4Addr> = cluster.clients.iter().map(|c| c.addr).collect();
+        let mut sample: Vec<std::net::Ipv4Addr> =
+            clustering.members(cluster).iter().map(|c| c.addr).collect();
         sample.shuffle(&mut rng);
         sample.truncate(r.max(1));
         // Majority vote over sampled upstream suffixes.
@@ -138,7 +139,7 @@ mod tests {
             let ases: std::collections::BTreeSet<u32> = group
                 .members
                 .iter()
-                .filter_map(|&i| u.owner(clustering.clusters[i].clients[0].addr))
+                .filter_map(|&i| u.owner(clustering.members(&clustering.clusters[i])[0].addr))
                 .map(|org| u.org(org).as_id)
                 .collect();
             assert_eq!(ases.len(), 1, "group {} spans ASes {ases:?}", group.key);
@@ -156,7 +157,8 @@ mod tests {
         // mint a bogus ""-keyed network cluster.
         clustering.clusters.push(netclust_core::Cluster {
             prefix: "203.0.113.0/24".parse().unwrap(),
-            clients: Vec::new(),
+            start: 0,
+            clients: 0,
             requests: 0,
             bytes: 0,
             unique_urls: 0,

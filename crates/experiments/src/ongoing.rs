@@ -64,7 +64,8 @@ where
         Vec::with_capacity(clustering.clusters.len());
     let mut unresolvable = 0usize;
     for cluster in &clustering.clusters {
-        let mut sample: Vec<Ipv4Addr> = cluster.clients.iter().map(|c| c.addr).collect();
+        let mut sample: Vec<Ipv4Addr> =
+            clustering.members(cluster).iter().map(|c| c.addr).collect();
         sample.shuffle(&mut rng);
         sample.truncate(samples_per_cluster.max(1));
         let suffix = sample
@@ -114,14 +115,14 @@ where
         merged_away += members.len() - 1;
         for &i in members {
             grouped[i] = true;
-            for c in &clustering.clusters[i].clients {
+            for c in clustering.members(&clustering.clusters[i]) {
                 assign.insert(u32::from(c.addr), prefix);
             }
         }
     }
     for (idx, cluster) in clustering.clusters.iter().enumerate() {
         if !grouped[idx] {
-            for c in &cluster.clients {
+            for c in clustering.members(cluster) {
                 assign.insert(u32::from(c.addr), cluster.prefix);
             }
         }
@@ -202,7 +203,11 @@ pub fn selective_validate(
         let cluster = &clustering.clusters[idx];
         // Identity per sampled client, weighted by requests.
         let mut weights: HashMap<String, (u64, u64)> = HashMap::new(); // id -> (clients, requests)
-        for client in cluster.clients.iter().take(plan.max_clients_per_cluster) {
+        for client in clustering
+            .members(cluster)
+            .iter()
+            .take(plan.max_clients_per_cluster)
+        {
             let outcome = tracer.trace(client.addr);
             let id = match &outcome {
                 TraceOutcome::Reached {

@@ -104,7 +104,7 @@ pub fn org_purity(universe: &Universe, clustering: &Clustering) -> f64 {
         .clusters
         .iter()
         .filter(|c| {
-            let mut keys = c.clients.iter().map(|cl| universe.admin_key(cl.addr));
+            let mut keys = (clustering.members(c).iter()).map(|cl| universe.admin_key(cl.addr));
             let first = keys.next().expect("clusters are non-empty");
             keys.all(|k| k == first)
         })
@@ -238,13 +238,14 @@ pub fn self_correct_with(
     let mut homogeneous = 0usize;
     let mut no_signal = 0usize;
     for cluster in &clustering.clusters {
-        let mut sample: Vec<Ipv4Addr> = cluster.clients.iter().map(|c| c.addr).collect();
+        let mut sample: Vec<Ipv4Addr> =
+            clustering.members(cluster).iter().map(|c| c.addr).collect();
         sample.shuffle(&mut rng);
         sample.truncate(config.samples_per_cluster.max(1));
         let sigs: Vec<Option<String>> = sample.iter().map(|&a| sig_of(&mut tracer, a)).collect();
         let informative: Vec<&String> = sigs.iter().flatten().collect();
         unknown += sigs.len() - informative.len();
-        let members: Vec<Ipv4Addr> = cluster.clients.iter().map(|c| c.addr).collect();
+        let members: Vec<Ipv4Addr> = clustering.members(cluster).iter().map(|c| c.addr).collect();
         if informative.is_empty() {
             // Probing told us nothing about this cluster: keep it intact
             // under a synthetic key rather than scattering its clients.
@@ -268,7 +269,7 @@ pub fn self_correct_with(
             // whose probe yields nothing stay together as the remainder
             // of the original cluster.
             split += 1;
-            for client in &cluster.clients {
+            for client in clustering.members(cluster) {
                 match sig_of(&mut tracer, client.addr) {
                     Some(sig) => {
                         insert_group(&mut groups, sig, vec![client.addr], None);
@@ -290,7 +291,7 @@ pub fn self_correct_with(
     // Absorb unclustered clients.
     let mut absorbed = 0usize;
     let mut new_groups = 0usize;
-    for client in &clustering.unclustered {
+    for client in clustering.unclustered() {
         match sig_of(&mut tracer, client.addr) {
             Some(sig) => {
                 if insert_group(&mut groups, sig, vec![client.addr], None) {
@@ -413,13 +414,13 @@ mod tests {
         // clusters the r-sample missed can stay impure.
         assert!(after_purity > 0.95, "after purity {after_purity}");
         // Everything is clustered afterwards.
-        assert!(report.clustering.unclustered.is_empty());
+        assert!(report.clustering.unclustered().is_empty());
         assert!((report.clustering.coverage() - 1.0).abs() < 1e-12);
         // Client conservation.
         assert_eq!(report.clustering.client_count(), clustering.client_count());
         assert_eq!(
             report.absorbed + report.new_from_unclustered,
-            clustering.unclustered.len()
+            clustering.unclustered().len()
         );
     }
 
@@ -434,8 +435,11 @@ mod tests {
             let mut per_entity: std::collections::HashMap<u64, usize> =
                 std::collections::HashMap::new();
             for c in &cl.clusters {
-                let keys: std::collections::BTreeSet<_> =
-                    c.clients.iter().map(|cc| u.admin_key(cc.addr)).collect();
+                let keys: std::collections::BTreeSet<_> = cl
+                    .members(c)
+                    .iter()
+                    .map(|cc| u.admin_key(cc.addr))
+                    .collect();
                 if keys.len() == 1 {
                     if let Some(key) = keys.into_iter().next().flatten() {
                         *per_entity.entry(key).or_default() += 1;
@@ -465,8 +469,11 @@ mod tests {
             cl.clusters
                 .iter()
                 .filter(|c| {
-                    let set: std::collections::BTreeSet<_> =
-                        c.clients.iter().map(|cc| u.admin_key(cc.addr)).collect();
+                    let set: std::collections::BTreeSet<_> = cl
+                        .members(c)
+                        .iter()
+                        .map(|cc| u.admin_key(cc.addr))
+                        .collect();
                     set.len() > 1
                 })
                 .count()
@@ -541,7 +548,7 @@ mod tests {
 
         // Bounded error: correction under loss still clusters everyone and
         // conserves clients...
-        assert!(lossy.clustering.unclustered.is_empty());
+        assert!(lossy.clustering.unclustered().is_empty());
         assert!((lossy.clustering.coverage() - 1.0).abs() < 1e-12);
         assert_eq!(lossy.clustering.client_count(), clustering.client_count());
 

@@ -165,8 +165,8 @@ pub fn validate(
         if len == 24 {
             report.len24_clusters += 1;
         }
-        let clients: Vec<Ipv4Addr> = cluster
-            .clients
+        let clients: Vec<Ipv4Addr> = clustering
+            .members(cluster)
             .iter()
             .take(plan.max_clients_per_cluster)
             .map(|c| c.addr)

@@ -14,8 +14,9 @@ use crate::{addr_to_u32, u32_to_addr};
 /// length are zeroed at construction, so two `Ipv4Net`s compare equal exactly
 /// when they denote the same network. This is the unit the paper's clustering
 /// operates on — a cluster is *identified by* the longest matched
-/// prefix/netmask of its members (§3.2.1).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+/// prefix/netmask of its members (§3.2.1). The default is
+/// [`DEFAULT`](Self::DEFAULT), `0.0.0.0/0`.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Ipv4Net {
     /// Network address as a host-order integer, canonicalized.
     addr: u32,

@@ -85,10 +85,10 @@ fn main() {
         .filter(|d| d.class == ClientClass::Spider)
         .map(|d| d.addr)
         .collect();
-    let before = threshold_busy(&clustering, 0.7);
+    let before = threshold_busy(&clustering.clusters, 0.7);
     let cleaned = strip_clients(&log, &spiders);
     let after = threshold_busy(
-        &Clustering::by(&cleaned, Assigner::NetworkAware(&merged.compile())),
+        &Clustering::by(&cleaned, Assigner::NetworkAware(&merged.compile())).clusters,
         0.7,
     );
     println!(

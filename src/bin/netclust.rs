@@ -632,9 +632,9 @@ fn cmd_cluster(p: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         clustering.client_count(),
         clustering.len(),
         clustering.coverage() * 100.0,
-        clustering.unclustered.len()
+        clustering.unclustered().len()
     )?;
-    let busy = threshold_busy(&clustering, 0.7);
+    let busy = threshold_busy(&clustering.clusters, 0.7);
     writeln!(
         out,
         "busy clusters covering 70% of requests: {} (threshold {} requests)",

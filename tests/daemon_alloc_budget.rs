@@ -3,9 +3,10 @@
 //! over every cluster, a snapshot
 //! of the stream (also of clients crowded into one /16 or one /8), a poll
 //! of a backlog. Each burst is bounded by what it
-//! returns or writes, not by a copy of what it reads. This is its own test
-//! binary, and its tests take one lock, so no other test's allocations
-//! share the allocator it counts through.
+//! returns or writes, not by a copy of what it reads. The CLI's batch run
+//! is held to its peak and to what its clustering keeps, per client. This
+//! is its own test binary, and its tests take one lock, so no other test's
+//! allocations share the allocator it counts through.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -16,7 +17,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use netclust::bgpsim::{DeltaStream, DeltaStreamConfig};
-use netclust::core::{EncodedState, FsyncPolicy, StateStore, StreamingClustering};
+use netclust::core::{
+    Assigner, EncodedState, FsyncPolicy, IngestPipeline, StateStore, StreamingClustering,
+};
 use netclust::prefix::Ipv4Net;
 use netclust::rtable::{load_tables, MergedTable, RoutingTable, TableKind};
 use netclust::weblog::follow::{LogFollower, APPLY_SLICE};
@@ -361,5 +364,65 @@ fn a_snapshot_of_crowded_clients_stays_in_its_room() {
         assert!(peak < budget, "a snapshot of {name} allocated {peak} bytes");
         let (_, recovered, _) = StateStore::recover(dir.join("state"), FsyncPolicy::Os).unwrap();
         assert_eq!(recovered, stream.export_state());
+    }
+}
+
+/// Clients the batch run clusters: one request each, at `11.0.0.0 + i·97`,
+/// 113 672 /24s.
+const BATCH_CLIENTS: u32 = 300_000;
+
+/// What a batch run may allocate at its peak, per client, at 1 and 2
+/// threads: the shards' stores and request pairs (grown by doubling,
+/// ≈ 56 bytes a client here) and the merged run of 24-byte records, beside
+/// a 4-byte cluster id a shard client and the buckets of (cluster, url)
+/// keys while unique URLs are counted (107.7 bytes measured), or beside
+/// the merge's per-range runs it is copied from (125.2). The bounds leave
+/// 10 % above that. The member lists, the bucketing hash map and the
+/// address → cluster index this replaced peaked at 206.3 and 176.0.
+const BATCH_PEAK_PER_CLIENT: [f64; 2] = [118.0, 138.0];
+
+/// What the returned clustering may hold per client: its 24-byte member
+/// record, and a 40-byte aggregate per cluster (≈ 2.6 clients each here),
+/// 39.2 bytes; the bound leaves about 5 % above that. Per-cluster member
+/// lists and a hashed address → cluster index held 73.3.
+const BATCH_HELD_PER_CLIENT: f64 = 41.0;
+
+/// The batch run (`netclust cluster`): every client is one 24-byte record
+/// of one member run, grouped by cluster in place, beside a dense
+/// aggregate per cluster; neither a member list per cluster nor an
+/// address → cluster index is built on the way or kept.
+#[test]
+fn a_batch_run_keeps_one_member_run() {
+    let _alone = alone();
+    let mut text = String::with_capacity(BATCH_CLIENTS as usize * 100);
+    for i in 0..BATCH_CLIENTS {
+        let addr = Ipv4Addr::from(0x0B00_0000 + i * 97);
+        let _ = writeln!(
+            text,
+            "{addr} - - [13/Feb/1998:07:00:00 +0000] \"GET /u{} HTTP/1.0\" 200 100 \"-\" \"Mozilla/4.5\"",
+            i % 64
+        );
+    }
+    for (threads, bound) in [1, 2].into_iter().zip(BATCH_PEAK_PER_CLIENT) {
+        let before = LIVE.load(Ordering::Relaxed);
+        let pipeline = IngestPipeline::by(Assigner::Simple24).threads(threads);
+        let (report, peak) = peak_of(|| pipeline.run(text.as_bytes()));
+        let held = LIVE.load(Ordering::Relaxed) - before;
+        let clustering = &report.clustering;
+        assert_eq!(clustering.client_count(), BATCH_CLIENTS as usize);
+        assert_eq!(clustering.len(), 113_672);
+        assert!(clustering.clusters.iter().all(|c| c.unique_urls > 0));
+        let per_client = |bytes: usize| bytes as f64 / f64::from(BATCH_CLIENTS);
+        println!(
+            "a batch run of {BATCH_CLIENTS} clients at {threads} thread(s): peak {:.1} bytes a \
+             client (budget {bound}), the clustering holds {:.1} (budget {BATCH_HELD_PER_CLIENT})",
+            per_client(peak),
+            per_client(held)
+        );
+        assert!(per_client(peak) <= bound, "the run peaked at {peak} bytes");
+        assert!(
+            per_client(held) <= BATCH_HELD_PER_CLIENT,
+            "the clustering holds {held} bytes"
+        );
     }
 }

@@ -95,7 +95,7 @@ fn full_pipeline_reproduces_paper_shapes() {
         correction.clustering.client_count(),
         clustering.client_count()
     );
-    assert!(correction.clustering.unclustered.is_empty());
+    assert!(correction.clustering.unclustered().is_empty());
     assert!(org_purity(&universe, &correction.clustering) >= org_purity(&universe, &clustering));
 
     // §4.1.2: the planted anomalies are found...
@@ -120,7 +120,7 @@ fn full_pipeline_reproduces_paper_shapes() {
     // ...and stripped before thresholding (§4.1.3).
     let cleaned = strip_clients(&log, &found);
     let cleaned_clustering = Clustering::by(&cleaned, Assigner::NetworkAware(&merged.compile()));
-    let thresh = threshold_busy(&cleaned_clustering, 0.7);
+    let thresh = threshold_busy(&cleaned_clustering.clusters, 0.7);
     assert!(!thresh.busy.is_empty());
     assert!(thresh.busy.len() < cleaned_clustering.len());
     let busy_requests: u64 = thresh.busy_requests;
@@ -171,14 +171,14 @@ fn unclustered_clients_exist_and_self_correction_absorbs_them() {
     let log = generate(&universe, &spec);
     let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
     assert!(
-        !clustering.unclustered.is_empty(),
+        !clustering.unclustered().is_empty(),
         "expected some unclusterable clients with 3% unregistered orgs"
     );
     assert!(clustering.coverage() > 0.9);
     let correction = self_correct(&universe, &log, &clustering, &CorrectionConfig::default());
-    assert!(correction.clustering.unclustered.is_empty());
+    assert!(correction.clustering.unclustered().is_empty());
     assert_eq!(
         correction.absorbed + correction.new_from_unclustered,
-        clustering.unclustered.len()
+        clustering.unclustered().len()
     );
 }
