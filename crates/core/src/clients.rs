@@ -1,10 +1,13 @@
 //! Clients in address order (DESIGN.md §10), the one client store: one
-//! sorted run of [`Client`] records found through a root of 2^16 + 1
+//! sorted run of 16-byte records found through a root of 2^16 + 1
 //! offsets, one a /16, plus a bounded arrival tail with a small keyed
 //! index, sorted and merged backwards into the run when full. A position
 //! names a record until the next insert: an index into the run, then into
 //! the tail. A record's memo is the stream's matched [`Handle`] or a batch
-//! shard's first-seen dense id; the store only keeps it.
+//! shard's first-seen dense id; the store only keeps it. A record keeps
+//! its sums as `u32`s; the few clients whose sums outgrow them keep their
+//! exact `u64` sums in a map beside the run. Records go in and out as
+//! [`Client`]s, by value, with `u64` sums.
 
 #![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
 #![deny(
@@ -18,6 +21,7 @@
 )]
 
 use std::collections::hash_map::RandomState;
+use std::collections::BTreeMap;
 use std::hash::BuildHasher;
 use std::ops::Range;
 
@@ -37,21 +41,98 @@ const SCAN: usize = 16;
 /// A free tail-index slot; one in use holds a tail position plus one.
 const FREE: u16 = 0;
 
+/// Both sums of a record whose exact sums are in the wide map: a sum that
+/// would reach it in either count moves the record's sums there.
+const WIDE: u32 = u32::MAX;
+
+/// A client as the store holds it: its sums below [`WIDE`] each, or both
+/// [`WIDE`] when the store's wide map holds them.
+#[derive(Debug, Clone, Copy)]
+struct Record<T> {
+    addr: u32,
+    memo: T,
+    requests: u32,
+    bytes: u32,
+}
+
+// Either memo, a `u32` id or a `u32` handle, beside the address and two
+// `u32` sums: no padding.
+const _: () = assert!(std::mem::size_of::<Record<Handle>>() == 16);
+const _: () = assert!(std::mem::size_of::<Record<u32>>() == 16);
+
+impl<T: Copy> Record<T> {
+    /// A record of `addr` with no requests yet.
+    fn new(addr: u32, memo: T) -> Self {
+        Record {
+            addr,
+            memo,
+            requests: 0,
+            bytes: 0,
+        }
+    }
+
+    /// Adds `requests` and `bytes` to the sums, moving them into `wide`
+    /// when either would reach [`WIDE`].
+    #[inline]
+    fn count(&mut self, wide: &mut BTreeMap<u32, (u64, u64)>, requests: u64, bytes: u64) {
+        if self.requests == WIDE {
+            let sums = wide.entry(self.addr).or_default();
+            sums.0 += requests;
+            sums.1 += bytes;
+            return;
+        }
+        let sums = (
+            u64::from(self.requests) + requests,
+            u64::from(self.bytes) + bytes,
+        );
+        match (u32::try_from(sums.0), u32::try_from(sums.1)) {
+            (Ok(requests), Ok(bytes)) if requests < WIDE && bytes < WIDE => {
+                self.requests = requests;
+                self.bytes = bytes;
+            }
+            _ => {
+                wide.insert(self.addr, sums);
+                self.requests = WIDE;
+                self.bytes = WIDE;
+            }
+        }
+    }
+
+    /// The client this record holds, its exact sums read from `wide` if
+    /// they are there.
+    #[inline]
+    fn client(&self, wide: &BTreeMap<u32, (u64, u64)>) -> Client<T> {
+        let (requests, bytes) = if self.requests == WIDE {
+            wide.get(&self.addr).copied().unwrap_or_default()
+        } else {
+            (u64::from(self.requests), u64::from(self.bytes))
+        };
+        Client {
+            addr: self.addr,
+            requests,
+            bytes,
+            memo: self.memo,
+        }
+    }
+}
+
 /// Client records, in address order but for the arrival tail.
 pub(crate) struct Clients<T = Handle> {
     /// Sorted by address; no address twice, none in the tail.
-    run: Vec<Client<T>>,
+    run: Vec<Record<T>>,
     /// Per /16 `h`, the run records below it: `h`'s are
     /// `run[root[h]..root[h + 1]]`.
     root: Vec<u32>,
     /// Clients not yet merged, in arrival order: at most `cap`.
-    tail: Vec<Client<T>>,
+    tail: Vec<Record<T>>,
     /// Linear probing over the tail's positions, at least twice `cap`
     /// slots, so a probe ends. Addresses are outside input, so the hash
     /// is keyed, and a probe reads at most the tail whatever the key.
     slots: Vec<u16>,
     key: u64,
     cap: usize,
+    /// The exact sums of the records marked [`WIDE`], by address.
+    wide: BTreeMap<u32, (u64, u64)>,
     /// Records merges moved or placed.
     moved: u64,
 }
@@ -72,16 +153,22 @@ impl<T: Copy> Clients<T> {
             slots: vec![FREE; (2 * cap).next_power_of_two()],
             key: RandomState::new().hash_one(0u32),
             cap,
+            wide: BTreeMap::new(),
             moved: 0,
         }
     }
 
     /// A store of `run`, which is sorted by address with no address twice
     /// (as a snapshot's rows are), laid out with no merge.
-    pub(crate) fn from_sorted(run: Vec<Client<T>>) -> Self {
+    pub(crate) fn from_sorted(run: impl ExactSizeIterator<Item = Client<T>>) -> Self {
         let mut clients = Self::new();
-        count_below(&mut clients.root, &run);
-        clients.run = run;
+        clients.run.reserve_exact(run.len());
+        for c in run {
+            let mut record = Record::new(c.addr, c.memo);
+            record.count(&mut clients.wide, c.requests, c.bytes);
+            clients.run.push(record);
+        }
+        count_below(&mut clients.root, &clients.run);
         clients
     }
 
@@ -101,10 +188,12 @@ impl<T: Copy> Clients<T> {
         memo: impl FnOnce() -> T,
     ) -> (T, bool) {
         let found = self.find(addr);
-        if let Some(c) = found.ok().and_then(|pos| self.at_mut(pos)) {
-            c.requests += requests;
-            c.bytes += bytes;
-            return (c.memo, false);
+        let held = found
+            .ok()
+            .and_then(|pos| record_mut(&mut self.run, &mut self.tail, pos));
+        if let Some(record) = held {
+            record.count(&mut self.wide, requests, bytes);
+            return (record.memo, false);
         }
         let slot = if self.tail.len() < self.cap {
             found.err().unwrap_or_default()
@@ -116,34 +205,26 @@ impl<T: Copy> Clients<T> {
         if let Some(s) = self.slots.get_mut(slot) {
             *s = tail_at(self.tail.len() + 1);
         }
-        self.tail.push(Client {
-            addr,
-            requests,
-            bytes,
-            memo,
-        });
+        let mut record = Record::new(addr, memo);
+        record.count(&mut self.wide, requests, bytes);
+        self.tail.push(record);
         (memo, true)
     }
 
-    /// The record of `addr`, if it is held.
-    pub(crate) fn get(&self, addr: u32) -> Option<&Client<T>> {
+    /// The client `addr`, if it is held.
+    pub(crate) fn get(&self, addr: u32) -> Option<Client<T>> {
         self.at(self.find(addr).ok()?)
     }
 
-    /// The record at position `pos`.
-    pub(crate) fn at(&self, pos: usize) -> Option<&Client<T>> {
-        match pos.checked_sub(self.run.len()) {
-            None => self.run.get(pos),
-            Some(at) => self.tail.get(at),
-        }
+    /// The client at position `pos`.
+    pub(crate) fn at(&self, pos: usize) -> Option<Client<T>> {
+        self.record(pos).map(|r| r.client(&self.wide))
     }
 
-    /// The record at position `pos`, to change its sums or memo.
-    pub(crate) fn at_mut(&mut self, pos: usize) -> Option<&mut Client<T>> {
-        match pos.checked_sub(self.run.len()) {
-            None => self.run.get_mut(pos),
-            Some(at) => self.tail.get_mut(at),
-        }
+    /// The memo of the record at position `pos`, to change it: its sums
+    /// change only through [`add`](Self::add).
+    pub(crate) fn at_mut(&mut self, pos: usize) -> Option<&mut T> {
+        record_mut(&mut self.run, &mut self.tail, pos).map(|r| &mut r.memo)
     }
 
     /// The positions of the run records from `lo` to `hi`, inclusive.
@@ -159,30 +240,40 @@ impl<T: Copy> Clients<T> {
         self.run.len()..self.len()
     }
 
-    /// Every record in address order: the run, each tail record let in
+    /// Every client in address order: the run, each tail record let in
     /// where it falls (the tail's positions sorted, 2 bytes each).
-    pub(crate) fn in_order(&self) -> impl Iterator<Item = &Client<T>> {
+    pub(crate) fn in_order(&self) -> impl Iterator<Item = Client<T>> + '_ {
         let mut order: Vec<u16> = (0..self.tail.len()).map(tail_at).collect();
-        order.sort_unstable_by_key(|&at| self.tail.get(usize::from(at)).map(|c| c.addr));
+        order.sort_unstable_by_key(|&at| self.tail.get(usize::from(at)).map(|r| r.addr));
         let tail = (order.into_iter()).filter_map(|at| self.tail.get(usize::from(at)));
         let (mut run, mut tail) = (self.run.iter().peekable(), tail.peekable());
-        std::iter::from_fn(move || match (run.peek(), tail.peek()) {
+        let records = std::iter::from_fn(move || match (run.peek(), tail.peek()) {
             (Some(r), Some(t)) if t.addr < r.addr => tail.next(),
             (Some(_), _) => run.next(),
             (None, _) => tail.next(),
-        })
+        });
+        records.map(|r| r.client(&self.wide))
     }
 
-    /// Merges the tail into the run and returns it, every record in
-    /// address order, for a caller to change memos or sums.
-    pub(crate) fn settled(&mut self) -> &mut [Client<T>] {
+    /// Merges the tail into the run.
+    pub(crate) fn settle(&mut self) {
         self.merge();
-        &mut self.run
     }
 
-    /// Bytes the records fill (spare capacity is untouched, uncounted).
+    /// Merges the tail into the run and walks it, every client in address
+    /// order beside its memo, for a caller to change memos: sums change
+    /// only through [`add`](Self::add).
+    pub(crate) fn settled(&mut self) -> impl Iterator<Item = (Client<T>, &mut T)> {
+        self.merge();
+        let wide = &self.wide;
+        (self.run.iter_mut()).map(move |r| (r.client(wide), &mut r.memo))
+    }
+
+    /// Bytes the records fill, and the wide sums an entry each (spare
+    /// capacity is untouched, uncounted).
     pub(crate) fn record_bytes(&self) -> usize {
-        self.len() * std::mem::size_of::<Client<T>>()
+        self.len() * std::mem::size_of::<Record<T>>()
+            + self.wide.len() * std::mem::size_of::<(u32, (u64, u64))>()
     }
 
     /// Bytes the root and the tail's index hold.
@@ -193,6 +284,14 @@ impl<T: Copy> Clients<T> {
     /// Records merges have moved or placed.
     pub(crate) fn moved(&self) -> u64 {
         self.moved
+    }
+
+    /// The record at position `pos`.
+    fn record(&self, pos: usize) -> Option<&Record<T>> {
+        match pos.checked_sub(self.run.len()) {
+            None => self.run.get(pos),
+            Some(at) => self.tail.get(at),
+        }
     }
 
     /// The position of `addr`'s record, or the free tail-index slot it
@@ -212,7 +311,7 @@ impl<T: Copy> Clients<T> {
         let at = self.lower_bound(addr);
         self.run
             .get(at)
-            .is_some_and(|c| c.addr == addr)
+            .is_some_and(|r| r.addr == addr)
             .then_some(at)
     }
 
@@ -227,9 +326,9 @@ impl<T: Copy> Clients<T> {
         // a search would, with no branch to mispredict.
         start
             + if block.len() <= SCAN {
-                block.iter().take_while(|c| c.addr < addr).count()
+                block.iter().take_while(|r| r.addr < addr).count()
             } else {
-                block.partition_point(|c| c.addr < addr)
+                block.partition_point(|r| r.addr < addr)
             }
     }
 
@@ -246,7 +345,7 @@ impl<T: Copy> Clients<T> {
                 Some(&FREE) | None => return Err(slot),
                 Some(&s) => usize::from(s) - 1,
             };
-            if self.tail.get(at).is_some_and(|c| c.addr == addr) {
+            if self.tail.get(at).is_some_and(|r| r.addr == addr) {
                 return Ok(at);
             }
             slot = (slot + 1) & mask;
@@ -256,20 +355,21 @@ impl<T: Copy> Clients<T> {
     /// Sorts the tail and merges it backwards into the run: from the
     /// largest down, the run records above a tail record move up in one
     /// block copy and it goes below them; then the root counts the tail.
+    /// The wide map is keyed by address, so no record's move touches it.
     fn merge(&mut self) {
         if self.tail.is_empty() {
             return;
         }
-        self.tail.sort_unstable_by_key(|c| c.addr);
+        self.tail.sort_unstable_by_key(|r| r.addr);
         let mut end = self.run.len();
         self.run.extend_from_slice(&self.tail);
-        for (placed, c) in self.tail.iter().enumerate().rev() {
+        for (placed, r) in self.tail.iter().enumerate().rev() {
             // The run below `end` has not moved and all above it is above
-            // `c`, so the root still finds `c`'s place.
-            let at = self.lower_bound(c.addr).min(end);
+            // `r`, so the root still finds `r`'s place.
+            let at = self.lower_bound(r.addr).min(end);
             self.run.copy_within(at..end, at + placed + 1);
             if let Some(slot) = self.run.get_mut(at + placed) {
-                *slot = *c;
+                *slot = *r;
             }
             self.moved += (end - at + 1) as u64;
             end = at;
@@ -280,12 +380,25 @@ impl<T: Copy> Clients<T> {
     }
 }
 
+/// The record at position `pos`, an index into `run`, then into `tail`.
+#[inline]
+fn record_mut<'a, T>(
+    run: &'a mut [Record<T>],
+    tail: &'a mut [Record<T>],
+    pos: usize,
+) -> Option<&'a mut Record<T>> {
+    match pos.checked_sub(run.len()) {
+        None => run.get_mut(pos),
+        Some(at) => tail.get_mut(at),
+    }
+}
+
 /// Adds to each root entry the records of `sorted`, in address order,
 /// that lie below its /16.
-fn count_below<T>(root: &mut [u32], sorted: &[Client<T>]) {
+fn count_below<T>(root: &mut [u32], sorted: &[Record<T>]) {
     let (mut below, mut sorted) = (0usize, sorted.iter().peekable());
     for (high, start) in (0u32..).zip(root.iter_mut()) {
-        while sorted.next_if(|c| c.addr >> 16 < high).is_some() {
+        while sorted.next_if(|r| r.addr >> 16 < high).is_some() {
             below += 1;
         }
         *start += offset(below);
@@ -403,13 +516,99 @@ mod tests {
             prop_assert_eq!((got, first), (want.2, new), "{:#x}", addr);
             check(&store, &oracle)?;
         }
-        store.settled();
+        store.settle();
         prop_assert!(store.tail.is_empty());
         check(&store, &oracle)
     }
 
     fn arb_ops() -> impl Strategy<Value = Vec<(u16, u8, u16)>> {
         proptest::collection::vec((any::<u16>(), any::<u8>(), any::<u16>()), 1..300)
+    }
+
+    /// A count that crosses `u32::MAX` in a few adds, or lands on either
+    /// side of it, or stays small.
+    fn arb_count() -> impl Strategy<Value = u64> {
+        let max = u64::from(u32::MAX);
+        prop_oneof![0..4u64, (max - 3)..=(max + 3), (1u64 << 30)..(1u64 << 33)]
+    }
+
+    /// Sets the memo at each of `positions` to its address's complement,
+    /// in the store and in `oracle`, as a patch batch reassigns clients.
+    fn reassign(
+        store: &mut Clients<u32>,
+        oracle: &mut BTreeMap<u32, (u64, u64, u32)>,
+        positions: Vec<usize>,
+    ) {
+        for pos in positions {
+            let addr = store.at(pos).map(|c| c.addr).expect("a held position");
+            *store.at_mut(pos).expect("a held position") = !addr;
+            oracle.get_mut(&addr).expect("an oracle client").2 = !addr;
+        }
+    }
+
+    proptest! {
+        /// Sums across `u32::MAX` against a `BTreeMap` of `u64` sums: a
+        /// record promoted to the wide map on either count, a promoted
+        /// record moved by tail merges, memos rewritten by a delta
+        /// reassign (run and tail positions) and by `settled` with the
+        /// sums left as they were, the in-order walk, and a snapshot's
+        /// round trip through `from_sorted`.
+        #[test]
+        fn wide_sums_match_the_oracle(
+            ops in proptest::collection::vec((any::<u16>(), arb_count(), arb_count()), 1..200),
+            cap in 1usize..12,
+        ) {
+            let mut store = Clients::with_tail(cap);
+            let mut oracle: BTreeMap<u32, (u64, u64, u32)> = BTreeMap::new();
+            for &(k, requests, bytes) in &ops {
+                let addr = addr_of(k);
+                let want = oracle.entry(addr).or_insert((0, 0, addr));
+                want.0 += requests;
+                want.1 += bytes;
+                store.add(addr, requests, bytes, || addr);
+                check(&store, &oracle)?;
+            }
+            let wide = (oracle.values())
+                .filter(|w| w.0 >= u64::from(WIDE) || w.1 >= u64::from(WIDE))
+                .count();
+            prop_assert_eq!(store.wide.len(), wide);
+            let (lo, hi) = (0x0101_0000, 0x0202_FFFF);
+            let positions = (store.range(lo, hi))
+                .chain(store.tail_positions())
+                .filter(|&pos| store.at(pos).is_some_and(|c| (lo..=hi).contains(&c.addr)))
+                .collect();
+            reassign(&mut store, &mut oracle, positions);
+            check(&store, &oracle)?;
+            for (c, memo) in store.settled() {
+                *memo = c.addr.rotate_left(8);
+            }
+            for (&addr, want) in &mut oracle {
+                want.2 = addr.rotate_left(8);
+            }
+            prop_assert!(store.tail.is_empty());
+            check(&store, &oracle)?;
+            let back = Clients::from_sorted(store.in_order().collect::<Vec<_>>().into_iter());
+            prop_assert_eq!(back.wide.len(), wide);
+            check(&back, &oracle)?;
+        }
+    }
+
+    #[test]
+    fn a_sum_reaching_u32_max_moves_to_the_wide_map() {
+        let max = u64::from(u32::MAX);
+        let mut store = Clients::with_tail(2);
+        store.add(1, max - 1, 5, || 0u32);
+        assert!(store.wide.is_empty());
+        store.add(1, 1, 0, || 0);
+        assert_eq!(store.wide.get(&1), Some(&(max, 5)));
+        store.add(2, 1, max, || 0);
+        store.add(3, 1, 1, || 0);
+        store.settle();
+        let sums: Vec<(u32, u64, u64)> = (store.in_order())
+            .map(|c| (c.addr, c.requests, c.bytes))
+            .collect();
+        assert_eq!(sums, [(1, max, 5), (2, 1, max), (3, 1, 1)]);
+        assert_eq!(store.record_bytes(), 3 * 16 + 2 * 24);
     }
 
     proptest! {
@@ -445,12 +644,12 @@ mod tests {
             bytes: 2,
             memo: Handle::NONE,
         };
-        let sorted = Clients::from_sorted(addrs.iter().map(|&a| record(a)).collect());
+        let sorted = Clients::from_sorted(addrs.iter().map(|&a| record(a)));
         let mut merged = Clients::with_tail(2);
         for &a in addrs.iter().rev() {
             merged.add(a, 1, 2, || Handle::NONE);
         }
-        merged.settled();
+        merged.settle();
         assert_eq!(sorted.root, merged.root);
         assert_eq!(sorted.range(0x0A00_0000, 0x0A00_FFFF), 2..4);
         assert_eq!(sorted.range(0xFFFF_FFFF, 0xFFFF_FFFF), 4..5);

@@ -31,10 +31,11 @@ use crate::clients::Clients;
 use crate::cluster::{ClientStats, Cluster, Clustering};
 use crate::ingest::for_spans;
 
-/// One client: its address, its sums, and what its holder keeps beside
-/// them — its first-seen dense id in a batch [`Shard`], the handle of the
-/// table entry the address matched in the stream. One record, so a store
-/// grows one vector.
+/// One client by value: its address, its sums, and what its holder keeps
+/// beside them — its first-seen dense id in a batch [`Shard`], the handle
+/// of the table entry the address matched in the stream. [`Clients`] holds
+/// it in 16 bytes and hands it out with its sums widened; the batch run's
+/// merged run is a vector of these.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Client<T> {
     pub(crate) addr: u32,
@@ -143,11 +144,12 @@ pub(crate) fn finish(
 
 /// Per-client sums across shards, sorted by address. One shard's records
 /// already are the sums, walked in address order. Several are each
-/// settled into a sorted run; then one worker per address range (a few
-/// per worker, so that a crowded range evens out) merges that range of
-/// every run — sums commute — and the ranges concatenate into global
-/// address order. The run is sized once: it becomes the member run.
-#[allow(clippy::cast_possible_truncation, reason = "a range's bounds are below 2^32.")]
+/// settled into a sorted run; then the address space is cut into ranges
+/// (a few per worker, so that a crowded range evens out), and one worker
+/// per range counts the distinct clients of that range of every run. The
+/// run is sized once from those counts, and each range merges — sums
+/// commute — into its own slice of it, in global address order. It
+/// becomes the member run.
 fn merge_clients(shards: &mut [Shard], threads: usize) -> Vec<Client<u32>> {
     if let [only] = shards {
         let mut run = Vec::with_capacity(only.clients.len());
@@ -156,46 +158,75 @@ fn merge_clients(shards: &mut [Shard], threads: usize) -> Vec<Client<u32>> {
     }
     for_spans(shards, threads, &|_, span| {
         for s in span {
-            s.clients.settled();
+            s.clients.settle();
         }
     });
     let shards = &*shards;
     let n_parts = (threads * 2).next_power_of_two().clamp(4, 64);
-    let width = (1u64 << 32) / n_parts as u64;
-    let mut merged: Vec<Vec<Client<u32>>> = vec![Vec::new(); n_parts];
-    for_spans(&mut merged, threads, &|start, span| {
-        for (p, out) in (start as u64..).zip(span) {
-            let (lo, hi) = ((p * width) as u32, (p * width + width - 1) as u32);
-            let mut runs: Vec<_> = (shards.iter())
-                .map(|s| {
-                    let c = &s.clients;
-                    c.range(lo, hi).filter_map(move |pos| c.at(pos)).peekable()
-                })
-                .collect();
-            loop {
-                let heads = runs.iter_mut().filter_map(|r| r.peek().map(|c| c.addr));
-                let Some(addr) = heads.min() else { break };
-                let mut sum = Client {
-                    addr,
-                    requests: 0,
-                    bytes: 0,
-                    memo: UNCLUSTERED,
-                };
-                for r in &mut runs {
-                    if let Some(c) = r.next_if(|c| c.addr == addr) {
-                        sum.requests += c.requests;
-                        sum.bytes += c.bytes;
-                    }
-                }
-                out.push(sum);
-            }
+    let mut counts = vec![0usize; n_parts];
+    for_spans(&mut counts, threads, &|start, span| {
+        for (p, count) in (start..).zip(span) {
+            merge_range(shards, n_parts, p, |_| *count += 1);
         }
     });
-    let mut run = Vec::with_capacity(merged.iter().map(Vec::len).sum());
-    for part in merged {
-        run.extend(part);
+    let empty = Client {
+        addr: 0,
+        requests: 0,
+        bytes: 0,
+        memo: UNCLUSTERED,
+    };
+    let mut run = vec![empty; counts.iter().sum()];
+    let mut parts: Vec<&mut [Client<u32>]> = Vec::with_capacity(n_parts);
+    let mut rest = run.as_mut_slice();
+    for &count in &counts {
+        let count = count.min(rest.len());
+        let (part, after) = std::mem::take(&mut rest).split_at_mut(count);
+        parts.push(part);
+        rest = after;
     }
+    for_spans(&mut parts, threads, &|start, span| {
+        for (p, part) in (start..).zip(span) {
+            let mut out = part.iter_mut();
+            merge_range(shards, n_parts, p, |sum| {
+                if let Some(slot) = out.next() {
+                    *slot = sum;
+                }
+            });
+        }
+    });
     run
+}
+
+/// Hands `each` the sum of every client in address range `p` of `parts`
+/// equal ranges, across the settled runs of `shards`, in address order.
+#[allow(clippy::cast_possible_truncation, reason = "a range's bounds are below 2^32.")]
+fn merge_range(shards: &[Shard], parts: usize, p: usize, mut each: impl FnMut(Client<u32>)) {
+    let width = (1u64 << 32) / parts as u64;
+    let lo = p as u64 * width;
+    let (lo, hi) = (lo as u32, (lo + width - 1) as u32);
+    let mut runs: Vec<_> = (shards.iter())
+        .map(|s| {
+            let c = &s.clients;
+            c.range(lo, hi).filter_map(move |pos| c.at(pos)).peekable()
+        })
+        .collect();
+    loop {
+        let heads = runs.iter_mut().filter_map(|r| r.peek().map(|c| c.addr));
+        let Some(addr) = heads.min() else { break };
+        let mut sum = Client {
+            addr,
+            requests: 0,
+            bytes: 0,
+            memo: UNCLUSTERED,
+        };
+        for r in &mut runs {
+            if let Some(c) = r.next_if(|c| c.addr == addr) {
+                sum.requests += c.requests;
+                sum.bytes += c.bytes;
+            }
+        }
+        each(sum);
+    }
 }
 
 /// Looks every record of `run` up through `assign` (`out[i]` is the

@@ -49,7 +49,7 @@ pub use faults::{failpoints, FaultInjector, FaultPlan};
 pub use ingest::{ErrorRate, IngestError, IngestPipeline, IngestReport, QuarantinedLine};
 pub use persist::{
     EncodedState, FeedProgress, FsyncPolicy, JournalBatch, PersistError, RecoveryReport,
-    StateStore, StreamState,
+    SnapshotFile, StateStore, StreamState,
 };
 pub use query::{
     ClientClass, ClusterAnswer, ClusterQuery, ClusterRow, VerdictAnswer, VerdictPolicy,

@@ -42,6 +42,7 @@ pub use state::{
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
 use netclust_obs::{Counter, Obs};
@@ -52,7 +53,38 @@ use codec::{
     decode_frame, decode_header, encode_frame, encode_header, frame_prefix, FrameCrc, FrameError,
     FILE_JOURNAL, FILE_SNAPSHOT, FRAME_OVERHEAD, HEADER_BYTES, REC_BATCH, REC_STATE,
 };
-use state::decode_state_version;
+use state::{decode_state_version, CODE_CHUNK};
+
+/// Where a snapshot file's payload starts: after the file header and the
+/// frame's `u32` length and record kind byte.
+const PAYLOAD_AT: u64 = (HEADER_BYTES + 5) as u64;
+
+/// The temp file of a snapshot being written, as the code that produces
+/// its payload sees it: positions are the payload's. Only
+/// [`StateStore::checkpoint_encoded`] hands one out.
+pub struct SnapshotFile<'a> {
+    file: &'a File,
+}
+
+impl SnapshotFile<'_> {
+    /// Writes `bytes` at payload position `at`.
+    pub(crate) fn write_at(&self, bytes: &[u8], at: usize) -> io::Result<()> {
+        self.file.write_all_at(bytes, PAYLOAD_AT + at as u64)
+    }
+
+    /// The frame checksum of the first `len` payload bytes, as written.
+    fn crc(&self, len: usize) -> io::Result<u32> {
+        let mut crc = FrameCrc::new(REC_STATE);
+        let (mut buf, mut at) = ([0u8; CODE_CHUNK], 0);
+        while at < len {
+            let chunk = buf.get_mut(..CODE_CHUNK.min(len - at)).unwrap_or_default();
+            self.file.read_exact_at(chunk, PAYLOAD_AT + at as u64)?;
+            crc.update(chunk);
+            at += chunk.len();
+        }
+        Ok(crc.finish())
+    }
+}
 
 /// Default journal-size threshold (bytes) past which
 /// [`StateStore::wants_compaction`] suggests a snapshot-then-truncate
@@ -394,41 +426,53 @@ impl StateStore {
     /// never replayed.
     pub fn checkpoint(&mut self, state: &StreamState) -> Result<u64, PersistError> {
         let payload = encode_state(state);
-        self.write_snapshot(payload.len(), |emit| emit(&payload))
+        self.write_snapshot(|to| to.write_at(&payload, 0).map(|()| payload.len()))
     }
 
-    /// [`checkpoint`](Self::checkpoint) of a state that was encoded where
-    /// it lives (`StreamingClustering::encode_state`): the payload goes to
-    /// the file in pieces — the prefix lists coded from the table
-    /// generation it holds, which is let go after them, through a bounded
-    /// stack buffer, and the rows as they were coded — the checksum taken
-    /// as the pieces go. The room is freed before the fsync.
-    pub fn checkpoint_encoded(&mut self, mut state: EncodedState) -> Result<u64, PersistError> {
-        self.write_snapshot(state.wire_len(), move |emit| state.write_wire(emit))
+    /// [`checkpoint`](Self::checkpoint) of a state that `encode` codes
+    /// where it lives (`StreamingClustering::encode_state`), straight into
+    /// the snapshot's temp file: the client rows as `encode` walks them,
+    /// through a bounded stack buffer. A caller encoding under a lock
+    /// takes it inside `encode`, so it is held for that one walk; the
+    /// rest of the payload — the prefix lists coded from the table
+    /// generation the state holds, then let go — the checksum and every
+    /// fsync come after it.
+    pub fn checkpoint_encoded(
+        &mut self,
+        encode: impl FnOnce(&SnapshotFile<'_>) -> io::Result<EncodedState>,
+    ) -> Result<u64, PersistError> {
+        self.write_snapshot(|to| encode(to)?.finish(to))
     }
 
-    /// The steps of [`checkpoint`](Self::checkpoint) around a payload of
-    /// `payload_len` bytes that `write` hands to the function it is given,
-    /// in pieces.
+    /// The steps of [`checkpoint`](Self::checkpoint) around a payload that
+    /// `write` puts into the temp file, at payload positions, returning
+    /// its length: the file header and the frame's prefix are written
+    /// after it, and its checksum read back from the file, a
+    /// [`CODE_CHUNK`] at a time.
     fn write_snapshot(
         &mut self,
-        payload_len: usize,
-        write: impl FnOnce(&mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()>,
+        write: impl FnOnce(&SnapshotFile<'_>) -> io::Result<usize>,
     ) -> Result<u64, PersistError> {
         let next = self.seq + 1;
         let tmp = self.dir.join(format!("snapshot-{next:06}.tmp"));
         let snap = self.snapshot_path(next);
-        let mut file = File::create(&tmp).map_err(|e| io_err("create snapshot temp", &tmp, e))?;
-        let mut crc = FrameCrc::new(REC_STATE);
-        file.write_all(&encode_header(FILE_SNAPSHOT))
-            .and_then(|()| file.write_all(&frame_prefix(REC_STATE, payload_len)))
-            .and_then(|()| {
-                write(&mut |piece| {
-                    crc.update(piece);
-                    file.write_all(piece)
-                })
+        // Read as well as written: the checksum is read back.
+        let file = (OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true))
+        .open(&tmp)
+        .map_err(|e| io_err("create snapshot temp", &tmp, e))?;
+        let to = SnapshotFile { file: &file };
+        let payload_len = write(&to)
+            .and_then(|len| {
+                file.write_all_at(&encode_header(FILE_SNAPSHOT), 0)?;
+                file.write_all_at(&frame_prefix(REC_STATE, len), HEADER_BYTES as u64)?;
+                let crc = to.crc(len)?;
+                to.write_at(&crc.to_le_bytes(), len)?;
+                Ok(len)
             })
-            .and_then(|()| file.write_all(&crc.finish().to_le_bytes()))
             .map_err(|e| io_err("write snapshot", &tmp, e))?;
         self.fsync_file(&file, &tmp)?;
         drop(file);

@@ -22,6 +22,7 @@
 
 use std::convert::Infallible;
 use std::fmt;
+use std::io;
 use std::sync::Arc;
 
 use netclust_obs::ErrorCounts;
@@ -31,6 +32,7 @@ use netclust_rtable::{decode_deltas, encode_deltas, TableDelta, DELTA_WIRE_BYTES
 use super::codec::{
     put_varint, varint_len, Reader, FORMAT_VERSION, OLDEST_READ_VERSION, VARINT_MAX_BYTES,
 };
+use super::SnapshotFile;
 use crate::stream::{LiveTable, PatchStats, SwapRejection, SwapStats};
 
 /// Everything needed to reconstruct a `StreamingClustering` (and the CLI
@@ -143,7 +145,7 @@ enum Layout {
     /// a `u32` address and a length byte a prefix.
     Fixed,
     /// Version 2: delta varints, as [`Chunked::prefixes`],
-    /// [`encode_state`] and [`EncodedState::write_wire`] write them.
+    /// [`encode_state`] and [`EncodedState`] write them.
     Varint,
 }
 
@@ -252,7 +254,7 @@ fn take_rejection(r: &mut Reader<'_>) -> Result<Option<SwapRejection>, StateDeco
 
 /// Stack bytes a payload is coded through on its way out: the one buffer
 /// coding adds.
-const CODE_CHUNK: usize = 32 << 10;
+pub(super) const CODE_CHUNK: usize = 32 << 10;
 
 /// A payload coded through one [`CODE_CHUNK`] stack buffer, handed to
 /// `emit` in pieces: the buffer whenever the next code might not fit, and
@@ -308,16 +310,15 @@ impl<E, F: FnMut(&[u8]) -> Result<(), E>> Chunked<F> {
         }
     }
 
-    /// Codes a client row ([`put_row`]); [`room`](Self::room) was made
-    /// for [`ROW_MAX`] bytes.
-    fn row(&mut self, next: u64, row: (u32, u64, u64)) {
-        if let Some(to) = self
-            .buf
-            .get_mut(self.len..)
-            .and_then(|s| s.first_chunk_mut())
-        {
-            self.len += put_row(to, next, row);
-        }
+    /// Codes a client row ([`put_row`]) and returns the bytes it took;
+    /// [`room`](Self::room) was made for [`ROW_MAX`] bytes.
+    fn row(&mut self, next: u64, row: (u32, u64, u64)) -> usize {
+        let Some(to) = (self.buf.get_mut(self.len..)).and_then(|s| s.first_chunk_mut()) else {
+            return 0;
+        };
+        let took = put_row(to, next, row);
+        self.len += took;
+        took
     }
 
     /// A prefix list: its `u32` count, then per prefix a varint of its
@@ -347,12 +348,6 @@ impl<E, F: FnMut(&[u8]) -> Result<(), E>> Chunked<F> {
 /// a varint each.
 const ROW_MAX: usize = 3 * VARINT_MAX_BYTES;
 
-/// Bytes [`EncodedState::with_room`] reserves a row: a gap under 2^14, a
-/// request count under 2^7 and a byte count under 2^21 take 6 (the rows
-/// of the benchmark's seed-11 `wide` state take 5.3). A state whose rows
-/// take more grows the room.
-const ROW_RESERVE: usize = 6;
-
 /// Codes the row of `client` with these counts at the start of `out`, its
 /// address as its distance from `next` — the address after the previous
 /// row's, 0 before the first row — and returns the bytes it took.
@@ -367,15 +362,6 @@ fn put_row(
     let at = put_varint_at(out, 0, u64::from(client).wrapping_sub(next));
     let at = put_varint_at(out, at, requests);
     put_varint_at(out, at, bytes)
-}
-
-/// `n` copies of `fill` in a vector reserved for exactly them, and written:
-/// its pages are faulted in now. (A zero fill may be turned into a
-/// `calloc`, which maps pages untouched.)
-fn touched<T: Copy>(n: usize, fill: T) -> Vec<T> {
-    let mut v = Vec::with_capacity(n);
-    v.resize(n, fill);
-    v
 }
 
 /// The payload's fields but for the prefix lists, which go at
@@ -427,16 +413,14 @@ fn code_state<E>(
     to.piece(fields.get(ROWS_AT..).unwrap_or_default())
 }
 
-/// A snapshot payload whose client rows are coded as the file holds them,
-/// by a producer that walks its clients in address order: only
+/// A snapshot payload whose client rows a producer that walks its clients
+/// in address order has coded straight into the snapshot's temp file, as
+/// the file holds them, through one bounded stack buffer: only
 /// [`StateStore::checkpoint_encoded`](super::StateStore::checkpoint_encoded)
-/// takes one, and writes the payload — the prefix lists coded from the
-/// serving generation the producer held, the rows as they are — through
-/// one bounded stack buffer.
-///
-/// The default value is an empty one with no room reserved; see
-/// [`with_room`](Self::with_room).
-#[derive(Debug, Default)]
+/// hands out that file, and it finishes the payload around the rows —
+/// the fields, the row count, and the prefix lists coded from the serving
+/// generation the producer held.
+#[derive(Debug)]
 pub struct EncodedState {
     /// The payload's fields but for the prefix lists and the client rows
     /// ([`fields`]).
@@ -444,12 +428,11 @@ pub struct EncodedState {
     /// The serving generation whose prefix lists are coded on the way
     /// out. It is immutable, so they are coded from it after the
     /// producer's lock is dropped, and it is let go once they are.
-    serving: Option<Arc<LiveTable>>,
-    /// The client rows, coded, in `rows[..end]`; the rest is room, at
-    /// least [`ROW_MAX`] bytes past the last row, so a row is coded in
-    /// place.
-    rows: Vec<u8>,
-    end: usize,
+    serving: Arc<LiveTable>,
+    /// Bytes the prefix lists code to, their counts included.
+    lists: usize,
+    /// Bytes the coded rows take.
+    rows: usize,
 }
 
 /// Where the prefix lists go in the payload: after `table_version` and
@@ -460,82 +443,80 @@ const LISTS_AT: usize = 16;
 /// follows the prefix lists.
 const ROWS_AT: usize = LISTS_AT + 4;
 
+/// A [`Chunked`] that writes each piece to `to` at the next payload
+/// position, from `at` on.
+fn chunked_at<'a>(
+    to: &'a SnapshotFile<'_>,
+    mut at: usize,
+) -> Chunked<impl FnMut(&[u8]) -> io::Result<()> + 'a> {
+    Chunked::new(move |piece: &[u8]| {
+        let written = to.write_at(piece, at);
+        at += piece.len();
+        written
+    })
+}
+
 impl EncodedState {
-    /// An empty one with room for the rows of `clients` clients, its pages
-    /// already written: a caller that encodes under a lock makes it before
-    /// taking the lock, and the walk under the lock then faults no page in.
-    pub fn with_room(clients: usize) -> Self {
-        EncodedState {
-            rows: touched(clients * ROW_RESERVE + ROW_MAX, u8::MAX),
-            ..EncodedState::default()
-        }
-    }
-
-    /// Bytes it holds, as capacity: the room its rows are coded in — what
-    /// a snapshot maps beside the state it encodes.
-    pub fn room_bytes(&self) -> usize {
-        self.rows.capacity()
-    }
-
-    /// Encodes `head`'s fields and `rows`, which come in address order,
-    /// into `room` (grown where it is short), holding `serving` for the
-    /// prefix lists. `head.per_client` is not read: whoever has the rows
-    /// elsewhere (a live stream) passes them without building that vector
-    /// first.
+    /// Codes `rows`, which come in address order, into `to` where the
+    /// payload holds them — after `head`'s first fields and the prefix
+    /// lists of `serving`, which is held to code those lists later.
+    /// `head.per_client` is not read: whoever has the rows elsewhere (a
+    /// live stream) passes them without building that vector first.
     pub(crate) fn new(
-        room: EncodedState,
+        to: &SnapshotFile<'_>,
         head: &StreamState,
         serving: Arc<LiveTable>,
         rows: impl Iterator<Item = (u32, u64, u64)>,
-    ) -> Self {
-        // This runs under the daemon's stream lock.
-        let (mut buf, mut end, mut next, mut count) = (room.rows, 0, 0u64, 0);
+    ) -> io::Result<Self> {
+        // This runs under the daemon's stream lock: the lists' size is
+        // counted once a generation, the rows coded in one walk.
+        let lists = *serving.coded_lists.get_or_init(|| {
+            let dump = serving.table.dump_prefixes().iter().copied();
+            8 + prefixes_len(serving.table.live_iter()) + prefixes_len(dump)
+        });
+        let (mut out, mut next, mut count, mut end) = (chunked_at(to, ROWS_AT + lists), 0u64, 0, 0);
         for row in rows {
-            if buf.len() < end + ROW_MAX {
-                // A sixteenth more: the pages written are the ones coded.
-                buf.resize(end + ROW_MAX + buf.len() / 16, 0);
-            }
-            if let Some(to) = buf.get_mut(end..).and_then(|s| s.first_chunk_mut()) {
-                end += put_row(to, next, row);
-            }
+            out.room(ROW_MAX)?;
+            end += out.row(next, row);
             next = u64::from(row.0) + 1;
             count += 1;
         }
-        EncodedState {
+        out.flush()?;
+        Ok(EncodedState {
             bytes: fields(head, count),
-            serving: Some(serving),
-            rows: buf,
-            end,
-        }
+            serving,
+            lists,
+            rows: end,
+        })
     }
 
-    /// Bytes [`write_wire`](Self::write_wire) hands out.
-    pub(super) fn wire_len(&self) -> usize {
-        let lists = self.serving.as_ref().map_or(0, |live| {
-            let dump = live.table.dump_prefixes().iter().copied();
-            8 + prefixes_len(live.table.live_iter()) + prefixes_len(dump)
-        });
-        self.bytes.len() + lists + self.end
-    }
-
-    /// Hands the payload to `emit` in order and in pieces: the fields
-    /// before the prefix lists, the lists coded through a [`CODE_CHUNK`]
-    /// stack buffer (after which the generation held for them is let go),
-    /// the fields before the rows, the rows, the fields after them. Stops
-    /// at `emit`'s first error.
-    pub(super) fn write_wire<E>(
-        &mut self,
-        emit: impl FnMut(&[u8]) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let mut to = Chunked::new(emit);
-        to.piece(self.bytes.get(..LISTS_AT).unwrap_or_default())?;
-        if let Some(live) = self.serving.take() {
-            to.prefixes(live.table.live_iter())?;
-            to.prefixes(live.table.dump_prefixes().iter().copied())?;
-        }
-        to.piece(self.bytes.get(LISTS_AT..ROWS_AT).unwrap_or_default())?;
-        to.piece(self.rows.get(..self.end).unwrap_or_default())?;
-        to.piece(self.bytes.get(ROWS_AT..).unwrap_or_default())
+    /// Writes the payload around the rows into `to`, each part at its
+    /// place: the fields before the prefix lists, the lists coded through
+    /// a [`CODE_CHUNK`] stack buffer (after which the generation held for
+    /// them is let go), the row count, the fields after the rows. Returns
+    /// the payload's length.
+    pub(super) fn finish(self, to: &SnapshotFile<'_>) -> io::Result<usize> {
+        let EncodedState {
+            bytes,
+            serving,
+            lists,
+            rows,
+        } = self;
+        to.write_at(bytes.get(..LISTS_AT).unwrap_or_default(), 0)?;
+        let mut out = chunked_at(to, LISTS_AT);
+        out.prefixes(serving.table.live_iter())?;
+        out.prefixes(serving.table.dump_prefixes().iter().copied())?;
+        out.flush()?;
+        drop(serving);
+        to.write_at(
+            bytes.get(LISTS_AT..ROWS_AT).unwrap_or_default(),
+            LISTS_AT + lists,
+        )?;
+        to.write_at(
+            bytes.get(ROWS_AT..).unwrap_or_default(),
+            ROWS_AT + lists + rows,
+        )?;
+        Ok(bytes.len() + lists + rows)
     }
 }
 

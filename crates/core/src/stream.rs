@@ -32,8 +32,9 @@
 #![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
 
 use std::fmt;
+use std::io;
 use std::net::Ipv4Addr;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use netclust_obs::{Counter, ErrorCounts, Gauge, Histogram, Obs};
 use netclust_prefix::Ipv4Net;
@@ -44,7 +45,7 @@ use netclust_weblog::Request;
 
 use crate::clients::Clients;
 use crate::kernel::Client;
-use crate::persist::{EncodedState, FeedProgress, StreamState};
+use crate::persist::{EncodedState, FeedProgress, SnapshotFile, StreamState};
 use crate::query::{keep_top, ClusterAnswer, ClusterQuery, ClusterRow};
 
 /// Resolved swap/patch-path observability handles (`stream.swap.*`,
@@ -104,6 +105,10 @@ impl StreamObs {
 pub(crate) struct LiveTable {
     pub(crate) table: CompiledTable,
     version: u64,
+    /// Bytes a snapshot codes this generation's prefix lists to, counted
+    /// by its first snapshot; [`StreamingClustering::publish`] starts each
+    /// generation without it.
+    pub(crate) coded_lists: OnceLock<usize>,
 }
 
 /// A lookup handle over the serving table, for reader threads concurrent
@@ -159,7 +164,8 @@ pub struct StreamStats {
 /// fills, as its elements × element size.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamMemory {
-    /// The client records, 24 bytes each.
+    /// The client records, 16 bytes each, and the exact sums of the few
+    /// whose counts outgrew them.
     pub client_records: usize,
     /// What finds a client record by its address: the root of 2^16 + 1
     /// offsets, 4 bytes each, and the arrival tail's index, 2 bytes a slot.
@@ -167,6 +173,9 @@ pub struct StreamMemory {
     /// The per-cluster aggregates: a 4-byte index entry per table handle
     /// and a 24-byte slot per cluster.
     pub aggregates: usize,
+    /// The patch layer's live map, of the serving generation and of the
+    /// superseded one kept to patch next, once a patch batch built it.
+    pub patch_state: usize,
 }
 
 /// Thresholds a candidate routing table must clear before it replaces the
@@ -573,7 +582,11 @@ impl StreamingClustering {
         let metrics = StreamObs::resolve(&obs);
         metrics.table_cost(&table);
         let tally = Tally::with_handles(table.prefixes().len());
-        let live = Arc::new(LiveTable { table, version });
+        let live = Arc::new(LiveTable {
+            table,
+            version,
+            coded_lists: OnceLock::new(),
+        });
         StreamingClustering {
             published: Arc::new(RwLock::new(Arc::clone(&live))),
             live,
@@ -733,6 +746,8 @@ impl StreamingClustering {
             client_records: self.seen.record_bytes(),
             address_map: self.seen.index_bytes(),
             aggregates: self.tally.bytes(),
+            patch_state: self.live.table.patch_state_bytes()
+                + (self.spare.as_ref()).map_or(0, |(spare, _)| spare.table.patch_state_bytes()),
         }
     }
 
@@ -827,12 +842,11 @@ impl StreamingClustering {
         // batch LPM sweep in address order, rebuild the aggregates from the
         // retained totals — no stream replay needed — and check
         // request-weighted coverage retention before committing.
-        let clients = self.seen.settled();
-        let addrs: Vec<u32> = clients.iter().map(|c| c.addr).collect();
+        let addrs: Vec<u32> = self.seen.settled().map(|(c, _)| c.addr).collect();
         let handles = compiled.match_handles(&addrs);
         let mut tally = Tally::with_handles(compiled.prefixes().len());
-        for (client, &handle) in clients.iter().zip(&handles) {
-            tally.credit(handle, totals(client));
+        for ((client, _), &handle) in self.seen.settled().zip(&handles) {
+            tally.credit(handle, totals(&client));
         }
         if self.total_requests > 0 {
             let clustered = self.total_requests - tally.unclustered_requests;
@@ -855,11 +869,12 @@ impl StreamingClustering {
         self.publish(LiveTable {
             table: compiled,
             version: self.live.version + 1,
+            coded_lists: OnceLock::new(),
         });
         self.spare = None;
         self.tally = tally;
-        for (client, handle) in self.seen.settled().iter_mut().zip(handles) {
-            client.memo = handle;
+        for ((_, memo), handle) in self.seen.settled().zip(handles) {
+            *memo = handle;
         }
         self.swap_stats.accepted += 1;
         self.swap_stats.stale_age = 0;
@@ -1048,12 +1063,14 @@ impl StreamingClustering {
         let superseded = self.publish(candidate);
         self.spare = Some((superseded, deltas.to_vec()));
         for (pos, handle) in moves {
-            let Some(record) = self.seen.at_mut(pos) else {
+            let Some(client) = self.seen.at(pos) else {
                 continue;
             };
-            self.tally.debit(record.memo, totals(record));
-            record.memo = handle;
-            self.tally.credit(handle, totals(record));
+            self.tally.debit(client.memo, totals(&client));
+            self.tally.credit(handle, totals(&client));
+            if let Some(memo) = self.seen.at_mut(pos) {
+                *memo = handle;
+            }
         }
         self.patch_stats.accepted += 1;
         self.last_rejection = None;
@@ -1069,9 +1086,11 @@ impl StreamingClustering {
     }
 
     /// Makes `next` the serving generation, for the owner and for every
-    /// [`handle`](Self::handle); returns the one it superseded.
-    fn publish(&mut self, next: LiveTable) -> Arc<LiveTable> {
+    /// [`handle`](Self::handle); returns the one it superseded. A patched
+    /// copy of an older generation drops the older one's list size.
+    fn publish(&mut self, mut next: LiveTable) -> Arc<LiveTable> {
         self.metrics.table_cost(&next.table);
+        next.coded_lists = OnceLock::new();
         let next = Arc::new(next);
         *self
             .published
@@ -1095,19 +1114,17 @@ impl StreamingClustering {
     }
 
     /// What `StateStore::checkpoint(&self.export_state())` would write,
-    /// for `StateStore::checkpoint_encoded`: the client rows coded in
-    /// `room` as the file holds them — each row's address gap and its
-    /// counts' varints — by one walk over the records in address order,
-    /// and the serving generation held for the prefix lists, which the
-    /// store codes from the table as it holds them when `self` is no
-    /// longer needed. A caller encoding under a lock drops it first, so
-    /// writers wait for that one walk, no more. A caller with a lock to
-    /// keep short makes `room` with [`EncodedState::with_room`] before
-    /// taking it; any other passes `EncodedState::default()`.
-    pub fn encode_state(&self, room: EncodedState) -> EncodedState {
+    /// for `StateStore::checkpoint_encoded`: the client rows coded into
+    /// the snapshot's file `to` as it holds them — each row's address gap
+    /// and its counts' varints — by one walk over the records in address
+    /// order, through a bounded stack buffer, and the serving generation
+    /// held for the prefix lists, which the store codes from the table as
+    /// it holds them when `self` is no longer needed. A caller encoding
+    /// under a lock drops it when this returns, so writers wait for that
+    /// one walk, no more, and no heap grows with the clients.
+    pub fn encode_state(&self, to: &SnapshotFile<'_>) -> io::Result<EncodedState> {
         let (head, rows) = (self.export_head(), self.client_rows());
-        let serving = Arc::clone(&self.live);
-        EncodedState::new(room, &head, serving, rows)
+        EncodedState::new(to, &head, Arc::clone(&self.live), rows)
     }
 
     /// The retained `(address, requests, bytes)` totals, in address order.
@@ -1169,18 +1186,16 @@ impl StreamingClustering {
             });
         }
         let (live, tally) = (&stream.live, &mut stream.tally);
-        let run = (rows.iter())
-            .map(|&(addr, requests, bytes)| {
-                let record = Client {
-                    addr,
-                    requests,
-                    bytes,
-                    memo: live.table.match_handle(addr),
-                };
-                tally.credit(record.memo, totals(&record));
-                record
-            })
-            .collect();
+        let run = (rows.iter()).map(|&(addr, requests, bytes)| {
+            let client = Client {
+                addr,
+                requests,
+                bytes,
+                memo: live.table.match_handle(addr),
+            };
+            tally.credit(client.memo, totals(&client));
+            client
+        });
         stream.seen = Clients::from_sorted(run);
         stream.total_requests = rows.iter().map(|r| r.1).sum();
         if stream.total_requests != state.total_requests {
@@ -1459,7 +1474,7 @@ mod tests {
                 handle.net_for_u32(client),
                 "memoized assignment for {client:#010x} disagrees with the serving table"
             );
-            tally.credit(record.memo, totals(record));
+            tally.credit(record.memo, totals(&record));
         }
         assert_eq!(
             stream.tally.unclustered_requests,

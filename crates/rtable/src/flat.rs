@@ -953,13 +953,20 @@ impl CompiledTable {
     /// Lookup-side memory footprint in bytes: every array a lookup or a
     /// patch of the layout touches, free list and dead cells included.
     /// The live map the first [`apply_delta`](Self::apply_delta) builds
-    /// is not counted.
+    /// is not counted; [`patch_state_bytes`](Self::patch_state_bytes) is.
     pub fn memory_bytes(&self) -> usize {
         self.root.len() * 4
             + self.small.bytes()
             + self.large.bytes()
             + self.spill.len() * 4
             + self.prefixes.len() * std::mem::size_of::<Ipv4Net>()
+    }
+
+    /// What the patch layer holds beside the layout, 0 before the first
+    /// [`apply_delta`](Self::apply_delta): its live map's nodes,
+    /// estimated from its entries, and its free handles.
+    pub fn patch_state_bytes(&self) -> usize {
+        self.patch.as_ref().map_or(0, |state| state.heap_bytes())
     }
 }
 

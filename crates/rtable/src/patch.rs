@@ -261,6 +261,27 @@ pub(crate) struct PatchState {
     free_handles: Vec<u32>,
 }
 
+/// Entries a node of std's `BTreeMap` holds at most.
+const MAP_NODE_ENTRIES: usize = 11;
+
+/// Bytes of a node of the live map holding [`MAP_NODE_ENTRIES`]: a leaf's
+/// parent pointer, entries and two `u16` counts, and the twelve edges an
+/// internal node adds spread over the dozen nodes below it.
+const MAP_NODE_BYTES: usize = std::mem::size_of::<usize>() * 2
+    + MAP_NODE_ENTRIES * std::mem::size_of::<(Ipv4Net, u32)>()
+    + 2 * std::mem::size_of::<u16>();
+
+impl PatchState {
+    /// Bytes it holds on the heap: the live map's nodes, as if each were
+    /// full (a bulk build fills them; later inserts may leave some half
+    /// full), the free handles, and the box itself.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.live.len().div_ceil(MAP_NODE_ENTRIES) * MAP_NODE_BYTES
+            + self.free_handles.capacity() * std::mem::size_of::<u32>()
+            + std::mem::size_of::<Self>()
+    }
+}
+
 impl CompiledTable {
     /// Applies a batch of routing deltas, rebuilding only the chunks each
     /// delta reaches — or the whole layout once, when the batch holds at

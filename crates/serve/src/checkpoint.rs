@@ -47,11 +47,12 @@
 )]
 
 use std::fmt;
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use netclust_core::{EncodedState, JournalBatch, PatchBatchReport, PersistError, StateStore};
+use netclust_core::{JournalBatch, PatchBatchReport, PersistError, StateStore};
 use netclust_rtable::TableDelta;
 
 use crate::router::AppState;
@@ -240,37 +241,23 @@ fn snapshot(state: &AppState, cp: &Checkpointer) -> Result<(), String> {
         .lock()
         .map_err(|_| "store lock poisoned".to_string())?;
     let started = Instant::now();
-    let read = || {
-        state
-            .stream
-            .read()
-            .map_err(|_| "state lock poisoned".to_string())
-    };
-    // Only the encoding happens under the read lock, one walk over the
-    // clients in address order coding each row as the file holds it: the
-    // room it writes to is mapped before (with a margin for clients that
-    // arrive meanwhile), and coding the prefix lists and every disk
-    // operation run after, with the follower free.
-    let clients = read()?.client_count();
-    let room = EncodedState::with_room(clients + clients / 64);
-    let (encoded, covered, held) = {
-        let stream = read()?;
-        let locked = Instant::now();
-        (
-            stream.encode_state(room),
-            cp.dirty_bytes(),
-            locked.elapsed(),
-        )
-    };
-    if !state.deterministic {
-        // Sized by the allocator, like `process.*`: the high-water mark's
-        // distance over the resident set, which this room is freed from.
-        let room = u64::try_from(encoded.room_bytes()).unwrap_or(u64::MAX);
-        state.obs.gauge("mem.snapshot_buffer_bytes").set(room);
-    }
+    // Only the row coding happens under the read lock, one walk over the
+    // clients in address order coding each row straight into the
+    // snapshot's file as it holds it; the file is made before, and the
+    // prefix lists, the checksum and every disk flush come after, with
+    // the follower free.
+    let mut sampled = None;
     store
-        .checkpoint_encoded(encoded)
+        .checkpoint_encoded(|to| {
+            let stream =
+                (state.stream.read()).map_err(|_| io::Error::other("state lock poisoned"))?;
+            let locked = Instant::now();
+            let encoded = stream.encode_state(to);
+            sampled = Some((cp.dirty_bytes(), locked.elapsed()));
+            encoded
+        })
         .map_err(|e| format!("checkpoint failed: {e}"))?;
+    let (covered, held) = sampled.unwrap_or_default();
     // ordering: statistic, as in `note_applied`; only this function
     // subtracts, serialized by the store mutex, and never more than it
     // sampled — the counter cannot underflow.

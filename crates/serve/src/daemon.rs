@@ -26,8 +26,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use netclust_core::{
-    failpoints, EncodedState, FaultInjector, FaultPlan, StateStore, StreamingClustering,
-    SwapPolicy, VerdictPolicy,
+    failpoints, FaultInjector, FaultPlan, StateStore, StreamingClustering, SwapPolicy,
+    VerdictPolicy,
 };
 use netclust_obs::Obs;
 use netclust_rtable::{load_tables, MergedTable};
@@ -200,12 +200,10 @@ impl Drop for Daemon {
     }
 }
 
-/// Loads the serving table and builds (or recovers) the shared state.
+/// Builds the shared state: recovered from the state directory, whose
+/// snapshot's prefix lists are the table, or fresh from the table files.
 fn build_state(config: &ServeConfig, obs: &Obs) -> Result<AppState, ServeError> {
     let run = config.run.clone().obs(obs.clone());
-
-    let tables = load_tables(&config.tables, &config.dumps)
-        .map_err(|e| ServeError::Config(e.to_string()))?;
 
     let mut store = None;
     let mut feed_index = 0u64;
@@ -228,6 +226,8 @@ fn build_state(config: &ServeConfig, obs: &Obs) -> Result<AppState, ServeError> 
             stream
         }
         maybe_dir => {
+            let tables = load_tables(&config.tables, &config.dumps)
+                .map_err(|e| ServeError::Config(e.to_string()))?;
             if tables.is_empty() {
                 return Err(ServeError::Config(
                     "no serving table: give --table or --dump".to_string(),
@@ -242,7 +242,7 @@ fn build_state(config: &ServeConfig, obs: &Obs) -> Result<AppState, ServeError> 
                 // snapshot a busy log for a long while; the journal a
                 // delta reload appends to has to exist before that.
                 fresh
-                    .checkpoint_encoded(stream.encode_state(EncodedState::default()))
+                    .checkpoint_encoded(|to| stream.encode_state(to))
                     .map_err(|e| ServeError::Persist(format!("base snapshot: {e}")))?;
                 store = Some(fresh);
             }

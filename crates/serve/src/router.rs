@@ -225,6 +225,7 @@ fn metrics(state: &AppState) -> HttpResponse {
                 ("mem.client_records_bytes", memory.client_records),
                 ("mem.address_map_bytes", memory.address_map),
                 ("mem.aggregates_bytes", memory.aggregates),
+                ("mem.patch_state_bytes", memory.patch_state),
             ];
             let mut attributed = state.obs.gauge("lpm.table_bytes").get();
             for (name, value) in stores {

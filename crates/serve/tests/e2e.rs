@@ -586,6 +586,17 @@ impl Drop for Netclustd {
 /// Spawns the real `netclustd` on the fixture with `<dir>/state` as its
 /// state dir.
 fn spawn_netclustd(fx: &Fixture, port_file: &Path, flags: &[&str], resume: bool) -> Netclustd {
+    spawn_netclustd_in(fx, &fx.dir.join("state"), port_file, flags, resume)
+}
+
+/// [`spawn_netclustd`] with `state` as its state dir.
+fn spawn_netclustd_in(
+    fx: &Fixture,
+    state: &Path,
+    port_file: &Path,
+    flags: &[&str],
+    resume: bool,
+) -> Netclustd {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_netclustd"));
     cmd.arg("--table")
         .arg(path_list(&fx.tables))
@@ -594,7 +605,7 @@ fn spawn_netclustd(fx: &Fixture, port_file: &Path, flags: &[&str], resume: bool)
         .arg("--log")
         .arg(&fx.log)
         .arg("--state-dir")
-        .arg(fx.dir.join("state"))
+        .arg(state)
         .arg("--port-file")
         .arg(port_file)
         .args(flags);
@@ -809,6 +820,61 @@ fn netclustd_survives_kill_and_resumes_from_its_checkpoint() {
         exit.success(),
         "graceful shutdown must exit 0, got {exit:?}"
     );
+}
+
+/// `--resume` reads no table file: the snapshot's prefix lists are the
+/// table. A state dir resumed twice — once with the table files in place,
+/// once with them deleted — answers alike, byte for byte, and the
+/// snapshot each resumed daemon writes as it stops is the same file.
+#[test]
+fn a_resume_reads_no_table_file() {
+    let fx = fixture("resume-no-table", 37);
+    std::fs::write(&fx.log, &fx.clf).expect("write log");
+    let flags = ["--poll-ms", "20", "--deterministic"];
+    let state = fx.dir.join("state");
+    let port = fx.dir.join("port");
+    let mut first = spawn_netclustd(&fx, &port, &flags, false);
+    let addr = read_addr(&port);
+    let want = format!("\"total_requests\": {}", fx.total_requests);
+    wait_for("log ingested", || get(addr, "/healthz").1.contains(&want));
+    // A patched table: the resumed one is compiled from the live map's
+    // list, not from the files.
+    let body = "announce 10.99.0.0/16\nwithdraw 10.99.0.0/16\nannounce 10.98.0.0/16\n";
+    let (status, _) = Client::connect(addr).send("POST", "/v1/reload", Some(body));
+    assert_eq!(status, 200);
+    assert!(terminate(&mut first).success());
+    let copy = fx.dir.join("state-copy");
+    std::fs::create_dir(&copy).expect("copy dir");
+    for entry in std::fs::read_dir(&state).expect("state dir") {
+        let path = entry.expect("entry").path();
+        std::fs::copy(&path, copy.join(path.file_name().expect("a name"))).expect("copy");
+    }
+
+    let targets = [
+        "/v1/clusters/top?n=20".to_string(),
+        format!("/v1/cluster?ip={}", fx.a_client),
+        "/v1/cluster?ip=10.98.1.1".to_string(),
+        "/healthz".to_string(),
+    ];
+    let resume = |dir: &Path| {
+        let port = dir.with_extension("port");
+        let mut daemon = spawn_netclustd_in(&fx, dir, &port, &flags, true);
+        let addr = read_addr(&port);
+        wait_for("resumed", || get(addr, "/healthz").1.contains(&want));
+        let answers: Vec<String> = targets.iter().map(|t| get(addr, t).1).collect();
+        assert!(terminate(&mut daemon).success());
+        let newest = snapshots(dir);
+        let snapshot = std::fs::read(dir.join(format!("snapshot-{newest:06}.snap")));
+        (answers, newest, snapshot.expect("the stop's snapshot"))
+    };
+    let with_tables = resume(&state);
+    for table in fx.tables.iter().chain(&fx.dumps) {
+        std::fs::remove_file(table).expect("delete a table file");
+    }
+    let without = resume(&copy);
+    assert_eq!(with_tables.0, without.0);
+    assert_eq!(with_tables.1, without.1);
+    assert!(with_tables.2 == without.2, "the snapshots differ");
 }
 
 /// The real binary on a disk whose fsyncs fail: `--fault persist.fsync`

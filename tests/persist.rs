@@ -22,8 +22,8 @@ use netclust::core::persist::{
     decode_batch, decode_state, encode_batch, encode_state, JournalBatch,
 };
 use netclust::core::{
-    EncodedState, ErrorCounts, FeedProgress, FsyncPolicy, PatchStats, PersistError, StateStore,
-    StreamState, StreamingClustering, SwapPolicy, SwapRejection, SwapStats,
+    ErrorCounts, FeedProgress, FsyncPolicy, PatchStats, PersistError, StateStore, StreamState,
+    StreamingClustering, SwapPolicy, SwapRejection, SwapStats,
 };
 use netclust::obs::Obs;
 use netclust::prefix::Ipv4Net;
@@ -273,13 +273,13 @@ fn push_shuffled(
 
 proptest! {
     /// The daemon's snapshot path — the stream coding its client rows in
-    /// one walk in address order, the sorted run with the arrival tail's
-    /// records let in where they fall, and the store coding the prefix
-    /// lists on the way out — writes the file the export-then-checkpoint
-    /// path writes, byte for byte, over the table as compiled (prefixes
-    /// read from its arena) and as patched (from its shadow trie), into
-    /// room made beforehand for fewer rows, as many, or more; both recover
-    /// to the export. After its restore, which lays the rows out as the
+    /// one walk in address order straight into the snapshot's file, the
+    /// sorted run with the arrival tail's records let in where they fall,
+    /// and the store placing the fields, the row count and the prefix
+    /// lists around them, then the checksum — writes the file the
+    /// export-then-checkpoint path writes, byte for byte, over the table
+    /// as compiled (prefixes read from its arena) and as patched (from
+    /// its live map); both recover to the export. After its restore, which lays the rows out as the
     /// sorted run, the stream is fed requests in a shuffled order, so new
     /// clients land in the arrival tail out of order and rows grow.
     #[test]
@@ -288,7 +288,6 @@ proptest! {
         pushes in arb_pushes(),
         patch in any::<bool>(),
         batch in arb_batch(),
-        room in 0usize..80,
     ) {
         let state = restorable(state);
         let mut stream =
@@ -307,9 +306,7 @@ proptest! {
         let (by_export, by_encode) = (dir.join("export"), dir.join("encode"));
         let exported_bytes = snapshot_file(&by_export, |store| store.checkpoint(&exported));
         let encoded_bytes =
-            snapshot_file(&by_encode, |store| {
-                store.checkpoint_encoded(stream.encode_state(EncodedState::with_room(room)))
-            });
+            snapshot_file(&by_encode, |store| store.checkpoint_encoded(|to| stream.encode_state(to)));
         prop_assert_eq!(&encoded_bytes, &exported_bytes);
         for from in [&by_export, &by_encode] {
             let (_, recovered, _) = StateStore::recover(from, FsyncPolicy::Os).expect("recover");

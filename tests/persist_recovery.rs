@@ -23,8 +23,8 @@ use common::TempDir;
 use netclust::bgpsim::{DeltaBatch, DeltaStream, DeltaStreamConfig};
 use netclust::core::persist::codec::{decode_header, FORMAT_VERSION, HEADER_BYTES};
 use netclust::core::{
-    failpoints, EncodedState, FaultInjector, FaultPlan, FsyncPolicy, JournalBatch, PersistError,
-    StateStore, StreamState, StreamingClustering, SwapPolicy,
+    failpoints, FaultInjector, FaultPlan, FsyncPolicy, JournalBatch, PersistError, StateStore,
+    StreamState, StreamingClustering, SwapPolicy,
 };
 use netclust::netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
 use netclust::obs::Obs;
@@ -561,9 +561,8 @@ fn a_version_one_state_dir_recovers_and_is_rewritten_in_the_current_form() {
         std::fs::read(store.snapshot_path(generation)).expect("snapshot file")
     };
     assert_eq!(
-        snapshot("v1-encode", &|store| store.checkpoint_encoded(
-            recovered.encode_state(EncodedState::default())
-        )),
+        snapshot("v1-encode", &|store| store
+            .checkpoint_encoded(|to| recovered.encode_state(to))),
         snapshot("v1-export", &|store| store.checkpoint(&want)),
     );
 
@@ -644,8 +643,7 @@ fn a_snapshot_encoded_from_the_stream_is_the_exported_one() {
     };
     let (_export_dir, by_export) = file("by-export", &|store| store.checkpoint(&exported));
     let (dir, by_encode) = file("by-encode", &|store| {
-        let room = EncodedState::with_room(stream.client_count());
-        store.checkpoint_encoded(stream.encode_state(room))
+        store.checkpoint_encoded(|to| stream.encode_state(to))
     });
     assert_eq!(by_encode, by_export);
 
