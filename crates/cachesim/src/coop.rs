@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 
 use netclust_core::Clustering;
-use netclust_weblog::Log;
+use netclust_netgen::Log;
 
 use crate::lru::{Entry, LruCache};
 use crate::resource::ResourceModel;
@@ -185,7 +185,7 @@ mod tests {
         let merged = standard_merged(&u, 0);
         (
             log.clone(),
-            Clustering::by(&log, Assigner::NetworkAware(&merged.compile())),
+            Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile())),
         )
     }
 

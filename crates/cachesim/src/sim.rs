@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use netclust_core::Clustering;
-use netclust_weblog::Log;
+use netclust_netgen::Log;
 
 use crate::pcv::{PcvProxy, ProxyStats, DEFAULT_TTL_S};
 use crate::resource::ResourceModel;
@@ -233,7 +233,7 @@ mod tests {
         spec.num_urls = 300;
         let log = generate(&u, &spec);
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+        let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
         (log, clustering)
     }
 
@@ -323,7 +323,7 @@ mod tests {
         // The headline of Figure 11: coarser (network-aware) clusters
         // share caches better than /24 fragments at equal capacity.
         let (log, aware) = setup();
-        let simple = Clustering::by(&log, Assigner::Simple24);
+        let simple = Clustering::by(log.hits(), Assigner::Simple24);
         let cfg = config(u64::MAX);
         let aware_result = simulate(&log, &aware, &cfg);
         let simple_result = simulate(&log, &simple, &cfg);

@@ -29,7 +29,6 @@ use std::net::Ipv4Addr;
 use netclust_obs::Obs;
 use netclust_prefix::{classful_network, Ipv4Net};
 use netclust_rtable::{CompiledTable, DEFAULT_PREFETCH_DISTANCE};
-use netclust_weblog::Log;
 
 use crate::kernel::{self, Shard};
 
@@ -130,25 +129,30 @@ pub struct Clustering {
 }
 
 impl Clustering {
-    /// Clusters `log` with an arbitrary assigner. The assigner returns the
-    /// identifying prefix for an address, or `None` when the address is
-    /// unclusterable.
+    /// Clusters `hits`, one `(client, bytes, url)` triple per request
+    /// (client in host order, url a dense id), with an arbitrary
+    /// assigner. The assigner returns the identifying prefix for an
+    /// address, or `None` when the address is unclusterable.
     ///
-    /// One pass over the requests on the calling thread fills a single
-    /// shard of the clustering kernel; clusters come out sorted by prefix,
-    /// members and unclustered sorted by address. (Logs too large for that
-    /// are raw files: [`IngestPipeline`](crate::IngestPipeline) drives the
-    /// same kernel from several scan workers without building a `Log`.)
-    pub fn build<F>(log: &Log, method: impl Into<String>, assign: F) -> Self
+    /// One pass over the hits on the calling thread fills a single shard
+    /// of the clustering kernel; clusters come out sorted by prefix,
+    /// members and unclustered sorted by address. (A log too large for
+    /// that is a raw file: [`IngestPipeline`](crate::IngestPipeline)
+    /// drives the same kernel from several scan workers over its bytes.)
+    pub fn build<F>(
+        hits: impl IntoIterator<Item = (u32, u32, u32)>,
+        method: impl Into<String>,
+        assign: F,
+    ) -> Self
     where
         F: Fn(Ipv4Addr) -> Option<Ipv4Net> + Sync,
     {
         let mut shard = Shard::new();
         let mut n_urls = 0usize;
-        for r in &log.requests {
-            let id = shard.add(r.client, r.bytes as u64);
-            shard.pairs.push((id, r.url));
-            n_urls = n_urls.max(r.url as usize + 1);
+        for (client, bytes, url) in hits {
+            let id = shard.add(client, u64::from(bytes));
+            shard.pairs.push((id, url));
+            n_urls = n_urls.max(url as usize + 1);
         }
         kernel::finish(
             method,
@@ -164,9 +168,13 @@ impl Clustering {
         )
     }
 
-    /// Clusters `log` by one of the paper's three methods, labelled with it.
-    pub fn by(log: &Log, how: Assigner<'_>) -> Self {
-        Self::build(log, how.label(), |addr| how.net_for(u32::from(addr)))
+    /// Clusters `hits` by one of the paper's three methods, labelled with
+    /// it.
+    // Waived in tests/source_contracts.rs (`pub-fn-caller`): the in-memory
+    // entry of the studies, the tests and the examples; the product's
+    // binaries cluster bytes through `IngestPipeline`.
+    pub fn by(hits: impl IntoIterator<Item = (u32, u32, u32)>, how: Assigner<'_>) -> Self {
+        Self::build(hits, how.label(), |addr| how.net_for(u32::from(addr)))
     }
 
     /// Number of identified clusters (excluding unclustered singletons).
@@ -211,11 +219,10 @@ impl Clustering {
 mod tests {
     use super::*;
     use netclust_rtable::{MergedTable, RoutingTable, TableKind};
-    use netclust_weblog::{LogTruth, Request, UrlMeta};
 
-    /// A hand-built log: 4 clients in 12.65.128.0/19, 2 in 24.48.2.0/23,
-    /// 1 unclusterable.
-    fn sample_log() -> Log {
+    /// A hand-built log's `(client, bytes, url)` hits: 4 clients in
+    /// 12.65.128.0/19, 2 in 24.48.2.0/23, 1 unclusterable.
+    fn sample_log() -> Vec<(u32, u32, u32)> {
         let clients = [
             "12.65.147.94",
             "12.65.147.149",
@@ -225,36 +232,16 @@ mod tests {
             "24.48.2.166",
             "99.1.1.1",
         ];
-        let mut requests = Vec::new();
+        let mut hits = Vec::new();
         for (i, c) in clients.iter().enumerate() {
             let addr: Ipv4Addr = c.parse().unwrap();
             // Client i issues i+1 requests to URL i % 3.
-            for j in 0..=i {
-                requests.push(Request {
-                    time: (i * 10 + j) as u32,
-                    client: u32::from(addr),
-                    url: (i % 3) as u32,
-                    bytes: 100,
-                    status: 200,
-                    ua: 0,
-                });
-            }
+            hits.extend(std::iter::repeat_n(
+                (u32::from(addr), 100, (i % 3) as u32),
+                i + 1,
+            ));
         }
-        requests.sort_by_key(|r| r.time);
-        Log {
-            name: "sample".into(),
-            requests,
-            urls: (0..3)
-                .map(|i| UrlMeta {
-                    path: format!("/{i}"),
-                    size: 100,
-                })
-                .collect(),
-            user_agents: vec!["UA".into()],
-            start_time: 0,
-            duration_s: 100,
-            truth: LogTruth::default(),
-        }
+        hits
     }
 
     fn merged() -> MergedTable {
@@ -272,8 +259,7 @@ mod tests {
 
     #[test]
     fn paper_worked_example() {
-        let log = sample_log();
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged().compile()));
+        let clustering = Clustering::by(sample_log(), Assigner::NetworkAware(&merged().compile()));
         assert_eq!(clustering.len(), 2);
         let c0 = &clustering.clusters[0];
         assert_eq!(c0.prefix.to_string(), "12.65.128.0/19");
@@ -290,15 +276,18 @@ mod tests {
     #[test]
     fn aggregates_are_consistent() {
         let log = sample_log();
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged().compile()));
+        let clustering = Clustering::by(
+            log.iter().copied(),
+            Assigner::NetworkAware(&merged().compile()),
+        );
         let total: u64 = clustering.clusters.iter().map(|c| c.requests).sum::<u64>()
             + clustering
                 .unclustered()
                 .iter()
                 .map(|c| c.requests)
                 .sum::<u64>();
-        assert_eq!(total, log.requests.len() as u64);
-        assert_eq!(clustering.total_requests, log.requests.len() as u64);
+        assert_eq!(total, log.len() as u64);
+        assert_eq!(clustering.total_requests, log.len() as u64);
         // Clients 1..=4 issue 1+2+3+4 = 10 requests in the first cluster.
         assert_eq!(clustering.clusters[0].requests, 10);
         assert_eq!(clustering.clusters[0].bytes, 1000);
@@ -307,8 +296,7 @@ mod tests {
 
     #[test]
     fn unique_urls_per_cluster() {
-        let log = sample_log();
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged().compile()));
+        let clustering = Clustering::by(sample_log(), Assigner::NetworkAware(&merged().compile()));
         // First cluster: clients 0-3 access urls {0, 1, 2, 0} → 3 unique.
         assert_eq!(clustering.clusters[0].unique_urls, 3);
         // Second cluster: clients 4,5 access urls {1, 2} → 2 unique.
@@ -317,20 +305,18 @@ mod tests {
 
     #[test]
     fn simple24_splits_differently() {
-        let log = sample_log();
-        let simple = Clustering::by(&log, Assigner::Simple24);
+        let simple = Clustering::by(sample_log(), Assigner::Simple24);
         // 12.65.147.x, 12.65.146.x, 12.65.144.x → three /24s;
         // 24.48.3.x vs 24.48.2.x → two /24s; 99.1.1.1 → its own.
         assert_eq!(simple.len(), 6);
         assert!(simple.unclustered().is_empty());
-        let aware = Clustering::by(&log, Assigner::NetworkAware(&merged().compile()));
+        let aware = Clustering::by(sample_log(), Assigner::NetworkAware(&merged().compile()));
         assert!(simple.len() > aware.len());
     }
 
     #[test]
     fn classful_merges_by_class() {
-        let log = sample_log();
-        let classful = Clustering::by(&log, Assigner::Classful);
+        let classful = Clustering::by(sample_log(), Assigner::Classful);
         // 12.x → Class A 12.0.0.0/8; 24.x → 24.0.0.0/8; 99.x → 99.0.0.0/8.
         assert_eq!(classful.len(), 3);
         assert_eq!(classful.clusters[0].prefix.to_string(), "12.0.0.0/8");
@@ -339,8 +325,7 @@ mod tests {
 
     #[test]
     fn members_are_slices_of_one_grouped_run() {
-        let log = sample_log();
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged().compile()));
+        let clustering = Clustering::by(sample_log(), Assigner::NetworkAware(&merged().compile()));
         let addrs = |members: &[ClientStats]| -> Vec<String> {
             members.iter().map(|c| c.addr.to_string()).collect()
         };
@@ -386,14 +371,14 @@ mod tests {
         )])
         .compile();
         let mut log = sample_log();
-        for (r, addr) in log.requests.iter_mut().zip([
+        for (r, addr) in log.iter_mut().zip([
             "10.0.0.1", "10.1.0.1", "10.1.0.1", "10.2.0.1", "10.2.0.1", "10.2.0.1", "9.9.9.9",
             "10.1.0.2", "11.0.0.1",
         ]) {
-            r.client = u32::from(addr.parse::<Ipv4Addr>().unwrap());
+            r.0 = u32::from(addr.parse::<Ipv4Addr>().unwrap());
         }
-        log.requests.truncate(9);
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&table));
+        log.truncate(9);
+        let clustering = Clustering::by(log, Assigner::NetworkAware(&table));
         let groups: Vec<(String, Vec<String>)> = (clustering.clusters.iter())
             .map(|c| {
                 let members = clustering.members(c).iter().map(|m| m.addr.to_string());
@@ -424,8 +409,7 @@ mod tests {
 
     #[test]
     fn largest_and_busiest() {
-        let log = sample_log();
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged().compile()));
+        let clustering = Clustering::by(sample_log(), Assigner::NetworkAware(&merged().compile()));
         let largest = clustering.clusters.iter().map(|c| c.client_count()).max();
         assert_eq!(largest, Some(4));
         assert_eq!(clustering.top(1)[0].requests, 11); // clients 5,6: 5+6
@@ -433,16 +417,7 @@ mod tests {
 
     #[test]
     fn empty_log() {
-        let log = Log {
-            name: "empty".into(),
-            requests: vec![],
-            urls: vec![],
-            user_agents: vec!["UA".into()],
-            start_time: 0,
-            duration_s: 0,
-            truth: LogTruth::default(),
-        };
-        let clustering = Clustering::by(&log, Assigner::Simple24);
+        let clustering = Clustering::by([], Assigner::Simple24);
         assert!(clustering.is_empty());
         assert_eq!(clustering.coverage(), 0.0);
     }

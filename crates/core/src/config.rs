@@ -371,7 +371,7 @@ mod tests {
         let mut spec = LogSpec::tiny("cfg", 5);
         spec.total_requests = 2_000;
         let log = generate(&u, &spec);
-        let clf = netclust_weblog::clf::to_clf(&log);
+        let clf = netclust_netgen::to_clf(&log);
 
         let cfg = RunConfig::new()
             .threads(2)

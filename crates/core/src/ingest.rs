@@ -1,9 +1,9 @@
 //! Fused zero-copy log ingest: bytes in, clusters out.
 //!
-//! The `Log` route from a Common Log Format file to a [`Clustering`]
-//! materializes an intermediate `Log` — every path and user agent an
-//! interned allocation, every line a `Request` — before the clustering
-//! pass re-aggregates it all per client. For the multi-million line logs
+//! The in-memory route from a Common Log Format file to a [`Clustering`]
+//! materializes an intermediate log — every path and user agent an
+//! interned allocation, every line a request record — before the
+//! clustering pass re-aggregates it all per client. For the multi-million line logs
 //! of the paper's evaluation that intermediate costs more than the
 //! clustering itself.
 //!
@@ -17,17 +17,18 @@
 //!    chunks off a shared atomic index and scan them with the zero-copy
 //!    byte parser ([`clf_bytes::records_no_ua`]) straight into
 //!    shard-local accumulators: a clustering-kernel shard of dense client
-//!    ids, dense url ids, no `Log`, no per-line allocation (paths intern
-//!    as borrowed `&[u8]` slices of the input); a chunk of a mapped file
-//!    is given back to the kernel as soon as it is scanned
+//!    ids, dense url ids, no log in memory, no per-line allocation (paths
+//!    intern as borrowed `&[u8]` slices of the input); a chunk of a
+//!    mapped file is given back to the kernel as soon as it is scanned
 //!    ([`IngestPipeline::run_log`]), so the log is never resident whole,
 //! 3. the clustering kernel — the same one `Clustering::build` drives
-//!    from a `Log` — merges the shards into canonical global order
-//!    (per-partition client sums concatenate in address order, shard url
-//!    ids translate through one global intern), assigns clusters by the
-//!    pipeline's [`Assigner`] (batch longest-prefix match over the compiled
-//!    table, or a baseline's rule), and assembles a [`Clustering`]
-//!    byte-identical to the `from_clf` → [`Clustering::by`] route.
+//!    from a study's in-memory triples — merges the shards into canonical
+//!    global order (per-partition client sums concatenate in address
+//!    order, shard url ids translate through one global intern), assigns
+//!    clusters by the pipeline's [`Assigner`] (batch longest-prefix match
+//!    over the compiled table, or a baseline's rule), and assembles a
+//!    [`Clustering`] byte-identical to the `netclust_netgen::from_clf` →
+//!    [`Clustering::by`] route the tests hold it to.
 //!
 //! Determinism holds by construction, not by scheduling: client sums
 //! commute, partition runs concatenate in address order, parse errors
@@ -71,7 +72,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use netclust_obs::{Counter, ErrorCounts, Histogram, Obs};
-use netclust_rtable::CompiledTable;
 use netclust_weblog::chunk::{self, Chunk, LogData};
 use netclust_weblog::clf::ClfError;
 use netclust_weblog::clf_bytes;
@@ -119,11 +119,11 @@ const DEFAULT_CHUNK_BYTES: usize = 1 << 20;
 /// of one [`Assigner`].
 ///
 /// ```no_run
-/// use netclust_core::IngestPipeline;
+/// use netclust_core::{Assigner, IngestPipeline};
 /// use netclust_weblog::chunk::LogData;
 /// # fn demo(table: &netclust_rtable::CompiledTable) -> Result<(), Box<dyn std::error::Error>> {
 /// let log = LogData::open("access.log")?;
-/// let report = IngestPipeline::new(table).run_log(&log)?;
+/// let report = IngestPipeline::by(Assigner::NetworkAware(table)).run_log(&log)?;
 /// println!(
 ///     "{} clusters from {} lines ({} malformed)",
 ///     report.clustering.len(),
@@ -256,11 +256,6 @@ impl IngestReport {
 }
 
 impl<'t> IngestPipeline<'t> {
-    /// A network-aware pipeline over `table` with default chunking.
-    pub fn new(table: &'t CompiledTable) -> Self {
-        Self::by(Assigner::NetworkAware(table))
-    }
-
     /// A pipeline clustering by `how`, with default chunking.
     pub fn by(how: Assigner<'t>) -> Self {
         IngestPipeline {
@@ -456,8 +451,8 @@ impl<'t> IngestPipeline<'t> {
     ///   error), so one sort restores line order.
     /// * **url ids** of several shards translate through one global
     ///   intern walked in shard order (equal ids ⇔ equal path bytes —
-    ///   exactly the `Log` URL-interning identity); a lone shard's ids
-    ///   are global already.
+    ///   exactly the in-memory log's URL-interning identity); a lone
+    ///   shard's ids are global already.
     fn finish(
         &self,
         outs: Vec<ChunkOut<'_>>,
@@ -648,8 +643,8 @@ impl<'a> ChunkOut<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netclust_rtable::{MergedTable, RoutingTable, TableKind};
-    use netclust_weblog::clf;
+    use netclust_netgen::from_clf;
+    use netclust_rtable::{CompiledTable, MergedTable, RoutingTable, TableKind};
 
     fn table() -> CompiledTable {
         let bgp = RoutingTable::new(
@@ -675,11 +670,11 @@ not a log line\n\
     #[test]
     fn matches_log_route() {
         let table = table();
-        let (log, log_errors) = clf::from_clf("s", SAMPLE.as_bytes());
-        let expect = Clustering::by(&log, Assigner::NetworkAware(&table));
+        let (log, log_errors) = from_clf("s", SAMPLE.as_bytes());
+        let expect = Clustering::by(log.hits(), Assigner::NetworkAware(&table));
 
         for chunk_bytes in [1usize, 50, 1 << 20] {
-            let report = IngestPipeline::new(&table)
+            let report = IngestPipeline::by(Assigner::NetworkAware(&table))
                 .chunk_bytes(chunk_bytes)
                 .run(SAMPLE.as_bytes());
             let got = &report.clustering;
@@ -703,7 +698,7 @@ not a log line\n\
     #[test]
     fn empty_input() {
         let table = table();
-        let report = IngestPipeline::new(&table).run(b"");
+        let report = IngestPipeline::by(Assigner::NetworkAware(&table)).run(b"");
         assert!(report.clustering.is_empty());
         assert!(report.errors.is_empty());
         assert_eq!(report.counts.records, 0);
@@ -718,8 +713,10 @@ not a log line\n\
         std::fs::write(&path, SAMPLE).unwrap();
         let table = table();
         let log = LogData::open(&path).unwrap();
-        let from_file = IngestPipeline::new(&table).run_log(&log).unwrap();
-        let from_mem = IngestPipeline::new(&table).run(SAMPLE.as_bytes());
+        let from_file = IngestPipeline::by(Assigner::NetworkAware(&table))
+            .run_log(&log)
+            .unwrap();
+        let from_mem = IngestPipeline::by(Assigner::NetworkAware(&table)).run(SAMPLE.as_bytes());
         assert_eq!(from_file.clustering.len(), from_mem.clustering.len());
         assert_eq!(from_file.errors, from_mem.errors);
         assert_eq!(from_file.counts, from_mem.counts);
@@ -727,7 +724,7 @@ not a log line\n\
         // Zero-length file: clean empty report, not a panic.
         let empty_path = dir.join("empty.log");
         std::fs::write(&empty_path, b"").unwrap();
-        let empty = IngestPipeline::new(&table)
+        let empty = IngestPipeline::by(Assigner::NetworkAware(&table))
             .run_log(&LogData::open(&empty_path).unwrap())
             .unwrap();
         assert!(empty.clustering.is_empty());
@@ -751,7 +748,7 @@ not a log line\n\
         assert_eq!(serial.iter().map(|e| e.line).collect::<Vec<_>>(), [0, 3]);
         for max in [1usize, 16, 40, 4096] {
             for threads in [1usize, 3] {
-                let report = IngestPipeline::new(&table)
+                let report = IngestPipeline::by(Assigner::NetworkAware(&table))
                     .chunk_bytes(max)
                     .threads(threads)
                     .run(text.as_bytes());
@@ -770,7 +767,7 @@ not a log line\n\
                     1.2.3.5 - - [13/Feb/1998:07:00:01 +0000] \"GET /y HTTP/1.0\" 200 100\n\
                     torn final line with no newline";
         for max in [1usize, 8, 70, 1 << 12] {
-            let report = IngestPipeline::new(&table)
+            let report = IngestPipeline::by(Assigner::NetworkAware(&table))
                 .chunk_bytes(max)
                 .run(text.as_bytes());
             assert_eq!(report.counts, ErrorCounts::new(3, 1), "max={max}");
@@ -783,7 +780,7 @@ not a log line\n\
     fn error_budget_aborts_with_context() {
         let table = table();
         // SAMPLE has 1 malformed line out of 6 (≈16.7%).
-        let err = IngestPipeline::new(&table)
+        let err = IngestPipeline::by(Assigner::NetworkAware(&table))
             .max_error_rate(ErrorRate::new(0.10).unwrap())
             .run_log(&LogData::from_vec(SAMPLE.into()))
             .unwrap_err();
@@ -797,7 +794,7 @@ not a log line\n\
         assert_eq!(sample.len(), 1);
         assert_eq!(sample[0].line, 1);
         // A budget the noise fits under passes through untouched.
-        let ok = IngestPipeline::new(&table)
+        let ok = IngestPipeline::by(Assigner::NetworkAware(&table))
             .max_error_rate(ErrorRate::new(0.20).unwrap())
             .run_log(&LogData::from_vec(SAMPLE.into()))
             .unwrap();
@@ -807,7 +804,7 @@ not a log line\n\
     #[test]
     fn quarantine_resolves_rejected_byte_ranges() {
         let table = table();
-        let report = IngestPipeline::new(&table).run(SAMPLE.as_bytes());
+        let report = IngestPipeline::by(Assigner::NetworkAware(&table)).run(SAMPLE.as_bytes());
         let q = report.quarantine(SAMPLE.as_bytes());
         assert_eq!(q.len(), 1);
         assert_eq!(q[0].line, 1);
@@ -817,7 +814,7 @@ not a log line\n\
         // it crosses the last chunk boundary: the byte range must still
         // land exactly on the line.
         let tail_garbage = format!("{}trailing junk", SAMPLE);
-        let report = IngestPipeline::new(&table)
+        let report = IngestPipeline::by(Assigner::NetworkAware(&table))
             .chunk_bytes(32)
             .run(tail_garbage.as_bytes());
         assert_eq!(report.counts.records, 7);
@@ -836,7 +833,7 @@ not a log line\n\
         let table = table();
         let unterminated = SAMPLE.trim_end_matches('\n');
         for chunk_bytes in [16usize, 64, 1 << 20] {
-            let report = IngestPipeline::new(&table)
+            let report = IngestPipeline::by(Assigner::NetworkAware(&table))
                 .chunk_bytes(chunk_bytes)
                 .run(unterminated.as_bytes());
             assert_eq!(report.counts.records, 6, "chunk_bytes={chunk_bytes}");

@@ -3,12 +3,12 @@
 //!
 //! Every route from requests to a [`Clustering`] drives this module: it
 //! feeds requests into one or more [`Shard`]s ([`Shard::add`]) and hands
-//! them to [`finish`]. [`Clustering::build`] fills one shard from a `Log`
-//! on the calling thread; `IngestPipeline` fills one shard per scan
-//! worker from raw CLF bytes. The result depends only on the multiset of
-//! requests, never on how they were split across shards: client sums
-//! commute, address ranges concatenate in address order, and unique-URL
-//! counts are invariant under url-id relabeling.
+//! them to [`finish`]. [`Clustering::build`] fills one shard from
+//! `(client, bytes, url)` triples on the calling thread; `IngestPipeline`
+//! fills one shard per scan worker from raw CLF bytes. The result depends
+//! only on the multiset of requests, never on how they were split across
+//! shards: client sums commute, address ranges concatenate in address
+//! order, and unique-URL counts are invariant under url-id relabeling.
 
 #![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
 #![deny(

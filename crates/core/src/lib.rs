@@ -7,7 +7,9 @@
 //!
 //! * [`Clustering`] — longest-prefix-match clustering against a merged
 //!   BGP/registry table, plus the simple `/24` and classful baselines (§2,
-//!   §3.2): one [`Assigner`] each,
+//!   §3.2): one [`Assigner`] each; [`Clustering::by`] clusters plain
+//!   `(client, bytes, url)` triples, which is how the studies cluster
+//!   their in-memory logs,
 //! * [`IngestPipeline`] — fused zero-copy ingest from raw CLF bytes
 //!   (memory-mapped files included) straight to a [`Clustering`], by any
 //!   of the three,
@@ -26,7 +28,9 @@
 //! sessions (§3.6), the Figure 3–7 distributions and spider/proxy
 //! detection (§4.1.2) — live in `netclust-experiments`, and the Web-caching
 //! simulation (§4.1.5) in `netclust-cachesim`; none of them is linked
-//! into this crate or the daemon.
+//! into this crate or the daemon. Nor is a log model: the product reads
+//! CLF bytes, and the in-memory log the studies cluster lives in
+//! `netclust-netgen` beside the generator that makes it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -398,15 +398,15 @@ mod tests {
         let mut log = generate(&u, &spec);
         // One client no prefix covers (TEST-NET-2): the unclustered answer.
         let stray = u32::from(Ipv4Addr::new(198, 51, 100, 9));
-        log.requests.push(netclust_weblog::Request {
+        log.requests.push(netclust_netgen::Request {
             client: stray,
             ..log.requests[0]
         });
         let table = standard_merged(&u, 0).compile();
-        let batch = Clustering::by(&log, Assigner::NetworkAware(&table));
+        let batch = Clustering::by(log.hits(), Assigner::NetworkAware(&table));
         let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
         for r in &log.requests {
-            stream.push(r);
+            stream.push_raw_for_tests(r.client, r.bytes.into());
         }
         (table, batch, stream)
     }

@@ -41,7 +41,6 @@ use netclust_prefix::Ipv4Net;
 use netclust_rtable::{CompiledTable, DeltaKind, Handle, MergedTable, PatchReport, TableDelta};
 use netclust_weblog::clf::ClfError;
 use netclust_weblog::clf_bytes;
-use netclust_weblog::Request;
 
 use crate::clients::Clients;
 use crate::kernel::Client;
@@ -615,13 +614,9 @@ impl StreamingClustering {
         }
     }
 
-    /// Feeds one request.
-    pub fn push(&mut self, request: &Request) {
-        self.push_raw(request.client, request.bytes as u64);
-    }
-
     /// Feeds a buffer of raw Common Log Format bytes through the
-    /// zero-copy parser — no `Log` is built and nothing is interned.
+    /// zero-copy parser — no log is built in memory and nothing is
+    /// interned.
     /// Malformed lines are skipped and returned (line numbers are
     /// 0-based within `data`, matching the batch parsers).
     pub fn push_clf(&mut self, data: &[u8]) -> Vec<ClfError> {
@@ -1266,7 +1261,7 @@ mod tests {
     use netclust_netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
     use netclust_rtable::{RoutingTable, TableKind};
 
-    fn setup() -> (Universe, netclust_weblog::Log) {
+    fn setup() -> (Universe, netclust_netgen::Log) {
         let u = Universe::generate(UniverseConfig::small(7));
         let mut spec = LogSpec::tiny("st", 13);
         spec.total_requests = 8_000;
@@ -1289,10 +1284,10 @@ mod tests {
     fn streaming_matches_batch() {
         let (u, log) = setup();
         let merged = standard_merged(&u, 0);
-        let batch = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+        let batch = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
         let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
         for r in &log.requests {
-            stream.push(r);
+            stream.push_raw(r.client, r.bytes.into());
         }
         assert_eq!(stream.len(), batch.len());
         assert_eq!(stream.total_requests(), log.requests.len() as u64);
@@ -1314,10 +1309,10 @@ mod tests {
         let (u, log) = setup();
         let mut by_request = StreamingClustering::builder(standard_merged(&u, 0)).build();
         for r in &log.requests {
-            by_request.push(r);
+            by_request.push_raw(r.client, r.bytes.into());
         }
         let mut by_bytes = StreamingClustering::builder(standard_merged(&u, 0)).build();
-        let text = netclust_weblog::clf::to_clf(&log);
+        let text = netclust_netgen::to_clf(&log);
         let errors = by_bytes.push_clf(text.as_bytes());
         assert!(errors.is_empty());
         assert_eq!(by_bytes.total_requests(), by_request.total_requests());
@@ -1343,14 +1338,14 @@ mod tests {
         let (u, log) = setup();
         let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
         for r in &log.requests {
-            stream.push(r);
+            stream.push_raw(r.client, r.bytes.into());
         }
         let top = stream.top_k(5);
         assert_eq!(top.len(), 5.min(stream.len()));
         assert!(top.windows(2).all(|w| w[0].1.requests >= w[1].1.requests));
         // The top cluster matches the batch busiest.
         let merged = standard_merged(&u, 0);
-        let batch = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+        let batch = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
         assert_eq!(top[0].1.requests, batch.top(1)[0].requests);
     }
 
@@ -1359,7 +1354,7 @@ mod tests {
         let (u, log) = setup();
         let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
         for r in &log.requests {
-            stream.push(r);
+            stream.push_raw(r.client, r.bytes.into());
         }
         let before_total = stream.total_requests();
         // Swap to day 7's table: the view must equal a batch clustering
@@ -1369,7 +1364,7 @@ mod tests {
         assert_eq!(stream.total_requests(), before_total);
         assert_eq!(stream.swap_stats().accepted, 1);
         let batch = Clustering::by(
-            &log,
+            log.hits(),
             Assigner::NetworkAware(&standard_merged(&u, 7).compile()),
         );
         assert_eq!(stream.len(), batch.len());
@@ -1384,7 +1379,7 @@ mod tests {
         let (u, log) = setup();
         let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
         for r in &log.requests {
-            stream.push(r);
+            stream.push_raw(r.client, r.bytes.into());
         }
         let before = stream.top_k(usize::MAX);
         let coverage = stream.coverage();
@@ -1446,7 +1441,7 @@ mod tests {
             .obs(obs.clone())
             .build();
         for r in &log.requests {
-            stream.push(r);
+            stream.push_raw(r.client, r.bytes.into());
         }
         let empty = MergedTable::merge(std::iter::empty());
         stream.try_swap(empty, ErrorCounts::default());
@@ -1502,7 +1497,7 @@ mod tests {
         let (u, log) = setup();
         let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
         for r in &log.requests {
-            stream.push(r);
+            stream.push_raw(r.client, r.bytes.into());
         }
         assert_view_consistent(&stream);
         let before_total = stream.total_requests();
@@ -1579,8 +1574,8 @@ mod tests {
             })
             .build();
         for r in &log.requests {
-            patched.push(r);
-            swapped.push(r);
+            patched.push_raw(r.client, r.bytes.into());
+            swapped.push_raw(r.client, r.bytes.into());
         }
         let victims: Vec<Ipv4Net> = patched.top_k(3).iter().map(|&(p, _)| p).collect();
         let deltas: Vec<TableDelta> = victims.iter().map(|&p| TableDelta::withdraw(p)).collect();
@@ -1662,7 +1657,7 @@ mod tests {
         let (u, log) = setup();
         let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
         for r in &log.requests {
-            stream.push(r);
+            stream.push_raw(r.client, r.bytes.into());
         }
         let victims: Vec<Ipv4Net> = stream.top_k(3).iter().map(|&(p, _)| p).collect();
         let probe = victims[0].addr_u32();
@@ -1697,7 +1692,7 @@ mod tests {
             })
             .build();
         for r in &log.requests {
-            stream.push(r);
+            stream.push_raw(r.client, r.bytes.into());
         }
         let before = stream.top_k(usize::MAX);
         let (target, _) = before[0];
@@ -1734,7 +1729,7 @@ mod tests {
             .obs(obs.clone())
             .build();
         for r in &log.requests {
-            stream.push(r);
+            stream.push_raw(r.client, r.bytes.into());
         }
         let (busiest, _) = stream.top_k(1)[0];
         stream.apply_deltas(&[TableDelta::withdraw(busiest)]);
@@ -1815,7 +1810,7 @@ mod tests {
         let (u, log) = setup();
         let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
         for r in &log.requests {
-            stream.push(r);
+            stream.push_raw(r.client, r.bytes.into());
         }
         let mut state = stream.export_state();
         let restored = StreamingClustering::restore(&state, SwapPolicy::default(), Obs::disabled());
@@ -1844,12 +1839,12 @@ mod tests {
         assert_eq!(stream.coverage(), 0.0);
         let half = log.requests.len() / 2;
         for r in &log.requests[..half] {
-            stream.push(r);
+            stream.push_raw(r.client, r.bytes.into());
         }
         let mid = stream.top_k(3);
         assert!(!mid.is_empty());
         for r in &log.requests[half..] {
-            stream.push(r);
+            stream.push_raw(r.client, r.bytes.into());
         }
         let end = stream.top_k(3);
         assert!(end[0].1.requests >= mid[0].1.requests);

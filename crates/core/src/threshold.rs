@@ -101,46 +101,25 @@ pub fn threshold_busy(clusters: &[Cluster], fraction: f64) -> ThresholdReport {
 mod tests {
     use super::*;
     use crate::cluster::{Assigner, Clustering};
-    use netclust_weblog::{Log, LogTruth, Request, UrlMeta};
 
-    /// Clusters with requests 1000, 500, 300, 100, 50 (five /24s).
-    fn log() -> Log {
+    /// Clusters with requests 1000, 500, 300, 100, 50 (five /24s), as
+    /// `(client, bytes, url)` hits.
+    fn log() -> Vec<(u32, u32, u32)> {
         let volumes = [1000u64, 500, 300, 100, 50];
-        let mut requests = Vec::new();
+        let mut hits = Vec::new();
         for (i, &n) in volumes.iter().enumerate() {
             // Two clients per cluster, splitting the volume 70/30.
             for (c, share) in [(1u8, 7u64), (2, 3)] {
                 let addr = u32::from_be_bytes([10, 0, i as u8, c]);
-                for j in 0..(n * share / 10) {
-                    requests.push(Request {
-                        time: j as u32 % 100,
-                        client: addr,
-                        url: 0,
-                        bytes: 1,
-                        status: 200,
-                        ua: 0,
-                    });
-                }
+                hits.extend(std::iter::repeat_n((addr, 1, 0), (n * share / 10) as usize));
             }
         }
-        requests.sort_by_key(|r| r.time);
-        Log {
-            name: "t".into(),
-            requests,
-            urls: vec![UrlMeta {
-                path: "/".into(),
-                size: 1,
-            }],
-            user_agents: vec!["UA".into()],
-            start_time: 0,
-            duration_s: 100,
-            truth: LogTruth::default(),
-        }
+        hits
     }
 
     #[test]
     fn seventy_percent_rule() {
-        let clustering = Clustering::by(&log(), Assigner::Simple24);
+        let clustering = Clustering::by(log(), Assigner::Simple24);
         let report = threshold_busy(&clustering.clusters, 0.7);
         // Total 1950; 70 % = 1365; clusters 1000 + 500 = 1500 suffice.
         assert_eq!(report.busy.len(), 2);
@@ -155,7 +134,7 @@ mod tests {
 
     #[test]
     fn full_fraction_keeps_everything() {
-        let clustering = Clustering::by(&log(), Assigner::Simple24);
+        let clustering = Clustering::by(log(), Assigner::Simple24);
         let report = threshold_busy(&clustering.clusters, 1.0);
         assert_eq!(report.busy.len(), 5);
         assert_eq!(report.threshold, 50);
@@ -164,7 +143,7 @@ mod tests {
 
     #[test]
     fn busy_order_is_descending() {
-        let clustering = Clustering::by(&log(), Assigner::Simple24);
+        let clustering = Clustering::by(log(), Assigner::Simple24);
         let report = threshold_busy(&clustering.clusters, 0.9);
         let reqs: Vec<u64> = report
             .busy
@@ -177,22 +156,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "fraction")]
     fn bad_fraction_panics() {
-        let clustering = Clustering::by(&log(), Assigner::Simple24);
+        let clustering = Clustering::by(log(), Assigner::Simple24);
         let _ = threshold_busy(&clustering.clusters, 0.0);
     }
 
     #[test]
     fn empty_clustering() {
-        let empty = Log {
-            name: "e".into(),
-            requests: vec![],
-            urls: vec![],
-            user_agents: vec!["UA".into()],
-            start_time: 0,
-            duration_s: 0,
-            truth: LogTruth::default(),
-        };
-        let clustering = Clustering::by(&empty, Assigner::Simple24);
+        let clustering = Clustering::by([], Assigner::Simple24);
         let report = threshold_busy(&clustering.clusters, 0.7);
         assert!(report.busy.is_empty());
         assert_eq!(report.threshold, 0);

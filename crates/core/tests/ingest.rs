@@ -1,11 +1,12 @@
 //! Equivalence of the fused zero-copy ingest pipeline with the `Log`
-//! route (`clf::from_clf`, then `Clustering`), on the committed synthetic
+//! route (`netclust_netgen::from_clf`, then `Clustering::by`), on the committed synthetic
 //! corpus under `results/` (a generated CLF log with hand-planted
 //! malformed lines, plus one BGP and one registry table dump).
 
 use netclust_core::{Assigner, Clustering, IngestPipeline};
+use netclust_netgen::from_clf;
 use netclust_rtable::{MergedTable, RoutingTable, TableKind};
-use netclust_weblog::clf::{self, ClfErrorKind};
+use netclust_weblog::clf::ClfErrorKind;
 
 const LOG: &str = include_str!(concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -45,8 +46,8 @@ fn assert_clusterings_equal(got: &Clustering, expect: &Clustering, context: &str
 #[test]
 fn fused_pipeline_matches_log_route() {
     let table = merged().compile();
-    let (log, log_errors) = clf::from_clf("sample", LOG.as_bytes());
-    let expect = Clustering::by(&log, Assigner::NetworkAware(&table));
+    let (log, log_errors) = from_clf("sample", LOG.as_bytes());
+    let expect = Clustering::by(log.hits(), Assigner::NetworkAware(&table));
     // The planted malformed lines, pinned by line and kind.
     let planted: Vec<(usize, ClfErrorKind)> = log_errors.iter().map(|e| (e.line, e.kind)).collect();
     assert_eq!(
@@ -64,7 +65,7 @@ fn fused_pipeline_matches_log_route() {
     // The fused pipeline, across chunk sizes spanning one-line-per-chunk
     // to single-chunk.
     for chunk_bytes in [64usize, 4096, 1 << 20] {
-        let report = IngestPipeline::new(&table)
+        let report = IngestPipeline::by(Assigner::NetworkAware(&table))
             .chunk_bytes(chunk_bytes)
             .run(LOG.as_bytes());
         assert_clusterings_equal(
@@ -82,7 +83,7 @@ fn fused_pipeline_matches_log_route() {
 #[test]
 fn corpus_exercises_real_clustering() {
     let table = merged().compile();
-    let report = IngestPipeline::new(&table).run(LOG.as_bytes());
+    let report = IngestPipeline::by(Assigner::NetworkAware(&table)).run(LOG.as_bytes());
     // The corpus is meaningful: many clusters, high coverage, URL stats.
     assert!(report.clustering.len() > 20, "{}", report.clustering.len());
     assert!(report.clustering.coverage() > 0.9);

@@ -1,17 +1,18 @@
 //! Parallel-ingest determinism properties: for each of the three methods
 //! the serial scan (`threads(1)`) must report what the `Log` route —
-//! `clf::from_clf` into a `Log`, then `Clustering::by` — reports, and the
-//! sharded work-stealing scan must produce reports *byte-identical* to the
-//! serial one over random corpora, chunk sizes, and thread counts —
-//! including parse errors, quarantine byte ranges, and error counts. And
+//! `netclust_netgen::from_clf` into a `Log`, then `Clustering::by` —
+//! reports, and the sharded work-stealing scan must produce reports
+//! *byte-identical* to the serial one over random corpora, chunk sizes,
+//! and thread counts — including parse errors, quarantine byte ranges,
+//! and error counts. And
 //! the file-backed entry, which gives every scanned chunk's pages back to the
 //! kernel, must report exactly what `run` reports over an owned copy.
 
 use netclust_core::{Assigner, Clustering, IngestPipeline, IngestReport};
+use netclust_netgen::from_clf;
 use netclust_obs::Obs;
 use netclust_rtable::{CompiledTable, MergedTable, RoutingTable, TableKind};
 use netclust_weblog::chunk::LogData;
-use netclust_weblog::clf;
 use proptest::prelude::*;
 
 /// A routing table whose prefixes cover some — not all — of the corpus
@@ -144,10 +145,10 @@ proptest! {
         let table = table();
         let text = render(&lines);
         let data = text.as_bytes();
-        let (log, log_errors) = clf::from_clf("prop", data);
+        let (log, log_errors) = from_clf("prop", data);
         for how in [Assigner::NetworkAware(&table), Assigner::Simple24, Assigner::Classful] {
             let method = how.label();
-            let want = Clustering::by(&log, how);
+            let want = Clustering::by(log.hits(), how);
             let serial = IngestPipeline::by(how)
                 .chunk_bytes(chunk_bytes)
                 .threads(1)
@@ -213,7 +214,7 @@ fn mapped_and_released_matches_owned() {
         for threads in [1usize, 2, 4] {
             let ctx = format!("chunk_bytes={chunk_bytes} threads={threads}");
             let pipeline = |obs: &Obs| {
-                IngestPipeline::new(&table)
+                IngestPipeline::by(Assigner::NetworkAware(&table))
                     .chunk_bytes(chunk_bytes)
                     .threads(threads)
                     .obs(obs.clone())
@@ -255,7 +256,7 @@ fn mapped_and_released_matches_owned() {
     // kernel and nothing changes.
     let owned_log = LogData::from_vec(bytes.clone());
     let obs = Obs::enabled();
-    let via_owned = IngestPipeline::new(&table)
+    let via_owned = IngestPipeline::by(Assigner::NetworkAware(&table))
         .obs(obs.clone())
         .run_log(&owned_log)
         .unwrap();

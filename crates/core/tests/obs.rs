@@ -4,7 +4,7 @@
 //! snapshots are byte-identical across identical runs, and instrumented
 //! runs produce the exact same clustering as unobserved ones.
 
-use netclust_core::IngestPipeline;
+use netclust_core::{Assigner, IngestPipeline};
 use netclust_obs::{Obs, Snapshot};
 use netclust_rtable::{MergedTable, RoutingTable, TableKind};
 
@@ -62,7 +62,7 @@ fn mid_stream_snapshot_is_prefix_of_final_report() {
     let empty = obs.snapshot(true);
     let mut snaps = vec![empty];
     for _ in 0..3 {
-        IngestPipeline::new(&table)
+        IngestPipeline::by(Assigner::NetworkAware(&table))
             .obs(obs.clone())
             .run(LOG.as_bytes());
         snaps.push(obs.snapshot(true));
@@ -89,7 +89,7 @@ fn deterministic_snapshots_are_byte_identical_across_runs() {
         let obs = Obs::enabled();
         let mut table = merged().compile();
         table.attach_obs(&obs);
-        let report = IngestPipeline::new(&table)
+        let report = IngestPipeline::by(Assigner::NetworkAware(&table))
             .obs(obs.clone())
             .run(LOG.as_bytes());
         (obs.snapshot(true).to_json(), report)
@@ -109,7 +109,7 @@ fn deterministic_snapshots_are_byte_identical_across_runs() {
     let obs = Obs::enabled();
     let mut table = merged().compile();
     table.attach_obs(&obs);
-    IngestPipeline::new(&table)
+    IngestPipeline::by(Assigner::NetworkAware(&table))
         .obs(obs.clone())
         .run(LOG.as_bytes());
     let snap = obs.snapshot(true);
@@ -131,12 +131,12 @@ fn deterministic_snapshots_are_byte_identical_across_runs() {
 fn observation_is_passive() {
     // An instrumented run must produce the identical report to a bare one.
     let table = merged().compile();
-    let bare = IngestPipeline::new(&table).run(LOG.as_bytes());
+    let bare = IngestPipeline::by(Assigner::NetworkAware(&table)).run(LOG.as_bytes());
 
     let obs = Obs::enabled();
     let mut observed_table = merged().compile();
     observed_table.attach_obs(&obs);
-    let observed = IngestPipeline::new(&observed_table)
+    let observed = IngestPipeline::by(Assigner::NetworkAware(&observed_table))
         .obs(obs.clone())
         .run(LOG.as_bytes());
 

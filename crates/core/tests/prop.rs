@@ -8,10 +8,10 @@ use netclust_core::{
     Clustering, ErrorCounts, IngestPipeline, StreamStats, StreamingClustering, SwapPolicy,
     VerdictAnswer, VerdictPolicy,
 };
+use netclust_netgen::{to_clf, Log, LogTruth, Request, UrlMeta};
 use netclust_obs::Obs;
 use netclust_prefix::Ipv4Net;
 use netclust_rtable::{DeltaKind, MergedTable, RoutingTable, TableDelta, TableKind};
-use netclust_weblog::{clf, Log, LogTruth, Request, UrlMeta};
 use proptest::prelude::*;
 
 /// Builds a log from arbitrary (client, url, time) triples.
@@ -293,7 +293,7 @@ proptest! {
                 Some(Ipv4Net::new(r << 8, 24).unwrap())
             }
         };
-        let clustering = Clustering::build(&log, "prop", |addr| rule(u32::from(addr)));
+        let clustering = Clustering::build(log.hits(), "prop", |addr| rule(u32::from(addr)));
         // Its prefixes need not cover their members: the member run is
         // grouped by the rule all the same.
         prop_assert_eq!(batch_view(&clustering), oracle_by(&log.requests, rule));
@@ -327,8 +327,9 @@ proptest! {
     }
 
     /// One independent oracle for all three drivers of the clustering
-    /// kernel: `Clustering::build` over the `Log`, `IngestPipeline` over
-    /// its CLF rendering (plus malformed lines) at 1, 2 and 4 workers, and
+    /// kernel: `Clustering::by` over the log's hits, `IngestPipeline` over
+    /// its CLF rendering (`to_clf`, plus malformed lines) at 1, 2 and 4
+    /// workers, and
     /// `StreamingClustering::push_clf` over the same bytes in arbitrary
     /// line-aligned slices with a batch of routing deltas after each —
     /// `(kind, at, len)`: announce, withdraw or replace the prefix of
@@ -395,18 +396,18 @@ proptest! {
 
         let compiled = table.compile();
         let how = Assigner::NetworkAware(&compiled);
-        let built = Clustering::by(&log, how);
+        let built = Clustering::by(log.hits(), how);
         prop_assert_eq!(&batch_view(&built), &want_batch);
         check_answers(batch_answers(&built, how), net_of, (&want, &log.requests), &unseen, "build")?;
 
         const JUNK: &str = "not a log line\n";
-        let mut lines: Vec<String> = clf::to_clf(&log).lines().map(|l| format!("{l}\n")).collect();
+        let mut lines: Vec<String> = to_clf(&log).lines().map(|l| format!("{l}\n")).collect();
         for &at in &junk {
             lines.insert(at as usize % (lines.len() + 1), JUNK.into());
         }
         let text = lines.concat();
         for threads in [1, 2, 4] {
-            let report = IngestPipeline::new(&compiled)
+            let report = IngestPipeline::by(Assigner::NetworkAware(&compiled))
                 .threads(threads)
                 .chunk_bytes(chunk_bytes)
                 .run(text.as_bytes());
@@ -521,7 +522,7 @@ proptest! {
         };
         let methods = [(Assigner::Simple24, slash24 as fn(u32) -> _), (Assigner::Classful, classful)];
         for (how, net_of) in methods {
-            let clustering = Clustering::by(&log, how);
+            let clustering = Clustering::by(log.hits(), how);
             let want_batch = oracle_by(&log.requests, net_of);
             prop_assert_eq!(&batch_view(&clustering), &want_batch, "{}", how.label());
             let want = want_batch.0;
@@ -536,10 +537,10 @@ proptest! {
     fn method_granularity_bounds(reqs in arb_reqs()) {
         let log = log_from(&reqs);
         let clients = log.client_count();
-        let simple = Clustering::by(&log, Assigner::Simple24);
+        let simple = Clustering::by(log.hits(), Assigner::Simple24);
         prop_assert!(simple.len() <= clients);
         prop_assert!(simple.len() >= clients.div_ceil(256));
-        let classful = Clustering::by(&log, Assigner::Classful);
+        let classful = Clustering::by(log.hits(), Assigner::Classful);
         // Every classful cluster (A/B/C) covers whole /24s, so it cannot
         // outnumber the /24 clustering plus unclustered D/E space.
         prop_assert!(classful.len() <= simple.len());
@@ -550,7 +551,7 @@ proptest! {
     #[test]
     fn threshold_covers_fraction(reqs in arb_reqs(), pct in 1u32..=100) {
         let log = log_from(&reqs);
-        let clustering = Clustering::by(&log, Assigner::Simple24);
+        let clustering = Clustering::by(log.hits(), Assigner::Simple24);
         let fraction = pct as f64 / 100.0;
         let report = threshold_busy(&clustering.clusters, fraction);
         let total: u64 = clustering.clusters.iter().map(|c| c.requests).sum();

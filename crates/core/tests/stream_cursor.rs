@@ -21,9 +21,8 @@ use std::sync::RwLock;
 use std::thread;
 
 use netclust_core::{StreamState, StreamingClustering, SwapPolicy};
-use netclust_netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
+use netclust_netgen::{generate, standard_merged, to_clf, LogSpec, Universe, UniverseConfig};
 use netclust_obs::Obs;
-use netclust_weblog::clf;
 
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 0xBEEF, 0xFA17];
 
@@ -33,7 +32,7 @@ fn setup() -> (Universe, Vec<u8>) {
     spec.total_requests = 4_000;
     spec.target_clients = 250;
     let log = generate(&u, &spec);
-    (u, clf::to_clf(&log).into_bytes())
+    (u, to_clf(&log).into_bytes())
 }
 
 fn fresh(u: &Universe) -> StreamingClustering {

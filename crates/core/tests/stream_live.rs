@@ -12,17 +12,18 @@ use std::thread;
 
 use netclust_bgpsim::{DeltaStream, DeltaStreamConfig};
 use netclust_core::{ClusterQuery, StreamHandle, StreamingClustering, SwapPolicy, SwapRejection};
-use netclust_netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
+use netclust_netgen::{generate, standard_merged, to_clf, LogSpec, Universe, UniverseConfig};
 use netclust_prefix::{unit_f64, Ipv4Net};
 use netclust_rtable::{MergedTable, RoutingTable, TableDelta, TableKind};
 
-fn setup() -> (Universe, netclust_weblog::Log) {
+/// The universe and its generated log's CLF text.
+fn setup() -> (Universe, String) {
     let u = Universe::generate(UniverseConfig::small(7));
     let mut spec = LogSpec::tiny("live", 13);
     spec.total_requests = 6_000;
     spec.target_clients = 250;
-    let log = generate(&u, &spec);
-    (u, log)
+    let clf = to_clf(&generate(&u, &spec));
+    (u, clf)
 }
 
 /// Deterministic probe addresses without ambient randomness: an LCG walk
@@ -50,7 +51,7 @@ fn probes(nets: &[Ipv4Net]) -> Vec<u32> {
 #[test]
 fn gate_sweep_rollback_leaves_old_generation_intact() {
     const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 0xBEEF, 0xFA17];
-    let (u, log) = setup();
+    let (u, clf) = setup();
     let floor = standard_merged(&u, 0).dump_prefixes().len() + 1;
     for &seed in &SEEDS {
         let mut stream = StreamingClustering::builder(standard_merged(&u, 0))
@@ -60,10 +61,8 @@ fn gate_sweep_rollback_leaves_old_generation_intact() {
             })
             .build();
         let mut mirror = StreamingClustering::builder(standard_merged(&u, 0)).build();
-        for r in &log.requests {
-            stream.push(r);
-            mirror.push(r);
-        }
+        assert!(stream.push_clf(clf.as_bytes()).is_empty());
+        assert!(mirror.push_clf(clf.as_bytes()).is_empty());
         let mut feed = DeltaStream::new(
             seed,
             standard_merged(&u, 0).bgp_prefixes().to_vec(),

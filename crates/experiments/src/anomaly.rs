@@ -17,8 +17,8 @@ use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 use netclust_core::{ClientClass, Cluster, Clustering, VerdictPolicy};
+use netclust_netgen::{Log, Request, UaId};
 use netclust_prefix::Ipv4Net;
-use netclust_weblog::{Log, UaId};
 
 /// Detection thresholds. Defaults follow the paper's qualitative rules.
 #[derive(Debug, Clone, Copy)]
@@ -97,7 +97,7 @@ pub struct Detection {
 /// or everything).
 pub fn hourly_histogram<F>(log: &Log, filter: F) -> Vec<u64>
 where
-    F: Fn(&netclust_weblog::Request) -> bool,
+    F: Fn(&Request) -> bool,
 {
     let hours = (log.duration_s.div_ceil(3600)).max(1) as usize;
     let mut hist = vec![0u64; hours];
@@ -319,7 +319,7 @@ mod tests {
     fn detects_planted_spider_and_proxy() {
         let (u, log) = setup();
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+        let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
         let config = AnomalyConfig {
             min_requests: 3_000,
             ..Default::default()
@@ -352,7 +352,7 @@ mod tests {
         let u = Universe::generate(UniverseConfig::small(7));
         let spec = LogSpec::tiny("clean", 9);
         let log = generate(&u, &spec);
-        let clustering = Clustering::by(&log, Assigner::Simple24);
+        let clustering = Clustering::by(log.hits(), Assigner::Simple24);
         let detections = detect(&log, &clustering, &AnomalyConfig::default());
         assert!(detections.is_empty(), "{detections:?}");
     }
@@ -361,7 +361,7 @@ mod tests {
     fn fig9_and_fig10_series() {
         let (u, log) = setup();
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+        let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
         let spider = log.truth.spiders[0];
         let spider_u32 = u32::from(spider);
         // Fig 9(c): spider histogram is a burst — at most 7 nonzero hours.

@@ -71,7 +71,7 @@ fn main() {
         ("statistical", &statistical_merged),
         ("propagated", &propagated_merged),
     ] {
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+        let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
         let report = validate(&universe, &clustering, &SamplePlan::default());
         rows.push(vec![
             label.to_string(),

@@ -7,7 +7,7 @@ use netclust_experiments::{nagano_env, pct, print_table};
 
 fn main() {
     let (_u, log, merged) = nagano_env();
-    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
 
     let mut rows = Vec::new();
     for (label, ttl) in [

@@ -9,7 +9,7 @@ use netclust_experiments::{nagano_env, network_clusters, pct, print_table};
 
 fn main() {
     let (universe, log, merged) = nagano_env();
-    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
 
     // Proxy clusters = second-level network clusters (per upstream/AS).
     let nets = network_clusters(&universe, &clustering, 2, 2, 0xC00F);

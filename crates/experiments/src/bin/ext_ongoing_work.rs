@@ -14,7 +14,7 @@ use netclust_prefix::Ipv4Net;
 
 fn main() {
     let (universe, log, merged) = nagano_env();
-    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
 
     // --- Suffix-based merging with and without the AS hint ----------------
     // The AS hint comes from the announcement data (origin AS per prefix),
@@ -117,15 +117,17 @@ fn main() {
             min_coverage_retention: 0.0,
         })
         .build();
+    // The replay feeds the stream the log's CLF text, a slice of lines at
+    // a time, as the daemon's follower does.
+    let text = netclust_netgen::to_clf(&log);
+    let lines: Vec<&str> = text.split_inclusive('\n').collect();
     let checkpoints = [0.25, 0.5, 0.75, 1.0];
     let mut rows = Vec::new();
     let mut fed = 0usize;
     for &frac in &checkpoints {
         #[allow(clippy::cast_possible_truncation, reason = "frac <= 1 keeps it within the log.")]
-        let until = (log.requests.len() as f64 * frac) as usize;
-        for r in &log.requests[fed..until] {
-            stream.push(r);
-        }
+        let until = (lines.len() as f64 * frac) as usize;
+        stream.push_clf(lines[fed..until].concat().as_bytes());
         fed = until;
         let top = stream.top_k(1);
         rows.push(vec![

@@ -15,7 +15,7 @@ fn main() {
     let universe = paper_universe();
     let merged = standard_merged(&universe, 0);
     let log = generate(&universe, &scaled(LogSpec::sun(1)));
-    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
 
     let spider = log.truth.spiders[0];
     let dist = cluster_request_distribution(&clustering, spider);

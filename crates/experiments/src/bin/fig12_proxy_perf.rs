@@ -15,15 +15,15 @@ use netclust_experiments::{
 
 fn main() {
     let (_u, log, merged) = nagano_env();
-    let pre = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let pre = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
     let anomalous: Vec<std::net::Ipv4Addr> = detect(&log, &pre, &AnomalyConfig::default())
         .iter()
         .map(|d| d.addr)
         .collect();
     let log = strip_clients(&log, &anomalous);
 
-    let aware = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
-    let simple = Clustering::by(&log, Assigner::Simple24);
+    let aware = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
+    let simple = Clustering::by(log.hits(), Assigner::Simple24);
     let config = SimConfig::paper(u64::MAX); // infinite caches
 
     for clustering in [&aware, &simple] {

@@ -10,7 +10,7 @@ use netclust_experiments::{cdf, cdf_at, nagano_env, pct, print_table, Distributi
 
 fn main() {
     let (_u, log, merged) = nagano_env();
-    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
     let d = Distributions::of(&clustering);
 
     for (title, series, marks) in [

@@ -13,7 +13,7 @@ use netclust_experiments::{
 
 fn main() {
     let (_u, log, merged) = nagano_env();
-    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
     let d = Distributions::of(&clustering);
 
     let clients = Distributions::series_in(&d.clients, &d.by_clients);

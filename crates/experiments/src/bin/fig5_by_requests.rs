@@ -10,7 +10,7 @@ use netclust_experiments::{downsample, nagano_env, print_table, Distributions};
 
 fn main() {
     let (_u, log, merged) = nagano_env();
-    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
     let d = Distributions::of(&clustering);
 
     let requests = Distributions::series_in(&d.requests, &d.by_requests);

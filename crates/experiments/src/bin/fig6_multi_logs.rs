@@ -16,7 +16,7 @@ fn main() {
     let mut rows = Vec::new();
     for spec in LogSpec::paper_presets(1) {
         let log = generate(&universe, &scaled(spec));
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+        let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
         let d = Distributions::of(&clustering);
         let top = |order: &[usize], series: &[u64], k: usize| -> String {
             order

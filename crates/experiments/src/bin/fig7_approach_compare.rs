@@ -12,9 +12,9 @@ use netclust_experiments::{downsample, nagano_env, print_table, Distributions, S
 
 fn main() {
     let (_u, log, merged) = nagano_env();
-    let aware = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
-    let simple = Clustering::by(&log, Assigner::Simple24);
-    let classful = Clustering::by(&log, Assigner::Classful);
+    let aware = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
+    let simple = Clustering::by(log.hits(), Assigner::Simple24);
+    let classful = Clustering::by(log.hits(), Assigner::Classful);
 
     let mut rows = Vec::new();
     for clustering in [&aware, &simple, &classful] {

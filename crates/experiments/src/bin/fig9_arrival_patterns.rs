@@ -27,7 +27,7 @@ fn main() {
     let universe = paper_universe();
     let merged = standard_merged(&universe, 0);
     let log = generate(&universe, &scaled(LogSpec::sun(1)));
-    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
 
     let whole = hourly_histogram(&log, |_| true);
     let proxy = u32::from(log.truth.proxies[0]);

@@ -17,7 +17,7 @@ fn main() {
     println!("scale factor: {}", scale());
     let (universe, log, merged) = nagano_env();
 
-    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
     let sizes: Vec<u64> = clustering
         .clusters
         .iter()

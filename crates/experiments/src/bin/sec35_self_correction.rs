@@ -9,7 +9,7 @@ use netclust_experiments::{nagano_env, org_purity, pct, self_correct, Correction
 
 fn main() {
     let (universe, log, merged) = nagano_env();
-    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
 
     println!("== §3.5 self-correction (nagano) ==");
     println!(

@@ -123,7 +123,7 @@ fn main() {
     );
 
     // --- Second-level clustering -------------------------------------------
-    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
     let nets = network_clusters(&universe, &clustering, 2, 2, 0xF00D);
     println!("\n== §3.6 second-level (network) clustering ==");
     println!("client clusters   : {}", clustering.len());

@@ -31,7 +31,7 @@ fn main() {
     let mut reports: Vec<(String, ValidationReport)> = Vec::new();
     for spec in [LogSpec::apache(1), LogSpec::nagano(1), LogSpec::sun(1)] {
         let log = generate(&universe, &scaled(spec));
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+        let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
         let report = validate(&universe, &clustering, &plan);
         reports.push((log.name.clone(), report));
     }
@@ -89,7 +89,7 @@ fn main() {
     // Optimized vs classic traceroute cost (§3.3's savings claims),
     // measured over the Nagano sample's clients.
     let log = generate(&universe, &scaled(LogSpec::nagano(1)));
-    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
     let clients: Vec<std::net::Ipv4Addr> = clustering
         .clusters
         .iter()

@@ -20,7 +20,7 @@ fn main() {
         .into_iter()
         .map(|spec| {
             let log = generate(&universe, &scaled(spec));
-            let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+            let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
             (log.name.clone(), clustering)
         })
         .collect();

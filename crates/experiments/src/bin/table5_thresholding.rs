@@ -13,7 +13,7 @@ fn main() {
     let (_u, log, merged) = nagano_env();
 
     // Eliminate detected spiders/proxies first (§4.1.3 step order).
-    let clustering0 = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering0 = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
     let detections = detect(&log, &clustering0, &AnomalyConfig::default());
     let anomalous: Vec<std::net::Ipv4Addr> = detections.iter().map(|d| d.addr).collect();
     let log = strip_clients(&log, &anomalous);
@@ -22,8 +22,8 @@ fn main() {
         anomalous.len()
     );
 
-    let aware = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
-    let simple = Clustering::by(&log, Assigner::Simple24);
+    let aware = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
+    let simple = Clustering::by(log.hits(), Assigner::Simple24);
 
     let mut rows = Vec::new();
     for clustering in [&aware, &simple] {

@@ -172,7 +172,7 @@ mod tests {
         let u = Universe::generate(UniverseConfig::small(7));
         let log = generate(&u, &LogSpec::tiny("d", 3));
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+        let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
         let thresh = threshold_busy(&clustering.clusters, 0.7);
         let spec = VantageSpec::new("OREGON", 0.94, 0.03);
         let studies = [LogUnderStudy {

@@ -60,7 +60,7 @@ pub use selfcorrect::{
 pub use sessions::{session_report, split_sessions, SessionReport, SessionStats};
 pub use validation::{validate, SamplePlan, TestCounts, ValidationReport};
 
-use netclust_netgen::{LogSpec, Universe, UniverseConfig};
+use netclust_netgen::{Log, LogSpec, Universe, UniverseConfig};
 
 /// Universe seed shared by every experiment.
 pub const UNIVERSE_SEED: u64 = 0x5EED_2000;
@@ -103,7 +103,7 @@ pub fn paper_universe() -> Universe {
 
 /// Builds the scaled Nagano log, its universe and the day-0 merged table —
 /// the setup most experiments start from.
-pub fn nagano_env() -> (Universe, netclust_weblog::Log, netclust_rtable::MergedTable) {
+pub fn nagano_env() -> (Universe, Log, netclust_rtable::MergedTable) {
     let universe = paper_universe();
     let log = netclust_netgen::generate(&universe, &scaled(LogSpec::nagano(1)));
     let merged = netclust_netgen::standard_merged(&universe, 0);

@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use netclust_core::Clustering;
-use netclust_weblog::Log;
+use netclust_netgen::Log;
 
 /// The distinct client addresses of `log`, sorted.
 pub fn unique_clients(log: &Log) -> Vec<Ipv4Addr> {
@@ -199,8 +199,8 @@ impl Distributions {
 mod tests {
     use super::*;
     use netclust_core::Assigner;
+    use netclust_netgen::{Log, LogTruth, Request, UrlMeta};
     use netclust_prefix::Ipv4Net;
-    use netclust_weblog::{Log, LogTruth, Request, UrlMeta};
 
     fn log_with(clients_per_24: &[(u8, usize, u64)]) -> Log {
         // (third_octet, clients, requests_per_client)
@@ -262,7 +262,7 @@ mod tests {
     #[test]
     fn orderings_are_descending() {
         let log = log_with(&[(1, 3, 10), (2, 10, 1), (3, 1, 100)]);
-        let clustering = Clustering::by(&log, Assigner::Simple24);
+        let clustering = Clustering::by(log.hits(), Assigner::Simple24);
         let d = Distributions::of(&clustering);
         // by_clients: 10-client cluster first.
         assert_eq!(d.clients[d.by_clients[0]], 10);
@@ -276,7 +276,7 @@ mod tests {
     #[test]
     fn fractions() {
         let log = log_with(&[(1, 3, 10), (2, 10, 1), (3, 1, 100)]);
-        let clustering = Clustering::by(&log, Assigner::Simple24);
+        let clustering = Clustering::by(log.hits(), Assigner::Simple24);
         let d = Distributions::of(&clustering);
         assert!((d.fraction_clusters_with_clients_below(10) - 2.0 / 3.0).abs() < 1e-12);
         assert!((d.fraction_clusters_with_requests_below(100) - 2.0 / 3.0).abs() < 1e-12);
@@ -297,7 +297,7 @@ mod tests {
         // The paper stresses Figures 4(a)-(c) share x positions: check the
         // orderings produce consistent parallel series.
         let log = log_with(&[(1, 5, 7), (2, 2, 50)]);
-        let clustering = Clustering::by(&log, Assigner::Simple24);
+        let clustering = Clustering::by(log.hits(), Assigner::Simple24);
         let d = Distributions::of(&clustering);
         let i = d.by_clients[0];
         assert_eq!(d.clients[i], 5);

@@ -105,7 +105,7 @@ mod tests {
         let u = Universe::generate(UniverseConfig::small(7));
         let log = generate(&u, &LogSpec::tiny("nc", 23));
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+        let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
         let nets = network_clusters(&u, &clustering, 2, 2, 0xAB);
         // Grouping is a partition of the clusters.
         let total: usize = nets.iter().map(|n| n.members.len()).sum();
@@ -131,7 +131,7 @@ mod tests {
         let u = Universe::generate(UniverseConfig::small(9));
         let log = generate(&u, &LogSpec::tiny("nc2", 29));
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+        let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
         let nets = network_clusters(&u, &clustering, 1, 2, 0xCD);
         // For every group with >1 member, all pure members' orgs must share
         // an AS (their upstream border router is per-AS).
@@ -151,7 +151,7 @@ mod tests {
         let u = Universe::generate(UniverseConfig::small(7));
         let log = generate(&u, &LogSpec::tiny("nc", 23));
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let mut clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+        let mut clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
         let baseline = network_clusters(&u, &clustering, 2, 2, 0xAB);
         // Splice in a memberless cluster; it must neither join a group nor
         // mint a bogus ""-keyed network cluster.
@@ -175,7 +175,7 @@ mod tests {
         let u = Universe::generate(UniverseConfig::small(7));
         let log = generate(&u, &LogSpec::tiny("nc", 23));
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+        let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
         let a = network_clusters(&u, &clustering, 2, 2, 1);
         let b = network_clusters(&u, &clustering, 2, 2, 1);
         assert_eq!(a, b);

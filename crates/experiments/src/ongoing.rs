@@ -17,10 +17,9 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use netclust_core::Clustering;
-use netclust_netgen::{common_supernet, stream_rng, Universe};
+use netclust_netgen::{common_supernet, stream_rng, Log, Universe};
 use netclust_prefix::Ipv4Net;
 use netclust_probe::{name_suffix, Nslookup, TraceOutcome, Traceroute};
-use netclust_weblog::Log;
 use rand::seq::SliceRandom;
 
 use crate::validation::SamplePlan;
@@ -128,9 +127,11 @@ where
         }
     }
 
-    let merged = Clustering::build(log, format!("{}+suffix-merged", clustering.method), |a| {
-        assign.get(&u32::from(a)).copied()
-    });
+    let merged = Clustering::build(
+        log.hits(),
+        format!("{}+suffix-merged", clustering.method),
+        |a| assign.get(&u32::from(a)).copied(),
+    );
     MergeReport {
         merged_away,
         unresolvable_clusters: unresolvable,
@@ -271,7 +272,7 @@ mod tests {
         spec.total_requests = 15_000;
         let log = generate(&u, &spec);
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+        let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
         (u, log, clustering)
     }
 
@@ -289,7 +290,7 @@ mod tests {
         spec.total_requests = 20_000;
         let log = generate(&u, &spec);
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+        let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
         let report = merge_by_name_suffix(
             &u,
             &log,

@@ -30,11 +30,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
 use netclust_core::Clustering;
-use netclust_netgen::{common_supernet, stream_rng, Universe};
+use netclust_netgen::{common_supernet, host_route, stream_rng, Log, Universe};
 use netclust_obs::Obs;
 use netclust_prefix::Ipv4Net;
 use netclust_probe::{sig_specificity, sigs_compatible, ProbeFaultModel, RetryPolicy, Traceroute};
-use netclust_weblog::Log;
 use rand::seq::SliceRandom;
 
 /// Self-correction parameters.
@@ -326,7 +325,7 @@ pub fn self_correct_with(
         let prefix = if prefixes.is_empty() {
             members
                 .iter()
-                .map(|&a| Ipv4Net::host(a))
+                .map(|&a| host_route(a))
                 .reduce(common_supernet)
                 .expect("groups are non-empty")
         } else {
@@ -341,9 +340,11 @@ pub fn self_correct_with(
         }
     }
 
-    let corrected = Clustering::build(log, format!("{}+corrected", clustering.method), |a| {
-        assign.get(&u32::from(a)).copied()
-    });
+    let corrected = Clustering::build(
+        log.hits(),
+        format!("{}+corrected", clustering.method),
+        |a| assign.get(&u32::from(a)).copied(),
+    );
 
     let probe_stats = tracer.stats();
     if obs.is_enabled() {
@@ -396,7 +397,7 @@ mod tests {
         spec.total_requests = 15_000;
         let log = generate(&u, &spec);
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+        let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
         (u, log, clustering)
     }
 

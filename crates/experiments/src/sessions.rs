@@ -11,8 +11,8 @@
 use std::collections::HashMap;
 
 use netclust_core::Clustering;
+use netclust_netgen::{Log, Request};
 use netclust_prefix::Ipv4Net;
-use netclust_weblog::{Log, Request};
 
 use crate::anomaly::correlation;
 
@@ -50,7 +50,7 @@ where
     let sessions: Vec<SessionStats> = split_sessions(log, n)
         .iter()
         .map(|s| {
-            let clustering = Clustering::build(s, "session", assign);
+            let clustering = Clustering::build(s.hits(), "session", assign);
             let requests_by_prefix = clustering
                 .clusters
                 .iter()

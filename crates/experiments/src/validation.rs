@@ -257,7 +257,7 @@ mod tests {
         let spec = LogSpec::tiny("v", 21);
         let log = generate(&u, &spec);
         let merged = netclust_netgen::standard_merged(&u, 0);
-        let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+        let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
         (u, clustering)
     }
 

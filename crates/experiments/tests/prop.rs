@@ -9,9 +9,9 @@ use netclust_experiments::{
     Distributions, Summary,
 };
 use netclust_netgen::{generate, LogSpec, Universe, UniverseConfig};
+use netclust_netgen::{Log, LogTruth, Request, UrlMeta};
 use netclust_prefix::Ipv4Net;
 use netclust_rtable::{RoutingTable, TableKind};
-use netclust_weblog::{Log, LogTruth, Request, UrlMeta};
 use proptest::prelude::*;
 
 /// Builds a log from arbitrary (client, url, time) triples.
@@ -82,7 +82,7 @@ proptest! {
     #[test]
     fn distributions_are_consistent(reqs in arb_reqs()) {
         let log = log_from(&reqs);
-        let clustering = Clustering::by(&log, Assigner::Simple24);
+        let clustering = Clustering::by(log.hits(), Assigner::Simple24);
         let d = Distributions::of(&clustering);
         prop_assert_eq!(d.clients.len(), clustering.len());
         // Orderings are permutations.

@@ -18,11 +18,12 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use netclust_weblog::{Log, LogTruth, Request, UaId, UrlMeta, ZipfSampler};
+use netclust_weblog::ZipfSampler;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use crate::log::{Log, LogTruth, Request, UaId, UrlMeta};
 use crate::rng::{pareto_u64, stream_rng};
 use crate::spec::{LogSpec, ProxySpec, SpiderSpec};
 use crate::universe::Universe;

@@ -18,7 +18,11 @@
 //! * [`generate`] — server logs drawn over a [`Universe`] from a
 //!   [`LogSpec`] (paper presets [`LogSpec::nagano`] etc., proportional
 //!   [`LogSpec::scale`]), embedding spiders and proxies whose ground truth
-//!   is recorded in the log's `netclust_weblog::LogTruth`.
+//!   is recorded in the log's [`LogTruth`],
+//! * [`log`] — the in-memory [`Log`] the generator makes and the studies
+//!   read, written as Common Log Format by [`to_clf`] (what `netclust
+//!   synth` writes) and read back by [`from_clf`]. The product clusters
+//!   the CLF bytes themselves; no product crate names a [`Log`].
 //!
 //! Everything is a pure function of the seed: generating day 7's snapshot
 //! before day 3's, or querying DNS names in any order, gives identical
@@ -30,6 +34,7 @@
 mod alloc;
 mod config;
 mod gen;
+pub mod log;
 mod names;
 mod net;
 mod org;
@@ -40,7 +45,8 @@ pub mod vantage;
 
 pub use config::UniverseConfig;
 pub use gen::{generate, try_generate, UniverseTooSmall};
-pub use net::common_supernet;
+pub use log::{from_clf, to_clf, Log, LogError, LogTruth, Request, UaId, UrlId, UrlMeta};
+pub use net::{common_supernet, host_route};
 pub use org::{AnnouncePolicy, AutonomousSystem, Org, OrgId, OrgKind};
 pub use rng::{derive_seed, pareto_u64, stream_rng, uniform_index, uniform_u64, unit_f64};
 pub use spec::{LogSpec, ProxySpec, SpiderSpec};

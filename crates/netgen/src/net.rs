@@ -42,6 +42,12 @@ pub(crate) fn nth_host(net: Ipv4Net, n: u64) -> Option<Ipv4Addr> {
     (n < num_addresses(net)).then(|| Ipv4Addr::from(net.addr_u32() + n as u32))
 }
 
+/// The `/32` host route for a single address: what self-correction
+/// clusters an address by when no table prefix holds it (§3.5).
+pub fn host_route(addr: Ipv4Addr) -> Ipv4Net {
+    Ipv4Net::new(u32::from(addr), 32).expect("a /32 is a valid prefix")
+}
+
 /// The smallest prefix covering both `a` and `b` (their lowest common
 /// ancestor in the prefix tree). Used when self-correction merges clusters
 /// and must "recompute the network prefix and netmask accordingly" (§3.5).
@@ -95,7 +101,15 @@ mod tests {
         assert_eq!(nth_host(n, 0).unwrap().to_string(), "10.1.2.0");
         assert_eq!(nth_host(n, 511).unwrap().to_string(), "10.1.3.255");
         assert!(nth_host(n, 512).is_none());
-        assert_eq!(num_addresses(Ipv4Net::host("1.2.3.4".parse().unwrap())), 1);
+        assert_eq!(num_addresses(host_route("1.2.3.4".parse().unwrap())), 1);
+    }
+
+    #[test]
+    fn a_host_route_is_its_address_as_a_slash_32() {
+        let h = host_route("1.2.3.4".parse().unwrap());
+        assert_eq!(h.len(), 32);
+        assert!(h.contains("1.2.3.4".parse().unwrap()));
+        assert!(!h.contains("1.2.3.5".parse().unwrap()));
     }
 
     #[test]

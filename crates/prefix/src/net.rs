@@ -51,14 +51,6 @@ impl Ipv4Net {
         Self::new(addr_to_u32(addr), len)
     }
 
-    /// The `/32` host route for a single address.
-    pub fn host(addr: Ipv4Addr) -> Self {
-        Ipv4Net {
-            addr: addr_to_u32(addr),
-            len: 32,
-        }
-    }
-
     /// Network address as a host-order integer.
     #[inline]
     pub fn addr_u32(&self) -> u32 {
@@ -250,12 +242,5 @@ mod tests {
             v.iter().map(|n| n.to_string()).collect::<Vec<_>>(),
             ["9.0.0.0/8", "10.0.0.0/8", "10.0.0.0/16"]
         );
-    }
-
-    #[test]
-    fn host_route() {
-        let h = Ipv4Net::host("1.2.3.4".parse().unwrap());
-        assert_eq!(h.len(), 32);
-        assert!(h.contains("1.2.3.4".parse().unwrap()));
     }
 }

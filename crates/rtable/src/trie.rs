@@ -246,7 +246,10 @@ mod tests {
     #[test]
     fn host_routes_and_root() {
         let mut trie = PrefixTrie::new();
-        trie.insert(Ipv4Net::host(addr("1.2.3.4")), "host");
+        trie.insert(
+            Ipv4Net::new(u32::from(addr("1.2.3.4")), 32).unwrap(),
+            "host",
+        );
         trie.insert(Ipv4Net::DEFAULT, "root");
         assert_eq!(*lpm(&trie, "1.2.3.4").unwrap().1, "host");
         assert_eq!(*lpm(&trie, "1.2.3.5").unwrap().1, "root");

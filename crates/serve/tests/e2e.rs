@@ -15,10 +15,9 @@ use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
 use netclust_core::{failpoints, FaultPlan};
-use netclust_netgen::{generate, standard_collection, LogSpec, Universe, UniverseConfig};
+use netclust_netgen::{generate, standard_collection, to_clf, LogSpec, Universe, UniverseConfig};
 use netclust_rtable::TableKind;
 use netclust_serve::{Daemon, ServeConfig};
-use netclust_weblog::clf;
 
 /// A fresh directory under the temp dir, removed with what it holds when
 /// dropped: at the end of the test that made it, or as its panic unwinds.
@@ -87,7 +86,7 @@ fn fixture_of(name: &str, seed: u64, requests: u64) -> Fixture {
     let mut spec = LogSpec::tiny(name, seed);
     spec.total_requests = requests;
     let log = generate(&universe, &spec);
-    let text = clf::to_clf(&log);
+    let text = to_clf(&log);
     let a_client = log.requests.first().expect("nonempty log").client_addr();
     let log_path = dir.join("access.log");
     Fixture {

@@ -1,11 +1,11 @@
 //! The Common Log Format parser: a zero-copy field scanner over raw bytes.
 //!
 //! Every CLF line the workspace reads goes through here: the batch
-//! ingest, the daemon's log follower, and
-//! [`clf::from_clf`](crate::clf::from_clf), which builds a
-//! [`Log`](crate::Log) from [`records`]. At production ingest rates (§4's
-//! real-time pipeline) parsing dominates the end-to-end cost, so the
-//! scanner allocates nothing per line:
+//! ingest, the daemon's log follower, and the studies' reader in
+//! `netclust-netgen`, which builds an in-memory log from [`records`].
+//! At production ingest rates (§4's real-time pipeline) parsing
+//! dominates the end-to-end cost, so the scanner allocates nothing per
+//! line:
 //!
 //! * each line decodes into a borrowed [`RawRecord`]; the path and
 //!   User-Agent stay slices of the input,
@@ -16,9 +16,9 @@
 //!   malformed line as a [`ClfError`] with its line number, and
 //!   [`records_no_ua`] does the same without the User-Agent scan.
 //!
-//! The streaming consumer that never builds a `Log` at all — chunked
-//! parallel parsing fused with compiled-LPM clustering — lives in
-//! `netclust-core` (`IngestPipeline`); this module provides its scanner.
+//! The batch consumer — chunked parallel parsing fused with compiled-LPM
+//! clustering — lives in `netclust-core` (`IngestPipeline`); this module
+//! provides its scanner.
 
 #![deny(
     clippy::unwrap_used,

@@ -11,8 +11,9 @@
 //! caching — the paper's central warning to simulation studies.
 
 use netclust::core::{Assigner, Clustering};
-use netclust::netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
-use netclust::weblog::clf;
+use netclust::netgen::{
+    from_clf, generate, standard_merged, to_clf, LogSpec, Universe, UniverseConfig,
+};
 use netclust_cachesim::{sweep_cache_sizes, SimConfig};
 
 fn main() {
@@ -29,8 +30,8 @@ fn main() {
 
     // Detour: the log round-trips through the standard Apache CLF, so real
     // logs can be ingested the same way.
-    let text = clf::to_clf(&log);
-    let (parsed, errors) = clf::from_clf("study", text.as_bytes());
+    let text = to_clf(&log);
+    let (parsed, errors) = from_clf("study", text.as_bytes());
     assert!(errors.is_empty());
     assert_eq!(parsed.requests.len(), log.requests.len());
     println!(
@@ -43,9 +44,9 @@ fn main() {
 
     // The study: identical trace, three clustering granularities.
     let clusterings = [
-        Clustering::by(&parsed, Assigner::NetworkAware(&merged.compile())),
-        Clustering::by(&parsed, Assigner::Simple24),
-        Clustering::by(&parsed, Assigner::Classful),
+        Clustering::by(parsed.hits(), Assigner::NetworkAware(&merged.compile())),
+        Clustering::by(parsed.hits(), Assigner::Simple24),
+        Clustering::by(parsed.hits(), Assigner::Classful),
     ];
     let sizes: Vec<u64> = vec![256 << 10, 1 << 20, 4 << 20, 16 << 20];
     println!("\nserver-side hit ratio by per-proxy cache size:");

@@ -28,7 +28,7 @@ fn main() {
 
     // Step 1: cluster clients and keep the busy clusters that cover 70 %
     // of all requests.
-    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
     let busy = threshold_busy(&clustering.clusters, 0.7);
     println!(
         "{} clusters; {} busy ones cover 70% of {} requests (threshold {} reqs/cluster)",

@@ -48,7 +48,7 @@ fn main() {
     );
 
     // 4. Network-aware clustering: longest-prefix match per client.
-    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
     println!(
         "network-aware: {} clusters, {:.2}% of clients clustered",
         clustering.len(),
@@ -68,7 +68,7 @@ fn main() {
     );
 
     // 5. The simple /24 baseline fragments administrative domains.
-    let simple = Clustering::by(&log, Assigner::Simple24);
+    let simple = Clustering::by(log.hits(), Assigner::Simple24);
     println!(
         "simple /24:    {} clusters ({:.1}x more than network-aware)",
         simple.len(),

@@ -35,7 +35,7 @@ fn main() {
         companions: 1,
     }];
     let log = generate(&universe, &spec);
-    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
 
     let config = AnomalyConfig {
         min_requests: 5_000,
@@ -88,7 +88,7 @@ fn main() {
     let before = threshold_busy(&clustering.clusters, 0.7);
     let cleaned = strip_clients(&log, &spiders);
     let after = threshold_busy(
-        &Clustering::by(&cleaned, Assigner::NetworkAware(&merged.compile())).clusters,
+        &Clustering::by(cleaned.hits(), Assigner::NetworkAware(&merged.compile())).clusters,
         0.7,
     );
     println!(

@@ -33,11 +33,12 @@ use netclust::core::{
     IngestError, JournalBatch, Parsed, PersistError, RunConfig, StateStore, StreamingClustering,
     SwapPolicy, VerdictPolicy,
 };
-use netclust::netgen::{standard_collection, try_generate, LogSpec, Universe, UniverseConfig};
+use netclust::netgen::{
+    standard_collection, to_clf, try_generate, LogSpec, Universe, UniverseConfig,
+};
 use netclust::obs::Obs;
 use netclust::rtable::{load_tables, parse_feed, MergedTable, TableDelta, TableKind};
 use netclust::weblog::chunk::LogData;
-use netclust::weblog::clf;
 
 /// Every option of `netclust synth` and `netclust cluster`, one row a
 /// line; the shared rows come from `netclust::core::flags`.
@@ -239,7 +240,7 @@ fn cmd_synth(p: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     fs::create_dir_all(&dir)
         .map_err(|e| CliError::Input(format!("synth: cannot create {}: {e}", dir.display())))?;
     let log_path = dir.join("access.log");
-    fs::write(&log_path, clf::to_clf(&log))
+    fs::write(&log_path, to_clf(&log))
         .map_err(|e| CliError::Input(format!("synth: cannot write {}: {e}", log_path.display())))?;
     writeln!(
         out,

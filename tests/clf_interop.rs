@@ -3,8 +3,9 @@
 //! caching results — so the pipeline works identically on real logs.
 
 use netclust::core::{Assigner, Clustering};
-use netclust::netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
-use netclust::weblog::{clf, Log};
+use netclust::netgen::{
+    from_clf, generate, standard_merged, to_clf, Log, LogSpec, Universe, UniverseConfig,
+};
 use netclust_cachesim::{simulate, SimConfig};
 
 #[test]
@@ -20,8 +21,8 @@ fn clf_roundtrip_preserves_analysis_results() {
     spec.target_clients = 500;
     let original = generate(&universe, &spec);
 
-    let text = clf::to_clf(&original);
-    let (parsed, errors) = clf::from_clf("interop", text.as_bytes());
+    let text = to_clf(&original);
+    let (parsed, errors) = from_clf("interop", text.as_bytes());
     assert!(errors.is_empty(), "{errors:?}");
     parsed.check().expect("parsed log is well-formed");
     assert_eq!(parsed.requests.len(), original.requests.len());
@@ -30,8 +31,8 @@ fn clf_roundtrip_preserves_analysis_results() {
     assert_eq!(bytes(&parsed), bytes(&original));
 
     // Clustering is identical cluster-for-cluster.
-    let c_orig = Clustering::by(&original, Assigner::NetworkAware(&merged.compile()));
-    let c_parsed = Clustering::by(&parsed, Assigner::NetworkAware(&merged.compile()));
+    let c_orig = Clustering::by(original.hits(), Assigner::NetworkAware(&merged.compile()));
+    let c_parsed = Clustering::by(parsed.hits(), Assigner::NetworkAware(&merged.compile()));
     assert_eq!(c_orig.len(), c_parsed.len());
     for (a, b) in c_orig.clusters.iter().zip(&c_parsed.clusters) {
         assert_eq!(a.prefix, b.prefix);
@@ -63,7 +64,7 @@ fn handcrafted_clf_runs_through_the_pipeline() {
 12.65.146.207 - - [13/Feb/1998:10:00:09 +0000] \"GET /results.html HTTP/1.0\" 200 4096\n\
 24.48.3.87 - - [13/Feb/1998:10:01:00 +0000] \"GET /index.html HTTP/1.0\" 200 2048\n\
 24.48.2.166 - - [13/Feb/1998:10:01:30 +0000] \"GET /medals.html HTTP/1.0\" 200 1024\n";
-    let (log, errors) = clf::from_clf("mini", text.as_bytes());
+    let (log, errors) = from_clf("mini", text.as_bytes());
     assert!(errors.is_empty());
 
     // Cluster with a hand-built table holding the paper's two prefixes.
@@ -78,7 +79,7 @@ fn handcrafted_clf_runs_through_the_pipeline() {
         ],
     );
     let merged = MergedTable::merge([&table]);
-    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
     assert_eq!(clustering.len(), 2);
     assert_eq!(clustering.clusters[0].client_count(), 3);
     assert_eq!(clustering.clusters[1].client_count(), 2);

@@ -8,28 +8,30 @@
 //! `cargo test --release --test client_store -- --nocapture` prints what a
 //! patch batch costs at 0, 40 000 and 380 000 clients.
 
+use std::fmt::Write as _;
+use std::net::Ipv4Addr;
 use std::time::Instant;
 
 use netclust::bgpsim::{DeltaStream, DeltaStreamConfig};
 use netclust::core::{ErrorCounts, StreamingClustering, SwapPolicy};
 use netclust::prefix::Ipv4Net;
 use netclust::rtable::{MergedTable, RoutingTable, TableKind};
-use netclust::weblog::Request;
 
 /// Records the arrival tail holds before a merge (`TAIL` in
 /// `crates/core/src/clients.rs`).
 const TAIL: u64 = 8192;
 
-/// A request of 100 bytes from `client`.
-fn request(client: u32) -> Request {
-    Request {
-        time: 0,
-        client,
-        url: 0,
-        bytes: 100,
-        status: 200,
-        ua: 0,
+/// The CLF lines of one 100-byte request from each of `clients`, in
+/// order, as the log a stream follows carries them.
+fn clf(clients: impl IntoIterator<Item = u32>) -> String {
+    let mut text = String::new();
+    for client in clients.into_iter().map(Ipv4Addr::from) {
+        let _ = writeln!(
+            text,
+            "{client} - - [13/Feb/1998:07:00:00 +0000] \"GET / HTTP/1.0\" 200 100"
+        );
     }
+    text
 }
 
 /// A step of xorshift64: the test's own reproducible draws.
@@ -106,14 +108,12 @@ fn a_patch_batch_reads_only_its_prefixes_clients_and_the_tail() {
             })
             .build();
         let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ u64::from(clients);
-        let mut place = |stream: &mut StreamingClustering| {
+        let mut place = || {
             let p = prefixes[(draw(&mut rng) % prefixes.len() as u64) as usize];
             let host = (draw(&mut rng) as u32) & u32::MAX.checked_shr(p.len().into()).unwrap_or(0);
-            stream.push(&request(p.addr_u32() | host));
+            p.addr_u32() | host
         };
-        for _ in 0..clients {
-            place(&mut stream);
-        }
+        stream.push_clf(clf((0..clients).map(|_| place())).as_bytes());
         assert!(
             stream
                 .try_swap(merged(&prefixes), ErrorCounts::default())
@@ -121,7 +121,7 @@ fn a_patch_batch_reads_only_its_prefixes_clients_and_the_tail() {
         );
         let settled = stream.client_count();
         while stream.client_count() < settled + extra as usize {
-            place(&mut stream);
+            stream.push_clf(clf([place()]).as_bytes());
         }
         let mut addrs: Vec<u32> = (stream.export_state().per_client.iter())
             .map(|r| r.0)
@@ -162,8 +162,9 @@ fn merged_within_bound(n: u32, addr: impl Fn(u32) -> u32) -> StreamingClustering
     let ten = Ipv4Net::new(0x0A00_0000, 8).unwrap();
     let bgp = RoutingTable::new("B", "d0", TableKind::Bgp, vec![ten]);
     let mut stream = StreamingClustering::builder(MergedTable::merge([&bgp])).build();
-    for i in 0..n {
-        stream.push(&request(addr(i)));
+    for from in (0..n).step_by(1 << 16) {
+        let part = from..n.min(from + (1 << 16));
+        assert!(stream.push_clf(clf(part.map(&addr)).as_bytes()).is_empty());
     }
     assert_eq!(stream.client_count(), n as usize);
     let moved = stream.ledger().merge_moved;

@@ -8,7 +8,7 @@ use netclust::netgen::{
 };
 use netclust_experiments::{validate, SamplePlan};
 
-fn build() -> (Universe, netclust::weblog::Log) {
+fn build() -> (Universe, netclust::netgen::Log) {
     let universe = Universe::generate(UniverseConfig {
         seed: 7777,
         num_ases: 80,
@@ -51,8 +51,8 @@ fn clustering_and_validation_are_reproducible() {
     let (u, log) = build();
     let merged1 = standard_merged(&u, 0);
     let merged2 = standard_merged(&u, 0);
-    let c1 = Clustering::by(&log, Assigner::NetworkAware(&merged1.compile()));
-    let c2 = Clustering::by(&log, Assigner::NetworkAware(&merged2.compile()));
+    let c1 = Clustering::by(log.hits(), Assigner::NetworkAware(&merged1.compile()));
+    let c2 = Clustering::by(log.hits(), Assigner::NetworkAware(&merged2.compile()));
     assert_eq!(c1.len(), c2.len());
     for (a, b) in c1.clusters.iter().zip(&c2.clusters) {
         assert_eq!(a.prefix, b.prefix);

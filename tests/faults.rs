@@ -26,11 +26,10 @@ use netclust::core::{
     failpoints, Assigner, Clustering, ErrorCounts, FaultPlan, FsyncPolicy, IngestPipeline,
     IngestReport, JournalBatch, StateStore, StreamingClustering, SwapRejection,
 };
-use netclust::netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
+use netclust::netgen::{generate, standard_merged, to_clf, LogSpec, Universe, UniverseConfig};
 use netclust::prefix::{unit_f64, Ipv4Net};
 use netclust::rtable::{MergedTable, RoutingTable, TableDelta, TableKind};
 use netclust::serve::ServeConfig;
-use netclust::weblog::clf;
 use netclust_experiments::{self_correct, CorrectionConfig};
 use netclust_probe::ProbeFaultModel;
 
@@ -38,7 +37,7 @@ use netclust_probe::ProbeFaultModel;
 /// chosen once, never derived from time or environment.
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 0xBEEF, 0xFA17];
 
-fn setup() -> (Universe, netclust::weblog::Log) {
+fn setup() -> (Universe, netclust::netgen::Log) {
     let u = Universe::generate(UniverseConfig::small(7));
     let mut spec = LogSpec::tiny("faults", 23);
     spec.total_requests = 6_000;
@@ -156,9 +155,7 @@ fn swap_faults_leave_old_table_serving_across_seeds() {
     let (mut rejected_total, mut accepted_total) = (0u64, 0u64);
     for &seed in &SEEDS {
         let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
-        for r in &log.requests {
-            stream.push(r);
-        }
+        stream.push_clf(to_clf(&log).as_bytes());
         let before = stream.top_k(usize::MAX);
         let mut rejected = 0u64;
         let mut accepted = 0u64;
@@ -229,7 +226,7 @@ fn swap_faults_leave_old_table_serving_across_seeds() {
             // The view must equal a batch rebuild against the table that
             // survived the last accepted swap.
             let batch = Clustering::by(
-                &log,
+                log.hits(),
                 Assigner::NetworkAware(&standard_merged(&u, serving_day).compile()),
             );
             assert_eq!(stream.len(), batch.len(), "seed={seed}");
@@ -250,7 +247,7 @@ fn swap_faults_leave_old_table_serving_across_seeds() {
 fn self_correction_converges_across_seeds() {
     let (u, log) = setup();
     let merged = standard_merged(&u, 0);
-    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
     let clean = self_correct(&u, &log, &clustering, &CorrectionConfig::default());
     let clean_len = clean.clustering.len() as f64;
     for &seed in &SEEDS {
@@ -292,8 +289,8 @@ fn quarantined_lines_do_not_dilute_coverage_under_faults() {
     let (u, log) = setup();
     let merged = standard_merged(&u, 0);
     let compiled = merged.compile();
-    let text = clf::to_clf(&log);
-    let clean = IngestPipeline::new(&compiled).run(text.as_bytes());
+    let text = to_clf(&log);
+    let clean = IngestPipeline::by(Assigner::NetworkAware(&compiled)).run(text.as_bytes());
     for &seed in &SEEDS {
         let mut corrupt = String::new();
         for (i, line) in text.lines().enumerate() {
@@ -303,7 +300,7 @@ fn quarantined_lines_do_not_dilute_coverage_under_faults() {
             corrupt.push_str(line);
             corrupt.push('\n');
         }
-        let report = IngestPipeline::new(&compiled)
+        let report = IngestPipeline::by(Assigner::NetworkAware(&compiled))
             .chunk_bytes(1 << 14)
             .threads(2)
             .run(corrupt.as_bytes());

@@ -9,6 +9,8 @@
 //! pin reference vectors and wire bytes; these properties sweep the input
 //! space.
 
+use std::fmt::Write as _;
+use std::net::Ipv4Addr;
 use std::path::Path;
 
 mod common;
@@ -28,7 +30,6 @@ use netclust::core::{
 use netclust::obs::Obs;
 use netclust::prefix::Ipv4Net;
 use netclust::rtable::{MergedTable, RoutingTable, TableDelta, TableKind};
-use netclust::weblog::Request;
 use proptest::prelude::*;
 
 fn arb_payload() -> impl Strategy<Value = Vec<u8>> {
@@ -238,7 +239,8 @@ fn arb_pushes() -> impl Strategy<Value = Vec<(usize, u16, u8, u32)>> {
 }
 
 /// Feeds `pushes` (see [`arb_pushes`]) to `stream`, restored from `state`,
-/// skipping any that would carry a request or byte total past `u64::MAX`.
+/// as one buffer of CLF lines, skipping any that would carry a request or
+/// byte total past `u64::MAX`.
 fn push_shuffled(
     stream: &mut StreamingClustering,
     state: &StreamState,
@@ -247,6 +249,7 @@ fn push_shuffled(
     let total =
         |column: fn(&(u32, u64, u64)) -> u64| -> u64 { state.per_client.iter().map(column).sum() };
     let (mut requests, mut bytes) = (total(|r| r.1), total(|r| r.2));
+    let mut text = String::new();
     for &(pick, low, place, sent) in pushes {
         let restored = state.per_client.get(pick % state.per_client.len().max(1));
         let client = match (place, restored) {
@@ -260,15 +263,13 @@ fn push_shuffled(
             continue;
         };
         (requests, bytes) = (r, b);
-        stream.push(&Request {
-            time: 0,
-            client,
-            url: 0,
-            bytes: sent,
-            status: 200,
-            ua: 0,
-        });
+        let client = Ipv4Addr::from(client);
+        let _ = writeln!(
+            text,
+            "{client} - - [13/Feb/1998:07:00:00 +0000] \"GET / HTTP/1.0\" 200 {sent}"
+        );
     }
+    assert!(stream.push_clf(text.as_bytes()).is_empty());
 }
 
 proptest! {

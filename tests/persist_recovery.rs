@@ -26,9 +26,8 @@ use netclust::core::{
     failpoints, FaultInjector, FaultPlan, FsyncPolicy, JournalBatch, PersistError, StateStore,
     StreamState, StreamingClustering, SwapPolicy,
 };
-use netclust::netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
+use netclust::netgen::{generate, standard_merged, to_clf, LogSpec, Universe, UniverseConfig};
 use netclust::obs::Obs;
-use netclust::weblog::clf;
 
 /// The fixed seed sweep shared with `tests/faults.rs` and CI.
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 0xBEEF, 0xFA17];
@@ -47,7 +46,7 @@ fn setup() -> (Universe, Vec<u8>, Vec<DeltaBatch>) {
     spec.total_requests = 5_000;
     spec.target_clients = 200;
     let log = generate(&u, &spec);
-    let clf = clf::to_clf(&log).into_bytes();
+    let clf = to_clf(&log).into_bytes();
     let merged = standard_merged(&u, 0);
     let stream = DeltaStream::new(
         42,

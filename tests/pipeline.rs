@@ -42,7 +42,7 @@ fn full_pipeline_reproduces_paper_shapes() {
     log.check().expect("generated log is well-formed");
 
     // §3.2: clustering coverage ~99.9%.
-    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
     assert!(
         clustering.coverage() > 0.99,
         "coverage {}",
@@ -54,7 +54,7 @@ fn full_pipeline_reproduces_paper_shapes() {
     );
 
     // §2 vs §3: the simple approach fragments orgs.
-    let simple = Clustering::by(&log, Assigner::Simple24);
+    let simple = Clustering::by(log.hits(), Assigner::Simple24);
     assert!(
         simple.len() > clustering.len(),
         "{} vs {}",
@@ -119,7 +119,8 @@ fn full_pipeline_reproduces_paper_shapes() {
 
     // ...and stripped before thresholding (§4.1.3).
     let cleaned = strip_clients(&log, &found);
-    let cleaned_clustering = Clustering::by(&cleaned, Assigner::NetworkAware(&merged.compile()));
+    let cleaned_clustering =
+        Clustering::by(cleaned.hits(), Assigner::NetworkAware(&merged.compile()));
     let thresh = threshold_busy(&cleaned_clustering.clusters, 0.7);
     assert!(!thresh.busy.is_empty());
     assert!(thresh.busy.len() < cleaned_clustering.len());
@@ -134,7 +135,7 @@ fn full_pipeline_reproduces_paper_shapes() {
     let aware_result = simulate(&cleaned, &cleaned_clustering, &cfg);
     let simple_result = simulate(
         &cleaned,
-        &Clustering::by(&cleaned, Assigner::Simple24),
+        &Clustering::by(cleaned.hits(), Assigner::Simple24),
         &cfg,
     );
     assert!(
@@ -169,7 +170,7 @@ fn unclustered_clients_exist_and_self_correction_absorbs_them() {
     spec.target_clients = 1_500;
     spec.total_requests = 30_000;
     let log = generate(&universe, &spec);
-    let clustering = Clustering::by(&log, Assigner::NetworkAware(&merged.compile()));
+    let clustering = Clustering::by(log.hits(), Assigner::NetworkAware(&merged.compile()));
     assert!(
         !clustering.unclustered().is_empty(),
         "expected some unclusterable clients with 3% unregistered orgs"

@@ -21,7 +21,10 @@
 //! * `pub-fn-caller`: every `pub fn` of a product crate is named by
 //!   non-test code the product is built from — a product crate's `src/`
 //!   or the root `src/` — or by `benchmark/benches/`: a function only
-//!   tests, studies or examples call is not product.
+//!   tests, studies or examples call is not product. A method (a `self`
+//!   receiver) is named by its name; an associated function of an `impl
+//!   Type` only by its path, `Type::name` or, inside an impl of `Type`,
+//!   `Self::name`.
 //!
 //! And the one OS seam: `crates/sys` is the only crate that may hold
 //! `unsafe` code, and it holds every `extern "C"` of the product.
@@ -85,10 +88,11 @@ const WAIVERS: &[(&str, &str, &str)] = &[
         "pub-fn-caller",
         "pub fn swap_policy(mut self, policy: SwapPolicy) -> Self {",
     ),
+    // The studies' in-memory entry to the batch clustering.
     (
-        "crates/weblog/src/clf.rs",
+        "crates/core/src/cluster.rs",
         "pub-fn-caller",
-        "pub fn from_clf(name: &str, data: &[u8]) -> (Log, Vec<ClfError>) {",
+        "pub fn by(hits: impl IntoIterator<Item = (u32, u32, u32)>, how: Assigner<'_>) -> Self {",
     ),
 ];
 
@@ -267,6 +271,62 @@ fn fn_name(code: &str) -> Option<&str> {
     (end > 0).then(|| &tail[..end])
 }
 
+/// The type an `impl` header is for: `Type` of `impl<T> Trait for
+/// path::Type<T> {`.
+fn impl_type(code: &str) -> Option<&str> {
+    let mut rest = code.strip_prefix("impl")?;
+    if rest.starts_with('<') {
+        let mut depth = 0;
+        let mut prev = ' ';
+        for (i, c) in rest.char_indices() {
+            match c {
+                '<' => depth += 1,
+                '>' if prev != '-' => depth -= 1,
+                _ => {}
+            }
+            prev = c;
+            if depth == 0 {
+                rest = &rest[i + 1..];
+                break;
+            }
+        }
+    } else if !rest.starts_with(' ') {
+        return None;
+    }
+    let rest = rest
+        .rsplit_once(" for ")
+        .map_or(rest, |(_, ty)| ty)
+        .trim_start();
+    let end = rest
+        .find(|c| !is_ident(c) && c != ':')
+        .unwrap_or(rest.len());
+    rest[..end].rsplit("::").next().filter(|ty| !ty.is_empty())
+}
+
+/// Whether the function signature `sig` takes a `self` receiver.
+fn has_receiver(sig: &str) -> bool {
+    let params = sig.split_once('(').map_or("", |(_, p)| p);
+    let first = params.split([',', ')']).next().unwrap_or("").trim();
+    let first = first.trim_start_matches('&');
+    let first = match first.strip_prefix('\'') {
+        Some(life) => life.trim_start_matches(is_ident).trim_start(),
+        None => first,
+    };
+    let first = first.strip_prefix("mut ").unwrap_or(first);
+    first == "self" || first.starts_with("self:")
+}
+
+/// The path `Type::` (or `Type::<…>::`) that ends `before`, the code in
+/// front of a name, if any.
+fn qualifier(before: &str) -> Option<&str> {
+    let mut path = before.strip_suffix("::")?;
+    if path.ends_with('>') {
+        path = &path[..path.rfind("::<")?];
+    }
+    let ty = &path[path.trim_end_matches(is_ident).len()..];
+    (!ty.is_empty()).then_some(ty)
+}
+
 /// The offset of the `)` that closes the `(` at `open`.
 fn close_paren(code: &str, open: usize) -> usize {
     let mut depth = 0;
@@ -381,6 +441,17 @@ impl Source {
             }
         }
         (names, owner)
+    }
+
+    /// The type of the innermost `impl` block that holds each line.
+    fn impls(&self) -> Vec<Option<&str>> {
+        let mut owner = vec![None; self.lines.len()];
+        for i in 0..self.lines.len() {
+            if let Some(ty) = impl_type(self.code_line(i).trim_start()) {
+                owner[i..=self.item_end(i)].fill(Some(ty));
+            }
+        }
+        owner
     }
 
     /// `line`'s text and location, as a finding.
@@ -670,20 +741,25 @@ fn failpoint_coverage(sources: &[Source], out: &mut Vec<Finding>) {
     }
 }
 
-/// `pub-fn-caller`: a product `pub fn` whose name no non-test line of the
+/// `pub-fn-caller`: a product `pub fn` that no non-test line of the
 /// product names, its own declaration aside. The product is a product
 /// crate's `src/` and the root `src/` (the `netclust` binary and facade);
 /// the study crates and `examples/` are not. Lines under
 /// `benchmark/benches/` count as callers: the harness drives the
-/// product's layers by name.
+/// product's layers by name. A method is named by its name alone, since a
+/// line does not show the type of an inferred receiver; an associated
+/// function (no `self`) of an `impl Type` only as `Type::name`, or as
+/// `Self::name` inside an impl of `Type`.
 fn pub_fn_callers(sources: &[Source], out: &mut Vec<Finding>) {
     let mut named = BTreeSet::new();
+    let mut paths = BTreeSet::new();
     for src in sources {
         let bench = src.path.starts_with("benchmark/benches/");
         let reached = bench || src.path.starts_with("src/") || product_src(&src.path);
         if !reached {
             continue;
         }
+        let impls = src.impls();
         for (i, line) in src.lines.iter().enumerate() {
             if (line.test && !bench) || line.import {
                 continue;
@@ -697,6 +773,11 @@ fn pub_fn_callers(sources: &[Source], out: &mut Vec<Finding>) {
                         if !code[..k].ends_with("fn ") {
                             named.insert(&code[k..j]);
                         }
+                        let ty = match qualifier(&code[..k]) {
+                            Some("Self") => impls[i],
+                            ty => ty,
+                        };
+                        paths.extend(ty.map(|ty| (ty, &code[k..j])));
                         start = None;
                     }
                     _ => {}
@@ -705,15 +786,22 @@ fn pub_fn_callers(sources: &[Source], out: &mut Vec<Finding>) {
         }
     }
     for src in sources.iter().filter(|src| product_src(&src.path)) {
+        let impls = src.impls();
         for i in (0..src.lines.len()).filter(|&i| !src.lines[i].test) {
             let code = src.code_line(i).trim_start();
-            match fn_name(code) {
-                Some(name) if code.starts_with("pub ") && !named.contains(name) => {
-                    let message = format!("`pub fn {name}` is named by no code outside tests");
-                    out.push(src.finding(i, "pub-fn-caller", message));
+            let Some(name) = fn_name(code).filter(|_| code.starts_with("pub ")) else {
+                continue;
+            };
+            let message = match impls[i].filter(|_| !has_receiver(&src.signature(i))) {
+                Some(ty) if !paths.contains(&(ty, name)) => {
+                    format!("`{ty}::{name}` is named by no code outside tests")
                 }
-                _ => {}
-            }
+                None if !named.contains(name) => {
+                    format!("`pub fn {name}` is named by no code outside tests")
+                }
+                _ => continue,
+            };
+            out.push(src.finding(i, "pub-fn-caller", message));
         }
     }
 }
@@ -1112,12 +1200,28 @@ pub(crate) fn helper() -> u64 {
     4
 }
 pub use self::unnamed as reexported;
+pub struct Batch;
+impl Batch {
+    pub fn by() -> u64 {
+        5
+    }
+}
+pub struct Stream;
+impl Stream {
+    pub fn by() -> u64 {
+        6
+    }
+    pub fn total(&self) -> u64 {
+        Self::by()
+    }
+}
 #[cfg(test)]
 mod tests {
     pub fn in_tests() {}
     #[test]
     fn t() {
         assert_eq!(super::tested_only(), 2);
+        assert_eq!(super::Batch::by(), 5);
     }
 }
 ";
@@ -1126,9 +1230,10 @@ fn main() {
     // unnamed() in a comment is no caller,
     let _ = \"nor unnamed() in a string\";
     println!(\"{}\", demo::served());
+    println!(\"{}\", demo::Stream.total());
 }
 ";
-    let other_product = "fn route() {\n    demo::shared();\n}\n";
+    let other_product = "fn route() {\n    demo::shared();\n    Other::by();\n}\n";
     let study = "fn main() {\n    demo::studied();\n}\n";
     let example = "fn main() {\n    demo::shown();\n}\n";
     let bench = "fn run() -> u64 {\n    demo::benched()\n}\n";
@@ -1150,9 +1255,22 @@ fn main() {
         found.map(|f| f.line).collect()
     };
     // Named only by a study crate (13) or an example (14): no caller.
-    assert_eq!(callers(true), [7, 10, 13, 14]);
+    // `Batch::by` (22) is an associated function: `Other::by` and
+    // `Self::by` in `Stream`'s impl name other ones, and a test's call
+    // is no caller. `Stream::by` (28) is named by `Self::by` in its own
+    // impl, and the method `total` by its name.
+    assert_eq!(callers(true), [7, 10, 13, 14, 22]);
     // Without the harness, `benched` has no caller either.
-    assert_eq!(callers(false), [4, 7, 10, 13, 14]);
+    assert_eq!(callers(false), [4, 7, 10, 13, 14, 22]);
+    let header = "impl<'a, T: Fn() -> u8> fmt::Display for demo::Batch<'a, T> {";
+    assert_eq!(impl_type(header), Some("Batch"));
+    assert_eq!(impl_type("impl Stream {"), Some("Stream"));
+    assert_eq!(impl_type("implied();"), None);
+    assert!(has_receiver("pub fn f(&'a mut self, x: u8) {"));
+    assert!(has_receiver("pub fn f(self: Arc<Self>) {"));
+    assert!(!has_receiver(
+        "pub fn by(hits: Vec<(u32, u32)>, selfish: u8) -> Self {"
+    ));
     // A crate outside the product is not held to the rule.
     let found = check(&[Source::parse("crates/demo/src/lib.rs", product)]);
     assert!(found.iter().all(|f| f.rule != "pub-fn-caller"));
