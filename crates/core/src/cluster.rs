@@ -139,6 +139,10 @@ impl Clustering {
     /// members and unclustered sorted by address. (A log too large for
     /// that is a raw file: [`IngestPipeline`](crate::IngestPipeline)
     /// drives the same kernel from several scan workers over its bytes.)
+    // Waived in tests/source_contracts.rs (`pub-fn-caller`): the studies
+    // cluster by assigners of their own through it (sessions,
+    // self-correction, ongoing work), and `by` is waived itself; the
+    // product's binaries cluster bytes through `IngestPipeline`.
     pub fn build<F>(
         hits: impl IntoIterator<Item = (u32, u32, u32)>,
         method: impl Into<String>,

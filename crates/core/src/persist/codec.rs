@@ -32,12 +32,18 @@ pub const MAGIC: [u8; 4] = *b"NCLP";
 
 /// The format version this build writes; bumped on any incompatible
 /// layout change. Version 2 codes a snapshot's client rows and prefix
-/// lists as delta varints; journals are laid out alike in both.
-pub const FORMAT_VERSION: u16 = 2;
+/// lists as delta varints. Version 3 keeps those rows and codes each
+/// prefix as one varint in units of its own length, `d · 33 + len`, `d`
+/// counting prefixes of its size from the first place at or after the
+/// previous prefix's address that one can start: 1.92 bytes a prefix
+/// against version 2's 3.67 on the benchmark's 110 000-prefix table.
+/// Journals are laid out alike in all three.
+pub const FORMAT_VERSION: u16 = 3;
 
 /// The oldest format version this build still reads. A version-1
-/// snapshot (fixed-width rows and prefixes) recovers and is rewritten in
-/// the current form by the next checkpoint.
+/// snapshot (fixed-width rows and prefixes) or a version-2 one (a gap
+/// varint and a length byte a prefix) recovers and is rewritten in the
+/// current form by the next checkpoint.
 pub const OLDEST_READ_VERSION: u16 = 1;
 
 /// File kind tag: a full-snapshot file (one [`REC_STATE`] frame).

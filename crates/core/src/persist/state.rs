@@ -3,8 +3,9 @@
 //! [`JournalBatch`] journal record, with their canonical wire codecs.
 //!
 //! The encodings are **canonical**: prefixes and per-client rows are
-//! sorted and coded as minimal delta varints, and the decoder *enforces*
-//! that form (no overlong varint, no address past `u32::MAX`, strictly
+//! sorted and coded as minimal varints — a row by its address gap, a
+//! prefix in units of its own length — and the decoder *enforces* that
+//! form (no overlong varint, no address past `u32::MAX`, strictly
 //! increasing prefixes with zero host bits, a zero reserved byte), so
 //! `decode(encode(s)) == s` and `encode(decode(b)) == b` for every
 //! accepted byte string. That is what lets the crash-recovery harness
@@ -12,8 +13,9 @@
 //! process and an uninterrupted one.
 //!
 //! Format version 1 wrote the same fields with fixed-width rows and
-//! prefixes; [`decode_state_version`] still reads it, and nothing writes
-//! it.
+//! prefixes, and version 2 coded each prefix as an address gap and a
+//! length byte; [`decode_state_version`] still reads both, and nothing
+//! writes them.
 //!
 //! Checksums and framing live one layer down in [`super::codec`]; this
 //! module assumes its input already passed a CRC, so a decode failure here
@@ -144,25 +146,68 @@ enum Layout {
     /// Version 1, read only: a `u32` address and two `u64` counts a row,
     /// a `u32` address and a length byte a prefix.
     Fixed,
-    /// Version 2: delta varints, as [`Chunked::prefixes`],
-    /// [`encode_state`] and [`EncodedState`] write them.
+    /// Version 2, read only: delta varint rows, and a prefix as a varint
+    /// of its address's distance from the previous prefix's and a length
+    /// byte.
     Varint,
+    /// Version 3: delta varint rows, as [`encode_state`] and
+    /// [`EncodedState`] write them, and a prefix as one varint in units
+    /// of its own length ([`prefix_code`]).
+    Aligned,
+}
+
+/// Lengths a prefix can have, 0 to 32: the radix of [`prefix_code`].
+const LENGTHS: u64 = 33;
+
+/// The first address at or above `prev` that a prefix of length `len`
+/// can start at: `prev` rounded up to a multiple of the prefix's size,
+/// `2^32` when none below it is. `len` is at most 32.
+fn align_up(prev: u32, len: u8) -> u64 {
+    let shift = 32 - u32::from(len);
+    ((u64::from(prev) + (1 << shift) - 1) >> shift) << shift
+}
+
+/// The version-3 code of prefix `p` after a prefix at address `prev` (0
+/// before the first): `d · 33 + len`, where `d` counts prefixes of `p`'s
+/// size from the first address at or above `prev` that one can start at
+/// ([`align_up`]) to `p`'s. In a sorted list `p`'s address is at or
+/// above `prev`, and since it is a multiple of that size, `d` is the
+/// whole sizes in the distance from `prev` itself. In a list out of
+/// order it can be below, and the code is then `u64::MAX`, whose address
+/// the decoder refuses.
+fn prefix_code(prev: u32, p: Ipv4Net) -> u64 {
+    match p.addr_u32().checked_sub(prev) {
+        Some(gap) => (u64::from(gap) >> (32 - p.len())) * LENGTHS + u64::from(p.len()),
+        None => u64::MAX,
+    }
+}
+
+/// The prefix [`prefix_code`] codes as `code` after a prefix at address
+/// `prev`, if its address is within `u32`.
+fn prefix_of(prev: u32, code: u64) -> Option<Ipv4Net> {
+    #[allow(clippy::cast_possible_truncation, reason = "a remainder of 33 is at most 32.")]
+    let len = (code % LENGTHS) as u8;
+    let steps = (code / LENGTHS).checked_mul(1 << (32 - u32::from(len)))?;
+    let addr = align_up(prev, len).checked_add(steps)?;
+    Ipv4Net::new(u32::try_from(addr).ok()?, len).ok()
 }
 
 /// Bytes [`Chunked::prefixes`] codes `prefixes` to, but for the count.
 fn prefixes_len(prefixes: impl Iterator<Item = Ipv4Net>) -> usize {
     let mut prev = 0u32;
     (prefixes.map(|p| {
-        let gap = p.addr_u32().wrapping_sub(prev);
+        let code = prefix_code(prev, p);
         prev = p.addr_u32();
-        varint_len(u64::from(gap)) + 1
+        varint_len(code)
     }))
     .sum()
 }
 
 /// Decodes a sorted prefix list, enforcing canonical form: every address
 /// within `u32`, each prefix's host bits already zero and the list
-/// strictly increasing by `(address, length)`.
+/// strictly increasing by `(address, length)`. Version 3's codes cannot
+/// spell host bits or a length past 32; the older layouts' can, and are
+/// refused for them.
 fn take_prefixes(
     r: &mut Reader<'_>,
     what: &'static str,
@@ -172,20 +217,24 @@ fn take_prefixes(
     let least = match layout {
         Layout::Fixed => 5,
         Layout::Varint => 2,
+        Layout::Aligned => 1,
     };
     let mut out = Vec::with_capacity(n.min(r.remaining() / least));
     let mut prev: Option<Ipv4Net> = None;
     for _ in 0..n {
-        let addr = match layout {
-            Layout::Fixed => r.u32_le(),
+        let prev_addr = prev.map_or(0, |p| p.addr_u32());
+        let prefix = match layout {
+            Layout::Fixed => r.u32_le().zip(r.u8()),
             Layout::Varint => {
-                let base = prev.map_or(0, |p| u64::from(p.addr_u32()));
-                let addr = r.varint().and_then(|gap| base.checked_add(gap));
-                addr.and_then(|a| u32::try_from(a).ok())
+                let addr = r
+                    .varint()
+                    .and_then(|gap| u64::from(prev_addr).checked_add(gap));
+                addr.and_then(|a| u32::try_from(a).ok()).zip(r.u8())
             }
+            Layout::Aligned => (r.varint().and_then(|code| prefix_of(prev_addr, code)))
+                .map(|p| (p.addr_u32(), p.len())),
         };
-        let addr = addr.ok_or(bad(what))?;
-        let len = r.u8().ok_or(bad(what))?;
+        let (addr, len) = prefix.ok_or(bad(what))?;
         let net = Ipv4Net::new(addr, len).map_err(|_| bad(what))?;
         if net.addr_u32() != addr {
             return Err(bad(what));
@@ -321,9 +370,9 @@ impl<E, F: FnMut(&[u8]) -> Result<(), E>> Chunked<F> {
         took
     }
 
-    /// A prefix list: its `u32` count, then per prefix a varint of its
-    /// address's distance from the previous prefix's address (from 0 for
-    /// the first) and its length byte.
+    /// A prefix list: its `u32` count, then per prefix its
+    /// [`prefix_code`] after the previous prefix (after address 0 for the
+    /// first) as a varint.
     fn prefixes(&mut self, prefixes: impl ExactSizeIterator<Item = Ipv4Net>) -> Result<(), E> {
         self.room(4)?;
         #[allow(
@@ -333,11 +382,8 @@ impl<E, F: FnMut(&[u8]) -> Result<(), E>> Chunked<F> {
         self.bytes(&(prefixes.len() as u32).to_le_bytes());
         let mut prev = 0u32;
         for p in prefixes {
-            self.room(VARINT_MAX_BYTES + 1)?;
-            // Wraps only for a list out of order, which the decoder then
-            // refuses as an address past `u32::MAX`.
-            self.varint(u64::from(p.addr_u32().wrapping_sub(prev)));
-            self.bytes(&[p.len()]);
+            self.room(VARINT_MAX_BYTES)?;
+            self.varint(prefix_code(prev, p));
             prev = p.addr_u32();
         }
         Ok(())
@@ -551,7 +597,7 @@ fn take_rows(r: &mut Reader<'_>, layout: Layout) -> Result<Vec<(u32, u64, u64)>,
     let n = r.u32_le().ok_or(bad("client count"))? as usize;
     let least = match layout {
         Layout::Fixed => 4 + 8 + 8,
-        Layout::Varint => 3,
+        Layout::Varint | Layout::Aligned => 3,
     };
     let mut rows = Vec::with_capacity(n.min(r.remaining() / least));
     // The lowest address the next row may hold.
@@ -567,7 +613,7 @@ fn take_rows(r: &mut Reader<'_>, layout: Layout) -> Result<Vec<(u32, u64, u64)>,
                 }
                 (client, requests, bytes)
             }
-            Layout::Varint => {
+            Layout::Varint | Layout::Aligned => {
                 let gap = r.varint().ok_or(bad("client row"))?;
                 let client = next.checked_add(gap).and_then(|a| u32::try_from(a).ok());
                 let client = client.ok_or(bad("client address overflow"))?;
@@ -601,7 +647,8 @@ pub(super) fn decode_state_version(
 ) -> Result<StreamState, StateDecodeError> {
     let layout = match version {
         OLDEST_READ_VERSION => Layout::Fixed,
-        FORMAT_VERSION => Layout::Varint,
+        2 => Layout::Varint,
+        FORMAT_VERSION => Layout::Aligned,
         _ => return Err(bad("format version")),
     };
     let mut r = Reader::new(bytes);
@@ -810,13 +857,14 @@ mod tests {
     }
 
     /// The byte before the feed progress is reserved: zero in every
-    /// snapshot written, and anything else refused by name in either
+    /// snapshot written, and anything else refused by name in every
     /// version.
     #[test]
     fn a_nonzero_reserved_byte_is_refused() {
         let state = sample_state();
         for (version, mut bytes) in [
             (FORMAT_VERSION, encode_state(&state)),
+            (2, v2_payload(&state)),
             (OLDEST_READ_VERSION, v1_payload(&state)),
         ] {
             // Four u64s of feed progress follow the reserved byte.
@@ -831,7 +879,7 @@ mod tests {
         }
     }
 
-    /// Rejection tags 3 and 4 are reserved: refused by name in either
+    /// Rejection tags 3 and 4 are reserved: refused by name in every
     /// version, as is any tag past the last.
     #[test]
     fn a_reserved_rejection_tag_is_refused() {
@@ -839,6 +887,7 @@ mod tests {
         state.last_rejection = None;
         for (version, mut bytes) in [
             (FORMAT_VERSION, encode_state(&state)),
+            (2, v2_payload(&state)),
             (OLDEST_READ_VERSION, v1_payload(&state)),
         ] {
             // The reserved byte and four u64s of feed progress follow it.
@@ -926,24 +975,129 @@ mod tests {
         out
     }
 
-    /// The wire form pinned byte for byte, and each way a byte string can
-    /// break canonical form: accepted payloads re-encode to themselves,
-    /// the rest fail with the named field.
+    /// A named hand-written payload: `(count, bytes)` of the BGP prefix
+    /// list and of the client rows, and the field a decode must refuse it
+    /// by, if any.
+    type Pinned<'a> = (
+        &'a str,
+        (u32, Vec<u8>),
+        (u32, Vec<u8>),
+        Result<(), &'static str>,
+    );
+
+    /// Decodes each payload of `table` as format `version`: an accepted
+    /// one must be what `encode` writes for the state it decodes to, a
+    /// refused one must name its field.
+    fn check_pinned(version: u16, table: Vec<Pinned>, encode: fn(&StreamState) -> Vec<u8>) {
+        for (name, bgp, rows, want) in table {
+            let bytes = hand_payload((bgp.0, &bgp.1), (rows.0, &rows.1));
+            match (decode_state_version(&bytes, version), want) {
+                (Ok(state), Ok(())) => assert_eq!(encode(&state), bytes, "v{version} {name}"),
+                (got, want) => {
+                    assert_eq!(got.map(|_| ()), want.map_err(bad), "v{version} {name}")
+                }
+            }
+        }
+    }
+
+    /// The current wire form of prefix lists pinned byte for byte, and
+    /// each way a list can break canonical form in it.
     #[test]
-    fn pinned_prefix_and_row_bytes() {
+    fn pinned_v3_prefix_bytes() {
+        let cat = |parts: &[&[u8]]| parts.concat();
+        // 0.0.0.0/0 is 0·33 + 0. 10.0.0.0/8 is ten /8s from 0: 10·33 + 8
+        // = 338. 10.0.0.0/16 starts where 10.0.0.0/8 does: 0·33 + 16.
+        // 10.1.0.0/16 is one /16 on: 33 + 16 = 49. 255.255.255.255/32 is
+        // 0xF5FE_FFFF /32s past 10.1.0.0: that times 33, plus 32.
+        let ok_bgp = cat(&[
+            &[0x00],
+            &[0xD2, 0x02],
+            &[0x10],
+            &[0x31],
+            &[0xFF, 0xFF, 0xFB, 0xAE, 0xFB, 0x03],
+        ]);
+        // (2^32 - 1)·33 + 32: the largest code a first prefix can have.
+        const MAX: [u8; 6] = [0xFF, 0xFF, 0xFF, 0xFF, 0x8F, 0x04];
+        let ok_rows = cat(&[&[0x01, 0x03, 0xAC, 0x02], &[0x00, 0x05, 0x01]]);
+        let table: Vec<Pinned> = vec![
+            ("canonical", (5, ok_bgp.clone()), (2, ok_rows), Ok(())),
+            ("u32::MAX", (1, MAX.to_vec()), (0, vec![]), Ok(())),
+            // 10.0.0.1/32, then 10.0.1.0/24: the first /24 at or above
+            // 10.0.0.1, 0·33 + 24.
+            (
+                "rounded up",
+                (2, vec![0xC1, 0x80, 0x80, 0xD0, 0x14, 0x18]),
+                (0, vec![]),
+                Ok(()),
+            ),
+            ("empty lists", (0, vec![]), (0, vec![]), Ok(())),
+            // 0 spelled in two bytes.
+            (
+                "overlong code",
+                (1, vec![0x80, 0x00]),
+                (0, vec![]),
+                Err("bgp prefix list"),
+            ),
+            // 256 /8s from 0: 256·33 + 8; a /0 after 10.0.0.0/8, which
+            // could start only at 2^32; a /32 one on from
+            // 255.255.255.255, 1·33 + 32.
+            (
+                "address past u32::MAX",
+                (1, vec![0x88, 0x42]),
+                (0, vec![]),
+                Err("bgp prefix list"),
+            ),
+            (
+                "/0 after a prefix",
+                (2, vec![0xD2, 0x02, 0x00]),
+                (0, vec![]),
+                Err("bgp prefix list"),
+            ),
+            (
+                "past u32::MAX after it",
+                (2, cat(&[&MAX, &[0x41]])),
+                (0, vec![]),
+                Err("bgp prefix list"),
+            ),
+            // 10.0.0.0/16 (2560·33 + 16), then 10.0.0.0/8 at 0 /8s on.
+            (
+                "same address, not longer",
+                (2, vec![0x90, 0x94, 0x05, 0x08]),
+                (0, vec![]),
+                Err("bgp prefix list"),
+            ),
+            (
+                "duplicate prefix",
+                (2, vec![0xD2, 0x02, 0x08]),
+                (0, vec![]),
+                Err("bgp prefix list"),
+            ),
+        ];
+        check_pinned(FORMAT_VERSION, table, encode_state);
+        let state = decode_state(&hand_payload((5, &ok_bgp), (0, &[]))).unwrap();
+        let want = [
+            net("0.0.0.0/0"),
+            net("10.0.0.0/8"),
+            net("10.0.0.0/16"),
+            net("10.1.0.0/16"),
+            net("255.255.255.255/32"),
+        ];
+        assert_eq!(state.bgp_prefixes, want);
+    }
+
+    /// Version 2's wire form pinned byte for byte, and each way a byte
+    /// string can break canonical form in it, host bits and length 33
+    /// among them: accepted payloads are what the version-2 layout codes
+    /// their state to, the rest fail with the named field.
+    #[test]
+    fn pinned_v2_prefix_and_row_bytes() {
         // 10.0.0.0 as a varint: 0x0A000000 in 7-bit groups, low first.
         const TEN: [u8; 4] = [0x80, 0x80, 0x80, 0x50];
         const MAX: [u8; 5] = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
         let cat = |parts: &[&[u8]]| parts.concat();
         let ok_rows = cat(&[&[0x01, 0x03, 0xAC, 0x02], &[0x00, 0x05, 0x01]]);
         let ok_bgp = cat(&[&TEN, &[8], &[0x00, 16], &[0x80, 0x80, 0x04, 16]]);
-        type Row<'a> = (
-            &'a str,
-            (u32, Vec<u8>),
-            (u32, Vec<u8>),
-            Result<(), &'static str>,
-        );
-        let table: Vec<Row> = vec![
+        let table: Vec<Pinned> = vec![
             (
                 "canonical",
                 (3, ok_bgp.clone()),
@@ -1021,17 +1175,37 @@ mod tests {
                 Err("bgp prefix list"),
             ),
         ];
-        for (name, bgp, rows, want) in table {
-            let bytes = hand_payload((bgp.0, &bgp.1), (rows.0, &rows.1));
-            match (decode_state(&bytes), want) {
-                (Ok(state), Ok(())) => assert_eq!(encode_state(&state), bytes, "{name}"),
-                (got, want) => assert_eq!(got.map(|_| ()), want.map_err(bad), "{name}"),
-            }
-        }
-        let state = decode_state(&hand_payload((3, &ok_bgp), (2, &ok_rows))).unwrap();
+        check_pinned(2, table, v2_payload);
+        let state = decode_state_version(&hand_payload((3, &ok_bgp), (2, &ok_rows)), 2).unwrap();
         assert_eq!(state.per_client, [(1, 3, 300), (2, 5, 1)]);
         let want = [net("10.0.0.0/8"), net("10.0.0.0/16"), net("10.1.0.0/16")];
         assert_eq!(state.bgp_prefixes, want);
+    }
+
+    /// `state` in the version-2 layout, which only the decoder still
+    /// knows: each prefix a varint of its address's distance from the
+    /// previous prefix's and a length byte, around the rows and fields it
+    /// shares with the current version.
+    fn v2_payload(state: &StreamState) -> Vec<u8> {
+        let v3 = encode_state(state);
+        let lists_end = LISTS_AT
+            + 8
+            + prefixes_len(state.bgp_prefixes.iter().copied())
+            + prefixes_len(state.dump_prefixes.iter().copied());
+        let mut out = v3[..LISTS_AT].to_vec();
+        for list in [&state.bgp_prefixes, &state.dump_prefixes] {
+            put_u32(&mut out, list.len() as u32);
+            let mut prev = 0u32;
+            for p in list {
+                let mut code = [0u8; VARINT_MAX_BYTES];
+                let n = put_varint(&mut code, u64::from(p.addr_u32().wrapping_sub(prev)));
+                out.extend_from_slice(&code[..n]);
+                out.push(p.len());
+                prev = p.addr_u32();
+            }
+        }
+        out.extend_from_slice(&v3[lists_end..]);
+        out
     }
 
     /// `state` in the version-1 layout, which only the decoder still
@@ -1057,27 +1231,67 @@ mod tests {
         out
     }
 
+    /// Payloads of both older versions decode to the state they were
+    /// written from, refuse every cut and rows or prefixes out of order,
+    /// and are larger than the current form of that state.
     #[test]
-    fn version_one_payloads_still_decode() {
+    fn older_payloads_still_decode() {
         let state = sample_state();
-        let v1 = v1_payload(&state);
-        assert_eq!(decode_state_version(&v1, 1), Ok(state.clone()));
-        // Rewritten in the current form, it is smaller and reads back.
-        let v2 = encode_state(&state);
-        assert!(v2.len() < v1.len());
-        assert_eq!(decode_state_version(&v2, FORMAT_VERSION), Ok(state.clone()));
-        for cut in 0..v1.len() {
-            assert!(decode_state_version(&v1[..cut], 1).is_err(), "cut at {cut}");
+        let v3 = encode_state(&state);
+        type Coder = fn(&StreamState) -> Vec<u8>;
+        for (version, coder, row_order) in [
+            (1, v1_payload as Coder, "client row order"),
+            (2, v2_payload, "client address overflow"),
+        ] {
+            let old = coder(&state);
+            assert_eq!(decode_state_version(&old, version), Ok(state.clone()));
+            assert!(v3.len() < old.len(), "v{version}");
+            for cut in 0..old.len() {
+                let got = decode_state_version(&old[..cut], version);
+                assert!(got.is_err(), "v{version} cut at {cut}");
+            }
+            let mut s = state.clone();
+            s.per_client.swap(0, 1);
+            let got = decode_state_version(&coder(&s), version);
+            assert_eq!(got, Err(bad(row_order)), "v{version}");
+            let mut s = state.clone();
+            s.bgp_prefixes.swap(0, 1);
+            let got = decode_state_version(&coder(&s), version);
+            assert_eq!(got, Err(bad("bgp prefix list")), "v{version}");
         }
-        let mut s = state.clone();
-        s.per_client.swap(0, 1);
-        let got = decode_state_version(&v1_payload(&s), 1);
-        assert_eq!(got, Err(bad("client row order")));
-        let mut s = state;
-        s.bgp_prefixes.swap(0, 1);
-        let got = decode_state_version(&v1_payload(&s), 1);
-        assert_eq!(got, Err(bad("bgp prefix list")));
-        assert_eq!(decode_state_version(&v1, 0), Err(bad("format version")));
+        assert_eq!(decode_state_version(&v3, FORMAT_VERSION), Ok(state.clone()));
+        for version in [0, FORMAT_VERSION + 1] {
+            let got = decode_state_version(&v3, version);
+            assert_eq!(got, Err(bad("format version")), "v{version}");
+        }
+    }
+
+    /// The version-3 list coder against a direct spelling of its rule on
+    /// prefixes of every length, packed and sparse: every code is
+    /// `d · 33 + len` with `d` counted from the aligned previous address,
+    /// and the decoder inverts it.
+    #[test]
+    fn prefix_codes_count_in_units_of_their_own_length() {
+        let mut prefixes: Vec<Ipv4Net> = (0..5_000u32)
+            .map(|i| Ipv4Net::new(i.wrapping_mul(2_654_435_761), (i % 33) as u8).unwrap())
+            .chain((0..=32).map(|len| Ipv4Net::new(u32::MAX, len).unwrap()))
+            .collect();
+        prefixes.sort_unstable();
+        prefixes.dedup();
+        let mut prev = 0u32;
+        for &p in &prefixes {
+            let size = 1u64 << (32 - u32::from(p.len()));
+            let base = u64::from(prev).div_ceil(size) * size;
+            let d = (u64::from(p.addr_u32()) - base) / size;
+            let code = prefix_code(prev, p);
+            assert_eq!(code, d * 33 + u64::from(p.len()), "{p} after {prev:#x}");
+            assert_eq!(prefix_of(prev, code), Some(p), "{p} after {prev:#x}");
+            prev = p.addr_u32();
+        }
+        // A /24 right after another /24 costs one byte, as does a /16
+        // inside the /8 before it.
+        assert_eq!(prefix_code(0x0A00_0100, net("10.0.2.0/24")), 33 + 24);
+        assert_eq!(prefix_code(0x0A00_0000, net("10.0.0.0/16")), 16);
     }
 
     #[test]

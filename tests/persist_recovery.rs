@@ -489,20 +489,23 @@ fn a_checkpoint_failing_past_its_rename_refuses_appends_until_the_next() {
     assert_eq!(report.batches, [batch]);
 }
 
-/// The committed state dir in `tests/data/v1-state/state`, written in
-/// format version 1 (fixed-width client rows and prefixes) by
+/// The committed state dir in `tests/data/v{version}-state/state`, written
+/// in format version 1 (fixed-width client rows and prefixes) or 2 (delta
+/// varints, a prefix as an address gap and a length byte) by
 /// `netclust cluster --log access.log --table t.bgp --dump t.dump
 /// --deterministic --bgp-feed feed.txt --state-dir state
-/// --crash-after-batch 3` run in that directory: the base snapshot and a
-/// journal of the feed's first three batches. Copied into a fresh `name`
-/// directory, since recovering writes to it.
-fn v1_state_dir(name: &str) -> (PathBuf, TempDir) {
-    let inputs = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/v1-state");
+/// --crash-after-batch 3` run in `tests/data/v1-state`, whose inputs both
+/// share: the base snapshot and a journal of the feed's first three
+/// batches. Copied into a fresh `name` directory, since recovering writes
+/// to it. Returns the inputs' directory and the copy.
+fn old_state_dir(version: u16, name: &str) -> (PathBuf, TempDir) {
+    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    let state = data.join(format!("v{version}-state/state"));
     let dir = tmpdir(name);
     for file in ["snapshot-000001.snap", "journal-000001.wal"] {
-        std::fs::copy(inputs.join("state").join(file), dir.join(file)).expect("copy fixture");
+        std::fs::copy(state.join(file), dir.join(file)).expect("copy fixture");
     }
-    (inputs, dir)
+    (data.join("v1-state"), dir)
 }
 
 fn state_files(dir: &Path) -> Vec<String> {
@@ -514,98 +517,121 @@ fn state_files(dir: &Path) -> Vec<String> {
     names
 }
 
-/// Old state dirs still recover: the version-1 snapshot and its journal
-/// replay to what this build computes from the same inputs, the next
-/// checkpoint writes the current format, a second recovery reads back the
-/// same state, and the version-1 files are pruned once `KEEP` (two)
-/// newer generations exist.
+/// Old state dirs still recover, from either older version: the
+/// snapshot and its journal replay to what this build computes from the
+/// same inputs, the next checkpoint writes the current format in a
+/// smaller file, a second recovery reads back the same state and
+/// re-checkpoints it byte for byte, and the old files are pruned once
+/// `KEEP` (two) newer generations exist. Both old snapshots, and this
+/// build's of the state they hold, decode to one state.
 #[test]
 fn a_version_one_state_dir_recovers_and_is_rewritten_in_the_current_form() {
-    let (inputs, dir) = v1_state_dir("v1");
-    let (mut store, state, report) =
-        StateStore::recover(&dir, FsyncPolicy::EveryBatch).expect("a v1 dir recovers");
-    assert_eq!((report.generation, report.batches.len()), (1, 3));
-    assert!(report.tail.is_none());
-    assert_eq!((state.per_client.len(), state.total_requests), (11, 13));
-    assert_eq!(state.per_client.first().map(|r| r.0), Some(1), "0.0.0.1");
-    assert_eq!(state.per_client.last().map(|r| r.0), Some(u32::MAX - 1));
-    let mut recovered =
-        StreamingClustering::restore(&state, SwapPolicy::default(), Obs::disabled())
-            .expect("restore the v1 snapshot");
-    for b in &report.batches {
-        recovered.apply_deltas(&b.deltas);
+    let mut bases = Vec::new();
+    for version in [1, 2] {
+        let (inputs, dir) = old_state_dir(version, &format!("v{version}"));
+        let (mut store, state, report) =
+            StateStore::recover(&dir, FsyncPolicy::EveryBatch).expect("an old dir recovers");
+        assert_eq!((report.generation, report.batches.len()), (1, 3));
+        assert!(report.tail.is_none());
+        assert_eq!((state.per_client.len(), state.total_requests), (11, 13));
+        assert_eq!(state.per_client.first().map(|r| r.0), Some(1), "0.0.0.1");
+        assert_eq!(state.per_client.last().map(|r| r.0), Some(u32::MAX - 1));
+        let mut recovered =
+            StreamingClustering::restore(&state, SwapPolicy::default(), Obs::disabled())
+                .expect("restore the old snapshot");
+        for b in &report.batches {
+            recovered.apply_deltas(&b.deltas);
+        }
+
+        // The same inputs through this build: tables, log, three batches.
+        let tables =
+            netclust::rtable::load_tables(&[inputs.join("t.bgp")], &[inputs.join("t.dump")])
+                .expect("tables");
+        let merged = netclust::rtable::MergedTable::merge(tables.iter().map(|(t, _)| t));
+        let mut fresh = StreamingClustering::builder(merged).build();
+        fresh.push_clf(&std::fs::read(inputs.join("access.log")).expect("log"));
+        let feed = std::fs::read_to_string(inputs.join("feed.txt")).expect("feed");
+        for deltas in netclust::rtable::parse_feed(&feed)
+            .expect("feed parses")
+            .iter()
+            .take(3)
+        {
+            fresh.apply_deltas(deltas);
+        }
+        let mut want = recovered.export_state();
+        assert_eq!(want, fresh.export_state(), "v{version} recovery diverged");
+        // The recovered stream writes one file by either route.
+        let snapshot =
+            |name: &str, write: &dyn Fn(&mut StateStore) -> Result<u64, PersistError>| {
+                let into = tmpdir(&format!("v{version}-{name}"));
+                let mut store = StateStore::create(&into, FsyncPolicy::Os).expect("create store");
+                let generation = write(&mut store).expect("checkpoint");
+                std::fs::read(store.snapshot_path(generation)).expect("snapshot file")
+            };
+        assert_eq!(
+            snapshot("encode", &|store| store
+                .checkpoint_encoded(|to| recovered.encode_state(to))),
+            snapshot("export", &|store| store.checkpoint(&want)),
+        );
+
+        // The next checkpoint writes the current format, smaller.
+        want.feed_pos = 3;
+        want.feed = state.feed;
+        assert_eq!(store.checkpoint(&want).expect("checkpoint"), 2);
+        let old = std::fs::read(store.snapshot_path(1)).expect("old snapshot");
+        let new = std::fs::read(store.snapshot_path(2)).expect("new snapshot");
+        assert_eq!(decode_header(&old).expect("old header").version, version);
+        assert_eq!(
+            decode_header(&new).expect("new header").version,
+            FORMAT_VERSION
+        );
+        assert!(
+            new.len() < old.len(),
+            "v{version}: {} >= {} bytes",
+            new.len(),
+            old.len()
+        );
+        drop(store);
+
+        let (mut store, again, report) =
+            StateStore::recover(&dir, FsyncPolicy::EveryBatch).expect("recover the rewritten dir");
+        assert_eq!((report.generation, report.batches.len()), (2, 0));
+        assert_eq!(again, want);
+        assert_eq!(
+            std::fs::read(store.snapshot_path(2)).expect("new snapshot"),
+            new
+        );
+
+        // Two generations are kept: the old pair goes with the second
+        // checkpoint past it.
+        assert!(state_files(&dir).contains(&"snapshot-000001.snap".to_string()));
+        assert_eq!(store.checkpoint(&again).expect("checkpoint"), 3);
+        assert_eq!(
+            std::fs::read(store.snapshot_path(3)).expect("re-checkpointed"),
+            new,
+            "the recovered state re-checkpoints byte-identically"
+        );
+        assert_eq!(
+            state_files(&dir),
+            [
+                "journal-000002.wal",
+                "journal-000003.wal",
+                "snapshot-000002.snap",
+                "snapshot-000003.snap"
+            ]
+        );
+        bases.push(state);
     }
 
-    // The same inputs through this build: tables, log, three batches.
-    let tables = netclust::rtable::load_tables(&[inputs.join("t.bgp")], &[inputs.join("t.dump")])
-        .expect("tables");
-    let merged = netclust::rtable::MergedTable::merge(tables.iter().map(|(t, _)| t));
-    let mut fresh = StreamingClustering::builder(merged).build();
-    fresh.push_clf(&std::fs::read(inputs.join("access.log")).expect("log"));
-    let feed = std::fs::read_to_string(inputs.join("feed.txt")).expect("feed");
-    for deltas in netclust::rtable::parse_feed(&feed)
-        .expect("feed parses")
-        .iter()
-        .take(3)
-    {
-        fresh.apply_deltas(deltas);
-    }
-    let mut want = recovered.export_state();
-    assert_eq!(want, fresh.export_state(), "v1 recovery diverged");
-    // The stream recovered from version 1 writes one file by either route.
-    let snapshot = |name: &str, write: &dyn Fn(&mut StateStore) -> Result<u64, PersistError>| {
-        let into = tmpdir(name);
-        let mut store = StateStore::create(&into, FsyncPolicy::Os).expect("create store");
-        let generation = write(&mut store).expect("checkpoint");
-        std::fs::read(store.snapshot_path(generation)).expect("snapshot file")
-    };
-    assert_eq!(
-        snapshot("v1-encode", &|store| store
-            .checkpoint_encoded(|to| recovered.encode_state(to))),
-        snapshot("v1-export", &|store| store.checkpoint(&want)),
-    );
-
-    // The next checkpoint writes the current format, smaller.
-    want.feed_pos = 3;
-    want.feed = state.feed;
-    assert_eq!(store.checkpoint(&want).expect("checkpoint"), 2);
-    let v1 = std::fs::read(store.snapshot_path(1)).expect("v1 snapshot");
-    let v2 = std::fs::read(store.snapshot_path(2)).expect("v2 snapshot");
-    assert_eq!(decode_header(&v1).expect("v1 header").version, 1);
-    assert_eq!(
-        decode_header(&v2).expect("v2 header").version,
-        FORMAT_VERSION
-    );
-    assert!(v2.len() < v1.len(), "{} >= {} bytes", v2.len(), v1.len());
+    // One base state in every version: the two old snapshots, and this
+    // build's snapshot of it read back.
+    assert_eq!(bases[0], bases[1], "the v1 and v2 snapshots differ");
+    let into = tmpdir("v3-base");
+    let mut store = StateStore::create(&into, FsyncPolicy::Os).expect("create store");
+    store.checkpoint(&bases[1]).expect("checkpoint");
     drop(store);
-
-    let (mut store, again, report) =
-        StateStore::recover(&dir, FsyncPolicy::EveryBatch).expect("recover the rewritten dir");
-    assert_eq!((report.generation, report.batches.len()), (2, 0));
-    assert_eq!(again, want);
-    assert_eq!(
-        std::fs::read(store.snapshot_path(2)).expect("v2 snapshot"),
-        v2
-    );
-
-    // Two generations are kept: the v1 pair goes with the second
-    // checkpoint past it.
-    assert!(state_files(&dir).contains(&"snapshot-000001.snap".to_string()));
-    assert_eq!(store.checkpoint(&again).expect("checkpoint"), 3);
-    assert_eq!(
-        std::fs::read(store.snapshot_path(3)).expect("re-checkpointed"),
-        v2,
-        "the recovered state re-checkpoints byte-identically"
-    );
-    assert_eq!(
-        state_files(&dir),
-        [
-            "journal-000002.wal",
-            "journal-000003.wal",
-            "snapshot-000002.snap",
-            "snapshot-000003.snap"
-        ]
-    );
+    let (_, v3, _) = StateStore::recover(&into, FsyncPolicy::Os).expect("recover v3");
+    assert_eq!(v3, bases[1]);
 }
 
 // ---------------------------------------------------------------------------
@@ -755,12 +781,22 @@ fn process_kill_and_restart_matches_uninterrupted_run() {
     assert_eq!(want, got, "final snapshot bytes diverged");
 }
 
-/// The binary across the format change: `--resume` from the version-1
+/// The binary across the format changes: `--resume` from the version-1
 /// state dir finishes the feed and prints what an uninterrupted run of
 /// this build prints, and leaves the same final snapshot byte for byte.
 #[test]
 fn netclust_resumes_a_version_one_state_dir_byte_identically() {
-    let (inputs, crashed) = v1_state_dir("v1-cli");
+    resumes_byte_identically(1);
+}
+
+/// The same from the version-2 state dir.
+#[test]
+fn netclust_resumes_a_version_two_state_dir_byte_identically() {
+    resumes_byte_identically(2);
+}
+
+fn resumes_byte_identically(version: u16) {
+    let (inputs, crashed) = old_state_dir(version, &format!("v{version}-cli"));
     let run = |state: &Path, resume: bool| {
         let mut cmd = Command::new(bin());
         cmd.current_dir(&inputs).args([
@@ -785,7 +821,7 @@ fn netclust_resumes_a_version_one_state_dir_byte_identically() {
         assert!(out.status.success(), "resume={resume}: {stderr}");
         (out.stdout, stderr)
     };
-    let reference_dir = tmpdir("v1-cli-ref");
+    let reference_dir = tmpdir(&format!("v{version}-cli-ref"));
     let reference = reference_dir.join("state");
     let (want, _) = run(&reference, false);
     let (got, stderr) = run(&crashed, true);

@@ -21,10 +21,12 @@
 //! * `pub-fn-caller`: every `pub fn` of a product crate is named by
 //!   non-test code the product is built from — a product crate's `src/`
 //!   or the root `src/` — or by `benchmark/benches/`: a function only
-//!   tests, studies or examples call is not product. A method (a `self`
-//!   receiver) is named by its name; an associated function of an `impl
-//!   Type` only by its path, `Type::name` or, inside an impl of `Type`,
-//!   `Self::name`.
+//!   tests, studies or examples call is not product. A name inside
+//!   another product `pub fn` counts only once that function is itself
+//!   counted, so one waived or test-only function keeps no helper chain.
+//!   A method (a `self` receiver) is named by its name; an associated
+//!   function of an `impl Type` only by its path, `Type::name` or, inside
+//!   an impl of `Type`, `Self::name`.
 //!
 //! And the one OS seam: `crates/sys` is the only crate that may hold
 //! `unsafe` code, and it holds every `extern "C"` of the product.
@@ -37,7 +39,7 @@
 //! blanked. The scan skips `target/`, hidden directories and the two
 //! vendored shims.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -88,11 +90,17 @@ const WAIVERS: &[(&str, &str, &str)] = &[
         "pub-fn-caller",
         "pub fn swap_policy(mut self, policy: SwapPolicy) -> Self {",
     ),
-    // The studies' in-memory entry to the batch clustering.
+    // The studies' in-memory entries to the batch clustering: by one of
+    // the paper's methods, and by any assigner.
     (
         "crates/core/src/cluster.rs",
         "pub-fn-caller",
         "pub fn by(hits: impl IntoIterator<Item = (u32, u32, u32)>, how: Assigner<'_>) -> Self {",
+    ),
+    (
+        "crates/core/src/cluster.rs",
+        "pub-fn-caller",
+        "pub fn build<F>(",
     ),
 ];
 
@@ -741,19 +749,55 @@ fn failpoint_coverage(sources: &[Source], out: &mut Vec<Finding>) {
     }
 }
 
-/// `pub-fn-caller`: a product `pub fn` that no non-test line of the
-/// product names, its own declaration aside. The product is a product
-/// crate's `src/` and the root `src/` (the `netclust` binary and facade);
-/// the study crates and `examples/` are not. Lines under
-/// `benchmark/benches/` count as callers: the harness drives the
-/// product's layers by name. A method is named by its name alone, since a
-/// line does not show the type of an inferred receiver; an associated
-/// function (no `self`) of an `impl Type` only as `Type::name`, or as
-/// `Self::name` inside an impl of `Type`.
+/// `pub-fn-caller`: a product `pub fn` that no counted line names, its
+/// own declaration aside. A line counts when it is non-test code of the
+/// product — a product crate's `src/` or the root `src/` (the `netclust`
+/// binary and facade); the study crates and `examples/` are not — or of
+/// `benchmark/benches/`, whose harness drives the product's layers by
+/// name; and, inside a product `pub fn`, only when that function is
+/// itself counted as named. So a helper named only by a function that a
+/// waiver keeps, or that only tests call, is reported too. Lines of the
+/// root `src/`, of the harness and of other functions (private ones,
+/// which the compiler's dead-code lint holds, trait methods, `main`)
+/// always count. A method is named by its name alone, since a line does
+/// not show the type of an inferred receiver; an associated function (no
+/// `self`) of an `impl Type` only as `Type::name`, or as `Self::name`
+/// inside an impl of `Type`.
 fn pub_fn_callers(sources: &[Source], out: &mut Vec<Finding>) {
-    let mut named = BTreeSet::new();
-    let mut paths = BTreeSet::new();
-    for src in sources {
+    // The rule's subjects: (source, line, name, the impl type of an
+    // associated function), and which one owns each line of a source.
+    let mut subjects = Vec::new();
+    let mut owners: Vec<Vec<Option<usize>>> = Vec::new();
+    for (file, src) in sources.iter().enumerate() {
+        let mut owner = vec![None; src.lines.len()];
+        if product_src(&src.path) {
+            let impls = src.impls();
+            for i in (0..src.lines.len()).filter(|&i| !src.lines[i].test) {
+                let code = src.code_line(i).trim_start();
+                let Some(name) = fn_name(code).filter(|_| code.starts_with("pub ")) else {
+                    continue;
+                };
+                let ty = impls[i].filter(|_| !has_receiver(&src.signature(i)));
+                owner[i..=src.item_end(i)].fill(Some(subjects.len()));
+                subjects.push((file, i, name, ty));
+            }
+        }
+        owners.push(owner);
+    }
+    let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    for (s, subject) in subjects.iter().enumerate() {
+        by_name.entry(subject.2).or_default().push(s);
+    }
+    // The subjects a name found as `(word, qualifier)` names.
+    let named = |(word, ty): (&str, Option<&str>)| -> Vec<usize> {
+        let of = |s: &&usize| subjects[**s].3.is_none_or(|of| ty == Some(of));
+        by_name[word].iter().filter(of).copied().collect()
+    };
+    // Each subject's name a counted line holds, with the subject whose
+    // body holds it (`always`: a line that always counts).
+    let mut bodies: Vec<Vec<(&str, Option<&str>)>> = vec![Vec::new(); subjects.len()];
+    let mut always = Vec::new();
+    for (file, src) in sources.iter().enumerate() {
         let bench = src.path.starts_with("benchmark/benches/");
         let reached = bench || src.path.starts_with("src/") || product_src(&src.path);
         if !reached {
@@ -764,20 +808,24 @@ fn pub_fn_callers(sources: &[Source], out: &mut Vec<Finding>) {
             if (line.test && !bench) || line.import {
                 continue;
             }
+            let held = match owners[file][i] {
+                Some(s) => &mut bodies[s],
+                None => &mut always,
+            };
             let code = src.code_line(i);
             let mut start = None;
             for (j, c) in code.char_indices().chain([(code.len(), ' ')]) {
                 match (is_ident(c), start) {
                     (true, None) => start = Some(j),
                     (false, Some(k)) => {
-                        if !code[..k].ends_with("fn ") {
-                            named.insert(&code[k..j]);
+                        let word = &code[k..j];
+                        if by_name.contains_key(word) && !code[..k].ends_with("fn ") {
+                            let ty = match qualifier(&code[..k]) {
+                                Some("Self") => impls[i],
+                                ty => ty,
+                            };
+                            held.push((word, ty));
                         }
-                        let ty = match qualifier(&code[..k]) {
-                            Some("Self") => impls[i],
-                            ty => ty,
-                        };
-                        paths.extend(ty.map(|ty| (ty, &code[k..j])));
                         start = None;
                     }
                     _ => {}
@@ -785,24 +833,35 @@ fn pub_fn_callers(sources: &[Source], out: &mut Vec<Finding>) {
             }
         }
     }
-    for src in sources.iter().filter(|src| product_src(&src.path)) {
-        let impls = src.impls();
-        for i in (0..src.lines.len()).filter(|&i| !src.lines[i].test) {
-            let code = src.code_line(i).trim_start();
-            let Some(name) = fn_name(code).filter(|_| code.starts_with("pub ")) else {
-                continue;
-            };
-            let message = match impls[i].filter(|_| !has_receiver(&src.signature(i))) {
-                Some(ty) if !paths.contains(&(ty, name)) => {
-                    format!("`{ty}::{name}` is named by no code outside tests")
+    // Counted subjects, from the lines that always count, through the
+    // bodies of the subjects they name, until no more are found.
+    let mut counted = vec![false; subjects.len()];
+    let mut todo: Vec<&[(&str, Option<&str>)]> = vec![&always];
+    while let Some(held) = todo.pop() {
+        for &found in held {
+            for s in named(found) {
+                if !counted[s] {
+                    counted[s] = true;
+                    todo.push(&bodies[s]);
                 }
-                None if !named.contains(name) => {
-                    format!("`pub fn {name}` is named by no code outside tests")
-                }
-                _ => continue,
-            };
-            out.push(src.finding(i, "pub-fn-caller", message));
+            }
         }
+    }
+    for (s, &(file, i, name, ty)) in subjects.iter().enumerate() {
+        if counted[s] {
+            continue;
+        }
+        let shown = ty.map_or(format!("pub fn {name}"), |ty| format!("{ty}::{name}"));
+        let by_uncounted = bodies
+            .iter()
+            .flatten()
+            .any(|&found| named(found).contains(&s));
+        let message = if by_uncounted {
+            format!("`{shown}` is named only by functions nothing counted names")
+        } else {
+            format!("`{shown}` is named by no code outside tests")
+        };
+        out.push(sources[file].finding(i, "pub-fn-caller", message));
     }
 }
 
@@ -1188,10 +1247,19 @@ pub fn benched() -> u64 {
     1
 }
 pub fn tested_only() -> u64 {
-    2
+    2 + behind_a_test()
 }
 pub fn unnamed() -> u64 {
     3
+}
+pub fn behind_a_test() -> u64 {
+    0
+}
+pub fn waived() -> u64 {
+    behind_a_waiver()
+}
+pub fn behind_a_waiver() -> u64 {
+    0
 }
 pub fn studied() {}
 pub fn shown() {}
@@ -1254,14 +1322,38 @@ fn main() {
         let found = found.iter().filter(|f| f.rule == "pub-fn-caller");
         found.map(|f| f.line).collect()
     };
-    // Named only by a study crate (13) or an example (14): no caller.
-    // `Batch::by` (22) is an associated function: `Other::by` and
-    // `Self::by` in `Stream`'s impl name other ones, and a test's call
-    // is no caller. `Stream::by` (28) is named by `Self::by` in its own
-    // impl, and the method `total` by its name.
-    assert_eq!(callers(true), [7, 10, 13, 14, 22]);
+    // Named only by a study crate (22) or an example (23): no caller.
+    // `behind_a_test` (13) is named only inside `tested_only` (7), which
+    // only a test calls, and `behind_a_waiver` (19) only inside `waived`
+    // (16), a finding a waiver keeps: no caller either. `Batch::by` (31)
+    // is an associated function: `Other::by` and `Self::by` in `Stream`'s
+    // impl name other ones, and a test's call is no caller. `Stream::by`
+    // (37) is named by `Self::by` in its own impl, and the method `total`
+    // by its name.
+    assert_eq!(callers(true), [7, 10, 13, 16, 19, 22, 23, 31]);
     // Without the harness, `benched` has no caller either.
-    assert_eq!(callers(false), [4, 7, 10, 13, 14, 22]);
+    assert_eq!(callers(false), [4, 7, 10, 13, 16, 19, 22, 23, 31]);
+    // Waiving `waived` leaves the helper only it names.
+    let found = check(&[
+        Source::parse("crates/core/src/demo.rs", product),
+        Source::parse("src/bin/demo.rs", cli),
+    ]);
+    let waiver = (
+        "crates/core/src/demo.rs",
+        "pub-fn-caller",
+        "pub fn waived() -> u64 {",
+    );
+    let left = waive(found, &[waiver]).expect("the waiver covers `waived`");
+    let helper = left
+        .iter()
+        .find(|f| f.line == 19)
+        .expect("the helper fires");
+    assert!(
+        helper
+            .message
+            .contains("named only by functions nothing counted names"),
+        "{helper}"
+    );
     let header = "impl<'a, T: Fn() -> u8> fmt::Display for demo::Batch<'a, T> {";
     assert_eq!(impl_type(header), Some("Batch"));
     assert_eq!(impl_type("impl Stream {"), Some("Stream"));
