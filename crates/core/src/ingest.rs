@@ -707,8 +707,7 @@ not a log line\n\
 
     #[test]
     fn run_log_round_trip() {
-        let dir = std::env::temp_dir().join(format!("netclust-ingest-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = netclust_testkit::TempDir::new("netclust-ingest");
         let path = dir.join("access.log");
         std::fs::write(&path, SAMPLE).unwrap();
         let table = table();
@@ -729,7 +728,6 @@ not a log line\n\
             .unwrap();
         assert!(empty.clustering.is_empty());
         assert_eq!(empty.counts.records, 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Parse errors are numbered inside their chunk and made global

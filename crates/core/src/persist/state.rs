@@ -752,10 +752,7 @@ pub fn decode_batch(bytes: &[u8]) -> Result<JournalBatch, StateDecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn net(s: &str) -> Ipv4Net {
-        s.parse().unwrap()
-    }
+    use netclust_testkit::net;
 
     fn sample_state() -> StreamState {
         StreamState {

@@ -204,8 +204,7 @@ fn mapped_and_released_matches_owned() {
         .collect();
     assert_eq!(rejected.len(), 16_000 / 41 + 1 + 1);
 
-    let dir = std::env::temp_dir().join(format!("netclust-ingest-par-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = netclust_testkit::TempDir::new("netclust-ingest-par");
     let path = dir.join("access.log");
     std::fs::write(&path, &bytes).unwrap();
 
@@ -264,5 +263,4 @@ fn mapped_and_released_matches_owned() {
     assert_eq!(owned_log.release(&owned_log), 0);
     assert_eq!(owned_log.bytes(), &bytes[..]);
     assert_eq!(via_owned.errors.len(), rejected.len());
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -84,10 +84,7 @@ impl PrefixLengthHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn nets(specs: &[&str]) -> Vec<Ipv4Net> {
-        specs.iter().map(|s| s.parse().unwrap()).collect()
-    }
+    use netclust_testkit::nets;
 
     #[test]
     fn counts_and_fractions() {

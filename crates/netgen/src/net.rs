@@ -62,11 +62,8 @@ pub fn common_supernet(a: Ipv4Net, b: Ipv4Net) -> Ipv4Net {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netclust_testkit::net;
     use proptest::prelude::*;
-
-    fn net(s: &str) -> Ipv4Net {
-        s.parse().unwrap()
-    }
 
     fn arb_net() -> impl Strategy<Value = Ipv4Net> {
         (any::<u32>(), 0u8..=32).prop_map(|(addr, len)| Ipv4Net::new(addr, len).unwrap())

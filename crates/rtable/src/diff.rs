@@ -116,7 +116,7 @@ pub fn decode_deltas(bytes: &[u8]) -> Result<Vec<TableDelta>, DeltaCodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::net;
+    use netclust_testkit::net;
 
     #[test]
     fn delta_wire_round_trip() {

@@ -1026,11 +1026,8 @@ mod tests {
     use super::*;
     use crate::table::{RoutingTable, TableKind};
     use crate::trie::PrefixTrie;
+    use netclust_testkit::{net, nets};
     use std::net::Ipv4Addr;
-
-    fn net(s: &str) -> Ipv4Net {
-        s.parse().unwrap()
-    }
 
     fn a(s: &str) -> u32 {
         s.parse::<Ipv4Addr>().unwrap().into()
@@ -1114,12 +1111,9 @@ mod tests {
             "24.48.2.255/32",
             "24.48.3.0/32",
         ];
-        let t = CompiledTable::tiered(&crate::testutil::nets(&specs), &[]);
+        let t = CompiledTable::tiered(&nets(&specs), &[]);
         assert!(!t.spill.is_empty(), "the mid node's runs are spilled");
-        let trie: PrefixTrie<()> = crate::testutil::nets(&specs)
-            .into_iter()
-            .map(|n| (n, ()))
-            .collect();
+        let trie: PrefixTrie<()> = nets(&specs).into_iter().map(|n| (n, ())).collect();
         for probe in a("24.47.255.0")..=a("24.49.1.0") {
             let expect = trie.longest_match_u32(probe).map(|(n, _)| n);
             assert_eq!(t.lookup(probe), expect, "probe {probe:#x}");
@@ -1315,7 +1309,6 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn debug_invariants_hold_across_build_and_sweep() {
-        use crate::testutil;
         let specs = [
             "10.0.0.0/8",
             "10.1.0.0/16",
@@ -1326,11 +1319,11 @@ mod tests {
             "10.1.4.128/25",
             "10.1.2.192/26", // duplicate: same nodes, one arena entry
         ];
-        let t = CompiledTable::tiered(&testutil::nets(&specs), &[]);
+        let t = CompiledTable::tiered(&nets(&specs), &[]);
         assert_eq!(t.nodes(), 4); // 10.1/16, then 10.1.2.x, 10.1.3.x, 10.1.4.x
         assert_eq!(t.len(), specs.len() - 1);
         let mut trie = PrefixTrie::new();
-        for n in testutil::nets(&specs) {
+        for n in nets(&specs) {
             trie.insert(n, ());
         }
         for lo in 0..=0xFFFFu32 {

@@ -24,8 +24,6 @@ mod diff;
 mod flat;
 mod patch;
 mod table;
-#[cfg(test)]
-mod testutil;
 mod trie;
 
 pub use diff::{decode_deltas, encode_deltas, DeltaCodecError, DELTA_WIRE_BYTES};

@@ -514,7 +514,7 @@ impl CompiledTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{net, nets};
+    use netclust_testkit::{net, nets};
 
     fn a(s: &str) -> u32 {
         s.parse::<std::net::Ipv4Addr>().unwrap().into()

@@ -330,7 +330,7 @@ impl fmt::Debug for MergedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{addr, net};
+    use netclust_testkit::{addr, net};
 
     #[test]
     fn table_sorts_and_dedupes() {

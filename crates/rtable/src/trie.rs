@@ -174,14 +174,7 @@ impl<V> FromIterator<(Ipv4Net, V)> for PrefixTrie<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn net(s: &str) -> Ipv4Net {
-        s.parse().unwrap()
-    }
-
-    fn addr(s: &str) -> std::net::Ipv4Addr {
-        s.parse().unwrap()
-    }
+    use netclust_testkit::{addr, net};
 
     fn lpm<'t, V>(trie: &'t PrefixTrie<V>, ip: &str) -> Option<(Ipv4Net, &'t V)> {
         trie.longest_match_u32(u32::from(addr(ip)))

@@ -10,6 +10,7 @@ use std::net::Ipv4Addr;
 
 use netclust_prefix::{parse_table_entry, Ipv4Net};
 use netclust_rtable::{load_tables, ErrorCounts, RoutingTable, TableKind};
+use netclust_testkit::{self as testkit, apply, number, Edit, Op, TempDir};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -67,9 +68,8 @@ fn arb_file() -> impl Strategy<Value = Vec<u8>> {
     })
 }
 
-/// One byte edit: (where, what, the byte).
-type Edit = (usize, usize, u8);
-
+/// Byte edits: an insert, a removal or an overwrite, with the grammar's
+/// punctuation, a digit or any byte.
 fn arb_edit() -> impl Strategy<Value = Edit> {
     let byte = prop_oneof![
         Just(b'.'),
@@ -84,19 +84,7 @@ fn arb_edit() -> impl Strategy<Value = Edit> {
         any::<u8>(),
     ];
     let byte = byte.prop_map(|b| if b <= 9 { b'0' + b } else { b });
-    (any::<usize>(), 0usize..3, byte)
-}
-
-fn apply(bytes: &mut Vec<u8>, (at, op, byte): Edit) {
-    let at = at % (bytes.len() + 1);
-    match op {
-        0 => bytes.insert(at, byte),
-        1 if at < bytes.len() => {
-            bytes.remove(at);
-        }
-        _ if at < bytes.len() => bytes[at] = byte,
-        _ => bytes.push(byte),
-    }
+    testkit::arb_edit(&[Op::Insert, Op::Remove, Op::Set], byte)
 }
 
 /// What a line must parse to.
@@ -130,30 +118,10 @@ fn recognize(file: &[u8]) -> Vec<Read> {
     lines.into_iter().map(read).collect()
 }
 
-/// ASCII digits only, no greater than `max`.
-fn number(s: &str, max: u32) -> Option<u32> {
-    if s.is_empty() || !s.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    let s = s.trim_start_matches('0');
-    let v = match s.len() {
-        0 => 0,
-        1..=3 => s.parse().ok()?,
-        _ => return None,
-    };
-    (v <= max).then_some(v)
-}
-
-/// One to four dotted octets, the missing trailing ones zero.
+/// One to four dotted octets of ASCII digits, leading zeros allowed, the
+/// missing trailing ones zero.
 fn dotted(s: &str) -> Option<u32> {
-    let parts: Vec<&str> = s.split('.').collect();
-    if parts.len() > 4 {
-        return None;
-    }
-    let octets = parts.iter().map(|p| number(p, 255));
-    octets
-        .zip([24, 16, 8, 0])
-        .try_fold(0, |addr, (o, at)| Some(addr | o? << at))
+    testkit::dotted(s, 1, |p| number(p, 255))
 }
 
 /// `addr/len`, `addr/mask` or a bare address standing for its Class A, B
@@ -179,14 +147,6 @@ fn entry(column: &str) -> Option<Ipv4Net> {
         Some((addr, len)) => (dotted(addr)?, number(len, 32)?),
     };
     Ipv4Net::new(addr, len as u8).ok()
-}
-
-fn edited(file: &[u8], edits: &[Edit]) -> Vec<u8> {
-    let mut bytes = file.to_vec();
-    for &edit in edits {
-        apply(&mut bytes, edit);
-    }
-    bytes
 }
 
 /// The accepted prefixes, sorted and deduplicated, as a table holds them.
@@ -216,7 +176,7 @@ proptest! {
         file in arb_file(),
         edits in vec(arb_edit(), 1..5),
     ) {
-        let bytes = edited(&file, &edits);
+        let bytes = apply(&file, &edits);
         let Ok(text) = std::str::from_utf8(&bytes) else { return Ok(()) };
         let want = recognize(&bytes);
         let (table, report) = RoutingTable::parse_report("t", "d", TableKind::Bgp, text);
@@ -244,14 +204,12 @@ proptest! {
         file in arb_file(),
         edits in vec(arb_edit(), 1..5),
     ) {
-        let bytes = edited(&file, &edits);
+        let bytes = apply(&file, &edits);
         let want = recognize(&bytes);
-        let dir = std::env::temp_dir().join(format!("netclust-parse-prop-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("netclust-parse-prop");
         let path = dir.join("t.bgp");
         std::fs::write(&path, &bytes).unwrap();
         let loaded = load_tables(&[&path], &[&path]);
-        std::fs::remove_dir_all(&dir).unwrap();
         let loaded = loaded.map_err(|e| format!("{e} on {bytes:?}"))?;
         let content = want.len() - count(&want, |r| *r == Read::Skipped);
         let counts = ErrorCounts::new(content as u64, count(&want, |r| *r == Read::Refused) as u64);

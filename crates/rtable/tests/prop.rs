@@ -7,6 +7,7 @@ use netclust_prefix::Ipv4Net;
 use netclust_rtable::{
     CompiledTable, MatchSource, MergedTable, PrefixTrie, RoutingTable, TableKind,
 };
+use netclust_testkit::nets;
 use proptest::prelude::*;
 
 mod common;
@@ -230,10 +231,6 @@ fn oracle_tables_reach_every_node_class() {
         }
     }
     assert!(seen.iter().all(|&n| n > 0), "nodes per class: {seen:?}");
-}
-
-fn nets(specs: &[&str]) -> Vec<Ipv4Net> {
-    specs.iter().map(|s| s.parse().unwrap()).collect()
 }
 
 /// One layout for both tiers: a BGP match wins where the registry's is

@@ -358,8 +358,8 @@ pub(crate) fn apply_journaled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::TempDir;
     use netclust_core::FsyncPolicy;
+    use netclust_testkit::TempDir;
 
     /// A checkpointer over an empty store in a fresh temp dir, and the
     /// dir's guard.

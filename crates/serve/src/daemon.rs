@@ -36,7 +36,7 @@ use netclust_weblog::follow::LogFollower;
 
 use crate::checkpoint::{self, Checkpointer};
 use crate::config::ServeConfig;
-use crate::http::{self, HttpResponse, Parse};
+use crate::http::{self, HttpResponse, Parse, RequestParser};
 use crate::json;
 use crate::router::{self, AppState, ServeObs};
 
@@ -331,6 +331,7 @@ fn serve_connection(
 ) {
     let mut injector = plan.injector();
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
+    let mut parser = RequestParser::default();
     let mut scratch = [0u8; 16 * 1024];
     #[allow(
         clippy::disallowed_types,
@@ -342,7 +343,7 @@ fn serve_connection(
     loop {
         // Drain every complete pipelined request already buffered.
         loop {
-            match http::parse_request(&buf) {
+            match parser.parse(&buf) {
                 Parse::Complete { request, consumed } => {
                     buf.drain(..consumed);
                     if injector.should_fire(failpoints::SERVE_REQUEST_PARSE) {
@@ -486,7 +487,7 @@ fn follower_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::TempDir;
+    use netclust_testkit::{Client, TempDir};
 
     /// A daemon state over a one-prefix table (its file gone once read),
     /// and a connected loopback pair: the peer's end and the end
@@ -541,35 +542,25 @@ mod tests {
     /// after stop instead.
     #[test]
     fn a_busy_keep_alive_peer_is_closed_at_the_first_response_after_stop() {
-        use std::io::{BufRead, BufReader};
-        let (state, mut peer, conn) = loopback("busy");
+        let (state, peer, conn) = loopback("busy");
         let (plan, stop) = (FaultPlan::disabled(), Waker::new().expect("waker"));
         let ms = Duration::from_millis;
         let started = std::time::Instant::now();
         let (took, last_head) = std::thread::scope(|scope| {
             let client = scope.spawn(move || {
-                let mut replies = BufReader::new(peer.try_clone().expect("clone"));
+                let mut peer = Client::over(peer);
                 let mut last_head = String::new();
                 // Gives up after 3 s so a daemon that never closes fails
                 // the test instead of hanging it.
                 while started.elapsed() < ms(3_000)
-                    && peer
+                    && (peer.conn)
                         .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
                         .is_ok()
                 {
-                    let (mut head, mut line) = (String::new(), String::new());
-                    while replies.read_line(&mut line).is_ok_and(|n| n > 2) {
-                        head.push_str(&std::mem::take(&mut line));
-                    }
-                    let Some(len) = head
-                        .lines()
-                        .find_map(|l| l.strip_prefix("Content-Length: "))
-                    else {
+                    let Some(reply) = peer.next_reply() else {
                         break;
                     };
-                    let mut body = vec![0u8; len.parse().expect("length")];
-                    replies.read_exact(&mut body).expect("body");
-                    last_head = head;
+                    last_head = reply.head;
                 }
                 last_head
             });

@@ -6,12 +6,15 @@
 //! parser is incremental over a growing byte buffer so a connection loop
 //! can feed it torn reads and pipelined batches alike: it either consumes
 //! one complete request (returning how many bytes it ate), asks for more
-//! bytes, or declares the prefix unsalvageable.
+//! bytes, or declares the prefix unsalvageable. A connection keeps a
+//! [`RequestParser`], so a request read in many pieces is scanned once.
 //!
 //! Nothing here panics: every malformed input is a typed
 //! [`Parse::Invalid`], all slicing is range-based, and header sizes are
 //! bounded ([`MAX_HEAD_BYTES`], [`MAX_BODY_BYTES`]) so a hostile peer
 //! cannot balloon memory.
+
+use std::ops::Range;
 
 /// Upper bound on the request head (request line + headers + CRLFCRLF).
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -82,36 +85,100 @@ pub enum Parse {
 
 /// Incremental request parser; see [`Parse`].
 pub fn parse_request(buf: &[u8]) -> Parse {
-    let Some((head_len, body_start)) = find_head_end(buf) else {
-        return if buf.len() >= MAX_HEAD_BYTES + MAX_TERMINATOR_BYTES {
-            Parse::Invalid("request head exceeds 8 KiB")
-        } else {
-            Parse::Partial
+    RequestParser::default().parse(buf)
+}
+
+/// [`parse_request`] over one connection's buffer as it grows between
+/// calls: the search for the head's end resumes where the last call left
+/// it, and the head is parsed once, so a request that arrives in k reads
+/// costs its bytes plus O(k), not k times its bytes. After a
+/// [`Parse::Complete`] it starts on the next request, whose bytes begin
+/// the buffer once the caller has drained the consumed ones.
+#[derive(Debug, Default)]
+pub struct RequestParser {
+    /// No blank line ends the head before this offset.
+    scanned: usize,
+    /// The request whose head has arrived, and where its body lies.
+    head: Option<(HttpRequest, Range<usize>)>,
+    /// Bytes looked at: by the search, by the head parse, as body.
+    looked_at: usize,
+}
+
+impl RequestParser {
+    /// The request at the front of `buf`, which holds the bytes of the
+    /// previous call's and, if that was `Partial`, more.
+    pub fn parse(&mut self, buf: &[u8]) -> Parse {
+        let (mut request, body) = match self.head.take() {
+            Some(head) => head,
+            None => match self.find_head(buf) {
+                Ok(head) => head,
+                Err(outcome) => return outcome,
+            },
         };
-    };
-    if head_len > MAX_HEAD_BYTES {
-        return Parse::Invalid("request head exceeds 8 KiB");
+        let Some(bytes) = buf.get(body.clone()) else {
+            self.head = Some((request, body));
+            return Parse::Partial;
+        };
+        self.scanned = 0;
+        self.looked_at += bytes.len();
+        request.body = bytes.to_vec();
+        Parse::Complete {
+            request,
+            consumed: body.end,
+        }
     }
-    let head = buf.get(..head_len).unwrap_or_default();
+
+    /// Bytes this parser has looked at, over every request it parsed.
+    pub fn examined(&self) -> usize {
+        self.looked_at
+    }
+
+    /// The head at the front of `buf`, searched for from where the last
+    /// call stopped.
+    fn find_head(&mut self, buf: &[u8]) -> Result<(HttpRequest, Range<usize>), Parse> {
+        let from = self.scanned;
+        let (head_len, body_start) = match find_head_end(buf, from) {
+            Ok(found) => found,
+            Err(resume) => {
+                self.looked_at += buf.len().saturating_sub(from);
+                self.scanned = resume;
+                return Err(if buf.len() >= MAX_HEAD_BYTES + MAX_TERMINATOR_BYTES {
+                    Parse::Invalid("request head exceeds 8 KiB")
+                } else {
+                    Parse::Partial
+                });
+            }
+        };
+        self.looked_at += body_start - from + head_len;
+        read_head(buf.get(..head_len).unwrap_or_default(), body_start).map_err(Parse::Invalid)
+    }
+}
+
+/// The request `head` (without its blank line) describes, less its body,
+/// and where the body lies: from `body_start`, for its `Content-Length`.
+fn read_head(head: &[u8], body_start: usize) -> Result<(HttpRequest, Range<usize>), &'static str> {
+    if head.len() > MAX_HEAD_BYTES {
+        return Err("request head exceeds 8 KiB");
+    }
     let mut lines = head.split(|&b| b == b'\n').map(strip_cr);
     let Some(request_line) = lines.next() else {
-        return Parse::Invalid("empty request head");
+        return Err("empty request head");
     };
     let Ok(request_line) = std::str::from_utf8(request_line) else {
-        return Parse::Invalid("request line is not UTF-8");
+        return Err("request line is not UTF-8");
     };
     let mut parts = request_line.split(' ').filter(|p| !p.is_empty());
     let (Some(method), Some(target), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
-        return Parse::Invalid("malformed request line");
+        return Err("malformed request line");
     };
     if parts.next().is_some() {
-        return Parse::Invalid("malformed request line");
+        return Err("malformed request line");
     }
     let http11 = match version {
         "HTTP/1.1" => true,
         "HTTP/1.0" => false,
-        _ => return Parse::Invalid("unsupported HTTP version"),
+        _ => return Err("unsupported HTTP version"),
     };
     let method = match method {
         "GET" => Method::Get,
@@ -128,18 +195,18 @@ pub fn parse_request(buf: &[u8]) -> Parse {
         }
         // RFC 9112 §5.2: a line folded onto the previous one is refused.
         if line.first().is_some_and(|&b| b == b' ' || b == b'\t') {
-            return Parse::Invalid("obsolete line folding");
+            return Err("obsolete line folding");
         }
         let Ok(line) = std::str::from_utf8(line) else {
-            return Parse::Invalid("header is not UTF-8");
+            return Err("header is not UTF-8");
         };
         let Some((name, value)) = line.split_once(':') else {
-            return Parse::Invalid("header without a colon");
+            return Err("header without a colon");
         };
         // RFC 9112 §5.1: a name is a token, with no whitespace before the
         // colon; `Content-Length : 5` must not pass as some other header.
         if name.is_empty() || !name.bytes().all(is_tchar) {
-            return Parse::Invalid("header name is not a token");
+            return Err("header name is not a token");
         }
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
@@ -147,10 +214,10 @@ pub fn parse_request(buf: &[u8]) -> Parse {
             // leading `+`), and a repeat must say the same length.
             let n = match value.parse::<usize>() {
                 Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => n,
-                _ => return Parse::Invalid("unparsable content-length"),
+                _ => return Err("unparsable content-length"),
             };
             if content_length.is_some_and(|earlier| earlier != n) {
-                return Parse::Invalid("conflicting content-length headers");
+                return Err("conflicting content-length headers");
             }
             content_length = Some(n);
         } else if name.eq_ignore_ascii_case("connection") {
@@ -161,49 +228,39 @@ pub fn parse_request(buf: &[u8]) -> Parse {
             }
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
             // Chunked bodies are outside the daemon's subset.
-            return Parse::Invalid("transfer-encoding is not supported");
+            return Err("transfer-encoding is not supported");
         } else if name.eq_ignore_ascii_case("host") {
             // RFC 9112 §3.2: one `Host` line, with a valid value.
             if host {
-                return Parse::Invalid("more than one host header");
+                return Err("more than one host header");
             }
             if !is_host(value) {
-                return Parse::Invalid("invalid host header");
+                return Err("invalid host header");
             }
             host = true;
         }
     }
     // RFC 9112 §3.2: an HTTP/1.1 request names its host; 1.0 may not.
     if http11 && !host {
-        return Parse::Invalid("missing host header");
+        return Err("missing host header");
     }
     let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
-        return Parse::Invalid("body exceeds 1 MiB");
+        return Err("body exceeds 1 MiB");
     }
-
-    let body_end = body_start + content_length;
-    if buf.len() < body_end {
-        return Parse::Partial;
-    }
-    let body = buf.get(body_start..body_end).unwrap_or_default().to_vec();
 
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p, q),
         None => (target, ""),
     };
-    let query = parse_query(query);
-
-    Parse::Complete {
-        request: HttpRequest {
-            method,
-            path: percent_decode(path),
-            query,
-            keep_alive,
-            body,
-        },
-        consumed: body_end,
-    }
+    let request = HttpRequest {
+        method,
+        path: percent_decode(path),
+        query: parse_query(query),
+        keep_alive,
+        body: Vec::new(),
+    };
+    Ok((request, body_start..body_start + content_length))
 }
 
 /// A `tchar` of RFC 9110 §5.6.2: what a field name is made of.
@@ -252,18 +309,21 @@ fn is_name_char(b: u8) -> bool {
 }
 
 /// Locates the head terminator (a blank line: `\r\n\r\n`, `\n\n`, or a
-/// mixed-ending equivalent). Returns `(head_len, body_start)`: the head
-/// excluding its final line break, and the index just past the
-/// terminator.
-fn find_head_end(buf: &[u8]) -> Option<(usize, usize)> {
-    let mut i = 0;
+/// mixed-ending equivalent), searching from `from`, before which none
+/// ends. Returns `(head_len, body_start)`: the head excluding its final
+/// line break, and the index just past the terminator. Without one, the
+/// offset to search from once more bytes have come: the end, or a line
+/// break whose blank line may still be arriving.
+fn find_head_end(buf: &[u8], from: usize) -> Result<(usize, usize), usize> {
+    let mut i = from;
     while let Some(&b) = buf.get(i) {
         if b == b'\n' {
             // The head's final newline is at `i`; a blank line follows if
             // the next line break comes immediately.
-            let after = match buf.get(i + 1) {
-                Some(b'\n') => Some(i + 2),
-                Some(b'\r') if buf.get(i + 2) == Some(&b'\n') => Some(i + 3),
+            let after = match (buf.get(i + 1), buf.get(i + 2)) {
+                (Some(b'\n'), _) => Some(i + 2),
+                (Some(b'\r'), Some(b'\n')) => Some(i + 3),
+                (None, _) | (Some(b'\r'), None) => return Err(i),
                 _ => None,
             };
             if let Some(body_start) = after {
@@ -272,12 +332,12 @@ fn find_head_end(buf: &[u8]) -> Option<(usize, usize)> {
                 } else {
                     i
                 };
-                return Some((head_len, body_start));
+                return Ok((head_len, body_start));
             }
         }
         i += 1;
     }
-    None
+    Err(i)
 }
 
 fn strip_cr(line: &[u8]) -> &[u8] {

@@ -44,36 +44,3 @@ pub mod router;
 pub use config::ServeConfig;
 pub use daemon::{Daemon, ServeError};
 pub use router::AppState;
-
-#[cfg(test)]
-mod testing {
-    use std::path::{Path, PathBuf};
-
-    /// A fresh directory under the temp dir, removed with what it holds
-    /// when dropped: at the end of the test that made it, or as its panic
-    /// unwinds.
-    pub(crate) struct TempDir(PathBuf);
-
-    impl TempDir {
-        pub(crate) fn new(name: &str) -> TempDir {
-            let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).expect("create temp dir");
-            TempDir(dir)
-        }
-    }
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-
-    impl std::ops::Deref for TempDir {
-        type Target = Path;
-
-        fn deref(&self) -> &Path {
-            &self.0
-        }
-    }
-}

@@ -476,9 +476,7 @@ mod tests {
     /// noise, so they cannot dilute the ratio a swap reload budgets (5 %).
     #[test]
     fn comment_lines_do_not_dilute_a_reload_noise_ratio() {
-        let dir = std::env::temp_dir().join(format!("netclust-noise-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir");
+        let dir = netclust_testkit::TempDir::new("netclust-noise");
         let path = dir.join("t.dump");
         let mut text = "# a registry dump\n".repeat(100);
         for i in 0..5 {
@@ -492,6 +490,5 @@ mod tests {
             body.contains("NoiseOverBudget { ratio: 0.5, budget: 0.05 }"),
             "{body}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -9,42 +9,16 @@
 //! `CARGO_BIN_EXE_netclustd`.
 
 use std::io::{Read as _, Write as _};
-use std::net::{Ipv4Addr, SocketAddr, TcpStream};
+use std::net::{Ipv4Addr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command};
+use std::process::Command;
 use std::time::{Duration, Instant};
 
 use netclust_core::{failpoints, FaultPlan};
 use netclust_netgen::{generate, standard_collection, to_clf, LogSpec, Universe, UniverseConfig};
 use netclust_rtable::TableKind;
 use netclust_serve::{Daemon, ServeConfig};
-
-/// A fresh directory under the temp dir, removed with what it holds when
-/// dropped: at the end of the test that made it, or as its panic unwinds.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-impl std::ops::Deref for TempDir {
-    type Target = Path;
-
-    fn deref(&self) -> &Path {
-        &self.0
-    }
-}
+use netclust_testkit::{get, json_u64, wait_for, wait_for_port, Client, KillOnDrop, TempDir};
 
 /// Synthesizes a corpus on disk: routing-table files, a CLF access log,
 /// and the facts the assertions need.
@@ -106,94 +80,6 @@ fn path_list(paths: &[PathBuf]) -> String {
         .map(|p| p.to_string_lossy().into_owned())
         .collect::<Vec<_>>()
         .join(",")
-}
-
-/// One keep-alive HTTP/1.1 connection with exact Content-Length framing,
-/// so several requests can flow over the same socket.
-struct Client {
-    conn: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let conn = TcpStream::connect(addr).expect("connect");
-        conn.set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("read timeout");
-        Client {
-            conn,
-            buf: Vec::new(),
-        }
-    }
-
-    fn send(&mut self, method: &str, target: &str, body: Option<&str>) -> (u16, String) {
-        let mut req = format!("{method} {target} HTTP/1.1\r\nHost: t\r\n");
-        if let Some(body) = body {
-            req.push_str(&format!("Content-Length: {}\r\n", body.len()));
-        }
-        req.push_str("\r\n");
-        if let Some(body) = body {
-            req.push_str(body);
-        }
-        self.conn.write_all(req.as_bytes()).expect("send request");
-        self.read_response()
-    }
-
-    fn read_response(&mut self) -> (u16, String) {
-        let mut scratch = [0u8; 8192];
-        loop {
-            if let Some(head_end) = find(&self.buf, b"\r\n\r\n") {
-                let head = String::from_utf8_lossy(&self.buf[..head_end]).into_owned();
-                let status: u16 = head
-                    .split_whitespace()
-                    .nth(1)
-                    .and_then(|s| s.parse().ok())
-                    .expect("status code");
-                let content_length: usize = head
-                    .lines()
-                    .find_map(|l| {
-                        l.to_ascii_lowercase()
-                            .strip_prefix("content-length:")
-                            .map(|v| v.trim().parse().expect("content-length"))
-                    })
-                    .expect("content-length header");
-                let body_start = head_end + 4;
-                while self.buf.len() < body_start + content_length {
-                    let n = self.conn.read(&mut scratch).expect("read body");
-                    assert!(n > 0, "connection closed mid-body");
-                    self.buf.extend_from_slice(&scratch[..n]);
-                }
-                let body =
-                    String::from_utf8_lossy(&self.buf[body_start..body_start + content_length])
-                        .into_owned();
-                self.buf.drain(..body_start + content_length);
-                return (status, body);
-            }
-            let n = self.conn.read(&mut scratch).expect("read head");
-            assert!(n > 0, "connection closed before response head");
-            self.buf.extend_from_slice(&scratch[..n]);
-        }
-    }
-}
-
-fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack.windows(needle.len()).position(|w| w == needle)
-}
-
-fn get(addr: SocketAddr, target: &str) -> (u16, String) {
-    Client::connect(addr).send("GET", target, None)
-}
-
-/// Polls `probe` until it returns true or the deadline passes.
-fn wait_for(what: &str, mut probe: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while Instant::now() < deadline {
-        if probe() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    panic!("timed out waiting for {what}");
 }
 
 fn base_config(fx: &Fixture) -> ServeConfig {
@@ -572,19 +458,9 @@ fn netclustd_help_and_usage_errors() {
     }
 }
 
-/// A spawned `netclustd` that a failing assertion cannot leak.
-struct Netclustd(Child);
-
-impl Drop for Netclustd {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
 /// Spawns the real `netclustd` on the fixture with `<dir>/state` as its
 /// state dir.
-fn spawn_netclustd(fx: &Fixture, port_file: &Path, flags: &[&str], resume: bool) -> Netclustd {
+fn spawn_netclustd(fx: &Fixture, port_file: &Path, flags: &[&str], resume: bool) -> KillOnDrop {
     spawn_netclustd_in(fx, &fx.dir.join("state"), port_file, flags, resume)
 }
 
@@ -595,7 +471,7 @@ fn spawn_netclustd_in(
     port_file: &Path,
     flags: &[&str],
     resume: bool,
-) -> Netclustd {
+) -> KillOnDrop {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_netclustd"));
     cmd.arg("--table")
         .arg(path_list(&fx.tables))
@@ -611,24 +487,11 @@ fn spawn_netclustd_in(
     if resume {
         cmd.arg("--resume");
     }
-    Netclustd(cmd.spawn().expect("spawn netclustd"))
-}
-
-/// Waits for the daemon to write its port file; returns the address.
-fn read_addr(port_file: &Path) -> SocketAddr {
-    let mut addr = None;
-    wait_for("port file", || {
-        addr = std::fs::read_to_string(port_file)
-            .ok()
-            .filter(|s| s.ends_with('\n'))
-            .and_then(|s| s.trim().parse().ok());
-        addr.is_some()
-    });
-    addr.expect("bound address")
+    KillOnDrop(cmd.spawn().expect("spawn netclustd"))
 }
 
 /// `kill -TERM`, then the exit status.
-fn terminate(daemon: &mut Netclustd) -> std::process::ExitStatus {
+fn terminate(daemon: &mut KillOnDrop) -> std::process::ExitStatus {
     signal_term(daemon);
     wait_for("graceful exit", || {
         matches!(daemon.0.try_wait(), Ok(Some(_)))
@@ -636,7 +499,7 @@ fn terminate(daemon: &mut Netclustd) -> std::process::ExitStatus {
     daemon.0.wait().expect("wait")
 }
 
-fn signal_term(daemon: &Netclustd) {
+fn signal_term(daemon: &KillOnDrop) {
     let status = Command::new("kill")
         .args(["-TERM", &daemon.0.id().to_string()])
         .status()
@@ -654,7 +517,7 @@ fn a_sigterm_stops_a_slow_polling_daemon_at_once() {
     let state_dir = fx.dir.join("state");
     let port = fx.dir.join("port");
     let mut daemon = spawn_netclustd(&fx, &port, &["--poll-ms", "60000"], false);
-    let mut idle = Client::connect(read_addr(&port));
+    let mut idle = Client::connect(wait_for_port(&port));
     let want = format!("\"total_requests\": {}", fx.total_requests);
     wait_for("log ingested", || {
         idle.send("GET", "/healthz", None).1.contains(&want)
@@ -706,8 +569,8 @@ fn accept_errors_back_off_instead_of_spinning() {
         .arg("--port-file")
         .arg(&port)
         .args(["--http-threads", "48"]);
-    let daemon = Netclustd(cmd.spawn().expect("spawn netclustd"));
-    let addr = read_addr(&port);
+    let daemon = KillOnDrop(cmd.spawn().expect("spawn netclustd"));
+    let addr = wait_for_port(&port);
     let held: Vec<TcpStream> = (0..40)
         .map(|_| TcpStream::connect(addr).expect("connect"))
         .collect();
@@ -760,7 +623,7 @@ fn netclustd_survives_kill_and_resumes_from_its_checkpoint() {
 
     let port_a = fx.dir.join("port-a");
     let first = spawn_netclustd(&fx, &port_a, &flags, false);
-    let addr = read_addr(&port_a);
+    let addr = wait_for_port(&port_a);
     let want = fx.total_requests;
     wait_for("log ingested", || {
         get(addr, "/healthz")
@@ -801,7 +664,7 @@ fn netclustd_survives_kill_and_resumes_from_its_checkpoint() {
 
     let port_b = fx.dir.join("port-b");
     let mut second = spawn_netclustd(&fx, &port_b, &flags, true);
-    let addr = read_addr(&port_b);
+    let addr = wait_for_port(&port_b);
     wait_for("resumed view restored", || {
         get(addr, "/healthz")
             .1
@@ -833,7 +696,7 @@ fn a_resume_reads_no_table_file() {
     let state = fx.dir.join("state");
     let port = fx.dir.join("port");
     let mut first = spawn_netclustd(&fx, &port, &flags, false);
-    let addr = read_addr(&port);
+    let addr = wait_for_port(&port);
     let want = format!("\"total_requests\": {}", fx.total_requests);
     wait_for("log ingested", || get(addr, "/healthz").1.contains(&want));
     // A patched table: the resumed one is compiled from the live map's
@@ -858,7 +721,7 @@ fn a_resume_reads_no_table_file() {
     let resume = |dir: &Path| {
         let port = dir.with_extension("port");
         let mut daemon = spawn_netclustd_in(&fx, dir, &port, &flags, true);
-        let addr = read_addr(&port);
+        let addr = wait_for_port(&port);
         wait_for("resumed", || get(addr, "/healthz").1.contains(&want));
         let answers: Vec<String> = targets.iter().map(|t| get(addr, t).1).collect();
         assert!(terminate(&mut daemon).success());
@@ -907,7 +770,7 @@ fn failing_fsyncs_never_lose_an_acknowledged_reload() {
         &[&flags[..], &["--fault", "persist.fsync=0.3"]].concat(),
         false,
     );
-    let addr = read_addr(&port_a);
+    let addr = wait_for_port(&port_a);
     let mut client = Client::connect(addr);
     let (mut acked, mut refused) = (Vec::new(), 0);
     for i in 0..RELOADS {
@@ -937,7 +800,7 @@ fn failing_fsyncs_never_lose_an_acknowledged_reload() {
     drop(first);
     let port_b = fx.dir.join("port-b");
     let mut second = spawn_netclustd(&fx, &port_b, &flags, true);
-    let addr = read_addr(&port_b);
+    let addr = wait_for_port(&port_b);
     for prefix in &acked {
         let ip = prefix.trim_end_matches("/32");
         let body = get(addr, &format!("/v1/cluster?ip={ip}")).1;
@@ -947,18 +810,6 @@ fn failing_fsyncs_never_lose_an_acknowledged_reload() {
         );
     }
     assert!(terminate(&mut second).success());
-}
-
-fn json_u64(body: &str, key: &str) -> u64 {
-    let at = body
-        .find(&format!("\"{key}\": "))
-        .unwrap_or_else(|| panic!("no {key} in {body}"));
-    body[at + key.len() + 4..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("a number")
 }
 
 /// The newest snapshot generation in `state_dir` (0 when there is none).
@@ -1008,7 +859,7 @@ fn a_trickle_is_served_fresh_and_checkpointed_behind() {
 
     let port_a = fx.dir.join("port-a");
     let mut daemon = spawn_netclustd(&fx, &port_a, &flags, false);
-    let addr = read_addr(&port_a);
+    let addr = wait_for_port(&port_a);
     let checkpoints =
         |c: &mut Client| json_u64(&c.send("GET", "/metrics", None).1, "serve.checkpoints");
     let mut control = Client::connect(addr);
@@ -1142,7 +993,7 @@ fn a_trickle_is_served_fresh_and_checkpointed_behind() {
 
     let port_b = fx.dir.join("port-b");
     let mut resumed = spawn_netclustd(&fx, &port_b, &flags, true);
-    let addr = read_addr(&port_b);
+    let addr = wait_for_port(&port_b);
     let mut c = Client::connect(addr);
     assert_eq!(
         json_u64(&c.send("GET", "/healthz", None).1, "total_requests"),
@@ -1180,7 +1031,7 @@ fn a_trickle_is_served_fresh_at_the_default_poll_interval() {
     std::fs::write(&fx.log, "").expect("create empty log");
     let port = fx.dir.join("port");
     let _daemon = spawn_netclustd(&fx, &port, &[], false);
-    let addr = read_addr(&port);
+    let addr = wait_for_port(&port);
     let mut control = Client::connect(addr);
     let metric = |c: &mut Client, key: &str| json_u64(&c.send("GET", "/metrics", None).1, key);
     let before = metric(&mut control, "serve.checkpoints");

@@ -3,10 +3,14 @@
 //! bodies, bare-LF heads and heads near [`MAX_HEAD_BYTES`] — over the
 //! two field forms it refuses (`Transfer-Encoding`, obs-fold), and over
 //! byte edits of them: torn reads change nothing, pipelined requests come
-//! apart one by one, and no input panics. The shim does not shrink: a
-//! failure prints the bytes it was given.
+//! apart one by one, no input panics, a request read a byte at a time
+//! costs linear work, and a parsed request re-encoded parses to itself.
+//! The shim does not shrink: a failure prints the bytes it was given.
 
-use netclust_serve::http::{parse_request, HttpRequest, Method, Parse, MAX_HEAD_BYTES};
+use netclust_serve::http::{
+    parse_request, HttpRequest, Method, Parse, RequestParser, MAX_HEAD_BYTES,
+};
+use netclust_testkit::{self as testkit, apply, Edit, Op};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -158,9 +162,8 @@ fn cuts(len: usize, head_end: usize) -> impl Iterator<Item = usize> {
     })
 }
 
-/// One byte edit: (where, what, the byte).
-type Edit = (usize, usize, u8);
-
+/// Byte edits: an insert, a removal, a bit flip or an overwrite, with a
+/// line break, field punctuation, a digit or any byte.
 fn arb_edit() -> impl Strategy<Value = Edit> {
     let byte = prop_oneof![
         Just(b'\r'),
@@ -171,20 +174,50 @@ fn arb_edit() -> impl Strategy<Value = Edit> {
         Just(b'0'),
         any::<u8>(),
     ];
-    (any::<usize>(), 0usize..4, byte)
+    testkit::arb_edit(&[Op::Insert, Op::Remove, Op::Xor, Op::Set], byte)
 }
 
-fn apply(bytes: &mut Vec<u8>, (at, op, byte): Edit) {
-    let at = at % (bytes.len() + 1);
-    match op {
-        0 => bytes.insert(at, byte),
-        1 if at < bytes.len() => {
-            bytes.remove(at);
-        }
-        2 if at < bytes.len() => bytes[at] ^= byte | 1,
-        _ if at < bytes.len() => bytes[at] = byte,
-        _ => bytes.push(byte),
-    }
+/// Bytes past two for each of the request's that a parser fed one byte
+/// at a time may look at: the search looks at a line break again on the
+/// read after it, at the blank line's bytes up to three times, and a
+/// generated head has at most ten lines.
+const SLACK: usize = 16;
+
+/// `s` with every byte but RFC 3986's unreserved ones and `/` escaped as
+/// `%XX`, which `percent_decode` reads back as `s`.
+fn escape(s: &str) -> String {
+    s.bytes()
+        .map(|b| match b {
+            b'/' | b'-' | b'.' | b'_' | b'~' => char::from(b).to_string(),
+            _ if b.is_ascii_alphanumeric() => char::from(b).to_string(),
+            _ => format!("%{b:02X}"),
+        })
+        .collect()
+}
+
+/// `request` in canonical form: the request line, `Host`,
+/// `Content-Length`, `Connection`, the body.
+fn encode(request: &HttpRequest) -> Vec<u8> {
+    let verb = match request.method {
+        Method::Get => "GET",
+        Method::Post => "POST",
+        Method::Other => "PUT",
+    };
+    let query: Vec<String> = (request.query.iter())
+        .map(|(k, v)| format!("{}={}", escape(k), escape(v)))
+        .collect();
+    let connection = if request.keep_alive {
+        "keep-alive"
+    } else {
+        "close"
+    };
+    let head = format!(
+        "{verb} {}?{} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
+        escape(&request.path),
+        query.join("&"),
+        request.body.len(),
+    );
+    [head.as_bytes(), &request.body].concat()
 }
 
 proptest! {
@@ -246,10 +279,7 @@ proptest! {
         wire in prop_oneof![arb_wire(), arb_refused()],
         edits in vec(arb_edit(), 1..5),
     ) {
-        let mut bytes = wire.bytes.clone();
-        for edit in edits {
-            apply(&mut bytes, edit);
-        }
+        let bytes = apply(&wire.bytes, &edits);
         let whole = parse_request(&bytes);
         if let Parse::Complete { consumed, .. } = &whole {
             prop_assert!((1..=bytes.len()).contains(consumed), "{:?}", bytes);
@@ -257,5 +287,37 @@ proptest! {
         for cut in cuts(bytes.len(), wire.head_end) {
             prop_assert_eq!(&fed_in_two(&bytes, cut), &whole, "cut {} of {:?}", cut, bytes);
         }
+    }
+
+    /// A request read one byte at a time asks for more until its last
+    /// byte comes, then parses as it does whole, and its parser has looked
+    /// at about two bytes for each: the search passes each byte once, and
+    /// the head parse and the body copy read theirs once.
+    #[test]
+    fn a_request_read_a_byte_at_a_time_costs_linear_work(wire in arb_wire()) {
+        let n = wire.bytes.len();
+        let mut parser = RequestParser::default();
+        for end in 1..n {
+            prop_assert_eq!(parser.parse(&wire.bytes[..end]), Parse::Partial, "at {}", end);
+        }
+        let want = Parse::Complete { request: wire.want.clone(), consumed: n };
+        prop_assert_eq!(parser.parse(&wire.bytes), want);
+        let examined = parser.examined();
+        prop_assert!(examined <= 2 * n + SLACK, "{} bytes examined for {}", examined, n);
+    }
+
+    /// A request that parses, generated or edited, re-encoded in canonical
+    /// form parses to itself, consuming exactly the encoding.
+    #[test]
+    fn a_parsed_request_re_encoded_parses_to_itself(
+        wire in prop_oneof![arb_wire(), arb_refused()],
+        edits in vec(arb_edit(), 0..3),
+    ) {
+        let Parse::Complete { request, .. } = parse_request(&apply(&wire.bytes, &edits)) else {
+            return Ok(());
+        };
+        let bytes = encode(&request);
+        let want = Parse::Complete { request, consumed: bytes.len() };
+        prop_assert_eq!(parse_request(&bytes), want, "{:?}", String::from_utf8_lossy(&bytes));
     }
 }

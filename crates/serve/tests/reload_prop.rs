@@ -10,6 +10,7 @@
 use netclust_prefix::Ipv4Net;
 use netclust_rtable::{DeltaKind, DeltaParseError, TableDelta};
 use netclust_serve::router::{parse_delta_lines, DeltaBodyError};
+use netclust_testkit::{self as testkit, apply, dotted, number, octet, Edit, Op};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -72,9 +73,8 @@ fn arb_body() -> impl Strategy<Value = Vec<u8>> {
     })
 }
 
-/// One byte edit: (where, what, the byte).
-type Edit = (usize, usize, u8);
-
+/// Byte edits: an insert, a removal or an overwrite, with the grammar's
+/// punctuation, a digit or any byte.
 fn arb_edit() -> impl Strategy<Value = Edit> {
     let byte = prop_oneof![
         Just(b'.'),
@@ -89,19 +89,7 @@ fn arb_edit() -> impl Strategy<Value = Edit> {
         any::<u8>(),
     ];
     let byte = byte.prop_map(|b| if b <= 9 { b'0' + b } else { b });
-    (any::<usize>(), 0usize..3, byte)
-}
-
-fn apply(bytes: &mut Vec<u8>, (at, op, byte): Edit) {
-    let at = at % (bytes.len() + 1);
-    match op {
-        0 => bytes.insert(at, byte),
-        1 if at < bytes.len() => {
-            bytes.remove(at);
-        }
-        _ if at < bytes.len() => bytes[at] = byte,
-        _ => bytes.push(byte),
-    }
+    testkit::arb_edit(&[Op::Insert, Op::Remove, Op::Set], byte)
 }
 
 /// What the recognizer makes of one line.
@@ -115,33 +103,11 @@ enum Read {
     Refused(DeltaParseError),
 }
 
-/// `0`, or one to three digits without a leading zero, no greater than
-/// 255: an octet as `Ipv4Addr` reads it.
-fn octet(s: &str) -> Option<u32> {
-    let digits = (1..=3).contains(&s.len()) && s.bytes().all(|b| b.is_ascii_digit());
-    let v: u32 = s
-        .parse()
-        .ok()
-        .filter(|_| digits && (s == "0" || !s.starts_with('0')))?;
-    (v <= 255).then_some(v)
-}
-
-/// `a.b.c.d/len`: four octets and a length of ASCII digits up to 32.
+/// `a.b.c.d/len`: four octets as `Ipv4Addr` reads them and a length of
+/// ASCII digits up to 32.
 fn cidr(s: &str) -> Option<Ipv4Net> {
     let (addr, len) = s.split_once('/')?;
-    let parts: Vec<&str> = addr.split('.').collect();
-    if parts.len() != 4 || len.is_empty() || !len.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    let addr =
-        (parts.iter().zip([24, 16, 8, 0])).try_fold(0, |a, (p, at)| Some(a | octet(p)? << at))?;
-    let len = len.trim_start_matches('0');
-    let len: u8 = if len.is_empty() {
-        0
-    } else {
-        len.parse().ok().filter(|&l| l <= 32)?
-    };
-    Ipv4Net::new(addr, len).ok()
+    Ipv4Net::new(dotted(addr, 4, octet)?, number(len, 32)? as u8).ok()
 }
 
 /// The recognizer: split at LF, trim, skip blanks and comments; the
@@ -192,10 +158,7 @@ proptest! {
         body in arb_body(),
         edits in vec(arb_edit(), 1..5),
     ) {
-        let mut bytes = body;
-        for edit in edits {
-            apply(&mut bytes, edit);
-        }
+        let bytes = apply(&body, &edits);
         let got = parse_delta_lines(&bytes);
         let Ok(text) = std::str::from_utf8(&bytes) else {
             prop_assert_eq!(got, Err(DeltaBodyError::NotUtf8));

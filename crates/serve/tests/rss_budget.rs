@@ -6,10 +6,10 @@
 #![cfg(target_os = "linux")]
 
 use std::fmt::Write as _;
-use std::io::{Read as _, Write as _};
-use std::net::{Ipv4Addr, SocketAddr, TcpStream};
-use std::process::{Child, Command};
-use std::time::{Duration, Instant};
+use std::net::Ipv4Addr;
+use std::process::Command;
+
+use netclust_testkit::{get, json_u64, wait_for, wait_for_port, Client, KillOnDrop, TempDir};
 
 const CLIENTS: u32 = 200_000;
 const CLUSTERS: u32 = 50_000;
@@ -38,74 +38,9 @@ const BUDGET_FIXED: u64 = 6 << 20;
 /// 24-byte records, 1.6 MB more here, put it over.
 const BUDGET_PER_CLIENT: u64 = 22;
 
-/// A spawned `netclustd` that a failing assertion cannot leak.
-struct Netclustd(Child);
-
-impl Drop for Netclustd {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-/// One `GET` on `conn` (keep-alive); the body of the reply.
-fn get(conn: &mut TcpStream, target: &str) -> String {
-    let request = format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n");
-    conn.write_all(request.as_bytes()).expect("send");
-    let mut reply = Vec::new();
-    let mut scratch = [0u8; 16 << 10];
-    loop {
-        if let Some(head_end) = reply.windows(4).position(|w| w == b"\r\n\r\n") {
-            let head = String::from_utf8_lossy(&reply[..head_end]).to_ascii_lowercase();
-            let length: usize = head
-                .lines()
-                .find_map(|l| l.strip_prefix("content-length:"))
-                .map(|v| v.trim().parse().expect("content-length"))
-                .expect("content-length header");
-            if reply.len() >= head_end + 4 + length {
-                return String::from_utf8_lossy(&reply[head_end + 4..]).into_owned();
-            }
-        }
-        let n = conn.read(&mut scratch).expect("read reply");
-        assert!(n > 0, "connection closed mid-reply");
-        reply.extend_from_slice(&scratch[..n]);
-    }
-}
-
-fn get_once(addr: SocketAddr, target: &str) -> String {
-    get(&mut connect(addr), target)
-}
-
-fn connect(addr: SocketAddr) -> TcpStream {
-    let conn = TcpStream::connect(addr).expect("connect");
-    conn.set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
-    conn
-}
-
-fn json_u64(body: &str, key: &str) -> u64 {
-    let at = body
-        .find(&format!("\"{key}\": "))
-        .unwrap_or_else(|| panic!("no {key} in {body}"));
-    let digits = body[at + key.len() + 4..]
-        .chars()
-        .take_while(char::is_ascii_digit);
-    digits.collect::<String>().parse().expect("a number")
-}
-
-fn wait_for(what: &str, mut probe: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while !probe() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
 #[test]
 fn a_caught_up_daemon_fits_a_budget_per_client() {
-    let dir = std::env::temp_dir().join(format!("netclustd-rss-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = TempDir::new("netclustd-rss");
 
     // 50 000 /24s, four clients in each, one line a client in an order
     // that scatters neighbours.
@@ -134,35 +69,29 @@ fn a_caught_up_daemon_fits_a_budget_per_client() {
     cmd.arg("--state-dir").arg(dir.join("state"));
     cmd.arg("--port-file").arg(&port_file);
     cmd.args(["--poll-ms", "10"]);
-    let daemon = Netclustd(cmd.spawn().expect("spawn netclustd"));
+    let daemon = KillOnDrop(cmd.spawn().expect("spawn netclustd"));
 
-    let mut addr = None;
-    wait_for("the port file", || {
-        let text = std::fs::read_to_string(&port_file).unwrap_or_default();
-        addr = text.strip_suffix('\n').and_then(|a| a.parse().ok());
-        addr.is_some()
-    });
-    let addr: SocketAddr = addr.expect("bound address");
+    let addr = wait_for_port(&port_file);
     wait_for("catch-up", || {
-        json_u64(&get_once(addr, "/healthz"), "total_requests") == u64::from(CLIENTS)
+        json_u64(&get(addr, "/healthz").1, "total_requests") == u64::from(CLIENTS)
     });
     // The snapshot that covers the whole log is the largest there will be.
     wait_for("the log to be durable", || {
-        json_u64(&get_once(addr, "/metrics"), "serve.checkpoint.dirty_bytes") == 0
+        json_u64(&get(addr, "/metrics").1, "serve.checkpoint.dirty_bytes") == 0
     });
 
     // 200 top-N requests, on four connections held open together: each is
     // served by a worker of its own, so every worker answers fifty.
-    let mut conns: Vec<TcpStream> = (0..4).map(|_| connect(addr)).collect();
+    let mut conns: Vec<Client> = (0..4).map(|_| Client::connect(addr)).collect();
     for _ in 0..50 {
         for conn in &mut conns {
-            let body = get(conn, "/v1/clusters/top?n=20");
+            let body = conn.send("GET", "/v1/clusters/top?n=20", None).1;
             assert!(body.starts_with("{\"clusters\": ["), "{body}");
         }
     }
     drop(conns);
 
-    let metrics = get_once(addr, "/metrics");
+    let metrics = get(addr, "/metrics").1;
     let (rss, hwm) = (
         json_u64(&metrics, "process.rss_bytes"),
         json_u64(&metrics, "process.hwm_bytes"),
@@ -197,5 +126,4 @@ fn a_caught_up_daemon_fits_a_budget_per_client() {
     assert!(hwm < budget, "held {hwm} bytes at its worst");
 
     drop(daemon);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -186,8 +186,7 @@ mod tests {
 
     #[test]
     fn logdata_maps_and_reads() {
-        let dir = std::env::temp_dir().join(format!("netclust-chunk-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = netclust_testkit::TempDir::new("netclust-chunk");
         let path = dir.join("sample.log");
         let content = b"1.2.3.4 - - [13/Feb/1998:07:00:00 +0000] \"GET /x HTTP/1.0\" 200 100\n";
         std::fs::write(&path, content).unwrap();
@@ -204,13 +203,11 @@ mod tests {
         let e = LogData::open(&empty).unwrap();
         assert!(e.bytes().is_empty());
         assert!(!e.is_mapped());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn release_keeps_every_byte_readable() {
-        let dir = std::env::temp_dir().join(format!("netclust-release-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = netclust_testkit::TempDir::new("netclust-release");
         let path = dir.join("big.log");
         let content: Vec<u8> = (0..1_000_000u32).map(|i| (i % 251) as u8).collect();
         std::fs::write(&path, &content).unwrap();
@@ -235,6 +232,5 @@ mod tests {
         let owned = LogData::from_vec(content.clone());
         assert_eq!(owned.release(&owned[..]), 0);
         assert_eq!(owned.bytes(), &content[..]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -303,13 +303,7 @@ mod tests {
     use std::path::Path;
     use std::time::Instant;
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("netclust-follow-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("mkdir");
-        dir
-    }
+    use netclust_testkit::TempDir;
 
     fn append(path: &Path, bytes: &[u8]) {
         let mut f = OpenOptions::new()
@@ -331,7 +325,7 @@ mod tests {
 
     #[test]
     fn delivers_complete_lines_and_carries_torn_ones() {
-        let dir = tmpdir("torn");
+        let dir = TempDir::new("netclust-follow-torn");
         let log = dir.join("access.log");
         let mut fw = LogFollower::new(&log);
         assert_eq!(fw.poll().expect("absent file is not an error"), None);
@@ -347,12 +341,11 @@ mod tests {
             Some(b"partial line\nthree\n".to_vec())
         );
         assert_eq!(fw.offset(), 27);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn rename_rotation_restarts_on_the_new_file() {
-        let dir = tmpdir("rename");
+        let dir = TempDir::new("netclust-follow-rename");
         let log = dir.join("access.log");
         let mut fw = LogFollower::new(&log);
         append(&log, b"old-1\nold-2\n");
@@ -363,7 +356,6 @@ mod tests {
         append(&log, b"new-1\n");
         assert_eq!(fw.poll().expect("read"), Some(b"new-1\n".to_vec()));
         assert_eq!(fw.offset(), 6, "offset is into the new file");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Lines appended after the last poll and before the rename are read
@@ -371,7 +363,7 @@ mod tests {
     /// unterminated tail is dropped as before.
     #[test]
     fn a_rename_rotation_hands_out_the_old_files_unread_tail_first() {
-        let dir = tmpdir("tail");
+        let dir = TempDir::new("netclust-follow-tail");
         let log = dir.join("access.log");
         let mut fw = LogFollower::new(&log);
         append(&log, b"old-1\n");
@@ -389,12 +381,11 @@ mod tests {
         assert_eq!(drain(&mut fw), b"late\n");
         append(&log, b"newer\n");
         assert_eq!(drain(&mut fw), b"newer\n");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn truncation_rotation_restarts_from_zero() {
-        let dir = tmpdir("trunc");
+        let dir = TempDir::new("netclust-follow-trunc");
         let log = dir.join("access.log");
         let mut fw = LogFollower::new(&log);
         append(&log, b"aaaa\nbbbb\ncccc\n");
@@ -404,12 +395,11 @@ mod tests {
         fs::write(&log, b"dd\n").expect("truncate+write");
         assert_eq!(fw.poll().expect("read"), Some(b"dd\n".to_vec()));
         assert_eq!(fw.offset(), 3);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn resume_at_checkpoint_replays_nothing() {
-        let dir = tmpdir("resume");
+        let dir = TempDir::new("netclust-follow-resume");
         let log = dir.join("access.log");
         append(&log, b"first\nsecond\n");
         let mut fw = LogFollower::new(&log);
@@ -420,7 +410,6 @@ mod tests {
         let mut resumed = LogFollower::resume_at(&log, checkpoint);
         assert_eq!(resumed.poll().expect("read"), Some(b"third\n".to_vec()));
         assert_eq!(resumed.poll().expect("read"), None);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A line past the cap is dropped once, said once, and skipped through
@@ -428,7 +417,7 @@ mod tests {
     /// at its start throughout.
     #[test]
     fn an_endless_line_is_dropped_not_carried_without_bound() {
-        let dir = tmpdir("endless");
+        let dir = TempDir::new("netclust-follow-endless");
         let log = dir.join("access.log");
         append(&log, b"first\n");
         append(&log, &vec![b'x'; MAX_LINE_BYTES as usize + (1 << 20)]);
@@ -462,7 +451,6 @@ mod tests {
         append(&log, b"\ngood\ntorn");
         assert_eq!(fw.poll().expect("read"), Some(b"good\n".to_vec()));
         assert_eq!(fw.offset(), fw.file_len() - 4, "just past the good line");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A line longer than a poll but under the cap is carried across the
@@ -470,7 +458,7 @@ mod tests {
     /// into it.
     #[test]
     fn a_line_longer_than_a_poll_arrives_whole_and_once() {
-        let dir = tmpdir("long-line");
+        let dir = TempDir::new("netclust-follow-long-line");
         let log = dir.join("access.log");
         let mut long = vec![b'L'; 1 << 20];
         long.push(b'\n');
@@ -500,7 +488,6 @@ mod tests {
         assert!(!fw.has_unread());
         let whole: Vec<&[u8]> = got.iter().map(Vec::as_slice).collect();
         assert_eq!(whole, [&b"before\n"[..], &[&long[..], b"after\n"].concat()]);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Numbered lines, `n` of them from `first` on, tagged `tag`.
@@ -514,7 +501,7 @@ mod tests {
     /// rest of the old file, then the new one, every line once, in order.
     #[test]
     fn a_rename_mid_backlog_loses_and_repeats_no_line() {
-        let dir = tmpdir("rename-backlog");
+        let dir = TempDir::new("netclust-follow-rename-backlog");
         let log = dir.join("access.log");
         let old = numbered("old", 0, 4_000);
         assert!(old.len() as u64 > 3 * APPLY_SLICE);
@@ -528,7 +515,6 @@ mod tests {
         got.extend_from_slice(&drain(&mut fw));
         assert_eq!(got, [old, new.clone()].concat());
         assert_eq!(fw.offset(), new.len() as u64);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A copy-truncate in the middle of a backlog: what was handed out is a
@@ -537,7 +523,7 @@ mod tests {
     /// once; nothing of the old file is handed out again.
     #[test]
     fn a_copy_truncate_mid_backlog_repeats_no_line() {
-        let dir = tmpdir("truncate-backlog");
+        let dir = TempDir::new("netclust-follow-truncate-backlog");
         let log = dir.join("access.log");
         let old = numbered("old", 0, 3_000);
         append(&log, &old);
@@ -558,14 +544,13 @@ mod tests {
         append(&log, &new);
         assert_eq!(drain(&mut fw), new);
         assert_eq!(fw.offset(), new.len() as u64);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A cursor checkpointed between two polls of a backlog resumes at the
     /// next line: the two followers together hand out the file once.
     #[test]
     fn resume_at_mid_backlog_continues_exactly() {
-        let dir = tmpdir("resume-backlog");
+        let dir = TempDir::new("netclust-follow-resume-backlog");
         let log = dir.join("access.log");
         let lines = numbered("line", 0, 8_000);
         append(&log, &lines);
@@ -579,14 +564,13 @@ mod tests {
         let mut resumed = LogFollower::resume_at(&log, checkpoint);
         got.extend_from_slice(&drain(&mut resumed));
         assert_eq!(got, lines);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Chunks given back are read into again, and what comes out is what
     /// comes out without: whole lines, in order, nothing of an old chunk.
     #[test]
     fn recycled_chunks_are_reused_and_deliver_the_same_lines() {
-        let dir = tmpdir("recycle");
+        let dir = TempDir::new("netclust-follow-recycle");
         let log = dir.join("access.log");
         // Lines of every length up to 300 bytes: the carried tail differs
         // from poll to poll. Three polls' worth.
@@ -613,12 +597,11 @@ mod tests {
         assert_eq!(got, blob);
         assert_eq!((chunks, reused), (3, 2), "every chunk after the first");
         assert_eq!(fw.spare.capacity(), 0, "a quiet follower holds no chunk");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn large_backlog_is_chunked_not_swallowed() {
-        let dir = tmpdir("backlog");
+        let dir = TempDir::new("netclust-follow-backlog");
         let log = dir.join("access.log");
         // Two polls' worth of 64-byte lines.
         let line = [b'x'; 63];
@@ -630,7 +613,6 @@ mod tests {
         append(&log, &blob);
         let mut fw = LogFollower::new(&log);
         assert_eq!(drain(&mut fw), blob, "chunked polls reassemble the backlog");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A stop waker nothing wakes.
@@ -668,7 +650,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn an_append_ends_a_long_wait() {
-        let dir = tmpdir("wake-append");
+        let dir = TempDir::new("netclust-follow-wake-append");
         let log = dir.join("access.log");
         append(&log, b"one\n");
         let mut fw = LogFollower::new(&log);
@@ -678,7 +660,6 @@ mod tests {
         assert!(woke == Wake::Ready && fw.is_watching());
         assert!(after < Duration::from_millis(100), "woke {after:?} late");
         assert_eq!(drain(&mut fw), b"two\n");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// The notices about a symlinked log name its target, in the target's
@@ -688,7 +669,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn a_symlinked_log_is_watched_where_its_target_is() {
-        let dir = tmpdir("wake-symlink");
+        let dir = TempDir::new("netclust-follow-wake-symlink");
         let (links, logs) = (dir.join("a"), dir.join("b"));
         fs::create_dir_all(&links).expect("mkdir a");
         fs::create_dir_all(&logs).expect("mkdir b");
@@ -718,13 +699,12 @@ mod tests {
         assert!(woke == Wake::Ready && fw.is_watching());
         assert!(after < Duration::from_millis(100), "woke {after:?} late");
         assert_eq!(drain(&mut fw), b"three\n");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[cfg(target_os = "linux")]
     #[test]
     fn both_rotations_end_a_long_wait() {
-        let dir = tmpdir("wake-rotate");
+        let dir = TempDir::new("netclust-follow-wake-rotate");
         let log = dir.join("access.log");
         append(&log, b"one\n");
         let mut fw = LogFollower::new(&log);
@@ -744,13 +724,12 @@ mod tests {
         assert!(woke == Wake::Ready, "copy-truncate");
         assert!(after < Duration::from_millis(100), "woke {after:?} late");
         assert_eq!(drain(&mut fw), b"3\n");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[cfg(target_os = "linux")]
     #[test]
     fn a_sibling_write_does_not_end_a_wait() {
-        let dir = tmpdir("wake-sibling");
+        let dir = TempDir::new("netclust-follow-wake-sibling");
         let log = dir.join("access.log");
         append(&log, b"one\n");
         let mut fw = LogFollower::new(&log);
@@ -763,14 +742,13 @@ mod tests {
         });
         assert!(woke == Wake::TimedOut && fw.is_watching());
         assert!(started.elapsed() >= timeout, "ended early");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// No directory, no watch: the wait is the timeout. Once directory and
     /// file exist, the next wait arms a watch and an append ends it.
     #[test]
     fn a_follower_of_a_missing_directory_waits_out_its_timeout() {
-        let dir = tmpdir("wake-late");
+        let dir = TempDir::new("netclust-follow-wake-late");
         let log = dir.join("not-yet").join("access.log");
         let mut fw = LogFollower::new(&log);
         let timeout = Duration::from_millis(100);
@@ -790,7 +768,6 @@ mod tests {
             assert!(after < Duration::from_millis(100), "woke {after:?} late");
             assert_eq!(drain(&mut fw), b"one\n");
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A change between the last poll and the arming of the watch is not
@@ -798,7 +775,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn a_change_before_the_watch_is_armed_ends_the_first_wait() {
-        let dir = tmpdir("wake-early");
+        let dir = TempDir::new("netclust-follow-wake-early");
         let log = dir.join("access.log");
         let mut fw = LogFollower::new(&log);
         assert_eq!(fw.poll().expect("absent"), None);
@@ -807,14 +784,13 @@ mod tests {
         assert_eq!(fw.wait(Duration::from_secs(10), &idle()), Wake::Ready);
         assert!(started.elapsed() < Duration::from_secs(1));
         assert_eq!(drain(&mut fw), b"one\n");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A stop ends a long wait at once, watched or not, and every wait
     /// after it.
     #[test]
     fn a_stop_ends_a_long_wait_watched_or_not() {
-        let dir = tmpdir("wake-stop");
+        let dir = TempDir::new("netclust-follow-wake-stop");
         let log = dir.join("access.log");
         append(&log, b"one\n");
         let mut watched = LogFollower::new(&log);
@@ -838,6 +814,5 @@ mod tests {
             started.elapsed()
         );
         assert!(!unwatched.is_watching());
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -6,20 +6,15 @@ use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-mod common;
-use common::TempDir;
+use netclust_testkit::TempDir;
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_netclust")
 }
 
-fn tmpdir(name: &str) -> TempDir {
-    TempDir::new(&format!("netclust-cli-test-{name}"))
-}
-
 #[test]
 fn synth_then_cluster_roundtrip() {
-    let dir = tmpdir("roundtrip");
+    let dir = TempDir::new("netclust-cli-test-roundtrip");
     let out = Command::new(bin())
         .args(["synth", "--out"])
         .arg(&dir)
@@ -83,7 +78,7 @@ fn synth_then_cluster_roundtrip() {
 
 #[test]
 fn cluster_simple_method_needs_no_tables() {
-    let dir = tmpdir("simple");
+    let dir = TempDir::new("netclust-cli-test-simple");
     let status = Command::new(bin())
         .args(["synth", "--out"])
         .arg(&dir)
@@ -145,7 +140,7 @@ fn bad_usage_fails_cleanly() {
 /// with the count that did fit — not a panic — and writes nothing.
 #[test]
 fn synth_refuses_more_clients_than_the_universe_holds() {
-    let parent = tmpdir("crowd");
+    let parent = TempDir::new("netclust-cli-test-crowd");
     let dir = parent.join("out");
     let dir_arg = dir.to_string_lossy().into_owned();
     let stderr = usage_error(&["synth", "--out", &dir_arg, "--clients", "15000"]);
@@ -163,7 +158,7 @@ fn synth_refuses_more_clients_than_the_universe_holds() {
 /// exit 0 and nothing on stderr, not a `println!` panic.
 #[test]
 fn a_closed_stdout_pipe_is_a_clean_stop() {
-    let dir = tmpdir("pipe");
+    let dir = TempDir::new("netclust-cli-test-pipe");
     let synth = |out: &Path| {
         let mut cmd = Command::new(bin());
         cmd.args(["synth", "--out"]).arg(out);
@@ -228,7 +223,7 @@ fn unparsable_numeric_flags_are_usage_errors() {
 
 #[test]
 fn metrics_snapshot_is_deterministic_and_trace_prints_spans() {
-    let dir = tmpdir("metrics");
+    let dir = TempDir::new("netclust-cli-test-metrics");
     let status = Command::new(bin())
         .args(["synth", "--out"])
         .arg(&dir)
@@ -311,7 +306,7 @@ fn metrics_snapshot_is_deterministic_and_trace_prints_spans() {
 
 #[test]
 fn missing_table_file_names_the_file() {
-    let dir = tmpdir("missing-table");
+    let dir = TempDir::new("netclust-cli-test-missing-table");
     std::fs::write(dir.join("access.log"), "").expect("write empty log");
     let out = Command::new(bin())
         .args(["cluster", "--log"])
@@ -326,7 +321,7 @@ fn missing_table_file_names_the_file() {
 
 #[test]
 fn error_budget_and_quarantine() {
-    let dir = tmpdir("budget");
+    let dir = TempDir::new("netclust-cli-test-budget");
     // A log that is half garbage against a tiny real table.
     let log_path = dir.join("noisy.log");
     std::fs::write(
@@ -373,7 +368,7 @@ fn error_budget_and_quarantine() {
 /// flag, never a budget silently turned off or clamped.
 #[test]
 fn max_error_rate_outside_zero_to_one_is_a_usage_error() {
-    let dir = tmpdir("budget-range");
+    let dir = TempDir::new("netclust-cli-test-budget-range");
     // 400 lines, every other one garbage: a malformed ratio of 0.5.
     let log_path = dir.join("half.log");
     let line =
@@ -457,7 +452,7 @@ fn persistence_flags_validate_before_any_io() {
 
 #[test]
 fn resume_without_valid_snapshot_exits_four() {
-    let dir = tmpdir("exit-four");
+    let dir = TempDir::new("netclust-cli-test-exit-four");
     let out = Command::new(bin())
         .args(["synth", "--out"])
         .arg(&dir)
@@ -690,7 +685,7 @@ fn constraint_messages_are_unchanged() {
 
     // The five flags the baselines used to be refused now run, and the
     // budget binds them too: one line in three is over 25 %.
-    let dir = tmpdir("baseline-flags");
+    let dir = TempDir::new("netclust-cli-test-baseline-flags");
     let log = dir.join("access.log");
     let line =
         |ip: &str| format!("{ip} - - [13/Feb/1998:07:00:00 +0000] \"GET /a HTTP/1.0\" 200 9\n");

@@ -23,8 +23,7 @@ use netclust::prefix::Ipv4Net;
 use netclust::rtable::{load_tables, MergedTable, RoutingTable, TableKind};
 use netclust::weblog::follow::{LogFollower, APPLY_SLICE};
 
-mod common;
-use common::TempDir;
+use netclust_testkit::TempDir;
 
 /// Bytes allocated and not yet freed, and the most that has been.
 static LIVE: AtomicUsize = AtomicUsize::new(0);

@@ -19,8 +19,7 @@
 
 use std::collections::BTreeMap;
 
-mod common;
-use common::TempDir;
+use netclust_testkit::TempDir;
 
 use netclust::core::{
     failpoints, Assigner, Clustering, ErrorCounts, FaultPlan, FsyncPolicy, IngestPipeline,

@@ -10,8 +10,7 @@ use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::net::Ipv4Addr;
 
-mod common;
-use common::TempDir;
+use netclust_testkit::TempDir;
 
 use netclust::core::{Assigner, IngestPipeline};
 use netclust::rtable::{MergedTable, RoutingTable, TableKind};

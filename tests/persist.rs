@@ -13,8 +13,7 @@ use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 use std::path::Path;
 
-mod common;
-use common::TempDir;
+use netclust_testkit::TempDir;
 
 use netclust::core::persist::codec::{
     decode_frame, decode_header, encode_frame, encode_header, FILE_JOURNAL, FILE_SNAPSHOT,

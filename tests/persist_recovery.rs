@@ -17,8 +17,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-mod common;
-use common::TempDir;
+use netclust_testkit::TempDir;
 
 use netclust::bgpsim::{DeltaBatch, DeltaStream, DeltaStreamConfig};
 use netclust::core::persist::codec::{decode_header, FORMAT_VERSION, HEADER_BYTES};
@@ -35,10 +34,6 @@ const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 0xBEEF, 0xFA17];
 /// Small compaction threshold so mid-feed checkpoints (and with them the
 /// `persist.snapshot.rename` seam) actually fire during a 30-batch feed.
 const COMPACT: u64 = 1024;
-
-fn tmpdir(name: &str) -> TempDir {
-    TempDir::new(&format!("netclust-persist-test-{name}"))
-}
 
 fn setup() -> (Universe, Vec<u8>, Vec<DeltaBatch>) {
     let u = Universe::generate(UniverseConfig::small(7));
@@ -159,7 +154,10 @@ fn crash_point_sweep_recovers_to_reference() {
     ];
     for point in points {
         for &seed in &SEEDS {
-            let dir = tmpdir(&format!("sweep-{}-{seed}", point.replace('.', "-")));
+            let dir = TempDir::new(&format!(
+                "netclust-persist-test-sweep-{}-{seed}",
+                point.replace('.', "-")
+            ));
             let mut faults = Some(FaultPlan::new(seed).with(point, 0.25).injector());
             let mut restarts = 0u32;
             let final_state = loop {
@@ -218,7 +216,7 @@ fn journal_fixture(
 #[test]
 fn torn_journal_tail_truncates_to_valid_prefix() {
     let (u, clf, batches) = setup();
-    let dir = tmpdir("torn-tail");
+    let dir = TempDir::new("netclust-persist-test-torn-tail");
     let (path, pristine) = journal_fixture(&dir, &u, &clf, &batches);
     assert!(pristine.len() > HEADER_BYTES);
     for cut in 0..pristine.len() {
@@ -246,7 +244,7 @@ fn torn_journal_tail_truncates_to_valid_prefix() {
 #[test]
 fn bit_flipped_journal_replays_only_the_valid_prefix() {
     let (u, clf, batches) = setup();
-    let dir = tmpdir("bit-flip");
+    let dir = TempDir::new("netclust-persist-test-bit-flip");
     let (path, pristine) = journal_fixture(&dir, &u, &clf, &batches);
     for byte in 0..pristine.len() {
         let mut bad = pristine.clone();
@@ -288,7 +286,10 @@ fn relaxed_fsync_policies_sync_on_schedule_and_recover_prefix_exact() {
             FsyncPolicy::Os => (0, 0),
             FsyncPolicy::EveryBatch => unreachable!("covered by every other test"),
         };
-        let dir = tmpdir(&format!("fsync-{}", spelling.replace(':', "-")));
+        let dir = TempDir::new(&format!(
+            "netclust-persist-test-fsync-{}",
+            spelling.replace(':', "-")
+        ));
         let obs = Obs::enabled();
         let fsyncs = || obs.snapshot(true).counters["persist.fsyncs"];
         let mut store = StateStore::create(&dir, policy).expect("create").obs(&obs);
@@ -357,7 +358,7 @@ fn relaxed_fsync_policies_sync_on_schedule_and_recover_prefix_exact() {
 #[test]
 fn corrupt_newest_snapshot_falls_back_one_generation() {
     let (u, clf, batches) = setup();
-    let dir = tmpdir("snap-fallback");
+    let dir = TempDir::new("netclust-persist-test-snap-fallback");
     let mut store = StateStore::create(&dir, FsyncPolicy::EveryBatch).expect("create");
     let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
     stream.push_clf(&clf);
@@ -434,7 +435,7 @@ fn corrupt_newest_snapshot_falls_back_one_generation() {
 #[test]
 fn a_checkpoint_failing_past_its_rename_refuses_appends_until_the_next() {
     let (u, clf, batches) = setup();
-    let dir = tmpdir("post-rename");
+    let dir = TempDir::new("netclust-persist-test-post-rename");
     // `Os`: appends draw no fsync, so every draw below is a checkpoint's.
     let mut store = StateStore::create(&dir, FsyncPolicy::Os).expect("create");
     let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
@@ -501,7 +502,7 @@ fn a_checkpoint_failing_past_its_rename_refuses_appends_until_the_next() {
 fn old_state_dir(version: u16, name: &str) -> (PathBuf, TempDir) {
     let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
     let state = data.join(format!("v{version}-state/state"));
-    let dir = tmpdir(name);
+    let dir = TempDir::new(&format!("netclust-persist-test-{name}"));
     for file in ["snapshot-000001.snap", "journal-000001.wal"] {
         std::fs::copy(state.join(file), dir.join(file)).expect("copy fixture");
     }
@@ -563,7 +564,7 @@ fn a_version_one_state_dir_recovers_and_is_rewritten_in_the_current_form() {
         // The recovered stream writes one file by either route.
         let snapshot =
             |name: &str, write: &dyn Fn(&mut StateStore) -> Result<u64, PersistError>| {
-                let into = tmpdir(&format!("v{version}-{name}"));
+                let into = TempDir::new(&format!("netclust-persist-test-v{version}-{name}"));
                 let mut store = StateStore::create(&into, FsyncPolicy::Os).expect("create store");
                 let generation = write(&mut store).expect("checkpoint");
                 std::fs::read(store.snapshot_path(generation)).expect("snapshot file")
@@ -626,7 +627,7 @@ fn a_version_one_state_dir_recovers_and_is_rewritten_in_the_current_form() {
     // One base state in every version: the two old snapshots, and this
     // build's snapshot of it read back.
     assert_eq!(bases[0], bases[1], "the v1 and v2 snapshots differ");
-    let into = tmpdir("v3-base");
+    let into = TempDir::new("netclust-persist-test-v3-base");
     let mut store = StateStore::create(&into, FsyncPolicy::Os).expect("create store");
     store.checkpoint(&bases[1]).expect("checkpoint");
     drop(store);
@@ -660,7 +661,7 @@ fn a_snapshot_encoded_from_the_stream_is_the_exported_one() {
     );
 
     let file = |name: &str, write: &dyn Fn(&mut StateStore) -> Result<u64, PersistError>| {
-        let dir = tmpdir(name);
+        let dir = TempDir::new(&format!("netclust-persist-test-{name}"));
         let mut store = StateStore::create(&dir, FsyncPolicy::Os).expect("create store");
         let generation = write(&mut store).expect("checkpoint");
         let bytes = std::fs::read(store.snapshot_path(generation)).expect("snapshot file");
@@ -679,7 +680,7 @@ fn a_snapshot_encoded_from_the_stream_is_the_exported_one() {
 
 #[test]
 fn process_kill_and_restart_matches_uninterrupted_run() {
-    let dir = tmpdir("process");
+    let dir = TempDir::new("netclust-persist-test-process");
     let out = Command::new(bin())
         .args(["synth", "--out"])
         .arg(&dir)
@@ -821,7 +822,7 @@ fn resumes_byte_identically(version: u16) {
         assert!(out.status.success(), "resume={resume}: {stderr}");
         (out.stdout, stderr)
     };
-    let reference_dir = tmpdir(&format!("v{version}-cli-ref"));
+    let reference_dir = TempDir::new(&format!("netclust-persist-test-v{version}-cli-ref"));
     let reference = reference_dir.join("state");
     let (want, _) = run(&reference, false);
     let (got, stderr) = run(&crashed, true);

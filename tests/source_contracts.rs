@@ -27,6 +27,10 @@
 //!   A method (a `self` receiver) is named by its name; an associated
 //!   function of an `impl Type` only by its path, `Type::name` or, inside
 //!   an impl of `Type`, `Self::name`.
+//! * `one-temp-guard`: no file outside `crates/testkit` calls
+//!   `temp_dir()`: a test's files live in a `netclust_testkit::TempDir`,
+//!   which removes them when a failing assertion unwinds too. The frozen
+//!   harness under `benchmark/` is exempt.
 //!
 //! And the one OS seam: `crates/sys` is the only crate that may hold
 //! `unsafe` code, and it holds every `extern "C"` of the product.
@@ -35,7 +39,7 @@
 //! ends at the first line that is its own indent followed by `}`. The
 //! same rule masks `#[test]` / `#[cfg(test)]` items, which are exempt, as
 //! are whole files under `tests/` or `benches/`; a test there still arms
-//! a failpoint. A rule reads code with comments cut and string contents
+//! a failpoint, and `one-temp-guard` holds tests above all. A rule reads code with comments cut and string contents
 //! blanked. The scan skips `target/`, hidden directories and the two
 //! vendored shims.
 
@@ -89,6 +93,12 @@ const WAIVERS: &[(&str, &str, &str)] = &[
         "crates/core/src/stream.rs",
         "pub-fn-caller",
         "pub fn swap_policy(mut self, policy: SwapPolicy) -> Self {",
+    ),
+    // The request parser's work count: `http_prop`'s linear-work property.
+    (
+        "crates/serve/src/http.rs",
+        "pub-fn-caller",
+        "pub fn examined(&self) -> usize {",
     ),
     // The studies' in-memory entries to the batch clustering: by one of
     // the paper's methods, and by any assigner.
@@ -865,6 +875,21 @@ fn pub_fn_callers(sources: &[Source], out: &mut Vec<Finding>) {
     }
 }
 
+/// `one-temp-guard`: every call of `temp_dir` outside the test kit and
+/// the harness, in tests or not.
+fn one_temp_guard(src: &Source, out: &mut Vec<Finding>) {
+    if ["crates/testkit/", "benchmark/"]
+        .iter()
+        .any(|dir| src.path.starts_with(dir))
+    {
+        return;
+    }
+    for at in calls(&src.code, "temp_dir") {
+        let message = "a temp path outside `netclust_testkit::TempDir`".to_string();
+        out.push(src.finding(src.line_of(at), "one-temp-guard", message));
+    }
+}
+
 /// Whether `path` is under a product crate's `src/`.
 fn product_src(path: &str) -> bool {
     PRODUCT
@@ -922,6 +947,9 @@ fn check(sources: &[Source]) -> Vec<Finding> {
         typed_errors(src, &mut out);
         atomic_orderings(src, &mut out);
         wal_ordering(src, &mut out);
+    }
+    for src in sources {
+        one_temp_guard(src, &mut out);
     }
     failpoint_coverage(sources, &mut out);
     pub_fn_callers(sources, &mut out);
@@ -1214,9 +1242,11 @@ netclust-prefix = { workspace = true }
 # netclust-probe = { workspace = true }
 netclust-netgen = { workspace = true }
 rand = \"0.8\"
+netclust-testkit = { workspace = true }
 
 [dev-dependencies]
 netclust-experiments = { workspace = true }
+netclust-testkit = { workspace = true }
 proptest = { workspace = true }
 
 [target.'cfg(unix)'.dependencies]
@@ -1229,12 +1259,48 @@ path = \"../bgpsim\"
     product_closure("crates/demo/Cargo.toml", manifest, &mut found);
     let lines: Vec<(usize, &str)> = found.iter().map(|f| (f.line, f.rule)).collect();
     let rule = "product-closure";
-    assert_eq!(lines, [(7, rule), (8, rule), (15, rule), (17, rule)]);
+    assert_eq!(
+        lines,
+        [(7, rule), (8, rule), (9, rule), (17, rule), (19, rule)]
+    );
     assert!(
         found[0].message.contains("`netclust-netgen`"),
         "{}",
         found[0]
     );
+}
+
+#[test]
+fn one_temp_guard_fires_on_a_temp_path_outside_the_test_kit() {
+    let src = "\
+use std::env::temp_dir;
+fn scratch() -> PathBuf {
+    std::env::temp_dir().join(\"x\")
+}
+fn temp_dir() {}
+fn temp_dir_of(name: &str) {}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        let dir = env::temp_dir();
+        let guarded = TempDir::new(\"t\");
+        // std::env::temp_dir() in a comment
+        let s = \"temp_dir()\";
+        temp_dir_of(\"t\");
+    }
+}
+";
+    let rule = "one-temp-guard";
+    for path in [
+        "crates/core/src/demo.rs",
+        "crates/core/tests/demo.rs",
+        "tests/demo.rs",
+    ] {
+        assert_eq!(seeded(path, src), [(3, rule), (11, rule)], "{path}");
+    }
+    assert_eq!(seeded("crates/testkit/src/temp.rs", src), []);
+    assert_eq!(seeded("benchmark/benches/gen.rs", src), []);
 }
 
 #[test]
