@@ -1,13 +1,13 @@
 //! Clients in address order (DESIGN.md §10), the one client store: one
-//! sorted run of 16-byte records found through a root of 2^16 + 1
-//! offsets, one a /16, plus a bounded arrival tail with a small keyed
-//! index, sorted and merged backwards into the run when full. A position
-//! names a record until the next insert: an index into the run, then into
-//! the tail. A record's memo is the stream's matched [`Handle`] or a batch
-//! shard's first-seen dense id; the store only keeps it. A record keeps
-//! its sums as `u32`s; the few clients whose sums outgrow them keep their
-//! exact `u64` sums in a map beside the run. Records go in and out as
-//! [`Client`]s, by value, with `u64` sums.
+//! sorted run of records found through a root of 2^16 + 1 offsets, one a
+//! /16, plus a bounded arrival tail with a small keyed index, sorted and
+//! merged backwards into the run when full. A position names a record
+//! until the next insert: an index into the run, then into the tail. A
+//! record's memo is what its holder keeps beside the client — nothing in
+//! the stream, whose serving table answers a client's cluster, and a
+//! batch shard's first-seen dense id — and the store only keeps it. A
+//! record keeps its sums as [`Sums`], `u32`s with a wide escape. Records
+//! go in and out as [`Client`]s, by value, with `u64` sums.
 
 #![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
 #![deny(
@@ -25,8 +25,6 @@ use std::collections::BTreeMap;
 use std::hash::BuildHasher;
 use std::ops::Range;
 
-use netclust_rtable::Handle;
-
 use crate::kernel::Client;
 
 /// Records the arrival tail holds before it is merged into the run.
@@ -41,42 +39,33 @@ const SCAN: usize = 16;
 /// A free tail-index slot; one in use holds a tail position plus one.
 const FREE: u16 = 0;
 
-/// Both sums of a record whose exact sums are in the wide map: a sum that
-/// would reach it in either count moves the record's sums there.
+/// Both counts of a [`Sums`] whose exact sums are in the wide map: a sum
+/// that would reach it in either count moves the pair there.
 const WIDE: u32 = u32::MAX;
 
-/// A client as the store holds it: its sums below [`WIDE`] each, or both
-/// [`WIDE`] when the store's wide map holds them.
-#[derive(Debug, Clone, Copy)]
-struct Record<T> {
-    addr: u32,
-    memo: T,
+/// A request count and a byte count, each below [`WIDE`], or both
+/// [`WIDE`] while a wide map holds them exactly as `u64`s under the
+/// holder's key: a client record's address, an aggregate slot's handle
+/// index. Few pairs outgrow `u32`, so the map stays small.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Sums {
     requests: u32,
     bytes: u32,
 }
 
-// Either memo, a `u32` id or a `u32` handle, beside the address and two
-// `u32` sums: no padding.
-const _: () = assert!(std::mem::size_of::<Record<Handle>>() == 16);
-const _: () = assert!(std::mem::size_of::<Record<u32>>() == 16);
-
-impl<T: Copy> Record<T> {
-    /// A record of `addr` with no requests yet.
-    fn new(addr: u32, memo: T) -> Self {
-        Record {
-            addr,
-            memo,
-            requests: 0,
-            bytes: 0,
-        }
-    }
-
-    /// Adds `requests` and `bytes` to the sums, moving them into `wide`
-    /// when either would reach [`WIDE`].
+impl Sums {
+    /// Adds `requests` and `bytes`, moving the sums into `wide` under
+    /// `key` when either would reach [`WIDE`].
     #[inline]
-    fn count(&mut self, wide: &mut BTreeMap<u32, (u64, u64)>, requests: u64, bytes: u64) {
-        if self.requests == WIDE {
-            let sums = wide.entry(self.addr).or_default();
+    pub(crate) fn add<K: Ord>(
+        &mut self,
+        key: K,
+        wide: &mut BTreeMap<K, (u64, u64)>,
+        requests: u64,
+        bytes: u64,
+    ) {
+        if self.is_wide() {
+            let sums = wide.entry(key).or_default();
             sums.0 += requests;
             sums.1 += bytes;
             return;
@@ -91,22 +80,94 @@ impl<T: Copy> Record<T> {
                 self.bytes = bytes;
             }
             _ => {
-                wide.insert(self.addr, sums);
+                wide.insert(key, sums);
                 self.requests = WIDE;
                 self.bytes = WIDE;
             }
         }
     }
 
+    /// Inverse of [`add`](Self::add): `requests` and `bytes` were added
+    /// before. Sums once wide stay in `wide` until [`free`](Self::free).
+    #[inline]
+    pub(crate) fn sub<K: Ord>(
+        &mut self,
+        key: K,
+        wide: &mut BTreeMap<K, (u64, u64)>,
+        requests: u64,
+        bytes: u64,
+    ) {
+        if self.is_wide() {
+            let sums = wide.entry(key).or_default();
+            sums.0 -= requests;
+            sums.1 -= bytes;
+            return;
+        }
+        // Each part is at most the narrow sum it comes off.
+        let narrow = |sum: u32, part: u64| u32::try_from(u64::from(sum) - part).unwrap_or(sum);
+        self.requests = narrow(self.requests, requests);
+        self.bytes = narrow(self.bytes, bytes);
+    }
+
+    /// The exact sums, read from `wide` if they are there.
+    #[inline]
+    pub(crate) fn get<K: Ord>(self, key: &K, wide: &BTreeMap<K, (u64, u64)>) -> (u64, u64) {
+        if self.is_wide() {
+            wide.get(key).copied().unwrap_or_default()
+        } else {
+            (u64::from(self.requests), u64::from(self.bytes))
+        }
+    }
+
+    /// Gives up the sums' entry in `wide`, if they have one, for a holder
+    /// that goes away.
+    pub(crate) fn free<K: Ord>(self, key: &K, wide: &mut BTreeMap<K, (u64, u64)>) {
+        if self.is_wide() {
+            wide.remove(key);
+        }
+    }
+
+    #[inline]
+    fn is_wide(self) -> bool {
+        self.requests == WIDE
+    }
+}
+
+/// A client as the store holds it.
+#[derive(Debug, Clone, Copy)]
+struct Record<T> {
+    addr: u32,
+    memo: T,
+    sums: Sums,
+}
+
+// The stream's records are the address and two `u32` sums; a batch
+// shard's `u32` id adds four bytes, and no padding.
+const _: () = assert!(std::mem::size_of::<Record<()>>() == 12);
+const _: () = assert!(std::mem::size_of::<Record<u32>>() == 16);
+
+impl<T: Copy> Record<T> {
+    /// A record of `addr` with no requests yet.
+    fn new(addr: u32, memo: T) -> Self {
+        Record {
+            addr,
+            memo,
+            sums: Sums::default(),
+        }
+    }
+
+    /// Adds `requests` and `bytes` to the sums, `wide` holding them once
+    /// either would reach [`WIDE`].
+    #[inline]
+    fn count(&mut self, wide: &mut BTreeMap<u32, (u64, u64)>, requests: u64, bytes: u64) {
+        self.sums.add(self.addr, wide, requests, bytes);
+    }
+
     /// The client this record holds, its exact sums read from `wide` if
     /// they are there.
     #[inline]
     fn client(&self, wide: &BTreeMap<u32, (u64, u64)>) -> Client<T> {
-        let (requests, bytes) = if self.requests == WIDE {
-            wide.get(&self.addr).copied().unwrap_or_default()
-        } else {
-            (u64::from(self.requests), u64::from(self.bytes))
-        };
+        let (requests, bytes) = self.sums.get(&self.addr, wide);
         Client {
             addr: self.addr,
             requests,
@@ -117,7 +178,7 @@ impl<T: Copy> Record<T> {
 }
 
 /// Client records, in address order but for the arrival tail.
-pub(crate) struct Clients<T = Handle> {
+pub(crate) struct Clients<T = ()> {
     /// Sorted by address; no address twice, none in the tail.
     run: Vec<Record<T>>,
     /// Per /16 `h`, the run records below it: `h`'s are
@@ -221,12 +282,6 @@ impl<T: Copy> Clients<T> {
         self.record(pos).map(|r| r.client(&self.wide))
     }
 
-    /// The memo of the record at position `pos`, to change it: its sums
-    /// change only through [`add`](Self::add).
-    pub(crate) fn at_mut(&mut self, pos: usize) -> Option<&mut T> {
-        record_mut(&mut self.run, &mut self.tail, pos).map(|r| &mut r.memo)
-    }
-
     /// The positions of the run records from `lo` to `hi`, inclusive.
     pub(crate) fn range(&self, lo: u32, hi: u32) -> Range<usize> {
         let end = hi
@@ -258,15 +313,6 @@ impl<T: Copy> Clients<T> {
     /// Merges the tail into the run.
     pub(crate) fn settle(&mut self) {
         self.merge();
-    }
-
-    /// Merges the tail into the run and walks it, every client in address
-    /// order beside its memo, for a caller to change memos: sums change
-    /// only through [`add`](Self::add).
-    pub(crate) fn settled(&mut self) -> impl Iterator<Item = (Client<T>, &mut T)> {
-        self.merge();
-        let wide = &self.wide;
-        (self.run.iter_mut()).map(move |r| (r.client(wide), &mut r.memo))
     }
 
     /// Bytes the records fill, and the wide sums an entry each (spare
@@ -426,8 +472,6 @@ mod tests {
     use std::collections::BTreeMap;
     use std::fmt::Debug;
 
-    use netclust_prefix::Ipv4Net;
-    use netclust_rtable::{CompiledTable, MergedTable, RoutingTable, TableKind};
     use proptest::prelude::*;
 
     /// `k` → an address: the low bits pick one of a few /16s and a host in
@@ -483,17 +527,6 @@ mod tests {
         Ok(())
     }
 
-    /// A table whose prefixes cover half of [`addr_of`]'s /16s, so the
-    /// handles a store memoizes differ, and some are [`Handle::NONE`].
-    fn table() -> CompiledTable {
-        let prefixes = (0..16u32)
-            .step_by(2)
-            .map(|g| Ipv4Net::new((g * 0x0101) << 16, 16).expect("a /16"))
-            .collect();
-        let bgp = RoutingTable::new("B", "d0", TableKind::Bgp, prefixes);
-        MergedTable::merge([&bgp]).compile()
-    }
-
     /// Drives a store whose tail holds `cap` records and a `BTreeMap` side
     /// by side through `ops` (address key, requests, bytes), checking every
     /// answer after every op — so at every tail fill, and on either side
@@ -532,27 +565,11 @@ mod tests {
         prop_oneof![0..4u64, (max - 3)..=(max + 3), (1u64 << 30)..(1u64 << 33)]
     }
 
-    /// Sets the memo at each of `positions` to its address's complement,
-    /// in the store and in `oracle`, as a patch batch reassigns clients.
-    fn reassign(
-        store: &mut Clients<u32>,
-        oracle: &mut BTreeMap<u32, (u64, u64, u32)>,
-        positions: Vec<usize>,
-    ) {
-        for pos in positions {
-            let addr = store.at(pos).map(|c| c.addr).expect("a held position");
-            *store.at_mut(pos).expect("a held position") = !addr;
-            oracle.get_mut(&addr).expect("an oracle client").2 = !addr;
-        }
-    }
-
     proptest! {
         /// Sums across `u32::MAX` against a `BTreeMap` of `u64` sums: a
         /// record promoted to the wide map on either count, a promoted
-        /// record moved by tail merges, memos rewritten by a delta
-        /// reassign (run and tail positions) and by `settled` with the
-        /// sums left as they were, the in-order walk, and a snapshot's
-        /// round trip through `from_sorted`.
+        /// record moved by tail merges, the in-order walk, a settle, and a
+        /// snapshot's round trip through `from_sorted`.
         #[test]
         fn wide_sums_match_the_oracle(
             ops in proptest::collection::vec((any::<u16>(), arb_count(), arb_count()), 1..200),
@@ -572,19 +589,7 @@ mod tests {
                 .filter(|w| w.0 >= u64::from(WIDE) || w.1 >= u64::from(WIDE))
                 .count();
             prop_assert_eq!(store.wide.len(), wide);
-            let (lo, hi) = (0x0101_0000, 0x0202_FFFF);
-            let positions = (store.range(lo, hi))
-                .chain(store.tail_positions())
-                .filter(|&pos| store.at(pos).is_some_and(|c| (lo..=hi).contains(&c.addr)))
-                .collect();
-            reassign(&mut store, &mut oracle, positions);
-            check(&store, &oracle)?;
-            for (c, memo) in store.settled() {
-                *memo = c.addr.rotate_left(8);
-            }
-            for (&addr, want) in &mut oracle {
-                want.2 = addr.rotate_left(8);
-            }
+            store.settle();
             prop_assert!(store.tail.is_empty());
             check(&store, &oracle)?;
             let back = Clients::from_sorted(store.in_order().collect::<Vec<_>>().into_iter());
@@ -609,21 +614,41 @@ mod tests {
             .collect();
         assert_eq!(sums, [(1, max, 5), (2, 1, max), (3, 1, 1)]);
         assert_eq!(store.record_bytes(), 3 * 16 + 2 * 24);
+        let mut stream = Clients::with_tail(2);
+        stream.add(1, 1, max, || ());
+        stream.add(2, 1, 1, || ());
+        assert_eq!(stream.record_bytes(), 2 * 12 + 24);
+    }
+
+    #[test]
+    fn wide_sums_subtract_in_the_map_until_freed() {
+        let max = u64::from(u32::MAX);
+        let (mut wide, mut sums) = (BTreeMap::new(), Sums::default());
+        sums.add(7usize, &mut wide, 2, max - 1);
+        assert!(wide.is_empty());
+        sums.sub(7, &mut wide, 1, 1);
+        assert_eq!(sums.get(&7, &wide), (1, max - 2));
+        sums.add(7, &mut wide, 1, 5);
+        assert_eq!(wide.get(&7), Some(&(2, max + 3)));
+        // Back under `u32::MAX`, the sums stay in the map.
+        sums.sub(7, &mut wide, 1, max);
+        assert_eq!((sums.get(&7, &wide), wide.len()), ((1, 3), 1));
+        sums.free(&7, &mut wide);
+        assert!(wide.is_empty());
     }
 
     proptest! {
         /// The store against a `BTreeMap`: pushes, lookups, range walks
         /// and in-order walks after every op, under tails of one record
         /// (a merge every new client), a few, and more than the ops fill;
-        /// memos the stream's matched handles, then a batch shard's dense
+        /// no memo, as the stream keeps none, then a batch shard's dense
         /// first-seen ids, which no merge may renumber.
         #[test]
         fn the_store_matches_an_oracle(ops in arb_ops(), cap in 1usize..12) {
-            let table = table();
-            let handle = |addr, _| table.match_handle(addr);
-            matches_the_oracle(cap, &ops, handle)?;
-            matches_the_oracle(1, &ops, handle)?;
-            matches_the_oracle(512, &ops, handle)?;
+            let none = |_, _| ();
+            matches_the_oracle(cap, &ops, none)?;
+            matches_the_oracle(1, &ops, none)?;
+            matches_the_oracle(512, &ops, none)?;
             let id = |_, seen| u32::try_from(seen).expect("a few hundred clients");
             matches_the_oracle(cap, &ops, id)?;
         }
@@ -642,12 +667,12 @@ mod tests {
             addr,
             requests: 1,
             bytes: 2,
-            memo: Handle::NONE,
+            memo: (),
         };
         let sorted = Clients::from_sorted(addrs.iter().map(|&a| record(a)));
         let mut merged = Clients::with_tail(2);
         for &a in addrs.iter().rev() {
-            merged.add(a, 1, 2, || Handle::NONE);
+            merged.add(a, 1, 2, || ());
         }
         merged.settle();
         assert_eq!(sorted.root, merged.root);

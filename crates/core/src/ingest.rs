@@ -280,6 +280,9 @@ impl<'t> IngestPipeline<'t> {
 
     /// Sets the target chunk size in bytes (chunks always extend to a
     /// line boundary).
+    // Waived in tests/source_contracts.rs (`pub-fn-caller`): the chunking
+    // tests (core's ingest, ingest_par and prop, tests/faults.rs) cut a
+    // log at sizes the default never takes.
     pub fn chunk_bytes(mut self, bytes: usize) -> Self {
         self.chunk_bytes = bytes.max(1);
         self

@@ -25,17 +25,16 @@ use std::net::Ipv4Addr;
 
 use netclust_obs::Obs;
 use netclust_prefix::Ipv4Net;
-use netclust_rtable::Handle;
 
 use crate::clients::Clients;
 use crate::cluster::{ClientStats, Cluster, Clustering};
 use crate::ingest::for_spans;
 
 /// One client by value: its address, its sums, and what its holder keeps
-/// beside them — its first-seen dense id in a batch [`Shard`], the handle
-/// of the table entry the address matched in the stream. [`Clients`] holds
-/// it in 16 bytes and hands it out with its sums widened; the batch run's
-/// merged run is a vector of these.
+/// beside them — its first-seen dense id in a batch [`Shard`], nothing in
+/// the stream. [`Clients`] holds it in 16 bytes, 12 with no memo, and
+/// hands it out with its sums widened; the batch run's merged run is a
+/// vector of these.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Client<T> {
     pub(crate) addr: u32,
@@ -44,9 +43,7 @@ pub(crate) struct Client<T> {
     pub(crate) memo: T,
 }
 
-// Either memo, a `u32` id or a `u32` handle (`Handle::NONE` when no
-// prefix covers the client), sits in the padding after the address.
-const _: () = assert!(std::mem::size_of::<Client<Handle>>() == 24);
+// A `u32` id sits in the padding after the address.
 const _: () = assert!(std::mem::size_of::<Client<u32>>() == 24);
 
 /// A batch run's accumulator: the one client store ([`Clients`]), each

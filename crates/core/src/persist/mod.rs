@@ -350,6 +350,8 @@ impl StateStore {
 
     /// Sets the journal-size threshold for
     /// [`wants_compaction`](Self::wants_compaction).
+    // Waived in tests/source_contracts.rs (`pub-fn-caller`): the
+    // compaction tests of tests/persist_recovery.rs set a small one.
     pub fn compact_threshold(mut self, bytes: u64) -> Self {
         self.compact_threshold = bytes.max(1);
         self

@@ -31,6 +31,7 @@
 
 #![deny(clippy::iter_over_hash_type, clippy::disallowed_methods)]
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::net::Ipv4Addr;
@@ -42,7 +43,7 @@ use netclust_rtable::{CompiledTable, DeltaKind, Handle, MergedTable, PatchReport
 use netclust_weblog::clf::ClfError;
 use netclust_weblog::clf_bytes;
 
-use crate::clients::Clients;
+use crate::clients::{Clients, Sums};
 use crate::kernel::Client;
 use crate::persist::{EncodedState, FeedProgress, SnapshotFile, StreamState};
 use crate::query::{keep_top, ClusterAnswer, ClusterQuery, ClusterRow};
@@ -163,14 +164,15 @@ pub struct StreamStats {
 /// fills, as its elements × element size.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamMemory {
-    /// The client records, 16 bytes each, and the exact sums of the few
+    /// The client records, 12 bytes each, and the exact sums of the few
     /// whose counts outgrew them.
     pub client_records: usize,
     /// What finds a client record by its address: the root of 2^16 + 1
     /// offsets, 4 bytes each, and the arrival tail's index, 2 bytes a slot.
     pub address_map: usize,
-    /// The per-cluster aggregates: a 4-byte index entry per table handle
-    /// and a 24-byte slot per cluster.
+    /// The per-cluster aggregates: a 4-byte index entry per table handle,
+    /// a 16-byte slot per cluster, and the exact sums of the few whose
+    /// counts outgrew them.
     pub aggregates: usize,
     /// The patch layer's live map, of the serving generation and of the
     /// superseded one kept to patch next, once a patch batch built it.
@@ -394,25 +396,17 @@ fn totals<T>(client: &Client<T>) -> StreamStats {
     }
 }
 
-/// One cluster's aggregates, beside the handle of its table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One cluster's aggregates, beside the handle of its table entry: its
+/// sums as a client record keeps them, `u32`s with a wide escape.
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     handle: Handle,
     /// At most the stream's client count, whose ids are `u32`.
     clients: u32,
-    requests: u64,
-    bytes: u64,
+    sums: Sums,
 }
 
-impl Slot {
-    fn stats(&self) -> StreamStats {
-        StreamStats {
-            clients: u64::from(self.clients),
-            requests: self.requests,
-            bytes: self.bytes,
-        }
-    }
-}
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
 
 /// A [`Tally::slot_of`] entry for a handle no client matches.
 const NO_SLOT: u32 = u32::MAX;
@@ -420,7 +414,7 @@ const NO_SLOT: u32 = u32::MAX;
 /// Where client totals are credited: a slot per cluster with a client,
 /// found through the serving table's handle of its prefix, plus the
 /// requests of clients no prefix covers. The slots are dense, so a
-/// cluster costs its 24-byte slot, and every handle of the table a 4-byte
+/// cluster costs its 16-byte slot, and every handle of the table a 4-byte
 /// index entry (DESIGN.md §17 has the layout it was measured against).
 #[derive(Debug, Default)]
 struct Tally {
@@ -428,6 +422,9 @@ struct Tally {
     slot_of: Vec<u32>,
     /// One slot per cluster with at least one client, in no order.
     live: Vec<Slot>,
+    /// The exact sums of the slots whose counts outgrew `u32`, by handle
+    /// index: a slot's move leaves its entry where it is.
+    wide: BTreeMap<usize, (u64, u64)>,
     unclustered_requests: u64,
 }
 
@@ -443,9 +440,21 @@ impl Tally {
     }
 
     /// The aggregates of the cluster `handle` names, if it has a client.
-    fn get(&self, handle: Handle) -> Option<&Slot> {
+    fn get(&self, handle: Handle) -> Option<StreamStats> {
         let slot = *self.slot_of.get(handle.index()?)?;
-        self.live.get(slot as usize)
+        self.live.get(slot as usize).map(|s| self.stats(s))
+    }
+
+    /// A slot's aggregates, its exact sums read from `wide` if they are
+    /// there.
+    fn stats(&self, slot: &Slot) -> StreamStats {
+        let (requests, bytes) =
+            (slot.handle.index()).map_or((0, 0), |h| slot.sums.get(&h, &self.wide));
+        StreamStats {
+            clients: u64::from(slot.clients),
+            requests,
+            bytes,
+        }
     }
 
     /// Credits `amount` to the cluster `handle` names, or its requests to
@@ -470,19 +479,17 @@ impl Tally {
             self.live.push(Slot {
                 handle,
                 clients: 0,
-                requests: 0,
-                bytes: 0,
+                sums: Sums::default(),
             });
         }
         let slot = &mut self.live[*at as usize];
         slot.clients += amount.clients as u32;
-        slot.requests += amount.requests;
-        slot.bytes += amount.bytes;
+        (slot.sums).add(h, &mut self.wide, amount.requests, amount.bytes);
     }
 
     /// Inverse of [`credit`](Self::credit), exactly: `amount` was credited
     /// to `handle` before. A cluster whose last client leaves gives its
-    /// slot up.
+    /// slot up, and its wide sums' entry.
     #[allow(clippy::cast_possible_truncation, reason = "as in credit: slots and clients fit u32.")]
     fn debit(&mut self, handle: Handle, amount: StreamStats) {
         let Some(h) = handle.index() else {
@@ -492,10 +499,10 @@ impl Tally {
         let at = self.slot_of[h] as usize;
         let slot = &mut self.live[at];
         slot.clients -= amount.clients as u32;
-        slot.requests -= amount.requests;
-        slot.bytes -= amount.bytes;
+        (slot.sums).sub(h, &mut self.wide, amount.requests, amount.bytes);
         if slot.clients == 0 {
-            debug_assert_eq!((slot.requests, slot.bytes), (0, 0));
+            debug_assert_eq!(slot.sums.get(&h, &self.wide), (0, 0));
+            slot.sums.free(&h, &mut self.wide);
             self.slot_of[h] = NO_SLOT;
             self.live.swap_remove(at);
             if let Some(moved) = self.live.get(at).and_then(|s| s.handle.index()) {
@@ -504,10 +511,12 @@ impl Tally {
         }
     }
 
-    /// Bytes the index and the slots fill: entries × element size.
+    /// Bytes the index, the slots and the wide sums fill: entries ×
+    /// element size.
     fn bytes(&self) -> usize {
         self.slot_of.len() * std::mem::size_of::<u32>()
             + self.live.len() * std::mem::size_of::<Slot>()
+            + self.wide.len() * std::mem::size_of::<(usize, (u64, u64))>()
     }
 }
 
@@ -535,10 +544,11 @@ pub struct StreamingClustering {
     /// Per-cluster aggregates and the unclustered request count.
     tally: Tally,
     /// Every client seen, in address order but for a bounded arrival tail
-    /// — one search per log line. Beside the cumulative sums (kept so a
-    /// table swap can rebuild the view without replaying the stream) a
-    /// record memoizes the handle of the table entry the client matched
-    /// under the serving table, which indexes `tally`.
+    /// — one search per log line — with its cumulative sums, kept so a
+    /// table swap can rebuild the view without replaying the stream. A
+    /// client's cluster is no part of its record: the serving table's
+    /// longest match of its address names the handle that indexes
+    /// `tally`.
     seen: Clients,
     /// Records patch batches have read.
     patch_visited: u64,
@@ -662,12 +672,18 @@ impl StreamingClustering {
         self.clf_counts
     }
 
-    /// Credits one request of `bytes` to `client`, resolving it under the
-    /// serving table if this is the first the stream sees of it.
+    /// Credits one request of `bytes` to `client`'s cluster under the
+    /// serving table: a counted match the first time the stream sees the
+    /// client, the same walk uncounted after that.
     fn push_raw(&mut self, client: u32, bytes: u64) {
         self.total_requests += 1;
-        let live = &self.live;
-        let (handle, first) = (self.seen).add(client, 1, bytes, || live.table.match_handle(client));
+        let (_, first) = self.seen.add(client, 1, bytes, || ());
+        let table = &self.live.table;
+        let handle = if first {
+            table.match_handle(client)
+        } else {
+            table.lookup_handle(client)
+        };
         let amount = StreamStats {
             clients: u64::from(first),
             requests: 1,
@@ -724,13 +740,13 @@ impl StreamingClustering {
     /// prefix for determinism): a selection over the dense slots that
     /// resolves a slot's prefix only to break a tie and for the `k` kept.
     pub fn top_k(&self, k: usize) -> Vec<(Ipv4Net, StreamStats)> {
-        let table = &self.live.table;
-        let top = keep_top(self.tally.live.iter(), k, |a, b| {
-            (b.requests.cmp(&a.requests))
+        let (table, tally) = (&self.live.table, &self.tally);
+        let top = keep_top(tally.live.iter(), k, |a, b| {
+            (tally.stats(b).requests.cmp(&tally.stats(a).requests))
                 .then_with(|| table.resolve(a.handle).cmp(&table.resolve(b.handle)))
         });
         (top.into_iter())
-            .filter_map(|slot| Some((table.resolve(slot.handle)?, slot.stats())))
+            .filter_map(|slot| Some((table.resolve(slot.handle)?, tally.stats(slot))))
             .collect()
     }
 
@@ -837,10 +853,11 @@ impl StreamingClustering {
         // batch LPM sweep in address order, rebuild the aggregates from the
         // retained totals — no stream replay needed — and check
         // request-weighted coverage retention before committing.
-        let addrs: Vec<u32> = self.seen.settled().map(|(c, _)| c.addr).collect();
+        self.seen.settle();
+        let addrs: Vec<u32> = self.seen.in_order().map(|c| c.addr).collect();
         let handles = compiled.match_handles(&addrs);
         let mut tally = Tally::with_handles(compiled.prefixes().len());
-        for ((client, _), &handle) in self.seen.settled().zip(&handles) {
+        for (client, &handle) in self.seen.in_order().zip(&handles) {
             tally.credit(handle, totals(&client));
         }
         if self.total_requests > 0 {
@@ -868,9 +885,6 @@ impl StreamingClustering {
         });
         self.spare = None;
         self.tally = tally;
-        for ((_, memo), handle) in self.seen.settled().zip(handles) {
-            *memo = handle;
-        }
         self.swap_stats.accepted += 1;
         self.swap_stats.stale_age = 0;
         self.last_rejection = None;
@@ -971,9 +985,11 @@ impl StreamingClustering {
         // of those ranges and the arrival tail's, no others. Everyone else
         // keeps their assignment — that containment argument is what makes
         // a patch batch O(affected) instead of O(clients) — and their
-        // handle, which a patch never moves (DESIGN.md §15). A freed handle
-        // may come back for another prefix, so the aggregates move on a
-        // change of handle and a reassignment is a change of prefix.
+        // handle, which a patch never moves (DESIGN.md §15), so the patched
+        // table finds the slot they were credited to. A freed handle may
+        // come back for another prefix, so the aggregates move on a change
+        // of handle and a reassignment is a change of prefix. A record's
+        // old handle is the serving table's match, read before the publish.
         let (serving, patched) = (&self.live.table, &candidate.table);
         // The serving handles of the withdrawn prefixes, sorted.
         let mut withdrawn: Vec<usize> = (deltas.iter())
@@ -1001,7 +1017,9 @@ impl StreamingClustering {
             .flat_map(|&(lo, hi)| seen.range(lo, hi))
             .chain(seen.tail_positions());
         let mut visited = 0u64;
-        let mut moves: Vec<(usize, Handle)> = Vec::new();
+        // (position, serving handle, patched handle) of each client whose
+        // aggregates move.
+        let mut moves: Vec<(usize, Handle, Handle)> = Vec::new();
         let mut reassigned_clients = 0;
         // Wide enough for any sum of u64 counts with either sign.
         let mut unclustered_delta = 0i128;
@@ -1010,16 +1028,22 @@ impl StreamingClustering {
                 continue;
             };
             visited += 1;
-            let hit = (record.memo.index()).is_some_and(|h| withdrawn.binary_search(&h).is_ok())
+            // A tail record outside every delta's prefix is not hit, and
+            // costs no table walk.
+            if !(ranges.iter()).any(|&(lo, hi)| (lo..=hi).contains(&record.addr)) {
+                continue;
+            }
+            let old = serving.lookup_handle(record.addr);
+            let hit = (old.index()).is_some_and(|h| withdrawn.binary_search(&h).is_ok())
                 || announced.iter().any(|p| p.contains_u32(record.addr));
             if !hit {
                 continue;
             }
-            let net = serving.resolve(record.memo);
+            let net = serving.resolve(old);
             let handle = patched.match_handle(record.addr);
             let new_net = patched.resolve(handle);
             reassigned_clients += usize::from(new_net != net);
-            if handle == record.memo {
+            if handle == old {
                 continue;
             }
             if net.is_none() {
@@ -1028,7 +1052,7 @@ impl StreamingClustering {
             if new_net.is_none() {
                 unclustered_delta += i128::from(record.requests);
             }
-            moves.push((pos, handle));
+            moves.push((pos, old, handle));
         }
         self.patch_visited += visited;
         let coverage_after = if self.total_requests == 0 {
@@ -1057,15 +1081,12 @@ impl StreamingClustering {
         candidate.version = self.live.version + 1;
         let superseded = self.publish(candidate);
         self.spare = Some((superseded, deltas.to_vec()));
-        for (pos, handle) in moves {
+        for (pos, old, handle) in moves {
             let Some(client) = self.seen.at(pos) else {
                 continue;
             };
-            self.tally.debit(client.memo, totals(&client));
+            self.tally.debit(old, totals(&client));
             self.tally.credit(handle, totals(&client));
-            if let Some(memo) = self.seen.at_mut(pos) {
-                *memo = handle;
-            }
         }
         self.patch_stats.accepted += 1;
         self.last_rejection = None;
@@ -1186,9 +1207,9 @@ impl StreamingClustering {
                 addr,
                 requests,
                 bytes,
-                memo: live.table.match_handle(addr),
+                memo: (),
             };
-            tally.credit(client.memo, totals(&client));
+            tally.credit(live.table.match_handle(addr), totals(&client));
             client
         });
         stream.seen = Clients::from_sorted(run);
@@ -1217,20 +1238,21 @@ impl StreamingClustering {
 }
 
 impl ClusterQuery for StreamingClustering {
-    /// `addr`'s cluster under the serving table — a seen client's
-    /// memoized handle, else a longest-prefix match — with its aggregates
-    /// and the client's own totals, for one search of the client store and
-    /// one index.
+    /// `addr`'s cluster under the serving table — its longest-prefix
+    /// match, counted for an address the stream has not seen (a seen
+    /// client's was counted when it arrived) — with its aggregates and the
+    /// client's own totals, for one search of the client store, one table
+    /// walk and one index.
     fn lookup(&self, addr: Ipv4Addr) -> ClusterAnswer {
-        let client = u32::from(addr);
+        let (client, table) = (u32::from(addr), &self.live.table);
         let (handle, client_requests, client_bytes) = match self.seen.get(client) {
-            Some(record) => (record.memo, record.requests, record.bytes),
-            None => (self.live.table.match_handle(client), 0, 0),
+            Some(record) => (table.lookup_handle(client), record.requests, record.bytes),
+            None => (table.match_handle(client), 0, 0),
         };
-        let stats = self.tally.get(handle).map(Slot::stats).unwrap_or_default();
+        let stats = self.tally.get(handle).unwrap_or_default();
         ClusterAnswer {
             addr,
-            cluster: self.live.table.resolve(handle),
+            cluster: table.resolve(handle),
             cluster_clients: stats.clients,
             cluster_requests: stats.requests,
             cluster_bytes: stats.bytes,
@@ -1260,6 +1282,8 @@ mod tests {
     use crate::query::ClusterQuery;
     use netclust_netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
     use netclust_rtable::{RoutingTable, TableKind};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn setup() -> (Universe, netclust_netgen::Log) {
         let u = Universe::generate(UniverseConfig::small(7));
@@ -1460,26 +1484,23 @@ mod tests {
     /// from-scratch re-resolution of every retained client against the
     /// serving table — the incremental aggregate moves cannot drift.
     fn assert_view_consistent(stream: &StreamingClustering) {
-        let handle = stream.handle();
+        let table = &stream.live.table;
         let mut tally = Tally::default();
         for record in stream.seen.in_order() {
-            let client = record.addr;
-            assert_eq!(
-                stream.live.table.resolve(record.memo),
-                handle.net_for_u32(client),
-                "memoized assignment for {client:#010x} disagrees with the serving table"
-            );
-            tally.credit(record.memo, totals(&record));
+            tally.credit(table.lookup_handle(record.addr), totals(&record));
         }
         assert_eq!(
             stream.tally.unclustered_requests,
             tally.unclustered_requests
         );
         // Slots are in no order: compare them by handle, and every index
-        // entry against the slot it names.
+        // entry against the slot it names. A slot's sums once wide stay
+        // wide, so compare the sums, not how they are held.
         let by_handle = |t: &Tally| {
-            let mut slots = t.live.clone();
-            slots.sort_unstable_by_key(|s| s.handle.index());
+            let mut slots: Vec<_> = (t.live.iter())
+                .map(|s| (s.handle.index(), t.stats(s)))
+                .collect();
+            slots.sort_unstable_by_key(|s| s.0);
             slots
         };
         assert_eq!(by_handle(&stream.tally), by_handle(&tally));
@@ -1489,6 +1510,11 @@ mod tests {
                 slot.and_then(|s| s.handle.index()),
                 (at != NO_SLOT).then_some(h)
             );
+        }
+        // A wide entry belongs to a slot in use.
+        for &h in stream.tally.wide.keys() {
+            assert_ne!(stream.tally.slot_of.get(h), Some(&NO_SLOT), "{h}");
+            assert!(h < stream.tally.slot_of.len());
         }
     }
 
@@ -1854,5 +1880,230 @@ mod tests {
             cluster_of(&stream, client).is_some(),
             standard_merged(&u, 0).lookup(client).is_some()
         );
+    }
+
+    /// Prefixes the wide-sum property's tables are drawn from: nested, so a
+    /// withdraw moves clients to a shorter prefix and an announce takes
+    /// them back.
+    const WIDE_NETS: [&str; 6] = [
+        "10.0.0.0/8",
+        "10.1.0.0/16",
+        "10.2.0.0/16",
+        "10.3.0.0/16",
+        "10.1.2.0/24",
+        "10.2.128.0/17",
+    ];
+
+    /// The property's clients: under every prefix, under the /8 alone, and
+    /// under none.
+    const WIDE_CLIENTS: [&str; 9] = [
+        "10.1.0.1",
+        "10.1.2.3",
+        "10.1.2.4",
+        "10.2.0.5",
+        "10.2.200.1",
+        "10.3.0.9",
+        "10.4.0.1",
+        "10.5.5.5",
+        "11.0.0.1",
+    ];
+
+    #[derive(Debug, Clone)]
+    enum WideOp {
+        /// One request of the bytes from the client.
+        Push(usize, u64),
+        /// Announce (`true`) or withdraw each prefix, one delta a prefix.
+        Patch(Vec<(usize, bool)>),
+        /// A full swap to the prefixes the mask picks.
+        Swap(u8),
+        /// Encode the state, decode it and restore a stream from it.
+        Restore,
+    }
+
+    fn wide_net(i: usize) -> Ipv4Net {
+        WIDE_NETS[i].parse().expect("a prefix")
+    }
+
+    fn wide_client(i: usize) -> u32 {
+        u32::from(WIDE_CLIENTS[i].parse::<Ipv4Addr>().expect("an address"))
+    }
+
+    /// A permissive policy: every batch and swap is published, so the
+    /// oracle follows each one.
+    fn any_table() -> SwapPolicy {
+        SwapPolicy {
+            min_entries: 0,
+            max_noise_ratio: 1.0,
+            min_coverage_retention: 0.0,
+        }
+    }
+
+    fn table_of(live: &BTreeSet<Ipv4Net>) -> MergedTable {
+        let bgp = RoutingTable::new("B", "d0", TableKind::Bgp, live.iter().copied().collect());
+        MergedTable::merge([&bgp])
+    }
+
+    /// The stream against an oracle of `u64` sums after one op: each
+    /// cluster's sums (clients, requests, bytes) over the longest live
+    /// match of every client, the unclustered requests, the top three in
+    /// order, and `lookup` of every client and of an unseen address under
+    /// each prefix.
+    fn check_wide(
+        stream: &StreamingClustering,
+        clients: &BTreeMap<u32, (u64, u64)>,
+        live: &BTreeSet<Ipv4Net>,
+        op: &WideOp,
+    ) -> Result<(), String> {
+        let lpm = |addr: u32| {
+            (live.iter().filter(|p| p.contains_u32(addr)))
+                .max_by_key(|p| p.len())
+                .copied()
+        };
+        let mut want: BTreeMap<Ipv4Net, (u64, u64, u64)> = BTreeMap::new();
+        let mut unclustered = 0;
+        for (&addr, &(requests, bytes)) in clients {
+            match lpm(addr) {
+                Some(net) => {
+                    let sums = want.entry(net).or_default();
+                    *sums = (sums.0 + 1, sums.1 + requests, sums.2 + bytes);
+                }
+                None => unclustered += requests,
+            }
+        }
+        let stats = |s: StreamStats| (s.clients, s.requests, s.bytes);
+        let got: BTreeMap<Ipv4Net, (u64, u64, u64)> = (stream.top_k(usize::MAX).into_iter())
+            .map(|(net, s)| (net, stats(s)))
+            .collect();
+        prop_assert_eq!(&got, &want, "after {:?}", op);
+        prop_assert_eq!(stream.unclustered_requests(), unclustered);
+        let mut ranked: Vec<(Ipv4Net, (u64, u64, u64))> = want.clone().into_iter().collect();
+        ranked.sort_by(|a, b| b.1 .1.cmp(&a.1 .1).then(a.0.cmp(&b.0)));
+        ranked.truncate(3);
+        let top: Vec<_> = (stream.top_k(3).into_iter())
+            .map(|(n, s)| (n, stats(s)))
+            .collect();
+        prop_assert_eq!(top, ranked);
+        let unseen = live.iter().map(|p| p.addr_u32() | 0x7F);
+        for addr in clients.keys().copied().chain(unseen) {
+            let answer = stream.lookup(Ipv4Addr::from(addr));
+            let net = lpm(addr);
+            let cluster = net.and_then(|n| want.get(&n)).copied().unwrap_or_default();
+            let own = clients.get(&addr).copied().unwrap_or_default();
+            prop_assert_eq!(answer.cluster, net, "{}", Ipv4Addr::from(addr));
+            prop_assert_eq!(
+                (
+                    answer.cluster_clients,
+                    answer.cluster_requests,
+                    answer.cluster_bytes
+                ),
+                cluster
+            );
+            prop_assert_eq!((answer.client_requests, answer.client_bytes), own);
+        }
+        assert_view_consistent(stream);
+        Ok(())
+    }
+
+    /// Applies `op` to the stream, the clients' sums and the live set.
+    fn apply_wide(
+        stream: &mut StreamingClustering,
+        clients: &mut BTreeMap<u32, (u64, u64)>,
+        live: &mut BTreeSet<Ipv4Net>,
+        op: &WideOp,
+    ) {
+        match op {
+            &WideOp::Push(client, bytes) => {
+                let addr = wide_client(client);
+                stream.push_raw(addr, bytes);
+                let sums = clients.entry(addr).or_default();
+                *sums = (sums.0 + 1, sums.1 + bytes);
+            }
+            WideOp::Patch(deltas) => {
+                let mut batch: Vec<TableDelta> = Vec::new();
+                for &(i, announce) in deltas {
+                    let net = wide_net(i);
+                    if batch.iter().any(|d| d.prefix == net) {
+                        continue;
+                    }
+                    batch.push(if announce {
+                        live.insert(net);
+                        TableDelta::announce(net)
+                    } else {
+                        live.remove(&net);
+                        TableDelta::withdraw(net)
+                    });
+                }
+                let report = stream.apply_deltas(&batch);
+                assert!(report.accepted, "{:?}", report.rejection);
+            }
+            &WideOp::Swap(mask) => {
+                *live = (0..WIDE_NETS.len())
+                    .filter(|i| mask >> i & 1 == 1)
+                    .map(wide_net)
+                    .collect();
+                let report = stream.try_swap(table_of(live), ErrorCounts::default());
+                assert!(report.accepted, "{:?}", report.rejection);
+            }
+            WideOp::Restore => {
+                let bytes = crate::persist::encode_state(&stream.export_state());
+                let state = crate::persist::decode_state(&bytes).expect("a state it wrote");
+                *stream = StreamingClustering::restore(&state, any_table(), Obs::disabled())
+                    .expect("a state it exported");
+            }
+        }
+    }
+
+    /// A byte count that is small, or a jump of 2^30 to 2^33 that takes a
+    /// sum across `u32::MAX` in one to four requests.
+    fn arb_bytes() -> impl Strategy<Value = u64> {
+        prop_oneof![0..4u64, (1u64 << 30)..(1u64 << 33)]
+    }
+
+    fn arb_wide_op() -> impl Strategy<Value = WideOp> {
+        let clients = 0..WIDE_CLIENTS.len();
+        let deltas = proptest::collection::vec((0..WIDE_NETS.len(), any::<bool>()), 1..4);
+        prop_oneof![
+            (clients.clone(), arb_bytes()).prop_map(|(c, b)| WideOp::Push(c, b)),
+            (clients, arb_bytes()).prop_map(|(c, b)| WideOp::Push(c, b)),
+            deltas.prop_map(WideOp::Patch),
+            any::<u8>().prop_map(WideOp::Swap),
+            Just(WideOp::Restore),
+        ]
+    }
+
+    proptest! {
+        /// Cluster sums across `u32::MAX` against an oracle of `u64` sums.
+        /// Every case opens with the same script: two clusters made wide
+        /// around a narrow one, so withdrawing the first frees a wide slot
+        /// and `swap_remove` moves the wide last slot into its place; its
+        /// client moves into the covering /8, which its bytes make wide,
+        /// and back out on the announce; then a full swap and an encode →
+        /// restore round trip. Generated pushes, patch batches, swaps and
+        /// round trips follow. Every op is checked: per-cluster sums,
+        /// `top_k` and `lookup`.
+        #[test]
+        fn cluster_sums_cross_u32_max(
+            big in (1u64 << 32)..(1u64 << 33),
+            ops in proptest::collection::vec(arb_wide_op(), 1..40),
+        ) {
+            let mut live: BTreeSet<Ipv4Net> = (0..WIDE_NETS.len()).map(wide_net).collect();
+            let mut stream = StreamingClustering::builder(table_of(&live))
+                .swap_policy(any_table())
+                .build();
+            let mut clients = BTreeMap::new();
+            let script = [
+                WideOp::Push(0, big),
+                WideOp::Push(5, 1),
+                WideOp::Push(3, big),
+                WideOp::Patch(vec![(1, false)]),
+                WideOp::Patch(vec![(1, true)]),
+                WideOp::Swap(0x3F),
+                WideOp::Restore,
+            ];
+            for op in script.iter().chain(&ops) {
+                apply_wide(&mut stream, &mut clients, &mut live, op);
+                check_wide(&stream, &clients, &live, op)?;
+            }
+        }
     }
 }

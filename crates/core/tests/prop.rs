@@ -8,41 +8,11 @@ use netclust_core::{
     Clustering, ErrorCounts, IngestPipeline, StreamStats, StreamingClustering, SwapPolicy,
     VerdictAnswer, VerdictPolicy,
 };
-use netclust_netgen::{to_clf, Log, LogTruth, Request, UrlMeta};
+use netclust_netgen::{to_clf, Log, Request};
 use netclust_obs::Obs;
 use netclust_prefix::Ipv4Net;
 use netclust_rtable::{DeltaKind, MergedTable, RoutingTable, TableDelta, TableKind};
 use proptest::prelude::*;
-
-/// Builds a log from arbitrary (client, url, time) triples.
-fn log_from(reqs: &[(u32, u8, u16)]) -> Log {
-    let mut requests: Vec<Request> = reqs
-        .iter()
-        .map(|&(client, url, time)| Request {
-            time: time as u32,
-            client,
-            url: url as u32,
-            bytes: 100 + url as u32,
-            status: 200,
-            ua: 0,
-        })
-        .collect();
-    requests.sort_by_key(|r| r.time);
-    Log {
-        name: "prop".into(),
-        requests,
-        urls: (0..=255)
-            .map(|i| UrlMeta {
-                path: format!("/{i}"),
-                size: 100 + i,
-            })
-            .collect(),
-        user_agents: vec!["UA".into()],
-        start_time: 0,
-        duration_s: u16::MAX as u32,
-        truth: LogTruth::default(),
-    }
-}
 
 fn arb_reqs() -> impl Strategy<Value = Vec<(u32, u8, u16)>> {
     proptest::collection::vec((any::<u32>(), any::<u8>(), any::<u16>()), 1..300)
@@ -282,7 +252,7 @@ proptest! {
     /// cluster (or unclustered), and aggregates add up to log totals.
     #[test]
     fn clustering_partitions_clients(reqs in arb_reqs(), modulus in 1u32..5) {
-        let log = log_from(&reqs);
+        let log = Log::from_triples(&reqs);
         // An arbitrary assigner: cluster by client % modulus, with one
         // residue class unclusterable.
         let rule = |addr: u32| {
@@ -387,7 +357,7 @@ proptest! {
                 (if sel % 4 == 0 { host } else { inside }, url, time)
             })
             .collect();
-        let log = log_from(&triples);
+        let log = Log::from_triples(&triples);
         let (want, members) = oracle(&log.requests, &table);
         let want_batch = (want.clone(), members);
 
@@ -511,7 +481,7 @@ proptest! {
         reqs in arb_reqs(),
         probes in proptest::collection::vec((any::<u8>(), any::<u32>()), 1..16),
     ) {
-        let log = log_from(&reqs);
+        let log = Log::from_triples(&reqs);
         let unseen = unseen_addrs(&log, &[], &probes);
         let slash24 = |a: u32| Ipv4Net::new(a, 24).ok();
         let classful = |a: u32| match a >> 24 {
@@ -535,7 +505,7 @@ proptest! {
     /// than ceil(clients / 256); classful clusters are coarser or equal.
     #[test]
     fn method_granularity_bounds(reqs in arb_reqs()) {
-        let log = log_from(&reqs);
+        let log = Log::from_triples(&reqs);
         let clients = log.client_count();
         let simple = Clustering::by(log.hits(), Assigner::Simple24);
         prop_assert!(simple.len() <= clients);
@@ -550,7 +520,7 @@ proptest! {
     /// target fraction.
     #[test]
     fn threshold_covers_fraction(reqs in arb_reqs(), pct in 1u32..=100) {
-        let log = log_from(&reqs);
+        let log = Log::from_triples(&reqs);
         let clustering = Clustering::by(log.hits(), Assigner::Simple24);
         let fraction = pct as f64 / 100.0;
         let report = threshold_busy(&clustering.clusters, fraction);

@@ -8,45 +8,15 @@ use netclust_experiments::{
     accessed_url_count, cdf, cdf_at, dynamic_prefix_set, split_sessions, unique_clients,
     Distributions, Summary,
 };
+use netclust_netgen::Log;
 use netclust_netgen::{generate, LogSpec, Universe, UniverseConfig};
-use netclust_netgen::{Log, LogTruth, Request, UrlMeta};
 use netclust_prefix::Ipv4Net;
 use netclust_rtable::{RoutingTable, TableKind};
 use proptest::prelude::*;
 
-/// Builds a log from arbitrary (client, url, time) triples.
-fn log_from(reqs: &[(u32, u8, u16)]) -> Log {
-    let mut requests: Vec<Request> = reqs
-        .iter()
-        .map(|&(client, url, time)| Request {
-            time: time as u32,
-            client,
-            url: url as u32,
-            bytes: 100 + url as u32,
-            status: 200,
-            ua: 0,
-        })
-        .collect();
-    requests.sort_by_key(|r| r.time);
-    Log {
-        name: "prop".into(),
-        requests,
-        urls: (0..=255)
-            .map(|i| UrlMeta {
-                path: format!("/{i}"),
-                size: 100 + i,
-            })
-            .collect(),
-        user_agents: vec!["UA".into()],
-        start_time: 0,
-        duration_s: u16::MAX as u32,
-        truth: LogTruth::default(),
-    }
-}
-
 #[test]
 fn counts() {
-    let log = log_from(&[(1, 0, 0), (2, 1, 10), (1, 0, 50), (3, 1, 99)]);
+    let log = Log::from_triples(&[(1, 0, 0), (2, 1, 10), (1, 0, 50), (3, 1, 99)]);
     assert_eq!(accessed_url_count(&log), 2);
     let clients = [1u32, 2, 3].map(Ipv4Addr::from);
     assert_eq!(unique_clients(&log), clients);
@@ -54,7 +24,7 @@ fn counts() {
 
 #[test]
 fn sessions_partition_requests() {
-    let mut log = log_from(&[(1, 0, 0), (2, 1, 10), (1, 0, 50), (3, 1, 99)]);
+    let mut log = Log::from_triples(&[(1, 0, 0), (2, 1, 10), (1, 0, 50), (3, 1, 99)]);
     log.name = "tiny".into();
     log.duration_s = 100;
     let sessions = split_sessions(&log, 4);
@@ -81,7 +51,7 @@ proptest! {
     /// Distribution series and orderings are consistent with the clusters.
     #[test]
     fn distributions_are_consistent(reqs in arb_reqs()) {
-        let log = log_from(&reqs);
+        let log = Log::from_triples(&reqs);
         let clustering = Clustering::by(log.hits(), Assigner::Simple24);
         let d = Distributions::of(&clustering);
         prop_assert_eq!(d.clients.len(), clustering.len());

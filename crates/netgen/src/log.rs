@@ -146,6 +146,38 @@ pub struct Log {
 }
 
 impl Log {
+    /// A log named `"prop"` of one request per `(client, url, time)`
+    /// triple, sorted by time (ties keep their order): URL `u` is `/u`,
+    /// 256 of them, and a request of it is `100 + u` bytes, one
+    /// User-Agent, `u16::MAX` seconds long. The property tests' log.
+    pub fn from_triples(triples: &[(u32, u8, u16)]) -> Log {
+        let mut requests: Vec<Request> = (triples.iter())
+            .map(|&(client, url, time)| Request {
+                time: u32::from(time),
+                client,
+                url: u32::from(url),
+                bytes: 100 + u32::from(url),
+                status: 200,
+                ua: 0,
+            })
+            .collect();
+        requests.sort_by_key(|r| r.time);
+        Log {
+            name: "prop".into(),
+            requests,
+            urls: (0..=255)
+                .map(|i| UrlMeta {
+                    path: format!("/{i}"),
+                    size: 100 + i,
+                })
+                .collect(),
+            user_agents: vec!["UA".into()],
+            start_time: 0,
+            duration_s: u32::from(u16::MAX),
+            truth: LogTruth::default(),
+        }
+    }
+
     /// Number of distinct clients.
     pub fn client_count(&self) -> usize {
         self.requests

@@ -22,11 +22,6 @@ impl ErrorCounts {
         Self { records, malformed }
     }
 
-    /// Records that parsed cleanly.
-    pub fn accepted(&self) -> u64 {
-        self.records.saturating_sub(self.malformed)
-    }
-
     /// Fraction of records that were malformed; `0.0` when nothing was seen.
     pub fn ratio(&self) -> f64 {
         if self.records == 0 {
@@ -75,7 +70,6 @@ mod tests {
         let mut a = ErrorCounts::new(10, 1);
         a.merge(ErrorCounts::new(5, 2));
         assert_eq!(a, ErrorCounts::new(15, 3));
-        assert_eq!(a.accepted(), 12);
         assert!(!a.is_clean());
         assert!((a.ratio() - 0.2).abs() < 1e-12);
     }

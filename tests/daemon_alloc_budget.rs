@@ -87,8 +87,9 @@ fn peak_of<R>(work: impl FnOnce() -> R) -> (R, usize) {
 const SLACK: usize = 64 << 10;
 const CLUSTERS: u32 = 50_000;
 /// What the per-cluster aggregates may fill, per cluster of a stream
-/// whose table has one prefix a cluster.
-const AGGREGATE_BYTES_PER_CLUSTER: usize = 28;
+/// whose table has one prefix a cluster: a 4-byte index entry and a
+/// 16-byte slot. Slots of `u64` sums, 24 bytes, filled 28.
+const AGGREGATE_BYTES_PER_CLUSTER: usize = 20;
 /// What finds a client record by its address, whatever the client count:
 /// the store's root, a `u32` offset per /16 and one past the last, and
 /// its arrival tail's index, 2^14 `u16` slots. The hashed address → id
@@ -238,18 +239,18 @@ fn a_top_n_a_poll_and_a_snapshot_allocate_what_they_return() {
     drop(text);
 
     // The run of client records and the aggregates' slots are the blocks a
-    // push grows in place, doubling: for 50 000 clients, 2^16 records of 16
-    // bytes — address, the handle of its match, two `u32` sums — and as
-    // many slots of 24, the larger (the records alone are held to 16 bytes
-    // in `a_snapshot_of_crowded_clients_allocates_no_room`).
+    // push grows in place, doubling: for 50 000 clients, 2^16 records of 12
+    // bytes — address and two `u32` sums — and as many slots of 16, the
+    // larger — handle, clients and two `u32` sums (the records alone are
+    // held to 12 bytes in `a_snapshot_of_crowded_clients_allocates_no_room`).
     let regrown = LARGEST_REGROWTH.load(Ordering::Relaxed);
     println!("the aggregates' slots: {regrown} bytes for 2^16 slots");
-    assert_eq!(regrown, 24 << 16, "an aggregate slot is not 24 bytes");
+    assert_eq!(regrown, 16 << 16, "an aggregate slot is not 16 bytes");
 
-    // The aggregates: a 4-byte index entry per table handle and a 24-byte
-    // slot per cluster, 28 bytes a cluster. A hash map keyed by prefix
-    // filled 2^16 buckets of a 32-byte entry and a control byte for as many
-    // clusters, 43.3 bytes a cluster.
+    // The aggregates: a 4-byte index entry per table handle and a 16-byte
+    // slot per cluster, 20 bytes a cluster (28 with `u64` sums in a slot).
+    // A hash map keyed by prefix filled 2^16 buckets of a 32-byte entry and
+    // a control byte for as many clusters, 43.3 bytes a cluster.
     let memory = stream.memory();
     let budget = AGGREGATE_BYTES_PER_CLUSTER * CLUSTERS as usize;
     println!(
@@ -257,7 +258,7 @@ fn a_top_n_a_poll_and_a_snapshot_allocate_what_they_return() {
         memory.aggregates
     );
     assert!(memory.aggregates <= budget, "{memory:?}");
-    assert_eq!(memory.client_records, 16 * stream.client_count());
+    assert_eq!(memory.client_records, 12 * stream.client_count());
 
     // The root and the tail's index: 294 916 bytes for any number of
     // clients; the address stays in the record.
@@ -340,7 +341,8 @@ fn a_top_n_a_poll_and_a_snapshot_allocate_what_they_return() {
 /// address space: every client in one /16, or spread over one /8, each
 /// pushed out of address order. It stays under the bound of a snapshot
 /// of any client count; no /16 is sorted on the way. The client records,
-/// pushed into a stream of one cluster, grow to 16 bytes each.
+/// pushed into a stream of one cluster, grow to 12 bytes each: no memo of
+/// the cluster, which the table answers.
 #[test]
 fn a_snapshot_of_crowded_clients_allocates_no_room() {
     let _alone = alone();
@@ -371,10 +373,10 @@ fn a_snapshot_of_crowded_clients_allocates_no_room() {
         // The run of records is the one block the pushes grow, doubling.
         let clients = stream.client_count();
         let regrown = LARGEST_REGROWTH.load(Ordering::Relaxed);
-        let records = 16 * clients.next_power_of_two();
+        let records = 12 * clients.next_power_of_two();
         println!("the client records of {clients} clients in {name}: {regrown} bytes");
-        assert_eq!(regrown, records, "a client record is not 16 bytes");
-        assert_eq!(stream.memory().client_records, 16 * clients);
+        assert_eq!(regrown, records, "a client record is not 12 bytes");
+        assert_eq!(stream.memory().client_records, 12 * clients);
         let budget = SNAPSHOT_BYTES;
         let mut store = StateStore::create(dir.join("state"), FsyncPolicy::Os).unwrap();
         let (written, peak) = peak_of(|| store.checkpoint_encoded(|to| stream.encode_state(to)));

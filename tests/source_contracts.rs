@@ -24,9 +24,11 @@
 //!   tests, studies or examples call is not product. A name inside
 //!   another product `pub fn` counts only once that function is itself
 //!   counted, so one waived or test-only function keeps no helper chain.
-//!   A method (a `self` receiver) is named by its name; an associated
-//!   function of an `impl Type` only by its path, `Type::name` or, inside
-//!   an impl of `Type`, `Self::name`.
+//!   A method (a `self` receiver) is named by its name, but after a `.`
+//!   only as a call, `(` or `::<` next — `self.name += 1` reads a field —
+//!   and never followed by a lone `:`, which declares a field or a
+//!   binding; an associated function of an `impl Type` only by its path,
+//!   `Type::name` or, inside an impl of `Type`, `Self::name`.
 //! * `one-temp-guard`: no file outside `crates/testkit` calls
 //!   `temp_dir()`: a test's files live in a `netclust_testkit::TempDir`,
 //!   which removes them when a failing assertion unwinds too. The frozen
@@ -75,9 +77,19 @@ const WAIVERS: &[(&str, &str, &str)] = &[
         "pub fn take_faults(&mut self) -> FaultInjector {",
     ),
     (
+        "crates/core/src/persist/mod.rs",
+        "pub-fn-caller",
+        "pub fn compact_threshold(mut self, bytes: u64) -> Self {",
+    ),
+    (
         "crates/core/src/persist/state.rs",
         "pub-fn-caller",
         "pub fn decode_state(bytes: &[u8]) -> Result<StreamState, StateDecodeError> {",
+    ),
+    (
+        "crates/core/src/ingest.rs",
+        "pub-fn-caller",
+        "pub fn chunk_bytes(mut self, bytes: usize) -> Self {",
     ),
     (
         "crates/weblog/src/chunk.rs",
@@ -343,6 +355,15 @@ fn qualifier(before: &str) -> Option<&str> {
     }
     let ty = &path[path.trim_end_matches(is_ident).len()..];
     (!ty.is_empty()).then_some(ty)
+}
+
+/// Whether the word at `code[start..end]` is a field or a binding, not a
+/// function: it follows a `.` and no call follows it (`(` or a turbofish
+/// `::<`), or a lone `:` follows it (`name: Type`, `name: value`).
+fn is_field(code: &str, start: usize, end: usize) -> bool {
+    let after = &code[end..];
+    let read = code[..start].ends_with('.') && !after.starts_with('(') && !after.starts_with("::<");
+    read || (after.starts_with(':') && !after.starts_with("::"))
 }
 
 /// The offset of the `)` that closes the `(` at `open`.
@@ -770,9 +791,12 @@ fn failpoint_coverage(sources: &[Source], out: &mut Vec<Finding>) {
 /// root `src/`, of the harness and of other functions (private ones,
 /// which the compiler's dead-code lint holds, trait methods, `main`)
 /// always count. A method is named by its name alone, since a line does
-/// not show the type of an inferred receiver; an associated function (no
-/// `self`) of an `impl Type` only as `Type::name`, or as `Self::name`
-/// inside an impl of `Type`.
+/// not show the type of an inferred receiver — but a word after a `.`
+/// names it only when a call follows, `(` or `::<`, since without one it
+/// is a field access, and a word a lone `:` follows (a field or binding
+/// declared) names nothing; an associated function (no `self`) of an
+/// `impl Type` only as `Type::name`, or as `Self::name` inside an impl of
+/// `Type`.
 fn pub_fn_callers(sources: &[Source], out: &mut Vec<Finding>) {
     // The rule's subjects: (source, line, name, the impl type of an
     // associated function), and which one owns each line of a source.
@@ -829,7 +853,10 @@ fn pub_fn_callers(sources: &[Source], out: &mut Vec<Finding>) {
                     (true, None) => start = Some(j),
                     (false, Some(k)) => {
                         let word = &code[k..j];
-                        if by_name.contains_key(word) && !code[..k].ends_with("fn ") {
+                        if by_name.contains_key(word)
+                            && !code[..k].ends_with("fn ")
+                            && !is_field(code, k, j)
+                        {
                             let ty = match qualifier(&code[..k]) {
                                 Some("Self") => impls[i],
                                 ty => ty,
@@ -1349,6 +1376,20 @@ impl Stream {
         Self::by()
     }
 }
+pub struct Parser {
+    examined: usize,
+}
+impl Parser {
+    pub fn feed(&mut self, n: usize) {
+        self.examined += n;
+    }
+    pub fn examined(&self) -> usize {
+        self.examined
+    }
+    pub fn pick<T>(&self) -> usize {
+        self.examined
+    }
+}
 #[cfg(test)]
 mod tests {
     pub fn in_tests() {}
@@ -1365,6 +1406,9 @@ fn main() {
     let _ = \"nor unnamed() in a string\";
     println!(\"{}\", demo::served());
     println!(\"{}\", demo::Stream.total());
+    let mut parser = demo::Parser { examined: 0 };
+    parser.feed(1);
+    println!(\"{}\", parser.pick::<u8>());
 }
 ";
     let other_product = "fn route() {\n    demo::shared();\n    Other::by();\n}\n";
@@ -1395,10 +1439,13 @@ fn main() {
     // is an associated function: `Other::by` and `Self::by` in `Stream`'s
     // impl name other ones, and a test's call is no caller. `Stream::by`
     // (37) is named by `Self::by` in its own impl, and the method `total`
-    // by its name.
-    assert_eq!(callers(true), [7, 10, 13, 16, 19, 22, 23, 31]);
+    // by its name. `Parser::examined` (51) shares its name with a field
+    // that is declared, initialized and read (`self.examined += n`) but
+    // never called, unlike `feed` (48) and `pick` (54), called with `(`
+    // and `::<`.
+    assert_eq!(callers(true), [7, 10, 13, 16, 19, 22, 23, 31, 51]);
     // Without the harness, `benched` has no caller either.
-    assert_eq!(callers(false), [4, 7, 10, 13, 16, 19, 22, 23, 31]);
+    assert_eq!(callers(false), [4, 7, 10, 13, 16, 19, 22, 23, 31, 51]);
     // Waiving `waived` leaves the helper only it names.
     let found = check(&[
         Source::parse("crates/core/src/demo.rs", product),
