@@ -63,8 +63,8 @@ pub use stream::{
     StreamWork, StreamingBuilder, StreamingClustering, SwapPolicy, SwapRejection, SwapReport,
     SwapStats,
 };
-// The shared error-accounting shape carried by `IngestReport`, consumed by
-// `StreamingClustering::try_swap`, and produced by rtable's `ParseReport`;
+// The shared error-accounting shape carried by `IngestReport` and by the
+// sources of rtable's `MergedTable`, whose sum `try_swap` gates on;
 // defined in `netclust-obs`, re-exported so core users need no extra import.
 pub use netclust_obs::ErrorCounts;
 pub use threshold::{threshold_busy, ThresholdReport};

@@ -801,14 +801,14 @@ impl StreamingClustering {
     /// stream has already seen replaces the serving table. On rejection the old table
     /// keeps serving untouched and the stale-age counter grows.
     ///
-    /// `noise` is the candidate's source parse-noise accounting
-    /// ([`ErrorCounts::default`] for programmatically built tables; see
-    /// `netclust_rtable::ParseReport::counts`). The thresholds come from
-    /// the policy configured at build time
-    /// ([`StreamingBuilder::swap_policy`]).
-    pub fn try_swap(&mut self, table: MergedTable, noise: ErrorCounts) -> SwapReport {
+    /// The noise gate reads the candidate's own parse noise,
+    /// [`MergedTable::noise`]: the sum over its `sources()` of what each
+    /// table file held that was not an entry (clean for a table merged in
+    /// memory). The thresholds come from the policy configured at build
+    /// time ([`StreamingBuilder::swap_policy`]).
+    pub fn try_swap(&mut self, table: MergedTable) -> SwapReport {
         self.metrics.attempts.inc();
-        let noise_ratio = noise.ratio();
+        let noise_ratio = table.noise().ratio();
         let candidate_entries = table.len();
         let coverage_before = self.coverage();
         let reject = |this: &mut Self, why: SwapRejection| {
@@ -1282,6 +1282,7 @@ mod tests {
     use crate::query::ClusterQuery;
     use netclust_netgen::{generate, standard_merged, LogSpec, Universe, UniverseConfig};
     use netclust_rtable::{RoutingTable, TableKind};
+    use netclust_testkit::{noisy_table_files, TempDir};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -1383,7 +1384,7 @@ mod tests {
         let before_total = stream.total_requests();
         // Swap to day 7's table: the view must equal a batch clustering
         // against that table.
-        let report = stream.try_swap(standard_merged(&u, 7), ErrorCounts::default());
+        let report = stream.try_swap(standard_merged(&u, 7));
         assert!(report.accepted, "rejected: {:?}", report.rejection);
         assert_eq!(stream.total_requests(), before_total);
         assert_eq!(stream.swap_stats().accepted, 1);
@@ -1398,6 +1399,26 @@ mod tests {
         }
     }
 
+    /// `table` loaded from files that carry `malformed` lines in every
+    /// `records`.
+    fn noisy(dir: &TempDir, table: &MergedTable, records: usize, malformed: usize) -> MergedTable {
+        let (bgp, dump) = noisy_table_files(
+            dir,
+            table.bgp_prefixes(),
+            table.dump_prefixes(),
+            records,
+            malformed,
+        );
+        let loaded = netclust_rtable::load_tables(&[bgp], &[dump]).expect("table files");
+        assert_eq!(
+            loaded.noise().ratio(),
+            ErrorCounts::new(records as u64, malformed as u64).ratio()
+        );
+        assert_eq!(loaded.bgp_prefixes(), table.bgp_prefixes());
+        assert_eq!(loaded.dump_prefixes(), table.dump_prefixes());
+        loaded
+    }
+
     #[test]
     fn rejected_swap_leaves_view_untouched() {
         let (u, log) = setup();
@@ -1410,7 +1431,7 @@ mod tests {
 
         // Empty candidate: a scrape failure, not a routing change.
         let empty = MergedTable::merge(std::iter::empty());
-        let report = stream.try_swap(empty, ErrorCounts::default());
+        let report = stream.try_swap(empty);
         assert!(!report.accepted);
         assert!(matches!(
             report.rejection,
@@ -1421,7 +1442,8 @@ mod tests {
         ));
 
         // Over-noisy source dump (1 malformed line in 2 = 50 % noise).
-        let report = stream.try_swap(standard_merged(&u, 7), ErrorCounts::new(2, 1));
+        let dir = TempDir::new("netclust-stream-noise");
+        let report = stream.try_swap(noisy(&dir, &standard_merged(&u, 7), 2, 1));
         assert!(matches!(
             report.rejection,
             Some(SwapRejection::NoiseOverBudget { .. })
@@ -1434,7 +1456,7 @@ mod tests {
             netclust_rtable::TableKind::Bgp,
             vec!["203.0.113.0/24".parse().unwrap()],
         );
-        let report = stream.try_swap(MergedTable::merge([&bogus]), ErrorCounts::default());
+        let report = stream.try_swap(MergedTable::merge([&bogus]));
         assert!(matches!(
             report.rejection,
             Some(SwapRejection::CoverageCollapse { .. })
@@ -1451,7 +1473,7 @@ mod tests {
 
         // A good candidate then clears degraded mode (1 % noise is under
         // the default 5 % budget).
-        let ok = stream.try_swap(standard_merged(&u, 7), ErrorCounts::new(100, 1));
+        let ok = stream.try_swap(noisy(&dir, &standard_merged(&u, 7), 100, 1));
         assert!(ok.accepted);
         assert_eq!(stream.swap_stats().stale_age, 0);
         assert_eq!(stream.last_rejection(), None);
@@ -1468,8 +1490,8 @@ mod tests {
             stream.push_raw(r.client, r.bytes.into());
         }
         let empty = MergedTable::merge(std::iter::empty());
-        stream.try_swap(empty, ErrorCounts::default());
-        stream.try_swap(standard_merged(&u, 7), ErrorCounts::default());
+        stream.try_swap(empty);
+        stream.try_swap(standard_merged(&u, 7));
         let snap = obs.snapshot(true);
         assert_eq!(snap.counters.get("stream.swap.attempts"), Some(&2));
         assert_eq!(snap.counters.get("stream.swap.accepted"), Some(&1));
@@ -1624,7 +1646,7 @@ mod tests {
             TableKind::NetworkDump,
             merged.dump_prefixes().to_vec(),
         );
-        let report = swapped.try_swap(MergedTable::merge([&bgp, &dump]), ErrorCounts::default());
+        let report = swapped.try_swap(MergedTable::merge([&bgp, &dump]));
         assert!(report.accepted, "rejected: {:?}", report.rejection);
         assert_eq!(patched.top_k(usize::MAX), swapped.top_k(usize::MAX));
         assert!((patched.coverage() - swapped.coverage()).abs() < 1e-12);
@@ -2041,7 +2063,7 @@ mod tests {
                     .filter(|i| mask >> i & 1 == 1)
                     .map(wide_net)
                     .collect();
-                let report = stream.try_swap(table_of(live), ErrorCounts::default());
+                let report = stream.try_swap(table_of(live));
                 assert!(report.accepted, "{:?}", report.rejection);
             }
             WideOp::Restore => {

@@ -5,8 +5,8 @@ use std::net::Ipv4Addr;
 
 use netclust_core::{
     threshold_busy, Assigner, ClientClass, ClientStats, Cluster, ClusterAnswer, ClusterQuery,
-    Clustering, ErrorCounts, IngestPipeline, StreamStats, StreamingClustering, SwapPolicy,
-    VerdictAnswer, VerdictPolicy,
+    Clustering, IngestPipeline, StreamStats, StreamingClustering, SwapPolicy, VerdictAnswer,
+    VerdictPolicy,
 };
 use netclust_netgen::{to_clf, Log, Request};
 use netclust_obs::Obs;
@@ -461,7 +461,7 @@ proptest! {
             check_stream(&restarted, &want, fed, &format!("restarted after {batch:?}"))?;
             match after {
                 1 => {
-                    let swap = stream.try_swap(merged(&live), ErrorCounts::default());
+                    let swap = stream.try_swap(merged(&live));
                     prop_assert_eq!(swap.accepted, !table_now.is_empty());
                     check_stream(&stream, &want, fed, &format!("swapped after {batch:?}"))?;
                 }

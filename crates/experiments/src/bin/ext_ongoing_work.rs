@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 
-use netclust_core::{Assigner, Clustering, ErrorCounts, StreamingClustering, SwapPolicy};
+use netclust_core::{Assigner, Clustering, StreamingClustering, SwapPolicy};
 use netclust_experiments::{
     merge_by_name_suffix, nagano_env, org_purity, pct, print_table, selective_validate, SamplePlan,
     SelectiveMode,
@@ -145,10 +145,7 @@ fn main() {
         &rows,
     );
     // Adapt to routing dynamics: swap in day 7's tables mid-flight.
-    stream.try_swap(
-        netclust_netgen::standard_merged(&universe, 7),
-        ErrorCounts::default(),
-    );
+    stream.try_swap(netclust_netgen::standard_merged(&universe, 7));
     println!(
         "\nafter swapping in day-7 tables: {} clusters, coverage {} (rebuilt without replay)",
         stream.len(),

@@ -39,7 +39,7 @@ fn main() {
         merged.len(),
         merged.bgp_len(),
         merged.dump_len(),
-        merged.source_names().len(),
+        merged.sources().len(),
     );
     let largest = tables
         .iter()

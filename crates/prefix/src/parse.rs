@@ -11,7 +11,7 @@
 //!
 //! [`parse_table_entry`] accepts all three and returns the one canonical
 //! [`Ipv4Net`] — the paper's "standard format" unification step. Reading a
-//! whole table file is `netclust_rtable::RoutingTable::parse`.
+//! whole table file is `netclust_rtable::load_tables`.
 
 use std::net::Ipv4Addr;
 

@@ -6,7 +6,7 @@
 //! table merging); the §3.4 dynamics measures and Figure 1's prefix-length
 //! histogram that study it live in `netclust-experiments`:
 //!
-//! * [`RoutingTable`] / [`MergedTable`] — named snapshots and their union,
+//! * [`load_tables`] / [`MergedTable`] — table files read into their union,
 //!   a sorted prefix list per tier (BGP primary / registry-dump secondary),
 //! * [`CompiledTable`] — both tiers in one cache-resident DIR-16 root +
 //!   popcount-compressed nodes: one to three array loads per lookup,

@@ -10,8 +10,9 @@
 //!   entries are allocation-granularity and often coarser than what is
 //!   actually routed.
 //!
-//! [`RoutingTable`] models one snapshot; [`MergedTable`] is the union used
-//! for clustering, keeping the primary/secondary distinction.
+//! [`load_tables`] reads table files into a [`MergedTable`], the union used
+//! for clustering, keeping the primary/secondary distinction;
+//! [`RoutingTable`] models one snapshot in memory, the studies' way in.
 
 use std::fmt;
 use std::io;
@@ -50,7 +51,8 @@ impl ParseReport {
     }
 }
 
-/// Whether a snapshot is a routed (BGP) view or a registry allocation dump.
+/// Whether a snapshot is a routed (BGP) view or a registry allocation dump;
+/// in this order, the tiers of a [`MergedTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TableKind {
     /// BGP routing or forwarding table snapshot — primary prefix source.
@@ -116,25 +118,7 @@ impl RoutingTable {
         lines: &str,
     ) -> (Self, ParseReport) {
         let mut prefixes = Vec::new();
-        let mut report = ParseReport::default();
-        for (idx, raw) in lines.lines().enumerate() {
-            report.total_lines += 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                report.skipped += 1;
-                continue;
-            }
-            // Entries may carry extra columns (next hop, AS path); the
-            // prefix is the first whitespace-separated token.
-            let token = line.split_whitespace().next().unwrap_or("");
-            match parse_table_entry(token) {
-                Ok(net) => {
-                    prefixes.push(net);
-                    report.parsed += 1;
-                }
-                Err(_) => report.bad.push((idx, line.to_string())),
-            }
-        }
+        let report = read_entries(lines, &mut prefixes);
         (Self::new(name, date, kind, prefixes), report)
     }
 
@@ -154,42 +138,49 @@ impl RoutingTable {
     }
 }
 
-impl fmt::Display for RoutingTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} ({}, {:?}): {} entries",
-            self.name,
-            self.date,
-            self.kind,
-            self.prefixes.len()
-        )
+/// The one line grammar of table files: a line is blank, a `#` comment or
+/// an entry whose first column is a prefix (a next hop or an AS path may
+/// follow). Pushes each prefix onto `into`; the report accounts every line.
+fn read_entries(lines: &str, into: &mut Vec<Ipv4Net>) -> ParseReport {
+    let mut report = ParseReport::default();
+    for (idx, raw) in lines.lines().enumerate() {
+        report.total_lines += 1;
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with('#') {
+            report.skipped += 1;
+            continue;
+        }
+        let token = line.split_whitespace().next().unwrap_or("");
+        match parse_table_entry(token) {
+            Ok(net) => {
+                into.push(net);
+                report.parsed += 1;
+            }
+            Err(_) => report.bad.push((idx, line.to_string())),
+        }
     }
+    report
 }
 
-/// Reads and parses the files of both tiers — `bgp` as [`TableKind::Bgp`],
-/// then `dumps` as [`TableKind::NetworkDump`] — each named after its path
-/// and paired with its parse noise ([`ParseReport::counts`]): what a swap
-/// gate budgets against and what the CLI prints a note about. A byte that
-/// is not UTF-8 spoils only its line (read as U+FFFD, so a prefix column
-/// holding one is a malformed line). An unreadable file is the `io::Error`
-/// with the path in its message.
-pub fn load_tables<P: AsRef<Path>>(
-    bgp: &[P],
-    dumps: &[P],
-) -> io::Result<Vec<(RoutingTable, ErrorCounts)>> {
-    let tier = |paths, kind| <[P]>::iter(paths).map(move |path| (path.as_ref(), kind));
-    let files = tier(bgp, TableKind::Bgp).chain(tier(dumps, TableKind::NetworkDump));
-    files
-        .map(|(path, kind)| {
-            let path = path.to_string_lossy();
+/// Reads the files of both tiers, `bgp` then `dumps`, into one
+/// [`MergedTable`]: each file's prefixes go straight into its tier, sorted
+/// once, and each file is a source named by its path with its parse noise
+/// ([`ParseReport::counts`]), what a swap gate budgets against and the CLI
+/// notes. A byte that is not UTF-8 spoils only its line (read as U+FFFD).
+/// An unreadable file is the `io::Error` with the path in its message.
+pub fn load_tables<P: AsRef<Path>>(bgp: &[P], dumps: &[P]) -> io::Result<MergedTable> {
+    let mut tiers = [Vec::new(), Vec::new()];
+    let mut sources = Vec::with_capacity(bgp.len() + dumps.len());
+    for (tier, paths) in tiers.iter_mut().zip([bgp, dumps]) {
+        for path in paths {
+            let path = path.as_ref().to_string_lossy();
             let bytes = std::fs::read(&*path)
                 .map_err(|e| io::Error::new(e.kind(), format!("cannot read table {path}: {e}")))?;
-            let text = String::from_utf8_lossy(&bytes);
-            let (table, report) = RoutingTable::parse_report(path, "file", kind, &text);
-            Ok((table, report.counts()))
-        })
-        .collect()
+            let report = read_entries(&String::from_utf8_lossy(&bytes), tier);
+            sources.push((path.into_owned(), report.counts()));
+        }
+    }
+    Ok(MergedTable::settle(tiers, sources))
 }
 
 /// Longest first: `probe` on each prefix of `max_len` bits down to /0 that
@@ -218,7 +209,8 @@ pub enum MatchSource {
 
 /// The unified prefix/netmask table built from many snapshots (§3.1.2's
 /// "single, large table"), preserving the primary/secondary source split:
-/// each tier is the union of its snapshots, one sorted, deduplicated list.
+/// each tier is the union of its snapshots, one sorted, deduplicated list,
+/// and each source is named with its parse noise.
 ///
 /// Longest-prefix matching first consults the BGP tier; only addresses with
 /// no routed match fall back to the registry tier. The paper reports this
@@ -228,35 +220,35 @@ pub enum MatchSource {
 pub struct MergedTable {
     bgp: Vec<Ipv4Net>,
     dump: Vec<Ipv4Net>,
-    source_names: Vec<String>,
+    sources: Vec<(String, ErrorCounts)>,
 }
 
 impl MergedTable {
-    /// Merges a collection of snapshots into one table.
+    /// Merges a collection of snapshots into one table, each a clean
+    /// source.
     pub fn merge<'a, I>(tables: I) -> Self
     where
         I: IntoIterator<Item = &'a RoutingTable>,
     {
-        let mut bgp = Vec::new();
-        let mut dump = Vec::new();
-        let mut source_names = Vec::new();
+        let mut tiers = [Vec::new(), Vec::new()];
+        let mut sources = Vec::new();
         for table in tables {
-            source_names.push(table.name.clone());
-            let target = match table.kind {
-                TableKind::Bgp => &mut bgp,
-                TableKind::NetworkDump => &mut dump,
-            };
-            target.extend_from_slice(table.prefixes());
+            sources.push((table.name.clone(), ErrorCounts::default()));
+            tiers[table.kind as usize].extend_from_slice(table.prefixes());
         }
-        for tier in [&mut bgp, &mut dump] {
+        Self::settle(tiers, sources)
+    }
+
+    /// The last step of every build: each of the tiers, in [`TableKind`]
+    /// order, sorted, deduplicated and shrunk to its length, once.
+    fn settle(mut tiers: [Vec<Ipv4Net>; 2], sources: Vec<(String, ErrorCounts)>) -> Self {
+        for tier in &mut tiers {
             tier.sort_unstable();
             tier.dedup();
+            tier.shrink_to_fit();
         }
-        MergedTable {
-            bgp,
-            dump,
-            source_names,
-        }
+        let [bgp, dump] = tiers;
+        MergedTable { bgp, dump, sources }
     }
 
     /// Number of unique prefixes in the BGP tier.
@@ -280,9 +272,18 @@ impl MergedTable {
         self.bgp.is_empty() && self.dump.is_empty()
     }
 
-    /// Names of the merged source snapshots.
-    pub fn source_names(&self) -> &[String] {
-        &self.source_names
+    /// The merged sources in order, each named and paired with its parse
+    /// noise (clean for a snapshot built in memory).
+    pub fn sources(&self) -> &[(String, ErrorCounts)] {
+        &self.sources
+    }
+
+    /// The parse noise of every source, summed: what a swap gate budgets
+    /// against.
+    pub fn noise(&self) -> ErrorCounts {
+        let mut sum = ErrorCounts::default();
+        self.sources.iter().for_each(|(_, c)| sum.merge(*c));
+        sum
     }
 
     /// Longest-prefix match with source attribution: BGP tier first, then
@@ -322,7 +323,7 @@ impl fmt::Debug for MergedTable {
         f.debug_struct("MergedTable")
             .field("bgp_len", &self.bgp.len())
             .field("dump_len", &self.dump.len())
-            .field("sources", &self.source_names)
+            .field("sources", &self.sources)
             .finish()
     }
 }
@@ -434,7 +435,12 @@ mod tests {
         assert_eq!(merged.bgp_len(), 2);
         assert!(merged.lookup(addr("12.65.147.94")).is_some());
         assert!(merged.lookup(addr("24.48.3.87")).is_some());
-        assert_eq!(merged.source_names(), &["A".to_string(), "B".to_string()]);
+        let clean = ErrorCounts::default();
+        assert_eq!(
+            merged.sources(),
+            [("A".to_string(), clean), ("B".to_string(), clean)]
+        );
+        assert_eq!(merged.noise(), clean);
     }
 
     #[test]
@@ -443,17 +449,5 @@ mod tests {
         let t2 = RoutingTable::new("B", "d0", TableKind::Bgp, vec![net("12.65.128.0/19")]);
         let merged = MergedTable::merge([&t1, &t2]);
         assert_eq!(merged.bgp_len(), 1);
-    }
-
-    #[test]
-    fn display_formats() {
-        let t = RoutingTable::new(
-            "MAE-WEST",
-            "1999-07-03",
-            TableKind::Bgp,
-            vec![net("6.0.0.0/8")],
-        );
-        let s = t.to_string();
-        assert!(s.contains("MAE-WEST") && s.contains("1 entries"));
     }
 }

@@ -3,13 +3,14 @@
 //! §3.1.2 prefix forms with extra columns, comments, blank lines, CRLF
 //! endings and non-UTF-8 bytes — with 1–4 byte edits: they never panic,
 //! every refused line is the one a naive line-by-line recognizer refuses,
-//! and every accepted prefix re-renders and re-parses to itself. The shim
-//! does not shrink: a failure prints the bytes it was given.
+//! and every accepted prefix re-renders and re-parses to itself; and
+//! `load_tables` equals parsing each file on its own, then merging. The
+//! shim does not shrink: a failure prints the bytes it was given.
 
 use std::net::Ipv4Addr;
 
 use netclust_prefix::{parse_table_entry, Ipv4Net};
-use netclust_rtable::{load_tables, ErrorCounts, RoutingTable, TableKind};
+use netclust_rtable::{load_tables, ErrorCounts, MergedTable, RoutingTable, TableKind};
 use netclust_testkit::{self as testkit, apply, number, Edit, Op, TempDir};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -196,9 +197,10 @@ proptest! {
     }
 
     /// `load_tables` over the same files, bytes that are not UTF-8
-    /// included: never an error for a readable file, both tiers read alike,
-    /// and each reports the recognizer's content and refused line counts
-    /// and holds its accepted prefixes.
+    /// included: never an error for a readable file, both tiers read alike
+    /// and hold its accepted prefixes, and each of the two sources carries
+    /// its path and the recognizer's content and refused line counts,
+    /// whose sum is the table's noise.
     #[test]
     fn load_tables_reads_any_bytes_line_by_line(
         file in arb_file(),
@@ -213,11 +215,50 @@ proptest! {
         let loaded = loaded.map_err(|e| format!("{e} on {bytes:?}"))?;
         let content = want.len() - count(&want, |r| *r == Read::Skipped);
         let counts = ErrorCounts::new(content as u64, count(&want, |r| *r == Read::Refused) as u64);
-        let kinds: Vec<TableKind> = loaded.iter().map(|(t, _)| t.kind).collect();
-        prop_assert_eq!(kinds, vec![TableKind::Bgp, TableKind::NetworkDump]);
-        for (table, got) in &loaded {
-            prop_assert_eq!(got, &counts, "{:?}", bytes);
-            prop_assert_eq!(table.prefixes(), &prefixes(&want)[..], "{:?}", bytes);
-        }
+        prop_assert_eq!(loaded.bgp_prefixes(), &prefixes(&want)[..], "{:?}", bytes);
+        prop_assert_eq!(loaded.dump_prefixes(), &prefixes(&want)[..], "{:?}", bytes);
+        let name = path.to_string_lossy().into_owned();
+        prop_assert_eq!(loaded.sources(), &[(name.clone(), counts), (name, counts)][..]);
+        let mut noise = counts;
+        noise.merge(counts);
+        prop_assert_eq!(loaded.noise(), noise, "{:?}", bytes);
+    }
+
+    /// `load_tables` over two different files a tier equals what the
+    /// product composed before it read files straight into the merged
+    /// table: `RoutingTable::parse_report` of each file's lossy text, then
+    /// `MergedTable::merge` — in its tiers, its source names and, from the
+    /// reports, each source's counts.
+    #[test]
+    fn load_tables_equals_parsing_each_file_then_merging(
+        files in vec((arb_file(), vec(arb_edit(), 0..3)), 4),
+    ) {
+        let dir = TempDir::new("netclust-parse-prop-merge");
+        let paths: Vec<_> = (files.iter().enumerate())
+            .map(|(i, (file, edits))| {
+                let path = dir.join(format!("t{i}"));
+                std::fs::write(&path, apply(file, edits)).unwrap();
+                path
+            })
+            .collect();
+        let loaded = load_tables(&paths[..2], &paths[2..]).map_err(|e| e.to_string())?;
+
+        let kinds = [TableKind::Bgp, TableKind::Bgp, TableKind::NetworkDump, TableKind::NetworkDump];
+        let (tables, counts): (Vec<_>, Vec<_>) = (paths.iter().zip(kinds))
+            .map(|(path, kind)| {
+                let bytes = std::fs::read(path).unwrap();
+                let name = path.to_string_lossy();
+                let text = String::from_utf8_lossy(&bytes);
+                let (table, report) = RoutingTable::parse_report(name, "file", kind, &text);
+                (table, report.counts())
+            })
+            .unzip();
+        let merged = MergedTable::merge(&tables);
+        prop_assert_eq!(loaded.bgp_prefixes(), merged.bgp_prefixes());
+        prop_assert_eq!(loaded.dump_prefixes(), merged.dump_prefixes());
+        let names = |t: &MergedTable| t.sources().iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+        prop_assert_eq!(names(&loaded), names(&merged));
+        let loaded_counts: Vec<ErrorCounts> = loaded.sources().iter().map(|(_, c)| *c).collect();
+        prop_assert_eq!(loaded_counts, counts);
     }
 }

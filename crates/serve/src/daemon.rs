@@ -30,7 +30,7 @@ use netclust_core::{
     VerdictPolicy,
 };
 use netclust_obs::Obs;
-use netclust_rtable::{load_tables, MergedTable};
+use netclust_rtable::load_tables;
 use netclust_sys::{Wake, Waker};
 use netclust_weblog::follow::LogFollower;
 
@@ -226,14 +226,14 @@ fn build_state(config: &ServeConfig, obs: &Obs) -> Result<AppState, ServeError> 
             stream
         }
         maybe_dir => {
-            let tables = load_tables(&config.tables, &config.dumps)
+            let table = load_tables(&config.tables, &config.dumps)
                 .map_err(|e| ServeError::Config(e.to_string()))?;
-            if tables.is_empty() {
+            if table.sources().is_empty() {
                 return Err(ServeError::Config(
                     "no serving table: give --table or --dump".to_string(),
                 ));
             }
-            let stream = run.streaming(MergedTable::merge(tables.iter().map(|(table, _)| table)));
+            let stream = run.streaming(table);
             if let Some(dir) = maybe_dir {
                 let mut fresh = StateStore::create(dir, run.fsync_policy())
                     .map_err(|e| ServeError::Persist(format!("create {}: {e}", dir.display())))?

@@ -29,8 +29,8 @@ use std::sync::RwLock;
 
 use netclust_core::query::top_to_json;
 use netclust_core::{ClusterQuery, StreamingClustering, VerdictPolicy};
-use netclust_obs::{Counter, ErrorCounts, Gauge, Histogram, Obs};
-use netclust_rtable::{load_tables, parse_feed, DeltaParseError, MergedTable, TableDelta};
+use netclust_obs::{Counter, Gauge, Histogram, Obs};
+use netclust_rtable::{load_tables, parse_feed, DeltaParseError, TableDelta};
 
 use crate::checkpoint::{self, ApplyError, Checkpointer};
 use crate::http::{HttpRequest, HttpResponse, Method};
@@ -324,22 +324,19 @@ fn reload_swap(
         let items = list.unwrap_or_default().split(',');
         items.filter(|p| !p.is_empty()).map(String::from).collect()
     };
-    let tables = match load_tables(&paths(table_param), &paths(dump_param)) {
-        Ok(tables) => tables,
+    let table = match load_tables(&paths(table_param), &paths(dump_param)) {
+        Ok(table) => table,
         Err(e) => return HttpResponse::json(400, json::error_body(&e.to_string())),
     };
-    if tables.is_empty() {
+    if table.sources().is_empty() {
         return HttpResponse::json(400, json::error_body("no readable tables in reload"));
     }
-    let mut noise = ErrorCounts::default();
-    tables.iter().for_each(|(_, counts)| noise.merge(*counts));
-    let merged = MergedTable::merge(tables.iter().map(|(table, _)| table));
 
     let mut stream = match state.stream.write() {
         Ok(guard) => guard,
         Err(_) => return HttpResponse::json(500, json::error_body("state lock poisoned")),
     };
-    let report = stream.try_swap(merged, noise);
+    let report = stream.try_swap(table);
     drop(stream);
     if report.accepted {
         // A swap changes the serving table wholesale; snapshot now so a
@@ -419,6 +416,7 @@ pub fn parse_delta_lines(body: &[u8]) -> Result<Vec<TableDelta>, DeltaBodyError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netclust_rtable::MergedTable;
 
     /// The answer to a `/v1/reload` of `body` on a daemon with an empty
     /// table.

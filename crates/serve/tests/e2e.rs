@@ -266,9 +266,17 @@ fn reload_applies_deltas_and_swaps_tables() {
     assert!(body.contains("\"mode\": \"swap\""), "{body}");
     assert!(body.contains("\"accepted\": true"), "{body}");
 
-    // Bad inputs answer 400, not a wedged daemon.
-    let (status, _) = c.send("POST", "/v1/reload?table=/nonexistent.bgp", None);
+    // Bad inputs answer 400, not a wedged daemon; an unreadable table
+    // file is named with the reason it could not be read.
+    let (status, body) = c.send("POST", "/v1/reload?table=/nonexistent.bgp", None);
     assert_eq!(status, 400);
+    assert_eq!(
+        body,
+        format!(
+            "{{\"error\": \"cannot read table /nonexistent.bgp: {}\"}}",
+            missing_file()
+        )
+    );
     let (status, _) = c.send("POST", "/v1/reload", Some("frobnicate 1.2.3.0/24\n"));
     assert_eq!(status, 400);
     // Two different lengths are invalid framing (RFC 9112 §6.3): the
@@ -401,6 +409,27 @@ fn equal_corpora_render_byte_identical_json() {
         a, b,
         "two daemons over the same corpus must agree byte-for-byte"
     );
+}
+
+/// Why `/nonexistent.bgp` cannot be read, in the words of the OS.
+fn missing_file() -> std::io::Error {
+    std::fs::read("/nonexistent.bgp").expect_err("no such file")
+}
+
+/// A daemon whose table file cannot be read does not start, and says
+/// which file and why.
+#[test]
+fn an_unreadable_table_is_a_config_error() {
+    let config = ServeConfig::new().tables(vec![PathBuf::from("/nonexistent.bgp")]);
+    let Err(e) = Daemon::start(config) else {
+        panic!("booted without a table");
+    };
+    assert!(matches!(e, netclust_serve::ServeError::Config(_)), "{e:?}");
+    let want = format!(
+        "config: cannot read table /nonexistent.bgp: {}",
+        missing_file()
+    );
+    assert_eq!(e.to_string(), want);
 }
 
 /// The binary's own edges: `--help` is the generated table on stdout and

@@ -14,6 +14,8 @@
 //! * [`net`], [`nets`] and [`addr`] read specs the test wrote;
 //!   [`number`], [`octet`] and [`dotted`] are the pieces of the naive
 //!   recognizers the parsers' properties hold them to.
+//! * [`noisy_table_files`]: a table's two tiers written as files that
+//!   carry parse noise of a given ratio.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,9 +23,11 @@
 mod edit;
 mod http;
 mod spec;
+mod table;
 mod temp;
 
 pub use edit::{apply, arb_edit, Edit, Op};
 pub use http::{get, json_u64, wait_for, wait_for_port, Client, KillOnDrop, Reply};
 pub use spec::{addr, dotted, net, nets, number, octet};
+pub use table::noisy_table_files;
 pub use temp::TempDir;

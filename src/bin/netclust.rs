@@ -570,19 +570,16 @@ fn cmd_cluster(p: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         "classful" => Assigner::Classful,
         _ => {
             p.req::<String>(&TABLE)?; // this method cannot do without one
-            let tables = load_tables::<String>(&p.each(&TABLE)?, &p.each(&DUMP)?)
+            let table = load_tables::<String>(&p.each(&TABLE)?, &p.each(&DUMP)?)
                 .map_err(|e| CliError::Input(format!("cluster: {e}")))?;
-            for (table, counts) in tables.iter().filter(|(_, counts)| !counts.is_clean()) {
-                let (path, bad) = (&table.name, counts.malformed);
-                eprintln!("note: {path}: skipped {bad} unparsable lines");
+            for (path, noise) in table.sources().iter().filter(|(_, c)| !c.is_clean()) {
+                eprintln!("note: {path}: skipped {} unparsable lines", noise.malformed);
             }
-            let table = merged.insert(MergedTable::merge(tables.iter().map(|(table, _)| table)));
+            let table = merged.insert(table);
+            let (bgp, dump, files) = (table.bgp_len(), table.dump_len(), table.sources().len());
             writeln!(
                 out,
-                "merged table: {} BGP + {} registry prefixes from {} files",
-                table.bgp_len(),
-                table.dump_len(),
-                table.source_names().len()
+                "merged table: {bgp} BGP + {dump} registry prefixes from {files} files"
             )?;
             let mut table = table.compile();
             table.attach_obs(&obs);

@@ -11,14 +11,12 @@
 //! ```no_run
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! use netclust::core::RunConfig;
-//! use netclust::rtable::{MergedTable, RoutingTable, TableKind};
+//! use netclust::rtable::load_tables;
 //! use netclust::weblog::chunk::LogData;
 //!
-//! // Map a real Apache log, parse a BGP table dump, then cluster.
+//! // Map a real Apache log, read a BGP table dump, then cluster.
 //! let data = LogData::open("access.log")?;
-//! let (table, _bad) = RoutingTable::parse("RouteViews", "2000-01-01", TableKind::Bgp,
-//!                                         &std::fs::read_to_string("bgp.txt")?);
-//! let merged = MergedTable::merge([&table]);
+//! let merged = load_tables(&["bgp.txt"], &[])?;
 //! let report = RunConfig::new().pipeline(&merged.compile()).run_log(&data)?;
 //! for cluster in report.clustering.clusters.iter().take(10) {
 //!     println!("{}: {} clients, {} requests", cluster.prefix, cluster.client_count(), cluster.requests);

@@ -319,6 +319,44 @@ fn missing_table_file_names_the_file() {
     assert!(stderr.contains("/nonexistent/table.bgp"), "{stderr}");
 }
 
+/// A table file's unparsable lines, a non-UTF-8 one among them, are one
+/// note on stderr naming the file; the clean dump gets none, and stdout
+/// counts both tiers and both files.
+#[test]
+fn a_noisy_table_file_is_one_note() {
+    let dir = TempDir::new("netclust-cli-test-noisy-table");
+    let log_path = dir.join("access.log");
+    std::fs::write(
+        &log_path,
+        "12.65.147.94 - - [13/Feb/1998:07:00:00 +0000] \"GET /a HTTP/1.0\" 200 120 \"-\" \"Mozilla/4.5\"\n\
+         24.48.3.87 - - [13/Feb/1998:07:00:01 +0000] \"GET /b HTTP/1.0\" 200 80 \"-\" \"Mozilla/4.5\"\n",
+    )
+    .expect("write log");
+    let (table, dump) = (dir.join("t.bgp"), dir.join("t.dump"));
+    let mut noisy = b"# scraped\n12.65.128.0/19 hop 7018\nnot-a-prefix\n6.0.0.0/8\n".to_vec();
+    noisy.extend_from_slice(b"999.1.2.3/8\n10.1.0.0/1\xff6\n\n");
+    std::fs::write(&table, noisy).expect("write table");
+    std::fs::write(&dump, "24.0.0.0/8\n12.0.0.0/8\n").expect("write dump");
+    let out = Command::new(bin())
+        .args(["cluster", "--log"])
+        .arg(&log_path)
+        .arg("--table")
+        .arg(&table)
+        .arg("--dump")
+        .arg(&dump)
+        .output()
+        .expect("run over a noisy table");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let note = format!("note: {}: skipped 3 unparsable lines\n", table.display());
+    assert_eq!(stderr, note);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("merged table: 2 BGP + 2 registry prefixes from 2 files\n"),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn error_budget_and_quarantine() {
     let dir = TempDir::new("netclust-cli-test-budget");

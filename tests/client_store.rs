@@ -13,7 +13,7 @@ use std::net::Ipv4Addr;
 use std::time::Instant;
 
 use netclust::bgpsim::{DeltaStream, DeltaStreamConfig};
-use netclust::core::{ErrorCounts, StreamingClustering, SwapPolicy};
+use netclust::core::{StreamingClustering, SwapPolicy};
 use netclust::prefix::Ipv4Net;
 use netclust::rtable::{MergedTable, RoutingTable, TableKind};
 
@@ -114,11 +114,7 @@ fn a_patch_batch_reads_only_its_prefixes_clients_and_the_tail() {
             p.addr_u32() | host
         };
         stream.push_clf(clf((0..clients).map(|_| place())).as_bytes());
-        assert!(
-            stream
-                .try_swap(merged(&prefixes), ErrorCounts::default())
-                .accepted
-        );
+        assert!(stream.try_swap(merged(&prefixes)).accepted);
         let settled = stream.client_count();
         while stream.client_count() < settled + extra as usize {
             stream.push_clf(clf([place()]).as_bytes());

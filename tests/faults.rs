@@ -19,15 +19,15 @@
 
 use std::collections::BTreeMap;
 
-use netclust_testkit::TempDir;
+use netclust_testkit::{noisy_table_files, TempDir};
 
 use netclust::core::{
-    failpoints, Assigner, Clustering, ErrorCounts, FaultPlan, FsyncPolicy, IngestPipeline,
-    IngestReport, JournalBatch, StateStore, StreamingClustering, SwapRejection,
+    failpoints, Assigner, Clustering, FaultPlan, FsyncPolicy, IngestPipeline, IngestReport,
+    JournalBatch, StateStore, StreamingClustering, SwapRejection,
 };
 use netclust::netgen::{generate, standard_merged, to_clf, LogSpec, Universe, UniverseConfig};
 use netclust::prefix::{unit_f64, Ipv4Net};
-use netclust::rtable::{MergedTable, RoutingTable, TableDelta, TableKind};
+use netclust::rtable::{load_tables, MergedTable, RoutingTable, TableDelta, TableKind};
 use netclust::serve::ServeConfig;
 use netclust_experiments::{self_correct, CorrectionConfig};
 use netclust_probe::ProbeFaultModel;
@@ -151,6 +151,7 @@ fn swap_faults_leave_old_table_serving_across_seeds() {
         TableKind::Bgp,
         vec!["203.0.113.0/24".parse().unwrap()],
     );
+    let dir = TempDir::new("netclust-faults-swap");
     let (mut rejected_total, mut accepted_total) = (0u64, 0u64);
     for &seed in &SEEDS {
         let mut stream = StreamingClustering::builder(standard_merged(&u, 0)).build();
@@ -163,37 +164,42 @@ fn swap_faults_leave_old_table_serving_across_seeds() {
         for day in 1..=7 {
             // A seeded pick: a good candidate, or one that a gate of the
             // default `SwapPolicy` turns away, with the rejection it gets.
-            let (table, noise, gate) = match (unit_f64(seed, &[u64::from(day)]) * 4.0) as u32 {
+            let (table, gate) = match (unit_f64(seed, &[u64::from(day)]) * 4.0) as u32 {
                 0 => (
                     MergedTable::merge(std::iter::empty()),
-                    ErrorCounts::default(),
                     Some(SwapRejection::TooFewEntries {
                         entries: 0,
                         floor: 1,
                     }),
                 ),
-                // Half the source dump's lines malformed: over the 5 % budget.
-                1 => (
-                    standard_merged(&u, day),
-                    ErrorCounts::new(100, 50),
-                    Some(SwapRejection::NoiseOverBudget {
-                        ratio: 0.5,
-                        budget: 0.05,
-                    }),
-                ),
+                // Table files with half their lines malformed: over the
+                // 5 % budget.
+                1 => {
+                    let good = standard_merged(&u, day);
+                    let (bgp, dump) =
+                        noisy_table_files(&dir, good.bgp_prefixes(), good.dump_prefixes(), 100, 50);
+                    let noisy = load_tables(&[bgp], &[dump]).expect("table files");
+                    assert_eq!(noisy.noise().ratio(), 0.5);
+                    (
+                        noisy,
+                        Some(SwapRejection::NoiseOverBudget {
+                            ratio: 0.5,
+                            budget: 0.05,
+                        }),
+                    )
+                }
                 // Covers none of the clients the stream has seen.
                 2 => (
                     MergedTable::merge([&foreign]),
-                    ErrorCounts::default(),
                     Some(SwapRejection::CoverageCollapse {
                         before: 0.0,
                         after: 0.0,
                         floor: 0.0,
                     }),
                 ),
-                _ => (standard_merged(&u, day), ErrorCounts::default(), None),
+                _ => (standard_merged(&u, day), None),
             };
-            let report = stream.try_swap(table, noise);
+            let report = stream.try_swap(table);
             let kind = |r: &Option<SwapRejection>| r.as_ref().map(std::mem::discriminant);
             assert_eq!(
                 kind(&report.rejection),

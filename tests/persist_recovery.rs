@@ -545,10 +545,9 @@ fn a_version_one_state_dir_recovers_and_is_rewritten_in_the_current_form() {
         }
 
         // The same inputs through this build: tables, log, three batches.
-        let tables =
+        let merged =
             netclust::rtable::load_tables(&[inputs.join("t.bgp")], &[inputs.join("t.dump")])
                 .expect("tables");
-        let merged = netclust::rtable::MergedTable::merge(tables.iter().map(|(t, _)| t));
         let mut fresh = StreamingClustering::builder(merged).build();
         fresh.push_clf(&std::fs::read(inputs.join("access.log")).expect("log"));
         let feed = std::fs::read_to_string(inputs.join("feed.txt")).expect("feed");
